@@ -26,31 +26,35 @@
 //! * [`core::IsmCore`] — the transport-free composition of the above;
 //!   driven by the threaded [`server::IsmServer`] in real deployments and
 //!   directly by `brisk-sim` in deterministic experiments.
-//! * [`pump`] / [`server::IsmServer`] — the networked manager: a small
-//!   poll-based reactor pool drives every EXS connection (receives
-//!   batches zero-copy, runs poll exchanges with accurate send/receive
-//!   timestamps) and one manager thread owns the core. Connection count
-//!   is decoupled from thread count: a thousand idle sensors cost a
-//!   handful of reactor threads, not a thousand pump threads.
+//! * [`server::IsmServer`] — the networked manager: a small poll-based
+//!   reactor pool drives every EXS connection (receives batches
+//!   zero-copy, runs poll exchanges with accurate send/receive
+//!   timestamps) and one manager thread owns the core, so connection
+//!   count is decoupled from thread count. [`flow`] bounds the manager
+//!   queue and grants credit; [`quarantine`] contains malformed frames.
+//! * [`relay::UpstreamExporter`] — relay mode: the merged stream leaves
+//!   over an ordinary EXS link ([`brisk_lis::Uplink`]).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod core;
 pub mod cre;
+pub mod flow;
 pub mod merge;
 pub mod output;
-pub mod pump;
+pub mod quarantine;
 mod reactor;
 pub mod relay;
 pub mod server;
+mod session;
 pub mod sorter;
 
 pub use crate::core::{IsmCore, IsmCoreStats};
 pub use cre::{CreMatcher, CreStats};
 pub use merge::{MergeOutput, MergePlane, MergeStats};
 pub use output::{EventSink, MemoryBuffer, MemoryBufferReader, PiclFileSink};
-pub use pump::{ProtocolGuard, QuarantineLog, QuarantineSample};
+pub use quarantine::{QuarantineLog, QuarantineSample};
 pub use relay::{RelayConfig, RelayStats, UpstreamExporter};
 pub use server::{IsmHandle, IsmReport, IsmServer};
 pub use sorter::{OnlineSorter, OverloadPolicy, SorterStats};

@@ -407,6 +407,12 @@ impl MergePlane {
             );
             self.flight_last_shed = shed_total;
         }
+        self.mirror_telemetry();
+        Ok(n)
+    }
+
+    /// Bring the registry up to the sorter's and CRE's own stats.
+    fn mirror_telemetry(&mut self) {
         if let Some(t) = &mut self.telemetry {
             t.sorter_depth.set(self.sorter.buffered() as i64);
             t.sorter_frame_us.set(self.sorter.frame_us());
@@ -424,7 +430,6 @@ impl MergePlane {
             t.extra_sync_suppressed.add(suppressed - t.last_suppressed);
             t.last_suppressed = suppressed;
         }
-        Ok(n)
     }
 
     /// Shutdown path: flush every held and delayed record to the output
@@ -437,6 +442,8 @@ impl MergePlane {
         let released = self.sorter.drain_all();
         let n = self.deliver(released, UtcMicros::MAX, out)?;
         out.flush()?;
+        // The shutdown drain sheds and repairs too, with no tick to follow.
+        self.mirror_telemetry();
         Ok(n)
     }
 
@@ -598,5 +605,30 @@ mod tests {
             .unwrap();
         assert_eq!(p.drain_all(&mut out).unwrap(), 1);
         assert_eq!(out.got.len(), 1);
+    }
+
+    #[test]
+    fn drain_reports_sheds_that_happened_after_the_last_tick() {
+        // A batch pushed during the shutdown drain sheds like any other;
+        // the registry must not miss it just because no tick follows.
+        let mut cfg = IsmConfig {
+            max_buffered_records: 4,
+            ..IsmConfig::default()
+        };
+        cfg.flow.shed_unmarked = true;
+        cfg.sorter.initial_frame_us = 1_000_000;
+        let mut p = MergePlane::new(&cfg).unwrap();
+        let registry = Registry::new();
+        p.bind_telemetry(&registry);
+        let batch: Vec<EventRecord> = (0..10).map(|i| rec(1, i, 100 + i as i64)).collect();
+        p.push_batch(batch, UtcMicros::from_micros(200)).unwrap();
+        let mut out = TestOut::new();
+        let delivered = p.drain_all(&mut out).unwrap() as u64;
+        let shed = p.sorter_stats().shed;
+        assert!(shed > 0 && delivered + shed == 10);
+        assert_eq!(
+            registry.snapshot().counter_total("brisk_ism_shed_total"),
+            shed
+        );
     }
 }

@@ -1,17 +1,15 @@
-//! Poll-based connection reactor.
+//! Poll-based connection reactor: the ISM's one receive path.
 //!
-//! The server's accept loop used to spawn one pump thread per EXS
-//! connection; a thousand mostly-idle sensors meant a thousand sleeping
-//! threads. The reactor replaces that with a small bounded pool: each
-//! *shard* thread owns a set of connections and multiplexes all of their
-//! sockets through one [`Poller`] (`poll(2)` — see `brisk_net::poll`),
-//! driving handshakes, batch ingest, heartbeats, credit acks, clock-sync
-//! exchanges and fault-injected transports alike.
+//! A small bounded pool serves every EXS connection: each *shard* thread
+//! owns a set of connections and multiplexes all of their sockets
+//! through one [`Poller`] (`poll(2)` — see `brisk_net::poll`), driving
+//! handshakes, batch ingest, heartbeats, credit acks, clock-sync
+//! exchanges and fault-injected transports alike. A thousand mostly-idle
+//! sensors cost sockets, not threads.
 //!
-//! Per-connection protocol behavior is not reimplemented here: every
-//! frame goes through the same [`PumpIo`] the threaded [`run_pump`] path
-//! uses, so the reactor accepts and rejects exactly the traffic a
-//! dedicated pump thread would. What the reactor adds is scheduling:
+//! What a greeted connection accepts and rejects is decided in
+//! `crate::session` ([`PumpIo::on_frame`]); this module owns the socket
+//! and the scheduling:
 //!
 //! * Connections with a kernel fd are read only when `poll` reports them
 //!   readable. Fd-less connections (the in-memory transports used by
@@ -20,18 +18,16 @@
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
 //!   queued per connection; [`PumpHandle::command`] fires the shard's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
-//! * The clock-sync poll exchange, which the threaded pump runs as a
-//!   blocking request/reply loop, becomes an explicit state machine
+//! * The clock-sync poll exchange is an explicit state machine
 //!   ([`SyncState`]) so one slow slave cannot stall its shard.
 //! * EXS→ISM flow control keeps its semantics: while the shared manager
 //!   queue is over its bound, running connections are excluded from the
 //!   poll set (deferred), while greetings, teardown drains and manager
 //!   commands still make progress.
 
-use crate::pump::{
-    pump_channel, FlowState, FrameOutcome, ProtocolGuard, PumpCommand, PumpEvent, PumpHandle,
-    PumpIo, QuarantineLog,
-};
+use crate::flow::FlowState;
+use crate::quarantine::QuarantineLog;
+use crate::session::{pump_channel, FrameOutcome, PumpCommand, PumpEvent, PumpHandle, PumpIo};
 use brisk_clock::{Clock, SkewSample};
 use brisk_core::{BriskError, NodeId, Result, UtcMicros};
 use brisk_net::{poll_in, Connection, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN};
@@ -108,12 +104,12 @@ pub(crate) struct ReactorConfig {
     pub pumps: Sender<PumpHandle>,
     /// Counts events enqueued toward the manager (queue-depth telemetry).
     pub enqueued: Option<Arc<Counter>>,
-    /// Shared EXS→ISM flow-control state, if flow control is on.
-    pub flow: Option<Arc<FlowState>>,
+    /// Shared EXS→ISM flow-control state.
+    pub flow: Arc<FlowState>,
     /// Undecodable frames tolerated per connection before disconnect.
     pub error_budget: u32,
     /// Shared malformed-frame quarantine log.
-    pub quarantine: Option<Arc<QuarantineLog>>,
+    pub quarantine: Arc<QuarantineLog>,
     /// Live node-id claims, shared across the server's shards.
     pub active: Arc<ActiveNodes>,
 }
@@ -187,8 +183,7 @@ impl ReactorPool {
     }
 }
 
-/// One in-flight clock-sync exchange, unrolled from the threaded pump's
-/// blocking loop into poll-driven state.
+/// One in-flight clock-sync exchange as poll-driven state.
 struct SyncState {
     round: u64,
     total: u32,
@@ -215,8 +210,8 @@ impl SyncState {
     }
 
     /// Record a reply if it matches the outstanding poll; stale or
-    /// mismatched replies are dropped, like the threaded pump does.
-    fn on_reply(&mut self, round: u64, sample: u32, slave_time: UtcMicros, io: &PumpIo) {
+    /// mismatched replies are dropped.
+    fn on_reply(&mut self, round: u64, sample: u32, slave_time: UtcMicros, now: UtcMicros) {
         match &self.outstanding {
             Some(out) if self.round == round && out.sample == sample => {
                 let t0 = out.t0;
@@ -224,11 +219,24 @@ impl SyncState {
                 self.collected.push(SkewSample {
                     t_master_send: t0,
                     t_slave: slave_time,
-                    t_master_recv: io.clock.now(),
+                    t_master_recv: now,
                 });
             }
             _ => {}
         }
+    }
+
+    /// Hand the round's samples (possibly fewer than requested) to the
+    /// manager.
+    fn report(self, io: &PumpIo, ctx: &ReactorConfig) {
+        io.send_event(
+            ctx,
+            PumpEvent::SyncSamples {
+                node: io.node,
+                round: self.round,
+                samples: self.collected,
+            },
+        );
     }
 }
 
@@ -296,40 +304,27 @@ impl Driver {
 
     /// Drain queued manager commands. Returns `false` when the
     /// connection is done.
-    fn service_commands(&mut self) -> bool {
+    fn service_commands(&mut self, ctx: &ReactorConfig) -> bool {
         loop {
             let cmd = match &mut self.state {
                 State::Running(run) => run.cmd_rx.try_recv(),
                 _ => return true,
             };
-            match cmd {
+            let reply = match cmd {
                 Ok(PumpCommand::SyncRound { round, samples }) => {
                     if let State::Running(run) = &mut self.state {
                         run.sync = Some(SyncState::new(round, samples));
                     }
+                    continue;
                 }
                 Ok(PumpCommand::Adjust { round, advance_us }) => {
-                    if self
-                        .conn
-                        .send(&Message::SyncAdjust { round, advance_us }.encode())
-                        .is_err()
-                    {
-                        return false;
-                    }
+                    Message::SyncAdjust { round, advance_us }
                 }
-                Ok(PumpCommand::Ack { seq, credit }) => {
-                    if self
-                        .conn
-                        .send(&Message::BatchAck { seq, credit }.encode())
-                        .is_err()
-                    {
-                        return false;
-                    }
-                }
+                Ok(PumpCommand::Ack { seq, credit }) => Message::BatchAck { seq, credit },
                 Ok(PumpCommand::Shutdown) => {
                     let _ = self.conn.send(&Message::Shutdown.encode());
                     // Keep draining the EXS's final flush for a bounded
-                    // window, exactly like the threaded pump's teardown.
+                    // window so no records are lost at teardown.
                     let placeholder = State::Greeting {
                         deadline: Instant::now(),
                     };
@@ -340,11 +335,7 @@ impl Driver {
                         // lost to teardown look like samples lost to
                         // timeouts, and the round can still close.
                         if let Some(sync) = run.sync.take() {
-                            run.io.send_event(PumpEvent::SyncSamples {
-                                node: run.io.node,
-                                round: sync.round,
-                                samples: sync.collected,
-                            });
+                            sync.report(&run.io, ctx);
                         }
                         self.state = State::Closing {
                             io: run.io,
@@ -355,6 +346,9 @@ impl Driver {
                 }
                 Err(TryRecvError::Empty) => return true,
                 Err(TryRecvError::Disconnected) => return false,
+            };
+            if self.conn.send(&reply.encode()).is_err() {
+                return false;
             }
         }
     }
@@ -362,7 +356,7 @@ impl Driver {
     /// Advance the sync state machine: time out lost samples, send the
     /// next poll, emit `SyncSamples` when the round completes. Returns
     /// `false` when the connection is done.
-    fn advance_sync(&mut self) -> bool {
+    fn advance_sync(&mut self, ctx: &ReactorConfig) -> bool {
         let run = match &mut self.state {
             State::Running(run) => run,
             _ => return true,
@@ -378,7 +372,7 @@ impl Driver {
         }
         if sync.outstanding.is_none() && sync.next_sample < sync.total {
             let sample = sync.next_sample;
-            let t0 = run.io.clock.now();
+            let t0 = ctx.clock.now();
             if self
                 .conn
                 .send(
@@ -402,11 +396,7 @@ impl Driver {
         }
         if sync.outstanding.is_none() && sync.next_sample >= sync.total {
             if let Some(done) = run.sync.take() {
-                run.io.send_event(PumpEvent::SyncSamples {
-                    node: run.io.node,
-                    round: done.round,
-                    samples: done.collected,
-                });
+                done.report(&run.io, ctx);
             }
         }
         true
@@ -417,7 +407,7 @@ impl Driver {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &ReactorConfig, waker: &Waker) -> bool {
         match &mut self.state {
             State::Greeting { .. } => self.greet(frame, ctx, waker),
-            State::Running(run) => match run.io.on_frame(frame) {
+            State::Running(run) => match run.io.on_frame(ctx, frame) {
                 Ok(FrameOutcome::Consumed) => true,
                 Ok(FrameOutcome::SyncReply {
                     round,
@@ -427,13 +417,13 @@ impl Driver {
                     // A reply outside a round is stale; inside one, the
                     // state machine decides whether it matches.
                     if let Some(sync) = &mut run.sync {
-                        sync.on_reply(round, sample, slave_time, &run.io);
+                        sync.on_reply(round, sample, slave_time, ctx.clock.now());
                     }
                     true
                 }
                 Err(_) => false,
             },
-            State::Closing { io, .. } => io.on_frame(frame).is_ok(),
+            State::Closing { io, .. } => io.on_frame(ctx, frame).is_ok(),
         }
     }
 
@@ -448,13 +438,12 @@ impl Driver {
             Ok(Message::Hello { node, version }) => (node, brisk_proto::negotiate(version)),
             _ => return false,
         };
-        let (mut handle, cmd_rx) = pump_channel(node, version);
+        let (handle, cmd_rx) = pump_channel(node, version, waker.clone());
         let id = handle.id();
         if !ctx.active.try_claim(node, id) {
-            if let Some(log) = &ctx.quarantine {
-                log.note_rejected_hello();
-                log.record(node, &frame, "duplicate Hello: node already active");
-            }
+            ctx.quarantine.note_rejected_hello();
+            ctx.quarantine
+                .record(node, &frame, "duplicate Hello: node already active");
             brisk_telemetry::flight_log!(
                 Warn,
                 "ism.reactor",
@@ -466,7 +455,7 @@ impl Driver {
         }
         if version >= 2 {
             let credit = if version >= 3 {
-                ctx.flow.as_ref().and_then(|f| f.credit())
+                ctx.flow.credit()
             } else {
                 None
             };
@@ -479,26 +468,16 @@ impl Driver {
                 return false;
             }
         }
-        let wake = waker.clone();
-        handle.attach_wake(Arc::new(move || wake.wake()));
         if ctx.pumps.send(handle).is_err() {
             ctx.active.release(node, id);
             return false; // server is shutting down
         }
-        let io = PumpIo::new(
-            node,
-            id,
-            Arc::clone(&ctx.clock),
-            ctx.events.clone(),
-            ctx.enqueued.clone(),
-            ctx.flow.clone(),
-            ProtocolGuard {
-                budget: ctx.error_budget,
-                log: ctx.quarantine.clone(),
-            },
-        );
         self.state = State::Running(Running {
-            io,
+            io: PumpIo {
+                node,
+                id,
+                errors: 0,
+            },
             cmd_rx,
             sync: None,
         });
@@ -515,10 +494,13 @@ impl Driver {
             State::Greeting { .. } => return,
         };
         ctx.active.release(io.node, io.id);
-        io.send_event(PumpEvent::Disconnected {
-            node: io.node,
-            id: io.id,
-        });
+        io.send_event(
+            ctx,
+            PumpEvent::Disconnected {
+                node: io.node,
+                id: io.id,
+            },
+        );
     }
 }
 
@@ -542,7 +524,7 @@ fn run_shard(
         // Commands and sync exchanges first: acks, credit grants and
         // sync traffic must not starve behind inbound batches.
         for d in drivers.iter_mut() {
-            if !d.dead && (!d.service_commands() || !d.advance_sync()) {
+            if !d.dead && (!d.service_commands(&ctx) || !d.advance_sync(&ctx)) {
                 d.dead = true;
             }
         }
@@ -559,7 +541,7 @@ fn run_shard(
         // running connections leave the poll set so their bytes pile up
         // in the transport. Greetings and closing drains still read, and
         // commands above still ran — sync and shutdown cannot deadlock.
-        let over = ctx.flow.as_ref().is_some_and(|f| f.over_limit());
+        let over = ctx.flow.over_limit();
         fds.clear();
         modes.clear();
         let mut fdless_active = false;
@@ -570,9 +552,7 @@ fn run_shard(
                 continue;
             }
             if over && d.is_running() {
-                if let Some(flow) = &ctx.flow {
-                    flow.note_deferral();
-                }
+                ctx.flow.note_deferral();
                 modes.push(ReadMode::Skip);
                 continue;
             }
@@ -641,11 +621,9 @@ fn run_shard(
                 // Re-check the queue bound between frames, not just when
                 // the poll set was built: one drain of a deep socket
                 // buffer could otherwise overshoot the bound by a whole
-                // pass (the threaded pump checked before every read, and
-                // the bound the tests pin is queue + one batch per pump).
-                if matches!(d.state, State::Running(_))
-                    && ctx.flow.as_ref().is_some_and(|f| f.over_limit())
-                {
+                // pass (the bound the tests pin is queue + one batch per
+                // pump).
+                if d.is_running() && ctx.flow.over_limit() {
                     break;
                 }
                 match d.conn.recv(Some(Duration::ZERO)) {
@@ -678,19 +656,33 @@ fn run_shard(
 mod tests {
     use super::*;
     use brisk_clock::SystemClock;
-    use brisk_core::{EventRecord, EventTypeId, NodeId, SensorId};
-    use brisk_net::{MemTransport, Transport};
+    use brisk_core::{EventRecord, EventTypeId, FlowConfig, NodeId, SensorId};
+    use brisk_lis::testkit::{mem_pair, recv_msg};
     use brisk_proto::BatchView;
 
-    fn test_pool() -> (
-        ReactorPool,
-        Receiver<PumpHandle>,
-        Receiver<PumpEvent>,
-        Arc<QuarantineLog>,
-    ) {
-        let (pump_tx, pump_rx) = unbounded();
-        let (event_tx, event_rx) = unbounded();
+    /// A two-shard pool whose manager side is the test itself.
+    struct Rig {
+        pool: ReactorPool,
+        pumps: Receiver<PumpHandle>,
+        events: Receiver<PumpEvent>,
+        quarantine: Arc<QuarantineLog>,
+        flow: Arc<FlowState>,
+    }
+
+    /// Credit 64, unbounded manager queue, error budget 2.
+    fn test_pool() -> Rig {
+        test_pool_with(64, 0, 2)
+    }
+
+    fn test_pool_with(credit_records: u64, max_queued_records: usize, error_budget: u32) -> Rig {
+        let (pump_tx, pumps) = unbounded();
+        let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
+        let flow = FlowState::new(FlowConfig {
+            credit_records,
+            max_queued_records,
+            shed_unmarked: false,
+        });
         let pool = ReactorPool::spawn(
             2,
             ReactorConfig {
@@ -698,52 +690,77 @@ mod tests {
                 events: event_tx,
                 pumps: pump_tx,
                 enqueued: None,
-                flow: Some(FlowState::new(brisk_core::FlowConfig {
-                    credit_records: 64,
-                    max_queued_records: 0,
-                    shed_unmarked: false,
-                })),
-                error_budget: 2,
-                quarantine: Some(Arc::clone(&quarantine)),
+                flow: Arc::clone(&flow),
+                error_budget,
+                quarantine: Arc::clone(&quarantine),
                 active: Arc::new(ActiveNodes::default()),
             },
         )
         .unwrap();
-        (pool, pump_rx, event_rx, quarantine)
+        Rig {
+            pool,
+            pumps,
+            events,
+            quarantine,
+            flow,
+        }
     }
 
-    fn mem_client(pool: &ReactorPool) -> Box<dyn Connection> {
-        let t = MemTransport::new();
-        let mut l = t.listen("r").unwrap();
-        let c = t.connect("r").unwrap();
-        let server = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        pool.register(server);
-        c
+    impl Rig {
+        /// A fresh client connection registered with the pool.
+        fn client(&self) -> Box<dyn Connection> {
+            let (server, client) = mem_pair();
+            self.pool.register(server);
+            client
+        }
+
+        /// Connect and say `Hello` as `node` at the current protocol
+        /// version; returns the client end (HelloAck consumed) and the
+        /// pump handle the manager would hold.
+        fn greeted(&self, node: u32) -> (Box<dyn Connection>, PumpHandle) {
+            let mut client = self.client();
+            client.send(&hello(node, brisk_proto::VERSION)).unwrap();
+            assert!(matches!(recv_msg(&mut client), Message::HelloAck { .. }));
+            let handle = self.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
+            (client, handle)
+        }
+
+        fn event(&self) -> PumpEvent {
+            self.events.recv_timeout(Duration::from_secs(2)).unwrap()
+        }
+    }
+
+    fn hello(node: u32, version: u32) -> Vec<u8> {
+        Message::Hello {
+            node: NodeId(node),
+            version,
+        }
+        .encode()
+    }
+
+    fn empty_batch(node: u32, seq: u64) -> Vec<u8> {
+        Message::EventBatch {
+            node: NodeId(node),
+            seq: Some(seq),
+            records: vec![],
+        }
+        .encode()
     }
 
     #[test]
     fn greets_pumps_batches_and_reports_disconnect() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(7),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
+        let rig = test_pool();
+        let mut client = rig.client();
+        client.send(&hello(7, brisk_proto::VERSION)).unwrap();
         // HelloAck carries the negotiated version and the credit grant.
-        let frame = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
         assert_eq!(
-            Message::decode(&frame).unwrap(),
+            recv_msg(&mut client),
             Message::HelloAck {
                 version: brisk_proto::VERSION,
                 credit: Some(64)
             }
         );
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let handle = rig.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(handle.node, NodeId(7));
         assert_eq!(handle.version(), brisk_proto::VERSION);
         // A batch flows through untouched and still parses as a view.
@@ -766,7 +783,7 @@ mod tests {
                 .encode(),
             )
             .unwrap();
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        match rig.event() {
             PumpEvent::Batch {
                 node,
                 id,
@@ -784,56 +801,106 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A heartbeat is forwarded as liveness, tagged with this pump.
+        client.send(&Message::Heartbeat.encode()).unwrap();
+        match rig.event() {
+            PumpEvent::Heartbeat { node, id } => {
+                assert_eq!(node, NodeId(7));
+                assert_eq!(id, handle.id());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         // Commands flow back out through the handle (waker-driven).
         assert!(handle.command(PumpCommand::Ack {
-            seq: 1,
+            seq: 42,
             credit: Some(64)
         }));
-        let frame = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
         assert_eq!(
-            Message::decode(&frame).unwrap(),
+            recv_msg(&mut client),
             Message::BatchAck {
-                seq: 1,
+                seq: 42,
                 credit: Some(64)
             }
         );
         // Dropping the client surfaces as a Disconnected event.
         drop(client);
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        match rig.event() {
             PumpEvent::Disconnected { node, id } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(id, handle.id());
             }
             other => panic!("unexpected {other:?}"),
         }
-        pool.stop();
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn greeting_negotiates_down_to_the_peer_version() {
+        // (server credit, Hello version) → the HelloAck the peer must see.
+        // Credit rides only on negotiated-v3 links (a v2 peer cannot
+        // decode the credit tag), and a v1 peer gets no HelloAck at all —
+        // it could not decode one; its absence *is* the v1 signal.
+        for (credit, version, expect) in [
+            (0, brisk_proto::VERSION, Some((brisk_proto::VERSION, None))),
+            (
+                512,
+                brisk_proto::VERSION,
+                Some((brisk_proto::VERSION, Some(512))),
+            ),
+            (512, 2, Some((2, None))),
+            (512, 1, None),
+        ] {
+            let rig = test_pool_with(credit, 0, 2);
+            let mut client = rig.client();
+            client.send(&hello(5, version)).unwrap();
+            let handle = rig.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!((handle.node, handle.version()), (NodeId(5), version));
+            let reply = client.recv(Some(Duration::from_millis(100))).unwrap();
+            let reply = reply.map(|f| match Message::decode(&f).unwrap() {
+                Message::HelloAck { version, credit } => (version, credit),
+                other => panic!("unexpected greeting reply {other:?}"),
+            });
+            assert_eq!(reply, expect, "credit {credit}, Hello v{version}");
+            rig.pool.stop();
+        }
     }
 
     #[test]
     fn non_hello_greeting_is_dropped_without_a_pump() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client.send(&Message::Heartbeat.encode()).unwrap();
-        assert!(pump_rx.recv_timeout(Duration::from_millis(200)).is_err());
-        assert!(event_rx.recv_timeout(Duration::from_millis(50)).is_err());
-        pool.stop();
+        let rig = test_pool();
+        for first_frame in [Message::Heartbeat, Message::Shutdown] {
+            let mut client = rig.client();
+            client.send(&first_frame.encode()).unwrap();
+            assert!(rig.pumps.recv_timeout(Duration::from_millis(200)).is_err());
+            assert!(rig.events.recv_timeout(Duration::from_millis(50)).is_err());
+        }
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn silent_greeting_is_dropped_at_the_deadline() {
+        let rig = test_pool();
+        let mut client = rig.client();
+        // Never say Hello: past the greeting deadline the connection is
+        // closed, with no pump and no event (it never had an identity).
+        let give_up = Instant::now() + GREETING_TIMEOUT + Duration::from_secs(3);
+        let closed = loop {
+            match client.recv(Some(Duration::from_millis(100))) {
+                Err(_) => break true,
+                Ok(_) if Instant::now() > give_up => break false,
+                Ok(_) => {}
+            }
+        };
+        assert!(closed, "a peer that never greets must be dropped");
+        assert!(rig.pumps.try_recv().is_err());
+        assert!(rig.events.try_recv().is_err());
+        rig.pool.stop();
     }
 
     #[test]
     fn sync_round_runs_as_state_machine_while_batches_flow() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(2),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let _ack = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let rig = test_pool();
+        let (mut client, handle) = rig.greeted(2);
         assert!(handle.command(PumpCommand::SyncRound {
             round: 9,
             samples: 3
@@ -841,25 +908,14 @@ mod tests {
         // Slave side: answer 3 polls, interleaving a batch.
         let mut answered = 0;
         while answered < 3 {
-            let frame = client.recv(Some(Duration::from_secs(2))).unwrap();
-            let Some(frame) = frame else { continue };
-            match Message::decode(&frame).unwrap() {
+            match recv_msg(&mut client) {
                 Message::SyncPoll {
                     round,
                     sample,
                     master_send,
                 } => {
                     if answered == 1 {
-                        client
-                            .send(
-                                &Message::EventBatch {
-                                    node: NodeId(2),
-                                    seq: Some(1),
-                                    records: vec![],
-                                }
-                                .encode(),
-                            )
-                            .unwrap();
+                        client.send(&empty_batch(2, 1)).unwrap();
                     }
                     client
                         .send(
@@ -880,7 +936,7 @@ mod tests {
         let mut batches = 0;
         let mut samples = None;
         for _ in 0..2 {
-            match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            match rig.event() {
                 PumpEvent::Batch { .. } => batches += 1,
                 PumpEvent::SyncSamples {
                     node,
@@ -900,41 +956,111 @@ mod tests {
         for s in samples {
             assert!(s.rtt_us() >= 0);
         }
-        pool.stop();
+        // The round's correction reaches the slave as a SyncAdjust.
+        handle.command(PumpCommand::Adjust {
+            round: 9,
+            advance_us: 123,
+        });
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::SyncAdjust {
+                round: 9,
+                advance_us: 123
+            }
+        );
+        rig.pool.stop();
     }
 
     #[test]
     fn spoofed_batch_ends_the_connection() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(5),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let _ack = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        client
-            .send(
-                &Message::EventBatch {
-                    node: NodeId(6),
-                    seq: Some(1),
-                    records: vec![],
-                }
-                .encode(),
-            )
-            .unwrap();
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        let rig = test_pool();
+        let (mut client, handle) = rig.greeted(5);
+        // The connection said Hello as node 5; a batch claiming node 6 is
+        // spoofed and must end the connection without being forwarded.
+        client.send(&empty_batch(6, 1)).unwrap();
+        match rig.event() {
             PumpEvent::Disconnected { node, id } => {
                 assert_eq!(node, NodeId(5));
                 assert_eq!(id, handle.id());
             }
             other => panic!("spoofed batch must not be forwarded, got {other:?}"),
         }
-        pool.stop();
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn over_limit_flow_defers_socket_reads_but_not_commands() {
+        let rig = test_pool_with(64, 1, 2);
+        let (mut client, handle) = rig.greeted(5);
+        rig.flow.add(10); // some other connection filled the manager queue
+        client.send(&empty_batch(5, 1)).unwrap();
+        // The batch stays in the transport while the queue is over its
+        // bound...
+        assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
+        // ...but manager commands are still serviced (no sync deadlock).
+        assert!(handle.command(PumpCommand::Ack {
+            seq: 7,
+            credit: Some(64)
+        }));
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::BatchAck {
+                seq: 7,
+                credit: Some(64)
+            }
+        );
+        assert!(rig.flow.deferrals() > 0);
+        // Once the manager drains the queue the deferred batch flows.
+        rig.flow.sub(10);
+        match rig.event() {
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, Some(1)),
+            other => panic!("unexpected {other:?}"),
+        }
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn malformed_frames_are_quarantined_within_budget() {
+        let rig = test_pool();
+        let (mut client, _handle) = rig.greeted(5);
+        // Two garbage frames fit inside the budget: the connection lives
+        // and a valid batch still flows afterwards.
+        client.send(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
+        client.send(b"not a brisk frame").unwrap();
+        client.send(&empty_batch(5, 1)).unwrap();
+        match rig.event() {
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, Some(1)),
+            other => panic!("batch must survive quarantined garbage, got {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 2);
+        assert_eq!(rig.quarantine.disconnects(), 0);
+        // The third garbage frame exhausts the budget: disconnect.
+        client.send(&[0xff; 8]).unwrap();
+        match rig.event() {
+            PumpEvent::Disconnected { node, .. } => assert_eq!(node, NodeId(5)),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 3);
+        assert_eq!(rig.quarantine.disconnects(), 1);
+        let samples = rig.quarantine.samples();
+        assert_eq!(samples.len(), 3);
+        assert_eq!(samples[0].node, NodeId(5));
+        assert_eq!(samples[0].head_hex, "deadbeef");
+        assert!(!samples[0].error.is_empty());
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn zero_budget_drops_connection_on_first_bad_frame() {
+        let rig = test_pool_with(64, 0, 0);
+        let (mut client, _handle) = rig.greeted(5);
+        client.send(&[0x00]).unwrap();
+        match rig.event() {
+            PumpEvent::Disconnected { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 1);
+        assert_eq!(rig.quarantine.disconnects(), 1);
+        rig.pool.stop();
     }
 }

@@ -3,13 +3,13 @@
 //! A relay ISM accepts N downstream EXS (or relay) connections through
 //! the ordinary session plane, merges and repairs their streams through
 //! the [`crate::merge::MergePlane`], and then — instead of delivering to
-//! local sinks — re-exports the merged stream to a parent ISM *as if it
-//! were a single EXS*. The [`UpstreamExporter`] here is that synthetic
-//! EXS: it speaks the same v3 Hello/EventBatch/BatchAck/credit protocol,
-//! keeps its own bounded retransmit window, replays unacked batches
-//! across reconnects, answers the parent's sync polls, and heartbeats on
-//! idle links so the parent's liveness sweep never falsely evicts a
-//! quiet subtree.
+//! local sinks — re-exports the merged stream to a parent ISM over an
+//! ordinary EXS link. The [`UpstreamExporter`] here owns a
+//! [`brisk_lis::Uplink`], the same sender-side session an external
+//! sensor runs — window, credit, replay across reconnects, sync-poll
+//! answers, idle heartbeats (so the parent's liveness sweep never falsely
+//! evicts a quiet subtree) — and adds only what is relay-specific: the
+//! prefix rewrite, its own batcher, and redial with doubling backoff.
 //!
 //! Namespacing: every record is rewritten through the relay's
 //! [`NodePrefix`] before it leaves (node id plus CRE reason/conseq
@@ -30,21 +30,16 @@
 use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
 use brisk_core::{EventRecord, Result, UtcMicros};
-use brisk_lis::batch::{Batcher, SendWindow};
-use brisk_net::Connection;
-use brisk_proto::{Message, NodePrefix};
+use brisk_lis::uplink::{Control, Uplink};
+use brisk_lis::Batcher;
+use brisk_proto::NodePrefix;
 use brisk_telemetry::{Histogram, Registry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Factory for upstream connections, invoked on every (re)connect.
-pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
-
-/// Undecodable inbound control frames tolerated per connection before it
-/// is declared broken (mirrors the EXS-side budget).
-const CONTROL_ERROR_BUDGET: u32 = 8;
+pub use brisk_lis::uplink::ConnectFn;
 
 /// Knobs of one relay's upstream link.
 #[derive(Clone, Debug)]
@@ -282,41 +277,38 @@ impl RelayTelemetry {
     }
 }
 
-/// The relay's synthetic EXS: batches the merged stream, ships it to the
-/// parent ISM under the relay's own node id, and maintains exactly-once
-/// delivery (send window + replay + the parent's `(node, seq)` dedup)
-/// across link failures.
+/// The relay's upstream link: rewrites and batches the merged stream and
+/// ships it to the parent ISM under the relay's own node id over an
+/// ordinary EXS session ([`Uplink`]), redialing with doubling backoff.
+/// Exactly-once delivery across link failures is the `Uplink`'s send
+/// window + replay and the parent's `(node, seq)` dedup.
 pub struct UpstreamExporter {
     cfg: RelayConfig,
     connect: ConnectFn,
-    conn: Option<Box<dyn Connection>>,
     batcher: Batcher,
-    /// Survives reconnects: unacked batches replay on the next link.
-    window: SendWindow,
-    /// Absolute in-flight budget the parent re-advertises on every ack;
-    /// `None` = no flow control.
-    credit: Option<u64>,
-    /// Version from the parent's `HelloAck`; gates heartbeats (v3 tag).
-    negotiated: Option<u32>,
-    /// The relay's correction clock, when the parent's sync rounds
-    /// should steer this tier (SyncPoll/SyncAdjust handling).
+    /// Window, credit, acks, replay, heartbeats and control frames;
+    /// survives reconnects.
+    uplink: Uplink,
+    /// The relay's correction clock, when the parent's `SyncAdjust`s
+    /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
     /// Reconnect pacing.
     backoff: Duration,
     next_attempt: Instant,
-    /// Heartbeat pacing: wall time of the last frame sent upstream.
-    last_send: Instant,
+    /// Heartbeat pacing epoch: the uplink is paced on wall µs since here.
+    epoch: Instant,
     /// Ship time per windowed seq, for the ack-latency histogram.
     inflight: VecDeque<(u64, Instant)>,
-    control_errors: u32,
     credit_stalled: bool,
     shared: Arc<RelayTelemetry>,
 }
 
 impl UpstreamExporter {
     /// New exporter. Nothing is connected yet; the first
-    /// [`MergeOutput::pump`] dials upstream.
-    pub fn new(cfg: RelayConfig, connect: ConnectFn) -> Self {
+    /// [`MergeOutput::pump`] dials upstream. `clock` is the relay's own
+    /// clock (the one its server stamps with): the parent's `SyncPoll`s
+    /// are answered from it.
+    pub fn new(cfg: RelayConfig, connect: ConnectFn, clock: Arc<dyn Clock>) -> Self {
         let synth = brisk_core::ExsConfig {
             max_batch_records: cfg.max_batch_records,
             max_batch_bytes: cfg.max_batch_bytes,
@@ -324,17 +316,18 @@ impl UpstreamExporter {
             ..brisk_core::ExsConfig::default()
         };
         UpstreamExporter {
-            conn: None,
             batcher: Batcher::new(synth),
-            window: SendWindow::new(cfg.window_batches),
-            credit: None,
-            negotiated: None,
+            uplink: Uplink::new(
+                cfg.prefix.relay_node(),
+                clock,
+                cfg.window_batches,
+                cfg.heartbeat_interval,
+            ),
             sync_clock: None,
             backoff: cfg.reconnect_initial,
             next_attempt: Instant::now(),
-            last_send: Instant::now(),
+            epoch: Instant::now(),
             inflight: VecDeque::new(),
-            control_errors: 0,
             credit_stalled: false,
             shared: Arc::default(),
             cfg,
@@ -345,9 +338,9 @@ impl UpstreamExporter {
     /// Let the parent's sync rounds steer this relay's correction clock:
     /// `SyncPoll`s answer with this clock's corrected time, and
     /// `SyncAdjust`s shift its correction value. Without this the
-    /// exporter answers polls with the time the merge plane hands it and
-    /// drops adjustments.
+    /// exporter drops adjustments.
     pub fn with_sync_clock(mut self, clock: Arc<CorrectedClock<Arc<dyn Clock>>>) -> Self {
+        self.uplink.set_clock(Arc::clone(&clock) as Arc<dyn Clock>);
         self.sync_clock = Some(clock);
         self
     }
@@ -373,142 +366,90 @@ impl UpstreamExporter {
         self.shared.bind(self.cfg.prefix, registry);
     }
 
-    /// True while the upstream link is established.
-    pub fn connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// The credit budget currently granted by the parent, if any.
-    pub fn credit(&self) -> Option<u64> {
-        self.credit
-    }
-
-    /// Sent-but-unacked batches currently held for replay.
-    pub fn window_depth(&self) -> usize {
-        self.window.depth()
-    }
-
-    /// True when flow control permits putting more records in flight:
-    /// credit off, or unacked records under budget. An empty window
-    /// always passes (progress guarantee — a zero grant can never
-    /// deadlock the tier).
-    fn credit_open(&self) -> bool {
-        match self.credit {
-            Some(c) => self.window.depth() == 0 || self.window.unacked_records() < c,
-            None => true,
-        }
+    /// The uplink's heartbeat-pacing "now": wall µs since construction.
+    fn pacing_now(&self) -> i64 {
+        self.epoch.elapsed().as_micros() as i64
     }
 
     fn mirror_gauges(&self) {
         self.shared
             .window_depth
-            .store(self.window.depth() as u64, Ordering::Relaxed);
-        let bal = match self.credit {
-            Some(c) => c as i64 - self.window.unacked_records() as i64,
-            None => 0,
-        };
-        self.shared.credit_balance.store(bal, Ordering::Relaxed);
+            .store(self.uplink.window_depth() as u64, Ordering::Relaxed);
+        self.shared
+            .credit_balance
+            .store(self.uplink.credit_balance(), Ordering::Relaxed);
         self.shared
             .connected
-            .store(self.conn.is_some() as u64, Ordering::Relaxed);
+            .store(self.uplink.connected() as u64, Ordering::Relaxed);
     }
 
-    /// Drop the link and schedule a retry (doubling backoff). The window
-    /// keeps every unacked batch for replay on the next incarnation.
+    /// Push the next dial attempt out by the current backoff and double it.
+    fn back_off(&mut self) {
+        self.next_attempt = Instant::now() + self.backoff;
+        self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
+    }
+
+    /// Drop the link and schedule a retry. The uplink keeps every unacked
+    /// batch for replay on the next connection.
     fn mark_disconnected(&mut self, why: &str) {
-        if self.conn.take().is_some() {
+        if self.uplink.connected() {
             brisk_telemetry::flight_log!(
                 Warn,
                 "relay.upstream",
                 "disconnect",
                 "prefix {} lost its upstream link ({why}); {} unacked batches held for replay",
                 self.cfg.prefix.raw(),
-                self.window.depth()
+                self.uplink.window_depth()
             );
         }
-        self.negotiated = None;
-        self.control_errors = 0;
-        self.next_attempt = Instant::now() + self.backoff;
-        self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
+        self.uplink.detach();
+        self.back_off();
     }
 
-    /// Dial upstream if the link is down and the backoff has elapsed:
-    /// send `Hello` as the relay's own node and immediately replay every
-    /// unacked batch (the parent deduplicates, so replaying batches it
-    /// already processed is harmless).
+    /// Dial upstream if the link is down and the backoff has elapsed;
+    /// attaching sends `Hello` as the relay's own node and replays every
+    /// unacked batch.
     fn ensure_connected(&mut self) {
-        if self.conn.is_some() || Instant::now() < self.next_attempt {
+        if self.uplink.connected() || Instant::now() < self.next_attempt {
             return;
         }
-        let mut conn = match (self.connect)() {
-            Ok(conn) => conn,
-            Err(_) => {
-                self.next_attempt = Instant::now() + self.backoff;
-                self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-                return;
+        let now_us = self.pacing_now();
+        match (self.connect)().and_then(|conn| self.uplink.attach(conn, now_us)) {
+            Ok(replayed) => {
+                self.shared.connects.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .batches_retransmitted
+                    .fetch_add(replayed as u64, Ordering::Relaxed);
+                brisk_telemetry::flight_log!(
+                    Info,
+                    "relay.upstream",
+                    "connect",
+                    "prefix {} connected upstream; replayed {replayed} unacked batches",
+                    self.cfg.prefix.raw()
+                );
             }
-        };
-        let hello = Message::Hello {
-            node: self.cfg.prefix.relay_node(),
-            version: brisk_proto::VERSION,
-        };
-        if conn.send(&hello.encode()).is_err() {
-            self.next_attempt = Instant::now() + self.backoff;
-            self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-            return;
+            Err(_) => self.back_off(),
         }
-        self.conn = Some(conn);
-        self.last_send = Instant::now();
-        self.shared.connects.fetch_add(1, Ordering::Relaxed);
-        brisk_telemetry::flight_log!(
-            Info,
-            "relay.upstream",
-            "connect",
-            "prefix {} connected upstream; replaying {} unacked batches",
-            self.cfg.prefix.raw(),
-            self.window.depth()
-        );
-        self.replay_unacked();
-    }
-
-    /// Replay every unacked batch in sequence order, ahead of new
-    /// traffic. Replay deliberately ignores credit: those records were
-    /// already granted in flight by the previous connection.
-    fn replay_unacked(&mut self) {
-        let frames: Vec<Vec<u8>> = self
-            .window
-            .iter_unacked()
-            .map(|(seq, records)| {
-                Message::EventBatch {
-                    node: self.cfg.prefix.relay_node(),
-                    seq: Some(seq),
-                    records: records.clone(),
-                }
-                .encode()
-            })
-            .collect();
-        let n = frames.len() as u64;
-        for frame in frames {
-            if let Some(conn) = &mut self.conn {
-                if conn.send(&frame).is_err() {
-                    self.mark_disconnected("send failed during replay");
-                    return;
-                }
-            }
-        }
-        self.shared
-            .batches_retransmitted
-            .fetch_add(n, Ordering::Relaxed);
-        self.last_send = Instant::now();
     }
 
     /// Window a fresh batch and ship it. On a dead link the batch simply
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let frame_records = records.clone();
-        let (seq, evicted) = self.window.push(records);
-        if evicted.is_some() {
+        let windowed = if self.uplink.connected() {
+            let (windowed, sent) = self.uplink.send(records, self.pacing_now());
+            match sent {
+                Ok(()) => {
+                    self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
+                    self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
+                }
+                Err(_) => self.mark_disconnected("send failed"),
+            }
+            windowed
+        } else {
+            self.uplink.stash(records)
+        };
+        if windowed.evicted {
             self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
             brisk_telemetry::flight_log!(
                 Warn,
@@ -519,66 +460,25 @@ impl UpstreamExporter {
                 self.cfg.window_batches
             );
         }
-        self.inflight.push_back((seq, Instant::now()));
-        if let Some(conn) = &mut self.conn {
-            let frame = Message::EventBatch {
-                node: self.cfg.prefix.relay_node(),
-                seq: Some(seq),
-                records: frame_records,
-            }
-            .encode();
-            if conn.send(&frame).is_err() {
-                self.mark_disconnected("send failed");
-            } else {
-                self.last_send = Instant::now();
-                self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
-                self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
-            }
+        if let Some(seq) = windowed.seq {
+            self.inflight.push_back((seq, Instant::now()));
         }
     }
 
-    /// Drain and answer the parent's control traffic without blocking.
-    fn poll_control(&mut self, now: UtcMicros) {
-        loop {
-            let Some(conn) = &mut self.conn else { return };
-            match conn.recv(Some(Duration::ZERO)) {
-                Ok(Some(frame)) => match Message::decode(&frame) {
-                    Ok(msg) => {
-                        if !self.handle_control(msg, now) {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        self.control_errors += 1;
-                        if self.control_errors > CONTROL_ERROR_BUDGET {
-                            self.mark_disconnected("control decode budget exhausted");
-                            return;
-                        }
-                    }
-                },
-                Ok(None) => return,
-                Err(_) => {
-                    self.mark_disconnected("recv failed");
-                    return;
-                }
-            }
+    /// Wait up to `wait` for one frame of the parent's control traffic
+    /// and apply this relay's policy to it. `false` when nothing arrived
+    /// or the link is (now) down.
+    fn poll_control(&mut self, wait: Duration) -> bool {
+        if !self.uplink.connected() {
+            return false;
         }
-    }
-
-    /// Handle one decoded upstream message. Returns `false` when the
-    /// link died while handling it.
-    fn handle_control(&mut self, msg: Message, now: UtcMicros) -> bool {
-        match msg {
-            Message::HelloAck { version, credit } => {
-                self.negotiated = Some(version);
-                // Authoritative for the connection's flow control.
-                self.credit = credit;
+        match self.uplink.poll_control(wait, self.pacing_now()) {
+            Ok(None) => return false,
+            Ok(Some(Control::Skipped)) => {
+                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Some(Control::Granted { version, credit })) => {
                 self.backoff = self.cfg.reconnect_initial;
-                // Idle time before negotiation completed doesn't count
-                // toward the heartbeat deadline — the parent only expects
-                // heartbeats once it has granted v3.
-                self.last_send = Instant::now();
                 self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
                 brisk_telemetry::flight_log!(
                     Info,
@@ -599,10 +499,8 @@ impl UpstreamExporter {
                         self.cfg.prefix.raw()
                     );
                 }
-                true
             }
-            Message::BatchAck { seq, credit } => {
-                self.window.ack(seq);
+            Ok(Some(Control::Acked { seq })) => {
                 while let Some(&(s, sent)) = self.inflight.front() {
                     if s > seq {
                         break;
@@ -612,82 +510,36 @@ impl UpstreamExporter {
                         .record(sent.elapsed().as_micros() as u64);
                     self.inflight.pop_front();
                 }
-                if credit.is_some() {
-                    self.credit = credit;
-                }
                 self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-                true
             }
-            Message::SyncPoll {
-                round,
-                sample,
-                master_send,
-            } => {
-                let slave_time = match &self.sync_clock {
-                    Some(c) => c.now(),
-                    None => now,
-                };
-                let reply = Message::SyncReply {
-                    round,
-                    sample,
-                    master_send,
-                    slave_time,
-                };
-                if let Some(conn) = &mut self.conn {
-                    if conn.send(&reply.encode()).is_err() {
-                        self.mark_disconnected("send failed answering sync poll");
-                        return false;
-                    }
-                    self.last_send = Instant::now();
-                }
-                true
-            }
-            Message::SyncAdjust { advance_us, .. } => {
+            Ok(Some(Control::SyncPoll)) => {}
+            Ok(Some(Control::Adjusted(advance_us))) => {
                 if let Some(c) = &self.sync_clock {
                     c.adjust(advance_us);
                     self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
                 }
-                true
             }
-            Message::Shutdown => {
+            Ok(Some(Control::Shutdown)) => {
                 // The parent is retiring this link (eviction, restart).
                 // Treat it like any disconnect: back off and redial.
                 self.mark_disconnected("upstream sent Shutdown");
-                false
+                return false;
             }
             // Anything else (a Hello, a batch) is nonsense on an
             // upstream link; count it against the error budget.
-            _ => {
+            Ok(Some(Control::Unexpected(_))) => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                self.control_errors += 1;
-                if self.control_errors > CONTROL_ERROR_BUDGET {
+                if self.uplink.note_control_error() {
                     self.mark_disconnected("unexpected upstream traffic");
                     return false;
                 }
-                true
+            }
+            Err(e) => {
+                self.mark_disconnected(&e.to_string());
+                return false;
             }
         }
-    }
-
-    /// Heartbeat an idle v3 link so the parent's liveness sweep sees the
-    /// subtree as alive even when no records flow.
-    fn maybe_heartbeat(&mut self) {
-        if self.cfg.heartbeat_interval.is_zero()
-            || self.negotiated.is_none_or(|v| v < 3)
-            || self.conn.is_none()
-        {
-            return;
-        }
-        if self.last_send.elapsed() >= self.cfg.heartbeat_interval {
-            if let Some(conn) = &mut self.conn {
-                if conn.send(&Message::Heartbeat.encode()).is_err() {
-                    self.mark_disconnected("send failed on heartbeat");
-                    return;
-                }
-            }
-            self.last_send = Instant::now();
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
+        true
     }
 }
 
@@ -719,19 +571,25 @@ impl MergeOutput for UpstreamExporter {
     /// records. Not-ready parks releases in the merge plane's sorter —
     /// tier-by-tier backpressure instead of an unbounded queue here.
     fn ready(&self) -> bool {
-        self.conn.is_some() && self.credit_open()
+        self.uplink.connected() && self.uplink.credit_open()
     }
 
     /// Per-tick housekeeping: reconnect, answer control traffic, flush
     /// the latency knob, heartbeat, refresh gauges.
     fn pump(&mut self, now: UtcMicros) -> Result<()> {
         self.ensure_connected();
-        self.poll_control(now);
+        while self.poll_control(Duration::ZERO) {}
         if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
             self.ship(batch);
         }
-        self.maybe_heartbeat();
-        let open = self.credit_open();
+        match self.uplink.heartbeat_if_idle(self.pacing_now()) {
+            Ok(true) => {
+                self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(false) => {}
+            Err(_) => self.mark_disconnected("send failed on heartbeat"),
+        }
+        let open = self.uplink.credit_open();
         if !open && !self.credit_stalled {
             self.credit_stalled = true;
             self.shared.credit_stalls.fetch_add(1, Ordering::Relaxed);
@@ -741,7 +599,7 @@ impl MergeOutput for UpstreamExporter {
                 "credit_stall",
                 "prefix {} pausing releases: upstream credit budget {:?} spent",
                 self.cfg.prefix.raw(),
-                self.credit
+                self.uplink.credit()
             );
         } else if open {
             self.credit_stalled = false;
@@ -758,29 +616,18 @@ impl MergeOutput for UpstreamExporter {
             self.ship(batch);
         }
         let deadline = Instant::now() + Duration::from_secs(2);
-        while self.window.depth() > 0 && self.conn.is_some() && Instant::now() < deadline {
-            let Some(conn) = &mut self.conn else { break };
-            match conn.recv(Some(Duration::from_millis(20))) {
-                Ok(Some(frame)) => {
-                    if let Ok(msg) = Message::decode(&frame) {
-                        self.handle_control(msg, UtcMicros::MAX);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    self.mark_disconnected("recv failed during final drain");
-                    break;
-                }
-            }
+        while self.uplink.window_depth() > 0 && self.uplink.connected() && Instant::now() < deadline
+        {
+            self.poll_control(Duration::from_millis(20));
         }
-        if self.window.depth() > 0 {
+        if self.uplink.window_depth() > 0 {
             brisk_telemetry::flight_log!(
                 Warn,
                 "relay.upstream",
                 "unacked_at_stop",
                 "prefix {} stopping with {} unacked upstream batches",
                 self.cfg.prefix.raw(),
-                self.window.depth()
+                self.uplink.window_depth()
             );
         }
         self.mirror_gauges();
@@ -791,9 +638,11 @@ impl MergeOutput for UpstreamExporter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brisk_clock::SystemClock;
     use brisk_core::{EventTypeId, NodeId, SensorId, Value};
-    use brisk_net::{Listener, MemTransport, Transport};
-    use brisk_proto::VERSION;
+    use brisk_lis::testkit::recv_msg;
+    use brisk_net::{Connection, Listener, MemTransport, Transport};
+    use brisk_proto::{Message, VERSION};
 
     fn rec(node: u32, seq: u64, ts: i64) -> EventRecord {
         EventRecord::new(
@@ -809,21 +658,17 @@ mod tests {
 
     fn exporter(t: &Arc<MemTransport>, name: &'static str, cfg: RelayConfig) -> UpstreamExporter {
         let t = Arc::clone(t);
-        UpstreamExporter::new(cfg, Box::new(move || t.connect(name)))
+        UpstreamExporter::new(
+            cfg,
+            Box::new(move || t.connect(name)),
+            Arc::new(SystemClock),
+        )
     }
 
     fn accept(l: &mut Box<dyn Listener>) -> Box<dyn Connection> {
         l.accept(Some(Duration::from_secs(1)))
             .unwrap()
             .expect("exporter must dial")
-    }
-
-    fn recv_msg(c: &mut Box<dyn Connection>) -> Message {
-        let frame = c
-            .recv(Some(Duration::from_secs(1)))
-            .unwrap()
-            .expect("frame expected");
-        Message::decode(&frame).unwrap()
     }
 
     #[test]
@@ -870,13 +715,13 @@ mod tests {
             }
             other => panic!("expected EventBatch, got {other:?}"),
         }
-        assert_eq!(ex.window_depth(), 1, "unacked batch stays windowed");
+        assert_eq!(ex.uplink.window_depth(), 1, "unacked batch stays windowed");
 
         // Kill the link without acking: the exporter must notice, back
         // off, redial, and replay the unacked batch.
         drop(server);
         ex.pump(now).unwrap();
-        assert!(!ex.connected(), "dead link detected");
+        assert!(!ex.uplink.connected(), "dead link detected");
         std::thread::sleep(Duration::from_millis(5));
         ex.pump(now).unwrap();
         let mut server = accept(&mut listener);
@@ -901,7 +746,11 @@ mod tests {
             )
             .unwrap();
         ex.pump(now).unwrap();
-        assert_eq!(ex.window_depth(), 0, "cumulative ack releases the window");
+        assert_eq!(
+            ex.uplink.window_depth(),
+            0,
+            "cumulative ack releases the window"
+        );
         let stats = ex.stats();
         assert_eq!(stats.connects, 2);
         assert_eq!(stats.batches_exported, 1);
@@ -1008,7 +857,7 @@ mod tests {
         // A partial batch sits in the batcher; flush must ship it and
         // wait for the ack.
         ex.on_record(rec(1, 0, 100), now).unwrap();
-        assert_eq!(ex.window_depth(), 0, "partial batch not yet shipped");
+        assert_eq!(ex.uplink.window_depth(), 0, "partial batch not yet shipped");
         let acker = std::thread::spawn(move || {
             match recv_msg(&mut server) {
                 Message::EventBatch { seq, records, .. } => {
@@ -1028,13 +877,78 @@ mod tests {
                 .unwrap();
         });
         ex.flush().unwrap();
-        assert_eq!(ex.window_depth(), 0, "final batch acked before stop");
+        assert_eq!(ex.uplink.window_depth(), 0, "final batch acked before stop");
         acker.join().unwrap();
     }
 
     #[test]
+    fn sync_poll_during_the_final_drain_is_answered_with_real_time() {
+        // A relay without a sync clock (the brisk-sim RelayTree setup):
+        // the parent polls it while flush() waits for the last ack. The
+        // reply must carry the relay's clock, not a sentinel — a slave
+        // time of i64::MAX would make this relay a ~292 000-year-ahead
+        // reference for the whole round.
+        let t = MemTransport::new();
+        let mut listener = t.listen("drain-sync").unwrap();
+        let cfg = RelayConfig::new(NodePrefix::new(6).unwrap());
+        let mut ex = exporter(&t, "drain-sync", cfg);
+        let now = UtcMicros::from_micros(1_000);
+        ex.pump(now).unwrap();
+        let mut server = accept(&mut listener);
+        let _hello = recv_msg(&mut server);
+        server
+            .send(
+                &Message::HelloAck {
+                    version: VERSION,
+                    credit: None,
+                }
+                .encode(),
+            )
+            .unwrap();
+        ex.pump(now).unwrap();
+        ex.on_record(rec(1, 0, 100), now).unwrap();
+        let parent = std::thread::spawn(move || {
+            assert!(matches!(
+                recv_msg(&mut server),
+                Message::EventBatch { seq: Some(1), .. }
+            ));
+            let before = UtcMicros::now();
+            server
+                .send(
+                    &Message::SyncPoll {
+                        round: 1,
+                        sample: 0,
+                        master_send: before,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            let slave_time = match recv_msg(&mut server) {
+                Message::SyncReply { slave_time, .. } => slave_time,
+                other => panic!("expected SyncReply, got {other:?}"),
+            };
+            server
+                .send(
+                    &Message::BatchAck {
+                        seq: 1,
+                        credit: None,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            (before, slave_time, UtcMicros::now())
+        });
+        ex.flush().unwrap();
+        let (before, slave_time, after) = parent.join().unwrap();
+        assert!(
+            before <= slave_time && slave_time <= after,
+            "poll answered with {slave_time:?}, outside [{before:?}, {after:?}]"
+        );
+        assert_eq!(ex.uplink.window_depth(), 0);
+    }
+
+    #[test]
     fn sync_poll_is_answered_and_adjust_steers_the_clock() {
-        use brisk_clock::SystemClock;
         let t = MemTransport::new();
         let mut listener = t.listen("sync").unwrap();
         let cfg = RelayConfig::new(NodePrefix::new(4).unwrap());

@@ -19,9 +19,11 @@
 
 use crate::core::{IsmCore, IsmCoreStats};
 use crate::cre::CreStats;
+use crate::flow::FlowState;
 use crate::output::MemoryBuffer;
-use crate::pump::{FlowState, PumpCommand, PumpEvent, PumpHandle, QuarantineLog};
+use crate::quarantine::QuarantineLog;
 use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool};
+use crate::session::{PumpCommand, PumpEvent, PumpHandle};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, TraceStage};
@@ -220,9 +222,9 @@ impl IsmServer {
                 events: event_tx.clone(),
                 pumps: pump_tx,
                 enqueued,
-                flow: Some(Arc::clone(&self.flow)),
+                flow: Arc::clone(&self.flow),
                 error_budget: self.error_budget,
-                quarantine: Some(Arc::clone(&self.quarantine)),
+                quarantine: Arc::clone(&self.quarantine),
                 active: Arc::new(ActiveNodes::default()),
             },
         )?);
@@ -322,7 +324,7 @@ struct Manager {
     last_round_finished: Instant,
     /// Evict a node whose connection shows no life signs for this long
     /// (`None` disables the sweep). "Life" is peer traffic: a batch, a
-    /// heartbeat, or delivered sync samples — not mere pump-thread
+    /// heartbeat, or delivered sync samples — not mere reactor
     /// activity, which keeps running even against a dead socket.
     node_timeout: Option<Duration>,
     /// Last observed life sign per registered node.
@@ -383,12 +385,6 @@ impl Manager {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-        }
-        for (_, handle) in self.pumps.drain() {
-            handle.join();
-        }
-        for handle in self.retiring.drain(..) {
-            handle.join();
         }
         self.core.drain_all()?;
         Ok(IsmReport {
@@ -561,15 +557,13 @@ impl Manager {
                 // stale pump (displaced by a reconnect) reporting in late
                 // must not tear down its successor.
                 if self.pumps.get(&node).is_some_and(|h| h.id() == id) {
-                    if let Some(handle) = self.pumps.remove(&node) {
-                        handle.join();
-                    }
+                    self.pumps.remove(&node);
                     self.last_seen.remove(&node);
                     if let Some(r) = &mut self.round {
                         r.expected.remove(&node);
                     }
                 } else if let Some(pos) = self.retiring.iter().position(|h| h.id() == id) {
-                    self.retiring.swap_remove(pos).join();
+                    self.retiring.swap_remove(pos);
                 }
             }
         }

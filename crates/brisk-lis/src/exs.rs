@@ -23,11 +23,11 @@
 //! drive a `SimClock` must keep advancing it (or call the handle's `stop`,
 //! which force-flushes) for timeout flushes to fire.
 
-use crate::batch::{Batcher, FlushReason, SendWindow};
+use crate::batch::{Batcher, FlushReason};
+use crate::uplink::{Control, Uplink, Windowed};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_net::Connection;
-use brisk_proto::Message;
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::{Histogram, Registry, StageTimer};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -323,26 +323,14 @@ pub struct ExternalSensor {
     node: NodeId,
     rings: Arc<RingSet>,
     clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
-    conn: Box<dyn Connection>,
     cfg: ExsConfig,
     batcher: Batcher,
     shared: Arc<ExsTelemetry>,
     drain_buf: Vec<EventRecord>,
-    /// Retransmit window for v2 acknowledged delivery. `Some` from
-    /// construction (this EXS speaks v2 optimistically); dropped to `None`
-    /// only if the ISM negotiates the connection down to v1, where no acks
-    /// will ever arrive and windowed copies would be dead weight.
-    window: Option<SendWindow>,
-    /// Credit budget granted by the ISM (protocol v3): the maximum number
-    /// of unacked records this EXS may have in flight. `None` = no flow
-    /// control (v1/v2 peer, or credit disabled on the ISM). The ISM
-    /// re-advertises the budget absolutely on `HelloAck` and every
-    /// `BatchAck`.
-    credit: Option<u64>,
-    /// The protocol version the ISM confirmed in its `HelloAck`; `None`
-    /// until one arrives. Heartbeats (a v3 tag) are sent only once this
-    /// proves the peer can decode them.
-    negotiated: Option<u32>,
+    /// The session with the ISM: retransmit window, credit, acks, replay,
+    /// heartbeats and control frames. It outlives any one connection —
+    /// [`ExternalSensor::reattach`] is all a reconnect takes.
+    uplink: Uplink,
     /// Monotonically accumulated raw-clock µs, the heartbeat pacing
     /// basis. Forward progress of the raw node clock accrues here;
     /// backward jumps (a stepped or faulted clock) contribute nothing,
@@ -353,22 +341,13 @@ pub struct ExternalSensor {
     pacing_us: i64,
     /// Last raw-clock reading, to derive forward deltas for `pacing_us`.
     pacing_raw_us: i64,
-    /// Value of `pacing_us` at the last frame sent, for heartbeat pacing.
-    last_send_us: i64,
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
     hlc: Arc<Hlc>,
-    /// Undecodable inbound control frames this incarnation; past
-    /// [`CONTROL_ERROR_BUDGET`] the connection is treated as broken.
-    control_errors: u32,
     /// True while a credit stall is in progress, so the flight recorder
     /// sees one event per stall instead of one per deferred step.
     credit_stalled: bool,
 }
-
-/// Undecodable inbound control frames an EXS skips before declaring the
-/// connection corrupt. Mirrors the ISM-side protocol error budget.
-const CONTROL_ERROR_BUDGET: u32 = 8;
 
 impl ExternalSensor {
     /// Connect-side constructor: sends the `Hello` preamble immediately.
@@ -382,167 +361,75 @@ impl ExternalSensor {
         conn: Box<dyn Connection>,
         cfg: ExsConfig,
     ) -> Result<Self> {
-        Self::with_telemetry(node, rings, raw_clock, conn, cfg, Arc::default())
-    }
-
-    /// Like [`ExternalSensor::new`], but accumulating into an existing
-    /// telemetry backing. The supervisor uses this so counters keep
-    /// growing across reconnect incarnations instead of resetting.
-    pub fn with_telemetry(
-        node: NodeId,
-        rings: Arc<RingSet>,
-        raw_clock: Arc<dyn Clock>,
-        conn: Box<dyn Connection>,
-        cfg: ExsConfig,
-        shared: Arc<ExsTelemetry>,
-    ) -> Result<Self> {
-        cfg.validate()?;
-        let window = SendWindow::new(cfg.retransmit_window_batches);
-        Self::with_window(node, rings, raw_clock, conn, cfg, shared, window)
-    }
-
-    /// Like [`ExternalSensor::with_telemetry`], but resuming from a
-    /// retransmit window carried over from a previous incarnation: after
-    /// the `Hello` preamble every still-unacked batch is replayed (in
-    /// sequence order, ahead of new traffic) so an abrupt disconnect loses
-    /// nothing. The ISM deduplicates by `(node, seq)`, so replaying batches
-    /// it already processed is harmless.
-    pub fn with_window(
-        node: NodeId,
-        rings: Arc<RingSet>,
-        raw_clock: Arc<dyn Clock>,
-        mut conn: Box<dyn Connection>,
-        cfg: ExsConfig,
-        shared: Arc<ExsTelemetry>,
-        window: SendWindow,
-    ) -> Result<Self> {
-        cfg.validate()?;
-        conn.send(
-            &Message::Hello {
-                node,
-                version: brisk_proto::VERSION,
-            }
-            .encode(),
-        )?;
-        let clock = CorrectedClock::new(raw_clock);
-        let pacing_raw_us = clock.raw_now().as_micros();
-        let mut exs = ExternalSensor {
-            node,
-            rings,
-            clock,
-            conn,
-            batcher: Batcher::new(cfg.clone()),
-            cfg,
-            shared,
-            drain_buf: Vec::with_capacity(512),
-            window: Some(window),
-            credit: None,
-            negotiated: None,
-            pacing_us: 0,
-            pacing_raw_us,
-            last_send_us: 0,
-            hlc: Hlc::new(),
-            control_errors: 0,
-            credit_stalled: false,
-        };
-        // Replay deliberately ignores credit: those records were already
-        // granted in-flight by the previous connection, and holding them
-        // back would stall recovery behind acks that cannot arrive yet.
-        exs.replay_unacked()?;
+        let mut exs = Self::detached(node, rings, raw_clock, cfg)?;
+        exs.reattach(conn)?;
         Ok(exs)
     }
 
-    /// The credit budget currently granted by the ISM, if any.
-    pub fn credit(&self) -> Option<u64> {
-        self.credit
+    /// An EXS with no connection yet (the supervisor dials separately).
+    pub(crate) fn detached(
+        node: NodeId,
+        rings: Arc<RingSet>,
+        raw_clock: Arc<dyn Clock>,
+        cfg: ExsConfig,
+    ) -> Result<Self> {
+        cfg.validate()?;
+        let clock = CorrectedClock::new(raw_clock);
+        let pacing_raw_us = clock.raw_now().as_micros();
+        // Polls are answered with the *corrected* local time: slaves
+        // converge on each other through their corrections.
+        let uplink = Uplink::new(
+            node,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            cfg.retransmit_window_batches,
+            cfg.heartbeat_interval,
+        );
+        Ok(ExternalSensor {
+            node,
+            rings,
+            clock,
+            batcher: Batcher::new(cfg.clone()),
+            cfg,
+            shared: Arc::default(),
+            drain_buf: Vec::with_capacity(512),
+            uplink,
+            pacing_us: 0,
+            pacing_raw_us,
+            hlc: Hlc::new(),
+            credit_stalled: false,
+        })
     }
 
-    /// Seed the credit budget (supervisor carry-over): between a
-    /// reconnect's `Hello` and the new `HelloAck`, the previous grant
-    /// keeps pacing the scoop instead of allowing an unbounded burst. The
-    /// next `HelloAck` overwrites this with the connection's real grant.
-    pub fn set_credit(&mut self, credit: Option<u64>) {
-        self.credit = credit;
-        self.update_credit_balance();
-    }
-
-    /// True when flow control permits scooping new records out of the
-    /// rings: credit is off, or in-flight records are under budget. An
-    /// empty window always passes — even a zero grant can only stop *new*
-    /// traffic while something is in flight, never deadlock the sender
-    /// (progress guarantee: at least one batch may always be outstanding).
-    fn credit_open(&self) -> bool {
-        match (self.credit, &self.window) {
-            (Some(c), Some(w)) => w.depth() == 0 || w.unacked_records() < c,
-            _ => true,
-        }
-    }
-
-    /// Mirror the spendable balance into telemetry.
-    fn update_credit_balance(&self) {
-        let bal = match (self.credit, &self.window) {
-            (Some(c), Some(w)) => c as i64 - w.unacked_records() as i64,
-            _ => 0,
-        };
-        self.shared.credit_balance.store(bal, Ordering::Relaxed);
-    }
-
-    /// Replay every unacked batch from the window. Counts replays but not
-    /// `records_sent`/`batches_sent` — those were counted on first send.
-    fn replay_unacked(&mut self) -> Result<()> {
-        let Some(w) = &self.window else {
-            return Ok(());
-        };
-        let frames: Vec<Vec<u8>> = w
-            .iter_unacked()
-            .map(|(seq, records)| {
-                Message::EventBatch {
-                    node: self.node,
-                    seq: Some(seq),
-                    records: records.clone(),
-                }
-                .encode()
-            })
-            .collect();
-        let replayed = frames.len() as u64;
-        for frame in frames {
-            self.conn.send(&frame)?;
-        }
+    /// Adopt a fresh connection after the previous one died: re-send
+    /// `Hello`, then replay every still-unacked batch (in sequence order,
+    /// ahead of new traffic) so an abrupt disconnect loses nothing.
+    /// Correction value, partial batch, window and the last credit grant
+    /// all stay where they are; the new `HelloAck` overwrites the grant.
+    pub fn reattach(&mut self, conn: Box<dyn Connection>) -> Result<()> {
+        let now_us = self.pacing_now_us();
+        let replayed = self.uplink.attach(conn, now_us)?;
         self.shared
             .batches_retransmitted
-            .fetch_add(replayed, Ordering::Relaxed);
-        self.shared.window_depth.store(replayed, Ordering::Relaxed);
+            .fetch_add(replayed as u64, Ordering::Relaxed);
+        self.mirror_link_gauges();
         Ok(())
     }
 
-    /// Tear the EXS apart, keeping its retransmit window (and the
-    /// sequence-number stream) so a supervisor can carry both into the
-    /// next incarnation. `None` if the connection was negotiated to v1.
-    ///
-    /// A partial batch still sitting in the batcher would die with this
-    /// incarnation; it is folded into the window (unsent) so the next
-    /// incarnation's replay delivers it.
-    pub fn into_window(mut self) -> Option<SendWindow> {
-        if self.window.is_some() {
-            if let Some((batch, _reason)) = self.batcher.flush() {
-                self.stash_batch(batch);
-            }
-        }
-        self.window
+    /// Mirror window occupancy and spendable credit into telemetry.
+    fn mirror_link_gauges(&self) {
+        self.shared
+            .window_depth
+            .store(self.uplink.window_depth() as u64, Ordering::Relaxed);
+        self.shared
+            .credit_balance
+            .store(self.uplink.credit_balance(), Ordering::Relaxed);
     }
 
-    /// Retain a batch in the retransmit window without sending it (the
-    /// connection is already gone); the next incarnation replays it.
-    fn stash_batch(&mut self, records: Vec<EventRecord>) {
-        if let Some(w) = &mut self.window {
-            let (_seq, evicted) = w.push(records);
-            if evicted.is_some() {
-                self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared
-                .window_depth
-                .store(w.depth() as u64, Ordering::Relaxed);
+    fn note_windowed(&self, windowed: Windowed) {
+        if windowed.evicted {
+            self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
         }
+        self.mirror_link_gauges();
     }
 
     /// The node this EXS serves.
@@ -601,7 +488,7 @@ impl ExternalSensor {
         //    records parked in the rings (where overruns land on the
         //    rings' own drop accounting) instead of piling them into the
         //    batcher and window. Acks received below reopen the tap.
-        let paused = !self.credit_open();
+        let paused = !self.uplink.credit_open();
         if paused {
             self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
             // Only the stall's leading edge lands in the flight recorder;
@@ -614,7 +501,7 @@ impl ExternalSensor {
                     "credit_stall",
                     "node {} deferring ring scoop: credit budget {:?} spent",
                     self.node,
-                    self.credit
+                    self.uplink.credit()
                 );
             }
         } else {
@@ -645,11 +532,10 @@ impl ExternalSensor {
         // A disconnect mid-scoop must not drop the records already pulled
         // out of the rings: once the send fails, keep pushing the rest of
         // the scoop through the batcher and stash every flushed batch in
-        // the retransmit window (unsent), where the next incarnation's
-        // replay picks it up. Without a window (v1 peer) the old
-        // fail-fast loss semantics stand.
-        let mut disconnect: Option<BriskError> = None;
-        let mut fatal: Option<BriskError> = None;
+        // the retransmit window (unsent), where the next connection's
+        // replay picks it up. (Without a window — a v1 peer — stashing
+        // drops them: the old fail-fast loss semantics.)
+        let mut failed: Option<BriskError> = None;
         for mut rec in pending.drain(..) {
             rec.apply_correction(correction);
             // After the correction: scoop time and every later stamp are
@@ -659,20 +545,16 @@ impl ExternalSensor {
                 rec.set_hlc(self.hlc.tick(now));
             }
             if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                if disconnect.is_some() {
-                    self.stash_batch(batch);
+                if failed.is_some() {
+                    let windowed = self.uplink.stash(batch);
+                    self.note_windowed(windowed);
                 } else if let Err(e) = self.send_batch(batch, reason) {
-                    if e.is_disconnect() && self.window.is_some() {
-                        disconnect = Some(e);
-                    } else {
-                        fatal = Some(e);
-                        break;
-                    }
+                    failed = Some(e);
                 }
             }
         }
         self.drain_buf = pending; // keep the allocation (workhorse buffer)
-        if let Some(e) = fatal.or(disconnect) {
+        if let Some(e) = failed {
             return Err(e);
         }
 
@@ -686,7 +568,10 @@ impl ExternalSensor {
         // 2b. Liveness: on an idle v3 connection, send a heartbeat so the
         //     ISM can tell a quiet node from a silently dead one (TCP
         //     alone reports nothing for minutes).
-        self.maybe_heartbeat()?;
+        let now_us = self.pacing_now_us();
+        if self.uplink.heartbeat_if_idle(now_us)? {
+            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
+        }
         drain_timer.stop(self.clock.now().as_micros());
 
         // 3. Control traffic. When busy, poll without blocking; when idle,
@@ -710,80 +595,52 @@ impl ExternalSensor {
         self.shared
             .busy_nanos
             .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let msg = match self.conn.recv(Some(wait)) {
-            // An undecodable control frame (corrupted wire) is counted
-            // and skipped rather than fatal — up to a budget, past which
-            // the connection is declared broken so the supervisor can
-            // rebuild it.
-            Ok(Some(frame)) => match Message::decode(&frame) {
-                Ok(msg) => Some(msg),
-                Err(e) => {
-                    self.control_errors += 1;
-                    self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    if self.control_errors > CONTROL_ERROR_BUDGET {
-                        return Err(e.into());
-                    }
-                    None
-                }
-            },
-            Ok(None) => None,
+        let frame = match self.uplink.recv(wait) {
+            Ok(frame) => frame,
             Err(e) if e.is_disconnect() => return Ok(ExsStep::Disconnected),
             Err(e) => return Err(e),
         };
-        if let Some(msg) = msg {
+        if let Some(frame) = frame {
             let handle_start = Instant::now();
-            let outcome = self.handle_control(msg)?;
+            let outcome = self.on_control(&frame);
             self.shared
                 .busy_nanos
                 .fetch_add(handle_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if outcome == ExsStep::Shutdown {
-                return Ok(ExsStep::Shutdown);
+            if let Some(step) = outcome? {
+                return Ok(step);
             }
-            return Ok(ExsStep::Busy);
         }
         Ok(if busy { ExsStep::Busy } else { ExsStep::Idle })
     }
 
-    /// Send a [`Message::Heartbeat`] when the connection has been
-    /// send-idle for a full `heartbeat_interval`. Gated on a `HelloAck`
-    /// that negotiated v3 (older peers cannot decode the tag) and on a
-    /// non-zero interval (zero disables). Any frame sent resets the
-    /// pacing, so heartbeats only ever ride an otherwise-quiet link.
-    fn maybe_heartbeat(&mut self) -> Result<()> {
-        if self.cfg.heartbeat_interval.is_zero() || self.negotiated.is_none_or(|v| v < 3) {
-            return Ok(());
-        }
+    /// Apply this EXS's policy to one inbound control frame. `None` means
+    /// the frame was skipped (undecodable, within the budget — past it the
+    /// uplink returns the error so the supervisor rebuilds the link).
+    fn on_control(&mut self, frame: &[u8]) -> Result<Option<ExsStep>> {
         let now_us = self.pacing_now_us();
-        let interval_us = self.cfg.heartbeat_interval.as_micros() as i64;
-        if now_us.saturating_sub(self.last_send_us) >= interval_us {
-            self.conn.send(&Message::Heartbeat.encode())?;
-            self.last_send_us = now_us;
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn handle_control(&mut self, msg: Message) -> Result<ExsStep> {
-        match msg {
-            Message::SyncPoll {
-                round,
-                sample,
-                master_send,
-            } => {
-                // Reply with the *corrected* local time: slaves converge on
-                // each other through their corrections.
-                let reply = Message::SyncReply {
-                    round,
-                    sample,
-                    master_send,
-                    slave_time: self.clock.now(),
-                };
-                self.conn.send(&reply.encode())?;
-                self.last_send_us = self.pacing_now_us();
-                self.shared.sync_replies.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
+        match self.uplink.handle_frame(frame, now_us)? {
+            Control::Skipped => {
+                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
             }
-            Message::SyncAdjust { advance_us, .. } => {
+            Control::Granted { version, .. } => {
+                // Anything below v2 means no acks will ever come: fall
+                // back to the old fire-and-forget delivery.
+                if version < 2 {
+                    self.uplink.drop_window();
+                }
+                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
+            }
+            Control::Acked { .. } => {
+                self.shared
+                    .ack_lag
+                    .record(self.uplink.window_depth() as u64);
+                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
+            }
+            Control::SyncPoll => {
+                self.shared.sync_replies.fetch_add(1, Ordering::Relaxed);
+            }
+            Control::Adjusted(advance_us) => {
                 if self.cfg.sync_disabled {
                     // Chaos plane: the node deliberately refuses sync and
                     // lets its clock run wherever the fault takes it.
@@ -792,47 +649,16 @@ impl ExternalSensor {
                     self.clock.adjust(advance_us);
                     self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(ExsStep::Busy)
             }
-            Message::HelloAck { version, credit } => {
-                // The ISM told us which protocol version the connection
-                // actually runs at. Anything below v2 means no acks will
-                // ever come: drop the window and fall back to the old
-                // fire-and-forget delivery.
-                if version < 2 {
-                    self.window = None;
-                    self.shared.window_depth.store(0, Ordering::Relaxed);
-                }
-                // The HelloAck is authoritative for the connection's flow
-                // control: `None` clears any budget carried over from a
-                // previous incarnation.
-                self.credit = credit;
-                self.update_credit_balance();
-                self.negotiated = Some(version);
-                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
+            Control::Shutdown => return Ok(Some(ExsStep::Shutdown)),
+            Control::Unexpected(other) => {
+                return Err(BriskError::Protocol(format!(
+                    "unexpected message at EXS: {other:?}"
+                )))
             }
-            Message::BatchAck { seq, credit } => {
-                if let Some(w) = &mut self.window {
-                    w.ack(seq);
-                    let depth = w.depth() as u64;
-                    self.shared.window_depth.store(depth, Ordering::Relaxed);
-                    self.shared.ack_lag.record(depth);
-                }
-                // A grant piggybacked on the ack re-advertises the budget
-                // absolutely; a plain (v2-style) ack leaves it untouched.
-                if credit.is_some() {
-                    self.credit = credit;
-                }
-                self.update_credit_balance();
-                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
-            }
-            Message::Shutdown => Ok(ExsStep::Shutdown),
-            other => Err(BriskError::Protocol(format!(
-                "unexpected message at EXS: {other:?}"
-            ))),
         }
+        self.mirror_link_gauges();
+        Ok(Some(ExsStep::Busy))
     }
 
     fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) -> Result<()> {
@@ -841,27 +667,10 @@ impl ExternalSensor {
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        let seq = match &mut self.window {
-            Some(w) => {
-                let (seq, evicted) = w.push(records.clone());
-                if evicted.is_some() {
-                    self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                self.shared
-                    .window_depth
-                    .store(w.depth() as u64, Ordering::Relaxed);
-                Some(seq)
-            }
-            None => None,
-        };
-        let msg = Message::EventBatch {
-            node: self.node,
-            seq,
-            records,
-        };
-        self.conn.send(&msg.encode())?;
-        self.last_send_us = self.pacing_now_us();
-        self.update_credit_balance();
+        let now_us = self.pacing_now_us();
+        let (windowed, sent) = self.uplink.send(records, now_us);
+        self.note_windowed(windowed);
+        sent?;
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
         self.shared.batches_sent.fetch_add(1, Ordering::Relaxed);
         self.shared.batch_records.record(n);
@@ -915,7 +724,7 @@ impl ExternalSensor {
         if let Some((batch, reason)) = self.batcher.flush() {
             self.send_batch(batch, reason)?;
         }
-        let _ = self.conn.send(&Message::Shutdown.encode());
+        self.uplink.send_shutdown();
         Ok(self.shared.stats())
     }
 }
@@ -995,9 +804,12 @@ pub fn spawn_exs(
 #[allow(clippy::field_reassign_with_default)] // single-knob mutation is the point of these tests
 mod tests {
     use super::*;
+    use crate::testkit::{mem_pair, recv_msg};
+    use crate::uplink::CONTROL_ERROR_BUDGET;
     use brisk_clock::{SimClock, SimTimeSource, SystemClock};
     use brisk_core::{EventTypeId, UtcMicros, Value};
     use brisk_net::{LinkModel, MemTransport, Transport};
+    use brisk_proto::Message;
 
     struct Rig {
         exs: ExternalSensor,
@@ -1021,11 +833,6 @@ mod tests {
             src,
             rings,
         }
-    }
-
-    fn recv_msg(conn: &mut Box<dyn Connection>) -> Message {
-        let frame = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        Message::decode(&frame).unwrap()
     }
 
     #[test]
@@ -1345,8 +1152,7 @@ mod tests {
         r.exs.step().unwrap();
         assert_eq!(r.exs.stats().batches_sent, 3);
         // All three batches are unacked and windowed.
-        let w = r.exs.window.as_ref().unwrap();
-        assert_eq!(w.depth(), 3);
+        assert_eq!(r.exs.uplink.window_depth(), 3);
 
         // Cumulative ack for seq 2 releases the first two.
         r.ism_side
@@ -1359,7 +1165,7 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.window.as_ref().unwrap().depth(), 1);
+        assert_eq!(r.exs.uplink.window_depth(), 1);
         assert_eq!(r.exs.stats().acks_received, 1);
     }
 
@@ -1379,7 +1185,6 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert!(r.exs.window.is_none());
 
         emit_n(&r.rings, 1);
         r.src.advance_by(10);
@@ -1391,13 +1196,12 @@ mod tests {
     }
 
     #[test]
-    fn carried_window_replays_unacked_batches() {
+    fn reattach_replays_unacked_batches_and_the_partial_batch_survives() {
         let mut cfg = ExsConfig::default();
-        cfg.max_batch_records = 1;
-        let mut r = rig(cfg.clone(), 0);
-        let shared = Arc::clone(r.exs.telemetry());
+        cfg.max_batch_records = 2;
+        let mut r = rig(cfg, 0);
         recv_msg(&mut r.ism_side); // hello
-        emit_n(&r.rings, 2);
+        emit_n(&r.rings, 4);
         r.src.advance_by(10);
         r.exs.step().unwrap();
         recv_msg(&mut r.ism_side); // batch 1
@@ -1413,26 +1217,18 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        let window = r.exs.into_window().unwrap();
-        assert_eq!(window.depth(), 1);
-        assert_eq!(window.next_seq(), 3);
+        assert_eq!(r.exs.uplink.window_depth(), 1);
+        // One more record sits in the batcher as a partial batch when the
+        // link dies.
+        emit_n(&r.rings, 1);
+        r.exs.step().unwrap();
+        drop(r.ism_side);
+        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
 
-        // New incarnation over a fresh connection, carrying the window.
-        let t = MemTransport::new();
-        let mut l = t.listen("ism2").unwrap();
-        let conn = t.connect("ism2").unwrap();
-        let mut ism2 = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        let raw: Arc<dyn Clock> = Arc::new(SystemClock);
-        let exs2 = ExternalSensor::with_window(
-            NodeId(7),
-            RingSet::new(NodeId(7), cfg.ring_capacity),
-            raw,
-            conn,
-            cfg,
-            shared,
-            window,
-        )
-        .unwrap();
+        // Same EXS, fresh connection: Hello, then the unacked batch
+        // (seq 2) is replayed ahead of anything new.
+        let (mut ism2, conn) = mem_pair();
+        r.exs.reattach(conn).unwrap();
         match recv_msg(&mut ism2) {
             Message::Hello { node, version } => {
                 assert_eq!(node, NodeId(7));
@@ -1440,18 +1236,28 @@ mod tests {
             }
             other => panic!("expected hello, got {other:?}"),
         }
-        // The unacked batch (seq 2) is replayed right after Hello.
         match recv_msg(&mut ism2) {
             Message::EventBatch { seq, records, .. } => {
                 assert_eq!(seq, Some(2));
-                assert_eq!(records.len(), 1);
+                assert_eq!(records.len(), 2);
             }
             other => panic!("expected replayed batch, got {other:?}"),
         }
-        let stats = exs2.stats();
+        let stats = r.exs.stats();
         assert_eq!(stats.batches_retransmitted, 1);
         // Replays are not re-counted as fresh sends.
         assert_eq!(stats.batches_sent, 2);
+        // The partial batch outlived the connection and continues the
+        // sequence stream once its flush timeout fires.
+        r.src.advance_by(50_000);
+        r.exs.step().unwrap();
+        match recv_msg(&mut ism2) {
+            Message::EventBatch { seq, records, .. } => {
+                assert_eq!(seq, Some(3));
+                assert_eq!(records.len(), 1);
+            }
+            other => panic!("expected the partial batch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1472,7 +1278,7 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.credit(), Some(2));
+        assert_eq!(r.exs.uplink.credit(), Some(2));
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
@@ -1506,20 +1312,33 @@ mod tests {
     fn hello_ack_overwrites_carried_credit() {
         let mut r = rig(ExsConfig::default(), 0);
         recv_msg(&mut r.ism_side); // hello
-        r.exs.set_credit(Some(99)); // as the supervisor would after reconnect
-        assert_eq!(r.exs.credit(), Some(99));
-        // The connection's real HelloAck carries no grant: credit is off.
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 2,
-                    credit: None,
+                    version: 3,
+                    credit: Some(99),
                 }
                 .encode(),
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.credit(), None);
+        // Across a reconnect the previous grant keeps pacing the scoop
+        // until the new connection's HelloAck arrives...
+        let (mut ism2, conn) = mem_pair();
+        r.exs.reattach(conn).unwrap();
+        recv_msg(&mut ism2); // hello
+        assert_eq!(r.exs.uplink.credit(), Some(99));
+        // ...which carries no grant: credit is off.
+        ism2.send(
+            &Message::HelloAck {
+                version: 2,
+                credit: None,
+            }
+            .encode(),
+        )
+        .unwrap();
+        r.exs.step().unwrap();
+        assert_eq!(r.exs.uplink.credit(), None);
     }
 
     #[test]
@@ -1565,7 +1384,7 @@ mod tests {
         let stats = r.exs.stats();
         assert_eq!(stats.batches_sent, 3);
         assert_eq!(stats.window_evicted, 1);
-        assert_eq!(r.exs.window.as_ref().unwrap().depth(), 2);
+        assert_eq!(r.exs.uplink.window_depth(), 2);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   timestamp, batches records under the latency-control knobs
 //!   ([`brisk_core::ExsConfig`]) and ships batches to the ISM over the
 //!   transfer protocol. It also answers clock-sync polls and applies
-//!   adjustments (the sync *slave* role).
+//!   adjustments (the sync *slave* role). Everything a v3 sender does
+//!   with window, credit, acks, replay and heartbeats lives in
+//!   [`uplink::Uplink`], which the relay ISM's upstream link shares.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -27,9 +29,13 @@ pub mod exs;
 pub mod profiling;
 pub mod sensor;
 pub mod supervisor;
+#[doc(hidden)]
+pub mod testkit;
+pub mod uplink;
 
 pub use batch::{Batcher, FlushReason};
 pub use exs::{spawn_exs, ExsHandle, ExsStats, ExsTelemetry, ExternalSensor};
 pub use profiling::{CounterSensor, Scope, SensorGate};
 pub use sensor::Lis;
 pub use supervisor::{spawn_exs_supervised, SupervisedExsHandle, SupervisorConfig};
+pub use uplink::Uplink;

@@ -10,10 +10,11 @@
 //! raw, unsynchronized time while the master re-converges.
 //!
 //! Delivery semantics across an abrupt disconnect (protocol v2): the EXS
-//! keeps every sent-but-unacked batch in a bounded retransmit window, the
-//! supervisor carries that window into the new incarnation (alongside the
-//! clock correction), and the unacked batches are **replayed** right after
-//! the re-`Hello` — so nothing handed to the dead connection is lost. The
+//! keeps every sent-but-unacked batch in a bounded retransmit window that
+//! lives in its [`crate::Uplink`] (like the clock correction, it simply
+//! stays with the EXS while the supervisor attaches the next connection),
+//! and the unacked batches are **replayed** right after the re-`Hello` —
+//! so nothing handed to the dead connection is lost. The
 //! ISM deduplicates replays by `(node, seq)`, making delivery to the sinks
 //! exactly-once. Two degraded edges remain: a peer that negotiates the
 //! connection down to v1 gets the old fire-and-forget semantics (no acks,
@@ -22,16 +23,14 @@
 //! oldest batch, which is then beyond replay — both are surfaced through
 //! telemetry rather than hidden.
 
-use crate::batch::SendWindow;
 use crate::exs::{ExsStats, ExsStep, ExsTelemetry, ExternalSensor};
 use brisk_clock::Clock;
 use brisk_core::{BriskError, ExsConfig, NodeId, Result};
-use brisk_net::Connection;
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,8 +82,7 @@ pub struct SupervisedStats {
     pub reconnects: u64,
 }
 
-/// Factory producing a fresh connection to the ISM.
-pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
+pub use crate::uplink::ConnectFn;
 
 /// Next reconnect delay under decorrelated jitter:
 /// `min(max, U(initial, 3 × prev))`. Monotone doubling synchronizes
@@ -96,6 +94,15 @@ fn next_backoff(rng: &mut StdRng, prev: Duration, sup: &SupervisorConfig) -> Dur
     let cap = (sup.max_backoff.as_micros() as u64).max(lo);
     let hi = (prev.as_micros() as u64).saturating_mul(3).clamp(lo, cap);
     Duration::from_micros(rng.gen_range(lo..=hi))
+}
+
+fn supervised_stats(shared: &ExsTelemetry, connects: &AtomicU64) -> SupervisedStats {
+    let connects = connects.load(Ordering::Relaxed);
+    SupervisedStats {
+        exs: shared.stats(),
+        connects,
+        reconnects: connects.saturating_sub(1),
+    }
 }
 
 /// Handle to a supervised EXS.
@@ -115,12 +122,7 @@ impl SupervisedExsHandle {
 
     /// Live aggregate counters across all incarnations so far.
     pub fn stats_now(&self) -> SupervisedStats {
-        let connects = self.connects.load(Ordering::Relaxed);
-        SupervisedStats {
-            exs: self.shared.stats(),
-            connects,
-            reconnects: connects.saturating_sub(1),
-        }
+        supervised_stats(&self.shared, &self.connects)
     }
 
     /// Register this supervised EXS with a telemetry registry: all the
@@ -164,20 +166,21 @@ pub fn spawn_exs_supervised(
     cfg: ExsConfig,
     sup: SupervisorConfig,
 ) -> Result<SupervisedExsHandle> {
-    cfg.validate()?;
     let stop = Arc::new(AtomicBool::new(false));
     let connects = Arc::new(AtomicU64::new(0));
-    let shared = Arc::new(ExsTelemetry::default());
+    // One EXS for the node's whole lifetime: correction value, partial
+    // batch, retransmit window and the last credit grant all live in it
+    // (the link state in its `Uplink`), so a reconnect is nothing more
+    // than attaching the next connection — which re-sends `Hello` and
+    // replays the unacked window. Its counters are totals across
+    // reconnects, so a bound registry keeps observing the live EXS.
+    let exs = ExternalSensor::detached(node, rings, raw_clock, cfg)?;
+    let shared = Arc::clone(exs.telemetry());
     let stop2 = Arc::clone(&stop);
     let connects2 = Arc::clone(&connects);
-    let shared2 = Arc::clone(&shared);
     let join = std::thread::Builder::new()
         .name(format!("brisk-exs-sup-{node}"))
-        .spawn(move || {
-            supervise(
-                node, rings, raw_clock, connect, cfg, sup, stop2, connects2, shared2,
-            )
-        })
+        .spawn(move || supervise(exs, connect, sup, stop2, connects2))
         .map_err(BriskError::Io)?;
     Ok(SupervisedExsHandle {
         stop,
@@ -188,48 +191,20 @@ pub fn spawn_exs_supervised(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn supervise(
-    node: NodeId,
-    rings: Arc<RingSet>,
-    raw_clock: Arc<dyn Clock>,
+    mut exs: ExternalSensor,
     connect: ConnectFn,
-    cfg: ExsConfig,
     sup: SupervisorConfig,
     stop: Arc<AtomicBool>,
     connects: Arc<AtomicU64>,
-    shared: Arc<ExsTelemetry>,
 ) -> Result<SupervisedStats> {
-    // Every incarnation accumulates into the one shared telemetry
-    // backing, so EXS counters are totals across restarts and a bound
-    // registry keeps observing the live EXS through reconnects.
-    let mut stats = SupervisedStats::default();
-    // Correction value survives reconnects.
-    let carried_correction = AtomicI64::new(0);
-    // Retransmit window survives reconnects too: unacked batches in here
-    // are replayed on the next connection. `None` once the peer negotiates
-    // down to v1 (or before the first connection).
-    let mut carried_window: Option<SendWindow> = None;
-    // The last credit grant also carries over, so the gap between the
-    // reconnect's Hello and the new HelloAck stays paced by the old
-    // budget instead of allowing an unbounded burst. The new HelloAck
-    // overwrites it authoritatively.
-    let mut carried_credit: Option<u64> = None;
+    let node = exs.node();
+    let shared = Arc::clone(exs.telemetry());
     let mut backoff = sup.initial_backoff;
     let mut consecutive_failures = 0u32;
     // Per-node jitter stream: nodes decorrelate from each other while one
     // node's retry schedule stays reproducible.
     let mut rng = StdRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ u64::from(node.0));
-
-    /// How one incarnation ended.
-    enum IncarnationEnd {
-        /// Orderly stop (local stop flag or ISM `Shutdown`): exit for good.
-        Stop,
-        /// Abrupt disconnect: reconnect, replaying the carried window.
-        Reconnect(Option<SendWindow>),
-        /// Unrecoverable error.
-        Fatal(BriskError),
-    }
 
     /// Sleep `d` in small slices, bailing early when `stop` is raised;
     /// returns `true` if the stop flag cut the sleep short.
@@ -248,38 +223,10 @@ fn supervise(
         // Snapshot before the attempt: only a *grown* count after the
         // incarnation proves the ISM answered this connection's Hello.
         let acks_before = shared.hello_acks();
-        // Establish (or re-establish) the connection.
-        let attempt = connect().and_then(|conn| {
-            match carried_window.take() {
-                // Carry the retransmit window over; `with_window` replays the
-                // unacked batches right after the Hello preamble.
-                Some(w) => ExternalSensor::with_window(
-                    node,
-                    Arc::clone(&rings),
-                    Arc::clone(&raw_clock),
-                    conn,
-                    cfg.clone(),
-                    Arc::clone(&shared),
-                    w.clone(),
-                )
-                .map_err(|e| (e, Some(w))),
-                None => ExternalSensor::with_telemetry(
-                    node,
-                    Arc::clone(&rings),
-                    Arc::clone(&raw_clock),
-                    conn,
-                    cfg.clone(),
-                    Arc::clone(&shared),
-                )
-                .map_err(|e| (e, None)),
-            } // a failed handshake/replay must not lose the window
-            .map_err(|(e, w)| {
-                carried_window = w;
-                e
-            })
-        });
-        let mut exs = match attempt {
-            Ok(exs) => exs,
+        // Establish (or re-establish) the connection. A failed Hello or
+        // replay leaves the window intact for the next attempt.
+        match connect().and_then(|conn| exs.reattach(conn)) {
+            Ok(()) => {}
             Err(e) if e.is_disconnect() || matches!(e, BriskError::Io(_)) => {
                 consecutive_failures += 1;
                 if let Some(max) = sup.max_consecutive_failures {
@@ -298,87 +245,61 @@ fn supervise(
                 continue;
             }
             Err(e) => return Err(e),
-        };
+        }
         // A successful TCP connect proves only that *something* is listening
         // on the port; the backoff resets further down, once the incarnation
         // shows a HelloAck arrived.
         consecutive_failures = 0;
-        exs.set_credit(carried_credit);
-        exs.corrected_clock()
-            .set_correction(carried_correction.load(Ordering::Relaxed));
-        connects.fetch_add(1, Ordering::Relaxed);
-        stats.connects += 1;
-        if stats.connects > 1 {
-            stats.reconnects += 1;
+        let incarnation = connects.fetch_add(1, Ordering::Relaxed) + 1;
+        if incarnation > 1 {
             brisk_telemetry::flight_log!(
                 Warn,
                 "exs.supervisor",
                 "reconnect",
-                "node {node} reconnected to ISM (incarnation {}, replaying window)",
-                stats.connects
+                "node {node} reconnected to ISM (incarnation {incarnation}, replaying window)"
             );
         }
 
-        // Drive the incarnation.
-        let end = loop {
+        // Drive the incarnation until it stops for good (`true`: local
+        // stop flag or ISM `Shutdown`) or the link dies abruptly.
+        let stopped = loop {
             if stop.load(Ordering::Relaxed) {
-                // Orderly stop: flush and exit for good.
-                carried_correction.store(exs.corrected_clock().correction_us(), Ordering::Relaxed);
-                // A connection that dies during the final flush is fine;
-                // the counters land in `shared` either way.
-                let _ = exs.finish();
-                break IncarnationEnd::Stop;
+                break true;
             }
             match exs.step() {
-                Ok(ExsStep::Shutdown) => {
-                    // The ISM asked us to stop — honour it, do not reconnect.
-                    carried_correction
-                        .store(exs.corrected_clock().correction_us(), Ordering::Relaxed);
-                    let _ = exs.finish();
-                    break IncarnationEnd::Stop;
-                }
-                Ok(ExsStep::Disconnected) => {
-                    carried_correction
-                        .store(exs.corrected_clock().correction_us(), Ordering::Relaxed);
-                    carried_credit = exs.credit();
-                    break IncarnationEnd::Reconnect(exs.into_window());
-                }
+                // The ISM asked us to stop — honour it, do not reconnect.
+                Ok(ExsStep::Shutdown) => break true,
+                Ok(ExsStep::Disconnected) => break false,
                 Ok(_) => {}
-                Err(e) if e.is_disconnect() => {
-                    carried_correction
-                        .store(exs.corrected_clock().correction_us(), Ordering::Relaxed);
-                    carried_credit = exs.credit();
-                    break IncarnationEnd::Reconnect(exs.into_window());
-                }
-                Err(e) => break IncarnationEnd::Fatal(e),
+                Err(e) if e.is_disconnect() => break false,
+                Err(e) => return Err(e),
             }
         };
-        match end {
-            IncarnationEnd::Stop => break 'lifetime,
-            IncarnationEnd::Reconnect(w) => {
-                carried_window = w;
-                if shared.hello_acks() > acks_before {
-                    // The ISM answered our Hello, so the link genuinely
-                    // worked this incarnation: start the next retry gently.
-                    backoff = sup.initial_backoff;
-                } else {
-                    // Connected but died before the handshake completed —
-                    // the ISM is up yet unhealthy (or a fault plane is
-                    // chewing the preamble). Treat it like a connect
-                    // failure: pause, then widen the retry window. It does
-                    // not count toward `max_consecutive_failures`, which
-                    // tracks hard connect refusals only.
-                    if sleep_interruptible(&stop, backoff) {
-                        break 'lifetime;
-                    }
-                    backoff = next_backoff(&mut rng, backoff, &sup);
-                }
+        if stopped {
+            // Orderly stop: flush and exit for good. A connection that
+            // dies during the final flush is fine; the counters land in
+            // `shared` either way.
+            let _ = exs.finish();
+            break 'lifetime;
+        }
+        if shared.hello_acks() > acks_before {
+            // The ISM answered our Hello, so the link genuinely
+            // worked this incarnation: start the next retry gently.
+            backoff = sup.initial_backoff;
+        } else {
+            // Connected but died before the handshake completed —
+            // the ISM is up yet unhealthy (or a fault plane is
+            // chewing the preamble). Treat it like a connect
+            // failure: pause, then widen the retry window. It does
+            // not count toward `max_consecutive_failures`, which
+            // tracks hard connect refusals only.
+            if sleep_interruptible(&stop, backoff) {
+                break 'lifetime;
             }
-            IncarnationEnd::Fatal(e) => return Err(e),
+            backoff = next_backoff(&mut rng, backoff, &sup);
         }
     }
-    stats.exs = shared.stats();
-    Ok(stats)
+    Ok(supervised_stats(&shared, &connects))
 }
 
 #[cfg(test)]
@@ -386,7 +307,7 @@ mod tests {
     use super::*;
     use brisk_clock::SystemClock;
     use brisk_core::{EventTypeId, UtcMicros, Value};
-    use brisk_net::{MemTransport, Transport};
+    use brisk_net::{Connection, MemTransport, Transport};
     use brisk_proto::Message;
 
     /// A hand-rolled "ISM" that accepts connections one at a time and can

@@ -66,7 +66,7 @@ pub use dict::{DescriptorDict, DictKey};
 pub use namespace::{NamespaceError, NodePrefix};
 
 use brisk_core::{BriskError, EventRecord, NodeId, UtcMicros};
-use brisk_xdr::values::{decode_record_body, encode_record_body};
+use brisk_xdr::values::encode_record_body;
 use brisk_xdr::{decode_record_view, RecordView, XdrDecoder, XdrEncoder};
 use std::fmt;
 
@@ -326,40 +326,28 @@ impl Message {
                 // batch header; only a batch whose records all share the
                 // header node survives that round trip. A relay batch
                 // mixes nodes, so it takes the Multi format, which spends
-                // one word per record to keep each origin.
-                if records.iter().any(|r| r.node != *node) {
-                    e.uint(Tag::EventBatchMulti as u32);
-                    e.uint(node.raw());
-                    match seq {
-                        Some(seq) => {
-                            e.uint(1);
-                            e.uhyper(*seq);
-                        }
-                        None => {
-                            e.uint(0);
-                        }
-                    }
-                    e.uint(records.len() as u32);
-                    for r in records {
+                // one word per record to keep each origin (and a flag
+                // word, not a second tag, to say whether a seq follows).
+                let multi = records.iter().any(|r| r.node != *node);
+                let tag = match (multi, seq) {
+                    (true, _) => Tag::EventBatchMulti,
+                    (false, Some(_)) => Tag::EventBatchSeq,
+                    (false, None) => Tag::EventBatch,
+                };
+                e.uint(tag as u32);
+                e.uint(node.raw());
+                if multi {
+                    e.uint(seq.is_some() as u32);
+                }
+                if let Some(seq) = seq {
+                    e.uhyper(*seq);
+                }
+                e.uint(records.len() as u32);
+                for r in records {
+                    if multi {
                         e.uint(r.node.raw());
-                        encode_record_body(r, &mut e);
                     }
-                } else {
-                    match seq {
-                        Some(seq) => {
-                            e.uint(Tag::EventBatchSeq as u32);
-                            e.uint(node.raw());
-                            e.uhyper(*seq);
-                        }
-                        None => {
-                            e.uint(Tag::EventBatch as u32);
-                            e.uint(node.raw());
-                        }
-                    }
-                    e.uint(records.len() as u32);
-                    for r in records {
-                        encode_record_body(r, &mut e);
-                    }
+                    encode_record_body(r, &mut e);
                 }
             }
             Message::BatchAck { seq, credit } => match credit {
@@ -442,44 +430,15 @@ impl Message {
                 version: d.uint()?,
                 credit: Some(d.uhyper()?),
             },
-            Tag::EventBatch | Tag::EventBatchSeq => {
-                let node = NodeId(d.uint()?);
-                let seq = match tag {
-                    Tag::EventBatchSeq => Some(d.uhyper()?),
-                    _ => None,
-                };
-                let count = d.uint()? as usize;
-                if count > MAX_BATCH_RECORDS {
-                    return Err(DecodeError::TooManyRecords {
-                        count,
-                        max: MAX_BATCH_RECORDS,
-                    });
-                }
-                let mut records = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    records.push(decode_record_body(node, &mut d)?);
-                }
-                Message::EventBatch { node, seq, records }
-            }
-            Tag::EventBatchMulti => {
-                let node = NodeId(d.uint()?);
-                let seq = match d.uint()? {
-                    0 => None,
-                    _ => Some(d.uhyper()?),
-                };
-                let count = d.uint()? as usize;
-                if count > MAX_BATCH_RECORDS {
-                    return Err(DecodeError::TooManyRecords {
-                        count,
-                        max: MAX_BATCH_RECORDS,
-                    });
-                }
-                let mut records = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let rec_node = NodeId(d.uint()?);
-                    records.push(decode_record_body(rec_node, &mut d)?);
-                }
-                Message::EventBatch { node, seq, records }
+            // One validator for batch bytes: the owned form is the
+            // borrowing view, materialized.
+            Tag::EventBatch | Tag::EventBatchSeq | Tag::EventBatchMulti => {
+                let view = BatchView::parse(frame)?;
+                return Ok(Message::EventBatch {
+                    node: view.node(),
+                    seq: view.seq(),
+                    records: view.materialize()?,
+                });
             }
             Tag::BatchAck => Message::BatchAck {
                 seq: d.uhyper()?,
@@ -532,17 +491,17 @@ pub const fn is_batch_tag(tag: u32) -> bool {
 }
 
 /// A fully-validated *borrowing* view over an `EventBatch` /
-/// `EventBatchSeq` frame.
+/// `EventBatchSeq` / `EventBatchMulti` frame — the only parser of batch
+/// bytes ([`Message::decode`] is this parse plus
+/// [`BatchView::materialize`]).
 ///
-/// Parsing walks every record body with the same validation as
-/// [`Message::decode`] (it shares the single decode implementation in
-/// `brisk_xdr::view`), but each record is kept as a [`RecordView`] whose
-/// field bytes still point into the arrival buffer — nothing is copied
-/// until [`BatchView::materialize`] (or a per-record
-/// [`RecordView::materialize`]) is called. The ISM pump validates a frame
-/// once with this type and forwards the raw frame; the manager re-parses
-/// and materializes exactly once, so a record is copied at most once
-/// end-to-end.
+/// Parsing walks and validates every record body, but each record is
+/// kept as a [`RecordView`] whose field bytes still point into the
+/// arrival buffer — nothing is copied until [`BatchView::materialize`]
+/// (or a per-record [`RecordView::materialize`]) is called. The ISM pump
+/// validates a frame once with this type and forwards the raw frame; the
+/// manager re-parses and materializes exactly once, so a record is copied
+/// at most once end-to-end.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     node: NodeId,
@@ -557,12 +516,11 @@ pub struct BatchView<'a> {
 impl<'a> BatchView<'a> {
     /// Parse and validate a batch frame without copying record payloads.
     ///
-    /// The frame must be an `EventBatch` or `EventBatchSeq` (check with
-    /// [`peek_tag`] / [`is_batch_tag`] first); any other tag is an
+    /// The frame must carry a batch tag (check with [`peek_tag`] /
+    /// [`is_batch_tag`] first); any other tag is an
     /// [`DecodeError::UnknownTag`] from this constructor's point of view.
     /// Validation is exhaustive — bounds, descriptor, every field, no
-    /// trailing bytes — so a frame this accepts is exactly a frame
-    /// [`Message::decode`] accepts.
+    /// trailing bytes.
     pub fn parse(frame: &'a [u8]) -> Result<BatchView<'a>, DecodeError> {
         let mut d = XdrDecoder::new(frame);
         let tag = d.uint()?;

@@ -1,10 +1,29 @@
 //! Fuzz harness for the wire-message decoder: whatever bytes the network
 //! delivers, `Message::decode` must return a typed error — never panic and
-//! never allocate proportionally to an attacker-declared length.
+//! never allocate proportionally to an attacker-declared length — and the
+//! owned and borrowing batch parsers must agree on every batch frame.
 
 use brisk_core::prelude::*;
-use brisk_proto::{Message, MAX_BATCH_RECORDS, VERSION};
+use brisk_proto::{is_batch_tag, peek_tag, BatchView, Message, MAX_BATCH_RECORDS, VERSION};
 use proptest::prelude::*;
+
+/// Decode `bytes` both ways. Neither may panic, and on a batch-tagged
+/// frame `Message::decode` and `BatchView::parse` must accept or reject
+/// together (the owned decode is built on the view; this is the guard
+/// against the two ever being forked again).
+fn decode_both_ways(bytes: &[u8]) {
+    let owned = Message::decode(bytes);
+    let view = BatchView::parse(bytes).and_then(|v| v.materialize());
+    if peek_tag(bytes).is_some_and(is_batch_tag) {
+        match (owned, view) {
+            (Ok(Message::EventBatch { records, .. }), Ok(viewed)) => assert_eq!(records, viewed),
+            (Err(_), Err(_)) => {}
+            (owned, view) => panic!("parsers disagree: owned {owned:?}, view {view:?}"),
+        }
+    } else {
+        assert!(view.is_err(), "BatchView accepted a non-batch frame");
+    }
+}
 
 /// A pool of valid frames covering every message variant, so the mutation
 /// tests start from realistic inputs rather than pure noise.
@@ -30,6 +49,17 @@ fn valid_frames() -> Vec<Vec<u8>> {
         Message::EventBatch {
             node: NodeId(3),
             seq: Some(9),
+            records: vec![record.clone()],
+        },
+        Message::EventBatch {
+            node: NodeId(3),
+            seq: None,
+            records: vec![record.clone()],
+        },
+        // Header node differs from the record's: the relay Multi format.
+        Message::EventBatch {
+            node: NodeId(1),
+            seq: Some(4),
             records: vec![record],
         },
         Message::BatchAck {
@@ -63,7 +93,7 @@ proptest! {
     /// Pure noise: decode must return Ok or Err, never panic.
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Message::decode(&bytes);
+        decode_both_ways(&bytes);
     }
 
     /// Single-byte corruption of a valid frame — the fault plane's
@@ -81,7 +111,7 @@ proptest! {
             let pos = pos % frame.len();
             frame[pos] ^= xor;
         }
-        let _ = Message::decode(&frame);
+        decode_both_ways(&frame);
     }
 
     /// Truncation at every possible point — the fault plane's `Truncate`
@@ -91,7 +121,7 @@ proptest! {
         let frames = valid_frames();
         let frame = &frames[which % frames.len()];
         let cut = cut % (frame.len() + 1);
-        let _ = Message::decode(&frame[..cut]);
+        decode_both_ways(&frame[..cut]);
     }
 }
 

@@ -119,7 +119,7 @@ impl RelayTree {
                 IsmServer::new(cfg.relay.clone(), cfg.sync.clone(), clock.clone() as _)?;
             let registry = Registry::new();
             server.bind_telemetry(&registry);
-            server.set_upstream(UpstreamExporter::new(link, connect));
+            server.set_upstream(UpstreamExporter::new(link, connect, clock.clone() as _));
             relays.push(server.spawn(transport.listen(&format!("relay-{i}"))?)?);
             relay_registries.push(registry);
         }

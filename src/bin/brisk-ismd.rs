@@ -328,7 +328,7 @@ fn main() {
             poll_period: args.poll_period,
             ..SyncConfig::default()
         },
-        server_clock,
+        Arc::clone(&server_clock),
     )
     .unwrap_or_else(|e| {
         eprintln!("cannot start ISM: {e}");
@@ -343,6 +343,7 @@ fn main() {
         let mut exporter = UpstreamExporter::new(
             RelayConfig::new(prefix),
             Box::new(move || TcpTransport.connect(&dial)),
+            Arc::clone(&server_clock),
         );
         if let Some(c) = &relay_clock {
             exporter = exporter.with_sync_clock(Arc::clone(c));
