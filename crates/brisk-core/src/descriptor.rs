@@ -24,78 +24,115 @@ pub const MAX_FIELDS: usize = 8;
 /// `MAX_FIELDS` is far below 0x80, so the bit is unambiguous.
 const WIDE_FLAG: u8 = 0x80;
 
-/// The shape of an event record: the ordered field types.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// The shape of an event record: the ordered field types, held inline
+/// (a record has at most [`MAX_FIELDS`] fields), so looking at a record's
+/// shape never touches the heap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RecordDescriptor {
-    types: Vec<ValueType>,
+    len: u8,
+    /// Slots past `len` stay at `I8` in every constructor, so the derived
+    /// `Eq`/`Hash` compare live types only.
+    types: [ValueType; MAX_FIELDS],
+}
+
+/// The packed form of a descriptor (see [`RecordDescriptor::pack`]), held
+/// on the stack; dereferences to its bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct PackedDescriptor {
+    len: u8,
+    bytes: [u8; 1 + MAX_FIELDS],
+}
+
+impl std::ops::Deref for PackedDescriptor {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl Default for RecordDescriptor {
+    fn default() -> Self {
+        RecordDescriptor {
+            len: 0,
+            types: [ValueType::I8; MAX_FIELDS],
+        }
+    }
 }
 
 impl RecordDescriptor {
     /// Build a descriptor from field types. Fails if there are more than
     /// [`MAX_FIELDS`] fields.
     pub fn new(types: impl Into<Vec<ValueType>>) -> Result<Self> {
-        let types = types.into();
-        if types.len() > MAX_FIELDS {
-            return Err(BriskError::Malformed(format!(
-                "{} fields exceeds the {MAX_FIELDS}-field limit",
-                types.len()
-            )));
-        }
-        Ok(RecordDescriptor { types })
+        Self::collect(types.into().into_iter())
     }
 
     /// Descriptor of the given field values.
     pub fn of(fields: &[Value]) -> Result<Self> {
-        RecordDescriptor::new(fields.iter().map(Value::value_type).collect::<Vec<_>>())
+        Self::collect(fields.iter().map(Value::value_type))
+    }
+
+    fn collect(types: impl ExactSizeIterator<Item = ValueType>) -> Result<Self> {
+        let count = types.len();
+        if count > MAX_FIELDS {
+            return Err(BriskError::Malformed(format!(
+                "{count} fields exceeds the {MAX_FIELDS}-field limit"
+            )));
+        }
+        let mut desc = RecordDescriptor {
+            len: count as u8,
+            ..RecordDescriptor::default()
+        };
+        for (slot, t) in desc.types.iter_mut().zip(types) {
+            *slot = t;
+        }
+        Ok(desc)
     }
 
     /// The paper's evaluation workload: "six fields of type integer" (§4).
     pub fn six_i32() -> Self {
-        RecordDescriptor {
-            types: vec![ValueType::I32; 6],
-        }
+        Self::collect([ValueType::I32; 6].into_iter()).expect("within the field limit")
     }
 
     /// Number of fields.
     #[inline]
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.len as usize
     }
 
     /// True if the record has no fields.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.len == 0
     }
 
     /// The ordered field types.
     #[inline]
     pub fn types(&self) -> &[ValueType] {
-        &self.types
+        &self.types[..self.len as usize]
     }
 
     /// True if any field is `X_TS`.
     pub fn has_ts(&self) -> bool {
-        self.types.contains(&ValueType::Ts)
+        self.types().contains(&ValueType::Ts)
     }
 
     /// True if any field is `X_REASON` or `X_CONSEQ`.
     pub fn has_causal_marker(&self) -> bool {
-        self.types
+        self.types()
             .iter()
             .any(|t| matches!(t, ValueType::Reason | ValueType::Conseq))
     }
 
     /// Check that `fields` matches this descriptor exactly.
     pub fn check(&self, fields: &[Value]) -> Result<()> {
-        if fields.len() != self.types.len() {
+        if fields.len() != self.len() {
             return Err(BriskError::Malformed(format!(
                 "record has {} fields, descriptor expects {}",
                 fields.len(),
-                self.types.len()
+                self.len()
             )));
         }
-        for (i, (f, t)) in fields.iter().zip(&self.types).enumerate() {
+        for (i, (f, t)) in fields.iter().zip(self.types()).enumerate() {
             if f.value_type() != *t {
                 return Err(BriskError::Malformed(format!(
                     "field {i} is {}, descriptor expects {t}",
@@ -109,7 +146,7 @@ impl RecordDescriptor {
     /// True if any field's type code is beyond the nibble range, forcing
     /// the wide packed form.
     fn needs_wide(&self) -> bool {
-        self.types.iter().any(|t| t.code() > 0x0f)
+        self.types().iter().any(|t| t.code() > 0x0f)
     }
 
     /// Compressed encoding: field count byte followed by packed type
@@ -123,20 +160,21 @@ impl RecordDescriptor {
     /// Descriptors with only classic codes stay byte-identical to the
     /// historical nibble form, so old wire frames and stored segments
     /// decode unchanged.
-    pub fn pack(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + self.types.len());
-        if self.needs_wide() {
-            out.push(self.types.len() as u8 | WIDE_FLAG);
-            out.extend(self.types.iter().map(|t| t.code()));
-        } else {
-            out.push(self.types.len() as u8);
-            for pair in self.types.chunks(2) {
-                let lo = pair[0].code();
-                let hi = pair.get(1).map_or(0, |t| t.code());
-                out.push(lo | (hi << 4));
+    pub fn pack(&self) -> PackedDescriptor {
+        let wide = self.needs_wide();
+        let mut bytes = [0u8; 1 + MAX_FIELDS];
+        bytes[0] = if wide { self.len | WIDE_FLAG } else { self.len };
+        for (i, t) in self.types().iter().enumerate() {
+            if wide {
+                bytes[1 + i] = t.code();
+            } else {
+                bytes[1 + i / 2] |= t.code() << (4 * (i % 2));
             }
         }
-        out
+        PackedDescriptor {
+            len: self.packed_size() as u8,
+            bytes,
+        }
     }
 
     /// Decode a packed descriptor from the front of `buf`, returning the
@@ -154,53 +192,43 @@ impl RecordDescriptor {
                 "descriptor field count {count} exceeds {MAX_FIELDS}"
             )));
         }
-        if wide {
-            if buf.len() < 1 + count {
-                return Err(BriskError::Codec("truncated descriptor".into()));
-            }
-            let mut types = Vec::with_capacity(count);
-            for &code in &buf[1..1 + count] {
-                types.push(ValueType::from_code(code)?);
-            }
-            let desc = RecordDescriptor { types };
-            // Reject non-canonical encodings: wide form is only valid when
-            // some code actually needs it.
-            if !desc.needs_wide() {
-                return Err(BriskError::Codec(
-                    "wide descriptor with only nibble-range codes".into(),
-                ));
-            }
-            return Ok((desc, 1 + count));
+        let used = 1 + if wide { count } else { count.div_ceil(2) };
+        let body = buf
+            .get(1..used)
+            .ok_or_else(|| BriskError::Codec("truncated descriptor".into()))?;
+        let mut desc = RecordDescriptor {
+            len: count as u8,
+            ..RecordDescriptor::default()
+        };
+        for (i, slot) in desc.types[..count].iter_mut().enumerate() {
+            let code = match wide {
+                true => body[i],
+                false => (body[i / 2] >> (4 * (i % 2))) & 0x0f,
+            };
+            *slot = ValueType::from_code(code)?;
         }
-        let nibble_bytes = count.div_ceil(2);
-        if buf.len() < 1 + nibble_bytes {
-            return Err(BriskError::Codec("truncated descriptor".into()));
+        // Reject non-canonical encodings, so each descriptor has exactly
+        // one packed form: the wide form only when some code needs it, and
+        // a trailing unused high nibble must be zero.
+        if wide && !desc.needs_wide() {
+            return Err(BriskError::Codec(
+                "wide descriptor with only nibble-range codes".into(),
+            ));
         }
-        let mut types = Vec::with_capacity(count);
-        for i in 0..count {
-            let byte = buf[1 + i / 2];
-            let nibble = if i % 2 == 0 { byte & 0x0f } else { byte >> 4 };
-            types.push(ValueType::from_code(nibble)?);
+        if !wide && count % 2 == 1 && body[count / 2] >> 4 != 0 {
+            return Err(BriskError::Codec(
+                "non-zero padding nibble in descriptor".into(),
+            ));
         }
-        // Reject non-canonical encodings: a trailing unused high nibble
-        // must be zero so each descriptor has exactly one packed form.
-        if count % 2 == 1 {
-            let last = buf[nibble_bytes];
-            if last >> 4 != 0 {
-                return Err(BriskError::Codec(
-                    "non-zero padding nibble in descriptor".into(),
-                ));
-            }
-        }
-        Ok((RecordDescriptor { types }, 1 + nibble_bytes))
+        Ok((desc, used))
     }
 
     /// Size of the packed form in bytes.
     pub fn packed_size(&self) -> usize {
         if self.needs_wide() {
-            1 + self.types.len()
+            1 + self.len()
         } else {
-            1 + self.types.len().div_ceil(2)
+            1 + self.len().div_ceil(2)
         }
     }
 }
@@ -208,7 +236,7 @@ impl RecordDescriptor {
 impl fmt::Display for RecordDescriptor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, t) in self.types.iter().enumerate() {
+        for (i, t) in self.types().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -303,7 +331,7 @@ mod tests {
 
     #[test]
     fn unpack_consumes_prefix_only() {
-        let mut buf = mixed().pack();
+        let mut buf = mixed().pack().to_vec();
         buf.extend_from_slice(&[0xde, 0xad]);
         let (back, used) = RecordDescriptor::unpack(&buf).unwrap();
         assert_eq!(back, mixed());
@@ -328,17 +356,14 @@ mod tests {
         let d = mixed();
         assert_eq!(d.pack()[0], d.len() as u8, "no wide flag on classic form");
         assert_eq!(d.pack().len(), 1 + d.len().div_ceil(2));
-        assert_eq!(
-            RecordDescriptor::six_i32().pack(),
-            vec![6, 0x44, 0x44, 0x44]
-        );
+        assert_eq!(*RecordDescriptor::six_i32().pack(), [6, 0x44, 0x44, 0x44]);
     }
 
     #[test]
     fn wide_form_round_trips_and_is_flagged() {
         let d = RecordDescriptor::new(vec![ValueType::I32, ValueType::Trace]).unwrap();
         let packed = d.pack();
-        assert_eq!(packed, vec![0x82, 4, 16]);
+        assert_eq!(*packed, [0x82, 4, 16]);
         assert_eq!(packed.len(), d.packed_size());
         let (back, used) = RecordDescriptor::unpack(&packed).unwrap();
         assert_eq!(back, d);

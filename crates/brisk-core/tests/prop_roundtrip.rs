@@ -66,7 +66,103 @@ fn bitwise_eq(a: &EventRecord, b: &EventRecord) -> bool {
     })
 }
 
+/// Any type vector a record may have, wide codes (`X_TRACE`, `X_HLC`)
+/// included.
+fn arb_types() -> impl Strategy<Value = Vec<ValueType>> {
+    proptest::collection::vec(
+        (0usize..ValueType::ALL.len()).prop_map(|i| ValueType::ALL[i]),
+        0..=8,
+    )
+}
+
+/// Some value of the given type.
+fn value_of(vt: ValueType) -> Value {
+    match vt {
+        ValueType::I8 => Value::I8(0),
+        ValueType::U8 => Value::U8(0),
+        ValueType::I16 => Value::I16(0),
+        ValueType::U16 => Value::U16(0),
+        ValueType::I32 => Value::I32(0),
+        ValueType::U32 => Value::U32(0),
+        ValueType::I64 => Value::I64(0),
+        ValueType::U64 => Value::U64(0),
+        ValueType::F32 => Value::F32(0.0),
+        ValueType::F64 => Value::F64(0.0),
+        ValueType::Bool => Value::Bool(false),
+        ValueType::Str => Value::Str(String::new()),
+        ValueType::Bytes => Value::Bytes(Vec::new()),
+        ValueType::Ts => Value::Ts(UtcMicros::ZERO),
+        ValueType::Reason => Value::Reason(CorrelationId(0)),
+        ValueType::Conseq => Value::Conseq(CorrelationId(0)),
+        ValueType::Trace => Value::Trace(TraceContext::origin(1, UtcMicros::ZERO)),
+        ValueType::Hlc => Value::Hlc(HlcStamp::ZERO),
+    }
+}
+
+fn hash_of(d: &RecordDescriptor) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    d.hash(&mut h);
+    h.finish()
+}
+
+fn codec_error(packed: &[u8]) -> String {
+    match RecordDescriptor::unpack(packed) {
+        Err(BriskError::Codec(msg)) => msg,
+        other => panic!("expected a codec error for {packed:?}, got {other:?}"),
+    }
+}
+
 proptest! {
+    /// However a descriptor is built it is the same value: equal, equally
+    /// hashed, and `unpack` inverts `pack` exactly.
+    #[test]
+    fn descriptor_is_one_value_however_built(types in arb_types()) {
+        let built = RecordDescriptor::new(types.clone()).unwrap();
+        let fields: Vec<Value> = types.iter().copied().map(value_of).collect();
+        let of = RecordDescriptor::of(&fields).unwrap();
+        let packed = built.pack();
+        prop_assert_eq!(packed.len(), built.packed_size());
+        let (unpacked, used) = RecordDescriptor::unpack(&packed).unwrap();
+        prop_assert_eq!(used, built.packed_size());
+        prop_assert_eq!(built.types(), &types[..]);
+        for other in [of, unpacked, RecordDescriptor::try_from(types.clone()).unwrap()] {
+            prop_assert_eq!(&other, &built);
+            prop_assert_eq!(hash_of(&other), hash_of(&built));
+        }
+        // The byte form is the historical one: a count byte (wide flag
+        // iff some code is past the nibble range), then nibbles or bytes.
+        let wide = types.iter().any(|t| t.code() > 0x0f);
+        prop_assert_eq!(packed[0], types.len() as u8 | if wide { 0x80 } else { 0 });
+        prop_assert_eq!(packed.len(), 1 + if wide { types.len() } else { types.len().div_ceil(2) });
+    }
+
+    /// Each descriptor has exactly one packed form; the others are
+    /// rejected, each with its own error.
+    #[test]
+    fn descriptor_rejects_non_canonical_forms(types in arb_types()) {
+        let d = RecordDescriptor::new(types.clone()).unwrap();
+        let packed = d.pack();
+        let wide = packed[0] & 0x80 != 0;
+        if !wide {
+            // The same types spelled in the wide form.
+            let mut spelled = vec![types.len() as u8 | 0x80];
+            spelled.extend(types.iter().map(|t| t.code()));
+            prop_assert_eq!(codec_error(&spelled), "wide descriptor with only nibble-range codes");
+            if types.len() % 2 == 1 {
+                let mut padded = packed.to_vec();
+                *padded.last_mut().unwrap() |= 0x10;
+                prop_assert_eq!(codec_error(&padded), "non-zero padding nibble in descriptor");
+            }
+        }
+        if !types.is_empty() {
+            prop_assert_eq!(codec_error(&packed[..packed.len() - 1]), "truncated descriptor");
+        }
+        prop_assert_eq!(codec_error(&[]), "empty descriptor");
+        prop_assert_eq!(codec_error(&[9]), "descriptor field count 9 exceeds 8");
+        prop_assert_eq!(codec_error(&[0x81, 18]), "invalid value-type code 18");
+    }
+
     #[test]
     fn binenc_round_trips(rec in arb_record()) {
         let mut buf = Vec::new();

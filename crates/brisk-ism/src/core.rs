@@ -48,6 +48,9 @@ pub struct LocalOutputs {
     /// Memory-buffer eviction total already reported to the flight
     /// recorder.
     flight_last_evicted: u64,
+    /// Reused encode buffer: each record is encoded here once and the
+    /// bytes shared by the store and the memory buffer.
+    encoded: Vec<u8>,
 }
 
 impl MergeOutput for LocalOutputs {
@@ -73,12 +76,12 @@ impl MergeOutput for LocalOutputs {
             }
         }
         // One encode serves both byte-oriented consumers.
-        let mut encoded = Vec::with_capacity(rec.native_size());
-        binenc::encode_record(&rec, &mut encoded);
+        self.encoded.clear();
+        binenc::encode_record(&rec, &mut self.encoded);
         if let Some(store) = &mut self.store {
-            store.append_encoded(&rec, &encoded)?;
+            store.append_encoded(&rec, &self.encoded)?;
         }
-        self.memory.write_encoded(encoded);
+        self.memory.write_bytes(&self.encoded);
         for sink in &mut self.sinks {
             sink.on_record(&rec)?;
         }
@@ -145,6 +148,7 @@ impl IsmCore {
                 stages: None,
                 e2e_latency_us: None,
                 flight_last_evicted: 0,
+                encoded: Vec::new(),
             },
             upstream: None,
             registry: None,

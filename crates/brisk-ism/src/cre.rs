@@ -44,13 +44,55 @@ pub struct CreStats {
     pub extra_syncs_suppressed: u64,
 }
 
+/// The records one [`CreMatcher::process`] call lets through, in order: a
+/// slice of [`EventRecord`]s. Nearly every call passes exactly its input
+/// (or holds it), so a lone record lives inline and only a release cascade
+/// touches the heap.
+#[derive(Debug, Default, PartialEq)]
+pub struct Passed {
+    /// The only record, while there is exactly one; else `None`.
+    one: Option<EventRecord>,
+    many: Vec<EventRecord>,
+}
+
+impl Passed {
+    /// Append a record.
+    pub fn push(&mut self, rec: EventRecord) {
+        if self.is_empty() {
+            self.one = Some(rec);
+        } else {
+            self.many.extend(self.one.take());
+            self.many.push(rec);
+        }
+    }
+}
+
+impl std::ops::Deref for Passed {
+    type Target = [EventRecord];
+    fn deref(&self) -> &[EventRecord] {
+        match &self.one {
+            Some(_) => self.one.as_slice(),
+            None => &self.many,
+        }
+    }
+}
+
+impl IntoIterator for Passed {
+    type Item = EventRecord;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<EventRecord>, std::vec::IntoIter<EventRecord>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.one.into_iter().chain(self.many)
+    }
+}
+
 /// What the matcher did with one input record.
 #[derive(Debug, PartialEq)]
 pub struct CreOutput {
     /// Records ready to continue down the pipeline (the input and possibly
     /// previously-held consequences it unblocked), in the order they should
     /// be pushed to the sorter.
-    pub pass: Vec<EventRecord>,
+    pub pass: Passed,
     /// True if a tachyon was repaired and an extra sync round should run
     /// (§3.6; honoured when [`CreConfig::extra_sync_on_tachyon`] is set).
     pub request_extra_sync: bool,
@@ -145,7 +187,7 @@ impl CreMatcher {
     /// hold timeout).
     pub fn process(&mut self, mut rec: EventRecord, now: UtcMicros) -> CreOutput {
         let mut out = CreOutput {
-            pass: Vec::with_capacity(1),
+            pass: Passed::default(),
             request_extra_sync: false,
         };
         // A record can be a reason, a consequence, or (rarely) both — e.g.

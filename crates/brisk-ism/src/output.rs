@@ -20,11 +20,11 @@ use std::sync::Arc;
 pub use brisk_core::sink::EventSink;
 
 struct MemoryBufferInner {
-    /// Encoded records, oldest first.
-    records: VecDeque<Vec<u8>>,
-    /// Total encoded bytes currently held.
-    bytes: usize,
-    /// Global index of `records.front()` (grows monotonically as old
+    /// The arena: encoded records back to back, oldest first.
+    bytes: VecDeque<u8>,
+    /// Encoded length of each held record, oldest first.
+    lens: VecDeque<usize>,
+    /// Global index of the oldest held record (grows monotonically as old
     /// records are evicted).
     first_index: u64,
     evicted: u64,
@@ -35,9 +35,10 @@ struct MemoryBufferInner {
 /// that any number of consumer tools read at their own pace.
 ///
 /// Records are stored in the *native* binary encoding ("the same binary
-/// structure used by the NOTICE macros"). When the byte bound is exceeded
-/// the oldest records are evicted; a slow reader observes the eviction as
-/// an explicit `missed` count rather than silently corrupted data.
+/// structure used by the NOTICE macros"), back to back in one byte arena.
+/// When the byte bound is exceeded the oldest records are evicted; a slow
+/// reader observes the eviction as an explicit `missed` count rather than
+/// silently corrupted data.
 pub struct MemoryBuffer {
     capacity_bytes: usize,
     inner: Mutex<MemoryBufferInner>,
@@ -45,12 +46,15 @@ pub struct MemoryBuffer {
 
 impl MemoryBuffer {
     /// New buffer bounded to roughly `capacity_bytes` of encoded records.
+    /// The arena is reserved here and its pages are first touched as
+    /// records arrive.
     pub fn new(capacity_bytes: usize) -> Arc<Self> {
+        let capacity_bytes = capacity_bytes.max(1024);
         Arc::new(MemoryBuffer {
-            capacity_bytes: capacity_bytes.max(1024),
+            capacity_bytes,
             inner: Mutex::new(MemoryBufferInner {
-                records: VecDeque::new(),
-                bytes: 0,
+                bytes: VecDeque::with_capacity(capacity_bytes),
+                lens: VecDeque::new(),
                 first_index: 0,
                 evicted: 0,
                 written: 0,
@@ -60,30 +64,40 @@ impl MemoryBuffer {
 
     /// Append one record.
     pub fn write(&self, rec: &EventRecord) {
-        let mut encoded = Vec::with_capacity(rec.native_size());
+        let mut encoded = Vec::new();
         binenc::encode_record(rec, &mut encoded);
-        self.write_encoded(encoded);
+        self.write_bytes(&encoded);
+    }
+
+    /// Append one record the caller already `binenc`-encoded, by value.
+    pub fn write_encoded(&self, encoded: Vec<u8>) {
+        self.write_bytes(&encoded);
     }
 
     /// Append one record the caller already `binenc`-encoded. The delivery
     /// path encodes each record exactly once and shares the bytes between
     /// this buffer and the durable store.
-    pub fn write_encoded(&self, encoded: Vec<u8>) {
+    pub fn write_bytes(&self, encoded: &[u8]) {
         let mut inner = self.inner.lock();
-        inner.bytes += encoded.len();
-        inner.records.push_back(encoded);
-        inner.written += 1;
-        while inner.bytes > self.capacity_bytes && inner.records.len() > 1 {
-            let old = inner.records.pop_front().expect("non-empty");
-            inner.bytes -= old.len();
+        // Make room first (the newest record is always kept, even alone
+        // and over the bound), so the arena never outgrows its reservation
+        // for records that fit it.
+        while inner.bytes.len() + encoded.len() > self.capacity_bytes {
+            let Some(old) = inner.lens.pop_front() else {
+                break;
+            };
+            inner.bytes.drain(..old);
             inner.first_index += 1;
             inner.evicted += 1;
         }
+        inner.bytes.extend(encoded);
+        inner.lens.push_back(encoded.len());
+        inner.written += 1;
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.lock().lens.len()
     }
 
     /// True if no record is held.
@@ -115,7 +129,7 @@ impl MemoryBuffer {
         let inner = self.inner.lock();
         MemoryBufferReader {
             buffer: Arc::clone(self),
-            next_index: inner.first_index + inner.records.len() as u64,
+            next_index: inner.first_index + inner.lens.len() as u64,
             missed_counter: None,
         }
     }
@@ -144,25 +158,33 @@ impl MemoryBufferReader {
     /// records and the number missed due to eviction (0 for a reader that
     /// keeps up).
     pub fn poll(&mut self) -> Result<(Vec<EventRecord>, u64)> {
-        let inner = self.buffer.inner.lock();
-        let mut missed = 0;
-        if self.next_index < inner.first_index {
-            missed = inner.first_index - self.next_index;
-            self.next_index = inner.first_index;
+        // Under the lock only copy the pending span out (two `memcpy`s at
+        // most); decoding, which allocates per record, happens after
+        // releasing it, so a reader catching up on megabytes does not
+        // stall the writer.
+        let (bytes, count, missed) = {
+            let inner = self.buffer.inner.lock();
+            let missed = inner.first_index.saturating_sub(self.next_index);
+            let skip = (self.next_index + missed - inner.first_index) as usize;
+            let pending: usize = inner.lens.range(skip..).sum();
+            let start = inner.bytes.len() - pending;
+            let (a, b) = inner.bytes.as_slices();
+            let mut bytes = Vec::with_capacity(pending);
+            bytes.extend_from_slice(&a[start.min(a.len())..]);
+            bytes.extend_from_slice(&b[start.saturating_sub(a.len())..]);
+            (bytes, inner.lens.len() - skip, missed)
+        };
+        if missed > 0 {
+            self.next_index += missed;
             if let Some(c) = &self.missed_counter {
                 c.add(missed);
             }
         }
-        let skip = (self.next_index - inner.first_index) as usize;
-        let mut out = Vec::with_capacity(inner.records.len().saturating_sub(skip));
-        for encoded in inner.records.iter().skip(skip) {
-            let (rec, used) = binenc::decode_record(encoded)?;
-            if used != encoded.len() {
-                return Err(BriskError::Codec("trailing bytes in memory buffer".into()));
-            }
-            out.push(rec);
+        let out = binenc::decode_all(&bytes)?;
+        if out.len() != count {
+            return Err(BriskError::Codec("trailing bytes in memory buffer".into()));
         }
-        self.next_index += out.len() as u64;
+        self.next_index += count as u64;
         Ok((out, missed))
     }
 }
@@ -336,6 +358,86 @@ mod tests {
         assert_eq!(got.last().unwrap().seq, 99);
         let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
+    }
+
+    /// Encoded size of `rec(_)`: 28-byte header + 2-byte descriptor + u64.
+    const REC_BYTES: usize = 38;
+
+    #[test]
+    fn eviction_across_the_arena_wrap_point_keeps_the_newest() {
+        // 1024 bytes hold 26 records of 38 bytes; the arena's ring wraps
+        // about every 27 writes, so 1000 writes wrap it dozens of times
+        // with evictions straddling the seam.
+        let buf = MemoryBuffer::new(1024);
+        let held = 1024 / REC_BYTES;
+        for i in 0..1000u64 {
+            buf.write(&rec(i));
+            let expect_len = (i as usize + 1).min(held);
+            assert_eq!(buf.len(), expect_len, "after write {i}");
+            assert_eq!(buf.evicted(), i + 1 - expect_len as u64);
+            // A fresh reader sees exactly the survivors, intact.
+            if i % 37 == 0 {
+                let (got, missed) = buf.reader().poll().unwrap();
+                assert_eq!(missed, 0);
+                let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
+                let want: Vec<u64> = (i + 1 - expect_len as u64..=i).collect();
+                assert_eq!(seqs, want);
+            }
+        }
+    }
+
+    #[test]
+    fn reader_inside_an_evicted_span_reports_the_exact_missed_count() {
+        let buf = MemoryBuffer::new(1024);
+        let mut reader = buf.reader();
+        for i in 0..10 {
+            buf.write(&rec(i));
+        }
+        assert_eq!(reader.poll().unwrap().0.len(), 10); // cursor now at 10
+        for i in 10..100 {
+            buf.write(&rec(i));
+        }
+        // Held: the newest 26 (74..=99); the reader never saw 10..=73.
+        let (got, missed) = reader.poll().unwrap();
+        assert_eq!(missed, 64);
+        assert_eq!(got.first().unwrap().seq, 74);
+        assert_eq!(got.last().unwrap().seq, 99);
+        // Caught up: nothing more, nothing missed.
+        assert_eq!(reader.poll().unwrap(), (vec![], 0));
+    }
+
+    #[test]
+    fn reader_from_now_after_wrap_sees_only_new_records() {
+        let buf = MemoryBuffer::new(1024);
+        for i in 0..500 {
+            buf.write(&rec(i));
+        }
+        let mut reader = buf.reader_from_now();
+        assert_eq!(reader.poll().unwrap(), (vec![], 0));
+        buf.write(&rec(500));
+        buf.write(&rec(501));
+        let (got, missed) = reader.poll().unwrap();
+        assert_eq!(missed, 0);
+        assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), [500, 501]);
+    }
+
+    #[test]
+    fn a_record_larger_than_the_bound_is_retained_alone() {
+        let buf = MemoryBuffer::new(1024);
+        let mut reader = buf.reader();
+        buf.write(&rec(0));
+        buf.write(&rec(1));
+        let mut big = rec(2);
+        big.fields = vec![Value::Bytes(vec![7; 4000])];
+        buf.write(&big);
+        assert_eq!(buf.len(), 1, "everything older made way");
+        assert_eq!(buf.evicted(), 2);
+        let (got, missed) = reader.poll().unwrap();
+        assert_eq!((got, missed), (vec![big], 2));
+        // The next ordinary record evicts it in turn.
+        buf.write(&rec(3));
+        assert_eq!(buf.len(), 1);
+        assert_eq!(reader.poll().unwrap(), (vec![rec(3)], 0), "big was read");
     }
 
     #[test]

@@ -126,7 +126,11 @@ impl Batcher {
         self.oldest_enqueued_at = None;
         self.batches_emitted += 1;
         self.records_emitted += self.pending.len() as u64;
-        std::mem::take(&mut self.pending)
+        // The next batch starts at this one's size (the configured
+        // capacity under load, a few records on a quiet node) instead of
+        // regrowing from empty by doubling.
+        let next = Vec::with_capacity(self.pending.len());
+        std::mem::replace(&mut self.pending, next)
     }
 }
 
@@ -145,6 +149,8 @@ impl Batcher {
 pub struct SendWindow {
     next_seq: u64,
     unacked: VecDeque<(u64, Vec<EventRecord>)>,
+    /// Records across `unacked`, kept as a running total.
+    unacked_records: u64,
     capacity: usize,
 }
 
@@ -154,6 +160,7 @@ impl SendWindow {
         SendWindow {
             next_seq: 1,
             unacked: VecDeque::with_capacity(capacity.min(1024)),
+            unacked_records: 0,
             capacity: capacity.max(1),
         }
     }
@@ -171,7 +178,13 @@ impl SendWindow {
     /// Total records across the unacked batches — the sender's in-flight
     /// count against a credit budget (protocol v3 flow control).
     pub fn unacked_records(&self) -> u64 {
-        self.unacked.iter().map(|(_, b)| b.len() as u64).sum()
+        self.unacked_records
+    }
+
+    fn pop_front(&mut self) -> Option<Vec<EventRecord>> {
+        let (_, batch) = self.unacked.pop_front()?;
+        self.unacked_records -= batch.len() as u64;
+        Some(batch)
     }
 
     /// Assign the next sequence number to `records`, retain a copy for
@@ -181,10 +194,11 @@ impl SendWindow {
         let seq = self.next_seq;
         self.next_seq += 1;
         let evicted = if self.unacked.len() >= self.capacity {
-            self.unacked.pop_front().map(|(_, b)| b)
+            self.pop_front()
         } else {
             None
         };
+        self.unacked_records += records.len() as u64;
         self.unacked.push_back((seq, records));
         (seq, evicted)
     }
@@ -194,7 +208,7 @@ impl SendWindow {
     pub fn ack(&mut self, acked: u64) -> usize {
         let before = self.unacked.len();
         while matches!(self.unacked.front(), Some((s, _)) if *s <= acked) {
-            self.unacked.pop_front();
+            self.pop_front();
         }
         before - self.unacked.len()
     }

@@ -19,7 +19,7 @@ use crate::batch::SendWindow;
 use brisk_clock::Clock;
 use brisk_core::{BriskError, EventRecord, NodeId, Result};
 use brisk_net::Connection;
-use brisk_proto::Message;
+use brisk_proto::{encode_batch, Message};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -195,12 +195,7 @@ impl Uplink {
         conn: &mut dyn Connection,
     ) -> Result<usize> {
         for (seq, records) in window.iter_unacked() {
-            let frame = Message::EventBatch {
-                node,
-                seq: Some(seq),
-                records: records.clone(),
-            };
-            conn.send(&frame.encode())?;
+            conn.send(&encode_batch(node, Some(seq), records))?;
         }
         Ok(window.depth())
     }
@@ -238,17 +233,13 @@ impl Uplink {
     /// whether or not the link send succeeds: a batch whose send failed
     /// stays windowed and the next `attach` replays it.
     pub fn send(&mut self, records: Vec<EventRecord>, now_us: i64) -> (Windowed, Result<()>) {
-        let windowed = if self.window.is_some() {
-            self.stash(records.clone())
-        } else {
-            UNSEQUENCED
-        };
-        let frame = Message::EventBatch {
-            node: self.node,
-            seq: windowed.seq,
-            records,
-        };
-        (windowed, self.send_frame(&frame.encode(), now_us))
+        // Encode from the borrow under the sequence number the window is
+        // about to assign, then move the records into it: no copy.
+        let seq = self.window.as_ref().map(SendWindow::next_seq);
+        let frame = encode_batch(self.node, seq, &records);
+        let windowed = self.stash(records);
+        debug_assert_eq!(windowed.seq, seq);
+        (windowed, self.send_frame(&frame, now_us))
     }
 
     fn send_frame(&mut self, frame: &[u8], now_us: i64) -> Result<()> {

@@ -302,6 +302,9 @@ pub enum Message {
 impl Message {
     /// Encode into a transport frame.
     pub fn encode(&self) -> Vec<u8> {
+        if let Message::EventBatch { node, seq, records } = self {
+            return encode_batch(*node, *seq, records);
+        }
         let mut e = XdrEncoder::with_capacity(64);
         match self {
             Message::Hello { node, version } => {
@@ -321,35 +324,7 @@ impl Message {
                     e.uint(*version);
                 }
             },
-            Message::EventBatch { node, seq, records } => {
-                // The EXS wire formats compress the node id into the
-                // batch header; only a batch whose records all share the
-                // header node survives that round trip. A relay batch
-                // mixes nodes, so it takes the Multi format, which spends
-                // one word per record to keep each origin (and a flag
-                // word, not a second tag, to say whether a seq follows).
-                let multi = records.iter().any(|r| r.node != *node);
-                let tag = match (multi, seq) {
-                    (true, _) => Tag::EventBatchMulti,
-                    (false, Some(_)) => Tag::EventBatchSeq,
-                    (false, None) => Tag::EventBatch,
-                };
-                e.uint(tag as u32);
-                e.uint(node.raw());
-                if multi {
-                    e.uint(seq.is_some() as u32);
-                }
-                if let Some(seq) = seq {
-                    e.uhyper(*seq);
-                }
-                e.uint(records.len() as u32);
-                for r in records {
-                    if multi {
-                        e.uint(r.node.raw());
-                    }
-                    encode_record_body(r, &mut e);
-                }
-            }
+            Message::EventBatch { .. } => unreachable!("encoded by encode_batch above"),
             Message::BatchAck { seq, credit } => match credit {
                 Some(credit) => {
                     e.uint(Tag::BatchAckCredit as u32);
@@ -469,6 +444,49 @@ impl Message {
         d.finish()?;
         Ok(msg)
     }
+}
+
+/// Encode an event batch from borrowed records — [`Message::EventBatch`]'s
+/// wire form without first moving the records into a `Message`, so a
+/// sender can encode a batch it keeps (its retransmit window).
+pub fn encode_batch(node: NodeId, seq: Option<u64>, records: &[EventRecord]) -> Vec<u8> {
+    // The EXS wire formats compress the node id into the batch header;
+    // only a batch whose records all share the header node survives that
+    // round trip. A relay batch mixes nodes, so it takes the Multi format,
+    // which spends one word per record to keep each origin (and a flag
+    // word, not a second tag, to say whether a seq follows).
+    let multi = records.iter().any(|r| r.node != node);
+    let tag = match (multi, seq) {
+        (true, _) => Tag::EventBatchMulti,
+        (false, Some(_)) => Tag::EventBatchSeq,
+        (false, None) => Tag::EventBatch,
+    };
+    // Sized once: tag, node, count (+ flag, + seq), then per record the
+    // body, its descriptor length word (+ its node).
+    let header = 12 + 4 * multi as usize + 8 * seq.is_some() as usize;
+    let per_record = 4 + 4 * multi as usize;
+    let bodies: usize = records
+        .iter()
+        .map(|r| per_record + r.xdr_payload_size())
+        .sum();
+    let mut e = XdrEncoder::with_capacity(header + bodies);
+    e.uint(tag as u32);
+    e.uint(node.raw());
+    if multi {
+        e.uint(seq.is_some() as u32);
+    }
+    if let Some(seq) = seq {
+        e.uhyper(seq);
+    }
+    e.uint(records.len() as u32);
+    for r in records {
+        if multi {
+            e.uint(r.node.raw());
+        }
+        encode_record_body(r, &mut e);
+    }
+    debug_assert_eq!(e.len(), header + bodies, "batch frame sized exactly");
+    e.into_bytes()
 }
 
 /// Read a frame's wire tag without decoding the body. `None` when the

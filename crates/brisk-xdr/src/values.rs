@@ -247,7 +247,7 @@ mod tests {
         e.uint(r.event_type.raw());
         e.uhyper(r.seq);
         e.hyper(r.ts.as_micros());
-        let mut packed = r.descriptor().pack();
+        let mut packed = r.descriptor().pack().to_vec();
         packed.push(0); // extra junk inside the descriptor opaque
         e.opaque(&packed);
         encode_value(&r.fields[0], &mut e);

@@ -1,0 +1,243 @@
+//! Allocation budgets of the record plumbing: one heap object per record
+//! per address space (its `fields` vector) and nothing else per record.
+//!
+//! The counter is thread-local, so the tests of this binary can run in
+//! parallel without seeing each other's allocations.
+
+use brisk::core::{binenc, CreConfig};
+use brisk::ism::CreMatcher;
+use brisk::lis::uplink::Uplink;
+use brisk::prelude::*;
+use brisk::proto::BatchView;
+use brisk::ringbuf::RecordRing;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
+
+thread_local! {
+    // Const-initialised and destructor-free: reading it inside the
+    // allocator neither allocates nor touches a torn-down slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's own layout
+// and pointer; the counting beside it touches one thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged; `ptr` came from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) `f` makes on this
+/// thread.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+const NODE: NodeId = NodeId(7);
+
+fn six_i32(seq: u64) -> Vec<Value> {
+    vec![Value::I32(seq as i32); 6]
+}
+
+/// Both causal markers and an `X_HLC` stamp (a wide descriptor code).
+fn causal_fields(seq: u64) -> Vec<Value> {
+    vec![
+        Value::I32(seq as i32),
+        Value::Reason(CorrelationId(seq)),
+        Value::Conseq(CorrelationId(seq + 1_000_000)),
+        Value::Hlc(HlcStamp::new(UtcMicros::from_micros(seq as i64), 0)),
+    ]
+}
+
+/// A sampled record: every system type the pipeline looks inside. Its
+/// `X_TRACE` context owns a stamp vector — one more heap object wherever
+/// the record is decoded, paid by one record in N.
+fn traced_fields(seq: u64) -> Vec<Value> {
+    let mut fields = causal_fields(seq);
+    let origin = UtcMicros::from_micros(seq as i64);
+    fields.push(Value::Trace(TraceContext::origin(seq + 1, origin)));
+    fields
+}
+
+fn record(seq: u64, fields: Vec<Value>) -> EventRecord {
+    let ts = UtcMicros::from_micros(seq as i64);
+    EventRecord::new(NODE, SensorId(0), EventTypeId(1), seq, ts, fields).unwrap()
+}
+
+/// (record, heap objects an owned copy of it holds).
+fn shapes() -> [(EventRecord, u64); 3] {
+    [
+        (record(1, six_i32(1)), 1),
+        (record(2, causal_fields(2)), 1),
+        (record(3, traced_fields(3)), 2),
+    ]
+}
+
+fn batch(first_seq: u64, n: u64) -> Vec<EventRecord> {
+    (first_seq..first_seq + n)
+        .map(|s| record(s, six_i32(s)))
+        .collect()
+}
+
+#[test]
+fn descriptors_never_touch_the_heap() {
+    for (rec, _) in shapes() {
+        let (n, desc) = allocs(|| RecordDescriptor::of(&rec.fields).unwrap());
+        assert_eq!(n, 0, "RecordDescriptor::of");
+        let (n, packed) = allocs(|| desc.pack());
+        assert_eq!(n, 0, "RecordDescriptor::pack");
+        let (n, back) = allocs(|| RecordDescriptor::unpack(&packed).unwrap());
+        assert_eq!(n, 0, "RecordDescriptor::unpack");
+        assert_eq!(back, (desc, packed.len()));
+    }
+}
+
+#[test]
+fn native_encode_is_in_place_and_decode_costs_the_fields_vector() {
+    for (rec, owned) in shapes() {
+        let mut buf = Vec::with_capacity(rec.native_size());
+        let (n, _) = allocs(|| binenc::encode_record(&rec, &mut buf));
+        assert_eq!(n, 0, "binenc::encode_record into a reserved buffer");
+        let (n, back) = allocs(|| binenc::decode_record(&buf).unwrap());
+        assert_eq!(n, owned, "binenc::decode_record: the fields vector");
+        assert_eq!(back.0, rec);
+    }
+}
+
+#[test]
+fn notice_path_allocates_nothing_given_its_fields() {
+    let (mut port, mut consumer) = RecordRing::create(NODE, SensorId(0), 1 << 16);
+    for fields in [six_i32, traced_fields] {
+        // The port's scratch buffer grows to the record shape once.
+        port.emit(EventTypeId(1), UtcMicros::ZERO, fields(0))
+            .unwrap();
+        let given = fields(1);
+        let (n, published) = allocs(|| port.emit(EventTypeId(1), UtcMicros::ZERO, given));
+        assert_eq!(n, 0, "SensorPort::emit");
+        assert!(published.unwrap());
+    }
+    let (n, rec) = allocs(|| consumer.pop().unwrap().unwrap());
+    assert_eq!(n, 1, "RecordConsumer::pop: the fields vector");
+    assert_eq!(rec.fields, six_i32(0));
+}
+
+#[test]
+fn batch_parse_is_independent_of_record_count() {
+    let causal = (0..256).map(|s| record(s, causal_fields(s))).collect();
+    for records in [batch(0, 256), causal] {
+        let frame = Message::EventBatch {
+            node: NODE,
+            seq: Some(1),
+            records: records.clone(),
+        }
+        .encode();
+        let (n, view) = allocs(|| BatchView::parse(&frame).unwrap());
+        assert!(
+            n <= 2,
+            "BatchView::parse of 256 records made {n} allocations"
+        );
+        let (n, owned) = allocs(|| view.materialize().unwrap());
+        assert_eq!(
+            n,
+            256 + 1,
+            "materialize: one fields vector each + the batch"
+        );
+        assert_eq!(owned, records);
+    }
+}
+
+#[test]
+fn cre_passes_an_unmarked_record_without_allocating() {
+    let mut cre = CreMatcher::new(CreConfig::default()).unwrap();
+    let rec = record(1, six_i32(1));
+    let (n, out) = allocs(|| cre.process(rec, UtcMicros::ZERO));
+    assert_eq!(n, 0, "CreMatcher::process");
+    assert_eq!(out.pass.len(), 1);
+}
+
+#[test]
+fn manager_delivery_allocates_per_batch_not_per_record() {
+    let mut core = IsmCore::new(IsmConfig::default()).unwrap();
+    let mut seq = 0;
+    let mut deliver = |core: &mut IsmCore, n: u64| {
+        let records = batch(seq * 10_000, n);
+        seq += 1;
+        let (allocs, delivered) = allocs(|| {
+            core.push_batch_seq(NODE, Some(seq), records, UtcMicros::ZERO)
+                .unwrap();
+            core.tick(UtcMicros::from_secs(3_600)).unwrap()
+        });
+        assert_eq!(delivered as u64, n);
+        allocs
+    };
+    // Warm-up: the sorter's heap, the release buffer and the memory
+    // buffer's length ring grow to the working size once.
+    deliver(&mut core, 4096);
+    let small = deliver(&mut core, 64);
+    let large = deliver(&mut core, 2048);
+    // What is left is per tick: the sorter's release vector regrowing
+    // (log2 of the batch).
+    assert!(small <= 16, "64-record batch: {small} allocations");
+    assert!(large <= 16, "2048-record batch: {large} allocations");
+    assert_eq!(core.memory().written(), 4096 + 64 + 2048);
+}
+
+/// A link that takes frames without copying them.
+struct NullLink {
+    frames: usize,
+}
+
+impl Connection for NullLink {
+    fn send(&mut self, _frame: &[u8]) -> brisk::core::Result<()> {
+        self.frames += 1;
+        Ok(())
+    }
+
+    fn recv(&mut self, _timeout: Option<Duration>) -> brisk::core::Result<Option<Vec<u8>>> {
+        Ok(None)
+    }
+
+    fn peer(&self) -> String {
+        "null".into()
+    }
+}
+
+#[test]
+fn uplink_sends_a_batch_without_copying_it() {
+    let mut up = Uplink::new(NODE, Arc::new(SystemClock), 64, Duration::ZERO);
+    up.attach(Box::new(NullLink { frames: 0 }), 0).unwrap();
+    let records = batch(0, 256);
+    let (n, (windowed, sent)) = allocs(|| up.send(records, 0));
+    sent.unwrap();
+    assert_eq!(windowed.seq, Some(1));
+    assert!(n <= 3, "Uplink::send of 256 records made {n} allocations");
+    assert_eq!(up.window_depth(), 1);
+}
