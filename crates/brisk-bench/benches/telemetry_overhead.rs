@@ -11,7 +11,7 @@ use brisk_bench::rig::six_i32_fields;
 use brisk_clock::{Clock, SystemClock};
 use brisk_core::{EventTypeId, NodeId};
 use brisk_ringbuf::RingSet;
-use brisk_telemetry::{Counter, Gauge, Histogram, Registry};
+use brisk_telemetry::{Counter, Histogram, Registry};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -54,14 +54,6 @@ fn bench_primitives(c: &mut Criterion) {
         let counter = Counter::new();
         b.iter(|| counter.inc());
         black_box(counter.get());
-    });
-    group.bench_function("gauge_set", |b| {
-        let gauge = Gauge::new();
-        let mut i = 0i64;
-        b.iter(|| {
-            i += 1;
-            gauge.set(black_box(i));
-        });
     });
     group.bench_function("histogram_record", |b| {
         let hist = Histogram::new();

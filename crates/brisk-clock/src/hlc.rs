@@ -19,8 +19,16 @@
 
 use brisk_core::{HlcStamp, UtcMicros};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+brisk_telemetry::metrics! {
+    /// High-water marks: telemetry only, never read back by the clock.
+    struct HlcCells {
+        logical_high_water: gauge "brisk_hlc_logical_high_water" "Largest HLC logical counter issued or observed",
+        divergence_high_water_us: gauge "brisk_hlc_divergence_high_water_us" "Largest |HLC physical - wall clock| divergence seen (us)",
+    }
+}
 
 /// A hybrid logical clock: monotonically increasing stamps coupled to a
 /// physical clock. Cheap to share (`Arc`) and safe to call from many
@@ -29,10 +37,7 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Hlc {
     last: Mutex<HlcStamp>,
-    /// Largest logical counter ever issued — telemetry only.
-    logical_high_water: AtomicU32,
-    /// Largest |physical − wall| seen at tick/merge time, µs — telemetry.
-    divergence_high_water_us: AtomicI64,
+    cells: Arc<HlcCells>,
 }
 
 impl Hlc {
@@ -90,11 +95,7 @@ impl Hlc {
             *last = remote;
         }
         drop(last);
-        let hw = self.logical_high_water.load(Ordering::Relaxed);
-        if remote.logical > hw {
-            self.logical_high_water
-                .fetch_max(remote.logical, Ordering::Relaxed);
-        }
+        self.note_logical(remote.logical);
     }
 
     /// Fold a logical counter into the high-water telemetry without
@@ -103,8 +104,9 @@ impl Hlc {
     /// the batch's largest logical counter may sit on a stamp that is not
     /// the batch maximum.
     pub fn note_logical(&self, logical: u32) {
-        self.logical_high_water
-            .fetch_max(logical, Ordering::Relaxed);
+        self.cells
+            .logical_high_water
+            .fetch_max(i64::from(logical), Ordering::Relaxed);
     }
 
     /// The most recent stamp issued or observed.
@@ -114,18 +116,18 @@ impl Hlc {
 
     /// Largest logical counter this instance has issued or observed.
     pub fn logical_high_water(&self) -> u32 {
-        self.logical_high_water.load(Ordering::Relaxed)
+        self.cells.logical_high_water.load(Ordering::Relaxed) as u32
     }
 
     /// Largest |physical − wall| divergence seen, in microseconds.
     pub fn divergence_high_water_us(&self) -> i64 {
-        self.divergence_high_water_us.load(Ordering::Relaxed)
+        self.cells.divergence_high_water_us.load(Ordering::Relaxed)
     }
 
     fn note(&self, stamp: HlcStamp, now: UtcMicros) {
-        self.logical_high_water
-            .fetch_max(stamp.logical, Ordering::Relaxed);
-        self.divergence_high_water_us
+        self.note_logical(stamp.logical);
+        self.cells
+            .divergence_high_water_us
             .fetch_max(stamp.divergence_us(now).abs(), Ordering::Relaxed);
     }
 
@@ -133,21 +135,7 @@ impl Hlc {
     /// by `node`: `brisk_hlc_logical_high_water` and
     /// `brisk_hlc_divergence_high_water_us`.
     pub fn bind_telemetry(self: &Arc<Self>, registry: &brisk_telemetry::Registry, node: &str) {
-        let labels = [("node", node)];
-        let h = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_hlc_logical_high_water",
-            "Largest HLC logical counter issued or observed",
-            &labels,
-            move || h.logical_high_water() as i64,
-        );
-        let h = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_hlc_divergence_high_water_us",
-            "Largest |HLC physical - wall clock| divergence seen (us)",
-            &labels,
-            move || h.divergence_high_water_us(),
-        );
+        self.cells.register(registry, &[("node", node)]);
     }
 }
 

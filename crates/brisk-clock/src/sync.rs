@@ -33,8 +33,9 @@
 use crate::clock::Clock;
 use crate::correction::CorrectedClock;
 use brisk_core::{BriskError, NodeId, Result, SyncConfig, UtcMicros};
-use brisk_telemetry::{Counter, Histogram, Registry};
+use brisk_telemetry::Registry;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// One poll/reply observation of a slave clock.
@@ -250,10 +251,10 @@ pub struct SyncMaster {
     /// minimum itself — so incoming samples are also checked against the
     /// rolling median of this history.
     rtt_history: BTreeMap<NodeId, VecDeque<i64>>,
-    rtt_outliers: u64,
     last_outcome: Option<SyncOutcome>,
-    rounds_completed: u64,
-    telemetry: Option<SyncTelemetry>,
+    /// Round totals and quality histograms, bumped in place (a round is
+    /// rare; nothing here is per record).
+    cells: Arc<SyncCells>,
 }
 
 /// How many accepted RTTs to remember per node.
@@ -268,16 +269,16 @@ fn rolling_median(history: &VecDeque<i64>) -> i64 {
     sorted[sorted.len() / 2]
 }
 
-/// Telemetry series the master feeds once bound to a registry.
-#[derive(Debug)]
-struct SyncTelemetry {
-    /// Per-slave |skew| estimate each round, in µs.
-    skew_us: Arc<Histogram>,
-    /// Per-slave minimum RTT each round, in µs.
-    rtt_us: Arc<Histogram>,
-    rounds: Arc<Counter>,
-    corrections: Arc<Counter>,
-    rtt_outliers: Arc<Counter>,
+brisk_telemetry::metrics! {
+    /// The master's sync-quality series: one histogram observation per
+    /// slave per round, plus round totals.
+    struct SyncCells {
+        skew_us: histogram "brisk_sync_skew_us" "Per-slave absolute skew estimate per sync round",
+        rtt_us: histogram "brisk_sync_rtt_us" "Per-slave minimum poll round-trip time per sync round",
+        rounds: counter "brisk_sync_rounds_total" "Sync rounds completed",
+        corrections: counter "brisk_sync_corrections_total" "Slave corrections issued",
+        rtt_outliers: counter "brisk_sync_rtt_outliers_total" "Poll samples rejected against the rolling per-node RTT median",
+    }
 }
 
 impl SyncMaster {
@@ -289,10 +290,8 @@ impl SyncMaster {
             round: 0,
             samples: BTreeMap::new(),
             rtt_history: BTreeMap::new(),
-            rtt_outliers: 0,
             last_outcome: None,
-            rounds_completed: 0,
-            telemetry: None,
+            cells: Arc::default(),
         })
     }
 
@@ -301,31 +300,7 @@ impl SyncMaster {
     /// (one observation per slave per round) plus
     /// `brisk_sync_rounds_total` and `brisk_sync_corrections_total`.
     pub fn bind_telemetry(&mut self, registry: &Registry) {
-        let skew_us = Arc::new(Histogram::new());
-        let rtt_us = Arc::new(Histogram::new());
-        registry.register_histogram(
-            "brisk_sync_skew_us",
-            "Per-slave absolute skew estimate per sync round",
-            &[],
-            &skew_us,
-        );
-        registry.register_histogram(
-            "brisk_sync_rtt_us",
-            "Per-slave minimum poll round-trip time per sync round",
-            &[],
-            &rtt_us,
-        );
-        self.telemetry = Some(SyncTelemetry {
-            skew_us,
-            rtt_us,
-            rounds: registry.counter("brisk_sync_rounds_total", "Sync rounds completed"),
-            corrections: registry
-                .counter("brisk_sync_corrections_total", "Slave corrections issued"),
-            rtt_outliers: registry.counter(
-                "brisk_sync_rtt_outliers_total",
-                "Poll samples rejected against the rolling per-node RTT median",
-            ),
-        });
+        self.cells.register(registry, &[]);
     }
 
     /// The configured knobs.
@@ -357,10 +332,7 @@ impl SyncMaster {
         let rtt = sample.rtt_us();
         if rtt >= 0 {
             if self.is_rtt_outlier(node, rtt) {
-                self.rtt_outliers += 1;
-                if let Some(t) = &self.telemetry {
-                    t.rtt_outliers.inc();
-                }
+                self.cells.rtt_outliers.fetch_add(1, Relaxed);
                 return;
             }
             let history = self.rtt_history.entry(node).or_default();
@@ -388,7 +360,7 @@ impl SyncMaster {
 
     /// Samples rejected so far against the rolling RTT median.
     pub fn rtt_outliers_rejected(&self) -> u64 {
-        self.rtt_outliers
+        self.cells.rtt_outliers.load(Relaxed)
     }
 
     /// Close the round: estimate skews and plan corrections. Slaves that
@@ -404,15 +376,14 @@ impl SyncMaster {
             }
         }
         let outcome = plan_corrections(&self.cfg, &estimates);
-        self.rounds_completed += 1;
-        if let Some(t) = &self.telemetry {
-            for e in &estimates {
-                t.skew_us.record(e.skew_us.unsigned_abs());
-                t.rtt_us.record(e.min_rtt_us.max(0) as u64);
-            }
-            t.rounds.inc();
-            t.corrections.add(outcome.corrections.len() as u64);
+        for e in &estimates {
+            self.cells.skew_us.record(e.skew_us.unsigned_abs());
+            self.cells.rtt_us.record(e.min_rtt_us.max(0) as u64);
         }
+        self.cells.rounds.fetch_add(1, Relaxed);
+        self.cells
+            .corrections
+            .fetch_add(outcome.corrections.len() as u64, Relaxed);
         self.last_outcome = Some(outcome.clone());
         self.samples.clear();
         Ok(outcome)
@@ -425,7 +396,7 @@ impl SyncMaster {
 
     /// Rounds completed so far.
     pub fn rounds_completed(&self) -> u64 {
-        self.rounds_completed
+        self.cells.rounds.load(Relaxed)
     }
 }
 
@@ -665,6 +636,31 @@ mod tests {
         let rtts = snap.histogram("brisk_sync_rtt_us").unwrap();
         assert_eq!(rtts.count(), 2);
         assert_eq!(rtts.max, 100);
+    }
+
+    #[test]
+    fn binding_after_a_round_shows_the_full_totals() {
+        let mut m = SyncMaster::new(SyncConfig::default()).unwrap();
+        m.begin_round();
+        m.add_sample(
+            NodeId(1),
+            SkewSample {
+                t_master_send: UtcMicros::from_micros(0),
+                t_slave: UtcMicros::from_micros(50),
+                t_master_recv: UtcMicros::from_micros(100),
+            },
+        );
+        m.finish_round().unwrap();
+        // Cells exist from construction; binding only publishes them, so
+        // the round finished before it is not lost — and binding again
+        // changes nothing.
+        let registry = Registry::new();
+        m.bind_telemetry(&registry);
+        m.bind_telemetry(&registry);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_sync_rounds_total"), 1);
+        assert_eq!(snap.histogram("brisk_sync_rtt_us").unwrap().count(), 1);
+        assert_eq!(snap.all("brisk_sync_rounds_total").count(), 1);
     }
 
     #[test]

@@ -41,9 +41,11 @@ pub struct LocalOutputs {
     /// bind its telemetry after construction.
     store: Option<StoreWriter>,
     /// Per-stage span histograms with exemplar trace ids, fed by traced
-    /// records at delivery time. Present once telemetry is bound.
+    /// records at delivery time. Optional (present once telemetry is
+    /// bound): feeding it takes a lock and atomics per traced record.
     stages: Option<Arc<StageLatencies>>,
-    /// Record creation → delivery latency on synchronized time.
+    /// Record creation → delivery latency on synchronized time. Optional:
+    /// recording costs three atomics per record on a pipeline nobody observes.
     e2e_latency_us: Option<Arc<Histogram>>,
     /// Memory-buffer eviction total already reported to the flight
     /// recorder.
@@ -121,9 +123,6 @@ pub struct IsmCore {
     /// Relay mode: when set, merged records go upstream instead of to the
     /// local outputs.
     upstream: Option<UpstreamExporter>,
-    /// Remembered so an exporter attached after [`Self::bind_telemetry`]
-    /// still gets its series registered.
-    registry: Option<Arc<Registry>>,
 }
 
 impl IsmCore {
@@ -151,7 +150,6 @@ impl IsmCore {
                 encoded: Vec::new(),
             },
             upstream: None,
-            registry: None,
         })
     }
 
@@ -159,8 +157,10 @@ impl IsmCore {
     /// re-exported upstream instead of delivered to the local outputs.
     /// May be called before or after [`Self::bind_telemetry`].
     pub fn set_upstream(&mut self, exporter: UpstreamExporter) {
-        if let Some(registry) = &self.registry {
-            exporter.bind_telemetry(registry);
+        // Already bound: the stage histograms hold the registry for series
+        // that appear late, and an exporter attached now is one of those.
+        if let Some(stages) = &self.local.stages {
+            exporter.bind_telemetry(stages.registry());
         }
         self.upstream = Some(exporter);
     }
@@ -170,21 +170,21 @@ impl IsmCore {
         self.upstream.as_ref()
     }
 
-    /// Bind this core's counters, gauges and the end-to-end latency
-    /// histogram to `registry`. Gauges for the sorter window and CRE hold
+    /// Publish this core's counters, gauges and the end-to-end latency
+    /// histogram in `registry`. Gauges for the sorter window and CRE hold
     /// queue refresh on every `tick`; the memory buffer is exported
     /// through computed sources so no extra bookkeeping runs per record.
     pub fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
         self.plane.bind_telemetry(registry);
-        self.local.stages = Some(Arc::new(StageLatencies::new(Arc::clone(registry))));
-        let e2e_latency_us = Arc::new(Histogram::default());
+        self.local
+            .stages
+            .get_or_insert_with(|| Arc::new(StageLatencies::new(Arc::clone(registry))));
         registry.register_histogram(
             "brisk_ism_e2e_latency_us",
             "Record creation to output delivery latency (synchronized time)",
             &[],
-            &e2e_latency_us,
+            self.local.e2e_latency_us.get_or_insert_with(Arc::default),
         );
-        self.local.e2e_latency_us = Some(e2e_latency_us);
         let mem = Arc::clone(&self.local.memory);
         registry.gauge_fn(
             "brisk_ism_memory_records",
@@ -215,10 +215,9 @@ impl IsmCore {
             &[],
             brisk_core::trace_stamps_dropped_total,
         );
-        if let Some(up) = &mut self.upstream {
+        if let Some(up) = &self.upstream {
             up.bind_telemetry(registry);
         }
-        self.registry = Some(Arc::clone(registry));
     }
 
     /// The default output: the shared memory buffer consumers read.
@@ -480,6 +479,67 @@ mod tests {
     }
 
     #[test]
+    fn late_binding_loses_nothing_and_binding_twice_changes_nothing() {
+        let mut core = core_with_frame(100);
+        core.push_batch(
+            vec![rec(0, 0, 300, vec![]), rec(0, 1, 500, vec![])],
+            UtcMicros::from_micros(500),
+        )
+        .unwrap();
+        core.tick(UtcMicros::from_micros(1_000)).unwrap();
+        // The cells exist from construction; binding only publishes them.
+        let registry = brisk_telemetry::Registry::new();
+        core.bind_telemetry(&registry);
+        let series = registry.snapshot().samples.len();
+        core.bind_telemetry(&registry);
+        let snap = registry.snapshot();
+        assert_eq!(snap.samples.len(), series, "second bind adds no series");
+        assert_eq!(snap.counter_total("brisk_ism_records_in_total"), 2);
+        assert_eq!(snap.counter_total("brisk_ism_records_out_total"), 2);
+        // ... and the second bind did not orphan what the first registered.
+        core.push_batch(vec![rec(0, 2, 900, vec![])], UtcMicros::from_micros(1_000))
+            .unwrap();
+        core.tick(UtcMicros::from_micros(2_000)).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_records_out_total"), 3);
+        let e2e = snap.histogram("brisk_ism_e2e_latency_us").unwrap();
+        assert_eq!(e2e.count(), 1, "only the record delivered while bound");
+    }
+
+    #[test]
+    fn upstream_series_do_not_depend_on_bind_order() {
+        let series = |bind_first: bool| {
+            let mut core = core_with_frame(0);
+            let registry = brisk_telemetry::Registry::new();
+            let exporter = crate::relay::UpstreamExporter::new(
+                crate::relay::RelayConfig::new(brisk_proto::NodePrefix::new(3).unwrap()),
+                Box::new(|| Err(brisk_core::BriskError::Disconnected)),
+                Arc::new(brisk_clock::SystemClock),
+            );
+            if bind_first {
+                core.bind_telemetry(&registry);
+                core.set_upstream(exporter);
+            } else {
+                core.set_upstream(exporter);
+                core.bind_telemetry(&registry);
+            }
+            let mut names: Vec<(String, Vec<(String, String)>)> = registry
+                .snapshot()
+                .samples
+                .into_iter()
+                .map(|s| (s.name, s.labels))
+                .collect();
+            names.sort();
+            names
+        };
+        let bound_first = series(true);
+        assert_eq!(bound_first, series(false));
+        assert!(bound_first
+            .iter()
+            .any(|(name, _)| name == "brisk_relay_connects_total"));
+    }
+
+    #[test]
     fn sequenced_replay_is_dropped_per_node() {
         let mut core = core_with_frame(0);
         let registry = brisk_telemetry::Registry::new();
@@ -508,6 +568,8 @@ mod tests {
         assert_eq!(stats.records_in, 4);
         assert_eq!(stats.duplicate_batches, 1);
         assert_eq!(stats.duplicate_records, 1);
+        // The plane publishes its plain totals once per tick.
+        core.tick(now).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter_total("brisk_ism_duplicate_batches_total"), 1);
         assert_eq!(snap.counter_total("brisk_ism_duplicate_records_total"), 1);

@@ -2,8 +2,18 @@
 //! manager, and the per-connection credit budget derived from it.
 
 use brisk_core::FlowConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
+use brisk_telemetry::Registry;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+
+brisk_telemetry::metrics! {
+    /// The manager-queue accounting every pump and the manager share.
+    struct FlowCells {
+        queued: gauge "brisk_ism_manager_queue_records" "Records resident in the ISM manager queue",
+        high_water: gauge "brisk_ism_manager_queue_depth_high_water" "Highest record count ever resident in the ISM manager queue",
+        deferrals: counter "brisk_ism_deferred_reads_total" "Socket reads pumps deferred because the manager queue was over its bound",
+    }
+}
 
 /// Shared EXS→ISM flow-control state: one instance per server, touched by
 /// every pump and by the manager.
@@ -17,9 +27,7 @@ use std::sync::Arc;
 /// runs out next.
 pub struct FlowState {
     cfg: FlowConfig,
-    queued: AtomicU64,
-    high_water: AtomicU64,
-    deferrals: AtomicU64,
+    cells: Arc<FlowCells>,
 }
 
 impl FlowState {
@@ -27,10 +35,13 @@ impl FlowState {
     pub fn new(cfg: FlowConfig) -> Arc<Self> {
         Arc::new(FlowState {
             cfg,
-            queued: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            deferrals: AtomicU64::new(0),
+            cells: Arc::default(),
         })
+    }
+
+    /// Publish the queue gauges and the deferral counter.
+    pub fn bind_telemetry(&self, registry: &Registry) {
+        self.cells.register(registry, &[]);
     }
 
     /// The per-connection credit budget to grant, or `None` when credit
@@ -44,23 +55,23 @@ impl FlowState {
 
     /// Account `n` records entering the manager queue.
     pub fn add(&self, n: u64) {
-        let now = self.queued.fetch_add(n, Ordering::Relaxed) + n;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
+        let now = self.cells.queued.fetch_add(n as i64, Relaxed) + n as i64;
+        self.cells.high_water.fetch_max(now, Relaxed);
     }
 
     /// Account `n` records leaving the manager queue.
     pub fn sub(&self, n: u64) {
-        self.queued.fetch_sub(n, Ordering::Relaxed);
+        self.cells.queued.fetch_sub(n as i64, Relaxed);
     }
 
     /// Records currently queued between the pumps and the manager.
     pub fn queued_records(&self) -> u64 {
-        self.queued.load(Ordering::Relaxed)
+        self.cells.queued.load(Relaxed) as u64
     }
 
     /// Highest queue depth (records) observed so far.
     pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
+        self.cells.high_water.load(Relaxed) as u64
     }
 
     /// True while pumps should defer socket reads.
@@ -71,11 +82,11 @@ impl FlowState {
 
     /// Count one deferred socket read.
     pub fn note_deferral(&self) {
-        self.deferrals.fetch_add(1, Ordering::Relaxed);
+        self.cells.deferrals.fetch_add(1, Relaxed);
     }
 
     /// Deferred socket reads so far.
     pub fn deferrals(&self) -> u64 {
-        self.deferrals.load(Ordering::Relaxed)
+        self.cells.deferrals.load(Relaxed)
     }
 }

@@ -27,8 +27,9 @@ use brisk_clock::Hlc;
 use brisk_core::{
     EventRecord, HlcStamp, IsmConfig, NodeId, OrderMode, Result, TraceStage, UtcMicros,
 };
-use brisk_telemetry::{Counter, Gauge, Histogram, Registry};
+use brisk_telemetry::{HistogramSnapshot, Registry};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Where merged, repaired records go. Implemented by the local output
@@ -60,44 +61,41 @@ pub trait MergeOutput: Send {
     }
 }
 
-/// Aggregate counters of one merge plane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Records received in batches.
-    pub records_in: u64,
-    /// Records delivered to the output stage.
-    pub records_out: u64,
-    /// Batches received.
-    pub batches_in: u64,
-    /// Sequenced batches dropped as replays (seq ≤ last seen for the node).
-    pub duplicate_batches: u64,
-    /// Records inside those dropped replay batches.
-    pub duplicate_records: u64,
+brisk_telemetry::metrics! {
+    /// Registry cells behind [`MergeStats`]. The plane runs on one thread
+    /// (the manager), so its working totals are the plain snapshot and the
+    /// cells are published once per tick — no atomics per record.
+    struct MergeCells =>
+    /// Aggregate counters of one merge plane.
+    pub struct MergeStats {
+        /// Records received in batches.
+        records_in: counter "brisk_ism_records_in_total" "Records received by the ISM core",
+        /// Records delivered to the output stage.
+        records_out: counter "brisk_ism_records_out_total" "Records delivered to the output stage",
+        /// Batches received.
+        batches_in: counter "brisk_ism_batches_in_total" "Batches received by the ISM core",
+        /// Sequenced batches dropped as replays (seq ≤ last seen for the node).
+        duplicate_batches: counter "brisk_ism_duplicate_batches_total" "Replayed batches dropped by sequence-number dedup",
+        /// Records inside those dropped replay batches.
+        duplicate_records: counter "brisk_ism_duplicate_records_total" "Records inside replayed batches dropped by dedup",
+    }
 }
 
-/// Plane-owned telemetry. The plane runs on one thread (the manager), so
-/// plain counters updated inline suffice; sorter and CRE internals are
-/// exported by publishing stat deltas each tick rather than by threading
-/// atomics through those components.
-struct MergeTelemetry {
-    records_in: Arc<Counter>,
-    records_out: Arc<Counter>,
-    batches_in: Arc<Counter>,
-    duplicate_batches: Arc<Counter>,
-    duplicate_records: Arc<Counter>,
-    sorter_depth: Arc<Gauge>,
-    sorter_frame_us: Arc<Gauge>,
-    cre_held: Arc<Gauge>,
-    tachyons_repaired: Arc<Counter>,
-    last_tachyons: u64,
-    shed: Arc<Counter>,
-    last_shed: u64,
-    ts_clamped: Arc<Counter>,
-    last_ts_clamped: u64,
-    extra_sync_suppressed: Arc<Counter>,
-    last_suppressed: u64,
-    causal_reorders: Arc<Counter>,
-    hlc_divergence_us: Arc<Histogram>,
+brisk_telemetry::metrics! {
+    /// Sorter, CRE and HLC state, mirrored from those components' own
+    /// plain stats once per tick rather than threading atomics through
+    /// them.
+    struct MirrorCells {
+        sorter_depth: gauge "brisk_ism_sorter_depth" "Records buffered in the on-line sorter window",
+        sorter_frame_us: gauge "brisk_ism_sorter_frame_us" "Current adaptive sorter time frame T (us)",
+        cre_held: gauge "brisk_ism_cre_held" "Consequence records currently held by the CRE switch",
+        tachyons_repaired: counter "brisk_ism_tachyons_repaired_total" "Causality violations repaired by the CRE switch",
+        shed: counter "brisk_ism_shed_total" "Unmarked records dropped by the overload-shedding policy",
+        ts_clamped: counter "brisk_ism_ts_clamped_total" "Non-monotone same-source records whose timestamp was clamped",
+        extra_sync_suppressed: counter "brisk_sync_extra_suppressed_total" "Extra sync requests suppressed by the token-bucket rate limit",
+        causal_reorders: counter "brisk_hlc_causal_reorders_total" "Records delivered out of physical-ts order because HLC order demanded it",
+        hlc_divergence_us: histogram "brisk_hlc_divergence_us" "|X_HLC physical - ISM clock| at batch receive (us)",
+    }
 }
 
 /// CRE switch + adaptive sorter + per-node dedup, decoupled from any
@@ -127,9 +125,13 @@ pub struct MergePlane {
     /// output. Lives in the plane — not the pump — so the memory survives
     /// the connection teardown/reconnect that triggers replays.
     last_seq: HashMap<NodeId, u64>,
-    telemetry: Option<MergeTelemetry>,
+    cells: Arc<MergeCells>,
+    mirror: Arc<MirrorCells>,
+    /// |X_HLC physical − ISM now| per record since the last tick; folded
+    /// into `mirror.hlc_divergence_us` when the tick publishes.
+    divergence_us: HistogramSnapshot,
     /// Sorter shed total already reported to the flight recorder.
-    flight_last_shed: u64,
+    flight_shed_reported: u64,
 }
 
 impl MergePlane {
@@ -154,77 +156,20 @@ impl MergePlane {
             last_out_ts: None,
             flight_divergence_alerted: false,
             last_seq: HashMap::new(),
-            telemetry: None,
-            flight_last_shed: 0,
+            cells: Arc::default(),
+            mirror: Arc::default(),
+            divergence_us: HistogramSnapshot::default(),
+            flight_shed_reported: 0,
         })
     }
 
-    /// Bind the plane's counters and gauges to `registry`. Gauges for the
-    /// sorter window and CRE hold queue refresh on every [`Self::tick`].
+    /// Publish the plane's counters and gauges in `registry`. They are
+    /// refreshed on every [`Self::tick`].
     pub fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
         self.hlc.bind_telemetry(registry, "ism");
-        self.telemetry = Some(MergeTelemetry {
-            records_in: registry.counter(
-                "brisk_ism_records_in_total",
-                "Records received by the ISM core",
-            ),
-            records_out: registry.counter(
-                "brisk_ism_records_out_total",
-                "Records delivered to the output stage",
-            ),
-            batches_in: registry.counter(
-                "brisk_ism_batches_in_total",
-                "Batches received by the ISM core",
-            ),
-            duplicate_batches: registry.counter(
-                "brisk_ism_duplicate_batches_total",
-                "Replayed batches dropped by sequence-number dedup",
-            ),
-            duplicate_records: registry.counter(
-                "brisk_ism_duplicate_records_total",
-                "Records inside replayed batches dropped by dedup",
-            ),
-            sorter_depth: registry.gauge(
-                "brisk_ism_sorter_depth",
-                "Records buffered in the on-line sorter window",
-            ),
-            sorter_frame_us: registry.gauge(
-                "brisk_ism_sorter_frame_us",
-                "Current adaptive sorter time frame T (us)",
-            ),
-            cre_held: registry.gauge(
-                "brisk_ism_cre_held",
-                "Consequence records currently held by the CRE switch",
-            ),
-            tachyons_repaired: registry.counter(
-                "brisk_ism_tachyons_repaired_total",
-                "Causality violations repaired by the CRE switch",
-            ),
-            last_tachyons: self.cre.stats().tachyons_repaired,
-            shed: registry.counter(
-                "brisk_ism_shed_total",
-                "Unmarked records dropped by the overload-shedding policy",
-            ),
-            last_shed: self.sorter.stats().shed,
-            ts_clamped: registry.counter(
-                "brisk_ism_ts_clamped_total",
-                "Non-monotone same-source records whose timestamp was clamped",
-            ),
-            last_ts_clamped: self.sorter.stats().ts_clamped,
-            extra_sync_suppressed: registry.counter(
-                "brisk_sync_extra_suppressed_total",
-                "Extra sync requests suppressed by the token-bucket rate limit",
-            ),
-            last_suppressed: self.cre.stats().extra_syncs_suppressed,
-            causal_reorders: registry.counter(
-                "brisk_hlc_causal_reorders_total",
-                "Records delivered out of physical-ts order because HLC order demanded it",
-            ),
-            hlc_divergence_us: registry.histogram(
-                "brisk_hlc_divergence_us",
-                "|X_HLC physical - ISM clock| at batch receive (us)",
-            ),
-        });
+        self.cells.register(registry, &[]);
+        self.mirror.register(registry, &[]);
+        self.publish_telemetry();
     }
 
     /// The plane's hybrid logical clock (merged with every received stamp).
@@ -290,10 +235,6 @@ impl MergePlane {
             if seq <= *last {
                 self.stats.duplicate_batches += 1;
                 self.stats.duplicate_records += records.len() as u64;
-                if let Some(t) = &self.telemetry {
-                    t.duplicate_batches.inc();
-                    t.duplicate_records.add(records.len() as u64);
-                }
                 return Ok(false);
             }
             *last = seq;
@@ -310,9 +251,6 @@ impl MergePlane {
         now: UtcMicros,
     ) -> Result<()> {
         self.stats.batches_in += 1;
-        if let Some(t) = &self.telemetry {
-            t.batches_in.inc();
-        }
         // Observing a stamp is a set-max, which is associative: folding the
         // batch down to its max stamp and observing that once is equivalent
         // to observing every record, without taking the HLC lock per record.
@@ -320,9 +258,6 @@ impl MergePlane {
         let mut batch_max_logical = 0u32;
         for mut rec in records {
             self.stats.records_in += 1;
-            if let Some(t) = &self.telemetry {
-                t.records_in.inc();
-            }
             if self.order == OrderMode::Causal {
                 let stamp = self.merge_hlc(&mut rec, now);
                 batch_max = Some(batch_max.map_or(stamp, |m| m.max(stamp)));
@@ -360,9 +295,7 @@ impl MergePlane {
             }
         };
         let divergence = stamp.divergence_us(now).unsigned_abs();
-        if let Some(t) = &self.telemetry {
-            t.hlc_divergence_us.record(divergence);
-        }
+        self.divergence_us.record(divergence);
         // One flight-recorder alert per plane once physical clocks have
         // visibly diverged from causal time — the breadcrumb that says
         // "trust HLC order, not the timestamps" when debugging a capture.
@@ -397,39 +330,35 @@ impl MergePlane {
             0
         };
         let shed_total = self.sorter.stats().shed;
-        if shed_total > self.flight_last_shed {
+        if shed_total > self.flight_shed_reported {
             brisk_telemetry::flight_log!(
                 Warn,
                 "ism.sorter",
                 "shed",
                 "{} unmarked records shed under overload ({shed_total} total)",
-                shed_total - self.flight_last_shed
+                shed_total - self.flight_shed_reported
             );
-            self.flight_last_shed = shed_total;
+            self.flight_shed_reported = shed_total;
         }
-        self.mirror_telemetry();
+        self.publish_telemetry();
         Ok(n)
     }
 
-    /// Bring the registry up to the sorter's and CRE's own stats.
-    fn mirror_telemetry(&mut self) {
-        if let Some(t) = &mut self.telemetry {
-            t.sorter_depth.set(self.sorter.buffered() as i64);
-            t.sorter_frame_us.set(self.sorter.frame_us());
-            t.cre_held.set(self.cre.held_count() as i64);
-            let repaired = self.cre.stats().tachyons_repaired;
-            t.tachyons_repaired.add(repaired - t.last_tachyons);
-            t.last_tachyons = repaired;
-            let shed = self.sorter.stats().shed;
-            t.shed.add(shed - t.last_shed);
-            t.last_shed = shed;
-            let clamped = self.sorter.stats().ts_clamped;
-            t.ts_clamped.add(clamped - t.last_ts_clamped);
-            t.last_ts_clamped = clamped;
-            let suppressed = self.cre.stats().extra_syncs_suppressed;
-            t.extra_sync_suppressed.add(suppressed - t.last_suppressed);
-            t.last_suppressed = suppressed;
-        }
+    /// Bring the cells up to the plane's, the sorter's and the CRE's own
+    /// plain stats.
+    fn publish_telemetry(&mut self) {
+        self.cells.publish(&self.stats);
+        let (m, sorter, cre) = (&self.mirror, self.sorter.stats(), self.cre.stats());
+        m.sorter_depth.store(self.sorter.buffered() as i64, Relaxed);
+        m.sorter_frame_us.store(self.sorter.frame_us(), Relaxed);
+        m.cre_held.store(self.cre.held_count() as i64, Relaxed);
+        m.tachyons_repaired.store(cre.tachyons_repaired, Relaxed);
+        m.shed.store(sorter.shed, Relaxed);
+        m.ts_clamped.store(sorter.ts_clamped, Relaxed);
+        m.extra_sync_suppressed
+            .store(cre.extra_syncs_suppressed, Relaxed);
+        m.causal_reorders.store(self.causal_reorders, Relaxed);
+        m.hlc_divergence_us.absorb(&mut self.divergence_us);
     }
 
     /// Shutdown path: flush every held and delayed record to the output
@@ -443,7 +372,7 @@ impl MergePlane {
         let n = self.deliver(released, UtcMicros::MAX, out)?;
         out.flush()?;
         // The shutdown drain sheds and repairs too, with no tick to follow.
-        self.mirror_telemetry();
+        self.publish_telemetry();
         Ok(n)
     }
 
@@ -459,18 +388,12 @@ impl MergePlane {
                 if let Some(last) = self.last_out_ts {
                     if rec.ts < last {
                         self.causal_reorders += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.causal_reorders.inc();
-                        }
                     }
                 }
                 self.last_out_ts = Some(rec.ts.max(self.last_out_ts.unwrap_or(rec.ts)));
             }
             out.on_record(rec, now)?;
             self.stats.records_out += 1;
-            if let Some(t) = &self.telemetry {
-                t.records_out.inc();
-            }
         }
         Ok(n)
     }

@@ -10,11 +10,12 @@
 
 use brisk_core::{binenc, BriskError, EventRecord, Result};
 use brisk_picl::{PiclWriter, TsMode};
-use brisk_telemetry::{Counter, Registry};
+use brisk_telemetry::Registry;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub use brisk_core::sink::EventSink;
@@ -120,7 +121,7 @@ impl MemoryBuffer {
         MemoryBufferReader {
             buffer: Arc::clone(self),
             next_index: self.inner.lock().first_index,
-            missed_counter: None,
+            cells: Arc::default(),
         }
     }
 
@@ -130,8 +131,15 @@ impl MemoryBuffer {
         MemoryBufferReader {
             buffer: Arc::clone(self),
             next_index: inner.first_index + inner.lens.len() as u64,
-            missed_counter: None,
+            cells: Arc::default(),
         }
+    }
+}
+
+brisk_telemetry::metrics! {
+    /// One reader's cumulative eviction loss.
+    struct ReaderCells {
+        missed: counter "brisk_ism_reader_missed_total" "Records this memory-buffer reader missed due to eviction",
     }
 }
 
@@ -139,7 +147,7 @@ impl MemoryBuffer {
 pub struct MemoryBufferReader {
     buffer: Arc<MemoryBuffer>,
     next_index: u64,
-    missed_counter: Option<Arc<Counter>>,
+    cells: Arc<ReaderCells>,
 }
 
 impl MemoryBufferReader {
@@ -147,11 +155,7 @@ impl MemoryBufferReader {
     /// `brisk_ism_reader_missed_total{reader="<label>"}`, so a lagging
     /// consumer's silent in-memory loss shows up on `--stats-addr`.
     pub fn bind_telemetry(&mut self, registry: &Registry, label: &str) {
-        self.missed_counter = Some(registry.counter_with(
-            "brisk_ism_reader_missed_total",
-            "Records this memory-buffer reader missed due to eviction",
-            &[("reader", label)],
-        ));
+        self.cells.register(registry, &[("reader", label)]);
     }
 
     /// Read all records available since the last poll. Returns the decoded
@@ -176,9 +180,7 @@ impl MemoryBufferReader {
         };
         if missed > 0 {
             self.next_index += missed;
-            if let Some(c) = &self.missed_counter {
-                c.add(missed);
-            }
+            self.cells.missed.fetch_add(missed, Ordering::Relaxed);
         }
         let out = binenc::decode_all(&bytes)?;
         if out.len() != count {

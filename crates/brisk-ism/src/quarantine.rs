@@ -4,8 +4,17 @@
 
 use brisk_core::NodeId;
 use brisk_telemetry::Registry;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
+
+brisk_telemetry::metrics! {
+    /// What the quarantine counted, bumped by every reactor shard.
+    struct QuarantineCells {
+        frames: counter "brisk_ism_quarantined_frames_total" "Undecodable frames quarantined by ISM pumps",
+        disconnects: counter "brisk_ism_quarantine_disconnects_total" "Connections dropped after exhausting their protocol error budget",
+        rejected_hellos: counter "brisk_ism_rejected_hellos_total" "Hellos rejected for claiming a node id already served by a live connection",
+    }
+}
 
 /// Upper bound on retained malformed-frame samples: enough to diagnose a
 /// corruption pattern, small enough never to matter for memory.
@@ -35,9 +44,7 @@ pub struct QuarantineSample {
 /// audit trail of what arrived.
 #[derive(Default)]
 pub struct QuarantineLog {
-    frames: AtomicU64,
-    disconnects: AtomicU64,
-    rejected_hellos: AtomicU64,
+    cells: Arc<QuarantineCells>,
     samples: Mutex<Vec<QuarantineSample>>,
 }
 
@@ -49,7 +56,7 @@ impl QuarantineLog {
 
     /// Record one undecodable frame.
     pub fn record(&self, node: NodeId, frame: &[u8], error: &str) {
-        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.cells.frames.fetch_add(1, Relaxed);
         if let Ok(mut samples) = self.samples.lock() {
             if samples.len() < MAX_QUARANTINE_SAMPLES {
                 let head = &frame[..frame.len().min(QUARANTINE_SAMPLE_BYTES)];
@@ -66,28 +73,28 @@ impl QuarantineLog {
 
     /// Record one connection dropped for exhausting its error budget.
     pub fn note_disconnect(&self) {
-        self.disconnects.fetch_add(1, Ordering::Relaxed);
+        self.cells.disconnects.fetch_add(1, Relaxed);
     }
 
     /// Total undecodable frames quarantined.
     pub fn frames(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
+        self.cells.frames.load(Relaxed)
     }
 
     /// Connections dropped for exhausting their error budget.
     pub fn disconnects(&self) -> u64 {
-        self.disconnects.load(Ordering::Relaxed)
+        self.cells.disconnects.load(Relaxed)
     }
 
     /// Record one `Hello` rejected because its node id was already
     /// claimed by a live connection.
     pub fn note_rejected_hello(&self) {
-        self.rejected_hellos.fetch_add(1, Ordering::Relaxed);
+        self.cells.rejected_hellos.fetch_add(1, Relaxed);
     }
 
     /// `Hello`s rejected for claiming an already-active node id.
     pub fn rejected_hellos(&self) -> u64 {
-        self.rejected_hellos.load(Ordering::Relaxed)
+        self.cells.rejected_hellos.load(Relaxed)
     }
 
     /// The retained samples (at most [`MAX_QUARANTINE_SAMPLES`]).
@@ -97,26 +104,6 @@ impl QuarantineLog {
 
     /// Export the quarantine counters.
     pub fn bind_telemetry(self: &Arc<Self>, registry: &Arc<Registry>) {
-        let log = Arc::clone(self);
-        registry.counter_fn(
-            "brisk_ism_quarantined_frames_total",
-            "Undecodable frames quarantined by ISM pumps",
-            &[],
-            move || log.frames(),
-        );
-        let log = Arc::clone(self);
-        registry.counter_fn(
-            "brisk_ism_quarantine_disconnects_total",
-            "Connections dropped after exhausting their protocol error budget",
-            &[],
-            move || log.disconnects(),
-        );
-        let log = Arc::clone(self);
-        registry.counter_fn(
-            "brisk_ism_rejected_hellos_total",
-            "Hellos rejected for claiming a node id already served by a live connection",
-            &[],
-            move || log.rejected_hellos(),
-        );
+        self.cells.register(registry, &[]);
     }
 }

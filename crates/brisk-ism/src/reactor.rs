@@ -27,12 +27,12 @@
 
 use crate::flow::FlowState;
 use crate::quarantine::QuarantineLog;
-use crate::session::{pump_channel, FrameOutcome, PumpCommand, PumpEvent, PumpHandle, PumpIo};
+use crate::server::ManagerCells;
+use crate::session::{pump_channel, FrameOutcome, PumpCommand, PumpEvent, PumpIo};
 use brisk_clock::{Clock, SkewSample};
 use brisk_core::{BriskError, NodeId, Result, UtcMicros};
 use brisk_net::{poll_in, Connection, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN};
 use brisk_proto::Message;
-use brisk_telemetry::Counter;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -98,12 +98,11 @@ impl ActiveNodes {
 pub(crate) struct ReactorConfig {
     /// Master clock for receive stamps and sync exchanges.
     pub clock: Arc<dyn Clock>,
-    /// Event stream into the manager.
+    /// Event stream into the manager; freshly greeted connections are
+    /// announced on it too ([`PumpEvent::Connected`]).
     pub events: Sender<PumpEvent>,
-    /// Where freshly-greeted connections' handles are announced.
-    pub pumps: Sender<PumpHandle>,
-    /// Counts events enqueued toward the manager (queue-depth telemetry).
-    pub enqueued: Option<Arc<Counter>>,
+    /// Event-path cells shared with the manager (queue depth).
+    pub cells: Arc<ManagerCells>,
     /// Shared EXS→ISM flow-control state.
     pub flow: Arc<FlowState>,
     /// Undecodable frames tolerated per connection before disconnect.
@@ -468,16 +467,17 @@ impl Driver {
                 return false;
             }
         }
-        if ctx.pumps.send(handle).is_err() {
+        let io = PumpIo {
+            node,
+            id,
+            errors: 0,
+        };
+        if !io.send_event(ctx, PumpEvent::Connected(handle)) {
             ctx.active.release(node, id);
             return false; // server is shutting down
         }
         self.state = State::Running(Running {
-            io: PumpIo {
-                node,
-                id,
-                errors: 0,
-            },
+            io,
             cmd_rx,
             sync: None,
         });
@@ -655,6 +655,7 @@ fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::PumpHandle;
     use brisk_clock::SystemClock;
     use brisk_core::{EventRecord, EventTypeId, FlowConfig, NodeId, SensorId};
     use brisk_lis::testkit::{mem_pair, recv_msg};
@@ -663,7 +664,6 @@ mod tests {
     /// A two-shard pool whose manager side is the test itself.
     struct Rig {
         pool: ReactorPool,
-        pumps: Receiver<PumpHandle>,
         events: Receiver<PumpEvent>,
         quarantine: Arc<QuarantineLog>,
         flow: Arc<FlowState>,
@@ -675,7 +675,6 @@ mod tests {
     }
 
     fn test_pool_with(credit_records: u64, max_queued_records: usize, error_budget: u32) -> Rig {
-        let (pump_tx, pumps) = unbounded();
         let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
         let flow = FlowState::new(FlowConfig {
@@ -688,8 +687,7 @@ mod tests {
             ReactorConfig {
                 clock: Arc::new(SystemClock),
                 events: event_tx,
-                pumps: pump_tx,
-                enqueued: None,
+                cells: Arc::default(),
                 flow: Arc::clone(&flow),
                 error_budget,
                 quarantine: Arc::clone(&quarantine),
@@ -699,7 +697,6 @@ mod tests {
         .unwrap();
         Rig {
             pool,
-            pumps,
             events,
             quarantine,
             flow,
@@ -721,12 +718,19 @@ mod tests {
             let mut client = self.client();
             client.send(&hello(node, brisk_proto::VERSION)).unwrap();
             assert!(matches!(recv_msg(&mut client), Message::HelloAck { .. }));
-            let handle = self.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
-            (client, handle)
+            (client, self.connected())
         }
 
         fn event(&self) -> PumpEvent {
             self.events.recv_timeout(Duration::from_secs(2)).unwrap()
+        }
+
+        /// The next event, which must announce a greeted connection.
+        fn connected(&self) -> PumpHandle {
+            match self.event() {
+                PumpEvent::Connected(handle) => handle,
+                other => panic!("expected Connected, got {other:?}"),
+            }
         }
     }
 
@@ -760,7 +764,7 @@ mod tests {
                 credit: Some(64)
             }
         );
-        let handle = rig.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
+        let handle = rig.connected();
         assert_eq!(handle.node, NodeId(7));
         assert_eq!(handle.version(), brisk_proto::VERSION);
         // A batch flows through untouched and still parses as a view.
@@ -853,7 +857,7 @@ mod tests {
             let rig = test_pool_with(credit, 0, 2);
             let mut client = rig.client();
             client.send(&hello(5, version)).unwrap();
-            let handle = rig.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
+            let handle = rig.connected();
             assert_eq!((handle.node, handle.version()), (NodeId(5), version));
             let reply = client.recv(Some(Duration::from_millis(100))).unwrap();
             let reply = reply.map(|f| match Message::decode(&f).unwrap() {
@@ -871,8 +875,7 @@ mod tests {
         for first_frame in [Message::Heartbeat, Message::Shutdown] {
             let mut client = rig.client();
             client.send(&first_frame.encode()).unwrap();
-            assert!(rig.pumps.recv_timeout(Duration::from_millis(200)).is_err());
-            assert!(rig.events.recv_timeout(Duration::from_millis(50)).is_err());
+            assert!(rig.events.recv_timeout(Duration::from_millis(250)).is_err());
         }
         rig.pool.stop();
     }
@@ -892,7 +895,6 @@ mod tests {
             }
         };
         assert!(closed, "a peer that never greets must be dropped");
-        assert!(rig.pumps.try_recv().is_err());
         assert!(rig.events.try_recv().is_err());
         rig.pool.stop();
     }

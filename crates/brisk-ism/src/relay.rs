@@ -35,7 +35,7 @@ use brisk_lis::Batcher;
 use brisk_proto::NodePrefix;
 use brisk_telemetry::{Histogram, Registry};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,86 +85,53 @@ impl RelayConfig {
     }
 }
 
-/// Counters of one upstream exporter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RelayStats {
-    /// Upstream connections established (including reconnects).
-    pub connects: u64,
-    /// `HelloAck`s received (connections the parent actually answered).
-    pub hello_acks: u64,
-    /// Batches shipped upstream (first transmissions).
-    pub batches_exported: u64,
-    /// Records shipped upstream (first transmissions).
-    pub records_exported: u64,
-    /// Batches replayed from the window after a reconnect.
-    pub batches_retransmitted: u64,
-    /// Cumulative `BatchAck`s received.
-    pub acks_received: u64,
-    /// Heartbeats sent on idle links.
-    pub heartbeats_sent: u64,
-    /// Unacked batches evicted from a full window (lost to replay).
-    pub window_evicted: u64,
-    /// Records dropped because the prefix rewrite overflowed (tree too
-    /// deep for the id width).
-    pub rewrite_errors: u64,
-    /// Inbound control frames that failed to decode and were skipped.
-    pub decode_errors: u64,
-    /// Clock adjustments applied from upstream `SyncAdjust`s.
-    pub adjustments: u64,
-    /// Release pauses because the upstream credit budget was spent
-    /// (stall leading edges, not per-tick).
-    pub credit_stalls: u64,
-}
-
-/// Shared atomic backing for [`RelayStats`] plus the link gauges, so a
-/// telemetry registry (and tests) can observe a live exporter from
-/// another thread without locking.
-#[derive(Debug, Default)]
-pub struct RelayTelemetry {
-    connects: AtomicU64,
-    hello_acks: AtomicU64,
-    batches_exported: AtomicU64,
-    records_exported: AtomicU64,
-    batches_retransmitted: AtomicU64,
-    acks_received: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    window_evicted: AtomicU64,
-    rewrite_errors: AtomicU64,
-    decode_errors: AtomicU64,
-    adjustments: AtomicU64,
-    credit_stalls: AtomicU64,
-    /// 1 while the upstream link is connected.
-    connected: AtomicU64,
-    /// Current retransmit-window occupancy (batches).
-    window_depth: AtomicU64,
-    /// Granted credit minus unacked in-flight records (0 while credit is
-    /// off).
-    credit_balance: AtomicI64,
-    /// Batch ship → cumulative ack covering it, in µs (the per-tier
-    /// relay delivery latency).
-    ack_latency_us: Arc<Histogram>,
+brisk_telemetry::metrics! {
+    /// Shared atomic backing for [`RelayStats`] plus the link gauges, so a
+    /// telemetry registry (and tests) can observe a live exporter from
+    /// another thread without locking.
+    pub struct RelayTelemetry =>
+    /// Counters of one upstream exporter.
+    pub struct RelayStats {
+        /// Upstream connections established (including reconnects).
+        connects: counter "brisk_relay_connects_total" "Upstream connections established (including reconnects)",
+        /// `HelloAck`s received (connections the parent actually answered).
+        hello_acks: counter "brisk_relay_hello_acks_total" "HelloAcks received from the upstream ISM",
+        /// Batches shipped upstream (first transmissions).
+        batches_exported: counter "brisk_relay_exported_batches_total" "Merged batches shipped upstream (first transmissions)",
+        /// Records shipped upstream (first transmissions).
+        records_exported: counter "brisk_relay_exported_records_total" "Merged records shipped upstream (first transmissions)",
+        /// Batches replayed from the window after a reconnect.
+        batches_retransmitted: counter "brisk_relay_retransmitted_batches_total" "Batches replayed from the retransmit window after reconnect",
+        /// Cumulative `BatchAck`s received.
+        acks_received: counter "brisk_relay_acks_total" "Batch acknowledgements received from the upstream ISM",
+        /// Heartbeats sent on idle links.
+        heartbeats_sent: counter "brisk_relay_heartbeats_total" "Liveness heartbeats sent upstream on idle links",
+        /// Unacked batches evicted from a full window (lost to replay).
+        window_evicted: counter "brisk_relay_window_evicted_total" "Unacked batches evicted from a full retransmit window",
+        /// Records dropped because the prefix rewrite overflowed (tree too
+        /// deep for the id width).
+        rewrite_errors: counter "brisk_relay_rewrite_errors_total" "Records dropped because the namespace rewrite overflowed",
+        /// Inbound control frames that failed to decode and were skipped.
+        decode_errors: counter "brisk_relay_decode_errors_total" "Inbound upstream control frames that failed to decode",
+        /// Clock adjustments applied from upstream `SyncAdjust`s.
+        adjustments: counter "brisk_relay_adjustments_total" "Clock adjustments applied from upstream sync rounds",
+        /// Release pauses because the upstream credit budget was spent
+        /// (stall leading edges, not per-tick).
+        credit_stalls: counter "brisk_relay_credit_stalls_total" "Release pauses because the upstream credit budget was spent",
+        /// 1 while the upstream link is connected.
+        connected: gauge "brisk_relay_upstream_connected" "1 while the upstream link is established",
+        /// Current retransmit-window occupancy (batches).
+        window_depth: gauge "brisk_relay_window_depth" "Sent-but-unacked upstream batches held for replay",
+        /// Granted credit minus unacked in-flight records (0 while credit is
+        /// off).
+        credit_balance: gauge "brisk_relay_upstream_credit" "Granted upstream credit minus unacked in-flight records",
+        /// Batch ship → cumulative ack covering it, in µs (the per-tier
+        /// relay delivery latency).
+        ack_latency_us: histogram "brisk_relay_ack_latency_us" "Upstream batch ship to cumulative ack latency",
+    }
 }
 
 impl RelayTelemetry {
-    /// Materialize the plain [`RelayStats`] view.
-    pub fn stats(&self) -> RelayStats {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        RelayStats {
-            connects: ld(&self.connects),
-            hello_acks: ld(&self.hello_acks),
-            batches_exported: ld(&self.batches_exported),
-            records_exported: ld(&self.records_exported),
-            batches_retransmitted: ld(&self.batches_retransmitted),
-            acks_received: ld(&self.acks_received),
-            heartbeats_sent: ld(&self.heartbeats_sent),
-            window_evicted: ld(&self.window_evicted),
-            rewrite_errors: ld(&self.rewrite_errors),
-            decode_errors: ld(&self.decode_errors),
-            adjustments: ld(&self.adjustments),
-            credit_stalls: ld(&self.credit_stalls),
-        }
-    }
-
     /// True while the upstream link is up.
     pub fn connected(&self) -> bool {
         self.connected.load(Ordering::Relaxed) == 1
@@ -177,103 +144,7 @@ impl RelayTelemetry {
 
     /// Register every relay series with `registry`, labeled by prefix.
     pub fn bind(self: &Arc<Self>, prefix: NodePrefix, registry: &Registry) {
-        type Field = fn(&RelayTelemetry) -> &AtomicU64;
-        let p = prefix.raw().to_string();
-        let counters: [(&str, &str, Field); 12] = [
-            (
-                "brisk_relay_connects_total",
-                "Upstream connections established (including reconnects)",
-                |t| &t.connects,
-            ),
-            (
-                "brisk_relay_hello_acks_total",
-                "HelloAcks received from the upstream ISM",
-                |t| &t.hello_acks,
-            ),
-            (
-                "brisk_relay_exported_batches_total",
-                "Merged batches shipped upstream (first transmissions)",
-                |t| &t.batches_exported,
-            ),
-            (
-                "brisk_relay_exported_records_total",
-                "Merged records shipped upstream (first transmissions)",
-                |t| &t.records_exported,
-            ),
-            (
-                "brisk_relay_retransmitted_batches_total",
-                "Batches replayed from the retransmit window after reconnect",
-                |t| &t.batches_retransmitted,
-            ),
-            (
-                "brisk_relay_acks_total",
-                "Batch acknowledgements received from the upstream ISM",
-                |t| &t.acks_received,
-            ),
-            (
-                "brisk_relay_heartbeats_total",
-                "Liveness heartbeats sent upstream on idle links",
-                |t| &t.heartbeats_sent,
-            ),
-            (
-                "brisk_relay_window_evicted_total",
-                "Unacked batches evicted from a full retransmit window",
-                |t| &t.window_evicted,
-            ),
-            (
-                "brisk_relay_rewrite_errors_total",
-                "Records dropped because the namespace rewrite overflowed",
-                |t| &t.rewrite_errors,
-            ),
-            (
-                "brisk_relay_decode_errors_total",
-                "Inbound upstream control frames that failed to decode",
-                |t| &t.decode_errors,
-            ),
-            (
-                "brisk_relay_adjustments_total",
-                "Clock adjustments applied from upstream sync rounds",
-                |t| &t.adjustments,
-            ),
-            (
-                "brisk_relay_credit_stalls_total",
-                "Release pauses because the upstream credit budget was spent",
-                |t| &t.credit_stalls,
-            ),
-        ];
-        for (name, help, get) in counters {
-            let me = Arc::clone(self);
-            registry.counter_fn(name, help, &[("prefix", &p)], move || {
-                get(&me).load(Ordering::Relaxed)
-            });
-        }
-        let me = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_relay_upstream_connected",
-            "1 while the upstream link is established",
-            &[("prefix", &p)],
-            move || me.connected.load(Ordering::Relaxed) as i64,
-        );
-        let me = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_relay_window_depth",
-            "Sent-but-unacked upstream batches held for replay",
-            &[("prefix", &p)],
-            move || me.window_depth.load(Ordering::Relaxed) as i64,
-        );
-        let me = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_relay_upstream_credit",
-            "Granted upstream credit minus unacked in-flight records",
-            &[("prefix", &p)],
-            move || me.credit_balance.load(Ordering::Relaxed),
-        );
-        registry.register_histogram(
-            "brisk_relay_ack_latency_us",
-            "Upstream batch ship to cumulative ack latency",
-            &[("prefix", &p)],
-            &self.ack_latency_us,
-        );
+        self.register(registry, &[("prefix", &prefix.raw().to_string())]);
     }
 }
 
@@ -352,7 +223,7 @@ impl UpstreamExporter {
 
     /// Counters so far.
     pub fn stats(&self) -> RelayStats {
-        self.shared.stats()
+        self.shared.snapshot()
     }
 
     /// The shared telemetry backing (clone the `Arc` to observe from
@@ -374,13 +245,13 @@ impl UpstreamExporter {
     fn mirror_gauges(&self) {
         self.shared
             .window_depth
-            .store(self.uplink.window_depth() as u64, Ordering::Relaxed);
+            .store(self.uplink.window_depth() as i64, Ordering::Relaxed);
         self.shared
             .credit_balance
             .store(self.uplink.credit_balance(), Ordering::Relaxed);
         self.shared
             .connected
-            .store(self.uplink.connected() as u64, Ordering::Relaxed);
+            .store(self.uplink.connected() as i64, Ordering::Relaxed);
     }
 
     /// Push the next dial attempt out by the current backoff and double it.

@@ -29,7 +29,7 @@ use brisk_clock::{Clock, SyncMaster, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, TraceStage};
 use brisk_net::{ConnMetrics, Listener};
 use brisk_proto::BatchView;
-use brisk_telemetry::{Counter, Histogram, Registry, StageLatencies};
+use brisk_telemetry::{Registry, StageLatencies};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,6 +54,19 @@ pub struct IsmReport {
     pub relay: Option<crate::relay::RelayStats>,
 }
 
+brisk_telemetry::metrics! {
+    /// Event-path cells shared by the reactor shards and the manager.
+    pub(crate) struct ManagerCells {
+        /// Raised by a shard per event queued, lowered by the manager per
+        /// event handled.
+        pub(crate) queue_depth: gauge "brisk_ism_manager_queue_depth" "Pump events waiting for the ISM manager",
+        acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
+        credit_grants: counter "brisk_ism_credit_grants_total" "Credit replenishments piggybacked on batch acknowledgements",
+        grant_latency: histogram "brisk_ism_grant_latency_us" "Microseconds from a batch entering the manager queue to its credit grant",
+        evicted: counter "brisk_ism_evicted_nodes_total" "Nodes evicted after going silent past the liveness timeout",
+    }
+}
+
 /// The ISM server, pre-spawn. Attach sinks via [`IsmServer::core_mut`],
 /// then call [`IsmServer::spawn`].
 pub struct IsmServer {
@@ -61,7 +74,9 @@ pub struct IsmServer {
     sync: SyncMaster,
     clock: Arc<dyn Clock>,
     flow: Arc<FlowState>,
-    registry: Option<Arc<Registry>>,
+    cells: Arc<ManagerCells>,
+    /// Meters every accepted connection, `Hello` frames included.
+    conn_metrics: Arc<ConnMetrics>,
     /// Liveness: evict a node whose connection has been silent this long.
     node_timeout: Option<Duration>,
     /// Undecodable frames tolerated per connection before disconnect.
@@ -92,7 +107,8 @@ impl IsmServer {
             sync: SyncMaster::new(sync_cfg)?,
             clock,
             flow,
-            registry: None,
+            cells: Arc::default(),
+            conn_metrics: Arc::default(),
             node_timeout,
             error_budget,
             pump_threads,
@@ -106,29 +122,10 @@ impl IsmServer {
     pub fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
         self.core.bind_telemetry(registry);
         self.sync.bind_telemetry(registry);
-        let f = Arc::clone(&self.flow);
-        registry.gauge_fn(
-            "brisk_ism_manager_queue_records",
-            "Records resident in the ISM manager queue",
-            &[],
-            move || f.queued_records() as i64,
-        );
-        let f = Arc::clone(&self.flow);
-        registry.gauge_fn(
-            "brisk_ism_manager_queue_depth_high_water",
-            "Highest record count ever resident in the ISM manager queue",
-            &[],
-            move || f.high_water() as i64,
-        );
-        let f = Arc::clone(&self.flow);
-        registry.counter_fn(
-            "brisk_ism_deferred_reads_total",
-            "Socket reads pumps deferred because the manager queue was over its bound",
-            &[],
-            move || f.deferrals(),
-        );
+        self.flow.bind_telemetry(registry);
         self.quarantine.bind_telemetry(registry);
-        self.registry = Some(Arc::clone(registry));
+        self.cells.register(registry, &[]);
+        self.conn_metrics.register(registry, &[("role", "ism")]);
     }
 
     /// Access the core (e.g. to attach sinks) before spawning.
@@ -156,53 +153,6 @@ impl IsmServer {
         let stages = self.core.stage_latencies().cloned();
         let stop = Arc::new(AtomicBool::new(false));
         let (event_tx, event_rx) = unbounded::<PumpEvent>();
-        let (pump_tx, pump_rx) = unbounded::<PumpHandle>();
-
-        // Queue depth = events enqueued by pumps − events the manager
-        // processed; both sides are cheap relaxed counters.
-        let acks_sent = self.registry.as_ref().map(|r| {
-            r.counter(
-                "brisk_ism_acks_sent_total",
-                "Batch acknowledgements sent to external sensors",
-            )
-        });
-        let credit_grants = self.registry.as_ref().map(|r| {
-            r.counter(
-                "brisk_ism_credit_grants_total",
-                "Credit replenishments piggybacked on batch acknowledgements",
-            )
-        });
-        let grant_latency = self.registry.as_ref().map(|r| {
-            r.histogram(
-                "brisk_ism_grant_latency_us",
-                "Microseconds from a batch entering the manager queue to its credit grant",
-            )
-        });
-        let evicted = self.registry.as_ref().map(|r| {
-            r.counter(
-                "brisk_ism_evicted_nodes_total",
-                "Nodes evicted after going silent past the liveness timeout",
-            )
-        });
-        let (conn_metrics, enqueued, processed) = match &self.registry {
-            Some(registry) => {
-                let enqueued = Arc::new(Counter::new());
-                let processed = Arc::new(Counter::new());
-                let (e, p) = (Arc::clone(&enqueued), Arc::clone(&processed));
-                registry.gauge_fn(
-                    "brisk_ism_manager_queue_depth",
-                    "Pump events waiting for the ISM manager",
-                    &[],
-                    move || e.get().saturating_sub(p.get()) as i64,
-                );
-                (
-                    Some(ConnMetrics::register(registry, "ism")),
-                    Some(enqueued),
-                    Some(processed),
-                )
-            }
-            None => (None, None, None),
-        };
 
         // Reactor pool: a bounded set of shard threads drives every
         // connection, so accepting 1 000 sensors costs sockets, not
@@ -220,8 +170,7 @@ impl IsmServer {
             ReactorConfig {
                 clock: Arc::clone(&self.clock),
                 events: event_tx.clone(),
-                pumps: pump_tx,
-                enqueued,
+                cells: Arc::clone(&self.cells),
                 flow: Arc::clone(&self.flow),
                 error_budget: self.error_budget,
                 quarantine: Arc::clone(&self.quarantine),
@@ -232,6 +181,7 @@ impl IsmServer {
         // Accept thread.
         let accept_stop = Arc::clone(&stop);
         let accept_reactor = Arc::clone(&reactor);
+        let conn_metrics = self.conn_metrics;
         let accept_join = std::thread::Builder::new()
             .name("brisk-ism-accept".into())
             .spawn(move || accept_loop(&mut listener, accept_stop, conn_metrics, accept_reactor))
@@ -245,18 +195,13 @@ impl IsmServer {
             clock: self.clock,
             flow: self.flow,
             events: event_rx,
-            new_pumps: pump_rx,
             pumps: HashMap::new(),
             retiring: Vec::new(),
             round: None,
             last_round_finished: Instant::now(),
             node_timeout: self.node_timeout,
             last_seen: HashMap::new(),
-            processed,
-            acks_sent,
-            credit_grants,
-            grant_latency,
-            evicted,
+            cells: self.cells,
         };
         let manager_join = std::thread::Builder::new()
             .name("brisk-ism-manager".into())
@@ -279,18 +224,15 @@ impl IsmServer {
 fn accept_loop(
     listener: &mut Box<dyn Listener>,
     stop: Arc<AtomicBool>,
-    conn_metrics: Option<ConnMetrics>,
+    conn_metrics: Arc<ConnMetrics>,
     reactor: Arc<ReactorPool>,
 ) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept(Some(Duration::from_millis(50))) {
             Ok(Some(conn)) => {
                 // Meter before the handshake so Hello frames count too.
-                let conn = match &conn_metrics {
-                    Some(m) => m.wrap(conn),
-                    None => conn,
-                };
-                // Hand the raw connection straight to the reactor: the
+                let conn = conn_metrics.wrap(conn);
+                // Hand the connection straight to the reactor: the
                 // greeting (with its 5 s deadline) runs poll-driven on a
                 // shard, so a slow or hung client costs a poll slot, not
                 // a thread, and can never head-of-line-block other
@@ -315,7 +257,6 @@ struct Manager {
     clock: Arc<dyn Clock>,
     flow: Arc<FlowState>,
     events: Receiver<PumpEvent>,
-    new_pumps: Receiver<PumpHandle>,
     pumps: HashMap<NodeId, PumpHandle>,
     /// Stale pumps (displaced by a reconnect) that have been told to shut
     /// down but whose `Disconnected` has not been seen yet.
@@ -329,18 +270,12 @@ struct Manager {
     node_timeout: Option<Duration>,
     /// Last observed life sign per registered node.
     last_seen: HashMap<NodeId, Instant>,
-    processed: Option<Arc<Counter>>,
-    acks_sent: Option<Arc<Counter>>,
-    credit_grants: Option<Arc<Counter>>,
-    grant_latency: Option<Arc<Histogram>>,
-    evicted: Option<Arc<Counter>>,
+    cells: Arc<ManagerCells>,
 }
 
 impl Manager {
     fn run(mut self, stop: Arc<AtomicBool>) -> Result<IsmReport> {
         while !stop.load(Ordering::Relaxed) {
-            // Register newly-accepted connections.
-            self.register_new_pumps();
             // Consume pump events for up to one tick.
             match self.events.recv_timeout(TICK) {
                 Ok(ev) => {
@@ -375,10 +310,9 @@ impl Manager {
             match self.events.recv_timeout(Duration::from_millis(20)) {
                 Ok(ev @ PumpEvent::Disconnected { .. }) => {
                     live -= 1;
-                    // Still routed through handle_event: the processed
-                    // counter must balance the pump's enqueued counter or
-                    // the queue-depth gauge reads a phantom backlog after
-                    // shutdown.
+                    // Still routed through handle_event, which lowers the
+                    // queue-depth gauge the pump raised — or it reads a
+                    // phantom backlog after shutdown.
                     self.handle_event(ev)?;
                 }
                 Ok(ev) => self.handle_event(ev)?,
@@ -395,20 +329,6 @@ impl Manager {
             last_sync: self.sync.last_outcome().cloned(),
             relay: self.core.upstream().map(|u| u.stats()),
         })
-    }
-
-    /// Drain the registration channel. A node that reconnects before its
-    /// dead pump was reaped displaces the old handle: retire it (send
-    /// Shutdown, park until its `Disconnected` arrives) so sync rounds
-    /// never target a dead socket.
-    fn register_new_pumps(&mut self) {
-        while let Ok(handle) = self.new_pumps.try_recv() {
-            self.last_seen.insert(handle.node, Instant::now());
-            if let Some(old) = self.pumps.insert(handle.node, handle) {
-                old.command(PumpCommand::Shutdown);
-                self.retiring.push(old);
-            }
-        }
     }
 
     /// Evict nodes with no life signs past the liveness timeout. TCP can
@@ -437,9 +357,7 @@ impl Manager {
                 );
                 handle.command(PumpCommand::Shutdown);
                 self.retiring.push(handle);
-                if let Some(c) = &self.evicted {
-                    c.inc();
-                }
+                self.cells.evicted.fetch_add(1, Ordering::Relaxed);
                 if let Some(r) = &mut self.round {
                     r.expected.remove(&node);
                 }
@@ -448,10 +366,19 @@ impl Manager {
     }
 
     fn handle_event(&mut self, ev: PumpEvent) -> Result<()> {
-        if let Some(c) = &self.processed {
-            c.inc();
-        }
+        self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
         match ev {
+            // A node that reconnects before its dead pump was reaped
+            // displaces the old handle: retire it (send Shutdown, park
+            // until its `Disconnected` arrives) so sync rounds never
+            // target a dead socket.
+            PumpEvent::Connected(handle) => {
+                self.last_seen.insert(handle.node, Instant::now());
+                if let Some(old) = self.pumps.insert(handle.node, handle) {
+                    old.command(PumpCommand::Shutdown);
+                    self.retiring.push(old);
+                }
+            }
             PumpEvent::Batch {
                 node,
                 id,
@@ -490,10 +417,8 @@ impl Manager {
                 self.flow.sub(n);
                 pushed?;
                 if let Some(seq) = seq {
-                    // The batch may outrun its pump's registration (the
-                    // channels are separate): catch up, then ack through
-                    // the exact pump instance the batch arrived on.
-                    self.register_new_pumps();
+                    // Ack through the exact pump instance the batch
+                    // arrived on.
                     let handle = self
                         .pumps
                         .get(&node)
@@ -510,16 +435,12 @@ impl Manager {
                             None
                         };
                         if handle.command(PumpCommand::Ack { seq, credit }) {
-                            if let Some(c) = &self.acks_sent {
-                                c.inc();
-                            }
+                            self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
                             if credit.is_some() {
-                                if let Some(c) = &self.credit_grants {
-                                    c.inc();
-                                }
-                                if let Some(h) = &self.grant_latency {
-                                    h.record(enqueued_at.elapsed().as_micros() as u64);
-                                }
+                                self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+                                self.cells
+                                    .grant_latency
+                                    .record(enqueued_at.elapsed().as_micros() as u64);
                             }
                         }
                     }
@@ -621,6 +542,7 @@ pub struct IsmHandle {
     addr: String,
     memory: Arc<MemoryBuffer>,
     quarantine: Arc<QuarantineLog>,
+    /// Clone of `LocalOutputs`' optional stage histograms (set when bound).
     stages: Option<Arc<StageLatencies>>,
     stop: Arc<AtomicBool>,
     reactor: Arc<ReactorPool>,

@@ -62,6 +62,10 @@ pub enum PumpCommand {
 /// Events pumps send to the manager.
 #[derive(Debug)]
 pub enum PumpEvent {
+    /// A connection completed its greeting; here is the handle to command
+    /// it through. Sent on the connection's own shard thread, so it is
+    /// queued ahead of that connection's first batch.
+    Connected(PumpHandle),
     /// A batch of records arrived.
     Batch {
         /// Origin node (the *handshake* identity — the pump rejects
@@ -125,6 +129,7 @@ pub enum PumpEvent {
 }
 
 /// Handle the manager holds for one pump.
+#[derive(Debug)]
 pub struct PumpHandle {
     /// The node this pump serves.
     pub node: NodeId,
@@ -206,12 +211,16 @@ pub(crate) struct PumpIo {
 }
 
 impl PumpIo {
-    pub(crate) fn send_event(&self, ctx: &ReactorConfig, event: PumpEvent) {
-        if ctx.events.send(event).is_ok() {
-            if let Some(c) = &ctx.enqueued {
-                c.inc();
-            }
+    /// Queue `event` for the manager; `false` when the manager is gone.
+    /// The depth is raised first so the manager's matching decrement can
+    /// never be observed ahead of it.
+    pub(crate) fn send_event(&self, ctx: &ReactorConfig, event: PumpEvent) -> bool {
+        ctx.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let sent = ctx.events.send(event).is_ok();
+        if !sent {
+            ctx.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
+        sent
     }
 
     /// Quarantine one undecodable frame. `Err` when the connection's

@@ -30,125 +30,76 @@ use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage}
 use brisk_net::Connection;
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::{Histogram, Registry, StageTimer};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Counters the EXS maintains while running.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExsStats {
-    /// Records drained from sensor rings.
-    pub records_drained: u64,
-    /// Records sent to the ISM.
-    pub records_sent: u64,
-    /// Batches sent.
-    pub batches_sent: u64,
-    /// Batches flushed by the record-count knob.
-    pub flush_records: u64,
-    /// Batches flushed by the byte-size knob.
-    pub flush_bytes: u64,
-    /// Batches flushed by the latency timeout.
-    pub flush_timeout: u64,
-    /// Batches flushed explicitly (shutdown).
-    pub flush_forced: u64,
-    /// Sync polls answered.
-    pub sync_replies: u64,
-    /// Sync adjustments applied.
-    pub adjustments: u64,
-    /// Sync adjustments ignored because `sync_disabled` is set (chaos
-    /// plane: the node's clock is deliberately left to drift).
-    pub sync_ignored: u64,
-    /// Cumulative `BatchAck`s received from the ISM (v2 delivery).
-    pub acks_received: u64,
-    /// Batches replayed from the retransmit window after a reconnect.
-    pub batches_retransmitted: u64,
-    /// Unacked batches evicted from a full retransmit window (lost to
-    /// replay; delivery degraded to v1 semantics for those records).
-    pub window_evicted: u64,
-    /// Ring scoops deferred because the ISM's credit budget was spent
-    /// (protocol v3 flow control); backpressure is parked in the rings.
-    pub credit_deferrals: u64,
-    /// Liveness heartbeats sent to the ISM (protocol v3, idle links only).
-    pub heartbeats_sent: u64,
-    /// `HelloAck`s received (one per successfully established connection).
-    pub hello_acks: u64,
-    /// Inbound control frames that failed to decode and were skipped.
-    pub decode_errors: u64,
-    /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
-    /// numerator.
-    pub busy_nanos: u64,
-    /// Loop iterations executed.
-    pub iterations: u64,
-}
-
-/// Shared atomic backing for [`ExsStats`] plus the EXS's stage
-/// histograms. Lives in an `Arc` so a telemetry registry (and the
-/// spawning thread, via [`ExsHandle`]) can observe a live EXS without
-/// locking: every field is a relaxed atomic the EXS thread bumps in
-/// place of the old plain-struct counters.
-#[derive(Debug, Default)]
-pub struct ExsTelemetry {
-    records_drained: AtomicU64,
-    records_sent: AtomicU64,
-    batches_sent: AtomicU64,
-    flush_records: AtomicU64,
-    flush_bytes: AtomicU64,
-    flush_timeout: AtomicU64,
-    flush_forced: AtomicU64,
-    sync_replies: AtomicU64,
-    adjustments: AtomicU64,
-    sync_ignored: AtomicU64,
-    acks_received: AtomicU64,
-    batches_retransmitted: AtomicU64,
-    window_evicted: AtomicU64,
-    credit_deferrals: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    hello_acks: AtomicU64,
-    decode_errors: AtomicU64,
-    /// Current retransmit-window occupancy (batches), mirrored from the
-    /// EXS thread so a registry gauge can observe it without locking.
-    window_depth: AtomicU64,
-    /// Remaining credit (granted budget − unacked in-flight records),
-    /// mirrored from the EXS thread; 0 while credit is off.
-    credit_balance: AtomicI64,
-    busy_nanos: AtomicU64,
-    iterations: AtomicU64,
-    /// Per-step drain+batch latency in µs, on the node's clock (so it is
-    /// deterministic under `SimClock`).
-    drain_us: Arc<Histogram>,
-    /// Records per emitted batch.
-    batch_records: Arc<Histogram>,
-    /// Ack lag: unacked batches still in the window when each ack lands.
-    ack_lag: Arc<Histogram>,
+brisk_telemetry::metrics! {
+    /// Shared atomic backing for [`ExsStats`] plus the EXS's link gauges
+    /// and stage histograms. Lives in an `Arc` so a telemetry registry
+    /// (and the spawning thread, via [`ExsHandle`]) can observe a live EXS
+    /// without locking: the EXS thread bumps every cell in place.
+    pub struct ExsTelemetry =>
+    /// Counters the EXS maintains while running.
+    pub struct ExsStats {
+        /// Records drained from sensor rings.
+        records_drained: counter "brisk_exs_records_drained_total" "Records drained from sensor rings",
+        /// Records sent to the ISM.
+        records_sent: counter "brisk_exs_records_sent_total" "Records shipped to the ISM",
+        /// Batches sent.
+        batches_sent: counter "brisk_exs_batches_sent_total" "Batches shipped to the ISM",
+        /// Batches flushed by the record-count knob.
+        flush_records: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "records"],
+        /// Batches flushed by the byte-size knob.
+        flush_bytes: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "bytes"],
+        /// Batches flushed by the latency timeout.
+        flush_timeout: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "timeout"],
+        /// Batches flushed explicitly (shutdown).
+        flush_forced: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "forced"],
+        /// Sync polls answered.
+        sync_replies: counter "brisk_exs_sync_replies_total" "Sync polls answered",
+        /// Sync adjustments applied.
+        adjustments: counter "brisk_exs_adjustments_total" "Clock adjustments applied",
+        /// Sync adjustments ignored because `sync_disabled` is set (chaos
+        /// plane: the node's clock is deliberately left to drift).
+        sync_ignored: counter "brisk_exs_sync_ignored_total" "Clock adjustments ignored (sync disabled on this node)",
+        /// Cumulative `BatchAck`s received from the ISM (v2 delivery).
+        acks_received: counter "brisk_exs_acks_total" "Batch acknowledgements received from the ISM",
+        /// Batches replayed from the retransmit window after a reconnect.
+        batches_retransmitted: counter "brisk_exs_batches_retransmitted_total" "Batches replayed from the retransmit window after reconnect",
+        /// Unacked batches evicted from a full retransmit window (lost to
+        /// replay; delivery degraded to v1 semantics for those records).
+        window_evicted: counter "brisk_exs_window_evicted_total" "Unacked batches evicted from a full retransmit window",
+        /// Ring scoops deferred because the ISM's credit budget was spent
+        /// (protocol v3 flow control); backpressure is parked in the rings.
+        credit_deferrals: counter "brisk_exs_credit_deferred_total" "Ring scoops deferred waiting for ISM credit",
+        /// Liveness heartbeats sent to the ISM (protocol v3, idle links only).
+        heartbeats_sent: counter "brisk_exs_heartbeats_sent_total" "Liveness heartbeats sent to the ISM on idle links",
+        /// `HelloAck`s received (one per successfully established connection).
+        hello_acks: counter "brisk_exs_hello_acks_total" "HelloAcks received (established connections)",
+        /// Inbound control frames that failed to decode and were skipped.
+        decode_errors: counter "brisk_exs_decode_errors_total" "Inbound control frames that failed to decode and were skipped",
+        /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
+        /// numerator.
+        busy_nanos: counter "brisk_exs_busy_nanos_total" "Nanoseconds spent working",
+        /// Loop iterations executed.
+        iterations: counter "brisk_exs_iterations_total" "EXS loop iterations",
+        /// Current retransmit-window occupancy (batches).
+        window_depth: gauge "brisk_exs_retransmit_window_depth" "Sent-but-unacked batches held for replay",
+        /// Remaining credit (granted budget − unacked in-flight records);
+        /// 0 while credit is off.
+        credit_balance: gauge "brisk_exs_credit_balance" "Granted credit minus unacked in-flight records (0 while credit is off)",
+        /// Per-step drain+batch latency in µs, on the node's clock (so it is
+        /// deterministic under `SimClock`).
+        drain_us: histogram "brisk_exs_drain_us" "Per-step drain+batch latency on the node clock",
+        /// Records per emitted batch.
+        batch_records: histogram "brisk_exs_batch_records" "Records per emitted batch",
+        /// Ack lag: unacked batches still in the window when each ack lands.
+        ack_lag: histogram "brisk_exs_ack_lag_batches" "Unacked batches still windowed when each ack landed",
+    }
 }
 
 impl ExsTelemetry {
-    /// Materialize the plain [`ExsStats`] view from the atomics.
-    pub fn stats(&self) -> ExsStats {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ExsStats {
-            records_drained: ld(&self.records_drained),
-            records_sent: ld(&self.records_sent),
-            batches_sent: ld(&self.batches_sent),
-            flush_records: ld(&self.flush_records),
-            flush_bytes: ld(&self.flush_bytes),
-            flush_timeout: ld(&self.flush_timeout),
-            flush_forced: ld(&self.flush_forced),
-            sync_replies: ld(&self.sync_replies),
-            adjustments: ld(&self.adjustments),
-            sync_ignored: ld(&self.sync_ignored),
-            acks_received: ld(&self.acks_received),
-            batches_retransmitted: ld(&self.batches_retransmitted),
-            window_evicted: ld(&self.window_evicted),
-            credit_deferrals: ld(&self.credit_deferrals),
-            heartbeats_sent: ld(&self.heartbeats_sent),
-            hello_acks: ld(&self.hello_acks),
-            decode_errors: ld(&self.decode_errors),
-            busy_nanos: ld(&self.busy_nanos),
-            iterations: ld(&self.iterations),
-        }
-    }
-
     /// `HelloAck`s received so far. A supervisor watches this across a
     /// reconnect: only a grown count proves the ISM answered the new
     /// `Hello`, which is the signal that may reset the backoff (a bare
@@ -167,141 +118,9 @@ impl ExsTelemetry {
         &self.batch_records
     }
 
-    /// Register every EXS series with `registry`, labeled by node:
-    /// `brisk_exs_*_total` counters (flushes labeled by `reason`), the
-    /// `brisk_exs_drain_us` latency histogram and the
-    /// `brisk_exs_batch_records` size histogram.
+    /// Register every EXS series with `registry`, labeled by node.
     pub fn bind(self: &Arc<Self>, node: NodeId, registry: &Registry) {
-        type Field = fn(&ExsTelemetry) -> &AtomicU64;
-        let n = node.0.to_string();
-        let counters: [(&str, &str, Field); 15] = [
-            (
-                "brisk_exs_records_drained_total",
-                "Records drained from sensor rings",
-                |t| &t.records_drained,
-            ),
-            (
-                "brisk_exs_records_sent_total",
-                "Records shipped to the ISM",
-                |t| &t.records_sent,
-            ),
-            (
-                "brisk_exs_batches_sent_total",
-                "Batches shipped to the ISM",
-                |t| &t.batches_sent,
-            ),
-            ("brisk_exs_sync_replies_total", "Sync polls answered", |t| {
-                &t.sync_replies
-            }),
-            (
-                "brisk_exs_adjustments_total",
-                "Clock adjustments applied",
-                |t| &t.adjustments,
-            ),
-            (
-                "brisk_exs_sync_ignored_total",
-                "Clock adjustments ignored (sync disabled on this node)",
-                |t| &t.sync_ignored,
-            ),
-            (
-                "brisk_exs_acks_total",
-                "Batch acknowledgements received from the ISM",
-                |t| &t.acks_received,
-            ),
-            (
-                "brisk_exs_batches_retransmitted_total",
-                "Batches replayed from the retransmit window after reconnect",
-                |t| &t.batches_retransmitted,
-            ),
-            (
-                "brisk_exs_window_evicted_total",
-                "Unacked batches evicted from a full retransmit window",
-                |t| &t.window_evicted,
-            ),
-            (
-                "brisk_exs_credit_deferred_total",
-                "Ring scoops deferred waiting for ISM credit",
-                |t| &t.credit_deferrals,
-            ),
-            (
-                "brisk_exs_heartbeats_sent_total",
-                "Liveness heartbeats sent to the ISM on idle links",
-                |t| &t.heartbeats_sent,
-            ),
-            (
-                "brisk_exs_hello_acks_total",
-                "HelloAcks received (established connections)",
-                |t| &t.hello_acks,
-            ),
-            (
-                "brisk_exs_decode_errors_total",
-                "Inbound control frames that failed to decode and were skipped",
-                |t| &t.decode_errors,
-            ),
-            (
-                "brisk_exs_busy_nanos_total",
-                "Nanoseconds spent working",
-                |t| &t.busy_nanos,
-            ),
-            ("brisk_exs_iterations_total", "EXS loop iterations", |t| {
-                &t.iterations
-            }),
-        ];
-        for (name, help, get) in counters {
-            let me = Arc::clone(self);
-            registry.counter_fn(name, help, &[("node", &n)], move || {
-                get(&me).load(Ordering::Relaxed)
-            });
-        }
-        let reasons: [(&str, Field); 4] = [
-            ("records", |t| &t.flush_records),
-            ("bytes", |t| &t.flush_bytes),
-            ("timeout", |t| &t.flush_timeout),
-            ("forced", |t| &t.flush_forced),
-        ];
-        for (reason, get) in reasons {
-            let me = Arc::clone(self);
-            registry.counter_fn(
-                "brisk_exs_flush_total",
-                "Batch flushes by triggering knob",
-                &[("node", &n), ("reason", reason)],
-                move || get(&me).load(Ordering::Relaxed),
-            );
-        }
-        // Histograms are owned here (the EXS records into them whether
-        // or not a registry is attached); the registry adopts the Arcs.
-        registry.register_histogram(
-            "brisk_exs_drain_us",
-            "Per-step drain+batch latency on the node clock",
-            &[("node", &n)],
-            &self.drain_us,
-        );
-        registry.register_histogram(
-            "brisk_exs_batch_records",
-            "Records per emitted batch",
-            &[("node", &n)],
-            &self.batch_records,
-        );
-        registry.register_histogram(
-            "brisk_exs_ack_lag_batches",
-            "Unacked batches still windowed when each ack landed",
-            &[("node", &n)],
-            &self.ack_lag,
-        );
-        let me = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_exs_retransmit_window_depth",
-            "Sent-but-unacked batches held for replay",
-            &[("node", &n)],
-            move || me.window_depth.load(Ordering::Relaxed) as i64,
-        );
-        let me = Arc::clone(self);
-        registry.gauge_fn(
-            "brisk_exs_credit_balance",
-            "Granted credit minus unacked in-flight records (0 while credit is off)",
-            &[("node", &n)],
-            move || me.credit_balance.load(Ordering::Relaxed),
-        );
+        self.register(registry, &[("node", &node.0.to_string())]);
     }
 }
 
@@ -419,7 +238,7 @@ impl ExternalSensor {
     fn mirror_link_gauges(&self) {
         self.shared
             .window_depth
-            .store(self.uplink.window_depth() as u64, Ordering::Relaxed);
+            .store(self.uplink.window_depth() as i64, Ordering::Relaxed);
         self.shared
             .credit_balance
             .store(self.uplink.credit_balance(), Ordering::Relaxed);
@@ -465,7 +284,7 @@ impl ExternalSensor {
 
     /// Counters so far.
     pub fn stats(&self) -> ExsStats {
-        self.shared.stats()
+        self.shared.snapshot()
     }
 
     /// The shared telemetry backing (clone the `Arc` to observe this EXS
@@ -725,7 +544,7 @@ impl ExternalSensor {
             self.send_batch(batch, reason)?;
         }
         self.uplink.send_shutdown();
-        Ok(self.shared.stats())
+        Ok(self.shared.snapshot())
     }
 }
 
@@ -746,7 +565,7 @@ impl ExsHandle {
 
     /// Live counters of the running EXS (no need to stop it).
     pub fn stats_now(&self) -> ExsStats {
-        self.shared.stats()
+        self.shared.snapshot()
     }
 
     /// The shared telemetry backing of the running EXS.

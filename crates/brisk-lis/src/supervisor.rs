@@ -99,7 +99,7 @@ fn next_backoff(rng: &mut StdRng, prev: Duration, sup: &SupervisorConfig) -> Dur
 fn supervised_stats(shared: &ExsTelemetry, connects: &AtomicU64) -> SupervisedStats {
     let connects = connects.load(Ordering::Relaxed);
     SupervisedStats {
-        exs: shared.stats(),
+        exs: shared.snapshot(),
         connects,
         reconnects: connects.saturating_sub(1),
     }
@@ -268,7 +268,14 @@ fn supervise(
             }
             match exs.step() {
                 // The ISM asked us to stop — honour it, do not reconnect.
-                Ok(ExsStep::Shutdown) => break true,
+                // Except on a *re*connection it never acknowledged: the
+                // ISM answers a `Hello` for a node id it still holds with
+                // `Shutdown`, and right after a link death the holder is
+                // our own dead connection, not yet reaped. Back off and
+                // dial again; the claim is released within a reactor tick.
+                Ok(ExsStep::Shutdown) => {
+                    break incarnation == 1 || shared.hello_acks() > acks_before
+                }
                 Ok(ExsStep::Disconnected) => break false,
                 Ok(_) => {}
                 Err(e) if e.is_disconnect() => break false,
@@ -583,6 +590,52 @@ mod tests {
             with_ack < without_ack,
             "acked incarnations must reconnect faster ({with_ack:?} vs {without_ack:?})"
         );
+    }
+
+    #[test]
+    fn a_reconnect_refused_before_its_hello_ack_is_retried() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            RingSet::new(NodeId(1), 1 << 20),
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig::default(),
+            SupervisorConfig {
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+                max_consecutive_failures: None,
+            },
+        )
+        .unwrap();
+        let mut accept = || {
+            let mut conn = listener
+                .accept(Some(Duration::from_secs(5)))
+                .unwrap()
+                .expect("the supervisor must dial");
+            let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            conn
+        };
+        // Incarnation 1 is established, then its link dies abruptly.
+        let mut first = accept();
+        let ack = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: None,
+        };
+        first.send(&ack.encode()).unwrap();
+        while handle.stats_now().exs.hello_acks < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(first);
+        // Incarnation 2 races the ISM's reaping of the dead connection and
+        // is refused as a duplicate: `Shutdown`, no `HelloAck`.
+        let mut second = accept();
+        second.send(&Message::Shutdown.encode()).unwrap();
+        // The node must come back rather than stay down for good.
+        let _third = accept();
+        handle.stop().ok();
     }
 
     #[test]

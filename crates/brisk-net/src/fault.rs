@@ -152,15 +152,23 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+brisk_telemetry::metrics! {
+    /// Faults injected so far, one `brisk_fault_injected_total{kind=..}`
+    /// series per kind.
+    struct FaultCells {
+        corrupted: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "corrupt"],
+        truncated: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "truncate"],
+        duplicated: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "duplicate"],
+        reordered: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "reorder"],
+        delayed: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "delay"],
+        killed: counter "brisk_fault_injected_total" "Wire faults injected by the brisk-net fault plane" ["kind" = "kill"],
+    }
+}
+
 /// Shared fault accounting: per-kind counters plus a bounded event log.
 #[derive(Default)]
 pub struct FaultStats {
-    corrupted: AtomicU64,
-    truncated: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-    killed: AtomicU64,
+    cells: Arc<FaultCells>,
     clean: AtomicU64,
     events: Mutex<Vec<FaultEvent>>,
 }
@@ -182,13 +190,15 @@ impl FaultStats {
     /// `(corrupted, truncated, duplicated, reordered, delayed, killed)`
     /// totals so far.
     pub fn counts(&self) -> (u64, u64, u64, u64, u64, u64) {
+        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let c = &self.cells;
         (
-            self.corrupted.load(Ordering::Relaxed),
-            self.truncated.load(Ordering::Relaxed),
-            self.duplicated.load(Ordering::Relaxed),
-            self.reordered.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-            self.killed.load(Ordering::Relaxed),
+            ld(&c.corrupted),
+            ld(&c.truncated),
+            ld(&c.duplicated),
+            ld(&c.reordered),
+            ld(&c.delayed),
+            ld(&c.killed),
         )
     }
 
@@ -211,32 +221,7 @@ impl FaultStats {
     /// Export the per-kind injection counters as
     /// `brisk_fault_injected_total{kind=...}`.
     pub fn bind_telemetry(self: &Arc<Self>, registry: &Registry) {
-        let name = "brisk_fault_injected_total";
-        let help = "Wire faults injected by the brisk-net fault plane";
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "corrupt")], move || {
-            s.corrupted.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "truncate")], move || {
-            s.truncated.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "duplicate")], move || {
-            s.duplicated.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "reorder")], move || {
-            s.reordered.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "delay")], move || {
-            s.delayed.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.counter_fn(name, help, &[("kind", "kill")], move || {
-            s.killed.load(Ordering::Relaxed)
-        });
+        self.cells.register(registry, &[]);
     }
 }
 
@@ -390,7 +375,7 @@ impl FaultingConnection {
                 self.inner = None;
                 self.stashed = None;
                 self.stats
-                    .record(&self.stats.killed, self.event(idx, FaultKind::Kill));
+                    .record(&self.stats.cells.killed, self.event(idx, FaultKind::Kill));
             }
         }
         if self.inner.is_none() {
@@ -407,7 +392,7 @@ impl FaultingConnection {
                 .rng
                 .gen_range(0..=self.spec.max_delay.as_micros() as u64);
             self.stats.record(
-                &self.stats.delayed,
+                &self.stats.cells.delayed,
                 self.event(idx, FaultKind::Delay { us }),
             );
             std::thread::sleep(Duration::from_micros(us));
@@ -426,7 +411,7 @@ impl FaultingConnection {
                 flips.push((off, mask));
             }
             self.stats.record(
-                &self.stats.corrupted,
+                &self.stats.cells.corrupted,
                 self.event(idx, FaultKind::Corrupt(flips)),
             );
             faulted = true;
@@ -438,7 +423,7 @@ impl FaultingConnection {
             let keep = self.rng.gen_range(0..payload.len());
             payload.truncate(keep);
             self.stats.record(
-                &self.stats.truncated,
+                &self.stats.cells.truncated,
                 self.event(idx, FaultKind::Truncate { keep }),
             );
             faulted = true;
@@ -449,14 +434,16 @@ impl FaultingConnection {
 
         if reorder && self.stashed.is_none() {
             // Hold this frame back; it goes out right after the next one.
-            self.stats
-                .record(&self.stats.reordered, self.event(idx, FaultKind::Reorder));
+            self.stats.record(
+                &self.stats.cells.reordered,
+                self.event(idx, FaultKind::Reorder),
+            );
             self.stashed = Some(payload);
             return Ok(());
         }
         if duplicate {
             self.stats.record(
-                &self.stats.duplicated,
+                &self.stats.cells.duplicated,
                 self.event(idx, FaultKind::Duplicate),
             );
             faulted = true;

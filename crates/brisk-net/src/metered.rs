@@ -1,70 +1,45 @@
 //! Connection instrumentation: a transparent byte/frame-counting wrapper.
 //!
 //! [`MeteredConnection`] wraps any [`Connection`] and counts frames and
-//! bytes in each direction into shared telemetry counters, so the ISM
+//! bytes in each direction into shared [`ConnMetrics`] cells, so the ISM
 //! can expose per-direction traffic totals without the transports
-//! knowing anything about metrics. The counters are registry handles
-//! (`Arc<Counter>`), so wrapping every accepted connection with the same
-//! [`ConnMetrics`] aggregates naturally into one series per direction.
+//! knowing anything about metrics. Wrapping every accepted connection
+//! with the same cells aggregates naturally into one series per
+//! direction.
 
 use crate::traits::Connection;
 use brisk_core::Result;
-use brisk_telemetry::{Counter, Registry};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The four traffic counters a [`MeteredConnection`] feeds.
-#[derive(Clone)]
-pub struct ConnMetrics {
-    frames_in: Arc<Counter>,
-    frames_out: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
+brisk_telemetry::metrics! {
+    /// The four traffic counters a [`MeteredConnection`] feeds; register
+    /// them labeled by `role` (e.g. `"ism"` or `"exs"`).
+    pub struct ConnMetrics {
+        frames_in: counter "brisk_net_frames_total" "Frames moved over connections" ["dir" = "in"],
+        frames_out: counter "brisk_net_frames_total" "Frames moved over connections" ["dir" = "out"],
+        bytes_in: counter "brisk_net_bytes_total" "Frame payload bytes moved over connections" ["dir" = "in"],
+        bytes_out: counter "brisk_net_bytes_total" "Frame payload bytes moved over connections" ["dir" = "out"],
+    }
 }
 
 impl ConnMetrics {
-    /// Register (or fetch) the traffic series in `registry`, labeled by
-    /// `role` (e.g. `"ism"` or `"exs"`):
-    /// `brisk_net_frames_total{role=..,dir=in|out}` and
-    /// `brisk_net_bytes_total{role=..,dir=in|out}`.
-    pub fn register(registry: &Registry, role: &str) -> ConnMetrics {
-        let f = "brisk_net_frames_total";
-        let fh = "Frames moved over connections";
-        let b = "brisk_net_bytes_total";
-        let bh = "Frame payload bytes moved over connections";
-        ConnMetrics {
-            frames_in: registry.counter_with(f, fh, &[("role", role), ("dir", "in")]),
-            frames_out: registry.counter_with(f, fh, &[("role", role), ("dir", "out")]),
-            bytes_in: registry.counter_with(b, bh, &[("role", role), ("dir", "in")]),
-            bytes_out: registry.counter_with(b, bh, &[("role", role), ("dir", "out")]),
-        }
-    }
-
-    /// Standalone counters not attached to any registry (tests).
-    pub fn detached() -> ConnMetrics {
-        ConnMetrics {
-            frames_in: Arc::new(Counter::new()),
-            frames_out: Arc::new(Counter::new()),
-            bytes_in: Arc::new(Counter::new()),
-            bytes_out: Arc::new(Counter::new()),
-        }
-    }
-
     /// (frames_in, frames_out, bytes_in, bytes_out) totals so far.
     pub fn totals(&self) -> (u64, u64, u64, u64) {
         (
-            self.frames_in.get(),
-            self.frames_out.get(),
-            self.bytes_in.get(),
-            self.bytes_out.get(),
+            self.frames_in.load(Relaxed),
+            self.frames_out.load(Relaxed),
+            self.bytes_in.load(Relaxed),
+            self.bytes_out.load(Relaxed),
         )
     }
 
     /// Wrap a connection so its traffic feeds these counters.
-    pub fn wrap(&self, inner: Box<dyn Connection>) -> Box<dyn Connection> {
+    pub fn wrap(self: &Arc<Self>, inner: Box<dyn Connection>) -> Box<dyn Connection> {
         Box::new(MeteredConnection {
             inner,
-            metrics: self.clone(),
+            metrics: Arc::clone(self),
         })
     }
 }
@@ -74,22 +49,24 @@ impl ConnMetrics {
 /// uncounted; only delivered frames move the counters.
 pub struct MeteredConnection {
     inner: Box<dyn Connection>,
-    metrics: ConnMetrics,
+    metrics: Arc<ConnMetrics>,
 }
 
 impl Connection for MeteredConnection {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         self.inner.send(frame)?;
-        self.metrics.frames_out.inc();
-        self.metrics.bytes_out.add(frame.len() as u64);
+        self.metrics.frames_out.fetch_add(1, Relaxed);
+        self.metrics
+            .bytes_out
+            .fetch_add(frame.len() as u64, Relaxed);
         Ok(())
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>> {
         let got = self.inner.recv(timeout)?;
         if let Some(frame) = &got {
-            self.metrics.frames_in.inc();
-            self.metrics.bytes_in.add(frame.len() as u64);
+            self.metrics.frames_in.fetch_add(1, Relaxed);
+            self.metrics.bytes_in.fetch_add(frame.len() as u64, Relaxed);
         }
         Ok(got)
     }
@@ -112,6 +89,7 @@ mod tests {
     use super::*;
     use crate::mem::MemTransport;
     use crate::traits::Transport;
+    use brisk_telemetry::Registry;
 
     #[test]
     fn counts_both_directions() {
@@ -120,7 +98,7 @@ mod tests {
         let client = t.connect("x").unwrap();
         let server = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
 
-        let m = ConnMetrics::detached();
+        let m = Arc::<ConnMetrics>::default();
         let mut client = m.wrap(client);
         let mut server = server;
 
@@ -140,7 +118,8 @@ mod tests {
     #[test]
     fn registry_series_aggregate_across_connections() {
         let registry = Registry::new();
-        let m = ConnMetrics::register(&registry, "ism");
+        let m = Arc::<ConnMetrics>::default();
+        m.register(&registry, &[("role", "ism")]);
         let t = MemTransport::new();
         let mut l = t.listen("x").unwrap();
         for _ in 0..3 {
@@ -167,7 +146,7 @@ mod tests {
         let mut l = t.listen("x").unwrap();
         let _client = t.connect("x").unwrap();
         let server = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        let m = ConnMetrics::detached();
+        let m = Arc::<ConnMetrics>::default();
         let mut server = m.wrap(server);
         assert!(server
             .recv(Some(Duration::from_millis(5)))

@@ -51,7 +51,7 @@ use brisk_proto::{DescriptorDict, DictKey};
 use brisk_telemetry::Registry;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Records per block frame. Large enough to amortize the frame header and
@@ -424,20 +424,21 @@ impl Default for CompactConfig {
     }
 }
 
-/// Lock-free counters describing compactor activity.
-#[derive(Debug, Default)]
-pub struct CompactStats {
-    /// Segments rewritten in the compacted format.
-    pub segments_compacted: AtomicU64,
-    /// Records carried through compaction.
-    pub records_compacted: AtomicU64,
-    /// Sum of segment byte sizes before compaction.
-    pub bytes_before: AtomicU64,
-    /// Sum of segment byte sizes after compaction.
-    pub bytes_after: AtomicU64,
-    /// Eligible segments skipped (torn/corrupt frames, no win, raced with
-    /// retention, already compacted).
-    pub segments_skipped: AtomicU64,
+brisk_telemetry::metrics! {
+    /// Lock-free counters describing compactor activity.
+    pub struct CompactStats {
+        /// Segments rewritten in the compacted format.
+        pub segments_compacted: counter "brisk_store_compactions_total" "Cold sealed segments rewritten in the compacted format",
+        /// Records carried through compaction.
+        pub records_compacted: counter "brisk_store_compacted_records_total" "Records carried through compaction",
+        /// Sum of segment byte sizes before compaction.
+        pub bytes_before: counter "brisk_store_compaction_bytes_before_total" "Byte size of compacted segments before rewriting",
+        /// Sum of segment byte sizes after compaction.
+        pub bytes_after: counter "brisk_store_compaction_bytes_after_total" "Byte size of compacted segments after rewriting",
+        /// Eligible segments skipped (torn/corrupt frames, no win, raced with
+        /// retention, already compacted).
+        pub segments_skipped: counter "brisk_store_compaction_skipped_total" "Eligible segments left alone (damaged, empty, or no win)",
+    }
 }
 
 /// What one compaction sweep did.
@@ -485,39 +486,7 @@ impl Compactor {
 
     /// Register compaction counters on `registry`.
     pub fn bind_telemetry(&self, registry: &Registry) {
-        macro_rules! counter {
-            ($name:literal, $help:literal, $field:ident) => {{
-                let stats = Arc::clone(&self.stats);
-                registry.counter_fn($name, $help, &[], move || {
-                    stats.$field.load(Ordering::Relaxed)
-                });
-            }};
-        }
-        counter!(
-            "brisk_store_compactions_total",
-            "Cold sealed segments rewritten in the compacted format",
-            segments_compacted
-        );
-        counter!(
-            "brisk_store_compacted_records_total",
-            "Records carried through compaction",
-            records_compacted
-        );
-        counter!(
-            "brisk_store_compaction_bytes_before_total",
-            "Byte size of compacted segments before rewriting",
-            bytes_before
-        );
-        counter!(
-            "brisk_store_compaction_bytes_after_total",
-            "Byte size of compacted segments after rewriting",
-            bytes_after
-        );
-        counter!(
-            "brisk_store_compaction_skipped_total",
-            "Eligible segments left alone (damaged, empty, or no win)",
-            segments_skipped
-        );
+        self.stats.register(registry, &[]);
     }
 
     /// One sweep: examine every eligible cold sealed segment and rewrite

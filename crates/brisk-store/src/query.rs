@@ -222,9 +222,7 @@ impl StoreReader {
             }
         }
         report.records_matched = records.len() as u64;
-        if let Some(h) = &self.scan_micros {
-            record_elapsed(h, started);
-        }
+        record_elapsed(&self.stats.scan_micros, started);
         let entry = Arc::new(CachedQuery { records, report });
         if let Some(cache) = &self.cache {
             cache.put(fp, Arc::clone(&entry));

@@ -18,7 +18,7 @@ use brisk_core::{binenc, BriskError, EventRecord, Result, UtcMicros};
 use brisk_telemetry::Registry;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What recovery found while reading a store.
@@ -54,25 +54,28 @@ impl RecoveryReport {
     }
 }
 
-/// Lock-free counters shared by one reader's scans, exportable through
-/// [`StoreReader::bind_telemetry`].
-#[derive(Debug, Default)]
-pub struct ReaderStats {
-    /// Segments that vanished mid-scan (retention eviction) and were
-    /// skipped instead of surfacing an io error.
-    pub evicted_under_scan: AtomicU64,
-    /// Sidecar indexes ignored because their seal stamp disagreed with
-    /// the segment bytes on disk.
-    pub stale_indexes: AtomicU64,
-    /// Segments skipped entirely by zone-map/time-range pruning during
-    /// queries.
-    pub segments_pruned: AtomicU64,
-    /// Segments decode-scanned for queries.
-    pub segments_scanned: AtomicU64,
-    /// Queries answered from the shared result cache.
-    pub cache_hits: AtomicU64,
-    /// Queries that had to scan (cache miss or no cache attached).
-    pub cache_misses: AtomicU64,
+brisk_telemetry::metrics! {
+    /// Lock-free counters shared by one reader's scans, published by
+    /// [`StoreReader::bind_telemetry`].
+    pub struct ReaderStats {
+        /// Segments that vanished mid-scan (retention eviction) and were
+        /// skipped instead of surfacing an io error.
+        pub evicted_under_scan: counter "brisk_store_reader_evicted_under_scan_total" "Segments unlinked by retention mid-scan, skipped by readers",
+        /// Sidecar indexes ignored because their seal stamp disagreed with
+        /// the segment bytes on disk.
+        pub stale_indexes: counter "brisk_store_reader_stale_indexes_total" "Sidecar indexes ignored because their seal stamp mismatched",
+        /// Segments skipped entirely by zone-map/time-range pruning during
+        /// queries.
+        pub segments_pruned: counter "brisk_store_segments_pruned_total" "Segments skipped entirely by zone-map/time-range pruning",
+        /// Segments decode-scanned for queries.
+        pub segments_scanned: counter "brisk_store_segments_scanned_total" "Segments decode-scanned to answer queries",
+        /// Queries answered from the shared result cache.
+        pub cache_hits: counter "brisk_store_query_cache_hits_total" "Queries answered from the shared result cache",
+        /// Queries that had to scan (cache miss or no cache attached).
+        pub cache_misses: counter "brisk_store_query_cache_misses_total" "Queries that had to scan segments",
+        /// Wall time spent scanning segments per query, in µs.
+        pub scan_micros: histogram "brisk_store_query_scan_micros" "Wall time spent scanning segments per query (µs)",
+    }
 }
 
 /// One record recovered from a segment, with its frame's file offset.
@@ -104,14 +107,79 @@ pub(crate) struct SegmentScan {
     pub last_frame: Option<(u64, u32)>,
 }
 
+/// What [`walk_frames`] recovered from a run of frames. Offsets are file
+/// offsets, whatever slice of the file the walk was handed.
+pub(crate) struct FrameWalk {
+    /// Every intact record, in file order.
+    pub records: Vec<ScannedRecord>,
+    /// Offset just past the last structurally complete frame.
+    pub structural_end: u64,
+    /// Complete frames with CRC/decode failures, skipped over.
+    pub corrupt_frames: u64,
+    /// Offset and stored CRC word of the last structurally complete frame.
+    pub last_frame: Option<(u64, u32)>,
+}
+
+/// Walk the frames in `bytes`, the part of a segment file that starts at
+/// file offset `base` (a frame boundary). Dispatches on the body kind:
+/// plain segments decode one binenc record per frame, compacted segments
+/// one delta block per frame. Stops at the first frame that is not
+/// structurally complete — a torn tail, or an append still in flight.
+pub(crate) fn walk_frames(bytes: &[u8], base: u64, body: &SegmentBody) -> FrameWalk {
+    let mut walk = FrameWalk {
+        records: Vec::new(),
+        structural_end: base,
+        corrupt_frames: 0,
+        last_frame: None,
+    };
+    let mut off = 0usize;
+    loop {
+        let remaining = bytes.len() - off;
+        if remaining < FRAME_OVERHEAD {
+            // Clean end, or a frame header cut short by a crash.
+            break;
+        }
+        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_FRAME_BYTES || (len as usize) > remaining - FRAME_OVERHEAD {
+            // Either a torn tail (length word promises more bytes than the
+            // file holds) or corruption of the length word itself; in both
+            // cases the frame stream is unrecoverable from here on.
+            break;
+        }
+        let payload = &bytes[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len as usize];
+        let frame_off = base + off as u64;
+        off += FRAME_OVERHEAD + len as usize;
+        walk.structural_end = base + off as u64;
+        walk.last_frame = Some((frame_off, crc));
+        if crc32(payload) != crc {
+            walk.corrupt_frames += 1;
+            continue;
+        }
+        let scanned = |rec| ScannedRecord {
+            offset: frame_off,
+            rec,
+        };
+        match body {
+            SegmentBody::Plain => match binenc::decode_record(payload) {
+                Ok((rec, used)) if used == payload.len() => walk.records.push(scanned(rec)),
+                _ => walk.corrupt_frames += 1,
+            },
+            SegmentBody::Compact(dict) => match crate::compact::decode_block(payload, dict) {
+                Ok(recs) => walk.records.extend(recs.into_iter().map(scanned)),
+                Err(_) => walk.corrupt_frames += 1,
+            },
+        }
+    }
+    walk
+}
+
 /// Scan a whole segment image starting at `start` (pass the header end to
 /// resume mid-file; pass 0 to decode the header too — the returned header
-/// is always decoded from the front of `bytes`). Dispatches on the format
-/// version: plain segments decode one binenc record per frame, compacted
-/// segments one delta block per frame.
+/// is always decoded from the front of `bytes`).
 pub(crate) fn scan_segment(bytes: &[u8], start: u64) -> Result<SegmentScan> {
     let (header, body, header_end) = decode_any_header(bytes)?;
-    let mut off = if start == 0 {
+    let off = if start == 0 {
         header_end
     } else {
         start as usize
@@ -124,60 +192,14 @@ pub(crate) fn scan_segment(bytes: &[u8], start: u64) -> Result<SegmentScan> {
             bytes.len()
         )));
     }
-    let mut records = Vec::new();
-    let mut corrupt_frames = 0u64;
-    let mut structural_end = off as u64;
-    let mut last_frame = None;
-    loop {
-        let remaining = bytes.len() - off;
-        if remaining == 0 {
-            break;
-        }
-        if remaining < FRAME_OVERHEAD {
-            // A frame header cut short by the crash.
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME_BYTES || (len as usize) > remaining - FRAME_OVERHEAD {
-            // Either a torn tail (length word promises more bytes than the
-            // file holds) or corruption of the length word itself; in both
-            // cases the frame stream is unrecoverable from here on.
-            break;
-        }
-        let payload = &bytes[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len as usize];
-        let frame_off = off as u64;
-        off += FRAME_OVERHEAD + len as usize;
-        structural_end = off as u64;
-        last_frame = Some((frame_off, crc));
-        if crc32(payload) != crc {
-            corrupt_frames += 1;
-            continue;
-        }
-        match &body {
-            SegmentBody::Plain => match binenc::decode_record(payload) {
-                Ok((rec, used)) if used == payload.len() => records.push(ScannedRecord {
-                    offset: frame_off,
-                    rec,
-                }),
-                _ => corrupt_frames += 1,
-            },
-            SegmentBody::Compact(dict) => match crate::compact::decode_block(payload, dict) {
-                Ok(recs) => records.extend(recs.into_iter().map(|rec| ScannedRecord {
-                    offset: frame_off,
-                    rec,
-                })),
-                Err(_) => corrupt_frames += 1,
-            },
-        }
-    }
+    let walk = walk_frames(&bytes[off..], off as u64, &body);
     Ok(SegmentScan {
         header,
-        records,
-        torn_bytes: bytes.len() as u64 - structural_end,
-        structural_end,
-        corrupt_frames,
-        last_frame,
+        records: walk.records,
+        torn_bytes: bytes.len() as u64 - walk.structural_end,
+        structural_end: walk.structural_end,
+        corrupt_frames: walk.corrupt_frames,
+        last_frame: walk.last_frame,
     })
 }
 
@@ -249,8 +271,6 @@ pub struct StoreReader {
     pub(crate) dir: PathBuf,
     pub(crate) stats: Arc<ReaderStats>,
     pub(crate) cache: Option<Arc<crate::cache::QueryCache>>,
-    /// Query scan latency, when telemetry is bound.
-    pub(crate) scan_micros: Option<Arc<brisk_telemetry::Histogram>>,
 }
 
 impl StoreReader {
@@ -267,7 +287,6 @@ impl StoreReader {
             dir,
             stats: Arc::new(ReaderStats::default()),
             cache: None,
-            scan_micros: None,
         })
     }
 
@@ -292,48 +311,7 @@ impl StoreReader {
     /// Register the reader's counters and the query scan-latency
     /// histogram on `registry`.
     pub fn bind_telemetry(&mut self, registry: &Registry) {
-        macro_rules! counter {
-            ($name:literal, $help:literal, $field:ident) => {{
-                let stats = Arc::clone(&self.stats);
-                registry.counter_fn($name, $help, &[], move || {
-                    stats.$field.load(Ordering::Relaxed)
-                });
-            }};
-        }
-        counter!(
-            "brisk_store_reader_evicted_under_scan_total",
-            "Segments unlinked by retention mid-scan, skipped by readers",
-            evicted_under_scan
-        );
-        counter!(
-            "brisk_store_reader_stale_indexes_total",
-            "Sidecar indexes ignored because their seal stamp mismatched",
-            stale_indexes
-        );
-        counter!(
-            "brisk_store_segments_pruned_total",
-            "Segments skipped entirely by zone-map/time-range pruning",
-            segments_pruned
-        );
-        counter!(
-            "brisk_store_segments_scanned_total",
-            "Segments decode-scanned to answer queries",
-            segments_scanned
-        );
-        counter!(
-            "brisk_store_query_cache_hits_total",
-            "Queries answered from the shared result cache",
-            cache_hits
-        );
-        counter!(
-            "brisk_store_query_cache_misses_total",
-            "Queries that had to scan segments",
-            cache_misses
-        );
-        self.scan_micros = Some(registry.histogram(
-            "brisk_store_query_scan_micros",
-            "Wall time spent scanning segments per query (µs)",
-        ));
+        self.stats.register(registry, &[]);
     }
 
     /// Segment ids currently present, ascending.
@@ -447,6 +425,7 @@ impl StoreReader {
             dir: self.dir.clone(),
             current: None,
             corrupt_frames: 0,
+            bytes_read: 0,
         }
     }
 }
@@ -454,16 +433,43 @@ impl StoreReader {
 /// Live-tail cursor over a store directory (see [`StoreReader::tail`]).
 pub struct StoreTailer {
     dir: PathBuf,
-    /// `(segment id, next byte offset)`; `None` before the first segment
-    /// is found.
-    current: Option<(u64, u64)>,
+    /// The segment being tailed; `None` before the first one is found.
+    current: Option<TailCursor>,
     corrupt_frames: u64,
+    bytes_read: u64,
+}
+
+/// Where the tailer stands in one segment.
+struct TailCursor {
+    id: u64,
+    /// Next unread file offset (a frame boundary).
+    offset: u64,
+    /// The body kind decoded with the header on first touch; `None` until
+    /// the header is fully on disk.
+    body: Option<SegmentBody>,
+}
+
+impl TailCursor {
+    fn at_start_of(id: u64) -> TailCursor {
+        TailCursor {
+            id,
+            offset: 0,
+            body: None,
+        }
+    }
 }
 
 impl StoreTailer {
     /// Frames skipped over CRC/decode failures so far.
     pub fn corrupt_frames(&self) -> u64 {
         self.corrupt_frames
+    }
+
+    /// Bytes read from segment files so far. A poll reads only what was
+    /// appended since the previous one, so over a segment's life this
+    /// stays near its length however often it is polled.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
     }
 
     /// Return all records that became visible since the last poll. An empty
@@ -481,43 +487,57 @@ impl StoreTailer {
             let Some(&first) = ids.first() else {
                 return Ok(out); // store is still empty
             };
-            let (id, mut off) = match self.current {
-                Some(cur) => cur,
-                None => (first, 0),
-            };
-            let path = segment_path(&self.dir, id);
-            let bytes = match fs::read(&path) {
+            let cur = self
+                .current
+                .get_or_insert_with(|| TailCursor::at_start_of(first));
+            let next = ids.iter().copied().find(|&i| i > cur.id);
+            // Only what was appended since the last poll: `[offset, EOF)`.
+            let bytes = match read_tail(&segment_path(&self.dir, cur.id), cur.offset) {
                 Ok(b) => b,
                 // Evicted by retention while we were behind: skip forward.
-                Err(_) => match ids.iter().find(|&&i| i > id) {
-                    Some(&next) => {
-                        self.current = Some((next, 0));
+                Err(_) => match next {
+                    Some(next) => {
+                        *cur = TailCursor::at_start_of(next);
                         continue;
                     }
                     None => return Ok(out),
                 },
             };
-            if off == 0 {
-                match SegmentHeader::decode(&bytes) {
-                    Ok((_, end)) => off = end as u64,
-                    // Header not fully written yet.
-                    Err(_) => return Ok(out),
+            self.bytes_read += bytes.len() as u64;
+            let mut frames = &bytes[..];
+            if cur.body.is_none() {
+                // First touch: `bytes` starts at 0. A header that is not
+                // fully written yet leaves the cursor there for a retry.
+                if let Ok((_, body, end)) = decode_any_header(&bytes) {
+                    cur.body = Some(body);
+                    cur.offset = end as u64;
+                    frames = &bytes[end..];
                 }
             }
-            let scan = scan_segment(&bytes, off)?;
-            self.corrupt_frames += scan.corrupt_frames;
-            out.extend(scan.records.into_iter().map(|sr| sr.rec));
-            self.current = Some((id, scan.structural_end));
-            match ids.iter().find(|&&i| i > id) {
+            if let Some(body) = &cur.body {
+                let walk = walk_frames(frames, cur.offset, body);
+                self.corrupt_frames += walk.corrupt_frames;
+                out.extend(walk.records.into_iter().map(|sr| sr.rec));
+                cur.offset = walk.structural_end;
+            }
+            match next {
                 // Current segment is sealed: any partial tail is torn for
                 // good, move to the next segment and keep polling.
-                Some(&next) => {
-                    self.current = Some((next, 0));
-                }
+                Some(next) => *cur = TailCursor::at_start_of(next),
                 None => return Ok(out),
             }
         }
     }
+}
+
+/// Read a file from `offset` to its end.
+fn read_tail(path: &Path, offset: u64) -> std::io::Result<Vec<u8>> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = fs::File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -593,18 +613,96 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2, 3, 5, 6, 7, 8, 9]);
     }
 
-    /// Write a store directory containing `segments`, each with a sidecar
-    /// index built at `index_every`, so `read_from` exercises the sparse
-    /// probe exactly as it would against a sealed, indexed store.
-    fn write_indexed_store(segments: &[(u64, Vec<EventRecord>)], index_every: u32) -> PathBuf {
+    fn fresh_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "brisk-reader-{}-{}",
+            "brisk-{tag}-{}-{}",
             std::process::id(),
             DIR_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn seqs(recs: &[EventRecord]) -> Vec<u64> {
+        recs.iter().map(|r| r.seq).collect()
+    }
+
+    #[test]
+    fn idle_polls_do_not_reread_the_segment() {
+        // 2 MiB lands in two appends, then the store goes quiet while the
+        // tailer keeps polling at its usual cadence.
+        let recs: Vec<_> = (0..60_000).map(|i| rec(i, i as i64)).collect();
+        let image = segment_image(0, &recs);
+        assert!(image.len() > 2 << 20);
+        let half = scan_segment(&image, 0).unwrap().records[30_000].offset as usize;
+        let dir = fresh_dir("tail-idle");
+        let path = segment_path(&dir, 0);
+        let mut tail = StoreReader::open(&dir).unwrap().tail();
+        fs::write(&path, &image[..half]).unwrap();
+        assert_eq!(tail.poll().unwrap().len(), 30_000);
+        fs::write(&path, &image).unwrap();
+        assert_eq!(tail.poll().unwrap().len(), 30_000);
+        for _ in 0..200 {
+            assert!(tail.poll().unwrap().is_empty());
+        }
+        assert!(
+            tail.bytes_read() <= image.len() as u64 + (64 << 10),
+            "{} bytes read to tail a {}-byte segment",
+            tail.bytes_read(),
+            image.len()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tail_crosses_a_rotation_that_lands_between_polls() {
+        let first: Vec<_> = (0..100).map(|i| rec(i, i as i64)).collect();
+        let second: Vec<_> = (100..150).map(|i| rec(i, i as i64)).collect();
+        let image = segment_image(0, &first);
+        // The first poll sees 60 whole frames and a slice of the 61st: an
+        // append in flight, not a torn tail.
+        let cut = scan_segment(&image, 0).unwrap().records[60].offset as usize + 5;
+        let dir = fresh_dir("tail-rotate");
+        let mut tail = StoreReader::open(&dir).unwrap().tail();
+        assert!(tail.poll().unwrap().is_empty(), "empty store");
+        fs::write(segment_path(&dir, 0), &image[..cut]).unwrap();
+        assert_eq!(seqs(&tail.poll().unwrap()), (0..60).collect::<Vec<_>>());
+        // The writer finishes the segment and rotates before the next poll.
+        fs::write(segment_path(&dir, 0), &image).unwrap();
+        fs::write(segment_path(&dir, 1), segment_image(1, &second)).unwrap();
+        assert_eq!(seqs(&tail.poll().unwrap()), (60..150).collect::<Vec<_>>());
+        assert!(tail.poll().unwrap().is_empty());
+        assert_eq!(tail.corrupt_frames(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_is_abandoned_once_the_segment_is_sealed() {
+        let recs: Vec<_> = (0..10).map(|i| rec(i, i as i64)).collect();
+        let mut torn = segment_image(0, &recs);
+        torn.truncate(torn.len() - 5);
+        let dir = fresh_dir("tail-torn");
+        fs::write(segment_path(&dir, 0), &torn).unwrap();
+        let mut tail = StoreReader::open(&dir).unwrap().tail();
+        // While segment 0 is the newest the partial frame may yet complete.
+        assert_eq!(seqs(&tail.poll().unwrap()), (0..9).collect::<Vec<_>>());
+        assert!(tail.poll().unwrap().is_empty());
+        // A successor appears (the writer crashed and reopened): the torn
+        // frame is lost for good and the cursor moves on.
+        let next: Vec<_> = (20..25).map(|i| rec(i, i as i64)).collect();
+        fs::write(segment_path(&dir, 1), segment_image(1, &next)).unwrap();
+        assert_eq!(seqs(&tail.poll().unwrap()), (20..25).collect::<Vec<_>>());
+        assert_eq!(tail.corrupt_frames(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Write a store directory containing `segments`, each with a sidecar
+    /// index built at `index_every`, so `read_from` exercises the sparse
+    /// probe exactly as it would against a sealed, indexed store.
+    fn write_indexed_store(segments: &[(u64, Vec<EventRecord>)], index_every: u32) -> PathBuf {
+        let dir = fresh_dir("reader");
         for (id, recs) in segments {
             let bytes = segment_image(*id, recs);
             fs::write(segment_path(&dir, *id), &bytes).unwrap();

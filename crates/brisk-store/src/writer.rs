@@ -24,12 +24,12 @@ use crate::segment::{
 };
 use brisk_core::sink::EventSink;
 use brisk_core::{binenc, BriskError, EventRecord, FsyncPolicy, Result, StoreConfig, UtcMicros};
-use brisk_telemetry::{Histogram, Registry};
+use brisk_telemetry::Registry;
 use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -168,28 +168,32 @@ fn thread_gone() -> BriskError {
     .into()
 }
 
-/// Monotonic totals the writer maintains; shared with telemetry `counter_fn`
-/// sources so binding a registry costs nothing on the append path.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    /// Records appended.
-    pub records: AtomicU64,
-    /// Payload + framing bytes handed to the OS.
-    pub bytes_written: AtomicU64,
-    /// Segments created (including the repair pass's successor segment).
-    pub segments_created: AtomicU64,
-    /// Sealed segments currently retained.
-    pub segments_live: AtomicU64,
-    /// `fdatasync` calls issued.
-    pub fsyncs: AtomicU64,
-    /// Torn tails truncated during the open-time repair pass.
-    pub torn_tail_truncations: AtomicU64,
-    /// Sealed segments evicted by the retention policy.
-    pub retention_evictions: AtomicU64,
-    /// Sidecar indexes rebuilt during the open-time repair pass — missing,
-    /// damaged, pre-zone-map (v1, back-filled), or stale (their seal stamp
-    /// disagreed with the segment bytes, e.g. after a crash mid-seal).
-    pub idx_rebuilds: AtomicU64,
+brisk_telemetry::metrics! {
+    /// Totals the writer maintains in place; [`StoreWriter::bind_telemetry`]
+    /// publishes these same cells, so binding costs nothing on the append
+    /// path.
+    pub struct StoreStats {
+        /// Records appended.
+        pub records: counter "brisk_store_records_total" "Records appended to the durable trace store",
+        /// Payload + framing bytes handed to the OS.
+        pub bytes_written: counter "brisk_store_bytes_written_total" "Frame bytes appended to segment files",
+        /// Segments created (including the repair pass's successor segment).
+        pub segments_created: counter "brisk_store_segments_created_total" "Segment files created",
+        /// `fdatasync` calls issued.
+        pub fsyncs: counter "brisk_store_fsyncs_total" "fdatasync calls issued by the store writer",
+        /// Torn tails truncated during the open-time repair pass.
+        pub torn_tail_truncations: counter "brisk_store_torn_tail_truncations_total" "Torn segment tails truncated during crash repair",
+        /// Sealed segments evicted by the retention policy.
+        pub retention_evictions: counter "brisk_store_retention_evictions_total" "Sealed segments evicted by the retention policy",
+        /// Sidecar indexes rebuilt during the open-time repair pass — missing,
+        /// damaged, pre-zone-map (v1, back-filled), or stale (their seal stamp
+        /// disagreed with the segment bytes, e.g. after a crash mid-seal).
+        pub idx_rebuilds: counter "brisk_store_idx_rebuilds_total" "Sidecar indexes rebuilt on open (missing, damaged, v1 or stale)",
+        /// Sealed segments currently retained.
+        pub segments_live: gauge "brisk_store_segments_live" "Sealed segments currently on disk",
+        /// Latency of each `fdatasync`, in µs.
+        pub fsync_micros: histogram "brisk_store_fsync_micros" "Latency of store fdatasync calls (µs)",
+    }
 }
 
 /// A sealed segment the writer still tracks for retention accounting.
@@ -251,7 +255,6 @@ pub struct StoreWriter {
     /// stream's own clock, so retention behaves identically under replay).
     last_ts: UtcMicros,
     stats: Arc<StoreStats>,
-    fsync_micros: Option<Arc<Histogram>>,
     scratch: Vec<u8>,
     /// Background writer; `None` under `fsync=always`, which writes and
     /// syncs inline so each append's durability is settled on return.
@@ -346,7 +349,7 @@ impl StoreWriter {
         }
         stats
             .segments_live
-            .store(sealed.len() as u64, Ordering::Relaxed);
+            .store(sealed.len() as i64, Ordering::Relaxed);
         Ok(StoreWriter {
             cfg: cfg.clone(),
             dir,
@@ -360,7 +363,6 @@ impl StoreWriter {
             last_sync_ts: last_ts,
             last_ts,
             stats,
-            fsync_micros: None,
             scratch: Vec::with_capacity(256),
             write_behind: (cfg.fsync != FsyncPolicy::Always).then(WriteBehind::spawn),
         })
@@ -379,61 +381,7 @@ impl StoreWriter {
     /// Register the store's telemetry series (`brisk_store_*`) with a
     /// metrics registry.
     pub fn bind_telemetry(&mut self, registry: &Registry) {
-        let s = self.stats();
-        macro_rules! counter {
-            ($name:literal, $help:literal, $field:ident) => {{
-                let s = Arc::clone(&s);
-                registry.counter_fn($name, $help, &[], move || s.$field.load(Ordering::Relaxed));
-            }};
-        }
-        counter!(
-            "brisk_store_records_total",
-            "Records appended to the durable trace store",
-            records
-        );
-        counter!(
-            "brisk_store_bytes_written_total",
-            "Frame bytes appended to segment files",
-            bytes_written
-        );
-        counter!(
-            "brisk_store_segments_created_total",
-            "Segment files created",
-            segments_created
-        );
-        counter!(
-            "brisk_store_fsyncs_total",
-            "fdatasync calls issued by the store writer",
-            fsyncs
-        );
-        counter!(
-            "brisk_store_torn_tail_truncations_total",
-            "Torn segment tails truncated during crash repair",
-            torn_tail_truncations
-        );
-        counter!(
-            "brisk_store_retention_evictions_total",
-            "Sealed segments evicted by the retention policy",
-            retention_evictions
-        );
-        counter!(
-            "brisk_store_idx_rebuilds_total",
-            "Sidecar indexes rebuilt on open (missing, damaged, v1 or stale)",
-            idx_rebuilds
-        );
-        {
-            let s = Arc::clone(&s);
-            registry.gauge_fn(
-                "brisk_store_segments_live",
-                "Sealed segments currently on disk",
-                &[],
-                move || s.segments_live.load(Ordering::Relaxed) as i64,
-            );
-        }
-        self.fsync_micros = Some(registry.histogram(
-            "brisk_store_fsync_micros",
-            "Latency of store fdatasync calls (µs)",
-        ));
+        self.stats.register(registry, &[]);
     }
 
     /// Append one record; durability is governed by the fsync policy.
@@ -565,9 +513,9 @@ impl StoreWriter {
             let start = Instant::now();
             active.file.sync_data()?;
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            if let Some(h) = &self.fsync_micros {
-                h.record(start.elapsed().as_micros() as u64);
-            }
+            self.stats
+                .fsync_micros
+                .record(start.elapsed().as_micros() as u64);
         }
         self.last_sync_ts = self.last_ts;
         Ok(())
@@ -585,9 +533,9 @@ impl StoreWriter {
             let start = Instant::now();
             active.file.sync_data()?;
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            if let Some(h) = &self.fsync_micros {
-                h.record(start.elapsed().as_micros() as u64);
-            }
+            self.stats
+                .fsync_micros
+                .record(start.elapsed().as_micros() as u64);
         }
         let (last_frame_offset, tail_crc) = active.last_frame.unwrap_or((0, 0));
         let idx = SegmentIndex {
@@ -616,7 +564,7 @@ impl StoreWriter {
         });
         self.stats
             .segments_live
-            .store(self.sealed.len() as u64, Ordering::Relaxed);
+            .store(self.sealed.len() as i64, Ordering::Relaxed);
         self.apply_retention()?;
         Ok(())
     }
@@ -696,7 +644,7 @@ impl StoreWriter {
         }
         self.stats
             .segments_live
-            .store(self.sealed.len() as u64, Ordering::Relaxed);
+            .store(self.sealed.len() as i64, Ordering::Relaxed);
         Ok(())
     }
 }

@@ -356,14 +356,13 @@ mod tests {
     #[test]
     fn prometheus_text_shape() {
         let r = Registry::new();
-        r.counter_with("brisk_frames_total", "frames", &[("dir", "in")])
-            .add(3);
-        r.counter_with("brisk_frames_total", "frames", &[("dir", "out")])
-            .add(4);
-        r.gauge("brisk_depth", "depth").set(-2);
-        let h = r.histogram("brisk_lat_us", "latency");
+        r.counter_fn("brisk_frames_total", "frames", &[("dir", "in")], || 3);
+        r.counter_fn("brisk_frames_total", "frames", &[("dir", "out")], || 4);
+        r.gauge_fn("brisk_depth", "depth", &[], || -2);
+        let h = Arc::new(crate::Histogram::new());
         h.record(3);
         h.record(100);
+        r.register_histogram("brisk_lat_us", "latency", &[], &h);
         let text = r.snapshot().to_prometheus();
 
         // One TYPE line per metric name.
@@ -389,7 +388,9 @@ mod tests {
     fn json_is_wellformed_enough() {
         let r = Registry::new();
         r.counter("a_total", "").add(1);
-        r.histogram("h_us", "").record(7);
+        let h = Arc::new(crate::Histogram::new());
+        h.record(7);
+        r.register_histogram("h_us", "", &[], &h);
         let js = r.snapshot().to_json();
         assert!(js.starts_with("{\"metrics\":["));
         assert!(js.contains("\"type\":\"counter\",\"value\":1"));

@@ -4,7 +4,9 @@
 //! *itself*. It provides a lock-free metrics layer shared by every
 //! pipeline stage (LIS → EXS → ISM):
 //!
-//! * [`Counter`] / [`Gauge`] — single atomic cells;
+//! * [`metrics!`] — one declaration per component of the atomic cells
+//!   it counts into and the series names they are published under;
+//! * [`Counter`] — a single registry-owned atomic cell;
 //! * [`Histogram`] — log₂-bucketed atomic histogram with p50/p95/p99/max
 //!   readout and mergeable snapshots;
 //! * [`StageTimer`] — a span that times a pipeline stage on *caller
@@ -31,6 +33,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod declare;
 mod export;
 mod metrics;
 mod registry;
@@ -39,7 +42,7 @@ pub mod trace;
 
 pub use export::{serve_prometheus, serve_stats, RouteTable, StatsServer};
 pub use metrics::{
-    bucket_of, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
+    bucket_of, bucket_upper, Counter, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use registry::{Registry, Sample, SampleValue, TelemetrySnapshot};
 pub use timer::StageTimer;

@@ -1,6 +1,6 @@
-//! The three metric primitives: counter, gauge, histogram.
+//! The metric primitives: counter and histogram.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets in a [`Histogram`].
 ///
@@ -35,37 +35,6 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// An atomic gauge: a value that can go up and down.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -137,6 +106,26 @@ impl Histogram {
         self.record(end_us.saturating_sub(start_us).max(0) as u64);
     }
 
+    /// Add a plain accumulation in and clear it: how a single-threaded
+    /// owner publishes once per tick what it recorded per observation
+    /// (see [`HistogramSnapshot::record`]), instead of paying three atomic
+    /// RMWs each time.
+    pub fn absorb(&self, local: &mut HistogramSnapshot) {
+        // Empty iff nothing positive was seen and no zero was either.
+        if local.max == 0 && local.buckets[0] == 0 {
+            return;
+        }
+        for (a, b) in self.buckets.iter().zip(&mut local.buckets) {
+            if *b != 0 {
+                a.fetch_add(std::mem::take(b), Ordering::Relaxed);
+            }
+        }
+        self.sum
+            .fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
+        self.max
+            .fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
+    }
+
     /// Consistent-enough point-in-time copy of the whole histogram.
     ///
     /// Individual bucket loads are relaxed; a snapshot taken while
@@ -177,6 +166,15 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Record one observation into this plain copy (no atomics; publish
+    /// it with [`Histogram::absorb`]).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().fold(0u64, |a, &b| a.saturating_add(b))
@@ -248,15 +246,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge() {
+    fn counter_counts() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-10);
-        assert_eq!(g.get(), -3);
     }
 
     #[test]
@@ -310,6 +304,20 @@ mod tests {
         assert_eq!(m.count(), 2);
         assert_eq!(m.sum, 1001);
         assert_eq!(m.max, 1000);
+    }
+
+    #[test]
+    fn absorb_equals_recording_directly_and_clears_the_local_copy() {
+        let (direct, folded) = (Histogram::new(), Histogram::new());
+        let mut local = HistogramSnapshot::default();
+        folded.absorb(&mut local); // empty: nothing to add
+        for v in [0u64, 0, 7, 1_000, u64::MAX] {
+            direct.record(v);
+            local.record(v);
+        }
+        folded.absorb(&mut local);
+        assert_eq!(folded.snapshot(), direct.snapshot());
+        assert_eq!(local, HistogramSnapshot::default());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Metric naming, registration and atomic snapshots.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Histogram, HistogramSnapshot};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -9,7 +9,6 @@ type Labels = Vec<(String, String)>;
 
 enum Source {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     /// Computed counter: read from existing state at snapshot time.
     CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
@@ -24,13 +23,14 @@ struct Family {
     source: Source,
 }
 
-/// Names and owns every metric series; the one place a whole-pipeline
+/// Names every metric series; the one place a whole-pipeline
 /// [`TelemetrySnapshot`] can be taken from.
 ///
-/// Registration takes a mutex (cold path); the returned `Arc` handles
-/// are lock-free on the hot path. Registering the same `(name, labels)`
-/// twice returns the existing handle, so components surviving a
-/// reconnect keep accumulating into the same series.
+/// Components own their metric cells (see [`metrics!`](crate::metrics!))
+/// and the registry *adopts* them: registration takes a mutex (cold
+/// path), recording never touches the registry. Registering the same
+/// `(name, labels)` twice keeps the first source, so binding is
+/// idempotent.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<Vec<Family>>,
@@ -42,98 +42,40 @@ impl Registry {
         Arc::new(Registry::default())
     }
 
-    fn find_existing(&self, name: &str, labels: &[(String, String)]) -> Option<usize> {
-        let fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        fams.iter()
-            .position(|f| f.name == name && f.labels == labels)
-    }
-
-    fn own_labels(labels: &[(&str, &str)]) -> Labels {
-        labels
+    /// Add `(name, labels)` unless it is already registered.
+    fn adopt(&self, name: &str, help: &str, labels: &[(&str, &str)], source: Source) {
+        let labels: Labels = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+            .collect();
+        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        if !fams.iter().any(|f| f.name == name && f.labels == labels) {
+            fams.push(Family {
+                name: name.to_string(),
+                help: help.to_string(),
+                labels,
+                source,
+            });
+        }
     }
 
-    /// Register (or fetch) a counter with no labels.
+    /// Register (or fetch) a registry-owned counter with no labels — for
+    /// callers that have no cells of their own, like an application's
+    /// notice counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Register (or fetch) a labeled counter.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let labels = Self::own_labels(labels);
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(f) = fams.iter().find(|f| f.name == name && f.labels == labels) {
-            if let Source::Counter(c) = &f.source {
-                return Arc::clone(c);
-            }
+        self.adopt(name, help, &[], Source::Counter(Arc::default()));
+        let fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        match fams.iter().find(|f| f.name == name && f.labels.is_empty()) {
+            Some(Family {
+                source: Source::Counter(c),
+                ..
+            }) => Arc::clone(c),
+            // The name is taken by another kind: hand back a detached cell.
+            _ => Arc::default(),
         }
-        let c = Arc::new(Counter::new());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::Counter(Arc::clone(&c)),
-        });
-        c
     }
 
-    /// Register (or fetch) a gauge with no labels.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Register (or fetch) a labeled gauge.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let labels = Self::own_labels(labels);
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(f) = fams.iter().find(|f| f.name == name && f.labels == labels) {
-            if let Source::Gauge(g) = &f.source {
-                return Arc::clone(g);
-            }
-        }
-        let g = Arc::new(Gauge::new());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::Gauge(Arc::clone(&g)),
-        });
-        g
-    }
-
-    /// Register (or fetch) a histogram with no labels.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[])
-    }
-
-    /// Register (or fetch) a labeled histogram.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        let labels = Self::own_labels(labels);
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(f) = fams.iter().find(|f| f.name == name && f.labels == labels) {
-            if let Source::Histogram(h) = &f.source {
-                return Arc::clone(h);
-            }
-        }
-        let h = Arc::new(Histogram::new());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::Histogram(Arc::clone(&h)),
-        });
-        h
-    }
-
-    /// Adopt an existing histogram into the registry (for components
-    /// that own their histogram and record into it off-registry).
+    /// Adopt a component's histogram.
     pub fn register_histogram(
         &self,
         name: &str,
@@ -141,17 +83,7 @@ impl Registry {
         labels: &[(&str, &str)],
         h: &Arc<Histogram>,
     ) {
-        let labels = Self::own_labels(labels);
-        if self.find_existing(name, &labels).is_some() {
-            return;
-        }
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::Histogram(Arc::clone(h)),
-        });
+        self.adopt(name, help, labels, Source::Histogram(Arc::clone(h)));
     }
 
     /// Register a computed counter: `f` is called at snapshot time and
@@ -163,17 +95,7 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        let labels = Self::own_labels(labels);
-        if self.find_existing(name, &labels).is_some() {
-            return;
-        }
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::CounterFn(Box::new(f)),
-        });
+        self.adopt(name, help, labels, Source::CounterFn(Box::new(f)));
     }
 
     /// Register a computed gauge: `f` is called at snapshot time.
@@ -184,17 +106,7 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> i64 + Send + Sync + 'static,
     ) {
-        let labels = Self::own_labels(labels);
-        if self.find_existing(name, &labels).is_some() {
-            return;
-        }
-        let mut fams = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        fams.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            source: Source::GaugeFn(Box::new(f)),
-        });
+        self.adopt(name, help, labels, Source::GaugeFn(Box::new(f)));
     }
 
     /// Read every registered series at once.
@@ -208,7 +120,6 @@ impl Registry {
                 labels: f.labels.clone(),
                 value: match &f.source {
                     Source::Counter(c) => SampleValue::Counter(c.get()),
-                    Source::Gauge(g) => SampleValue::Gauge(g.get()),
                     Source::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                     Source::CounterFn(f) => SampleValue::Counter(f()),
                     Source::GaugeFn(f) => SampleValue::Gauge(f()),
@@ -351,18 +262,17 @@ mod tests {
     #[test]
     fn register_is_idempotent() {
         let r = Registry::new();
-        let a = r.counter_with("x_total", "", &[("node", "1")]);
-        let b = r.counter_with("x_total", "", &[("node", "1")]);
+        let a = r.counter("x_total", "");
+        let b = r.counter("x_total", "");
         a.inc();
         b.inc();
-        assert_eq!(
-            r.snapshot().counter_labeled("x_total", &[("node", "1")]),
-            Some(2)
-        );
-        // Distinct labels are distinct series.
-        let c = r.counter_with("x_total", "", &[("node", "2")]);
-        c.add(5);
-        assert_eq!(r.snapshot().counter_total("x_total"), 7);
+        assert_eq!(r.snapshot().counter_labeled("x_total", &[]), Some(2));
+        // The first source registered under a (name, labels) wins;
+        // distinct labels are distinct series.
+        r.counter_fn("y_total", "", &[("node", "1")], || 3);
+        r.counter_fn("y_total", "", &[("node", "1")], || 100);
+        r.counter_fn("y_total", "", &[("node", "2")], || 4);
+        assert_eq!(r.snapshot().counter_total("y_total"), 7);
     }
 
     #[test]
@@ -378,8 +288,11 @@ mod tests {
     #[test]
     fn histogram_lookup_merges_labels() {
         let r = Registry::new();
-        r.histogram_with("lat_us", "", &[("node", "1")]).record(10);
-        r.histogram_with("lat_us", "", &[("node", "2")]).record(20);
+        for (node, v) in [("1", 10), ("2", 20)] {
+            let h = Arc::new(Histogram::new());
+            h.record(v);
+            r.register_histogram("lat_us", "", &[("node", node)], &h);
+        }
         let h = r.snapshot().histogram("lat_us").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max, 20);

@@ -191,6 +191,13 @@ impl StageLatencies {
         }
     }
 
+    /// The registry stage histograms are added to as new stage pairs are
+    /// seen — and where an owner registers any other series that appears
+    /// after binding.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+
     /// Record one span between two named stages for `trace_id`.
     pub fn observe(
         &self,

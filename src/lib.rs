@@ -127,8 +127,8 @@ pub mod prelude {
     };
     pub use brisk_telemetry::{
         flight, install_flight_panic_hook, serve_prometheus, serve_stats, set_flight_capacity,
-        Counter, FlightLevel, FlightRecorder, Gauge, Histogram, Registry, RouteTable,
-        StageLatencies, StageTimer, StatsServer, TelemetrySnapshot, TraceSampler,
+        Counter, FlightLevel, FlightRecorder, Histogram, Registry, RouteTable, StageLatencies,
+        StageTimer, StatsServer, TelemetrySnapshot, TraceSampler,
     };
     pub use {crate::define_notice, crate::notice, crate::notice_gated};
 }
