@@ -1,35 +1,23 @@
-//! Zero-copy ingest cost and reactor saturation.
-//!
-//! Two experiments in one artifact:
-//!
-//! 1. **Paired decode cost** — identical pre-encoded `EventBatch` frames
-//!    are run through four variants in adjacent slices of the same trial:
-//!    the legacy owned decode (`Message::decode`), the reactor pump's
-//!    validate-only pass (`BatchView::parse`), the manager's full
-//!    materialize (`parse` + `materialize`), and the whole delivery
-//!    baseline (materialize + `IsmCore::push_batch` + `tick`, i.e. the
-//!    memory-only pipeline BENCH_store.json measures). Pairing cancels
-//!    machine drift; the acceptance bar is that the zero-copy ingest
-//!    decode (`view_materialize`) sustains ≥ 2× the records/s of the
-//!    in-run delivery baseline — decode is no longer the bottleneck.
-//!
-//! 2. **Saturation curve** — a real `IsmServer` on TCP with a bounded
-//!    reactor pool (2 threads, no per-connection threads, no tokio)
-//!    serves 64 / 256 / 1024 concurrent EXS connections, each speaking
-//!    the wire protocol (Hello then pre-encoded batches); the curve
-//!    records end-to-end records/s into the memory buffer at each level.
+//! Zero-copy ingest cost, paired: identical pre-encoded `EventBatch`
+//! frames are run through four variants in adjacent slices of the same
+//! trial: the legacy owned decode (`Message::decode`), the reactor pump's
+//! validate-only pass (`BatchView::parse`), the manager's full
+//! materialize (`parse` + `materialize`), and the whole delivery baseline
+//! (materialize + `IsmCore::push_batch` + `tick`, i.e. the memory-only
+//! pipeline BENCH_store.json measures). Pairing cancels machine drift;
+//! the acceptance bar is that the zero-copy ingest decode
+//! (`view_materialize`) sustains ≥ 2× the records/s of the in-run
+//! delivery baseline — decode is no longer the bottleneck.
 //!
 //! Set `BENCH_INGEST_JSON=<path>` to emit the machine-readable artifact
 //! (`BENCH_ingest.json` at the repo root is generated this way).
 
 use brisk_bench::rig::six_i32_fields;
-use brisk_core::{EventRecord, EventTypeId, IsmConfig, NodeId, SensorId, SyncConfig, UtcMicros};
-use brisk_ism::{IsmCore, IsmServer};
-use brisk_net::{TcpTransport, Transport};
+use brisk_core::{EventRecord, EventTypeId, IsmConfig, NodeId, SensorId, UtcMicros};
+use brisk_ism::IsmCore;
 use brisk_proto::{BatchView, Message};
 use std::hint::black_box;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Records per `EventBatch` frame.
 const BATCH: usize = 64;
@@ -167,70 +155,9 @@ fn run_paired(trials: usize, warmup: usize) -> PairedResult {
     }
 }
 
-/// One point on the saturation curve: `conns` live EXS connections on a
-/// bounded reactor pool, each replaying a pre-encoded batch `rounds`
-/// times; returns end-to-end records/s into the memory buffer.
-fn saturation_point(conns: usize, rounds: usize, reactor_threads: usize) -> f64 {
-    let server = IsmServer::new(
-        IsmConfig {
-            pump_threads: reactor_threads,
-            ..IsmConfig::default()
-        },
-        SyncConfig {
-            poll_period: Duration::from_secs(600),
-            ..SyncConfig::default()
-        },
-        Arc::new(brisk_clock::SystemClock),
-    )
-    .unwrap();
-    let ism = server
-        .spawn(TcpTransport.listen("127.0.0.1:0").unwrap())
-        .unwrap();
-    let addr = ism.addr().to_string();
-
-    // v1 peers: no HelloAck, no acks — the client side never has to read,
-    // so one sender thread can multiplex hundreds of connections.
-    let mut clients = Vec::with_capacity(conns);
-    for c in 0..conns {
-        let node = NodeId(c as u32 + 1);
-        let mut conn = TcpTransport.connect(&addr).unwrap();
-        conn.send(&Message::Hello { node, version: 1 }.encode())
-            .unwrap();
-        let frame = encode_frames(node, 1, 1_000_000_000).remove(0);
-        clients.push((conn, frame));
-    }
-
-    let total = (conns * rounds * BATCH) as u64;
-    let start = Instant::now();
-    // Interleave across connections so every socket is live at once: the
-    // reactor sees `conns` concurrently-readable fds, not a sequential
-    // parade. v1 batches carry no seq, so replaying one frame per round
-    // is `rounds` distinct deliveries.
-    for _ in 0..rounds {
-        for (conn, frame) in clients.iter_mut() {
-            conn.send(frame).unwrap();
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while ism.memory().written() < total {
-        assert!(
-            Instant::now() < deadline,
-            "saturation point stalled: {}/{total} records at {conns} conns",
-            ism.memory().written()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    drop(clients);
-    ism.stop().unwrap();
-    total as f64 / secs
-}
-
 fn main() {
     let trials = env_usize("BENCH_INGEST_TRIALS", 300);
     let warmup = env_usize("BENCH_INGEST_WARMUP", 100);
-    let rounds = env_usize("BENCH_INGEST_ROUNDS", 8);
-    let reactor_threads = env_usize("BENCH_INGEST_REACTOR_THREADS", 2);
 
     let paired = run_paired(trials, warmup);
     for (name, med) in paired.names.iter().zip(paired.medians_ns_per_record.iter()) {
@@ -249,27 +176,14 @@ fn main() {
         if pass { "PASS" } else { "FAIL" }
     );
 
-    let levels = [64usize, 256, 1024];
-    let mut curve = Vec::new();
-    for &conns in &levels {
-        let rps = saturation_point(conns, rounds, reactor_threads);
-        println!(
-            "bench ingest/saturation conns={conns} reactor_threads={reactor_threads} \
-             {rps:.0} records/s"
-        );
-        curve.push((conns, rps));
-    }
-
     if let Ok(path) = std::env::var("BENCH_INGEST_JSON") {
         let mut out = String::from("{\n");
-        out.push_str("  \"artifact\": \"zero-copy ingest decode cost and reactor saturation\",\n");
+        out.push_str("  \"artifact\": \"zero-copy ingest decode cost\",\n");
         out.push_str(&format!(
             "  \"method\": \"cargo bench -p brisk-bench --bench ingest (paired interleaved \
              trials over identical pre-encoded {BATCH}-record frames: legacy Message::decode vs \
              BatchView::parse (pump validate) vs parse+materialize (manager decode) vs the full \
-             memory-only delivery baseline; saturation: one IsmServer on TCP with a bounded \
-             {reactor_threads}-thread poll reactor — no per-connection threads, no tokio — \
-             serving N concurrent v1 EXS connections each sending {rounds} batches)\",\n"
+             memory-only delivery baseline)\",\n"
         ));
         out.push_str(&format!("  \"trials\": {trials},\n"));
         out.push_str("  \"results\": [\n");
@@ -287,15 +201,6 @@ fn main() {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str("  \"saturation\": [\n");
-        for (i, (conns, rps)) in curve.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"connections\": {conns}, \"reactor_threads\": {reactor_threads}, \
-                 \"records_per_sec\": {rps:.0}}}{}\n",
-                if i + 1 < curve.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
         out.push_str("  \"summary\": {\n");
         out.push_str(&format!(
             "    \"view_materialize_records_per_sec\": {ingest_rps:.0},\n"
@@ -305,8 +210,7 @@ fn main() {
         ));
         out.push_str(&format!("    \"speedup_vs_deliver\": {speedup:.2},\n"));
         out.push_str(
-            "    \"acceptance\": \"view_materialize >= 2x deliver_baseline records/s; \
-             >= 1024 concurrent connections on a bounded reactor pool\",\n",
+            "    \"acceptance\": \"view_materialize >= 2x deliver_baseline records/s\",\n",
         );
         out.push_str(&format!("    \"pass\": {pass}\n"));
         out.push_str("  }\n}\n");

@@ -30,15 +30,14 @@ pub struct ExsConfig {
     /// CPU utilization negligible at low event rates.
     pub idle_sleep: Duration,
     /// How many sent-but-unacknowledged batches the EXS keeps for replay
-    /// after a reconnect (protocol v2 acknowledged delivery). When the
-    /// window is full the oldest unacked batch is evicted (and counted), so
-    /// delivery degrades to at-least-v1 semantics instead of blocking the
-    /// node; size it to cover the ISM's ack round-trip at peak batch rate.
+    /// after a reconnect. When the window is full the oldest unacked batch
+    /// is evicted (and counted), so those records degrade to at-most-once
+    /// instead of blocking the node; size it to cover the ISM's ack
+    /// round-trip at peak batch rate.
     pub retransmit_window_batches: usize,
     /// Send a `Heartbeat` once the connection has been idle (nothing sent)
     /// this long, so the ISM can distinguish a quiet node from a silently
-    /// dead one. Only v3 connections heartbeat (older peers reject the
-    /// tag). `Duration::ZERO` disables heartbeats. Keep this well below
+    /// dead one. `Duration::ZERO` disables heartbeats. Keep this well below
     /// the ISM's `node_timeout` or quiet nodes get evicted.
     pub heartbeat_interval: Duration,
     /// Attach an `X_HLC` hybrid-logical-clock stamp to every record at
@@ -451,7 +450,7 @@ impl StoreConfig {
     }
 }
 
-/// EXS→ISM flow-control knobs (protocol v3 credit).
+/// EXS→ISM flow-control knobs (credit).
 ///
 /// With credit on, the ISM grants each connection a budget of
 /// unacknowledged records in `HelloAck`, re-advertised on every
@@ -462,8 +461,7 @@ impl StoreConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Records one connection may have unacknowledged in flight. `0`
-    /// disables credit grants: v3 peers fall back to v2 (ack-only)
-    /// semantics.
+    /// disables credit grants: batches are still acked, without a budget.
     pub credit_records: u64,
     /// Bound on records queued between the pump threads and the manager.
     /// While the queue holds more, pumps stop reading their sockets (TCP

@@ -261,7 +261,7 @@ impl IsmCore {
         self.plane.cre_stats()
     }
 
-    /// Accept one *sequenced* batch (protocol v2); see
+    /// Accept one *sequenced* batch; see
     /// [`MergePlane::push_batch_seq`].
     pub fn push_batch_seq(
         &mut self,
@@ -559,7 +559,7 @@ mod tests {
         assert!(core
             .push_batch_seq(NodeId(2), Some(2), vec![rec(2, 0, 12, vec![])], now)
             .unwrap());
-        // Unsequenced (v1) batches are never deduplicated.
+        // Unsequenced batches (never sent by a session) are not deduplicated.
         assert!(core
             .push_batch_seq(NodeId(1), None, vec![rec(1, 2, 13, vec![])], now)
             .unwrap());

@@ -119,7 +119,7 @@ pub struct MergePlane {
     /// |HLC physical − ISM now| already above the flight-recorder alert
     /// threshold?
     flight_divergence_alerted: bool,
-    /// Highest batch sequence number accepted per node (protocol v2).
+    /// Highest batch sequence number accepted per node.
     /// Replayed batches (seq ≤ the entry) are dropped here, which is what
     /// turns the wire's at-least-once delivery into exactly-once at the
     /// output. Lives in the plane — not the pump — so the memory survives
@@ -214,7 +214,7 @@ impl MergePlane {
         std::mem::take(&mut self.extra_sync_pending)
     }
 
-    /// Accept one *sequenced* batch (protocol v2), deduplicating by
+    /// Accept one *sequenced* batch, deduplicating by
     /// `(node, seq)`: a batch whose sequence number is not above the
     /// highest already accepted from `node` is a replay and is dropped
     /// (counted, not processed). Returns `true` if the batch was accepted,
@@ -222,7 +222,8 @@ impl MergePlane {
     /// either way (a replay means our previous ack was lost with the old
     /// connection).
     ///
-    /// `seq == None` is a v1 (unsequenced) batch: always accepted.
+    /// `seq == None` (in-process drivers that feed the core directly; the
+    /// session never forwards one) is always accepted.
     pub fn push_batch_seq(
         &mut self,
         node: NodeId,

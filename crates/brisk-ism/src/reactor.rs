@@ -429,43 +429,35 @@ impl Driver {
     /// Server-side handshake, reactor style: the first frame must be a
     /// `Hello`. Anything else — or a decode failure — drops the
     /// connection silently; it never had an identity to report. A `Hello`
-    /// claiming a node id another live connection already serves is a
-    /// protocol error: it is quarantined and answered with `Shutdown`
-    /// rather than allowed to clobber the first connection's session.
+    /// at any version but [`brisk_proto::VERSION`], or claiming a node id
+    /// another live connection already serves, is refused: quarantined
+    /// and answered with `Shutdown`. Every accepted connection runs the
+    /// one session — `HelloAck`, sequenced and acked batches, heartbeats.
     fn greet(&mut self, frame: Vec<u8>, ctx: &ReactorConfig, waker: &Waker) -> bool {
-        let (node, version) = match Message::decode(&frame) {
-            Ok(Message::Hello { node, version }) => (node, brisk_proto::negotiate(version)),
-            _ => return false,
+        let Ok(Message::Hello { node, version }) = Message::decode(&frame) else {
+            return false;
         };
-        let (handle, cmd_rx) = pump_channel(node, version, waker.clone());
+        if version != brisk_proto::VERSION {
+            let reason = format!(
+                "Hello version {version} refused: this ISM speaks only v{}",
+                brisk_proto::VERSION
+            );
+            return self.refuse(ctx, node, &frame, "unsupported_hello", &reason);
+        }
+        let (handle, cmd_rx) = pump_channel(node, waker.clone());
         let id = handle.id();
         if !ctx.active.try_claim(node, id) {
             ctx.quarantine.note_rejected_hello();
-            ctx.quarantine
-                .record(node, &frame, "duplicate Hello: node already active");
-            brisk_telemetry::flight_log!(
-                Warn,
-                "ism.reactor",
-                "duplicate_hello",
-                "rejected Hello for node {node}: already served by a live connection"
-            );
-            let _ = self.conn.send(&Message::Shutdown.encode());
-            return false;
+            let reason = "duplicate Hello: node already active";
+            return self.refuse(ctx, node, &frame, "duplicate_hello", reason);
         }
-        if version >= 2 {
-            let credit = if version >= 3 {
-                ctx.flow.credit()
-            } else {
-                None
-            };
-            if self
-                .conn
-                .send(&Message::HelloAck { version, credit }.encode())
-                .is_err()
-            {
-                ctx.active.release(node, id);
-                return false;
-            }
+        let ack = Message::HelloAck {
+            version,
+            credit: ctx.flow.credit(),
+        };
+        if self.conn.send(&ack.encode()).is_err() {
+            ctx.active.release(node, id);
+            return false;
         }
         let io = PumpIo {
             node,
@@ -482,6 +474,27 @@ impl Driver {
             sync: None,
         });
         true
+    }
+
+    /// Refuse a `Hello`: sample it in the quarantine, log why, and answer
+    /// `Shutdown`. Returns `false` (the connection is done).
+    fn refuse(
+        &mut self,
+        ctx: &ReactorConfig,
+        node: NodeId,
+        frame: &[u8],
+        event: &'static str,
+        reason: &str,
+    ) -> bool {
+        ctx.quarantine.record(node, frame, reason);
+        brisk_telemetry::flight_log!(
+            Warn,
+            "ism.reactor",
+            event,
+            "rejected Hello for node {node}: {reason}"
+        );
+        let _ = self.conn.send(&Message::Shutdown.encode());
+        false
     }
 
     /// Report the death of an identified connection and release its
@@ -756,7 +769,7 @@ mod tests {
         let rig = test_pool();
         let mut client = rig.client();
         client.send(&hello(7, brisk_proto::VERSION)).unwrap();
-        // HelloAck carries the negotiated version and the credit grant.
+        // HelloAck carries the session version and the credit grant.
         assert_eq!(
             recv_msg(&mut client),
             Message::HelloAck {
@@ -766,7 +779,6 @@ mod tests {
         );
         let handle = rig.connected();
         assert_eq!(handle.node, NodeId(7));
-        assert_eq!(handle.version(), brisk_proto::VERSION);
         // A batch flows through untouched and still parses as a view.
         let rec = EventRecord::new(
             NodeId(7),
@@ -798,7 +810,7 @@ mod tests {
             } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(id, handle.id());
-                assert_eq!(seq, Some(1));
+                assert_eq!(seq, 1);
                 assert_eq!(count, 1);
                 let view = BatchView::parse(&frame).unwrap();
                 assert_eq!(view.materialize().unwrap(), vec![rec]);
@@ -839,32 +851,46 @@ mod tests {
     }
 
     #[test]
-    fn greeting_negotiates_down_to_the_peer_version() {
-        // (server credit, Hello version) → the HelloAck the peer must see.
-        // Credit rides only on negotiated-v3 links (a v2 peer cannot
-        // decode the credit tag), and a v1 peer gets no HelloAck at all —
-        // it could not decode one; its absence *is* the v1 signal.
+    fn greeting_refuses_every_version_but_the_current_one() {
+        // (server credit, Hello version) → the reply the peer must see.
+        // The current version always gets a HelloAck carrying the server's
+        // credit setting; any other version is refused like a duplicate
+        // Hello: quarantined, answered with Shutdown, never connected.
+        let v = brisk_proto::VERSION;
         for (credit, version, expect) in [
-            (0, brisk_proto::VERSION, Some((brisk_proto::VERSION, None))),
+            (
+                0,
+                v,
+                Message::HelloAck {
+                    version: v,
+                    credit: None,
+                },
+            ),
             (
                 512,
-                brisk_proto::VERSION,
-                Some((brisk_proto::VERSION, Some(512))),
+                v,
+                Message::HelloAck {
+                    version: v,
+                    credit: Some(512),
+                },
             ),
-            (512, 2, Some((2, None))),
-            (512, 1, None),
+            (512, 2, Message::Shutdown),
+            (512, 1, Message::Shutdown),
         ] {
             let rig = test_pool_with(credit, 0, 2);
             let mut client = rig.client();
             client.send(&hello(5, version)).unwrap();
-            let handle = rig.connected();
-            assert_eq!((handle.node, handle.version()), (NodeId(5), version));
-            let reply = client.recv(Some(Duration::from_millis(100))).unwrap();
-            let reply = reply.map(|f| match Message::decode(&f).unwrap() {
-                Message::HelloAck { version, credit } => (version, credit),
-                other => panic!("unexpected greeting reply {other:?}"),
-            });
-            assert_eq!(reply, expect, "credit {credit}, Hello v{version}");
+            assert_eq!(recv_msg(&mut client), expect, "credit {credit}, v{version}");
+            if version == v {
+                assert_eq!(rig.connected().node, NodeId(5));
+                assert!(rig.quarantine.samples().is_empty());
+            } else {
+                assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
+                let samples = rig.quarantine.samples();
+                assert_eq!(samples.len(), 1);
+                assert_eq!(samples[0].node, NodeId(5));
+                assert!(samples[0].error.contains(&format!("version {version}")));
+            }
             rig.pool.stop();
         }
     }
@@ -974,19 +1000,29 @@ mod tests {
     }
 
     #[test]
-    fn spoofed_batch_ends_the_connection() {
+    fn spoofed_or_unsequenced_batch_ends_the_connection() {
         let rig = test_pool();
-        let (mut client, handle) = rig.greeted(5);
         // The connection said Hello as node 5; a batch claiming node 6 is
-        // spoofed and must end the connection without being forwarded.
-        client.send(&empty_batch(6, 1)).unwrap();
-        match rig.event() {
-            PumpEvent::Disconnected { node, id } => {
-                assert_eq!(node, NodeId(5));
-                assert_eq!(id, handle.id());
+        // spoofed, and one without a seq can be neither acked nor
+        // deduplicated. Either must end the connection without being
+        // forwarded or quarantined.
+        let unsequenced = Message::EventBatch {
+            node: NodeId(5),
+            seq: None,
+            records: vec![],
+        };
+        for frame in [empty_batch(6, 1), unsequenced.encode()] {
+            let (mut client, handle) = rig.greeted(5);
+            client.send(&frame).unwrap();
+            match rig.event() {
+                PumpEvent::Disconnected { node, id } => {
+                    assert_eq!(node, NodeId(5));
+                    assert_eq!(id, handle.id());
+                }
+                other => panic!("bad batch must not be forwarded, got {other:?}"),
             }
-            other => panic!("spoofed batch must not be forwarded, got {other:?}"),
         }
+        assert_eq!(rig.quarantine.frames(), 0);
         rig.pool.stop();
     }
 
@@ -1015,7 +1051,7 @@ mod tests {
         // Once the manager drains the queue the deferred batch flows.
         rig.flow.sub(10);
         match rig.event() {
-            PumpEvent::Batch { seq, .. } => assert_eq!(seq, Some(1)),
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
             other => panic!("unexpected {other:?}"),
         }
         rig.pool.stop();
@@ -1031,7 +1067,7 @@ mod tests {
         client.send(b"not a brisk frame").unwrap();
         client.send(&empty_batch(5, 1)).unwrap();
         match rig.event() {
-            PumpEvent::Batch { seq, .. } => assert_eq!(seq, Some(1)),
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
             other => panic!("batch must survive quarantined garbage, got {other:?}"),
         }
         assert_eq!(rig.quarantine.frames(), 2);

@@ -59,7 +59,7 @@ pub struct RelayConfig {
     /// blocking the relay.
     pub window_batches: usize,
     /// Heartbeat the upstream once the link has been send-idle this long
-    /// (v3 links only; zero disables). This is also what keeps the
+    /// (zero disables). This is also what keeps the
     /// parent's `--node-timeout` sweep from evicting a subtree that is
     /// merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
@@ -348,28 +348,16 @@ impl UpstreamExporter {
             Ok(Some(Control::Skipped)) => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Some(Control::Granted { version, credit })) => {
+            Ok(Some(Control::Granted { credit })) => {
                 self.backoff = self.cfg.reconnect_initial;
                 self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
                 brisk_telemetry::flight_log!(
                     Info,
                     "relay.upstream",
                     "hello_ack",
-                    "prefix {} upstream negotiated v{version}, credit {credit:?}",
+                    "prefix {} upstream granted credit {credit:?}",
                     self.cfg.prefix.raw()
                 );
-                if version < 2 {
-                    // The parent will never ack: the window would hold
-                    // batches forever and exactly-once degrades to
-                    // fire-and-forget. Surface it loudly.
-                    brisk_telemetry::flight_log!(
-                        Warn,
-                        "relay.upstream",
-                        "v1_upstream",
-                        "prefix {} upstream speaks v1: no acks, relay delivery degrades to at-most-once",
-                        self.cfg.prefix.raw()
-                    );
-                }
             }
             Ok(Some(Control::Acked { seq })) => {
                 while let Some(&(s, sent)) = self.inflight.front() {
@@ -671,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_v3_link_heartbeats() {
+    fn idle_link_heartbeats() {
         let t = MemTransport::new();
         let mut listener = t.listen("hb").unwrap();
         let mut cfg = RelayConfig::new(NodePrefix::new(2).unwrap());
@@ -681,21 +669,21 @@ mod tests {
         ex.pump(now).unwrap();
         let mut server = accept(&mut listener);
         let _hello = recv_msg(&mut server);
-        // No HelloAck yet: idle time passes, no heartbeat (the peer may
-        // not speak v3).
-        std::thread::sleep(Duration::from_millis(15));
-        ex.pump(now).unwrap();
-        assert_eq!(ex.stats().heartbeats_sent, 0);
         server
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: VERSION,
                     credit: None,
                 }
                 .encode(),
             )
             .unwrap();
         ex.pump(now).unwrap();
+        assert_eq!(
+            ex.stats().heartbeats_sent,
+            0,
+            "the HelloAck restarts the idle clock"
+        );
         std::thread::sleep(Duration::from_millis(15));
         ex.pump(now).unwrap();
         assert_eq!(ex.stats().heartbeats_sent, 1);

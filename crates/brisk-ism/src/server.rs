@@ -398,17 +398,17 @@ impl Manager {
                 // receive time, keeping manager queueing delay out of
                 // the BatchSend→PumpRecv span.
                 //
-                // Dedup happens in the core; accepted or not, a sequenced
-                // batch is acked — a replayed duplicate means our earlier
-                // ack died with the old connection, so re-acking is
-                // exactly what unblocks the sender's retransmit window.
+                // Dedup happens in the core; accepted or not, the batch is
+                // acked — a replayed duplicate means our earlier ack died
+                // with the old connection, so re-acking is exactly what
+                // unblocks the sender's retransmit window.
                 let pushed = match BatchView::parse(&frame).and_then(|view| view.materialize()) {
                     Ok(mut records) => {
                         for rec in records.iter_mut() {
                             rec.stamp_trace(TraceStage::PumpRecv, recv_ts);
                         }
                         self.core
-                            .push_batch_seq(node, seq, records, self.clock.now())
+                            .push_batch_seq(node, Some(seq), records, self.clock.now())
                     }
                     Err(_) => Ok(false),
                 };
@@ -416,33 +416,23 @@ impl Manager {
                 // accepted them or not; free the pumps before erroring.
                 self.flow.sub(n);
                 pushed?;
-                if let Some(seq) = seq {
-                    // Ack through the exact pump instance the batch
-                    // arrived on.
-                    let handle = self
-                        .pumps
-                        .get(&node)
-                        .filter(|h| h.id() == id)
-                        .or_else(|| self.retiring.iter().find(|h| h.id() == id));
-                    if let Some(handle) = handle {
-                        // v3 peers get their credit budget re-advertised
-                        // on every ack: acked records no longer count
-                        // against the in-flight budget, so the constant
-                        // re-grant is exactly the replenishment.
-                        let credit = if handle.version() >= 3 {
-                            self.flow.credit()
-                        } else {
-                            None
-                        };
-                        if handle.command(PumpCommand::Ack { seq, credit }) {
-                            self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
-                            if credit.is_some() {
-                                self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
-                                self.cells
-                                    .grant_latency
-                                    .record(enqueued_at.elapsed().as_micros() as u64);
-                            }
-                        }
+                // Ack through the exact pump instance the batch arrived
+                // on. The credit budget is re-advertised on every ack:
+                // acked records no longer count against the in-flight
+                // budget, so the constant re-grant is the replenishment.
+                let handle = self
+                    .pumps
+                    .get(&node)
+                    .filter(|h| h.id() == id)
+                    .or_else(|| self.retiring.iter().find(|h| h.id() == id));
+                let credit = self.flow.credit();
+                if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq, credit })) {
+                    self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
+                    if credit.is_some() {
+                        self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+                        self.cells
+                            .grant_latency
+                            .record(enqueued_at.elapsed().as_micros() as u64);
                     }
                 }
             }
@@ -630,10 +620,10 @@ mod tests {
         .unwrap();
     }
 
-    fn batch_seq(node: u32, seq: Option<u64>, seqs: std::ops::Range<u64>) -> Message {
+    fn batch(node: u32, seq: u64, seqs: std::ops::Range<u64>) -> Message {
         Message::EventBatch {
             node: NodeId(node),
-            seq,
+            seq: Some(seq),
             records: seqs
                 .map(|i| {
                     brisk_core::EventRecord::new(
@@ -648,11 +638,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    /// An unsequenced (v1-style) batch.
-    fn batch(node: u32, seqs: std::ops::Range<u64>) -> Message {
-        batch_seq(node, None, seqs)
     }
 
     /// Receive decoded messages until `pred` returns `Some`, answering
@@ -679,7 +664,7 @@ mod tests {
         let mut reader = handle.memory().reader();
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        conn.send(&batch(1, 0..10).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..10).encode()).unwrap();
 
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut total = 0;
@@ -706,7 +691,7 @@ mod tests {
             })
             .collect();
         for (i, c) in conns.iter_mut().enumerate() {
-            c.send(&batch(i as u32 + 1, 0..5).encode()).unwrap();
+            c.send(&batch(i as u32 + 1, 1, 0..5).encode()).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
@@ -757,7 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_client_gets_hello_ack_and_batch_acks() {
+    fn client_gets_hello_ack_and_batch_acks() {
         let (handle, t) = start_server();
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
@@ -767,7 +752,7 @@ mod tests {
         });
         // Credit flow control is off by default: the ack carries no grant.
         assert_eq!(acked, Some((brisk_proto::VERSION, None)));
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
@@ -806,8 +791,8 @@ mod tests {
             Message::HelloAck { credit, .. } => Some(credit),
             _ => None,
         });
-        assert_eq!(granted, Some(Some(64)), "v3 Hello must carry the budget");
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        assert_eq!(granted, Some(Some(64)), "HelloAck must carry the budget");
+        conn.send(&batch(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
@@ -820,37 +805,6 @@ mod tests {
             .histogram("brisk_ism_grant_latency_us")
             .expect("grant latency histogram");
         assert!(lat.count() >= 1);
-    }
-
-    #[test]
-    fn v1_client_interoperates_without_acks() {
-        let (handle, t) = start_server();
-        let mut reader = handle.memory().reader();
-        let mut conn = t.connect("ism").unwrap();
-        conn.send(
-            &Message::Hello {
-                node: NodeId(1),
-                version: 1,
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(&batch(1, 0..5).encode()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut total = 0;
-        while total < 5 && Instant::now() < deadline {
-            let (recs, _) = reader.poll().unwrap();
-            total += recs.len();
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(total, 5, "v1 batches must still flow");
-        // A v1 peer must never see v2 control messages.
-        let v2_msg = recv_until(&mut conn, Duration::from_millis(300), |m| match m {
-            Message::HelloAck { .. } | Message::BatchAck { .. } => Some(m),
-            _ => None,
-        });
-        assert!(v2_msg.is_none(), "v1 peer got v2 message {v2_msg:?}");
-        handle.stop().unwrap();
     }
 
     #[test]
@@ -871,7 +825,7 @@ mod tests {
         let handle = server.spawn(listener).unwrap();
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        conn.send(&batch_seq(1, Some(1), 0..4).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..4).encode()).unwrap();
         let first_ack = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,
@@ -879,7 +833,7 @@ mod tests {
         assert_eq!(first_ack, Some(1));
         // Replay the same batch (as after a reconnect whose ack was lost):
         // it must be dropped by dedup yet acked again.
-        conn.send(&batch_seq(1, Some(1), 0..4).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..4).encode()).unwrap();
         let second_ack = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,
@@ -901,7 +855,7 @@ mod tests {
         hello(&mut conn, 1);
         // Spoof: the connection authenticated as node 1 but the batch
         // claims node 2. The server must kill the connection.
-        conn.send(&batch_seq(2, Some(1), 0..3).encode()).unwrap();
+        conn.send(&batch(2, 1, 0..3).encode()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut killed = false;
         while Instant::now() < deadline {
@@ -921,7 +875,7 @@ mod tests {
         // First connection for node 1, held open (its pump stays alive).
         let mut conn1 = t.connect("ism").unwrap();
         hello(&mut conn1, 1);
-        conn1.send(&batch_seq(1, Some(1), 0..2).encode()).unwrap();
+        conn1.send(&batch(1, 1, 0..2).encode()).unwrap();
         assert!(
             recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
                 Message::BatchAck { seq, .. } => Some(seq),
@@ -943,7 +897,7 @@ mod tests {
         assert!(rejected.is_some(), "duplicate Hello must be rejected");
         assert_eq!(handle.quarantine().rejected_hellos(), 1);
         // The original connection keeps working...
-        conn1.send(&batch_seq(1, Some(2), 0..2).encode()).unwrap();
+        conn1.send(&batch(1, 2, 0..2).encode()).unwrap();
         let ack2 = recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } if seq >= 2 => Some(seq),
             _ => None,
@@ -969,7 +923,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
         }
         let mut conn3 = conn3.expect("node id must be reclaimable after disconnect");
-        conn3.send(&batch_seq(1, Some(3), 0..2).encode()).unwrap();
+        conn3.send(&batch(1, 3, 0..2).encode()).unwrap();
         let ack3 = recv_until(&mut conn3, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } if seq >= 3 => Some(seq),
             _ => None,
@@ -1006,7 +960,7 @@ mod tests {
         let (handle, t, registry) = start_server_with_timeout(Duration::from_millis(150));
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        conn.send(&batch_seq(1, Some(1), 0..2).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..2).encode()).unwrap();
         // Then go silent: the manager must evict the node — the pump
         // sends Shutdown and retires, exactly like a displaced pump.
         let shut = recv_until(&mut conn, Duration::from_secs(5), |m| match m {
@@ -1065,7 +1019,7 @@ mod tests {
         // Two garbage frames are quarantined; a batch still lands.
         conn.send(&[0xde, 0xad]).unwrap();
         conn.send(&[0xbe, 0xef]).unwrap();
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        conn.send(&batch(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,
@@ -1121,7 +1075,7 @@ mod tests {
         let mut reader = handle.memory().reader();
         let mut conn = t.connect("ism-telemetry").unwrap();
         hello(&mut conn, 3);
-        conn.send(&batch(3, 0..12).encode()).unwrap();
+        conn.send(&batch(3, 1, 0..12).encode()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut total = 0;
         while total < 12 && Instant::now() < deadline {
@@ -1163,7 +1117,7 @@ mod tests {
         let mut reader = handle.memory().reader();
         let mut conn = t.connect(handle.addr()).unwrap();
         hello(&mut conn, 7);
-        conn.send(&batch(7, 0..20).encode()).unwrap();
+        conn.send(&batch(7, 1, 0..20).encode()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut total = 0;
         while total < 20 && Instant::now() < deadline {

@@ -9,7 +9,7 @@
 //! holds a [`PumpHandle`] ([`PumpCommand`]s in, [`PumpEvent`]s out); the
 //! reactor owns the socket and hands every inbound frame of a greeted
 //! connection to [`PumpIo::on_frame`], the one place that decides what a
-//! v3 receiver accepts, forwards, quarantines or treats as fatal.
+//! receiver accepts, forwards, quarantines or treats as fatal.
 
 use crate::reactor::ReactorConfig;
 use brisk_clock::SkewSample;
@@ -43,16 +43,15 @@ pub enum PumpCommand {
         /// Microseconds the slave should add to its correction value.
         advance_us: i64,
     },
-    /// Acknowledge every sequenced batch up to `seq` (protocol v2): the
-    /// manager issues this once the core accepted (or dedup-dropped) the
-    /// batch, and the pump turns it into a wire [`Message::BatchAck`].
+    /// Acknowledge every batch up to `seq`: the manager issues this once
+    /// the core accepted (or dedup-dropped) the batch, and the pump turns
+    /// it into a wire [`Message::BatchAck`].
     Ack {
         /// Cumulative acknowledged sequence number.
         seq: u64,
-        /// Replenished credit budget to piggyback (protocol v3): the
-        /// maximum number of unacknowledged records the sender may have
-        /// in flight from now on. `None` on connections without credit
-        /// flow control (v1/v2 peers, or credit disabled).
+        /// Replenished credit budget to piggyback: the maximum number of
+        /// unacknowledged records the sender may have in flight from now
+        /// on. `None` while credit flow control is disabled.
         credit: Option<u64>,
     },
     /// Send `Shutdown` to the slave and exit.
@@ -75,8 +74,8 @@ pub enum PumpEvent {
         /// [`PumpHandle::id`]); acks are routed back through it, never
         /// through whichever handle happens to own the node right now.
         id: u64,
-        /// Batch sequence number (`None` on v1 connections).
-        seq: Option<u64>,
+        /// Batch sequence number.
+        seq: u64,
         /// The wire frame, validated but still encoded. The pump parsed
         /// it as a [`BatchView`] (rejecting malformed bytes and spoofed
         /// node ids) without materializing a single record; the manager
@@ -106,9 +105,9 @@ pub enum PumpEvent {
         /// Collected samples.
         samples: Vec<SkewSample>,
     },
-    /// The peer proved liveness with a [`Message::Heartbeat`] (protocol
-    /// v3): no payload, no reply — just evidence the EXS is alive, so
-    /// the manager's stale-node eviction timer resets.
+    /// The peer proved liveness with a [`Message::Heartbeat`]: no
+    /// payload, no reply — just evidence the EXS is alive, so the
+    /// manager's stale-node eviction timer resets.
     Heartbeat {
         /// The node that proved liveness.
         node: NodeId,
@@ -134,7 +133,6 @@ pub struct PumpHandle {
     /// The node this pump serves.
     pub node: NodeId,
     id: u64,
-    version: u32,
     cmd_tx: Sender<PumpCommand>,
     /// Fired after every queued command to kick the pump's shard out of
     /// `poll`, so commands are serviced immediately rather than on the
@@ -148,12 +146,6 @@ impl PumpHandle {
         self.id
     }
 
-    /// The protocol version negotiated on this pump's connection; the
-    /// manager attaches credit to acks only when this is ≥ 3.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Send a command; returns `false` if the pump is gone.
     pub fn command(&self, cmd: PumpCommand) -> bool {
         let sent = self.cmd_tx.send(cmd).is_ok();
@@ -164,19 +156,13 @@ impl PumpHandle {
     }
 }
 
-/// Build the handle/receiver pair for a freshly greeted connection.
-/// `version` is the negotiated protocol version. The manager learns of
-/// the pump's death through its `Disconnected` event.
-pub(crate) fn pump_channel(
-    node: NodeId,
-    version: u32,
-    waker: Waker,
-) -> (PumpHandle, Receiver<PumpCommand>) {
+/// Build the handle/receiver pair for a freshly greeted connection. The
+/// manager learns of the pump's death through its `Disconnected` event.
+pub(crate) fn pump_channel(node: NodeId, waker: Waker) -> (PumpHandle, Receiver<PumpCommand>) {
     let (cmd_tx, cmd_rx) = unbounded();
     let handle = PumpHandle {
         node,
         id: NEXT_PUMP_ID.fetch_add(1, Ordering::Relaxed),
-        version,
         cmd_tx,
         waker,
     };
@@ -259,8 +245,9 @@ impl PumpIo {
     }
 
     /// Route one inbound frame. `Err` means the connection is done
-    /// (orderly `Shutdown`, a spoofed batch, a protocol violation, or an
-    /// exhausted quarantine budget); `Ok` carries what happened.
+    /// (orderly `Shutdown`, a spoofed or unsequenced batch, a protocol
+    /// violation, or an exhausted quarantine budget); `Ok` carries what
+    /// happened.
     ///
     /// Batches take the zero-copy path: the frame is validated as a
     /// [`BatchView`] — every record body walked and bounds-checked, no
@@ -274,7 +261,8 @@ impl PumpIo {
                     // handshake; a batch claiming another origin is
                     // spoofed (or a badly confused client) — kill the
                     // connection rather than pollute another node's
-                    // event stream.
+                    // event stream. A batch without a seq could be
+                    // neither deduplicated nor acked: same verdict.
                     if view.node() != self.node {
                         return Err(BriskError::Protocol(format!(
                             "batch claims node {} on a connection that said Hello as {}",
@@ -282,7 +270,13 @@ impl PumpIo {
                             self.node
                         )));
                     }
-                    (view.len(), view.seq())
+                    let Some(seq) = view.seq() else {
+                        return Err(BriskError::Protocol(format!(
+                            "unsequenced batch from node {}",
+                            self.node
+                        )));
+                    };
+                    (view.len(), seq)
                 }
                 Err(e) => return self.note_malformed(ctx, &frame, &e),
             };

@@ -134,8 +134,7 @@ impl Batcher {
     }
 }
 
-/// Bounded retransmit window for acknowledged batch delivery (protocol
-/// v2). The EXS assigns every outgoing batch a per-node monotonic sequence
+/// Bounded retransmit window for acknowledged batch delivery. The EXS assigns every outgoing batch a per-node monotonic sequence
 /// number and keeps a copy here until the ISM's cumulative [`BatchAck`]
 /// covers it; after a reconnect the supervisor replays whatever is still
 /// unacked so an abrupt disconnect loses nothing.
@@ -176,7 +175,7 @@ impl SendWindow {
     }
 
     /// Total records across the unacked batches — the sender's in-flight
-    /// count against a credit budget (protocol v3 flow control).
+    /// count against a credit budget.
     pub fn unacked_records(&self) -> u64 {
         self.unacked_records
     }

@@ -63,17 +63,17 @@ brisk_telemetry::metrics! {
         /// Sync adjustments ignored because `sync_disabled` is set (chaos
         /// plane: the node's clock is deliberately left to drift).
         sync_ignored: counter "brisk_exs_sync_ignored_total" "Clock adjustments ignored (sync disabled on this node)",
-        /// Cumulative `BatchAck`s received from the ISM (v2 delivery).
+        /// Cumulative `BatchAck`s received from the ISM.
         acks_received: counter "brisk_exs_acks_total" "Batch acknowledgements received from the ISM",
         /// Batches replayed from the retransmit window after a reconnect.
         batches_retransmitted: counter "brisk_exs_batches_retransmitted_total" "Batches replayed from the retransmit window after reconnect",
         /// Unacked batches evicted from a full retransmit window (lost to
-        /// replay; delivery degraded to v1 semantics for those records).
+        /// replay; at-most-once delivery for those records).
         window_evicted: counter "brisk_exs_window_evicted_total" "Unacked batches evicted from a full retransmit window",
         /// Ring scoops deferred because the ISM's credit budget was spent
-        /// (protocol v3 flow control); backpressure is parked in the rings.
+        /// (credit flow control); backpressure is parked in the rings.
         credit_deferrals: counter "brisk_exs_credit_deferred_total" "Ring scoops deferred waiting for ISM credit",
-        /// Liveness heartbeats sent to the ISM (protocol v3, idle links only).
+        /// Liveness heartbeats sent to the ISM (idle links only).
         heartbeats_sent: counter "brisk_exs_heartbeats_sent_total" "Liveness heartbeats sent to the ISM on idle links",
         /// `HelloAck`s received (one per successfully established connection).
         hello_acks: counter "brisk_exs_hello_acks_total" "HelloAcks received (established connections)",
@@ -352,8 +352,7 @@ impl ExternalSensor {
         // out of the rings: once the send fails, keep pushing the rest of
         // the scoop through the batcher and stash every flushed batch in
         // the retransmit window (unsent), where the next connection's
-        // replay picks it up. (Without a window — a v1 peer — stashing
-        // drops them: the old fail-fast loss semantics.)
+        // replay picks it up.
         let mut failed: Option<BriskError> = None;
         for mut rec in pending.drain(..) {
             rec.apply_correction(correction);
@@ -384,7 +383,7 @@ impl ExternalSensor {
                 self.send_batch(batch, reason)?;
             }
         }
-        // 2b. Liveness: on an idle v3 connection, send a heartbeat so the
+        // 2b. Liveness: on an idle connection, send a heartbeat so the
         //     ISM can tell a quiet node from a silently dead one (TCP
         //     alone reports nothing for minutes).
         let now_us = self.pacing_now_us();
@@ -442,12 +441,7 @@ impl ExternalSensor {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
-            Control::Granted { version, .. } => {
-                // Anything below v2 means no acks will ever come: fall
-                // back to the old fire-and-forget delivery.
-                if version < 2 {
-                    self.uplink.drop_window();
-                }
+            Control::Granted { .. } => {
                 self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
             }
             Control::Acked { .. } => {
@@ -695,7 +689,7 @@ mod tests {
         match recv_msg(&mut r.ism_side) {
             Message::EventBatch { node, seq, records } => {
                 assert_eq!(node, NodeId(7));
-                assert_eq!(seq, Some(1)); // v2 by default: first batch is seq 1
+                assert_eq!(seq, Some(1)); // the first batch is seq 1
                 assert_eq!(records.len(), 2);
                 assert_eq!(records[0].ts, UtcMicros::from_micros(1_050));
                 assert_eq!(records[1].ts, UtcMicros::from_micros(1_051));
@@ -989,32 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_ack_v1_downgrades_to_unsequenced() {
-        let mut cfg = ExsConfig::default();
-        cfg.max_batch_records = 1;
-        let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 1,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-
-        emit_n(&r.rings, 1);
-        r.src.advance_by(10);
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
-            Message::EventBatch { seq, .. } => assert_eq!(seq, None),
-            other => panic!("expected batch, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn reattach_replays_unacked_batches_and_the_partial_batch_survives() {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 2;
@@ -1090,7 +1058,7 @@ mod tests {
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: Some(2),
                 }
                 .encode(),
@@ -1134,7 +1102,7 @@ mod tests {
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: Some(99),
                 }
                 .encode(),
@@ -1150,7 +1118,7 @@ mod tests {
         // ...which carries no grant: credit is off.
         ism2.send(
             &Message::HelloAck {
-                version: 2,
+                version: brisk_proto::VERSION,
                 credit: None,
             }
             .encode(),
@@ -1173,7 +1141,7 @@ mod tests {
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: Some(2),
                 }
                 .encode(),
@@ -1207,32 +1175,32 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_sent_on_idle_v3_link() {
+    fn heartbeat_sent_on_idle_link() {
         let mut cfg = ExsConfig::default();
         cfg.heartbeat_interval = Duration::from_millis(100);
         let mut r = rig(cfg, 0);
         recv_msg(&mut r.ism_side); // hello
-                                   // No HelloAck yet: idle time passes, no heartbeat (the peer may
-                                   // be v1 and unable to decode the tag).
-        r.src.advance_by(150_000);
-        r.exs.step().unwrap();
-        assert!(r
-            .ism_side
-            .recv(Some(Duration::from_millis(20)))
-            .unwrap()
-            .is_none());
-        // v3 negotiated: the next idle interval produces a heartbeat.
+        r.src.advance_by(90_000);
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: None,
                 }
                 .encode(),
             )
             .unwrap();
         r.exs.step().unwrap();
-        r.src.advance_by(150_000);
+        // 180 ms idle since the Hello, but the HelloAck restarted the idle
+        // clock 90 ms ago: no heartbeat yet.
+        r.src.advance_by(90_000);
+        r.exs.step().unwrap();
+        assert!(r
+            .ism_side
+            .recv(Some(Duration::from_millis(20)))
+            .unwrap()
+            .is_none());
+        r.src.advance_by(20_000);
         r.exs.step().unwrap();
         assert_eq!(recv_msg(&mut r.ism_side), Message::Heartbeat);
         assert_eq!(r.exs.stats().heartbeats_sent, 1);
@@ -1244,34 +1212,6 @@ mod tests {
             .recv(Some(Duration::from_millis(20)))
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn v2_connection_never_heartbeats() {
-        let mut cfg = ExsConfig::default();
-        cfg.heartbeat_interval = Duration::from_millis(50);
-        let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 2,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        r.src.advance_by(500_000);
-        r.exs.step().unwrap();
-        assert!(
-            r.ism_side
-                .recv(Some(Duration::from_millis(20)))
-                .unwrap()
-                .is_none(),
-            "a v2 peer cannot decode the Heartbeat tag"
-        );
-        assert_eq!(r.exs.stats().heartbeats_sent, 0);
     }
 
     #[test]
@@ -1297,7 +1237,7 @@ mod tests {
         ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: None,
                 }
                 .encode(),
@@ -1389,7 +1329,7 @@ mod tests {
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
+                    version: brisk_proto::VERSION,
                     credit: None,
                 }
                 .encode(),

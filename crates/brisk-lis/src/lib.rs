@@ -17,7 +17,7 @@
 //!   timestamp, batches records under the latency-control knobs
 //!   ([`brisk_core::ExsConfig`]) and ships batches to the ISM over the
 //!   transfer protocol. It also answers clock-sync polls and applies
-//!   adjustments (the sync *slave* role). Everything a v3 sender does
+//!   adjustments (the sync *slave* role). Everything a sender does
 //!   with window, credit, acks, replay and heartbeats lives in
 //!   [`uplink::Uplink`], which the relay ISM's upstream link shares.
 

@@ -9,19 +9,17 @@
 //! value over** to the new incarnation so the node does not fall back to
 //! raw, unsynchronized time while the master re-converges.
 //!
-//! Delivery semantics across an abrupt disconnect (protocol v2): the EXS
-//! keeps every sent-but-unacked batch in a bounded retransmit window that
-//! lives in its [`crate::Uplink`] (like the clock correction, it simply
-//! stays with the EXS while the supervisor attaches the next connection),
-//! and the unacked batches are **replayed** right after the re-`Hello` —
-//! so nothing handed to the dead connection is lost. The
-//! ISM deduplicates replays by `(node, seq)`, making delivery to the sinks
-//! exactly-once. Two degraded edges remain: a peer that negotiates the
-//! connection down to v1 gets the old fire-and-forget semantics (no acks,
-//! no replay), and a retransmit window that overflows (`ExsConfig::
-//! retransmit_window_batches` unacked batches outstanding) evicts its
-//! oldest batch, which is then beyond replay — both are surfaced through
-//! telemetry rather than hidden.
+//! Delivery semantics across an abrupt disconnect: the EXS keeps every
+//! sent-but-unacked batch in a bounded retransmit window that lives in
+//! its [`crate::Uplink`] (like the clock correction, it simply stays with
+//! the EXS while the supervisor attaches the next connection), and the
+//! unacked batches are **replayed** right after the re-`Hello` — so
+//! nothing handed to the dead connection is lost. The ISM deduplicates
+//! replays by `(node, seq)`, making delivery to the sinks exactly-once.
+//! One degraded edge remains: a retransmit window that overflows
+//! (`ExsConfig::retransmit_window_batches` unacked batches outstanding)
+//! evicts its oldest batch, which is then beyond replay — surfaced
+//! through telemetry rather than hidden.
 
 use crate::exs::{ExsStats, ExsStep, ExsTelemetry, ExternalSensor};
 use brisk_clock::Clock;
@@ -559,7 +557,7 @@ mod tests {
                 if ack {
                     conn.send(
                         &Message::HelloAck {
-                            version: 3,
+                            version: brisk_proto::VERSION,
                             credit: None,
                         }
                         .encode(),

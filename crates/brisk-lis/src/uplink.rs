@@ -1,6 +1,6 @@
 //! The sender side of the session protocol, written once.
 //!
-//! An [`Uplink`] is everything a v3 *sender* must do with window, credit,
+//! An [`Uplink`] is everything a *sender* must do with window, credit,
 //! acks, replay, heartbeats and control frames (§3.4–3.5). It is session
 //! state that outlives any one connection: reconnecting is "keep the
 //! `Uplink`, [`Uplink::attach`] the next connection" — `Hello` goes out
@@ -38,11 +38,9 @@ pub const CONTROL_ERROR_BUDGET: u32 = 8;
 pub enum Control {
     /// An undecodable frame was skipped (within the error budget).
     Skipped,
-    /// `HelloAck`: the connection's negotiated version and its
-    /// authoritative credit grant (`None` clears a carried-over budget).
+    /// `HelloAck`: the connection's authoritative credit grant (`None`
+    /// clears a carried-over budget).
     Granted {
-        /// Version the connection runs at.
-        version: u32,
         /// Credit budget granted, if flow control is on.
         credit: Option<u64>,
     },
@@ -66,16 +64,12 @@ pub enum Control {
 /// What [`Uplink::send`] / [`Uplink::stash`] did to the retransmit window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Windowed {
-    /// Sequence number assigned (`None` on an unsequenced v1 link).
+    /// Sequence number assigned, typed as the wire's `EventBatch.seq`
+    /// field it is sent in; an `Uplink` always assigns one.
     pub seq: Option<u64>,
     /// A full window evicted its oldest unacked batch (now beyond replay).
     pub evicted: bool,
 }
-
-const UNSEQUENCED: Windowed = Windowed {
-    seq: None,
-    evicted: false,
-};
 
 /// Sender-side session state for one node's link to its ISM.
 pub struct Uplink {
@@ -83,20 +77,14 @@ pub struct Uplink {
     /// Answers `SyncPoll`s (the sender's *corrected* time: slaves converge
     /// on each other through their corrections).
     clock: Arc<dyn Clock>,
-    window_batches: usize,
     heartbeat_interval: Duration,
     conn: Option<Box<dyn Connection>>,
-    /// Sent-but-unacked batches. `None` only after the caller dropped it
-    /// for a v1 peer that will never ack; the next `attach` starts
-    /// optimistically sequenced again.
-    window: Option<SendWindow>,
+    /// Sent-but-unacked batches, replayed on every `attach`.
+    window: SendWindow,
     /// Absolute in-flight budget the ISM re-advertises on `HelloAck` and
     /// every `BatchAck`; `None` = no flow control. Survives `attach`, so
     /// the gap before the new `HelloAck` stays paced by the old grant.
     credit: Option<u64>,
-    /// Version from this connection's `HelloAck`; gates heartbeats (a v3
-    /// tag older peers cannot decode).
-    negotiated: Option<u32>,
     control_errors: u32,
     /// Pacing "now" of the last frame sent on this connection.
     last_send_us: i64,
@@ -114,12 +102,10 @@ impl Uplink {
         Uplink {
             node,
             clock,
-            window_batches,
             heartbeat_interval,
             conn: None,
-            window: Some(SendWindow::new(window_batches)),
+            window: SendWindow::new(window_batches),
             credit: None,
-            negotiated: None,
             control_errors: 0,
             last_send_us: 0,
         }
@@ -142,15 +128,13 @@ impl Uplink {
 
     /// Sent-but-unacked batches currently held for replay.
     pub fn window_depth(&self) -> usize {
-        self.window.as_ref().map_or(0, SendWindow::depth)
+        self.window.depth()
     }
 
     /// Granted credit minus unacked in-flight records (0 with credit off).
     pub fn credit_balance(&self) -> i64 {
-        match (self.credit, &self.window) {
-            (Some(c), Some(w)) => c as i64 - w.unacked_records() as i64,
-            _ => 0,
-        }
+        self.credit
+            .map_or(0, |c| c as i64 - self.window.unacked_records() as i64)
     }
 
     /// True when flow control permits putting more records in flight:
@@ -158,10 +142,9 @@ impl Uplink {
     /// window always passes — even a zero grant can only stop *new*
     /// traffic while something is in flight, never deadlock the sender.
     pub fn credit_open(&self) -> bool {
-        match (self.credit, &self.window) {
-            (Some(c), Some(w)) => w.depth() == 0 || w.unacked_records() < c,
-            _ => true,
-        }
+        let w = &self.window;
+        self.credit
+            .is_none_or(|c| w.depth() == 0 || w.unacked_records() < c)
     }
 
     /// Adopt `conn`: send `Hello`, then replay every unacked batch in
@@ -177,55 +160,31 @@ impl Uplink {
             }
             .encode(),
         )?;
-        let window = self
-            .window
-            .get_or_insert_with(|| SendWindow::new(self.window_batches));
-        let replayed = Self::replay_unacked(self.node, window, conn.as_mut())?;
+        // Replay deliberately ignores credit: those records were already
+        // granted in flight by the previous connection, and holding them
+        // back would stall recovery behind acks that cannot arrive yet.
+        for (seq, records) in self.window.iter_unacked() {
+            conn.send(&encode_batch(self.node, Some(seq), records))?;
+        }
         self.conn = Some(conn);
         self.last_send_us = now_us;
-        Ok(replayed)
-    }
-
-    /// Replay deliberately ignores credit: those records were already
-    /// granted in flight by the previous connection, and holding them
-    /// back would stall recovery behind acks that cannot arrive yet.
-    fn replay_unacked(
-        node: NodeId,
-        window: &SendWindow,
-        conn: &mut dyn Connection,
-    ) -> Result<usize> {
-        for (seq, records) in window.iter_unacked() {
-            conn.send(&encode_batch(node, Some(seq), records))?;
-        }
-        Ok(window.depth())
+        Ok(self.window.depth())
     }
 
     /// Drop the connection (if any). Window and credit are kept for the
     /// next [`Uplink::attach`].
     pub fn detach(&mut self) {
         self.conn = None;
-        self.negotiated = None;
         self.control_errors = 0;
     }
 
-    /// Stop sequencing: the peer negotiated v1 and will never ack, so
-    /// windowed copies would be dead weight.
-    pub fn drop_window(&mut self) {
-        self.window = None;
-    }
-
     /// Retain a batch for replay without sending it (the link is down);
-    /// the next `attach` delivers it. Dropped on an unsequenced link.
+    /// the next `attach` delivers it.
     pub fn stash(&mut self, records: Vec<EventRecord>) -> Windowed {
-        match &mut self.window {
-            Some(w) => {
-                let (seq, evicted) = w.push(records);
-                Windowed {
-                    seq: Some(seq),
-                    evicted: evicted.is_some(),
-                }
-            }
-            None => UNSEQUENCED,
+        let (seq, evicted) = self.window.push(records);
+        Windowed {
+            seq: Some(seq),
+            evicted: evicted.is_some(),
         }
     }
 
@@ -235,7 +194,7 @@ impl Uplink {
     pub fn send(&mut self, records: Vec<EventRecord>, now_us: i64) -> (Windowed, Result<()>) {
         // Encode from the borrow under the sequence number the window is
         // about to assign, then move the records into it: no copy.
-        let seq = self.window.as_ref().map(SendWindow::next_seq);
+        let seq = Some(self.window.next_seq());
         let frame = encode_batch(self.node, seq, &records);
         let windowed = self.stash(records);
         debug_assert_eq!(windowed.seq, seq);
@@ -255,15 +214,11 @@ impl Uplink {
     }
 
     /// Send a `Heartbeat` when the link has been send-idle for a full
-    /// interval. Gated on a `HelloAck` that negotiated v3 (older peers
-    /// cannot decode the tag) and on a non-zero interval. Any frame sent
-    /// resets the pacing, so heartbeats only ever ride an otherwise-quiet
-    /// link. Returns whether one was sent.
+    /// interval (a zero interval disables them). Any frame sent — and the
+    /// `HelloAck` — resets the pacing, so heartbeats only ever ride an
+    /// otherwise-quiet link. Returns whether one was sent.
     pub fn heartbeat_if_idle(&mut self, now_us: i64) -> Result<bool> {
-        if self.heartbeat_interval.is_zero()
-            || self.negotiated.is_none_or(|v| v < 3)
-            || self.conn.is_none()
-        {
+        if self.heartbeat_interval.is_zero() || self.conn.is_none() {
             return Ok(false);
         }
         let interval_us = self.heartbeat_interval.as_micros() as i64;
@@ -300,21 +255,17 @@ impl Uplink {
             Err(_) => return Ok(Control::Skipped),
         };
         Ok(match msg {
-            Message::HelloAck { version, credit } => {
-                self.negotiated = Some(version);
+            Message::HelloAck { credit, .. } => {
                 self.credit = credit;
-                // Idle time before negotiation completed doesn't count
-                // toward the heartbeat deadline: the ISM only expects
-                // heartbeats once it has granted v3.
+                // Idle time before the greeting completed doesn't count
+                // toward the heartbeat deadline.
                 self.last_send_us = now_us;
-                Control::Granted { version, credit }
+                Control::Granted { credit }
             }
             Message::BatchAck { seq, credit } => {
-                if let Some(w) = &mut self.window {
-                    w.ack(seq);
-                }
+                self.window.ack(seq);
                 // A piggybacked grant re-advertises the budget absolutely;
-                // a plain (v2-style) ack leaves it untouched.
+                // a credit-less ack leaves it untouched.
                 if credit.is_some() {
                     self.credit = credit;
                 }
@@ -363,26 +314,6 @@ mod tests {
             8,
             Duration::from_millis(100),
         )
-    }
-
-    #[test]
-    fn v1_downgrade_lasts_one_connection() {
-        let mut up = uplink();
-        let (mut ism, conn) = mem_pair();
-        up.attach(conn, 0).unwrap();
-        recv_msg(&mut ism); // hello
-        up.drop_window();
-        let (w, sent) = up.send(vec![], 0);
-        sent.unwrap();
-        assert_eq!(w.seq, None);
-        assert!(matches!(
-            recv_msg(&mut ism),
-            Message::EventBatch { seq: None, .. }
-        ));
-        // The next connection starts optimistically sequenced again.
-        let (_ism2, conn2) = mem_pair();
-        up.attach(conn2, 0).unwrap();
-        assert_eq!(up.send(vec![], 0).0.seq, Some(1));
     }
 
     #[test]

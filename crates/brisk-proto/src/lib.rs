@@ -10,49 +10,34 @@
 //! * [`Message::Hello`] — sent by the EXS when it connects; carries the
 //!   protocol magic/version and the node id, which subsequent batches from
 //!   this connection implicitly belong to.
-//! * [`Message::HelloAck`] — *v2*: the ISM's reply to a v2 `Hello`,
-//!   carrying the negotiated protocol version. Never sent to v1 peers
-//!   (they would reject the unknown tag), so its absence is itself the
-//!   "fall back to v1" signal.
+//! * [`Message::HelloAck`] — the ISM's reply to an accepted `Hello`,
+//!   optionally carrying a credit budget.
 //! * [`Message::EventBatch`] — a batch of event records. "The external
 //!   sensor packages instrumentation data in XDR format with the
 //!   meta-information header compressed" — each record body embeds its
-//!   packed descriptor, see [`brisk_xdr::values`]. Under v2 the batch
-//!   carries a per-node monotonic sequence number (`seq: Some(n)`, a
-//!   distinct wire tag) so the ISM can acknowledge and deduplicate;
-//!   `seq: None` encodes the v1 wire format.
-//! * [`Message::BatchAck`] — *v2*: ISM→EXS cumulative acknowledgement:
-//!   every sequenced batch with `seq <= ack.seq` has been handed to the
-//!   ISM pipeline and may be dropped from the sender's retransmit window.
-//!
-//! ## Credit-based flow control (v3)
-//!
-//! A v3 ISM may grant a *credit budget* — the maximum number of records
-//! the EXS may have unacknowledged in flight — in `HelloAck` and
-//! re-advertise it on every `BatchAck` (absolute value, not a delta, so a
-//! lost ack cannot strand credit). Credit rides on two *new* wire tags
-//! (`HelloAckCredit`, `BatchAckCredit`) rather than extra fields on the
-//! v2 tags, because decoders reject trailing bytes: a v2 peer keeps
-//! receiving the exact v2 encodings (`credit: None`) and is none the
-//! wiser. `credit: Some(0)` is valid and means "stop sending new batches
-//! until replenished" — the EXS may still retransmit its unacknowledged
-//! window.
+//!   packed descriptor, see [`brisk_xdr::values`]. The batch carries a
+//!   per-node monotonic sequence number so the ISM can acknowledge and
+//!   deduplicate.
+//! * [`Message::BatchAck`] — ISM→EXS cumulative acknowledgement: every
+//!   batch with `seq <= ack.seq` has been handed to the ISM pipeline and
+//!   may be dropped from the sender's retransmit window. Like `HelloAck`
+//!   it may re-advertise the credit budget (absolute, not a delta, so a
+//!   lost ack cannot strand credit); `credit: Some(0)` means "send no new
+//!   batches until replenished".
 //! * [`Message::SyncPoll`] / [`Message::SyncReply`] /
 //!   [`Message::SyncAdjust`] — the clock-synchronization exchange (§3.3).
 //!   The poll carries the master send time so the reply can echo it; the
 //!   sample index lets the master average several exchanges per round.
 //! * [`Message::Shutdown`] — orderly termination.
 //!
-//! ## Version negotiation
+//! ## One session, several wire forms
 //!
-//! `Hello` advertises the sender's version; the receiver accepts anything
-//! in `MIN_VERSION..=VERSION` and the connection runs at
-//! [`negotiate`]\(peer\) = `min(peer, VERSION)`. A v1 peer therefore
-//! interoperates with a v3 ISM (plain unsequenced batches, no acks), a v2
-//! peer gets acknowledged, replayable delivery without credit, and two v3
-//! endpoints additionally get credit-based flow control — but only when
-//! the ISM chooses to grant credit (`credit: None` on a v3 connection
-//! falls back to v2 semantics).
+//! The session protocol has one generation, [`VERSION`]: the ISM refuses
+//! any other `Hello`. The codec is wider than the session — it still
+//! encodes and decodes every tag ever assigned (`MIN_VERSION..=VERSION`
+//! hellos, unsequenced batches, credit-less acks), because the golden
+//! fixtures pin those bytes and because credit-less acks are what a
+//! credit-off ISM sends.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -76,18 +61,9 @@ pub const MAGIC: u32 = 0x4252_534B;
 /// Protocol version implemented by this crate.
 pub const VERSION: u32 = 3;
 
-/// Oldest protocol version still accepted from peers.
+/// Oldest `Hello` version the *codec* still decodes. The ISM session
+/// accepts only [`VERSION`].
 pub const MIN_VERSION: u32 = 1;
-
-/// The version a connection runs at given the peer's advertised version:
-/// the highest both sides implement.
-pub const fn negotiate(peer_version: u32) -> u32 {
-    if peer_version < VERSION {
-        peer_version
-    } else {
-        VERSION
-    }
-}
 
 /// Maximum records accepted in one batch.
 pub const MAX_BATCH_RECORDS: usize = 65_536;
@@ -171,18 +147,16 @@ impl From<DecodeError> for BriskError {
     }
 }
 
-/// Message discriminants on the wire. `EventBatchSeq`, `BatchAck` and
-/// `HelloAck` are v2 additions; `HelloAckCredit` and `BatchAckCredit` are
-/// the v3 credit-carrying variants of the latter two, and `Heartbeat` is
-/// the v3 liveness probe. Older decoders reject unknown tags, so each is
-/// only sent once the peer is known to speak the matching version.
+/// Message discriminants on the wire. A [`Message`] variant may have
+/// several wire forms: a batch with or without a seq, an ack with or
+/// without credit — an `Option` field picks the tag, so no form needs
+/// extra fields a decoder would reject as trailing bytes.
 ///
 /// `EventBatchMulti` is the relay-tier batch format: `EventBatch` /
 /// `EventBatchSeq` compress the per-record node id into the batch header
 /// (every record in an EXS batch comes from the one node that said
 /// `Hello`), but a relay ISM merges many downstream nodes into a single
-/// upstream link, so its batches carry one node id per record. Only
-/// emitted on negotiated-v3 ISM→ISM links.
+/// upstream link, so its batches carry one node id per record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 enum Tag {
@@ -232,14 +206,13 @@ pub enum Message {
         /// Protocol version spoken by the sender.
         version: u32,
     },
-    /// The ISM's reply to a v2+ `Hello`: the negotiated protocol version
-    /// and, on v3 connections with flow control enabled, the initial
-    /// credit budget.
+    /// The ISM's reply to an accepted `Hello`: the session version and,
+    /// with flow control enabled, the initial credit budget.
     HelloAck {
-        /// Version the connection will run at (`negotiate(peer)`).
+        /// Version the connection runs at.
         version: u32,
-        /// v3: maximum records the sender may have unacknowledged in
-        /// flight. `None` (the v2 wire encoding) disables flow control.
+        /// Maximum records the sender may have unacknowledged in flight.
+        /// `None` (the credit-less tag) disables flow control.
         credit: Option<u64>,
     },
     /// A batch of event records from one node.
@@ -247,20 +220,20 @@ pub enum Message {
         /// Originating node (redundant with Hello; kept so a batch is
         /// self-describing for trace files and debugging).
         node: NodeId,
-        /// Per-node monotonic batch sequence number. `Some(n)` encodes the
-        /// v2 acknowledged-delivery wire format; `None` encodes the v1
-        /// format (no ack expected, no dedup possible).
+        /// Per-node monotonic batch sequence number. The ISM session
+        /// requires `Some`; `None` encodes the unsequenced wire form the
+        /// codec still reads.
         seq: Option<u64>,
         /// The records, in per-sensor sequence order.
         records: Vec<EventRecord>,
     },
-    /// ISM→EXS cumulative acknowledgement of sequenced batches (v2).
+    /// ISM→EXS cumulative acknowledgement of sequenced batches.
     BatchAck {
         /// Every batch with sequence number `<= seq` has been handed to
         /// the ISM pipeline.
         seq: u64,
-        /// v3: replenished credit budget (absolute, replaces the previous
-        /// grant). `None` (the v2 wire encoding) leaves flow control off.
+        /// Replenished credit budget (absolute, replaces the previous
+        /// grant). `None` (the credit-less tag) leaves flow control off.
         credit: Option<u64>,
     },
     /// Master→slave: "what time is it?" — sample `sample` of round `round`.
@@ -292,7 +265,7 @@ pub enum Message {
     },
     /// Orderly shutdown notice (either direction).
     Shutdown,
-    /// EXS→ISM liveness probe (v3): sent when the connection has been idle
+    /// EXS→ISM liveness probe: sent when the connection has been idle
     /// past the heartbeat interval, so the ISM can tell a quiet node from a
     /// silently dead one (a half-open TCP connection never reports). Pure
     /// liveness — no payload, no reply.
@@ -586,7 +559,7 @@ impl<'a> BatchView<'a> {
         self.node
     }
 
-    /// Per-node batch sequence number (`None` on the v1 wire format).
+    /// Per-node batch sequence number (`None` on the unsequenced wire form).
     pub fn seq(&self) -> Option<u64> {
         self.seq
     }
@@ -721,7 +694,7 @@ mod tests {
     #[test]
     fn single_node_batch_stays_on_the_compact_wire_format() {
         // When every record shares the header node (the EXS case) the
-        // encoder must keep emitting the v1/v2 formats old peers accept.
+        // encoder must keep emitting the compact single-node formats.
         let m = Message::EventBatch {
             node: NodeId(3),
             seq: Some(9),
@@ -803,8 +776,8 @@ mod tests {
 
     #[test]
     fn creditless_acks_use_the_v2_wire_tags() {
-        // A credit-less ack must be byte-identical to what a v2 build
-        // emits, or v2 peers would reject the frame as an unknown tag.
+        // A credit-less ack keeps its own tags, byte-identical to the
+        // golden fixtures.
         let ack = Message::BatchAck {
             seq: 7,
             credit: None,
@@ -839,13 +812,6 @@ mod tests {
             version: MIN_VERSION,
         };
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn negotiate_picks_highest_common_version() {
-        assert_eq!(negotiate(1), 1);
-        assert_eq!(negotiate(VERSION), VERSION);
-        assert_eq!(negotiate(VERSION + 5), VERSION);
     }
 
     #[test]
@@ -906,8 +872,7 @@ mod tests {
     fn heartbeat_round_trip_and_tag() {
         let m = Message::Heartbeat;
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
-        // Tag 12 on the wire: v1/v2 decoders reject it, so heartbeats are
-        // only sent once the connection has negotiated v3.
+        // Tag 12 on the wire.
         assert_eq!(&m.encode()[..4], &[0, 0, 0, 12]);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's ISM keeps the merged trace "in a memory buffer" with an
 //! optional PICL text file (§3.5); both lose data — the memory buffer by
-//! evicting under pressure, the whole trace on an ISM crash. Protocol v2
-//! made EXS→ISM delivery exactly-once; this crate closes the remaining
+//! evicting under pressure, the whole trace on an ISM crash. The acked
+//! session makes EXS→ISM delivery exactly-once; this crate closes the remaining
 //! loss hole *after* the ISM by appending every sorted record to a
 //! segmented, append-only on-disk log:
 //!

@@ -17,8 +17,8 @@
 //! 4. every predicate sensor id is definitely absent from the zone's
 //!    sensor bloom filter.
 //!
-//! Rules 3–4 need a v2 (zoned) sidecar; segments sealed before zone maps
-//! existed fall back to rules 1–2 until the writer back-fills them.
+//! A segment without a usable sidecar (missing, damaged, or of the
+//! pre-zone-map layout) is scanned, never pruned.
 
 use crate::cache::CachedQuery;
 use crate::reader::{scan_segment, StoreReader};
@@ -242,9 +242,7 @@ impl StoreReader {
                 return true;
             }
         }
-        let Some(zone) = &idx.zone else {
-            return false; // v1 sidecar: time rules only
-        };
+        let zone = &idx.zone;
         if let Some(nodes) = &pred.nodes {
             if !nodes.iter().any(|n| zone.nodes.binary_search(n).is_ok()) {
                 return true;

@@ -237,13 +237,13 @@ pub(crate) fn index_of_scan(scan: &SegmentScan, index_every: u32, seg_len: u64) 
         min_ts,
         max_ts,
         entries,
-        zone: Some(ZoneMap {
+        zone: ZoneMap {
             nodes: nodes.into_iter().collect(),
             sensors,
             seg_len,
             last_frame_offset,
             tail_crc,
-        }),
+        },
     }
 }
 

@@ -37,18 +37,19 @@
 //! cache: when missing or corrupt, readers fall back to scanning the `.seg`
 //! file, which remains the single source of truth.
 //!
-//! ## Index v2: zone maps and the seal stamp
+//! ## Zone maps and the seal stamp
 //!
-//! Version-2 sidecars extend v1 with a *zone map* — the distinct node-id
-//! set, a 256-bit bloom filter over sensor ids, and (inherited from v1)
-//! the min/max timestamp — so a query can prune a sealed segment without
-//! reading its `.seg` file at all. They also carry a *seal stamp*: the
-//! segment's byte length, the offset of its last frame, and that frame's
-//! CRC as they were at seal time. A sidecar whose stamp disagrees with
-//! the segment bytes (crash between segment fsync and idx write, or a
-//! compaction that swapped the segment under it) is *stale* and must be
-//! ignored/rebuilt; see [`SegmentIndex::validate_against`]. V1 sidecars
-//! decode fine (`zone: None`) and are back-filled to v2 on writer open.
+//! Every sidecar carries a *zone map* — the distinct node-id set, a
+//! 256-bit bloom filter over sensor ids, and the min/max timestamp — so a
+//! query can prune a sealed segment without reading its `.seg` file at
+//! all. It also carries a *seal stamp*: the segment's byte length, the
+//! offset of its last frame, and that frame's CRC as they were at seal
+//! time. A sidecar whose stamp disagrees with the segment bytes (crash
+//! between segment fsync and idx write, or a compaction that swapped the
+//! segment under it) is *stale* and must be ignored/rebuilt; see
+//! [`SegmentIndex::validate_against`]. Sidecars of the pre-zone-map
+//! layout (version 1) no longer decode: like any damaged sidecar they are
+//! scanned past by readers and rebuilt on writer open.
 //!
 //! ## Compacted segments (format version 2)
 //!
@@ -317,7 +318,7 @@ impl SensorBloom {
     }
 }
 
-/// The v2 sidecar extension: per-segment zone map plus the seal stamp
+/// The sidecar's per-segment zone map plus the seal stamp
 /// that binds the sidecar to the exact segment bytes it was built from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ZoneMap {
@@ -347,22 +348,15 @@ pub struct SegmentIndex {
     pub max_ts: UtcMicros,
     /// Sparse entries, ascending by ordinal.
     pub entries: Vec<IndexEntry>,
-    /// Zone map + seal stamp. `None` for v1 sidecars written before zone
-    /// maps existed; the writer back-fills these on open.
-    pub zone: Option<ZoneMap>,
+    /// Zone map + seal stamp.
+    pub zone: ZoneMap,
 }
 
 impl SegmentIndex {
-    /// Encode magic + index for the sidecar file. Writes the v2 layout
-    /// when a zone map is present, the original v1 layout otherwise.
+    /// Encode magic + index for the sidecar file.
     pub fn encode(&self) -> Vec<u8> {
         let mut xdr = XdrEncoder::with_capacity(128 + 24 * self.entries.len());
-        let version = if self.zone.is_some() {
-            IDX_ZONED_VERSION
-        } else {
-            FORMAT_VERSION
-        };
-        xdr.uint(version)
+        xdr.uint(IDX_ZONED_VERSION)
             .uhyper(self.segment_id)
             .uhyper(self.record_count)
             .hyper(self.min_ts.as_micros())
@@ -373,16 +367,15 @@ impl SegmentIndex {
                 .uhyper(e.offset)
                 .hyper(e.ts.as_micros());
         }
-        if let Some(zone) = &self.zone {
-            xdr.uint(zone.nodes.len() as u32);
-            for &n in &zone.nodes {
-                xdr.uint(n);
-            }
-            xdr.opaque_fixed(&zone.sensors.to_bytes());
-            xdr.uhyper(zone.seg_len)
-                .uhyper(zone.last_frame_offset)
-                .uint(zone.tail_crc);
+        let zone = &self.zone;
+        xdr.uint(zone.nodes.len() as u32);
+        for &n in &zone.nodes {
+            xdr.uint(n);
         }
+        xdr.opaque_fixed(&zone.sensors.to_bytes());
+        xdr.uhyper(zone.seg_len)
+            .uhyper(zone.last_frame_offset)
+            .uint(zone.tail_crc);
         let crc = crc32(xdr.as_bytes());
         xdr.uint(crc);
         let mut out = Vec::with_capacity(8 + xdr.len());
@@ -399,7 +392,7 @@ impl SegmentIndex {
         }
         let mut dec = XdrDecoder::new(&bytes[8..]);
         let version = dec.uint()?;
-        if version != FORMAT_VERSION && version != IDX_ZONED_VERSION {
+        if version != IDX_ZONED_VERSION {
             return Err(BriskError::Codec(format!(
                 "unsupported index format version {version}"
             )));
@@ -423,28 +416,20 @@ impl SegmentIndex {
                 ts,
             });
         }
-        let zone = if version >= IDX_ZONED_VERSION {
-            let nn = dec.uint()? as usize;
-            if nn > MAX_HEADER_NODES {
-                return Err(BriskError::Codec(format!("absurd zone node count {nn}")));
-            }
-            let mut nodes = Vec::with_capacity(nn);
-            for _ in 0..nn {
-                nodes.push(dec.uint()?);
-            }
-            let sensors = SensorBloom::from_bytes(dec.opaque_fixed(32)?)?;
-            let seg_len = dec.uhyper()?;
-            let last_frame_offset = dec.uhyper()?;
-            let tail_crc = dec.uint()?;
-            Some(ZoneMap {
-                nodes,
-                sensors,
-                seg_len,
-                last_frame_offset,
-                tail_crc,
-            })
-        } else {
-            None
+        let nn = dec.uint()? as usize;
+        if nn > MAX_HEADER_NODES {
+            return Err(BriskError::Codec(format!("absurd zone node count {nn}")));
+        }
+        let mut nodes = Vec::with_capacity(nn);
+        for _ in 0..nn {
+            nodes.push(dec.uint()?);
+        }
+        let zone = ZoneMap {
+            nodes,
+            sensors: SensorBloom::from_bytes(dec.opaque_fixed(32)?)?,
+            seg_len: dec.uhyper()?,
+            last_frame_offset: dec.uhyper()?,
+            tail_crc: dec.uint()?,
         };
         let body_len = dec.position();
         let want = crc32(&bytes[8..8 + body_len]);
@@ -463,17 +448,14 @@ impl SegmentIndex {
     }
 
     /// True when this sidecar demonstrably describes `seg` — the actual
-    /// bytes of its segment file. A v1 sidecar (no seal stamp) cannot be
-    /// validated and returns false, which callers treat as "rebuild".
+    /// bytes of its segment file; false means "rebuild".
     ///
     /// The check is deliberately cheap relative to a full decode-scan:
     /// the seal stamp must match the file length and the tail frame's
     /// stored CRC, the tail frame payload must actually carry that CRC,
     /// and every sparse entry must point at a frame whose CRC verifies.
     pub fn validate_against(&self, seg: &[u8]) -> bool {
-        let Some(zone) = &self.zone else {
-            return false;
-        };
+        let zone = &self.zone;
         if zone.seg_len != seg.len() as u64 {
             return false;
         }
@@ -562,7 +544,13 @@ mod tests {
                     ts: UtcMicros::from_micros(10 + i as i64 * 100),
                 })
                 .collect(),
-            zone: None,
+            zone: ZoneMap {
+                nodes: vec![],
+                sensors: SensorBloom::new(),
+                seg_len: 0,
+                last_frame_offset: 0,
+                tail_crc: 0,
+            },
         };
         let bytes = idx.encode();
         assert_eq!(SegmentIndex::decode(&bytes).unwrap(), idx);
@@ -587,18 +575,18 @@ mod tests {
                 offset: 53,
                 ts: UtcMicros::from_micros(5),
             }],
-            zone: Some(ZoneMap {
+            zone: ZoneMap {
                 nodes: vec![1, 2, 9],
                 sensors,
                 seg_len: 4096,
                 last_frame_offset: 4000,
                 tail_crc: 0xDEAD_BEEF,
-            }),
+            },
         };
         let bytes = idx.encode();
         let back = SegmentIndex::decode(&bytes).unwrap();
         assert_eq!(back, idx);
-        let z = back.zone.unwrap();
+        let z = back.zone;
         assert!(z.sensors.may_contain(7) && z.sensors.may_contain(99));
     }
 
@@ -645,13 +633,13 @@ mod tests {
                 offset: first_off,
                 ts: UtcMicros::from_micros(1),
             }],
-            zone: Some(ZoneMap {
+            zone: ZoneMap {
                 nodes: vec![1],
                 sensors,
                 seg_len: seg.len() as u64,
                 last_frame_offset: tail_off,
                 tail_crc,
-            }),
+            },
         };
         assert!(idx.validate_against(&seg));
         // Stale: segment truncated after the sidecar was written.
@@ -665,9 +653,6 @@ mod tests {
         let p = first_off as usize + FRAME_OVERHEAD + 2;
         bitrot[p] ^= 0x10;
         assert!(!idx.validate_against(&bitrot));
-        // V1 sidecars can never validate.
-        let v1 = SegmentIndex { zone: None, ..idx };
-        assert!(!v1.validate_against(&seg));
     }
 
     #[test]

@@ -186,8 +186,9 @@ brisk_telemetry::metrics! {
         /// Sealed segments evicted by the retention policy.
         pub retention_evictions: counter "brisk_store_retention_evictions_total" "Sealed segments evicted by the retention policy",
         /// Sidecar indexes rebuilt during the open-time repair pass — missing,
-        /// damaged, pre-zone-map (v1, back-filled), or stale (their seal stamp
-        /// disagreed with the segment bytes, e.g. after a crash mid-seal).
+        /// damaged (a pre-zone-map v1 sidecar no longer decodes), or stale
+        /// (their seal stamp disagreed with the segment bytes, e.g. after a
+        /// crash mid-seal).
         pub idx_rebuilds: counter "brisk_store_idx_rebuilds_total" "Sidecar indexes rebuilt on open (missing, damaged, v1 or stale)",
         /// Sealed segments currently retained.
         pub segments_live: gauge "brisk_store_segments_live" "Sealed segments currently on disk",
@@ -283,8 +284,7 @@ impl StoreWriter {
             // Trust a sidecar only when its seal stamp provably describes
             // these segment bytes: a crash in the seal window (or between a
             // compaction's two renames) can leave a sidecar whose offsets
-            // point into bytes that never made it to disk. Pre-zone-map (v1)
-            // sidecars carry no stamp and are back-filled here.
+            // point into bytes that never made it to disk.
             let idx = match fs::read(&idx_path)
                 .ok()
                 .and_then(|b| SegmentIndex::decode(&b).ok())
@@ -292,9 +292,9 @@ impl StoreWriter {
             {
                 Some(idx) => idx,
                 None => {
-                    // Crash before seal, a damaged/stale sidecar, or a v1
-                    // sidecar: scan the segment, truncate any torn tail,
-                    // rebuild the index.
+                    // Crash before seal, or a damaged (v1 included) or
+                    // stale sidecar: scan the segment, truncate any torn
+                    // tail, rebuild the index.
                     let scan = match scan_segment(&bytes, 0) {
                         Ok(s) => s,
                         Err(_) => {
@@ -544,13 +544,13 @@ impl StoreWriter {
             min_ts: active.min_ts,
             max_ts: active.max_ts,
             entries: active.index,
-            zone: Some(ZoneMap {
+            zone: ZoneMap {
                 nodes: active.nodes.iter().copied().collect(),
                 sensors: active.sensors,
                 seg_len: active.bytes,
                 last_frame_offset,
                 tail_crc,
-            }),
+            },
         };
         // Durable and atomic: a crash must never leave a half-written
         // sidecar that a later open would trust, and the segment's own
@@ -846,8 +846,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Pre-zone-map (v1) sidecars carry no seal stamp: reopening a store
-    /// sealed by an older writer back-fills them with zoned v2 sidecars.
+    /// Pre-zone-map (v1) sidecars no longer decode: reopening a store
+    /// sealed by an older writer rebuilds them as zoned sidecars.
     #[test]
     fn v1_sidecar_is_backfilled_with_zone_map_on_reopen() {
         let dir = temp_dir("backfill");
@@ -859,18 +859,36 @@ mod tests {
             }
         }
         let ids = list_segment_ids(&dir).unwrap();
-        // Strip segment 0's sidecar down to v1 (no zone map), as an older
-        // writer would have written it.
+        // Replace segment 0's sidecar with the v1 layout an older writer
+        // wrote: version 1, counts, time range, sparse entries, CRC — no
+        // zone map, no seal stamp.
         let idx_path = index_path(&dir, ids[0]);
-        let mut idx = SegmentIndex::decode(&fs::read(&idx_path).unwrap()).unwrap();
-        idx.zone = None;
-        fs::write(&idx_path, idx.encode()).unwrap();
+        let idx = SegmentIndex::decode(&fs::read(&idx_path).unwrap()).unwrap();
+        let mut xdr = brisk_xdr::XdrEncoder::new();
+        xdr.uint(1)
+            .uhyper(idx.segment_id)
+            .uhyper(idx.record_count)
+            .hyper(idx.min_ts.as_micros())
+            .hyper(idx.max_ts.as_micros())
+            .uint(idx.entries.len() as u32);
+        for e in &idx.entries {
+            xdr.uhyper(e.ordinal)
+                .uhyper(e.offset)
+                .hyper(e.ts.as_micros());
+        }
+        xdr.uint(crate::crc::crc32(xdr.as_bytes()));
+        let v1 = [&crate::segment::IDX_MAGIC[..], xdr.as_bytes()].concat();
+        assert!(
+            SegmentIndex::decode(&v1).is_err(),
+            "v1 is a damaged sidecar now"
+        );
+        fs::write(&idx_path, v1).unwrap();
 
         let w = StoreWriter::open(&cfg).unwrap();
         assert!(w.stats().idx_rebuilds.load(Ordering::Relaxed) >= 1);
         drop(w);
         let reloaded = SegmentIndex::decode(&fs::read(&idx_path).unwrap()).unwrap();
-        let zone = reloaded.zone.expect("back-filled sidecar is zoned");
+        let zone = reloaded.zone;
         assert_eq!(zone.nodes, vec![3]);
         assert!(zone.sensors.may_contain(0));
         let _ = fs::remove_dir_all(&dir);

@@ -41,7 +41,7 @@
 //! crashes (reopening repairs torn tails) and replayable afterwards with
 //! `brisk-load --replay DIR`.
 //!
-//! `--credit-records` turns on protocol-v3 credit flow control: each EXS
+//! `--credit-records` turns on credit flow control: each EXS
 //! connection may have at most N records unacknowledged in flight, so a
 //! slow ISM pushes backpressure out to the sensors' rings instead of
 //! buffering unboundedly. `--max-queued-records` bounds the pump→manager
