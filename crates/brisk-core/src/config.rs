@@ -97,7 +97,6 @@ impl ExsConfig {
                 "retransmit_window_batches must be > 0".into(),
             ));
         }
-        self.trace.validate()?;
         Ok(())
     }
 }
@@ -125,12 +124,6 @@ impl TraceConfig {
     /// Trace one record in every `n`.
     pub fn every(n: u32) -> Self {
         TraceConfig { sample_every: n }
-    }
-
-    /// Validate knob values. Any `sample_every` is functional; the knob
-    /// exists so the bound can grow teeth later without an API break.
-    pub fn validate(&self) -> Result<()> {
-        Ok(())
     }
 }
 
@@ -609,7 +602,6 @@ mod tests {
         assert!(!TraceConfig::default().enabled());
         assert!(TraceConfig::every(1).enabled());
         assert_eq!(TraceConfig::every(128).sample_every, 128);
-        TraceConfig::every(128).validate().unwrap();
         let mut c = ExsConfig::default();
         c.trace = TraceConfig::every(64);
         c.validate().unwrap();

@@ -2,18 +2,7 @@
 //!
 //! One of the paper's "two executables" (§2): run it once per monitoring
 //! domain, point external sensors at it, and read the sorted stream from
-//! its outputs.
-//!
-//! ```text
-//! brisk-ismd [--tcp HOST:PORT | --uds PATH] [--picl FILE] [--ts utc|secs]
-//!            [--order-mode physical|causal]
-//!            [--upstream HOST:PORT --node-prefix N]
-//!            [--poll-period-ms N] [--stats-every-s N] [--stats-addr HOST:PORT]
-//!            [--store-dir DIR] [--fsync always|never|interval:MS]
-//!            [--retain-bytes N] [--segment-bytes N]
-//!            [--credit-records N] [--max-queued-records N] [--shed-unmarked]
-//!            [--node-timeout MS] [--error-budget N] [--pump-threads N]
-//! ```
+//! its outputs. `brisk-ismd --help` lists every flag.
 //!
 //! `--order-mode causal` switches the merge plane from physical-timestamp
 //! order to hybrid-logical-clock order (DESIGN.md, "Causal ordering &
@@ -74,185 +63,71 @@
 //! EOF; interactive users type quit), then flushes and prints a final
 //! report.
 
+use brisk::cli::{ms, on, put, val, Endpoint, Flag, Verdict};
 use brisk::prelude::*;
 use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The daemon's flags land in the ISM, sync and compaction configs; only
+/// what is not config lives beside them.
+#[derive(Default)]
 struct Args {
-    tcp: Option<String>,
-    #[cfg(unix)]
-    uds: Option<String>,
+    endpoint: Option<Endpoint>,
+    ism: IsmConfig,
+    sync: SyncConfig,
+    compact: CompactConfig,
+    compact_interval: Option<Duration>,
     upstream: Option<String>,
-    node_prefix: Option<u32>,
+    node_prefix: Option<NodePrefix>,
     picl: Option<String>,
     ts_secs: bool,
-    order_mode: OrderMode,
-    poll_period: Duration,
     stats_every: Duration,
     stats_addr: Option<String>,
-    store: StoreConfig,
-    flow: FlowConfig,
-    node_timeout: Option<Duration>,
-    error_budget: u32,
-    pump_threads: usize,
     flight_size: Option<usize>,
-    compact_interval: Option<Duration>,
-    compact_keep_hot: usize,
 }
 
-fn parse_args() -> std::result::Result<Args, String> {
-    let mut args = Args {
-        tcp: None,
-        #[cfg(unix)]
-        uds: None,
-        upstream: None,
-        node_prefix: None,
-        picl: None,
-        ts_secs: false,
-        order_mode: OrderMode::default(),
-        poll_period: Duration::from_secs(5),
-        stats_every: Duration::from_secs(10),
-        stats_addr: None,
-        store: StoreConfig::default(),
-        flow: FlowConfig::default(),
-        node_timeout: IsmConfig::default().node_timeout,
-        error_budget: IsmConfig::default().protocol_error_budget,
-        pump_threads: IsmConfig::default().pump_threads,
-        flight_size: None,
-        compact_interval: None,
-        compact_keep_hot: CompactConfig::default().keep_hot,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--tcp" => args.tcp = Some(val("--tcp")?),
-            #[cfg(unix)]
-            "--uds" => args.uds = Some(val("--uds")?),
-            "--upstream" => args.upstream = Some(val("--upstream")?),
-            "--node-prefix" => {
-                args.node_prefix = Some(
-                    val("--node-prefix")?
-                        .parse()
-                        .map_err(|e| format!("bad --node-prefix: {e}"))?,
-                )
-            }
-            "--picl" => args.picl = Some(val("--picl")?),
-            "--order-mode" => {
-                args.order_mode = OrderMode::parse(&val("--order-mode")?)
-                    .map_err(|e| format!("bad --order-mode: {e}"))?
-            }
-            "--ts" => {
-                args.ts_secs = match val("--ts")?.as_str() {
-                    "utc" => false,
-                    "secs" => true,
-                    other => return Err(format!("unknown --ts mode {other:?}")),
-                }
-            }
-            "--poll-period-ms" => {
-                args.poll_period = Duration::from_millis(
-                    val("--poll-period-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --poll-period-ms: {e}"))?,
-                )
-            }
-            "--stats-every-s" => {
-                args.stats_every = Duration::from_secs(
-                    val("--stats-every-s")?
-                        .parse()
-                        .map_err(|e| format!("bad --stats-every-s: {e}"))?,
-                )
-            }
-            "--stats-addr" => args.stats_addr = Some(val("--stats-addr")?),
-            "--store-dir" => args.store.dir = Some(val("--store-dir")?.into()),
-            "--fsync" => {
-                args.store.fsync =
-                    FsyncPolicy::parse(&val("--fsync")?).map_err(|e| format!("bad --fsync: {e}"))?
-            }
-            "--retain-bytes" => {
-                args.store.retain_bytes = val("--retain-bytes")?
-                    .parse()
-                    .map_err(|e| format!("bad --retain-bytes: {e}"))?
-            }
-            "--segment-bytes" => {
-                args.store.segment_bytes = val("--segment-bytes")?
-                    .parse()
-                    .map_err(|e| format!("bad --segment-bytes: {e}"))?
-            }
-            "--credit-records" => {
-                args.flow.credit_records = val("--credit-records")?
-                    .parse()
-                    .map_err(|e| format!("bad --credit-records: {e}"))?
-            }
-            "--max-queued-records" => {
-                args.flow.max_queued_records = val("--max-queued-records")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-queued-records: {e}"))?
-            }
-            "--shed-unmarked" => args.flow.shed_unmarked = true,
-            "--node-timeout" => {
-                args.node_timeout = Some(Duration::from_millis(
-                    val("--node-timeout")?
-                        .parse()
-                        .map_err(|e| format!("bad --node-timeout: {e}"))?,
-                ))
-            }
-            "--error-budget" => {
-                args.error_budget = val("--error-budget")?
-                    .parse()
-                    .map_err(|e| format!("bad --error-budget: {e}"))?
-            }
-            "--pump-threads" => {
-                args.pump_threads = val("--pump-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --pump-threads: {e}"))?
-            }
-            "--flight-size" => {
-                args.flight_size = Some(
-                    val("--flight-size")?
-                        .parse()
-                        .map_err(|e| format!("bad --flight-size: {e}"))?,
-                )
-            }
-            "--compact-interval-ms" => {
-                args.compact_interval = Some(Duration::from_millis(
-                    val("--compact-interval-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --compact-interval-ms: {e}"))?,
-                ))
-            }
-            "--compact-keep-hot" => {
-                args.compact_keep_hot = val("--compact-keep-hot")?
-                    .parse()
-                    .map_err(|e| format!("bad --compact-keep-hot: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: brisk-ismd [--tcp HOST:PORT | --uds PATH] [--picl FILE] \
-                            [--order-mode physical|causal] \
-                            [--upstream HOST:PORT --node-prefix N] \
-                            [--ts utc|secs] [--poll-period-ms N] [--stats-every-s N] \
-                            [--stats-addr HOST:PORT] [--store-dir DIR] \
-                            [--fsync always|never|interval:MS] [--retain-bytes N] \
-                            [--segment-bytes N] [--credit-records N] \
-                            [--max-queued-records N] [--shed-unmarked] \
-                            [--node-timeout MS] [--error-budget N] \
-                            [--pump-threads N] [--flight-size N] \
-                            [--compact-interval-ms N] [--compact-keep-hot N]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.upstream.is_some() != args.node_prefix.is_some() {
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    ("--tcp", "HOST:PORT", |a, v| Endpoint::set(&mut a.endpoint, Endpoint::Tcp(v.into()))),
+    #[cfg(unix)]
+    ("--uds", "PATH", |a, v| Endpoint::set(&mut a.endpoint, Endpoint::Uds(v.into()))),
+    ("--picl", "FILE", |a, v| put(&mut a.picl, val(v).map(Some))),
+    ("--ts", "utc|secs", |a, v| put(&mut a.ts_secs, match v {
+        "utc" => Ok(false),
+        "secs" => Ok(true),
+        _ => Err(format!("unknown mode {v:?}")),
+    })),
+    ("--order-mode", "physical|causal", |a, v| put(&mut a.ism.order_mode, OrderMode::parse(v))),
+    ("--upstream", "HOST:PORT", |a, v| put(&mut a.upstream, val(v).map(Some))),
+    ("--node-prefix", "N", |a, v| put(&mut a.node_prefix, NodePrefix::new(val(v)?).map(Some))),
+    ("--poll-period-ms", "N", |a, v| put(&mut a.sync.poll_period, ms(v))),
+    ("--stats-every-s", "N", |a, v| put(&mut a.stats_every, val(v).map(Duration::from_secs))),
+    ("--stats-addr", "HOST:PORT", |a, v| put(&mut a.stats_addr, val(v).map(Some))),
+    ("--store-dir", "DIR", |a, v| put(&mut a.ism.store.dir, val(v).map(Some))),
+    ("--fsync", "always|never|interval:MS", |a, v| put(&mut a.ism.store.fsync, FsyncPolicy::parse(v))),
+    ("--retain-bytes", "N", |a, v| put(&mut a.ism.store.retain_bytes, val(v))),
+    ("--segment-bytes", "N", |a, v| put(&mut a.ism.store.segment_bytes, val(v))),
+    ("--credit-records", "N", |a, v| put(&mut a.ism.flow.credit_records, val(v))),
+    ("--max-queued-records", "N", |a, v| put(&mut a.ism.flow.max_queued_records, val(v))),
+    ("--shed-unmarked", "", |a, _| on(&mut a.ism.flow.shed_unmarked)),
+    ("--node-timeout", "MS", |a, v| put(&mut a.ism.node_timeout, ms(v).map(Some))),
+    ("--error-budget", "N", |a, v| put(&mut a.ism.protocol_error_budget, val(v))),
+    ("--pump-threads", "N", |a, v| put(&mut a.ism.pump_threads, val(v))),
+    ("--flight-size", "N", |a, v| put(&mut a.flight_size, val(v).map(Some))),
+    ("--compact-interval-ms", "N", |a, v| put(&mut a.compact_interval, ms(v).map(Some))),
+    ("--compact-keep-hot", "N", |a, v| put(&mut a.compact.keep_hot, val(v))),
+];
+
+/// Cross-flag rules, checked before anything is opened.
+fn check(a: &Args) -> Verdict {
+    if a.upstream.is_some() != a.node_prefix.is_some() {
         return Err("relay mode needs both --upstream and --node-prefix".into());
     }
-    if args.compact_interval.is_some() && args.store.dir.is_none() {
+    if a.compact_interval.is_some() && a.ism.store.dir.is_none() {
         return Err("--compact-interval-ms needs --store-dir".into());
     }
-    Ok(args)
+    Ok(())
 }
 
 /// Stable stage name for a wire code (used by the `/trace` endpoint).
@@ -286,13 +161,11 @@ fn quarantine_json(log: &QuarantineLog) -> String {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let defaults = Args {
+        stats_every: Duration::from_secs(10),
+        ..Args::default()
     };
+    let args = brisk::cli::parse_env("brisk-ismd", FLAGS, defaults, check);
 
     // Always-on flight recorder: size the ring before anything records
     // into it, and make sure a panic dumps it to stderr on the way out.
@@ -301,15 +174,6 @@ fn main() {
     }
     install_flight_panic_hook();
 
-    let ism_cfg = IsmConfig {
-        store: args.store.clone(),
-        flow: args.flow,
-        order_mode: args.order_mode,
-        node_timeout: args.node_timeout,
-        protocol_error_budget: args.error_budget,
-        pump_threads: args.pump_threads,
-        ..IsmConfig::default()
-    };
     // Relay mode shares one corrected clock between the server (receive
     // stamps, sync mastering over this tier's children) and the upstream
     // exporter (answers the parent's SyncPolls, applies its SyncAdjusts),
@@ -322,23 +186,12 @@ fn main() {
         Some(c) => Arc::clone(c) as Arc<dyn Clock>,
         None => Arc::new(SystemClock),
     };
-    let mut server = IsmServer::new(
-        ism_cfg,
-        SyncConfig {
-            poll_period: args.poll_period,
-            ..SyncConfig::default()
-        },
-        Arc::clone(&server_clock),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot start ISM: {e}");
-        std::process::exit(1);
-    });
-    if let (Some(addr), Some(raw_prefix)) = (&args.upstream, args.node_prefix) {
-        let prefix = NodePrefix::new(raw_prefix).unwrap_or_else(|e| {
-            eprintln!("bad --node-prefix: {e}");
-            std::process::exit(2);
+    let mut server = IsmServer::new(args.ism.clone(), args.sync, Arc::clone(&server_clock))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot start ISM: {e}");
+            std::process::exit(1);
         });
+    if let (Some(addr), Some(prefix)) = (&args.upstream, args.node_prefix) {
         let dial = addr.clone();
         let mut exporter = UpstreamExporter::new(
             RelayConfig::new(prefix),
@@ -349,22 +202,27 @@ fn main() {
             exporter = exporter.with_sync_clock(Arc::clone(c));
         }
         server.set_upstream(exporter);
-        eprintln!("relay mode: merged stream re-exported to {addr} under node prefix {raw_prefix}");
+        eprintln!(
+            "relay mode: merged stream re-exported to {addr} under node prefix {}",
+            prefix.raw()
+        );
     }
-    if let Some(dir) = &args.store.dir {
+    let store = &args.ism.store;
+    if let Some(dir) = &store.dir {
         eprintln!(
             "durable store -> {} (fsync {:?})",
             dir.display(),
-            args.store.fsync
+            store.fsync
         );
     }
-    if args.order_mode == OrderMode::Causal {
+    if args.ism.order_mode == OrderMode::Causal {
         eprintln!("causal order mode: merge plane keys on X_HLC stamps");
     }
-    if args.flow != FlowConfig::default() {
+    let flow = args.ism.flow;
+    if flow != FlowConfig::default() {
         eprintln!(
             "flow control: credit {} records/conn, queue bound {} records, shed-unmarked {}",
-            args.flow.credit_records, args.flow.max_queued_records, args.flow.shed_unmarked
+            flow.credit_records, flow.max_queued_records, flow.shed_unmarked
         );
     }
 
@@ -385,30 +243,11 @@ fn main() {
         eprintln!("PICL trace -> {path}");
     }
 
-    // Bind the requested transport (TCP by default).
-    let listener = {
-        #[cfg(unix)]
-        if let Some(path) = &args.uds {
-            brisk::net::UdsTransport.listen(path).unwrap_or_else(|e| {
-                eprintln!("cannot bind unix socket {path}: {e}");
-                std::process::exit(1);
-            })
-        } else {
-            let addr = args.tcp.as_deref().unwrap_or("127.0.0.1:7787");
-            TcpTransport.listen(addr).unwrap_or_else(|e| {
-                eprintln!("cannot bind {addr}: {e}");
-                std::process::exit(1);
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let addr = args.tcp.as_deref().unwrap_or("127.0.0.1:7787");
-            TcpTransport.listen(addr).unwrap_or_else(|e| {
-                eprintln!("cannot bind {addr}: {e}");
-                std::process::exit(1);
-            })
-        }
-    };
+    let endpoint = args.endpoint.unwrap_or_default();
+    let listener = endpoint.listen().unwrap_or_else(|e| {
+        eprintln!("cannot bind {endpoint}: {e}");
+        std::process::exit(1);
+    });
     let handle = server.spawn(listener).expect("spawn ISM");
     eprintln!("brisk-ismd listening on {}", handle.addr());
     eprintln!("send `quit` or close stdin to stop");
@@ -454,19 +293,16 @@ fn main() {
     // the store directory — readers (including this process's writer)
     // see the swap atomically via rename.
     let compact_thread = args.compact_interval.map(|every| {
-        let dir = args.store.dir.clone().expect("validated in parse_args");
-        let keep_hot = args.compact_keep_hot;
+        let dir = args.ism.store.dir.clone().expect("validated by check");
+        let cfg = args.compact.clone();
         let stop = Arc::clone(&stats_stop);
         let registry = Arc::clone(&registry);
-        eprintln!("background compaction every {every:?} (keeping {keep_hot} sealed segments hot)");
+        eprintln!(
+            "background compaction every {every:?} (keeping {} sealed segments hot)",
+            cfg.keep_hot
+        );
         std::thread::spawn(move || {
-            let compactor = Compactor::new(
-                &dir,
-                CompactConfig {
-                    keep_hot,
-                    ..CompactConfig::default()
-                },
-            );
+            let compactor = Compactor::new(&dir, cfg);
             compactor.bind_telemetry(&registry);
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 std::thread::sleep(every);

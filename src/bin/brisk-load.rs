@@ -4,19 +4,7 @@
 //! node — sensors, ring buffers and an external sensor — generating a
 //! configurable event load against a running manager. Use it to smoke-test
 //! a deployment or to drive throughput experiments across real machines.
-//!
-//! ```text
-//! brisk-load [--tcp HOST:PORT | --uds PATH] [--node N] [--sensors N]
-//!            [--rate EV_PER_S] [--duration-s N] [--causal] [--stats]
-//!            [--stats-addr HOST:PORT] [--trace-sample N]
-//!            [--heartbeat-interval-ms N] [--stamp-hlc]
-//!            [--clock-skew-us N] [--clock-drift-ppm F] [--clock-step-ms N]
-//!            [--no-sync]
-//!            [--fault-seed N] [--fault-corrupt R] [--fault-truncate R]
-//!            [--fault-duplicate R] [--fault-reorder R] [--fault-delay R]
-//!            [--fault-max-delay-ms N] [--fault-kill-after N]
-//! brisk-load --replay DIR [--speed F]
-//! ```
+//! `brisk-load --help` lists every flag.
 //!
 //! `--stats` binds the node's ring buffers and EXS to a telemetry
 //! registry and dumps the full snapshot table at the end of the run.
@@ -53,14 +41,18 @@
 //! and output-order quality.
 //! `--speed F` compresses the original timing by `F` (default: flat out).
 
+use brisk::cli::{ms, on, put, val, Endpoint, Flag, Verdict};
 use brisk::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The node's flags land in its EXS config and fault plane; the load shape,
+/// clock faults and replay mode live beside them.
+#[derive(Default)]
 struct Args {
-    tcp: Option<String>,
-    #[cfg(unix)]
-    uds: Option<String>,
+    endpoint: Option<Endpoint>,
+    exs: ExsConfig,
+    fault: FaultSpec,
     node: u32,
     sensors: u32,
     rate: f64,
@@ -70,169 +62,48 @@ struct Args {
     stats_addr: Option<String>,
     replay: Option<String>,
     speed: Option<f64>,
-    heartbeat_interval: Option<Duration>,
-    trace_sample: u32,
-    stamp_hlc: bool,
     clock_skew_us: i64,
     clock_drift_ppm: f64,
     clock_step_ms: i64,
-    no_sync: bool,
-    fault: FaultSpec,
 }
 
-fn parse_args() -> std::result::Result<Args, String> {
-    let mut args = Args {
-        tcp: None,
-        #[cfg(unix)]
-        uds: None,
-        node: 1,
-        sensors: 2,
-        rate: 10_000.0,
-        duration: Duration::from_secs(10),
-        causal: false,
-        stats: false,
-        stats_addr: None,
-        replay: None,
-        speed: None,
-        heartbeat_interval: None,
-        trace_sample: 0,
-        stamp_hlc: false,
-        clock_skew_us: 0,
-        clock_drift_ppm: 0.0,
-        clock_step_ms: 0,
-        no_sync: false,
-        fault: FaultSpec::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--tcp" => args.tcp = Some(val("--tcp")?),
-            #[cfg(unix)]
-            "--uds" => args.uds = Some(val("--uds")?),
-            "--node" => args.node = val("--node")?.parse().map_err(|e| format!("{e}"))?,
-            "--sensors" => args.sensors = val("--sensors")?.parse().map_err(|e| format!("{e}"))?,
-            "--rate" => args.rate = val("--rate")?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-s" => {
-                args.duration =
-                    Duration::from_secs(val("--duration-s")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--causal" => args.causal = true,
-            "--stats" => args.stats = true,
-            "--stats-addr" => args.stats_addr = Some(val("--stats-addr")?),
-            "--replay" => args.replay = Some(val("--replay")?),
-            "--speed" => {
-                args.speed = Some(
-                    val("--speed")?
-                        .parse()
-                        .map_err(|e| format!("bad --speed: {e}"))?,
-                )
-            }
-            "--trace-sample" => {
-                args.trace_sample = val("--trace-sample")?
-                    .parse()
-                    .map_err(|e| format!("bad --trace-sample: {e}"))?
-            }
-            "--heartbeat-interval-ms" => {
-                args.heartbeat_interval = Some(Duration::from_millis(
-                    val("--heartbeat-interval-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --heartbeat-interval-ms: {e}"))?,
-                ))
-            }
-            "--stamp-hlc" => args.stamp_hlc = true,
-            "--clock-skew-us" => {
-                args.clock_skew_us = val("--clock-skew-us")?
-                    .parse()
-                    .map_err(|e| format!("bad --clock-skew-us: {e}"))?
-            }
-            "--clock-drift-ppm" => {
-                args.clock_drift_ppm = val("--clock-drift-ppm")?
-                    .parse()
-                    .map_err(|e| format!("bad --clock-drift-ppm: {e}"))?
-            }
-            "--clock-step-ms" => {
-                args.clock_step_ms = val("--clock-step-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --clock-step-ms: {e}"))?
-            }
-            "--no-sync" => args.no_sync = true,
-            "--fault-seed" => {
-                args.fault.seed = val("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-seed: {e}"))?
-            }
-            "--fault-corrupt" => {
-                args.fault.corrupt_rate = val("--fault-corrupt")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-corrupt: {e}"))?
-            }
-            "--fault-truncate" => {
-                args.fault.truncate_rate = val("--fault-truncate")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-truncate: {e}"))?
-            }
-            "--fault-duplicate" => {
-                args.fault.duplicate_rate = val("--fault-duplicate")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-duplicate: {e}"))?
-            }
-            "--fault-reorder" => {
-                args.fault.reorder_rate = val("--fault-reorder")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-reorder: {e}"))?
-            }
-            "--fault-delay" => {
-                args.fault.delay_rate = val("--fault-delay")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-delay: {e}"))?
-            }
-            "--fault-max-delay-ms" => {
-                args.fault.max_delay = Duration::from_millis(
-                    val("--fault-max-delay-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --fault-max-delay-ms: {e}"))?,
-                )
-            }
-            "--fault-kill-after" => {
-                args.fault.kill_after_frames = Some(
-                    val("--fault-kill-after")?
-                        .parse()
-                        .map_err(|e| format!("bad --fault-kill-after: {e}"))?,
-                )
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: brisk-load [--tcp HOST:PORT | --uds PATH] [--node N] \
-                            [--sensors N] [--rate EV_PER_S] [--duration-s N] [--causal] \
-                            [--stats] [--stats-addr HOST:PORT] [--trace-sample N] \
-                            [--heartbeat-interval-ms N] [--stamp-hlc] \
-                            [--clock-skew-us N] [--clock-drift-ppm F] \
-                            [--clock-step-ms N] [--no-sync] [--fault-seed N] \
-                            [--fault-corrupt R] [--fault-truncate R] [--fault-duplicate R] \
-                            [--fault-reorder R] [--fault-delay R] [--fault-max-delay-ms N] \
-                            [--fault-kill-after N] \
-                            | brisk-load --replay DIR [--speed F]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.sensors == 0 {
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    ("--tcp", "HOST:PORT", |a, v| Endpoint::set(&mut a.endpoint, Endpoint::Tcp(v.into()))),
+    #[cfg(unix)]
+    ("--uds", "PATH", |a, v| Endpoint::set(&mut a.endpoint, Endpoint::Uds(v.into()))),
+    ("--node", "N", |a, v| put(&mut a.node, val(v))),
+    ("--sensors", "N", |a, v| put(&mut a.sensors, val(v))),
+    ("--rate", "EV_PER_S", |a, v| put(&mut a.rate, val(v))),
+    ("--duration-s", "N", |a, v| put(&mut a.duration, val(v).map(Duration::from_secs))),
+    ("--causal", "", |a, _| on(&mut a.causal)),
+    ("--stats", "", |a, _| on(&mut a.stats)),
+    ("--stats-addr", "HOST:PORT", |a, v| put(&mut a.stats_addr, val(v).map(Some))),
+    ("--trace-sample", "N", |a, v| put(&mut a.exs.trace, val(v).map(TraceConfig::every))),
+    ("--heartbeat-interval-ms", "N", |a, v| put(&mut a.exs.heartbeat_interval, ms(v))),
+    ("--stamp-hlc", "", |a, _| on(&mut a.exs.stamp_hlc)),
+    ("--clock-skew-us", "N", |a, v| put(&mut a.clock_skew_us, val(v))),
+    ("--clock-drift-ppm", "F", |a, v| put(&mut a.clock_drift_ppm, val(v))),
+    ("--clock-step-ms", "N", |a, v| put(&mut a.clock_step_ms, val(v))),
+    ("--no-sync", "", |a, _| on(&mut a.exs.sync_disabled)),
+    ("--fault-seed", "N", |a, v| put(&mut a.fault.seed, val(v))),
+    ("--fault-corrupt", "R", |a, v| put(&mut a.fault.corrupt_rate, val(v))),
+    ("--fault-truncate", "R", |a, v| put(&mut a.fault.truncate_rate, val(v))),
+    ("--fault-duplicate", "R", |a, v| put(&mut a.fault.duplicate_rate, val(v))),
+    ("--fault-reorder", "R", |a, v| put(&mut a.fault.reorder_rate, val(v))),
+    ("--fault-delay", "R", |a, v| put(&mut a.fault.delay_rate, val(v))),
+    ("--fault-max-delay-ms", "N", |a, v| put(&mut a.fault.max_delay, ms(v))),
+    ("--fault-kill-after", "N", |a, v| put(&mut a.fault.kill_after_frames, val(v).map(Some))),
+    ("--replay", "DIR", |a, v| put(&mut a.replay, val(v).map(Some))),
+    ("--speed", "F", |a, v| put(&mut a.speed, val(v).map(Some))),
+];
+
+/// Cross-flag rules, checked before anything is opened.
+fn check(a: &Args) -> Verdict {
+    if a.sensors == 0 {
         return Err("--sensors must be at least 1".into());
     }
-    args.fault.validate().map_err(|e| e.to_string())?;
-    Ok(args)
-}
-
-fn connect(args: &Args) -> brisk_core::Result<Box<dyn Connection>> {
-    #[cfg(unix)]
-    if let Some(path) = &args.uds {
-        return brisk::net::UdsTransport.connect(path);
-    }
-    let addr = args.tcp.as_deref().unwrap_or("127.0.0.1:7787");
-    TcpTransport.connect(addr)
+    a.fault.validate().map_err(|e| e.to_string())
 }
 
 /// Offline mode: re-drive a stored trace through the analysis consumers.
@@ -289,13 +160,14 @@ fn replay_main(dir: &str, speed: Option<f64>) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let defaults = Args {
+        node: 1,
+        sensors: 2,
+        rate: 10_000.0,
+        duration: Duration::from_secs(10),
+        ..Args::default()
     };
+    let args = brisk::cli::parse_env("brisk-load", FLAGS, defaults, check);
     if let Some(dir) = &args.replay {
         replay_main(dir, args.speed);
         return;
@@ -320,26 +192,23 @@ fn main() {
             args.clock_skew_us,
             args.clock_drift_ppm,
             args.clock_step_ms,
-            if args.no_sync { ", sync disabled" } else { "" },
+            if args.exs.sync_disabled {
+                ", sync disabled"
+            } else {
+                ""
+            },
         );
     }
-    let mut cfg = ExsConfig {
-        stamp_hlc: args.stamp_hlc,
-        sync_disabled: args.no_sync,
-        ..ExsConfig::default()
-    };
-    if let Some(interval) = args.heartbeat_interval {
-        cfg.heartbeat_interval = interval;
-    }
-    if args.trace_sample > 0 {
-        cfg.trace = TraceConfig::every(args.trace_sample);
+    let cfg = args.exs;
+    if cfg.trace.enabled() {
         eprintln!(
             "brisk-load: self-tracing 1-in-{} notices",
-            args.trace_sample
+            cfg.trace.sample_every
         );
     }
     let lis = Lis::new(NodeId(args.node), Arc::new(Arc::clone(&clock)), &cfg);
-    let conn = connect(&args).unwrap_or_else(|e| {
+    let endpoint = args.endpoint.unwrap_or_default();
+    let conn = endpoint.connect().unwrap_or_else(|e| {
         eprintln!("cannot connect to the ISM: {e}");
         std::process::exit(1);
     });

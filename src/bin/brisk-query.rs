@@ -2,19 +2,13 @@
 //!
 //! Companion tool to `brisk-ismd --store-dir`: everything it does runs
 //! against the store directory on disk, concurrently with a live writer.
-//!
-//! ```text
-//! brisk-query DIR [--from-us N] [--to-us N] [--node N]... [--sensor N]...
-//!             [--limit N] [--stats]
-//!             [--window-ms N [--field K]]
-//!             [--chain ID [--max-links N]]
-//!             [--compact [--keep-hot N] [--block-records N]]
-//! ```
+//! `brisk-query --help` lists every flag.
 //!
 //! Modes (mutually exclusive; default prints matching records):
 //!
 //! * *select* — print records matching the time-range × node × sensor
-//!   predicate. Zone-map sidecars prune segments that provably hold no
+//!   predicate (`--node` and `--sensor` repeat to match several ids).
+//!   Zone-map sidecars prune segments that provably hold no
 //!   match, so a narrow query reads a fraction of the store; `--stats`
 //!   shows exactly how many segments were pruned vs scanned.
 //! * `--window-ms N` — windowed aggregation over the matching records:
@@ -31,13 +25,18 @@
 //! Exit status: 0 on success (even when nothing matches), 2 on usage
 //! errors, 1 on store errors.
 
+use brisk::cli::{on, put, val, Flag, Verdict};
 use brisk::prelude::*;
 use std::io::Write;
 use std::path::PathBuf;
 
+/// The query's flags land in its `Predicate` and `CompactConfig`; the mode
+/// and output shape live beside them.
+#[derive(Default)]
 struct Args {
     dir: PathBuf,
     pred: Predicate,
+    compact_cfg: CompactConfig,
     limit: Option<usize>,
     stats: bool,
     window_ms: Option<u64>,
@@ -45,124 +44,46 @@ struct Args {
     chain: Option<u64>,
     max_links: usize,
     compact: bool,
-    keep_hot: usize,
-    block_records: usize,
 }
 
-fn parse_id(s: &str) -> std::result::Result<u64, String> {
-    let parsed = match s.strip_prefix("0x") {
+/// A correlation id, decimal or `0x` hex.
+fn parse_id(s: &str) -> std::result::Result<u64, std::num::ParseIntError> {
+    match s.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => s.parse(),
-    };
-    parsed.map_err(|e| format!("bad correlation id {s:?}: {e}"))
+    }
 }
 
-fn parse_args() -> std::result::Result<Args, String> {
-    let defaults = CompactConfig::default();
-    let mut args = Args {
-        dir: PathBuf::new(),
-        pred: Predicate::all(),
-        limit: None,
-        stats: false,
-        window_ms: None,
-        field: None,
-        chain: None,
-        max_links: 1000,
-        compact: false,
-        keep_hot: defaults.keep_hot,
-        block_records: defaults.block_records,
-    };
-    let mut dir = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--from-us" => {
-                args.pred.from = Some(UtcMicros::from_micros(
-                    val("--from-us")?
-                        .parse()
-                        .map_err(|e| format!("bad --from-us: {e}"))?,
-                ))
-            }
-            "--to-us" => {
-                args.pred.to = Some(UtcMicros::from_micros(
-                    val("--to-us")?
-                        .parse()
-                        .map_err(|e| format!("bad --to-us: {e}"))?,
-                ))
-            }
-            "--node" => {
-                let id = val("--node")?
-                    .parse()
-                    .map_err(|e| format!("bad --node: {e}"))?;
-                args.pred = std::mem::take(&mut args.pred).node(id);
-            }
-            "--sensor" => {
-                let id = val("--sensor")?
-                    .parse()
-                    .map_err(|e| format!("bad --sensor: {e}"))?;
-                args.pred = std::mem::take(&mut args.pred).sensor(id);
-            }
-            "--limit" => {
-                args.limit = Some(
-                    val("--limit")?
-                        .parse()
-                        .map_err(|e| format!("bad --limit: {e}"))?,
-                )
-            }
-            "--stats" => args.stats = true,
-            "--window-ms" => {
-                args.window_ms = Some(
-                    val("--window-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --window-ms: {e}"))?,
-                )
-            }
-            "--field" => {
-                args.field = Some(
-                    val("--field")?
-                        .parse()
-                        .map_err(|e| format!("bad --field: {e}"))?,
-                )
-            }
-            "--chain" => args.chain = Some(parse_id(&val("--chain")?)?),
-            "--max-links" => {
-                args.max_links = val("--max-links")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-links: {e}"))?
-            }
-            "--compact" => args.compact = true,
-            "--keep-hot" => {
-                args.keep_hot = val("--keep-hot")?
-                    .parse()
-                    .map_err(|e| format!("bad --keep-hot: {e}"))?
-            }
-            "--block-records" => {
-                args.block_records = val("--block-records")?
-                    .parse()
-                    .map_err(|e| format!("bad --block-records: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: brisk-query DIR [--from-us N] [--to-us N] [--node N]... \
-                     [--sensor N]... [--limit N] [--stats] \
-                     [--window-ms N [--field K]] [--chain ID [--max-links N]] \
-                     [--compact [--keep-hot N] [--block-records N]]"
-                        .into(),
-                )
-            }
-            other if !other.starts_with('-') && dir.is_none() => dir = Some(PathBuf::from(other)),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    ("DIR", "", |a, v| put(&mut a.dir, val(v))),
+    ("--from-us", "N", |a, v| put(&mut a.pred.from, val(v).map(UtcMicros::from_micros).map(Some))),
+    ("--to-us", "N", |a, v| put(&mut a.pred.to, val(v).map(UtcMicros::from_micros).map(Some))),
+    ("--node", "N", |a, v| { a.pred = std::mem::take(&mut a.pred).node(val(v)?); Ok(()) }),
+    ("--sensor", "N", |a, v| { a.pred = std::mem::take(&mut a.pred).sensor(val(v)?); Ok(()) }),
+    ("--limit", "N", |a, v| put(&mut a.limit, val(v).map(Some))),
+    ("--stats", "", |a, _| on(&mut a.stats)),
+    ("--window-ms", "N", |a, v| put(&mut a.window_ms, val(v).map(Some))),
+    ("--field", "K", |a, v| put(&mut a.field, val(v).map(Some))),
+    ("--chain", "ID", |a, v| put(&mut a.chain, parse_id(v).map(Some))),
+    ("--max-links", "N", |a, v| put(&mut a.max_links, val(v))),
+    ("--compact", "", |a, _| on(&mut a.compact)),
+    ("--keep-hot", "N", |a, v| put(&mut a.compact_cfg.keep_hot, val(v))),
+    ("--block-records", "N", |a, v| put(&mut a.compact_cfg.block_records, val(v))),
+];
+
+/// Cross-flag rules: one store, one mode.
+fn check(a: &Args) -> Verdict {
+    if a.dir.as_os_str().is_empty() {
+        return Err("missing store directory (see --help)".into());
     }
-    args.dir = dir.ok_or("missing store directory (see --help)")?;
-    if args.field.is_some() && args.window_ms.is_none() {
+    if a.field.is_some() && a.window_ms.is_none() {
         return Err("--field only makes sense with --window-ms".into());
     }
-    if args.compact && (args.window_ms.is_some() || args.chain.is_some()) {
+    if a.compact && (a.window_ms.is_some() || a.chain.is_some()) {
         return Err("--compact is a mode of its own".into());
     }
-    Ok(args)
+    Ok(())
 }
 
 fn run(args: &Args) -> Result<()> {
@@ -172,14 +93,7 @@ fn run(args: &Args) -> Result<()> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     if args.compact {
-        let compactor = Compactor::new(
-            &args.dir,
-            CompactConfig {
-                keep_hot: args.keep_hot,
-                block_records: args.block_records,
-                ..CompactConfig::default()
-            },
-        );
+        let compactor = Compactor::new(&args.dir, args.compact_cfg.clone());
         let report = compactor.run_once()?;
         writeln!(
             out,
@@ -262,13 +176,11 @@ fn run(args: &Args) -> Result<()> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let defaults = Args {
+        max_links: 1000,
+        ..Args::default()
     };
+    let args = brisk::cli::parse_env("brisk-query", FLAGS, defaults, check);
     if let Err(e) = run(&args) {
         // A downstream pager/`head` closing the pipe is a normal way to
         // stop reading, not an error.

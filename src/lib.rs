@@ -74,6 +74,8 @@
 //! | [`sim`] | deterministic experiment substrate |
 //! | [`telemetry`] | lock-free self-instrumentation metrics + exporters |
 //! | [`store`] | durable segmented trace store, crash recovery, replay |
+//!
+//! [`cli`] is the flag parser the executables under `src/bin/` share.
 
 #![deny(missing_docs)]
 
@@ -90,6 +92,8 @@ pub use brisk_sim as sim;
 pub use brisk_store as store;
 pub use brisk_telemetry as telemetry;
 pub use brisk_xdr as xdr;
+
+pub mod cli;
 
 pub use brisk_lis::{define_notice, notice, notice_gated};
 
