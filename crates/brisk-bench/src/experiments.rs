@@ -1,30 +1,36 @@
 //! The experiment implementations, one per evaluation item of §4.
 //!
-//! Every function prints one or more tables and returns nothing; the
-//! `experiments` binary maps subcommands onto them. `quick` shrinks
-//! durations for CI-style smoke runs.
+//! Every function prints one or more tables and returns false only when
+//! a bar it gates is exceeded (only S1 gates any); the `experiments`
+//! binary maps subcommands onto them. `quick` shrinks durations for
+//! CI-style smoke runs.
 
 use crate::rig::{blast_events, paced_events, six_i32_fields, start_ism, start_node};
 use crate::table::{f, Table};
-use brisk_clock::SystemClock;
+use brisk_clock::{Clock, Hlc, SystemClock};
 use brisk_consumers::{LatencyTracker, SummaryStats};
 use brisk_core::config::FrameGrowth;
 use brisk_core::{
-    EventTypeId, ExsConfig, IsmConfig, NodeId, SorterConfig, SyncConfig, UtcMicros, Value,
+    EventRecord, EventTypeId, ExsConfig, FsyncPolicy, IsmConfig, NodeId, OrderMode, SensorId,
+    SorterConfig, StoreConfig, SyncConfig, UtcMicros, Value,
 };
+use brisk_ism::IsmCore;
 use brisk_lis::spawn_exs;
 use brisk_net::{MemTransport, TcpTransport, Transport};
-use brisk_ringbuf::RingSet;
+use brisk_ringbuf::{RingSet, SensorPort};
 use brisk_sim::{
     run_causal_experiment, run_sorting_experiment, CausalConfig, DelayModel, SortingConfig,
     SyncSimConfig, SyncSimulation,
 };
+use brisk_telemetry::{Registry, TraceSampler};
+use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// E1 — cost of one `NOTICE` (paper: 3.6–18.6 µs across platforms).
-pub fn e1_notice_cost(quick: bool) {
+pub fn e1_notice_cost(quick: bool) -> bool {
     type ShapeFn = Box<dyn Fn(u64) -> Vec<Value>>;
     let iters: u64 = if quick { 50_000 } else { 500_000 };
     let shapes: Vec<(&str, ShapeFn)> = vec![
@@ -77,7 +83,7 @@ pub fn e1_notice_cost(quick: bool) {
         let start = Instant::now();
         for i in 0..iters {
             // The full sensor path: clock read + record build + ring write.
-            let _ = port.emit(EventTypeId(1), brisk_clock::Clock::now(&clock), make(i));
+            let _ = port.emit(EventTypeId(1), clock.now(), make(i));
         }
         let elapsed = start.elapsed();
         stop.store(true, Ordering::Relaxed);
@@ -86,11 +92,12 @@ pub fn e1_notice_cost(quick: bool) {
         table.row(&[name.to_string(), f(ns), f(ns / 1_000.0), f(1_000.0 / ns)]);
     }
     table.print("E1: CPU cost per NOTICE (paper: 3.6–18.6 µs on 1996-era CPUs)");
+    true
 }
 
 /// E2 — EXS CPU utilization at fixed event rates (paper: <1% up to
 /// 38,000 ev/s).
-pub fn e2_exs_utilization(quick: bool) {
+pub fn e2_exs_utilization(quick: bool) -> bool {
     let duration = Duration::from_millis(if quick { 500 } else { 2_000 });
     let rates = [1_000.0, 10_000.0, 38_000.0, 80_000.0];
     let mut table = Table::new(&["target ev/s", "achieved ev/s", "EXS busy %", "dropped"]);
@@ -141,11 +148,12 @@ pub fn e2_exs_utilization(quick: bool) {
         ]);
     }
     table.print("E2: EXS CPU utilization vs event rate (paper: <1% at 38k ev/s)");
+    true
 }
 
 /// E3 — maximum EXS→ISM event throughput (paper: 90,000 ev/s for 40-byte
 /// records over 155 Mbps ATM).
-pub fn e3_throughput(quick: bool) {
+pub fn e3_throughput(quick: bool) -> bool {
     let events: u64 = if quick { 50_000 } else { 400_000 };
     let mut table = Table::new(&["transport", "batch records", "events/s", "MB/s (wire)"]);
     for (tname, use_tcp) in [("mem", false), ("tcp-loopback", true)] {
@@ -199,11 +207,12 @@ pub fn e3_throughput(quick: bool) {
         }
     }
     table.print("E3: max EXS→ISM throughput (paper: 90,000 ev/s @ 40 B/record)");
+    true
 }
 
 /// E4 — delivery latency vs the flush-timeout knob (paper: worst case
 /// bounded by the 40 ms select timeout).
-pub fn e4_latency(quick: bool) {
+pub fn e4_latency(quick: bool) -> bool {
     let duration = Duration::from_millis(if quick { 600 } else { 2_000 });
     let mut table = Table::new(&["flush timeout", "p50 us", "p95 us", "p99 us", "max us"]);
     for flush_ms in [1u64, 5, 40] {
@@ -252,11 +261,12 @@ pub fn e4_latency(quick: bool) {
         ]);
     }
     table.print("E4: delivery latency vs flush timeout (paper: worst case ≈ 40 ms select)");
+    true
 }
 
 /// E5 — ISM scalability: aggregate throughput vs number of EXS nodes
 /// (paper: roughly constant up to 8 nodes; the ISM CPU is the bottleneck).
-pub fn e5_scalability(quick: bool) {
+pub fn e5_scalability(quick: bool) -> bool {
     let per_node: u64 = if quick { 30_000 } else { 150_000 };
     let mut table = Table::new(&["EXS nodes", "aggregate ev/s", "per-node ev/s"]);
     for nodes in 1..=8usize {
@@ -309,11 +319,12 @@ pub fn e5_scalability(quick: bool) {
         table.row(&[nodes.to_string(), f(rate), f(rate / nodes as f64)]);
     }
     table.print("E5: ISM aggregate throughput vs #EXS (paper: ~constant, ISM-bound)");
+    true
 }
 
 /// E6 — clock-synchronization quality on the simulated cluster (paper: 8
 /// EXS, 5 s polling, 10 min; within ~100–200 µs, disturbances push above).
-pub fn e6_clock_sync(quick: bool) {
+pub fn e6_clock_sync(quick: bool) -> bool {
     let duration = Duration::from_secs(if quick { 120 } else { 600 });
     let mut table = Table::new(&[
         "scenario",
@@ -343,10 +354,11 @@ pub fn e6_clock_sync(quick: bool) {
         ]);
     }
     table.print("E6: clock sync quality, 8 EXS, 5 s polling (paper: <200 µs most of the time)");
+    true
 }
 
 /// E7 — on-line sorting parameter study (paper: four parameters varied).
-pub fn e7_sorting(quick: bool) {
+pub fn e7_sorting(quick: bool) -> bool {
     let events = if quick { 2_000 } else { 10_000 };
     let heavy_jitter = DelayModel {
         base_us: 100,
@@ -548,10 +560,11 @@ pub fn e7_sorting(quick: bool) {
         ]);
     }
     t5.print("E7e: arrival-process scenarios (extension)");
+    true
 }
 
 /// A1 — ablation: BRISK's modified Cristian vs the original algorithm.
-pub fn a1_sync_ablation(quick: bool) {
+pub fn a1_sync_ablation(quick: bool) -> bool {
     let duration = Duration::from_secs(if quick { 120 } else { 600 });
     let mut table = Table::new(&[
         "algorithm",
@@ -590,10 +603,11 @@ pub fn a1_sync_ablation(quick: bool) {
         ]);
     }
     table.print("A1: modified vs original Cristian (ablation)");
+    true
 }
 
 /// A2 — ablation: CRE tachyon repair on vs off.
-pub fn a2_cre_ablation(quick: bool) {
+pub fn a2_cre_ablation(quick: bool) -> bool {
     let exchanges = if quick { 500 } else { 5_000 };
     let mut table = Table::new(&[
         "CRE markers",
@@ -618,6 +632,7 @@ pub fn a2_cre_ablation(quick: bool) {
         ]);
     }
     table.print("A2: causally-related-event repair (ablation)");
+    true
 }
 
 /// A3 — ablation: compressed vs naive record meta-information headers.
@@ -628,7 +643,7 @@ pub fn a2_cre_ablation(quick: bool) {
 /// quantifies the wire savings against the naive alternative (one XDR
 /// unsigned int per field type, as a static-typing-free rpcgen encoding
 /// would produce).
-pub fn a3_header_compression(_quick: bool) {
+pub fn a3_header_compression(_quick: bool) -> bool {
     use brisk_core::{RecordDescriptor, ValueType};
     let shapes: Vec<(&str, Vec<ValueType>)> = vec![
         ("1 x i32", vec![ValueType::I32]),
@@ -690,18 +705,285 @@ pub fn a3_header_compression(_quick: bool) {
         ]);
     }
     table.print("A3: compressed vs naive meta-information header (ablation)");
+    true
 }
 
-/// Run every experiment.
-pub fn run_all(quick: bool) {
-    e1_notice_cost(quick);
-    e2_exs_utilization(quick);
-    e3_throughput(quick);
-    e4_latency(quick);
-    e5_scalability(quick);
-    e6_clock_sync(quick);
-    e7_sorting(quick);
-    a1_sync_ablation(quick);
-    a2_cre_ablation(quick);
-    a3_header_compression(quick);
+/// Emits per timed S1 slice: few enough that a slice never fills the
+/// 4 MiB ring, which is drained untimed between slices.
+const EMITS_PER_SLICE: u64 = 2_048;
+/// Records per `push_batch` on the S1 delivery path.
+const DELIVERY_BATCH: usize = 64;
+/// Batches per timed S1 delivery slice: a slice's frame bytes (~18 KiB)
+/// stay under the store's 64 KiB write-behind threshold, so every handoff
+/// to its writer thread happens in the untimed drain between slices.
+const BATCHES_PER_SLICE: usize = 4;
+/// Untimed slices each S1 variant runs before the paired trials.
+const WARMUP_SLICES: usize = 200;
+
+/// S1 — what the optional planes cost on the two hot paths, as paired
+/// overheads against the plain path. CI gates two rows: 1-in-128 trace
+/// sampling ≤ 5 % on the emit path and causal ordering ≤ 10 % on the
+/// delivery path. Returns false when either bar is exceeded.
+pub fn s1_overheads(quick: bool) -> bool {
+    let (emit_trials, delivery_trials) = if quick { (300, 200) } else { (600, 400) };
+
+    let mut emit = [
+        EmitPath::new(|_| {}),
+        // Taken from a registry, as a node binds it. A standalone
+        // `Counter::new()` shifts the heap so that the plain port's emits
+        // run ~70 ns slower on the reference host (EXPERIMENTS.md, S1).
+        EmitPath::new(|port| {
+            port.set_notice_counter(Registry::new().counter("brisk_notices_total", "notices"))
+        }),
+        EmitPath::new(|port| {
+            port.set_trace_sampler(Arc::new(TraceSampler::with_seed(128, 0x5eed)))
+        }),
+    ];
+    let emit_ok = print_overheads(
+        &format!("S1a: emit-path overhead, SensorPort::emit 6 x i32 ({emit_trials} paired trials)"),
+        &[
+            ("plain", None),
+            ("notice counter bound", None),
+            ("trace 1-in-128", Some(5.0)),
+        ],
+        &paired(&mut emit, emit_trials, EmitPath::slice),
+    );
+
+    let dirs = [s1_store_dir("never"), s1_store_dir("interval")];
+    let store = |dir: &Path, fsync| IsmConfig {
+        store: StoreConfig {
+            fsync,
+            retain_bytes: 64 << 20, // bound a long run's footprint
+            ..StoreConfig::at(dir)
+        },
+        ..IsmConfig::default()
+    };
+    let mut delivery = [
+        DeliveryPath::new(IsmConfig::default()),
+        DeliveryPath::new(IsmConfig {
+            order_mode: OrderMode::Causal,
+            ..IsmConfig::default()
+        }),
+        DeliveryPath::new(store(&dirs[0], FsyncPolicy::Never)),
+        DeliveryPath::new(store(
+            &dirs[1],
+            FsyncPolicy::Interval(Duration::from_millis(200)),
+        )),
+    ];
+    let delivery_ok = print_overheads(
+        &format!(
+            "S1b: delivery-path overhead, IsmCore push_batch + tick ({delivery_trials} paired trials)"
+        ),
+        &[
+            ("memory, physical order", None),
+            ("causal (HLC stamps)", Some(10.0)),
+            ("store fsync=never", None),
+            ("store fsync=interval", None),
+        ],
+        &paired(&mut delivery, delivery_trials, DeliveryPath::slice),
+    );
+    drop(delivery); // seal the stores before removing their directories
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    emit_ok && delivery_ok
+}
+
+/// S1 emit path: one sensor port on a 4 MiB ring.
+struct EmitPath {
+    rings: Arc<RingSet>,
+    port: SensorPort,
+    drained: Vec<EventRecord>,
+    i: u64,
+}
+
+impl EmitPath {
+    fn new(setup: impl FnOnce(&mut SensorPort)) -> Self {
+        let rings = RingSet::new(NodeId(0), 1 << 22);
+        let mut port = rings.register();
+        setup(&mut port);
+        EmitPath {
+            rings,
+            port,
+            drained: Vec::new(),
+            i: 0,
+        }
+    }
+
+    /// Time one slice of emits, each in `notice!` order (clock read,
+    /// field build, emit), and return ns/record. The drain after it is
+    /// untimed: on a real node the EXS does it on another core.
+    fn slice(&mut self) -> f64 {
+        let start = Instant::now();
+        for _ in 0..EMITS_PER_SLICE {
+            self.i += 1;
+            let ts = SystemClock.now();
+            let fields = black_box(six_i32_fields(self.i));
+            black_box(self.port.emit(EventTypeId(1), ts, fields)).unwrap();
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        self.drained.clear();
+        self.rings
+            .drain_into(usize::MAX, &mut self.drained)
+            .unwrap();
+        ns / EMITS_PER_SLICE as f64
+    }
+}
+
+/// S1 delivery path: an `IsmCore` fed batches as the wire delivers them,
+/// `X_HLC`-stamped by a producer-side clock when the core orders causally.
+struct DeliveryPath {
+    core: IsmCore,
+    hlc: Option<Arc<Hlc>>,
+    ts: i64,
+    seq: u64,
+}
+
+impl DeliveryPath {
+    fn new(cfg: IsmConfig) -> Self {
+        DeliveryPath {
+            hlc: (cfg.order_mode == OrderMode::Causal).then(Hlc::new),
+            core: IsmCore::new(cfg).unwrap(),
+            ts: 1_000_000_000,
+            seq: 0,
+        }
+    }
+
+    /// Build one slice's batches (untimed: stamping is the leaf EXS's
+    /// cost), push and tick each far enough that the sorter releases it
+    /// (timed), then drain the store's write-behind queue (untimed, so no
+    /// slice pays for segment writes another slice queued). Returns
+    /// ns/record.
+    fn slice(&mut self) -> f64 {
+        let batches: Vec<Vec<EventRecord>> = (0..BATCHES_PER_SLICE)
+            .map(|_| (0..DELIVERY_BATCH).map(|_| self.record()).collect())
+            .collect();
+        let now = UtcMicros::from_micros(self.ts);
+        let release = UtcMicros::from_micros(self.ts + 10_000_000);
+        let start = Instant::now();
+        for batch in batches {
+            self.core.push_batch(batch, now).unwrap();
+            black_box(self.core.tick(release).unwrap());
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        self.core.drain_all().unwrap();
+        ns / (BATCHES_PER_SLICE * DELIVERY_BATCH) as f64
+    }
+
+    fn record(&mut self) -> EventRecord {
+        self.ts += 1;
+        self.seq += 1;
+        let ts = UtcMicros::from_micros(self.ts);
+        let mut rec = EventRecord::new(
+            NodeId(1),
+            SensorId(0),
+            EventTypeId(1),
+            self.seq,
+            ts,
+            six_i32_fields(self.seq),
+        )
+        .unwrap();
+        if let Some(hlc) = &self.hlc {
+            rec.set_hlc(hlc.tick(ts));
+        }
+        rec
+    }
+}
+
+/// A fresh store directory for S1, on tmpfs when the host has one so the
+/// table measures the store's CPU cost rather than the disk.
+fn s1_store_dir(tag: &str) -> PathBuf {
+    let shm = Path::new("/dev/shm");
+    let base = if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let dir = base.join(format!("brisk-s1-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Median ns/record of one variant and the median of its per-trial time
+/// ratios against the first variant.
+struct Paired {
+    ns: f64,
+    ratio: f64,
+}
+
+/// Time `trials` trials of `variants` after [`WARMUP_SLICES`] untimed
+/// slices each; a trial runs every variant's `slice` (which returns
+/// ns/record) back to back. Pairing adjacent slices cancels the slow
+/// drift of a shared host, which moves unpaired A-then-B runs by more
+/// than the bars; the median discards page-reclaim stalls.
+fn paired<V>(
+    variants: &mut [V],
+    trials: usize,
+    mut slice: impl FnMut(&mut V) -> f64,
+) -> Vec<Paired> {
+    for v in variants.iter_mut() {
+        for _ in 0..WARMUP_SLICES {
+            slice(v);
+        }
+    }
+    let mut ns = vec![Vec::with_capacity(trials); variants.len()];
+    for _ in 0..trials {
+        for (v, ns) in variants.iter_mut().zip(&mut ns) {
+            ns.push(slice(v));
+        }
+    }
+    ns.iter()
+        .map(|own| Paired {
+            ns: median(own.clone()),
+            ratio: median(own.iter().zip(&ns[0]).map(|(a, b)| a / b).collect()),
+        })
+        .collect()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
+}
+
+/// Print one S1 table, a row per `(variant, bar %)`. Returns false when
+/// a row exceeds its bar.
+fn print_overheads(title: &str, rows: &[(&str, Option<f64>)], results: &[Paired]) -> bool {
+    let mut table = Table::new(&["variant", "ns/record", "vs first", "bar"]);
+    let mut ok = true;
+    for (&(name, bar), r) in rows.iter().zip(results) {
+        let pct = (r.ratio - 1.0) * 100.0;
+        let bar = bar.map_or(String::new(), |bar| {
+            let pass = pct <= bar;
+            ok &= pass;
+            format!("<= {bar}% {}", if pass { "PASS" } else { "FAIL" })
+        });
+        table.row(&[name.to_string(), f(r.ns), format!("{pct:+.1}%"), bar]);
+    }
+    table.print(title);
+    ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paired_ratios_are_medians_of_per_trial_ratios() {
+        // Variant 1 takes twice variant 0's time in every trial, however
+        // the trials drift; variant 0 against itself is exactly 1.
+        let mut slices = 0u32;
+        let mut variants = [1.0, 2.0];
+        let r = paired(&mut variants, 9, |v| {
+            let trial = slices / 2;
+            slices += 1;
+            *v * f64::from(10 + trial)
+        });
+        assert_eq!((r[0].ratio, r[1].ratio), (1.0, 2.0));
+        assert_eq!(r[1].ns, 2.0 * r[0].ns);
+    }
 }

@@ -118,8 +118,8 @@ impl SensorPort {
     }
 
     /// Attach a notice counter incremented once per emitted record
-    /// (whether or not the ring accepts it). Used by the telemetry
-    /// overhead benchmark and by [`RingSet::bind_telemetry`].
+    /// (whether or not the ring accepts it). `experiments s1` measures
+    /// its cost on the emit path.
     pub fn set_notice_counter(&mut self, counter: Arc<Counter>) {
         self.notices = Some(counter);
     }

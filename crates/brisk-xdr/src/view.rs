@@ -3,8 +3,8 @@
 //!
 //! The owned decode path ([`crate::values::decode_value`]) allocates for
 //! every string, byte blob and record; on the ISM's ingest hot path that
-//! is the dominant cost (see BENCH_store.json). The view path decodes the
-//! same wire bytes into [`ValueRef`]/[`RecordView`], whose variable-size
+//! is the dominant cost. The view path decodes the same wire bytes into
+//! [`ValueRef`]/[`RecordView`], whose variable-size
 //! payloads stay borrowed from the frame they arrived in. A record is
 //! *validated* where the frame enters the system (the pump) without
 //! copying anything, then *materialized* into an owned

@@ -46,11 +46,11 @@ fn rec(node: u32, sensor: u32, seq: u64, ts: i64) -> EventRecord {
 /// Phase the workload by node over time — each node's records land in
 /// their own run of segments — so a node predicate lets zone maps prune
 /// most of the store without reading it.
-fn write_phased_store(dir: &Path, per_node: u64) {
+fn write_phased_store(dir: &Path, nodes: u32, per_node: u64) {
     let cfg = store_cfg(dir);
     let mut w = StoreWriter::open(&cfg).unwrap();
     let mut seq = 0u64;
-    for node in 1..=3u32 {
+    for node in 1..=nodes {
         for _ in 0..per_node {
             w.append(&rec(node, node * 10, seq, seq as i64 * 10))
                 .unwrap();
@@ -62,14 +62,27 @@ fn write_phased_store(dir: &Path, per_node: u64) {
 
 #[test]
 fn query_prunes_segments_and_counts_in_telemetry() {
+    prunes_segments_and_counts_in_telemetry(3);
+    // The zone maps carry exact node sets, so on 8 phased nodes a node-1
+    // predicate must read at most a fifth of the store.
+    let report = prunes_segments_and_counts_in_telemetry(8);
+    assert!(
+        report.segments_scanned * 5 <= report.segments_total,
+        "report: {report:?}"
+    );
+}
+
+/// Query a store phased over `nodes` nodes; returns the node-1 report.
+fn prunes_segments_and_counts_in_telemetry(nodes: u32) -> QueryReport {
     let dir = temp_dir("prune");
-    write_phased_store(&dir, 400);
+    write_phased_store(&dir, nodes, 400);
     let registry = Registry::new();
     let mut reader = StoreReader::open(&dir).unwrap();
     reader.bind_telemetry(&registry);
 
     let pred = Predicate::all().node(1);
     let (hit, report) = reader.query(&pred).unwrap();
+    let node1 = report;
     assert_eq!(hit.records.len(), 400, "every node-1 record found");
     assert!(hit.records.iter().all(|r| r.node == NodeId(1)));
     assert!(
@@ -105,12 +118,13 @@ fn query_prunes_segments_and_counts_in_telemetry() {
     assert!(hit.records.is_empty());
     assert_eq!(report.segments_scanned, 0, "report: {report:?}");
     let _ = fs::remove_dir_all(&dir);
+    node1
 }
 
 #[test]
 fn query_cache_answers_repeats_without_scanning() {
     let dir = temp_dir("cache");
-    write_phased_store(&dir, 200);
+    write_phased_store(&dir, 3, 200);
     let reader = StoreReader::open(&dir)
         .unwrap()
         .with_cache(QueryCache::with_default_capacity());
@@ -140,7 +154,7 @@ fn query_cache_answers_repeats_without_scanning() {
 #[test]
 fn compaction_shrinks_cold_segments_and_preserves_replay() {
     let dir = temp_dir("compact");
-    write_phased_store(&dir, 500);
+    write_phased_store(&dir, 3, 500);
     let reader = StoreReader::open(&dir).unwrap();
     let (before, _) = reader.read_all().unwrap();
     let size_of = |dir: &PathBuf| -> u64 {
@@ -213,7 +227,7 @@ fn compaction_shrinks_cold_segments_and_preserves_replay() {
 fn brisk_query_cli_selects_aggregates_and_compacts() {
     use std::process::Command;
     let dir = temp_dir("cli");
-    write_phased_store(&dir, 300);
+    write_phased_store(&dir, 3, 300);
     let bin = env!("CARGO_BIN_EXE_brisk-query");
 
     let out = Command::new(bin)
@@ -270,7 +284,7 @@ fn brisk_query_cli_selects_aggregates_and_compacts() {
 #[test]
 fn query_through_compacted_store_still_prunes_and_matches() {
     let dir = temp_dir("compact-query");
-    write_phased_store(&dir, 400);
+    write_phased_store(&dir, 3, 400);
     let compactor = Compactor::new(
         &dir,
         CompactConfig {
