@@ -8,8 +8,11 @@
 //! [`brisk_lis::Uplink`], the same sender-side session an external
 //! sensor runs — window, credit, replay across reconnects, sync-poll
 //! answers, idle heartbeats (so the parent's liveness sweep never falsely
-//! evicts a quiet subtree) — and adds only what is relay-specific: the
-//! prefix rewrite, its own batcher, and redial with doubling backoff.
+//! evicts a quiet subtree), and the one redial policy (jittered backoff,
+//! seeded by the relay's node id, that only a `HelloAck` resets) — and
+//! adds only what is relay-specific: the prefix rewrite and its own
+//! batcher. One policy difference from the EXS: a parent's orderly
+//! `Shutdown` retires the link and the relay dials again.
 //!
 //! Namespacing: every record is rewritten through the relay's
 //! [`NodePrefix`] before it leaves (node id plus CRE reason/conseq
@@ -31,7 +34,7 @@ use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
 use brisk_core::{EventRecord, Result, UtcMicros};
 use brisk_lis::uplink::{Control, Uplink};
-use brisk_lis::Batcher;
+use brisk_lis::{Batcher, SupervisorConfig};
 use brisk_proto::NodePrefix;
 use brisk_telemetry::{Histogram, Registry};
 use std::collections::VecDeque;
@@ -63,10 +66,8 @@ pub struct RelayConfig {
     /// parent's `--node-timeout` sweep from evicting a subtree that is
     /// merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
-    /// First reconnect delay after a link failure.
-    pub reconnect_initial: Duration,
-    /// Reconnect delay cap (doubling backoff in between).
-    pub reconnect_max: Duration,
+    /// Redial backoff after a link failure — the EXS supervisor's policy.
+    pub reconnect: SupervisorConfig,
 }
 
 impl RelayConfig {
@@ -79,8 +80,10 @@ impl RelayConfig {
             flush_timeout: Duration::from_millis(5),
             window_batches: 1024,
             heartbeat_interval: Duration::from_millis(500),
-            reconnect_initial: Duration::from_millis(20),
-            reconnect_max: Duration::from_secs(2),
+            reconnect: SupervisorConfig {
+                initial_backoff: Duration::from_millis(20),
+                max_backoff: Duration::from_secs(2),
+            },
         }
     }
 }
@@ -150,22 +153,18 @@ impl RelayTelemetry {
 
 /// The relay's upstream link: rewrites and batches the merged stream and
 /// ships it to the parent ISM under the relay's own node id over an
-/// ordinary EXS session ([`Uplink`]), redialing with doubling backoff.
+/// ordinary EXS session ([`Uplink`]), which also redials lost links.
 /// Exactly-once delivery across link failures is the `Uplink`'s send
 /// window + replay and the parent's `(node, seq)` dedup.
 pub struct UpstreamExporter {
     cfg: RelayConfig,
-    connect: ConnectFn,
     batcher: Batcher,
-    /// Window, credit, acks, replay, heartbeats and control frames;
-    /// survives reconnects.
+    /// Window, credit, acks, replay, heartbeats, control frames and the
+    /// redial schedule; survives reconnects.
     uplink: Uplink,
     /// The relay's correction clock, when the parent's `SyncAdjust`s
     /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
-    /// Reconnect pacing.
-    backoff: Duration,
-    next_attempt: Instant,
     /// Heartbeat pacing epoch: the uplink is paced on wall µs since here.
     epoch: Instant,
     /// Ship time per windowed seq, for the ack-latency histogram.
@@ -193,16 +192,14 @@ impl UpstreamExporter {
                 clock,
                 cfg.window_batches,
                 cfg.heartbeat_interval,
-            ),
+            )
+            .with_redial(connect, cfg.reconnect.clone()),
             sync_clock: None,
-            backoff: cfg.reconnect_initial,
-            next_attempt: Instant::now(),
             epoch: Instant::now(),
             inflight: VecDeque::new(),
             credit_stalled: false,
             shared: Arc::default(),
             cfg,
-            connect,
         }
     }
 
@@ -254,72 +251,15 @@ impl UpstreamExporter {
             .store(self.uplink.connected() as i64, Ordering::Relaxed);
     }
 
-    /// Push the next dial attempt out by the current backoff and double it.
-    fn back_off(&mut self) {
-        self.next_attempt = Instant::now() + self.backoff;
-        self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-    }
-
-    /// Drop the link and schedule a retry. The uplink keeps every unacked
-    /// batch for replay on the next connection.
-    fn mark_disconnected(&mut self, why: &str) {
-        if self.uplink.connected() {
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "disconnect",
-                "prefix {} lost its upstream link ({why}); {} unacked batches held for replay",
-                self.cfg.prefix.raw(),
-                self.uplink.window_depth()
-            );
-        }
-        self.uplink.detach();
-        self.back_off();
-    }
-
-    /// Dial upstream if the link is down and the backoff has elapsed;
-    /// attaching sends `Hello` as the relay's own node and replays every
-    /// unacked batch.
-    fn ensure_connected(&mut self) {
-        if self.uplink.connected() || Instant::now() < self.next_attempt {
-            return;
-        }
-        let now_us = self.pacing_now();
-        match (self.connect)().and_then(|conn| self.uplink.attach(conn, now_us)) {
-            Ok(replayed) => {
-                self.shared.connects.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .batches_retransmitted
-                    .fetch_add(replayed as u64, Ordering::Relaxed);
-                brisk_telemetry::flight_log!(
-                    Info,
-                    "relay.upstream",
-                    "connect",
-                    "prefix {} connected upstream; replayed {replayed} unacked batches",
-                    self.cfg.prefix.raw()
-                );
-            }
-            Err(_) => self.back_off(),
-        }
-    }
-
     /// Window a fresh batch and ship it. On a dead link the batch simply
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let windowed = if self.uplink.connected() {
-            let (windowed, sent) = self.uplink.send(records, self.pacing_now());
-            match sent {
-                Ok(()) => {
-                    self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
-                    self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
-                }
-                Err(_) => self.mark_disconnected("send failed"),
-            }
-            windowed
-        } else {
-            self.uplink.stash(records)
-        };
+        let (windowed, sent) = self.uplink.send(records, self.pacing_now());
+        if sent.is_ok() {
+            self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
+            self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
+        }
         if windowed.evicted {
             self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
             brisk_telemetry::flight_log!(
@@ -338,18 +278,14 @@ impl UpstreamExporter {
 
     /// Wait up to `wait` for one frame of the parent's control traffic
     /// and apply this relay's policy to it. `false` when nothing arrived
-    /// or the link is (now) down.
+    /// or the link is (now) down — an error means the uplink dropped it.
     fn poll_control(&mut self, wait: Duration) -> bool {
-        if !self.uplink.connected() {
-            return false;
-        }
         match self.uplink.poll_control(wait, self.pacing_now()) {
-            Ok(None) => return false,
+            Ok(None) | Err(_) => return false,
             Ok(Some(Control::Skipped)) => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
             }
             Ok(Some(Control::Granted { credit })) => {
-                self.backoff = self.cfg.reconnect_initial;
                 self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
                 brisk_telemetry::flight_log!(
                     Info,
@@ -379,22 +315,9 @@ impl UpstreamExporter {
                 }
             }
             Ok(Some(Control::Shutdown)) => {
-                // The parent is retiring this link (eviction, restart).
-                // Treat it like any disconnect: back off and redial.
-                self.mark_disconnected("upstream sent Shutdown");
-                return false;
-            }
-            // Anything else (a Hello, a batch) is nonsense on an
-            // upstream link; count it against the error budget.
-            Ok(Some(Control::Unexpected(_))) => {
-                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                if self.uplink.note_control_error() {
-                    self.mark_disconnected("unexpected upstream traffic");
-                    return false;
-                }
-            }
-            Err(e) => {
-                self.mark_disconnected(&e.to_string());
+                // The parent is retiring this link (eviction, restart):
+                // drop it like any other and dial again.
+                self.uplink.drop_link("upstream sent Shutdown");
                 return false;
             }
         }
@@ -433,20 +356,21 @@ impl MergeOutput for UpstreamExporter {
         self.uplink.connected() && self.uplink.credit_open()
     }
 
-    /// Per-tick housekeeping: reconnect, answer control traffic, flush
-    /// the latency knob, heartbeat, refresh gauges.
+    /// Per-tick housekeeping: redial once due, answer control traffic,
+    /// flush the latency knob, heartbeat, refresh gauges.
     fn pump(&mut self, now: UtcMicros) -> Result<()> {
-        self.ensure_connected();
+        if let Some(replayed) = self.uplink.redial(self.pacing_now()) {
+            self.shared.connects.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .batches_retransmitted
+                .fetch_add(replayed as u64, Ordering::Relaxed);
+        }
         while self.poll_control(Duration::ZERO) {}
         if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
             self.ship(batch);
         }
-        match self.uplink.heartbeat_if_idle(self.pacing_now()) {
-            Ok(true) => {
-                self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false) => {}
-            Err(_) => self.mark_disconnected("send failed on heartbeat"),
+        if let Ok(true) = self.uplink.heartbeat_if_idle(self.pacing_now()) {
+            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
         }
         let open = self.uplink.credit_open();
         if !open && !self.credit_stalled {
@@ -536,7 +460,7 @@ mod tests {
         let mut listener = t.listen("up").unwrap();
         let mut cfg = RelayConfig::new(NodePrefix::new(7).unwrap());
         cfg.max_batch_records = 2;
-        cfg.reconnect_initial = Duration::from_millis(1);
+        cfg.reconnect.initial_backoff = Duration::from_millis(1);
         let mut ex = exporter(&t, "up", cfg);
         let now = UtcMicros::from_micros(1_000);
 
@@ -616,6 +540,40 @@ mod tests {
         assert_eq!(stats.records_exported, 2);
         assert_eq!(stats.batches_retransmitted, 1);
         assert_eq!(stats.acks_received, 1);
+    }
+
+    #[test]
+    fn wrong_role_upstream_message_drops_and_redials_the_link() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("role").unwrap();
+        let mut ex = exporter(&t, "role", RelayConfig::new(NodePrefix::new(3).unwrap()));
+        let now = UtcMicros::from_micros(1_000);
+        ex.pump(now).unwrap();
+        let mut server = accept(&mut listener);
+        let _hello = recv_msg(&mut server);
+        let ack = Message::HelloAck {
+            version: VERSION,
+            credit: None,
+        };
+        server.send(&ack.encode()).unwrap();
+        ex.pump(now).unwrap();
+        assert!(ex.ready());
+        // A Hello is something only a sender says: the parent is broken,
+        // not the bytes, so the link goes at once instead of eating into
+        // the decode budget.
+        let hello = Message::Hello {
+            node: NodeId(1),
+            version: VERSION,
+        };
+        server.send(&hello.encode()).unwrap();
+        ex.pump(now).unwrap();
+        assert!(!ex.uplink.connected(), "link dropped");
+        assert_eq!(ex.stats().decode_errors, 0);
+        // The dropped link had been acked, so the redial is due at once.
+        ex.pump(now).unwrap();
+        let mut server = accept(&mut listener);
+        assert!(matches!(recv_msg(&mut server), Message::Hello { .. }));
+        assert_eq!(ex.stats().connects, 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! which force-flushes) for timeout flushes to fire.
 
 use crate::batch::{Batcher, FlushReason};
-use crate::uplink::{Control, Uplink, Windowed};
+use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, Windowed};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_net::Connection;
@@ -100,14 +100,6 @@ brisk_telemetry::metrics! {
 }
 
 impl ExsTelemetry {
-    /// `HelloAck`s received so far. A supervisor watches this across a
-    /// reconnect: only a grown count proves the ISM answered the new
-    /// `Hello`, which is the signal that may reset the backoff (a bare
-    /// TCP connect can succeed against a dead-but-listening peer).
-    pub fn hello_acks(&self) -> u64 {
-        self.hello_acks.load(Ordering::Relaxed)
-    }
-
     /// The drain-latency histogram (µs per step of drain+batch work).
     pub fn drain_us(&self) -> &Histogram {
         &self.drain_us
@@ -133,7 +125,9 @@ pub enum ExsStep {
     Idle,
     /// The ISM asked us to shut down (orderly `Shutdown` message).
     Shutdown,
-    /// The connection dropped without an orderly shutdown.
+    /// The link dropped: lost, or declared corrupt by the uplink (one
+    /// undecodable control frame past the budget, or a message a sender
+    /// must never receive).
     Disconnected,
 }
 
@@ -185,7 +179,8 @@ impl ExternalSensor {
         Ok(exs)
     }
 
-    /// An EXS with no connection yet (the supervisor dials separately).
+    /// An EXS with no connection yet (the supervisor dials through
+    /// [`ExternalSensor::redial`]).
     pub(crate) fn detached(
         node: NodeId,
         rings: Arc<RingSet>,
@@ -227,11 +222,37 @@ impl ExternalSensor {
     pub fn reattach(&mut self, conn: Box<dyn Connection>) -> Result<()> {
         let now_us = self.pacing_now_us();
         let replayed = self.uplink.attach(conn, now_us)?;
+        self.note_attached(replayed);
+        Ok(())
+    }
+
+    /// Let the uplink dial lost links again through `connect`.
+    pub(crate) fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Self {
+        self.uplink = self.uplink.with_redial(connect, sup);
+        self
+    }
+
+    /// Dial and attach if the link is down and its backoff has elapsed
+    /// (see [`Uplink::redial`]); `true` once a connection is attached.
+    pub(crate) fn redial(&mut self) -> bool {
+        let now_us = self.pacing_now_us();
+        let Some(replayed) = self.uplink.redial(now_us) else {
+            return false;
+        };
+        self.note_attached(replayed);
+        true
+    }
+
+    /// True while a connection is attached.
+    pub(crate) fn linked(&self) -> bool {
+        self.uplink.connected()
+    }
+
+    fn note_attached(&self, replayed: usize) {
         self.shared
             .batches_retransmitted
             .fetch_add(replayed as u64, Ordering::Relaxed);
         self.mirror_link_gauges();
-        Ok(())
     }
 
     /// Mirror window occupancy and spendable credit into telemetry.
@@ -300,6 +321,14 @@ impl ExternalSensor {
 
     /// Run one iteration: drain, batch, ship, answer control traffic.
     pub fn step(&mut self) -> Result<ExsStep> {
+        match self.work() {
+            // Every link error has already dropped the link in the uplink.
+            Err(_) if !self.uplink.connected() => Ok(ExsStep::Disconnected),
+            stepped => stepped,
+        }
+    }
+
+    fn work(&mut self) -> Result<ExsStep> {
         let work_start = Instant::now();
         self.shared.iterations.fetch_add(1, Ordering::Relaxed);
 
@@ -413,12 +442,7 @@ impl ExternalSensor {
         self.shared
             .busy_nanos
             .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let frame = match self.uplink.recv(wait) {
-            Ok(frame) => frame,
-            Err(e) if e.is_disconnect() => return Ok(ExsStep::Disconnected),
-            Err(e) => return Err(e),
-        };
-        if let Some(frame) = frame {
+        if let Some(frame) = self.uplink.recv(wait)? {
             let handle_start = Instant::now();
             let outcome = self.on_control(&frame);
             self.shared
@@ -433,7 +457,7 @@ impl ExternalSensor {
 
     /// Apply this EXS's policy to one inbound control frame. `None` means
     /// the frame was skipped (undecodable, within the budget — past it the
-    /// uplink returns the error so the supervisor rebuilds the link).
+    /// uplink drops the link and the supervisor dials again).
     fn on_control(&mut self, frame: &[u8]) -> Result<Option<ExsStep>> {
         let now_us = self.pacing_now_us();
         match self.uplink.handle_frame(frame, now_us)? {
@@ -464,11 +488,6 @@ impl ExternalSensor {
                 }
             }
             Control::Shutdown => return Ok(Some(ExsStep::Shutdown)),
-            Control::Unexpected(other) => {
-                return Err(BriskError::Protocol(format!(
-                    "unexpected message at EXS: {other:?}"
-                )))
-            }
         }
         self.mirror_link_gauges();
         Ok(Some(ExsStep::Busy))
@@ -828,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn unexpected_message_is_protocol_error() {
+    fn wrong_role_message_drops_the_link() {
         let mut r = rig(ExsConfig::default(), 0);
         recv_msg(&mut r.ism_side);
         r.ism_side
@@ -840,7 +859,9 @@ mod tests {
                 .encode(),
             )
             .unwrap();
-        assert!(r.exs.step().is_err());
+        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
+        assert!(!r.exs.linked());
+        assert_eq!(r.exs.stats().decode_errors, 0, "not charged to the budget");
     }
 
     #[test]
@@ -1369,7 +1390,8 @@ mod tests {
         ));
         // One past the budget: the connection is declared broken.
         r.ism_side.send(&[0xff]).unwrap();
-        assert!(r.exs.step().is_err());
+        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
+        assert!(!r.exs.linked());
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! would benefit both designers and users" (§1). The plain
 //! [`crate::spawn_exs`] terminates when its ISM connection dies; the
 //! supervisor keeps the node's instrumentation alive across manager
-//! restarts and network blips: it reconnects with exponential backoff,
-//! re-sends the `Hello` preamble, and **carries the clock-sync correction
-//! value over** to the new incarnation so the node does not fall back to
-//! raw, unsynchronized time while the master re-converges.
+//! restarts and network blips. It owns no redial logic of its own: the
+//! EXS's [`crate::Uplink`] decides when a link is dead and when to dial
+//! again (the one policy the relay's upstream link follows too, see
+//! [`SupervisorConfig`]), and the supervisor just drives the EXS while it
+//! is linked and waits for the next dial while it is not. It stops for
+//! good only on its `stop` flag or an orderly ISM `Shutdown`. Every
+//! reconnect re-sends `Hello` and **carries the clock-sync correction
+//! value over**, so the node does not fall back to raw, unsynchronized
+//! time while the master re-converges.
 //!
 //! Delivery semantics across an abrupt disconnect: the EXS keeps every
 //! sent-but-unacked batch in a bounded retransmit window that lives in
 //! its [`crate::Uplink`] (like the clock correction, it simply stays with
-//! the EXS while the supervisor attaches the next connection), and the
+//! the EXS while the next connection is attached), and the
 //! unacked batches are **replayed** right after the re-`Hello` — so
 //! nothing handed to the dead connection is lost. The ISM deduplicates
 //! replays by `(node, seq)`, making delivery to the sinks exactly-once.
@@ -26,48 +31,11 @@ use brisk_clock::Clock;
 use brisk_core::{BriskError, ExsConfig, NodeId, Result};
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::Registry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Reconnection policy.
-///
-/// Backoff uses *decorrelated jitter*: each failed attempt sleeps a
-/// uniformly random duration in `[initial_backoff, 3 × previous]`, capped
-/// at `max_backoff`. Pure doubling would synchronize the whole fleet —
-/// after an ISM restart every node's EXS observes the disconnect in the
-/// same instant and would retry on the same deterministic schedule,
-/// hammering the recovering manager in lockstep. The jitter spreads
-/// those retries; the per-node RNG seed keeps any one node's schedule
-/// reproducible.
-///
-/// The backoff resets to `initial_backoff` only once the ISM answers a
-/// `Hello` with a `HelloAck` — a bare TCP connect proves only that
-/// something is listening, not that the manager is actually serving
-/// (e.g. an accept loop whose manager thread is wedged).
-#[derive(Clone, Debug)]
-pub struct SupervisorConfig {
-    /// First reconnect delay; grows with decorrelated jitter per
-    /// consecutive failure.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Give up after this many consecutive failed connection attempts
-    /// (`None` = retry forever).
-    pub max_consecutive_failures: Option<u32>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(5),
-            max_consecutive_failures: None,
-        }
-    }
-}
+pub use crate::uplink::{ConnectFn, SupervisorConfig};
 
 /// Aggregate statistics across all incarnations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -78,20 +46,6 @@ pub struct SupervisedStats {
     pub connects: u64,
     /// How many abrupt disconnects were survived.
     pub reconnects: u64,
-}
-
-pub use crate::uplink::ConnectFn;
-
-/// Next reconnect delay under decorrelated jitter:
-/// `min(max, U(initial, 3 × prev))`. Monotone doubling synchronizes
-/// reconnect storms across a fleet that lost its ISM at the same
-/// instant; the random draw decorrelates them while keeping the same
-/// expected growth rate.
-fn next_backoff(rng: &mut StdRng, prev: Duration, sup: &SupervisorConfig) -> Duration {
-    let lo = sup.initial_backoff.as_micros() as u64;
-    let cap = (sup.max_backoff.as_micros() as u64).max(lo);
-    let hi = (prev.as_micros() as u64).saturating_mul(3).clamp(lo, cap);
-    Duration::from_micros(rng.gen_range(lo..=hi))
 }
 
 fn supervised_stats(shared: &ExsTelemetry, connects: &AtomicU64) -> SupervisedStats {
@@ -167,18 +121,19 @@ pub fn spawn_exs_supervised(
     let stop = Arc::new(AtomicBool::new(false));
     let connects = Arc::new(AtomicU64::new(0));
     // One EXS for the node's whole lifetime: correction value, partial
-    // batch, retransmit window and the last credit grant all live in it
-    // (the link state in its `Uplink`), so a reconnect is nothing more
-    // than attaching the next connection — which re-sends `Hello` and
-    // replays the unacked window. Its counters are totals across
-    // reconnects, so a bound registry keeps observing the live EXS.
-    let exs = ExternalSensor::detached(node, rings, raw_clock, cfg)?;
+    // batch, retransmit window, the last credit grant and the redial
+    // schedule all live in it (the link state in its `Uplink`), so a
+    // reconnect is nothing more than attaching the next connection —
+    // which re-sends `Hello` and replays the unacked window. Its counters
+    // are totals across reconnects, so a bound registry keeps observing
+    // the live EXS.
+    let exs = ExternalSensor::detached(node, rings, raw_clock, cfg)?.with_redial(connect, sup);
     let shared = Arc::clone(exs.telemetry());
     let stop2 = Arc::clone(&stop);
     let connects2 = Arc::clone(&connects);
     let join = std::thread::Builder::new()
         .name(format!("brisk-exs-sup-{node}"))
-        .spawn(move || supervise(exs, connect, sup, stop2, connects2))
+        .spawn(move || supervise(exs, stop2, connects2))
         .map_err(BriskError::Io)?;
     Ok(SupervisedExsHandle {
         stop,
@@ -191,118 +146,30 @@ pub fn spawn_exs_supervised(
 
 fn supervise(
     mut exs: ExternalSensor,
-    connect: ConnectFn,
-    sup: SupervisorConfig,
     stop: Arc<AtomicBool>,
     connects: Arc<AtomicU64>,
 ) -> Result<SupervisedStats> {
-    let node = exs.node();
     let shared = Arc::clone(exs.telemetry());
-    let mut backoff = sup.initial_backoff;
-    let mut consecutive_failures = 0u32;
-    // Per-node jitter stream: nodes decorrelate from each other while one
-    // node's retry schedule stays reproducible.
-    let mut rng = StdRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ u64::from(node.0));
-
-    /// Sleep `d` in small slices, bailing early when `stop` is raised;
-    /// returns `true` if the stop flag cut the sleep short.
-    fn sleep_interruptible(stop: &AtomicBool, d: Duration) -> bool {
-        let deadline = std::time::Instant::now() + d;
-        while std::time::Instant::now() < deadline {
-            if stop.load(Ordering::Relaxed) {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        false
-    }
-
-    'lifetime: while !stop.load(Ordering::Relaxed) {
-        // Snapshot before the attempt: only a *grown* count after the
-        // incarnation proves the ISM answered this connection's Hello.
-        let acks_before = shared.hello_acks();
-        // Establish (or re-establish) the connection. A failed Hello or
-        // replay leaves the window intact for the next attempt.
-        match connect().and_then(|conn| exs.reattach(conn)) {
-            Ok(()) => {}
-            Err(e) if e.is_disconnect() || matches!(e, BriskError::Io(_)) => {
-                consecutive_failures += 1;
-                if let Some(max) = sup.max_consecutive_failures {
-                    if consecutive_failures >= max {
-                        return Err(BriskError::Io(std::io::Error::new(
-                            std::io::ErrorKind::ConnectionRefused,
-                            format!("gave up after {consecutive_failures} attempts"),
-                        )));
-                    }
-                }
-                // Interruptible backoff.
-                if sleep_interruptible(&stop, backoff) {
-                    break 'lifetime;
-                }
-                backoff = next_backoff(&mut rng, backoff, &sup);
+    while !stop.load(Ordering::Relaxed) {
+        if !exs.linked() {
+            // Wait out the uplink's backoff in small slices so `stop`
+            // stays responsive; a failed dial schedules the next attempt.
+            if !exs.redial() {
+                std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
-            Err(e) => return Err(e),
+            connects.fetch_add(1, Ordering::Relaxed);
         }
-        // A successful TCP connect proves only that *something* is listening
-        // on the port; the backoff resets further down, once the incarnation
-        // shows a HelloAck arrived.
-        consecutive_failures = 0;
-        let incarnation = connects.fetch_add(1, Ordering::Relaxed) + 1;
-        if incarnation > 1 {
-            brisk_telemetry::flight_log!(
-                Warn,
-                "exs.supervisor",
-                "reconnect",
-                "node {node} reconnected to ISM (incarnation {incarnation}, replaying window)"
-            );
+        // A dropped link is dialed again above; only an orderly ISM
+        // `Shutdown` (or the stop flag) ends the node's run.
+        if exs.step()? == ExsStep::Shutdown {
+            break;
         }
-
-        // Drive the incarnation until it stops for good (`true`: local
-        // stop flag or ISM `Shutdown`) or the link dies abruptly.
-        let stopped = loop {
-            if stop.load(Ordering::Relaxed) {
-                break true;
-            }
-            match exs.step() {
-                // The ISM asked us to stop — honour it, do not reconnect.
-                // Except on a *re*connection it never acknowledged: the
-                // ISM answers a `Hello` for a node id it still holds with
-                // `Shutdown`, and right after a link death the holder is
-                // our own dead connection, not yet reaped. Back off and
-                // dial again; the claim is released within a reactor tick.
-                Ok(ExsStep::Shutdown) => {
-                    break incarnation == 1 || shared.hello_acks() > acks_before
-                }
-                Ok(ExsStep::Disconnected) => break false,
-                Ok(_) => {}
-                Err(e) if e.is_disconnect() => break false,
-                Err(e) => return Err(e),
-            }
-        };
-        if stopped {
-            // Orderly stop: flush and exit for good. A connection that
-            // dies during the final flush is fine; the counters land in
-            // `shared` either way.
-            let _ = exs.finish();
-            break 'lifetime;
-        }
-        if shared.hello_acks() > acks_before {
-            // The ISM answered our Hello, so the link genuinely
-            // worked this incarnation: start the next retry gently.
-            backoff = sup.initial_backoff;
-        } else {
-            // Connected but died before the handshake completed —
-            // the ISM is up yet unhealthy (or a fault plane is
-            // chewing the preamble). Treat it like a connect
-            // failure: pause, then widen the retry window. It does
-            // not count toward `max_consecutive_failures`, which
-            // tracks hard connect refusals only.
-            if sleep_interruptible(&stop, backoff) {
-                break 'lifetime;
-            }
-            backoff = next_backoff(&mut rng, backoff, &sup);
-        }
+    }
+    // Flush and say goodbye on a live link. A connection that dies during
+    // the final flush is fine; the counters land in `shared` either way.
+    if exs.linked() {
+        let _ = exs.finish();
     }
     Ok(supervised_stats(&shared, &connects))
 }
@@ -465,61 +332,67 @@ mod tests {
     }
 
     #[test]
-    fn gives_up_after_max_failures() {
+    fn a_link_declared_corrupt_is_redialed_and_replayed() {
+        use crate::uplink::CONTROL_ERROR_BUDGET;
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
         let rings = RingSet::new(NodeId(1), 1 << 20);
+        let mut port = rings.register();
+        let t2 = Arc::clone(&t);
         let handle = spawn_exs_supervised(
             NodeId(1),
-            rings,
+            Arc::clone(&rings),
             Arc::new(SystemClock),
-            Box::new(|| {
-                Err(BriskError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionRefused,
-                    "nobody home",
-                )))
-            }),
-            ExsConfig::default(),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig {
+                flush_timeout: Duration::from_millis(5),
+                ..ExsConfig::default()
+            },
             SupervisorConfig {
                 initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-                max_consecutive_failures: Some(3),
+                max_backoff: Duration::from_millis(5),
             },
         )
         .unwrap();
-        // Give the thread time to burn its three attempts (1 + 2 ms
-        // backoff) before asking it to stop.
-        std::thread::sleep(Duration::from_millis(200));
-        let err = handle.stop().unwrap_err();
-        assert!(err.to_string().contains("gave up"));
-    }
-
-    #[test]
-    fn next_backoff_is_bounded_and_deterministic() {
-        let sup = SupervisorConfig {
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(100),
-            max_consecutive_failures: None,
+        // Each incarnation opens with Hello and then the unacked batch
+        // (never acked here, so every redial must replay it).
+        let mut accept = || {
+            let mut conn = listener
+                .accept(Some(Duration::from_secs(5)))
+                .unwrap()
+                .expect("the supervisor must dial again");
+            let hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            assert!(matches!(Message::decode(&hello), Ok(Message::Hello { .. })));
+            let batch = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            match Message::decode(&batch).unwrap() {
+                Message::EventBatch { seq, records, .. } => {
+                    assert_eq!((seq, records.len()), (Some(1), 3));
+                }
+                other => panic!("expected the windowed batch, got {other:?}"),
+            }
+            conn
         };
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut prev = sup.initial_backoff;
-        for _ in 0..1000 {
-            let next = next_backoff(&mut rng, prev, &sup);
-            assert!(next >= sup.initial_backoff, "below floor: {next:?}");
-            assert!(next <= sup.max_backoff, "above cap: {next:?}");
-            assert!(
-                next <= (prev * 3).max(sup.initial_backoff),
-                "grew faster than 3×: {prev:?} → {next:?}"
-            );
-            prev = next;
+        for i in 0..3 {
+            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
+                .unwrap();
         }
-        // Same seed → identical sequence, so a flaky reconnect storm can be
-        // replayed exactly.
-        let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
-        let (mut pa, mut pb) = (sup.initial_backoff, sup.initial_backoff);
-        for _ in 0..64 {
-            pa = next_backoff(&mut a, pa, &sup);
-            pb = next_backoff(&mut b, pb, &sup);
-            assert_eq!(pa, pb);
+        let mut first = accept();
+        // One undecodable frame past the budget drops the link…
+        for _ in 0..=CONTROL_ERROR_BUDGET {
+            first.send(&[0xba, 0xad]).unwrap();
         }
+        let mut second = accept();
+        // …and so does a message a sender must never receive.
+        let hello = Message::Hello {
+            node: NodeId(9),
+            version: brisk_proto::VERSION,
+        };
+        second.send(&hello.encode()).unwrap();
+        let _third = accept();
+        assert_eq!(handle.connects(), 3);
+        let stats = handle.stop().unwrap();
+        assert_eq!(stats.exs.decode_errors, u64::from(CONTROL_ERROR_BUDGET));
+        assert_eq!(stats.exs.batches_retransmitted, 2);
     }
 
     #[test]
@@ -543,7 +416,6 @@ mod tests {
                 SupervisorConfig {
                     initial_backoff: Duration::from_millis(250),
                     max_backoff: Duration::from_secs(2),
-                    max_consecutive_failures: None,
                 },
             )
             .unwrap();
@@ -604,7 +476,6 @@ mod tests {
             SupervisorConfig {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(5),
-                max_consecutive_failures: None,
             },
         )
         .unwrap();

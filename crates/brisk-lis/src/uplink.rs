@@ -8,11 +8,16 @@
 //!
 //! Two callers sit on it, the [`crate::ExternalSensor`] and the relay
 //! ISM's upstream exporter (a relay's upstream link *is* an EXS link).
-//! Where they differ the difference is policy, not protocol, so the
-//! `Uplink` reports typed [`Control`] outcomes and link errors and each
-//! caller decides what a link error or an unexpected message means.
-//! Heartbeat pacing takes its "now" as an argument (any monotone µs
-//! count), so the EXS can pace on its raw-clock accumulator and stay
+//! The `Uplink` also owns the one redial policy both follow: it decides
+//! when a link is dead and when to dial again. Any link error, an
+//! undecodable control frame one past [`CONTROL_ERROR_BUDGET`], or a
+//! message a sender must never receive drops *this link*. With a
+//! [`ConnectFn`] ([`Uplink::with_redial`]) the next [`Uplink::redial`]
+//! dials again under decorrelated-jitter backoff ([`SupervisorConfig`]);
+//! without one the link simply stays down. The callers keep one policy
+//! difference: after an orderly `Shutdown` the EXS stops, the relay
+//! redials. Heartbeat pacing takes its "now" as an argument (any monotone
+//! µs count), so the EXS can pace on its raw-clock accumulator and stay
 //! deterministic under a simulated clock while the relay uses wall time.
 
 use crate::batch::SendWindow;
@@ -20,17 +25,93 @@ use brisk_clock::Clock;
 use brisk_core::{BriskError, EventRecord, NodeId, Result};
 use brisk_net::Connection;
 use brisk_proto::{encode_batch, Message};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Factory producing a fresh connection to the ISM, invoked on every
 /// (re)connect.
 pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
 
-/// Undecodable (or, at the caller's choice, unexpected) inbound control
-/// frames tolerated per connection before it is declared corrupt. Mirrors
-/// the ISM-side protocol error budget.
+/// Undecodable inbound control frames tolerated per connection before it
+/// is declared corrupt. Mirrors the ISM-side protocol error budget.
 pub const CONTROL_ERROR_BUDGET: u32 = 8;
+
+/// Redial policy of a sender's link.
+///
+/// Backoff uses *decorrelated jitter*: each failed attempt waits a
+/// uniformly random duration in `[initial_backoff, 3 × previous]`, capped
+/// at `max_backoff`. Pure doubling would synchronize the whole fleet —
+/// after an ISM restart every sender observes the disconnect in the same
+/// instant and would retry on the same deterministic schedule, hammering
+/// the recovering manager in lockstep. The jitter spreads those retries;
+/// the per-node RNG seed keeps any one sender's schedule reproducible.
+///
+/// The backoff resets to `initial_backoff` only once the ISM answers a
+/// `Hello` with a `HelloAck` — a bare TCP connect proves only that
+/// something is listening, not that the manager is actually serving
+/// (e.g. an accept loop whose manager thread is wedged).
+#[derive(Clone, Debug)]
+pub struct SupervisorConfig {
+    /// First reconnect delay; grows with decorrelated jitter per
+    /// consecutive failure.
+    pub initial_backoff: Duration,
+    /// Backoff ceiling.
+    pub max_backoff: Duration,
+}
+
+impl Default for SupervisorConfig {
+    fn default() -> Self {
+        SupervisorConfig {
+            initial_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_secs(5),
+        }
+    }
+}
+
+/// When to dial next: the jittered backoff schedule of one link.
+struct Redial {
+    connect: ConnectFn,
+    sup: SupervisorConfig,
+    rng: StdRng,
+    /// Delay the next failure waits before the following attempt.
+    backoff: Duration,
+    next_attempt: Instant,
+}
+
+impl Redial {
+    fn new(node: NodeId, connect: ConnectFn, sup: SupervisorConfig) -> Redial {
+        Redial {
+            connect,
+            // Per-node jitter stream: nodes decorrelate from each other
+            // while one node's retry schedule stays reproducible.
+            rng: StdRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ u64::from(node.0)),
+            backoff: sup.initial_backoff,
+            next_attempt: Instant::now(),
+            sup,
+        }
+    }
+
+    /// An attempt failed: wait out the current backoff, then widen it to
+    /// `min(max, U(initial, 3 × current))`. Returns the wait.
+    fn defer(&mut self) -> Duration {
+        let wait = self.backoff;
+        self.next_attempt = Instant::now() + wait;
+        let lo = self.sup.initial_backoff.as_micros() as u64;
+        let cap = (self.sup.max_backoff.as_micros() as u64).max(lo);
+        let hi = (wait.as_micros() as u64).saturating_mul(3).clamp(lo, cap);
+        self.backoff = Duration::from_micros(self.rng.gen_range(lo..=hi));
+        wait
+    }
+
+    /// The link worked (the ISM answered its `Hello`): dial again at once
+    /// and start the next schedule gently.
+    fn reset(&mut self) {
+        self.backoff = self.sup.initial_backoff;
+        self.next_attempt = Instant::now();
+    }
+}
 
 /// What one inbound control frame turned out to be, after the `Uplink`
 /// applied its protocol-level effect.
@@ -57,8 +138,6 @@ pub enum Control {
     Adjusted(i64),
     /// The peer announced an orderly shutdown.
     Shutdown,
-    /// A well-formed message that has no business on an uplink.
-    Unexpected(Message),
 }
 
 /// What [`Uplink::send`] / [`Uplink::stash`] did to the retransmit window.
@@ -88,6 +167,12 @@ pub struct Uplink {
     control_errors: u32,
     /// Pacing "now" of the last frame sent on this connection.
     last_send_us: i64,
+    /// Connections attached so far.
+    connects: u64,
+    /// The ISM answered this connection's `Hello`.
+    acked: bool,
+    /// `None`: a lost link stays down.
+    redial: Option<Redial>,
 }
 
 impl Uplink {
@@ -108,7 +193,18 @@ impl Uplink {
             credit: None,
             control_errors: 0,
             last_send_us: 0,
+            connects: 0,
+            acked: false,
+            redial: None,
         }
+    }
+
+    /// Dial lost links again through `connect` under `sup`'s backoff,
+    /// jittered by this link's node id. The first [`Uplink::redial`] is
+    /// due at once.
+    pub fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Uplink {
+        self.redial = Some(Redial::new(self.node, connect, sup));
+        self
     }
 
     /// Replace the clock that answers sync polls.
@@ -152,7 +248,9 @@ impl Uplink {
     /// replayed (harmless if the ISM already processed them: it dedups by
     /// `(node, seq)`). On error nothing is attached and the window is intact.
     pub fn attach(&mut self, mut conn: Box<dyn Connection>, now_us: i64) -> Result<usize> {
-        self.detach();
+        self.conn = None;
+        self.control_errors = 0;
+        self.acked = false;
         conn.send(
             &Message::Hello {
                 node: self.node,
@@ -167,15 +265,69 @@ impl Uplink {
             conn.send(&encode_batch(self.node, Some(seq), records))?;
         }
         self.conn = Some(conn);
+        self.connects += 1;
         self.last_send_us = now_us;
         Ok(self.window.depth())
     }
 
-    /// Drop the connection (if any). Window and credit are kept for the
-    /// next [`Uplink::attach`].
-    pub fn detach(&mut self) {
-        self.conn = None;
-        self.control_errors = 0;
+    /// With the link down, a [`ConnectFn`] set and the backoff elapsed,
+    /// dial and [`Uplink::attach`]; `Some(replayed)` once a connection is
+    /// attached. A failed attempt schedules the next one.
+    pub fn redial(&mut self, now_us: i64) -> Option<usize> {
+        let r = self.redial.as_ref()?;
+        if self.conn.is_some() || r.next_attempt > Instant::now() {
+            return None;
+        }
+        let dialed = (r.connect)();
+        match dialed.and_then(|conn| self.attach(conn, now_us)) {
+            Ok(replayed) => {
+                brisk_telemetry::flight_log!(
+                    Info,
+                    "uplink",
+                    "connect",
+                    "node {} attached connection {}; replayed {replayed} unacked batches",
+                    self.node,
+                    self.connects
+                );
+                Some(replayed)
+            }
+            Err(_) => {
+                self.redial.as_mut()?.defer();
+                None
+            }
+        }
+    }
+
+    /// Drop the connection (if any); the window and credit are kept for
+    /// the next [`Uplink::attach`]. With a [`ConnectFn`], the next dial is
+    /// due at once if the ISM answered this connection's `Hello`, and
+    /// after the backoff otherwise.
+    pub fn drop_link(&mut self, why: &str) {
+        if self.conn.take().is_none() {
+            return;
+        }
+        brisk_telemetry::flight_log!(
+            Warn,
+            "uplink",
+            "disconnect",
+            "node {} lost its link ({why}); {} unacked batches held for replay",
+            self.node,
+            self.window.depth()
+        );
+        match &mut self.redial {
+            Some(r) if self.acked => r.reset(),
+            Some(r) => {
+                r.defer();
+            }
+            None => {}
+        }
+    }
+
+    /// Drop the link over `e` and hand `e` back: every link error the
+    /// `Uplink` returns means the link is gone.
+    fn fail(&mut self, e: BriskError) -> BriskError {
+        self.drop_link(&e.to_string());
+        e
     }
 
     /// Retain a batch for replay without sending it (the link is down);
@@ -202,8 +354,12 @@ impl Uplink {
     }
 
     fn send_frame(&mut self, frame: &[u8], now_us: i64) -> Result<()> {
-        let conn = self.conn.as_mut().ok_or(BriskError::Disconnected)?;
-        conn.send(frame)?;
+        let sent = self
+            .conn
+            .as_mut()
+            .ok_or(BriskError::Disconnected)?
+            .send(frame);
+        sent.map_err(|e| self.fail(e))?;
         self.last_send_us = now_us;
         Ok(())
     }
@@ -229,33 +385,33 @@ impl Uplink {
         Ok(true)
     }
 
-    /// Count one control error against this connection's budget; `true`
-    /// once the budget is exhausted. Undecodable frames are counted here
-    /// by [`Uplink::handle_frame`]; callers that tolerate
-    /// [`Control::Unexpected`] traffic charge it to the same budget.
-    pub fn note_control_error(&mut self) -> bool {
-        self.control_errors += 1;
-        self.control_errors > CONTROL_ERROR_BUDGET
-    }
-
     /// Receive one raw inbound frame, waiting at most `wait`.
     pub fn recv(&mut self, wait: Duration) -> Result<Option<Vec<u8>>> {
-        let conn = self.conn.as_mut().ok_or(BriskError::Disconnected)?;
-        conn.recv(Some(wait))
+        let got = self
+            .conn
+            .as_mut()
+            .ok_or(BriskError::Disconnected)?
+            .recv(Some(wait));
+        got.map_err(|e| self.fail(e))
     }
 
     /// Decode one inbound frame and apply its protocol-level effect. An
     /// undecodable frame (corrupted wire) is skipped rather than fatal —
-    /// up to the budget, past which the decode error is returned so the
-    /// caller rebuilds the connection.
+    /// up to the budget. One frame past it, a message a sender must never
+    /// receive, or a `Shutdown` refusing a *re*connect before its
+    /// `HelloAck` drops the link and returns the error.
     pub fn handle_frame(&mut self, frame: &[u8], now_us: i64) -> Result<Control> {
         let msg = match Message::decode(frame) {
             Ok(msg) => msg,
-            Err(e) if self.note_control_error() => return Err(e.into()),
-            Err(_) => return Ok(Control::Skipped),
+            Err(_) if self.control_errors < CONTROL_ERROR_BUDGET => {
+                self.control_errors += 1;
+                return Ok(Control::Skipped);
+            }
+            Err(e) => return Err(self.fail(e.into())),
         };
         Ok(match msg {
             Message::HelloAck { credit, .. } => {
+                self.acked = true;
                 self.credit = credit;
                 // Idle time before the greeting completed doesn't count
                 // toward the heartbeat deadline.
@@ -286,8 +442,21 @@ impl Uplink {
                 Control::SyncPoll
             }
             Message::SyncAdjust { advance_us, .. } => Control::Adjusted(advance_us),
+            // The ISM answers a `Hello` for a node id it still holds with
+            // `Shutdown`; right after a link death the holder is our own
+            // dead connection, not yet reaped. That is a refusal to retry,
+            // not an orderly stop: the claim is released within a tick.
+            Message::Shutdown if self.connects > 1 && !self.acked => {
+                return Err(self.fail(BriskError::Protocol(
+                    "reconnect refused before its HelloAck".into(),
+                )))
+            }
             Message::Shutdown => Control::Shutdown,
-            other => Control::Unexpected(other),
+            other => {
+                return Err(self.fail(BriskError::Protocol(format!(
+                    "a sender must never receive {other:?}"
+                ))))
+            }
         })
     }
 
@@ -306,6 +475,7 @@ mod tests {
     use super::*;
     use crate::testkit::{mem_pair, recv_msg};
     use brisk_clock::SystemClock;
+    use brisk_proto::NodePrefix;
 
     fn uplink() -> Uplink {
         Uplink::new(
@@ -331,5 +501,39 @@ mod tests {
             recv_msg(&mut ism),
             Message::EventBatch { seq: Some(1), .. }
         ));
+    }
+
+    #[test]
+    fn next_backoff_is_bounded_and_deterministic() {
+        let sup = SupervisorConfig {
+            initial_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(100),
+        };
+        // The waits a link whose every dial fails would sit out.
+        let waits = |node: NodeId| {
+            let refuse: ConnectFn = Box::new(|| Err(BriskError::Disconnected));
+            let mut r = Redial::new(node, refuse, sup.clone());
+            (0..1000).map(|_| r.defer()).collect::<Vec<_>>()
+        };
+        let relays = [1, 2].map(|p| NodePrefix::new(p).unwrap().relay_node());
+        for node in relays {
+            let seq = waits(node);
+            assert_eq!(
+                seq[0], sup.initial_backoff,
+                "the first retry waits the floor"
+            );
+            for w in seq.windows(2) {
+                let (prev, next) = (w[0], w[1]);
+                assert!(next >= sup.initial_backoff, "below floor: {next:?}");
+                assert!(next <= sup.max_backoff, "above cap: {next:?}");
+                assert!(next <= prev * 3, "grew faster than 3×: {prev:?} → {next:?}");
+            }
+            // Same node → identical sequence, so a flaky reconnect storm
+            // can be replayed exactly.
+            assert_eq!(seq, waits(node));
+        }
+        // Two relays orphaned by the same parent restart do not redial in
+        // lockstep.
+        assert_ne!(waits(relays[0]), waits(relays[1]));
     }
 }

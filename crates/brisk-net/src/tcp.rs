@@ -4,10 +4,9 @@
 //! (the EXS's "batching, latency control" stage), so Nagle's algorithm
 //! would only add latency on top of deliberately-flushed batches.
 
-use crate::framed::FramedConnection;
+use crate::framed::{accept_within, FramedConnection};
 use crate::traits::{Connection, Listener, Transport};
 use brisk_core::Result;
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -37,46 +36,9 @@ struct TcpListenerWrap {
 
 impl Listener for TcpListenerWrap {
     fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        // std's TcpListener has no accept timeout; emulate with
-        // non-blocking polling. Accept latency is not on any measured path
-        // (connections are long-lived), so the wait backs off: a couple of
-        // fine-grained polls catch an already-pending connection almost
-        // instantly, then the sleep doubles toward a coarse cap so an idle
-        // accept loop does not burn a core the way the old fixed 1 ms
-        // busy-poll did.
-        const WAIT_FLOOR: Duration = Duration::from_micros(100);
-        const WAIT_CAP: Duration = Duration::from_millis(10);
-        match timeout {
-            None => {
-                self.listener.set_nonblocking(false)?;
-                let (stream, _) = self.listener.accept()?;
-                Ok(Some(wrap(stream)?))
-            }
-            Some(t) => {
-                self.listener.set_nonblocking(true)?;
-                let deadline = std::time::Instant::now() + t;
-                let mut wait = WAIT_FLOOR;
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false)?;
-                            return Ok(Some(wrap(stream)?));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            let remaining =
-                                deadline.saturating_duration_since(std::time::Instant::now());
-                            if remaining.is_zero() {
-                                return Ok(None);
-                            }
-                            // Never oversleep the caller's deadline.
-                            std::thread::sleep(wait.min(remaining));
-                            wait = (wait * 2).min(WAIT_CAP);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-        }
+        let l = &self.listener;
+        let stream = accept_within(timeout, |nb| l.set_nonblocking(nb), || Ok(l.accept()?.0))?;
+        stream.map(wrap).transpose()
     }
 
     fn local_addr(&self) -> String {
@@ -211,42 +173,6 @@ mod tests {
         let mut listener = t.listen("127.0.0.1:0").unwrap();
         let r = listener.accept(Some(Duration::from_millis(20))).unwrap();
         assert!(r.is_none());
-    }
-
-    #[test]
-    fn accept_timeout_expires_near_deadline_despite_backoff() {
-        // The adaptive wait doubles toward its 10 ms cap; it must still
-        // honour the caller's deadline, not oversleep past it.
-        let t = TcpTransport;
-        let mut listener = t.listen("127.0.0.1:0").unwrap();
-        let t0 = std::time::Instant::now();
-        let r = listener.accept(Some(Duration::from_millis(60))).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(r.is_none());
-        assert!(
-            elapsed >= Duration::from_millis(60),
-            "returned early: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(200),
-            "overslept the deadline: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn connection_arriving_mid_wait_is_accepted() {
-        // A connect that lands while accept() is parked in its adaptive
-        // wait must still be picked up well before the timeout expires.
-        let t = TcpTransport;
-        let mut listener = t.listen("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr();
-        let client = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(50));
-            TcpTransport.connect(&addr).unwrap()
-        });
-        let r = listener.accept(Some(Duration::from_secs(5))).unwrap();
-        assert!(r.is_some(), "mid-wait connection must be accepted");
-        drop(client.join().unwrap());
     }
 
     #[test]

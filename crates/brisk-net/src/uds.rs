@@ -8,10 +8,9 @@
 
 #![cfg(unix)]
 
-use crate::framed::FramedConnection;
+use crate::framed::{accept_within, FramedConnection};
 use crate::traits::{Connection, Listener, Transport};
 use brisk_core::Result;
-use std::io::ErrorKind;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -52,32 +51,9 @@ impl Drop for UdsListenerWrap {
 
 impl Listener for UdsListenerWrap {
     fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        match timeout {
-            None => {
-                self.listener.set_nonblocking(false)?;
-                let (stream, _) = self.listener.accept()?;
-                Ok(Some(Box::new(FramedConnection::new(stream))))
-            }
-            Some(t) => {
-                self.listener.set_nonblocking(true)?;
-                let deadline = std::time::Instant::now() + t;
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false)?;
-                            return Ok(Some(Box::new(FramedConnection::new(stream))));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            if std::time::Instant::now() >= deadline {
-                                return Ok(None);
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-        }
+        let l = &self.listener;
+        let stream = accept_within(timeout, |nb| l.set_nonblocking(nb), || Ok(l.accept()?.0))?;
+        Ok(stream.map(|s| Box::new(FramedConnection::new(s)) as Box<dyn Connection>))
     }
 
     fn local_addr(&self) -> String {

@@ -67,7 +67,6 @@ fn supervised_node_survives_ism_restart() {
         SupervisorConfig {
             initial_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(50),
-            max_consecutive_failures: None,
         },
     )
     .unwrap();
@@ -160,7 +159,6 @@ fn flaky_link_delivers_every_record_exactly_once() {
         SupervisorConfig {
             initial_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(10),
-            max_consecutive_failures: None,
         },
     )
     .unwrap();
@@ -363,7 +361,6 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
         SupervisorConfig {
             initial_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(10),
-            max_consecutive_failures: None,
         },
     )
     .unwrap();
