@@ -44,13 +44,18 @@ pub fn record_size(rec: &EventRecord) -> usize {
 /// written.
 pub fn encode_record(rec: &EventRecord, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.reserve(record_size(rec));
-    out.extend_from_slice(&rec.node.raw().to_le_bytes());
-    out.extend_from_slice(&rec.sensor.raw().to_le_bytes());
-    out.extend_from_slice(&rec.event_type.raw().to_le_bytes());
-    out.extend_from_slice(&rec.seq.to_le_bytes());
-    out.extend_from_slice(&rec.ts.as_micros().to_le_bytes());
-    out.extend_from_slice(&rec.descriptor().pack());
+    let packed = rec.descriptor().pack();
+    out.reserve(
+        HEADER_SIZE + packed.len() + rec.fields.iter().map(Value::native_size).sum::<usize>(),
+    );
+    let mut header = [0u8; HEADER_SIZE];
+    header[0..4].copy_from_slice(&rec.node.raw().to_le_bytes());
+    header[4..8].copy_from_slice(&rec.sensor.raw().to_le_bytes());
+    header[8..12].copy_from_slice(&rec.event_type.raw().to_le_bytes());
+    header[12..20].copy_from_slice(&rec.seq.to_le_bytes());
+    header[20..28].copy_from_slice(&rec.ts.as_micros().to_le_bytes());
+    out.extend_from_slice(&header);
+    out.extend_from_slice(&packed);
     for f in &rec.fields {
         encode_value(f, out);
     }

@@ -132,6 +132,9 @@ pub struct MergePlane {
     divergence_us: HistogramSnapshot,
     /// Sorter shed total already reported to the flight recorder.
     flight_shed_reported: u64,
+    /// Records released by the sorter, awaiting delivery; emptied by every
+    /// delivery and reused across ticks.
+    released: Vec<EventRecord>,
 }
 
 impl MergePlane {
@@ -160,6 +163,7 @@ impl MergePlane {
             mirror: Arc::default(),
             divergence_us: HistogramSnapshot::default(),
             flight_shed_reported: 0,
+            released: Vec::new(),
         })
     }
 
@@ -322,11 +326,8 @@ impl MergePlane {
             self.sorter.push(expired);
         }
         let n = if out.ready() {
-            let mut released = self.sorter.poll(now);
-            for rec in released.iter_mut() {
-                rec.stamp_trace(TraceStage::SorterRelease, now);
-            }
-            self.deliver(released, now, out)?
+            self.sorter.poll_into(now, &mut self.released);
+            self.deliver(now, out)?
         } else {
             0
         };
@@ -369,22 +370,23 @@ impl MergePlane {
         for expired in self.cre.expire(UtcMicros::MAX) {
             self.sorter.push(expired);
         }
-        let released = self.sorter.drain_all();
-        let n = self.deliver(released, UtcMicros::MAX, out)?;
+        self.released.extend(self.sorter.drain_all());
+        let n = self.deliver(UtcMicros::MAX, out)?;
         out.flush()?;
         // The shutdown drain sheds and repairs too, with no tick to follow.
         self.publish_telemetry();
         Ok(n)
     }
 
-    fn deliver(
-        &mut self,
-        records: Vec<EventRecord>,
-        now: UtcMicros,
-        out: &mut dyn MergeOutput,
-    ) -> Result<usize> {
-        let n = records.len();
-        for rec in records {
+    /// Hand every released record to `out`, emptying the release buffer.
+    /// A real `now` (not the shutdown drain's `MAX`) also stamps the
+    /// sorter-release hop of traced records.
+    fn deliver(&mut self, now: UtcMicros, out: &mut dyn MergeOutput) -> Result<usize> {
+        let n = self.released.len();
+        for mut rec in self.released.drain(..) {
+            if now != UtcMicros::MAX {
+                rec.stamp_trace(TraceStage::SorterRelease, now);
+            }
             if self.order == OrderMode::Causal {
                 if let Some(last) = self.last_out_ts {
                     if rec.ts < last {

@@ -23,31 +23,32 @@ use brisk_core::{
     EventRecord, HlcStamp, NodeId, OrderMode, Result, SensorId, SorterConfig, UtcMicros,
 };
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Key of one input queue.
 type QueueKey = (NodeId, SensorId);
 
-/// The merge key. Both order modes use the same shape: physical mode
-/// orders by the header timestamp as an HLC with logical 0, causal mode
-/// by the `X_HLC` stamp; node/sensor/seq are stable tiebreakers.
-type SortKey = (HlcStamp, u32, u32, u64);
-
-/// The sort key of `rec` under `order`.
-fn key_under(order: OrderMode, rec: &EventRecord) -> SortKey {
+/// The stamp `rec` merges by: physical mode orders by the header
+/// timestamp as an HLC with logical 0, causal mode by the `X_HLC` stamp
+/// (with the same fallback for a record that carries none).
+fn stamp_under(order: OrderMode, rec: &EventRecord) -> HlcStamp {
     match order {
-        OrderMode::Physical => (
-            HlcStamp::new(rec.ts, 0),
-            rec.node.raw(),
-            rec.sensor.raw(),
-            rec.seq,
-        ),
-        OrderMode::Causal => rec.causal_sort_key(),
+        OrderMode::Physical => HlcStamp::new(rec.ts, 0),
+        OrderMode::Causal => rec.hlc().unwrap_or(HlcStamp::new(rec.ts, 0)),
     }
 }
 
-/// Heap entry: the head record's sort key plus its queue.
-type HeapEntry = Reverse<(SortKey, QueueKey)>;
+/// Heap entry: the head record's stamp, its node and sensor as stable
+/// tiebreakers, then its queue's slot. Heads come from distinct queues, so
+/// (stamp, node, sensor) never ties: neither the slot nor the sequence
+/// number ever decides an order.
+type HeapEntry = Reverse<(HlcStamp, u32, u32, u32)>;
+
+/// One input queue: records with their merge stamps, computed once at push
+/// time (an `X_HLC` lookup scans the record's fields — doing it per heap
+/// operation instead would dominate the causal-mode merge cost).
+type Queue = VecDeque<(EventRecord, HlcStamp)>;
 
 /// Counters describing sorter behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,17 +118,20 @@ pub struct OnlineSorter {
     max_buffered: usize,
     overload: OverloadPolicy,
     order: OrderMode,
-    /// Per-source FIFO queues; each record is stored with its sort key,
-    /// computed once at push time (an `X_HLC` lookup scans the record's
-    /// fields — doing it per heap operation instead would dominate the
-    /// causal-mode merge cost).
-    queues: HashMap<QueueKey, VecDeque<(EventRecord, SortKey)>>,
+    /// Per-source FIFO queues, a slab indexed by slot; a queue keeps its
+    /// slot for the sorter's lifetime.
+    queues: Vec<Queue>,
+    /// Source → slot.
+    slots: HashMap<QueueKey, u32>,
+    /// The previous push's source and slot: batches are single-node runs,
+    /// so most pushes skip the map.
+    last_push: Option<(QueueKey, u32)>,
     /// Min-heap over the head of every non-empty queue.
     heads: BinaryHeap<HeapEntry>,
     buffered: usize,
     frame_us: i64,
     last_released_key: Option<HlcStamp>,
-    last_released_from: Option<QueueKey>,
+    last_released_from: Option<u32>,
     last_decay_at: Option<UtcMicros>,
     stats: SorterStats,
 }
@@ -142,7 +146,9 @@ impl OnlineSorter {
             max_buffered,
             overload: OverloadPolicy::default(),
             order: OrderMode::default(),
-            queues: HashMap::new(),
+            queues: Vec::new(),
+            slots: HashMap::new(),
+            last_push: None,
             heads: BinaryHeap::new(),
             buffered: 0,
             last_released_key: None,
@@ -191,27 +197,39 @@ impl OnlineSorter {
     /// Accept one record.
     pub fn push(&mut self, rec: EventRecord) {
         let qkey = (rec.node, rec.sensor);
-        let q = self.queues.entry(qkey).or_default();
+        let slot = match self.last_push {
+            Some((key, slot)) if key == qkey => slot,
+            _ => {
+                let queues = &mut self.queues;
+                let slot = *self.slots.entry(qkey).or_insert_with(|| {
+                    queues.push(Queue::new());
+                    (queues.len() - 1) as u32
+                });
+                self.last_push = Some((qkey, slot));
+                slot
+            }
+        };
+        let q = &mut self.queues[slot as usize];
         let was_empty = q.is_empty();
         // Defensive: a sensor whose clock stepped backwards could emit a
         // non-monotone stream; clamp so the queue invariant holds and the
         // inversion is surfaced by the merge rather than corrupting it.
-        // The tail's key is read from the queue — never recomputed from
-        // its fields — so a push costs one key computation total.
+        // The tail's stamp is read from the queue — never recomputed from
+        // its fields — so a push costs one stamp computation total.
         let mut rec = rec;
-        let mut rec_key = key_under(self.order, &rec);
-        if let Some((back, back_key)) = q.back() {
+        let mut stamp = stamp_under(self.order, &rec);
+        if let Some((back, bk)) = q.back() {
             match self.order {
                 OrderMode::Physical => {
                     if rec.ts < back.ts {
                         rec.ts = back.ts;
-                        rec_key = key_under(self.order, &rec);
+                        stamp = stamp_under(self.order, &rec);
                         self.stats.ts_clamped += 1;
                     }
                 }
                 OrderMode::Causal => {
-                    let bk = back_key.0;
-                    if rec_key.0 < bk {
+                    let bk = *bk;
+                    if stamp < bk {
                         // Raise the stamp just above the queue tail; keep
                         // the physical ts monotone too so a later switch
                         // back to timestamp views stays coherent.
@@ -219,48 +237,60 @@ impl OnlineSorter {
                         if rec.ts < back.ts {
                             rec.ts = back.ts;
                         }
-                        rec_key = key_under(self.order, &rec);
+                        stamp = stamp_under(self.order, &rec);
                         self.stats.ts_clamped += 1;
                     }
                 }
             }
         }
-        q.push_back((rec, rec_key));
+        let head = Reverse((stamp, rec.node.raw(), rec.sensor.raw(), slot));
+        q.push_back((rec, stamp));
         self.buffered += 1;
         self.stats.pushed += 1;
         if was_empty {
-            self.heads.push(Reverse((rec_key, qkey)));
+            self.heads.push(head);
         }
     }
 
     /// Release every record whose delay has expired, in merged timestamp
     /// order. `now` is the ISM's current (synchronized) time.
     pub fn poll(&mut self, now: UtcMicros) -> Vec<EventRecord> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::poll`], appending to `out` — the merge plane reuses one
+    /// buffer across ticks.
+    pub(crate) fn poll_into(&mut self, now: UtcMicros, out: &mut Vec<EventRecord>) {
         self.maybe_decay(now);
-        self.release_ready(now)
+        self.release_ready(now, out);
     }
 
     /// The release loop proper, shared by `poll` (which decays first) and
-    /// `drain_all` (which must not touch the decay schedule).
-    fn release_ready(&mut self, now: UtcMicros) -> Vec<EventRecord> {
-        let mut out = Vec::new();
+    /// `drain_all` (which must not touch the decay schedule). Each release
+    /// sifts the heap once: the top entry is overwritten with its queue's
+    /// next head, or popped when the queue empties.
+    fn release_ready(&mut self, now: UtcMicros, out: &mut Vec<EventRecord>) {
         loop {
             // Memory pressure: evict the globally-smallest head early.
             let force = self.max_buffered != 0 && self.buffered > self.max_buffered;
-            let Some(&Reverse((key, qkey))) = self.heads.peek() else {
+            let Some(mut top) = self.heads.peek_mut() else {
                 break;
             };
-            let release_deadline = key.0.physical.offset(self.frame_us);
-            if !force && now < release_deadline {
+            let Reverse((stamp, _, _, slot)) = *top;
+            if !force && now < stamp.physical.offset(self.frame_us) {
                 break;
             }
-            self.heads.pop();
-            let q = self.queues.get_mut(&qkey).expect("queue for heap entry");
+            let q = &mut self.queues[slot as usize];
             let (rec, _) = q.pop_front().expect("non-empty queue in heap");
-            self.buffered -= 1;
-            if let Some((_, next_key)) = q.front() {
-                self.heads.push(Reverse((*next_key, qkey)));
+            if let Some(&(_, next)) = q.front() {
+                top.0 .0 = next;
+                drop(top); // sifts the new head into place
+            } else {
+                PeekMut::pop(top);
             }
+            self.buffered -= 1;
             if force {
                 // Under ShedUnmarked, plain records are dropped outright;
                 // CRE-marked ones are never shed (their peer may already
@@ -272,17 +302,16 @@ impl OnlineSorter {
                 self.stats.forced_releases += 1;
             }
             self.stats.released += 1;
-            self.observe_release(key.0, qkey);
+            self.observe_release(stamp, slot);
             out.push(rec);
         }
-        out
     }
 
     /// Inversion detection and frame growth: "two successive records from
     /// different external sensors … extracted out of order". `key` is the
     /// released record's cached stamp (from its heap entry) and `from` its
-    /// queue — no field rescan on release.
-    fn observe_release(&mut self, key: HlcStamp, from: QueueKey) {
+    /// queue's slot — no field rescan on release.
+    fn observe_release(&mut self, key: HlcStamp, from: u32) {
         if let (Some(last_key), Some(last_from)) = (self.last_released_key, self.last_released_from)
         {
             if key < last_key && from != last_from {
@@ -331,9 +360,10 @@ impl OnlineSorter {
     /// Bypasses `maybe_decay`: "now = MAX" is not a real clock reading and
     /// must not advance the decay schedule or its counters.
     pub fn drain_all(&mut self) -> Vec<EventRecord> {
+        let mut out = Vec::new();
         let saved_frame = self.frame_us;
         self.frame_us = 0;
-        let out = self.release_ready(UtcMicros::MAX);
+        self.release_ready(UtcMicros::MAX, &mut out);
         self.frame_us = saved_frame;
         out
     }

@@ -379,6 +379,7 @@ impl RingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     fn fields(i: i32) -> Vec<Value> {
@@ -612,23 +613,30 @@ mod tests {
                 sent
             }));
         }
+        // The drainer stops on the producers' done flag, not on an idle
+        // count a loaded scheduler can exhaust while a sensor is runnable
+        // but not running. It is stored (Release) once every producer has
+        // joined and loaded (Acquire) before each drain, so an empty drain
+        // after seeing it set has collected every record.
+        let done = Arc::new(AtomicBool::new(false));
         let drainer = {
-            let set = Arc::clone(&set);
+            let (set, done) = (Arc::clone(&set), Arc::clone(&done));
             thread::spawn(move || {
                 let mut out = Vec::new();
-                let mut idle = 0;
-                while idle < 1000 {
+                loop {
+                    let finished = done.load(Ordering::Acquire);
                     if set.drain_into(1024, &mut out).unwrap() == 0 {
-                        idle += 1;
+                        if finished {
+                            break;
+                        }
                         thread::yield_now();
-                    } else {
-                        idle = 0;
                     }
                 }
                 out
             })
         };
         let sent: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        done.store(true, Ordering::Release);
         let drained = drainer.join().unwrap();
         assert_eq!(drained.len() as u64, sent);
         // Per-sensor sequence order must be preserved.

@@ -270,21 +270,50 @@ impl<'a> RecordView<'a> {
 
     /// Materialize an owned [`EventRecord`] — the single end-to-end copy
     /// of the payload bytes. `node` comes from the enclosing batch.
+    ///
+    /// [`decode_record_view`] already validated the region, so fixed-width
+    /// fields are read straight into [`Value`] (the narrow integers were
+    /// range-checked there, so their casts are exact); only the variable
+    /// and composite arms go through [`decode_value_ref`]. A short read is
+    /// still an error, never a panic.
     pub fn materialize(&self, node: NodeId) -> Result<EventRecord> {
         let mut d = XdrDecoder::new(self.fields);
         let mut fields = Vec::with_capacity(self.desc.len());
         for &vt in self.desc.types() {
-            fields.push(decode_value_ref(vt, &mut d)?.into_owned());
+            fields.push(match vt {
+                ValueType::I8 => Value::I8(d.int()? as i8),
+                ValueType::U8 => Value::U8(d.uint()? as u8),
+                ValueType::I16 => Value::I16(d.int()? as i16),
+                ValueType::U16 => Value::U16(d.uint()? as u16),
+                ValueType::I32 => Value::I32(d.int()?),
+                ValueType::U32 => Value::U32(d.uint()?),
+                ValueType::I64 => Value::I64(d.hyper()?),
+                ValueType::U64 => Value::U64(d.uhyper()?),
+                ValueType::F32 => Value::F32(d.float()?),
+                ValueType::F64 => Value::F64(d.double()?),
+                ValueType::Bool => Value::Bool(d.boolean()?),
+                ValueType::Reason => Value::Reason(CorrelationId(d.uhyper()?)),
+                ValueType::Conseq => Value::Conseq(CorrelationId(d.uhyper()?)),
+                ValueType::Hlc => {
+                    let physical = UtcMicros::from_micros(d.hyper()?);
+                    Value::Hlc(HlcStamp::new(physical, d.uint()?))
+                }
+                ValueType::Str | ValueType::Bytes | ValueType::Trace | ValueType::Ts => {
+                    decode_value_ref(vt, &mut d)?.into_owned()
+                }
+            });
         }
         d.finish()?;
-        EventRecord::new(
+        // The descriptor holds at most MAX_FIELDS types, so the field-count
+        // check `EventRecord::new` would repeat cannot fail.
+        Ok(EventRecord {
             node,
-            self.sensor,
-            self.event_type,
-            self.seq,
-            self.ts,
+            sensor: self.sensor,
+            event_type: self.event_type,
+            seq: self.seq,
+            ts: self.ts,
             fields,
-        )
+        })
     }
 }
 
@@ -333,6 +362,36 @@ mod tests {
         assert_eq!(view.ts, r.ts);
         assert_eq!(view.num_fields(), r.fields.len());
         assert_eq!(view.materialize(NodeId(1)).unwrap(), r);
+    }
+
+    #[test]
+    fn materialize_reads_every_field_type_back() {
+        let values = [
+            Value::I8(i8::MIN),
+            Value::U8(u8::MAX),
+            Value::I16(i16::MIN),
+            Value::U16(u16::MAX),
+            Value::I32(i32::MIN),
+            Value::U32(u32::MAX),
+            Value::I64(i64::MIN),
+            Value::U64(u64::MAX),
+            Value::F32(-3.5),
+            Value::F64(2.25),
+            Value::Bool(true),
+            Value::Str("snow ❄".into()),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::Ts(UtcMicros::from_micros(-77)),
+            Value::Reason(CorrelationId(9)),
+            Value::Conseq(CorrelationId(u64::MAX)),
+            Value::Trace(TraceContext::origin(7, UtcMicros::from_micros(3))),
+            Value::Hlc(HlcStamp::new(UtcMicros::from_micros(-321), u32::MAX)),
+        ];
+        for fields in values.chunks(brisk_core::descriptor::MAX_FIELDS) {
+            let r = rec(fields.to_vec());
+            let bytes = encoded(&r);
+            let view = decode_record_view(&mut XdrDecoder::new(&bytes)).unwrap();
+            assert_eq!(view.materialize(NodeId(1)).unwrap(), r);
+        }
     }
 
     #[test]

@@ -190,6 +190,19 @@ fn manager_delivery_allocates_per_batch_not_per_record() {
     let mut deliver = |core: &mut IsmCore, n: u64| {
         let records = batch(seq * 10_000, n);
         seq += 1;
+        let frame = Message::EventBatch {
+            node: NODE,
+            seq: Some(seq),
+            records,
+        }
+        .encode();
+        let view = BatchView::parse(&frame).unwrap();
+        let (materialized, records) = allocs(|| view.materialize().unwrap());
+        assert_eq!(
+            materialized,
+            n + 1,
+            "materialize: the batch vector + one fields vector per record"
+        );
         let (allocs, delivered) = allocs(|| {
             core.push_batch_seq(NODE, Some(seq), records, UtcMicros::ZERO)
                 .unwrap();
@@ -198,15 +211,16 @@ fn manager_delivery_allocates_per_batch_not_per_record() {
         assert_eq!(delivered as u64, n);
         allocs
     };
-    // Warm-up: the sorter's heap, the release buffer and the memory
-    // buffer's length ring grow to the working size once.
+    // Warm-up: the sorter's queue and heap, the plane's reused release
+    // buffer and the memory buffer's length ring grow to the working size.
     deliver(&mut core, 4096);
     let small = deliver(&mut core, 64);
     let large = deliver(&mut core, 2048);
-    // What is left is per tick: the sorter's release vector regrowing
-    // (log2 of the batch).
-    assert!(small <= 16, "64-record batch: {small} allocations");
-    assert!(large <= 16, "2048-record batch: {large} allocations");
+    // What is left is per tick: at most one doubling of the memory
+    // buffer's length ring as its record count passes a power of two
+    // (4096 + 64 does).
+    assert!(small <= 1, "64-record batch: {small} allocations");
+    assert!(large <= 1, "2048-record batch: {large} allocations");
     assert_eq!(core.memory().written(), 4096 + 64 + 2048);
 }
 
