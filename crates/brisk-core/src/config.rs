@@ -445,20 +445,20 @@ impl StoreConfig {
 
 /// EXS→ISM flow-control knobs (credit).
 ///
-/// With credit on, the ISM grants each connection a budget of
-/// unacknowledged records in `HelloAck`, re-advertised on every
-/// `BatchAck`; the EXS stops scooping its rings when the budget is spent,
-/// so overload backs up into the SPSC rings' drop accounting instead of
-/// RAM. The manager's own ingest queue can be bounded independently, and
-/// under sorter memory pressure the shedding policy picks what to lose.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The ISM grants each connection a budget of unacknowledged records in
+/// `HelloAck`, re-advertised on every `BatchAck`; the EXS stops scooping
+/// its rings when the budget is spent, so overload backs up into the SPSC
+/// rings' drop accounting instead of RAM. The manager's own ingest queue
+/// is bounded too, and under sorter memory pressure the shedding policy
+/// picks what to lose.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowConfig {
-    /// Records one connection may have unacknowledged in flight. `0`
-    /// disables credit grants: batches are still acked, without a budget.
+    /// Records one connection may have unacknowledged in flight (at
+    /// least 16).
     pub credit_records: u64,
-    /// Bound on records queued between the pump threads and the manager.
-    /// While the queue holds more, pumps stop reading their sockets (TCP
-    /// backpressure does the rest). `0` leaves the queue unbounded.
+    /// Bound on records queued between the pump threads and the manager
+    /// (at least 1). While the queue holds more, pumps stop reading their
+    /// sockets (TCP backpressure does the rest).
     pub max_queued_records: usize,
     /// Under sorter memory pressure, drop the oldest *unmarked* records
     /// instead of force-releasing everything early. CRE-marked records are
@@ -466,19 +466,31 @@ pub struct FlowConfig {
     pub shed_unmarked: bool,
 }
 
+/// A queue shallow enough to run empty between manager turns under
+/// saturation, and a grant of a few batches per connection: the setting
+/// the saturation benchmark measured as faster than an unbounded queue.
+impl Default for FlowConfig {
+    fn default() -> Self {
+        FlowConfig {
+            credit_records: 2048,
+            max_queued_records: 1024,
+            shed_unmarked: false,
+        }
+    }
+}
+
 impl FlowConfig {
     /// Validate knob values.
     pub fn validate(&self) -> Result<()> {
-        // Every combination is functional: zeros disable the respective
-        // mechanism, and an EXS may always send when its window is empty,
-        // so even a tiny credit budget cannot deadlock the path. Guard
-        // only against a budget so small it forces one-record batches.
-        if self.credit_records != 0 && self.credit_records < 16 {
-            return Err(BriskError::Config(
-                "credit_records must be 0 (off) or at least 16".into(),
-            ));
-        }
-        Ok(())
+        // An EXS may always send when its window is empty, so even a tiny
+        // budget cannot deadlock the path; the floor only guards against
+        // a budget so small it forces one-record batches.
+        let msg = match (self.credit_records, self.max_queued_records) {
+            (0..=15, _) => "credit_records must be at least 16",
+            (_, 0) => "max_queued_records must be at least 1",
+            _ => return Ok(()),
+        };
+        Err(BriskError::Config(msg.into()))
     }
 }
 
@@ -744,13 +756,22 @@ mod tests {
 
     #[test]
     fn flow_validation() {
-        FlowConfig::default().validate().unwrap();
-        let c = FlowConfig {
-            credit_records: 0,
-            max_queued_records: 0,
-            shed_unmarked: true,
-        };
-        c.validate().unwrap();
+        let d = FlowConfig::default();
+        assert_eq!((d.credit_records, d.max_queued_records), (2048, 1024));
+        assert!(!d.shed_unmarked);
+        d.validate().unwrap();
+        for c in [
+            FlowConfig {
+                credit_records: 0,
+                ..d
+            },
+            FlowConfig {
+                max_queued_records: 0,
+                ..d
+            },
+        ] {
+            assert!(c.validate().is_err(), "{c:?}: both bounds are always on");
+        }
         let c = FlowConfig {
             credit_records: 16,
             max_queued_records: 1,

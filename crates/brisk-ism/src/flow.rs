@@ -44,13 +44,9 @@ impl FlowState {
         self.cells.register(registry, &[]);
     }
 
-    /// The per-connection credit budget to grant, or `None` when credit
-    /// flow control is disabled.
-    pub fn credit(&self) -> Option<u64> {
-        match self.cfg.credit_records {
-            0 => None,
-            n => Some(n),
-        }
+    /// The per-connection credit budget to grant.
+    pub fn credit(&self) -> u64 {
+        self.cfg.credit_records
     }
 
     /// Account `n` records entering the manager queue.
@@ -76,8 +72,7 @@ impl FlowState {
 
     /// True while pumps should defer socket reads.
     pub fn over_limit(&self) -> bool {
-        self.cfg.max_queued_records != 0
-            && self.queued_records() > self.cfg.max_queued_records as u64
+        self.queued_records() > self.cfg.max_queued_records as u64
     }
 
     /// Count one deferred socket read.

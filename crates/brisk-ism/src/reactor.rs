@@ -682,19 +682,22 @@ mod tests {
         flow: Arc<FlowState>,
     }
 
-    /// Credit 64, unbounded manager queue, error budget 2.
+    /// Credit 64, default manager-queue bound, error budget 2.
     fn test_pool() -> Rig {
-        test_pool_with(64, 0, 2)
+        test_pool_with(credit(64), 2)
     }
 
-    fn test_pool_with(credit_records: u64, max_queued_records: usize, error_budget: u32) -> Rig {
+    fn credit(credit_records: u64) -> FlowConfig {
+        FlowConfig {
+            credit_records,
+            ..FlowConfig::default()
+        }
+    }
+
+    fn test_pool_with(flow: FlowConfig, error_budget: u32) -> Rig {
         let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
-        let flow = FlowState::new(FlowConfig {
-            credit_records,
-            max_queued_records,
-            shed_unmarked: false,
-        });
+        let flow = FlowState::new(flow);
         let pool = ReactorPool::spawn(
             2,
             ReactorConfig {
@@ -774,7 +777,7 @@ mod tests {
             recv_msg(&mut client),
             Message::HelloAck {
                 version: brisk_proto::VERSION,
-                credit: Some(64)
+                credit: 64
             }
         );
         let handle = rig.connected();
@@ -829,13 +832,13 @@ mod tests {
         // Commands flow back out through the handle (waker-driven).
         assert!(handle.command(PumpCommand::Ack {
             seq: 42,
-            credit: Some(64)
+            credit: 64
         }));
         assert_eq!(
             recv_msg(&mut client),
             Message::BatchAck {
                 seq: 42,
-                credit: Some(64)
+                credit: 64
             }
         );
         // Dropping the client surfaces as a Disconnected event.
@@ -857,30 +860,22 @@ mod tests {
         // credit setting; any other version is refused like a duplicate
         // Hello: quarantined, answered with Shutdown, never connected.
         let v = brisk_proto::VERSION;
-        for (credit, version, expect) in [
-            (
-                0,
-                v,
-                Message::HelloAck {
-                    version: v,
-                    credit: None,
-                },
-            ),
+        for (grant, version, expect) in [
             (
                 512,
                 v,
                 Message::HelloAck {
                     version: v,
-                    credit: Some(512),
+                    credit: 512,
                 },
             ),
             (512, 2, Message::Shutdown),
             (512, 1, Message::Shutdown),
         ] {
-            let rig = test_pool_with(credit, 0, 2);
+            let rig = test_pool_with(credit(grant), 2);
             let mut client = rig.client();
             client.send(&hello(5, version)).unwrap();
-            assert_eq!(recv_msg(&mut client), expect, "credit {credit}, v{version}");
+            assert_eq!(recv_msg(&mut client), expect, "credit {grant}, v{version}");
             if version == v {
                 assert_eq!(rig.connected().node, NodeId(5));
                 assert!(rig.quarantine.samples().is_empty());
@@ -1028,33 +1023,33 @@ mod tests {
 
     #[test]
     fn over_limit_flow_defers_socket_reads_but_not_commands() {
-        let rig = test_pool_with(64, 1, 2);
-        let (mut client, handle) = rig.greeted(5);
-        rig.flow.add(10); // some other connection filled the manager queue
-        client.send(&empty_batch(5, 1)).unwrap();
-        // The batch stays in the transport while the queue is over its
-        // bound...
-        assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
-        // ...but manager commands are still serviced (no sync deadlock).
-        assert!(handle.command(PumpCommand::Ack {
-            seq: 7,
-            credit: Some(64)
-        }));
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck {
-                seq: 7,
-                credit: Some(64)
+        let tight = FlowConfig {
+            max_queued_records: 1,
+            ..credit(64)
+        };
+        for flow in [tight, FlowConfig::default()] {
+            let rig = test_pool_with(flow, 2);
+            let (mut client, handle) = rig.greeted(5);
+            // Some other connection filled the manager queue past its bound.
+            let queued = flow.max_queued_records as u64 + 9;
+            rig.flow.add(queued);
+            client.send(&empty_batch(5, 1)).unwrap();
+            // The batch stays in the transport while the queue is over its
+            // bound...
+            assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
+            // ...but manager commands are still serviced (no sync deadlock).
+            let credit = flow.credit_records;
+            assert!(handle.command(PumpCommand::Ack { seq: 7, credit }));
+            assert_eq!(recv_msg(&mut client), Message::BatchAck { seq: 7, credit });
+            assert!(rig.flow.deferrals() > 0, "{flow:?}");
+            // Once the manager drains the queue the deferred batch flows.
+            rig.flow.sub(queued);
+            match rig.event() {
+                PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
+                other => panic!("unexpected {other:?}"),
             }
-        );
-        assert!(rig.flow.deferrals() > 0);
-        // Once the manager drains the queue the deferred batch flows.
-        rig.flow.sub(10);
-        match rig.event() {
-            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
-            other => panic!("unexpected {other:?}"),
+            rig.pool.stop();
         }
-        rig.pool.stop();
     }
 
     #[test]
@@ -1090,7 +1085,7 @@ mod tests {
 
     #[test]
     fn zero_budget_drops_connection_on_first_bad_frame() {
-        let rig = test_pool_with(64, 0, 0);
+        let rig = test_pool_with(credit(64), 0);
         let (mut client, _handle) = rig.greeted(5);
         client.send(&[0x00]).unwrap();
         match rig.event() {

@@ -125,9 +125,9 @@ brisk_telemetry::metrics! {
         connected: gauge "brisk_relay_upstream_connected" "1 while the upstream link is established",
         /// Current retransmit-window occupancy (batches).
         window_depth: gauge "brisk_relay_window_depth" "Sent-but-unacked upstream batches held for replay",
-        /// Granted credit minus unacked in-flight records (0 while credit is
-        /// off).
-        credit_balance: gauge "brisk_relay_upstream_credit" "Granted upstream credit minus unacked in-flight records",
+        /// Granted credit minus unacked in-flight records (0 before the
+        /// first grant).
+        credit_balance: gauge "brisk_relay_upstream_credit" "Granted upstream credit minus unacked in-flight records (0 before the first grant)",
         /// Batch ship → cumulative ack covering it, in µs (the per-tier
         /// relay delivery latency).
         ack_latency_us: histogram "brisk_relay_ack_latency_us" "Upstream batch ship to cumulative ack latency",
@@ -271,9 +271,7 @@ impl UpstreamExporter {
                 self.cfg.window_batches
             );
         }
-        if let Some(seq) = windowed.seq {
-            self.inflight.push_back((seq, Instant::now()));
-        }
+        self.inflight.push_back((windowed.seq, Instant::now()));
     }
 
     /// Wait up to `wait` for one frame of the parent's control traffic
@@ -291,7 +289,7 @@ impl UpstreamExporter {
                     Info,
                     "relay.upstream",
                     "hello_ack",
-                    "prefix {} upstream granted credit {credit:?}",
+                    "prefix {} upstream granted credit {credit}",
                     self.cfg.prefix.raw()
                 );
             }
@@ -382,7 +380,7 @@ impl MergeOutput for UpstreamExporter {
                 "credit_stall",
                 "prefix {} pausing releases: upstream credit budget {:?} spent",
                 self.cfg.prefix.raw(),
-                self.uplink.credit()
+                self.uplink.grant()
             );
         } else if open {
             self.credit_stalled = false;
@@ -478,7 +476,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -523,7 +521,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 1,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -553,7 +551,7 @@ mod tests {
         let _hello = recv_msg(&mut server);
         let ack = Message::HelloAck {
             version: VERSION,
-            credit: None,
+            credit: 1024,
         };
         server.send(&ack.encode()).unwrap();
         ex.pump(now).unwrap();
@@ -591,7 +589,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: VERSION,
-                    credit: Some(1),
+                    credit: 1,
                 }
                 .encode(),
             )
@@ -604,13 +602,7 @@ mod tests {
         assert!(!ex.ready(), "budget of 1 spent by the in-flight record");
         assert!(ex.stats().credit_stalls >= 1);
         server
-            .send(
-                &Message::BatchAck {
-                    seq: 1,
-                    credit: Some(1),
-                }
-                .encode(),
-            )
+            .send(&Message::BatchAck { seq: 1, credit: 1 }.encode())
             .unwrap();
         ex.pump(now).unwrap();
         assert!(ex.ready(), "ack replenishes the budget");
@@ -631,7 +623,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -665,7 +657,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -687,7 +679,7 @@ mod tests {
                 .send(
                     &Message::BatchAck {
                         seq: 1,
-                        credit: None,
+                        credit: 1024,
                     }
                     .encode(),
                 )
@@ -717,7 +709,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -748,7 +740,7 @@ mod tests {
                 .send(
                     &Message::BatchAck {
                         seq: 1,
-                        credit: None,
+                        credit: 1024,
                     }
                     .encode(),
                 )

@@ -428,12 +428,10 @@ impl Manager {
                 let credit = self.flow.credit();
                 if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq, credit })) {
                     self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
-                    if credit.is_some() {
-                        self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
-                        self.cells
-                            .grant_latency
-                            .record(enqueued_at.elapsed().as_micros() as u64);
-                    }
+                    self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+                    self.cells
+                        .grant_latency
+                        .record(enqueued_at.elapsed().as_micros() as u64);
                 }
             }
             PumpEvent::SyncSamples {
@@ -750,14 +748,14 @@ mod tests {
             Message::HelloAck { version, credit } => Some((version, credit)),
             _ => None,
         });
-        // Credit flow control is off by default: the ack carries no grant.
-        assert_eq!(acked, Some((brisk_proto::VERSION, None)));
+        // The default flow config grants credit on every ack.
+        assert_eq!(acked, Some((brisk_proto::VERSION, 2048)));
         conn.send(&batch(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
         });
-        assert_eq!(acked, Some((1, None)));
+        assert_eq!(acked, Some((1, 2048)));
         let report = handle.stop().unwrap();
         assert_eq!(report.core.records_in, 3);
     }
@@ -770,8 +768,7 @@ mod tests {
             IsmConfig {
                 flow: brisk_core::FlowConfig {
                     credit_records: 64,
-                    max_queued_records: 0,
-                    shed_unmarked: false,
+                    ..brisk_core::FlowConfig::default()
                 },
                 ..IsmConfig::default()
             },
@@ -791,13 +788,13 @@ mod tests {
             Message::HelloAck { credit, .. } => Some(credit),
             _ => None,
         });
-        assert_eq!(granted, Some(Some(64)), "HelloAck must carry the budget");
+        assert_eq!(granted, Some(64), "HelloAck must carry the budget");
         conn.send(&batch(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
         });
-        assert_eq!(acked, Some((1, Some(64))), "acks must replenish credit");
+        assert_eq!(acked, Some((1, 64)), "acks must replenish credit");
         handle.stop().unwrap();
         let snap = registry.snapshot();
         assert!(snap.counter_total("brisk_ism_credit_grants_total") >= 1);

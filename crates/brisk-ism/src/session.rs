@@ -51,8 +51,8 @@ pub enum PumpCommand {
         seq: u64,
         /// Replenished credit budget to piggyback: the maximum number of
         /// unacknowledged records the sender may have in flight from now
-        /// on. `None` while credit flow control is disabled.
-        credit: Option<u64>,
+        /// on.
+        credit: u64,
     },
     /// Send `Shutdown` to the slave and exit.
     Shutdown,

@@ -87,8 +87,8 @@ brisk_telemetry::metrics! {
         /// Current retransmit-window occupancy (batches).
         window_depth: gauge "brisk_exs_retransmit_window_depth" "Sent-but-unacked batches held for replay",
         /// Remaining credit (granted budget − unacked in-flight records);
-        /// 0 while credit is off.
-        credit_balance: gauge "brisk_exs_credit_balance" "Granted credit minus unacked in-flight records (0 while credit is off)",
+        /// 0 before the first grant.
+        credit_balance: gauge "brisk_exs_credit_balance" "Granted credit minus unacked in-flight records (0 before the first grant)",
         /// Per-step drain+batch latency in µs, on the node's clock (so it is
         /// deterministic under `SimClock`).
         drain_us: histogram "brisk_exs_drain_us" "Per-step drain+batch latency on the node clock",
@@ -349,7 +349,7 @@ impl ExternalSensor {
                     "credit_stall",
                     "node {} deferring ring scoop: credit budget {:?} spent",
                     self.node,
-                    self.uplink.credit()
+                    self.uplink.grant()
                 );
             }
         } else {
@@ -993,7 +993,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 2,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -1019,7 +1019,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 1,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -1080,13 +1080,13 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: Some(2),
+                    credit: 2,
                 }
                 .encode(),
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.uplink.credit(), Some(2));
+        assert_eq!(r.exs.uplink.grant(), Some(2));
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
@@ -1102,13 +1102,7 @@ mod tests {
 
         // An ack replenishes the budget and reopens the tap.
         r.ism_side
-            .send(
-                &Message::BatchAck {
-                    seq: 2,
-                    credit: Some(2),
-                }
-                .encode(),
-            )
+            .send(&Message::BatchAck { seq: 2, credit: 2 }.encode())
             .unwrap();
         r.exs.step().unwrap(); // consumes the ack
         r.exs.step().unwrap(); // scoops the parked record
@@ -1124,7 +1118,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: Some(99),
+                    credit: 99,
                 }
                 .encode(),
             )
@@ -1135,18 +1129,18 @@ mod tests {
         let (mut ism2, conn) = mem_pair();
         r.exs.reattach(conn).unwrap();
         recv_msg(&mut ism2); // hello
-        assert_eq!(r.exs.uplink.credit(), Some(99));
-        // ...which carries no grant: credit is off.
+        assert_eq!(r.exs.uplink.grant(), Some(99));
+        // ...whose grant replaces it.
         ism2.send(
             &Message::HelloAck {
                 version: brisk_proto::VERSION,
-                credit: None,
+                credit: 16,
             }
             .encode(),
         )
         .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.uplink.credit(), None);
+        assert_eq!(r.exs.uplink.grant(), Some(16));
     }
 
     #[test]
@@ -1163,7 +1157,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: Some(2),
+                    credit: 2,
                 }
                 .encode(),
             )
@@ -1206,7 +1200,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -1259,7 +1253,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )
@@ -1351,7 +1345,7 @@ mod tests {
             .send(
                 &Message::HelloAck {
                     version: brisk_proto::VERSION,
-                    credit: None,
+                    credit: 1024,
                 }
                 .encode(),
             )

@@ -430,7 +430,7 @@ mod tests {
                     conn.send(
                         &Message::HelloAck {
                             version: brisk_proto::VERSION,
-                            credit: None,
+                            credit: 1024,
                         }
                         .encode(),
                     )
@@ -491,7 +491,7 @@ mod tests {
         let mut first = accept();
         let ack = Message::HelloAck {
             version: brisk_proto::VERSION,
-            credit: None,
+            credit: 1024,
         };
         first.send(&ack.encode()).unwrap();
         while handle.stats_now().exs.hello_acks < 1 {

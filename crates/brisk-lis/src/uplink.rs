@@ -119,14 +119,13 @@ impl Redial {
 pub enum Control {
     /// An undecodable frame was skipped (within the error budget).
     Skipped,
-    /// `HelloAck`: the connection's authoritative credit grant (`None`
-    /// clears a carried-over budget).
+    /// `HelloAck`: the connection's authoritative credit grant.
     Granted {
-        /// Credit budget granted, if flow control is on.
-        credit: Option<u64>,
+        /// Credit budget granted.
+        credit: u64,
     },
-    /// `BatchAck`: the window released everything up to `seq`, and a
-    /// piggybacked grant (if any) replaced the credit budget.
+    /// `BatchAck`: the window released everything up to `seq`, and the
+    /// piggybacked grant replaced the credit budget.
     Acked {
         /// Cumulative acknowledged sequence number.
         seq: u64,
@@ -143,9 +142,8 @@ pub enum Control {
 /// What [`Uplink::send`] / [`Uplink::stash`] did to the retransmit window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Windowed {
-    /// Sequence number assigned, typed as the wire's `EventBatch.seq`
-    /// field it is sent in; an `Uplink` always assigns one.
-    pub seq: Option<u64>,
+    /// Sequence number assigned.
+    pub seq: u64,
     /// A full window evicted its oldest unacked batch (now beyond replay).
     pub evicted: bool,
 }
@@ -161,9 +159,10 @@ pub struct Uplink {
     /// Sent-but-unacked batches, replayed on every `attach`.
     window: SendWindow,
     /// Absolute in-flight budget the ISM re-advertises on `HelloAck` and
-    /// every `BatchAck`; `None` = no flow control. Survives `attach`, so
+    /// every `BatchAck`; `None` until the first `HelloAck` on any
+    /// connection, and the link is open until then. Survives `attach`, so
     /// the gap before the new `HelloAck` stays paced by the old grant.
-    credit: Option<u64>,
+    grant: Option<u64>,
     control_errors: u32,
     /// Pacing "now" of the last frame sent on this connection.
     last_send_us: i64,
@@ -190,7 +189,7 @@ impl Uplink {
             heartbeat_interval,
             conn: None,
             window: SendWindow::new(window_batches),
-            credit: None,
+            grant: None,
             control_errors: 0,
             last_send_us: 0,
             connects: 0,
@@ -217,9 +216,10 @@ impl Uplink {
         self.conn.is_some()
     }
 
-    /// The credit budget currently granted by the ISM, if any.
-    pub fn credit(&self) -> Option<u64> {
-        self.credit
+    /// The credit budget last granted by the ISM; `None` before the first
+    /// `HelloAck`.
+    pub fn grant(&self) -> Option<u64> {
+        self.grant
     }
 
     /// Sent-but-unacked batches currently held for replay.
@@ -227,19 +227,20 @@ impl Uplink {
         self.window.depth()
     }
 
-    /// Granted credit minus unacked in-flight records (0 with credit off).
+    /// Granted credit minus unacked in-flight records (0 before the first
+    /// grant).
     pub fn credit_balance(&self) -> i64 {
-        self.credit
+        self.grant
             .map_or(0, |c| c as i64 - self.window.unacked_records() as i64)
     }
 
-    /// True when flow control permits putting more records in flight:
-    /// credit is off, or in-flight records are under budget. An empty
-    /// window always passes — even a zero grant can only stop *new*
+    /// True when flow control permits putting more records in flight: no
+    /// grant has arrived yet, or in-flight records are under budget. An
+    /// empty window always passes — even a zero grant can only stop *new*
     /// traffic while something is in flight, never deadlock the sender.
     pub fn credit_open(&self) -> bool {
         let w = &self.window;
-        self.credit
+        self.grant
             .is_none_or(|c| w.depth() == 0 || w.unacked_records() < c)
     }
 
@@ -335,7 +336,7 @@ impl Uplink {
     pub fn stash(&mut self, records: Vec<EventRecord>) -> Windowed {
         let (seq, evicted) = self.window.push(records);
         Windowed {
-            seq: Some(seq),
+            seq,
             evicted: evicted.is_some(),
         }
     }
@@ -346,8 +347,8 @@ impl Uplink {
     pub fn send(&mut self, records: Vec<EventRecord>, now_us: i64) -> (Windowed, Result<()>) {
         // Encode from the borrow under the sequence number the window is
         // about to assign, then move the records into it: no copy.
-        let seq = Some(self.window.next_seq());
-        let frame = encode_batch(self.node, seq, &records);
+        let seq = self.window.next_seq();
+        let frame = encode_batch(self.node, Some(seq), &records);
         let windowed = self.stash(records);
         debug_assert_eq!(windowed.seq, seq);
         (windowed, self.send_frame(&frame, now_us))
@@ -412,7 +413,7 @@ impl Uplink {
         Ok(match msg {
             Message::HelloAck { credit, .. } => {
                 self.acked = true;
-                self.credit = credit;
+                self.grant = Some(credit);
                 // Idle time before the greeting completed doesn't count
                 // toward the heartbeat deadline.
                 self.last_send_us = now_us;
@@ -420,11 +421,8 @@ impl Uplink {
             }
             Message::BatchAck { seq, credit } => {
                 self.window.ack(seq);
-                // A piggybacked grant re-advertises the budget absolutely;
-                // a credit-less ack leaves it untouched.
-                if credit.is_some() {
-                    self.credit = credit;
-                }
+                // The piggybacked grant re-advertises the budget absolutely.
+                self.grant = Some(credit);
                 Control::Acked { seq }
             }
             Message::SyncPoll {
@@ -490,7 +488,7 @@ mod tests {
     fn send_on_a_detached_link_still_windows_the_batch() {
         let mut up = uplink();
         let (w, sent) = up.send(vec![], 0);
-        assert_eq!(w.seq, Some(1));
+        assert_eq!(w.seq, 1);
         assert!(sent.unwrap_err().is_disconnect());
         assert_eq!(up.window_depth(), 1);
         // Attaching replays it right after the Hello.

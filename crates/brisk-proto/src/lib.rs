@@ -11,7 +11,7 @@
 //!   protocol magic/version and the node id, which subsequent batches from
 //!   this connection implicitly belong to.
 //! * [`Message::HelloAck`] — the ISM's reply to an accepted `Hello`,
-//!   optionally carrying a credit budget.
+//!   carrying the connection's credit budget.
 //! * [`Message::EventBatch`] — a batch of event records. "The external
 //!   sensor packages instrumentation data in XDR format with the
 //!   meta-information header compressed" — each record body embeds its
@@ -21,9 +21,9 @@
 //! * [`Message::BatchAck`] — ISM→EXS cumulative acknowledgement: every
 //!   batch with `seq <= ack.seq` has been handed to the ISM pipeline and
 //!   may be dropped from the sender's retransmit window. Like `HelloAck`
-//!   it may re-advertise the credit budget (absolute, not a delta, so a
-//!   lost ack cannot strand credit); `credit: Some(0)` means "send no new
-//!   batches until replenished".
+//!   it re-advertises the credit budget (absolute, not a delta, so a lost
+//!   ack cannot strand credit); `credit: 0` means "send no new batches
+//!   until replenished".
 //! * [`Message::SyncPoll`] / [`Message::SyncReply`] /
 //!   [`Message::SyncAdjust`] — the clock-synchronization exchange (§3.3).
 //!   The poll carries the master send time so the reply can echo it; the
@@ -34,10 +34,10 @@
 //!
 //! The session protocol has one generation, [`VERSION`]: the ISM refuses
 //! any other `Hello`. The codec is wider than the session — it still
-//! encodes and decodes every tag ever assigned (`MIN_VERSION..=VERSION`
-//! hellos, unsequenced batches, credit-less acks), because the golden
-//! fixtures pin those bytes and because credit-less acks are what a
-//! credit-off ISM sends.
+//! encodes and decodes `MIN_VERSION..=VERSION` hellos and unsequenced
+//! batches, because the golden fixtures pin those bytes. Acks have one
+//! wire form, the credit-carrying one: the credit-less ack tags 8 and 9
+//! are retired and decode as [`DecodeError::UnknownTag`].
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -147,10 +147,9 @@ impl From<DecodeError> for BriskError {
     }
 }
 
-/// Message discriminants on the wire. A [`Message`] variant may have
-/// several wire forms: a batch with or without a seq, an ack with or
-/// without credit — an `Option` field picks the tag, so no form needs
-/// extra fields a decoder would reject as trailing bytes.
+/// Message discriminants on the wire. An event batch has several wire
+/// forms: with or without a seq (an `Option` field picks the tag, so no
+/// form needs extra fields a decoder would reject as trailing bytes).
 ///
 /// `EventBatchMulti` is the relay-tier batch format: `EventBatch` /
 /// `EventBatchSeq` compress the per-record node id into the batch header
@@ -167,8 +166,8 @@ enum Tag {
     SyncAdjust = 5,
     Shutdown = 6,
     EventBatchSeq = 7,
-    BatchAck = 8,
-    HelloAck = 9,
+    // 8 and 9 were the credit-less BatchAck and HelloAck. They are
+    // retired, decode as `UnknownTag`, and must never be reassigned.
     HelloAckCredit = 10,
     BatchAckCredit = 11,
     Heartbeat = 12,
@@ -185,8 +184,6 @@ impl Tag {
             5 => Tag::SyncAdjust,
             6 => Tag::Shutdown,
             7 => Tag::EventBatchSeq,
-            8 => Tag::BatchAck,
-            9 => Tag::HelloAck,
             10 => Tag::HelloAckCredit,
             11 => Tag::BatchAckCredit,
             12 => Tag::Heartbeat,
@@ -206,14 +203,13 @@ pub enum Message {
         /// Protocol version spoken by the sender.
         version: u32,
     },
-    /// The ISM's reply to an accepted `Hello`: the session version and,
-    /// with flow control enabled, the initial credit budget.
+    /// The ISM's reply to an accepted `Hello`: the session version and
+    /// the initial credit budget.
     HelloAck {
         /// Version the connection runs at.
         version: u32,
         /// Maximum records the sender may have unacknowledged in flight.
-        /// `None` (the credit-less tag) disables flow control.
-        credit: Option<u64>,
+        credit: u64,
     },
     /// A batch of event records from one node.
     EventBatch {
@@ -233,8 +229,8 @@ pub enum Message {
         /// the ISM pipeline.
         seq: u64,
         /// Replenished credit budget (absolute, replaces the previous
-        /// grant). `None` (the credit-less tag) leaves flow control off.
-        credit: Option<u64>,
+        /// grant).
+        credit: u64,
     },
     /// Master→slave: "what time is it?" — sample `sample` of round `round`.
     SyncPoll {
@@ -286,29 +282,17 @@ impl Message {
                 e.uint(*version);
                 e.uint(node.raw());
             }
-            Message::HelloAck { version, credit } => match credit {
-                Some(credit) => {
-                    e.uint(Tag::HelloAckCredit as u32);
-                    e.uint(*version);
-                    e.uhyper(*credit);
-                }
-                None => {
-                    e.uint(Tag::HelloAck as u32);
-                    e.uint(*version);
-                }
-            },
+            Message::HelloAck { version, credit } => {
+                e.uint(Tag::HelloAckCredit as u32);
+                e.uint(*version);
+                e.uhyper(*credit);
+            }
             Message::EventBatch { .. } => unreachable!("encoded by encode_batch above"),
-            Message::BatchAck { seq, credit } => match credit {
-                Some(credit) => {
-                    e.uint(Tag::BatchAckCredit as u32);
-                    e.uhyper(*seq);
-                    e.uhyper(*credit);
-                }
-                None => {
-                    e.uint(Tag::BatchAck as u32);
-                    e.uhyper(*seq);
-                }
-            },
+            Message::BatchAck { seq, credit } => {
+                e.uint(Tag::BatchAckCredit as u32);
+                e.uhyper(*seq);
+                e.uhyper(*credit);
+            }
             Message::SyncPoll {
                 round,
                 sample,
@@ -370,13 +354,9 @@ impl Message {
                     version,
                 }
             }
-            Tag::HelloAck => Message::HelloAck {
-                version: d.uint()?,
-                credit: None,
-            },
             Tag::HelloAckCredit => Message::HelloAck {
                 version: d.uint()?,
-                credit: Some(d.uhyper()?),
+                credit: d.uhyper()?,
             },
             // One validator for batch bytes: the owned form is the
             // borrowing view, materialized.
@@ -388,13 +368,9 @@ impl Message {
                     records: view.materialize()?,
                 });
             }
-            Tag::BatchAck => Message::BatchAck {
-                seq: d.uhyper()?,
-                credit: None,
-            },
             Tag::BatchAckCredit => Message::BatchAck {
                 seq: d.uhyper()?,
-                credit: Some(d.uhyper()?),
+                credit: d.uhyper()?,
             },
             Tag::SyncPoll => Message::SyncPoll {
                 round: d.uhyper()?,
@@ -731,78 +707,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_control_messages_round_trip() {
-        for m in [
-            Message::HelloAck {
-                version: VERSION,
-                credit: None,
-            },
-            Message::BatchAck {
-                seq: 42,
-                credit: None,
-            },
-            Message::BatchAck {
-                seq: 0,
-                credit: None,
-            },
-        ] {
-            assert_eq!(Message::decode(&m.encode()).unwrap(), m, "{m:?}");
-        }
-    }
-
-    #[test]
     fn v3_credit_messages_round_trip() {
         for m in [
             Message::HelloAck {
                 version: VERSION,
-                credit: Some(10_000),
+                credit: 10_000,
             },
             Message::HelloAck {
                 version: VERSION,
-                credit: Some(0),
+                credit: 0,
             },
             Message::BatchAck {
                 seq: 42,
-                credit: Some(u64::MAX),
+                credit: u64::MAX,
             },
-            Message::BatchAck {
-                seq: 0,
-                credit: Some(0),
-            },
+            Message::BatchAck { seq: 0, credit: 0 },
         ] {
             assert_eq!(Message::decode(&m.encode()).unwrap(), m, "{m:?}");
         }
-    }
-
-    #[test]
-    fn creditless_acks_use_the_v2_wire_tags() {
-        // A credit-less ack keeps its own tags, byte-identical to the
-        // golden fixtures.
-        let ack = Message::BatchAck {
-            seq: 7,
-            credit: None,
-        };
-        assert_eq!(&ack.encode()[..4], &[0, 0, 0, 8], "BatchAck tag");
-        let hello_ack = Message::HelloAck {
-            version: 2,
-            credit: None,
-        };
-        assert_eq!(&hello_ack.encode()[..4], &[0, 0, 0, 9], "HelloAck tag");
-        // And the credit-carrying forms use the new tags.
-        let ack = Message::BatchAck {
-            seq: 7,
-            credit: Some(1),
-        };
-        assert_eq!(&ack.encode()[..4], &[0, 0, 0, 11], "BatchAckCredit tag");
-        let hello_ack = Message::HelloAck {
-            version: 3,
-            credit: Some(1),
-        };
-        assert_eq!(
-            &hello_ack.encode()[..4],
-            &[0, 0, 0, 10],
-            "HelloAckCredit tag"
-        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn valid_frames() -> Vec<Vec<u8>> {
         },
         Message::HelloAck {
             version: VERSION,
-            credit: Some(1024),
+            credit: 1024,
         },
         Message::EventBatch {
             node: NodeId(3),
@@ -64,7 +64,7 @@ fn valid_frames() -> Vec<Vec<u8>> {
         },
         Message::BatchAck {
             seq: 9,
-            credit: Some(512),
+            credit: 512,
         },
         Message::SyncPoll {
             round: 2,

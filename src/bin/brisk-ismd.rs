@@ -30,11 +30,11 @@
 //! crashes (reopening repairs torn tails) and replayable afterwards with
 //! `brisk-load --replay DIR`.
 //!
-//! `--credit-records` turns on credit flow control: each EXS
+//! `--credit-records` sizes the credit grant (default 2048): each EXS
 //! connection may have at most N records unacknowledged in flight, so a
 //! slow ISM pushes backpressure out to the sensors' rings instead of
 //! buffering unboundedly. `--max-queued-records` bounds the pump→manager
-//! queue (pumps stop reading their sockets while it is over the limit),
+//! queue (default 1024; pumps stop reading their sockets while it is over),
 //! and `--shed-unmarked` switches the sorter's memory-pressure response
 //! from force-release to dropping the oldest unmarked (never CRE-marked)
 //! records.

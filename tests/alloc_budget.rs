@@ -251,7 +251,7 @@ fn uplink_sends_a_batch_without_copying_it() {
     let records = batch(0, 256);
     let (n, (windowed, sent)) = allocs(|| up.send(records, 0));
     sent.unwrap();
-    assert_eq!(windowed.seq, Some(1));
+    assert_eq!(windowed.seq, 1);
     assert!(n <= 3, "Uplink::send of 256 records made {n} allocations");
     assert_eq!(up.window_depth(), 1);
 }

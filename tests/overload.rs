@@ -329,9 +329,8 @@ fn shed_policy_never_drops_cre_marked_records() {
     let mut server = IsmServer::new(
         IsmConfig {
             flow: FlowConfig {
-                credit_records: 0,
-                max_queued_records: 0,
                 shed_unmarked: true,
+                ..FlowConfig::default()
             },
             // A huge frame keeps everything buffered in the sorter so the
             // tiny bound below forces the overload path.

@@ -13,15 +13,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start(credit_records: u64) -> (brisk::ism::IsmHandle, Arc<MemTransport>) {
+    start_with(IsmConfig {
+        flow: FlowConfig {
+            credit_records,
+            ..FlowConfig::default()
+        },
+        ..IsmConfig::default()
+    })
+}
+
+fn start_with(config: IsmConfig) -> (brisk::ism::IsmHandle, Arc<MemTransport>) {
     let transport = MemTransport::new();
     let server = IsmServer::new(
-        IsmConfig {
-            flow: FlowConfig {
-                credit_records,
-                ..FlowConfig::default()
-            },
-            ..IsmConfig::default()
-        },
+        config,
         // Keep sync polls off the wire: every frame the peer sees is the
         // session's answer to what it sent.
         SyncConfig {
@@ -109,7 +113,7 @@ fn hello_below_the_current_version_is_refused_and_delivers_nothing() {
 
 #[test]
 fn unsequenced_batch_after_a_current_hello_drops_the_connection() {
-    let (ism, transport) = start(0);
+    let (ism, transport) = start(64);
     let mut conn = transport.connect("ism").unwrap();
     conn.send(&hello(6, VERSION)).unwrap();
     conn.send(&batch(6, None, 5)).unwrap();
@@ -123,7 +127,7 @@ fn unsequenced_batch_after_a_current_hello_drops_the_connection() {
         got,
         vec![Message::HelloAck {
             version: VERSION,
-            credit: None
+            credit: 64
         }],
         "{observed}"
     );
@@ -134,29 +138,38 @@ fn unsequenced_batch_after_a_current_hello_drops_the_connection() {
     assert_eq!(report.core.records_in, 0, "{observed}");
 }
 
+/// Say `Hello`, send three two-record batches, and check the ISM answers
+/// with a `HelloAck` and one `BatchAck` per batch, each granting `credit`.
+fn assert_every_ack_grants(ism: brisk::ism::IsmHandle, transport: &Arc<MemTransport>, credit: u64) {
+    let mut conn = transport.connect("ism").unwrap();
+    conn.send(&hello(7, VERSION)).unwrap();
+    for seq in 1..=3 {
+        conn.send(&batch(7, Some(seq), 2)).unwrap();
+    }
+    let (got, closed) = replies(&mut conn, Duration::from_millis(500));
+    let report = ism.stop().unwrap();
+    let mut expect = vec![Message::HelloAck {
+        version: VERSION,
+        credit,
+    }];
+    expect.extend((1..=3).map(|seq| Message::BatchAck { seq, credit }));
+    let observed = format!(
+        "credit {credit}: replies {got:?}, closed {closed}, records_in {}",
+        report.core.records_in
+    );
+    assert_eq!(got, expect, "{observed}");
+    assert!(!closed, "{observed}");
+    assert_eq!(report.core.records_in, 6, "{observed}");
+}
+
 #[test]
 fn current_hello_gets_the_credit_setting_and_one_ack_per_batch() {
-    for credit_records in [0, 64] {
-        let credit = (credit_records > 0).then_some(credit_records);
-        let (ism, transport) = start(credit_records);
-        let mut conn = transport.connect("ism").unwrap();
-        conn.send(&hello(7, VERSION)).unwrap();
-        for seq in 1..=3 {
-            conn.send(&batch(7, Some(seq), 2)).unwrap();
-        }
-        let (got, closed) = replies(&mut conn, Duration::from_millis(500));
-        let report = ism.stop().unwrap();
-        let mut expect = vec![Message::HelloAck {
-            version: VERSION,
-            credit,
-        }];
-        expect.extend((1..=3).map(|seq| Message::BatchAck { seq, credit }));
-        let observed = format!(
-            "credit_records {credit_records}: replies {got:?}, closed {closed}, records_in {}",
-            report.core.records_in
-        );
-        assert_eq!(got, expect, "{observed}");
-        assert!(!closed, "{observed}");
-        assert_eq!(report.core.records_in, 6, "{observed}");
-    }
+    let (ism, transport) = start(64);
+    assert_every_ack_grants(ism, &transport, 64);
+}
+
+#[test]
+fn a_default_ism_grants_credit_on_every_ack() {
+    let (ism, transport) = start_with(IsmConfig::default());
+    assert_every_ack_grants(ism, &transport, 2048);
 }
