@@ -66,7 +66,7 @@ pub struct RelayConfig {
     /// parent's `--node-timeout` sweep from evicting a subtree that is
     /// merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
-    /// Redial backoff after a link failure — the EXS supervisor's policy.
+    /// Redial backoff after a link failure — the EXS's policy.
     pub reconnect: SupervisorConfig,
 }
 
@@ -165,8 +165,6 @@ pub struct UpstreamExporter {
     /// The relay's correction clock, when the parent's `SyncAdjust`s
     /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
-    /// Heartbeat pacing epoch: the uplink is paced on wall µs since here.
-    epoch: Instant,
     /// Ship time per windowed seq, for the ack-latency histogram.
     inflight: VecDeque<(u64, Instant)>,
     credit_stalled: bool,
@@ -195,7 +193,6 @@ impl UpstreamExporter {
             )
             .with_redial(connect, cfg.reconnect.clone()),
             sync_clock: None,
-            epoch: Instant::now(),
             inflight: VecDeque::new(),
             credit_stalled: false,
             shared: Arc::default(),
@@ -234,11 +231,6 @@ impl UpstreamExporter {
         self.shared.bind(self.cfg.prefix, registry);
     }
 
-    /// The uplink's heartbeat-pacing "now": wall µs since construction.
-    fn pacing_now(&self) -> i64 {
-        self.epoch.elapsed().as_micros() as i64
-    }
-
     fn mirror_gauges(&self) {
         self.shared
             .window_depth
@@ -255,7 +247,7 @@ impl UpstreamExporter {
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let (windowed, sent) = self.uplink.send(records, self.pacing_now());
+        let (windowed, sent) = self.uplink.send(records);
         if sent.is_ok() {
             self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
             self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
@@ -278,7 +270,7 @@ impl UpstreamExporter {
     /// and apply this relay's policy to it. `false` when nothing arrived
     /// or the link is (now) down — an error means the uplink dropped it.
     fn poll_control(&mut self, wait: Duration) -> bool {
-        match self.uplink.poll_control(wait, self.pacing_now()) {
+        match self.uplink.poll_control(wait) {
             Ok(None) | Err(_) => return false,
             Ok(Some(Control::Skipped)) => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -357,7 +349,7 @@ impl MergeOutput for UpstreamExporter {
     /// Per-tick housekeeping: redial once due, answer control traffic,
     /// flush the latency knob, heartbeat, refresh gauges.
     fn pump(&mut self, now: UtcMicros) -> Result<()> {
-        if let Some(replayed) = self.uplink.redial(self.pacing_now()) {
+        if let Some(replayed) = self.uplink.redial() {
             self.shared.connects.fetch_add(1, Ordering::Relaxed);
             self.shared
                 .batches_retransmitted
@@ -367,7 +359,7 @@ impl MergeOutput for UpstreamExporter {
         if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
             self.ship(batch);
         }
-        if let Ok(true) = self.uplink.heartbeat_if_idle(self.pacing_now()) {
+        if let Ok(true) = self.uplink.heartbeat_if_idle() {
             self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
         }
         let open = self.uplink.credit_open();

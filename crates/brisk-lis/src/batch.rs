@@ -136,7 +136,7 @@ impl Batcher {
 
 /// Bounded retransmit window for acknowledged batch delivery. The EXS assigns every outgoing batch a per-node monotonic sequence
 /// number and keeps a copy here until the ISM's cumulative [`BatchAck`]
-/// covers it; after a reconnect the supervisor replays whatever is still
+/// covers it; after a reconnect the EXS replays whatever is still
 /// unacked so an abrupt disconnect loses nothing.
 ///
 /// The window is bounded: pushing into a full window evicts the oldest

@@ -22,6 +22,20 @@
 //! that stops advancing freezes those deadlines — tests and examples that
 //! drive a `SimClock` must keep advancing it (or call the handle's `stop`,
 //! which force-flushes) for timeout flushes to fire.
+//!
+//! One runtime drives every EXS, behind [`spawn_exs`] and
+//! [`spawn_exs_supervised`] alike: it steps the EXS until its `stop` flag
+//! or an orderly ISM `Shutdown`. The two differ only in the link. An EXS
+//! spawned on one connection ends when that link drops. One spawned with
+//! a [`ConnectFn`] keeps the node's instrumentation alive across manager
+//! restarts and network blips ("robust", §1): its [`Uplink`] decides when
+//! a link is dead and when to dial again. Every reconnect re-sends `Hello`
+//! and **carries the clock-sync correction value over**, so the node does
+//! not fall back to raw time while the master re-converges. It also
+//! replays every sent-but-unacked batch from the bounded retransmit
+//! window, which the ISM deduplicates by `(node, seq)`: delivery to the
+//! sinks is exactly-once. A full window evicts its oldest batch, which is
+//! then beyond replay — surfaced through telemetry rather than hidden.
 
 use crate::batch::{Batcher, FlushReason};
 use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, Windowed};
@@ -77,6 +91,10 @@ brisk_telemetry::metrics! {
         heartbeats_sent: counter "brisk_exs_heartbeats_sent_total" "Liveness heartbeats sent to the ISM on idle links",
         /// `HelloAck`s received (one per successfully established connection).
         hello_acks: counter "brisk_exs_hello_acks_total" "HelloAcks received (established connections)",
+        /// Connections attached (1 = never reconnected).
+        connects: counter "brisk_exs_connects_total" "ISM connections established by the supervised EXS",
+        /// Connections attached after an abrupt disconnect.
+        reconnects: counter "brisk_exs_reconnects_total" "Supervisor restarts after an abrupt disconnect",
         /// Inbound control frames that failed to decode and were skipped.
         decode_errors: counter "brisk_exs_decode_errors_total" "Inbound control frames that failed to decode and were skipped",
         /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
@@ -141,19 +159,9 @@ pub struct ExternalSensor {
     shared: Arc<ExsTelemetry>,
     drain_buf: Vec<EventRecord>,
     /// The session with the ISM: retransmit window, credit, acks, replay,
-    /// heartbeats and control frames. It outlives any one connection —
-    /// [`ExternalSensor::reattach`] is all a reconnect takes.
+    /// heartbeats, control frames and redial. It outlives any one
+    /// connection — [`ExternalSensor::reattach`] is all a reconnect takes.
     uplink: Uplink,
-    /// Monotonically accumulated raw-clock µs, the heartbeat pacing
-    /// basis. Forward progress of the raw node clock accrues here;
-    /// backward jumps (a stepped or faulted clock) contribute nothing,
-    /// so a misbehaving clock can neither stall heartbeats for the size
-    /// of the jump nor flood them. Sync corrections never touch it —
-    /// pacing reads the *raw* clock, which also keeps it deterministic
-    /// under simulation.
-    pacing_us: i64,
-    /// Last raw-clock reading, to derive forward deltas for `pacing_us`.
-    pacing_raw_us: i64,
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
     hlc: Arc<Hlc>,
@@ -179,9 +187,9 @@ impl ExternalSensor {
         Ok(exs)
     }
 
-    /// An EXS with no connection yet (the supervisor dials through
+    /// An EXS with no connection yet (it dials through
     /// [`ExternalSensor::redial`]).
-    pub(crate) fn detached(
+    fn detached(
         node: NodeId,
         rings: Arc<RingSet>,
         raw_clock: Arc<dyn Clock>,
@@ -189,7 +197,6 @@ impl ExternalSensor {
     ) -> Result<Self> {
         cfg.validate()?;
         let clock = CorrectedClock::new(raw_clock);
-        let pacing_raw_us = clock.raw_now().as_micros();
         // Polls are answered with the *corrected* local time: slaves
         // converge on each other through their corrections.
         let uplink = Uplink::new(
@@ -207,8 +214,6 @@ impl ExternalSensor {
             shared: Arc::default(),
             drain_buf: Vec::with_capacity(512),
             uplink,
-            pacing_us: 0,
-            pacing_raw_us,
             hlc: Hlc::new(),
             credit_stalled: false,
         })
@@ -220,23 +225,21 @@ impl ExternalSensor {
     /// Correction value, partial batch, window and the last credit grant
     /// all stay where they are; the new `HelloAck` overwrites the grant.
     pub fn reattach(&mut self, conn: Box<dyn Connection>) -> Result<()> {
-        let now_us = self.pacing_now_us();
-        let replayed = self.uplink.attach(conn, now_us)?;
+        let replayed = self.uplink.attach(conn)?;
         self.note_attached(replayed);
         Ok(())
     }
 
     /// Let the uplink dial lost links again through `connect`.
-    pub(crate) fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Self {
+    fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Self {
         self.uplink = self.uplink.with_redial(connect, sup);
         self
     }
 
     /// Dial and attach if the link is down and its backoff has elapsed
     /// (see [`Uplink::redial`]); `true` once a connection is attached.
-    pub(crate) fn redial(&mut self) -> bool {
-        let now_us = self.pacing_now_us();
-        let Some(replayed) = self.uplink.redial(now_us) else {
+    fn redial(&mut self) -> bool {
+        let Some(replayed) = self.uplink.redial() else {
             return false;
         };
         self.note_attached(replayed);
@@ -244,13 +247,16 @@ impl ExternalSensor {
     }
 
     /// True while a connection is attached.
-    pub(crate) fn linked(&self) -> bool {
+    fn linked(&self) -> bool {
         self.uplink.connected()
     }
 
     fn note_attached(&self, replayed: usize) {
-        self.shared
-            .batches_retransmitted
+        let s = &self.shared;
+        if s.connects.fetch_add(1, Ordering::Relaxed) > 0 {
+            s.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        s.batches_retransmitted
             .fetch_add(replayed as u64, Ordering::Relaxed);
         self.mirror_link_gauges();
     }
@@ -281,20 +287,6 @@ impl ExternalSensor {
     /// `cfg.stamp_hlc` is set; always safe to observe).
     pub fn hlc(&self) -> &Arc<Hlc> {
         &self.hlc
-    }
-
-    /// Advance and read the monotonic heartbeat-pacing clock: forward
-    /// raw-clock progress accrues, backward jumps are dropped. Correct
-    /// regardless of call frequency — a stale `pacing_raw_us` just means
-    /// the next call accounts the whole span at once.
-    fn pacing_now_us(&mut self) -> i64 {
-        let raw = self.clock.raw_now().as_micros();
-        let delta = raw.saturating_sub(self.pacing_raw_us);
-        self.pacing_raw_us = raw;
-        if delta > 0 {
-            self.pacing_us = self.pacing_us.saturating_add(delta);
-        }
-        self.pacing_us
     }
 
     /// The corrected clock (shared view; records are stamped with raw time
@@ -415,8 +407,7 @@ impl ExternalSensor {
         // 2b. Liveness: on an idle connection, send a heartbeat so the
         //     ISM can tell a quiet node from a silently dead one (TCP
         //     alone reports nothing for minutes).
-        let now_us = self.pacing_now_us();
-        if self.uplink.heartbeat_if_idle(now_us)? {
+        if self.uplink.heartbeat_if_idle()? {
             self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
         }
         drain_timer.stop(self.clock.now().as_micros());
@@ -457,10 +448,9 @@ impl ExternalSensor {
 
     /// Apply this EXS's policy to one inbound control frame. `None` means
     /// the frame was skipped (undecodable, within the budget — past it the
-    /// uplink drops the link and the supervisor dials again).
+    /// uplink drops the link, and an EXS with a [`ConnectFn`] dials again).
     fn on_control(&mut self, frame: &[u8]) -> Result<Option<ExsStep>> {
-        let now_us = self.pacing_now_us();
-        match self.uplink.handle_frame(frame, now_us)? {
+        match self.uplink.handle_frame(frame)? {
             Control::Skipped => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
@@ -499,8 +489,7 @@ impl ExternalSensor {
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        let now_us = self.pacing_now_us();
-        let (windowed, sent) = self.uplink.send(records, now_us);
+        let (windowed, sent) = self.uplink.send(records);
         self.note_windowed(windowed);
         sent?;
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
@@ -514,18 +503,6 @@ impl ExternalSensor {
         };
         reason_counter.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Run until `stop` is raised or the ISM shuts us down. Flushes pending
-    /// records and sends `Shutdown` on the way out. Returns final stats.
-    pub fn run(mut self, stop: &AtomicBool) -> Result<ExsStats> {
-        while !stop.load(Ordering::Relaxed) {
-            match self.step()? {
-                ExsStep::Shutdown | ExsStep::Disconnected => break,
-                ExsStep::Busy | ExsStep::Idle => {}
-            }
-        }
-        self.finish()
     }
 
     /// Orderly teardown: drain the rings, flush everything buffered and
@@ -561,6 +538,34 @@ impl ExternalSensor {
     }
 }
 
+/// The one EXS runtime. Steps while linked; a lost link is dialed again
+/// when the EXS has a [`ConnectFn`] and ends the run when it has none.
+/// Runs until `stop` or an orderly ISM `Shutdown`, then flushes and says
+/// goodbye on a live link.
+fn drive(mut exs: ExternalSensor, stop: &AtomicBool) -> Result<ExsStats> {
+    let shared = Arc::clone(&exs.shared);
+    while !stop.load(Ordering::Relaxed) {
+        if !exs.linked() && !exs.redial() {
+            if !exs.uplink.redials() {
+                break;
+            }
+            // Wait out the backoff in small slices so `stop` stays
+            // responsive; a failed dial schedules the next attempt.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        }
+        if exs.step()? == ExsStep::Shutdown {
+            break;
+        }
+    }
+    // A connection that dies during the final flush is fine; the counters
+    // land in `shared` either way.
+    if exs.linked() {
+        let _ = exs.finish();
+    }
+    Ok(shared.snapshot())
+}
+
 /// Handle to an EXS running on its own thread.
 pub struct ExsHandle {
     stop: Arc<AtomicBool>,
@@ -579,6 +584,11 @@ impl ExsHandle {
     /// Live counters of the running EXS (no need to stop it).
     pub fn stats_now(&self) -> ExsStats {
         self.shared.snapshot()
+    }
+
+    /// Connections attached so far (1 = never reconnected).
+    pub fn connects(&self) -> u64 {
+        self.shared.connects.load(Ordering::Relaxed)
     }
 
     /// The shared telemetry backing of the running EXS.
@@ -605,23 +615,13 @@ impl ExsHandle {
     }
 }
 
-/// Spawn an EXS on a dedicated thread (the usual deployment: "runs as
-/// another process on the same node", here a thread).
-pub fn spawn_exs(
-    node: NodeId,
-    rings: Arc<RingSet>,
-    raw_clock: Arc<dyn Clock>,
-    conn: Box<dyn Connection>,
-    cfg: ExsConfig,
-) -> Result<ExsHandle> {
-    let exs = ExternalSensor::new(node, rings, raw_clock, conn, cfg)?;
-    let clock = Arc::clone(exs.corrected_clock());
-    let shared = Arc::clone(exs.telemetry());
+fn spawn(exs: ExternalSensor) -> Result<ExsHandle> {
+    let (node, clock, shared) = (exs.node, Arc::clone(&exs.clock), Arc::clone(&exs.shared));
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let join = std::thread::Builder::new()
         .name(format!("brisk-exs-{node}"))
-        .spawn(move || exs.run(&stop2))
+        .spawn(move || drive(exs, &stop2))
         .map_err(BriskError::Io)?;
     Ok(ExsHandle {
         stop,
@@ -630,6 +630,34 @@ pub fn spawn_exs(
         shared,
         join,
     })
+}
+
+/// Spawn an EXS on a dedicated thread (the usual deployment: "runs as
+/// another process on the same node", here a thread) over `conn`. It ends
+/// when that link drops.
+pub fn spawn_exs(
+    node: NodeId,
+    rings: Arc<RingSet>,
+    raw_clock: Arc<dyn Clock>,
+    conn: Box<dyn Connection>,
+    cfg: ExsConfig,
+) -> Result<ExsHandle> {
+    spawn(ExternalSensor::new(node, rings, raw_clock, conn, cfg)?)
+}
+
+/// Spawn an EXS that dials through `connect`, at once and again after
+/// every lost link under `sup`'s backoff. It stops for good only on its
+/// `stop` flag or an orderly ISM `Shutdown`. One EXS serves the node's
+/// whole lifetime, so its counters are totals across reconnects.
+pub fn spawn_exs_supervised(
+    node: NodeId,
+    rings: Arc<RingSet>,
+    raw_clock: Arc<dyn Clock>,
+    connect: ConnectFn,
+    cfg: ExsConfig,
+    sup: SupervisorConfig,
+) -> Result<ExsHandle> {
+    spawn(ExternalSensor::detached(node, rings, raw_clock, cfg)?.with_redial(connect, sup))
 }
 
 #[cfg(test)]
@@ -1233,8 +1261,8 @@ mod tests {
     fn heartbeat_pacing_survives_backward_clock_step() {
         use brisk_clock::FaultClock;
         // A node whose raw clock steps backward by 10 s must not stall
-        // heartbeats for those 10 s (corrected-clock pacing would: the
-        // elapsed-since-last-send computation goes negative until the
+        // heartbeats for those 10 s (pacing on plain clock readings would:
+        // the elapsed-since-last-send computation goes negative until the
         // clock climbs back past its old reading).
         let t = MemTransport::with_model(LinkModel::ideal());
         let mut l = t.listen("ism").unwrap();
@@ -1394,5 +1422,374 @@ mod tests {
         recv_msg(&mut r.ism_side);
         assert_eq!(r.exs.step().unwrap(), ExsStep::Idle);
         assert!(r.exs.stats().iterations >= 1);
+    }
+
+    /// A hand-rolled "ISM" that accepts connections one at a time and can
+    /// kill them, counting the records received across connections.
+    fn recv_records(
+        conn: &mut Box<dyn Connection>,
+        budget: Duration,
+    ) -> (usize, bool /* disconnected */) {
+        let deadline = std::time::Instant::now() + budget;
+        let mut n = 0;
+        while std::time::Instant::now() < deadline {
+            match conn.recv(Some(Duration::from_millis(10))) {
+                Ok(Some(frame)) => {
+                    if let Ok(Message::EventBatch { records, .. }) = Message::decode(&frame) {
+                        n += records.len();
+                    }
+                }
+                Ok(None) => {}
+                Err(_) => return (n, true),
+            }
+        }
+        (n, false)
+    }
+
+    #[test]
+    fn survives_server_side_disconnect() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let rings = RingSet::new(NodeId(1), 1 << 20);
+        let mut port = rings.register();
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            Arc::clone(&rings),
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig {
+                flush_timeout: Duration::from_millis(5),
+                ..ExsConfig::default()
+            },
+            SupervisorConfig::default(),
+        )
+        .unwrap();
+
+        // First connection: receive some records, then kill it.
+        let mut conn1 = listener
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .unwrap();
+        for i in 0..50 {
+            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
+                .unwrap();
+        }
+        let (got1, _) = recv_records(&mut conn1, Duration::from_millis(300));
+        assert!(got1 > 0, "first connection must carry records");
+        drop(conn1); // abrupt server-side disconnect
+
+        // The EXS must reconnect…
+        let mut conn2 = listener
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .unwrap();
+        // …re-send Hello…
+        let frame = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        assert!(matches!(
+            Message::decode(&frame).unwrap(),
+            Message::Hello {
+                node: NodeId(1),
+                ..
+            }
+        ));
+        // …and keep delivering new records.
+        for i in 50..80 {
+            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
+                .unwrap();
+        }
+        let (got2, _) = recv_records(&mut conn2, Duration::from_millis(300));
+        assert!(got2 > 0, "records must flow on the new connection");
+
+        assert_eq!(handle.connects(), 2);
+        let stats = handle.stop().unwrap();
+        assert_eq!(stats.connects, 2);
+        assert_eq!(stats.reconnects, 1);
+    }
+
+    #[test]
+    fn correction_value_carries_across_reconnect() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let rings = RingSet::new(NodeId(1), 1 << 20);
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            rings,
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig::default(),
+            SupervisorConfig::default(),
+        )
+        .unwrap();
+
+        let mut conn1 = listener
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .unwrap();
+        let _hello = conn1.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        // Adjust the slave's correction, then kill the connection.
+        conn1
+            .send(
+                &Message::SyncAdjust {
+                    round: 1,
+                    advance_us: 12_345,
+                }
+                .encode(),
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(conn1);
+
+        let mut conn2 = listener
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .unwrap();
+        let _hello = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        // Poll the new incarnation: its reply must include the carried
+        // correction (clock reads now + 12_345 ± scheduling slack).
+        let before = UtcMicros::now();
+        conn2
+            .send(
+                &Message::SyncPoll {
+                    round: 2,
+                    sample: 0,
+                    master_send: before,
+                }
+                .encode(),
+            )
+            .unwrap();
+        let reply = loop {
+            let frame = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            if let Message::SyncReply { slave_time, .. } = Message::decode(&frame).unwrap() {
+                break slave_time;
+            }
+        };
+        let skew = reply.micros_since(UtcMicros::now());
+        assert!(
+            (8_000..=12_345).contains(&skew),
+            "slave clock must be ~12.3 ms ahead (carried correction), got {skew}"
+        );
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn a_link_declared_corrupt_is_redialed_and_replayed() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let rings = RingSet::new(NodeId(1), 1 << 20);
+        let mut port = rings.register();
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            Arc::clone(&rings),
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig {
+                flush_timeout: Duration::from_millis(5),
+                ..ExsConfig::default()
+            },
+            SupervisorConfig {
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+            },
+        )
+        .unwrap();
+        // Each incarnation opens with Hello and then the unacked batch
+        // (never acked here, so every redial must replay it).
+        let mut accept = || {
+            let mut conn = listener
+                .accept(Some(Duration::from_secs(5)))
+                .unwrap()
+                .expect("the EXS must dial again");
+            let hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            assert!(matches!(Message::decode(&hello), Ok(Message::Hello { .. })));
+            let batch = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            match Message::decode(&batch).unwrap() {
+                Message::EventBatch { seq, records, .. } => {
+                    assert_eq!((seq, records.len()), (Some(1), 3));
+                }
+                other => panic!("expected the windowed batch, got {other:?}"),
+            }
+            conn
+        };
+        for i in 0..3 {
+            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
+                .unwrap();
+        }
+        let mut first = accept();
+        // One undecodable frame past the budget drops the link…
+        for _ in 0..=CONTROL_ERROR_BUDGET {
+            first.send(&[0xba, 0xad]).unwrap();
+        }
+        let mut second = accept();
+        // …and so does a message a sender must never receive.
+        let hello = Message::Hello {
+            node: NodeId(9),
+            version: brisk_proto::VERSION,
+        };
+        second.send(&hello.encode()).unwrap();
+        let _third = accept();
+        // An attach is counted once its Hello and replay are out, so the
+        // peer can read them before the count moves.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.connects() < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(handle.connects(), 3);
+        let stats = handle.stop().unwrap();
+        assert_eq!(stats.decode_errors, u64::from(CONTROL_ERROR_BUDGET));
+        assert_eq!(stats.batches_retransmitted, 2);
+    }
+
+    #[test]
+    fn backoff_resets_only_after_hello_ack() {
+        // Two supervised runs against hand-rolled ISMs that kill every
+        // connection shortly after accepting it. The only difference: one
+        // acknowledges the Hello first. With a large initial backoff the
+        // no-ack run must pay the backoff between incarnations, while the
+        // acked run reconnects promptly each time.
+        fn run(ack: bool) -> Duration {
+            let t = MemTransport::new();
+            let mut listener = t.listen("ism").unwrap();
+            let rings = RingSet::new(NodeId(1), 1 << 20);
+            let t2 = Arc::clone(&t);
+            let handle = spawn_exs_supervised(
+                NodeId(1),
+                rings,
+                Arc::new(SystemClock),
+                Box::new(move || t2.connect("ism")),
+                ExsConfig::default(),
+                SupervisorConfig {
+                    initial_backoff: Duration::from_millis(250),
+                    max_backoff: Duration::from_secs(2),
+                },
+            )
+            .unwrap();
+            let start = std::time::Instant::now();
+            for _ in 0..2 {
+                let mut conn = listener
+                    .accept(Some(Duration::from_secs(10)))
+                    .unwrap()
+                    .unwrap();
+                let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+                if ack {
+                    conn.send(
+                        &Message::HelloAck {
+                            version: brisk_proto::VERSION,
+                            credit: 1024,
+                        }
+                        .encode(),
+                    )
+                    .unwrap();
+                    // Give the EXS a step to process the ack before the kill.
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                drop(conn);
+            }
+            let _conn3 = listener
+                .accept(Some(Duration::from_secs(10)))
+                .unwrap()
+                .unwrap();
+            let elapsed = start.elapsed();
+            handle.stop().ok();
+            elapsed
+        }
+        let with_ack = run(true);
+        let without_ack = run(false);
+        // No HelloAck → two backoff pauses of ≥ 250 ms each before the
+        // third connection shows up.
+        assert!(
+            without_ack >= Duration::from_millis(450),
+            "pre-ack deaths must keep (and grow) the backoff, got {without_ack:?}"
+        );
+        assert!(
+            with_ack < without_ack,
+            "acked incarnations must reconnect faster ({with_ack:?} vs {without_ack:?})"
+        );
+    }
+
+    #[test]
+    fn a_reconnect_refused_before_its_hello_ack_is_retried() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            RingSet::new(NodeId(1), 1 << 20),
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig::default(),
+            SupervisorConfig {
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+            },
+        )
+        .unwrap();
+        let mut accept = || {
+            let mut conn = listener
+                .accept(Some(Duration::from_secs(5)))
+                .unwrap()
+                .expect("the EXS must dial");
+            let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            conn
+        };
+        // Incarnation 1 is established, then its link dies abruptly.
+        let mut first = accept();
+        let ack = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: 1024,
+        };
+        first.send(&ack.encode()).unwrap();
+        while handle.stats_now().hello_acks < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(first);
+        // Incarnation 2 races the ISM's reaping of the dead connection and
+        // is refused as a duplicate: `Shutdown`, no `HelloAck`.
+        let mut second = accept();
+        second.send(&Message::Shutdown.encode()).unwrap();
+        // The node must come back rather than stay down for good.
+        let _third = accept();
+        handle.stop().ok();
+    }
+
+    #[test]
+    fn orderly_ism_shutdown_is_honoured_not_retried() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let rings = RingSet::new(NodeId(1), 1 << 20);
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            rings,
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig::default(),
+            SupervisorConfig::default(),
+        )
+        .unwrap();
+        let mut conn = listener
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .unwrap();
+        let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        conn.send(&Message::Shutdown.encode()).unwrap();
+        // The EXS must exit on its own, without a reconnect attempt.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.connects() < 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            listener
+                .accept(Some(Duration::from_millis(100)))
+                .unwrap()
+                .is_none(),
+            "no reconnect after an orderly shutdown"
+        );
+        let stats = handle.stop().unwrap();
+        assert_eq!(stats.connects, 1);
+        assert_eq!(stats.reconnects, 0);
     }
 }

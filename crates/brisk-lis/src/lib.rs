@@ -18,8 +18,12 @@
 //!   ([`brisk_core::ExsConfig`]) and ships batches to the ISM over the
 //!   transfer protocol. It also answers clock-sync polls and applies
 //!   adjustments (the sync *slave* role). Everything a sender does
-//!   with window, credit, acks, replay and heartbeats lives in
-//!   [`uplink::Uplink`], which the relay ISM's upstream link shares.
+//!   with window, credit, acks, replay, heartbeats and redial lives in
+//!   [`uplink::Uplink`], which the relay ISM's upstream link shares. One
+//!   runtime drives every EXS and returns one [`ExsHandle`]:
+//!   [`spawn_exs`] runs it over a single connection, and
+//!   [`spawn_exs_supervised`] dials through a [`uplink::ConnectFn`] and
+//!   dials again after every lost link.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,14 +32,12 @@ pub mod batch;
 pub mod exs;
 pub mod profiling;
 pub mod sensor;
-pub mod supervisor;
 #[doc(hidden)]
 pub mod testkit;
 pub mod uplink;
 
 pub use batch::{Batcher, FlushReason};
-pub use exs::{spawn_exs, ExsHandle, ExsStats, ExsTelemetry, ExternalSensor};
+pub use exs::{spawn_exs, spawn_exs_supervised, ExsHandle, ExsStats, ExsTelemetry, ExternalSensor};
 pub use profiling::{CounterSensor, Scope, SensorGate};
 pub use sensor::Lis;
-pub use supervisor::{spawn_exs_supervised, SupervisedExsHandle, SupervisorConfig};
-pub use uplink::Uplink;
+pub use uplink::{SupervisorConfig, Uplink};

@@ -16,9 +16,9 @@
 //! dials again under decorrelated-jitter backoff ([`SupervisorConfig`]);
 //! without one the link simply stays down. The callers keep one policy
 //! difference: after an orderly `Shutdown` the EXS stops, the relay
-//! redials. Heartbeat pacing takes its "now" as an argument (any monotone
-//! µs count), so the EXS can pace on its raw-clock accumulator and stay
-//! deterministic under a simulated clock while the relay uses wall time.
+//! redials. Heartbeats are paced on the sender's own clock, accumulated
+//! forward-only, so the EXS stays deterministic under a simulated clock
+//! and a clock stepped backward neither stalls nor floods them.
 
 use crate::batch::SendWindow;
 use brisk_clock::Clock;
@@ -152,7 +152,7 @@ pub struct Windowed {
 pub struct Uplink {
     node: NodeId,
     /// Answers `SyncPoll`s (the sender's *corrected* time: slaves converge
-    /// on each other through their corrections).
+    /// on each other through their corrections) and paces heartbeats.
     clock: Arc<dyn Clock>,
     heartbeat_interval: Duration,
     conn: Option<Box<dyn Connection>>,
@@ -164,7 +164,12 @@ pub struct Uplink {
     /// the gap before the new `HelloAck` stays paced by the old grant.
     grant: Option<u64>,
     control_errors: u32,
-    /// Pacing "now" of the last frame sent on this connection.
+    /// Heartbeat pacing µs: forward progress of `clock` accrues here, a
+    /// backward step contributes nothing.
+    paced_us: i64,
+    /// Last `clock` reading, to derive forward deltas for `paced_us`.
+    last_read_us: i64,
+    /// `paced_us` of the last frame sent on this connection.
     last_send_us: i64,
     /// Connections attached so far.
     connects: u64,
@@ -175,8 +180,8 @@ pub struct Uplink {
 }
 
 impl Uplink {
-    /// New, unattached session for `node`. `clock` answers sync polls;
-    /// `heartbeat_interval` zero disables heartbeats.
+    /// New, unattached session for `node`. `clock` answers sync polls and
+    /// paces heartbeats; `heartbeat_interval` zero disables them.
     pub fn new(
         node: NodeId,
         clock: Arc<dyn Clock>,
@@ -185,12 +190,14 @@ impl Uplink {
     ) -> Uplink {
         Uplink {
             node,
+            last_read_us: clock.now().as_micros(),
             clock,
             heartbeat_interval,
             conn: None,
             window: SendWindow::new(window_batches),
             grant: None,
             control_errors: 0,
+            paced_us: 0,
             last_send_us: 0,
             connects: 0,
             acked: false,
@@ -206,9 +213,24 @@ impl Uplink {
         self
     }
 
-    /// Replace the clock that answers sync polls.
+    /// Replace the clock that answers sync polls and paces heartbeats.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
+        self.last_read_us = clock.now().as_micros();
         self.clock = clock;
+    }
+
+    /// Advance and read the heartbeat pacing clock.
+    fn pace(&mut self) -> i64 {
+        let now = self.clock.now().as_micros();
+        let delta = now.saturating_sub(self.last_read_us);
+        self.last_read_us = now;
+        self.paced_us = self.paced_us.saturating_add(delta.max(0));
+        self.paced_us
+    }
+
+    /// True when a [`ConnectFn`] dials lost links again.
+    pub(crate) fn redials(&self) -> bool {
+        self.redial.is_some()
     }
 
     /// True while a connection is attached.
@@ -248,7 +270,7 @@ impl Uplink {
     /// sequence order ahead of new traffic. Returns how many batches were
     /// replayed (harmless if the ISM already processed them: it dedups by
     /// `(node, seq)`). On error nothing is attached and the window is intact.
-    pub fn attach(&mut self, mut conn: Box<dyn Connection>, now_us: i64) -> Result<usize> {
+    pub fn attach(&mut self, mut conn: Box<dyn Connection>) -> Result<usize> {
         self.conn = None;
         self.control_errors = 0;
         self.acked = false;
@@ -267,20 +289,20 @@ impl Uplink {
         }
         self.conn = Some(conn);
         self.connects += 1;
-        self.last_send_us = now_us;
+        self.last_send_us = self.pace();
         Ok(self.window.depth())
     }
 
     /// With the link down, a [`ConnectFn`] set and the backoff elapsed,
     /// dial and [`Uplink::attach`]; `Some(replayed)` once a connection is
     /// attached. A failed attempt schedules the next one.
-    pub fn redial(&mut self, now_us: i64) -> Option<usize> {
+    pub fn redial(&mut self) -> Option<usize> {
         let r = self.redial.as_ref()?;
         if self.conn.is_some() || r.next_attempt > Instant::now() {
             return None;
         }
         let dialed = (r.connect)();
-        match dialed.and_then(|conn| self.attach(conn, now_us)) {
+        match dialed.and_then(|conn| self.attach(conn)) {
             Ok(replayed) => {
                 brisk_telemetry::flight_log!(
                     Info,
@@ -344,45 +366,45 @@ impl Uplink {
     /// Window a fresh batch and ship it. The window effect happens
     /// whether or not the link send succeeds: a batch whose send failed
     /// stays windowed and the next `attach` replays it.
-    pub fn send(&mut self, records: Vec<EventRecord>, now_us: i64) -> (Windowed, Result<()>) {
+    pub fn send(&mut self, records: Vec<EventRecord>) -> (Windowed, Result<()>) {
         // Encode from the borrow under the sequence number the window is
         // about to assign, then move the records into it: no copy.
         let seq = self.window.next_seq();
         let frame = encode_batch(self.node, Some(seq), &records);
         let windowed = self.stash(records);
         debug_assert_eq!(windowed.seq, seq);
-        (windowed, self.send_frame(&frame, now_us))
+        (windowed, self.send_frame(&frame))
     }
 
-    fn send_frame(&mut self, frame: &[u8], now_us: i64) -> Result<()> {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<()> {
         let sent = self
             .conn
             .as_mut()
             .ok_or(BriskError::Disconnected)?
             .send(frame);
         sent.map_err(|e| self.fail(e))?;
-        self.last_send_us = now_us;
+        self.last_send_us = self.pace();
         Ok(())
     }
 
     /// Best-effort orderly `Shutdown` notice.
     pub fn send_shutdown(&mut self) {
-        let _ = self.send_frame(&Message::Shutdown.encode(), self.last_send_us);
+        let _ = self.send_frame(&Message::Shutdown.encode());
     }
 
     /// Send a `Heartbeat` when the link has been send-idle for a full
     /// interval (a zero interval disables them). Any frame sent — and the
     /// `HelloAck` — resets the pacing, so heartbeats only ever ride an
     /// otherwise-quiet link. Returns whether one was sent.
-    pub fn heartbeat_if_idle(&mut self, now_us: i64) -> Result<bool> {
+    pub fn heartbeat_if_idle(&mut self) -> Result<bool> {
         if self.heartbeat_interval.is_zero() || self.conn.is_none() {
             return Ok(false);
         }
         let interval_us = self.heartbeat_interval.as_micros() as i64;
-        if now_us.saturating_sub(self.last_send_us) < interval_us {
+        if self.pace().saturating_sub(self.last_send_us) < interval_us {
             return Ok(false);
         }
-        self.send_frame(&Message::Heartbeat.encode(), now_us)?;
+        self.send_frame(&Message::Heartbeat.encode())?;
         Ok(true)
     }
 
@@ -401,7 +423,7 @@ impl Uplink {
     /// up to the budget. One frame past it, a message a sender must never
     /// receive, or a `Shutdown` refusing a *re*connect before its
     /// `HelloAck` drops the link and returns the error.
-    pub fn handle_frame(&mut self, frame: &[u8], now_us: i64) -> Result<Control> {
+    pub fn handle_frame(&mut self, frame: &[u8]) -> Result<Control> {
         let msg = match Message::decode(frame) {
             Ok(msg) => msg,
             Err(_) if self.control_errors < CONTROL_ERROR_BUDGET => {
@@ -416,7 +438,7 @@ impl Uplink {
                 self.grant = Some(credit);
                 // Idle time before the greeting completed doesn't count
                 // toward the heartbeat deadline.
-                self.last_send_us = now_us;
+                self.last_send_us = self.pace();
                 Control::Granted { credit }
             }
             Message::BatchAck { seq, credit } => {
@@ -436,7 +458,7 @@ impl Uplink {
                     master_send,
                     slave_time: self.clock.now(),
                 };
-                self.send_frame(&reply.encode(), now_us)?;
+                self.send_frame(&reply.encode())?;
                 Control::SyncPoll
             }
             Message::SyncAdjust { advance_us, .. } => Control::Adjusted(advance_us),
@@ -460,9 +482,9 @@ impl Uplink {
 
     /// [`Uplink::recv`] then [`Uplink::handle_frame`]; `None` when nothing
     /// arrived within the wait.
-    pub fn poll_control(&mut self, wait: Duration, now_us: i64) -> Result<Option<Control>> {
+    pub fn poll_control(&mut self, wait: Duration) -> Result<Option<Control>> {
         match self.recv(wait)? {
-            Some(frame) => self.handle_frame(&frame, now_us).map(Some),
+            Some(frame) => self.handle_frame(&frame).map(Some),
             None => Ok(None),
         }
     }
@@ -487,13 +509,13 @@ mod tests {
     #[test]
     fn send_on_a_detached_link_still_windows_the_batch() {
         let mut up = uplink();
-        let (w, sent) = up.send(vec![], 0);
+        let (w, sent) = up.send(vec![]);
         assert_eq!(w.seq, 1);
         assert!(sent.unwrap_err().is_disconnect());
         assert_eq!(up.window_depth(), 1);
         // Attaching replays it right after the Hello.
         let (mut ism, conn) = mem_pair();
-        assert_eq!(up.attach(conn, 0).unwrap(), 1);
+        assert_eq!(up.attach(conn).unwrap(), 1);
         assert!(matches!(recv_msg(&mut ism), Message::Hello { .. }));
         assert!(matches!(
             recv_msg(&mut ism),

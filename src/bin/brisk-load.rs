@@ -33,7 +33,15 @@
 //! per outbound frame, scheduled deterministically from `--fault-seed` —
 //! the same seed replays the same fault sequence, so an ISM-side
 //! quarantine report can be reproduced exactly. `--fault-kill-after N`
-//! severs the connection after N frames to exercise supervisor reconnect.
+//! severs each connection after N frames.
+//!
+//! The node outlives its links: the EXS redials whenever a connection dies
+//! (a fault-plane kill, or an ISM that crashed and came back) and replays
+//! every unacknowledged batch, so the ISM still receives each record
+//! exactly once. Each dialed connection gets its dial ordinal as its fault
+//! connection id. Only the first dial is checked: an ISM that is
+//! unreachable at start is an error. An orderly ISM `Shutdown` ends the
+//! node's shipping for good.
 //!
 //! `--replay DIR` switches to offline mode: instead of generating load, it
 //! reads the durable trace a `brisk-ismd --store-dir DIR` run captured and
@@ -42,8 +50,10 @@
 //! `--speed F` compresses the original timing by `F` (default: flat out).
 
 use brisk::cli::{ms, on, put, val, Endpoint, Flag, Verdict};
+use brisk::lis::uplink::ConnectFn;
 use brisk::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The node's flags land in its EXS config and fault plane; the load shape,
@@ -208,15 +218,11 @@ fn main() {
     }
     let lis = Lis::new(NodeId(args.node), Arc::new(Arc::clone(&clock)), &cfg);
     let endpoint = args.endpoint.unwrap_or_default();
-    let conn = endpoint.connect().unwrap_or_else(|e| {
+    let first = endpoint.connect().unwrap_or_else(|e| {
         eprintln!("cannot connect to the ISM: {e}");
         std::process::exit(1);
     });
-    let (conn, fault_stats) = if args.fault.is_noop() {
-        (conn, None)
-    } else {
-        let stats = FaultStats::new();
-        let wrapped = FaultingConnection::wrap(conn, args.fault, 0, Arc::clone(&stats));
+    let fault_stats = (!args.fault.is_noop()).then(|| {
         eprintln!(
             "brisk-load: fault plane armed (seed {}): corrupt {} truncate {} duplicate {} \
              reorder {} delay {} (max {:?}) kill-after {:?}",
@@ -229,10 +235,34 @@ fn main() {
             args.fault.max_delay,
             args.fault.kill_after_frames,
         );
-        (wrapped, Some(stats))
-    };
-    let exs =
-        spawn_exs(NodeId(args.node), Arc::clone(lis.rings()), clock, conn, cfg).expect("spawn EXS");
+        FaultStats::new()
+    });
+    // The EXS's first dial takes the connection checked above; later ones
+    // dial afresh.
+    let first = Mutex::new(Some(first));
+    let dials = AtomicU64::new(0);
+    let (fault, plane) = (args.fault, fault_stats.clone());
+    let connect: ConnectFn = Box::new(move || {
+        let taken = first.lock().expect("first-dial slot poisoned").take();
+        let conn = match taken {
+            Some(conn) => conn,
+            None => endpoint.connect()?,
+        };
+        let ordinal = dials.fetch_add(1, Ordering::Relaxed);
+        Ok(match &plane {
+            Some(stats) => FaultingConnection::wrap(conn, fault, ordinal, Arc::clone(stats)),
+            None => conn,
+        })
+    });
+    let exs = spawn_exs_supervised(
+        NodeId(args.node),
+        Arc::clone(lis.rings()),
+        clock,
+        connect,
+        cfg,
+        SupervisorConfig::default(),
+    )
+    .expect("spawn EXS");
     let registry = (args.stats || args.stats_addr.is_some()).then(|| {
         let registry = Registry::new();
         lis.rings().bind_telemetry(&registry);
@@ -367,9 +397,11 @@ fn main() {
     }
     eprintln!(
         "brisk-load: emitted {total_emitted} (dropped {total_dropped}); EXS sent {} records \
-         in {} batches, answered {} sync polls, applied {} adjustments ({} ignored)",
+         in {} batches over {} connections, answered {} sync polls, applied {} adjustments \
+         ({} ignored)",
         stats.records_sent,
         stats.batches_sent,
+        stats.connects,
         stats.sync_replies,
         stats.adjustments,
         stats.sync_ignored,

@@ -113,7 +113,7 @@ pub mod prelude {
     };
     pub use brisk_lis::{
         spawn_exs, spawn_exs_supervised, Batcher, CounterSensor, ExsHandle, ExternalSensor, Lis,
-        Scope, SensorGate, SupervisedExsHandle, SupervisorConfig,
+        Scope, SensorGate, SupervisorConfig,
     };
     #[cfg(unix)]
     pub use brisk_net::UdsTransport;

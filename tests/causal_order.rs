@@ -58,7 +58,7 @@ fn spawn_leaf<C: Clock + Send + Sync + 'static>(
     node: NodeId,
     clock: Arc<C>,
     cfg: ExsConfig,
-) -> (SupervisedExsHandle, SensorPort) {
+) -> (ExsHandle, SensorPort) {
     let rings = RingSet::new(node, 1 << 20);
     let port = rings.register();
     let t = Arc::clone(tree.transport());

@@ -8,7 +8,7 @@
 //! exactly once — all while staying up and exporting the damage as
 //! Prometheus counters.
 
-use brisk::lis::supervisor::{spawn_exs_supervised, SupervisorConfig};
+use brisk::lis::{spawn_exs_supervised, SupervisorConfig};
 use brisk::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

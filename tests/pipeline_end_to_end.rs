@@ -294,11 +294,22 @@ fn ring_overflow_shows_up_as_seq_gaps_not_corruption() {
         }
     }
     assert!(accepted < 20_000, "a 2 KiB ring must overflow");
-    let got = wait_for(
+    let mut got = wait_for(
         || reader.poll().unwrap().0,
         accepted as usize,
         Duration::from_secs(20),
     );
+    // An EXS thread that got no CPU during the burst leaves every drop
+    // after the last delivered record. One more record, emitted once the
+    // burst has drained, puts the drops between delivered records.
+    let i = 20_000i64;
+    assert!(notice!(port, lis.clock(), EventTypeId(1), i, i * 2, i * 3));
+    accepted += 1;
+    got.extend(wait_for(
+        || reader.poll().unwrap().0,
+        1,
+        Duration::from_secs(20),
+    ));
     assert_eq!(got.len() as u64, accepted, "every accepted record arrives");
     let mut checker = OrderChecker::new();
     for r in &got {

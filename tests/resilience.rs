@@ -1,6 +1,6 @@
 //! Workspace integration tests: failure injection and recovery.
 
-use brisk::lis::supervisor::{spawn_exs_supervised, SupervisorConfig};
+use brisk::lis::{spawn_exs_supervised, SupervisorConfig};
 use brisk::net::LinkModel;
 use brisk::prelude::*;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn spawn_ism_tcp() -> brisk::ism::IsmHandle {
 /// record loss. The phase-1 ISM never acknowledges anything, so every batch
 /// it swallowed is still in the retransmit window, carried across the
 /// restart and replayed to the replacement. (An orderly `ism.stop()` is
-/// honoured rather than retried — that case is covered by the supervisor's
+/// honoured rather than retried — that case is covered by the EXS's
 /// unit tests.)
 #[test]
 fn supervised_node_survives_ism_restart() {
@@ -81,7 +81,7 @@ fn supervised_node_survives_ism_restart() {
     }
     assert!(phase1.join().unwrap() >= 2, "phase-1 ISM saw traffic");
 
-    // Phase 2: a real replacement ISM appears; the supervisor reconnects,
+    // Phase 2: a real replacement ISM appears; the EXS reconnects,
     // replays the carried window (phase 1 never acked, so everything it saw
     // is still retained), and new records flow. Some of the phase-2 records
     // below are emitted while still disconnected — they wait in the ring.
@@ -102,7 +102,7 @@ fn supervised_node_survives_ism_restart() {
     let stats = handle.stop().unwrap();
     assert!(stats.reconnects >= 1);
     assert!(
-        stats.exs.batches_retransmitted >= 1,
+        stats.batches_retransmitted >= 1,
         "the carried window must have replayed phase-1 batches"
     );
     // Zero loss *and* zero duplicates: every record emitted since the very
@@ -188,7 +188,7 @@ fn flaky_link_delivers_every_record_exactly_once() {
         stats.connects
     );
     assert!(
-        stats.exs.batches_retransmitted >= 1,
+        stats.batches_retransmitted >= 1,
         "reconnects must have replayed the window"
     );
     // Let any straggling (would-be duplicate) deliveries settle, then
@@ -430,11 +430,11 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
         stats.connects
     );
     assert!(
-        stats.exs.hello_acks >= 2,
+        stats.hello_acks >= 2,
         "each incarnation must have received an authoritative grant"
     );
     assert!(
-        stats.exs.batches_retransmitted >= 1,
+        stats.batches_retransmitted >= 1,
         "reconnects must have replayed the window"
     );
     std::thread::sleep(Duration::from_millis(100));
