@@ -127,20 +127,40 @@ impl<'a> Cursor<'a> {
 /// Decode one record from the front of `buf`. Returns the record and the
 /// number of bytes consumed.
 pub fn decode_record(buf: &[u8]) -> Result<(EventRecord, usize)> {
+    let mut rec = EventRecord::new(
+        NodeId(0),
+        SensorId(0),
+        EventTypeId(0),
+        0,
+        UtcMicros::ZERO,
+        Vec::new(),
+    )?;
+    let used = decode_record_into(buf, &mut rec)?;
+    Ok((rec, used))
+}
+
+/// Decode one record from the front of `buf` over `rec`, reusing the
+/// capacity of its `fields` vector: a record of no more fields than `rec`
+/// had room for costs no allocation (strings, byte strings and trace
+/// stamps still own theirs). Returns the number of bytes consumed; on
+/// error `rec` holds a partial record.
+pub fn decode_record_into(buf: &[u8], rec: &mut EventRecord) -> Result<usize> {
     let mut c = Cursor { buf, pos: 0 };
-    let node = NodeId(c.u32()?);
-    let sensor = SensorId(c.u32()?);
-    let event_type = EventTypeId(c.u32()?);
-    let seq = c.u64()?;
-    let ts = UtcMicros::from_micros(c.i64()?);
+    rec.node = NodeId(c.u32()?);
+    rec.sensor = SensorId(c.u32()?);
+    rec.event_type = EventTypeId(c.u32()?);
+    rec.seq = c.u64()?;
+    rec.ts = UtcMicros::from_micros(c.i64()?);
+    // `unpack` bounds the count by `MAX_FIELDS`, the limit
+    // `EventRecord::new` checks.
     let (desc, used) = RecordDescriptor::unpack(&buf[c.pos..])?;
     c.pos += used;
-    let mut fields = Vec::with_capacity(desc.len());
+    rec.fields.clear();
+    rec.fields.reserve_exact(desc.len());
     for &vt in desc.types() {
-        fields.push(decode_value(vt, &mut c)?);
+        rec.fields.push(decode_value(vt, &mut c)?);
     }
-    let rec = EventRecord::new(node, sensor, event_type, seq, ts, fields)?;
-    Ok((rec, c.pos))
+    Ok(c.pos)
 }
 
 fn decode_value(vt: ValueType, c: &mut Cursor<'_>) -> Result<Value> {
@@ -282,6 +302,25 @@ mod tests {
         let (back, used) = decode_record(&buf).unwrap();
         assert_eq!(back, rec);
         assert_eq!(used, n);
+    }
+
+    #[test]
+    fn decode_into_a_reused_record_leaves_nothing_of_the_last_one() {
+        let shapes = [
+            all_types_record(),
+            sample(vec![]),
+            traced_record(),
+            sample(vec![Value::I32(5); 6]),
+        ];
+        let mut shell = sample(vec![Value::Str("stale".into()); 8]);
+        for rec in shapes.iter().chain(shapes.iter().rev()) {
+            let mut buf = Vec::new();
+            let n = encode_record(rec, &mut buf);
+            assert_eq!(decode_record_into(&buf, &mut shell).unwrap(), n);
+            assert_eq!(&shell, rec);
+        }
+        // Eight slots were reserved up front and never outgrown.
+        assert_eq!(shell.fields.capacity(), 8);
     }
 
     #[test]

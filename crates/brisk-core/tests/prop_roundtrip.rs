@@ -174,6 +174,21 @@ proptest! {
         prop_assert!(bitwise_eq(&back, &rec));
     }
 
+    /// Decoding over a reused record (the EXS's shells) yields exactly
+    /// what a fresh decode does, whatever shape the record had before.
+    #[test]
+    fn binenc_decode_into_a_reused_record_matches_a_fresh_decode(
+        recs in proptest::collection::vec(arb_record(), 1..20),
+    ) {
+        let mut shell = recs[0].clone();
+        for rec in &recs {
+            let mut buf = Vec::new();
+            let n = binenc::encode_record(rec, &mut buf);
+            prop_assert_eq!(binenc::decode_record_into(&buf, &mut shell).unwrap(), n);
+            prop_assert!(bitwise_eq(&shell, rec));
+        }
+    }
+
     #[test]
     fn binenc_rejects_any_truncation(rec in arb_record()) {
         let mut buf = Vec::new();

@@ -247,7 +247,8 @@ impl UpstreamExporter {
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let (windowed, sent) = self.uplink.send(records);
+        let (windowed, sent) = self.uplink.send(&records);
+        self.batcher.recycle(records);
         if sent.is_ok() {
             self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
             self.shared.records_exported.fetch_add(n, Ordering::Relaxed);

@@ -10,7 +10,9 @@
 //! `max_batch_bytes` encoded bytes (throughput mode), or when its oldest
 //! record has waited `flush_timeout` (latency mode). The EXS main loop
 //! drives it with the current time, so the same logic runs under real and
-//! simulated clocks.
+//! simulated clocks. A sender hands each emitted batch's vector back
+//! ([`Batcher::recycle`]) once it is encoded, so batch vectors are reused.
+//! The [`SendWindow`] keeps sent batches for replay until they are acked.
 
 use brisk_core::{EventRecord, ExsConfig, UtcMicros};
 use std::collections::VecDeque;
@@ -33,6 +35,9 @@ pub enum FlushReason {
 pub struct Batcher {
     cfg: ExsConfig,
     pending: Vec<EventRecord>,
+    /// An emitted batch's vector handed back by [`Batcher::recycle`]
+    /// (empty), to become the next batch's.
+    spare: Vec<EventRecord>,
     pending_bytes: usize,
     oldest_enqueued_at: Option<UtcMicros>,
     batches_emitted: u64,
@@ -46,6 +51,7 @@ impl Batcher {
         Batcher {
             cfg,
             pending: Vec::with_capacity(cap),
+            spare: Vec::new(),
             pending_bytes: 0,
             oldest_enqueued_at: None,
             batches_emitted: 0,
@@ -121,23 +127,64 @@ impl Batcher {
         Some((self.take(), FlushReason::Forced))
     }
 
+    /// Hand an emitted batch's vector back once it is encoded: its
+    /// records are dropped and its capacity carries the next batch, so a
+    /// sender that recycles every batch allocates no batch vectors.
+    pub fn recycle(&mut self, mut batch: Vec<EventRecord>) {
+        batch.clear();
+        self.spare = batch;
+    }
+
     fn take(&mut self) -> Vec<EventRecord> {
         self.pending_bytes = 0;
         self.oldest_enqueued_at = None;
         self.batches_emitted += 1;
         self.records_emitted += self.pending.len() as u64;
-        // The next batch starts at this one's size (the configured
-        // capacity under load, a few records on a quiet node) instead of
-        // regrowing from empty by doubling.
-        let next = Vec::with_capacity(self.pending.len());
+        // Without a recycled vector the next batch starts at this one's
+        // size (the configured capacity under load, a few records on a
+        // quiet node) instead of regrowing from empty by doubling.
+        let next = match std::mem::take(&mut self.spare) {
+            spare if spare.capacity() > 0 => spare,
+            _ => Vec::with_capacity(self.pending.len()),
+        };
         std::mem::replace(&mut self.pending, next)
     }
 }
 
-/// Bounded retransmit window for acknowledged batch delivery. The EXS assigns every outgoing batch a per-node monotonic sequence
-/// number and keeps a copy here until the ISM's cumulative [`BatchAck`]
-/// covers it; after a reconnect the EXS replays whatever is still
-/// unacked so an abrupt disconnect loses nothing.
+/// What a [`SendWindow`] holds per batch: anything that knows how many
+/// records it carries (the in-flight count credit is charged against).
+pub trait WindowBatch {
+    /// Records in this batch.
+    fn record_count(&self) -> u64;
+}
+
+impl WindowBatch for Vec<EventRecord> {
+    fn record_count(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// A batch as it went on the wire: the encoded frame, replayed byte for
+/// byte after a reconnect, and its record count.
+#[derive(Clone, Debug)]
+pub(crate) struct SentFrame {
+    pub(crate) frame: Vec<u8>,
+    pub(crate) records: u64,
+}
+
+impl WindowBatch for SentFrame {
+    fn record_count(&self) -> u64 {
+        self.records
+    }
+}
+
+/// Bounded retransmit window for acknowledged batch delivery. The sender
+/// assigns every outgoing batch a per-node monotonic sequence number and
+/// keeps it here until the ISM's cumulative [`BatchAck`] covers it; after
+/// a reconnect it replays whatever is still unacked so an abrupt
+/// disconnect loses nothing. The [`crate::uplink::Uplink`] holds encoded
+/// frames; a window of owned records serves callers that frame batches
+/// themselves.
 ///
 /// The window is bounded: pushing into a full window evicts the oldest
 /// unacked batch (returned to the caller so it can be counted as lost)
@@ -145,15 +192,15 @@ impl Batcher {
 ///
 /// [`BatchAck`]: brisk_proto::Message::BatchAck
 #[derive(Clone, Debug)]
-pub struct SendWindow {
+pub struct SendWindow<B = Vec<EventRecord>> {
     next_seq: u64,
-    unacked: VecDeque<(u64, Vec<EventRecord>)>,
+    unacked: VecDeque<(u64, B)>,
     /// Records across `unacked`, kept as a running total.
     unacked_records: u64,
     capacity: usize,
 }
 
-impl SendWindow {
+impl<B: WindowBatch> SendWindow<B> {
     /// New window retaining at most `capacity` unacked batches.
     pub fn new(capacity: usize) -> Self {
         SendWindow {
@@ -180,16 +227,16 @@ impl SendWindow {
         self.unacked_records
     }
 
-    fn pop_front(&mut self) -> Option<Vec<EventRecord>> {
+    fn pop_front(&mut self) -> Option<B> {
         let (_, batch) = self.unacked.pop_front()?;
-        self.unacked_records -= batch.len() as u64;
+        self.unacked_records -= batch.record_count();
         Some(batch)
     }
 
-    /// Assign the next sequence number to `records`, retain a copy for
-    /// replay, and return `(seq, evicted)` where `evicted` is the batch
-    /// pushed out of a full window (its records are lost to replay).
-    pub fn push(&mut self, records: Vec<EventRecord>) -> (u64, Option<Vec<EventRecord>>) {
+    /// Assign the next sequence number to `batch`, retain it for replay,
+    /// and return `(seq, evicted)` where `evicted` is the batch pushed out
+    /// of a full window (its records are lost to replay).
+    pub fn push(&mut self, batch: B) -> (u64, Option<B>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let evicted = if self.unacked.len() >= self.capacity {
@@ -197,9 +244,14 @@ impl SendWindow {
         } else {
             None
         };
-        self.unacked_records += records.len() as u64;
-        self.unacked.push_back((seq, records));
+        self.unacked_records += batch.record_count();
+        self.unacked.push_back((seq, batch));
         (seq, evicted)
+    }
+
+    /// The most recently pushed batch still held.
+    pub(crate) fn newest(&self) -> Option<&B> {
+        self.unacked.back().map(|(_, b)| b)
     }
 
     /// Apply a cumulative ack: drop every batch with `seq <= acked`.
@@ -213,7 +265,7 @@ impl SendWindow {
     }
 
     /// The unacked batches in sequence order, for replay after a reconnect.
-    pub fn iter_unacked(&self) -> impl Iterator<Item = (u64, &Vec<EventRecord>)> {
+    pub fn iter_unacked(&self) -> impl Iterator<Item = (u64, &B)> {
         self.unacked.iter().map(|(s, b)| (*s, b))
     }
 }
@@ -329,6 +381,24 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(reason, FlushReason::Forced);
         assert!(b.flush().is_none());
+    }
+
+    #[test]
+    fn a_recycled_batch_vector_carries_the_next_batch() {
+        let mut b = Batcher::new(cfg(2, 1 << 20, 40));
+        b.push(rec(0), UtcMicros::ZERO);
+        let (first, _) = b.push(rec(1), UtcMicros::ZERO).unwrap();
+        let ptr = first.as_ptr();
+        b.recycle(first);
+        assert!(b.push(rec(2), UtcMicros::ZERO).is_none());
+        // This flush starts the next batch in the recycled vector.
+        let (second, _) = b.push(rec(3), UtcMicros::ZERO).unwrap();
+        assert_ne!(second.as_ptr(), ptr);
+        b.push(rec(4), UtcMicros::ZERO);
+        let (third, _) = b.flush().unwrap();
+        assert_eq!(second.iter().map(|r| r.seq).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(third.as_ptr(), ptr);
+        assert_eq!(third.iter().map(|r| r.seq).collect::<Vec<_>>(), [4]);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! 4. acts as the clock-sync *slave*: answers `SyncPoll`s with its corrected
 //!    time and applies `SyncAdjust`s to the correction value (§3.3).
 //!
+//! Owned records exist only between ring and wire, and they are reused:
+//! once a batch is encoded into the retransmit window, its records become
+//! the shells the next drain decodes into and its vector carries the next
+//! batch, so a steady EXS allocates one frame per batch and nothing per
+//! record.
+//!
 //! When there is nothing to do, the EXS parks in a short timed `recv` on
 //! its ISM connection — the "waiting select system call" the paper
 //! identifies as the worst-case latency contributor (§4): an event arriving
@@ -158,6 +164,9 @@ pub struct ExternalSensor {
     batcher: Batcher,
     shared: Arc<ExsTelemetry>,
     drain_buf: Vec<EventRecord>,
+    /// Records of shipped batches, emptied, for the next drain to decode
+    /// over: their `fields` vectors are reused, not reallocated.
+    shells: Vec<EventRecord>,
     /// The session with the ISM: retransmit window, credit, acks, replay,
     /// heartbeats, control frames and redial. It outlives any one
     /// connection — [`ExternalSensor::reattach`] is all a reconnect takes.
@@ -213,6 +222,7 @@ impl ExternalSensor {
             cfg,
             shared: Arc::default(),
             drain_buf: Vec::with_capacity(512),
+            shells: Vec::new(),
             uplink,
             hlc: Hlc::new(),
             credit_stalled: false,
@@ -361,8 +371,11 @@ impl ExternalSensor {
         let drained = if paused {
             0
         } else {
-            self.rings
-                .drain_into(self.cfg.max_batch_records * 2, &mut self.drain_buf)?
+            self.rings.drain_reusing(
+                self.cfg.max_batch_records * 2,
+                &mut self.drain_buf,
+                &mut self.shells,
+            )?
         };
         self.shared
             .records_drained
@@ -385,8 +398,9 @@ impl ExternalSensor {
             }
             if let Some((batch, reason)) = self.batcher.push(rec, now) {
                 if failed.is_some() {
-                    let windowed = self.uplink.stash(batch);
+                    let windowed = self.uplink.stash(&batch);
                     self.note_windowed(windowed);
+                    self.recycle(batch);
                 } else if let Err(e) = self.send_batch(batch, reason) {
                     failed = Some(e);
                 }
@@ -489,8 +503,9 @@ impl ExternalSensor {
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        let (windowed, sent) = self.uplink.send(records);
+        let (windowed, sent) = self.uplink.send(&records);
         self.note_windowed(windowed);
+        self.recycle(records);
         sent?;
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
         self.shared.batches_sent.fetch_add(1, Ordering::Relaxed);
@@ -505,13 +520,24 @@ impl ExternalSensor {
         Ok(())
     }
 
+    /// Keep a windowed batch's records as shells for the next drain and
+    /// its vector for the next batch: the window holds the encoded frame.
+    fn recycle(&mut self, mut batch: Vec<EventRecord>) {
+        self.shells.extend(batch.drain(..).map(|mut rec| {
+            rec.fields.clear();
+            rec
+        }));
+        self.batcher.recycle(batch);
+    }
+
     /// Orderly teardown: drain the rings, flush everything buffered and
     /// send `Shutdown`, so no accepted record is lost. Consumes the EXS
     /// and returns its final stats.
     pub fn finish(mut self) -> Result<ExsStats> {
         self.drain_buf.clear();
         let correction = self.clock.effective_correction_us();
-        self.rings.drain_into(usize::MAX, &mut self.drain_buf)?;
+        self.rings
+            .drain_reusing(usize::MAX, &mut self.drain_buf, &mut self.shells)?;
         // The final drain counts too: without this, records that only
         // leave the rings during teardown would vanish from the drained
         // total while still showing up in records_sent.
@@ -745,6 +771,46 @@ mod tests {
         }
         assert_eq!(r.exs.stats().records_sent, 2);
         assert_eq!(r.exs.stats().flush_records, 1);
+    }
+
+    #[test]
+    fn records_decoded_over_shipped_ones_carry_nothing_of_them() {
+        let mut cfg = ExsConfig::default();
+        cfg.max_batch_records = 3;
+        let mut r = rig(cfg, 0);
+        recv_msg(&mut r.ism_side); // hello
+        r.exs.corrected_clock().adjust(1_000);
+        let mut port = r.rings.register();
+        let shapes = [
+            vec![
+                Value::Str("wide".into()),
+                Value::Bytes(vec![7; 40]),
+                Value::I32(1),
+            ],
+            vec![],
+            vec![Value::Ts(UtcMicros::from_micros(9)), Value::U8(2)],
+        ];
+        // Each round's records land in the shells of the round before, in
+        // a different shape each time.
+        for round in 0..4 {
+            let mut want = Vec::new();
+            for k in 0..3 {
+                let fields = shapes[(round + k) % 3].clone();
+                let ts = UtcMicros::from_micros(round as i64 * 10 + k as i64);
+                port.emit(EventTypeId(1), ts, fields.clone()).unwrap();
+                let seq = (round * 3 + k) as u64;
+                let mut rec =
+                    EventRecord::new(NodeId(7), port.sensor(), EventTypeId(1), seq, ts, fields)
+                        .unwrap();
+                rec.apply_correction(1_000);
+                want.push(rec);
+            }
+            r.exs.step().unwrap();
+            match recv_msg(&mut r.ism_side) {
+                Message::EventBatch { records, .. } => assert_eq!(records, want),
+                other => panic!("expected batch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

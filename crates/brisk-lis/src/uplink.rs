@@ -5,6 +5,9 @@
 //! state that outlives any one connection: reconnecting is "keep the
 //! `Uplink`, [`Uplink::attach`] the next connection" — `Hello` goes out
 //! followed by every still-unacked batch, nothing is carried over by hand.
+//! The window holds each batch as the frame it was sent as, encoded once
+//! under the sequence number the window assigns, so replay resends the
+//! original bytes and callers only lend their records.
 //!
 //! Two callers sit on it, the [`crate::ExternalSensor`] and the relay
 //! ISM's upstream exporter (a relay's upstream link *is* an EXS link).
@@ -20,7 +23,7 @@
 //! forward-only, so the EXS stays deterministic under a simulated clock
 //! and a clock stepped backward neither stalls nor floods them.
 
-use crate::batch::SendWindow;
+use crate::batch::{SendWindow, SentFrame};
 use brisk_clock::Clock;
 use brisk_core::{BriskError, EventRecord, NodeId, Result};
 use brisk_net::Connection;
@@ -156,8 +159,9 @@ pub struct Uplink {
     clock: Arc<dyn Clock>,
     heartbeat_interval: Duration,
     conn: Option<Box<dyn Connection>>,
-    /// Sent-but-unacked batches, replayed on every `attach`.
-    window: SendWindow,
+    /// Sent-but-unacked batch frames, replayed byte for byte on every
+    /// `attach`.
+    window: SendWindow<SentFrame>,
     /// Absolute in-flight budget the ISM re-advertises on `HelloAck` and
     /// every `BatchAck`; `None` until the first `HelloAck` on any
     /// connection, and the link is open until then. Survives `attach`, so
@@ -284,8 +288,8 @@ impl Uplink {
         // Replay deliberately ignores credit: those records were already
         // granted in flight by the previous connection, and holding them
         // back would stall recovery behind acks that cannot arrive yet.
-        for (seq, records) in self.window.iter_unacked() {
-            conn.send(&encode_batch(self.node, Some(seq), records))?;
+        for (_, batch) in self.window.iter_unacked() {
+            conn.send(&batch.frame)?;
         }
         self.conn = Some(conn);
         self.connects += 1;
@@ -353,10 +357,17 @@ impl Uplink {
         e
     }
 
-    /// Retain a batch for replay without sending it (the link is down);
-    /// the next `attach` delivers it.
-    pub fn stash(&mut self, records: Vec<EventRecord>) -> Windowed {
-        let (seq, evicted) = self.window.push(records);
+    /// Encode a batch under the next sequence number and retain the frame
+    /// for replay without sending it (the link is down); the next `attach`
+    /// delivers it.
+    pub fn stash(&mut self, records: &[EventRecord]) -> Windowed {
+        let next = self.window.next_seq();
+        let frame = encode_batch(self.node, Some(next), records);
+        let (seq, evicted) = self.window.push(SentFrame {
+            frame,
+            records: records.len() as u64,
+        });
+        debug_assert_eq!(seq, next);
         Windowed {
             seq,
             evicted: evicted.is_some(),
@@ -365,23 +376,23 @@ impl Uplink {
 
     /// Window a fresh batch and ship it. The window effect happens
     /// whether or not the link send succeeds: a batch whose send failed
-    /// stays windowed and the next `attach` replays it.
-    pub fn send(&mut self, records: Vec<EventRecord>) -> (Windowed, Result<()>) {
-        // Encode from the borrow under the sequence number the window is
-        // about to assign, then move the records into it: no copy.
-        let seq = self.window.next_seq();
-        let frame = encode_batch(self.node, Some(seq), &records);
+    /// stays windowed and the next `attach` replays it. The records are
+    /// only borrowed, so the caller can reuse them.
+    pub fn send(&mut self, records: &[EventRecord]) -> (Windowed, Result<()>) {
         let windowed = self.stash(records);
-        debug_assert_eq!(windowed.seq, seq);
-        (windowed, self.send_frame(&frame))
+        let batch = self.window.newest().expect("a batch was just windowed");
+        let sent = send_on(&mut self.conn, &batch.frame);
+        (windowed, self.sent(sent))
     }
 
     fn send_frame(&mut self, frame: &[u8]) -> Result<()> {
-        let sent = self
-            .conn
-            .as_mut()
-            .ok_or(BriskError::Disconnected)?
-            .send(frame);
+        let sent = send_on(&mut self.conn, frame);
+        self.sent(sent)
+    }
+
+    /// Account one send attempt: a failure drops the link, a success
+    /// resets the heartbeat pacing.
+    fn sent(&mut self, sent: Result<()>) -> Result<()> {
         sent.map_err(|e| self.fail(e))?;
         self.last_send_us = self.pace();
         Ok(())
@@ -490,6 +501,10 @@ impl Uplink {
     }
 }
 
+fn send_on(conn: &mut Option<Box<dyn Connection>>, frame: &[u8]) -> Result<()> {
+    conn.as_mut().ok_or(BriskError::Disconnected)?.send(frame)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,7 +524,7 @@ mod tests {
     #[test]
     fn send_on_a_detached_link_still_windows_the_batch() {
         let mut up = uplink();
-        let (w, sent) = up.send(vec![]);
+        let (w, sent) = up.send(&[]);
         assert_eq!(w.seq, 1);
         assert!(sent.unwrap_err().is_disconnect());
         assert_eq!(up.window_depth(), 1);

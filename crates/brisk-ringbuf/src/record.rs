@@ -155,17 +155,48 @@ impl RecordConsumer {
         Ok(Some(rec))
     }
 
+    /// Pop one record over `rec`, reusing its `fields` capacity (see
+    /// [`binenc::decode_record_into`]). `Ok(false)` when the ring is empty.
+    fn pop_into(&mut self, rec: &mut EventRecord) -> Result<bool> {
+        if !self.consumer.pop(&mut self.scratch) {
+            return Ok(false);
+        }
+        let used = binenc::decode_record_into(&self.scratch, rec)?;
+        debug_assert_eq!(used, self.scratch.len());
+        Ok(true)
+    }
+
     /// Drain up to `max` records into `out`. Returns how many were read.
     pub fn drain_into(&mut self, max: usize, out: &mut Vec<EventRecord>) -> Result<usize> {
+        self.drain_reusing(max, out, &mut Vec::new())
+    }
+
+    /// [`RecordConsumer::drain_into`], decoding over records popped from
+    /// `shells` before allocating new ones. A shell left over when the
+    /// ring runs dry goes back to `shells`.
+    fn drain_reusing(
+        &mut self,
+        max: usize,
+        out: &mut Vec<EventRecord>,
+        shells: &mut Vec<EventRecord>,
+    ) -> Result<usize> {
         let mut n = 0;
         while n < max {
-            match self.pop()? {
-                Some(rec) => {
-                    out.push(rec);
-                    n += 1;
+            let rec = match shells.pop() {
+                Some(mut shell) => {
+                    if !self.pop_into(&mut shell)? {
+                        shells.push(shell);
+                        break;
+                    }
+                    shell
                 }
-                None => break,
-            }
+                None => match self.pop()? {
+                    Some(rec) => rec,
+                    None => break,
+                },
+            };
+            out.push(rec);
+            n += 1;
         }
         Ok(n)
     }
@@ -286,13 +317,26 @@ impl RingSet {
     /// rings, in registration order) into `out`. Returns how many records
     /// were read.
     pub fn drain_into(&self, max_total: usize, out: &mut Vec<EventRecord>) -> Result<usize> {
+        self.drain_reusing(max_total, out, &mut Vec::new())
+    }
+
+    /// [`RingSet::drain_into`], decoding over the record shells in
+    /// `shells` (their `fields` capacity reused) before allocating new
+    /// records. The EXS feeds it the records of every batch it has
+    /// shipped, so a steady drain allocates nothing per record.
+    pub fn drain_reusing(
+        &self,
+        max_total: usize,
+        out: &mut Vec<EventRecord>,
+        shells: &mut Vec<EventRecord>,
+    ) -> Result<usize> {
         let mut consumers = self.consumers.lock();
         let mut total = 0;
         for c in consumers.iter_mut() {
             if total >= max_total {
                 break;
             }
-            total += c.drain_into(max_total - total, out)?;
+            total += c.drain_reusing(max_total - total, out, shells)?;
         }
         Ok(total)
     }
@@ -483,6 +527,45 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(set.drain_into(3, &mut out).unwrap(), 3);
         assert_eq!(set.drain_into(100, &mut out).unwrap(), 7);
+    }
+
+    #[test]
+    fn drain_reusing_decodes_over_shells_and_keeps_the_spare_ones() {
+        let set = RingSet::new(NodeId(1), 4096);
+        let mut a = set.register();
+        for i in 0..3 {
+            a.emit(EventTypeId(1), UtcMicros::from_micros(i as i64), fields(i))
+                .unwrap();
+        }
+        let mut fresh = Vec::new();
+        set.drain_into(usize::MAX, &mut fresh).unwrap();
+        for i in 0..3 {
+            a.emit(EventTypeId(1), UtcMicros::from_micros(i as i64), fields(i))
+                .unwrap();
+        }
+        // Two shells for three records: the third is decoded fresh.
+        let mut shells = fresh[..2].to_vec();
+        shells.iter_mut().for_each(|s| s.fields = fields(99));
+        let mut out = Vec::new();
+        assert_eq!(
+            set.drain_reusing(usize::MAX, &mut out, &mut shells)
+                .unwrap(),
+            3
+        );
+        assert!(shells.is_empty());
+        let seqs: Vec<u64> = out.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![3, 4, 5]);
+        for (got, want) in out.iter().zip(&fresh) {
+            assert_eq!(got.fields, want.fields);
+        }
+        // An empty ring hands the shell back.
+        let mut shells = vec![fresh[2].clone()];
+        assert_eq!(
+            set.drain_reusing(usize::MAX, &mut out, &mut shells)
+                .unwrap(),
+            0
+        );
+        assert_eq!(shells.len(), 1);
     }
 
     #[test]
