@@ -11,10 +11,11 @@
 //! `crate::session` ([`PumpIo::on_frame`]); this module owns the socket
 //! and the scheduling:
 //!
-//! * Connections with a kernel fd are read only when `poll` reports them
-//!   readable. Fd-less connections (the in-memory transports used by
-//!   tests and the simulator) cannot be polled, so while any are present
-//!   the shard falls back to a short tick and zero-timeout `recv` probes.
+//! * Connections are read only when `poll` reports their socket
+//!   readable, or when whole frames already wait in their userspace read
+//!   buffer. Every transport (tcp, uds and the in-process socketpairs)
+//!   has an fd; the one fd-less case is a fault-killed link, read once
+//!   more in the next pass so its `Disconnected` is seen.
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
 //!   queued per connection; [`PumpHandle::command`] fires the shard's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
@@ -46,8 +47,6 @@ const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
 const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
-/// Shard tick while fd-less connections need recv probes.
-const FDLESS_TICK: Duration = Duration::from_millis(1);
 /// Shard tick while flow control is deferring socket reads (the manager
 /// draining its queue does not fire a waker, so the shard re-checks).
 const DEFER_TICK: Duration = Duration::from_millis(5);
@@ -266,7 +265,7 @@ struct Driver {
 enum ReadMode {
     /// Has a kernel fd at this slot in the poll set; read on readiness.
     Polled(usize),
-    /// Fd-less: probe with a zero-timeout recv every pass.
+    /// Buffered frames, or no fd (a killed link): recv every pass.
     Always,
     /// Deferred (flow control) or dead: do not read.
     Skip,
@@ -557,7 +556,6 @@ fn run_shard(
         let over = ctx.flow.over_limit();
         fds.clear();
         modes.clear();
-        let mut fdless_active = false;
         let mut buffered_ready = false;
         for d in drivers.iter() {
             if d.dead {
@@ -583,10 +581,7 @@ fn run_shard(
                     modes.push(ReadMode::Polled(fds.len()));
                     fds.push(poll_in(fd));
                 }
-                None => {
-                    fdless_active = true;
-                    modes.push(ReadMode::Always);
-                }
+                None => modes.push(ReadMode::Always),
             }
         }
         // Sleep until a socket is readable, a waker fires (new
@@ -595,8 +590,6 @@ fn run_shard(
             // Complete frames are already in userspace; don't sleep at
             // all, just collect any concurrently-readable sockets.
             Duration::ZERO
-        } else if fdless_active {
-            FDLESS_TICK
         } else if over {
             DEFER_TICK
         } else {

@@ -694,7 +694,7 @@ mod tests {
     use crate::uplink::CONTROL_ERROR_BUDGET;
     use brisk_clock::{SimClock, SimTimeSource, SystemClock};
     use brisk_core::{EventTypeId, UtcMicros, Value};
-    use brisk_net::{LinkModel, MemTransport, Transport};
+    use brisk_net::{MemTransport, Transport};
     use brisk_proto::Message;
 
     struct Rig {
@@ -705,7 +705,7 @@ mod tests {
     }
 
     fn rig(cfg: ExsConfig, clock_offset: i64) -> Rig {
-        let t = MemTransport::with_model(LinkModel::ideal());
+        let t = MemTransport::new();
         let mut l = t.listen("ism").unwrap();
         let conn = t.connect("ism").unwrap();
         let ism_side = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
@@ -1330,7 +1330,7 @@ mod tests {
         // heartbeats for those 10 s (pacing on plain clock readings would:
         // the elapsed-since-last-send computation goes negative until the
         // clock climbs back past its old reading).
-        let t = MemTransport::with_model(LinkModel::ideal());
+        let t = MemTransport::new();
         let mut l = t.listen("ism").unwrap();
         let conn = t.connect("ism").unwrap();
         let mut ism_side = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();

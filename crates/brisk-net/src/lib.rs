@@ -9,14 +9,13 @@
 //!   [`traits::Connection`]: blocking, frame-oriented (each frame is one
 //!   protocol message; framing is a 4-byte big-endian length prefix on the
 //!   wire).
-//! * [`tcp`] — the real `std::net` TCP implementation. One OS thread per
-//!   connection mirrors the 1999 design (a handful of long-lived
-//!   connections, one per external sensor).
+//! * [`tcp`] — the real `std::net` TCP implementation; the ISM's reactor
+//!   multiplexes every connection's socket through one `poll(2)` per shard.
 //! * [`uds`] — Unix-domain sockets for co-located deployments (Unix only).
-//! * [`mem`] — an in-process transport with a configurable link model
-//!   (latency, jitter, drop-on-connect), used by tests and by experiments
-//!   that need a network without the OS in the loop. (The fully
-//!   deterministic virtual-time network lives in `brisk-sim`.)
+//! * [`mem`] — named socketpairs in one process, framed like the other
+//!   two, used by tests, examples and the simulator. Faults on any of
+//!   them come from [`fault`]. (The fully deterministic virtual-time
+//!   network lives in `brisk-sim`.)
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -36,7 +35,7 @@ pub use fault::{
     FaultEvent, FaultKind, FaultSpec, FaultStats, FaultingConnection, FaultingTransport,
 };
 pub use framed::{FramedConnection, RawStream};
-pub use mem::{LinkModel, MemTransport};
+pub use mem::MemTransport;
 pub use metered::{ConnMetrics, MeteredConnection};
 #[cfg(unix)]
 pub use poll::{poll_in, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN};

@@ -1,188 +1,84 @@
-//! In-memory transport with a configurable link model.
+//! In-process transport: named socketpairs.
 //!
-//! Functionally identical to the TCP transport (reliable, in-order,
-//! frame-oriented) but running over crossbeam channels inside one process.
-//! A [`LinkModel`] can add one-way latency, uniform jitter and random
-//! frame *delay spikes* — enough to exercise BRISK's batching, sorting and
-//! sync logic under adverse conditions without a real network. (Frames are
-//! never silently dropped: BRISK runs over a reliable stream; loss shows up
-//! to the application as a disconnect.) For fault-injection tests the model
-//! can also *kill* a connection deterministically: after an endpoint has
-//! sent [`LinkModel::kill_after_frames`] frames, both directions sever
-//! abruptly — exactly the mid-stream connection death the supervisor's
-//! retransmit/replay machinery exists for.
+//! Each [`MemTransport`] is a private namespace of string addresses.
+//! `connect` opens a `UnixStream::pair()`, hands one half to the listener
+//! bound at the address and keeps the other; both halves are wrapped in the
+//! same [`FramedConnection`] the TCP and Unix-domain transports use. An
+//! in-process link therefore has a pollable fd and the stream's reliable,
+//! in-order delivery and backpressure (a send blocks once the peer's socket
+//! buffer is full, as on TCP), without touching the filesystem or the
+//! network stack. Faults are injected by wrapping the transport in
+//! [`FaultingTransport`](crate::FaultingTransport); the deterministic
+//! virtual-time network lives in `brisk-sim`.
 
+use crate::framed::FramedConnection;
 use crate::traits::{Connection, Listener, Transport};
-use crate::MAX_FRAME_BYTES;
 use brisk_core::{BriskError, Result};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::io::{Error, ErrorKind};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One-way link behaviour applied to every frame.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkModel {
-    /// Fixed one-way latency.
-    pub latency: Duration,
-    /// Extra uniform random delay in `[0, jitter]`.
-    pub jitter: Duration,
-    /// Probability of a delay *spike* on a frame.
-    pub spike_probability: f64,
-    /// Size of a delay spike when one occurs.
-    pub spike: Duration,
-    /// Fault injection: abruptly sever the connection once an endpoint
-    /// has sent this many frames (each endpoint counts its own sends).
-    /// The kill takes out *both* directions, like a TCP reset: the
-    /// killing side's subsequent sends and recvs fail, and the peer sees
-    /// a disconnect. `None` (the default) disables killing.
-    pub kill_after_frames: Option<u64>,
-}
-
-impl Default for LinkModel {
-    fn default() -> Self {
-        LinkModel {
-            latency: Duration::ZERO,
-            jitter: Duration::ZERO,
-            spike_probability: 0.0,
-            spike: Duration::ZERO,
-            kill_after_frames: None,
-        }
-    }
-}
-
-impl LinkModel {
-    /// A perfect, zero-latency link.
-    pub fn ideal() -> Self {
-        Self::default()
-    }
-
-    /// A LAN-ish link: fixed latency plus small jitter.
-    pub fn lan() -> Self {
-        LinkModel {
-            latency: Duration::from_micros(150),
-            jitter: Duration::from_micros(50),
-            ..LinkModel::default()
-        }
-    }
-
-    fn delay(&self, rng: &mut StdRng) -> Duration {
-        let mut d = self.latency;
-        if !self.jitter.is_zero() {
-            d += Duration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos() as u64));
-        }
-        if self.spike_probability > 0.0 && rng.gen_bool(self.spike_probability.min(1.0)) {
-            d += self.spike;
-        }
-        d
-    }
-}
-
-/// A frame stamped with its delivery time.
-struct Delayed {
-    deliver_at: Instant,
-    frame: Vec<u8>,
-}
+/// Bound addresses, each with the channel its listener accepts from.
+type Registry = Arc<Mutex<HashMap<String, Sender<UnixStream>>>>;
 
 /// The in-memory transport. Addresses are arbitrary strings; each
 /// `MemTransport` instance is its own private namespace.
 pub struct MemTransport {
-    model: LinkModel,
-    registry: Arc<Mutex<HashMap<String, Sender<MemConnection>>>>,
-    seed: Mutex<u64>,
+    registry: Registry,
 }
 
 impl MemTransport {
-    /// New transport with an ideal link.
+    /// New transport with an empty namespace.
     pub fn new() -> Arc<Self> {
-        Self::with_model(LinkModel::ideal())
-    }
-
-    /// New transport applying `model` to every connection.
-    pub fn with_model(model: LinkModel) -> Arc<Self> {
         Arc::new(MemTransport {
-            model,
-            registry: Arc::new(Mutex::new(HashMap::new())),
-            seed: Mutex::new(0x5eed_b415),
+            registry: Registry::default(),
         })
-    }
-
-    fn next_rng(&self) -> StdRng {
-        let mut seed = self.seed.lock();
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        StdRng::seed_from_u64(*seed)
-    }
-
-    fn make_pair(&self, a_name: String, b_name: String) -> (MemConnection, MemConnection) {
-        let (a_tx, a_rx) = unbounded::<Delayed>();
-        let (b_tx, b_rx) = unbounded::<Delayed>();
-        let a = MemConnection {
-            tx: Some(a_tx),
-            rx: Some(b_rx),
-            model: self.model,
-            rng: self.next_rng(),
-            peer: b_name,
-            sent_frames: 0,
-            held: None,
-        };
-        let b = MemConnection {
-            tx: Some(b_tx),
-            rx: Some(a_rx),
-            model: self.model,
-            rng: self.next_rng(),
-            peer: a_name,
-            sent_frames: 0,
-            held: None,
-        };
-        (a, b)
     }
 }
 
 impl Transport for Arc<MemTransport> {
     fn listen(&self, addr: &str) -> Result<Box<dyn Listener>> {
-        let (tx, rx) = unbounded();
         let mut reg = self.registry.lock();
         if reg.contains_key(addr) {
-            return Err(BriskError::Io(std::io::Error::new(
-                std::io::ErrorKind::AddrInUse,
+            return Err(BriskError::Io(Error::new(
+                ErrorKind::AddrInUse,
                 format!("mem address {addr:?} already bound"),
             )));
         }
+        let (tx, incoming) = unbounded();
         reg.insert(addr.to_string(), tx);
         Ok(Box::new(MemListener {
             addr: addr.to_string(),
-            incoming: rx,
+            incoming,
             registry: Arc::clone(&self.registry),
         }))
     }
 
     fn connect(&self, addr: &str) -> Result<Box<dyn Connection>> {
-        let acceptor = {
-            let reg = self.registry.lock();
-            reg.get(addr).cloned()
-        }
-        .ok_or_else(|| {
-            BriskError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
+        let acceptor = self.registry.lock().get(addr).cloned().ok_or_else(|| {
+            BriskError::Io(Error::new(
+                ErrorKind::ConnectionRefused,
                 format!("no mem listener at {addr:?}"),
             ))
         })?;
-        let (client, server) = self.make_pair(format!("client->{addr}"), addr.to_string());
+        let (client, server) = UnixStream::pair()?;
         acceptor
             .send(server)
             .map_err(|_| BriskError::Disconnected)?;
-        Ok(Box::new(client))
+        Ok(Box::new(FramedConnection::new(client)))
     }
 }
 
-/// Listener half of [`MemTransport`]. Unbinds its address on drop.
+/// Listener half of [`MemTransport`]: a channel of dialed socketpair
+/// halves. Unbinds its address on drop.
 pub struct MemListener {
     addr: String,
-    incoming: Receiver<MemConnection>,
-    registry: Arc<Mutex<HashMap<String, Sender<MemConnection>>>>,
+    incoming: Receiver<UnixStream>,
+    registry: Registry,
 }
 
 impl Drop for MemListener {
@@ -193,17 +89,15 @@ impl Drop for MemListener {
 
 impl Listener for MemListener {
     fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        match timeout {
-            None => match self.incoming.recv() {
-                Ok(c) => Ok(Some(Box::new(c))),
-                Err(_) => Err(BriskError::Disconnected),
-            },
+        let stream = match timeout {
+            None => self.incoming.recv().map_err(|_| BriskError::Disconnected)?,
             Some(t) => match self.incoming.recv_timeout(t) {
-                Ok(c) => Ok(Some(Box::new(c))),
-                Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => Err(BriskError::Disconnected),
+                Ok(s) => s,
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(BriskError::Disconnected),
             },
-        }
+        };
+        Ok(Some(Box::new(FramedConnection::new(stream))))
     }
 
     fn local_addr(&self) -> String {
@@ -211,114 +105,14 @@ impl Listener for MemListener {
     }
 }
 
-/// One endpoint of an in-memory connection.
-pub struct MemConnection {
-    /// `None` once the connection was killed by fault injection; the
-    /// `Option` lets a kill *drop* both channel halves so the peer sees a
-    /// disconnect too, like a TCP reset.
-    tx: Option<Sender<Delayed>>,
-    rx: Option<Receiver<Delayed>>,
-    model: LinkModel,
-    rng: StdRng,
-    peer: String,
-    /// Frames this endpoint has sent (drives `kill_after_frames`).
-    sent_frames: u64,
-    /// A frame received from the channel whose delivery time has not yet
-    /// arrived when a short recv timeout expired.
-    held: Option<Delayed>,
-}
-
-impl MemConnection {
-    /// Fault injection: abruptly drop both directions.
-    fn sever(&mut self) {
-        self.tx = None;
-        self.rx = None;
-        self.held = None;
-    }
-}
-
-impl Connection for MemConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        if frame.len() > MAX_FRAME_BYTES {
-            return Err(BriskError::Protocol(format!(
-                "frame length {} exceeds {MAX_FRAME_BYTES}",
-                frame.len()
-            )));
-        }
-        if let Some(kill_after) = self.model.kill_after_frames {
-            if self.tx.is_some() && self.sent_frames >= kill_after {
-                self.sever();
-            }
-        }
-        let Some(tx) = &self.tx else {
-            return Err(BriskError::Disconnected);
-        };
-        let delay = self.model.delay(&mut self.rng);
-        tx.send(Delayed {
-            deliver_at: Instant::now() + delay,
-            frame: frame.to_vec(),
-        })
-        .map_err(|_| BriskError::Disconnected)?;
-        self.sent_frames += 1;
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let Some(rx) = &self.rx else {
-            return Err(BriskError::Disconnected);
-        };
-        // Take the next in-flight frame (channel order == send order, so
-        // in-order delivery holds even with variable delays — this models a
-        // stream, not a datagram network).
-        let delayed = match self.held.take() {
-            Some(d) => d,
-            None => match deadline {
-                None => rx.recv().map_err(|_| BriskError::Disconnected)?,
-                Some(dl) => {
-                    let now = Instant::now();
-                    let budget = dl.saturating_duration_since(now);
-                    match rx.recv_timeout(budget) {
-                        Ok(d) => d,
-                        Err(RecvTimeoutError::Timeout) => return Ok(None),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(BriskError::Disconnected)
-                        }
-                    }
-                }
-            },
-        };
-        // Honour the link delay.
-        let now = Instant::now();
-        if delayed.deliver_at > now {
-            match deadline {
-                None => std::thread::sleep(delayed.deliver_at - now),
-                Some(dl) if delayed.deliver_at <= dl => {
-                    std::thread::sleep(delayed.deliver_at - now)
-                }
-                Some(_) => {
-                    // Not deliverable within the timeout; keep it for the
-                    // next call.
-                    self.held = Some(delayed);
-                    return Ok(None);
-                }
-            }
-        }
-        Ok(Some(delayed.frame))
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::{poll_in, Poller, POLLIN};
     use std::thread;
 
-    fn pair(model: LinkModel) -> (Box<dyn Connection>, Box<dyn Connection>) {
-        let t = MemTransport::with_model(model);
+    fn pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
+        let t = MemTransport::new();
         let mut l = t.listen("ism").unwrap();
         let c = t.connect("ism").unwrap();
         let s = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
@@ -327,7 +121,7 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let (mut s, mut c) = pair(LinkModel::ideal());
+        let (mut s, mut c) = pair();
         c.send(b"batch").unwrap();
         assert_eq!(
             s.recv(Some(Duration::from_secs(1))).unwrap().unwrap(),
@@ -342,13 +136,7 @@ mod tests {
 
     #[test]
     fn in_order_delivery() {
-        let (mut s, mut c) = pair(LinkModel {
-            latency: Duration::from_micros(100),
-            jitter: Duration::from_micros(500),
-            spike_probability: 0.2,
-            spike: Duration::from_millis(1),
-            ..LinkModel::ideal()
-        });
+        let (mut s, mut c) = pair();
         for i in 0..200u32 {
             c.send(&i.to_le_bytes()).unwrap();
         }
@@ -359,60 +147,40 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_applied() {
-        let (mut s, mut c) = pair(LinkModel {
-            latency: Duration::from_millis(20),
-            ..LinkModel::ideal()
-        });
-        let t0 = Instant::now();
-        c.send(b"x").unwrap();
-        s.recv(None).unwrap().unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(18));
-    }
-
-    #[test]
-    fn timeout_shorter_than_latency_holds_frame() {
-        let (mut s, mut c) = pair(LinkModel {
-            latency: Duration::from_millis(50),
-            ..LinkModel::ideal()
-        });
-        c.send(b"slow").unwrap();
-        // Too-early recv must not deliver nor drop the frame.
-        assert!(s.recv(Some(Duration::from_millis(5))).unwrap().is_none());
-        let got = s.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        assert_eq!(got, b"slow");
-    }
-
-    #[test]
     fn disconnect_detected() {
-        let (mut s, c) = pair(LinkModel::ideal());
+        let (mut s, c) = pair();
         drop(c);
         let err = s.recv(Some(Duration::from_secs(1))).unwrap_err();
         assert!(err.is_disconnect());
     }
 
     #[test]
-    fn connection_killed_after_n_frames() {
-        let (mut s, mut c) = pair(LinkModel {
-            kill_after_frames: Some(3),
-            ..LinkModel::ideal()
+    fn mem_connections_are_pollable() {
+        let (s, mut c) = pair();
+        let s_fd = s.poll_fd().expect("accepted half has an fd");
+        assert!(c.poll_fd().is_some(), "dialed half has an fd");
+        let poller = Poller::new().unwrap();
+        let mut fds = vec![poll_in(s_fd)];
+        poller.wait(&mut fds, Some(Duration::ZERO)).unwrap();
+        assert_eq!(fds[0].revents & POLLIN, 0, "nothing sent yet");
+        c.send(b"wake").unwrap();
+        let mut fds = vec![poll_in(s_fd)];
+        poller.wait(&mut fds, Some(Duration::from_secs(5))).unwrap();
+        assert_ne!(fds[0].revents & POLLIN, 0, "peer readable after a send");
+    }
+
+    #[test]
+    fn frame_larger_than_the_socket_buffer_round_trips() {
+        let (mut s, mut c) = pair();
+        let frame: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+        let expected = frame.clone();
+        let sender = thread::spawn(move || {
+            c.send(&frame).unwrap();
+            c
         });
-        for i in 0..3u32 {
-            c.send(&i.to_le_bytes()).unwrap();
-        }
-        // The 4th send hits the kill threshold: the connection severs.
-        let err = c.send(&3u32.to_le_bytes()).unwrap_err();
-        assert!(err.is_disconnect(), "got {err}");
-        // Frames already in flight still drain (like kernel-buffered TCP
-        // data after a peer reset race), then the peer sees the disconnect.
-        for i in 0..3u32 {
-            let f = s.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
-        }
-        let err = s.recv(Some(Duration::from_secs(1))).unwrap_err();
-        assert!(err.is_disconnect(), "got {err}");
-        // The severed endpoint can no longer receive either.
-        assert!(c.recv(Some(Duration::from_millis(10))).is_err());
+        let got = s.recv(Some(Duration::from_secs(10))).unwrap().unwrap();
+        assert_eq!(got, expected);
+        drop(sender.join().unwrap());
     }
 
     #[test]
@@ -454,7 +222,7 @@ mod tests {
 
     #[test]
     fn cross_thread_traffic() {
-        let (mut s, mut c) = pair(LinkModel::lan());
+        let (mut s, mut c) = pair();
         const N: u32 = 2_000;
         let producer = thread::spawn(move || {
             for i in 0..N {

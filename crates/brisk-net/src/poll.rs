@@ -14,9 +14,8 @@
 //! * [`Waker`] — the cross-thread handle that interrupts a sleeping
 //!   [`Poller`]; cheap to clone, safe to fire from any thread.
 //!
-//! Connections without a kernel fd (the in-memory transports) cannot be
-//! polled; a reactor drives those with periodic zero-timeout `recv` calls
-//! between waits, which is why [`Poller::wait`] accepts a timeout at all.
+//! Every transport's connection has a kernel fd to poll; [`Poller::wait`]
+//! takes a timeout only so a reactor can also keep its deadlines.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

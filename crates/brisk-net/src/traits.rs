@@ -24,10 +24,10 @@ pub trait Connection: Send {
     /// Human-readable peer identity, for diagnostics.
     fn peer(&self) -> String;
 
-    /// The OS file descriptor a reactor may poll for readability, if this
-    /// connection is backed by one. Transports without a kernel object
-    /// (the in-memory ones) return `None` and are driven by periodic
-    /// zero-timeout `recv` calls instead; see `brisk_net::poll`.
+    /// The OS file descriptor a reactor may poll for readability (see
+    /// `brisk_net::poll`). Every transport's live connections have one;
+    /// `None` marks a connection with no socket left (a fault-killed
+    /// link), whose next `recv` fails at once.
     fn poll_fd(&self) -> Option<std::os::unix::io::RawFd> {
         None
     }

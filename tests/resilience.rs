@@ -1,7 +1,6 @@
 //! Workspace integration tests: failure injection and recovery.
 
 use brisk::lis::{spawn_exs_supervised, SupervisorConfig};
-use brisk::net::LinkModel;
 use brisk::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,10 +130,13 @@ fn flaky_link_delivers_every_record_exactly_once() {
     // at random times, not on a deterministic frame count, so that
     // degenerate schedule is an artifact of the fault model — but the
     // bound keeps the test deterministic.
-    let transport = MemTransport::with_model(LinkModel {
-        kill_after_frames: Some(60),
-        ..LinkModel::ideal()
-    });
+    let transport = Arc::new(FaultingTransport::new(
+        MemTransport::new(),
+        FaultSpec {
+            kill_after_frames: Some(60),
+            ..FaultSpec::default()
+        },
+    ));
     let server = IsmServer::new(
         IsmConfig::default(),
         SyncConfig::default(),
@@ -322,10 +324,13 @@ fn slow_consumer_sees_explicit_loss_not_unbounded_memory() {
 #[test]
 fn credit_grant_stays_authoritative_across_reconnect_replay() {
     const CREDIT: u64 = 256;
-    let transport = MemTransport::with_model(LinkModel {
-        kill_after_frames: Some(60),
-        ..LinkModel::ideal()
-    });
+    let transport = Arc::new(FaultingTransport::new(
+        MemTransport::new(),
+        FaultSpec {
+            kill_after_frames: Some(60),
+            ..FaultSpec::default()
+        },
+    ));
     let mut server = IsmServer::new(
         IsmConfig {
             flow: FlowConfig {
