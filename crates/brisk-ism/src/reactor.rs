@@ -25,6 +25,9 @@
 //!   queue is over its bound, running connections are excluded from the
 //!   poll set (deferred), while greetings, teardown drains and manager
 //!   commands still make progress.
+//! * Liveness is judged where frames arrive: a running connection that
+//!   sends no frame for `node_timeout`, counting only passes willing to
+//!   read it (never flow-control deferral), gets `Shutdown` and is dropped.
 
 use crate::flow::FlowState;
 use crate::quarantine::QuarantineLog;
@@ -110,6 +113,8 @@ pub(crate) struct ReactorConfig {
     pub quarantine: Arc<QuarantineLog>,
     /// Live node-id claims, shared across the server's shards.
     pub active: Arc<ActiveNodes>,
+    /// Evict a running connection silent this long (`None`: never).
+    pub node_timeout: Option<Duration>,
 }
 
 /// A bounded pool of reactor shards; the server registers every accepted
@@ -259,6 +264,9 @@ struct Driver {
     conn: Box<dyn Connection>,
     state: State,
     dead: bool,
+    /// When its last frame arrived, pushed forward by every pass that
+    /// held it unread: a running connection's silence counts from here.
+    heard: Instant,
 }
 
 /// How the read pass treats one driver this iteration.
@@ -267,18 +275,22 @@ enum ReadMode {
     Polled(usize),
     /// Buffered frames, or no fd (a killed link): recv every pass.
     Always,
-    /// Deferred (flow control) or dead: do not read.
+    /// Deferred by flow control: not read, and the pass is not silence.
+    Held,
+    /// Dead: do not read.
     Skip,
 }
 
 impl Driver {
     fn new(conn: Box<dyn Connection>) -> Driver {
+        let now = Instant::now();
         Driver {
             conn,
             state: State::Greeting {
-                deadline: Instant::now() + GREETING_TIMEOUT,
+                deadline: now + GREETING_TIMEOUT,
             },
             dead: false,
+            heard: now,
         }
     }
 
@@ -287,16 +299,16 @@ impl Driver {
     }
 
     /// The next instant this driver needs the shard awake regardless of
-    /// socket readiness.
-    fn next_deadline(&self) -> Option<Instant> {
+    /// socket readiness; `liveness` is the node timeout, if it is running.
+    fn next_deadline(&self, liveness: Option<Duration>) -> Option<Instant> {
         match &self.state {
             State::Greeting { deadline } => Some(*deadline),
             State::Closing { deadline, .. } => Some(*deadline),
-            State::Running(run) => run
-                .sync
-                .as_ref()
-                .and_then(|s| s.outstanding.as_ref())
-                .map(|o| o.deadline),
+            State::Running(run) => {
+                let sample = run.sync.as_ref().and_then(|s| s.outstanding.as_ref());
+                let silent = liveness.map(|t| self.heard + t);
+                sample.map(|o| o.deadline).into_iter().chain(silent).min()
+            }
         }
     }
 
@@ -318,7 +330,10 @@ impl Driver {
                 Ok(PumpCommand::Adjust { round, advance_us }) => {
                     Message::SyncAdjust { round, advance_us }
                 }
-                Ok(PumpCommand::Ack { seq, credit }) => Message::BatchAck { seq, credit },
+                Ok(PumpCommand::Ack { seq }) => Message::BatchAck {
+                    seq,
+                    credit: ctx.flow.credit(),
+                },
                 Ok(PumpCommand::Shutdown) => {
                     let _ = self.conn.send(&Message::Shutdown.encode());
                     // Keep draining the EXS's final flush for a bounded
@@ -496,8 +511,33 @@ impl Driver {
         false
     }
 
-    /// Report the death of an identified connection and release its
-    /// node-id claim; a connection still in its greeting never had an
+    /// Liveness: a running connection silent for the node timeout over
+    /// passes willing to read it is answered `Shutdown` and marked dead.
+    /// A pass that `held` it unread pushes `heard` forward by the pass
+    /// length instead: a slow manager is not a silent peer.
+    fn judge(&mut self, held: bool, pass: Duration, now: Instant, ctx: &ReactorConfig) {
+        let (Some(timeout), State::Running(run)) = (ctx.node_timeout, &self.state) else {
+            return;
+        };
+        if held {
+            self.heard = (self.heard + pass).min(now);
+        } else if now.duration_since(self.heard) >= timeout {
+            brisk_telemetry::flight_log!(
+                Warn,
+                "ism.reactor",
+                "node_evicted",
+                "node {} evicted: no frame for over {timeout:?}",
+                run.io.node
+            );
+            ctx.cells.evicted.fetch_add(1, Ordering::Relaxed);
+            let _ = self.conn.send(&Message::Shutdown.encode());
+            self.dead = true;
+        }
+    }
+
+    /// Report the death of an identified connection, then release its
+    /// node-id claim, so the manager sees it before any successor's
+    /// `Connected`. A connection still in its greeting never had an
     /// identity, so nothing is emitted.
     fn emit_disconnect(&self, ctx: &ReactorConfig) {
         let io = match &self.state {
@@ -505,7 +545,6 @@ impl Driver {
             State::Closing { io, .. } => io,
             State::Greeting { .. } => return,
         };
-        ctx.active.release(io.node, io.id);
         io.send_event(
             ctx,
             PumpEvent::Disconnected {
@@ -513,11 +552,12 @@ impl Driver {
                 id: io.id,
             },
         );
+        ctx.active.release(io.node, io.id);
     }
 }
 
 /// One shard thread: adopt connections, service commands, poll sockets,
-/// route frames, sweep the dead.
+/// route frames, judge liveness, sweep the dead.
 fn run_shard(
     ctx: ReactorConfig,
     conn_rx: Receiver<Box<dyn Connection>>,
@@ -528,6 +568,7 @@ fn run_shard(
     let mut drivers: Vec<Driver> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut modes: Vec<ReadMode> = Vec::new();
+    let mut last_wake = Instant::now();
     while !stop.load(Ordering::Acquire) {
         // Adopt newly registered connections.
         while let Ok(conn) = conn_rx.try_recv() {
@@ -564,7 +605,7 @@ fn run_shard(
             }
             if over && d.is_running() {
                 ctx.flow.note_deferral();
-                modes.push(ReadMode::Skip);
+                modes.push(ReadMode::Held);
                 continue;
             }
             // Framed transports drain the kernel socket eagerly, so a
@@ -586,6 +627,8 @@ fn run_shard(
         }
         // Sleep until a socket is readable, a waker fires (new
         // connection, queued command, shutdown) or the nearest deadline.
+        // A deferred connection cannot fall silent, so it sets no
+        // liveness deadline.
         let mut timeout = if buffered_ready {
             // Complete frames are already in userspace; don't sleep at
             // all, just collect any concurrently-readable sockets.
@@ -596,11 +639,12 @@ fn run_shard(
             IDLE_TICK
         };
         let now = Instant::now();
+        let liveness = ctx.node_timeout.filter(|_| !over);
         for d in drivers.iter() {
             if d.dead {
                 continue;
             }
-            if let Some(deadline) = d.next_deadline() {
+            if let Some(deadline) = d.next_deadline(liveness) {
                 timeout = timeout.min(deadline.saturating_duration_since(now));
             }
         }
@@ -612,28 +656,31 @@ fn run_shard(
         if stop.load(Ordering::Acquire) {
             break;
         }
+        let now = Instant::now();
+        let pass = now.duration_since(last_wake);
+        last_wake = now;
         // Read pass: drain readable connections, a bounded number of
-        // frames each so one firehose cannot monopolize the shard.
-        for (d, mode) in drivers.iter_mut().zip(modes.iter()) {
+        // frames each so one firehose cannot monopolize the shard, then
+        // judge each one's liveness.
+        for (d, mode) in drivers.iter_mut().zip(modes.iter_mut()) {
             let readable = match mode {
                 ReadMode::Polled(slot) => fds[*slot].revents & (POLLIN | POLLERR | POLLHUP) != 0,
                 ReadMode::Always => true,
-                ReadMode::Skip => false,
+                ReadMode::Held | ReadMode::Skip => false,
             };
-            if !readable || d.dead {
-                continue;
-            }
-            for _ in 0..MAX_FRAMES_PER_PASS {
+            for _ in 0..if readable { MAX_FRAMES_PER_PASS } else { 0 } {
                 // Re-check the queue bound between frames, not just when
                 // the poll set was built: one drain of a deep socket
                 // buffer could otherwise overshoot the bound by a whole
                 // pass (the bound the tests pin is queue + one batch per
                 // pump).
                 if d.is_running() && ctx.flow.over_limit() {
+                    *mode = ReadMode::Held;
                     break;
                 }
                 match d.conn.recv(Some(Duration::ZERO)) {
                     Ok(Some(frame)) => {
+                        d.heard = now;
                         if !d.on_frame(frame, &ctx, &waker) {
                             d.dead = true;
                             break;
@@ -645,6 +692,9 @@ fn run_shard(
                         break;
                     }
                 }
+            }
+            if !d.dead {
+                d.judge(matches!(mode, ReadMode::Held), pass, now, &ctx);
             }
         }
         // Sweep: report identified deaths, drop the rest silently.
@@ -675,9 +725,14 @@ mod tests {
         flow: Arc<FlowState>,
     }
 
-    /// Credit 64, default manager-queue bound, error budget 2.
+    /// Credit 64, default manager-queue bound, error budget 2, no node
+    /// timeout.
     fn test_pool() -> Rig {
         test_pool_with(credit(64), 2)
+    }
+
+    fn test_pool_with(flow: FlowConfig, error_budget: u32) -> Rig {
+        timed_pool(flow, error_budget, None)
     }
 
     fn credit(credit_records: u64) -> FlowConfig {
@@ -687,7 +742,7 @@ mod tests {
         }
     }
 
-    fn test_pool_with(flow: FlowConfig, error_budget: u32) -> Rig {
+    fn timed_pool(flow: FlowConfig, error_budget: u32, node_timeout: Option<Duration>) -> Rig {
         let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
         let flow = FlowState::new(flow);
@@ -701,6 +756,7 @@ mod tests {
                 error_budget,
                 quarantine: Arc::clone(&quarantine),
                 active: Arc::new(ActiveNodes::default()),
+                node_timeout,
             },
         )
         .unwrap();
@@ -813,20 +869,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // A heartbeat is forwarded as liveness, tagged with this pump.
+        // A heartbeat is liveness, judged at the shard: nothing reaches
+        // the manager.
         client.send(&Message::Heartbeat.encode()).unwrap();
-        match rig.event() {
-            PumpEvent::Heartbeat { node, id } => {
-                assert_eq!(node, NodeId(7));
-                assert_eq!(id, handle.id());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Commands flow back out through the handle (waker-driven).
-        assert!(handle.command(PumpCommand::Ack {
-            seq: 42,
-            credit: 64
-        }));
+        assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
+        // Commands flow back out through the handle (waker-driven), and
+        // every ack carries the server's credit grant.
+        assert!(handle.command(PumpCommand::Ack { seq: 42 }));
         assert_eq!(
             recv_msg(&mut client),
             Message::BatchAck {
@@ -1032,7 +1081,7 @@ mod tests {
             assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
             // ...but manager commands are still serviced (no sync deadlock).
             let credit = flow.credit_records;
-            assert!(handle.command(PumpCommand::Ack { seq: 7, credit }));
+            assert!(handle.command(PumpCommand::Ack { seq: 7 }));
             assert_eq!(recv_msg(&mut client), Message::BatchAck { seq: 7, credit });
             assert!(rig.flow.deferrals() > 0, "{flow:?}");
             // Once the manager drains the queue the deferred batch flows.
@@ -1043,6 +1092,84 @@ mod tests {
             }
             rig.pool.stop();
         }
+    }
+
+    #[test]
+    fn a_connection_held_unread_by_flow_control_is_not_silent() {
+        let rig = timed_pool(credit(64), 2, Some(Duration::from_millis(150)));
+        let (mut client, _handle) = rig.greeted(5);
+        // Another connection filled the manager queue past its bound, and
+        // it stays there for four timeouts with a batch waiting here.
+        let queued = FlowConfig::default().max_queued_records as u64 + 9;
+        rig.flow.add(queued);
+        client.send(&empty_batch(5, 1)).unwrap();
+        assert!(rig.events.recv_timeout(Duration::from_millis(600)).is_err());
+        // Once the bound clears the batch flows: the peer was never silent,
+        // the shard just would not read it.
+        rig.flow.sub(queued);
+        match rig.event() {
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
+            other => panic!("held connection evicted: {other:?}"),
+        }
+        assert!(client
+            .recv(Some(Duration::from_millis(100)))
+            .unwrap()
+            .is_none());
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn a_half_open_peer_is_evicted_while_others_are_deferred_now_and_then() {
+        let rig = timed_pool(credit(64), 2, Some(Duration::from_millis(300)));
+        // Round-robin puts one peer heartbeating every 2 ms on each shard,
+        // the silent peer's included, so every shard samples the
+        // flickering bound far more often than it flips.
+        let (mut silent, handle) = rig.greeted(5);
+        let mut chatty: Vec<_> = (6..8).map(|node| rig.greeted(node)).collect();
+        // The queue bound flickers every 5 ms, so every connection is
+        // deferred about half the time. Refreshing liveness on a deferred
+        // pass would keep the silent peer alive for ever.
+        let stop = Arc::new(AtomicBool::new(false));
+        let flow = Arc::clone(&rig.flow);
+        let flicker = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let queued = FlowConfig::default().max_queued_records as u64 + 9;
+                while !stop.load(Ordering::Relaxed) {
+                    flow.add(queued);
+                    std::thread::sleep(Duration::from_millis(5));
+                    flow.sub(queued);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        let give_up = Instant::now() + Duration::from_secs(3);
+        let mut evicted = false;
+        while !evicted && Instant::now() < give_up {
+            for (peer, _handle) in chatty.iter_mut() {
+                peer.send(&Message::Heartbeat.encode()).unwrap();
+            }
+            evicted = matches!(
+                rig.events.recv_timeout(Duration::from_millis(2)),
+                Ok(PumpEvent::Disconnected { id, .. }) if id == handle.id()
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        flicker.join().unwrap();
+        assert!(
+            evicted,
+            "a silent peer must be evicted under flickering flow control"
+        );
+        assert_eq!(recv_msg(&mut silent), Message::Shutdown);
+        // The heartbeating peers kept their sessions through the same
+        // passes.
+        for (peer, _handle) in chatty.iter_mut() {
+            assert!(peer
+                .recv(Some(Duration::from_millis(100)))
+                .unwrap()
+                .is_none());
+        }
+        rig.pool.stop();
     }
 
     #[test]

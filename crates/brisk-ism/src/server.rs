@@ -9,13 +9,15 @@
 //!   every connection (`Hello`, with its 5 s deadline) and then
 //!   multiplex all of them over `poll(2)`: forward batches zero-copy,
 //!   send batch acks and credit grants, run poll exchanges with
-//!   socket-accurate timestamps. Connection count is independent of
-//!   thread count ([`brisk_core::IsmConfig::pump_threads`]);
+//!   socket-accurate timestamps, and evict connections silent past
+//!   [`brisk_core::IsmConfig::node_timeout`]. Connection count is
+//!   independent of thread count ([`brisk_core::IsmConfig::pump_threads`]);
 //! * **manager** — owns the [`IsmCore`] and the [`SyncMaster`]; consumes
 //!   pump events, materializes each batch's records exactly once from
 //!   its validated wire frame, ticks the pipeline, schedules
 //!   synchronization rounds every `poll_period`, plus the *extra* rounds
-//!   requested by tachyon repairs (§3.6).
+//!   requested by tachyon repairs (§3.6). It learns of every pump's end,
+//!   eviction included, from that pump's `Disconnected`.
 
 use crate::core::{IsmCore, IsmCoreStats};
 use crate::cre::CreStats;
@@ -63,7 +65,7 @@ brisk_telemetry::metrics! {
         acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
         credit_grants: counter "brisk_ism_credit_grants_total" "Credit replenishments piggybacked on batch acknowledgements",
         grant_latency: histogram "brisk_ism_grant_latency_us" "Microseconds from a batch entering the manager queue to its credit grant",
-        evicted: counter "brisk_ism_evicted_nodes_total" "Nodes evicted after going silent past the liveness timeout",
+        pub(crate) evicted: counter "brisk_ism_evicted_nodes_total" "Nodes evicted after going silent past the liveness timeout",
     }
 }
 
@@ -175,6 +177,7 @@ impl IsmServer {
                 error_budget: self.error_budget,
                 quarantine: Arc::clone(&self.quarantine),
                 active: Arc::new(ActiveNodes::default()),
+                node_timeout: self.node_timeout,
             },
         )?);
 
@@ -196,11 +199,8 @@ impl IsmServer {
             flow: self.flow,
             events: event_rx,
             pumps: HashMap::new(),
-            retiring: Vec::new(),
             round: None,
             last_round_finished: Instant::now(),
-            node_timeout: self.node_timeout,
-            last_seen: HashMap::new(),
             cells: self.cells,
         };
         let manager_join = std::thread::Builder::new()
@@ -257,19 +257,12 @@ struct Manager {
     clock: Arc<dyn Clock>,
     flow: Arc<FlowState>,
     events: Receiver<PumpEvent>,
+    /// The live pump of each node. A shard reports a pump's
+    /// `Disconnected` before it frees the node for a successor, so one
+    /// node never has two.
     pumps: HashMap<NodeId, PumpHandle>,
-    /// Stale pumps (displaced by a reconnect) that have been told to shut
-    /// down but whose `Disconnected` has not been seen yet.
-    retiring: Vec<PumpHandle>,
     round: Option<RoundInFlight>,
     last_round_finished: Instant,
-    /// Evict a node whose connection shows no life signs for this long
-    /// (`None` disables the sweep). "Life" is peer traffic: a batch, a
-    /// heartbeat, or delivered sync samples — not mere reactor
-    /// activity, which keeps running even against a dead socket.
-    node_timeout: Option<Duration>,
-    /// Last observed life sign per registered node.
-    last_seen: HashMap<NodeId, Instant>,
     cells: Arc<ManagerCells>,
 }
 
@@ -297,15 +290,13 @@ impl Manager {
                 self.begin_round();
             }
             self.maybe_close_round(false)?;
-            self.evict_stale();
         }
-        // Shutdown: stop pumps (retiring ones already got Shutdown, but a
-        // repeat is harmless), drain stragglers, flush pipeline.
-        for handle in self.pumps.values().chain(self.retiring.iter()) {
+        // Shutdown: stop pumps, drain stragglers, flush pipeline.
+        for handle in self.pumps.values() {
             handle.command(PumpCommand::Shutdown);
         }
         let deadline = Instant::now() + Duration::from_secs(3);
-        let mut live = self.pumps.len() + self.retiring.len();
+        let mut live = self.pumps.len();
         while live > 0 && Instant::now() < deadline {
             match self.events.recv_timeout(Duration::from_millis(20)) {
                 Ok(ev @ PumpEvent::Disconnected { .. }) => {
@@ -331,53 +322,11 @@ impl Manager {
         })
     }
 
-    /// Evict nodes with no life signs past the liveness timeout. TCP can
-    /// sit on a silently dead peer for minutes; the heartbeat/eviction
-    /// pair bounds how long a dead node occupies a pump slot and sync
-    /// rounds. The evicted pump is retired exactly like one displaced by
-    /// a reconnect, so a node that comes back simply re-registers.
-    fn evict_stale(&mut self) {
-        let Some(timeout) = self.node_timeout else {
-            return;
-        };
-        let stale: Vec<NodeId> = self
-            .last_seen
-            .iter()
-            .filter(|(_, seen)| seen.elapsed() > timeout)
-            .map(|(node, _)| *node)
-            .collect();
-        for node in stale {
-            self.last_seen.remove(&node);
-            if let Some(handle) = self.pumps.remove(&node) {
-                brisk_telemetry::flight_log!(
-                    Warn,
-                    "ism.manager",
-                    "node_evicted",
-                    "node {node} evicted: no life signs for over {timeout:?}"
-                );
-                handle.command(PumpCommand::Shutdown);
-                self.retiring.push(handle);
-                self.cells.evicted.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &mut self.round {
-                    r.expected.remove(&node);
-                }
-            }
-        }
-    }
-
     fn handle_event(&mut self, ev: PumpEvent) -> Result<()> {
         self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
         match ev {
-            // A node that reconnects before its dead pump was reaped
-            // displaces the old handle: retire it (send Shutdown, park
-            // until its `Disconnected` arrives) so sync rounds never
-            // target a dead socket.
             PumpEvent::Connected(handle) => {
-                self.last_seen.insert(handle.node, Instant::now());
-                if let Some(old) = self.pumps.insert(handle.node, handle) {
-                    old.command(PumpCommand::Shutdown);
-                    self.retiring.push(old);
-                }
+                self.pumps.insert(handle.node, handle);
             }
             PumpEvent::Batch {
                 node,
@@ -388,7 +337,6 @@ impl Manager {
                 recv_ts,
                 enqueued_at,
             } => {
-                self.last_seen.insert(node, Instant::now());
                 let n = count as u64;
                 // Materialize exactly once, on the consumer side of the
                 // queue: the pump already validated the frame as a view,
@@ -417,16 +365,11 @@ impl Manager {
                 self.flow.sub(n);
                 pushed?;
                 // Ack through the exact pump instance the batch arrived
-                // on. The credit budget is re-advertised on every ack:
-                // acked records no longer count against the in-flight
-                // budget, so the constant re-grant is the replenishment.
-                let handle = self
-                    .pumps
-                    .get(&node)
-                    .filter(|h| h.id() == id)
-                    .or_else(|| self.retiring.iter().find(|h| h.id() == id));
-                let credit = self.flow.credit();
-                if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq, credit })) {
+                // on. Its shard re-advertises the constant credit grant:
+                // acked records leave the in-flight budget, so that is
+                // the replenishment.
+                let handle = self.pumps.get(&node).filter(|h| h.id() == id);
+                if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq })) {
                     self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
                     self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
                     self.cells
@@ -439,11 +382,6 @@ impl Manager {
                 round,
                 samples,
             } => {
-                // Only delivered samples prove the *peer* is alive; an
-                // empty set just means the pump's polls timed out.
-                if !samples.is_empty() {
-                    self.last_seen.insert(node, Instant::now());
-                }
                 if let Some(r) = &mut self.round {
                     if r.round == round {
                         for s in samples {
@@ -454,25 +392,12 @@ impl Manager {
                     }
                 }
             }
-            PumpEvent::Heartbeat { node, id } => {
-                // A stale pump's late heartbeat must not keep an
-                // otherwise-dead node alive.
-                if self.pumps.get(&node).is_some_and(|h| h.id() == id) {
-                    self.last_seen.insert(node, Instant::now());
-                }
-            }
             PumpEvent::Disconnected { node, id } => {
-                // Only the *current* pump's death removes the node: a
-                // stale pump (displaced by a reconnect) reporting in late
-                // must not tear down its successor.
                 if self.pumps.get(&node).is_some_and(|h| h.id() == id) {
                     self.pumps.remove(&node);
-                    self.last_seen.remove(&node);
                     if let Some(r) = &mut self.round {
                         r.expected.remove(&node);
                     }
-                } else if let Some(pos) = self.retiring.iter().position(|h| h.id() == id) {
-                    self.retiring.swap_remove(pos);
                 }
             }
         }
@@ -933,6 +858,15 @@ mod tests {
     fn start_server_with_timeout(
         node_timeout: Duration,
     ) -> (IsmHandle, Arc<MemTransport>, Arc<Registry>) {
+        start_configured(node_timeout, |_| {})
+    }
+
+    /// A server with liveness timeout `node_timeout`, adjusted by
+    /// `configure` before it spawns.
+    fn start_configured(
+        node_timeout: Duration,
+        configure: impl FnOnce(&mut IsmServer),
+    ) -> (IsmHandle, Arc<MemTransport>, Arc<Registry>) {
         let t = MemTransport::new();
         let listener = t.listen("ism").unwrap();
         let mut server = IsmServer::new(
@@ -949,6 +883,7 @@ mod tests {
         .unwrap();
         let registry = Registry::new();
         server.bind_telemetry(&registry);
+        configure(&mut server);
         (server.spawn(listener).unwrap(), t, registry)
     }
 
@@ -985,6 +920,38 @@ mod tests {
                 if let Ok(Message::Shutdown) = Message::decode(&frame) {
                     panic!("heartbeating node must not be evicted");
                 }
+            }
+        }
+        handle.stop().unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 0);
+    }
+
+    #[test]
+    fn a_stalled_manager_does_not_evict_a_heartbeating_node() {
+        // The first delivery stalls the manager for four timeouts.
+        let (handle, t, registry) = start_configured(Duration::from_millis(300), |server| {
+            let mut stalled = false;
+            server
+                .core_mut()
+                .add_sink(Box::new(move |_: &brisk_core::EventRecord| {
+                    if !std::mem::replace(&mut stalled, true) {
+                        std::thread::sleep(Duration::from_millis(1200));
+                    }
+                    Ok(())
+                }));
+        });
+        let mut conn = t.connect("ism").unwrap();
+        hello(&mut conn, 1);
+        conn.send(&batch(1, 1, 0..2).encode()).unwrap();
+        // The node heartbeats every 50 ms right through the stall: a busy
+        // manager is no evidence that the peer went silent.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline {
+            conn.send(&Message::Heartbeat.encode()).unwrap();
+            if let Ok(Some(frame)) = conn.recv(Some(Duration::from_millis(50))) {
+                let msg = Message::decode(&frame).unwrap();
+                assert_ne!(msg, Message::Shutdown, "heartbeating node evicted");
             }
         }
         handle.stop().unwrap();

@@ -3,9 +3,10 @@
 //!
 //! The ISM keeps one long-lived connection per external sensor. Each is a
 //! *pump* that forwards incoming event batches to the manager and runs
-//! clock-sync poll exchanges on its behalf — *at the connection*, so
-//! `t_master_send` / `t_master_recv` are stamped right at the socket and
-//! manager scheduling delays stay out of the skew samples. The manager
+//! clock-sync poll exchanges and the liveness check on its behalf — *at
+//! the connection*, so `t_master_send` / `t_master_recv` are stamped
+//! right at the socket and manager scheduling delays stay out of both
+//! the skew samples and a node's silence. The manager
 //! holds a [`PumpHandle`] ([`PumpCommand`]s in, [`PumpEvent`]s out); the
 //! reactor owns the socket and hands every inbound frame of a greeted
 //! connection to [`PumpIo::on_frame`], the one place that decides what a
@@ -20,9 +21,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Process-wide pump identity source. Ids disambiguate pump *instances*
-/// serving the same node: when a node reconnects, the manager must not
-/// let a late `Disconnected` from the old pump tear down the new one.
+/// Process-wide pump identity source. Ids name pump *instances*: acks and
+/// `Disconnected` reach the instance they belong to, never whichever pump
+/// serves the node now.
 static NEXT_PUMP_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Commands the manager sends to a pump.
@@ -45,14 +46,11 @@ pub enum PumpCommand {
     },
     /// Acknowledge every batch up to `seq`: the manager issues this once
     /// the core accepted (or dedup-dropped) the batch, and the pump turns
-    /// it into a wire [`Message::BatchAck`].
+    /// it into a wire [`Message::BatchAck`] that re-advertises the
+    /// server's credit grant.
     Ack {
         /// Cumulative acknowledged sequence number.
         seq: u64,
-        /// Replenished credit budget to piggyback: the maximum number of
-        /// unacknowledged records the sender may have in flight from now
-        /// on.
-        credit: u64,
     },
     /// Send `Shutdown` to the slave and exit.
     Shutdown,
@@ -105,24 +103,13 @@ pub enum PumpEvent {
         /// Collected samples.
         samples: Vec<SkewSample>,
     },
-    /// The peer proved liveness with a [`Message::Heartbeat`]: no
-    /// payload, no reply — just evidence the EXS is alive, so the
-    /// manager's stale-node eviction timer resets.
-    Heartbeat {
-        /// The node that proved liveness.
-        node: NodeId,
-        /// Pump instance that received the heartbeat (matches
-        /// [`PumpHandle::id`]), so a stale pump's late heartbeat cannot
-        /// keep an otherwise-dead node alive.
-        id: u64,
-    },
-    /// The connection ended (orderly or not).
+    /// The connection ended (orderly, dropped, or evicted as silent).
+    /// Queued before the node is free for a successor's `Connected`.
     Disconnected {
         /// The node that went away.
         node: NodeId,
         /// Identity of the pump instance that ended (matches
-        /// [`PumpHandle::id`]), so the manager can tell a stale pump's
-        /// death from the current one's.
+        /// [`PumpHandle::id`]).
         id: u64,
     },
 }
@@ -311,16 +298,9 @@ impl PumpIo {
                 sample,
                 slave_time,
             }),
-            Ok(Message::Heartbeat) => {
-                self.send_event(
-                    ctx,
-                    PumpEvent::Heartbeat {
-                        node: self.node,
-                        id: self.id,
-                    },
-                );
-                Ok(FrameOutcome::Consumed)
-            }
+            // Liveness is the only thing a heartbeat carries, and the
+            // shard already noted the frame's arrival.
+            Ok(Message::Heartbeat) => Ok(FrameOutcome::Consumed),
             Ok(Message::Shutdown) => Err(BriskError::Disconnected),
             Ok(other) => Err(BriskError::Protocol(format!(
                 "unexpected message at ISM: {other:?}"

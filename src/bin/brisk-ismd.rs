@@ -34,10 +34,7 @@
 //! connection may have at most N records unacknowledged in flight, so a
 //! slow ISM pushes backpressure out to the sensors' rings instead of
 //! buffering unboundedly. `--max-queued-records` bounds the pump→manager
-//! queue (default 1024; pumps stop reading their sockets while it is over),
-//! and `--shed-unmarked` switches the sorter's memory-pressure response
-//! from force-release to dropping the oldest unmarked (never CRE-marked)
-//! records.
+//! queue (default 1024; pumps stop reading their sockets while it is over).
 //!
 //! `--stats-addr` also serves the observability endpoints: `/json`
 //! (snapshot), `/flight` (the always-on flight recorder's recent
@@ -52,9 +49,10 @@
 //! is bounded regardless of connection count — a thousand sensors share
 //! the same handful of reactor threads.
 //!
-//! `--node-timeout` evicts a node whose connection has gone silent (no
-//! batches, sync replies, or heartbeats) for the given interval — a
-//! half-open TCP connection otherwise ties the node's pump up forever.
+//! `--node-timeout` evicts a node whose connection sent no frame for the
+//! given interval while its reactor shard was willing to read it — a
+//! half-open TCP connection otherwise ties the node's pump up forever,
+//! while one held unread by flow control is never counted as silent.
 //! `--error-budget` caps how many undecodable frames one connection may
 //! deliver before it is quarantined and dropped (clean peers are
 //! unaffected; the offender reconnects with a fresh budget).
@@ -63,7 +61,7 @@
 //! EOF; interactive users type quit), then flushes and prints a final
 //! report.
 
-use brisk::cli::{ms, on, put, val, Endpoint, Flag, Verdict};
+use brisk::cli::{ms, put, val, Endpoint, Flag, Verdict};
 use brisk::prelude::*;
 use std::io::BufRead;
 use std::sync::Arc;
@@ -110,7 +108,6 @@ const FLAGS: &[Flag<Args>] = &[
     ("--segment-bytes", "N", |a, v| put(&mut a.ism.store.segment_bytes, val(v))),
     ("--credit-records", "N", |a, v| put(&mut a.ism.flow.credit_records, val(v))),
     ("--max-queued-records", "N", |a, v| put(&mut a.ism.flow.max_queued_records, val(v))),
-    ("--shed-unmarked", "", |a, _| on(&mut a.ism.flow.shed_unmarked)),
     ("--node-timeout", "MS", |a, v| put(&mut a.ism.node_timeout, ms(v).map(Some))),
     ("--error-budget", "N", |a, v| put(&mut a.ism.protocol_error_budget, val(v))),
     ("--pump-threads", "N", |a, v| put(&mut a.ism.pump_threads, val(v))),
@@ -221,8 +218,8 @@ fn main() {
     let flow = args.ism.flow;
     if flow != FlowConfig::default() {
         eprintln!(
-            "flow control: credit {} records/conn, queue bound {} records, shed-unmarked {}",
-            flow.credit_records, flow.max_queued_records, flow.shed_unmarked
+            "flow control: credit {} records/conn, queue bound {} records",
+            flow.credit_records, flow.max_queued_records
         );
     }
 
