@@ -127,14 +127,7 @@ impl<'a> Cursor<'a> {
 /// Decode one record from the front of `buf`. Returns the record and the
 /// number of bytes consumed.
 pub fn decode_record(buf: &[u8]) -> Result<(EventRecord, usize)> {
-    let mut rec = EventRecord::new(
-        NodeId(0),
-        SensorId(0),
-        EventTypeId(0),
-        0,
-        UtcMicros::ZERO,
-        Vec::new(),
-    )?;
+    let mut rec = EventRecord::default();
     let used = decode_record_into(buf, &mut rec)?;
     Ok((rec, used))
 }

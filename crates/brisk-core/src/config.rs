@@ -345,9 +345,11 @@ pub enum FsyncPolicy {
     /// timestamps) has passed since the last sync. Stream time tracks wall
     /// time for a live trace while keeping the append path free of clock
     /// reads, and makes the policy behave identically under replay — the
-    /// same stream-clock choice age-based retention makes. A stalled
-    /// stream leaves the tail unsynced either way: the check can only run
-    /// when a record arrives.
+    /// same stream-clock choice age-based retention makes. A stream that
+    /// goes quiet stops that clock, so the writer's owner also calls
+    /// `StoreWriter::sync_if_due` periodically (the ISM does, every
+    /// manager tick): it syncs once the oldest unsynced append is this old
+    /// by the wall clock.
     Interval(Duration),
     /// Never sync explicitly; the OS decides.
     #[default]

@@ -48,7 +48,7 @@ pub use descriptor::{PackedDescriptor, RecordDescriptor};
 pub use error::{BriskError, Result};
 pub use hlc::HlcStamp;
 pub use ids::{CorrelationId, EventTypeId, NodeId, SensorId};
-pub use record::EventRecord;
+pub use record::{EventRecord, RecordMarks};
 pub use sink::EventSink;
 pub use time::UtcMicros;
 pub use trace::{trace_stamps_dropped_total, TraceContext, TraceStage, MAX_TRACE_STAMPS};

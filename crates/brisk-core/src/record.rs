@@ -20,8 +20,23 @@ use crate::trace::{TraceContext, TraceStage};
 use crate::value::Value;
 use std::fmt;
 
-/// One instrumentation data record.
-#[derive(Clone, PartialEq, Debug)]
+/// The system fields of a record the ISM looks at for every record, as
+/// [`EventRecord::marks`] reads them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecordMarks {
+    /// Correlation id of the first `X_REASON` field.
+    pub reason: Option<CorrelationId>,
+    /// Correlation id of the first `X_CONSEQ` field.
+    pub conseq: Option<CorrelationId>,
+    /// The first `X_HLC` stamp.
+    pub hlc: Option<HlcStamp>,
+    /// Does the record carry an `X_TRACE` context?
+    pub traced: bool,
+}
+
+/// One instrumentation data record. The default is an empty record from
+/// node 0 at time zero: a shell for `binenc::decode_record_into` to fill.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct EventRecord {
     /// The node (LIS) the record originated from.
     pub node: NodeId,
@@ -77,6 +92,22 @@ impl EventRecord {
     /// The record's shape.
     pub fn descriptor(&self) -> RecordDescriptor {
         RecordDescriptor::of(&self.fields).expect("field count validated at construction")
+    }
+
+    /// [`Self::reason_id`], [`Self::conseq_id`], [`Self::hlc`] and the
+    /// presence of [`Self::trace`], read in one pass over the fields.
+    pub fn marks(&self) -> RecordMarks {
+        let mut marks = RecordMarks::default();
+        for f in &self.fields {
+            match f {
+                Value::Reason(id) if marks.reason.is_none() => marks.reason = Some(*id),
+                Value::Conseq(id) if marks.conseq.is_none() => marks.conseq = Some(*id),
+                Value::Hlc(s) if marks.hlc.is_none() => marks.hlc = Some(*s),
+                Value::Trace(_) => marks.traced = true,
+                _ => {}
+            }
+        }
+        marks
     }
 
     /// Correlation id of the first `X_REASON` field, if any.
@@ -278,6 +309,33 @@ mod tests {
             fields,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn marks_agree_with_the_one_field_accessors() {
+        let hlc = HlcStamp::new(UtcMicros::from_micros(4), 2);
+        let shapes = [
+            vec![Value::I32(1); 6],
+            vec![
+                Value::Conseq(CorrelationId(2)),
+                Value::Reason(CorrelationId(1)),
+                Value::Hlc(hlc),
+                Value::Reason(CorrelationId(9)),
+                Value::Trace(TraceContext::origin(5, UtcMicros::ZERO)),
+            ],
+            vec![
+                Value::Hlc(hlc),
+                Value::Hlc(HlcStamp::new(UtcMicros::ZERO, 0)),
+            ],
+        ];
+        for fields in shapes {
+            let r = rec(0, fields);
+            let m = r.marks();
+            assert_eq!(m.reason, r.reason_id());
+            assert_eq!(m.conseq, r.conseq_id());
+            assert_eq!(m.hlc, r.hlc());
+            assert_eq!(m.traced, r.trace().is_some());
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::output::{EventSink, MemoryBuffer};
 use crate::relay::UpstreamExporter;
 use crate::sorter::SorterStats;
 use brisk_core::{binenc, EventRecord, IsmConfig, NodeId, Result, TraceStage, UtcMicros};
+use brisk_proto::BatchWalk;
 use brisk_store::StoreWriter;
 use brisk_telemetry::{Histogram, Registry, StageLatencies};
 use std::sync::Arc;
@@ -53,6 +54,41 @@ pub struct LocalOutputs {
     /// Reused encode buffer: each record is encoded here once and the
     /// bytes shared by the store and the memory buffer.
     encoded: Vec<u8>,
+    /// Delivered records kept for [`IsmCore::push_frame`] to decode into.
+    shells: Shells,
+}
+
+/// Delivered records kept for [`IsmCore::push_frame`] to decode the next
+/// frames into, so a record costs no allocation once the pool has grown
+/// to the records in flight.
+///
+/// The pool follows demand and has no size knob: a delivered record is
+/// kept only while `push_frame` has records out that it has not yet seen
+/// delivered, so the pool never holds more shells than `push_frame` has
+/// handed out. A core fed through `push_batch`/`push_batch_seq` keeps
+/// none, and neither does a relay, whose records leave upstream.
+#[derive(Default)]
+struct Shells {
+    free: Vec<EventRecord>,
+    /// Records `push_frame` handed out and not yet seen delivered.
+    lent: usize,
+}
+
+impl Shells {
+    fn take(&mut self) -> EventRecord {
+        self.lent += 1;
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Keep a delivered record as a shell if `push_frame` is owed one.
+    /// Its fields are dropped now, so a parked shell pins no payload.
+    fn give_back(&mut self, mut rec: EventRecord) {
+        if self.lent > 0 {
+            self.lent -= 1;
+            rec.fields.clear();
+            self.free.push(rec);
+        }
+    }
 }
 
 impl MergeOutput for LocalOutputs {
@@ -60,17 +96,19 @@ impl MergeOutput for LocalOutputs {
     /// meaningless and latency samples would be garbage.
     fn on_record(&mut self, mut rec: EventRecord, now: UtcMicros) -> Result<()> {
         if now != UtcMicros::MAX {
-            rec.stamp_trace(TraceStage::Deliver, now);
-            if let (Some(stages), Some(ctx)) = (&self.stages, rec.trace()) {
-                for pair in ctx.stamps().windows(2) {
-                    let (from, t0) = pair[0];
-                    let (to, t1) = pair[1];
-                    stages.observe(
-                        (from.code(), from.name()),
-                        (to.code(), to.name()),
-                        t1.micros_since(t0).max(0) as u64,
-                        ctx.trace_id,
-                    );
+            if let Some(ctx) = rec.trace_mut() {
+                ctx.stamp(TraceStage::Deliver, now);
+                if let Some(stages) = &self.stages {
+                    for pair in ctx.stamps().windows(2) {
+                        let (from, t0) = pair[0];
+                        let (to, t1) = pair[1];
+                        stages.observe(
+                            (from.code(), from.name()),
+                            (to.code(), to.name()),
+                            t1.micros_since(t0).max(0) as u64,
+                            ctx.trace_id,
+                        );
+                    }
                 }
             }
             if let Some(h) = &self.e2e_latency_us {
@@ -87,10 +125,14 @@ impl MergeOutput for LocalOutputs {
         for sink in &mut self.sinks {
             sink.on_record(&rec)?;
         }
+        self.shells.give_back(rec);
         Ok(())
     }
 
     fn pump(&mut self, _now: UtcMicros) -> Result<()> {
+        if let Some(store) = &mut self.store {
+            store.sync_if_due()?;
+        }
         let evicted_total = self.memory.evicted();
         if evicted_total > self.flight_last_evicted {
             brisk_telemetry::flight_log!(
@@ -123,6 +165,9 @@ pub struct IsmCore {
     /// Relay mode: when set, merged records go upstream instead of to the
     /// local outputs.
     upstream: Option<UpstreamExporter>,
+    /// The records of the frame [`Self::push_frame`] is decoding; emptied
+    /// into the merge plane and reused across frames.
+    batch: Vec<EventRecord>,
 }
 
 impl IsmCore {
@@ -148,8 +193,10 @@ impl IsmCore {
                 e2e_latency_us: None,
                 flight_last_evicted: 0,
                 encoded: Vec::new(),
+                shells: Shells::default(),
             },
             upstream: None,
+            batch: Vec::new(),
         })
     }
 
@@ -259,6 +306,50 @@ impl IsmCore {
     /// CRE counters (tachyons repaired, held, …).
     pub fn cre_stats(&self) -> CreStats {
         self.plane.cre_stats()
+    }
+
+    /// Accept one batch frame as it arrived on the wire from `node`, whose
+    /// pump read it off the socket at `recv_ts` and stamps `PumpRecv`
+    /// with that time. This is the manager's batch path:
+    ///
+    /// 1. a replayed `(node, seq)` is counted and dropped before any
+    ///    record is decoded, as [`MergePlane::push_batch_seq`] would;
+    /// 2. the frame is walked once ([`BatchWalk`]), and each record is
+    ///    decoded straight into a shell — a record this core delivered
+    ///    earlier — reusing its `fields` capacity;
+    /// 3. the records enter the merge plane from a reused batch vector.
+    ///
+    /// Returns `true` if the frame was accepted and `false` if it was a
+    /// replay; the caller acks either way. A frame that fails to decode
+    /// is an `Err` and none of its records are pushed.
+    pub fn push_frame(
+        &mut self,
+        node: NodeId,
+        seq: u64,
+        frame: &[u8],
+        recv_ts: UtcMicros,
+        now: UtcMicros,
+    ) -> Result<bool> {
+        let walk = BatchWalk::new(frame)?;
+        if !self.plane.admit_seq(node, Some(seq), walk.header().count) {
+            return Ok(false);
+        }
+        let (shells, batch) = (&mut self.local.shells, &mut self.batch);
+        let walked = walk.try_for_each(|origin, view| {
+            let mut rec = shells.take();
+            let decoded = view.materialize_into(origin, &mut rec);
+            rec.stamp_trace(TraceStage::PumpRecv, recv_ts);
+            batch.push(rec);
+            decoded
+        });
+        if let Err(e) = walked {
+            for rec in self.batch.drain(..) {
+                self.local.shells.give_back(rec);
+            }
+            return Err(e);
+        }
+        self.plane.push_batch(self.batch.drain(..), now)?;
+        Ok(true)
     }
 
     /// Accept one *sequenced* batch; see
@@ -608,6 +699,60 @@ mod tests {
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter_total("brisk_store_records_total"), 50);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_quiet_stream_tail_is_durable_within_the_fsync_interval() {
+        use brisk_clock::{Clock, SystemClock};
+        use brisk_core::{FsyncPolicy, StoreConfig};
+        use brisk_store::StoreReader;
+        use std::time::{Duration, Instant};
+        let dir = std::env::temp_dir().join(format!("brisk-core-quiet-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let interval = Duration::from_millis(200);
+        let mut cfg = IsmConfig {
+            store: StoreConfig {
+                fsync: FsyncPolicy::Interval(interval),
+                ..StoreConfig::at(dir.clone())
+            },
+            ..IsmConfig::default()
+        };
+        cfg.sorter.initial_frame_us = 0;
+        cfg.sorter.min_frame_us = 0;
+        let mut core = IsmCore::new(cfg).unwrap();
+        let mut tail = StoreReader::open(&dir).unwrap().tail();
+        // A few records well under the store's write-behind threshold,
+        // then silence: the stream-time interval never elapses again.
+        let t0 = SystemClock.now().as_micros();
+        core.push_batch(
+            (0..5).map(|i| rec(0, i, t0 + i as i64, vec![Value::U64(i)])),
+            UtcMicros::from_micros(t0),
+        )
+        .unwrap();
+        let stopped = Instant::now();
+        let mut seen = 0;
+        // The manager keeps ticking while no traffic arrives.
+        while seen < 5 && stopped.elapsed() < interval + Duration::from_millis(800) {
+            core.tick(SystemClock.now()).unwrap();
+            seen += tail.poll().unwrap().len();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            seen,
+            5,
+            "tailer saw {seen} of 5 records after {:?}",
+            stopped.elapsed()
+        );
+        assert!(
+            core.store()
+                .unwrap()
+                .stats()
+                .fsyncs
+                .load(std::sync::atomic::Ordering::Relaxed)
+                >= 2
+        );
+        drop(core);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,8 @@
 //!   than a specified timeout, because its peer may have been dropped."
 
 use brisk_core::{
-    CorrelationId, CreConfig, EventRecord, HlcStamp, OrderMode, Result, TraceStage, UtcMicros,
+    CorrelationId, CreConfig, EventRecord, HlcStamp, OrderMode, RecordMarks, Result, TraceStage,
+    UtcMicros,
 };
 use std::collections::HashMap;
 
@@ -96,6 +97,9 @@ pub struct CreOutput {
     /// True if a tachyon was repaired and an extra sync round should run
     /// (§3.6; honoured when [`CreConfig::extra_sync_on_tachyon`] is set).
     pub request_extra_sync: bool,
+    /// True if the input record was a tachyon and its stamps were
+    /// rewritten: a merge stamp read before `process` no longer holds.
+    pub input_repaired: bool,
 }
 
 struct ReasonEntry {
@@ -185,15 +189,27 @@ impl CreMatcher {
 
     /// Process one record. `now` is the ISM's current time (used for the
     /// hold timeout).
-    pub fn process(&mut self, mut rec: EventRecord, now: UtcMicros) -> CreOutput {
+    pub fn process(&mut self, rec: EventRecord, now: UtcMicros) -> CreOutput {
+        let marks = rec.marks();
+        self.process_marked(rec, marks, now)
+    }
+
+    /// [`Self::process`] given `rec.marks()`, which the caller has
+    /// already read.
+    pub(crate) fn process_marked(
+        &mut self,
+        mut rec: EventRecord,
+        marks: RecordMarks,
+        now: UtcMicros,
+    ) -> CreOutput {
         let mut out = CreOutput {
             pass: Passed::default(),
             request_extra_sync: false,
+            input_repaired: false,
         };
         // A record can be a reason, a consequence, or (rarely) both — e.g.
         // a relay hop that is caused by one event and causes another.
-        let reason_id = rec.reason_id();
-        let conseq_id = rec.conseq_id();
+        let (reason_id, conseq_id) = (marks.reason, marks.conseq);
 
         if let Some(id) = conseq_id {
             self.stats.conseqs += 1;
@@ -202,6 +218,7 @@ impl CreMatcher {
                     if Self::is_tachyon(self.order, &rec, entry) {
                         let (ts, hlc) = (entry.ts, entry.hlc);
                         self.repair(&mut rec, ts, hlc, now, &mut out);
+                        out.input_repaired = true;
                     }
                 }
                 None => {

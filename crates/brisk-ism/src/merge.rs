@@ -25,7 +25,7 @@ use crate::cre::{CreMatcher, CreStats};
 use crate::sorter::{OnlineSorter, OverloadPolicy, SorterStats};
 use brisk_clock::Hlc;
 use brisk_core::{
-    EventRecord, HlcStamp, IsmConfig, NodeId, OrderMode, Result, TraceStage, UtcMicros,
+    EventRecord, HlcStamp, IsmConfig, NodeId, OrderMode, RecordMarks, Result, TraceStage, UtcMicros,
 };
 use brisk_telemetry::{HistogramSnapshot, Registry};
 use std::collections::HashMap;
@@ -127,8 +127,9 @@ pub struct MergePlane {
     last_seq: HashMap<NodeId, u64>,
     cells: Arc<MergeCells>,
     mirror: Arc<MirrorCells>,
-    /// |X_HLC physical − ISM now| per record since the last tick; folded
-    /// into `mirror.hlc_divergence_us` when the tick publishes.
+    /// |X_HLC physical − ISM now|, one sample per batch (its largest),
+    /// since the last tick; folded into `mirror.hlc_divergence_us` when
+    /// the tick publishes.
     divergence_us: HistogramSnapshot,
     /// Sorter shed total already reported to the flight recorder.
     flight_shed_reported: u64,
@@ -235,17 +236,27 @@ impl MergePlane {
         records: Vec<EventRecord>,
         now: UtcMicros,
     ) -> Result<bool> {
+        if !self.admit_seq(node, seq, records.len()) {
+            return Ok(false);
+        }
+        self.push_batch(records, now)?;
+        Ok(true)
+    }
+
+    /// The dedup step of [`Self::push_batch_seq`] for a batch of `count`
+    /// records, taken before any record exists: `false` for a replay
+    /// (counted), else `true`, raising the node's high-water mark.
+    pub(crate) fn admit_seq(&mut self, node: NodeId, seq: Option<u64>, count: usize) -> bool {
         if let Some(seq) = seq {
             let last = self.last_seq.entry(node).or_insert(0);
             if seq <= *last {
                 self.stats.duplicate_batches += 1;
-                self.stats.duplicate_records += records.len() as u64;
-                return Ok(false);
+                self.stats.duplicate_records += count as u64;
+                return false;
             }
             *last = seq;
         }
-        self.push_batch(records, now)?;
-        Ok(true)
+        true
     }
 
     /// Accept one batch of records (already correction-adjusted by the
@@ -261,25 +272,60 @@ impl MergePlane {
         // to observing every record, without taking the HLC lock per record.
         let mut batch_max: Option<HlcStamp> = None;
         let mut batch_max_logical = 0u32;
+        // The batch's largest |X_HLC physical − now| and whose it is: one
+        // divergence sample per batch.
+        let mut worst: Option<(u64, NodeId)> = None;
         for mut rec in records {
             self.stats.records_in += 1;
+            // One pass over the fields serves the HLC step, the CRE and the
+            // sorter-admit stamp.
+            let mut marks = rec.marks();
+            let mut stamp = None;
             if self.order == OrderMode::Causal {
-                let stamp = self.merge_hlc(&mut rec, now);
-                batch_max = Some(batch_max.map_or(stamp, |m| m.max(stamp)));
-                batch_max_logical = batch_max_logical.max(stamp.logical);
+                let s = Self::merge_hlc(&mut rec, &mut marks);
+                batch_max = Some(batch_max.map_or(s, |m| m.max(s)));
+                batch_max_logical = batch_max_logical.max(s.logical);
+                let divergence = s.divergence_us(now).unsigned_abs();
+                if worst.is_none_or(|(d, _)| divergence > d) {
+                    worst = Some((divergence, rec.node));
+                }
+                stamp = Some(s);
             }
-            let out = self.cre.process(rec, now);
+            let out = self.cre.process_marked(rec, marks, now);
             if out.request_extra_sync {
                 self.extra_sync_pending = true;
             }
+            // The input passes first, if at all: whether it is traced is
+            // known, and so is its merge stamp — unless the CRE repaired
+            // it. Records a reason released (and any the sorter clamps)
+            // are looked at anew.
+            let mut input = Some((marks.traced, stamp.filter(|_| !out.input_repaired)));
             for mut passed in out.pass {
-                passed.stamp_trace(TraceStage::SorterAdmit, now);
-                self.sorter.push(passed);
+                let (traced, known) = input.take().unwrap_or((true, None));
+                if traced {
+                    passed.stamp_trace(TraceStage::SorterAdmit, now);
+                }
+                self.sorter.push_keyed(passed, known);
             }
         }
         if let Some(max) = batch_max {
             self.hlc.observe(max);
             self.hlc.note_logical(batch_max_logical);
+        }
+        if let Some((divergence, node)) = worst {
+            self.divergence_us.record(divergence);
+            // One flight-recorder alert per plane once physical clocks have
+            // visibly diverged from causal time — the breadcrumb that says
+            // "trust HLC order, not the timestamps" when debugging a capture.
+            if divergence > 1_000_000 && !self.flight_divergence_alerted {
+                self.flight_divergence_alerted = true;
+                brisk_telemetry::flight_log!(
+                    Warn,
+                    "ism.hlc",
+                    "divergence",
+                    "X_HLC physical diverges from ISM clock by {divergence} us (node {node})"
+                );
+            }
         }
         Ok(())
     }
@@ -289,32 +335,18 @@ impl MergePlane {
     /// physical-ts fallback so it survives re-export through relay tiers)
     /// and return it for the caller's batch-max fold into the plane's
     /// clock, so everything stamped downstream dominates the whole
-    /// subtree.
-    fn merge_hlc(&mut self, rec: &mut EventRecord, now: UtcMicros) -> HlcStamp {
-        let stamp = match rec.hlc() {
+    /// subtree. It is also the record's merge stamp.
+    fn merge_hlc(rec: &mut EventRecord, marks: &mut RecordMarks) -> HlcStamp {
+        match marks.hlc {
             Some(s) => s,
             None => {
                 let s = HlcStamp::new(rec.ts, 0);
-                rec.set_hlc(s);
+                if rec.set_hlc(s) {
+                    marks.hlc = Some(s);
+                }
                 s
             }
-        };
-        let divergence = stamp.divergence_us(now).unsigned_abs();
-        self.divergence_us.record(divergence);
-        // One flight-recorder alert per plane once physical clocks have
-        // visibly diverged from causal time — the breadcrumb that says
-        // "trust HLC order, not the timestamps" when debugging a capture.
-        if divergence > 1_000_000 && !self.flight_divergence_alerted {
-            self.flight_divergence_alerted = true;
-            brisk_telemetry::flight_log!(
-                Warn,
-                "ism.hlc",
-                "divergence",
-                "X_HLC physical diverges from ISM clock by {divergence} us (node {})",
-                rec.node
-            );
         }
-        stamp
     }
 
     /// Advance the pipeline: pump the output, expire held CRE records,
@@ -520,6 +552,45 @@ mod tests {
             "node 2's record was delivered after a (physically) later one"
         );
         assert!(p.hlc().last().physical >= UtcMicros::from_micros(300));
+    }
+
+    #[test]
+    fn a_repaired_tachyon_merges_by_its_repaired_stamp() {
+        use brisk_core::{CorrelationId, HlcStamp, Value};
+        let cfg = IsmConfig {
+            sorter: SorterConfig {
+                initial_frame_us: 0,
+                min_frame_us: 0,
+                ..SorterConfig::default()
+            },
+            order_mode: brisk_core::OrderMode::Causal,
+            ..IsmConfig::default()
+        };
+        let mut p = MergePlane::new(&cfg).unwrap();
+        let mut out = TestOut::new();
+        let stamped = |node, ts, hlc: (i64, u32), mark: Option<Value>| {
+            let mut r = rec(node, 0, ts);
+            r.fields.extend(mark);
+            r.set_hlc(HlcStamp::new(UtcMicros::from_micros(hlc.0), hlc.1));
+            r
+        };
+        let reason = stamped(1, 1_000, (1_000, 5), Some(Value::Reason(CorrelationId(7))));
+        let plain = stamped(3, 950, (950, 0), None);
+        // Read on receive as (900, 0), below both; the CRE raises it to
+        // (1000, 6), just above its reason.
+        let tachyon = stamped(2, 900, (900, 0), Some(Value::Conseq(CorrelationId(7))));
+        let now = UtcMicros::from_micros(1_000);
+        p.push_batch(vec![reason, plain], now).unwrap();
+        p.push_batch(vec![tachyon], now).unwrap();
+        assert_eq!(p.cre_stats().tachyons_repaired, 1);
+        p.tick(UtcMicros::from_micros(10_000_000), &mut out)
+            .unwrap();
+        let nodes: Vec<u32> = out.got.iter().map(|r| r.node.raw()).collect();
+        assert_eq!(
+            nodes,
+            vec![3, 1, 2],
+            "the repaired conseq follows its reason"
+        );
     }
 
     #[test]

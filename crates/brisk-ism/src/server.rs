@@ -13,8 +13,9 @@
 //!   [`brisk_core::IsmConfig::node_timeout`]. Connection count is
 //!   independent of thread count ([`brisk_core::IsmConfig::pump_threads`]);
 //! * **manager** — owns the [`IsmCore`] and the [`SyncMaster`]; consumes
-//!   pump events, materializes each batch's records exactly once from
-//!   its validated wire frame, ticks the pipeline, schedules
+//!   pump events, hands each validated batch frame to
+//!   [`IsmCore::push_frame`] (which decodes it once, into records the
+//!   core has already delivered), ticks the pipeline, schedules
 //!   synchronization rounds every `poll_period`, plus the *extra* rounds
 //!   requested by tachyon repairs (§3.6). It learns of every pump's end,
 //!   eviction included, from that pump's `Disconnected`.
@@ -28,9 +29,8 @@ use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool};
 use crate::session::{PumpCommand, PumpEvent, PumpHandle};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
-use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, TraceStage};
+use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig};
 use brisk_net::{ConnMetrics, Listener};
-use brisk_proto::BatchView;
 use brisk_telemetry::{Registry, StageLatencies};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use std::collections::{HashMap, HashSet};
@@ -337,33 +337,27 @@ impl Manager {
                 recv_ts,
                 enqueued_at,
             } => {
-                let n = count as u64;
-                // Materialize exactly once, on the consumer side of the
-                // queue: the pump already validated the frame as a view,
-                // so a failure here is a logic error rather than wire
-                // corruption — skip the batch instead of poisoning the
-                // manager. The PumpRecv stamp uses the socket-side
-                // receive time, keeping manager queueing delay out of
-                // the BatchSend→PumpRecv span.
-                //
-                // Dedup happens in the core; accepted or not, the batch is
-                // acked — a replayed duplicate means our earlier ack died
-                // with the old connection, so re-acking is exactly what
-                // unblocks the sender's retransmit window.
-                let pushed = match BatchView::parse(&frame).and_then(|view| view.materialize()) {
-                    Ok(mut records) => {
-                        for rec in records.iter_mut() {
-                            rec.stamp_trace(TraceStage::PumpRecv, recv_ts);
-                        }
-                        self.core
-                            .push_batch_seq(node, Some(seq), records, self.clock.now())
-                    }
-                    Err(_) => Ok(false),
-                };
+                // The shard validated the frame, so a decode failure here
+                // is a logic error rather than wire corruption: drop the
+                // batch instead of poisoning the manager. A replay is
+                // dropped by the core before decoding. Accepted or not,
+                // the batch is acked — a replayed duplicate means our
+                // earlier ack died with the old connection, so re-acking
+                // is exactly what unblocks the sender's retransmit window.
+                let pushed = self
+                    .core
+                    .push_frame(node, seq, &frame, recv_ts, self.clock.now());
                 // The records left the manager queue whether the core
-                // accepted them or not; free the pumps before erroring.
-                self.flow.sub(n);
-                pushed?;
+                // accepted them or not.
+                self.flow.sub(count as u64);
+                if let Err(e) = pushed {
+                    brisk_telemetry::flight_log!(
+                        Error,
+                        "ism.manager",
+                        "frame_dropped",
+                        "node {node} batch {seq} of {count} records dropped: {e}"
+                    );
+                }
                 // Ack through the exact pump instance the batch arrived
                 // on. Its shard re-advertises the constant credit grant:
                 // acked records leave the in-flight budget, so that is

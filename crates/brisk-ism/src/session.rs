@@ -16,7 +16,7 @@ use crate::reactor::ReactorConfig;
 use brisk_clock::SkewSample;
 use brisk_core::{BriskError, NodeId, Result, UtcMicros};
 use brisk_net::Waker;
-use brisk_proto::{BatchView, Message};
+use brisk_proto::{BatchWalk, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -74,10 +74,10 @@ pub enum PumpEvent {
         id: u64,
         /// Batch sequence number.
         seq: u64,
-        /// The wire frame, validated but still encoded. The pump parsed
-        /// it as a [`BatchView`] (rejecting malformed bytes and spoofed
-        /// node ids) without materializing a single record; the manager
-        /// materializes exactly once on the consumer side, so record
+        /// The wire frame, validated but still encoded. The pump walked
+        /// it ([`BatchWalk::validate`], rejecting malformed bytes and
+        /// spoofed node ids) without keeping a single record; the manager
+        /// decodes it once, in [`crate::IsmCore::push_frame`], so record
         /// payloads cross the queue as one buffer, not per-record
         /// allocations.
         frame: Vec<u8>,
@@ -86,8 +86,8 @@ pub enum PumpEvent {
         count: usize,
         /// When the frame left the socket; the manager stamps
         /// `PumpRecv` with this so the BatchSend→PumpRecv trace span
-        /// stays pure wire + validation time even though
-        /// materialization happens later.
+        /// stays pure wire + validation time even though decoding
+        /// happens later.
         recv_ts: UtcMicros,
         /// When the pump put this batch on the manager queue; the delay
         /// until the manager acks it is the credit-grant latency.
@@ -236,41 +236,40 @@ impl PumpIo {
     /// violation, or an exhausted quarantine budget); `Ok` carries what
     /// happened.
     ///
-    /// Batches take the zero-copy path: the frame is validated as a
-    /// [`BatchView`] — every record body walked and bounds-checked, no
-    /// record materialized — and the raw bytes are forwarded to the
-    /// manager, which materializes exactly once.
+    /// Batches take the zero-copy path: the frame is validated by
+    /// walking it ([`BatchWalk::validate`]) — every record body walked
+    /// and bounds-checked, none kept — and the raw bytes are forwarded
+    /// to the manager, which decodes them once.
     pub(crate) fn on_frame(&mut self, ctx: &ReactorConfig, frame: Vec<u8>) -> Result<FrameOutcome> {
         if brisk_proto::peek_tag(&frame).is_some_and(brisk_proto::is_batch_tag) {
-            let (count, seq) = match BatchView::parse(&frame) {
-                Ok(view) => {
+            let (count, seq) = match BatchWalk::new(&frame).and_then(BatchWalk::validate) {
+                Ok(header) => {
                     // The connection authenticated as `self.node` in the
                     // handshake; a batch claiming another origin is
                     // spoofed (or a badly confused client) — kill the
                     // connection rather than pollute another node's
                     // event stream. A batch without a seq could be
                     // neither deduplicated nor acked: same verdict.
-                    if view.node() != self.node {
+                    if header.node != self.node {
                         return Err(BriskError::Protocol(format!(
                             "batch claims node {} on a connection that said Hello as {}",
-                            view.node(),
-                            self.node
+                            header.node, self.node
                         )));
                     }
-                    let Some(seq) = view.seq() else {
+                    let Some(seq) = header.seq else {
                         return Err(BriskError::Protocol(format!(
                             "unsequenced batch from node {}",
                             self.node
                         )));
                     };
-                    (view.len(), seq)
+                    (header.count, seq)
                 }
                 Err(e) => return self.note_malformed(ctx, &frame, &e),
             };
             ctx.flow.add(count as u64);
             // First ISM-side trace hop, taken right at the socket: the
             // manager stamps PumpRecv with this timestamp when it
-            // materializes, keeping queueing delay out of the
+            // decodes, keeping queueing delay out of the
             // BatchSend→PumpRecv span.
             let recv_ts = ctx.clock.now();
             self.send_event(

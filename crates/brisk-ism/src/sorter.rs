@@ -196,6 +196,13 @@ impl OnlineSorter {
 
     /// Accept one record.
     pub fn push(&mut self, rec: EventRecord) {
+        self.push_keyed(rec, None);
+    }
+
+    /// [`Self::push`] given the record's merge stamp when the caller has
+    /// already read it (the merge plane reads `X_HLC` on receive); `None`
+    /// reads it here.
+    pub(crate) fn push_keyed(&mut self, rec: EventRecord, stamp: Option<HlcStamp>) {
         let qkey = (rec.node, rec.sensor);
         let slot = match self.last_push {
             Some((key, slot)) if key == qkey => slot,
@@ -217,7 +224,7 @@ impl OnlineSorter {
         // The tail's stamp is read from the queue — never recomputed from
         // its fields — so a push costs one stamp computation total.
         let mut rec = rec;
-        let mut stamp = stamp_under(self.order, &rec);
+        let mut stamp = stamp.unwrap_or_else(|| stamp_under(self.order, &rec));
         if let Some((back, bk)) = q.back() {
             match self.order {
                 OrderMode::Physical => {

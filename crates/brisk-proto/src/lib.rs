@@ -442,8 +442,8 @@ pub fn encode_batch(node: NodeId, seq: Option<u64>, records: &[EventRecord]) -> 
 /// frame is shorter than one XDR word (such a frame can never decode).
 ///
 /// The ingest hot path uses this to route event batches through the
-/// zero-copy [`BatchView`] parse while every other (rare, small) message
-/// kind takes the owned [`Message::decode`] path.
+/// zero-copy [`BatchWalk`] while every other (rare, small) message kind
+/// takes the owned [`Message::decode`] path.
 pub fn peek_tag(frame: &[u8]) -> Option<u32> {
     let word: [u8; 4] = frame.get(..4)?.try_into().ok()?;
     Some(u32::from_be_bytes(word))
@@ -457,38 +457,42 @@ pub const fn is_batch_tag(tag: u32) -> bool {
         || tag == Tag::EventBatchMulti as u32
 }
 
-/// A fully-validated *borrowing* view over an `EventBatch` /
-/// `EventBatchSeq` / `EventBatchMulti` frame — the only parser of batch
-/// bytes ([`Message::decode`] is this parse plus
-/// [`BatchView::materialize`]).
-///
-/// Parsing walks and validates every record body, but each record is
-/// kept as a [`RecordView`] whose field bytes still point into the
-/// arrival buffer — nothing is copied until [`BatchView::materialize`]
-/// (or a per-record [`RecordView::materialize`]) is called. The ISM pump
-/// validates a frame once with this type and forwards the raw frame; the
-/// manager re-parses and materializes exactly once, so a record is copied
-/// at most once end-to-end.
-#[derive(Debug)]
-pub struct BatchView<'a> {
-    node: NodeId,
-    seq: Option<u64>,
-    records: Vec<RecordView<'a>>,
-    /// Per-record origin nodes, parallel to `records`. `None` for the
-    /// single-node `EventBatch` / `EventBatchSeq` formats, where every
-    /// record originates from the header node.
-    nodes: Option<Vec<NodeId>>,
+/// What routing, dedup and flow accounting need from a batch frame: its
+/// header, read without touching a record body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchHeader {
+    /// Originating node (for the Multi format: the sending relay).
+    pub node: NodeId,
+    /// Per-node batch sequence number (`None` on the unsequenced form).
+    pub seq: Option<u64>,
+    /// Declared record count, already checked against
+    /// [`MAX_BATCH_RECORDS`].
+    pub count: usize,
 }
 
-impl<'a> BatchView<'a> {
-    /// Parse and validate a batch frame without copying record payloads.
-    ///
-    /// The frame must carry a batch tag (check with [`peek_tag`] /
-    /// [`is_batch_tag`] first); any other tag is an
-    /// [`DecodeError::UnknownTag`] from this constructor's point of view.
-    /// Validation is exhaustive — bounds, descriptor, every field, no
-    /// trailing bytes.
-    pub fn parse(frame: &'a [u8]) -> Result<BatchView<'a>, DecodeError> {
+/// The one walker over batch bytes: reads an `EventBatch` /
+/// `EventBatchSeq` / `EventBatchMulti` header, then hands each record to
+/// a callback as its origin node and a validated [`RecordView`] borrowing
+/// the frame ([`BatchWalk::try_for_each`]).
+///
+/// [`BatchView::parse`] collects the walk, the ISM pump validates a frame
+/// by walking it without keeping anything ([`BatchWalk::validate`]), and
+/// the ISM manager walks it once more to decode each record straight into
+/// a record it reuses. Validation is exhaustive — bounds, descriptor,
+/// every field and, last, no trailing bytes — and the walk stops at the
+/// first error.
+#[derive(Debug)]
+pub struct BatchWalk<'a> {
+    d: XdrDecoder<'a>,
+    header: BatchHeader,
+    multi: bool,
+}
+
+impl<'a> BatchWalk<'a> {
+    /// Read a batch frame's header. The frame must carry a batch tag
+    /// (check with [`peek_tag`] / [`is_batch_tag`] first); any other tag
+    /// is a [`DecodeError::UnknownTag`] here.
+    pub fn new(frame: &'a [u8]) -> Result<BatchWalk<'a>, DecodeError> {
         let mut d = XdrDecoder::new(frame);
         let tag = d.uint()?;
         if !is_batch_tag(tag) {
@@ -513,18 +517,85 @@ impl<'a> BatchView<'a> {
                 max: MAX_BATCH_RECORDS,
             });
         }
-        let mut records = Vec::with_capacity(count.min(4096));
-        let mut nodes = multi.then(|| Vec::with_capacity(count.min(4096)));
-        for _ in 0..count {
-            if let Some(nodes) = nodes.as_mut() {
-                nodes.push(NodeId(d.uint()?));
-            }
-            records.push(decode_record_view(&mut d)?);
+        Ok(BatchWalk {
+            d,
+            header: BatchHeader { node, seq, count },
+            multi,
+        })
+    }
+
+    /// The frame's header.
+    pub fn header(&self) -> BatchHeader {
+        self.header
+    }
+
+    /// Walk every record, keeping nothing: the validation a receiver
+    /// does before it forwards the frame.
+    pub fn validate(self) -> Result<BatchHeader, DecodeError> {
+        let header = self.header;
+        self.try_for_each(|_, _| Ok::<_, DecodeError>(()))?;
+        Ok(header)
+    }
+
+    /// Hand each record in order to `f`, with its origin node — its own
+    /// in a Multi-format batch, the header node otherwise. The walk stops
+    /// at the first error, the frame's or `f`'s; trailing bytes are the
+    /// frame's last possible error.
+    pub fn try_for_each<E: From<DecodeError>>(
+        mut self,
+        mut f: impl FnMut(NodeId, RecordView<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for _ in 0..self.header.count {
+            let node = match self.multi {
+                true => NodeId(self.d.uint().map_err(DecodeError::from)?),
+                false => self.header.node,
+            };
+            let view = decode_record_view(&mut self.d).map_err(DecodeError::from)?;
+            f(node, view)?;
         }
-        d.finish()?;
+        self.d.finish().map_err(DecodeError::from)?;
+        Ok(())
+    }
+}
+
+/// A fully-validated *borrowing* view over a batch frame: a
+/// [`BatchWalk`] collected ([`Message::decode`] is this parse plus
+/// [`BatchView::materialize`]).
+///
+/// Each record is kept as a [`RecordView`] whose field bytes still point
+/// into the arrival buffer — nothing is copied until
+/// [`BatchView::materialize`] (or a per-record [`RecordView::materialize`])
+/// is called. The ISM itself never builds one: its pump validates with
+/// [`BatchWalk::validate`] and its manager decodes while walking.
+#[derive(Debug)]
+pub struct BatchView<'a> {
+    header: BatchHeader,
+    records: Vec<RecordView<'a>>,
+    /// Per-record origin nodes, parallel to `records`. `None` for the
+    /// single-node `EventBatch` / `EventBatchSeq` formats, where every
+    /// record originates from the header node.
+    nodes: Option<Vec<NodeId>>,
+}
+
+impl<'a> BatchView<'a> {
+    /// Parse and validate a batch frame without copying record payloads;
+    /// see [`BatchWalk`] for what is checked.
+    pub fn parse(frame: &'a [u8]) -> Result<BatchView<'a>, DecodeError> {
+        let walk = BatchWalk::new(frame)?;
+        let header = walk.header();
+        let mut records = Vec::with_capacity(header.count.min(4096));
+        let mut nodes = walk
+            .multi
+            .then(|| Vec::with_capacity(header.count.min(4096)));
+        walk.try_for_each(|node, view| {
+            if let Some(nodes) = nodes.as_mut() {
+                nodes.push(node);
+            }
+            records.push(view);
+            Ok::<_, DecodeError>(())
+        })?;
         Ok(BatchView {
-            node,
-            seq,
+            header,
             records,
             nodes,
         })
@@ -532,12 +603,12 @@ impl<'a> BatchView<'a> {
 
     /// Originating node.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.header.node
     }
 
     /// Per-node batch sequence number (`None` on the unsequenced wire form).
     pub fn seq(&self) -> Option<u64> {
-        self.seq
+        self.header.seq
     }
 
     /// Number of records in the batch.
@@ -555,16 +626,15 @@ impl<'a> BatchView<'a> {
         &self.records
     }
 
-    /// Copy the records out into owned [`EventRecord`]s — the single
-    /// copy the ingest path pays. Records from a Multi-format batch keep
-    /// their own origin node; the single-node formats stamp the header
-    /// node onto every record.
+    /// Copy the records out into owned [`EventRecord`]s. Records from a
+    /// Multi-format batch keep their own origin node; the single-node
+    /// formats stamp the header node onto every record.
     pub fn materialize(&self) -> Result<Vec<EventRecord>, DecodeError> {
         let mut out = Vec::with_capacity(self.records.len());
         for (i, rv) in self.records.iter().enumerate() {
             let node = match &self.nodes {
                 Some(nodes) => nodes[i],
-                None => self.node,
+                None => self.header.node,
             };
             out.push(rv.materialize(node)?);
         }
@@ -955,6 +1025,57 @@ mod tests {
             BatchView::parse(e.as_bytes()),
             Err(DecodeError::TooManyRecords { .. })
         ));
+    }
+
+    #[test]
+    fn the_walk_yields_what_the_view_collects_and_validates_alike() {
+        let single = Message::EventBatch {
+            node: NodeId(3),
+            seq: Some(4),
+            records: (0..5).map(|i| rec(i, i as i64)).collect(),
+        }
+        .encode();
+        let mut mixed: Vec<EventRecord> = (0..4).map(|i| rec(i, i as i64)).collect();
+        mixed[1].node = NodeId(8);
+        let multi = encode_batch(NodeId(1), None, &mixed);
+        for bytes in [single, multi] {
+            let view = BatchView::parse(&bytes).unwrap();
+            let walk = BatchWalk::new(&bytes).unwrap();
+            assert_eq!(walk.header().node, view.node());
+            assert_eq!(walk.header().seq, view.seq());
+            assert_eq!(walk.header().count, view.len());
+            let mut walked = Vec::new();
+            walk.try_for_each(|node, rv| {
+                walked.push(rv.materialize(node)?);
+                Ok::<_, DecodeError>(())
+            })
+            .unwrap();
+            assert_eq!(walked, view.materialize().unwrap());
+            assert_eq!(
+                BatchWalk::new(&bytes).unwrap().validate().unwrap(),
+                BatchWalk::new(&bytes).unwrap().header()
+            );
+            // Trailing bytes are the walk's last error, after every record.
+            let mut long = bytes.clone();
+            long.extend_from_slice(&[0, 0, 0, 0]);
+            let mut seen = 0;
+            let walk = BatchWalk::new(&long).unwrap();
+            assert!(walk
+                .try_for_each(|_, _| {
+                    seen += 1;
+                    Ok::<_, DecodeError>(())
+                })
+                .is_err());
+            assert_eq!(seen, view.len());
+            // The walk stops at the callback's first error.
+            let mut seen = 0;
+            let stopped = BatchWalk::new(&bytes).unwrap().try_for_each(|_, _| {
+                seen += 1;
+                Err(DecodeError::Record("enough".into()))
+            });
+            assert!(stopped.is_err());
+            assert_eq!(seen, 1);
+        }
     }
 
     #[test]

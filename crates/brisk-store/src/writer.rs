@@ -249,9 +249,13 @@ pub struct StoreWriter {
     unpublished_bytes: u64,
     /// Stream timestamp at the last sync; `FsyncPolicy::Interval` compares
     /// record timestamps against this (stream time, like retention, so the
-    /// append path never reads the wall clock — an `Instant::now()` per
+    /// append path reads no clock per record — an `Instant::now()` per
     /// record was measurable).
     last_sync_ts: UtcMicros,
+    /// Wall-clock time of the first append since the last sync under
+    /// `FsyncPolicy::Interval`, read once per interval, not per record;
+    /// [`StoreWriter::sync_if_due`] syncs a quiet stream by it.
+    unsynced_since: Option<Instant>,
     /// Newest appended record timestamp; drives age-based retention (the
     /// stream's own clock, so retention behaves identically under replay).
     last_ts: UtcMicros,
@@ -361,6 +365,7 @@ impl StoreWriter {
             unpublished_records: 0,
             unpublished_bytes: 0,
             last_sync_ts: last_ts,
+            unsynced_since: None,
             last_ts,
             stats,
             scratch: Vec::with_capacity(256),
@@ -449,6 +454,9 @@ impl StoreWriter {
         match self.cfg.fsync {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::Interval(d) => {
+                if self.unsynced_since.is_none() {
+                    self.unsynced_since = Some(Instant::now());
+                }
                 if pending_len >= WRITE_BEHIND_BYTES {
                     self.write_pending()?;
                 }
@@ -518,6 +526,21 @@ impl StoreWriter {
                 .record(start.elapsed().as_micros() as u64);
         }
         self.last_sync_ts = self.last_ts;
+        self.unsynced_since = None;
+        Ok(())
+    }
+
+    /// Under `fsync=interval`, sync once the oldest unsynced append is an
+    /// interval old by the wall clock. The append path syncs by stream
+    /// time, which stops when the stream does; calling this periodically
+    /// (the ISM does, every manager tick) makes a quiet stream's tail
+    /// durable, and visible to tailers, within the interval.
+    pub fn sync_if_due(&mut self) -> Result<()> {
+        if let (FsyncPolicy::Interval(d), Some(since)) = (self.cfg.fsync, self.unsynced_since) {
+            if since.elapsed() >= d {
+                self.sync()?;
+            }
+        }
         Ok(())
     }
 

@@ -7,10 +7,11 @@
 //! [`ValueRef`]/[`RecordView`], whose variable-size
 //! payloads stay borrowed from the frame they arrived in. A record is
 //! *validated* where the frame enters the system (the pump) without
-//! copying anything, then *materialized* into an owned
-//! [`brisk_core::EventRecord`] exactly once, downstream, where ownership
-//! is actually needed — so each payload byte is copied at most once
-//! end-to-end.
+//! copying anything, then *materialized* exactly once, downstream, where
+//! ownership is actually needed — into a fresh
+//! [`brisk_core::EventRecord`] or over one already delivered
+//! ([`RecordView::materialize_into`]) — so each payload byte is copied at
+//! most once end-to-end.
 //!
 //! Validation is exact: a body [`decode_record_view`] accepts is precisely
 //! a body [`crate::values::decode_value`]-based decoding accepts (the
@@ -268,17 +269,37 @@ impl<'a> RecordView<'a> {
             .map(move |&vt| decode_value_ref(vt, &mut d))
     }
 
-    /// Materialize an owned [`EventRecord`] — the single end-to-end copy
-    /// of the payload bytes. `node` comes from the enclosing batch.
+    /// Materialize an owned [`EventRecord`]. `node` comes from the
+    /// enclosing batch.
+    pub fn materialize(&self, node: NodeId) -> Result<EventRecord> {
+        let mut rec = EventRecord {
+            fields: Vec::with_capacity(self.desc.len()),
+            ..EventRecord::default()
+        };
+        self.materialize_into(node, &mut rec)?;
+        Ok(rec)
+    }
+
+    /// Overwrite `rec` with this record — the single end-to-end copy of
+    /// the payload bytes. `rec` is a shell: a record already delivered,
+    /// whose `fields` capacity is reused, so a record no wider than the
+    /// shell's costs no allocation. On error `rec` holds a partial record.
     ///
     /// [`decode_record_view`] already validated the region, so fixed-width
     /// fields are read straight into [`Value`] (the narrow integers were
     /// range-checked there, so their casts are exact); only the variable
     /// and composite arms go through [`decode_value_ref`]. A short read is
     /// still an error, never a panic.
-    pub fn materialize(&self, node: NodeId) -> Result<EventRecord> {
+    pub fn materialize_into(&self, node: NodeId, rec: &mut EventRecord) -> Result<()> {
+        rec.node = node;
+        rec.sensor = self.sensor;
+        rec.event_type = self.event_type;
+        rec.seq = self.seq;
+        rec.ts = self.ts;
+        let fields = &mut rec.fields;
+        fields.clear();
+        fields.reserve(self.desc.len());
         let mut d = XdrDecoder::new(self.fields);
-        let mut fields = Vec::with_capacity(self.desc.len());
         for &vt in self.desc.types() {
             fields.push(match vt {
                 ValueType::I8 => Value::I8(d.int()? as i8),
@@ -303,17 +324,9 @@ impl<'a> RecordView<'a> {
                 }
             });
         }
-        d.finish()?;
         // The descriptor holds at most MAX_FIELDS types, so the field-count
         // check `EventRecord::new` would repeat cannot fail.
-        Ok(EventRecord {
-            node,
-            sensor: self.sensor,
-            event_type: self.event_type,
-            seq: self.seq,
-            ts: self.ts,
-            fields,
-        })
+        Ok(d.finish()?)
     }
 }
 
@@ -392,6 +405,27 @@ mod tests {
             let view = decode_record_view(&mut XdrDecoder::new(&bytes)).unwrap();
             assert_eq!(view.materialize(NodeId(1)).unwrap(), r);
         }
+    }
+
+    #[test]
+    fn materialize_into_a_shell_reuses_its_fields_and_overwrites_the_rest() {
+        let wide = rec(vec![Value::Str("wide".into()), Value::I64(1), Value::U8(2)]);
+        let narrow = EventRecord {
+            node: NodeId(9),
+            seq: 77,
+            ..rec(vec![Value::I32(5)])
+        };
+        let mut shell = wide.clone();
+        let capacity = shell.fields.capacity();
+        let bytes = encoded(&narrow);
+        let view = decode_record_view(&mut XdrDecoder::new(&bytes)).unwrap();
+        view.materialize_into(NodeId(9), &mut shell).unwrap();
+        assert_eq!(shell, narrow);
+        assert_eq!(
+            shell.fields.capacity(),
+            capacity,
+            "the shell's vector is reused"
+        );
     }
 
     #[test]

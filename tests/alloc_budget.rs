@@ -1,7 +1,10 @@
-//! Allocation budgets of the record plumbing: one heap object per record
-//! per address space (its `fields` vector) and nothing else per record.
-//! The EXS pays not even that: it decodes ring records over the records
-//! of batches it has already shipped.
+//! Allocation budgets of the record plumbing. In steady state a record
+//! costs one heap object, its `fields` vector, where the sensor builds it,
+//! and none after that: the EXS decodes ring records over the records of
+//! batches it has already shipped, and the ISM decodes frames into records
+//! it has already delivered. Only the owned decode paths (a ring pop, a
+//! materialized batch, a core fed records rather than frames) still pay a
+//! `fields` vector per record.
 //!
 //! The counter is thread-local, so the tests of this binary can run in
 //! parallel without seeing each other's allocations.
@@ -224,6 +227,88 @@ fn manager_delivery_allocates_per_batch_not_per_record() {
     assert!(small <= 1, "64-record batch: {small} allocations");
     assert!(large <= 1, "2048-record batch: {large} allocations");
     assert_eq!(core.memory().written(), 4096 + 64 + 2048);
+}
+
+fn frame(seq: u64, records: Vec<EventRecord>) -> Vec<u8> {
+    Message::EventBatch {
+        node: NODE,
+        seq: Some(seq),
+        records,
+    }
+    .encode()
+}
+
+#[test]
+fn manager_frames_decode_into_delivered_records() {
+    let mut core = IsmCore::new(IsmConfig::default()).unwrap();
+    let mut seq = 0;
+    let mut deliver = |core: &mut IsmCore, n: u64| {
+        seq += 1;
+        let frame = frame(seq, batch(seq * 10_000, n));
+        let (allocs, delivered) = allocs(|| {
+            let pushed = core.push_frame(NODE, seq, &frame, UtcMicros::ZERO, UtcMicros::ZERO);
+            assert!(pushed.unwrap());
+            core.tick(UtcMicros::from_secs(3_600)).unwrap()
+        });
+        assert_eq!(delivered as u64, n);
+        allocs
+    };
+    // Warm-up: 4096 records are decoded fresh and, once delivered, become
+    // the shells later frames decode into; the batch, sorter and release
+    // buffers grow to the working size.
+    let first = deliver(&mut core, 4096);
+    assert!(first > 4096, "the first frame allocates its records");
+    let small = deliver(&mut core, 64);
+    let large = deliver(&mut core, 2048);
+    // What is left is per tick, as in the record-fed test above: at most
+    // one doubling of the memory buffer's length ring.
+    assert!(small <= 1, "64-record frame: {small} allocations");
+    assert!(large <= 1, "2048-record frame: {large} allocations");
+    assert_eq!(core.memory().written(), 4096 + 64 + 2048);
+}
+
+#[test]
+fn a_core_fed_through_push_batch_keeps_no_shells() {
+    let mut core = IsmCore::new(IsmConfig::default()).unwrap();
+    core.push_batch(batch(0, 4096), UtcMicros::ZERO).unwrap();
+    assert_eq!(core.tick(UtcMicros::from_secs(3_600)).unwrap(), 4096);
+    // Had delivery kept those 4096 records, this frame would decode into
+    // them; it allocates a fields vector per record instead.
+    let frame = frame(1, batch(10_000, 64));
+    let (n, pushed) = allocs(|| core.push_frame(NODE, 1, &frame, UtcMicros::ZERO, UtcMicros::ZERO));
+    assert!(pushed.unwrap());
+    assert!(
+        n >= 64,
+        "push_frame of 64 records found shells: {n} allocations"
+    );
+}
+
+#[test]
+fn a_replayed_frame_is_acked_but_never_decoded() {
+    let mut core = IsmCore::new(IsmConfig::default()).unwrap();
+    let good = frame(1, batch(0, 256));
+    assert!(core
+        .push_frame(NODE, 1, &good, UtcMicros::ZERO, UtcMicros::ZERO)
+        .unwrap());
+    // The replay keeps its header (tag, node, seq, count: 20 bytes) and
+    // carries garbage after it, so decoding any record would fail.
+    let mut replay = good.clone();
+    replay[20..].fill(0xff);
+    let (n, pushed) =
+        allocs(|| core.push_frame(NODE, 1, &replay, UtcMicros::ZERO, UtcMicros::ZERO));
+    assert!(
+        !pushed.unwrap(),
+        "a replay is reported for acking, not pushed"
+    );
+    assert_eq!(n, 0, "the replay cost {n} allocations");
+    let stats = core.stats();
+    assert_eq!((stats.duplicate_batches, stats.duplicate_records), (1, 256));
+    assert_eq!(stats.records_in, 256);
+    // The same bytes under a fresh seq are decoded, and refused whole.
+    assert!(core
+        .push_frame(NODE, 2, &replay, UtcMicros::ZERO, UtcMicros::ZERO)
+        .is_err());
+    assert_eq!(core.stats().records_in, 256);
 }
 
 /// A link that takes frames without copying them.
