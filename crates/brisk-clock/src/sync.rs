@@ -137,7 +137,7 @@ pub fn plan_corrections(cfg: &SyncConfig, estimates: &[SkewEstimate]) -> SyncOut
     if cfg.original_cristian {
         return plan_original(estimates);
     }
-    plan_brisk(cfg, estimates)
+    plan_brisk(estimates)
 }
 
 fn plan_original(estimates: &[SkewEstimate]) -> SyncOutcome {
@@ -167,7 +167,13 @@ fn plan_original(estimates: &[SkewEstimate]) -> SyncOutcome {
     }
 }
 
-fn plan_brisk(cfg: &SyncConfig, estimates: &[SkewEstimate]) -> SyncOutcome {
+/// The "small threshold" (µs): an average relative skew at or below it is damped.
+const SKEW_THRESHOLD_US: f64 = 50.0;
+/// The damped correction is "a fixed portion of the relative skew (0.7 in
+/// the current implementation)".
+const DAMPING: f64 = 0.7;
+
+fn plan_brisk(estimates: &[SkewEstimate]) -> SyncOutcome {
     let Some(reference) = estimates.iter().max_by_key(|e| (e.skew_us, e.node.raw())) else {
         return SyncOutcome::default();
     };
@@ -190,7 +196,7 @@ fn plan_brisk(cfg: &SyncConfig, estimates: &[SkewEstimate]) -> SyncOutcome {
         .collect();
     let avg = rel.iter().map(|&(_, r)| r as f64).sum::<f64>() / rel.len() as f64;
     let max_rel = rel.iter().map(|&(_, r)| r).max().unwrap_or(0);
-    let full = avg > cfg.skew_threshold_us as f64;
+    let full = avg > SKEW_THRESHOLD_US;
     // "Only the EXS clocks whose relative skews are above the average are
     // advanced." With a single non-reference slave its skew *is* the
     // average, which would deadlock a two-node system; in that degenerate
@@ -201,11 +207,7 @@ fn plan_brisk(cfg: &SyncConfig, estimates: &[SkewEstimate]) -> SyncOutcome {
         .filter(|&&(_, r)| if single { r > 0 } else { (r as f64) > avg })
         .map(|&(node, r)| Correction {
             node,
-            advance_us: if full {
-                r
-            } else {
-                (cfg.damping * r as f64) as i64
-            },
+            advance_us: if full { r } else { (DAMPING * r as f64) as i64 },
         })
         .collect();
     SyncOutcome {
@@ -262,6 +264,8 @@ const RTT_HISTORY_LEN: usize = 64;
 /// Outlier rejection stays off until the history holds at least this many
 /// entries, so a cold start cannot misclassify the first real samples.
 const RTT_HISTORY_MIN: usize = 8;
+/// RTTs above this multiple of the node's rolling median are outliers.
+const RTT_OUTLIER_MULTIPLE: f64 = 3.0;
 
 fn rolling_median(history: &VecDeque<i64>) -> i64 {
     let mut sorted: Vec<i64> = history.iter().copied().collect();
@@ -323,8 +327,8 @@ impl SyncMaster {
 
     /// Record one poll/reply observation for `node`.
     ///
-    /// Samples whose RTT exceeds [`brisk_core::SyncConfig::rtt_outlier_multiple`]
-    /// times the node's rolling RTT median (built from previously accepted
+    /// Samples whose RTT exceeds `RTT_OUTLIER_MULTIPLE` (3×) times the
+    /// node's rolling RTT median (built from previously accepted
     /// samples) are dropped before they can bias the round; rejected RTTs do
     /// not enter the history, so a sustained congestion spike cannot drag
     /// the median up and launder itself into acceptance.
@@ -345,17 +349,12 @@ impl SyncMaster {
     }
 
     fn is_rtt_outlier(&self, node: NodeId, rtt: i64) -> bool {
-        let multiple = self.cfg.rtt_outlier_multiple;
-        if multiple == 0.0 {
-            return false;
+        match self.rtt_history.get(&node) {
+            Some(h) if h.len() >= RTT_HISTORY_MIN => {
+                rtt as f64 > RTT_OUTLIER_MULTIPLE * rolling_median(h) as f64
+            }
+            _ => false,
         }
-        let Some(history) = self.rtt_history.get(&node) else {
-            return false;
-        };
-        if history.len() < RTT_HISTORY_MIN {
-            return false;
-        }
-        rtt as f64 > multiple * rolling_median(history) as f64
     }
 
     /// Samples rejected so far against the rolling RTT median.
@@ -703,31 +702,6 @@ mod tests {
             "congested node must not drag others: {:?}",
             out.corrections
         );
-    }
-
-    #[test]
-    fn rtt_outlier_rejection_can_be_disabled() {
-        let mut m = SyncMaster::new(SyncConfig {
-            rtt_outlier_multiple: 0.0,
-            ..SyncConfig::default()
-        })
-        .unwrap();
-        let mk = |rtt: i64| SkewSample {
-            t_master_send: UtcMicros::from_micros(0),
-            t_slave: UtcMicros::from_micros(rtt / 2),
-            t_master_recv: UtcMicros::from_micros(rtt),
-        };
-        for _ in 0..3 {
-            m.begin_round();
-            for _ in 0..4 {
-                m.add_sample(NodeId(1), mk(100));
-            }
-            m.finish_round().unwrap();
-        }
-        m.begin_round();
-        m.add_sample(NodeId(1), mk(10_000));
-        m.finish_round().unwrap();
-        assert_eq!(m.rtt_outliers_rejected(), 0);
     }
 
     #[test]

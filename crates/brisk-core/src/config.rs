@@ -4,6 +4,12 @@
 //! can trade-off among the various simple and complex IS performance metrics
 //! in a specific working environment" (§2). Each knob cluster gets a struct
 //! here; defaults follow the values stated or implied by the paper.
+//!
+//! A field exists only when two non-test callers set it to different
+//! values (a flag, an example, an experiment, an e2e test or the
+//! benchmark against the default). Any other setting — the paper's fixed
+//! constants such as the 0.7 sync damping among them — is a private
+//! `const` beside its one reader.
 
 use crate::error::{BriskError, Result};
 use std::path::PathBuf;
@@ -25,10 +31,6 @@ pub struct ExsConfig {
     /// delay an event record for up to 40 ms"; this plays the role of that
     /// select timeout.
     pub flush_timeout: Duration,
-    /// How long the EXS sleeps when the ring buffer is empty. The EXS "may
-    /// be assigned a lower priority" (§3.1); a larger idle sleep keeps its
-    /// CPU utilization negligible at low event rates.
-    pub idle_sleep: Duration,
     /// How many sent-but-unacknowledged batches the EXS keeps for replay
     /// after a reconnect. When the window is full the oldest unacked batch
     /// is evicted (and counted), so those records degrade to at-most-once
@@ -63,7 +65,6 @@ impl Default for ExsConfig {
             max_batch_records: 256,
             max_batch_bytes: 60 * 1024,
             flush_timeout: Duration::from_millis(40),
-            idle_sleep: Duration::from_micros(200),
             retransmit_window_batches: 256,
             heartbeat_interval: Duration::from_millis(500),
             stamp_hlc: false,
@@ -136,22 +137,10 @@ pub struct SyncConfig {
     /// How many times the master queries each slave per round, "to average
     /// the results".
     pub samples_per_slave: usize,
-    /// The "small threshold" on the average relative skew below which the
-    /// correction is damped (microseconds).
-    pub skew_threshold_us: i64,
-    /// The damping factor applied below the threshold — "a fixed portion of
-    /// the relative skew (0.7 in the current implementation)".
-    pub damping: f64,
     /// Use the unmodified Cristian algorithm (slaves are driven toward the
     /// *master* clock, full correction always) instead of BRISK's
     /// most-ahead-slave variant. Ablation knob for experiment A1.
     pub original_cristian: bool,
-    /// Reject a Cristian sample whose RTT exceeds this multiple of the
-    /// node's rolling-median RTT (history kept across rounds), so one
-    /// delayed probe cannot yank the offset estimate. `0.0` disables the
-    /// check; values below 1.0 are invalid (they would reject the median
-    /// itself).
-    pub rtt_outlier_multiple: f64,
 }
 
 impl Default for SyncConfig {
@@ -159,10 +148,7 @@ impl Default for SyncConfig {
         SyncConfig {
             poll_period: Duration::from_secs(5),
             samples_per_slave: 4,
-            skew_threshold_us: 50,
-            damping: 0.7,
             original_cristian: false,
-            rtt_outlier_multiple: 3.0,
         }
     }
 }
@@ -175,19 +161,6 @@ impl SyncConfig {
         }
         if self.samples_per_slave == 0 {
             return Err(BriskError::Config("samples_per_slave must be > 0".into()));
-        }
-        if !(0.0..=1.0).contains(&self.damping) {
-            return Err(BriskError::Config("damping must be within [0, 1]".into()));
-        }
-        if self.skew_threshold_us < 0 {
-            return Err(BriskError::Config(
-                "skew_threshold_us must be non-negative".into(),
-            ));
-        }
-        if self.rtt_outlier_multiple != 0.0 && self.rtt_outlier_multiple < 1.0 {
-            return Err(BriskError::Config(
-                "rtt_outlier_multiple must be 0 (off) or at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -214,7 +187,7 @@ pub struct SorterConfig {
     /// half-life") is the paper's recommendation for non-latency-critical
     /// applications.
     pub decay_factor: f64,
-    /// How often the exponential decay step is applied.
+    /// How often the exponential decay step is applied (at least 1 µs).
     pub decay_interval: Duration,
 }
 
@@ -264,6 +237,13 @@ impl SorterConfig {
         if !(0.0 < self.decay_factor && self.decay_factor <= 1.0) {
             return Err(BriskError::Config("decay_factor must be in (0, 1]".into()));
         }
+        // The sorter steps decay in whole microseconds and divides by the
+        // interval.
+        if self.decay_interval < Duration::from_micros(1) {
+            return Err(BriskError::Config(
+                "decay_interval must be at least 1 µs".into(),
+            ));
+        }
         match self.growth {
             FrameGrowth::Multiplicative(f) if f < 1.0 => Err(BriskError::Config(
                 "multiplicative growth factor must be >= 1".into(),
@@ -282,30 +262,12 @@ pub struct CreConfig {
     /// "A causally-marked event of either type is kept in memory no longer
     /// than a specified timeout, because its peer may have been dropped."
     pub hold_timeout: Duration,
-    /// When a consequence's timestamp must be overridden, place it this many
-    /// microseconds after its reason.
-    pub tachyon_bump_us: i64,
-    /// Trigger "an extra round of the clock synchronization algorithm
-    /// immediately" when a tachyon is repaired.
-    pub extra_sync_on_tachyon: bool,
-    /// Token-bucket burst for extra sync requests: at most this many may
-    /// fire back-to-back. A tachyon *storm* (one badly skewed node tagging
-    /// hundreds of pairs) must not translate into hundreds of sync rounds —
-    /// one round fixes the clock; the rest are pure master load.
-    pub extra_sync_burst: u32,
-    /// Token-bucket refill period: one extra sync token is restored per
-    /// this much elapsed ISM time.
-    pub extra_sync_refill: Duration,
 }
 
 impl Default for CreConfig {
     fn default() -> Self {
         CreConfig {
             hold_timeout: Duration::from_secs(2),
-            tachyon_bump_us: 1,
-            extra_sync_on_tachyon: true,
-            extra_sync_burst: 4,
-            extra_sync_refill: Duration::from_secs(1),
         }
     }
 }
@@ -315,15 +277,6 @@ impl CreConfig {
     pub fn validate(&self) -> Result<()> {
         if self.hold_timeout.is_zero() {
             return Err(BriskError::Config("hold_timeout must be > 0".into()));
-        }
-        if self.tachyon_bump_us <= 0 {
-            return Err(BriskError::Config("tachyon_bump_us must be > 0".into()));
-        }
-        if self.extra_sync_burst == 0 {
-            return Err(BriskError::Config("extra_sync_burst must be > 0".into()));
-        }
-        if self.extra_sync_refill.is_zero() {
-            return Err(BriskError::Config("extra_sync_refill must be > 0".into()));
         }
         Ok(())
     }
@@ -337,22 +290,21 @@ impl CreConfig {
 /// the OS page cache (a crash of the *machine* can lose everything since
 /// the last rotation; a crash of the *process* alone loses at most the
 /// write-behind buffers still queued inside the store).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` after every appended record.
     Always,
     /// `fdatasync` whenever this much *stream time* (the records' own
     /// timestamps) has passed since the last sync. Stream time tracks wall
     /// time for a live trace while keeping the append path free of clock
-    /// reads, and makes the policy behave identically under replay — the
-    /// same stream-clock choice age-based retention makes. A stream that
+    /// reads, and makes the policy behave identically under replay. A
+    /// stream that
     /// goes quiet stops that clock, so the writer's owner also calls
     /// `StoreWriter::sync_if_due` periodically (the ISM does, every
     /// manager tick): it syncs once the oldest unsynced append is this old
     /// by the wall clock.
     Interval(Duration),
     /// Never sync explicitly; the OS decides.
-    #[default]
     Never,
 }
 
@@ -390,11 +342,8 @@ pub struct StoreConfig {
     /// When appended records are forced to disk.
     pub fsync: FsyncPolicy,
     /// Evict the oldest sealed segments once the store exceeds this many
-    /// bytes in total. `0` disables byte-based retention.
+    /// bytes in total. `0` disables retention.
     pub retain_bytes: u64,
-    /// Evict sealed segments whose newest record is older than this.
-    /// `None` disables age-based retention.
-    pub retain_age: Option<Duration>,
     /// Sparse-index granularity: one index entry every N records.
     pub index_every: u32,
 }
@@ -406,7 +355,6 @@ impl Default for StoreConfig {
             segment_bytes: 8 << 20,
             fsync: FsyncPolicy::Interval(Duration::from_millis(200)),
             retain_bytes: 0,
-            retain_age: None,
             index_every: 64,
         }
     }
@@ -426,11 +374,6 @@ impl StoreConfig {
         if let FsyncPolicy::Interval(d) = self.fsync {
             if d.is_zero() {
                 return Err(BriskError::Config("fsync interval must be > 0".into()));
-            }
-        }
-        if let Some(age) = self.retain_age {
-            if age.is_zero() {
-                return Err(BriskError::Config("retain_age must be > 0".into()));
             }
         }
         Ok(())
@@ -634,7 +577,6 @@ mod tests {
     fn default_values_match_paper() {
         let sync = SyncConfig::default();
         assert_eq!(sync.poll_period, Duration::from_secs(5));
-        assert!((sync.damping - 0.7).abs() < f64::EPSILON);
         let exs = ExsConfig::default();
         assert_eq!(exs.flush_timeout, Duration::from_millis(40));
     }
@@ -658,23 +600,11 @@ mod tests {
     #[test]
     fn sync_validation() {
         let mut c = SyncConfig::default();
-        c.damping = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = SyncConfig::default();
         c.samples_per_slave = 0;
-        assert!(c.validate().is_err());
-        let mut c = SyncConfig::default();
-        c.skew_threshold_us = -1;
         assert!(c.validate().is_err());
         let mut c = SyncConfig::default();
         c.poll_period = Duration::ZERO;
         assert!(c.validate().is_err());
-        let mut c = SyncConfig::default();
-        c.rtt_outlier_multiple = 0.5;
-        assert!(c.validate().is_err());
-        let mut c = SyncConfig::default();
-        c.rtt_outlier_multiple = 0.0;
-        assert!(c.validate().is_ok(), "0 disables outlier rejection");
     }
 
     #[test]
@@ -702,17 +632,9 @@ mod tests {
 
     #[test]
     fn cre_validation() {
-        let mut c = CreConfig::default();
-        c.hold_timeout = Duration::ZERO;
-        assert!(c.validate().is_err());
-        let mut c = CreConfig::default();
-        c.tachyon_bump_us = 0;
-        assert!(c.validate().is_err());
-        let mut c = CreConfig::default();
-        c.extra_sync_burst = 0;
-        assert!(c.validate().is_err());
-        let mut c = CreConfig::default();
-        c.extra_sync_refill = Duration::ZERO;
+        let c = CreConfig {
+            hold_timeout: Duration::ZERO,
+        };
         assert!(c.validate().is_err());
     }
 
@@ -740,7 +662,7 @@ mod tests {
         c.protocol_error_budget = 0;
         assert!(c.validate().is_ok(), "budget 0 = disconnect on first error");
         let mut c = IsmConfig::default();
-        c.cre.tachyon_bump_us = -3;
+        c.cre.hold_timeout = Duration::ZERO;
         assert!(c.validate().is_err());
         let mut c = IsmConfig::default();
         c.store.segment_bytes = 16;
@@ -796,9 +718,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = StoreConfig::default();
         c.fsync = FsyncPolicy::Interval(Duration::ZERO);
-        assert!(c.validate().is_err());
-        let mut c = StoreConfig::default();
-        c.retain_age = Some(Duration::ZERO);
         assert!(c.validate().is_err());
     }
 

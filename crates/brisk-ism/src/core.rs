@@ -171,13 +171,8 @@ pub struct IsmCore {
 }
 
 impl IsmCore {
-    /// New core with the default-sized memory buffer.
+    /// New core with a [`DEFAULT_MEMORY_BYTES`] memory buffer.
     pub fn new(cfg: IsmConfig) -> Result<Self> {
-        Self::with_memory(cfg, DEFAULT_MEMORY_BYTES)
-    }
-
-    /// New core with an explicit memory-buffer capacity.
-    pub fn with_memory(cfg: IsmConfig, memory_bytes: usize) -> Result<Self> {
         cfg.validate()?;
         let store = match cfg.store.dir {
             Some(_) => Some(StoreWriter::open(&cfg.store)?),
@@ -186,7 +181,7 @@ impl IsmCore {
         Ok(IsmCore {
             plane: MergePlane::new(&cfg)?,
             local: LocalOutputs {
-                memory: MemoryBuffer::new(memory_bytes),
+                memory: MemoryBuffer::new(DEFAULT_MEMORY_BYTES),
                 sinks: Vec::new(),
                 store,
                 stages: None,
@@ -408,6 +403,7 @@ mod tests {
     use super::*;
     use crate::output::VecSink;
     use brisk_core::{CorrelationId, EventTypeId, NodeId, SensorId, SorterConfig, Value};
+    use std::time::Duration;
 
     fn rec(node: u32, seq: u64, ts: i64, fields: Vec<Value>) -> EventRecord {
         EventRecord::new(
@@ -707,7 +703,7 @@ mod tests {
         use brisk_clock::{Clock, SystemClock};
         use brisk_core::{FsyncPolicy, StoreConfig};
         use brisk_store::StoreReader;
-        use std::time::{Duration, Instant};
+        use std::time::Instant;
         let dir = std::env::temp_dir().join(format!("brisk-core-quiet-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let interval = Duration::from_millis(200);
@@ -841,8 +837,15 @@ mod tests {
 
     #[test]
     fn invalid_config_rejected() {
-        let mut cfg = IsmConfig::default();
-        cfg.sorter.decay_factor = 7.0;
-        assert!(IsmCore::new(cfg).is_err());
+        let spoils: [fn(&mut IsmConfig); 2] = [
+            |c| c.sorter.decay_factor = 7.0,
+            // Rounds to a 0 µs decay interval, which the sorter divides by.
+            |c| c.sorter.decay_interval = Duration::from_nanos(500),
+        ];
+        for spoil in spoils {
+            let mut cfg = IsmConfig::default();
+            spoil(&mut cfg);
+            assert!(IsmCore::new(cfg).is_err());
+        }
     }
 }

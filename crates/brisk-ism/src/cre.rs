@@ -23,6 +23,14 @@ use brisk_core::{
 };
 use std::collections::HashMap;
 
+/// A repaired consequence is placed this many µs after its reason.
+const TACHYON_BUMP_US: i64 = 1;
+/// At most this many extra sync requests fire back-to-back: one round fixes
+/// a skewed clock, so a tachyon storm must not become a sync-round storm.
+const EXTRA_SYNC_BURST: u32 = 4;
+/// One extra sync token is restored per this much ISM time (µs).
+const EXTRA_SYNC_REFILL_US: i64 = 1_000_000;
+
 /// Counters describing CRE behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CreStats {
@@ -95,7 +103,7 @@ pub struct CreOutput {
     /// be pushed to the sorter.
     pub pass: Passed,
     /// True if a tachyon was repaired and an extra sync round should run
-    /// (§3.6; honoured when [`CreConfig::extra_sync_on_tachyon`] is set).
+    /// (§3.6; rate-limited by a token bucket).
     pub request_extra_sync: bool,
     /// True if the input record was a tachyon and its stamps were
     /// rewritten: a merge stamp read before `process` no longer holds.
@@ -154,7 +162,7 @@ impl CreMatcher {
     pub fn new(cfg: CreConfig) -> Result<Self> {
         cfg.validate()?;
         Ok(CreMatcher {
-            sync_tokens: cfg.extra_sync_burst,
+            sync_tokens: EXTRA_SYNC_BURST,
             cfg,
             order: OrderMode::default(),
             reasons: HashMap::new(),
@@ -315,33 +323,27 @@ impl CreMatcher {
             }
         }
         if rec.ts <= ts_floor {
-            rec.override_ts(ts_floor.offset(self.cfg.tachyon_bump_us));
+            rec.override_ts(ts_floor.offset(TACHYON_BUMP_US));
         }
         rec.stamp_trace(TraceStage::CreRepair, now);
         self.stats.tachyons_repaired += 1;
-        if self.cfg.extra_sync_on_tachyon {
-            if self.take_sync_token(now) {
-                self.stats.extra_syncs_requested += 1;
-                out.request_extra_sync = true;
-            } else {
-                self.stats.extra_syncs_suppressed += 1;
-            }
+        if self.take_sync_token(now) {
+            self.stats.extra_syncs_requested += 1;
+            out.request_extra_sync = true;
+        } else {
+            self.stats.extra_syncs_suppressed += 1;
         }
     }
 
-    /// Token-bucket gate for extra sync rounds: `extra_sync_burst` tokens,
-    /// one restored per `extra_sync_refill` of ISM time.
+    /// Token-bucket gate for extra sync rounds: `EXTRA_SYNC_BURST` tokens,
+    /// one restored per `EXTRA_SYNC_REFILL_US` of ISM time.
     fn take_sync_token(&mut self, now: UtcMicros) -> bool {
-        let refill_us = self.cfg.extra_sync_refill.as_micros() as i64;
         let last = *self.sync_last_refill.get_or_insert(now);
-        let steps = now.micros_since(last).max(0) / refill_us;
+        let steps = now.micros_since(last).max(0) / EXTRA_SYNC_REFILL_US;
         if steps > 0 {
             let add = u32::try_from(steps).unwrap_or(u32::MAX);
-            self.sync_tokens = self
-                .sync_tokens
-                .saturating_add(add)
-                .min(self.cfg.extra_sync_burst);
-            self.sync_last_refill = Some(last.offset(steps.saturating_mul(refill_us)));
+            self.sync_tokens = self.sync_tokens.saturating_add(add).min(EXTRA_SYNC_BURST);
+            self.sync_last_refill = Some(last.offset(steps.saturating_mul(EXTRA_SYNC_REFILL_US)));
         }
         if self.sync_tokens > 0 {
             self.sync_tokens -= 1;
@@ -469,9 +471,6 @@ mod tests {
     fn matcher() -> CreMatcher {
         CreMatcher::new(CreConfig {
             hold_timeout: Duration::from_millis(100),
-            tachyon_bump_us: 1,
-            extra_sync_on_tachyon: true,
-            ..CreConfig::default()
         })
         .unwrap()
     }
@@ -582,20 +581,6 @@ mod tests {
         assert_eq!(m.held_count(), 1);
     }
 
-    #[test]
-    fn extra_sync_can_be_disabled() {
-        let mut m = CreMatcher::new(CreConfig {
-            extra_sync_on_tachyon: false,
-            ..CreConfig::default()
-        })
-        .unwrap();
-        m.process(reason(1, 100), UtcMicros::ZERO);
-        let out = m.process(conseq(1, 50), UtcMicros::ZERO);
-        assert!(!out.request_extra_sync);
-        assert_eq!(m.stats().tachyons_repaired, 1);
-        assert_eq!(m.stats().extra_syncs_requested, 0);
-    }
-
     fn with_hlc(mut rec: EventRecord, phys: i64, logical: u32) -> EventRecord {
         rec.set_hlc(HlcStamp::new(UtcMicros::from_micros(phys), logical));
         rec
@@ -696,30 +681,28 @@ mod tests {
         // A tachyon storm (one skewed node mis-stamping many pairs) must
         // not turn into a sync-round storm: the token bucket allows a
         // burst, suppresses the rest, and refills with time.
-        let mut m = CreMatcher::new(CreConfig {
-            hold_timeout: Duration::from_millis(100),
-            tachyon_bump_us: 1,
-            extra_sync_on_tachyon: true,
-            extra_sync_burst: 2,
-            extra_sync_refill: Duration::from_secs(1),
-        })
-        .unwrap();
+        let mut m = matcher();
+        let burst = u64::from(EXTRA_SYNC_BURST);
         let t0 = UtcMicros::ZERO;
-        for id in 0..4u64 {
+        for id in 0..=burst + 1 {
             m.process(reason(id, 100), t0);
         }
-        assert!(m.process(conseq(0, 50), t0).request_extra_sync);
-        assert!(m.process(conseq(1, 50), t0).request_extra_sync);
+        for id in 0..burst {
+            assert!(m.process(conseq(id, 50), t0).request_extra_sync);
+        }
         // Burst exhausted: tachyons are still repaired, syncs suppressed.
-        let out = m.process(conseq(2, 50), t0);
-        assert!(!out.request_extra_sync, "third request must be suppressed");
+        let out = m.process(conseq(burst, 50), t0);
+        assert!(
+            !out.request_extra_sync,
+            "request past the burst must be suppressed"
+        );
         assert_eq!(out.pass[0].ts.as_micros(), 101, "repair still happens");
-        assert_eq!(m.stats().extra_syncs_requested, 2);
+        assert_eq!(m.stats().extra_syncs_requested, burst);
         assert_eq!(m.stats().extra_syncs_suppressed, 1);
         // One refill period later a token is back.
-        let t1 = t0 + Duration::from_secs(1);
-        assert!(m.process(conseq(3, 50), t1).request_extra_sync);
-        assert_eq!(m.stats().extra_syncs_requested, 3);
+        let t1 = t0.offset(EXTRA_SYNC_REFILL_US);
+        assert!(m.process(conseq(burst + 1, 50), t1).request_extra_sync);
+        assert_eq!(m.stats().extra_syncs_requested, burst + 1);
         assert_eq!(m.stats().extra_syncs_suppressed, 1);
     }
 

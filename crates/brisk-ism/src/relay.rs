@@ -44,23 +44,23 @@ use std::time::{Duration, Instant};
 
 pub use brisk_lis::uplink::ConnectFn;
 
+/// Sent-but-unacked upstream batches kept for replay across reconnects. A
+/// full window evicts the oldest unacked batch (counted) rather than
+/// blocking the relay.
+const WINDOW_BATCHES: usize = 1024;
+
 /// Knobs of one relay's upstream link.
 #[derive(Clone, Debug)]
 pub struct RelayConfig {
     /// This relay's namespace prefix; also its upstream identity
     /// ([`NodePrefix::relay_node`]).
     pub prefix: NodePrefix,
-    /// Flush an upstream batch once it holds this many records.
+    /// Flush an upstream batch once it holds this many records (a batch
+    /// also flushes at the EXS's byte bound).
     pub max_batch_records: usize,
-    /// Flush once the encoded size reaches this many bytes.
-    pub max_batch_bytes: usize,
     /// Flush a non-empty partial batch after this long (latency knob —
     /// every relay tier adds at most this much batching delay).
     pub flush_timeout: Duration,
-    /// Sent-but-unacked batches kept for replay across reconnects. A
-    /// full window evicts the oldest unacked batch (counted) rather than
-    /// blocking the relay.
-    pub window_batches: usize,
     /// Heartbeat the upstream once the link has been send-idle this long
     /// (zero disables). This is also what keeps the
     /// parent's `--node-timeout` sweep from evicting a subtree that is
@@ -76,9 +76,7 @@ impl RelayConfig {
         RelayConfig {
             prefix,
             max_batch_records: 256,
-            max_batch_bytes: 60 * 1024,
             flush_timeout: Duration::from_millis(5),
-            window_batches: 1024,
             heartbeat_interval: Duration::from_millis(500),
             reconnect: SupervisorConfig {
                 initial_backoff: Duration::from_millis(20),
@@ -179,7 +177,6 @@ impl UpstreamExporter {
     pub fn new(cfg: RelayConfig, connect: ConnectFn, clock: Arc<dyn Clock>) -> Self {
         let synth = brisk_core::ExsConfig {
             max_batch_records: cfg.max_batch_records,
-            max_batch_bytes: cfg.max_batch_bytes,
             flush_timeout: cfg.flush_timeout,
             ..brisk_core::ExsConfig::default()
         };
@@ -188,7 +185,7 @@ impl UpstreamExporter {
             uplink: Uplink::new(
                 cfg.prefix.relay_node(),
                 clock,
-                cfg.window_batches,
+                WINDOW_BATCHES,
                 cfg.heartbeat_interval,
             )
             .with_redial(connect, cfg.reconnect.clone()),
@@ -261,7 +258,7 @@ impl UpstreamExporter {
                 "window_evict",
                 "prefix {} evicted an unacked batch from a full window (size {})",
                 self.cfg.prefix.raw(),
-                self.cfg.window_batches
+                WINDOW_BATCHES
             );
         }
         self.inflight.push_back((windowed.seq, Instant::now()));

@@ -70,7 +70,6 @@ proptest! {
     fn conservation(ops in arb_ops()) {
         let mut m = CreMatcher::new(CreConfig {
             hold_timeout: Duration::from_millis(100),
-            ..CreConfig::default()
         })
         .unwrap();
         let mut now = UtcMicros::ZERO;

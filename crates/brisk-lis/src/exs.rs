@@ -54,6 +54,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How long an idle EXS parks on its ISM link; it runs at low priority (§3.1).
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
 brisk_telemetry::metrics! {
     /// Shared atomic backing for [`ExsStats`] plus the EXS's link gauges
     /// and stage histograms. Lives in an `Arc` so a telemetry registry
@@ -427,7 +430,7 @@ impl ExternalSensor {
         drain_timer.stop(self.clock.now().as_micros());
 
         // 3. Control traffic. When busy, poll without blocking; when idle,
-        //    this wait is the EXS's sleep (bounded by the idle knob and by
+        //    this wait is the EXS's sleep (bounded by `IDLE_SLEEP` and by
         //    the batch deadline so a partial batch cannot oversleep).
         //    While credit-paused the deadline clamp is skipped — nothing
         //    may flush anyway, and the sleep is what lets acks arrive.
@@ -435,14 +438,10 @@ impl ExternalSensor {
         let wait = if busy {
             Duration::ZERO
         } else if paused {
-            self.cfg.idle_sleep
+            IDLE_SLEEP
         } else {
-            let mut w = self.cfg.idle_sleep;
-            if let Some(dl) = self.batcher.time_to_deadline(self.clock.now()) {
-                let dl = Duration::from_micros(dl.max(0) as u64);
-                w = w.min(dl.max(Duration::from_micros(1)));
-            }
-            w
+            let dl = self.batcher.time_to_deadline(self.clock.now());
+            IDLE_SLEEP.min(Duration::from_micros(dl.unwrap_or(i64::MAX).max(1) as u64))
         };
         self.shared
             .busy_nanos
@@ -1166,7 +1165,6 @@ mod tests {
     fn credit_exhaustion_defers_scooping_until_replenished() {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
-        cfg.idle_sleep = Duration::from_millis(1);
         let mut r = rig(cfg, 0);
         recv_msg(&mut r.ism_side); // hello
                                    // The ISM grants a budget of 2 in-flight records.
@@ -1242,7 +1240,6 @@ mod tests {
         use brisk_telemetry::Registry;
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
-        cfg.idle_sleep = Duration::from_millis(1);
         let mut r = rig(cfg, 0);
         recv_msg(&mut r.ism_side); // hello
         let registry = Registry::new();

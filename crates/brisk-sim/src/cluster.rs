@@ -17,7 +17,7 @@ pub struct SyncSimConfig {
     pub nodes: usize,
     /// Simulated duration. The paper ran 10 minutes.
     pub duration: Duration,
-    /// Synchronization knobs (poll period, damping, algorithm variant).
+    /// Synchronization knobs (poll period, samples, algorithm variant).
     pub sync: SyncConfig,
     /// One-way network delay model.
     pub delay: DelayModel,

@@ -44,8 +44,8 @@ use crate::segment::{
     append_frame, decode_any_header, index_path, segment_path, SegmentBody, FRAME_OVERHEAD,
 };
 use brisk_core::{
-    BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, TraceContext,
-    UtcMicros, Value, ValueType,
+    BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, StoreConfig,
+    TraceContext, UtcMicros, Value, ValueType,
 };
 use brisk_proto::{DescriptorDict, DictKey};
 use brisk_telemetry::Registry;
@@ -410,8 +410,6 @@ pub struct CompactConfig {
     pub keep_hot: usize,
     /// Records per block frame.
     pub block_records: usize,
-    /// Sparse-index stride for the rebuilt sidecar.
-    pub index_every: u32,
 }
 
 impl Default for CompactConfig {
@@ -419,7 +417,6 @@ impl Default for CompactConfig {
         CompactConfig {
             keep_hot: 2,
             block_records: DEFAULT_BLOCK_RECORDS,
-            index_every: 64,
         }
     }
 }
@@ -568,7 +565,9 @@ impl Compactor {
         write_sync(&tmp, &image)?;
         fs::rename(&tmp, &path)?;
         let new_scan = scan_segment(&image, 0)?;
-        let idx = index_of_scan(&new_scan, self.cfg.index_every, image.len() as u64);
+        // The rebuilt sidecar keeps the writer's default index stride.
+        let stride = StoreConfig::default().index_every;
+        let idx = index_of_scan(&new_scan, stride, image.len() as u64);
         let idx_path = index_path(&self.dir, id);
         let idx_tmp = idx_path.with_extension("idx.tmp");
         write_sync(&idx_tmp, &idx.encode())?;

@@ -10,7 +10,7 @@
 //! * [`writer::StoreWriter`] — an [`brisk_core::sink::EventSink`] appending
 //!   CRC32-framed [`brisk_core::binenc`]-encoded records into fixed-size
 //!   segment files, with a configurable fsync policy, segment rotation,
-//!   byte/age retention, and a sparse timestamp index per segment.
+//!   byte retention, and a sparse timestamp index per segment.
 //! * [`reader::StoreReader`] — scans segments, validates CRCs, truncates
 //!   torn tails after a crash (recovering every intact record), seeks by
 //!   timestamp and live-tails a store another process is writing.

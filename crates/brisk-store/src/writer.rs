@@ -202,7 +202,6 @@ brisk_telemetry::metrics! {
 struct SealedSegment {
     id: u64,
     bytes: u64,
-    max_ts: UtcMicros,
 }
 
 struct ActiveSegment {
@@ -248,16 +247,16 @@ pub struct StoreWriter {
     /// Frame bytes not yet published to `stats`.
     unpublished_bytes: u64,
     /// Stream timestamp at the last sync; `FsyncPolicy::Interval` compares
-    /// record timestamps against this (stream time, like retention, so the
-    /// append path reads no clock per record — an `Instant::now()` per
-    /// record was measurable).
+    /// record timestamps against this (stream time, so the append path
+    /// reads no clock per record — an `Instant::now()` per record was
+    /// measurable).
     last_sync_ts: UtcMicros,
     /// Wall-clock time of the first append since the last sync under
     /// `FsyncPolicy::Interval`, read once per interval, not per record;
     /// [`StoreWriter::sync_if_due`] syncs a quiet stream by it.
     unsynced_since: Option<Instant>,
-    /// Newest appended record timestamp; drives age-based retention (the
-    /// stream's own clock, so retention behaves identically under replay).
+    /// Newest appended record timestamp: the stream clock the interval
+    /// fsync policy runs on.
     last_ts: UtcMicros,
     stats: Arc<StoreStats>,
     scratch: Vec<u8>,
@@ -340,7 +339,6 @@ impl StoreWriter {
             sealed.push(SealedSegment {
                 id,
                 bytes: fs::metadata(&seg_path)?.len(),
-                max_ts: idx.max_ts,
             });
         }
         // Seed the known-node set from the newest segment's header.
@@ -583,7 +581,6 @@ impl StoreWriter {
         self.sealed.push(SealedSegment {
             id: active.id,
             bytes: active.bytes,
-            max_ts: active.max_ts,
         });
         self.stats
             .segments_live
@@ -633,30 +630,18 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Evict sealed segments that exceed the byte or age bound. The active
-    /// segment is never evicted.
+    /// Evict the oldest sealed segments while the store exceeds the byte
+    /// bound. The active segment and the newest sealed one are never
+    /// evicted.
     fn apply_retention(&mut self) -> Result<()> {
         let mut evict = 0usize;
-        if let Some(age) = self.cfg.retain_age {
-            let cutoff = self
-                .last_ts
-                .as_micros()
-                .saturating_sub(age.as_micros() as i64);
-            while evict < self.sealed.len().saturating_sub(1)
-                && self.sealed[evict].max_ts.as_micros() < cutoff
-            {
-                evict += 1;
-            }
-        }
         if self.cfg.retain_bytes > 0 {
             let active_bytes = self.active.as_ref().map(|a| a.bytes).unwrap_or(0);
             let mut total: u64 = self.sealed.iter().map(|s| s.bytes).sum::<u64>() + active_bytes;
-            let mut i = 0usize;
-            while total > self.cfg.retain_bytes && i < self.sealed.len().saturating_sub(1) {
-                total -= self.sealed[i].bytes;
-                i += 1;
+            while total > self.cfg.retain_bytes && evict < self.sealed.len().saturating_sub(1) {
+                total -= self.sealed[evict].bytes;
+                evict += 1;
             }
-            evict = evict.max(i);
         }
         for seg in self.sealed.drain(..evict) {
             let _ = fs::remove_file(segment_path(&self.dir, seg.id));
@@ -942,25 +927,6 @@ mod tests {
         assert_eq!(recs.last().unwrap().seq, 1999);
         let seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn age_retention_uses_stream_time() {
-        let dir = temp_dir("age");
-        let mut cfg = cfg(&dir);
-        cfg.retain_age = Some(std::time::Duration::from_micros(500));
-        let mut w = StoreWriter::open(&cfg).unwrap();
-        for i in 0..2000 {
-            w.append(&rec(1, i, i as i64)).unwrap(); // 1 µs per record
-        }
-        w.seal_active().unwrap();
-        assert!(w.stats().retention_evictions.load(Ordering::Relaxed) > 0);
-        let (recs, _) = StoreReader::open(&dir).unwrap().read_all().unwrap();
-        // Oldest surviving segment may reach below the cutoff, but whole
-        // segments strictly older than it are gone.
-        assert!(recs.first().unwrap().ts.as_micros() > 0);
-        assert_eq!(recs.last().unwrap().seq, 1999);
         let _ = fs::remove_dir_all(&dir);
     }
 
