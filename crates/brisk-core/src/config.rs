@@ -344,8 +344,6 @@ pub struct StoreConfig {
     /// Evict the oldest sealed segments once the store exceeds this many
     /// bytes in total. `0` disables retention.
     pub retain_bytes: u64,
-    /// Sparse-index granularity: one index entry every N records.
-    pub index_every: u32,
 }
 
 impl Default for StoreConfig {
@@ -355,7 +353,6 @@ impl Default for StoreConfig {
             segment_bytes: 8 << 20,
             fsync: FsyncPolicy::Interval(Duration::from_millis(200)),
             retain_bytes: 0,
-            index_every: 64,
         }
     }
 }
@@ -367,9 +364,6 @@ impl StoreConfig {
             return Err(BriskError::Config(
                 "segment_bytes must be at least 4 KiB".into(),
             ));
-        }
-        if self.index_every == 0 {
-            return Err(BriskError::Config("index_every must be > 0".into()));
         }
         if let FsyncPolicy::Interval(d) = self.fsync {
             if d.is_zero() {
@@ -714,7 +708,7 @@ mod tests {
         StoreConfig::default().validate().unwrap();
         StoreConfig::at("/tmp/x").validate().unwrap();
         let mut c = StoreConfig::default();
-        c.index_every = 0;
+        c.segment_bytes = 1024;
         assert!(c.validate().is_err());
         let mut c = StoreConfig::default();
         c.fsync = FsyncPolicy::Interval(Duration::ZERO);

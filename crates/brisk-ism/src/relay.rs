@@ -7,8 +7,9 @@
 //! ordinary EXS link. The [`UpstreamExporter`] here owns a
 //! [`brisk_lis::Uplink`], the same sender-side session an external
 //! sensor runs — window, credit, replay across reconnects, sync-poll
-//! answers, idle heartbeats (so the parent's liveness sweep never falsely
-//! evicts a quiet subtree), and the one redial policy (jittered backoff,
+//! answers, idle heartbeats (so the parent's reactor shard, which judges
+//! the link's liveness, never falsely evicts a quiet subtree), and the
+//! one redial policy (jittered backoff,
 //! seeded by the relay's node id, that only a `HelloAck` resets) — and
 //! adds only what is relay-specific: the prefix rewrite and its own
 //! batcher. One policy difference from the EXS: a parent's orderly
@@ -62,9 +63,9 @@ pub struct RelayConfig {
     /// every relay tier adds at most this much batching delay).
     pub flush_timeout: Duration,
     /// Heartbeat the upstream once the link has been send-idle this long
-    /// (zero disables). This is also what keeps the
-    /// parent's `--node-timeout` sweep from evicting a subtree that is
-    /// merely quiet: the relay synthesizes its subtree's liveness.
+    /// (zero disables). This is also what keeps the parent's reactor
+    /// shard from evicting, after `--node-timeout` of silence, a subtree
+    /// that is merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
     /// Redial backoff after a link failure — the EXS's policy.
     pub reconnect: SupervisorConfig,

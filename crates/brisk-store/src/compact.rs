@@ -41,11 +41,12 @@
 
 use crate::reader::{index_of_scan, list_segment_ids, scan_segment};
 use crate::segment::{
-    append_frame, decode_any_header, index_path, segment_path, SegmentBody, FRAME_OVERHEAD,
+    append_frame, decode_any_header, index_path, segment_path, SegmentBody, SegmentHeader,
+    FRAME_OVERHEAD,
 };
 use brisk_core::{
-    BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, StoreConfig,
-    TraceContext, UtcMicros, Value, ValueType,
+    BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, TraceContext,
+    UtcMicros, Value, ValueType,
 };
 use brisk_proto::{DescriptorDict, DictKey};
 use brisk_telemetry::Registry;
@@ -379,12 +380,10 @@ fn decode_blob(payload: &[u8], pos: &mut usize, prev: &mut PrevField) -> Result<
 }
 
 /// Build a complete compacted segment image (header + block frames) for
-/// `records`, which must be the full intact record stream of segment
-/// `segment_id` in file order.
+/// `records`, which must be the full intact record stream of the segment
+/// `header` describes, in file order.
 pub fn build_compact_image(
-    segment_id: u64,
-    base_ts: UtcMicros,
-    header_nodes: &[u32],
+    header: &SegmentHeader,
     records: &[EventRecord],
     block_records: usize,
 ) -> Result<Vec<u8>> {
@@ -394,7 +393,7 @@ pub fn build_compact_image(
     for chunk in records.chunks(block_records) {
         blocks.push(encode_block(chunk, &mut dict)?);
     }
-    let mut out = crate::segment::encode_compact_header(segment_id, base_ts, header_nodes, &dict);
+    let mut out = header.encode(&SegmentBody::Compact(dict));
     for block in &blocks {
         append_frame(block, &mut out);
     }
@@ -535,26 +534,23 @@ impl Compactor {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let Ok((header, body, _)) = decode_any_header(&bytes) else {
+        let Ok((_, body, _)) = decode_any_header(&bytes) else {
             return Ok(None); // unreadable header: leave for the writer's repair
         };
         if matches!(body, SegmentBody::Compact(_)) {
             return Ok(None); // already compacted
         }
-        let scan = scan_segment(&bytes, 0)?;
+        let scan = scan_segment(&bytes)?;
         if scan.torn_bytes > 0 || scan.corrupt_frames > 0 || scan.records.is_empty() {
             // Damaged or empty segments keep their original bytes: the
             // plain format is the recoverable source of truth for them.
             return Ok(None);
         }
-        let records: Vec<EventRecord> = scan.records.iter().map(|sr| sr.rec.clone()).collect();
-        let image = build_compact_image(
-            id,
-            header.base_ts,
-            &header.nodes,
-            &records,
-            self.cfg.block_records,
-        )?;
+        let header = SegmentHeader {
+            segment_id: id,
+            base_ts: scan.header.base_ts,
+        };
+        let image = build_compact_image(&header, &scan.records, self.cfg.block_records)?;
         if image.len() >= bytes.len() {
             return Ok(None); // no win (tiny or high-entropy segment)
         }
@@ -564,17 +560,14 @@ impl Compactor {
         let tmp = path.with_extension("seg.tmp");
         write_sync(&tmp, &image)?;
         fs::rename(&tmp, &path)?;
-        let new_scan = scan_segment(&image, 0)?;
-        // The rebuilt sidecar keeps the writer's default index stride.
-        let stride = StoreConfig::default().index_every;
-        let idx = index_of_scan(&new_scan, stride, image.len() as u64);
+        let idx = index_of_scan(&scan_segment(&image)?, image.len() as u64);
         let idx_path = index_path(&self.dir, id);
         let idx_tmp = idx_path.with_extension("idx.tmp");
         write_sync(&idx_tmp, &idx.encode())?;
         fs::rename(&idx_tmp, &idx_path)?;
         self.stats
             .records_compacted
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+            .fetch_add(scan.records.len() as u64, Ordering::Relaxed);
         Ok(Some((bytes.len() as u64, image.len() as u64)))
     }
 }
@@ -600,6 +593,14 @@ pub fn plain_frames_len(records: &[EventRecord]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::tests::frame_offsets;
+
+    fn header(segment_id: u64, base_ts: UtcMicros) -> SegmentHeader {
+        SegmentHeader {
+            segment_id,
+            base_ts,
+        }
+    }
 
     fn rec(node: u32, sensor: u32, seq: u64, ts: i64, fields: Vec<Value>) -> EventRecord {
         EventRecord {
@@ -653,12 +654,11 @@ mod tests {
                 )
             })
             .collect();
-        let image = build_compact_image(3, recs[0].ts, &[1, 2, 3], &recs, 512).unwrap();
-        let scan = scan_segment(&image, 0).unwrap();
+        let image = build_compact_image(&header(3, recs[0].ts), &recs, 512).unwrap();
+        let scan = scan_segment(&image).unwrap();
         assert_eq!(scan.torn_bytes, 0);
         assert_eq!(scan.corrupt_frames, 0);
-        let back: Vec<EventRecord> = scan.records.into_iter().map(|sr| sr.rec).collect();
-        assert_eq!(back, recs);
+        assert_eq!(scan.records, recs);
     }
 
     #[test]
@@ -676,7 +676,7 @@ mod tests {
             })
             .collect();
         let plain = plain_frames_len(&recs);
-        let image = build_compact_image(0, recs[0].ts, &[1], &recs, 512).unwrap();
+        let image = build_compact_image(&header(0, recs[0].ts), &recs, 512).unwrap();
         assert!(
             image.len() * 5 <= plain,
             "compacted {} bytes vs plain {} bytes: less than 5x",
@@ -690,14 +690,13 @@ mod tests {
         let recs: Vec<EventRecord> = (0..300)
             .map(|i| rec(1, 1, i, i as i64, vec![Value::U32(i as u32)]))
             .collect();
-        let mut image = build_compact_image(0, recs[0].ts, &[1], &recs, 100).unwrap();
+        let mut image = build_compact_image(&header(0, recs[0].ts), &recs, 100).unwrap();
         // Flip a payload byte inside the second block frame.
-        let scan = scan_segment(&image, 0).unwrap();
-        let second_block_off = scan.records[100].offset as usize;
+        let second_block_off = frame_offsets(&image)[1];
         image[second_block_off + FRAME_OVERHEAD + 10] ^= 0xFF;
-        let damaged = scan_segment(&image, 0).unwrap();
+        let damaged = scan_segment(&image).unwrap();
         assert_eq!(damaged.corrupt_frames, 1);
-        let seqs: Vec<u64> = damaged.records.iter().map(|sr| sr.rec.seq).collect();
+        let seqs: Vec<u64> = damaged.records.iter().map(|r| r.seq).collect();
         let want: Vec<u64> = (0..100).chain(200..300).collect();
         assert_eq!(seqs, want, "first and third blocks intact");
     }

@@ -10,10 +10,11 @@
 //! * [`writer::StoreWriter`] — an [`brisk_core::sink::EventSink`] appending
 //!   CRC32-framed [`brisk_core::binenc`]-encoded records into fixed-size
 //!   segment files, with a configurable fsync policy, segment rotation,
-//!   byte retention, and a sparse timestamp index per segment.
+//!   byte retention, and a zone-map sidecar per sealed segment.
 //! * [`reader::StoreReader`] — scans segments, validates CRCs, truncates
-//!   torn tails after a crash (recovering every intact record), seeks by
-//!   timestamp and live-tails a store another process is writing.
+//!   torn tails after a crash (recovering every intact record), answers
+//!   zone-map-pruned queries and live-tails a store another process is
+//!   writing.
 //! * [`replay::Replayer`] — feeds a stored trace back through `EventSink`s
 //!   at original or accelerated speed, so consumers can be re-driven
 //!   offline from a capture.

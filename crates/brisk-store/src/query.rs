@@ -17,8 +17,8 @@
 //! 4. every predicate sensor id is definitely absent from the zone's
 //!    sensor bloom filter.
 //!
-//! A segment without a usable sidecar (missing, damaged, or of the
-//! pre-zone-map layout) is scanned, never pruned.
+//! A segment without a usable sidecar (missing, damaged, or of an older
+//! v1 or v2 layout) is scanned, never pruned.
 
 use crate::cache::CachedQuery;
 use crate::reader::{scan_segment, StoreReader};
@@ -205,21 +205,16 @@ impl StoreReader {
                 }
                 Err(e) => return Err(e.into()),
             };
-            // Unlike read_from, touched segments are scanned from the top:
-            // the mid-segment index resume assumes timestamp order, and the
-            // query contract is exact equivalence with scan+filter even on
-            // stores that were fed unsorted records. Segment-level pruning
-            // above stays sound regardless of order (min/max are exact).
-            let Ok(scan) = scan_segment(&bytes, 0) else {
+            // A touched segment is scanned whole, so the answer equals
+            // scan+filter even on stores that were fed unsorted records;
+            // segment-level pruning above is sound in any order (min/max
+            // are exact).
+            let Ok(scan) = scan_segment(&bytes) else {
                 continue; // unreadable header: repair is the writer's job
             };
             report.segments_scanned += 1;
             self.stats.segments_scanned.fetch_add(1, Ordering::Relaxed);
-            for sr in scan.records {
-                if pred.matches(&sr.rec) {
-                    records.push(sr.rec);
-                }
-            }
+            records.extend(scan.records.into_iter().filter(|r| pred.matches(r)));
         }
         report.records_matched = records.len() as u64;
         record_elapsed(&self.stats.scan_micros, started);

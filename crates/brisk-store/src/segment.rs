@@ -1,7 +1,7 @@
 //! On-disk segment format.
 //!
 //! A store directory holds a sequence of fixed-size-bounded segment files
-//! named `seg-<id:016x>.seg`, each optionally accompanied by a sparse-index
+//! named `seg-<id:016x>.seg`, each optionally accompanied by a zone-map
 //! sidecar `seg-<id:016x>.idx` written when the segment is sealed. Layout
 //! of a `.seg` file:
 //!
@@ -12,8 +12,8 @@
 //! |   uint    format version   |
 //! |   uhyper  segment id       |
 //! |   hyper   base timestamp   |   first record's UtcMicros
-//! |   uint    node count       |
-//! |   uint[]  node ids         |   nodes known when the segment opened
+//! |   uint    node count       |   0; older writers listed nodes
+//! |   uint[]  node ids         |   read and discarded
 //! |   uint    CRC-32           |   over the XDR bytes above
 //! +----------------------------+
 //! | frame 0:                   |
@@ -31,11 +31,10 @@
 //! — a final frame whose bytes were only partially written; recovery
 //! truncates it (see `reader`).
 //!
-//! The `.idx` sidecar caches one `(record ordinal, file offset, timestamp)`
-//! entry per `index_every` records plus the segment's record count and
-//! timestamp range, so seeks do not scan sealed segments. It is a pure
-//! cache: when missing or corrupt, readers fall back to scanning the `.seg`
-//! file, which remains the single source of truth.
+//! The `.idx` sidecar caches the segment's record count, timestamp range
+//! and zone map, so queries can skip sealed segments without reading them.
+//! It is a pure cache: when missing or corrupt, readers fall back to
+//! scanning the `.seg` file, which remains the single source of truth.
 //!
 //! ## Zone maps and the seal stamp
 //!
@@ -47,9 +46,10 @@
 //! time. A sidecar whose stamp disagrees with the segment bytes (crash
 //! between segment fsync and idx write, or a compaction that swapped the
 //! segment under it) is *stale* and must be ignored/rebuilt; see
-//! [`SegmentIndex::validate_against`]. Sidecars of the pre-zone-map
-//! layout (version 1) no longer decode: like any damaged sidecar they are
-//! scanned past by readers and rebuilt on writer open.
+//! [`SegmentIndex::validate_against`]. Sidecars of older layouts
+//! (version 1 without a zone map, version 2 with a sparse seek index) no
+//! longer decode: like any damaged sidecar they are scanned past by
+//! readers and rebuilt on writer open.
 //!
 //! ## Compacted segments (format version 2)
 //!
@@ -74,17 +74,16 @@ pub const FORMAT_VERSION: u32 = 1;
 /// On-disk format version of compacted segments (dictionary + delta
 /// blocks, one block per frame).
 pub const COMPACT_VERSION: u32 = 2;
-/// Sidecar format version carrying zone maps + the seal stamp.
-pub const IDX_ZONED_VERSION: u32 = 2;
+/// Sidecar format version: zone map + seal stamp, no seek index.
+pub const IDX_VERSION: u32 = 3;
 /// Bytes of frame header preceding each payload (length + CRC).
 pub const FRAME_OVERHEAD: usize = 8;
 /// Upper bound on a sane frame payload; anything larger in a length word
 /// means the file is corrupt at that point.
 pub const MAX_FRAME_BYTES: u32 = 1 << 24;
-/// Upper bound on the node set recorded in a header.
+/// Upper bound on a node list in a header (older writers wrote one) or a
+/// zone map.
 const MAX_HEADER_NODES: usize = 64 * 1024;
-/// Upper bound on index entries in a sidecar.
-const MAX_INDEX_ENTRIES: usize = 1 << 24;
 
 /// File name of segment `id` (zero-padded hex keeps lexicographic order
 /// equal to numeric order).
@@ -119,30 +118,30 @@ pub fn parse_segment_file_name(name: &str) -> Option<u64> {
 /// The XDR-encoded metadata at the start of every segment file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentHeader {
-    /// On-disk format version ([`FORMAT_VERSION`]).
-    pub version: u32,
     /// Monotonically increasing segment id, unique within a store.
     pub segment_id: u64,
     /// Timestamp of the first record appended to this segment.
     pub base_ts: UtcMicros,
-    /// Node ids the store had seen when the segment was opened (advisory:
-    /// later segments accumulate nodes as they appear in the stream).
-    pub nodes: Vec<u32>,
 }
 
 impl SegmentHeader {
-    /// Encode magic + header, returning the bytes to place at offset 0.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut xdr = XdrEncoder::with_capacity(32 + 4 * self.nodes.len());
-        xdr.uint(self.version)
+    /// Encode magic + header for a segment holding `body`, returning the
+    /// bytes to place at offset 0. The body kind selects the format
+    /// version; a compacted body appends its descriptor dictionary.
+    pub fn encode(&self, body: &SegmentBody) -> Vec<u8> {
+        let mut xdr = XdrEncoder::with_capacity(64);
+        let version = match body {
+            SegmentBody::Plain => FORMAT_VERSION,
+            SegmentBody::Compact(_) => COMPACT_VERSION,
+        };
+        xdr.uint(version)
             .uhyper(self.segment_id)
             .hyper(self.base_ts.as_micros())
-            .uint(self.nodes.len() as u32);
-        for &n in &self.nodes {
-            xdr.uint(n);
+            .uint(0); // empty node list
+        if let SegmentBody::Compact(dict) = body {
+            dict.encode(&mut xdr);
         }
-        let body = xdr.as_bytes().to_vec();
-        let crc = crc32(&body);
+        let crc = crc32(xdr.as_bytes());
         xdr.uint(crc);
         let mut out = Vec::with_capacity(8 + xdr.len());
         out.extend_from_slice(SEG_MAGIC);
@@ -190,9 +189,8 @@ pub fn decode_any_header(bytes: &[u8]) -> Result<(SegmentHeader, SegmentBody, us
     if n > MAX_HEADER_NODES {
         return Err(BriskError::Codec(format!("absurd header node count {n}")));
     }
-    let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
-        nodes.push(dec.uint()?);
+        dec.uint()?; // a node list from an older writer: discarded
     }
     let body = if version == COMPACT_VERSION {
         SegmentBody::Compact(DescriptorDict::decode(&mut dec)?)
@@ -206,37 +204,10 @@ pub fn decode_any_header(bytes: &[u8]) -> Result<(SegmentHeader, SegmentBody, us
         return Err(BriskError::Codec("segment header CRC mismatch".into()));
     }
     let header = SegmentHeader {
-        version,
         segment_id,
         base_ts,
-        nodes,
     };
     Ok((header, body, 8 + dec.position()))
-}
-
-/// Encode magic + compacted (version-2) header: the common header fields
-/// followed by the descriptor dictionary the segment's blocks refer to.
-pub fn encode_compact_header(
-    segment_id: u64,
-    base_ts: UtcMicros,
-    nodes: &[u32],
-    dict: &DescriptorDict,
-) -> Vec<u8> {
-    let mut xdr = XdrEncoder::with_capacity(64 + 4 * nodes.len() + 16 * dict.len());
-    xdr.uint(COMPACT_VERSION)
-        .uhyper(segment_id)
-        .hyper(base_ts.as_micros())
-        .uint(nodes.len() as u32);
-    for &n in nodes {
-        xdr.uint(n);
-    }
-    dict.encode(&mut xdr);
-    let crc = crc32(xdr.as_bytes());
-    xdr.uint(crc);
-    let mut out = Vec::with_capacity(8 + xdr.len());
-    out.extend_from_slice(SEG_MAGIC);
-    out.extend_from_slice(xdr.as_bytes());
-    out
 }
 
 /// Append one CRC-framed payload to `out`.
@@ -244,17 +215,6 @@ pub fn append_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-}
-
-/// One sparse-index entry: every `index_every`-th record's position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Zero-based ordinal of the record within its segment.
-    pub ordinal: u64,
-    /// Byte offset of the record's frame within the segment file.
-    pub offset: u64,
-    /// The record's timestamp.
-    pub ts: UtcMicros,
 }
 
 /// A 256-bit bloom filter over sensor ids (two probes per id). Sized for
@@ -346,8 +306,6 @@ pub struct SegmentIndex {
     pub min_ts: UtcMicros,
     /// Largest record timestamp in the segment.
     pub max_ts: UtcMicros,
-    /// Sparse entries, ascending by ordinal.
-    pub entries: Vec<IndexEntry>,
     /// Zone map + seal stamp.
     pub zone: ZoneMap,
 }
@@ -355,18 +313,12 @@ pub struct SegmentIndex {
 impl SegmentIndex {
     /// Encode magic + index for the sidecar file.
     pub fn encode(&self) -> Vec<u8> {
-        let mut xdr = XdrEncoder::with_capacity(128 + 24 * self.entries.len());
-        xdr.uint(IDX_ZONED_VERSION)
+        let mut xdr = XdrEncoder::with_capacity(128);
+        xdr.uint(IDX_VERSION)
             .uhyper(self.segment_id)
             .uhyper(self.record_count)
             .hyper(self.min_ts.as_micros())
-            .hyper(self.max_ts.as_micros())
-            .uint(self.entries.len() as u32);
-        for e in &self.entries {
-            xdr.uhyper(e.ordinal)
-                .uhyper(e.offset)
-                .hyper(e.ts.as_micros());
-        }
+            .hyper(self.max_ts.as_micros());
         let zone = &self.zone;
         xdr.uint(zone.nodes.len() as u32);
         for &n in &zone.nodes {
@@ -392,7 +344,7 @@ impl SegmentIndex {
         }
         let mut dec = XdrDecoder::new(&bytes[8..]);
         let version = dec.uint()?;
-        if version != IDX_ZONED_VERSION {
+        if version != IDX_VERSION {
             return Err(BriskError::Codec(format!(
                 "unsupported index format version {version}"
             )));
@@ -401,21 +353,6 @@ impl SegmentIndex {
         let record_count = dec.uhyper()?;
         let min_ts = UtcMicros::from_micros(dec.hyper()?);
         let max_ts = UtcMicros::from_micros(dec.hyper()?);
-        let n = dec.uint()? as usize;
-        if n > MAX_INDEX_ENTRIES {
-            return Err(BriskError::Codec(format!("absurd index entry count {n}")));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ordinal = dec.uhyper()?;
-            let offset = dec.uhyper()?;
-            let ts = UtcMicros::from_micros(dec.hyper()?);
-            entries.push(IndexEntry {
-                ordinal,
-                offset,
-                ts,
-            });
-        }
         let nn = dec.uint()? as usize;
         if nn > MAX_HEADER_NODES {
             return Err(BriskError::Codec(format!("absurd zone node count {nn}")));
@@ -442,7 +379,6 @@ impl SegmentIndex {
             record_count,
             min_ts,
             max_ts,
-            entries,
             zone,
         })
     }
@@ -450,10 +386,11 @@ impl SegmentIndex {
     /// True when this sidecar demonstrably describes `seg` — the actual
     /// bytes of its segment file; false means "rebuild".
     ///
-    /// The check is deliberately cheap relative to a full decode-scan:
-    /// the seal stamp must match the file length and the tail frame's
-    /// stored CRC, the tail frame payload must actually carry that CRC,
-    /// and every sparse entry must point at a frame whose CRC verifies.
+    /// The check is the seal stamp alone, cheap next to a decode-scan: the
+    /// file length must match, and the frame at the stamped tail offset
+    /// must be whole and carry the stamped CRC over its payload. Bit rot in
+    /// an earlier frame is no reason to distrust the zone map: every scan
+    /// CRC-checks each frame, skips a bad one and counts it.
     pub fn validate_against(&self, seg: &[u8]) -> bool {
         let zone = &self.zone;
         if zone.seg_len != seg.len() as u64 {
@@ -462,50 +399,47 @@ impl SegmentIndex {
         if self.record_count == 0 {
             return true;
         }
-        if !frame_checks_out(seg, zone.last_frame_offset, Some(zone.tail_crc)) {
+        let tail = usize::try_from(zone.last_frame_offset)
+            .ok()
+            .and_then(|off| seg.get(off..))
+            .filter(|tail| tail.len() >= FRAME_OVERHEAD);
+        let Some(tail) = tail else {
             return false;
-        }
-        self.entries
-            .iter()
-            .all(|e| frame_checks_out(seg, e.offset, None))
+        };
+        let len = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        let stored = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes"));
+        len <= MAX_FRAME_BYTES
+            && stored == zone.tail_crc
+            && tail
+                .get(FRAME_OVERHEAD..FRAME_OVERHEAD + len as usize)
+                .is_some_and(|payload| crc32(payload) == stored)
     }
-}
-
-/// Verify the frame starting at `offset`: header in bounds, sane length,
-/// payload CRC matches the stored word (and `expect_crc`, when given).
-pub(crate) fn frame_checks_out(seg: &[u8], offset: u64, expect_crc: Option<u32>) -> bool {
-    let Ok(off) = usize::try_from(offset) else {
-        return false;
-    };
-    if off + FRAME_OVERHEAD > seg.len() {
-        return false;
-    }
-    let len = u32::from_le_bytes([seg[off], seg[off + 1], seg[off + 2], seg[off + 3]]) as usize;
-    let stored = u32::from_le_bytes([seg[off + 4], seg[off + 5], seg[off + 6], seg[off + 7]]);
-    if len > MAX_FRAME_BYTES as usize || off + FRAME_OVERHEAD + len > seg.len() {
-        return false;
-    }
-    if let Some(want) = expect_crc {
-        if stored != want {
-            return false;
-        }
-    }
-    crc32(&seg[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len]) == stored
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// File offsets of every frame in a segment image, read from the frame
+    /// headers alone; tests use them to aim a bit flip or a cut.
+    pub(crate) fn frame_offsets(seg: &[u8]) -> Vec<usize> {
+        let (_, mut off) = SegmentHeader::decode(seg).unwrap();
+        let mut offsets = Vec::new();
+        while off + FRAME_OVERHEAD <= seg.len() {
+            offsets.push(off);
+            let len = u32::from_le_bytes(seg[off..off + 4].try_into().unwrap());
+            off += FRAME_OVERHEAD + len as usize;
+        }
+        offsets
+    }
 
     #[test]
     fn header_round_trips() {
         let h = SegmentHeader {
-            version: FORMAT_VERSION,
             segment_id: 42,
             base_ts: UtcMicros::from_micros(1_234_567),
-            nodes: vec![1, 2, 7],
         };
-        let bytes = h.encode();
+        let bytes = h.encode(&SegmentBody::Plain);
         let (back, off) = SegmentHeader::decode(&bytes).unwrap();
         assert_eq!(back, h);
         assert_eq!(off, bytes.len());
@@ -519,14 +453,12 @@ mod tests {
     #[test]
     fn header_crc_detects_corruption() {
         let h = SegmentHeader {
-            version: FORMAT_VERSION,
             segment_id: 1,
             base_ts: UtcMicros::ZERO,
-            nodes: vec![3],
         };
-        let mut bytes = h.encode();
+        let mut bytes = h.encode(&SegmentBody::Plain);
         let n = bytes.len();
-        bytes[n - 6] ^= 0x40; // flip a bit inside the node list
+        bytes[n - 6] ^= 0x40; // flip a bit inside the node count
         assert!(SegmentHeader::decode(&bytes).is_err());
     }
 
@@ -537,13 +469,6 @@ mod tests {
             record_count: 1000,
             min_ts: UtcMicros::from_micros(10),
             max_ts: UtcMicros::from_micros(99_999),
-            entries: (0..16)
-                .map(|i| IndexEntry {
-                    ordinal: i * 64,
-                    offset: 53 + i * 640,
-                    ts: UtcMicros::from_micros(10 + i as i64 * 100),
-                })
-                .collect(),
             zone: ZoneMap {
                 nodes: vec![],
                 sensors: SensorBloom::new(),
@@ -570,11 +495,6 @@ mod tests {
             record_count: 128,
             min_ts: UtcMicros::from_micros(5),
             max_ts: UtcMicros::from_micros(500),
-            entries: vec![IndexEntry {
-                ordinal: 0,
-                offset: 53,
-                ts: UtcMicros::from_micros(5),
-            }],
             zone: ZoneMap {
                 nodes: vec![1, 2, 9],
                 sensors,
@@ -610,13 +530,10 @@ mod tests {
     fn validate_against_binds_sidecar_to_segment_bytes() {
         // Build a tiny segment image: header + two frames.
         let h = SegmentHeader {
-            version: FORMAT_VERSION,
             segment_id: 0,
             base_ts: UtcMicros::from_micros(1),
-            nodes: vec![1],
         };
-        let mut seg = h.encode();
-        let first_off = seg.len() as u64;
+        let mut seg = h.encode(&SegmentBody::Plain);
         append_frame(b"first-record", &mut seg);
         let tail_off = seg.len() as u64;
         append_frame(b"second-record", &mut seg);
@@ -628,11 +545,6 @@ mod tests {
             record_count: 2,
             min_ts: UtcMicros::from_micros(1),
             max_ts: UtcMicros::from_micros(2),
-            entries: vec![IndexEntry {
-                ordinal: 0,
-                offset: first_off,
-                ts: UtcMicros::from_micros(1),
-            }],
             zone: ZoneMap {
                 nodes: vec![1],
                 sensors,
@@ -648,9 +560,13 @@ mod tests {
         let mut grown = seg.clone();
         append_frame(b"third", &mut grown);
         assert!(!idx.validate_against(&grown));
-        // Corrupt frame under an entry.
+        // A stamp pointing past the segment is stale, not a panic.
+        let mut absurd = idx.clone();
+        absurd.zone.last_frame_offset = u64::MAX;
+        assert!(!absurd.validate_against(&seg));
+        // Bit rot in the tail frame's payload breaks the stamp.
         let mut bitrot = seg.clone();
-        let p = first_off as usize + FRAME_OVERHEAD + 2;
+        let p = tail_off as usize + FRAME_OVERHEAD + 2;
         bitrot[p] ^= 0x10;
         assert!(!idx.validate_against(&bitrot));
     }
@@ -668,11 +584,14 @@ mod tests {
             fields: vec![Value::I32(5), Value::Str("x".into())],
         })
         .unwrap();
-        let bytes = encode_compact_header(7, UtcMicros::from_micros(42), &[1, 2], &dict);
-        let (h, body, off) = decode_any_header(&bytes).unwrap();
-        assert_eq!(h.version, COMPACT_VERSION);
-        assert_eq!(h.segment_id, 7);
-        assert_eq!(h.nodes, vec![1, 2]);
+        let h = SegmentHeader {
+            segment_id: 7,
+            base_ts: UtcMicros::from_micros(42),
+        };
+        let bytes = h.encode(&SegmentBody::Compact(dict.clone()));
+        assert_eq!(&bytes[8..12], &COMPACT_VERSION.to_be_bytes());
+        let (back, body, off) = decode_any_header(&bytes).unwrap();
+        assert_eq!(back, h);
         assert_eq!(off, bytes.len());
         assert_eq!(body, SegmentBody::Compact(dict));
         // SegmentHeader::decode accepts it too (dictionary discarded).

@@ -87,7 +87,6 @@ fn small_store_cfg(dir: &Path) -> StoreConfig {
     // Small segments so batches regularly cross rotation boundaries.
     cfg.segment_bytes = 4096;
     cfg.fsync = FsyncPolicy::Never;
-    cfg.index_every = 7;
     cfg
 }
 
