@@ -621,9 +621,11 @@ mod tests {
         };
         let bound_first = series(true);
         assert_eq!(bound_first, series(false));
+        let relay_role = ("role".to_string(), "relay".to_string());
         assert!(bound_first
             .iter()
-            .any(|(name, _)| name == "brisk_relay_connects_total"));
+            .any(|(name, labels)| name == "brisk_uplink_connects_total"
+                && labels.contains(&relay_role)));
     }
 
     #[test]

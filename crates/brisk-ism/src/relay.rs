@@ -13,7 +13,8 @@
 //! seeded by the relay's node id, that only a `HelloAck` resets) — and
 //! adds only what is relay-specific: the prefix rewrite and its own
 //! batcher. One policy difference from the EXS: a parent's orderly
-//! `Shutdown` retires the link and the relay dials again.
+//! `Shutdown` retires the link and the relay dials again. The link's
+//! counters are the `Uplink`'s own, registered under `role="relay"`.
 //!
 //! Namespacing: every record is rewritten through the relay's
 //! [`NodePrefix`] before it leaves (node id plus CRE reason/conseq
@@ -34,11 +35,10 @@
 use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
 use brisk_core::{EventRecord, Result, UtcMicros};
-use brisk_lis::uplink::{Control, Uplink};
+use brisk_lis::uplink::{Control, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_lis::{Batcher, SupervisorConfig};
 use brisk_proto::NodePrefix;
-use brisk_telemetry::{Histogram, Registry};
-use std::collections::VecDeque;
+use brisk_telemetry::Registry;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,65 +88,31 @@ impl RelayConfig {
 }
 
 brisk_telemetry::metrics! {
-    /// Shared atomic backing for [`RelayStats`] plus the link gauges, so a
-    /// telemetry registry (and tests) can observe a live exporter from
-    /// another thread without locking.
+    /// Shared atomic backing for [`RelayStats`], and the cells of the
+    /// upstream [`Uplink`], so a telemetry registry (and tests) can
+    /// observe a live exporter from another thread without locking.
     pub struct RelayTelemetry =>
-    /// Counters of one upstream exporter.
+    /// Counters of one upstream exporter, and (as `link`, which it derefs
+    /// to) its upstream link's.
     pub struct RelayStats {
-        /// Upstream connections established (including reconnects).
-        connects: counter "brisk_relay_connects_total" "Upstream connections established (including reconnects)",
-        /// `HelloAck`s received (connections the parent actually answered).
-        hello_acks: counter "brisk_relay_hello_acks_total" "HelloAcks received from the upstream ISM",
         /// Batches shipped upstream (first transmissions).
         batches_exported: counter "brisk_relay_exported_batches_total" "Merged batches shipped upstream (first transmissions)",
         /// Records shipped upstream (first transmissions).
         records_exported: counter "brisk_relay_exported_records_total" "Merged records shipped upstream (first transmissions)",
-        /// Batches replayed from the window after a reconnect.
-        batches_retransmitted: counter "brisk_relay_retransmitted_batches_total" "Batches replayed from the retransmit window after reconnect",
-        /// Cumulative `BatchAck`s received.
-        acks_received: counter "brisk_relay_acks_total" "Batch acknowledgements received from the upstream ISM",
-        /// Heartbeats sent on idle links.
-        heartbeats_sent: counter "brisk_relay_heartbeats_total" "Liveness heartbeats sent upstream on idle links",
-        /// Unacked batches evicted from a full window (lost to replay).
-        window_evicted: counter "brisk_relay_window_evicted_total" "Unacked batches evicted from a full retransmit window",
         /// Records dropped because the prefix rewrite overflowed (tree too
         /// deep for the id width).
         rewrite_errors: counter "brisk_relay_rewrite_errors_total" "Records dropped because the namespace rewrite overflowed",
-        /// Inbound control frames that failed to decode and were skipped.
-        decode_errors: counter "brisk_relay_decode_errors_total" "Inbound upstream control frames that failed to decode",
         /// Clock adjustments applied from upstream `SyncAdjust`s.
         adjustments: counter "brisk_relay_adjustments_total" "Clock adjustments applied from upstream sync rounds",
-        /// Release pauses because the upstream credit budget was spent
-        /// (stall leading edges, not per-tick).
-        credit_stalls: counter "brisk_relay_credit_stalls_total" "Release pauses because the upstream credit budget was spent",
-        /// 1 while the upstream link is connected.
-        connected: gauge "brisk_relay_upstream_connected" "1 while the upstream link is established",
-        /// Current retransmit-window occupancy (batches).
-        window_depth: gauge "brisk_relay_window_depth" "Sent-but-unacked upstream batches held for replay",
-        /// Granted credit minus unacked in-flight records (0 before the
-        /// first grant).
-        credit_balance: gauge "brisk_relay_upstream_credit" "Granted upstream credit minus unacked in-flight records (0 before the first grant)",
-        /// Batch ship → cumulative ack covering it, in µs (the per-tier
-        /// relay delivery latency).
-        ack_latency_us: histogram "brisk_relay_ack_latency_us" "Upstream batch ship to cumulative ack latency",
-    }
+    } + link: UplinkTelemetry => UplinkStats
 }
 
 impl RelayTelemetry {
-    /// True while the upstream link is up.
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::Relaxed) == 1
-    }
-
-    /// The ship→ack latency histogram.
-    pub fn ack_latency_us(&self) -> &Histogram {
-        &self.ack_latency_us
-    }
-
-    /// Register every relay series with `registry`, labeled by prefix.
+    /// Register every relay series with `registry`, labeled by prefix,
+    /// and its upstream link's under `role="relay"`.
     pub fn bind(self: &Arc<Self>, prefix: NodePrefix, registry: &Registry) {
         self.register(registry, &[("prefix", &prefix.raw().to_string())]);
+        self.link.bind("relay", prefix.relay_node(), registry);
     }
 }
 
@@ -164,9 +130,6 @@ pub struct UpstreamExporter {
     /// The relay's correction clock, when the parent's `SyncAdjust`s
     /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
-    /// Ship time per windowed seq, for the ack-latency histogram.
-    inflight: VecDeque<(u64, Instant)>,
-    credit_stalled: bool,
     shared: Arc<RelayTelemetry>,
 }
 
@@ -181,19 +144,22 @@ impl UpstreamExporter {
             flush_timeout: cfg.flush_timeout,
             ..brisk_core::ExsConfig::default()
         };
+        let uplink = Uplink::new(
+            cfg.prefix.relay_node(),
+            clock,
+            WINDOW_BATCHES,
+            cfg.heartbeat_interval,
+        )
+        .with_redial(connect, cfg.reconnect.clone());
+        let shared = Arc::new(RelayTelemetry {
+            link: Arc::clone(uplink.telemetry()),
+            ..RelayTelemetry::default()
+        });
         UpstreamExporter {
             batcher: Batcher::new(synth),
-            uplink: Uplink::new(
-                cfg.prefix.relay_node(),
-                clock,
-                WINDOW_BATCHES,
-                cfg.heartbeat_interval,
-            )
-            .with_redial(connect, cfg.reconnect.clone()),
+            uplink,
             sync_clock: None,
-            inflight: VecDeque::new(),
-            credit_stalled: false,
-            shared: Arc::default(),
+            shared,
             cfg,
         }
     }
@@ -218,51 +184,21 @@ impl UpstreamExporter {
         self.shared.snapshot()
     }
 
-    /// The shared telemetry backing (clone the `Arc` to observe from
-    /// another thread).
-    pub fn telemetry(&self) -> &Arc<RelayTelemetry> {
-        &self.shared
-    }
-
     /// Register this exporter's series with a telemetry registry.
     pub fn bind_telemetry(&self, registry: &Registry) {
         self.shared.bind(self.cfg.prefix, registry);
-    }
-
-    fn mirror_gauges(&self) {
-        self.shared
-            .window_depth
-            .store(self.uplink.window_depth() as i64, Ordering::Relaxed);
-        self.shared
-            .credit_balance
-            .store(self.uplink.credit_balance(), Ordering::Relaxed);
-        self.shared
-            .connected
-            .store(self.uplink.connected() as i64, Ordering::Relaxed);
     }
 
     /// Window a fresh batch and ship it. On a dead link the batch simply
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let (windowed, sent) = self.uplink.send(&records);
+        let sent = self.uplink.send(&records);
         self.batcher.recycle(records);
         if sent.is_ok() {
             self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
             self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
         }
-        if windowed.evicted {
-            self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "window_evict",
-                "prefix {} evicted an unacked batch from a full window (size {})",
-                self.cfg.prefix.raw(),
-                WINDOW_BATCHES
-            );
-        }
-        self.inflight.push_back((windowed.seq, Instant::now()));
     }
 
     /// Wait up to `wait` for one frame of the parent's control traffic
@@ -271,32 +207,7 @@ impl UpstreamExporter {
     fn poll_control(&mut self, wait: Duration) -> bool {
         match self.uplink.poll_control(wait) {
             Ok(None) | Err(_) => return false,
-            Ok(Some(Control::Skipped)) => {
-                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Some(Control::Granted { credit })) => {
-                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
-                brisk_telemetry::flight_log!(
-                    Info,
-                    "relay.upstream",
-                    "hello_ack",
-                    "prefix {} upstream granted credit {credit}",
-                    self.cfg.prefix.raw()
-                );
-            }
-            Ok(Some(Control::Acked { seq })) => {
-                while let Some(&(s, sent)) = self.inflight.front() {
-                    if s > seq {
-                        break;
-                    }
-                    self.shared
-                        .ack_latency_us
-                        .record(sent.elapsed().as_micros() as u64);
-                    self.inflight.pop_front();
-                }
-                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Some(Control::SyncPoll)) => {}
+            Ok(Some(Control::Skipped | Control::Handled)) => {}
             Ok(Some(Control::Adjusted(advance_us))) => {
                 if let Some(c) = &self.sync_clock {
                     c.adjust(advance_us);
@@ -346,37 +257,17 @@ impl MergeOutput for UpstreamExporter {
     }
 
     /// Per-tick housekeeping: redial once due, answer control traffic,
-    /// flush the latency knob, heartbeat, refresh gauges.
+    /// flush the latency knob, heartbeat, check credit.
     fn pump(&mut self, now: UtcMicros) -> Result<()> {
-        if let Some(replayed) = self.uplink.redial() {
-            self.shared.connects.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .batches_retransmitted
-                .fetch_add(replayed as u64, Ordering::Relaxed);
-        }
+        self.uplink.redial();
         while self.poll_control(Duration::ZERO) {}
         if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
             self.ship(batch);
         }
-        if let Ok(true) = self.uplink.heartbeat_if_idle() {
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        let open = self.uplink.credit_open();
-        if !open && !self.credit_stalled {
-            self.credit_stalled = true;
-            self.shared.credit_stalls.fetch_add(1, Ordering::Relaxed);
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "credit_stall",
-                "prefix {} pausing releases: upstream credit budget {:?} spent",
-                self.cfg.prefix.raw(),
-                self.uplink.grant()
-            );
-        } else if open {
-            self.credit_stalled = false;
-        }
-        self.mirror_gauges();
+        // A failed heartbeat dropped the link; the next tick redials.
+        let _ = self.uplink.heartbeat_if_idle();
+        // Notes a stall's leading edge; `ready` reads credit exactly.
+        self.uplink.poll_credit();
         Ok(())
     }
 
@@ -402,7 +293,6 @@ impl MergeOutput for UpstreamExporter {
                 self.uplink.window_depth()
             );
         }
-        self.mirror_gauges();
         Ok(())
     }
 }
@@ -524,11 +414,11 @@ mod tests {
             "cumulative ack releases the window"
         );
         let stats = ex.stats();
-        assert_eq!(stats.connects, 2);
+        assert_eq!(stats.link.connects, 2);
         assert_eq!(stats.batches_exported, 1);
         assert_eq!(stats.records_exported, 2);
-        assert_eq!(stats.batches_retransmitted, 1);
-        assert_eq!(stats.acks_received, 1);
+        assert_eq!(stats.link.batches_retransmitted, 1);
+        assert_eq!(stats.link.acks_received, 1);
     }
 
     #[test]
@@ -557,12 +447,12 @@ mod tests {
         server.send(&hello.encode()).unwrap();
         ex.pump(now).unwrap();
         assert!(!ex.uplink.connected(), "link dropped");
-        assert_eq!(ex.stats().decode_errors, 0);
+        assert_eq!(ex.stats().link.decode_errors, 0);
         // The dropped link had been acked, so the redial is due at once.
         ex.pump(now).unwrap();
         let mut server = accept(&mut listener);
         assert!(matches!(recv_msg(&mut server), Message::Hello { .. }));
-        assert_eq!(ex.stats().connects, 2);
+        assert_eq!(ex.stats().link.connects, 2);
     }
 
     #[test]
@@ -591,7 +481,7 @@ mod tests {
         let _batch = recv_msg(&mut server);
         ex.pump(now).unwrap();
         assert!(!ex.ready(), "budget of 1 spent by the in-flight record");
-        assert!(ex.stats().credit_stalls >= 1);
+        assert!(ex.stats().link.credit_stalls >= 1);
         server
             .send(&Message::BatchAck { seq: 1, credit: 1 }.encode())
             .unwrap();
@@ -621,13 +511,13 @@ mod tests {
             .unwrap();
         ex.pump(now).unwrap();
         assert_eq!(
-            ex.stats().heartbeats_sent,
+            ex.stats().link.heartbeats_sent,
             0,
             "the HelloAck restarts the idle clock"
         );
         std::thread::sleep(Duration::from_millis(15));
         ex.pump(now).unwrap();
-        assert_eq!(ex.stats().heartbeats_sent, 1);
+        assert_eq!(ex.stats().link.heartbeats_sent, 1);
         match recv_msg(&mut server) {
             Message::Heartbeat => {}
             other => panic!("expected Heartbeat, got {other:?}"),

@@ -165,11 +165,13 @@ impl WindowBatch for Vec<EventRecord> {
 }
 
 /// A batch as it went on the wire: the encoded frame, replayed byte for
-/// byte after a reconnect, and its record count.
+/// byte after a reconnect, its record count, and when it was windowed
+/// (µs on the sender's clock; its ack measures the wait).
 #[derive(Clone, Debug)]
 pub(crate) struct SentFrame {
     pub(crate) frame: Vec<u8>,
     pub(crate) records: u64,
+    pub(crate) windowed_us: i64,
 }
 
 impl WindowBatch for SentFrame {

@@ -42,14 +42,16 @@
 //! window, which the ISM deduplicates by `(node, seq)`: delivery to the
 //! sinks is exactly-once. A full window evicts its oldest batch, which is
 //! then beyond replay — surfaced through telemetry rather than hidden.
+//! The link's counters are the [`Uplink`]'s own ([`UplinkStats`]); the
+//! EXS counts only what it does itself.
 
 use crate::batch::{Batcher, FlushReason};
-use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, Windowed};
+use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_net::Connection;
 use brisk_ringbuf::RingSet;
-use brisk_telemetry::{Histogram, Registry, StageTimer};
+use brisk_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,12 +60,14 @@ use std::time::{Duration, Instant};
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 brisk_telemetry::metrics! {
-    /// Shared atomic backing for [`ExsStats`] plus the EXS's link gauges
-    /// and stage histograms. Lives in an `Arc` so a telemetry registry
-    /// (and the spawning thread, via [`ExsHandle`]) can observe a live EXS
-    /// without locking: the EXS thread bumps every cell in place.
+    /// Shared atomic backing for [`ExsStats`] plus the EXS's stage
+    /// histograms, and the cells of its [`Uplink`]. Lives in an `Arc` so a
+    /// telemetry registry (and the spawning thread, via [`ExsHandle`]) can
+    /// observe a live EXS without locking: the EXS thread bumps every
+    /// cell in place.
     pub struct ExsTelemetry =>
-    /// Counters the EXS maintains while running.
+    /// Counters the EXS maintains while running, and (as `link`, which it
+    /// derefs to) its link's.
     pub struct ExsStats {
         /// Records drained from sensor rings.
         records_drained: counter "brisk_exs_records_drained_total" "Records drained from sensor rings",
@@ -79,67 +83,33 @@ brisk_telemetry::metrics! {
         flush_timeout: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "timeout"],
         /// Batches flushed explicitly (shutdown).
         flush_forced: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "forced"],
-        /// Sync polls answered.
-        sync_replies: counter "brisk_exs_sync_replies_total" "Sync polls answered",
         /// Sync adjustments applied.
         adjustments: counter "brisk_exs_adjustments_total" "Clock adjustments applied",
         /// Sync adjustments ignored because `sync_disabled` is set (chaos
         /// plane: the node's clock is deliberately left to drift).
         sync_ignored: counter "brisk_exs_sync_ignored_total" "Clock adjustments ignored (sync disabled on this node)",
-        /// Cumulative `BatchAck`s received from the ISM.
-        acks_received: counter "brisk_exs_acks_total" "Batch acknowledgements received from the ISM",
-        /// Batches replayed from the retransmit window after a reconnect.
-        batches_retransmitted: counter "brisk_exs_batches_retransmitted_total" "Batches replayed from the retransmit window after reconnect",
-        /// Unacked batches evicted from a full retransmit window (lost to
-        /// replay; at-most-once delivery for those records).
-        window_evicted: counter "brisk_exs_window_evicted_total" "Unacked batches evicted from a full retransmit window",
         /// Ring scoops deferred because the ISM's credit budget was spent
         /// (credit flow control); backpressure is parked in the rings.
         credit_deferrals: counter "brisk_exs_credit_deferred_total" "Ring scoops deferred waiting for ISM credit",
-        /// Liveness heartbeats sent to the ISM (idle links only).
-        heartbeats_sent: counter "brisk_exs_heartbeats_sent_total" "Liveness heartbeats sent to the ISM on idle links",
-        /// `HelloAck`s received (one per successfully established connection).
-        hello_acks: counter "brisk_exs_hello_acks_total" "HelloAcks received (established connections)",
-        /// Connections attached (1 = never reconnected).
-        connects: counter "brisk_exs_connects_total" "ISM connections established by the supervised EXS",
-        /// Connections attached after an abrupt disconnect.
-        reconnects: counter "brisk_exs_reconnects_total" "Supervisor restarts after an abrupt disconnect",
-        /// Inbound control frames that failed to decode and were skipped.
-        decode_errors: counter "brisk_exs_decode_errors_total" "Inbound control frames that failed to decode and were skipped",
         /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
         /// numerator.
         busy_nanos: counter "brisk_exs_busy_nanos_total" "Nanoseconds spent working",
         /// Loop iterations executed.
         iterations: counter "brisk_exs_iterations_total" "EXS loop iterations",
-        /// Current retransmit-window occupancy (batches).
-        window_depth: gauge "brisk_exs_retransmit_window_depth" "Sent-but-unacked batches held for replay",
-        /// Remaining credit (granted budget − unacked in-flight records);
-        /// 0 before the first grant.
-        credit_balance: gauge "brisk_exs_credit_balance" "Granted credit minus unacked in-flight records (0 before the first grant)",
         /// Per-step drain+batch latency in µs, on the node's clock (so it is
         /// deterministic under `SimClock`).
         drain_us: histogram "brisk_exs_drain_us" "Per-step drain+batch latency on the node clock",
         /// Records per emitted batch.
         batch_records: histogram "brisk_exs_batch_records" "Records per emitted batch",
-        /// Ack lag: unacked batches still in the window when each ack lands.
-        ack_lag: histogram "brisk_exs_ack_lag_batches" "Unacked batches still windowed when each ack landed",
-    }
+    } + link: UplinkTelemetry => UplinkStats
 }
 
 impl ExsTelemetry {
-    /// The drain-latency histogram (µs per step of drain+batch work).
-    pub fn drain_us(&self) -> &Histogram {
-        &self.drain_us
-    }
-
-    /// The batch-size histogram (records per emitted batch).
-    pub fn batch_records(&self) -> &Histogram {
-        &self.batch_records
-    }
-
-    /// Register every EXS series with `registry`, labeled by node.
+    /// Register every EXS series with `registry`, labeled by node, and
+    /// its link's under `role="exs"`.
     pub fn bind(self: &Arc<Self>, node: NodeId, registry: &Registry) {
         self.register(registry, &[("node", &node.0.to_string())]);
+        self.link.bind("exs", node, registry);
     }
 }
 
@@ -177,9 +147,6 @@ pub struct ExternalSensor {
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
     hlc: Arc<Hlc>,
-    /// True while a credit stall is in progress, so the flight recorder
-    /// sees one event per stall instead of one per deferred step.
-    credit_stalled: bool,
 }
 
 impl ExternalSensor {
@@ -217,18 +184,21 @@ impl ExternalSensor {
             cfg.retransmit_window_batches,
             cfg.heartbeat_interval,
         );
+        let shared = Arc::new(ExsTelemetry {
+            link: Arc::clone(uplink.telemetry()),
+            ..ExsTelemetry::default()
+        });
         Ok(ExternalSensor {
             node,
             rings,
             clock,
             batcher: Batcher::new(cfg.clone()),
             cfg,
-            shared: Arc::default(),
+            shared,
             drain_buf: Vec::with_capacity(512),
             shells: Vec::new(),
             uplink,
             hlc: Hlc::new(),
-            credit_stalled: false,
         })
     }
 
@@ -238,9 +208,7 @@ impl ExternalSensor {
     /// Correction value, partial batch, window and the last credit grant
     /// all stay where they are; the new `HelloAck` overwrites the grant.
     pub fn reattach(&mut self, conn: Box<dyn Connection>) -> Result<()> {
-        let replayed = self.uplink.attach(conn)?;
-        self.note_attached(replayed);
-        Ok(())
+        self.uplink.attach(conn).map(drop)
     }
 
     /// Let the uplink dial lost links again through `connect`.
@@ -249,46 +217,9 @@ impl ExternalSensor {
         self
     }
 
-    /// Dial and attach if the link is down and its backoff has elapsed
-    /// (see [`Uplink::redial`]); `true` once a connection is attached.
-    fn redial(&mut self) -> bool {
-        let Some(replayed) = self.uplink.redial() else {
-            return false;
-        };
-        self.note_attached(replayed);
-        true
-    }
-
     /// True while a connection is attached.
     fn linked(&self) -> bool {
         self.uplink.connected()
-    }
-
-    fn note_attached(&self, replayed: usize) {
-        let s = &self.shared;
-        if s.connects.fetch_add(1, Ordering::Relaxed) > 0 {
-            s.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        s.batches_retransmitted
-            .fetch_add(replayed as u64, Ordering::Relaxed);
-        self.mirror_link_gauges();
-    }
-
-    /// Mirror window occupancy and spendable credit into telemetry.
-    fn mirror_link_gauges(&self) {
-        self.shared
-            .window_depth
-            .store(self.uplink.window_depth() as i64, Ordering::Relaxed);
-        self.shared
-            .credit_balance
-            .store(self.uplink.credit_balance(), Ordering::Relaxed);
-    }
-
-    fn note_windowed(&self, windowed: Windowed) {
-        if windowed.evicted {
-            self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.mirror_link_gauges();
     }
 
     /// The node this EXS serves.
@@ -313,12 +244,6 @@ impl ExternalSensor {
         self.shared.snapshot()
     }
 
-    /// The shared telemetry backing (clone the `Arc` to observe this EXS
-    /// from another thread, or call [`ExsTelemetry::bind`] on it).
-    pub fn telemetry(&self) -> &Arc<ExsTelemetry> {
-        &self.shared
-    }
-
     /// Register this EXS's series with a telemetry registry.
     pub fn bind_telemetry(&self, registry: &Registry) {
         self.shared.bind(self.node, registry);
@@ -341,78 +266,20 @@ impl ExternalSensor {
         //    records parked in the rings (where overruns land on the
         //    rings' own drop accounting) instead of piling them into the
         //    batcher and window. Acks received below reopen the tap.
-        let paused = !self.uplink.credit_open();
+        let paused = !self.uplink.poll_credit();
         if paused {
             self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
-            // Only the stall's leading edge lands in the flight recorder;
-            // the per-step counter tracks its duration.
-            if !self.credit_stalled {
-                self.credit_stalled = true;
-                brisk_telemetry::flight_log!(
-                    Warn,
-                    "exs",
-                    "credit_stall",
-                    "node {} deferring ring scoop: credit budget {:?} spent",
-                    self.node,
-                    self.uplink.grant()
-                );
-            }
-        } else {
-            self.credit_stalled = false;
         }
 
         // 1. Drain sensor rings and apply the correction value. The span
         //    is timed on the node's clock so it is meaningful (and
         //    deterministic) under simulation.
-        let drain_hist = Arc::clone(&self.shared.drain_us);
-        let drain_timer = StageTimer::start(&drain_hist, self.clock.now().as_micros());
-        // The *effective* correction: while a slew is smearing a backward
-        // adjustment, records get the partially applied value, matching
-        // the clock the later trace stamps read.
-        let correction = self.clock.effective_correction_us();
-        self.drain_buf.clear();
+        let drain_start = self.clock.now().as_micros();
         let drained = if paused {
             0
         } else {
-            self.rings.drain_reusing(
-                self.cfg.max_batch_records * 2,
-                &mut self.drain_buf,
-                &mut self.shells,
-            )?
+            self.scoop(self.cfg.max_batch_records * 2)?
         };
-        self.shared
-            .records_drained
-            .fetch_add(drained as u64, Ordering::Relaxed);
-        let now = self.clock.now();
-        let mut pending = std::mem::take(&mut self.drain_buf);
-        // A disconnect mid-scoop must not drop the records already pulled
-        // out of the rings: once the send fails, keep pushing the rest of
-        // the scoop through the batcher and stash every flushed batch in
-        // the retransmit window (unsent), where the next connection's
-        // replay picks it up.
-        let mut failed: Option<BriskError> = None;
-        for mut rec in pending.drain(..) {
-            rec.apply_correction(correction);
-            // After the correction: scoop time and every later stamp are
-            // on the synchronized clock, only the notice stamp was shifted.
-            rec.stamp_trace(TraceStage::ExsScoop, now);
-            if self.cfg.stamp_hlc {
-                rec.set_hlc(self.hlc.tick(now));
-            }
-            if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                if failed.is_some() {
-                    let windowed = self.uplink.stash(&batch);
-                    self.note_windowed(windowed);
-                    self.recycle(batch);
-                } else if let Err(e) = self.send_batch(batch, reason) {
-                    failed = Some(e);
-                }
-            }
-        }
-        self.drain_buf = pending; // keep the allocation (workhorse buffer)
-        if let Some(e) = failed {
-            return Err(e);
-        }
 
         // 2. Latency control: flush a stale partial batch. Deferred while
         //    credit is spent — the flush would put more records in flight.
@@ -424,10 +291,9 @@ impl ExternalSensor {
         // 2b. Liveness: on an idle connection, send a heartbeat so the
         //     ISM can tell a quiet node from a silently dead one (TCP
         //     alone reports nothing for minutes).
-        if self.uplink.heartbeat_if_idle()? {
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        drain_timer.stop(self.clock.now().as_micros());
+        self.uplink.heartbeat_if_idle()?;
+        let drain_us = self.clock.now().as_micros().saturating_sub(drain_start);
+        self.shared.drain_us.record(drain_us.max(0) as u64);
 
         // 3. Control traffic. When busy, poll without blocking; when idle,
         //    this wait is the EXS's sleep (bounded by `IDLE_SLEEP` and by
@@ -463,23 +329,9 @@ impl ExternalSensor {
     /// the frame was skipped (undecodable, within the budget — past it the
     /// uplink drops the link, and an EXS with a [`ConnectFn`] dials again).
     fn on_control(&mut self, frame: &[u8]) -> Result<Option<ExsStep>> {
-        match self.uplink.handle_frame(frame)? {
-            Control::Skipped => {
-                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            Control::Granted { .. } => {
-                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
-            }
-            Control::Acked { .. } => {
-                self.shared
-                    .ack_lag
-                    .record(self.uplink.window_depth() as u64);
-                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-            }
-            Control::SyncPoll => {
-                self.shared.sync_replies.fetch_add(1, Ordering::Relaxed);
-            }
+        Ok(match self.uplink.handle_frame(frame)? {
+            Control::Skipped => None,
+            Control::Handled => Some(ExsStep::Busy),
             Control::Adjusted(advance_us) => {
                 if self.cfg.sync_disabled {
                     // Chaos plane: the node deliberately refuses sync and
@@ -489,11 +341,54 @@ impl ExternalSensor {
                     self.clock.adjust(advance_us);
                     self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
                 }
+                Some(ExsStep::Busy)
             }
-            Control::Shutdown => return Ok(Some(ExsStep::Shutdown)),
+            Control::Shutdown => Some(ExsStep::Shutdown),
+        })
+    }
+
+    /// Drain up to `max` records from the rings, apply the correction
+    /// value, stamp each and push it into the batcher, shipping every
+    /// batch that fills; returns how many records were drained. A
+    /// disconnect mid-scoop must not drop the records already pulled out
+    /// of the rings: once a send fails, the rest of the scoop still goes
+    /// through the batcher and every further batch is stashed (unsent) in
+    /// the retransmit window, where the next connection's replay picks it
+    /// up. The failed send's error is returned after that.
+    fn scoop(&mut self, max: usize) -> Result<usize> {
+        // The *effective* correction: while a slew is smearing a backward
+        // adjustment, records get the partially applied value, matching
+        // the clock the later trace stamps read.
+        let correction = self.clock.effective_correction_us();
+        self.drain_buf.clear();
+        let drained = self
+            .rings
+            .drain_reusing(max, &mut self.drain_buf, &mut self.shells)?;
+        self.shared
+            .records_drained
+            .fetch_add(drained as u64, Ordering::Relaxed);
+        let now = self.clock.now();
+        let mut pending = std::mem::take(&mut self.drain_buf);
+        let mut failed: Option<BriskError> = None;
+        for mut rec in pending.drain(..) {
+            rec.apply_correction(correction);
+            // After the correction: scoop time and every later stamp are
+            // on the synchronized clock, only the notice stamp was shifted.
+            rec.stamp_trace(TraceStage::ExsScoop, now);
+            if self.cfg.stamp_hlc {
+                rec.set_hlc(self.hlc.tick(now));
+            }
+            if let Some((batch, reason)) = self.batcher.push(rec, now) {
+                if failed.is_some() {
+                    self.uplink.stash(&batch);
+                    self.recycle(batch);
+                } else if let Err(e) = self.send_batch(batch, reason) {
+                    failed = Some(e);
+                }
+            }
         }
-        self.mirror_link_gauges();
-        Ok(Some(ExsStep::Busy))
+        self.drain_buf = pending; // keep the allocation (workhorse buffer)
+        failed.map_or(Ok(drained), Err)
     }
 
     fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) -> Result<()> {
@@ -502,8 +397,7 @@ impl ExternalSensor {
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        let (windowed, sent) = self.uplink.send(&records);
-        self.note_windowed(windowed);
+        let sent = self.uplink.send(&records);
         self.recycle(records);
         sent?;
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
@@ -533,28 +427,7 @@ impl ExternalSensor {
     /// send `Shutdown`, so no accepted record is lost. Consumes the EXS
     /// and returns its final stats.
     pub fn finish(mut self) -> Result<ExsStats> {
-        self.drain_buf.clear();
-        let correction = self.clock.effective_correction_us();
-        self.rings
-            .drain_reusing(usize::MAX, &mut self.drain_buf, &mut self.shells)?;
-        // The final drain counts too: without this, records that only
-        // leave the rings during teardown would vanish from the drained
-        // total while still showing up in records_sent.
-        self.shared
-            .records_drained
-            .fetch_add(self.drain_buf.len() as u64, Ordering::Relaxed);
-        let now = self.clock.now();
-        let pending = std::mem::take(&mut self.drain_buf);
-        for mut rec in pending {
-            rec.apply_correction(correction);
-            rec.stamp_trace(TraceStage::ExsScoop, now);
-            if self.cfg.stamp_hlc {
-                rec.set_hlc(self.hlc.tick(now));
-            }
-            if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                self.send_batch(batch, reason)?;
-            }
-        }
+        self.scoop(usize::MAX)?;
         if let Some((batch, reason)) = self.batcher.flush() {
             self.send_batch(batch, reason)?;
         }
@@ -570,7 +443,7 @@ impl ExternalSensor {
 fn drive(mut exs: ExternalSensor, stop: &AtomicBool) -> Result<ExsStats> {
     let shared = Arc::clone(&exs.shared);
     while !stop.load(Ordering::Relaxed) {
-        if !exs.linked() && !exs.redial() {
+        if !exs.linked() && !exs.uplink.redial() {
             if !exs.uplink.redials() {
                 break;
             }
@@ -613,12 +486,7 @@ impl ExsHandle {
 
     /// Connections attached so far (1 = never reconnected).
     pub fn connects(&self) -> u64 {
-        self.shared.connects.load(Ordering::Relaxed)
-    }
-
-    /// The shared telemetry backing of the running EXS.
-    pub fn telemetry(&self) -> &Arc<ExsTelemetry> {
-        &self.shared
+        self.shared.link.connects.load(Ordering::Relaxed)
     }
 
     /// Register the running EXS's series with a telemetry registry.
@@ -910,7 +778,7 @@ mod tests {
             }
             other => panic!("expected reply, got {other:?}"),
         }
-        assert_eq!(r.exs.stats().sync_replies, 1);
+        assert_eq!(r.exs.stats().link.sync_replies, 1);
     }
 
     #[test]
@@ -954,7 +822,11 @@ mod tests {
             .unwrap();
         assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
         assert!(!r.exs.linked());
-        assert_eq!(r.exs.stats().decode_errors, 0, "not charged to the budget");
+        assert_eq!(
+            r.exs.stats().link.decode_errors,
+            0,
+            "not charged to the budget"
+        );
     }
 
     #[test]
@@ -1093,7 +965,7 @@ mod tests {
             .unwrap();
         r.exs.step().unwrap();
         assert_eq!(r.exs.uplink.window_depth(), 1);
-        assert_eq!(r.exs.stats().acks_received, 1);
+        assert_eq!(r.exs.stats().link.acks_received, 1);
     }
 
     #[test]
@@ -1145,7 +1017,7 @@ mod tests {
             other => panic!("expected replayed batch, got {other:?}"),
         }
         let stats = r.exs.stats();
-        assert_eq!(stats.batches_retransmitted, 1);
+        assert_eq!(stats.link.batches_retransmitted, 1);
         // Replays are not re-counted as fresh sends.
         assert_eq!(stats.batches_sent, 2);
         // The partial batch outlived the connection and continues the
@@ -1259,7 +1131,7 @@ mod tests {
         r.exs.step().unwrap(); // spends the whole budget
         r.exs.step().unwrap(); // defers
         let snap = registry.snapshot();
-        assert_eq!(snap.gauge("brisk_exs_credit_balance"), Some(0));
+        assert_eq!(snap.gauge("brisk_uplink_credit_balance"), Some(0));
         assert!(snap.counter_total("brisk_exs_credit_deferred_total") >= 1);
     }
 
@@ -1276,7 +1148,7 @@ mod tests {
         r.exs.step().unwrap();
         let stats = r.exs.stats();
         assert_eq!(stats.batches_sent, 3);
-        assert_eq!(stats.window_evicted, 1);
+        assert_eq!(stats.link.window_evicted, 1);
         assert_eq!(r.exs.uplink.window_depth(), 2);
     }
 
@@ -1309,8 +1181,8 @@ mod tests {
         r.src.advance_by(20_000);
         r.exs.step().unwrap();
         assert_eq!(recv_msg(&mut r.ism_side), Message::Heartbeat);
-        assert_eq!(r.exs.stats().heartbeats_sent, 1);
-        assert_eq!(r.exs.stats().hello_acks, 1);
+        assert_eq!(r.exs.stats().link.heartbeats_sent, 1);
+        assert_eq!(r.exs.stats().link.hello_acks, 1);
         // Without further idle time no extra heartbeat is sent.
         r.exs.step().unwrap();
         assert!(r
@@ -1353,19 +1225,19 @@ mod tests {
         src.advance_by(150_000);
         exs.step().unwrap();
         assert_eq!(recv_msg(&mut ism_side), Message::Heartbeat);
-        assert_eq!(exs.stats().heartbeats_sent, 1);
+        assert_eq!(exs.stats().link.heartbeats_sent, 1);
 
         // The clock steps back 10 s. The next step rebases the pacing
         // clock without sending a spurious heartbeat...
         fault.step_by(-10_000_000);
         exs.step().unwrap();
-        assert_eq!(exs.stats().heartbeats_sent, 1);
+        assert_eq!(exs.stats().link.heartbeats_sent, 1);
         // ...and one more idle interval of *forward* progress produces
         // the next heartbeat on schedule, stall-free.
         src.advance_by(150_000);
         exs.step().unwrap();
         assert_eq!(recv_msg(&mut ism_side), Message::Heartbeat);
-        assert_eq!(exs.stats().heartbeats_sent, 2);
+        assert_eq!(exs.stats().link.heartbeats_sent, 2);
     }
 
     #[test]
@@ -1444,7 +1316,7 @@ mod tests {
         r.exs.step().unwrap();
         r.src.advance_by(10_000_000);
         r.exs.step().unwrap();
-        assert_eq!(r.exs.stats().heartbeats_sent, 0);
+        assert_eq!(r.exs.stats().link.heartbeats_sent, 0);
     }
 
     #[test]
@@ -1456,7 +1328,10 @@ mod tests {
             r.ism_side.send(&[0xba, 0xad]).unwrap();
             r.exs.step().unwrap();
         }
-        assert_eq!(r.exs.stats().decode_errors, CONTROL_ERROR_BUDGET as u64);
+        assert_eq!(
+            r.exs.stats().link.decode_errors,
+            CONTROL_ERROR_BUDGET as u64
+        );
         // The EXS is still fully functional: a sync poll gets answered.
         r.ism_side
             .send(
@@ -1566,8 +1441,7 @@ mod tests {
 
         assert_eq!(handle.connects(), 2);
         let stats = handle.stop().unwrap();
-        assert_eq!(stats.connects, 2);
-        assert_eq!(stats.reconnects, 1);
+        assert_eq!(stats.link.connects, 2);
     }
 
     #[test]
@@ -1701,8 +1575,8 @@ mod tests {
         }
         assert_eq!(handle.connects(), 3);
         let stats = handle.stop().unwrap();
-        assert_eq!(stats.decode_errors, u64::from(CONTROL_ERROR_BUDGET));
-        assert_eq!(stats.batches_retransmitted, 2);
+        assert_eq!(stats.link.decode_errors, u64::from(CONTROL_ERROR_BUDGET));
+        assert_eq!(stats.link.batches_retransmitted, 2);
     }
 
     #[test]
@@ -1804,7 +1678,7 @@ mod tests {
             credit: 1024,
         };
         first.send(&ack.encode()).unwrap();
-        while handle.stats_now().hello_acks < 1 {
+        while handle.stats_now().link.hello_acks < 1 {
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(first);
@@ -1852,7 +1726,6 @@ mod tests {
             "no reconnect after an orderly shutdown"
         );
         let stats = handle.stop().unwrap();
-        assert_eq!(stats.connects, 1);
-        assert_eq!(stats.reconnects, 0);
+        assert_eq!(stats.link.connects, 1);
     }
 }

@@ -40,4 +40,4 @@ pub use batch::{Batcher, FlushReason};
 pub use exs::{spawn_exs, spawn_exs_supervised, ExsHandle, ExsStats, ExsTelemetry, ExternalSensor};
 pub use profiling::{CounterSensor, Scope, SensorGate};
 pub use sensor::Lis;
-pub use uplink::{SupervisorConfig, Uplink};
+pub use uplink::{SupervisorConfig, Uplink, UplinkStats, UplinkTelemetry};

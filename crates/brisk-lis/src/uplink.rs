@@ -22,14 +22,21 @@
 //! redials. Heartbeats are paced on the sender's own clock, accumulated
 //! forward-only, so the EXS stays deterministic under a simulated clock
 //! and a clock stepped backward neither stalls nor floods them.
+//!
+//! The `Uplink` also counts what it sees, once for both callers: its
+//! [`UplinkTelemetry`] cells are bumped where each link event happens, and
+//! each caller's own telemetry shares them, registered under `role`
+//! (`exs` | `relay`) and the link's `node`.
 
 use crate::batch::{SendWindow, SentFrame};
 use brisk_clock::Clock;
 use brisk_core::{BriskError, EventRecord, NodeId, Result};
 use brisk_net::Connection;
 use brisk_proto::{encode_batch, Message};
+use brisk_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +47,54 @@ pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
 /// Undecodable inbound control frames tolerated per connection before it
 /// is declared corrupt. Mirrors the ISM-side protocol error budget.
 pub const CONTROL_ERROR_BUDGET: u32 = 8;
+
+brisk_telemetry::metrics! {
+    /// The cells of one sender link. The [`Uplink`] bumps them in place;
+    /// its caller's telemetry holds the same `Arc`, so a registry or
+    /// another thread observes a live link without locking.
+    pub struct UplinkTelemetry =>
+    /// Counters of one sender link, totals across its connections.
+    pub struct UplinkStats {
+        /// Connections attached (1 = never reconnected).
+        pub(crate) connects: counter "brisk_uplink_connects_total" "Connections attached (1 = never reconnected)",
+        /// `HelloAck`s received (connections the ISM answered).
+        hello_acks: counter "brisk_uplink_hello_acks_total" "HelloAcks received (connections the ISM answered)",
+        /// Cumulative `BatchAck`s received.
+        acks_received: counter "brisk_uplink_acks_total" "Batch acknowledgements received",
+        /// `SyncPoll`s answered.
+        sync_replies: counter "brisk_uplink_sync_replies_total" "Sync polls answered",
+        /// Inbound control frames that failed to decode and were skipped.
+        decode_errors: counter "brisk_uplink_decode_errors_total" "Inbound control frames that failed to decode and were skipped",
+        /// Liveness heartbeats sent on idle links.
+        heartbeats_sent: counter "brisk_uplink_heartbeats_sent_total" "Liveness heartbeats sent on idle links",
+        /// Batches replayed from the window after a reconnect.
+        batches_retransmitted: counter "brisk_uplink_batches_retransmitted_total" "Batches replayed from the retransmit window after a reconnect",
+        /// Unacked batches evicted from a full window (lost to replay;
+        /// at-most-once delivery for those records).
+        window_evicted: counter "brisk_uplink_window_evicted_total" "Unacked batches evicted from a full retransmit window",
+        /// Credit stalls: checks by [`Uplink::poll_credit`] that found the
+        /// budget spent after it was open (leading edges, not durations).
+        credit_stalls: counter "brisk_uplink_credit_stalls_total" "Times the sender found its credit budget spent (leading edges)",
+        /// 1 while a connection is attached.
+        connected: gauge "brisk_uplink_connected" "1 while a connection is attached",
+        /// Sent-but-unacked batches held for replay.
+        window_depth: gauge "brisk_uplink_window_depth" "Sent-but-unacked batches held for replay",
+        /// Granted credit minus unacked in-flight records (0 before the
+        /// first grant).
+        credit_balance: gauge "brisk_uplink_credit_balance" "Granted credit minus unacked in-flight records (0 before the first grant)",
+        /// Windowing a batch → the cumulative ack covering it, in µs on
+        /// the link's clock.
+        ack_latency_us: histogram "brisk_uplink_ack_latency_us" "Batch windowed to the cumulative ack covering it, on the sender clock",
+    }
+}
+
+impl UplinkTelemetry {
+    /// Register the link's series with `registry`, labeled by the role of
+    /// its caller (`exs` | `relay`) and the link's node id.
+    pub fn bind(self: &Arc<Self>, role: &str, node: NodeId, registry: &Registry) {
+        self.register(registry, &[("role", role), ("node", &node.0.to_string())]);
+    }
+}
 
 /// Redial policy of a sender's link.
 ///
@@ -122,33 +177,13 @@ impl Redial {
 pub enum Control {
     /// An undecodable frame was skipped (within the error budget).
     Skipped,
-    /// `HelloAck`: the connection's authoritative credit grant.
-    Granted {
-        /// Credit budget granted.
-        credit: u64,
-    },
-    /// `BatchAck`: the window released everything up to `seq`, and the
-    /// piggybacked grant replaced the credit budget.
-    Acked {
-        /// Cumulative acknowledged sequence number.
-        seq: u64,
-    },
-    /// A `SyncPoll` was answered from the uplink's clock.
-    SyncPoll,
+    /// A `HelloAck`, `BatchAck` or `SyncPoll`, fully handled here.
+    Handled,
     /// `SyncAdjust`: the caller owns the correction value and decides
     /// whether to apply these microseconds.
     Adjusted(i64),
     /// The peer announced an orderly shutdown.
     Shutdown,
-}
-
-/// What [`Uplink::send`] / [`Uplink::stash`] did to the retransmit window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Windowed {
-    /// Sequence number assigned.
-    pub seq: u64,
-    /// A full window evicted its oldest unacked batch (now beyond replay).
-    pub evicted: bool,
 }
 
 /// Sender-side session state for one node's link to its ISM.
@@ -175,12 +210,13 @@ pub struct Uplink {
     last_read_us: i64,
     /// `paced_us` of the last frame sent on this connection.
     last_send_us: i64,
-    /// Connections attached so far.
-    connects: u64,
     /// The ISM answered this connection's `Hello`.
     acked: bool,
+    /// The last [`Uplink::poll_credit`] found the budget spent.
+    stalled: bool,
     /// `None`: a lost link stays down.
     redial: Option<Redial>,
+    telemetry: Arc<UplinkTelemetry>,
 }
 
 impl Uplink {
@@ -203,10 +239,16 @@ impl Uplink {
             control_errors: 0,
             paced_us: 0,
             last_send_us: 0,
-            connects: 0,
             acked: false,
+            stalled: false,
             redial: None,
+            telemetry: Arc::default(),
         }
+    }
+
+    /// The link's cells (share the `Arc` to observe it from elsewhere).
+    pub fn telemetry(&self) -> &Arc<UplinkTelemetry> {
+        &self.telemetry
     }
 
     /// Dial lost links again through `connect` under `sup`'s backoff,
@@ -237,6 +279,15 @@ impl Uplink {
         self.redial.is_some()
     }
 
+    /// The window or the grant moved: refresh their gauges.
+    fn window_moved(&self) {
+        let t = &self.telemetry;
+        let in_flight = self.window.unacked_records() as i64;
+        t.window_depth.store(self.window.depth() as i64, Relaxed);
+        t.credit_balance
+            .store(self.grant.map_or(0, |c| c as i64 - in_flight), Relaxed);
+    }
+
     /// True while a connection is attached.
     pub fn connected(&self) -> bool {
         self.conn.is_some()
@@ -253,13 +304,6 @@ impl Uplink {
         self.window.depth()
     }
 
-    /// Granted credit minus unacked in-flight records (0 before the first
-    /// grant).
-    pub fn credit_balance(&self) -> i64 {
-        self.grant
-            .map_or(0, |c| c as i64 - self.window.unacked_records() as i64)
-    }
-
     /// True when flow control permits putting more records in flight: no
     /// grant has arrived yet, or in-flight records are under budget. An
     /// empty window always passes — even a zero grant can only stop *new*
@@ -270,12 +314,33 @@ impl Uplink {
             .is_none_or(|c| w.depth() == 0 || w.unacked_records() < c)
     }
 
+    /// [`Uplink::credit_open`] as the caller's once-per-pass check: the
+    /// first check that finds the budget spent counts one credit stall
+    /// and logs it, the checks after it until credit reopens do not.
+    pub fn poll_credit(&mut self) -> bool {
+        let open = self.credit_open();
+        if !open && !self.stalled {
+            self.telemetry.credit_stalls.fetch_add(1, Relaxed);
+            brisk_telemetry::flight_log!(
+                Warn,
+                "uplink",
+                "credit_stall",
+                "node {} paused: credit budget {:?} spent",
+                self.node,
+                self.grant
+            );
+        }
+        self.stalled = !open;
+        open
+    }
+
     /// Adopt `conn`: send `Hello`, then replay every unacked batch in
     /// sequence order ahead of new traffic. Returns how many batches were
     /// replayed (harmless if the ISM already processed them: it dedups by
     /// `(node, seq)`). On error nothing is attached and the window is intact.
     pub fn attach(&mut self, mut conn: Box<dyn Connection>) -> Result<usize> {
         self.conn = None;
+        self.telemetry.connected.store(0, Relaxed);
         self.control_errors = 0;
         self.acked = false;
         conn.send(
@@ -292,18 +357,24 @@ impl Uplink {
             conn.send(&batch.frame)?;
         }
         self.conn = Some(conn);
-        self.connects += 1;
+        let replayed = self.window.depth();
+        let t = &self.telemetry;
+        t.connects.fetch_add(1, Relaxed);
+        t.batches_retransmitted.fetch_add(replayed as u64, Relaxed);
+        t.connected.store(1, Relaxed);
         self.last_send_us = self.pace();
-        Ok(self.window.depth())
+        Ok(replayed)
     }
 
     /// With the link down, a [`ConnectFn`] set and the backoff elapsed,
-    /// dial and [`Uplink::attach`]; `Some(replayed)` once a connection is
-    /// attached. A failed attempt schedules the next one.
-    pub fn redial(&mut self) -> Option<usize> {
-        let r = self.redial.as_ref()?;
+    /// dial and [`Uplink::attach`]; `true` once a connection is attached.
+    /// A failed attempt schedules the next one.
+    pub fn redial(&mut self) -> bool {
+        let Some(r) = &self.redial else {
+            return false;
+        };
         if self.conn.is_some() || r.next_attempt > Instant::now() {
-            return None;
+            return false;
         }
         let dialed = (r.connect)();
         match dialed.and_then(|conn| self.attach(conn)) {
@@ -314,13 +385,13 @@ impl Uplink {
                     "connect",
                     "node {} attached connection {}; replayed {replayed} unacked batches",
                     self.node,
-                    self.connects
+                    self.telemetry.connects.load(Relaxed)
                 );
-                Some(replayed)
+                true
             }
             Err(_) => {
-                self.redial.as_mut()?.defer();
-                None
+                self.redial.as_mut().map(Redial::defer);
+                false
             }
         }
     }
@@ -333,6 +404,7 @@ impl Uplink {
         if self.conn.take().is_none() {
             return;
         }
+        self.telemetry.connected.store(0, Relaxed);
         brisk_telemetry::flight_log!(
             Warn,
             "uplink",
@@ -359,30 +431,40 @@ impl Uplink {
 
     /// Encode a batch under the next sequence number and retain the frame
     /// for replay without sending it (the link is down); the next `attach`
-    /// delivers it.
-    pub fn stash(&mut self, records: &[EventRecord]) -> Windowed {
+    /// delivers it. A full window evicts its oldest unacked batch, which
+    /// is then beyond replay.
+    pub fn stash(&mut self, records: &[EventRecord]) {
         let next = self.window.next_seq();
         let frame = encode_batch(self.node, Some(next), records);
         let (seq, evicted) = self.window.push(SentFrame {
             frame,
             records: records.len() as u64,
+            windowed_us: self.clock.now().as_micros(),
         });
         debug_assert_eq!(seq, next);
-        Windowed {
-            seq,
-            evicted: evicted.is_some(),
+        if evicted.is_some() {
+            self.telemetry.window_evicted.fetch_add(1, Relaxed);
+            brisk_telemetry::flight_log!(
+                Warn,
+                "uplink",
+                "window_evict",
+                "node {} evicted an unacked batch from a full window (size {})",
+                self.node,
+                self.window.depth()
+            );
         }
+        self.window_moved();
     }
 
     /// Window a fresh batch and ship it. The window effect happens
     /// whether or not the link send succeeds: a batch whose send failed
     /// stays windowed and the next `attach` replays it. The records are
     /// only borrowed, so the caller can reuse them.
-    pub fn send(&mut self, records: &[EventRecord]) -> (Windowed, Result<()>) {
-        let windowed = self.stash(records);
+    pub fn send(&mut self, records: &[EventRecord]) -> Result<()> {
+        self.stash(records);
         let batch = self.window.newest().expect("a batch was just windowed");
         let sent = send_on(&mut self.conn, &batch.frame);
-        (windowed, self.sent(sent))
+        self.sent(sent)
     }
 
     fn send_frame(&mut self, frame: &[u8]) -> Result<()> {
@@ -416,6 +498,7 @@ impl Uplink {
             return Ok(false);
         }
         self.send_frame(&Message::Heartbeat.encode())?;
+        self.telemetry.heartbeats_sent.fetch_add(1, Relaxed);
         Ok(true)
     }
 
@@ -439,6 +522,7 @@ impl Uplink {
             Ok(msg) => msg,
             Err(_) if self.control_errors < CONTROL_ERROR_BUDGET => {
                 self.control_errors += 1;
+                self.telemetry.decode_errors.fetch_add(1, Relaxed);
                 return Ok(Control::Skipped);
             }
             Err(e) => return Err(self.fail(e.into())),
@@ -450,13 +534,29 @@ impl Uplink {
                 // Idle time before the greeting completed doesn't count
                 // toward the heartbeat deadline.
                 self.last_send_us = self.pace();
-                Control::Granted { credit }
+                self.telemetry.hello_acks.fetch_add(1, Relaxed);
+                brisk_telemetry::flight_log!(
+                    Info,
+                    "uplink",
+                    "hello_ack",
+                    "node {} granted credit {credit}",
+                    self.node
+                );
+                self.window_moved();
+                Control::Handled
             }
             Message::BatchAck { seq, credit } => {
+                let now = self.clock.now().as_micros();
+                for (_, batch) in self.window.iter_unacked().take_while(|(s, _)| *s <= seq) {
+                    let waited = now.saturating_sub(batch.windowed_us).max(0);
+                    self.telemetry.ack_latency_us.record(waited as u64);
+                }
                 self.window.ack(seq);
                 // The piggybacked grant re-advertises the budget absolutely.
                 self.grant = Some(credit);
-                Control::Acked { seq }
+                self.telemetry.acks_received.fetch_add(1, Relaxed);
+                self.window_moved();
+                Control::Handled
             }
             Message::SyncPoll {
                 round,
@@ -470,14 +570,15 @@ impl Uplink {
                     slave_time: self.clock.now(),
                 };
                 self.send_frame(&reply.encode())?;
-                Control::SyncPoll
+                self.telemetry.sync_replies.fetch_add(1, Relaxed);
+                Control::Handled
             }
             Message::SyncAdjust { advance_us, .. } => Control::Adjusted(advance_us),
             // The ISM answers a `Hello` for a node id it still holds with
             // `Shutdown`; right after a link death the holder is our own
             // dead connection, not yet reaped. That is a refusal to retry,
             // not an orderly stop: the claim is released within a tick.
-            Message::Shutdown if self.connects > 1 && !self.acked => {
+            Message::Shutdown if self.telemetry.connects.load(Relaxed) > 1 && !self.acked => {
                 return Err(self.fail(BriskError::Protocol(
                     "reconnect refused before its HelloAck".into(),
                 )))
@@ -524,9 +625,7 @@ mod tests {
     #[test]
     fn send_on_a_detached_link_still_windows_the_batch() {
         let mut up = uplink();
-        let (w, sent) = up.send(&[]);
-        assert_eq!(w.seq, 1);
-        assert!(sent.unwrap_err().is_disconnect());
+        assert!(up.send(&[]).unwrap_err().is_disconnect());
         assert_eq!(up.window_depth(), 1);
         // Attaching replays it right after the Hello.
         let (mut ism, conn) = mem_pair();
@@ -536,6 +635,38 @@ mod tests {
             recv_msg(&mut ism),
             Message::EventBatch { seq: Some(1), .. }
         ));
+    }
+
+    #[test]
+    fn the_uplink_counts_its_own_link_events() {
+        let mut up = uplink();
+        let (mut ism, conn) = mem_pair();
+        assert_eq!(up.attach(conn).unwrap(), 0);
+        for _ in 0..3 {
+            up.send(&[]).unwrap();
+        }
+        let ack = Message::BatchAck {
+            seq: 1,
+            credit: 1024,
+        };
+        ism.send(&ack.encode()).unwrap();
+        let wait = Duration::from_secs(1);
+        assert_eq!(up.poll_control(wait).unwrap(), Some(Control::Handled));
+        ism.send(&[0xba, 0xad]).unwrap();
+        assert_eq!(up.poll_control(wait).unwrap(), Some(Control::Skipped));
+        up.drop_link("test");
+        let (_ism2, conn) = mem_pair();
+        assert_eq!(up.attach(conn).unwrap(), 2);
+
+        let t = up.telemetry();
+        let stats = t.snapshot();
+        assert_eq!(stats.connects, 2);
+        assert_eq!(stats.batches_retransmitted, 2);
+        assert_eq!(stats.acks_received, 1);
+        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(t.window_depth.load(Relaxed), 2);
+        assert_eq!(t.connected.load(Relaxed), 1);
+        assert_eq!(t.ack_latency_us.snapshot().count(), 1, "one batch acked");
     }
 
     #[test]

@@ -175,8 +175,8 @@ impl RelayTree {
         &self.root_registry
     }
 
-    /// Relay `i`'s telemetry registry (carries the `brisk_relay_*`
-    /// series for its upstream link).
+    /// Relay `i`'s telemetry registry (carries its `brisk_relay_*`
+    /// series and its upstream link's `brisk_uplink_*{role="relay"}`).
     pub fn relay_registry(&self, i: usize) -> &Arc<Registry> {
         &self.relay_registries[i]
     }

@@ -18,6 +18,12 @@
 /// its cells in place; a single-threaded per-record owner keeps the plain
 /// snapshot as its working state and publishes it once per tick.
 ///
+/// A component built on another declared one names it after the entries:
+/// `} + link: LinkCells => LinkStats` adds a shared `Arc<LinkCells>`
+/// field, and the snapshot carries the part's snapshot and derefs to it,
+/// so `stats.hello_acks` reads the part's counter. `register` leaves the
+/// part to its owner, which publishes it under its own labels.
+///
 /// ```
 /// use std::sync::{atomic::Ordering::Relaxed, Arc};
 /// brisk_telemetry::metrics! {
@@ -45,12 +51,16 @@ macro_rules! metrics {
         $(=> $(#[$sm:meta])* $svis:vis struct $Snap:ident)? {
             $( $(#[$fm:meta])* $fvis:vis $f:ident : $kind:ident $name:literal $help:literal
                $([ $($lk:literal = $lv:literal),+ ])? ),+ $(,)?
-        }
+        } $(+ $p:ident : $PCells:ty => $PSnap:ty)?
     ) => {
         $(#[$m])*
         #[derive(Debug, Default)]
         $vis struct $Cells {
             $( $(#[$fm])* $fvis $f: $crate::metrics!(@cell $kind), )+
+            $(
+                /// The cells of the component this one is built on.
+                pub $p: ::std::sync::Arc<$PCells>,
+            )?
         }
         impl $Cells {
             /// Publish every declared series in `registry` under `labels`
@@ -70,7 +80,8 @@ macro_rules! metrics {
             }
         }
         $crate::metrics! {
-            @snapshot [$($(#[$sm])* $svis $Snap)?] $Cells [] $([$(#[$fm])* $f $kind])+
+            @snapshot [$($(#[$sm])* $svis $Snap)?] [$($p $PSnap)?] $Cells []
+            $([$(#[$fm])* $f $kind])+
         }
     };
     (@cell counter) => { ::std::sync::atomic::AtomicU64 };
@@ -92,31 +103,47 @@ macro_rules! metrics {
     // No snapshot asked for; else sift the counters out of the entry
     // list, then emit it.
     (@snapshot [] $($rest:tt)*) => {};
-    (@snapshot $head:tt $Cells:ident [$($acc:tt)*]
+    (@snapshot $head:tt $part:tt $Cells:ident [$($acc:tt)*]
      [$(#[$fm:meta])* $f:ident counter] $($rest:tt)*) => {
-        $crate::metrics! { @snapshot $head $Cells [$($acc)* [$(#[$fm])* $f]] $($rest)* }
+        $crate::metrics! { @snapshot $head $part $Cells [$($acc)* [$(#[$fm])* $f]] $($rest)* }
     };
-    (@snapshot $head:tt $Cells:ident $acc:tt [$($skipped:tt)*] $($rest:tt)*) => {
-        $crate::metrics! { @snapshot $head $Cells $acc $($rest)* }
+    (@snapshot $head:tt $part:tt $Cells:ident $acc:tt [$($skipped:tt)*] $($rest:tt)*) => {
+        $crate::metrics! { @snapshot $head $part $Cells $acc $($rest)* }
     };
-    (@snapshot [$(#[$sm:meta])* $svis:vis $Snap:ident] $Cells:ident
+    (@snapshot [$(#[$sm:meta])* $svis:vis $Snap:ident] [$($p:ident $PSnap:ty)?] $Cells:ident
      [$([$(#[$fm:meta])* $f:ident])*]) => {
         $(#[$sm])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         $svis struct $Snap {
             $( $(#[$fm])* pub $f: u64, )*
+            $(
+                /// The counters of the component this one is built on.
+                pub $p: $PSnap,
+            )?
         }
         impl $Cells {
             /// Load every counter into the plain snapshot.
             $svis fn snapshot(&self) -> $Snap {
-                $Snap { $( $f: self.$f.load(::std::sync::atomic::Ordering::Relaxed), )* }
+                $Snap {
+                    $( $f: self.$f.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    $( $p: self.$p.snapshot(), )?
+                }
             }
             /// Store a plain snapshot into the counters: how a
             /// single-threaded owner publishes its working totals.
             $svis fn publish(&self, s: &$Snap) {
                 $( self.$f.store(s.$f, ::std::sync::atomic::Ordering::Relaxed); )*
+                $( self.$p.publish(&s.$p); )?
             }
         }
+        $(
+            impl ::std::ops::Deref for $Snap {
+                type Target = $PSnap;
+                fn deref(&self) -> &$PSnap {
+                    &self.$p
+                }
+            }
+        )?
     };
 }
 
@@ -135,6 +162,12 @@ mod tests {
             depth: gauge "t_depth" "Queue depth",
             lat_us: histogram "t_lat_us" "Latency",
         }
+    }
+
+    metrics! {
+        struct Whole => struct WholeStats {
+            outer: counter "t_outer_total" "Outer items",
+        } + inner: Cells => Stats
     }
 
     metrics! {
@@ -213,5 +246,27 @@ mod tests {
         let fresh = Cells::default();
         fresh.publish(&stats);
         assert_eq!(fresh.snapshot(), stats);
+    }
+
+    #[test]
+    fn a_part_is_shared_snapshotted_and_left_to_its_owner_to_register() {
+        let inner = bumped();
+        let whole = Arc::new(Whole {
+            inner: Arc::clone(&inner),
+            ..Whole::default()
+        });
+        whole.outer.fetch_add(1, Relaxed);
+        let stats = whole.snapshot();
+        assert_eq!(stats.outer, 1);
+        assert_eq!(stats.inner, inner.snapshot());
+        assert_eq!(stats.items_in, 5, "the snapshot derefs to the part's");
+        let fresh = Whole::default();
+        fresh.publish(&stats);
+        assert_eq!(fresh.snapshot(), stats);
+        let registry = Registry::new();
+        whole.register(&registry, &[]);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("t_outer_total"), 1);
+        assert_eq!(snap.counter_total("t_in_total"), 0, "not registered");
     }
 }

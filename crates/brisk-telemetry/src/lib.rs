@@ -9,9 +9,6 @@
 //! * [`Counter`] — a single registry-owned atomic cell;
 //! * [`Histogram`] — log₂-bucketed atomic histogram with p50/p95/p99/max
 //!   readout and mergeable snapshots;
-//! * [`StageTimer`] — a span that times a pipeline stage on *caller
-//!   supplied* microsecond timestamps, so the same code is deterministic
-//!   under `SimClock` and truthful under `SystemClock`;
 //! * [`Registry`] — names and labels metrics, and produces an atomic
 //!   [`TelemetrySnapshot`] of every series at once;
 //! * exporters — Prometheus text exposition
@@ -37,7 +34,6 @@ mod declare;
 mod export;
 mod metrics;
 mod registry;
-mod timer;
 pub mod trace;
 
 pub use export::{serve_prometheus, serve_stats, RouteTable, StatsServer};
@@ -45,7 +41,6 @@ pub use metrics::{
     bucket_of, bucket_upper, Counter, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use registry::{Registry, Sample, SampleValue, TelemetrySnapshot};
-pub use timer::StageTimer;
 pub use trace::{
     flight, install_flight_panic_hook, now_us, set_flight_capacity, splitmix64, ExemplarHistogram,
     FlightEvent, FlightLevel, FlightRecorder, StageLatencies, TraceSampler,

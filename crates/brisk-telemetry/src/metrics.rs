@@ -99,13 +99,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a microsecond span given start/end stamps; negative spans
-    /// (clock corrections mid-span) clamp to zero rather than wrap.
-    #[inline]
-    pub fn record_span_us(&self, start_us: i64, end_us: i64) {
-        self.record(end_us.saturating_sub(start_us).max(0) as u64);
-    }
-
     /// Add a plain accumulation in and clear it: how a single-threaded
     /// owner publishes once per tick what it recorded per observation
     /// (see [`HistogramSnapshot::record`]), instead of paying three atomic
@@ -318,14 +311,5 @@ mod tests {
         folded.absorb(&mut local);
         assert_eq!(folded.snapshot(), direct.snapshot());
         assert_eq!(local, HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn record_span_clamps_negative() {
-        let h = Histogram::new();
-        h.record_span_us(100, 40);
-        let s = h.snapshot();
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.max, 0);
     }
 }

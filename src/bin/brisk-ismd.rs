@@ -360,9 +360,9 @@ fn main() {
              ({} retransmitted, {} acks, {} heartbeats)",
             relay.records_exported,
             relay.batches_exported,
-            relay.batches_retransmitted,
-            relay.acks_received,
-            relay.heartbeats_sent,
+            relay.link.batches_retransmitted,
+            relay.link.acks_received,
+            relay.link.heartbeats_sent,
         );
     }
 }

@@ -401,8 +401,8 @@ fn main() {
          ({} ignored)",
         stats.records_sent,
         stats.batches_sent,
-        stats.connects,
-        stats.sync_replies,
+        stats.link.connects,
+        stats.link.sync_replies,
         stats.adjustments,
         stats.sync_ignored,
     );

@@ -132,7 +132,7 @@ pub mod prelude {
     pub use brisk_telemetry::{
         flight, install_flight_panic_hook, serve_prometheus, serve_stats, set_flight_capacity,
         Counter, FlightLevel, FlightRecorder, Histogram, Registry, RouteTable, StageLatencies,
-        StageTimer, StatsServer, TelemetrySnapshot, TraceSampler,
+        StatsServer, TelemetrySnapshot, TraceSampler,
     };
     pub use {crate::define_notice, crate::notice, crate::notice_gated};
 }

@@ -166,7 +166,7 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
         "brisk_ism_credit_grants_total",
         "brisk_ism_shed_total",
         "brisk_exs_credit_deferred_total",
-        "brisk_exs_credit_balance",
+        "brisk_uplink_credit_balance",
     ] {
         assert!(text.contains(series), "missing {series} in:\n{text}");
     }

@@ -157,13 +157,13 @@ fn two_tier_tree_survives_faulted_links_with_exactly_once_delivery() {
             eprintln!(
                 "relay {relay}: exported={} retx={} connects={} acks={} credit_stalls={} window_evicted={} connected={:?} window_depth={:?}",
                 snap.counter_total("brisk_relay_exported_records_total"),
-                snap.counter_total("brisk_relay_retransmitted_batches_total"),
-                snap.counter_total("brisk_relay_connects_total"),
-                snap.counter_total("brisk_relay_acks_total"),
-                snap.counter_total("brisk_relay_credit_stalls_total"),
-                snap.counter_total("brisk_relay_window_evicted_total"),
-                snap.gauge("brisk_relay_upstream_connected"),
-                snap.gauge("brisk_relay_window_depth"),
+                snap.counter_total("brisk_uplink_batches_retransmitted_total"),
+                snap.counter_total("brisk_uplink_connects_total"),
+                snap.counter_total("brisk_uplink_acks_total"),
+                snap.counter_total("brisk_uplink_credit_stalls_total"),
+                snap.counter_total("brisk_uplink_window_evicted_total"),
+                snap.gauge("brisk_uplink_connected"),
+                snap.gauge("brisk_uplink_window_depth"),
             );
             let rsnap = tree.relay(relay);
             eprintln!(
@@ -233,18 +233,18 @@ fn two_tier_tree_survives_faulted_links_with_exactly_once_delivery() {
             "relay {relay} must export batches upstream"
         );
         assert_eq!(
-            snap.gauge("brisk_relay_upstream_connected"),
+            snap.gauge("brisk_uplink_connected"),
             Some(1),
             "relay {relay} must be connected upstream"
         );
     }
     let faulted_snap = tree.relay_registry(0).snapshot();
     assert!(
-        faulted_snap.counter_total("brisk_relay_connects_total") >= 2,
+        faulted_snap.counter_total("brisk_uplink_connects_total") >= 2,
         "the faulted upstream link must have reconnected"
     );
     assert!(
-        faulted_snap.counter_total("brisk_relay_retransmitted_batches_total") >= 1,
+        faulted_snap.counter_total("brisk_uplink_batches_retransmitted_total") >= 1,
         "kills must force window replay on the faulted link"
     );
 
@@ -338,8 +338,8 @@ fn quiet_subtree_behind_a_relay_survives_root_eviction() {
     let (_, relay_reports) = tree.stop().unwrap();
     let relay = relay_reports[0].relay.as_ref().unwrap();
     assert!(
-        relay.heartbeats_sent >= 3,
+        relay.link.heartbeats_sent >= 3,
         "the relay must have heartbeated its idle upstream link, saw {}",
-        relay.heartbeats_sent
+        relay.link.heartbeats_sent
     );
 }

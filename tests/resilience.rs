@@ -99,9 +99,8 @@ fn supervised_node_survives_ism_restart() {
     assert!(handle.connects() >= 2, "a reconnect must have happened");
 
     let stats = handle.stop().unwrap();
-    assert!(stats.reconnects >= 1);
     assert!(
-        stats.batches_retransmitted >= 1,
+        stats.link.batches_retransmitted >= 1,
         "the carried window must have replayed phase-1 batches"
     );
     // Zero loss *and* zero duplicates: every record emitted since the very
@@ -185,12 +184,12 @@ fn flaky_link_delivers_every_record_exactly_once() {
     }
     let stats = handle.stop().unwrap();
     assert!(
-        stats.connects >= 2,
+        stats.link.connects >= 2,
         "the link kill must have forced reconnects, connects = {}",
-        stats.connects
+        stats.link.connects
     );
     assert!(
-        stats.batches_retransmitted >= 1,
+        stats.link.batches_retransmitted >= 1,
         "reconnects must have replayed the window"
     );
     // Let any straggling (would-be duplicate) deliveries settle, then
@@ -383,7 +382,7 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
         port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
             .unwrap();
         if i % 50 == 49 {
-            if let Some(bal) = registry.snapshot().gauge("brisk_exs_credit_balance") {
+            if let Some(bal) = registry.snapshot().gauge("brisk_uplink_credit_balance") {
                 assert!(
                     bal <= CREDIT as i64,
                     "balance {bal} exceeds the authoritative grant {CREDIT}"
@@ -398,7 +397,7 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
     // No stall: every record must land despite kills mid-replay.
     let deadline = Instant::now() + Duration::from_secs(30);
     while ism.memory().written() < N as u64 && Instant::now() < deadline {
-        if let Some(bal) = registry.snapshot().gauge("brisk_exs_credit_balance") {
+        if let Some(bal) = registry.snapshot().gauge("brisk_uplink_credit_balance") {
             assert!(bal <= CREDIT as i64, "balance {bal} exceeds grant {CREDIT}");
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -416,7 +415,7 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
     loop {
         let bal = registry
             .snapshot()
-            .gauge("brisk_exs_credit_balance")
+            .gauge("brisk_uplink_credit_balance")
             .unwrap_or(i64::MIN);
         if bal == CREDIT as i64 {
             break;
@@ -430,16 +429,16 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
 
     let stats = handle.stop().unwrap();
     assert!(
-        stats.connects >= 2,
+        stats.link.connects >= 2,
         "the link kill must have forced reconnects, connects = {}",
-        stats.connects
+        stats.link.connects
     );
     assert!(
-        stats.hello_acks >= 2,
+        stats.link.hello_acks >= 2,
         "each incarnation must have received an authoritative grant"
     );
     assert!(
-        stats.batches_retransmitted >= 1,
+        stats.link.batches_retransmitted >= 1,
         "reconnects must have replayed the window"
     );
     std::thread::sleep(Duration::from_millis(100));
