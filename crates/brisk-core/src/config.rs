@@ -298,11 +298,10 @@ pub enum FsyncPolicy {
     /// timestamps) has passed since the last sync. Stream time tracks wall
     /// time for a live trace while keeping the append path free of clock
     /// reads, and makes the policy behave identically under replay. A
-    /// stream that
-    /// goes quiet stops that clock, so the writer's owner also calls
-    /// `StoreWriter::sync_if_due` periodically (the ISM does, every
-    /// manager tick): it syncs once the oldest unsynced append is this old
-    /// by the wall clock.
+    /// stream that goes quiet stops that clock, so the writer's owner also
+    /// calls `StoreWriter::sync_if_due` at `StoreWriter::sync_due` (the
+    /// ISM's manager wakes for it): it syncs once the oldest unsynced
+    /// append is this old by the wall clock.
     Interval(Duration),
     /// Never sync explicitly; the OS decides.
     Never,

@@ -23,6 +23,7 @@ use brisk_proto::BatchWalk;
 use brisk_store::StoreWriter;
 use brisk_telemetry::{Histogram, Registry, StageLatencies};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Aggregate counters of one core (an alias of the merge plane's stats,
 /// kept under the historical name for existing callers).
@@ -145,6 +146,12 @@ impl MergeOutput for LocalOutputs {
             self.flight_last_evicted = evicted_total;
         }
         Ok(())
+    }
+
+    /// The store's interval fsync, when one is pending.
+    fn due_in(&self, _now: UtcMicros) -> Option<Duration> {
+        let due = self.store.as_ref()?.sync_due()?;
+        Some(due.saturating_duration_since(Instant::now()))
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -377,6 +384,16 @@ impl IsmCore {
         match &mut self.upstream {
             Some(up) => self.plane.tick(now, up),
             None => self.plane.tick(now, &mut self.local),
+        }
+    }
+
+    /// How long until [`Self::tick`] has work at pipeline time `now`; see
+    /// [`MergePlane::due_in`]. `None` when nothing is pending: the caller
+    /// may sleep until new input.
+    pub fn due_in(&self, now: UtcMicros) -> Option<Duration> {
+        match &self.upstream {
+            Some(up) => self.plane.due_in(now, up),
+            None => self.plane.due_in(now, &self.local),
         }
     }
 

@@ -395,6 +395,13 @@ impl CreMatcher {
         }
     }
 
+    /// When the oldest held consequence's hold timeout expires.
+    pub(crate) fn next_expiry(&self) -> Option<UtcMicros> {
+        let timeout_us = self.cfg.hold_timeout.as_micros() as i64;
+        let oldest = self.waiting.values().flatten().map(|h| h.held_at).min();
+        oldest.map(|t| t.offset(timeout_us))
+    }
+
     /// Expire held consequences and stale reasons per the hold timeout.
     /// Returns timed-out consequences (released unmodified — "its peer may
     /// have been dropped").

@@ -31,6 +31,7 @@ use brisk_telemetry::{HistogramSnapshot, Registry};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Where merged, repaired records go. Implemented by the local output
 /// stage (leaf/root mode) and by the upstream exporter (relay mode).
@@ -53,6 +54,12 @@ pub trait MergeOutput: Send {
     /// reconnects, ack processing, timed flushes, heartbeats.
     fn pump(&mut self, _now: UtcMicros) -> Result<()> {
         Ok(())
+    }
+
+    /// How long until [`Self::pump`] has work that is due, at pipeline
+    /// time `now`; `None` when nothing is pending.
+    fn due_in(&self, _now: UtcMicros) -> Option<Duration> {
+        None
     }
 
     /// Flush everything buffered (shutdown path).
@@ -376,6 +383,17 @@ impl MergePlane {
         }
         self.publish_telemetry();
         Ok(n)
+    }
+
+    /// How long until [`Self::tick`] has work at pipeline time `now`: the
+    /// sorter's next release or decay step (only while `out` is ready to
+    /// take releases), the CRE's oldest hold expiry, or `out`'s own due
+    /// time. `None` when nothing is pending.
+    pub fn due_in(&self, now: UtcMicros, out: &dyn MergeOutput) -> Option<Duration> {
+        let release = self.sorter.next_due().filter(|_| out.ready());
+        let due = release.into_iter().chain(self.cre.next_expiry()).min();
+        let until = due.map(|t| Duration::from_micros(t.micros_since(now).max(0) as u64));
+        until.into_iter().chain(out.due_in(now)).min()
     }
 
     /// Bring the cells up to the plane's, the sorter's and the CRE's own

@@ -11,11 +11,18 @@
 //! `crate::session` ([`PumpIo::on_frame`]); this module owns the socket
 //! and the scheduling:
 //!
+//! * Shard 0 also polls the server's listener: a readable listener is
+//!   accepted until it would block, and each connection is metered and
+//!   handed to a shard round-robin, so no thread sleeps in `accept`.
 //! * Connections are read only when `poll` reports their socket
 //!   readable, or when whole frames already wait in their userspace read
-//!   buffer. Every transport (tcp, uds and the in-process socketpairs)
-//!   has an fd; the one fd-less case is a fault-killed link, read once
-//!   more in the next pass so its `Disconnected` is seen.
+//!   buffer. Every transport (tcp, uds and the in-process abstract
+//!   sockets) has an fd; the one fd-less case is a fault-killed link,
+//!   read once more at once so its `Disconnected` is seen.
+//! * A shard with nothing due sleeps until a socket or its [`Waker`]
+//!   fires: its only timeouts are its connections' deadlines (greeting,
+//!   closing drain, sync sample, liveness) and, while flow control
+//!   defers reads, `DEFER_TICK`.
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
 //!   queued per connection; [`PumpHandle::command`] fires the shard's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
@@ -35,12 +42,14 @@ use crate::server::ManagerCells;
 use crate::session::{pump_channel, FrameOutcome, PumpCommand, PumpEvent, PumpIo};
 use brisk_clock::{Clock, SkewSample};
 use brisk_core::{BriskError, NodeId, Result, UtcMicros};
-use brisk_net::{poll_in, Connection, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN};
+use brisk_net::{
+    poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN,
+};
 use brisk_proto::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,8 +62,6 @@ const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Shard tick while flow control is deferring socket reads (the manager
 /// draining its queue does not fire a waker, so the shard re-checks).
 const DEFER_TICK: Duration = Duration::from_millis(5);
-/// Shard tick when every event source can interrupt `poll` on its own.
-const IDLE_TICK: Duration = Duration::from_millis(100);
 /// Frames read from one connection per pass before yielding to the rest
 /// of the shard — bounds how long one firehose sensor can monopolize it.
 const MAX_FRAMES_PER_PASS: usize = 32;
@@ -115,73 +122,126 @@ pub(crate) struct ReactorConfig {
     pub active: Arc<ActiveNodes>,
     /// Evict a running connection silent this long (`None`: never).
     pub node_timeout: Option<Duration>,
+    /// Meters every accepted connection, `Hello` frames included.
+    pub conn_metrics: Arc<ConnMetrics>,
 }
 
-/// A bounded pool of reactor shards; the server registers every accepted
-/// connection here instead of spawning a thread for it.
+/// A bounded pool of reactor shards: shard 0 accepts every connection
+/// and hands each to a shard round-robin, instead of a thread per
+/// connection.
 pub(crate) struct ReactorPool {
-    shards: Vec<Shard>,
-    next: AtomicUsize,
+    wakers: Vec<Waker>,
+    joins: Vec<std::thread::JoinHandle<()>>,
+    /// Asks shard 0 to close the listener.
+    closing: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
 }
 
-struct Shard {
-    conn_tx: Sender<Box<dyn Connection>>,
-    waker: Waker,
-    join: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
+/// Shard 0's listener, with every shard's inbox to fill round-robin.
+struct Acceptor {
+    listener: Option<Box<dyn Listener>>,
+    inboxes: Vec<(Sender<Box<dyn Connection>>, Waker)>,
+    next: usize,
+    closing: Arc<AtomicBool>,
+}
+
+impl Acceptor {
+    /// The listener, until it closes or a close is asked for.
+    fn open(&mut self) -> Option<&mut Box<dyn Listener>> {
+        if self.closing.load(Ordering::Acquire) {
+            self.listener = None;
+        }
+        self.listener.as_mut()
+    }
+
+    /// Accept until the listener would block, metering each connection.
+    /// An accept error closes the listener: the server accepts nothing
+    /// more.
+    fn accept_pending(&mut self, ctx: &ReactorConfig) {
+        while let Some(listener) = self.open() {
+            match listener.try_accept() {
+                Ok(Some(conn)) => {
+                    let (conn_tx, waker) = &self.inboxes[self.next % self.inboxes.len()];
+                    self.next += 1;
+                    if conn_tx.send(ctx.conn_metrics.wrap(conn)).is_ok() {
+                        waker.wake();
+                    }
+                }
+                Ok(None) => return,
+                Err(e) => {
+                    brisk_telemetry::flight_log!(
+                        Error,
+                        "ism.reactor",
+                        "accept_failed",
+                        "listener closed after an accept error: {e}"
+                    );
+                    self.listener = None;
+                }
+            }
+        }
+    }
 }
 
 impl ReactorPool {
-    /// Spawn `threads` shard threads (at least one).
-    pub(crate) fn spawn(threads: usize, cfg: ReactorConfig) -> Result<ReactorPool> {
-        let threads = threads.max(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut shards = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let poller = Poller::new().map_err(BriskError::Io)?;
-            let waker = poller.waker();
+    /// Spawn `threads` shard threads (at least one); shard 0 accepts from
+    /// `listener`.
+    pub(crate) fn spawn(
+        threads: usize,
+        cfg: ReactorConfig,
+        listener: Box<dyn Listener>,
+    ) -> Result<ReactorPool> {
+        let (stop, closing) = (Arc::default(), Arc::<AtomicBool>::default());
+        let mut shards = Vec::with_capacity(threads.max(1));
+        for _ in 0..threads.max(1) {
             let (conn_tx, conn_rx) = unbounded();
-            let ctx = cfg.clone();
-            let stop = Arc::clone(&stop);
-            let join = std::thread::Builder::new()
-                .name(format!("brisk-reactor-{i}"))
-                .spawn(move || run_shard(ctx, conn_rx, poller, stop))
-                .map_err(BriskError::Io)?;
-            shards.push(Shard {
-                conn_tx,
-                waker,
-                join: std::sync::Mutex::new(Some(join)),
-            });
+            shards.push((Poller::new().map_err(BriskError::Io)?, conn_tx, conn_rx));
+        }
+        let inboxes: Vec<_> = shards
+            .iter()
+            .map(|(p, tx, _)| (tx.clone(), p.waker()))
+            .collect();
+        let wakers = inboxes.iter().map(|(_, w)| w.clone()).collect();
+        let mut acceptor = Some(Acceptor {
+            listener: Some(listener),
+            inboxes,
+            next: 0,
+            closing: Arc::clone(&closing),
+        });
+        let mut joins = Vec::with_capacity(shards.len());
+        for (i, (poller, _, conn_rx)) in shards.into_iter().enumerate() {
+            let (ctx, stop, acceptor) = (cfg.clone(), Arc::clone(&stop), acceptor.take());
+            joins.push(
+                std::thread::Builder::new()
+                    .name(format!("brisk-reactor-{i}"))
+                    .spawn(move || run_shard(ctx, conn_rx, poller, acceptor, stop))
+                    .map_err(BriskError::Io)?,
+            );
         }
         Ok(ReactorPool {
-            shards,
-            next: AtomicUsize::new(0),
+            wakers,
+            joins,
+            closing,
             stop,
         })
     }
 
-    /// Hand a fresh (pre-handshake) connection to a shard, round-robin.
-    pub(crate) fn register(&self, conn: Box<dyn Connection>) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[i];
-        if shard.conn_tx.send(conn).is_ok() {
-            shard.waker.wake();
-        }
+    /// Close the listener: new connects are refused, live connections
+    /// carry on.
+    pub(crate) fn close_listener(&self) {
+        self.closing.store(true, Ordering::Release);
+        self.wakers[0].wake();
     }
 
     /// Stop every shard and join its thread. Call only after the manager
     /// has finished its shutdown drain: live connections are dropped
     /// without further events.
-    pub(crate) fn stop(&self) {
+    pub(crate) fn stop(self) {
         self.stop.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.waker.wake();
+        for waker in &self.wakers {
+            waker.wake();
         }
-        for shard in &self.shards {
-            let join = shard.join.lock().ok().and_then(|mut j| j.take());
-            if let Some(join) = join {
-                let _ = join.join();
-            }
+        for join in self.joins {
+            let _ = join.join();
         }
     }
 }
@@ -556,12 +616,14 @@ impl Driver {
     }
 }
 
-/// One shard thread: adopt connections, service commands, poll sockets,
-/// route frames, judge liveness, sweep the dead.
+/// One shard thread: adopt connections, service commands, poll sockets
+/// (and, on shard 0, the listener), route frames, judge liveness, sweep
+/// the dead.
 fn run_shard(
     ctx: ReactorConfig,
     conn_rx: Receiver<Box<dyn Connection>>,
     poller: Poller,
+    mut acceptor: Option<Acceptor>,
     stop: Arc<AtomicBool>,
 ) {
     let waker = poller.waker();
@@ -597,9 +659,17 @@ fn run_shard(
         let over = ctx.flow.over_limit();
         fds.clear();
         modes.clear();
-        let mut buffered_ready = false;
+        let listen_fd = acceptor
+            .as_mut()
+            .and_then(Acceptor::open)
+            .map(|l| l.poll_fd());
+        fds.extend(listen_fd.map(poll_in));
+        // Set when the next pass must not sleep: a connection already died
+        // (its sweep is owed) or has frames to read without a poll.
+        let mut pass_now = false;
         for d in drivers.iter() {
             if d.dead {
+                pass_now = true;
                 modes.push(ReadMode::Skip);
                 continue;
             }
@@ -611,50 +681,50 @@ fn run_shard(
             // Framed transports drain the kernel socket eagerly, so a
             // frame-cap or backpressure break can leave whole frames in
             // the userspace buffer with POLLIN clear — such a connection
-            // is readable now, whatever poll says.
-            if d.conn.has_buffered() {
-                buffered_ready = true;
-                modes.push(ReadMode::Always);
-                continue;
-            }
-            match d.conn.poll_fd() {
+            // is readable now, whatever poll says. A killed link has no
+            // fd; its next recv fails at once.
+            match d.conn.poll_fd().filter(|_| !d.conn.has_buffered()) {
                 Some(fd) => {
                     modes.push(ReadMode::Polled(fds.len()));
                     fds.push(poll_in(fd));
                 }
-                None => modes.push(ReadMode::Always),
+                None => {
+                    pass_now = true;
+                    modes.push(ReadMode::Always);
+                }
             }
         }
         // Sleep until a socket is readable, a waker fires (new
-        // connection, queued command, shutdown) or the nearest deadline.
-        // A deferred connection cannot fall silent, so it sets no
-        // liveness deadline.
-        let mut timeout = if buffered_ready {
-            // Complete frames are already in userspace; don't sleep at
-            // all, just collect any concurrently-readable sockets.
-            Duration::ZERO
-        } else if over {
-            DEFER_TICK
+        // connection, queued command, shutdown) or the nearest deadline;
+        // with none, until input. A deferred connection cannot fall
+        // silent, so it sets no liveness deadline.
+        let mut timeout = if pass_now {
+            // Don't sleep at all, just collect any concurrently-readable
+            // sockets.
+            Some(Duration::ZERO)
         } else {
-            IDLE_TICK
+            Some(DEFER_TICK).filter(|_| over)
         };
         let now = Instant::now();
         let liveness = ctx.node_timeout.filter(|_| !over);
-        for d in drivers.iter() {
-            if d.dead {
-                continue;
-            }
+        for d in drivers.iter().filter(|d| !d.dead) {
             if let Some(deadline) = d.next_deadline(liveness) {
-                timeout = timeout.min(deadline.saturating_duration_since(now));
+                let left = deadline.saturating_duration_since(now);
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
             }
         }
-        if poller.wait(&mut fds, Some(timeout)).is_err() {
+        if poller.wait(&mut fds, timeout).is_err() {
             // poll(2) failing is unrecoverable for this shard; dropping
             // the drivers closes every connection it owned.
             break;
         }
         if stop.load(Ordering::Acquire) {
             break;
+        }
+        if let (Some(acceptor), Some(listen)) = (&mut acceptor, listen_fd.and(fds.first())) {
+            if listen.revents != 0 {
+                acceptor.accept_pending(&ctx);
+            }
         }
         let now = Instant::now();
         let pass = now.duration_since(last_wake);
@@ -714,11 +784,13 @@ mod tests {
     use crate::session::PumpHandle;
     use brisk_clock::SystemClock;
     use brisk_core::{EventRecord, EventTypeId, FlowConfig, NodeId, SensorId};
-    use brisk_lis::testkit::{mem_pair, recv_msg};
+    use brisk_lis::testkit::recv_msg;
+    use brisk_net::{MemTransport, Transport};
     use brisk_proto::BatchView;
 
     /// A two-shard pool whose manager side is the test itself.
     struct Rig {
+        transport: Arc<MemTransport>,
         pool: ReactorPool,
         events: Receiver<PumpEvent>,
         quarantine: Arc<QuarantineLog>,
@@ -746,6 +818,7 @@ mod tests {
         let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
         let flow = FlowState::new(flow);
+        let transport = MemTransport::new();
         let pool = ReactorPool::spawn(
             2,
             ReactorConfig {
@@ -757,10 +830,13 @@ mod tests {
                 quarantine: Arc::clone(&quarantine),
                 active: Arc::new(ActiveNodes::default()),
                 node_timeout,
+                conn_metrics: Arc::default(),
             },
+            transport.listen("reactor").unwrap(),
         )
         .unwrap();
         Rig {
+            transport,
             pool,
             events,
             quarantine,
@@ -769,11 +845,9 @@ mod tests {
     }
 
     impl Rig {
-        /// A fresh client connection registered with the pool.
+        /// A fresh client connection, accepted by the pool.
         fn client(&self) -> Box<dyn Connection> {
-            let (server, client) = mem_pair();
-            self.pool.register(server);
-            client
+            self.transport.connect("reactor").unwrap()
         }
 
         /// Connect and say `Hello` as `node` at the current protocol

@@ -271,6 +271,14 @@ impl MergeOutput for UpstreamExporter {
         Ok(())
     }
 
+    /// The partial batch's flush timeout, or the link's own due time
+    /// ([`Uplink::due_in`]).
+    fn due_in(&self, now: UtcMicros) -> Option<Duration> {
+        let flush = self.batcher.time_to_deadline(now);
+        let flush = flush.map(|us| Duration::from_micros(us.max(0) as u64));
+        flush.into_iter().chain(self.uplink.due_in()).min()
+    }
+
     /// Shutdown path: ship the final partial batch, then wait briefly
     /// for the parent's acks to drain the window so an orderly stop
     /// leaves nothing only-locally-buffered.

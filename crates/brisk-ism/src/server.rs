@@ -1,12 +1,11 @@
-//! The threaded ISM server: accept loop + reactor pool + manager loop.
+//! The threaded ISM server: reactor pool + manager loop.
 //!
-//! Threads:
+//! Threads, each asleep until input or its nearest deadline:
 //!
-//! * **accept** — accepts EXS connections and registers each with the
-//!   reactor pool immediately; nothing on this thread can block on a
-//!   client;
-//! * **reactor shards** (bounded pool, see `crate::reactor`) — greet
-//!   every connection (`Hello`, with its 5 s deadline) and then
+//! * **reactor shards** (bounded pool, see `crate::reactor`) — shard 0
+//!   polls the listener beside its connections and spreads accepted
+//!   connections over the pool; every shard greets its connections
+//!   (`Hello`, with its 5 s deadline) and then
 //!   multiplex all of them over `poll(2)`: forward batches zero-copy,
 //!   send batch acks and credit grants, run poll exchanges with
 //!   socket-accurate timestamps, and evict connections silent past
@@ -18,7 +17,10 @@
 //!   core has already delivered), ticks the pipeline, schedules
 //!   synchronization rounds every `poll_period`, plus the *extra* rounds
 //!   requested by tachyon repairs (§3.6). It learns of every pump's end,
-//!   eviction included, from that pump's `Disconnected`.
+//!   eviction included, from that pump's `Disconnected`. It sleeps on
+//!   its event queue until the pipeline's next due time
+//!   ([`IsmCore::due_in`]) or the sync round's, and checks that time
+//!   between queued events, so a deep queue never starves the tick.
 
 use crate::core::{IsmCore, IsmCoreStats};
 use crate::cre::CreStats;
@@ -32,9 +34,9 @@ use brisk_clock::{Clock, SyncMaster, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig};
 use brisk_net::{ConnMetrics, Listener};
 use brisk_telemetry::{Registry, StageLatencies};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,13 +91,14 @@ pub struct IsmServer {
     quarantine: Arc<QuarantineLog>,
 }
 
-/// Manager tick granularity: how often the pipeline is polled when no
-/// traffic arrives. This bounds added release latency on top of the
-/// sorter's time frame.
-const TICK: Duration = Duration::from_millis(1);
 /// How long the manager waits for all slaves' samples before closing a
 /// round with whatever arrived.
 const ROUND_DEADLINE: Duration = Duration::from_secs(2);
+/// The shortest gap between two manager ticks. In a steady stream each
+/// record falls due a few microseconds after the last; ticks this far
+/// apart release them together, at most this late, where a tick per due
+/// time would cost a wakeup (and a telemetry publish) per record.
+const COALESCE_WINDOW: Duration = Duration::from_millis(1);
 
 impl IsmServer {
     /// New server.
@@ -148,12 +151,12 @@ impl IsmServer {
         Arc::clone(self.core.memory())
     }
 
-    /// Start the accept and manager threads.
-    pub fn spawn(self, mut listener: Box<dyn Listener>) -> Result<IsmHandle> {
+    /// Start the reactor shards, shard 0 accepting from `listener`, and
+    /// the manager thread.
+    pub fn spawn(self, listener: Box<dyn Listener>) -> Result<IsmHandle> {
         let addr = listener.local_addr();
         let memory = Arc::clone(self.core.memory());
         let stages = self.core.stage_latencies().cloned();
-        let stop = Arc::new(AtomicBool::new(false));
         let (event_tx, event_rx) = unbounded::<PumpEvent>();
 
         // Reactor pool: a bounded set of shard threads drives every
@@ -167,7 +170,7 @@ impl IsmServer {
         } else {
             self.pump_threads
         };
-        let reactor = Arc::new(ReactorPool::spawn(
+        let reactor = ReactorPool::spawn(
             threads,
             ReactorConfig {
                 clock: Arc::clone(&self.clock),
@@ -178,20 +181,11 @@ impl IsmServer {
                 quarantine: Arc::clone(&self.quarantine),
                 active: Arc::new(ActiveNodes::default()),
                 node_timeout: self.node_timeout,
+                conn_metrics: self.conn_metrics,
             },
-        )?);
+            listener,
+        )?;
 
-        // Accept thread.
-        let accept_stop = Arc::clone(&stop);
-        let accept_reactor = Arc::clone(&reactor);
-        let conn_metrics = self.conn_metrics;
-        let accept_join = std::thread::Builder::new()
-            .name("brisk-ism-accept".into())
-            .spawn(move || accept_loop(&mut listener, accept_stop, conn_metrics, accept_reactor))
-            .map_err(BriskError::Io)?;
-
-        // Manager thread.
-        let mgr_stop = Arc::clone(&stop);
         let manager = Manager {
             core: self.core,
             sync: self.sync,
@@ -200,12 +194,14 @@ impl IsmServer {
             events: event_rx,
             pumps: HashMap::new(),
             round: None,
+            extra_round: false,
+            last_tick: Instant::now(),
             last_round_finished: Instant::now(),
             cells: self.cells,
         };
         let manager_join = std::thread::Builder::new()
             .name("brisk-ism-manager".into())
-            .spawn(move || manager.run(mgr_stop))
+            .spawn(move || manager.run())
             .map_err(BriskError::Io)?;
 
         Ok(IsmHandle {
@@ -213,35 +209,10 @@ impl IsmServer {
             memory,
             quarantine: self.quarantine,
             stages,
-            stop,
+            events: event_tx,
             reactor,
-            accept_join,
             manager_join,
         })
-    }
-}
-
-fn accept_loop(
-    listener: &mut Box<dyn Listener>,
-    stop: Arc<AtomicBool>,
-    conn_metrics: Arc<ConnMetrics>,
-    reactor: Arc<ReactorPool>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept(Some(Duration::from_millis(50))) {
-            Ok(Some(conn)) => {
-                // Meter before the handshake so Hello frames count too.
-                let conn = conn_metrics.wrap(conn);
-                // Hand the connection straight to the reactor: the
-                // greeting (with its 5 s deadline) runs poll-driven on a
-                // shard, so a slow or hung client costs a poll slot, not
-                // a thread, and can never head-of-line-block other
-                // connects.
-                reactor.register(conn);
-            }
-            Ok(None) => continue,
-            Err(_) => return,
-        }
     }
 }
 
@@ -262,34 +233,33 @@ struct Manager {
     /// node never has two.
     pumps: HashMap<NodeId, PumpHandle>,
     round: Option<RoundInFlight>,
+    /// A tachyon repair asked for an extra round; the next tick starts
+    /// it if no round is in flight.
+    extra_round: bool,
+    last_tick: Instant,
     last_round_finished: Instant,
     cells: Arc<ManagerCells>,
 }
 
 impl Manager {
-    fn run(mut self, stop: Arc<AtomicBool>) -> Result<IsmReport> {
-        while !stop.load(Ordering::Relaxed) {
-            // Consume pump events for up to one tick.
-            match self.events.recv_timeout(TICK) {
-                Ok(ev) => {
-                    self.handle_event(ev)?;
-                    // Opportunistically drain whatever else queued up.
-                    while let Ok(ev) = self.events.try_recv() {
-                        self.handle_event(ev)?;
-                    }
-                }
+    fn run(mut self) -> Result<IsmReport> {
+        loop {
+            // Sleep until an event or the next due time, whichever is
+            // first; with nothing due, until an event.
+            let event = match self.until_due() {
+                Some(wait) => self.events.recv_timeout(wait),
+                None => self.events.recv().map_err(RecvTimeoutError::from),
+            };
+            match event {
+                Ok(PumpEvent::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+                Ok(ev) => self.handle_event(ev)?,
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
             }
-            // Advance the pipeline.
-            self.core.tick(self.clock.now())?;
-            // Round scheduling: periodic, plus tachyon-triggered extras.
-            let extra = self.core.take_extra_sync_request();
-            let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
-            if self.round.is_none() && !self.pumps.is_empty() && (due || extra) {
-                self.begin_round();
+            // Checked after every event, so a deep queue cannot starve
+            // the tick.
+            if self.until_due().is_some_and(|wait| wait.is_zero()) {
+                self.tick()?;
             }
-            self.maybe_close_round(false)?;
         }
         // Shutdown: stop pumps, drain stragglers, flush pipeline.
         for handle in self.pumps.values() {
@@ -297,19 +267,16 @@ impl Manager {
         }
         let deadline = Instant::now() + Duration::from_secs(3);
         let mut live = self.pumps.len();
-        while live > 0 && Instant::now() < deadline {
-            match self.events.recv_timeout(Duration::from_millis(20)) {
-                Ok(ev @ PumpEvent::Disconnected { .. }) => {
-                    live -= 1;
-                    // Still routed through handle_event, which lowers the
-                    // queue-depth gauge the pump raised — or it reads a
-                    // phantom backlog after shutdown.
-                    self.handle_event(ev)?;
-                }
-                Ok(ev) => self.handle_event(ev)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+        while live > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok(ev) = self.events.recv_timeout(left) else {
+                break;
+            };
+            live -= usize::from(matches!(ev, PumpEvent::Disconnected { .. }));
+            // A `Disconnected` too goes through handle_event, which lowers
+            // the queue-depth gauge the pump raised — or it reads a
+            // phantom backlog after shutdown.
+            self.handle_event(ev)?;
         }
         self.core.drain_all()?;
         Ok(IsmReport {
@@ -320,6 +287,41 @@ impl Manager {
             last_sync: self.sync.last_outcome().cloned(),
             relay: self.core.upstream().map(|u| u.stats()),
         })
+    }
+
+    /// How long until the manager must tick: the pipeline's next due
+    /// time ([`IsmCore::due_in`]), an extra round's request, the next
+    /// periodic round while pumps are connected, or the open round's
+    /// deadline, but no sooner than [`COALESCE_WINDOW`] after the last
+    /// tick. `None` when nothing is due.
+    fn until_due(&self) -> Option<Duration> {
+        let round = match &self.round {
+            Some(r) => Some(ROUND_DEADLINE.saturating_sub(r.started.elapsed())),
+            None if self.extra_round => Some(Duration::ZERO),
+            None if !self.pumps.is_empty() => Some(
+                self.sync
+                    .config()
+                    .poll_period
+                    .saturating_sub(self.last_round_finished.elapsed()),
+            ),
+            None => None,
+        };
+        let pipeline = self.core.due_in(self.clock.now());
+        let due = pipeline.into_iter().chain(round).min()?;
+        Some(due.max(COALESCE_WINDOW.saturating_sub(self.last_tick.elapsed())))
+    }
+
+    /// Advance the pipeline, then schedule rounds: periodic, plus
+    /// tachyon-triggered extras.
+    fn tick(&mut self) -> Result<()> {
+        self.last_tick = Instant::now();
+        self.core.tick(self.clock.now())?;
+        let extra = std::mem::take(&mut self.extra_round);
+        let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
+        if self.round.is_none() && !self.pumps.is_empty() && (due || extra) {
+            self.begin_round();
+        }
+        self.maybe_close_round(false)
     }
 
     fn handle_event(&mut self, ev: PumpEvent) -> Result<()> {
@@ -347,6 +349,7 @@ impl Manager {
                 let pushed = self
                     .core
                     .push_frame(node, seq, &frame, recv_ts, self.clock.now());
+                self.extra_round |= self.core.take_extra_sync_request();
                 // The records left the manager queue whether the core
                 // accepted them or not.
                 self.flow.sub(count as u64);
@@ -394,6 +397,8 @@ impl Manager {
                     }
                 }
             }
+            // The run loop's, never queued by a pump.
+            PumpEvent::Stop => {}
         }
         Ok(())
     }
@@ -451,9 +456,9 @@ pub struct IsmHandle {
     quarantine: Arc<QuarantineLog>,
     /// Clone of `LocalOutputs`' optional stage histograms (set when bound).
     stages: Option<Arc<StageLatencies>>,
-    stop: Arc<AtomicBool>,
-    reactor: Arc<ReactorPool>,
-    accept_join: std::thread::JoinHandle<()>,
+    /// The manager's event queue, for [`PumpEvent::Stop`].
+    events: Sender<PumpEvent>,
+    reactor: ReactorPool,
     manager_join: std::thread::JoinHandle<Result<IsmReport>>,
 }
 
@@ -481,8 +486,8 @@ impl IsmHandle {
 
     /// Stop the server and collect the final report.
     pub fn stop(self) -> Result<IsmReport> {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.accept_join.join();
+        self.reactor.close_listener();
+        let _ = self.events.send(PumpEvent::Stop);
         // The manager's shutdown drain needs the reactor alive (pumps
         // forward the EXSs' final flushes and report Disconnected), so
         // the pool stops only after the manager has joined.
@@ -1085,5 +1090,273 @@ mod tests {
         }
         assert_eq!(total, 20);
         handle.stop().unwrap();
+    }
+
+    /// A server on `t` at `name` built from `cfg`, with sync rounds out of
+    /// the way; `configure` runs before it spawns.
+    fn spawn_quiet(
+        t: &Arc<MemTransport>,
+        name: &str,
+        cfg: IsmConfig,
+        configure: impl FnOnce(&mut IsmServer),
+    ) -> IsmHandle {
+        let mut server = IsmServer::new(
+            cfg,
+            SyncConfig {
+                poll_period: Duration::from_secs(60),
+                ..SyncConfig::default()
+            },
+            Arc::new(SystemClock),
+        )
+        .unwrap();
+        configure(&mut server);
+        server.spawn(t.listen(name).unwrap()).unwrap()
+    }
+
+    /// Records `n` records from `node` stamped now, as one batch.
+    fn fresh(node: u32, seq: u64, n: u64) -> Message {
+        batch(node, seq, 0..n)
+    }
+
+    /// Poll `reader` until it has yielded `n` records or `budget` ran
+    /// out; returns what arrived and when the last of it did.
+    fn await_records(
+        reader: &mut crate::output::MemoryBufferReader,
+        n: usize,
+        budget: Duration,
+    ) -> (usize, Instant) {
+        let deadline = Instant::now() + budget;
+        let mut seen = 0;
+        while seen < n && Instant::now() < deadline {
+            seen += reader.poll().unwrap().0.len();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (seen, Instant::now())
+    }
+
+    #[test]
+    fn a_deep_queue_does_not_starve_the_tick() {
+        // Credit and the queue bound sit far above the flood, so nothing
+        // throttles the senders and the manager queue stays deep until
+        // the flood is over. Every record is already due on arrival.
+        const CONNS: u32 = 4;
+        const BATCHES: u64 = 128;
+        const PER_BATCH: u64 = 512;
+        const BUFFER_BOUND: usize = 1 << 16;
+        let cfg = IsmConfig {
+            flow: brisk_core::FlowConfig {
+                credit_records: 1 << 20,
+                max_queued_records: 1 << 20,
+                ..brisk_core::FlowConfig::default()
+            },
+            max_buffered_records: BUFFER_BOUND,
+            ..IsmConfig::default()
+        };
+        // The sink notes the longest gap between deliveries.
+        let gaps = Arc::new(parking_lot::Mutex::new((
+            Instant::now(),
+            Duration::ZERO,
+            0u64,
+        )));
+        let t = MemTransport::new();
+        let sink_gaps = Arc::clone(&gaps);
+        let registry = Registry::new();
+        let handle = spawn_quiet(&t, "ism-flood", cfg, |server| {
+            server.bind_telemetry(&registry);
+            server
+                .core_mut()
+                .add_sink(Box::new(move |_: &brisk_core::EventRecord| {
+                    let mut g = sink_gaps.lock();
+                    let now = Instant::now();
+                    g.1 = g.1.max(now - g.0);
+                    g.0 = now;
+                    g.2 += 1;
+                    Ok(())
+                }));
+        });
+        // Pre-encoded, so the senders outrun the manager. Timestamps rise
+        // across connections batch by batch, a minute in the past.
+        let base = UtcMicros::now().as_micros() - 60_000_000;
+        let floods = (0..CONNS)
+            .map(|c| {
+                let node = c + 1;
+                let mut conn = t.connect("ism-flood").unwrap();
+                hello(&mut conn, node);
+                let frames = (0..BATCHES)
+                    .map(|b| {
+                        let first = (b * u64::from(CONNS) + u64::from(c)) * PER_BATCH;
+                        let records = (first..first + PER_BATCH)
+                            .map(|i| {
+                                brisk_core::EventRecord::new(
+                                    NodeId(node),
+                                    brisk_core::SensorId(0),
+                                    EventTypeId(1),
+                                    i,
+                                    UtcMicros::from_micros(base + i as i64),
+                                    vec![Value::U64(i)],
+                                )
+                                .unwrap()
+                            })
+                            .collect();
+                        Message::EventBatch {
+                            node: NodeId(node),
+                            seq: Some(b + 1),
+                            records,
+                        }
+                        .encode()
+                    })
+                    .collect();
+                (conn, frames)
+            })
+            .collect::<Vec<(_, Vec<Vec<u8>>)>>();
+        gaps.lock().0 = Instant::now();
+        let senders: Vec<_> = floods
+            .into_iter()
+            .map(|(mut conn, frames)| {
+                std::thread::spawn(move || {
+                    for frame in frames {
+                        conn.send(&frame).unwrap();
+                        // Drain acks so the shard never blocks on them.
+                        while let Ok(Some(_)) = conn.recv(Some(Duration::ZERO)) {}
+                    }
+                    conn
+                })
+            })
+            .collect();
+        let conns: Vec<_> = senders.into_iter().map(|s| s.join().unwrap()).collect();
+        let total = u64::from(CONNS) * BATCHES * PER_BATCH;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while gaps.lock().2 < total && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(conns);
+        let report = handle.stop().unwrap();
+        let (_, max_gap, delivered) = *gaps.lock();
+        assert_eq!(delivered, total);
+        let frame_us = registry
+            .snapshot()
+            .gauge("brisk_ism_sorter_frame_us")
+            .unwrap();
+        let frame = Duration::from_micros(frame_us as u64);
+        assert!(
+            max_gap <= frame + Duration::from_millis(250),
+            "deliveries stalled {max_gap:?} behind a deep queue (frame T {frame:?})"
+        );
+        assert_eq!(
+            report.sorter.forced_releases, 0,
+            "the sorter outgrew {BUFFER_BOUND} records between ticks"
+        );
+    }
+
+    /// A store under `fsync=interval:50ms` in a fresh directory.
+    fn interval_store(tag: &str) -> (std::path::PathBuf, IsmConfig) {
+        let dir = std::env::temp_dir().join(format!("brisk-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = IsmConfig {
+            store: brisk_core::StoreConfig {
+                fsync: brisk_core::FsyncPolicy::Interval(Duration::from_millis(50)),
+                ..brisk_core::StoreConfig::at(dir.clone())
+            },
+            ..IsmConfig::default()
+        };
+        (dir, cfg)
+    }
+
+    #[test]
+    fn a_quiet_burst_is_durable_within_the_fsync_interval() {
+        let (dir, cfg) = interval_store("fsync");
+        let t = MemTransport::new();
+        let handle = spawn_quiet(&t, "ism", cfg, |_| {});
+        let mut tail = brisk_store::StoreReader::open(&dir).unwrap().tail();
+        let mut conn = t.connect("ism").unwrap();
+        hello(&mut conn, 1);
+        conn.send(&fresh(1, 1, 3).encode()).unwrap();
+        // Then silence: only the store's own due time can sync the tail.
+        let sent = Instant::now();
+        let mut seen = 0;
+        while seen < 3 && sent.elapsed() < Duration::from_millis(50 + 450) {
+            seen += tail.poll().unwrap().len();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let waited = sent.elapsed();
+        assert_eq!(seen, 3, "tailer saw {seen} of 3 records after {waited:?}");
+        drop(conn);
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_orphaned_consequence_is_released_at_its_hold_timeout() {
+        let mut cfg = IsmConfig::default();
+        cfg.cre.hold_timeout = Duration::from_millis(100);
+        let t = MemTransport::new();
+        let handle = spawn_quiet(&t, "ism", cfg, |_| {});
+        let mut reader = handle.memory().reader();
+        let mut conn = t.connect("ism").unwrap();
+        hello(&mut conn, 1);
+        let orphan = brisk_core::EventRecord::new(
+            NodeId(1),
+            brisk_core::SensorId(0),
+            EventTypeId(2),
+            0,
+            UtcMicros::now(),
+            vec![Value::Conseq(brisk_core::CorrelationId(7))],
+        )
+        .unwrap();
+        let sent = Instant::now();
+        conn.send(
+            &Message::EventBatch {
+                node: NodeId(1),
+                seq: Some(1),
+                records: vec![orphan],
+            }
+            .encode(),
+        )
+        .unwrap();
+        // Its reason never comes, and neither does anything else.
+        let (seen, at) = await_records(&mut reader, 1, Duration::from_millis(100 + 400));
+        assert_eq!(
+            seen,
+            1,
+            "orphan not released {:?} after it was sent",
+            at - sent
+        );
+        drop(conn);
+        let report = handle.stop().unwrap();
+        assert_eq!(report.cre.expired, 1);
+    }
+
+    #[test]
+    fn a_relays_partial_batch_leaves_at_its_flush_timeout() {
+        let t = MemTransport::new();
+        let root = spawn_quiet(&t, "root", IsmConfig::default(), |_| {});
+        let mut reader = root.memory().reader();
+        let mut link = crate::relay::RelayConfig::new(brisk_proto::NodePrefix::new(1).unwrap());
+        link.flush_timeout = Duration::from_millis(100);
+        // No heartbeats: nothing but the flush timeout wakes the relay.
+        link.heartbeat_interval = Duration::ZERO;
+        let dial = Arc::clone(&t);
+        let relay = spawn_quiet(&t, "relay", IsmConfig::default(), |server| {
+            server.set_upstream(crate::relay::UpstreamExporter::new(
+                link,
+                Box::new(move || dial.connect("root")),
+                Arc::new(SystemClock),
+            ));
+        });
+        let mut conn = t.connect("relay").unwrap();
+        hello(&mut conn, 1);
+        let sent = Instant::now();
+        conn.send(&fresh(1, 1, 3).encode()).unwrap();
+        // Three records, far below a full batch, and then no more input.
+        let (seen, at) = await_records(&mut reader, 3, Duration::from_millis(100 + 400));
+        assert_eq!(
+            seen,
+            3,
+            "root saw {seen} of 3 records {:?} after the send",
+            at - sent
+        );
+        drop(conn);
+        relay.stop().unwrap();
+        root.stop().unwrap();
     }
 }

@@ -112,6 +112,9 @@ pub enum PumpEvent {
         /// [`PumpHandle::id`]).
         id: u64,
     },
+    /// The server is stopping: sent once by `IsmHandle::stop`, never by
+    /// a pump, so a manager asleep until its next due time wakes at once.
+    Stop,
 }
 
 /// Handle the manager holds for one pump.

@@ -363,6 +363,24 @@ impl OnlineSorter {
         self.last_decay_at = Some(last.offset(steps as i64 * interval_us));
     }
 
+    /// When [`Self::poll`] next has work, while records are buffered: the
+    /// head's release time (at once past the buffer bound) or, while `T`
+    /// can still shrink, the next decay step, which brings that release
+    /// forward.
+    pub(crate) fn next_due(&self) -> Option<UtcMicros> {
+        let Reverse((head, ..)) = self.heads.peek()?;
+        if self.max_buffered != 0 && self.buffered > self.max_buffered {
+            return Some(UtcMicros::ZERO);
+        }
+        let release = head.physical.offset(self.frame_us);
+        let decays = self.cfg.decay_factor < 1.0 && self.frame_us > self.cfg.min_frame_us;
+        let decay = self
+            .last_decay_at
+            .filter(|_| decays)
+            .map(|t| t.offset(self.cfg.decay_interval.as_micros() as i64));
+        Some(decay.map_or(release, |d| d.min(release)))
+    }
+
     /// Unconditionally release everything in merged order (shutdown path).
     /// Bypasses `maybe_decay`: "now = MAX" is not a real clock reading and
     /// must not advance the decay schedule or its counters.

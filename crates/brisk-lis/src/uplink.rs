@@ -48,6 +48,15 @@ pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
 /// is declared corrupt. Mirrors the ISM-side protocol error budget.
 pub const CONTROL_ERROR_BUDGET: u32 = 8;
 
+/// How often [`Uplink::due_in`] asks for a control poll while the peer
+/// owes this link an answer.
+const CONTROL_POLL: Duration = Duration::from_millis(1);
+
+/// How long after answering a `SyncPoll` the link keeps polling at
+/// [`CONTROL_POLL`]: the master sends a round's next poll as soon as a
+/// reply lands, so a prompt answer keeps each sample's round trip short.
+const SYNC_LINGER: Duration = Duration::from_millis(100);
+
 brisk_telemetry::metrics! {
     /// The cells of one sender link. The [`Uplink`] bumps them in place;
     /// its caller's telemetry holds the same `Arc`, so a registry or
@@ -214,6 +223,10 @@ pub struct Uplink {
     acked: bool,
     /// The last [`Uplink::poll_credit`] found the budget spent.
     stalled: bool,
+    /// When [`Uplink::recv`] last read the link.
+    polled: Instant,
+    /// When this link last answered a `SyncPoll`.
+    sync_polled: Option<Instant>,
     /// `None`: a lost link stays down.
     redial: Option<Redial>,
     telemetry: Arc<UplinkTelemetry>,
@@ -241,6 +254,8 @@ impl Uplink {
             last_send_us: 0,
             acked: false,
             stalled: false,
+            polled: Instant::now(),
+            sync_polled: None,
             redial: None,
             telemetry: Arc::default(),
         }
@@ -332,6 +347,36 @@ impl Uplink {
         }
         self.stalled = !open;
         open
+    }
+
+    /// How long until this link needs its owner: while down, the next
+    /// redial; while up, a read 1 ms after the last while the greeting,
+    /// acks (credit can only be closed with acks outstanding) or a sync
+    /// round's next poll are owed, else the next heartbeat. `None` when
+    /// nothing is due.
+    pub fn due_in(&self) -> Option<Duration> {
+        if self.conn.is_none() {
+            let redial = self.redial.as_ref()?;
+            return Some(
+                redial
+                    .next_attempt
+                    .saturating_duration_since(Instant::now()),
+            );
+        }
+        let syncing = self.sync_polled.is_some_and(|t| t.elapsed() < SYNC_LINGER);
+        if !self.acked || self.window.depth() > 0 || syncing {
+            return Some((self.polled + CONTROL_POLL).saturating_duration_since(Instant::now()));
+        }
+        if self.heartbeat_interval.is_zero() {
+            return None;
+        }
+        let now = self.clock.now().as_micros();
+        let paced = self.paced_us + now.saturating_sub(self.last_read_us).max(0);
+        let idle = paced.saturating_sub(self.last_send_us).max(0) as u64;
+        Some(
+            self.heartbeat_interval
+                .saturating_sub(Duration::from_micros(idle)),
+        )
     }
 
     /// Adopt `conn`: send `Hello`, then replay every unacked batch in
@@ -504,6 +549,7 @@ impl Uplink {
 
     /// Receive one raw inbound frame, waiting at most `wait`.
     pub fn recv(&mut self, wait: Duration) -> Result<Option<Vec<u8>>> {
+        self.polled = Instant::now();
         let got = self
             .conn
             .as_mut()
@@ -570,6 +616,7 @@ impl Uplink {
                     slave_time: self.clock.now(),
                 };
                 self.send_frame(&reply.encode())?;
+                self.sync_polled = Some(Instant::now());
                 self.telemetry.sync_replies.fetch_add(1, Relaxed);
                 Control::Handled
             }
@@ -701,5 +748,46 @@ mod tests {
         // Two relays orphaned by the same parent restart do not redial in
         // lockstep.
         assert_ne!(waits(relays[0]), waits(relays[1]));
+    }
+
+    #[test]
+    fn due_in_asks_for_a_poll_only_while_the_peer_owes_an_answer() {
+        let heartbeat = Duration::from_secs(5);
+        let mut up = Uplink::new(NodeId(7), Arc::new(SystemClock), 8, heartbeat);
+        let wait = Duration::from_secs(1);
+        let poll = Duration::from_millis(1);
+        let (mut ism, conn) = mem_pair();
+        up.attach(conn).unwrap();
+        assert!(up.due_in().unwrap() <= poll, "the greeting is owed");
+        let hello_ack = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: 64,
+        };
+        ism.send(&hello_ack.encode()).unwrap();
+        up.poll_control(wait).unwrap();
+        // Nothing owed: the next heartbeat is the only due time.
+        assert!(up.due_in().unwrap() > heartbeat / 2);
+        up.send(&[]).unwrap();
+        assert!(up.due_in().unwrap() <= poll, "an ack is owed");
+        let ack = Message::BatchAck { seq: 1, credit: 64 };
+        ism.send(&ack.encode()).unwrap();
+        up.poll_control(wait).unwrap();
+        assert!(up.due_in().unwrap() > heartbeat / 2);
+        // A master polls a round's samples back to back: after answering
+        // one, the link stays quick to read the next.
+        let poll_msg = Message::SyncPoll {
+            round: 1,
+            sample: 0,
+            master_send: brisk_core::UtcMicros::ZERO,
+        };
+        ism.send(&poll_msg.encode()).unwrap();
+        up.poll_control(wait).unwrap();
+        while !matches!(recv_msg(&mut ism), Message::SyncReply { .. }) {}
+        assert!(up.due_in().unwrap() <= poll, "a sync round is under way");
+        std::thread::sleep(SYNC_LINGER);
+        assert!(up.due_in().unwrap() > heartbeat / 2, "the round is over");
+        // A lost link is due at its redial, or never without one.
+        up.drop_link("test");
+        assert_eq!(up.due_in(), None);
     }
 }

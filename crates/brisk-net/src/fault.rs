@@ -295,8 +295,8 @@ struct FaultingListener {
 }
 
 impl Listener for FaultingListener {
-    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        match self.inner.accept(timeout)? {
+    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>> {
+        match self.inner.try_accept()? {
             None => Ok(None),
             Some(conn) => {
                 let idx = self.next_conn.fetch_add(1, Ordering::Relaxed);
@@ -308,6 +308,10 @@ impl Listener for FaultingListener {
                 )))
             }
         }
+    }
+
+    fn poll_fd(&self) -> std::os::unix::io::RawFd {
+        self.inner.poll_fd()
     }
 
     fn local_addr(&self) -> String {

@@ -13,7 +13,7 @@ use crate::traits::Connection;
 use crate::MAX_FRAME_BYTES;
 use brisk_core::{BriskError, Result};
 use std::io::{ErrorKind, Read, Write};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The socket operations framing needs beyond `Read + Write`.
 pub trait RawStream: Read + Write + Send {
@@ -73,45 +73,18 @@ impl RawStream for std::os::unix::net::UnixStream {
     }
 }
 
-/// Accept one stream from a std listener, waiting at most `timeout`
-/// (`None` blocks); shared by the TCP and Unix-domain listeners. std
-/// listeners have no accept timeout, so a deadline is emulated with
-/// non-blocking polls. Accept latency is not on any measured path
-/// (connections are long-lived), so the wait backs off: a couple of
-/// fine-grained polls catch an already-pending connection almost
-/// instantly, then the sleep doubles toward a coarse cap so an idle
-/// accept loop does not burn a core. The stream returned is blocking.
-pub(crate) fn accept_within<S: RawStream>(
-    timeout: Option<Duration>,
-    set_nonblocking: impl Fn(bool) -> std::io::Result<()>,
-    accept: impl Fn() -> std::io::Result<S>,
-) -> Result<Option<S>> {
-    const WAIT_FLOOR: Duration = Duration::from_micros(100);
-    const WAIT_CAP: Duration = Duration::from_millis(10);
-    let Some(t) = timeout else {
-        set_nonblocking(false)?;
-        return Ok(Some(accept()?));
-    };
-    set_nonblocking(true)?;
-    let deadline = Instant::now() + t;
-    let mut wait = WAIT_FLOOR;
-    loop {
-        match accept() {
-            Ok(stream) => {
-                stream.set_nonblocking(false)?;
-                return Ok(Some(stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Ok(None);
-                }
-                // Never oversleep the caller's deadline.
-                std::thread::sleep(wait.min(remaining));
-                wait = (wait * 2).min(WAIT_CAP);
-            }
-            Err(e) => return Err(e.into()),
+/// One `accept` result from a non-blocking std listener, as
+/// [`Listener::try_accept`](crate::Listener::try_accept) reports it;
+/// shared by the TCP, Unix-domain and in-memory listeners. `Ok(None)`
+/// when no connection is pending. The stream returned is blocking.
+pub(crate) fn accepted<S: RawStream>(accepted: std::io::Result<S>) -> Result<Option<S>> {
+    match accepted {
+        Ok(stream) => {
+            stream.set_nonblocking(false)?;
+            Ok(Some(stream))
         }
+        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -236,11 +209,13 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// A fresh listener on every std-socket transport, with the transport
-    /// that dials it: the accept-deadline cases run over each.
+    /// A fresh listener on every transport, with the transport that dials
+    /// it: the accept-deadline cases run over each.
     fn listeners(tag: &str) -> Vec<(Arc<dyn Transport>, Box<dyn Listener>)> {
-        let mut at: Vec<(Arc<dyn Transport>, String)> =
-            vec![(Arc::new(crate::TcpTransport), "127.0.0.1:0".into())];
+        let mut at: Vec<(Arc<dyn Transport>, String)> = vec![
+            (Arc::new(crate::TcpTransport), "127.0.0.1:0".into()),
+            (Arc::new(crate::MemTransport::new()), tag.into()),
+        ];
         #[cfg(unix)]
         at.push((
             Arc::new(crate::UdsTransport),
@@ -258,9 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn accept_timeout_expires_near_deadline_despite_backoff() {
-        // The adaptive wait doubles toward its 10 ms cap; it must still
-        // honour the caller's deadline, not oversleep past it.
+    fn accept_timeout_expires_near_deadline() {
+        // The wait is one poll(2) on the listener's fd: it must honour
+        // the caller's deadline, neither early nor oversleeping it.
         for (_, mut listener) in listeners("deadline") {
             let t0 = Instant::now();
             let r = listener.accept(Some(Duration::from_millis(60))).unwrap();
@@ -279,8 +254,8 @@ mod tests {
 
     #[test]
     fn connection_arriving_mid_wait_is_accepted() {
-        // A connect that lands while accept() is parked in its adaptive
-        // wait must still be picked up well before the timeout expires.
+        // A connect that lands while accept() is parked in poll(2) wakes
+        // it well before the timeout expires.
         for (transport, mut listener) in listeners("midwait") {
             let addr = listener.local_addr();
             let client = std::thread::spawn(move || {

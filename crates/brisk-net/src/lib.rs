@@ -12,9 +12,9 @@
 //! * [`tcp`] — the real `std::net` TCP implementation; the ISM's reactor
 //!   multiplexes every connection's socket through one `poll(2)` per shard.
 //! * [`uds`] — Unix-domain sockets for co-located deployments (Unix only).
-//! * [`mem`] — named socketpairs in one process, framed like the other
-//!   two, used by tests, examples and the simulator. Faults on any of
-//!   them come from [`fault`]. (The fully deterministic virtual-time
+//! * [`mem`] — named abstract-namespace sockets in one process (Linux),
+//!   framed like the other two, used by tests, examples and the
+//!   simulator. Faults on any of them come from [`fault`]. (The fully deterministic virtual-time
 //!   network lives in `brisk-sim`.)
 
 #![deny(missing_docs)]

@@ -1,107 +1,65 @@
-//! In-process transport: named socketpairs.
+//! In-process transport: Linux abstract-namespace Unix sockets.
 //!
-//! Each [`MemTransport`] is a private namespace of string addresses.
-//! `connect` opens a `UnixStream::pair()`, hands one half to the listener
-//! bound at the address and keeps the other; both halves are wrapped in the
-//! same [`FramedConnection`] the TCP and Unix-domain transports use. An
-//! in-process link therefore has a pollable fd and the stream's reliable,
-//! in-order delivery and backpressure (a send blocks once the peer's socket
-//! buffer is full, as on TCP), without touching the filesystem or the
-//! network stack. Faults are injected by wrapping the transport in
+//! Each [`MemTransport`] is a private namespace of string addresses: it
+//! binds an address as an abstract-namespace socket named by a prefix of
+//! the process id and the transport's instance number, so two transports
+//! in one process, or two processes, never collide. An in-process link is
+//! then an ordinary Unix stream wrapped in the same [`FramedConnection`]
+//! the TCP and Unix-domain transports use: it has a pollable fd, the
+//! listener has one too, and the stream's reliable, in-order delivery and
+//! backpressure hold (a send blocks once the peer's socket buffer is full,
+//! as on TCP), without touching the filesystem or the network stack.
+//! Abstract sockets are Linux-only, like the reactor's `poll(2)` binding.
+//! Faults are injected by wrapping the transport in
 //! [`FaultingTransport`](crate::FaultingTransport); the deterministic
 //! virtual-time network lives in `brisk-sim`.
 
 use crate::framed::FramedConnection;
 use crate::traits::{Connection, Listener, Transport};
-use brisk_core::{BriskError, Result};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::io::{Error, ErrorKind};
-use std::os::unix::net::UnixStream;
+use crate::uds::UnixListenerWrap;
+use brisk_core::Result;
+use std::os::linux::net::SocketAddrExt;
+use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Bound addresses, each with the channel its listener accepts from.
-type Registry = Arc<Mutex<HashMap<String, Sender<UnixStream>>>>;
+/// Instance numbers for [`MemTransport`] namespaces.
+static NEXT_NAMESPACE: AtomicU64 = AtomicU64::new(0);
 
 /// The in-memory transport. Addresses are arbitrary strings; each
 /// `MemTransport` instance is its own private namespace.
 pub struct MemTransport {
-    registry: Registry,
+    /// Abstract socket name prefix: `brisk-mem/<pid>/<instance>/`.
+    prefix: String,
 }
 
 impl MemTransport {
     /// New transport with an empty namespace.
     pub fn new() -> Arc<Self> {
+        let instance = NEXT_NAMESPACE.fetch_add(1, Ordering::Relaxed);
         Arc::new(MemTransport {
-            registry: Registry::default(),
+            prefix: format!("brisk-mem/{}/{instance}/", std::process::id()),
         })
+    }
+
+    /// The abstract socket address `addr` names in this namespace.
+    fn socket_addr(&self, addr: &str) -> Result<SocketAddr> {
+        Ok(SocketAddr::from_abstract_name(format!(
+            "{}{addr}",
+            self.prefix
+        ))?)
     }
 }
 
 impl Transport for Arc<MemTransport> {
     fn listen(&self, addr: &str) -> Result<Box<dyn Listener>> {
-        let mut reg = self.registry.lock();
-        if reg.contains_key(addr) {
-            return Err(BriskError::Io(Error::new(
-                ErrorKind::AddrInUse,
-                format!("mem address {addr:?} already bound"),
-            )));
-        }
-        let (tx, incoming) = unbounded();
-        reg.insert(addr.to_string(), tx);
-        Ok(Box::new(MemListener {
-            addr: addr.to_string(),
-            incoming,
-            registry: Arc::clone(&self.registry),
-        }))
+        let listener = UnixListener::bind_addr(&self.socket_addr(addr)?)?;
+        UnixListenerWrap::boxed(listener, addr.into(), None)
     }
 
     fn connect(&self, addr: &str) -> Result<Box<dyn Connection>> {
-        let acceptor = self.registry.lock().get(addr).cloned().ok_or_else(|| {
-            BriskError::Io(Error::new(
-                ErrorKind::ConnectionRefused,
-                format!("no mem listener at {addr:?}"),
-            ))
-        })?;
-        let (client, server) = UnixStream::pair()?;
-        acceptor
-            .send(server)
-            .map_err(|_| BriskError::Disconnected)?;
-        Ok(Box::new(FramedConnection::new(client)))
-    }
-}
-
-/// Listener half of [`MemTransport`]: a channel of dialed socketpair
-/// halves. Unbinds its address on drop.
-pub struct MemListener {
-    addr: String,
-    incoming: Receiver<UnixStream>,
-    registry: Registry,
-}
-
-impl Drop for MemListener {
-    fn drop(&mut self) {
-        self.registry.lock().remove(&self.addr);
-    }
-}
-
-impl Listener for MemListener {
-    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        let stream = match timeout {
-            None => self.incoming.recv().map_err(|_| BriskError::Disconnected)?,
-            Some(t) => match self.incoming.recv_timeout(t) {
-                Ok(s) => s,
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(BriskError::Disconnected),
-            },
-        };
-        Ok(Some(Box::new(FramedConnection::new(stream))))
-    }
-
-    fn local_addr(&self) -> String {
-        self.addr.clone()
+        let stream = UnixStream::connect_addr(&self.socket_addr(addr)?)?;
+        Ok(Box::new(FramedConnection::new(stream)))
     }
 }
 
@@ -110,6 +68,7 @@ mod tests {
     use super::*;
     use crate::poll::{poll_in, Poller, POLLIN};
     use std::thread;
+    use std::time::Duration;
 
     fn pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
         let t = MemTransport::new();
@@ -235,5 +194,28 @@ mod tests {
             assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
         }
         drop(producer.join().unwrap());
+    }
+
+    #[test]
+    fn instances_are_separate_namespaces() {
+        let (a, b) = (MemTransport::new(), MemTransport::new());
+        let mut la = a.listen("ism").unwrap();
+        let mut lb = b.listen("ism").unwrap();
+        let mut ca = a.connect("ism").unwrap();
+        ca.send(b"to a").unwrap();
+        let mut sa = la.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
+        assert_eq!(
+            sa.recv(Some(Duration::from_secs(1))).unwrap().unwrap(),
+            b"to a"
+        );
+        assert!(
+            lb.accept(Some(Duration::from_millis(50)))
+                .unwrap()
+                .is_none(),
+            "a connect must reach only its own instance's listener"
+        );
+        drop(la);
+        assert!(a.connect("ism").is_err(), "a's name is free once it drops");
+        assert!(b.connect("ism").is_ok(), "b's listener is still bound");
     }
 }

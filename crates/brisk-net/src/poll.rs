@@ -7,15 +7,18 @@
 //! syscall binding in `sys`; everything above it is safe Rust over
 //! `std` socket types.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`Poller`] — owns a wake channel (a socketpair) and sleeps in
 //!   `poll(2)` over caller-supplied [`PollFd`]s plus its own wake fd.
 //! * [`Waker`] — the cross-thread handle that interrupts a sleeping
 //!   [`Poller`]; cheap to clone, safe to fire from any thread.
+//! * [`wait_readable`] — one fd's wait, behind every blocking
+//!   `Listener::accept`.
 //!
-//! Every transport's connection has a kernel fd to poll; [`Poller::wait`]
-//! takes a timeout only so a reactor can also keep its deadlines.
+//! Every transport's connections and listeners have a kernel fd to poll;
+//! [`Poller::wait`] takes a timeout only so a reactor can also keep its
+//! deadlines.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -138,18 +141,8 @@ impl Poller {
     /// The wake fd is appended to `fds` for the syscall and removed again
     /// before returning, so the caller's indices are stable.
     pub fn wait(&self, fds: &mut Vec<PollFd>, timeout: Option<Duration>) -> std::io::Result<bool> {
-        let timeout_ms: i32 = match timeout {
-            // Round up so a 100 µs deadline does not spin at timeout 0.
-            Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-                .unwrap_or(i32::MAX),
-            None => -1,
-        };
-        fds.push(PollFd {
-            fd: self.wake_rx.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        });
-        let polled = sys::poll_fds(fds, timeout_ms);
+        fds.push(poll_in(self.wake_rx.as_raw_fd()));
+        let polled = sys::poll_fds(fds, timeout_ms(timeout));
         let wake_entry = fds.pop();
         polled?;
         let woken = wake_entry.is_some_and(|e| e.revents & (POLLIN | POLLERR | POLLHUP) != 0);
@@ -170,6 +163,21 @@ impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Poller").finish()
     }
+}
+
+/// `poll(2)`'s timeout argument for `timeout` (`None` blocks).
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        // Round up so a 100 µs deadline does not spin at timeout 0.
+        Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
+            .unwrap_or(i32::MAX),
+        None => -1,
+    }
+}
+
+/// Sleep until `fd` is readable or `timeout` elapses (`None` blocks).
+pub fn wait_readable(fd: RawFd, timeout: Option<Duration>) -> std::io::Result<()> {
+    sys::poll_fds(&mut [poll_in(fd)], timeout_ms(timeout)).map(drop)
 }
 
 /// Build a [`PollFd`] watching `fd` for readability.

@@ -4,11 +4,11 @@
 //! (the EXS's "batching, latency control" stage), so Nagle's algorithm
 //! would only add latency on top of deliberately-flushed batches.
 
-use crate::framed::{accept_within, FramedConnection};
+use crate::framed::{accepted, FramedConnection};
 use crate::traits::{Connection, Listener, Transport};
 use brisk_core::Result;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::os::unix::io::{AsRawFd, RawFd};
 
 /// The real-network transport.
 #[derive(Clone, Copy, Debug, Default)]
@@ -22,6 +22,7 @@ fn wrap(stream: TcpStream) -> Result<Box<dyn Connection>> {
 impl Transport for TcpTransport {
     fn listen(&self, addr: &str) -> Result<Box<dyn Listener>> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         Ok(Box::new(TcpListenerWrap { listener }))
     }
 
@@ -35,10 +36,14 @@ struct TcpListenerWrap {
 }
 
 impl Listener for TcpListenerWrap {
-    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        let l = &self.listener;
-        let stream = accept_within(timeout, |nb| l.set_nonblocking(nb), || Ok(l.accept()?.0))?;
-        stream.map(wrap).transpose()
+    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>> {
+        accepted(self.listener.accept().map(|(s, _)| s))?
+            .map(wrap)
+            .transpose()
+    }
+
+    fn poll_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
     }
 
     fn local_addr(&self) -> String {
@@ -54,6 +59,7 @@ mod tests {
     use super::*;
     use crate::MAX_FRAME_BYTES;
     use std::thread;
+    use std::time::Duration;
 
     fn pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
         let t = TcpTransport;

@@ -1,7 +1,8 @@
 //! Transport abstraction: blocking, frame-oriented, reliable, in-order.
 
 use brisk_core::Result;
-use std::time::Duration;
+use std::os::unix::io::RawFd;
+use std::time::{Duration, Instant};
 
 /// A bidirectional, reliable, in-order frame channel between an external
 /// sensor and the ISM.
@@ -28,7 +29,7 @@ pub trait Connection: Send {
     /// `brisk_net::poll`). Every transport's live connections have one;
     /// `None` marks a connection with no socket left (a fault-killed
     /// link), whose next `recv` fails at once.
-    fn poll_fd(&self) -> Option<std::os::unix::io::RawFd> {
+    fn poll_fd(&self) -> Option<RawFd> {
         None
     }
 
@@ -43,12 +44,36 @@ pub trait Connection: Send {
 }
 
 /// Accepts incoming connections (the ISM side).
+///
+/// Every listener is non-blocking with a pollable fd: a reactor puts
+/// [`Listener::poll_fd`] in its poll set and calls
+/// [`Listener::try_accept`] while it reports readable.
 pub trait Listener: Send {
-    /// Accept one connection, or `Ok(None)` on timeout.
-    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>>;
+    /// Accept one pending connection without blocking; `Ok(None)` when
+    /// none is pending.
+    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>>;
+
+    /// The listening socket's fd: readable while a connection is pending.
+    fn poll_fd(&self) -> RawFd;
 
     /// The address peers should connect to.
     fn local_addr(&self) -> String;
+
+    /// Accept one connection, waiting in `poll(2)` on [`Listener::poll_fd`]
+    /// for at most `timeout` (`None` blocks); `Ok(None)` on timeout.
+    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            if let Some(conn) = self.try_accept()? {
+                return Ok(Some(conn));
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Ok(None);
+            }
+            crate::poll::wait_readable(self.poll_fd(), left)?;
+        }
+    }
 }
 
 /// A transport: a way to listen and to connect.

@@ -8,12 +8,12 @@
 
 #![cfg(unix)]
 
-use crate::framed::{accept_within, FramedConnection};
+use crate::framed::{accepted, FramedConnection};
 use crate::traits::{Connection, Listener, Transport};
 use brisk_core::Result;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// The Unix-domain-socket transport. Addresses are filesystem paths.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,7 +29,7 @@ impl Transport for UdsTransport {
             let _ = std::fs::remove_file(&path);
         }
         let listener = UnixListener::bind(&path)?;
-        Ok(Box::new(UdsListenerWrap { listener, path }))
+        UnixListenerWrap::boxed(listener, addr.into(), Some(path))
     }
 
     fn connect(&self, addr: &str) -> Result<Box<dyn Connection>> {
@@ -38,26 +38,51 @@ impl Transport for UdsTransport {
     }
 }
 
-struct UdsListenerWrap {
+/// A non-blocking Unix listener, shared with the in-memory transport's
+/// abstract-namespace sockets. `socket_file`, when set, is unlinked on
+/// drop.
+pub(crate) struct UnixListenerWrap {
     listener: UnixListener,
-    path: PathBuf,
+    addr: String,
+    socket_file: Option<PathBuf>,
 }
 
-impl Drop for UdsListenerWrap {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+impl UnixListenerWrap {
+    /// Serve `listener`, made non-blocking, as `addr`.
+    pub(crate) fn boxed(
+        listener: UnixListener,
+        addr: String,
+        socket_file: Option<PathBuf>,
+    ) -> Result<Box<dyn Listener>> {
+        listener.set_nonblocking(true)?;
+        Ok(Box::new(UnixListenerWrap {
+            listener,
+            addr,
+            socket_file,
+        }))
     }
 }
 
-impl Listener for UdsListenerWrap {
-    fn accept(&mut self, timeout: Option<Duration>) -> Result<Option<Box<dyn Connection>>> {
-        let l = &self.listener;
-        let stream = accept_within(timeout, |nb| l.set_nonblocking(nb), || Ok(l.accept()?.0))?;
+impl Drop for UnixListenerWrap {
+    fn drop(&mut self) {
+        if let Some(path) = &self.socket_file {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+impl Listener for UnixListenerWrap {
+    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>> {
+        let stream = accepted(self.listener.accept().map(|(s, _)| s))?;
         Ok(stream.map(|s| Box::new(FramedConnection::new(s)) as Box<dyn Connection>))
     }
 
+    fn poll_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
+    }
+
     fn local_addr(&self) -> String {
-        self.path.display().to_string()
+        self.addr.clone()
     }
 }
 
@@ -65,6 +90,7 @@ impl Listener for UdsListenerWrap {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn sock_path(tag: &str) -> String {
         std::env::temp_dir()

@@ -497,9 +497,9 @@ impl StoreWriter {
 
     /// Under `fsync=interval`, sync once the oldest unsynced append is an
     /// interval old by the wall clock. The append path syncs by stream
-    /// time, which stops when the stream does; calling this periodically
-    /// (the ISM does, every manager tick) makes a quiet stream's tail
-    /// durable, and visible to tailers, within the interval.
+    /// time, which stops when the stream does; calling this at
+    /// [`Self::sync_due`] (the ISM's manager wakes for it) makes a quiet
+    /// stream's tail durable, and visible to tailers, within the interval.
     pub fn sync_if_due(&mut self) -> Result<()> {
         if let (FsyncPolicy::Interval(d), Some(since)) = (self.cfg.fsync, self.unsynced_since) {
             if since.elapsed() >= d {
@@ -507,6 +507,15 @@ impl StoreWriter {
             }
         }
         Ok(())
+    }
+
+    /// When [`Self::sync_if_due`] next syncs: an interval after the oldest
+    /// unsynced append, under `fsync=interval`.
+    pub fn sync_due(&self) -> Option<Instant> {
+        match (self.cfg.fsync, self.unsynced_since) {
+            (FsyncPolicy::Interval(d), Some(since)) => Some(since + d),
+            _ => None,
+        }
     }
 
     /// Seal the active segment (if any): drain buffers, write the sidecar,

@@ -1,0 +1,143 @@
+//! Workspace test: an idle ISM sleeps. Every server thread waits on input
+//! or its nearest deadline, so with no traffic the manager, the reactor
+//! shards and the store writer barely wake, and a quiet client costs about
+//! one wakeup per frame it exchanges.
+//!
+//! Threads are counted per process by name (`/proc/self/task/*/comm`), so
+//! this file is its own test binary and holds a single test.
+
+use brisk_clock::SystemClock;
+use brisk_core::{IsmConfig, NodeId, StoreConfig, SyncConfig, UtcMicros};
+use brisk_ism::IsmServer;
+use brisk_net::{MemTransport, Transport};
+use brisk_proto::Message;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Name prefixes of the server's threads (`comm` keeps 15 bytes).
+const SERVER_THREADS: [&str; 3] = ["brisk-ism", "brisk-reactor", "brisk-store"];
+/// How long each phase is measured.
+const WINDOW: Duration = Duration::from_secs(2);
+/// Wakeups per second the server may spend on its own.
+const IDLE_BUDGET: f64 = 20.0;
+
+/// Voluntary plus involuntary context switches of the server's threads.
+fn server_switches() -> u64 {
+    let mut total = 0;
+    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if !SERVER_THREADS.iter().any(|p| comm.starts_with(p)) {
+            continue;
+        }
+        let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+        total += status
+            .lines()
+            .filter(|l| l.starts_with("voluntary_ctxt") || l.starts_with("nonvoluntary_ctxt"))
+            .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
+            .sum::<u64>();
+    }
+    total
+}
+
+/// Server wakeups per second over one [`WINDOW`].
+fn wakeups_per_s() -> f64 {
+    let before = server_switches();
+    std::thread::sleep(WINDOW);
+    (server_switches() - before) as f64 / WINDOW.as_secs_f64()
+}
+
+#[test]
+fn an_idle_server_sleeps_until_input_or_a_deadline() {
+    if !Path::new("/proc/self/task").exists() {
+        eprintln!("skipped: no /proc/self/task");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("brisk-idle-wakeups-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let t = MemTransport::new();
+    let server = IsmServer::new(
+        IsmConfig {
+            store: StoreConfig::at(dir.clone()),
+            ..IsmConfig::default()
+        },
+        SyncConfig {
+            poll_period: Duration::from_secs(1),
+            ..SyncConfig::default()
+        },
+        Arc::new(SystemClock),
+    )
+    .unwrap();
+    let handle = server.spawn(t.listen("ism").unwrap()).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+
+    // No connections: nothing is due, so nothing wakes.
+    let idle = wakeups_per_s();
+    assert!(
+        idle <= IDLE_BUDGET,
+        "an idle server woke {idle:.1} times a second"
+    );
+
+    // One quiet client: a heartbeat every 500 ms, and the answers to the
+    // server's sync polls (a round a second). Every frame either way may
+    // wake the server once.
+    let mut conn = t.connect("ism").unwrap();
+    conn.send(
+        &Message::Hello {
+            node: NodeId(1),
+            version: brisk_proto::VERSION,
+        }
+        .encode(),
+    )
+    .unwrap();
+    let frames = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let client = {
+        let (frames, stop) = (Arc::clone(&frames), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut next_beat = Instant::now();
+            while !stop.load(Ordering::Relaxed) {
+                if Instant::now() >= next_beat {
+                    conn.send(&Message::Heartbeat.encode()).unwrap();
+                    frames.fetch_add(1, Ordering::Relaxed);
+                    next_beat += Duration::from_millis(500);
+                }
+                let wait = next_beat.saturating_duration_since(Instant::now());
+                let Ok(Some(frame)) = conn.recv(Some(wait.min(Duration::from_millis(50)))) else {
+                    continue;
+                };
+                frames.fetch_add(1, Ordering::Relaxed);
+                if let Ok(Message::SyncPoll {
+                    round,
+                    sample,
+                    master_send,
+                }) = Message::decode(&frame)
+                {
+                    let reply = Message::SyncReply {
+                        round,
+                        sample,
+                        master_send,
+                        slave_time: UtcMicros::now(),
+                    };
+                    conn.send(&reply.encode()).unwrap();
+                    frames.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        })
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    let before = frames.load(Ordering::Relaxed);
+    let busy = wakeups_per_s();
+    let frame_rate = (frames.load(Ordering::Relaxed) - before) as f64 / WINDOW.as_secs_f64();
+    stop.store(true, Ordering::Relaxed);
+    client.join().unwrap();
+    let report = handle.stop().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.sync_rounds >= 1, "the client must have been polled");
+    assert!(
+        busy <= frame_rate + IDLE_BUDGET,
+        "a server with one quiet client woke {busy:.1} times a second \
+         for {frame_rate:.1} frames a second"
+    );
+}
