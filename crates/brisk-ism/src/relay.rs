@@ -50,6 +50,13 @@ pub use brisk_lis::uplink::ConnectFn;
 /// blocking the relay.
 const WINDOW_BATCHES: usize = 1024;
 
+/// The control poll period while the parent owes the link an answer.
+const CONTROL_POLL: Duration = Duration::from_millis(1);
+
+/// How long the link keeps polling after answering a `SyncPoll`: the
+/// master sends a round's next poll as soon as a reply lands.
+const SYNC_LINGER: Duration = Duration::from_millis(100);
+
 /// Knobs of one relay's upstream link.
 #[derive(Clone, Debug)]
 pub struct RelayConfig {
@@ -131,6 +138,9 @@ pub struct UpstreamExporter {
     /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
     shared: Arc<RelayTelemetry>,
+    /// When the link was last read, and last answered a `SyncPoll`.
+    polled: Instant,
+    sync_polled: Option<Instant>,
 }
 
 impl UpstreamExporter {
@@ -161,6 +171,8 @@ impl UpstreamExporter {
             sync_clock: None,
             shared,
             cfg,
+            polled: Instant::now(),
+            sync_polled: None,
         }
     }
 
@@ -205,9 +217,11 @@ impl UpstreamExporter {
     /// and apply this relay's policy to it. `false` when nothing arrived
     /// or the link is (now) down — an error means the uplink dropped it.
     fn poll_control(&mut self, wait: Duration) -> bool {
+        self.polled = Instant::now();
         match self.uplink.poll_control(wait) {
             Ok(None) | Err(_) => return false,
             Ok(Some(Control::Skipped | Control::Handled)) => {}
+            Ok(Some(Control::Answered)) => self.sync_polled = Some(Instant::now()),
             Ok(Some(Control::Adjusted(advance_us))) => {
                 if let Some(c) = &self.sync_clock {
                     c.adjust(advance_us);
@@ -271,12 +285,19 @@ impl MergeOutput for UpstreamExporter {
         Ok(())
     }
 
-    /// The partial batch's flush timeout, or the link's own due time
-    /// ([`Uplink::due_in`]).
+    /// The partial batch's flush timeout, a control poll 1 ms after the
+    /// last while the parent owes an answer or a sync round is under way,
+    /// or the link's own due time ([`Uplink::due_in`]).
     fn due_in(&self, now: UtcMicros) -> Option<Duration> {
         let flush = self.batcher.time_to_deadline(now);
         let flush = flush.map(|us| Duration::from_micros(us.max(0) as u64));
-        flush.into_iter().chain(self.uplink.due_in()).min()
+        let syncing = self.sync_polled.is_some_and(|t| t.elapsed() < SYNC_LINGER);
+        let poll = (self.uplink.connected() && (self.uplink.awaiting_reply() || syncing))
+            .then(|| (self.polled + CONTROL_POLL).saturating_duration_since(Instant::now()));
+        [flush, poll, self.uplink.due_in()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Shutdown path: ship the final partial batch, then wait briefly
@@ -686,5 +707,55 @@ mod tests {
         ex.pump(now).unwrap();
         assert_eq!(clock.correction_us(), 250);
         assert_eq!(ex.stats().adjustments, 1);
+    }
+
+    #[test]
+    fn due_in_asks_for_a_poll_only_while_the_peer_owes_an_answer() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("owed").unwrap();
+        let heartbeat = Duration::from_secs(5);
+        let mut cfg = RelayConfig::new(NodePrefix::new(7).unwrap());
+        cfg.heartbeat_interval = heartbeat;
+        let mut ex = exporter(&t, "owed", cfg);
+        let (now, wait) = (UtcMicros::ZERO, Duration::from_secs(1));
+        ex.pump(now).unwrap();
+        let mut server = accept(&mut listener);
+        assert!(
+            ex.due_in(now).unwrap() <= CONTROL_POLL,
+            "the greeting is owed"
+        );
+        let hello_ack = Message::HelloAck {
+            version: VERSION,
+            credit: 64,
+        };
+        server.send(&hello_ack.encode()).unwrap();
+        ex.poll_control(wait);
+        // Nothing owed: the next heartbeat is the only due time.
+        assert!(ex.due_in(now).unwrap() > heartbeat / 2);
+        ex.uplink.send(&[]).unwrap();
+        assert!(ex.due_in(now).unwrap() <= CONTROL_POLL, "an ack is owed");
+        let ack = Message::BatchAck { seq: 1, credit: 64 };
+        server.send(&ack.encode()).unwrap();
+        ex.poll_control(wait);
+        assert!(ex.due_in(now).unwrap() > heartbeat / 2);
+        // A master polls a round's samples back to back: after answering
+        // one, the link stays quick to read the next.
+        let poll_msg = Message::SyncPoll {
+            round: 1,
+            sample: 0,
+            master_send: UtcMicros::ZERO,
+        };
+        server.send(&poll_msg.encode()).unwrap();
+        ex.poll_control(wait);
+        while !matches!(recv_msg(&mut server), Message::SyncReply { .. }) {}
+        assert!(
+            ex.due_in(now).unwrap() <= CONTROL_POLL,
+            "a sync round is under way"
+        );
+        std::thread::sleep(SYNC_LINGER);
+        assert!(ex.due_in(now).unwrap() > heartbeat / 2, "the round is over");
+        // A lost link is due at its redial.
+        ex.uplink.drop_link("test");
+        assert_eq!(ex.due_in(now), Some(Duration::ZERO));
     }
 }

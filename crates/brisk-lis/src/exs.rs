@@ -16,11 +16,17 @@
 //! batch, so a steady EXS allocates one frame per batch and nothing per
 //! record.
 //!
-//! When there is nothing to do, the EXS parks in a short timed `recv` on
-//! its ISM connection — the "waiting select system call" the paper
-//! identifies as the worst-case latency contributor (§4): an event arriving
-//! right after the EXS goes to sleep waits out the poll interval, and a
-//! partial batch waits out the flush timeout.
+//! [`ExternalSensor::step`] is one bounded pass that never sleeps; the
+//! runtime owns the wait. After a pass that moved nothing it sleeps in one
+//! `poll(2)` — the "waiting select system call" the paper identifies as the
+//! worst-case latency contributor (§4) — on the ISM link's fd and on a
+//! doorbell the node's rings share, until the next thing the EXS must do.
+//! With nothing buffered, the doorbell is armed and the first record into a
+//! drained ring rings it, so an idle EXS wakes only for its link's traffic
+//! and heartbeats. With a partial batch it looks at the rings again every
+//! *scoop period*, a fifth of the flush timeout (8 ms at the 40 ms
+//! default), until the batch's deadline. With its credit spent it waits for
+//! the ack, which is link input.
 //!
 //! All EXS *deadlines* (the flush timeout in particular) are measured on
 //! the node's clock, not on wall time, so the whole component is
@@ -49,15 +55,12 @@ use crate::batch::{Batcher, FlushReason};
 use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
-use brisk_net::Connection;
+use brisk_net::{poll_in, Connection, PollFd, Poller, Waker};
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long an idle EXS parks on its ISM link; it runs at low priority (§3.1).
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 brisk_telemetry::metrics! {
     /// Shared atomic backing for [`ExsStats`] plus the EXS's stage
@@ -118,7 +121,7 @@ impl ExsTelemetry {
 pub enum ExsStep {
     /// Work was done (records moved or messages handled).
     Busy,
-    /// Nothing to do; the step waited.
+    /// Nothing to do; the runtime may sleep until input or a deadline.
     Idle,
     /// The ISM asked us to shut down (orderly `Shutdown` message).
     Shutdown,
@@ -295,43 +298,34 @@ impl ExternalSensor {
         let drain_us = self.clock.now().as_micros().saturating_sub(drain_start);
         self.shared.drain_us.record(drain_us.max(0) as u64);
 
-        // 3. Control traffic. When busy, poll without blocking; when idle,
-        //    this wait is the EXS's sleep (bounded by `IDLE_SLEEP` and by
-        //    the batch deadline so a partial batch cannot oversleep).
-        //    While credit-paused the deadline clamp is skipped — nothing
-        //    may flush anyway, and the sleep is what lets acks arrive.
-        let busy = drained > 0;
-        let wait = if busy {
-            Duration::ZERO
-        } else if paused {
-            IDLE_SLEEP
+        // 3. Control traffic, without waiting: a pass never sleeps, the
+        //    runtime does after an idle one ([`ExternalSensor::sleep`]).
+        //    An empty poll is a zero-length wait: it is not busy time.
+        let worked = work_start.elapsed();
+        let control = self.uplink.poll_control(Duration::ZERO)?;
+        let busy = if control.is_some() {
+            work_start.elapsed()
         } else {
-            let dl = self.batcher.time_to_deadline(self.clock.now());
-            IDLE_SLEEP.min(Duration::from_micros(dl.unwrap_or(i64::MAX).max(1) as u64))
+            worked
         };
+        let step = control.and_then(|c| self.on_control(c));
         self.shared
             .busy_nanos
-            .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Some(frame) = self.uplink.recv(wait)? {
-            let handle_start = Instant::now();
-            let outcome = self.on_control(&frame);
-            self.shared
-                .busy_nanos
-                .fetch_add(handle_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if let Some(step) = outcome? {
-                return Ok(step);
-            }
-        }
-        Ok(if busy { ExsStep::Busy } else { ExsStep::Idle })
+            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+        Ok(step.unwrap_or(if drained > 0 {
+            ExsStep::Busy
+        } else {
+            ExsStep::Idle
+        }))
     }
 
     /// Apply this EXS's policy to one inbound control frame. `None` means
     /// the frame was skipped (undecodable, within the budget — past it the
     /// uplink drops the link, and an EXS with a [`ConnectFn`] dials again).
-    fn on_control(&mut self, frame: &[u8]) -> Result<Option<ExsStep>> {
-        Ok(match self.uplink.handle_frame(frame)? {
+    fn on_control(&mut self, control: Control) -> Option<ExsStep> {
+        match control {
             Control::Skipped => None,
-            Control::Handled => Some(ExsStep::Busy),
+            Control::Handled | Control::Answered => Some(ExsStep::Busy),
             Control::Adjusted(advance_us) => {
                 if self.cfg.sync_disabled {
                     // Chaos plane: the node deliberately refuses sync and
@@ -344,7 +338,7 @@ impl ExternalSensor {
                 Some(ExsStep::Busy)
             }
             Control::Shutdown => Some(ExsStep::Shutdown),
-        })
+        }
     }
 
     /// Drain up to `max` records from the rings, apply the correction
@@ -423,6 +417,41 @@ impl ExternalSensor {
         self.batcher.recycle(batch);
     }
 
+    /// The runtime's one wait after an idle pass, until link input (an
+    /// ack, a sync poll), the next heartbeat, the handle's stop, and: with
+    /// a partial batch and credit open, its flush deadline or the scoop
+    /// period; with credit spent, nothing more; with nothing buffered, the
+    /// rings' doorbell. Returns at once if input or a record is waiting.
+    fn sleep(&self, poller: &Poller, fds: &mut Vec<PollFd>) -> Result<()> {
+        let Some(fd) = self.uplink.wait_fd() else {
+            return Ok(());
+        };
+        let (mut due, bell) = (self.uplink.due_in(), self.rings.doorbell());
+        if self.uplink.credit_open() {
+            match self.batcher.time_to_deadline(self.clock.now()) {
+                Some(us) => {
+                    // The scoop period: a batch that fills meanwhile ships
+                    // at most a fifth of the latency budget late.
+                    let scoop = self.cfg.flush_timeout / 5;
+                    let flush = Duration::from_micros(us.max(0) as u64).min(scoop);
+                    due = due.into_iter().chain([flush]).min();
+                }
+                None => {
+                    bell.arm();
+                    if !self.rings.is_empty() {
+                        bell.disarm();
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        fds.push(poll_in(fd));
+        let waited = poller.wait(fds, due);
+        fds.clear();
+        bell.disarm();
+        Ok(waited.map(drop)?)
+    }
+
     /// Orderly teardown: drain the rings, flush everything buffered and
     /// send `Shutdown`, so no accepted record is lost. Consumes the EXS
     /// and returns its final stats.
@@ -438,22 +467,25 @@ impl ExternalSensor {
 
 /// The one EXS runtime. Steps while linked; a lost link is dialed again
 /// when the EXS has a [`ConnectFn`] and ends the run when it has none.
-/// Runs until `stop` or an orderly ISM `Shutdown`, then flushes and says
-/// goodbye on a live link.
-fn drive(mut exs: ExternalSensor, stop: &AtomicBool) -> Result<ExsStats> {
+/// Between passes it sleeps in `poller` ([`ExternalSensor::sleep`]; in
+/// redial backoff, until the next dial). Runs until `stop` or an orderly
+/// ISM `Shutdown`, then flushes and says goodbye on a live link.
+fn drive(mut exs: ExternalSensor, poller: &Poller, stop: &AtomicBool) -> Result<ExsStats> {
     let shared = Arc::clone(&exs.shared);
+    let mut fds = Vec::with_capacity(2);
     while !stop.load(Ordering::Relaxed) {
         if !exs.linked() && !exs.uplink.redial() {
             if !exs.uplink.redials() {
                 break;
             }
-            // Wait out the backoff in small slices so `stop` stays
-            // responsive; a failed dial schedules the next attempt.
-            std::thread::sleep(Duration::from_millis(1));
+            // A failed dial scheduled the next attempt.
+            poller.wait(&mut fds, exs.uplink.due_in())?;
             continue;
         }
-        if exs.step()? == ExsStep::Shutdown {
-            break;
+        match exs.step()? {
+            ExsStep::Shutdown => break,
+            ExsStep::Idle => exs.sleep(poller, &mut fds)?,
+            ExsStep::Busy | ExsStep::Disconnected => {}
         }
     }
     // A connection that dies during the final flush is fine; the counters
@@ -467,6 +499,8 @@ fn drive(mut exs: ExternalSensor, stop: &AtomicBool) -> Result<ExsStats> {
 /// Handle to an EXS running on its own thread.
 pub struct ExsHandle {
     stop: Arc<AtomicBool>,
+    /// Wakes the EXS's sleep so it sees `stop` at once.
+    waker: Waker,
     clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
     node: NodeId,
     shared: Arc<ExsTelemetry>,
@@ -497,11 +531,12 @@ impl ExsHandle {
     /// Signal the EXS to stop.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
     }
 
     /// Signal and wait for the EXS; returns its final stats.
     pub fn stop(self) -> Result<ExsStats> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.request_stop();
         self.join
             .join()
             .map_err(|_| BriskError::Sync("EXS thread panicked".into()))?
@@ -510,14 +545,18 @@ impl ExsHandle {
 
 fn spawn(exs: ExternalSensor) -> Result<ExsHandle> {
     let (node, clock, shared) = (exs.node, Arc::clone(&exs.clock), Arc::clone(&exs.shared));
+    let poller = Poller::new()?;
+    let (waker, bell) = (poller.waker(), poller.waker());
+    exs.rings.doorbell().set_wake(move || bell.wake());
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let join = std::thread::Builder::new()
         .name(format!("brisk-exs-{node}"))
-        .spawn(move || drive(exs, &stop2))
+        .spawn(move || drive(exs, &poller, &stop2))
         .map_err(BriskError::Io)?;
     Ok(ExsHandle {
         stop,
+        waker,
         clock,
         node,
         shared,
@@ -1727,5 +1766,104 @@ mod tests {
         );
         let stats = handle.stop().unwrap();
         assert_eq!(stats.link.connects, 1);
+    }
+
+    #[test]
+    fn a_sleeping_exs_is_rung_awake_by_every_burst() {
+        // Two sensors emit in seeded bursts with 0–5 ms gaps and no
+        // heartbeats, so only the doorbell wakes an EXS asleep on empty
+        // rings: a lost wakeup strands a burst's tail past its flush.
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+        const PER_SENSOR: u64 = 10_000;
+        let flush = Duration::from_millis(10);
+        let (mut ism, conn) = mem_pair();
+        let rings = RingSet::new(NodeId(3), 1 << 18);
+        let ports = [rings.register(), rings.register()];
+        let cfg = ExsConfig {
+            flush_timeout: flush,
+            heartbeat_interval: Duration::ZERO,
+            ..ExsConfig::default()
+        };
+        let handle = spawn_exs(NodeId(3), rings, Arc::new(SystemClock), conn, cfg).unwrap();
+        let sensors: Vec<_> = ports
+            .into_iter()
+            .zip(0..)
+            .map(|(mut port, s)| {
+                std::thread::spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0d00_be11 + s);
+                    let mut tails = Vec::new();
+                    while port.next_seq() < PER_SENSOR {
+                        let burst = rng.gen_range(1..=200u64).min(PER_SENSOR - port.next_seq());
+                        for _ in 0..burst {
+                            assert!(port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap());
+                        }
+                        tails.push((port.sensor(), port.next_seq() - 1, Instant::now()));
+                        let gap = rng.gen_range(0..=5_000u64);
+                        std::thread::sleep(Duration::from_micros(gap));
+                    }
+                    tails
+                })
+            })
+            .collect();
+        let mut arrived = HashMap::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while arrived.len() < 2 * PER_SENSOR as usize && Instant::now() < deadline {
+            let Some(frame) = ism.recv(Some(Duration::from_millis(100))).unwrap() else {
+                continue;
+            };
+            let at = Instant::now();
+            if let Message::EventBatch { records, .. } = Message::decode(&frame).unwrap() {
+                for r in records {
+                    let again = arrived.insert((r.sensor, r.seq), at);
+                    assert!(again.is_none(), "{:?}/{} delivered twice", r.sensor, r.seq);
+                }
+            }
+        }
+        assert_eq!(
+            arrived.len(),
+            2 * PER_SENSOR as usize,
+            "every record delivered"
+        );
+        for tails in sensors {
+            for (sensor, seq, emitted) in tails.join().unwrap() {
+                let late = arrived[&(sensor, seq)].saturating_duration_since(emitted);
+                assert!(
+                    late <= flush + Duration::from_millis(20),
+                    "the burst ending at {sensor:?}/{seq} arrived {late:?} after its emit"
+                );
+            }
+        }
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn stop_wakes_a_sleeping_exs_at_once() {
+        // Asleep on its link and doorbell with heartbeats off, or in a 2 s
+        // redial backoff: either way the stop bell ends the sleep.
+        let (_ism, conn) = mem_pair();
+        let cfg = ExsConfig {
+            heartbeat_interval: Duration::ZERO,
+            ..ExsConfig::default()
+        };
+        let rings = |n| RingSet::new(NodeId(n), 1 << 16);
+        let clock = || Arc::new(SystemClock) as Arc<dyn Clock>;
+        let parked = spawn_exs(NodeId(4), rings(4), clock(), conn, cfg.clone()).unwrap();
+        let t = MemTransport::new();
+        let backoff = SupervisorConfig {
+            initial_backoff: Duration::from_secs(2),
+            max_backoff: Duration::from_secs(2),
+        };
+        let dial: ConnectFn = Box::new(move || t.connect("nobody"));
+        let redialing =
+            spawn_exs_supervised(NodeId(5), rings(5), clock(), dial, cfg, backoff).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(redialing.connects(), 0, "the dial must have failed");
+        for handle in [parked, redialing] {
+            let t0 = Instant::now();
+            handle.stop().unwrap();
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(50), "stop took {took:?}");
+        }
     }
 }

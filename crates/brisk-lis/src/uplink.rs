@@ -36,6 +36,7 @@ use brisk_proto::{encode_batch, Message};
 use brisk_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::os::unix::io::RawFd;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,15 +48,6 @@ pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
 /// Undecodable inbound control frames tolerated per connection before it
 /// is declared corrupt. Mirrors the ISM-side protocol error budget.
 pub const CONTROL_ERROR_BUDGET: u32 = 8;
-
-/// How often [`Uplink::due_in`] asks for a control poll while the peer
-/// owes this link an answer.
-const CONTROL_POLL: Duration = Duration::from_millis(1);
-
-/// How long after answering a `SyncPoll` the link keeps polling at
-/// [`CONTROL_POLL`]: the master sends a round's next poll as soon as a
-/// reply lands, so a prompt answer keeps each sample's round trip short.
-const SYNC_LINGER: Duration = Duration::from_millis(100);
 
 brisk_telemetry::metrics! {
     /// The cells of one sender link. The [`Uplink`] bumps them in place;
@@ -186,8 +178,10 @@ impl Redial {
 pub enum Control {
     /// An undecodable frame was skipped (within the error budget).
     Skipped,
-    /// A `HelloAck`, `BatchAck` or `SyncPoll`, fully handled here.
+    /// A `HelloAck` or `BatchAck`, fully handled here.
     Handled,
+    /// A `SyncPoll`, answered here.
+    Answered,
     /// `SyncAdjust`: the caller owns the correction value and decides
     /// whether to apply these microseconds.
     Adjusted(i64),
@@ -223,10 +217,6 @@ pub struct Uplink {
     acked: bool,
     /// The last [`Uplink::poll_credit`] found the budget spent.
     stalled: bool,
-    /// When [`Uplink::recv`] last read the link.
-    polled: Instant,
-    /// When this link last answered a `SyncPoll`.
-    sync_polled: Option<Instant>,
     /// `None`: a lost link stays down.
     redial: Option<Redial>,
     telemetry: Arc<UplinkTelemetry>,
@@ -254,8 +244,6 @@ impl Uplink {
             last_send_us: 0,
             acked: false,
             stalled: false,
-            polled: Instant::now(),
-            sync_polled: None,
             redial: None,
             telemetry: Arc::default(),
         }
@@ -350,10 +338,8 @@ impl Uplink {
     }
 
     /// How long until this link needs its owner: while down, the next
-    /// redial; while up, a read 1 ms after the last while the greeting,
-    /// acks (credit can only be closed with acks outstanding) or a sync
-    /// round's next poll are owed, else the next heartbeat. `None` when
-    /// nothing is due.
+    /// redial; while up, the next heartbeat. `None` when nothing is due.
+    /// Acks and sync polls are link input, not due times.
     pub fn due_in(&self) -> Option<Duration> {
         if self.conn.is_none() {
             let redial = self.redial.as_ref()?;
@@ -362,10 +348,6 @@ impl Uplink {
                     .next_attempt
                     .saturating_duration_since(Instant::now()),
             );
-        }
-        let syncing = self.sync_polled.is_some_and(|t| t.elapsed() < SYNC_LINGER);
-        if !self.acked || self.window.depth() > 0 || syncing {
-            return Some((self.polled + CONTROL_POLL).saturating_duration_since(Instant::now()));
         }
         if self.heartbeat_interval.is_zero() {
             return None;
@@ -377,6 +359,23 @@ impl Uplink {
             self.heartbeat_interval
                 .saturating_sub(Duration::from_micros(idle)),
         )
+    }
+
+    /// The fd a sleeper waits on for this link's input; `None` when it
+    /// must not wait: input is already buffered, or the link has no
+    /// socket left (its next read fails at once) or is down.
+    pub(crate) fn wait_fd(&self) -> Option<RawFd> {
+        let conn = self.conn.as_ref()?;
+        if conn.has_buffered() {
+            return None;
+        }
+        conn.poll_fd()
+    }
+
+    /// The peer owes this link an answer: the `HelloAck` to its greeting,
+    /// or an ack for a windowed batch.
+    pub fn awaiting_reply(&self) -> bool {
+        !self.acked || self.window.depth() > 0
     }
 
     /// Adopt `conn`: send `Hello`, then replay every unacked batch in
@@ -547,23 +546,12 @@ impl Uplink {
         Ok(true)
     }
 
-    /// Receive one raw inbound frame, waiting at most `wait`.
-    pub fn recv(&mut self, wait: Duration) -> Result<Option<Vec<u8>>> {
-        self.polled = Instant::now();
-        let got = self
-            .conn
-            .as_mut()
-            .ok_or(BriskError::Disconnected)?
-            .recv(Some(wait));
-        got.map_err(|e| self.fail(e))
-    }
-
     /// Decode one inbound frame and apply its protocol-level effect. An
     /// undecodable frame (corrupted wire) is skipped rather than fatal —
     /// up to the budget. One frame past it, a message a sender must never
     /// receive, or a `Shutdown` refusing a *re*connect before its
     /// `HelloAck` drops the link and returns the error.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> Result<Control> {
+    fn handle_frame(&mut self, frame: &[u8]) -> Result<Control> {
         let msg = match Message::decode(frame) {
             Ok(msg) => msg,
             Err(_) if self.control_errors < CONTROL_ERROR_BUDGET => {
@@ -616,9 +604,8 @@ impl Uplink {
                     slave_time: self.clock.now(),
                 };
                 self.send_frame(&reply.encode())?;
-                self.sync_polled = Some(Instant::now());
                 self.telemetry.sync_replies.fetch_add(1, Relaxed);
-                Control::Handled
+                Control::Answered
             }
             Message::SyncAdjust { advance_us, .. } => Control::Adjusted(advance_us),
             // The ISM answers a `Hello` for a node id it still holds with
@@ -639,10 +626,12 @@ impl Uplink {
         })
     }
 
-    /// [`Uplink::recv`] then [`Uplink::handle_frame`]; `None` when nothing
-    /// arrived within the wait.
+    /// Receive one inbound frame, waiting at most `wait`, and apply its
+    /// protocol-level effect; `None` when nothing arrived. An undecodable
+    /// frame is skipped rather than fatal, up to [`CONTROL_ERROR_BUDGET`].
     pub fn poll_control(&mut self, wait: Duration) -> Result<Option<Control>> {
-        match self.recv(wait)? {
+        let conn = self.conn.as_mut().ok_or(BriskError::Disconnected)?;
+        match conn.recv(Some(wait)).map_err(|e| self.fail(e))? {
             Some(frame) => self.handle_frame(&frame).map(Some),
             None => Ok(None),
         }
@@ -748,46 +737,5 @@ mod tests {
         // Two relays orphaned by the same parent restart do not redial in
         // lockstep.
         assert_ne!(waits(relays[0]), waits(relays[1]));
-    }
-
-    #[test]
-    fn due_in_asks_for_a_poll_only_while_the_peer_owes_an_answer() {
-        let heartbeat = Duration::from_secs(5);
-        let mut up = Uplink::new(NodeId(7), Arc::new(SystemClock), 8, heartbeat);
-        let wait = Duration::from_secs(1);
-        let poll = Duration::from_millis(1);
-        let (mut ism, conn) = mem_pair();
-        up.attach(conn).unwrap();
-        assert!(up.due_in().unwrap() <= poll, "the greeting is owed");
-        let hello_ack = Message::HelloAck {
-            version: brisk_proto::VERSION,
-            credit: 64,
-        };
-        ism.send(&hello_ack.encode()).unwrap();
-        up.poll_control(wait).unwrap();
-        // Nothing owed: the next heartbeat is the only due time.
-        assert!(up.due_in().unwrap() > heartbeat / 2);
-        up.send(&[]).unwrap();
-        assert!(up.due_in().unwrap() <= poll, "an ack is owed");
-        let ack = Message::BatchAck { seq: 1, credit: 64 };
-        ism.send(&ack.encode()).unwrap();
-        up.poll_control(wait).unwrap();
-        assert!(up.due_in().unwrap() > heartbeat / 2);
-        // A master polls a round's samples back to back: after answering
-        // one, the link stays quick to read the next.
-        let poll_msg = Message::SyncPoll {
-            round: 1,
-            sample: 0,
-            master_send: brisk_core::UtcMicros::ZERO,
-        };
-        ism.send(&poll_msg.encode()).unwrap();
-        up.poll_control(wait).unwrap();
-        while !matches!(recv_msg(&mut ism), Message::SyncReply { .. }) {}
-        assert!(up.due_in().unwrap() <= poll, "a sync round is under way");
-        std::thread::sleep(SYNC_LINGER);
-        assert!(up.due_in().unwrap() > heartbeat / 2, "the round is over");
-        // A lost link is due at its redial, or never without one.
-        up.drop_link("test");
-        assert_eq!(up.due_in(), None);
     }
 }

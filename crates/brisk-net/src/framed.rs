@@ -13,31 +13,23 @@ use crate::traits::Connection;
 use crate::MAX_FRAME_BYTES;
 use brisk_core::{BriskError, Result};
 use std::io::{ErrorKind, Read, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The socket operations framing needs beyond `Read + Write`.
+/// The socket operations framing needs beyond `Read + Write`. Streams
+/// stay blocking: a timed receive waits in `poll(2)` on [`RawStream::raw_fd`]
+/// and reads only once the fd is readable.
 pub trait RawStream: Read + Write + Send {
-    /// Set (or clear) the read timeout.
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-    /// Toggle non-blocking mode.
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
     /// Human-readable peer identity.
     fn peer_label(&self) -> String;
-    /// The underlying OS file descriptor, if any (reactor polling).
+    /// The underlying OS file descriptor, if any (reactor polling). A
+    /// stream without one is read without waiting; `WouldBlock` from it
+    /// means no data.
     fn raw_fd(&self) -> Option<std::os::unix::io::RawFd> {
         None
     }
 }
 
 impl RawStream for std::net::TcpStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        std::net::TcpStream::set_nonblocking(self, nonblocking)
-    }
-
     fn peer_label(&self) -> String {
         self.peer_addr()
             .map(|a| a.to_string())
@@ -52,14 +44,6 @@ impl RawStream for std::net::TcpStream {
 
 #[cfg(unix)]
 impl RawStream for std::os::unix::net::UnixStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        std::os::unix::net::UnixStream::set_nonblocking(self, nonblocking)
-    }
-
     fn peer_label(&self) -> String {
         self.peer_addr()
             .ok()
@@ -76,13 +60,11 @@ impl RawStream for std::os::unix::net::UnixStream {
 /// One `accept` result from a non-blocking std listener, as
 /// [`Listener::try_accept`](crate::Listener::try_accept) reports it;
 /// shared by the TCP, Unix-domain and in-memory listeners. `Ok(None)`
-/// when no connection is pending. The stream returned is blocking.
+/// when no connection is pending. The stream returned is blocking: on
+/// Linux `accept4` does not pass the listener's `O_NONBLOCK` on.
 pub(crate) fn accepted<S: RawStream>(accepted: std::io::Result<S>) -> Result<Option<S>> {
     match accepted {
-        Ok(stream) => {
-            stream.set_nonblocking(false)?;
-            Ok(Some(stream))
-        }
+        Ok(stream) => Ok(Some(stream)),
         Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
         Err(e) => Err(e.into()),
     }
@@ -135,20 +117,18 @@ impl<S: RawStream> FramedConnection<S> {
         Ok(Some(frame))
     }
 
-    fn recv_inner(&mut self) -> Result<Option<Vec<u8>>> {
+    /// One `read` into `rbuf`; `false` when the stream had nothing after
+    /// all (only a stream without an fd says so).
+    fn read_once(&mut self) -> Result<bool> {
         let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(frame) = self.try_extract_frame()? {
-                return Ok(Some(frame));
+        match self.stream.read(&mut chunk) {
+            Ok(0) => Err(BriskError::Disconnected),
+            Ok(n) => {
+                self.rbuf.extend_from_slice(&chunk[..n]);
+                Ok(true)
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(BriskError::Disconnected),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(None);
-                }
-                Err(e) => return Err(e.into()),
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -170,23 +150,28 @@ impl<S: RawStream> Connection for FramedConnection<S> {
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>> {
-        // A zero timeout means "poll without blocking": the EXS uses it on
-        // its hot path, so it must cost one non-blocking read, not a 1 ms
-        // stall. std rejects Duration::ZERO in set_read_timeout, hence the
-        // nonblocking-mode branch.
-        let nonblocking = timeout == Some(Duration::ZERO);
-        if nonblocking {
-            self.stream.set_nonblocking(true)?;
-        } else {
-            self.stream.set_nonblocking(false)?;
-            let timeout = timeout.map(|t| t.max(Duration::from_millis(1)));
-            self.stream.set_read_timeout(timeout)?;
+        // A frame already buffered costs no syscall; otherwise each round
+        // is one poll(2) for the time left (0 for `Some(ZERO)`, so a busy
+        // caller learns "nothing" in one syscall) and one read once the
+        // fd is readable, which a blocking stream then does not block on.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        loop {
+            if let Some(frame) = self.try_extract_frame()? {
+                return Ok(Some(frame));
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let readable = match self.stream.raw_fd() {
+                Some(fd) => crate::poll::wait_readable(fd, left)?,
+                None => true,
+            };
+            if readable {
+                if !self.read_once()? {
+                    return Ok(None);
+                }
+            } else if left.is_some_and(|l| l.is_zero()) {
+                return Ok(None);
+            }
         }
-        let result = self.recv_inner();
-        if nonblocking {
-            self.stream.set_nonblocking(false)?;
-        }
-        result
     }
 
     fn peer(&self) -> String {
@@ -205,7 +190,8 @@ impl<S: RawStream> Connection for FramedConnection<S> {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
-    use crate::traits::{Listener, Transport};
+    use crate::traits::{Connection, Listener, Transport};
+    use std::io::Write;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -265,6 +251,95 @@ mod tests {
             let r = listener.accept(Some(Duration::from_secs(5))).unwrap();
             assert!(r.is_some(), "mid-wait connection must be accepted");
             drop(client.join().unwrap());
+        }
+    }
+
+    /// A dialed connection and its accepted peer on every transport.
+    fn connected(tag: &str) -> Vec<(Box<dyn Connection>, Box<dyn Connection>)> {
+        listeners(tag)
+            .into_iter()
+            .map(|(t, mut l)| {
+                let dialed = t.connect(&l.local_addr()).unwrap();
+                let accepted = l.accept(Some(Duration::from_secs(5))).unwrap().unwrap();
+                (dialed, accepted)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_timed_recv_keeps_its_deadline() {
+        // One poll(2) for the time left: a 1 ms wait on a silent link
+        // lasts about 1 ms, not a socket-timeout's timer tick.
+        for (_dialed, mut accepted) in connected("silent") {
+            let mut took: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let got = accepted.recv(Some(Duration::from_millis(1))).unwrap();
+                    assert!(got.is_none());
+                    t0.elapsed()
+                })
+                .collect();
+            took.sort();
+            assert!(
+                took[0] >= Duration::from_millis(1),
+                "returned early: {took:?}"
+            );
+            assert!(took[10] < Duration::from_millis(3), "overslept: {took:?}");
+        }
+    }
+
+    #[test]
+    fn a_frame_written_in_two_halves_arrives_whole() {
+        // The accepting side of each transport, dialed by a raw socket
+        // that writes one frame's bytes 2 ms apart.
+        let mem = crate::MemTransport::new();
+        let uds = std::env::temp_dir()
+            .join(format!("brisk-halves-{}.sock", std::process::id()))
+            .display()
+            .to_string();
+        let mut tcp_l = crate::TcpTransport.listen("127.0.0.1:0").unwrap();
+        let mut mem_l = mem.listen("halves").unwrap();
+        let mut uds_l = crate::UdsTransport.listen(&uds).unwrap();
+        let tcp_peer = std::net::TcpStream::connect(tcp_l.local_addr()).unwrap();
+        let mem_addr = mem.socket_addr("halves").unwrap();
+        let mem_peer = std::os::unix::net::UnixStream::connect_addr(&mem_addr).unwrap();
+        let uds_peer = std::os::unix::net::UnixStream::connect(&uds).unwrap();
+        let raw: Vec<(Box<dyn Write + Send>, _)> = vec![
+            (Box::new(tcp_peer), &mut tcp_l),
+            (Box::new(mem_peer), &mut mem_l),
+            (Box::new(uds_peer), &mut uds_l),
+        ];
+        for (mut peer, listener) in raw {
+            let accepted = listener.accept(Some(Duration::from_secs(5))).unwrap();
+            let mut conn = accepted.unwrap();
+            let writer = std::thread::spawn(move || {
+                let mut wire = 6u32.to_be_bytes().to_vec();
+                wire.extend_from_slice(b"halves");
+                peer.write_all(&wire[..5]).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+                peer.write_all(&wire[5..]).unwrap();
+                peer
+            });
+            let got = conn.recv(Some(Duration::from_millis(50))).unwrap();
+            assert_eq!(got.as_deref(), Some(&b"halves"[..]));
+            drop(writer.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn an_accepted_stream_blocks_on_a_full_socket_buffer() {
+        // The listener is non-blocking, its accepted streams are not: a
+        // send larger than the socket buffers waits for the reader
+        // instead of failing with WouldBlock.
+        let big = vec![7u8; 12 << 20];
+        for (mut dialed, mut accepted) in connected("full") {
+            let frame = big.clone();
+            let sender = std::thread::spawn(move || accepted.send(&frame).map(|()| accepted));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!sender.is_finished(), "the send must wait for the reader");
+            let got = dialed.recv(Some(Duration::from_secs(10))).unwrap();
+            assert!(got.is_some_and(|f| f == big));
+            assert!(sender.join().unwrap().is_ok());
         }
     }
 }

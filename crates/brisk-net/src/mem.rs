@@ -43,7 +43,7 @@ impl MemTransport {
     }
 
     /// The abstract socket address `addr` names in this namespace.
-    fn socket_addr(&self, addr: &str) -> Result<SocketAddr> {
+    pub(crate) fn socket_addr(&self, addr: &str) -> Result<SocketAddr> {
         Ok(SocketAddr::from_abstract_name(format!(
             "{}{addr}",
             self.prefix

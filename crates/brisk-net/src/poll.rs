@@ -14,7 +14,7 @@
 //! * [`Waker`] — the cross-thread handle that interrupts a sleeping
 //!   [`Poller`]; cheap to clone, safe to fire from any thread.
 //! * [`wait_readable`] — one fd's wait, behind every blocking
-//!   `Listener::accept`.
+//!   `Listener::accept` and every timed `Connection::recv`.
 //!
 //! Every transport's connections and listeners have a kernel fd to poll;
 //! [`Poller::wait`] takes a timeout only so a reactor can also keep its
@@ -175,9 +175,13 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// Sleep until `fd` is readable or `timeout` elapses (`None` blocks).
-pub fn wait_readable(fd: RawFd, timeout: Option<Duration>) -> std::io::Result<()> {
-    sys::poll_fds(&mut [poll_in(fd)], timeout_ms(timeout)).map(drop)
+/// Sleep until `fd` is readable or `timeout` elapses (`None` blocks);
+/// `true` when it became readable. A hangup or error counts: the next
+/// read reports it.
+pub fn wait_readable(fd: RawFd, timeout: Option<Duration>) -> std::io::Result<bool> {
+    let mut fds = [poll_in(fd)];
+    sys::poll_fds(&mut fds, timeout_ms(timeout))?;
+    Ok(fds[0].revents != 0)
 }
 
 /// Build a [`PollFd`] watching `fd` for readability.

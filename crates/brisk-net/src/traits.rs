@@ -17,9 +17,12 @@ pub trait Connection: Send {
     ///   a timeout was given);
     /// * `Err(BriskError::Disconnected)` — the peer closed the channel.
     ///
-    /// A `None` timeout blocks indefinitely. This is the "waiting select
-    /// system call" of the paper's latency analysis: the ISM's receive loop
-    /// runs on it.
+    /// A `None` timeout blocks indefinitely; `Some(ZERO)` only looks. A
+    /// framed connection returns a frame it already buffered at once, and
+    /// otherwise waits in one `poll(2)` on its fd for the time left — the
+    /// paper's "waiting select system call" — reading once the fd is
+    /// readable, so the deadline holds to the millisecond rather than to
+    /// the kernel's timer tick.
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>>;
 
     /// Human-readable peer identity, for diagnostics.

@@ -50,14 +50,6 @@ impl Write for MockStream {
 }
 
 impl RawStream for MockStream {
-    fn set_read_timeout(&self, _timeout: Option<Duration>) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn set_nonblocking(&self, _nonblocking: bool) -> std::io::Result<()> {
-        Ok(())
-    }
-
     fn peer_label(&self) -> String {
         "mock".into()
     }

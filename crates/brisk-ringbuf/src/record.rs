@@ -8,9 +8,10 @@
 //! gaps.
 //!
 //! A [`RingSet`] collects the consuming halves for one node; the external
-//! sensor drains them all in its polling loop.
+//! sensor drains them all, and with nothing to drain sleeps on the set's
+//! [`Doorbell`], which the first record after it armed the bell rings.
 
-use crate::spsc::{ByteRing, RingConsumer, RingProducer, RingStats};
+use crate::spsc::{ByteRing, Doorbell, RingConsumer, RingProducer, RingStats};
 use brisk_core::binenc;
 use brisk_core::descriptor::MAX_FIELDS;
 use brisk_core::{
@@ -257,6 +258,8 @@ pub struct RingSet {
     consumers: Mutex<Vec<RecordConsumer>>,
     next_sensor: Mutex<u32>,
     tracer: Mutex<Option<Arc<TraceSampler>>>,
+    /// Shared with every port: the drainer's wakeup.
+    bell: Arc<Doorbell>,
 }
 
 impl RingSet {
@@ -269,6 +272,7 @@ impl RingSet {
             consumers: Mutex::new(Vec::new()),
             next_sensor: Mutex::new(0),
             tracer: Mutex::new(None),
+            bell: Arc::default(),
         })
     }
 
@@ -304,8 +308,15 @@ impl RingSet {
         if let Some(sampler) = self.trace_sampler() {
             port.set_trace_sampler(sampler);
         }
+        port.producer.bell = Some(Arc::clone(&self.bell));
         self.consumers.lock().push(consumer);
         port
+    }
+
+    /// The drainer's doorbell, rung by the first record after it armed
+    /// the bell.
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.bell
     }
 
     /// Number of registered sensors.

@@ -13,10 +13,15 @@
 //! A full ring causes the frame to be **dropped**, never a block: BRISK
 //! sensors must not change "the order and timing of critical events in the
 //! target system" (§2). Drops are counted so consumers can report loss.
+//!
+//! A consumer with nothing to drain sleeps on a [`Doorbell`]; the first
+//! push after it armed the bell wakes it. For that handshake the
+//! producer's `tail` store is `SeqCst`, a superset of `Release`.
 
 use crossbeam::utils::CachePadded;
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Frame length prefix size.
@@ -84,6 +89,7 @@ impl ByteRing {
         (
             RingProducer {
                 ring: Arc::clone(&ring),
+                bell: None,
             },
             RingConsumer { ring },
         )
@@ -128,9 +134,55 @@ impl ByteRing {
     }
 }
 
+/// A sleeping consumer's wakeup, shared by the rings it drains. The
+/// consumer arms it, looks at its rings once more and sleeps only if all
+/// are still empty, so the first push while it is armed is the one that
+/// took a ring from empty to non-empty: that push fires the wake and
+/// disarms. No wakeup is lost, Dekker style: the consumer stores `armed`
+/// and fences `SeqCst` before it loads the `tail`s; the producer stores
+/// `tail`, then loads `armed`, both `SeqCst`. One of the two sees the
+/// other's store. A push while disarmed costs one load of a line only
+/// the consumer's sleeps write.
+#[derive(Default)]
+pub struct Doorbell {
+    /// A line of its own: every push loads it, only sleeps write it.
+    armed: CachePadded<AtomicBool>,
+    wake: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+}
+
+impl Doorbell {
+    /// Install what ringing does (the consumer's poller wake).
+    pub fn set_wake(&self, wake: impl Fn() + Send + Sync + 'static) {
+        *self.wake.lock() = Some(Box::new(wake));
+    }
+
+    /// Arm before the consumer's last look at its rings.
+    pub fn arm(&self) {
+        self.armed.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The consumer is awake; writes the line only if it is still armed.
+    pub fn disarm(&self) {
+        if self.armed.load(Ordering::Relaxed) {
+            self.armed.store(false, Ordering::Relaxed);
+        }
+    }
+
+    fn ring(&self) {
+        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+            if let Some(wake) = &*self.wake.lock() {
+                wake();
+            }
+        }
+    }
+}
+
 /// The producing half of a [`ByteRing`]. Exactly one exists per ring.
 pub struct RingProducer {
     ring: Arc<ByteRing>,
+    /// Rung by every push; it fires only while the consumer is armed.
+    pub(crate) bell: Option<Arc<Doorbell>>,
 }
 
 impl RingProducer {
@@ -158,8 +210,13 @@ impl RingProducer {
             ring.write_bytes(tail, &len_bytes);
             ring.write_bytes(tail + LEN_PREFIX, payload);
         }
-        ring.tail.store(tail + need, Ordering::Release);
-        ring.produced.fetch_add(1, Ordering::Relaxed);
+        ring.tail.store(tail + need, Ordering::SeqCst);
+        // The only writer: a plain store, not a second locked instruction.
+        let produced = ring.produced.load(Ordering::Relaxed) + 1;
+        ring.produced.store(produced, Ordering::Relaxed);
+        if let Some(bell) = &self.bell {
+            bell.ring();
+        }
         true
     }
 
@@ -476,5 +533,75 @@ mod tests {
             "consumer sees exactly the accepted frames in order"
         );
         assert_eq!(stats.produced + stats.dropped, N as u64);
+    }
+
+    #[test]
+    fn a_consumer_asleep_on_its_doorbell_is_woken_for_every_frame() {
+        // The consumer drains, arms, re-checks and sleeps; the producer
+        // pushes in bursts with short gaps. A lost wakeup leaves a frame
+        // in the ring while the consumer sleeps, and the timeout says so.
+        let bell = Arc::new(Doorbell::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        bell.set_wake(move || {
+            let _ = tx.lock().send(());
+        });
+        let (mut p, mut c) = ByteRing::with_capacity(1 << 12);
+        p.bell = Some(Arc::clone(&bell));
+        const N: u64 = 100_000;
+        let producer = thread::spawn(move || {
+            for i in 0..N {
+                while !p.push(&i.to_le_bytes()) {
+                    std::hint::spin_loop();
+                }
+                match i % 97 {
+                    0 => thread::sleep(std::time::Duration::from_micros(20)),
+                    1..=8 => thread::yield_now(),
+                    _ => {}
+                }
+            }
+        });
+        let mut out = Vec::new();
+        let mut expected = 0u64;
+        while expected < N {
+            if c.pop(&mut out) {
+                assert_eq!(u64::from_le_bytes(out[..].try_into().unwrap()), expected);
+                expected += 1;
+                continue;
+            }
+            bell.arm();
+            if c.is_empty() {
+                let woke = rx.recv_timeout(std::time::Duration::from_secs(5));
+                assert!(woke.is_ok(), "asleep with frame {expected} pushed");
+            }
+            bell.disarm();
+        }
+        producer.join().unwrap();
+    }
+
+    #[test]
+    fn only_the_first_push_after_arming_rings() {
+        let bell = Arc::new(Doorbell::default());
+        let rung = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&rung);
+        bell.set_wake(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        let (mut p, _c) = ByteRing::with_capacity(1 << 10);
+        p.bell = Some(Arc::clone(&bell));
+        p.push(b"disarmed");
+        assert_eq!(
+            rung.load(Ordering::Relaxed),
+            0,
+            "a push while disarmed is silent"
+        );
+        bell.arm();
+        p.push(b"first");
+        p.push(b"second");
+        assert_eq!(rung.load(Ordering::Relaxed), 1, "the first ringer disarms");
+        bell.arm();
+        bell.disarm();
+        p.push(b"after a wake");
+        assert_eq!(rung.load(Ordering::Relaxed), 1);
     }
 }

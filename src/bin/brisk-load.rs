@@ -329,13 +329,15 @@ fn main() {
         workers.push(std::thread::spawn(move || {
             let interval = Duration::from_secs_f64(1.0 / per_sensor_rate.max(0.001));
             let start = Instant::now();
+            let end = start + duration;
             let mut next = start;
             let mut emitted = 0u64;
             let mut dropped = 0u64;
             while start.elapsed() < duration {
                 let now = Instant::now();
                 if now < next {
-                    std::thread::sleep((next - now).min(Duration::from_millis(1)));
+                    // Sleep until the next emit or the run's end.
+                    std::thread::sleep(next.min(end).saturating_duration_since(now));
                     continue;
                 }
                 next += interval;

@@ -1,16 +1,19 @@
 //! Workspace test: an idle ISM sleeps. Every server thread waits on input
 //! or its nearest deadline, so with no traffic the manager, the reactor
 //! shards and the store writer barely wake, and a quiet client costs about
-//! one wakeup per frame it exchanges.
+//! one wakeup per frame it exchanges. A connected EXS with nothing to send
+//! sleeps too, until its heartbeat, a sync poll or its rings' doorbell.
 //!
 //! Threads are counted per process by name (`/proc/self/task/*/comm`), so
 //! this file is its own test binary and holds a single test.
 
 use brisk_clock::SystemClock;
-use brisk_core::{IsmConfig, NodeId, StoreConfig, SyncConfig, UtcMicros};
+use brisk_core::{EventTypeId, ExsConfig, IsmConfig, NodeId, StoreConfig, SyncConfig, UtcMicros};
 use brisk_ism::IsmServer;
+use brisk_lis::spawn_exs;
 use brisk_net::{MemTransport, Transport};
 use brisk_proto::Message;
+use brisk_ringbuf::RingSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,10 +28,16 @@ const IDLE_BUDGET: f64 = 20.0;
 
 /// Voluntary plus involuntary context switches of the server's threads.
 fn server_switches() -> u64 {
+    switches(&SERVER_THREADS)
+}
+
+/// Voluntary plus involuntary context switches of the threads whose name
+/// starts with one of `threads`.
+fn switches(threads: &[&str]) -> u64 {
     let mut total = 0;
     for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
         let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-        if !SERVER_THREADS.iter().any(|p| comm.starts_with(p)) {
+        if !threads.iter().any(|p| comm.starts_with(p)) {
             continue;
         }
         let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
@@ -132,6 +141,41 @@ fn an_idle_server_sleeps_until_input_or_a_deadline() {
     let frame_rate = (frames.load(Ordering::Relaxed) - before) as f64 / WINDOW.as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     client.join().unwrap();
+
+    // A connected EXS with nothing to send: it wakes for its heartbeat
+    // (500 ms), the sync polls it answers and a few more, and the first
+    // record rings it awake.
+    let rings = RingSet::new(NodeId(2), 1 << 16);
+    let mut port = rings.register();
+    let exs_cfg = ExsConfig {
+        heartbeat_interval: Duration::from_millis(500),
+        ..ExsConfig::default()
+    };
+    let flush = exs_cfg.flush_timeout;
+    let conn = t.connect("ism").unwrap();
+    let exs = spawn_exs(NodeId(2), rings, Arc::new(SystemClock), conn, exs_cfg).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let answered = exs.stats_now().link.sync_replies;
+    let before = switches(&["brisk-exs"]);
+    std::thread::sleep(WINDOW);
+    let exs_wakeups = (switches(&["brisk-exs"]) - before) as f64 / WINDOW.as_secs_f64();
+    let polls = (exs.stats_now().link.sync_replies - answered) as f64 / WINDOW.as_secs_f64();
+    assert!(
+        exs_wakeups <= 2.0 + polls + 5.0,
+        "an idle EXS woke {exs_wakeups:.1} times a second for {polls:.1} sync polls"
+    );
+    let delivered = handle.memory().written();
+    let emitted = Instant::now();
+    port.emit(EventTypeId(1), UtcMicros::now(), vec![]).unwrap();
+    while handle.memory().written() == delivered {
+        assert!(
+            emitted.elapsed() < flush + Duration::from_millis(50),
+            "a record into an idle EXS was not delivered within the flush timeout"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    exs.stop().unwrap();
+
     let report = handle.stop().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(report.sync_rounds >= 1, "the client must have been polled");
