@@ -16,12 +16,24 @@
 //!   record is processed");
 //! * "a causally-marked event of either type is kept in memory no longer
 //!   than a specified timeout, because its peer may have been dropped."
+//!
+//! The hold memory is indexed by deadline: a min-heap of reasons by the
+//! time they were last seen and one of held consequences by the time they
+//! were held. Remembering a reason or holding a consequence costs
+//! O(log n); [`CreMatcher::expire`] pops only what is due, so a tick costs
+//! O(expired) however much is held; and the held heap's head is always a
+//! live hold, so [`CreMatcher::next_expiry`] is the exact earliest hold
+//! deadline, read in O(1). Entries a reason overwrote or released stay in
+//! the heaps as stale until they reach the head; both heaps grow to the
+//! entries made within one hold timeout and are then reused.
 
 use brisk_core::{
     CorrelationId, CreConfig, EventRecord, HlcStamp, OrderMode, RecordMarks, Result, TraceStage,
     UtcMicros,
 };
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A repaired consequence is placed this many µs after its reason.
 const TACHYON_BUMP_US: i64 = 1;
@@ -118,7 +130,9 @@ struct ReasonEntry {
 
 struct HeldConseq {
     rec: EventRecord,
-    held_at: UtcMicros,
+    /// Unique and rising per matcher: a waiters list is sorted by it, and
+    /// it names this hold in the held index, which keeps its hold time.
+    ticket: u64,
 }
 
 /// The CRE hash-table matcher.
@@ -150,7 +164,19 @@ pub struct CreMatcher {
     cfg: CreConfig,
     order: OrderMode,
     reasons: HashMap<CorrelationId, ReasonEntry>,
+    /// `(seen_at, id)`, pushed whenever a reason's `seen_at` is set,
+    /// earliest first. An entry whose `seen_at` is no longer its reason's
+    /// (the reason was seen again, refreshed or expired) is stale and is
+    /// dropped when due.
+    reason_due: BinaryHeap<Reverse<(UtcMicros, CorrelationId)>>,
     waiting: HashMap<CorrelationId, Vec<HeldConseq>>,
+    /// `(held_at, ticket, id)` for every held consequence, earliest first.
+    /// An entry whose hold its reason released is stale; every public call
+    /// leaves a live head, which `next_expiry` reads.
+    held_due: BinaryHeap<Reverse<(UtcMicros, u64, CorrelationId)>>,
+    /// Consequences in `waiting`.
+    held: usize,
+    next_ticket: u64,
     stats: CreStats,
     /// Extra-sync token bucket: available tokens and last refill time.
     sync_tokens: u32,
@@ -166,7 +192,11 @@ impl CreMatcher {
             cfg,
             order: OrderMode::default(),
             reasons: HashMap::new(),
+            reason_due: BinaryHeap::new(),
             waiting: HashMap::new(),
+            held_due: BinaryHeap::new(),
+            held: 0,
+            next_ticket: 0,
             stats: CreStats::default(),
             sync_last_refill: None,
         })
@@ -187,7 +217,7 @@ impl CreMatcher {
 
     /// Consequences currently held.
     pub fn held_count(&self) -> usize {
-        self.waiting.values().map(Vec::len).sum()
+        self.held
     }
 
     /// Remembered reasons.
@@ -237,21 +267,11 @@ impl CreMatcher {
                     // id release when the hop itself does.
                     if let Some(rid) = reason_id {
                         self.stats.reasons += 1;
-                        self.reasons.insert(
-                            rid,
-                            ReasonEntry {
-                                ts: rec.ts,
-                                hlc: rec.hlc(),
-                                seen_at: now,
-                            },
-                        );
+                        self.remember(rid, rec.ts, rec.hlc(), now);
                     }
                     self.stats.held += 1;
                     rec.stamp_trace(TraceStage::CreHold, now);
-                    self.waiting
-                        .entry(id)
-                        .or_default()
-                        .push(HeldConseq { rec, held_at: now });
+                    self.hold(id, rec, now);
                     return out;
                 }
             }
@@ -261,19 +281,13 @@ impl CreMatcher {
             self.stats.reasons += 1;
             let reason_ts = rec.ts;
             let reason_hlc = rec.hlc();
-            self.reasons.insert(
-                id,
-                ReasonEntry {
-                    ts: reason_ts,
-                    hlc: reason_hlc,
-                    seen_at: now,
-                },
-            );
+            self.remember(id, reason_ts, reason_hlc, now);
             // Release any consequences that were waiting for this reason.
-            if let Some(held) = self.waiting.remove(&id) {
+            if let Some(held) = self.take_waiters(id) {
                 // The reason itself goes first so consumers see causality.
                 out.pass.push(rec);
                 self.release_cascade(reason_ts, reason_hlc, held, now, &mut out);
+                self.drop_stale_head();
                 return out;
             }
         } else if conseq_id.is_none() {
@@ -282,6 +296,79 @@ impl CreMatcher {
 
         out.pass.push(rec);
         out
+    }
+
+    /// Remember (or overwrite) the reason `id`, seen at `now`.
+    fn remember(
+        &mut self,
+        id: CorrelationId,
+        ts: UtcMicros,
+        hlc: Option<HlcStamp>,
+        now: UtcMicros,
+    ) {
+        let entry = ReasonEntry {
+            ts,
+            hlc,
+            seen_at: now,
+        };
+        self.reasons.insert(id, entry);
+        self.reason_due.push(Reverse((now, id)));
+    }
+
+    /// Hold `rec`, a consequence of `id` whose reason is not known yet.
+    fn hold(&mut self, id: CorrelationId, rec: EventRecord, now: UtcMicros) {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        // Nearly every id holds one consequence: size its list for that
+        // (a first push into an empty `Vec` reserves room for four).
+        self.waiting
+            .entry(id)
+            .or_insert_with(|| Vec::with_capacity(1))
+            .push(HeldConseq { rec, ticket });
+        self.held_due.push(Reverse((now, ticket, id)));
+        self.held += 1;
+    }
+
+    /// Take every consequence held for `id`. Their index entries go stale;
+    /// the caller calls [`Self::drop_stale_head`] once it is done.
+    fn take_waiters(&mut self, id: CorrelationId) -> Option<Vec<HeldConseq>> {
+        let held = self.waiting.remove(&id)?;
+        self.held -= held.len();
+        Some(held)
+    }
+
+    /// Is hold `ticket` of `id` still waiting?
+    fn is_held(&self, ticket: u64, id: CorrelationId) -> bool {
+        self.waiting
+            .get(&id)
+            .is_some_and(|w| w.binary_search_by_key(&ticket, |h| h.ticket).is_ok())
+    }
+
+    /// Pop stale entries off the held index until its head is a live hold.
+    fn drop_stale_head(&mut self) {
+        while let Some(&Reverse((_, ticket, id))) = self.held_due.peek() {
+            if self.is_held(ticket, id) {
+                break;
+            }
+            self.held_due.pop();
+        }
+    }
+
+    /// Remove hold `ticket` of `id`, if it is still waiting.
+    fn unhold(&mut self, ticket: u64, id: CorrelationId) -> Option<EventRecord> {
+        let Entry::Occupied(mut waiters) = self.waiting.entry(id) else {
+            return None;
+        };
+        let at = waiters
+            .get()
+            .binary_search_by_key(&ticket, |h| h.ticket)
+            .ok()?;
+        let h = waiters.get_mut().remove(at);
+        if waiters.get().is_empty() {
+            waiters.remove();
+        }
+        self.held -= 1;
+        Some(h.rec)
     }
 
     /// The causality test: did this consequence provably NOT happen after
@@ -385,8 +472,9 @@ impl CreMatcher {
                         entry.ts = h.rec.ts;
                         entry.hlc = h.rec.hlc();
                         entry.seen_at = now;
+                        self.reason_due.push(Reverse((now, rid)));
                     }
-                    if let Some(waiters) = self.waiting.remove(&rid) {
+                    if let Some(waiters) = self.take_waiters(rid) {
                         work.push_back((h.rec.ts, h.rec.hlc(), waiters));
                     }
                 }
@@ -396,10 +484,10 @@ impl CreMatcher {
     }
 
     /// When the oldest held consequence's hold timeout expires.
-    pub(crate) fn next_expiry(&self) -> Option<UtcMicros> {
+    pub fn next_expiry(&self) -> Option<UtcMicros> {
         let timeout_us = self.cfg.hold_timeout.as_micros() as i64;
-        let oldest = self.waiting.values().flatten().map(|h| h.held_at).min();
-        oldest.map(|t| t.offset(timeout_us))
+        let Reverse((oldest, ..)) = self.held_due.peek()?;
+        Some(oldest.offset(timeout_us))
     }
 
     /// Expire held consequences and stale reasons per the hold timeout.
@@ -408,24 +496,24 @@ impl CreMatcher {
     pub fn expire(&mut self, now: UtcMicros) -> Vec<EventRecord> {
         let timeout_us = self.cfg.hold_timeout.as_micros() as i64;
         let mut released = Vec::new();
-        self.waiting.retain(|_, held| {
-            held.retain_mut(|h| {
-                if now.micros_since(h.held_at) >= timeout_us {
-                    released.push(std::mem::replace(
-                        &mut h.rec,
-                        EventRecord::new(0.into(), 0.into(), 0.into(), 0, UtcMicros::ZERO, vec![])
-                            .expect("empty record"),
-                    ));
-                    false
-                } else {
-                    true
-                }
-            });
-            !held.is_empty()
-        });
+        while let Some(&Reverse((held_at, ticket, id))) = self.held_due.peek() {
+            if now.micros_since(held_at) < timeout_us {
+                break;
+            }
+            self.held_due.pop();
+            released.extend(self.unhold(ticket, id));
+        }
+        self.drop_stale_head();
         self.stats.expired += released.len() as u64;
-        self.reasons
-            .retain(|_, entry| now.micros_since(entry.seen_at) < timeout_us);
+        while let Some(&Reverse((seen_at, id))) = self.reason_due.peek() {
+            if now.micros_since(seen_at) < timeout_us {
+                break;
+            }
+            self.reason_due.pop();
+            if self.reasons.get(&id).is_some_and(|e| e.seen_at == seen_at) {
+                self.reasons.remove(&id);
+            }
+        }
         // Held consequences are released in arrival order best-effort; sort
         // by origin sequence for determinism.
         released.sort_by_key(|r| r.sort_key());
@@ -785,6 +873,33 @@ mod tests {
         assert_eq!(ts, vec![100, 101, 102], "reason → hop → conseq, causal");
         assert_eq!(m.held_count(), 0);
         assert_eq!(m.stats().expired, 0, "no timeout-expiry releases");
+    }
+
+    #[test]
+    fn a_tick_costs_what_is_due_not_what_is_held() {
+        // 200 000 live reasons and 20 000 held consequences, none due: a
+        // tick that scanned them would visit 2·10⁹ entries in this loop.
+        let mut m = CreMatcher::new(CreConfig::default()).unwrap();
+        let t0 = UtcMicros::from_micros(1_000_000);
+        for id in 0..200_000 {
+            m.process(reason(id, 100), t0);
+        }
+        for id in 200_000..220_000 {
+            m.process(conseq(id, 100), t0);
+        }
+        let deadline = t0 + CreConfig::default().hold_timeout;
+        let now = deadline.offset(-1);
+        let start = std::time::Instant::now();
+        for _ in 0..10_000 {
+            assert!(m.expire(now).is_empty());
+            assert_eq!(m.next_expiry(), Some(deadline));
+        }
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "10 000 ticks took {took:?}"
+        );
+        assert_eq!((m.reason_count(), m.held_count()), (200_000, 20_000));
     }
 
     #[test]

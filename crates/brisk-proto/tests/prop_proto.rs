@@ -16,13 +16,33 @@ fn decode_both_ways(bytes: &[u8]) {
     let view = BatchView::parse(bytes).and_then(|v| v.materialize());
     if peek_tag(bytes).is_some_and(is_batch_tag) {
         match (owned, view) {
-            (Ok(Message::EventBatch { records, .. }), Ok(viewed)) => assert_eq!(records, viewed),
+            (Ok(Message::EventBatch { records, .. }), Ok(viewed)) => assert!(
+                records_bitwise_eq(&records, &viewed),
+                "parsers disagree: owned {records:?}, view {viewed:?}"
+            ),
             (Err(_), Err(_)) => {}
             (owned, view) => panic!("parsers disagree: owned {owned:?}, view {view:?}"),
         }
     } else {
         assert!(view.is_err(), "BatchView accepted a non-batch frame");
     }
+}
+
+/// Record equality with floats compared by their bits: a flipped byte can
+/// decode to a NaN, which both parsers read alike but `==` never equates.
+fn records_bitwise_eq(a: &[EventRecord], b: &[EventRecord]) -> bool {
+    let value_eq = |p: &Value, q: &Value| match (p, q) {
+        (Value::F32(x), Value::F32(y)) => x.to_bits() == y.to_bits(),
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => p == q,
+    };
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            (x.node, x.sensor, x.event_type, x.seq, x.ts)
+                == (y.node, y.sensor, y.event_type, y.seq, y.ts)
+                && x.fields.len() == y.fields.len()
+                && x.fields.iter().zip(&y.fields).all(|(p, q)| value_eq(p, q))
+        })
 }
 
 /// A pool of valid frames covering every message variant, so the mutation
