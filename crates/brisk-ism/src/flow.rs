@@ -2,9 +2,10 @@
 //! manager, and the per-connection credit budget derived from it.
 
 use brisk_core::FlowConfig;
+use brisk_net::Waker;
 use brisk_telemetry::Registry;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 brisk_telemetry::metrics! {
     /// The manager-queue accounting every pump and the manager share.
@@ -24,10 +25,14 @@ brisk_telemetry::metrics! {
 /// configured bound, pumps stop reading their sockets — commands from the
 /// manager still run, so sync rounds and shutdown cannot deadlock — and
 /// TCP backpressure pushes the overload back to the sender, whose credit
-/// runs out next.
+/// runs out next. The [`FlowState::sub`] that brings the queue back to
+/// its bound wakes every reactor shard, so a deferring shard sleeps until
+/// then instead of re-checking on a timer.
 pub struct FlowState {
     cfg: FlowConfig,
     cells: Arc<FlowCells>,
+    /// The reactor shards' wakers, registered once when the pool spawns.
+    wakers: OnceLock<Vec<Waker>>,
 }
 
 impl FlowState {
@@ -36,7 +41,13 @@ impl FlowState {
         Arc::new(FlowState {
             cfg,
             cells: Arc::default(),
+            wakers: OnceLock::new(),
         })
+    }
+
+    /// Wake `wakers` whenever the queue drains back to its bound.
+    pub(crate) fn register_wakers(&self, wakers: Vec<Waker>) {
+        let _ = self.wakers.set(wakers);
     }
 
     /// Publish the queue gauges and the deferral counter.
@@ -55,9 +66,17 @@ impl FlowState {
         self.cells.high_water.fetch_max(now, Relaxed);
     }
 
-    /// Account `n` records leaving the manager queue.
+    /// Account `n` records leaving the manager queue. The one `sub` per
+    /// over-bound episode that takes the queue from above its bound to at
+    /// or below it wakes the shards, which deferred their reads.
     pub fn sub(&self, n: u64) {
-        self.cells.queued.fetch_sub(n as i64, Relaxed);
+        let bound = self.cfg.max_queued_records as i64;
+        let before = self.cells.queued.fetch_sub(n as i64, Relaxed);
+        if before > bound && before - n as i64 <= bound {
+            for waker in self.wakers.get().into_iter().flatten() {
+                waker.wake();
+            }
+        }
     }
 
     /// Records currently queued between the pumps and the manager.

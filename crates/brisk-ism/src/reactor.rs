@@ -14,6 +14,10 @@
 //! * Shard 0 also polls the server's listener: a readable listener is
 //!   accepted until it would block, and each connection is metered and
 //!   handed to a shard round-robin, so no thread sleeps in `accept`.
+//! * In a relay, shard 0 also watches the upstream link the manager owns
+//!   ([`UplinkWatch`]): once its fd polls readable, shard 0 clears the
+//!   watch and queues [`PumpEvent::Uplink`]; the manager reads the link
+//!   and re-arms it. Flow control never defers this watch.
 //! * Connections are read only when `poll` reports their socket
 //!   readable, or when whole frames already wait in their userspace read
 //!   buffer. Every transport (tcp, uds and the in-process abstract
@@ -21,8 +25,7 @@
 //!   read once more at once so its `Disconnected` is seen.
 //! * A shard with nothing due sleeps until a socket or its [`Waker`]
 //!   fires: its only timeouts are its connections' deadlines (greeting,
-//!   closing drain, sync sample, liveness) and, while flow control
-//!   defers reads, `DEFER_TICK`.
+//!   closing drain, sync sample, liveness).
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
 //!   queued per connection; [`PumpHandle::command`] fires the shard's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
@@ -31,7 +34,8 @@
 //! * EXS→ISM flow control keeps its semantics: while the shared manager
 //!   queue is over its bound, running connections are excluded from the
 //!   poll set (deferred), while greetings, teardown drains and manager
-//!   commands still make progress.
+//!   commands still make progress. The manager draining the queue back to
+//!   its bound wakes every shard ([`FlowState::sub`]).
 //! * Liveness is judged where frames arrive: a running connection that
 //!   sends no frame for `node_timeout`, counting only passes willing to
 //!   read it (never flow-control deferral), gets `Shutdown` and is dropped.
@@ -49,7 +53,8 @@ use brisk_proto::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::io::RawFd;
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,9 +64,6 @@ const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
 const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
-/// Shard tick while flow control is deferring socket reads (the manager
-/// draining its queue does not fire a waker, so the shard re-checks).
-const DEFER_TICK: Duration = Duration::from_millis(5);
 /// Frames read from one connection per pass before yielding to the rest
 /// of the shard — bounds how long one firehose sensor can monopolize it.
 const MAX_FRAMES_PER_PASS: usize = 32;
@@ -126,11 +128,68 @@ pub(crate) struct ReactorConfig {
     pub conn_metrics: Arc<ConnMetrics>,
 }
 
+impl ReactorConfig {
+    /// Queue `event` for the manager; `false` when the manager is gone.
+    /// The depth is raised first so the manager's matching decrement can
+    /// never be observed ahead of it.
+    pub(crate) fn send_event(&self, event: PumpEvent) -> bool {
+        self.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let sent = self.events.send(event).is_ok();
+        if !sent {
+            self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent
+    }
+}
+
+/// Shard 0's one-shot watch on a relay's upstream link. The manager owns
+/// the link but sleeps on its event queue, so it lends shard 0 the link's
+/// fd ([`UplinkWatch::arm`]). Once the fd polls ready (input, an error or
+/// a hang-up), shard 0 clears the watch and queues [`PumpEvent::Uplink`];
+/// the manager ticks, which reads the link, and arms the watch again.
+/// One-shot, so shard 0 never spins on input the manager has yet to read.
+pub(crate) struct UplinkWatch {
+    /// The watched fd, or [`UplinkWatch::NONE`].
+    fd: AtomicI32,
+    /// Shard 0's waker.
+    waker: Waker,
+}
+
+impl UplinkWatch {
+    const NONE: RawFd = -1;
+
+    /// Watch `fd` (`None`: nothing) and ring shard 0 if that changed the
+    /// watch, so its poll set follows: a `poll` already asleep on an old
+    /// fd would not see a new socket that reused its number.
+    pub(crate) fn arm(&self, fd: Option<RawFd>) {
+        let fd = fd.unwrap_or(Self::NONE);
+        if self.fd.swap(fd, Ordering::AcqRel) != fd {
+            self.waker.wake();
+        }
+    }
+
+    /// The fd to poll, if one is watched.
+    fn armed(&self) -> Option<RawFd> {
+        Some(self.fd.load(Ordering::Acquire)).filter(|&fd| fd != Self::NONE)
+    }
+
+    /// Clear the watch if it still holds `fd`; `true` when it did, and
+    /// the manager must be told.
+    fn fire(&self, fd: RawFd) -> bool {
+        let cleared = self
+            .fd
+            .compare_exchange(fd, Self::NONE, Ordering::AcqRel, Ordering::Acquire);
+        cleared.is_ok()
+    }
+}
+
 /// A bounded pool of reactor shards: shard 0 accepts every connection
 /// and hands each to a shard round-robin, instead of a thread per
 /// connection.
 pub(crate) struct ReactorPool {
     wakers: Vec<Waker>,
+    /// Shard 0's watch on a relay's upstream link.
+    uplink: Arc<UplinkWatch>,
     joins: Vec<std::thread::JoinHandle<()>>,
     /// Asks shard 0 to close the listener.
     closing: Arc<AtomicBool>,
@@ -184,7 +243,9 @@ impl Acceptor {
 
 impl ReactorPool {
     /// Spawn `threads` shard threads (at least one); shard 0 accepts from
-    /// `listener`.
+    /// `listener` and watches the upstream link armed through
+    /// [`ReactorPool::uplink_watch`]. A drained manager queue wakes every
+    /// shard.
     pub(crate) fn spawn(
         threads: usize,
         cfg: ReactorConfig,
@@ -200,7 +261,12 @@ impl ReactorPool {
             .iter()
             .map(|(p, tx, _)| (tx.clone(), p.waker()))
             .collect();
-        let wakers = inboxes.iter().map(|(_, w)| w.clone()).collect();
+        let wakers: Vec<Waker> = inboxes.iter().map(|(_, w)| w.clone()).collect();
+        cfg.flow.register_wakers(wakers.clone());
+        let uplink = Arc::new(UplinkWatch {
+            fd: AtomicI32::new(UplinkWatch::NONE),
+            waker: wakers[0].clone(),
+        });
         let mut acceptor = Some(Acceptor {
             listener: Some(listener),
             inboxes,
@@ -210,19 +276,26 @@ impl ReactorPool {
         let mut joins = Vec::with_capacity(shards.len());
         for (i, (poller, _, conn_rx)) in shards.into_iter().enumerate() {
             let (ctx, stop, acceptor) = (cfg.clone(), Arc::clone(&stop), acceptor.take());
+            let watch = (i == 0).then(|| Arc::clone(&uplink));
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("brisk-reactor-{i}"))
-                    .spawn(move || run_shard(ctx, conn_rx, poller, acceptor, stop))
+                    .spawn(move || run_shard(ctx, conn_rx, poller, acceptor, watch, stop))
                     .map_err(BriskError::Io)?,
             );
         }
         Ok(ReactorPool {
             wakers,
+            uplink,
             joins,
             closing,
             stop,
         })
+    }
+
+    /// Shard 0's watch on a relay's upstream link, for the manager to arm.
+    pub(crate) fn uplink_watch(&self) -> Arc<UplinkWatch> {
+        Arc::clone(&self.uplink)
     }
 
     /// Close the listener: new connects are refused, live connections
@@ -292,14 +365,11 @@ impl SyncState {
     /// Hand the round's samples (possibly fewer than requested) to the
     /// manager.
     fn report(self, io: &PumpIo, ctx: &ReactorConfig) {
-        io.send_event(
-            ctx,
-            PumpEvent::SyncSamples {
-                node: io.node,
-                round: self.round,
-                samples: self.collected,
-            },
-        );
+        ctx.send_event(PumpEvent::SyncSamples {
+            node: io.node,
+            round: self.round,
+            samples: self.collected,
+        });
     }
 }
 
@@ -538,7 +608,7 @@ impl Driver {
             id,
             errors: 0,
         };
-        if !io.send_event(ctx, PumpEvent::Connected(handle)) {
+        if !ctx.send_event(PumpEvent::Connected(handle)) {
             ctx.active.release(node, id);
             return false; // server is shutting down
         }
@@ -605,25 +675,23 @@ impl Driver {
             State::Closing { io, .. } => io,
             State::Greeting { .. } => return,
         };
-        io.send_event(
-            ctx,
-            PumpEvent::Disconnected {
-                node: io.node,
-                id: io.id,
-            },
-        );
+        ctx.send_event(PumpEvent::Disconnected {
+            node: io.node,
+            id: io.id,
+        });
         ctx.active.release(io.node, io.id);
     }
 }
 
 /// One shard thread: adopt connections, service commands, poll sockets
-/// (and, on shard 0, the listener), route frames, judge liveness, sweep
-/// the dead.
+/// (and, on shard 0, the listener and the upstream link), route frames,
+/// judge liveness, sweep the dead.
 fn run_shard(
     ctx: ReactorConfig,
     conn_rx: Receiver<Box<dyn Connection>>,
     poller: Poller,
     mut acceptor: Option<Acceptor>,
+    uplink: Option<Arc<UplinkWatch>>,
     stop: Arc<AtomicBool>,
 ) {
     let waker = poller.waker();
@@ -664,6 +732,12 @@ fn run_shard(
             .and_then(Acceptor::open)
             .map(|l| l.poll_fd());
         fds.extend(listen_fd.map(poll_in));
+        // Flow control never defers the upstream link: a parent's ack is
+        // what frees a relay parked behind spent credit.
+        let watched = uplink.as_ref().and_then(|w| w.armed()).map(|fd| {
+            fds.push(poll_in(fd));
+            (fd, fds.len() - 1)
+        });
         // Set when the next pass must not sleep: a connection already died
         // (its sweep is owed) or has frames to read without a poll.
         let mut pass_now = false;
@@ -695,16 +769,12 @@ fn run_shard(
             }
         }
         // Sleep until a socket is readable, a waker fires (new
-        // connection, queued command, shutdown) or the nearest deadline;
-        // with none, until input. A deferred connection cannot fall
-        // silent, so it sets no liveness deadline.
-        let mut timeout = if pass_now {
-            // Don't sleep at all, just collect any concurrently-readable
-            // sockets.
-            Some(Duration::ZERO)
-        } else {
-            Some(DEFER_TICK).filter(|_| over)
-        };
+        // connection, queued command, a drained manager queue, a re-armed
+        // uplink, shutdown) or the nearest deadline; with none, until
+        // input. A deferred connection cannot fall silent, so it sets no
+        // liveness deadline. With `pass_now`, don't sleep at all, just
+        // collect any concurrently-readable sockets.
+        let mut timeout = pass_now.then_some(Duration::ZERO);
         let now = Instant::now();
         let liveness = ctx.node_timeout.filter(|_| !over);
         for d in drivers.iter().filter(|d| !d.dead) {
@@ -724,6 +794,11 @@ fn run_shard(
         if let (Some(acceptor), Some(listen)) = (&mut acceptor, listen_fd.and(fds.first())) {
             if listen.revents != 0 {
                 acceptor.accept_pending(&ctx);
+            }
+        }
+        if let (Some(watch), Some((fd, slot))) = (&uplink, watched) {
+            if fds[slot].revents != 0 && watch.fire(fd) {
+                ctx.send_event(PumpEvent::Uplink);
             }
         }
         let now = Instant::now();

@@ -16,6 +16,14 @@
 //! `Shutdown` retires the link and the relay dials again. The link's
 //! counters are the `Uplink`'s own, registered under `role="relay"`.
 //!
+//! The server's manager thread owns the exporter and sleeps on its event
+//! queue, so it lends the link's fd ([`UpstreamExporter::wait_fd`]) to
+//! reactor shard 0, which polls it beside its connections. Link input
+//! (an ack, a `SyncPoll`) wakes the manager at once, and its tick
+//! [`MergeOutput::pump`]s the exporter; nothing reads the link on a
+//! timer. The exporter's own due times are its partial batch's flush and
+//! the link's heartbeat or redial.
+//!
 //! Namespacing: every record is rewritten through the relay's
 //! [`NodePrefix`] before it leaves (node id plus CRE reason/conseq
 //! correlation ids, see [`brisk_proto::namespace`]), and the relay
@@ -30,7 +38,8 @@
 //! with the upstream link down or its credit spent, the exporter reports
 //! not-ready, the merge plane parks records in the sorter's bounded
 //! window, the session plane's queue bound fills, downstream reads
-//! defer, and downstream credit dries up.
+//! defer, and downstream credit dries up. The parent's ack is link input:
+//! it wakes the manager, which releases the parked records.
 
 use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
@@ -39,6 +48,7 @@ use brisk_lis::uplink::{Control, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_lis::{Batcher, SupervisorConfig};
 use brisk_proto::NodePrefix;
 use brisk_telemetry::Registry;
+use std::os::unix::io::RawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,13 +59,6 @@ pub use brisk_lis::uplink::ConnectFn;
 /// full window evicts the oldest unacked batch (counted) rather than
 /// blocking the relay.
 const WINDOW_BATCHES: usize = 1024;
-
-/// The control poll period while the parent owes the link an answer.
-const CONTROL_POLL: Duration = Duration::from_millis(1);
-
-/// How long the link keeps polling after answering a `SyncPoll`: the
-/// master sends a round's next poll as soon as a reply lands.
-const SYNC_LINGER: Duration = Duration::from_millis(100);
 
 /// Knobs of one relay's upstream link.
 #[derive(Clone, Debug)]
@@ -74,8 +77,6 @@ pub struct RelayConfig {
     /// shard from evicting, after `--node-timeout` of silence, a subtree
     /// that is merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
-    /// Redial backoff after a link failure — the EXS's policy.
-    pub reconnect: SupervisorConfig,
 }
 
 impl RelayConfig {
@@ -86,10 +87,6 @@ impl RelayConfig {
             max_batch_records: 256,
             flush_timeout: Duration::from_millis(5),
             heartbeat_interval: Duration::from_millis(500),
-            reconnect: SupervisorConfig {
-                initial_backoff: Duration::from_millis(20),
-                max_backoff: Duration::from_secs(2),
-            },
         }
     }
 }
@@ -138,12 +135,15 @@ pub struct UpstreamExporter {
     /// should steer this tier.
     sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
     shared: Arc<RelayTelemetry>,
-    /// When the link was last read, and last answered a `SyncPoll`.
-    polled: Instant,
-    sync_polled: Option<Instant>,
 }
 
 impl UpstreamExporter {
+    /// Redial backoff after a link failure — the EXS's policy.
+    const RECONNECT: SupervisorConfig = SupervisorConfig {
+        initial_backoff: Duration::from_millis(20),
+        max_backoff: Duration::from_secs(2),
+    };
+
     /// New exporter. Nothing is connected yet; the first
     /// [`MergeOutput::pump`] dials upstream. `clock` is the relay's own
     /// clock (the one its server stamps with): the parent's `SyncPoll`s
@@ -160,7 +160,7 @@ impl UpstreamExporter {
             WINDOW_BATCHES,
             cfg.heartbeat_interval,
         )
-        .with_redial(connect, cfg.reconnect.clone());
+        .with_redial(connect, Self::RECONNECT);
         let shared = Arc::new(RelayTelemetry {
             link: Arc::clone(uplink.telemetry()),
             ..RelayTelemetry::default()
@@ -171,8 +171,6 @@ impl UpstreamExporter {
             sync_clock: None,
             shared,
             cfg,
-            polled: Instant::now(),
-            sync_polled: None,
         }
     }
 
@@ -201,6 +199,13 @@ impl UpstreamExporter {
         self.shared.bind(self.cfg.prefix, registry);
     }
 
+    /// The fd to watch for the parent's traffic ([`Uplink::wait_fd`]);
+    /// `None` while the link is down, or when it must not be waited on
+    /// (then [`MergeOutput::due_in`] reports it due now).
+    pub fn wait_fd(&self) -> Option<RawFd> {
+        self.uplink.wait_fd()
+    }
+
     /// Window a fresh batch and ship it. On a dead link the batch simply
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
@@ -217,11 +222,9 @@ impl UpstreamExporter {
     /// and apply this relay's policy to it. `false` when nothing arrived
     /// or the link is (now) down — an error means the uplink dropped it.
     fn poll_control(&mut self, wait: Duration) -> bool {
-        self.polled = Instant::now();
         match self.uplink.poll_control(wait) {
             Ok(None) | Err(_) => return false,
             Ok(Some(Control::Skipped | Control::Handled)) => {}
-            Ok(Some(Control::Answered)) => self.sync_polled = Some(Instant::now()),
             Ok(Some(Control::Adjusted(advance_us))) => {
                 if let Some(c) = &self.sync_clock {
                     c.adjust(advance_us);
@@ -285,16 +288,17 @@ impl MergeOutput for UpstreamExporter {
         Ok(())
     }
 
-    /// The partial batch's flush timeout, a control poll 1 ms after the
-    /// last while the parent owes an answer or a sync round is under way,
-    /// or the link's own due time ([`Uplink::due_in`]).
+    /// The partial batch's flush timeout or the link's own due time
+    /// ([`Uplink::due_in`]: its heartbeat, or its redial while down).
+    /// Link input is no due time: it wakes the manager through
+    /// [`UpstreamExporter::wait_fd`], and a live link with no fd to wait
+    /// on is due now.
     fn due_in(&self, now: UtcMicros) -> Option<Duration> {
         let flush = self.batcher.time_to_deadline(now);
         let flush = flush.map(|us| Duration::from_micros(us.max(0) as u64));
-        let syncing = self.sync_polled.is_some_and(|t| t.elapsed() < SYNC_LINGER);
-        let poll = (self.uplink.connected() && (self.uplink.awaiting_reply() || syncing))
-            .then(|| (self.polled + CONTROL_POLL).saturating_duration_since(Instant::now()));
-        [flush, poll, self.uplink.due_in()]
+        let unwatched = self.uplink.connected() && self.uplink.wait_fd().is_none();
+        let now_due = unwatched.then_some(Duration::ZERO);
+        [flush, now_due, self.uplink.due_in()]
             .into_iter()
             .flatten()
             .min()
@@ -368,7 +372,6 @@ mod tests {
         let mut listener = t.listen("up").unwrap();
         let mut cfg = RelayConfig::new(NodePrefix::new(7).unwrap());
         cfg.max_batch_records = 2;
-        cfg.reconnect.initial_backoff = Duration::from_millis(1);
         let mut ex = exporter(&t, "up", cfg);
         let now = UtcMicros::from_micros(1_000);
 
@@ -413,7 +416,7 @@ mod tests {
         drop(server);
         ex.pump(now).unwrap();
         assert!(!ex.uplink.connected(), "dead link detected");
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(UpstreamExporter::RECONNECT.initial_backoff);
         ex.pump(now).unwrap();
         let mut server = accept(&mut listener);
         match recv_msg(&mut server) {
@@ -710,52 +713,29 @@ mod tests {
     }
 
     #[test]
-    fn due_in_asks_for_a_poll_only_while_the_peer_owes_an_answer() {
+    fn due_in_is_the_heartbeat_while_up_and_the_redial_while_down() {
         let t = MemTransport::new();
-        let mut listener = t.listen("owed").unwrap();
+        let mut listener = t.listen("due").unwrap();
         let heartbeat = Duration::from_secs(5);
         let mut cfg = RelayConfig::new(NodePrefix::new(7).unwrap());
         cfg.heartbeat_interval = heartbeat;
-        let mut ex = exporter(&t, "owed", cfg);
-        let (now, wait) = (UtcMicros::ZERO, Duration::from_secs(1));
+        let mut ex = exporter(&t, "due", cfg);
+        let now = UtcMicros::ZERO;
         ex.pump(now).unwrap();
-        let mut server = accept(&mut listener);
+        let _server = accept(&mut listener);
+        // An answer the parent owes is link input, watched through the
+        // fd, not a due time: the heartbeat stays the only one.
+        assert!(ex.wait_fd().is_some());
         assert!(
-            ex.due_in(now).unwrap() <= CONTROL_POLL,
+            ex.due_in(now).unwrap() > heartbeat / 2,
             "the greeting is owed"
         );
-        let hello_ack = Message::HelloAck {
-            version: VERSION,
-            credit: 64,
-        };
-        server.send(&hello_ack.encode()).unwrap();
-        ex.poll_control(wait);
-        // Nothing owed: the next heartbeat is the only due time.
-        assert!(ex.due_in(now).unwrap() > heartbeat / 2);
         ex.uplink.send(&[]).unwrap();
-        assert!(ex.due_in(now).unwrap() <= CONTROL_POLL, "an ack is owed");
-        let ack = Message::BatchAck { seq: 1, credit: 64 };
-        server.send(&ack.encode()).unwrap();
-        ex.poll_control(wait);
-        assert!(ex.due_in(now).unwrap() > heartbeat / 2);
-        // A master polls a round's samples back to back: after answering
-        // one, the link stays quick to read the next.
-        let poll_msg = Message::SyncPoll {
-            round: 1,
-            sample: 0,
-            master_send: UtcMicros::ZERO,
-        };
-        server.send(&poll_msg.encode()).unwrap();
-        ex.poll_control(wait);
-        while !matches!(recv_msg(&mut server), Message::SyncReply { .. }) {}
-        assert!(
-            ex.due_in(now).unwrap() <= CONTROL_POLL,
-            "a sync round is under way"
-        );
-        std::thread::sleep(SYNC_LINGER);
-        assert!(ex.due_in(now).unwrap() > heartbeat / 2, "the round is over");
-        // A lost link is due at its redial.
+        assert!(ex.due_in(now).unwrap() > heartbeat / 2, "an ack is owed");
+        // A lost link has nothing to watch and is due at its redial, one
+        // backoff away, since the parent never answered.
         ex.uplink.drop_link("test");
-        assert_eq!(ex.due_in(now), Some(Duration::ZERO));
+        assert_eq!(ex.wait_fd(), None);
+        assert!(ex.due_in(now).unwrap() <= UpstreamExporter::RECONNECT.initial_backoff);
     }
 }

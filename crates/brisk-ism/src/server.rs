@@ -20,14 +20,18 @@
 //!   eviction included, from that pump's `Disconnected`. It sleeps on
 //!   its event queue until the pipeline's next due time
 //!   ([`IsmCore::due_in`]) or the sync round's, and checks that time
-//!   between queued events, so a deep queue never starves the tick.
+//!   between queued events, so a deep queue never starves the tick. In a
+//!   relay it also owns the upstream link, which reactor shard 0 watches
+//!   for it: input on the link queues an event that ticks the manager at
+//!   once (so a parent's `SyncPoll` is answered without delay), and every
+//!   tick re-arms the watch with the link's current fd.
 
 use crate::core::{IsmCore, IsmCoreStats};
 use crate::cre::CreStats;
 use crate::flow::FlowState;
 use crate::output::MemoryBuffer;
 use crate::quarantine::QuarantineLog;
-use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool};
+use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool, UplinkWatch};
 use crate::session::{PumpCommand, PumpEvent, PumpHandle};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
@@ -191,6 +195,7 @@ impl IsmServer {
             sync: self.sync,
             clock: self.clock,
             flow: self.flow,
+            uplink: reactor.uplink_watch(),
             events: event_rx,
             pumps: HashMap::new(),
             round: None,
@@ -227,6 +232,9 @@ struct Manager {
     sync: SyncMaster,
     clock: Arc<dyn Clock>,
     flow: Arc<FlowState>,
+    /// Shard 0's watch on the upstream link, armed after every tick in a
+    /// relay.
+    uplink: Arc<UplinkWatch>,
     events: Receiver<PumpEvent>,
     /// The live pump of each node. A shard reports a pump's
     /// `Disconnected` before it frees the node for a successor, so one
@@ -250,6 +258,10 @@ impl Manager {
                 Some(wait) => self.events.recv_timeout(wait),
                 None => self.events.recv().map_err(RecvTimeoutError::from),
             };
+            // Input on the upstream link ticks at once, inside the
+            // coalescing window too: a parent's sync poll is answered
+            // as soon as it arrives.
+            let uplink = matches!(event, Ok(PumpEvent::Uplink));
             match event {
                 Ok(PumpEvent::Stop) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(ev) => self.handle_event(ev)?,
@@ -257,7 +269,7 @@ impl Manager {
             }
             // Checked after every event, so a deep queue cannot starve
             // the tick.
-            if self.until_due().is_some_and(|wait| wait.is_zero()) {
+            if uplink || self.until_due().is_some_and(|wait| wait.is_zero()) {
                 self.tick()?;
             }
         }
@@ -311,11 +323,14 @@ impl Manager {
         Some(due.max(COALESCE_WINDOW.saturating_sub(self.last_tick.elapsed())))
     }
 
-    /// Advance the pipeline, then schedule rounds: periodic, plus
-    /// tachyon-triggered extras.
+    /// Advance the pipeline, re-arm the upstream link's watch, then
+    /// schedule rounds: periodic, plus tachyon-triggered extras.
     fn tick(&mut self) -> Result<()> {
         self.last_tick = Instant::now();
         self.core.tick(self.clock.now())?;
+        if let Some(up) = self.core.upstream() {
+            self.uplink.arm(up.wait_fd());
+        }
         let extra = std::mem::take(&mut self.extra_round);
         let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
         if self.round.is_none() && !self.pumps.is_empty() && (due || extra) {
@@ -397,8 +412,8 @@ impl Manager {
                     }
                 }
             }
-            // The run loop's, never queued by a pump.
-            PumpEvent::Stop => {}
+            // The run loop's: it ticks for the one, stops for the other.
+            PumpEvent::Uplink | PumpEvent::Stop => {}
         }
         Ok(())
     }
@@ -1358,5 +1373,65 @@ mod tests {
         drop(conn);
         relay.stop().unwrap();
         root.stop().unwrap();
+    }
+
+    #[test]
+    fn a_relay_out_of_credit_resumes_on_the_ack() {
+        let t = MemTransport::new();
+        let mut parent = t.listen("parent").unwrap();
+        let mut link = crate::relay::RelayConfig::new(brisk_proto::NodePrefix::new(1).unwrap());
+        link.max_batch_records = 4;
+        // No heartbeat within the test: only link input can wake the relay.
+        link.heartbeat_interval = Duration::from_secs(5);
+        let dial = Arc::clone(&t);
+        let relay = spawn_quiet(&t, "relay", IsmConfig::default(), |server| {
+            server.set_upstream(crate::relay::UpstreamExporter::new(
+                link,
+                Box::new(move || dial.connect("parent")),
+                Arc::new(SystemClock),
+            ));
+        });
+        let mut up = parent
+            .accept(Some(Duration::from_secs(5)))
+            .unwrap()
+            .expect("the relay dials its parent");
+        let hello_seen = recv_until(&mut up, Duration::from_secs(2), |m| match m {
+            Message::Hello { .. } => Some(()),
+            _ => None,
+        });
+        assert!(hello_seen.is_some());
+        // Credit for one batch of four records.
+        let grant = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: 4,
+        };
+        up.send(&grant.encode()).unwrap();
+        let batch_len = |m| match m {
+            Message::EventBatch { records, .. } => Some(records.len()),
+            _ => None,
+        };
+        let mut conn = t.connect("relay").unwrap();
+        hello(&mut conn, 1);
+        conn.send(&fresh(1, 1, 4).encode()).unwrap();
+        assert_eq!(
+            recv_until(&mut up, Duration::from_secs(2), batch_len),
+            Some(4)
+        );
+        // Four more records park behind the spent credit.
+        conn.send(&fresh(1, 2, 4).encode()).unwrap();
+        let early = recv_until(&mut up, Duration::from_millis(300), batch_len);
+        assert_eq!(early, None, "records left without credit");
+        let acked = Instant::now();
+        up.send(&Message::BatchAck { seq: 1, credit: 4 }.encode())
+            .unwrap();
+        let parked = recv_until(&mut up, Duration::from_secs(1), batch_len);
+        let waited = acked.elapsed();
+        assert_eq!(parked, Some(4), "the parked records never left");
+        assert!(
+            waited < Duration::from_millis(50),
+            "the parked records left {waited:?} after the ack"
+        );
+        drop((up, conn));
+        relay.stop().unwrap();
     }
 }

@@ -112,6 +112,10 @@ pub enum PumpEvent {
         /// [`PumpHandle::id`]).
         id: u64,
     },
+    /// A relay's upstream link has input (or hung up): shard 0's one-shot
+    /// watch on its fd fired. The manager ticks, which reads the link,
+    /// then re-arms the watch.
+    Uplink,
     /// The server is stopping: sent once by `IsmHandle::stop`, never by
     /// a pump, so a manager asleep until its next due time wakes at once.
     Stop,
@@ -187,18 +191,6 @@ pub(crate) struct PumpIo {
 }
 
 impl PumpIo {
-    /// Queue `event` for the manager; `false` when the manager is gone.
-    /// The depth is raised first so the manager's matching decrement can
-    /// never be observed ahead of it.
-    pub(crate) fn send_event(&self, ctx: &ReactorConfig, event: PumpEvent) -> bool {
-        ctx.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let sent = ctx.events.send(event).is_ok();
-        if !sent {
-            ctx.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
     /// Quarantine one undecodable frame. `Err` when the connection's
     /// protocol error budget is exhausted and it must be dropped — other
     /// nodes' connections are never affected.
@@ -275,18 +267,15 @@ impl PumpIo {
             // decodes, keeping queueing delay out of the
             // BatchSend→PumpRecv span.
             let recv_ts = ctx.clock.now();
-            self.send_event(
-                ctx,
-                PumpEvent::Batch {
-                    node: self.node,
-                    id: self.id,
-                    seq,
-                    frame,
-                    count,
-                    recv_ts,
-                    enqueued_at: Instant::now(),
-                },
-            );
+            ctx.send_event(PumpEvent::Batch {
+                node: self.node,
+                id: self.id,
+                seq,
+                frame,
+                count,
+                recv_ts,
+                enqueued_at: Instant::now(),
+            });
             return Ok(FrameOutcome::Consumed);
         }
         match Message::decode(&frame) {

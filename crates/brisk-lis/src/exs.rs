@@ -325,7 +325,7 @@ impl ExternalSensor {
     fn on_control(&mut self, control: Control) -> Option<ExsStep> {
         match control {
             Control::Skipped => None,
-            Control::Handled | Control::Answered => Some(ExsStep::Busy),
+            Control::Handled => Some(ExsStep::Busy),
             Control::Adjusted(advance_us) => {
                 if self.cfg.sync_disabled {
                     // Chaos plane: the node deliberately refuses sync and

@@ -178,10 +178,9 @@ impl Redial {
 pub enum Control {
     /// An undecodable frame was skipped (within the error budget).
     Skipped,
-    /// A `HelloAck` or `BatchAck`, fully handled here.
+    /// A `HelloAck`, a `BatchAck` or a `SyncPoll` (answered), fully
+    /// handled here.
     Handled,
-    /// A `SyncPoll`, answered here.
-    Answered,
     /// `SyncAdjust`: the caller owns the correction value and decides
     /// whether to apply these microseconds.
     Adjusted(i64),
@@ -364,18 +363,12 @@ impl Uplink {
     /// The fd a sleeper waits on for this link's input; `None` when it
     /// must not wait: input is already buffered, or the link has no
     /// socket left (its next read fails at once) or is down.
-    pub(crate) fn wait_fd(&self) -> Option<RawFd> {
+    pub fn wait_fd(&self) -> Option<RawFd> {
         let conn = self.conn.as_ref()?;
         if conn.has_buffered() {
             return None;
         }
         conn.poll_fd()
-    }
-
-    /// The peer owes this link an answer: the `HelloAck` to its greeting,
-    /// or an ack for a windowed batch.
-    pub fn awaiting_reply(&self) -> bool {
-        !self.acked || self.window.depth() > 0
     }
 
     /// Adopt `conn`: send `Hello`, then replay every unacked batch in
@@ -605,7 +598,7 @@ impl Uplink {
                 };
                 self.send_frame(&reply.encode())?;
                 self.telemetry.sync_replies.fetch_add(1, Relaxed);
-                Control::Answered
+                Control::Handled
             }
             Message::SyncAdjust { advance_us, .. } => Control::Adjusted(advance_us),
             // The ISM answers a `Hello` for a node id it still holds with
