@@ -497,12 +497,6 @@ pub struct IsmConfig {
     /// degrades without taking the node's stream down; `0` disconnects on
     /// the first bad frame.
     pub protocol_error_budget: u32,
-    /// Reactor threads driving all EXS connections. Each thread owns a
-    /// shard of connections and multiplexes their sockets with `poll(2)`,
-    /// so a thousand idle sensors cost a handful of threads, not a
-    /// thousand. `0` (the default) sizes the pool from the machine's
-    /// available parallelism, capped at 4.
-    pub pump_threads: usize,
 }
 
 impl Default for IsmConfig {
@@ -516,7 +510,6 @@ impl Default for IsmConfig {
             flow: FlowConfig::default(),
             node_timeout: None,
             protocol_error_budget: 8,
-            pump_threads: 0,
         }
     }
 }
@@ -532,11 +525,6 @@ impl IsmConfig {
             if t.is_zero() {
                 return Err(BriskError::Config("node_timeout must be > 0".into()));
             }
-        }
-        if self.pump_threads > 256 {
-            return Err(BriskError::Config(
-                "pump_threads must be at most 256 (0 = auto)".into(),
-            ));
         }
         Ok(())
     }
@@ -663,12 +651,6 @@ mod tests {
         let mut c = IsmConfig::default();
         c.flow.credit_records = 3;
         assert!(c.validate().is_err());
-        let mut c = IsmConfig::default();
-        c.pump_threads = 257;
-        assert!(c.validate().is_err());
-        let mut c = IsmConfig::default();
-        c.pump_threads = 2;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

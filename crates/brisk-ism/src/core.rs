@@ -25,10 +25,6 @@ use brisk_telemetry::{Histogram, Registry, StageLatencies};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Aggregate counters of one core (an alias of the merge plane's stats,
-/// kept under the historical name for existing callers).
-pub type IsmCoreStats = MergeStats;
-
 /// Default capacity of the output memory buffer (bytes).
 pub const DEFAULT_MEMORY_BYTES: usize = 8 << 20;
 
@@ -291,7 +287,7 @@ impl IsmCore {
     }
 
     /// Aggregate counters.
-    pub fn stats(&self) -> IsmCoreStats {
+    pub fn stats(&self) -> MergeStats {
         self.plane.stats()
     }
 

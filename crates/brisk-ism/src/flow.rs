@@ -26,13 +26,13 @@ brisk_telemetry::metrics! {
 /// manager still run, so sync rounds and shutdown cannot deadlock — and
 /// TCP backpressure pushes the overload back to the sender, whose credit
 /// runs out next. The [`FlowState::sub`] that brings the queue back to
-/// its bound wakes every reactor shard, so a deferring shard sleeps until
-/// then instead of re-checking on a timer.
+/// its bound wakes the reactor, so a deferring reactor sleeps until then
+/// instead of re-checking on a timer.
 pub struct FlowState {
     cfg: FlowConfig,
     cells: Arc<FlowCells>,
-    /// The reactor shards' wakers, registered once when the pool spawns.
-    wakers: OnceLock<Vec<Waker>>,
+    /// The reactor's waker, registered once when it spawns.
+    waker: OnceLock<Waker>,
 }
 
 impl FlowState {
@@ -41,13 +41,13 @@ impl FlowState {
         Arc::new(FlowState {
             cfg,
             cells: Arc::default(),
-            wakers: OnceLock::new(),
+            waker: OnceLock::new(),
         })
     }
 
-    /// Wake `wakers` whenever the queue drains back to its bound.
-    pub(crate) fn register_wakers(&self, wakers: Vec<Waker>) {
-        let _ = self.wakers.set(wakers);
+    /// Wake `waker` whenever the queue drains back to its bound.
+    pub(crate) fn register_waker(&self, waker: Waker) {
+        let _ = self.waker.set(waker);
     }
 
     /// Publish the queue gauges and the deferral counter.
@@ -68,12 +68,12 @@ impl FlowState {
 
     /// Account `n` records leaving the manager queue. The one `sub` per
     /// over-bound episode that takes the queue from above its bound to at
-    /// or below it wakes the shards, which deferred their reads.
+    /// or below it wakes the reactor, which deferred its reads.
     pub fn sub(&self, n: u64) {
         let bound = self.cfg.max_queued_records as i64;
         let before = self.cells.queued.fetch_sub(n as i64, Relaxed);
         if before > bound && before - n as i64 <= bound {
-            for waker in self.wakers.get().into_iter().flatten() {
+            if let Some(waker) = self.waker.get() {
                 waker.wake();
             }
         }

@@ -26,8 +26,8 @@
 //! * [`core::IsmCore`] — the transport-free composition of the above;
 //!   driven by the threaded [`server::IsmServer`] in real deployments and
 //!   directly by `brisk-sim` in deterministic experiments.
-//! * [`server::IsmServer`] — the networked manager: a small poll-based
-//!   reactor pool drives every EXS connection (receives batches
+//! * [`server::IsmServer`] — the networked manager: one poll-based
+//!   reactor thread drives every EXS connection (receives batches
 //!   zero-copy, runs poll exchanges with accurate send/receive
 //!   timestamps) and one manager thread owns the core, so connection
 //!   count is decoupled from thread count. [`flow`] bounds the manager
@@ -50,7 +50,7 @@ pub mod server;
 mod session;
 pub mod sorter;
 
-pub use crate::core::{IsmCore, IsmCoreStats};
+pub use crate::core::IsmCore;
 pub use cre::{CreMatcher, CreStats};
 pub use merge::{MergeOutput, MergePlane, MergeStats};
 pub use output::{EventSink, MemoryBuffer, MemoryBufferReader, PiclFileSink};

@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 
 brisk_telemetry::metrics! {
-    /// What the quarantine counted, bumped by every reactor shard.
+    /// What the quarantine counted, bumped by the reactor.
     struct QuarantineCells {
         frames: counter "brisk_ism_quarantined_frames_total" "Undecodable frames quarantined by ISM pumps",
         disconnects: counter "brisk_ism_quarantine_disconnects_total" "Connections dropped after exhausting their protocol error budget",

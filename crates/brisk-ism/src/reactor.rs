@@ -1,9 +1,9 @@
 //! Poll-based connection reactor: the ISM's one receive path.
 //!
-//! A small bounded pool serves every EXS connection: each *shard* thread
-//! owns a set of connections and multiplexes all of their sockets
-//! through one [`Poller`] (`poll(2)` — see `brisk_net::poll`), driving
-//! handshakes, batch ingest, heartbeats, credit acks, clock-sync
+//! One thread serves every EXS connection: it multiplexes the server's
+//! listener, every connection's socket and, in a relay, the upstream
+//! link through one [`Poller`] (`poll(2)` — see `brisk_net::poll`),
+//! driving handshakes, batch ingest, heartbeats, credit acks, clock-sync
 //! exchanges and fault-injected transports alike. A thousand mostly-idle
 //! sensors cost sockets, not threads.
 //!
@@ -11,34 +11,38 @@
 //! `crate::session` ([`PumpIo::on_frame`]); this module owns the socket
 //! and the scheduling:
 //!
-//! * Shard 0 also polls the server's listener: a readable listener is
-//!   accepted until it would block, and each connection is metered and
-//!   handed to a shard round-robin, so no thread sleeps in `accept`.
-//! * In a relay, shard 0 also watches the upstream link the manager owns
-//!   ([`UplinkWatch`]): once its fd polls readable, shard 0 clears the
-//!   watch and queues [`PumpEvent::Uplink`]; the manager reads the link
-//!   and re-arms it. Flow control never defers this watch.
+//! * A readable listener is accepted until it would block, and each
+//!   connection is metered and joins the poll set, so no thread sleeps
+//!   in `accept`.
+//! * In a relay, the reactor also watches the upstream link the manager
+//!   owns ([`UplinkWatch`]): once its fd polls readable, the reactor
+//!   clears the watch and queues [`PumpEvent::Uplink`]; the manager reads
+//!   the link and re-arms it. Flow control never defers this watch.
 //! * Connections are read only when `poll` reports their socket
 //!   readable, or when whole frames already wait in their userspace read
 //!   buffer. Every transport (tcp, uds and the in-process abstract
 //!   sockets) has an fd; the one fd-less case is a fault-killed link,
 //!   read once more at once so its `Disconnected` is seen.
-//! * A shard with nothing due sleeps until a socket or its [`Waker`]
-//!   fires: its only timeouts are its connections' deadlines (greeting,
-//!   closing drain, sync sample, liveness).
+//! * With nothing due, the reactor sleeps until a socket or its
+//!   [`Waker`] fires: its only timeouts are its connections' deadlines
+//!   (greeting, closing drain, sync sample, liveness).
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
-//!   queued per connection; [`PumpHandle::command`] fires the shard's
+//!   queued per connection; [`PumpHandle::command`] fires the reactor's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
 //! * The clock-sync poll exchange is an explicit state machine
-//!   ([`SyncState`]) so one slow slave cannot stall its shard.
+//!   ([`SyncState`]) so one slow slave cannot stall the reactor.
 //! * EXS→ISM flow control keeps its semantics: while the shared manager
 //!   queue is over its bound, running connections are excluded from the
 //!   poll set (deferred), while greetings, teardown drains and manager
 //!   commands still make progress. The manager draining the queue back to
-//!   its bound wakes every shard ([`FlowState::sub`]).
+//!   its bound wakes the reactor ([`FlowState::sub`]).
 //! * Liveness is judged where frames arrive: a running connection that
 //!   sends no frame for `node_timeout`, counting only passes willing to
 //!   read it (never flow-control deferral), gets `Shutdown` and is dropped.
+//! * A node id is served by one live connection at a time: the reactor
+//!   owns the claims, so a second `Hello` for an active node is refused
+//!   at the greeting, and a dead connection's `Disconnected` is queued
+//!   before its claim is released.
 
 use crate::flow::FlowState;
 use crate::quarantine::QuarantineLog;
@@ -50,8 +54,7 @@ use brisk_net::{
     poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN,
 };
 use brisk_proto::Message;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
@@ -65,47 +68,19 @@ const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Frames read from one connection per pass before yielding to the rest
-/// of the shard — bounds how long one firehose sensor can monopolize it.
+/// — bounds how long one firehose sensor can monopolize the reactor.
 const MAX_FRAMES_PER_PASS: usize = 32;
 
 /// Which node ids are currently served by a live connection, and by
-/// which pump. Shared across every shard of a server so a second `Hello`
-/// claiming an already-active node is rejected at the greeting instead of
-/// racing the first connection's session state (two pumps stamping the
-/// same node id would interleave batches, corrupt per-node sequence
-/// tracking, and let a misconfigured sensor silently hijack another's
-/// stream).
-#[derive(Default)]
-pub(crate) struct ActiveNodes {
-    map: Mutex<HashMap<NodeId, u64>>,
-}
+/// which pump. A second `Hello` claiming an already-active node is
+/// rejected at the greeting instead of racing the first connection's
+/// session state (two pumps stamping the same node id would interleave
+/// batches, corrupt per-node sequence tracking, and let a misconfigured
+/// sensor silently hijack another's stream). The reactor loop is its only
+/// user, and a claim is released only by the connection that made it.
+type Claims = HashMap<NodeId, u64>;
 
-impl ActiveNodes {
-    /// Claim `node` for pump `id`. `false` when another live connection
-    /// already holds it.
-    fn try_claim(&self, node: NodeId, id: u64) -> bool {
-        let mut map = self.map.lock();
-        match map.get(&node) {
-            Some(_) => false,
-            None => {
-                map.insert(node, id);
-                true
-            }
-        }
-    }
-
-    /// Release `node` if (and only if) pump `id` still holds it — a
-    /// later claimant must not be evicted by a stale release.
-    fn release(&self, node: NodeId, id: u64) {
-        let mut map = self.map.lock();
-        if map.get(&node) == Some(&id) {
-            map.remove(&node);
-        }
-    }
-}
-
-/// Everything a shard needs to turn an anonymous socket into a pump.
-#[derive(Clone)]
+/// Everything the reactor needs to turn an anonymous socket into a pump.
 pub(crate) struct ReactorConfig {
     /// Master clock for receive stamps and sync exchanges.
     pub clock: Arc<dyn Clock>,
@@ -120,8 +95,6 @@ pub(crate) struct ReactorConfig {
     pub error_budget: u32,
     /// Shared malformed-frame quarantine log.
     pub quarantine: Arc<QuarantineLog>,
-    /// Live node-id claims, shared across the server's shards.
-    pub active: Arc<ActiveNodes>,
     /// Evict a running connection silent this long (`None`: never).
     pub node_timeout: Option<Duration>,
     /// Meters every accepted connection, `Hello` frames included.
@@ -142,25 +115,26 @@ impl ReactorConfig {
     }
 }
 
-/// Shard 0's one-shot watch on a relay's upstream link. The manager owns
-/// the link but sleeps on its event queue, so it lends shard 0 the link's
-/// fd ([`UplinkWatch::arm`]). Once the fd polls ready (input, an error or
-/// a hang-up), shard 0 clears the watch and queues [`PumpEvent::Uplink`];
-/// the manager ticks, which reads the link, and arms the watch again.
-/// One-shot, so shard 0 never spins on input the manager has yet to read.
+/// The reactor's one-shot watch on a relay's upstream link. The manager
+/// owns the link but sleeps on its event queue, so it lends the reactor
+/// the link's fd ([`UplinkWatch::arm`]). Once the fd polls ready (input,
+/// an error or a hang-up), the reactor clears the watch and queues
+/// [`PumpEvent::Uplink`]; the manager ticks, which reads the link, and
+/// arms the watch again. One-shot, so the reactor never spins on input
+/// the manager has yet to read.
 pub(crate) struct UplinkWatch {
     /// The watched fd, or [`UplinkWatch::NONE`].
     fd: AtomicI32,
-    /// Shard 0's waker.
+    /// The reactor's waker.
     waker: Waker,
 }
 
 impl UplinkWatch {
     const NONE: RawFd = -1;
 
-    /// Watch `fd` (`None`: nothing) and ring shard 0 if that changed the
-    /// watch, so its poll set follows: a `poll` already asleep on an old
-    /// fd would not see a new socket that reused its number.
+    /// Watch `fd` (`None`: nothing) and ring the reactor if that changed
+    /// the watch, so its poll set follows: a `poll` already asleep on an
+    /// old fd would not see a new socket that reused its number.
     pub(crate) fn arm(&self, fd: Option<RawFd>) {
         let fd = fd.unwrap_or(Self::NONE);
         if self.fd.swap(fd, Ordering::AcqRel) != fd {
@@ -183,24 +157,21 @@ impl UplinkWatch {
     }
 }
 
-/// A bounded pool of reactor shards: shard 0 accepts every connection
-/// and hands each to a shard round-robin, instead of a thread per
-/// connection.
-pub(crate) struct ReactorPool {
-    wakers: Vec<Waker>,
-    /// Shard 0's watch on a relay's upstream link.
+/// The reactor thread: one `poll(2)` loop over the listener, every
+/// connection and a relay's upstream link.
+pub(crate) struct Reactor {
+    waker: Waker,
+    /// The watch on a relay's upstream link.
     uplink: Arc<UplinkWatch>,
-    joins: Vec<std::thread::JoinHandle<()>>,
-    /// Asks shard 0 to close the listener.
+    join: std::thread::JoinHandle<()>,
+    /// Asks the reactor to close the listener.
     closing: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
 }
 
-/// Shard 0's listener, with every shard's inbox to fill round-robin.
+/// The server's listener, until it closes.
 struct Acceptor {
     listener: Option<Box<dyn Listener>>,
-    inboxes: Vec<(Sender<Box<dyn Connection>>, Waker)>,
-    next: usize,
     closing: Arc<AtomicBool>,
 }
 
@@ -213,19 +184,13 @@ impl Acceptor {
         self.listener.as_mut()
     }
 
-    /// Accept until the listener would block, metering each connection.
-    /// An accept error closes the listener: the server accepts nothing
-    /// more.
-    fn accept_pending(&mut self, ctx: &ReactorConfig) {
+    /// Accept until the listener would block, metering each connection
+    /// onto `drivers`. An accept error closes the listener: the server
+    /// accepts nothing more.
+    fn accept_pending(&mut self, ctx: &ReactorConfig, drivers: &mut Vec<Driver>) {
         while let Some(listener) = self.open() {
             match listener.try_accept() {
-                Ok(Some(conn)) => {
-                    let (conn_tx, waker) = &self.inboxes[self.next % self.inboxes.len()];
-                    self.next += 1;
-                    if conn_tx.send(ctx.conn_metrics.wrap(conn)).is_ok() {
-                        waker.wake();
-                    }
-                }
+                Ok(Some(conn)) => drivers.push(Driver::new(ctx.conn_metrics.wrap(conn))),
                 Ok(None) => return,
                 Err(e) => {
                     brisk_telemetry::flight_log!(
@@ -241,59 +206,38 @@ impl Acceptor {
     }
 }
 
-impl ReactorPool {
-    /// Spawn `threads` shard threads (at least one); shard 0 accepts from
-    /// `listener` and watches the upstream link armed through
-    /// [`ReactorPool::uplink_watch`]. A drained manager queue wakes every
-    /// shard.
-    pub(crate) fn spawn(
-        threads: usize,
-        cfg: ReactorConfig,
-        listener: Box<dyn Listener>,
-    ) -> Result<ReactorPool> {
+impl Reactor {
+    /// Spawn the reactor thread, accepting from `listener` and watching
+    /// the upstream link armed through [`Reactor::uplink_watch`]. A
+    /// drained manager queue wakes it.
+    pub(crate) fn spawn(cfg: ReactorConfig, listener: Box<dyn Listener>) -> Result<Reactor> {
         let (stop, closing) = (Arc::default(), Arc::<AtomicBool>::default());
-        let mut shards = Vec::with_capacity(threads.max(1));
-        for _ in 0..threads.max(1) {
-            let (conn_tx, conn_rx) = unbounded();
-            shards.push((Poller::new().map_err(BriskError::Io)?, conn_tx, conn_rx));
-        }
-        let inboxes: Vec<_> = shards
-            .iter()
-            .map(|(p, tx, _)| (tx.clone(), p.waker()))
-            .collect();
-        let wakers: Vec<Waker> = inboxes.iter().map(|(_, w)| w.clone()).collect();
-        cfg.flow.register_wakers(wakers.clone());
+        let poller = Poller::new().map_err(BriskError::Io)?;
+        let waker = poller.waker();
+        cfg.flow.register_waker(waker.clone());
         let uplink = Arc::new(UplinkWatch {
             fd: AtomicI32::new(UplinkWatch::NONE),
-            waker: wakers[0].clone(),
+            waker: waker.clone(),
         });
-        let mut acceptor = Some(Acceptor {
+        let acceptor = Acceptor {
             listener: Some(listener),
-            inboxes,
-            next: 0,
             closing: Arc::clone(&closing),
-        });
-        let mut joins = Vec::with_capacity(shards.len());
-        for (i, (poller, _, conn_rx)) in shards.into_iter().enumerate() {
-            let (ctx, stop, acceptor) = (cfg.clone(), Arc::clone(&stop), acceptor.take());
-            let watch = (i == 0).then(|| Arc::clone(&uplink));
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("brisk-reactor-{i}"))
-                    .spawn(move || run_shard(ctx, conn_rx, poller, acceptor, watch, stop))
-                    .map_err(BriskError::Io)?,
-            );
-        }
-        Ok(ReactorPool {
-            wakers,
+        };
+        let (watch, halt) = (Arc::clone(&uplink), Arc::clone(&stop));
+        let join = std::thread::Builder::new()
+            .name("brisk-reactor-0".into())
+            .spawn(move || run(cfg, poller, acceptor, watch, halt))
+            .map_err(BriskError::Io)?;
+        Ok(Reactor {
+            waker,
             uplink,
-            joins,
+            join,
             closing,
             stop,
         })
     }
 
-    /// Shard 0's watch on a relay's upstream link, for the manager to arm.
+    /// The watch on a relay's upstream link, for the manager to arm.
     pub(crate) fn uplink_watch(&self) -> Arc<UplinkWatch> {
         Arc::clone(&self.uplink)
     }
@@ -302,20 +246,16 @@ impl ReactorPool {
     /// carry on.
     pub(crate) fn close_listener(&self) {
         self.closing.store(true, Ordering::Release);
-        self.wakers[0].wake();
+        self.waker.wake();
     }
 
-    /// Stop every shard and join its thread. Call only after the manager
+    /// Stop the reactor and join its thread. Call only after the manager
     /// has finished its shutdown drain: live connections are dropped
     /// without further events.
     pub(crate) fn stop(self) {
         self.stop.store(true, Ordering::Release);
-        for waker in &self.wakers {
-            waker.wake();
-        }
-        for join in self.joins {
-            let _ = join.join();
-        }
+        self.waker.wake();
+        let _ = self.join.join();
     }
 }
 
@@ -428,7 +368,7 @@ impl Driver {
         matches!(self.state, State::Running(_))
     }
 
-    /// The next instant this driver needs the shard awake regardless of
+    /// The next instant this driver needs the reactor awake regardless of
     /// socket readiness; `liveness` is the node timeout, if it is running.
     fn next_deadline(&self, liveness: Option<Duration>) -> Option<Instant> {
         match &self.state {
@@ -547,9 +487,15 @@ impl Driver {
 
     /// Handle one inbound frame. Returns `false` when the connection is
     /// done.
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &ReactorConfig, waker: &Waker) -> bool {
+    fn on_frame(
+        &mut self,
+        frame: Vec<u8>,
+        ctx: &ReactorConfig,
+        waker: &Waker,
+        claims: &mut Claims,
+    ) -> bool {
         match &mut self.state {
-            State::Greeting { .. } => self.greet(frame, ctx, waker),
+            State::Greeting { .. } => self.greet(frame, ctx, waker, claims),
             State::Running(run) => match run.io.on_frame(ctx, frame) {
                 Ok(FrameOutcome::Consumed) => true,
                 Ok(FrameOutcome::SyncReply {
@@ -577,7 +523,13 @@ impl Driver {
     /// another live connection already serves, is refused: quarantined
     /// and answered with `Shutdown`. Every accepted connection runs the
     /// one session — `HelloAck`, sequenced and acked batches, heartbeats.
-    fn greet(&mut self, frame: Vec<u8>, ctx: &ReactorConfig, waker: &Waker) -> bool {
+    fn greet(
+        &mut self,
+        frame: Vec<u8>,
+        ctx: &ReactorConfig,
+        waker: &Waker,
+        claims: &mut Claims,
+    ) -> bool {
         let Ok(Message::Hello { node, version }) = Message::decode(&frame) else {
             return false;
         };
@@ -588,19 +540,18 @@ impl Driver {
             );
             return self.refuse(ctx, node, &frame, "unsupported_hello", &reason);
         }
-        let (handle, cmd_rx) = pump_channel(node, waker.clone());
-        let id = handle.id();
-        if !ctx.active.try_claim(node, id) {
+        if claims.contains_key(&node) {
             ctx.quarantine.note_rejected_hello();
             let reason = "duplicate Hello: node already active";
             return self.refuse(ctx, node, &frame, "duplicate_hello", reason);
         }
+        let (handle, cmd_rx) = pump_channel(node, waker.clone());
+        let id = handle.id();
         let ack = Message::HelloAck {
             version,
             credit: ctx.flow.credit(),
         };
         if self.conn.send(&ack.encode()).is_err() {
-            ctx.active.release(node, id);
             return false;
         }
         let io = PumpIo {
@@ -609,9 +560,9 @@ impl Driver {
             errors: 0,
         };
         if !ctx.send_event(PumpEvent::Connected(handle)) {
-            ctx.active.release(node, id);
             return false; // server is shutting down
         }
+        claims.insert(node, id);
         self.state = State::Running(Running {
             io,
             cmd_rx,
@@ -669,7 +620,7 @@ impl Driver {
     /// node-id claim, so the manager sees it before any successor's
     /// `Connected`. A connection still in its greeting never had an
     /// identity, so nothing is emitted.
-    fn emit_disconnect(&self, ctx: &ReactorConfig) {
+    fn emit_disconnect(&self, ctx: &ReactorConfig, claims: &mut Claims) {
         let io = match &self.state {
             State::Running(run) => &run.io,
             State::Closing { io, .. } => io,
@@ -679,31 +630,27 @@ impl Driver {
             node: io.node,
             id: io.id,
         });
-        ctx.active.release(io.node, io.id);
+        claims.remove(&io.node);
     }
 }
 
-/// One shard thread: adopt connections, service commands, poll sockets
-/// (and, on shard 0, the listener and the upstream link), route frames,
-/// judge liveness, sweep the dead.
-fn run_shard(
+/// The reactor thread: service commands, poll the listener, the
+/// upstream link and every connection, accept, route frames, judge
+/// liveness, sweep the dead.
+fn run(
     ctx: ReactorConfig,
-    conn_rx: Receiver<Box<dyn Connection>>,
     poller: Poller,
-    mut acceptor: Option<Acceptor>,
-    uplink: Option<Arc<UplinkWatch>>,
+    mut acceptor: Acceptor,
+    uplink: Arc<UplinkWatch>,
     stop: Arc<AtomicBool>,
 ) {
     let waker = poller.waker();
     let mut drivers: Vec<Driver> = Vec::new();
+    let mut claims = Claims::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut modes: Vec<ReadMode> = Vec::new();
     let mut last_wake = Instant::now();
     while !stop.load(Ordering::Acquire) {
-        // Adopt newly registered connections.
-        while let Ok(conn) = conn_rx.try_recv() {
-            drivers.push(Driver::new(conn));
-        }
         // Commands and sync exchanges first: acks, credit grants and
         // sync traffic must not starve behind inbound batches.
         for d in drivers.iter_mut() {
@@ -727,14 +674,11 @@ fn run_shard(
         let over = ctx.flow.over_limit();
         fds.clear();
         modes.clear();
-        let listen_fd = acceptor
-            .as_mut()
-            .and_then(Acceptor::open)
-            .map(|l| l.poll_fd());
+        let listen_fd = acceptor.open().map(|l| l.poll_fd());
         fds.extend(listen_fd.map(poll_in));
         // Flow control never defers the upstream link: a parent's ack is
         // what frees a relay parked behind spent credit.
-        let watched = uplink.as_ref().and_then(|w| w.armed()).map(|fd| {
+        let watched = uplink.armed().map(|fd| {
             fds.push(poll_in(fd));
             (fd, fds.len() - 1)
         });
@@ -784,20 +728,15 @@ fn run_shard(
             }
         }
         if poller.wait(&mut fds, timeout).is_err() {
-            // poll(2) failing is unrecoverable for this shard; dropping
+            // poll(2) failing is unrecoverable for the reactor; dropping
             // the drivers closes every connection it owned.
             break;
         }
         if stop.load(Ordering::Acquire) {
             break;
         }
-        if let (Some(acceptor), Some(listen)) = (&mut acceptor, listen_fd.and(fds.first())) {
-            if listen.revents != 0 {
-                acceptor.accept_pending(&ctx);
-            }
-        }
-        if let (Some(watch), Some((fd, slot))) = (&uplink, watched) {
-            if fds[slot].revents != 0 && watch.fire(fd) {
+        if let Some((fd, slot)) = watched {
+            if fds[slot].revents != 0 && uplink.fire(fd) {
                 ctx.send_event(PumpEvent::Uplink);
             }
         }
@@ -805,7 +744,7 @@ fn run_shard(
         let pass = now.duration_since(last_wake);
         last_wake = now;
         // Read pass: drain readable connections, a bounded number of
-        // frames each so one firehose cannot monopolize the shard, then
+        // frames each so one firehose cannot monopolize the reactor, then
         // judge each one's liveness.
         for (d, mode) in drivers.iter_mut().zip(modes.iter_mut()) {
             let readable = match mode {
@@ -826,7 +765,7 @@ fn run_shard(
                 match d.conn.recv(Some(Duration::ZERO)) {
                     Ok(Some(frame)) => {
                         d.heard = now;
-                        if !d.on_frame(frame, &ctx, &waker) {
+                        if !d.on_frame(frame, &ctx, &waker, &mut claims) {
                             d.dead = true;
                             break;
                         }
@@ -847,9 +786,13 @@ fn run_shard(
             if !d.dead {
                 return true;
             }
-            d.emit_disconnect(&ctx);
+            d.emit_disconnect(&ctx, &mut claims);
             false
         });
+        // New connections join the next pass's poll set.
+        if listen_fd.and(fds.first()).is_some_and(|l| l.revents != 0) {
+            acceptor.accept_pending(&ctx, &mut drivers);
+        }
     }
 }
 
@@ -862,11 +805,12 @@ mod tests {
     use brisk_lis::testkit::recv_msg;
     use brisk_net::{MemTransport, Transport};
     use brisk_proto::BatchView;
+    use crossbeam::channel::unbounded;
 
-    /// A two-shard pool whose manager side is the test itself.
+    /// A reactor whose manager side is the test itself.
     struct Rig {
         transport: Arc<MemTransport>,
-        pool: ReactorPool,
+        reactor: Reactor,
         events: Receiver<PumpEvent>,
         quarantine: Arc<QuarantineLog>,
         flow: Arc<FlowState>,
@@ -874,12 +818,12 @@ mod tests {
 
     /// Credit 64, default manager-queue bound, error budget 2, no node
     /// timeout.
-    fn test_pool() -> Rig {
-        test_pool_with(credit(64), 2)
+    fn test_reactor() -> Rig {
+        reactor_with(credit(64), 2)
     }
 
-    fn test_pool_with(flow: FlowConfig, error_budget: u32) -> Rig {
-        timed_pool(flow, error_budget, None)
+    fn reactor_with(flow: FlowConfig, error_budget: u32) -> Rig {
+        timed_reactor(flow, error_budget, None)
     }
 
     fn credit(credit_records: u64) -> FlowConfig {
@@ -889,13 +833,12 @@ mod tests {
         }
     }
 
-    fn timed_pool(flow: FlowConfig, error_budget: u32, node_timeout: Option<Duration>) -> Rig {
+    fn timed_reactor(flow: FlowConfig, error_budget: u32, node_timeout: Option<Duration>) -> Rig {
         let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
         let flow = FlowState::new(flow);
         let transport = MemTransport::new();
-        let pool = ReactorPool::spawn(
-            2,
+        let reactor = Reactor::spawn(
             ReactorConfig {
                 clock: Arc::new(SystemClock),
                 events: event_tx,
@@ -903,7 +846,6 @@ mod tests {
                 flow: Arc::clone(&flow),
                 error_budget,
                 quarantine: Arc::clone(&quarantine),
-                active: Arc::new(ActiveNodes::default()),
                 node_timeout,
                 conn_metrics: Arc::default(),
             },
@@ -912,7 +854,7 @@ mod tests {
         .unwrap();
         Rig {
             transport,
-            pool,
+            reactor,
             events,
             quarantine,
             flow,
@@ -920,7 +862,7 @@ mod tests {
     }
 
     impl Rig {
-        /// A fresh client connection, accepted by the pool.
+        /// A fresh client connection, accepted by the reactor.
         fn client(&self) -> Box<dyn Connection> {
             self.transport.connect("reactor").unwrap()
         }
@@ -967,7 +909,7 @@ mod tests {
 
     #[test]
     fn greets_pumps_batches_and_reports_disconnect() {
-        let rig = test_pool();
+        let rig = test_reactor();
         let mut client = rig.client();
         client.send(&hello(7, brisk_proto::VERSION)).unwrap();
         // HelloAck carries the session version and the credit grant.
@@ -1018,7 +960,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // A heartbeat is liveness, judged at the shard: nothing reaches
+        // A heartbeat is liveness, judged at the reactor: nothing reaches
         // the manager.
         client.send(&Message::Heartbeat.encode()).unwrap();
         assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
@@ -1041,7 +983,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
@@ -1063,7 +1005,7 @@ mod tests {
             (512, 2, Message::Shutdown),
             (512, 1, Message::Shutdown),
         ] {
-            let rig = test_pool_with(credit(grant), 2);
+            let rig = reactor_with(credit(grant), 2);
             let mut client = rig.client();
             client.send(&hello(5, version)).unwrap();
             assert_eq!(recv_msg(&mut client), expect, "credit {grant}, v{version}");
@@ -1077,24 +1019,24 @@ mod tests {
                 assert_eq!(samples[0].node, NodeId(5));
                 assert!(samples[0].error.contains(&format!("version {version}")));
             }
-            rig.pool.stop();
+            rig.reactor.stop();
         }
     }
 
     #[test]
     fn non_hello_greeting_is_dropped_without_a_pump() {
-        let rig = test_pool();
+        let rig = test_reactor();
         for first_frame in [Message::Heartbeat, Message::Shutdown] {
             let mut client = rig.client();
             client.send(&first_frame.encode()).unwrap();
             assert!(rig.events.recv_timeout(Duration::from_millis(250)).is_err());
         }
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn silent_greeting_is_dropped_at_the_deadline() {
-        let rig = test_pool();
+        let rig = test_reactor();
         let mut client = rig.client();
         // Never say Hello: past the greeting deadline the connection is
         // closed, with no pump and no event (it never had an identity).
@@ -1108,12 +1050,12 @@ mod tests {
         };
         assert!(closed, "a peer that never greets must be dropped");
         assert!(rig.events.try_recv().is_err());
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn sync_round_runs_as_state_machine_while_batches_flow() {
-        let rig = test_pool();
+        let rig = test_reactor();
         let (mut client, handle) = rig.greeted(2);
         assert!(handle.command(PumpCommand::SyncRound {
             round: 9,
@@ -1182,12 +1124,12 @@ mod tests {
                 advance_us: 123
             }
         );
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn spoofed_or_unsequenced_batch_ends_the_connection() {
-        let rig = test_pool();
+        let rig = test_reactor();
         // The connection said Hello as node 5; a batch claiming node 6 is
         // spoofed, and one without a seq can be neither acked nor
         // deduplicated. Either must end the connection without being
@@ -1209,7 +1151,7 @@ mod tests {
             }
         }
         assert_eq!(rig.quarantine.frames(), 0);
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
@@ -1219,7 +1161,7 @@ mod tests {
             ..credit(64)
         };
         for flow in [tight, FlowConfig::default()] {
-            let rig = test_pool_with(flow, 2);
+            let rig = reactor_with(flow, 2);
             let (mut client, handle) = rig.greeted(5);
             // Some other connection filled the manager queue past its bound.
             let queued = flow.max_queued_records as u64 + 9;
@@ -1239,13 +1181,13 @@ mod tests {
                 PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
                 other => panic!("unexpected {other:?}"),
             }
-            rig.pool.stop();
+            rig.reactor.stop();
         }
     }
 
     #[test]
     fn a_connection_held_unread_by_flow_control_is_not_silent() {
-        let rig = timed_pool(credit(64), 2, Some(Duration::from_millis(150)));
+        let rig = timed_reactor(credit(64), 2, Some(Duration::from_millis(150)));
         let (mut client, _handle) = rig.greeted(5);
         // Another connection filled the manager queue past its bound, and
         // it stays there for four timeouts with a batch waiting here.
@@ -1254,7 +1196,7 @@ mod tests {
         client.send(&empty_batch(5, 1)).unwrap();
         assert!(rig.events.recv_timeout(Duration::from_millis(600)).is_err());
         // Once the bound clears the batch flows: the peer was never silent,
-        // the shard just would not read it.
+        // the reactor just would not read it.
         rig.flow.sub(queued);
         match rig.event() {
             PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
@@ -1264,15 +1206,15 @@ mod tests {
             .recv(Some(Duration::from_millis(100)))
             .unwrap()
             .is_none());
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn a_half_open_peer_is_evicted_while_others_are_deferred_now_and_then() {
-        let rig = timed_pool(credit(64), 2, Some(Duration::from_millis(300)));
-        // Round-robin puts one peer heartbeating every 2 ms on each shard,
-        // the silent peer's included, so every shard samples the
-        // flickering bound far more often than it flips.
+        let rig = timed_reactor(credit(64), 2, Some(Duration::from_millis(300)));
+        // Two peers heartbeat every 2 ms beside the silent one, so the
+        // reactor samples the flickering bound far more often than it
+        // flips.
         let (mut silent, handle) = rig.greeted(5);
         let mut chatty: Vec<_> = (6..8).map(|node| rig.greeted(node)).collect();
         // The queue bound flickers every 5 ms, so every connection is
@@ -1318,12 +1260,12 @@ mod tests {
                 .unwrap()
                 .is_none());
         }
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn malformed_frames_are_quarantined_within_budget() {
-        let rig = test_pool();
+        let rig = test_reactor();
         let (mut client, _handle) = rig.greeted(5);
         // Two garbage frames fit inside the budget: the connection lives
         // and a valid batch still flows afterwards.
@@ -1349,12 +1291,12 @@ mod tests {
         assert_eq!(samples[0].node, NodeId(5));
         assert_eq!(samples[0].head_hex, "deadbeef");
         assert!(!samples[0].error.is_empty());
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 
     #[test]
     fn zero_budget_drops_connection_on_first_bad_frame() {
-        let rig = test_pool_with(credit(64), 0);
+        let rig = reactor_with(credit(64), 0);
         let (mut client, _handle) = rig.greeted(5);
         client.send(&[0x00]).unwrap();
         match rig.event() {
@@ -1363,6 +1305,6 @@ mod tests {
         }
         assert_eq!(rig.quarantine.frames(), 1);
         assert_eq!(rig.quarantine.disconnects(), 1);
-        rig.pool.stop();
+        rig.reactor.stop();
     }
 }

@@ -7,7 +7,7 @@
 //! ordinary EXS link. The [`UpstreamExporter`] here owns a
 //! [`brisk_lis::Uplink`], the same sender-side session an external
 //! sensor runs — window, credit, replay across reconnects, sync-poll
-//! answers, idle heartbeats (so the parent's reactor shard, which judges
+//! answers, idle heartbeats (so the parent's reactor, which judges
 //! the link's liveness, never falsely evicts a quiet subtree), and the
 //! one redial policy (jittered backoff,
 //! seeded by the relay's node id, that only a `HelloAck` resets) — and
@@ -18,7 +18,7 @@
 //!
 //! The server's manager thread owns the exporter and sleeps on its event
 //! queue, so it lends the link's fd ([`UpstreamExporter::wait_fd`]) to
-//! reactor shard 0, which polls it beside its connections. Link input
+//! the reactor, which polls it beside its connections. Link input
 //! (an ack, a `SyncPoll`) wakes the manager at once, and its tick
 //! [`MergeOutput::pump`]s the exporter; nothing reads the link on a
 //! timer. The exporter's own due times are its partial batch's flush and
@@ -74,7 +74,7 @@ pub struct RelayConfig {
     pub flush_timeout: Duration,
     /// Heartbeat the upstream once the link has been send-idle this long
     /// (zero disables). This is also what keeps the parent's reactor
-    /// shard from evicting, after `--node-timeout` of silence, a subtree
+    /// from evicting, after `--node-timeout` of silence, a subtree
     /// that is merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
 }

@@ -1,16 +1,14 @@
-//! The threaded ISM server: reactor pool + manager loop.
+//! The threaded ISM server: reactor + manager loop.
 //!
 //! Threads, each asleep until input or its nearest deadline:
 //!
-//! * **reactor shards** (bounded pool, see `crate::reactor`) — shard 0
-//!   polls the listener beside its connections and spreads accepted
-//!   connections over the pool; every shard greets its connections
-//!   (`Hello`, with its 5 s deadline) and then
-//!   multiplex all of them over `poll(2)`: forward batches zero-copy,
-//!   send batch acks and credit grants, run poll exchanges with
-//!   socket-accurate timestamps, and evict connections silent past
-//!   [`brisk_core::IsmConfig::node_timeout`]. Connection count is
-//!   independent of thread count ([`brisk_core::IsmConfig::pump_threads`]);
+//! * **reactor** (one thread, see `crate::reactor`) — polls the listener
+//!   beside every connection, greets each (`Hello`, with its 5 s
+//!   deadline) and then multiplexes all of them over one `poll(2)`:
+//!   forward batches zero-copy, send batch acks and credit grants, run
+//!   poll exchanges with socket-accurate timestamps, and evict
+//!   connections silent past [`brisk_core::IsmConfig::node_timeout`].
+//!   Connection count is independent of thread count;
 //! * **manager** — owns the [`IsmCore`] and the [`SyncMaster`]; consumes
 //!   pump events, hands each validated batch frame to
 //!   [`IsmCore::push_frame`] (which decodes it once, into records the
@@ -21,17 +19,18 @@
 //!   its event queue until the pipeline's next due time
 //!   ([`IsmCore::due_in`]) or the sync round's, and checks that time
 //!   between queued events, so a deep queue never starves the tick. In a
-//!   relay it also owns the upstream link, which reactor shard 0 watches
-//!   for it: input on the link queues an event that ticks the manager at
+//!   relay it also owns the upstream link, which the reactor watches for
+//!   it: input on the link queues an event that ticks the manager at
 //!   once (so a parent's `SyncPoll` is answered without delay), and every
 //!   tick re-arms the watch with the link's current fd.
 
-use crate::core::{IsmCore, IsmCoreStats};
+use crate::core::IsmCore;
 use crate::cre::CreStats;
 use crate::flow::FlowState;
+use crate::merge::MergeStats;
 use crate::output::MemoryBuffer;
 use crate::quarantine::QuarantineLog;
-use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool, UplinkWatch};
+use crate::reactor::{Reactor, ReactorConfig, UplinkWatch};
 use crate::session::{PumpCommand, PumpEvent, PumpHandle};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
@@ -48,7 +47,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, Default)]
 pub struct IsmReport {
     /// Pipeline counters.
-    pub core: IsmCoreStats,
+    pub core: MergeStats,
     /// Sorter counters.
     pub sorter: SorterStats,
     /// CRE counters.
@@ -63,9 +62,9 @@ pub struct IsmReport {
 }
 
 brisk_telemetry::metrics! {
-    /// Event-path cells shared by the reactor shards and the manager.
+    /// Event-path cells shared by the reactor and the manager.
     pub(crate) struct ManagerCells {
-        /// Raised by a shard per event queued, lowered by the manager per
+        /// Raised by the reactor per event queued, lowered by the manager per
         /// event handled.
         pub(crate) queue_depth: gauge "brisk_ism_manager_queue_depth" "Pump events waiting for the ISM manager",
         acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
@@ -89,8 +88,6 @@ pub struct IsmServer {
     node_timeout: Option<Duration>,
     /// Undecodable frames tolerated per connection before disconnect.
     error_budget: u32,
-    /// Reactor shard threads (0 = auto-size from the machine).
-    pump_threads: usize,
     /// Shared malformed-frame quarantine across all pumps.
     quarantine: Arc<QuarantineLog>,
 }
@@ -110,7 +107,6 @@ impl IsmServer {
         let flow = FlowState::new(cfg.flow);
         let node_timeout = cfg.node_timeout;
         let error_budget = cfg.protocol_error_budget;
-        let pump_threads = cfg.pump_threads;
         Ok(IsmServer {
             core: IsmCore::new(cfg)?,
             sync: SyncMaster::new(sync_cfg)?,
@@ -120,7 +116,6 @@ impl IsmServer {
             conn_metrics: Arc::default(),
             node_timeout,
             error_budget,
-            pump_threads,
             quarantine: QuarantineLog::new(),
         })
     }
@@ -155,27 +150,17 @@ impl IsmServer {
         Arc::clone(self.core.memory())
     }
 
-    /// Start the reactor shards, shard 0 accepting from `listener`, and
-    /// the manager thread.
+    /// Start the reactor, accepting from `listener`, and the manager
+    /// thread.
     pub fn spawn(self, listener: Box<dyn Listener>) -> Result<IsmHandle> {
         let addr = listener.local_addr();
         let memory = Arc::clone(self.core.memory());
         let stages = self.core.stage_latencies().cloned();
         let (event_tx, event_rx) = unbounded::<PumpEvent>();
 
-        // Reactor pool: a bounded set of shard threads drives every
-        // connection, so accepting 1 000 sensors costs sockets, not
-        // threads.
-        let threads = if self.pump_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(4)
-        } else {
-            self.pump_threads
-        };
-        let reactor = ReactorPool::spawn(
-            threads,
+        // One reactor thread drives every connection, so accepting 1 000
+        // sensors costs sockets, not threads.
+        let reactor = Reactor::spawn(
             ReactorConfig {
                 clock: Arc::clone(&self.clock),
                 events: event_tx.clone(),
@@ -183,7 +168,6 @@ impl IsmServer {
                 flow: Arc::clone(&self.flow),
                 error_budget: self.error_budget,
                 quarantine: Arc::clone(&self.quarantine),
-                active: Arc::new(ActiveNodes::default()),
                 node_timeout: self.node_timeout,
                 conn_metrics: self.conn_metrics,
             },
@@ -232,11 +216,11 @@ struct Manager {
     sync: SyncMaster,
     clock: Arc<dyn Clock>,
     flow: Arc<FlowState>,
-    /// Shard 0's watch on the upstream link, armed after every tick in a
-    /// relay.
+    /// The reactor's watch on the upstream link, armed after every tick
+    /// in a relay.
     uplink: Arc<UplinkWatch>,
     events: Receiver<PumpEvent>,
-    /// The live pump of each node. A shard reports a pump's
+    /// The live pump of each node. The reactor reports a pump's
     /// `Disconnected` before it frees the node for a successor, so one
     /// node never has two.
     pumps: HashMap<NodeId, PumpHandle>,
@@ -354,7 +338,7 @@ impl Manager {
                 recv_ts,
                 enqueued_at,
             } => {
-                // The shard validated the frame, so a decode failure here
+                // The reactor validated the frame, so a decode failure here
                 // is a logic error rather than wire corruption: drop the
                 // batch instead of poisoning the manager. A replay is
                 // dropped by the core before decoding. Accepted or not,
@@ -377,7 +361,7 @@ impl Manager {
                     );
                 }
                 // Ack through the exact pump instance the batch arrived
-                // on. Its shard re-advertises the constant credit grant:
+                // on. The reactor re-advertises the constant credit grant:
                 // acked records leave the in-flight budget, so that is
                 // the replenishment.
                 let handle = self.pumps.get(&node).filter(|h| h.id() == id);
@@ -473,7 +457,7 @@ pub struct IsmHandle {
     stages: Option<Arc<StageLatencies>>,
     /// The manager's event queue, for [`PumpEvent::Stop`].
     events: Sender<PumpEvent>,
-    reactor: ReactorPool,
+    reactor: Reactor,
     manager_join: std::thread::JoinHandle<Result<IsmReport>>,
 }
 
@@ -505,7 +489,7 @@ impl IsmHandle {
         let _ = self.events.send(PumpEvent::Stop);
         // The manager's shutdown drain needs the reactor alive (pumps
         // forward the EXSs' final flushes and report Disconnected), so
-        // the pool stops only after the manager has joined.
+        // the reactor stops only after the manager has joined.
         let report = self
             .manager_join
             .join()
@@ -1231,7 +1215,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for frame in frames {
                         conn.send(&frame).unwrap();
-                        // Drain acks so the shard never blocks on them.
+                        // Drain acks so the reactor never blocks on them.
                         while let Ok(Some(_)) = conn.recv(Some(Duration::ZERO)) {}
                     }
                     conn

@@ -60,8 +60,8 @@ pub enum PumpCommand {
 #[derive(Debug)]
 pub enum PumpEvent {
     /// A connection completed its greeting; here is the handle to command
-    /// it through. Sent on the connection's own shard thread, so it is
-    /// queued ahead of that connection's first batch.
+    /// it through. Sent on the reactor thread that reads the connection,
+    /// so it is queued ahead of that connection's first batch.
     Connected(PumpHandle),
     /// A batch of records arrived.
     Batch {
@@ -112,9 +112,9 @@ pub enum PumpEvent {
         /// [`PumpHandle::id`]).
         id: u64,
     },
-    /// A relay's upstream link has input (or hung up): shard 0's one-shot
-    /// watch on its fd fired. The manager ticks, which reads the link,
-    /// then re-arms the watch.
+    /// A relay's upstream link has input (or hung up): the reactor's
+    /// one-shot watch on its fd fired. The manager ticks, which reads the
+    /// link, then re-arms the watch.
     Uplink,
     /// The server is stopping: sent once by `IsmHandle::stop`, never by
     /// a pump, so a manager asleep until its next due time wakes at once.
@@ -128,7 +128,7 @@ pub struct PumpHandle {
     pub node: NodeId,
     id: u64,
     cmd_tx: Sender<PumpCommand>,
-    /// Fired after every queued command to kick the pump's shard out of
+    /// Fired after every queued command to kick the reactor out of
     /// `poll`, so commands are serviced immediately rather than on the
     /// next timeout.
     waker: Waker,
@@ -290,7 +290,7 @@ impl PumpIo {
                 slave_time,
             }),
             // Liveness is the only thing a heartbeat carries, and the
-            // shard already noted the frame's arrival.
+            // reactor already noted the frame's arrival.
             Ok(Message::Heartbeat) => Ok(FrameOutcome::Consumed),
             Ok(Message::Shutdown) => Err(BriskError::Disconnected),
             Ok(other) => Err(BriskError::Protocol(format!(

@@ -10,7 +10,7 @@
 //!   protocol message; framing is a 4-byte big-endian length prefix on the
 //!   wire).
 //! * [`tcp`] — the real `std::net` TCP implementation; the ISM's reactor
-//!   multiplexes every connection's socket through one `poll(2)` per shard.
+//!   multiplexes every connection's socket through one `poll(2)`.
 //! * [`uds`] — Unix-domain sockets for co-located deployments (Unix only).
 //! * [`mem`] — named abstract-namespace sockets in one process (Linux),
 //!   framed like the other two, used by tests, examples and the

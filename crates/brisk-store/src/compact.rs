@@ -44,6 +44,7 @@ use crate::segment::{
     append_frame, decode_any_header, index_path, segment_path, SegmentBody, SegmentHeader,
     FRAME_OVERHEAD,
 };
+use crate::writer::write_durable;
 use brisk_core::{
     BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, TraceContext,
     UtcMicros, Value, ValueType,
@@ -51,7 +52,7 @@ use brisk_core::{
 use brisk_proto::{DescriptorDict, DictKey};
 use brisk_telemetry::Registry;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -557,28 +558,14 @@ impl Compactor {
         // Swap the segment first, then rebuild the sidecar from the new
         // bytes; the stale-sidecar window in between is covered by the
         // seal-stamp validation on the read side.
-        let tmp = path.with_extension("seg.tmp");
-        write_sync(&tmp, &image)?;
-        fs::rename(&tmp, &path)?;
+        write_durable(&path, &image)?;
         let idx = index_of_scan(&scan_segment(&image)?, image.len() as u64);
-        let idx_path = index_path(&self.dir, id);
-        let idx_tmp = idx_path.with_extension("idx.tmp");
-        write_sync(&idx_tmp, &idx.encode())?;
-        fs::rename(&idx_tmp, &idx_path)?;
+        write_durable(&index_path(&self.dir, id), &idx.encode())?;
         self.stats
             .records_compacted
             .fetch_add(scan.records.len() as u64, Ordering::Relaxed);
         Ok(Some((bytes.len() as u64, image.len() as u64)))
     }
-}
-
-/// Write + fsync a file (used for both halves of the atomic swaps).
-fn write_sync(path: &Path, bytes: &[u8]) -> Result<()> {
-    use std::io::Write;
-    let mut f = fs::File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    Ok(())
 }
 
 /// Sanity floor used by tests and the bench: the plain-format byte cost

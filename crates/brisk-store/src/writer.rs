@@ -147,8 +147,8 @@ impl Drop for WriteBehind {
 /// Write `bytes` to `path` durably and atomically: a temp file is written
 /// and fsynced, then renamed over the destination, so a crash leaves either
 /// the old file or the complete new one — never a torn or page-cache-only
-/// sidecar.
-fn write_durable(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
+/// segment or sidecar.
+pub(crate) fn write_durable(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);

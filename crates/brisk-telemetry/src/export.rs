@@ -147,7 +147,7 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Handle to a running [`serve_prometheus`] endpoint.
+/// Handle to a running [`serve_stats`] endpoint.
 pub struct StatsServer {
     /// Address actually bound (useful with port 0).
     addr: std::net::SocketAddr,
@@ -325,15 +325,6 @@ pub fn serve_stats(
     })
 }
 
-/// Serve `registry` with the built-in routes only. Kept as the
-/// historical entry point; see [`serve_stats`] for the route map.
-pub fn serve_prometheus(
-    addr: impl ToSocketAddrs,
-    registry: Arc<Registry>,
-) -> std::io::Result<StatsServer> {
-    serve_stats(addr, registry, RouteTable::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +393,7 @@ mod tests {
     fn scrape_endpoint_serves_registry() {
         let r = Registry::new();
         r.counter("brisk_up_total", "liveness").add(1);
-        let srv = serve_prometheus("127.0.0.1:0", Arc::clone(&r)).unwrap();
+        let srv = serve_stats("127.0.0.1:0", Arc::clone(&r), RouteTable::new()).unwrap();
         let resp = scrape(srv.addr());
         assert!(resp.starts_with("HTTP/1.0 200 OK"));
         assert!(resp.contains("text/plain"));
@@ -426,7 +417,7 @@ mod tests {
     fn routes_by_path() {
         let r = Registry::new();
         r.counter("brisk_routed_total", "").add(2);
-        let srv = serve_prometheus("127.0.0.1:0", Arc::clone(&r)).unwrap();
+        let srv = serve_stats("127.0.0.1:0", Arc::clone(&r), RouteTable::new()).unwrap();
 
         let metrics = get(srv.addr(), "/metrics");
         assert!(metrics.contains("200 OK"));

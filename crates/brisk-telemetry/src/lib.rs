@@ -15,7 +15,7 @@
 //!   ([`TelemetrySnapshot::to_prometheus`]), a JSON document
 //!   ([`TelemetrySnapshot::to_json`]), an aligned human table
 //!   ([`TelemetrySnapshot::render_table`]), and a tiny scrape endpoint
-//!   ([`serve_prometheus`]).
+//!   ([`serve_stats`]).
 //!
 //! The hot-path cost of an instrumented stage is one or two relaxed
 //! atomic RMWs; everything heavier (quantiles, rendering) happens at
@@ -36,7 +36,7 @@ mod metrics;
 mod registry;
 pub mod trace;
 
-pub use export::{serve_prometheus, serve_stats, RouteTable, StatsServer};
+pub use export::{serve_stats, RouteTable, StatsServer};
 pub use metrics::{
     bucket_of, bucket_upper, Counter, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
 };

@@ -44,13 +44,11 @@
 //! readiness-aware `/healthz`. A panic anywhere in the daemon dumps the
 //! flight ring to stderr before unwinding.
 //!
-//! `--pump-threads` sizes the poll-based reactor pool that drives every
-//! EXS connection (0 = auto: available parallelism capped at 4). The pool
-//! is bounded regardless of connection count — a thousand sensors share
-//! the same handful of reactor threads.
+//! One poll-based reactor thread drives every EXS connection, whatever
+//! the connection count: a thousand sensors share it.
 //!
 //! `--node-timeout` evicts a node whose connection sent no frame for the
-//! given interval while its reactor shard was willing to read it — a
+//! given interval while the reactor was willing to read it — a
 //! half-open TCP connection otherwise ties the node's pump up forever,
 //! while one held unread by flow control is never counted as silent.
 //! `--error-budget` caps how many undecodable frames one connection may
@@ -110,7 +108,6 @@ const FLAGS: &[Flag<Args>] = &[
     ("--max-queued-records", "N", |a, v| put(&mut a.ism.flow.max_queued_records, val(v))),
     ("--node-timeout", "MS", |a, v| put(&mut a.ism.node_timeout, ms(v).map(Some))),
     ("--error-budget", "N", |a, v| put(&mut a.ism.protocol_error_budget, val(v))),
-    ("--pump-threads", "N", |a, v| put(&mut a.ism.pump_threads, val(v))),
     ("--flight-size", "N", |a, v| put(&mut a.flight_size, val(v).map(Some))),
     ("--compact-interval-ms", "N", |a, v| put(&mut a.compact_interval, ms(v).map(Some))),
     ("--compact-keep-hot", "N", |a, v| put(&mut a.compact.keep_hot, val(v))),

@@ -130,9 +130,9 @@ pub mod prelude {
         QueryCache, QueryReport, Replayer, StoreReader, StoreTailer, StoreWriter,
     };
     pub use brisk_telemetry::{
-        flight, install_flight_panic_hook, serve_prometheus, serve_stats, set_flight_capacity,
-        Counter, FlightLevel, FlightRecorder, Histogram, Registry, RouteTable, StageLatencies,
-        StatsServer, TelemetrySnapshot, TraceSampler,
+        flight, install_flight_panic_hook, serve_stats, set_flight_capacity, Counter, FlightLevel,
+        FlightRecorder, Histogram, Registry, RouteTable, StageLatencies, StatsServer,
+        TelemetrySnapshot, TraceSampler,
     };
     pub use {crate::define_notice, crate::notice, crate::notice_gated};
 }

@@ -1,8 +1,9 @@
 //! Workspace test: an idle ISM sleeps. Every server thread waits on input
-//! or its nearest deadline, so with no traffic the manager, the reactor
-//! shards and the store writer barely wake, and a quiet client costs about
-//! one wakeup per frame it exchanges. A connected EXS with nothing to send
-//! sleeps too, until its heartbeat, a sync poll or its rings' doorbell.
+//! or its nearest deadline, so with no traffic the manager, the one
+//! reactor thread and the store writer barely wake, and a quiet client
+//! costs about one wakeup per frame it exchanges. A connected EXS with
+//! nothing to send sleeps too, until its heartbeat, a sync poll or its
+//! rings' doorbell.
 //!
 //! Threads are counted per process by name (`/proc/self/task/*/comm`), so
 //! this file is its own test binary and holds a single test.
@@ -14,7 +15,7 @@ use brisk_lis::spawn_exs;
 use brisk_net::{MemTransport, Transport};
 use brisk_proto::Message;
 use brisk_ringbuf::RingSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,6 +27,19 @@ const WINDOW: Duration = Duration::from_secs(2);
 /// Wakeups per second the server may spend on its own.
 const IDLE_BUDGET: f64 = 20.0;
 
+/// The `/proc/self/task` entries of the threads whose name starts with
+/// one of `prefixes`.
+fn tasks(prefixes: &[&str]) -> Vec<PathBuf> {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+    tasks
+        .map(|task| task.path())
+        .filter(|task| {
+            let comm = std::fs::read_to_string(task.join("comm")).unwrap_or_default();
+            prefixes.iter().any(|p| comm.starts_with(p))
+        })
+        .collect()
+}
+
 /// Voluntary plus involuntary context switches of the server's threads.
 fn server_switches() -> u64 {
     switches(&SERVER_THREADS)
@@ -35,12 +49,8 @@ fn server_switches() -> u64 {
 /// starts with one of `threads`.
 fn switches(threads: &[&str]) -> u64 {
     let mut total = 0;
-    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
-        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-        if !threads.iter().any(|p| comm.starts_with(p)) {
-            continue;
-        }
-        let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+    for task in tasks(threads) {
+        let status = std::fs::read_to_string(task.join("status")).unwrap_or_default();
         total += status
             .lines()
             .filter(|l| l.starts_with("voluntary_ctxt") || l.starts_with("nonvoluntary_ctxt"))
@@ -80,6 +90,9 @@ fn an_idle_server_sleeps_until_input_or_a_deadline() {
     .unwrap();
     let handle = server.spawn(t.listen("ism").unwrap()).unwrap();
     std::thread::sleep(Duration::from_millis(300));
+    // One reactor thread polls the listener and every connection, however
+    // many CPUs the host has.
+    assert_eq!(tasks(&["brisk-reactor"]).len(), 1, "reactor threads");
 
     // No connections: nothing is due, so nothing wakes.
     let idle = wakeups_per_s();

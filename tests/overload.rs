@@ -233,7 +233,7 @@ fn concurrent_scrapes_are_never_torn_during_overload() {
             .unwrap();
     }
 
-    let stats = serve_prometheus("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+    let stats = serve_stats("127.0.0.1:0", Arc::clone(&registry), RouteTable::new()).unwrap();
     let addr = stats.addr().to_string();
     let done = Arc::new(AtomicBool::new(false));
     let scrapers: Vec<_> = (0..SCRAPERS)

@@ -376,7 +376,7 @@ fn telemetry_accounts_for_every_record_across_the_pipeline() {
 
     // The Prometheus endpoint serves a scrape-parseable view of the same
     // registry while everything runs.
-    let stats = serve_prometheus("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+    let stats = serve_stats("127.0.0.1:0", Arc::clone(&registry), RouteTable::new()).unwrap();
     let body = {
         use std::io::{Read, Write};
         let mut s = std::net::TcpStream::connect(stats.addr()).unwrap();
