@@ -386,17 +386,17 @@ impl StoreConfig {
 /// The ISM grants each connection a budget of unacknowledged records in
 /// `HelloAck`, re-advertised on every `BatchAck`; the EXS stops scooping
 /// its rings when the budget is spent, so overload backs up into the SPSC
-/// rings' drop accounting instead of RAM. The manager's own ingest queue
-/// is bounded too, and under sorter memory pressure the shedding policy
-/// picks what to lose.
+/// rings' drop accounting instead of RAM. Under sorter memory pressure the
+/// shedding policy picks what to lose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Records one connection may have unacknowledged in flight (at
     /// least 16).
     pub credit_records: u64,
-    /// Bound on records queued between the pump threads and the manager
-    /// (at least 1). While the queue holds more, pumps stop reading their
-    /// sockets (TCP backpressure does the rest).
+    /// No effect: the ISM is one loop, so no queue sits between reading a
+    /// batch and pushing it into the core. The field stays only because
+    /// the pipeline benchmark builds `FlowConfig` as a struct literal;
+    /// ROADMAP item 2a(c) deletes it.
     pub max_queued_records: usize,
     /// Under sorter memory pressure, drop the oldest *unmarked* records
     /// instead of force-releasing everything early. CRE-marked records are
@@ -404,9 +404,7 @@ pub struct FlowConfig {
     pub shed_unmarked: bool,
 }
 
-/// A queue shallow enough to run empty between manager turns under
-/// saturation, and a grant of a few batches per connection: the setting
-/// the saturation benchmark measured as faster than an unbounded queue.
+/// A grant of a few batches per connection.
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
@@ -423,12 +421,12 @@ impl FlowConfig {
         // An EXS may always send when its window is empty, so even a tiny
         // budget cannot deadlock the path; the floor only guards against
         // a budget so small it forces one-record batches.
-        let msg = match (self.credit_records, self.max_queued_records) {
-            (0..=15, _) => "credit_records must be at least 16",
-            (_, 0) => "max_queued_records must be at least 1",
-            _ => return Ok(()),
-        };
-        Err(BriskError::Config(msg.into()))
+        if self.credit_records < 16 {
+            return Err(BriskError::Config(
+                "credit_records must be at least 16".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -656,25 +654,17 @@ mod tests {
     #[test]
     fn flow_validation() {
         let d = FlowConfig::default();
-        assert_eq!((d.credit_records, d.max_queued_records), (2048, 1024));
+        assert_eq!(d.credit_records, 2048);
         assert!(!d.shed_unmarked);
         d.validate().unwrap();
-        for c in [
-            FlowConfig {
-                credit_records: 0,
-                ..d
-            },
-            FlowConfig {
-                max_queued_records: 0,
-                ..d
-            },
-        ] {
-            assert!(c.validate().is_err(), "{c:?}: both bounds are always on");
-        }
+        let c = FlowConfig {
+            credit_records: 0,
+            ..d
+        };
+        assert!(c.validate().is_err(), "{c:?}: credit is always on");
         let c = FlowConfig {
             credit_records: 16,
-            max_queued_records: 1,
-            shed_unmarked: false,
+            ..d
         };
         c.validate().unwrap();
         let c = FlowConfig {

@@ -306,9 +306,9 @@ impl IsmCore {
         self.plane.cre_stats()
     }
 
-    /// Accept one batch frame as it arrived on the wire from `node`, whose
-    /// pump read it off the socket at `recv_ts` and stamps `PumpRecv`
-    /// with that time. This is the manager's batch path:
+    /// Accept one batch frame as it arrived on the wire from `node`, read
+    /// off the socket at `recv_ts`, and stamp `PumpRecv` with that time.
+    /// This is the ISM loop's batch path:
     ///
     /// 1. a replayed `(node, seq)` is counted and dropped before any
     ///    record is decoded, as [`MergePlane::push_batch_seq`] would;
@@ -743,7 +743,7 @@ mod tests {
         .unwrap();
         let stopped = Instant::now();
         let mut seen = 0;
-        // The manager keeps ticking while no traffic arrives.
+        // The loop keeps ticking while no traffic arrives.
         while seen < 5 && stopped.elapsed() < interval + Duration::from_millis(800) {
             core.tick(SystemClock.now()).unwrap();
             seen += tail.poll().unwrap().len();

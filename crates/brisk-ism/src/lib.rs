@@ -24,14 +24,15 @@
 //!   wrote), [`output::PiclFileSink`], and arbitrary [`output::EventSink`]s
 //!   (the visual-object path lives in `brisk-consumers`).
 //! * [`core::IsmCore`] — the transport-free composition of the above;
-//!   driven by the threaded [`server::IsmServer`] in real deployments and
+//!   driven by the networked [`server::IsmServer`] in real deployments and
 //!   directly by `brisk-sim` in deterministic experiments.
-//! * [`server::IsmServer`] — the networked manager: one poll-based
-//!   reactor thread drives every EXS connection (receives batches
-//!   zero-copy, runs poll exchanges with accurate send/receive
-//!   timestamps) and one manager thread owns the core, so connection
-//!   count is decoupled from thread count. [`flow`] bounds the manager
-//!   queue and grants credit; [`quarantine`] contains malformed frames.
+//! * [`server::IsmServer`] — the networked manager: one thread waits in
+//!   one `poll(2)` on every EXS connection, owns the core, and pushes each
+//!   batch it receives (zero-copy, validated) straight into it; it runs
+//!   poll exchanges with accurate send/receive timestamps, so connection
+//!   count is decoupled from thread count. Per-connection credit bounds
+//!   what a sender may have in flight; [`quarantine`] contains malformed
+//!   frames.
 //! * [`relay::UpstreamExporter`] — relay mode: the merged stream leaves
 //!   over an ordinary EXS link ([`brisk_lis::Uplink`]).
 
@@ -40,7 +41,6 @@
 
 pub mod core;
 pub mod cre;
-pub mod flow;
 pub mod merge;
 pub mod output;
 pub mod quarantine;

@@ -16,10 +16,8 @@
 //!
 //! Backpressure composes through the trait: when an output reports
 //! `!ready()` (upstream credit exhausted, link down), the plane stops
-//! polling the sorter, records accumulate against the sorter's bounded
-//! window, the session plane's queue bound fills, downstream reads defer,
-//! and downstream credit dries up — tier by tier, with no unbounded
-//! buffer anywhere.
+//! polling the sorter, and records accumulate there until the output is
+//! ready again.
 
 use crate::cre::{CreMatcher, CreStats};
 use crate::sorter::{OnlineSorter, OverloadPolicy, SorterStats};
@@ -70,7 +68,7 @@ pub trait MergeOutput: Send {
 
 brisk_telemetry::metrics! {
     /// Registry cells behind [`MergeStats`]. The plane runs on one thread
-    /// (the manager), so its working totals are the plain snapshot and the
+    /// (the ISM's loop), so its working totals are the plain snapshot and the
     /// cells are published once per tick — no atomics per record.
     struct MergeCells =>
     /// Aggregate counters of one merge plane.

@@ -1,63 +1,70 @@
-//! Poll-based connection reactor: the ISM's one receive path.
-//!
-//! One thread serves every EXS connection: it multiplexes the server's
-//! listener, every connection's socket and, in a relay, the upstream
-//! link through one [`Poller`] (`poll(2)` — see `brisk_net::poll`),
-//! driving handshakes, batch ingest, heartbeats, credit acks, clock-sync
-//! exchanges and fault-injected transports alike. A thousand mostly-idle
-//! sensors cost sockets, not threads.
+//! The ISM's one loop. A single thread waits in one `poll(2)`
+//! ([`Poller`], see `brisk_net::poll`) on the listener, every EXS
+//! connection and, in a relay, the upstream link — as the paper's ISM
+//! waits in `select` on all of its EXS sockets — and owns the
+//! [`IsmCore`] and the [`SyncMaster`]. A thousand mostly-idle sensors cost
+//! sockets, not threads, and nothing crosses a thread.
 //!
 //! What a greeted connection accepts and rejects is decided in
-//! `crate::session` ([`PumpIo::on_frame`]); this module owns the socket
-//! and the scheduling:
+//! `crate::session` ([`PumpIo::on_frame`]); this module owns the sockets
+//! and the scheduling. One pass:
 //!
-//! * A readable listener is accepted until it would block, and each
-//!   connection is metered and joins the poll set, so no thread sleeps
-//!   in `accept`.
-//! * In a relay, the reactor also watches the upstream link the manager
-//!   owns ([`UplinkWatch`]): once its fd polls readable, the reactor
-//!   clears the watch and queues [`PumpEvent::Uplink`]; the manager reads
-//!   the link and re-arms it. Flow control never defers this watch.
-//! * Connections are read only when `poll` reports their socket
-//!   readable, or when whole frames already wait in their userspace read
-//!   buffer. Every transport (tcp, uds and the in-process abstract
-//!   sockets) has an fd; the one fd-less case is a fault-killed link,
-//!   read once more at once so its `Disconnected` is seen.
-//! * With nothing due, the reactor sleeps until a socket or its
-//!   [`Waker`] fires: its only timeouts are its connections' deadlines
-//!   (greeting, closing drain, sync sample, liveness).
-//! * Manager commands (acks, credit grants, sync rounds, shutdown) are
-//!   queued per connection; [`PumpHandle::command`] fires the reactor's
-//!   [`Waker`] so a sleeping `poll` services them immediately.
-//! * The clock-sync poll exchange is an explicit state machine
-//!   ([`SyncState`]) so one slow slave cannot stall the reactor.
-//! * EXS→ISM flow control keeps its semantics: while the shared manager
-//!   queue is over its bound, running connections are excluded from the
-//!   poll set (deferred), while greetings, teardown drains and manager
-//!   commands still make progress. The manager draining the queue back to
-//!   its bound wakes the reactor ([`FlowState::sub`]).
-//! * Liveness is judged where frames arrive: a running connection that
-//!   sends no frame for `node_timeout`, counting only passes willing to
-//!   read it (never flow-control deferral), gets `Shutdown` and is dropped.
-//! * A node id is served by one live connection at a time: the reactor
-//!   owns the claims, so a second `Hello` for an active node is refused
-//!   at the greeting, and a dead connection's `Disconnected` is queued
-//!   before its claim is released.
+//! 1. Start a sync round when one is due (every `poll_period`, or at once
+//!    after a tachyon repair asked for one) and close the open round once
+//!    its samples are in or its deadline passed; advance each connection's
+//!    poll exchange ([`SyncState`], so one slow slave cannot stall the
+//!    loop); drop greetings and closing drains past their deadlines.
+//! 2. Sleep until a socket is readable, the [`Waker`] fires (stop), or
+//!    the earliest deadline: a connection's (greeting, closing drain, sync
+//!    sample, liveness), the pipeline's ([`IsmCore::due_in`], no sooner
+//!    than [`COALESCE_WINDOW`] after the last tick) or the sync round's.
+//!    Connections are read only when `poll` reports them readable or when
+//!    whole frames already wait in their userspace buffer; a fault-killed
+//!    link has no fd and is read at once, so its end is seen.
+//! 3. Read each readable connection, at most [`MAX_FRAMES_PER_PASS`]
+//!    frames. A validated batch goes straight into
+//!    [`IsmCore::push_frame`], and its `BatchAck`, which re-advertises the
+//!    credit grant, goes out on the same connection in the same pass. The
+//!    pipeline ticks between frames whenever it is due, so a deep backlog
+//!    cannot starve it. Then judge each connection's liveness.
+//! 4. Sweep the dead, releasing their node claims and their place in an
+//!    open sync round, and accept what the listener has pending.
+//! 5. Tick when the pipeline is due or the upstream link has input (a
+//!    parent's ack or `SyncPoll` is answered at once).
+//!
+//! Backpressure is credit: a connection may have
+//! [`brisk_core::FlowConfig::credit_records`] records unacked, and a batch
+//! is acked once it is in the core. Records resident in the ISM are
+//! therefore bounded by each connection's credit plus one pass's frames.
+//! A sink that blocks stalls the loop: nothing is read or acked until it
+//! returns, and the senders run out of credit.
+//!
+//! Liveness is judged against the instant `poll` returned, after reading
+//! what arrived while the loop was busy: time spent inside the core is
+//! never a peer's silence. A running connection that sends no frame for
+//! `node_timeout` gets `Shutdown` and is dropped.
+//!
+//! A failed send never ends a connection: the frames a peer sent before
+//! it hung up are still read, and the read that finds the hang-up ends
+//! it.
+//!
+//! A node id is served by one live connection at a time: a second `Hello`
+//! for a claimed node is refused at the greeting, and a claim is released
+//! when its connection is swept.
 
-use crate::flow::FlowState;
+use crate::core::IsmCore;
 use crate::quarantine::QuarantineLog;
-use crate::server::ManagerCells;
-use crate::session::{pump_channel, FrameOutcome, PumpCommand, PumpEvent, PumpIo};
-use brisk_clock::{Clock, SkewSample};
-use brisk_core::{BriskError, NodeId, Result, UtcMicros};
+use crate::server::IsmReport;
+use crate::session::{FrameOutcome, PumpIo};
+use brisk_clock::{Clock, SkewSample, SyncMaster};
+use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
 use brisk_net::{
-    poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN,
+    poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, POLLERR, POLLHUP, POLLIN,
 };
 use brisk_proto::Message;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use std::collections::HashMap;
-use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use brisk_telemetry::Registry;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,194 +75,225 @@ const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Frames read from one connection per pass before yielding to the rest
-/// — bounds how long one firehose sensor can monopolize the reactor.
+/// — bounds how long one firehose sensor can monopolize the loop.
 const MAX_FRAMES_PER_PASS: usize = 32;
+/// How long the master waits for all slaves' samples before closing a
+/// round with whatever arrived.
+const ROUND_DEADLINE: Duration = Duration::from_secs(2);
+/// The shortest gap between two ticks. In a steady stream each record
+/// falls due a few microseconds after the last; ticks this far apart
+/// release them together, at most this late, where a tick per due time
+/// would cost a wakeup (and a telemetry publish) per record.
+const COALESCE_WINDOW: Duration = Duration::from_millis(1);
 
-/// Which node ids are currently served by a live connection, and by
-/// which pump. A second `Hello` claiming an already-active node is
-/// rejected at the greeting instead of racing the first connection's
-/// session state (two pumps stamping the same node id would interleave
-/// batches, corrupt per-node sequence tracking, and let a misconfigured
-/// sensor silently hijack another's stream). The reactor loop is its only
-/// user, and a claim is released only by the connection that made it.
-type Claims = HashMap<NodeId, u64>;
+brisk_telemetry::metrics! {
+    /// The session series the loop keeps.
+    struct LoopCells {
+        acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
+        credit_grants: counter "brisk_ism_credit_grants_total" "Credit replenishments piggybacked on batch acknowledgements",
+        grant_latency: histogram "brisk_ism_grant_latency_us" "Microseconds from reading a batch frame to sending its acknowledgement",
+        evicted: counter "brisk_ism_evicted_nodes_total" "Nodes evicted after going silent past the liveness timeout",
+    }
+}
 
-/// Everything the reactor needs to turn an anonymous socket into a pump.
-pub(crate) struct ReactorConfig {
+/// Everything the loop owns but its connections: the pipeline, the sync
+/// master, the session policy and the node claims.
+pub(crate) struct Ism {
+    pub(crate) core: IsmCore,
+    sync: SyncMaster,
     /// Master clock for receive stamps and sync exchanges.
-    pub clock: Arc<dyn Clock>,
-    /// Event stream into the manager; freshly greeted connections are
-    /// announced on it too ([`PumpEvent::Connected`]).
-    pub events: Sender<PumpEvent>,
-    /// Event-path cells shared with the manager (queue depth).
-    pub cells: Arc<ManagerCells>,
-    /// Shared EXS→ISM flow-control state.
-    pub flow: Arc<FlowState>,
-    /// Undecodable frames tolerated per connection before disconnect.
-    pub error_budget: u32,
-    /// Shared malformed-frame quarantine log.
-    pub quarantine: Arc<QuarantineLog>,
-    /// Evict a running connection silent this long (`None`: never).
-    pub node_timeout: Option<Duration>,
+    pub(crate) clock: Arc<dyn Clock>,
+    cells: Arc<LoopCells>,
+    /// Malformed-frame quarantine across all connections.
+    pub(crate) quarantine: Arc<QuarantineLog>,
     /// Meters every accepted connection, `Hello` frames included.
-    pub conn_metrics: Arc<ConnMetrics>,
+    conn_metrics: Arc<ConnMetrics>,
+    /// The credit grant every `HelloAck` and `BatchAck` carries.
+    credit: u64,
+    /// Undecodable frames tolerated per connection before disconnect.
+    pub(crate) error_budget: u32,
+    /// Evict a running connection silent this long (`None`: never).
+    node_timeout: Option<Duration>,
+    /// The node ids a live connection serves. Two connections stamping
+    /// one node id would interleave batches, corrupt per-node sequence
+    /// tracking and let a misconfigured sensor hijack another's stream.
+    claims: HashSet<NodeId>,
+    round: Option<RoundInFlight>,
+    last_tick: Instant,
+    last_round_finished: Instant,
 }
 
-impl ReactorConfig {
-    /// Queue `event` for the manager; `false` when the manager is gone.
-    /// The depth is raised first so the manager's matching decrement can
-    /// never be observed ahead of it.
-    pub(crate) fn send_event(&self, event: PumpEvent) -> bool {
-        self.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.events.send(event).is_ok();
-        if !sent {
-            self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
-    }
+struct RoundInFlight {
+    round: u64,
+    expected: HashSet<NodeId>,
+    started: Instant,
 }
 
-/// The reactor's one-shot watch on a relay's upstream link. The manager
-/// owns the link but sleeps on its event queue, so it lends the reactor
-/// the link's fd ([`UplinkWatch::arm`]). Once the fd polls ready (input,
-/// an error or a hang-up), the reactor clears the watch and queues
-/// [`PumpEvent::Uplink`]; the manager ticks, which reads the link, and
-/// arms the watch again. One-shot, so the reactor never spins on input
-/// the manager has yet to read.
-pub(crate) struct UplinkWatch {
-    /// The watched fd, or [`UplinkWatch::NONE`].
-    fd: AtomicI32,
-    /// The reactor's waker.
-    waker: Waker,
-}
-
-impl UplinkWatch {
-    const NONE: RawFd = -1;
-
-    /// Watch `fd` (`None`: nothing) and ring the reactor if that changed
-    /// the watch, so its poll set follows: a `poll` already asleep on an
-    /// old fd would not see a new socket that reused its number.
-    pub(crate) fn arm(&self, fd: Option<RawFd>) {
-        let fd = fd.unwrap_or(Self::NONE);
-        if self.fd.swap(fd, Ordering::AcqRel) != fd {
-            self.waker.wake();
-        }
-    }
-
-    /// The fd to poll, if one is watched.
-    fn armed(&self) -> Option<RawFd> {
-        Some(self.fd.load(Ordering::Acquire)).filter(|&fd| fd != Self::NONE)
-    }
-
-    /// Clear the watch if it still holds `fd`; `true` when it did, and
-    /// the manager must be told.
-    fn fire(&self, fd: RawFd) -> bool {
-        let cleared = self
-            .fd
-            .compare_exchange(fd, Self::NONE, Ordering::AcqRel, Ordering::Acquire);
-        cleared.is_ok()
-    }
-}
-
-/// The reactor thread: one `poll(2)` loop over the listener, every
-/// connection and a relay's upstream link.
-pub(crate) struct Reactor {
-    waker: Waker,
-    /// The watch on a relay's upstream link.
-    uplink: Arc<UplinkWatch>,
-    join: std::thread::JoinHandle<()>,
-    /// Asks the reactor to close the listener.
-    closing: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-}
-
-/// The server's listener, until it closes.
-struct Acceptor {
-    listener: Option<Box<dyn Listener>>,
-    closing: Arc<AtomicBool>,
-}
-
-impl Acceptor {
-    /// The listener, until it closes or a close is asked for.
-    fn open(&mut self) -> Option<&mut Box<dyn Listener>> {
-        if self.closing.load(Ordering::Acquire) {
-            self.listener = None;
-        }
-        self.listener.as_mut()
-    }
-
-    /// Accept until the listener would block, metering each connection
-    /// onto `drivers`. An accept error closes the listener: the server
-    /// accepts nothing more.
-    fn accept_pending(&mut self, ctx: &ReactorConfig, drivers: &mut Vec<Driver>) {
-        while let Some(listener) = self.open() {
-            match listener.try_accept() {
-                Ok(Some(conn)) => drivers.push(Driver::new(ctx.conn_metrics.wrap(conn))),
-                Ok(None) => return,
-                Err(e) => {
-                    brisk_telemetry::flight_log!(
-                        Error,
-                        "ism.reactor",
-                        "accept_failed",
-                        "listener closed after an accept error: {e}"
-                    );
-                    self.listener = None;
-                }
-            }
-        }
-    }
-}
-
-impl Reactor {
-    /// Spawn the reactor thread, accepting from `listener` and watching
-    /// the upstream link armed through [`Reactor::uplink_watch`]. A
-    /// drained manager queue wakes it.
-    pub(crate) fn spawn(cfg: ReactorConfig, listener: Box<dyn Listener>) -> Result<Reactor> {
-        let (stop, closing) = (Arc::default(), Arc::<AtomicBool>::default());
-        let poller = Poller::new().map_err(BriskError::Io)?;
-        let waker = poller.waker();
-        cfg.flow.register_waker(waker.clone());
-        let uplink = Arc::new(UplinkWatch {
-            fd: AtomicI32::new(UplinkWatch::NONE),
-            waker: waker.clone(),
-        });
-        let acceptor = Acceptor {
-            listener: Some(listener),
-            closing: Arc::clone(&closing),
-        };
-        let (watch, halt) = (Arc::clone(&uplink), Arc::clone(&stop));
-        let join = std::thread::Builder::new()
-            .name("brisk-reactor-0".into())
-            .spawn(move || run(cfg, poller, acceptor, watch, halt))
-            .map_err(BriskError::Io)?;
-        Ok(Reactor {
-            waker,
-            uplink,
-            join,
-            closing,
-            stop,
+impl Ism {
+    pub(crate) fn new(cfg: IsmConfig, sync_cfg: SyncConfig, clock: Arc<dyn Clock>) -> Result<Ism> {
+        let (credit, error_budget) = (cfg.flow.credit_records, cfg.protocol_error_budget);
+        let node_timeout = cfg.node_timeout;
+        Ok(Ism {
+            core: IsmCore::new(cfg)?,
+            sync: SyncMaster::new(sync_cfg)?,
+            clock,
+            cells: Arc::default(),
+            quarantine: QuarantineLog::new(),
+            conn_metrics: Arc::default(),
+            credit,
+            error_budget,
+            node_timeout,
+            claims: HashSet::new(),
+            round: None,
+            last_tick: Instant::now(),
+            last_round_finished: Instant::now(),
         })
     }
 
-    /// The watch on a relay's upstream link, for the manager to arm.
-    pub(crate) fn uplink_watch(&self) -> Arc<UplinkWatch> {
-        Arc::clone(&self.uplink)
+    /// Bind the core pipeline, the sync master, the quarantine,
+    /// connection metering and the session series to `registry`.
+    pub(crate) fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
+        self.core.bind_telemetry(registry);
+        self.sync.bind_telemetry(registry);
+        self.quarantine.bind_telemetry(registry);
+        self.cells.register(registry, &[]);
+        self.conn_metrics.register(registry, &[("role", "ism")]);
     }
 
-    /// Close the listener: new connects are refused, live connections
-    /// carry on.
-    pub(crate) fn close_listener(&self) {
-        self.closing.store(true, Ordering::Release);
-        self.waker.wake();
+    /// How long until the pipeline must tick ([`IsmCore::due_in`]), but
+    /// no sooner than [`COALESCE_WINDOW`] after the last tick. `None` when
+    /// nothing is pending.
+    fn pipeline_due_in(&self) -> Option<Duration> {
+        let due = self.core.due_in(self.clock.now())?;
+        Some(due.max(COALESCE_WINDOW.saturating_sub(self.last_tick.elapsed())))
     }
 
-    /// Stop the reactor and join its thread. Call only after the manager
-    /// has finished its shutdown drain: live connections are dropped
-    /// without further events.
-    pub(crate) fn stop(self) {
-        self.stop.store(true, Ordering::Release);
-        self.waker.wake();
-        let _ = self.join.join();
+    /// Advance the pipeline if it is due, or at once when `forced` (a
+    /// relay's upstream link has input, so a parent's ack or `SyncPoll`
+    /// is served without delay).
+    fn tick(&mut self, forced: bool) -> Result<()> {
+        if forced || self.pipeline_due_in().is_some_and(|w| w.is_zero()) {
+            self.last_tick = Instant::now();
+            self.core.tick(self.clock.now())?;
+        }
+        Ok(())
+    }
+
+    /// How long until [`Ism::step_rounds`] has work: the open round's
+    /// close (all samples in, or its deadline) or, while a connection is
+    /// `running`, the next periodic round. A tachyon repair's request is
+    /// taken in the pass that raised it.
+    fn rounds_due_in(&self, running: bool) -> Option<Duration> {
+        match &self.round {
+            Some(r) if r.expected.is_empty() => Some(Duration::ZERO),
+            Some(r) => Some(ROUND_DEADLINE.saturating_sub(r.started.elapsed())),
+            None if running => Some(
+                self.sync
+                    .config()
+                    .poll_period
+                    .saturating_sub(self.last_round_finished.elapsed()),
+            ),
+            None => None,
+        }
+    }
+
+    /// Start a round while a connection is `running` — every
+    /// `poll_period`, or at once when a tachyon repair asked for an extra
+    /// one and no round is in flight — and close the open round once
+    /// every expected slave reported or its deadline passed.
+    fn step_rounds(&mut self, peers: &mut [Peer], running: bool) -> Result<()> {
+        let extra = self.core.take_extra_sync_request();
+        let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
+        if self.round.is_none() && running && (due || extra) {
+            self.begin_round(peers);
+        }
+        self.maybe_close_round(peers)
+    }
+
+    /// Start a round: every running connection begins its poll exchange.
+    fn begin_round(&mut self, peers: &mut [Peer]) {
+        let round = self.sync.begin_round();
+        let samples = self.sync.samples_per_slave() as u32;
+        let mut expected = HashSet::new();
+        for d in peers.iter_mut().filter(|d| !d.dead) {
+            if let State::Running(run) = &mut d.state {
+                run.sync = Some(SyncState::new(round, samples));
+                expected.insert(run.io.node);
+            }
+        }
+        if expected.is_empty() {
+            self.last_round_finished = Instant::now();
+            return;
+        }
+        self.round = Some(RoundInFlight {
+            round,
+            expected,
+            started: Instant::now(),
+        });
+    }
+
+    /// A connection's exchange ended (possibly with fewer samples than
+    /// asked for, if replies timed out or it shut down): feed the master
+    /// if it belongs to the open round.
+    fn add_samples(&mut self, node: NodeId, exchange: SyncState) {
+        if let Some(r) = self.round.as_mut().filter(|r| r.round == exchange.round) {
+            for s in exchange.collected {
+                self.sync.add_sample(node, s);
+            }
+            r.expected.remove(&node);
+        }
+    }
+
+    /// Close the open round if every expected slave reported or its
+    /// deadline passed, and send each correction as a `SyncAdjust`.
+    fn maybe_close_round(&mut self, peers: &mut [Peer]) -> Result<()> {
+        let Some(r) = &self.round else {
+            return Ok(());
+        };
+        if !r.expected.is_empty() && r.started.elapsed() <= ROUND_DEADLINE {
+            return Ok(());
+        }
+        self.round = None;
+        let outcome = self.sync.finish_round()?;
+        let round = self.sync.rounds_completed();
+        let advance: HashMap<NodeId, i64> = outcome
+            .corrections
+            .iter()
+            .map(|c| (c.node, c.advance_us))
+            .collect();
+        for d in peers.iter_mut().filter(|d| !d.dead) {
+            let State::Running(run) = &d.state else {
+                continue;
+            };
+            if let Some(&advance_us) = advance.get(&run.io.node) {
+                let adjust = Message::SyncAdjust { round, advance_us };
+                let _ = d.conn.send(&adjust.encode());
+            }
+        }
+        self.last_round_finished = Instant::now();
+        Ok(())
+    }
+
+    /// A swept connection's node is free for a successor and no longer
+    /// owes the open round its samples.
+    fn release(&mut self, node: NodeId) {
+        self.claims.remove(&node);
+        if let Some(r) = &mut self.round {
+            r.expected.remove(&node);
+        }
+    }
+
+    /// Flush every held record and collect the final report.
+    fn finish(mut self) -> Result<IsmReport> {
+        self.core.drain_all()?;
+        Ok(IsmReport {
+            core: self.core.stats(),
+            sorter: self.core.sorter_stats(),
+            cre: self.core.cre_stats(),
+            sync_rounds: self.sync.rounds_completed(),
+            last_sync: self.sync.last_outcome().cloned(),
+            relay: self.core.upstream().map(|u| u.stats()),
+        })
     }
 }
 
@@ -301,60 +339,37 @@ impl SyncState {
             _ => {}
         }
     }
-
-    /// Hand the round's samples (possibly fewer than requested) to the
-    /// manager.
-    fn report(self, io: &PumpIo, ctx: &ReactorConfig) {
-        ctx.send_event(PumpEvent::SyncSamples {
-            node: io.node,
-            round: self.round,
-            samples: self.collected,
-        });
-    }
 }
 
 /// A connection that completed its greeting and serves a node.
 struct Running {
     io: PumpIo,
-    cmd_rx: Receiver<PumpCommand>,
     sync: Option<SyncState>,
 }
 
 enum State {
     /// Accepted but not yet identified: waiting for `Hello`.
     Greeting { deadline: Instant },
-    /// Greeted; batches, heartbeats, commands and sync exchanges flow.
+    /// Greeted; batches, heartbeats and sync exchanges flow.
     Running(Running),
     /// `Shutdown` sent; draining the EXS's final flush so no records are
-    /// lost at teardown, then reporting `Disconnected`.
+    /// lost at teardown.
     Closing { io: PumpIo, deadline: Instant },
 }
 
-struct Driver {
+struct Peer {
     conn: Box<dyn Connection>,
     state: State,
     dead: bool,
-    /// When its last frame arrived, pushed forward by every pass that
-    /// held it unread: a running connection's silence counts from here.
+    /// The instant `poll` returned in the pass that read its last frame:
+    /// a running connection's silence counts from here.
     heard: Instant,
 }
 
-/// How the read pass treats one driver this iteration.
-enum ReadMode {
-    /// Has a kernel fd at this slot in the poll set; read on readiness.
-    Polled(usize),
-    /// Buffered frames, or no fd (a killed link): recv every pass.
-    Always,
-    /// Deferred by flow control: not read, and the pass is not silence.
-    Held,
-    /// Dead: do not read.
-    Skip,
-}
-
-impl Driver {
-    fn new(conn: Box<dyn Connection>) -> Driver {
+impl Peer {
+    fn new(conn: Box<dyn Connection>) -> Peer {
         let now = Instant::now();
-        Driver {
+        Peer {
             conn,
             state: State::Greeting {
                 deadline: now + GREETING_TIMEOUT,
@@ -365,15 +380,23 @@ impl Driver {
     }
 
     fn is_running(&self) -> bool {
-        matches!(self.state, State::Running(_))
+        !self.dead && matches!(self.state, State::Running(_))
     }
 
-    /// The next instant this driver needs the reactor awake regardless of
+    /// The node an identified connection serves.
+    fn node(&self) -> Option<NodeId> {
+        match &self.state {
+            State::Running(run) => Some(run.io.node),
+            State::Closing { io, .. } => Some(io.node),
+            State::Greeting { .. } => None,
+        }
+    }
+
+    /// The next instant this peer needs the loop awake regardless of
     /// socket readiness; `liveness` is the node timeout, if it is running.
     fn next_deadline(&self, liveness: Option<Duration>) -> Option<Instant> {
         match &self.state {
-            State::Greeting { deadline } => Some(*deadline),
-            State::Closing { deadline, .. } => Some(*deadline),
+            State::Greeting { deadline } | State::Closing { deadline, .. } => Some(*deadline),
             State::Running(run) => {
                 let sample = run.sync.as_ref().and_then(|s| s.outstanding.as_ref());
                 let silent = liveness.map(|t| self.heard + t);
@@ -382,94 +405,41 @@ impl Driver {
         }
     }
 
-    /// Drain queued manager commands. Returns `false` when the
-    /// connection is done.
-    fn service_commands(&mut self, ctx: &ReactorConfig) -> bool {
-        loop {
-            let cmd = match &mut self.state {
-                State::Running(run) => run.cmd_rx.try_recv(),
-                _ => return true,
-            };
-            let reply = match cmd {
-                Ok(PumpCommand::SyncRound { round, samples }) => {
-                    if let State::Running(run) = &mut self.state {
-                        run.sync = Some(SyncState::new(round, samples));
-                    }
-                    continue;
-                }
-                Ok(PumpCommand::Adjust { round, advance_us }) => {
-                    Message::SyncAdjust { round, advance_us }
-                }
-                Ok(PumpCommand::Ack { seq }) => Message::BatchAck {
-                    seq,
-                    credit: ctx.flow.credit(),
-                },
-                Ok(PumpCommand::Shutdown) => {
-                    let _ = self.conn.send(&Message::Shutdown.encode());
-                    // Keep draining the EXS's final flush for a bounded
-                    // window so no records are lost at teardown.
-                    let placeholder = State::Greeting {
-                        deadline: Instant::now(),
-                    };
-                    if let State::Running(mut run) = std::mem::replace(&mut self.state, placeholder)
-                    {
-                        // A sync round interrupted by shutdown reports
-                        // what it collected — to the manager, samples
-                        // lost to teardown look like samples lost to
-                        // timeouts, and the round can still close.
-                        if let Some(sync) = run.sync.take() {
-                            sync.report(&run.io, ctx);
-                        }
-                        self.state = State::Closing {
-                            io: run.io,
-                            deadline: Instant::now() + CLOSING_DRAIN,
-                        };
-                    }
-                    return true;
-                }
-                Err(TryRecvError::Empty) => return true,
-                Err(TryRecvError::Disconnected) => return false,
-            };
-            if self.conn.send(&reply.encode()).is_err() {
-                return false;
-            }
+    /// A greeting that never said `Hello`, or a drain that ran out.
+    fn expired(&self, now: Instant) -> bool {
+        match &self.state {
+            State::Greeting { deadline } | State::Closing { deadline, .. } => now >= *deadline,
+            State::Running(_) => false,
         }
     }
 
-    /// Advance the sync state machine: time out lost samples, send the
-    /// next poll, emit `SyncSamples` when the round completes. Returns
-    /// `false` when the connection is done.
-    fn advance_sync(&mut self, ctx: &ReactorConfig) -> bool {
-        let run = match &mut self.state {
-            State::Running(run) => run,
-            _ => return true,
+    /// Advance the sync state machine: time out a lost sample, send the
+    /// next poll, hand the samples to the master when the exchange is
+    /// done.
+    fn advance_sync(&mut self, ism: &mut Ism) {
+        let State::Running(run) = &mut self.state else {
+            return;
         };
         let Some(sync) = &mut run.sync else {
-            return true;
+            return;
         };
         let now = Instant::now();
-        if let Some(out) = &sync.outstanding {
-            if now >= out.deadline {
-                sync.outstanding = None; // sample lost; move on
-            }
+        if sync
+            .outstanding
+            .as_ref()
+            .is_some_and(|out| now >= out.deadline)
+        {
+            sync.outstanding = None; // sample lost; move on
         }
         if sync.outstanding.is_none() && sync.next_sample < sync.total {
             let sample = sync.next_sample;
-            let t0 = ctx.clock.now();
-            if self
-                .conn
-                .send(
-                    &Message::SyncPoll {
-                        round: sync.round,
-                        sample,
-                        master_send: t0,
-                    }
-                    .encode(),
-                )
-                .is_err()
-            {
-                return false;
-            }
+            let t0 = ism.clock.now();
+            let poll = Message::SyncPoll {
+                round: sync.round,
+                sample,
+                master_send: t0,
+            };
+            let _ = self.conn.send(&poll.encode());
             sync.next_sample += 1;
             sync.outstanding = Some(Outstanding {
                 sample,
@@ -479,58 +449,64 @@ impl Driver {
         }
         if sync.outstanding.is_none() && sync.next_sample >= sync.total {
             if let Some(done) = run.sync.take() {
-                done.report(&run.io, ctx);
+                ism.add_samples(run.io.node, done);
             }
         }
-        true
     }
 
     /// Handle one inbound frame. Returns `false` when the connection is
     /// done.
-    fn on_frame(
-        &mut self,
-        frame: Vec<u8>,
-        ctx: &ReactorConfig,
-        waker: &Waker,
-        claims: &mut Claims,
-    ) -> bool {
+    fn on_frame(&mut self, frame: &[u8], ism: &mut Ism) -> bool {
         match &mut self.state {
-            State::Greeting { .. } => self.greet(frame, ctx, waker, claims),
-            State::Running(run) => match run.io.on_frame(ctx, frame) {
-                Ok(FrameOutcome::Consumed) => true,
-                Ok(FrameOutcome::SyncReply {
-                    round,
-                    sample,
-                    slave_time,
-                }) => {
-                    // A reply outside a round is stale; inside one, the
-                    // state machine decides whether it matches.
-                    if let Some(sync) = &mut run.sync {
-                        sync.on_reply(round, sample, slave_time, ctx.clock.now());
+            State::Greeting { .. } => self.greet(frame, ism),
+            State::Running(run) => {
+                let read = Instant::now();
+                match run.io.on_frame(ism, frame) {
+                    Ok(FrameOutcome::Consumed) => true,
+                    Ok(FrameOutcome::Batch { seq }) => {
+                        let ack = Message::BatchAck {
+                            seq,
+                            credit: ism.credit,
+                        };
+                        if self.conn.send(&ack.encode()).is_err() {
+                            return true;
+                        }
+                        ism.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
+                        ism.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+                        let waited = read.elapsed().as_micros() as u64;
+                        ism.cells.grant_latency.record(waited);
+                        true
                     }
-                    true
+                    Ok(FrameOutcome::SyncReply {
+                        round,
+                        sample,
+                        slave_time,
+                    }) => {
+                        // A reply outside a round is stale; inside one, the
+                        // state machine decides whether it matches.
+                        if let Some(sync) = &mut run.sync {
+                            sync.on_reply(round, sample, slave_time, ism.clock.now());
+                        }
+                        true
+                    }
+                    Err(_) => false,
                 }
-                Err(_) => false,
-            },
-            State::Closing { io, .. } => io.on_frame(ctx, frame).is_ok(),
+            }
+            // A draining connection's batches still enter the core, but
+            // it is past acks.
+            State::Closing { io, .. } => io.on_frame(ism, frame).is_ok(),
         }
     }
 
-    /// Server-side handshake, reactor style: the first frame must be a
-    /// `Hello`. Anything else — or a decode failure — drops the
-    /// connection silently; it never had an identity to report. A `Hello`
-    /// at any version but [`brisk_proto::VERSION`], or claiming a node id
-    /// another live connection already serves, is refused: quarantined
-    /// and answered with `Shutdown`. Every accepted connection runs the
-    /// one session — `HelloAck`, sequenced and acked batches, heartbeats.
-    fn greet(
-        &mut self,
-        frame: Vec<u8>,
-        ctx: &ReactorConfig,
-        waker: &Waker,
-        claims: &mut Claims,
-    ) -> bool {
-        let Ok(Message::Hello { node, version }) = Message::decode(&frame) else {
+    /// Server-side handshake: the first frame must be a `Hello`. Anything
+    /// else — or a decode failure — drops the connection silently; it
+    /// never had an identity. A `Hello` at any version but
+    /// [`brisk_proto::VERSION`], or claiming a node id another live
+    /// connection already serves, is refused: quarantined and answered
+    /// with `Shutdown`. Every accepted connection runs the one session —
+    /// `HelloAck`, sequenced and acked batches, heartbeats.
+    fn greet(&mut self, frame: &[u8], ism: &mut Ism) -> bool {
+        let Ok(Message::Hello { node, version }) = Message::decode(frame) else {
             return false;
         };
         if version != brisk_proto::VERSION {
@@ -538,34 +514,23 @@ impl Driver {
                 "Hello version {version} refused: this ISM speaks only v{}",
                 brisk_proto::VERSION
             );
-            return self.refuse(ctx, node, &frame, "unsupported_hello", &reason);
+            return self.refuse(ism, node, frame, "unsupported_hello", &reason);
         }
-        if claims.contains_key(&node) {
-            ctx.quarantine.note_rejected_hello();
+        if ism.claims.contains(&node) {
+            ism.quarantine.note_rejected_hello();
             let reason = "duplicate Hello: node already active";
-            return self.refuse(ctx, node, &frame, "duplicate_hello", reason);
+            return self.refuse(ism, node, frame, "duplicate_hello", reason);
         }
-        let (handle, cmd_rx) = pump_channel(node, waker.clone());
-        let id = handle.id();
         let ack = Message::HelloAck {
             version,
-            credit: ctx.flow.credit(),
+            credit: ism.credit,
         };
         if self.conn.send(&ack.encode()).is_err() {
             return false;
         }
-        let io = PumpIo {
-            node,
-            id,
-            errors: 0,
-        };
-        if !ctx.send_event(PumpEvent::Connected(handle)) {
-            return false; // server is shutting down
-        }
-        claims.insert(node, id);
+        ism.claims.insert(node);
         self.state = State::Running(Running {
-            io,
-            cmd_rx,
+            io: PumpIo { node, errors: 0 },
             sync: None,
         });
         true
@@ -575,13 +540,13 @@ impl Driver {
     /// `Shutdown`. Returns `false` (the connection is done).
     fn refuse(
         &mut self,
-        ctx: &ReactorConfig,
+        ism: &Ism,
         node: NodeId,
         frame: &[u8],
         event: &'static str,
         reason: &str,
     ) -> bool {
-        ctx.quarantine.record(node, frame, reason);
+        ism.quarantine.record(node, frame, reason);
         brisk_telemetry::flight_log!(
             Warn,
             "ism.reactor",
@@ -592,183 +557,174 @@ impl Driver {
         false
     }
 
-    /// Liveness: a running connection silent for the node timeout over
-    /// passes willing to read it is answered `Shutdown` and marked dead.
-    /// A pass that `held` it unread pushes `heard` forward by the pass
-    /// length instead: a slow manager is not a silent peer.
-    fn judge(&mut self, held: bool, pass: Duration, now: Instant, ctx: &ReactorConfig) {
-        let (Some(timeout), State::Running(run)) = (ctx.node_timeout, &self.state) else {
+    /// Liveness: a running connection whose last frame was read a node
+    /// timeout or more before `now`, the instant `poll` returned, is
+    /// answered `Shutdown` and marked dead.
+    fn judge(&mut self, now: Instant, ism: &Ism) {
+        let (Some(timeout), State::Running(run)) = (ism.node_timeout, &self.state) else {
             return;
         };
-        if held {
-            self.heard = (self.heard + pass).min(now);
-        } else if now.duration_since(self.heard) >= timeout {
-            brisk_telemetry::flight_log!(
-                Warn,
-                "ism.reactor",
-                "node_evicted",
-                "node {} evicted: no frame for over {timeout:?}",
-                run.io.node
-            );
-            ctx.cells.evicted.fetch_add(1, Ordering::Relaxed);
-            let _ = self.conn.send(&Message::Shutdown.encode());
-            self.dead = true;
+        if now.duration_since(self.heard) < timeout {
+            return;
         }
+        brisk_telemetry::flight_log!(
+            Warn,
+            "ism.reactor",
+            "node_evicted",
+            "node {} evicted: no frame for over {timeout:?}",
+            run.io.node
+        );
+        ism.cells.evicted.fetch_add(1, Ordering::Relaxed);
+        let _ = self.conn.send(&Message::Shutdown.encode());
+        self.dead = true;
     }
 
-    /// Report the death of an identified connection, then release its
-    /// node-id claim, so the manager sees it before any successor's
-    /// `Connected`. A connection still in its greeting never had an
-    /// identity, so nothing is emitted.
-    fn emit_disconnect(&self, ctx: &ReactorConfig, claims: &mut Claims) {
-        let io = match &self.state {
-            State::Running(run) => &run.io,
-            State::Closing { io, .. } => io,
-            State::Greeting { .. } => return,
+    /// The server is stopping: a greeting is dropped; a running
+    /// connection is told `Shutdown`, hands the master what its sync
+    /// exchange collected (to the master, samples lost to teardown look
+    /// like samples lost to timeouts) and drains the EXS's final flush for
+    /// up to [`CLOSING_DRAIN`].
+    fn shut_down(&mut self, ism: &mut Ism) {
+        let placeholder = State::Greeting {
+            deadline: Instant::now(),
         };
-        ctx.send_event(PumpEvent::Disconnected {
-            node: io.node,
-            id: io.id,
-        });
-        claims.remove(&io.node);
+        match std::mem::replace(&mut self.state, placeholder) {
+            State::Greeting { .. } => self.dead = true,
+            State::Running(run) => {
+                let _ = self.conn.send(&Message::Shutdown.encode());
+                if let Some(sync) = run.sync {
+                    ism.add_samples(run.io.node, sync);
+                }
+                self.state = State::Closing {
+                    io: run.io,
+                    deadline: Instant::now() + CLOSING_DRAIN,
+                };
+            }
+            closing => self.state = closing,
+        }
     }
 }
 
-/// The reactor thread: service commands, poll the listener, the
-/// upstream link and every connection, accept, route frames, judge
-/// liveness, sweep the dead.
-fn run(
-    ctx: ReactorConfig,
+/// Accept until the listener would block; each connection is metered and
+/// joins the next pass's poll set. An accept error closes the listener:
+/// the server accepts nothing more.
+fn accept_pending(listener: &mut Option<Box<dyn Listener>>, ism: &Ism, peers: &mut Vec<Peer>) {
+    while let Some(l) = listener.as_mut() {
+        match l.try_accept() {
+            Ok(Some(conn)) => peers.push(Peer::new(ism.conn_metrics.wrap(conn))),
+            Ok(None) => return,
+            Err(e) => {
+                brisk_telemetry::flight_log!(
+                    Error,
+                    "ism.reactor",
+                    "accept_failed",
+                    "listener closed after an accept error: {e}"
+                );
+                *listener = None;
+            }
+        }
+    }
+}
+
+/// The ISM: run passes until `stop` is set, then close the listener, shut
+/// every running connection down, drain their final flushes, flush the
+/// pipeline and report.
+pub(crate) fn run(
+    mut ism: Ism,
     poller: Poller,
-    mut acceptor: Acceptor,
-    uplink: Arc<UplinkWatch>,
-    stop: Arc<AtomicBool>,
-) {
-    let waker = poller.waker();
-    let mut drivers: Vec<Driver> = Vec::new();
-    let mut claims = Claims::new();
+    listener: Box<dyn Listener>,
+    stop: &AtomicBool,
+) -> Result<IsmReport> {
+    let mut listener = Some(listener);
+    let mut stopping = false;
+    let mut peers: Vec<Peer> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut modes: Vec<ReadMode> = Vec::new();
-    let mut last_wake = Instant::now();
-    while !stop.load(Ordering::Acquire) {
-        // Commands and sync exchanges first: acks, credit grants and
-        // sync traffic must not starve behind inbound batches.
-        for d in drivers.iter_mut() {
-            if !d.dead && (!d.service_commands(&ctx) || !d.advance_sync(&ctx)) {
-                d.dead = true;
+    // Each peer's slot in `fds`; `None` for a peer read without
+    // polling (or not read at all, if dead).
+    let mut slots: Vec<Option<usize>> = Vec::new();
+    loop {
+        if !stopping && stop.load(Ordering::Acquire) {
+            stopping = true;
+            listener = None;
+            for d in peers.iter_mut() {
+                d.shut_down(&mut ism);
             }
         }
-        // Deadlines: greetings that never said Hello, drains that ran out.
+        if stopping && peers.is_empty() {
+            break;
+        }
+        // Rounds and sync exchanges first, so a due poll goes out before
+        // the loop sleeps; then greetings that never said Hello and drains
+        // that ran out.
+        let running = peers.iter().any(Peer::is_running);
+        ism.step_rounds(&mut peers, running)?;
         let now = Instant::now();
-        for d in drivers.iter_mut() {
-            match &d.state {
-                State::Greeting { deadline } if now >= *deadline => d.dead = true,
-                State::Closing { deadline, .. } if now >= *deadline => d.dead = true,
-                _ => {}
-            }
+        for d in peers.iter_mut().filter(|d| !d.dead) {
+            d.advance_sync(&mut ism);
+            d.dead = d.expired(now);
         }
-        // Backpressure: while the manager queue is over its bound,
-        // running connections leave the poll set so their bytes pile up
-        // in the transport. Greetings and closing drains still read, and
-        // commands above still ran — sync and shutdown cannot deadlock.
-        let over = ctx.flow.over_limit();
         fds.clear();
-        modes.clear();
-        let listen_fd = acceptor.open().map(|l| l.poll_fd());
+        slots.clear();
+        let listen_fd = listener.as_ref().map(|l| l.poll_fd());
         fds.extend(listen_fd.map(poll_in));
-        // Flow control never defers the upstream link: a parent's ack is
-        // what frees a relay parked behind spent credit.
-        let watched = uplink.armed().map(|fd| {
+        let uplink = ism.core.upstream().and_then(|u| u.wait_fd()).map(|fd| {
             fds.push(poll_in(fd));
-            (fd, fds.len() - 1)
+            fds.len() - 1
         });
-        // Set when the next pass must not sleep: a connection already died
-        // (its sweep is owed) or has frames to read without a poll.
+        // Framed transports drain the kernel socket eagerly, so a frame
+        // cap can leave whole frames in the userspace buffer with POLLIN
+        // clear; such a connection is readable now, whatever poll says. A
+        // killed link has no fd; its next recv fails at once. Either, or a
+        // dead peer owed its sweep, means this pass must not sleep.
         let mut pass_now = false;
-        for d in drivers.iter() {
+        for d in &peers {
+            let fd = d
+                .conn
+                .poll_fd()
+                .filter(|_| !d.dead && !d.conn.has_buffered());
+            let slot = fd.map(|fd| {
+                fds.push(poll_in(fd));
+                fds.len() - 1
+            });
+            pass_now |= slot.is_none();
+            slots.push(slot);
+        }
+        let timeout = if pass_now {
+            Some(Duration::ZERO)
+        } else {
+            let (now, liveness) = (Instant::now(), ism.node_timeout);
+            let deadlines = peers
+                .iter()
+                .filter_map(|d| d.next_deadline(liveness))
+                .map(|at| at.saturating_duration_since(now));
+            let due = [ism.pipeline_due_in(), ism.rounds_due_in(running)];
+            deadlines.chain(due.into_iter().flatten()).min()
+        };
+        poller.wait(&mut fds, timeout).map_err(BriskError::Io)?;
+        // Judge against the instant poll returned: whatever arrived while
+        // the loop was busy in the core is read before anyone is judged.
+        let now = Instant::now();
+        for (d, slot) in peers.iter_mut().zip(&slots) {
             if d.dead {
-                pass_now = true;
-                modes.push(ReadMode::Skip);
                 continue;
             }
-            if over && d.is_running() {
-                ctx.flow.note_deferral();
-                modes.push(ReadMode::Held);
-                continue;
-            }
-            // Framed transports drain the kernel socket eagerly, so a
-            // frame-cap or backpressure break can leave whole frames in
-            // the userspace buffer with POLLIN clear — such a connection
-            // is readable now, whatever poll says. A killed link has no
-            // fd; its next recv fails at once.
-            match d.conn.poll_fd().filter(|_| !d.conn.has_buffered()) {
-                Some(fd) => {
-                    modes.push(ReadMode::Polled(fds.len()));
-                    fds.push(poll_in(fd));
-                }
-                None => {
-                    pass_now = true;
-                    modes.push(ReadMode::Always);
-                }
-            }
-        }
-        // Sleep until a socket is readable, a waker fires (new
-        // connection, queued command, a drained manager queue, a re-armed
-        // uplink, shutdown) or the nearest deadline; with none, until
-        // input. A deferred connection cannot fall silent, so it sets no
-        // liveness deadline. With `pass_now`, don't sleep at all, just
-        // collect any concurrently-readable sockets.
-        let mut timeout = pass_now.then_some(Duration::ZERO);
-        let now = Instant::now();
-        let liveness = ctx.node_timeout.filter(|_| !over);
-        for d in drivers.iter().filter(|d| !d.dead) {
-            if let Some(deadline) = d.next_deadline(liveness) {
-                let left = deadline.saturating_duration_since(now);
-                timeout = Some(timeout.map_or(left, |t| t.min(left)));
-            }
-        }
-        if poller.wait(&mut fds, timeout).is_err() {
-            // poll(2) failing is unrecoverable for the reactor; dropping
-            // the drivers closes every connection it owned.
-            break;
-        }
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some((fd, slot)) = watched {
-            if fds[slot].revents != 0 && uplink.fire(fd) {
-                ctx.send_event(PumpEvent::Uplink);
-            }
-        }
-        let now = Instant::now();
-        let pass = now.duration_since(last_wake);
-        last_wake = now;
-        // Read pass: drain readable connections, a bounded number of
-        // frames each so one firehose cannot monopolize the reactor, then
-        // judge each one's liveness.
-        for (d, mode) in drivers.iter_mut().zip(modes.iter_mut()) {
-            let readable = match mode {
-                ReadMode::Polled(slot) => fds[*slot].revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                ReadMode::Always => true,
-                ReadMode::Held | ReadMode::Skip => false,
+            let ready = |s: usize| fds[s].revents & (POLLIN | POLLERR | POLLHUP) != 0;
+            let frames = if slot.is_none_or(ready) {
+                MAX_FRAMES_PER_PASS
+            } else {
+                0
             };
-            for _ in 0..if readable { MAX_FRAMES_PER_PASS } else { 0 } {
-                // Re-check the queue bound between frames, not just when
-                // the poll set was built: one drain of a deep socket
-                // buffer could otherwise overshoot the bound by a whole
-                // pass (the bound the tests pin is queue + one batch per
-                // pump).
-                if d.is_running() && ctx.flow.over_limit() {
-                    *mode = ReadMode::Held;
-                    break;
-                }
+            for _ in 0..frames {
                 match d.conn.recv(Some(Duration::ZERO)) {
                     Ok(Some(frame)) => {
                         d.heard = now;
-                        if !d.on_frame(frame, &ctx, &waker, &mut claims) {
+                        if !d.on_frame(&frame, &mut ism) {
                             d.dead = true;
                             break;
                         }
+                        // Between frames too, so a deep backlog cannot
+                        // starve the tick.
+                        ism.tick(false)?;
                     }
                     Ok(None) => break,
                     Err(_) => {
@@ -778,115 +734,84 @@ fn run(
                 }
             }
             if !d.dead {
-                d.judge(matches!(mode, ReadMode::Held), pass, now, &ctx);
+                d.judge(now, &ism);
             }
         }
-        // Sweep: report identified deaths, drop the rest silently.
-        drivers.retain_mut(|d| {
-            if !d.dead {
-                return true;
+        peers.retain(|d| {
+            if let (true, Some(node)) = (d.dead, d.node()) {
+                ism.release(node);
             }
-            d.emit_disconnect(&ctx, &mut claims);
-            false
+            !d.dead
         });
-        // New connections join the next pass's poll set.
-        if listen_fd.and(fds.first()).is_some_and(|l| l.revents != 0) {
-            acceptor.accept_pending(&ctx, &mut drivers);
+        if listen_fd.is_some() && fds[0].revents != 0 {
+            accept_pending(&mut listener, &ism, &mut peers);
         }
+        ism.tick(uplink.is_some_and(|s| fds[s].revents != 0))?;
     }
+    ism.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::PumpHandle;
+    use crate::server::{IsmHandle, IsmServer};
     use brisk_clock::SystemClock;
-    use brisk_core::{EventRecord, EventTypeId, FlowConfig, NodeId, SensorId};
+    use brisk_core::{EventRecord, EventTypeId, FlowConfig, SensorId};
     use brisk_lis::testkit::recv_msg;
     use brisk_net::{MemTransport, Transport};
-    use brisk_proto::BatchView;
-    use crossbeam::channel::unbounded;
 
-    /// A reactor whose manager side is the test itself.
+    /// A spawned server over `MemTransport`, observed from its clients'
+    /// side of the wire.
     struct Rig {
         transport: Arc<MemTransport>,
-        reactor: Reactor,
-        events: Receiver<PumpEvent>,
-        quarantine: Arc<QuarantineLog>,
-        flow: Arc<FlowState>,
+        handle: IsmHandle,
     }
 
-    /// Credit 64, default manager-queue bound, error budget 2, no node
-    /// timeout.
-    fn test_reactor() -> Rig {
-        reactor_with(credit(64), 2)
+    /// Credit 64, error budget 2, no node timeout, sync rounds out of the
+    /// way.
+    fn test_server() -> Rig {
+        server_with(|_, _| {})
     }
 
-    fn reactor_with(flow: FlowConfig, error_budget: u32) -> Rig {
-        timed_reactor(flow, error_budget, None)
-    }
-
-    fn credit(credit_records: u64) -> FlowConfig {
-        FlowConfig {
-            credit_records,
-            ..FlowConfig::default()
-        }
-    }
-
-    fn timed_reactor(flow: FlowConfig, error_budget: u32, node_timeout: Option<Duration>) -> Rig {
-        let (event_tx, events) = unbounded();
-        let quarantine = QuarantineLog::new();
-        let flow = FlowState::new(flow);
-        let transport = MemTransport::new();
-        let reactor = Reactor::spawn(
-            ReactorConfig {
-                clock: Arc::new(SystemClock),
-                events: event_tx,
-                cells: Arc::default(),
-                flow: Arc::clone(&flow),
-                error_budget,
-                quarantine: Arc::clone(&quarantine),
-                node_timeout,
-                conn_metrics: Arc::default(),
+    /// [`test_server`]'s settings, adjusted by `configure`.
+    fn server_with(configure: impl FnOnce(&mut IsmConfig, &mut SyncConfig)) -> Rig {
+        let mut cfg = IsmConfig {
+            flow: FlowConfig {
+                credit_records: 64,
+                ..FlowConfig::default()
             },
-            transport.listen("reactor").unwrap(),
-        )
-        .unwrap();
-        Rig {
-            transport,
-            reactor,
-            events,
-            quarantine,
-            flow,
-        }
+            protocol_error_budget: 2,
+            node_timeout: None,
+            ..IsmConfig::default()
+        };
+        let mut sync = SyncConfig {
+            poll_period: Duration::from_secs(60),
+            ..SyncConfig::default()
+        };
+        configure(&mut cfg, &mut sync);
+        let transport = MemTransport::new();
+        let server = IsmServer::new(cfg, sync, Arc::new(SystemClock)).unwrap();
+        let handle = server.spawn(transport.listen("reactor").unwrap()).unwrap();
+        Rig { transport, handle }
     }
 
     impl Rig {
-        /// A fresh client connection, accepted by the reactor.
+        /// A fresh client connection, accepted by the server.
         fn client(&self) -> Box<dyn Connection> {
             self.transport.connect("reactor").unwrap()
         }
 
         /// Connect and say `Hello` as `node` at the current protocol
-        /// version; returns the client end (HelloAck consumed) and the
-        /// pump handle the manager would hold.
-        fn greeted(&self, node: u32) -> (Box<dyn Connection>, PumpHandle) {
+        /// version; returns the client end, its `HelloAck` consumed.
+        fn greeted(&self, node: u32) -> Box<dyn Connection> {
             let mut client = self.client();
             client.send(&hello(node, brisk_proto::VERSION)).unwrap();
             assert!(matches!(recv_msg(&mut client), Message::HelloAck { .. }));
-            (client, self.connected())
+            client
         }
 
-        fn event(&self) -> PumpEvent {
-            self.events.recv_timeout(Duration::from_secs(2)).unwrap()
-        }
-
-        /// The next event, which must announce a greeted connection.
-        fn connected(&self) -> PumpHandle {
-            match self.event() {
-                PumpEvent::Connected(handle) => handle,
-                other => panic!("expected Connected, got {other:?}"),
-            }
+        fn quarantine(&self) -> &QuarantineLog {
+            self.handle.quarantine()
         }
     }
 
@@ -907,9 +832,28 @@ mod tests {
         .encode()
     }
 
+    fn record(node: u32) -> EventRecord {
+        EventRecord::new(
+            NodeId(node),
+            SensorId(0),
+            EventTypeId(1),
+            0,
+            UtcMicros::from_micros(9),
+            vec![],
+        )
+        .unwrap()
+    }
+
+    /// True when the server closes `client` within 2 s without sending
+    /// it anything more.
+    fn dropped_silently(client: &mut Box<dyn Connection>) -> bool {
+        client.recv(Some(Duration::from_secs(2))).is_err()
+    }
+
     #[test]
     fn greets_pumps_batches_and_reports_disconnect() {
-        let rig = test_reactor();
+        let rig = test_server();
+        let mut reader = rig.handle.memory().reader();
         let mut client = rig.client();
         client.send(&hello(7, brisk_proto::VERSION)).unwrap();
         // HelloAck carries the session version and the credit grant.
@@ -920,70 +864,38 @@ mod tests {
                 credit: 64
             }
         );
-        let handle = rig.connected();
-        assert_eq!(handle.node, NodeId(7));
-        // A batch flows through untouched and still parses as a view.
-        let rec = EventRecord::new(
-            NodeId(7),
-            SensorId(0),
-            EventTypeId(1),
-            0,
-            UtcMicros::from_micros(9),
-            vec![],
-        )
-        .unwrap();
-        client
-            .send(
-                &Message::EventBatch {
-                    node: NodeId(7),
-                    seq: Some(1),
-                    records: vec![rec.clone()],
-                }
-                .encode(),
-            )
-            .unwrap();
-        match rig.event() {
-            PumpEvent::Batch {
-                node,
-                id,
-                seq,
-                frame,
-                count,
-                ..
-            } => {
-                assert_eq!(node, NodeId(7));
-                assert_eq!(id, handle.id());
-                assert_eq!(seq, 1);
-                assert_eq!(count, 1);
-                let view = BatchView::parse(&frame).unwrap();
-                assert_eq!(view.materialize().unwrap(), vec![rec]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // A heartbeat is liveness, judged at the reactor: nothing reaches
-        // the manager.
-        client.send(&Message::Heartbeat.encode()).unwrap();
-        assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
-        // Commands flow back out through the handle (waker-driven), and
-        // every ack carries the server's credit grant.
-        assert!(handle.command(PumpCommand::Ack { seq: 42 }));
+        // A batch enters the core and is acked on the same connection,
+        // and every ack carries the server's credit grant.
+        let rec = record(7);
+        let batch = Message::EventBatch {
+            node: NodeId(7),
+            seq: Some(1),
+            records: vec![rec.clone()],
+        };
+        client.send(&batch.encode()).unwrap();
         assert_eq!(
             recv_msg(&mut client),
-            Message::BatchAck {
-                seq: 42,
-                credit: 64
-            }
+            Message::BatchAck { seq: 1, credit: 64 }
         );
-        // Dropping the client surfaces as a Disconnected event.
+        // A heartbeat is liveness only: nothing answers it.
+        client.send(&Message::Heartbeat.encode()).unwrap();
+        assert!(client
+            .recv(Some(Duration::from_millis(100)))
+            .unwrap()
+            .is_none());
+        // Dropping the client ends its session and frees node 7 for a
+        // successor.
         drop(client);
-        match rig.event() {
-            PumpEvent::Disconnected { node, id } => {
-                assert_eq!(node, NodeId(7));
-                assert_eq!(id, handle.id());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        rig.reactor.stop();
+        let mut successor = rig.greeted(7);
+        successor.send(&empty_batch(7, 2)).unwrap();
+        assert_eq!(
+            recv_msg(&mut successor),
+            Message::BatchAck { seq: 2, credit: 64 }
+        );
+        let report = rig.handle.stop().unwrap();
+        assert_eq!(report.core.records_in, 1);
+        // The record came through untouched.
+        assert_eq!(reader.poll().unwrap().0, vec![rec]);
     }
 
     #[test]
@@ -1005,64 +917,77 @@ mod tests {
             (512, 2, Message::Shutdown),
             (512, 1, Message::Shutdown),
         ] {
-            let rig = reactor_with(credit(grant), 2);
+            let rig = server_with(|cfg, _| cfg.flow.credit_records = grant);
             let mut client = rig.client();
             client.send(&hello(5, version)).unwrap();
             assert_eq!(recv_msg(&mut client), expect, "credit {grant}, v{version}");
             if version == v {
-                assert_eq!(rig.connected().node, NodeId(5));
-                assert!(rig.quarantine.samples().is_empty());
+                // Connected: its batches are acked.
+                client.send(&empty_batch(5, 1)).unwrap();
+                assert_eq!(
+                    recv_msg(&mut client),
+                    Message::BatchAck {
+                        seq: 1,
+                        credit: grant
+                    }
+                );
+                assert!(rig.quarantine().samples().is_empty());
             } else {
-                assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
-                let samples = rig.quarantine.samples();
+                assert!(dropped_silently(&mut client), "v{version} connected");
+                let samples = rig.quarantine().samples();
                 assert_eq!(samples.len(), 1);
                 assert_eq!(samples[0].node, NodeId(5));
                 assert!(samples[0].error.contains(&format!("version {version}")));
             }
-            rig.reactor.stop();
+            rig.handle.stop().unwrap();
         }
     }
 
     #[test]
     fn non_hello_greeting_is_dropped_without_a_pump() {
-        let rig = test_reactor();
+        let rig = test_server();
         for first_frame in [Message::Heartbeat, Message::Shutdown] {
             let mut client = rig.client();
             client.send(&first_frame.encode()).unwrap();
-            assert!(rig.events.recv_timeout(Duration::from_millis(250)).is_err());
+            assert!(dropped_silently(&mut client), "{first_frame:?} greeted");
         }
-        rig.reactor.stop();
+        assert!(rig.quarantine().samples().is_empty());
+        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn silent_greeting_is_dropped_at_the_deadline() {
-        let rig = test_reactor();
+        let rig = test_server();
         let mut client = rig.client();
         // Never say Hello: past the greeting deadline the connection is
-        // closed, with no pump and no event (it never had an identity).
+        // closed, and it is told nothing (it never had an identity).
         let give_up = Instant::now() + GREETING_TIMEOUT + Duration::from_secs(3);
         let closed = loop {
             match client.recv(Some(Duration::from_millis(100))) {
                 Err(_) => break true,
-                Ok(_) if Instant::now() > give_up => break false,
-                Ok(_) => {}
+                Ok(Some(frame)) => panic!("told {:?}", Message::decode(&frame)),
+                Ok(None) if Instant::now() > give_up => break false,
+                Ok(None) => {}
             }
         };
         assert!(closed, "a peer that never greets must be dropped");
-        assert!(rig.events.try_recv().is_err());
-        rig.reactor.stop();
+        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn sync_round_runs_as_state_machine_while_batches_flow() {
-        let rig = test_reactor();
-        let (mut client, handle) = rig.greeted(2);
-        assert!(handle.command(PumpCommand::SyncRound {
-            round: 9,
-            samples: 3
-        }));
-        // Slave side: answer 3 polls, interleaving a batch.
-        let mut answered = 0;
+        // Textbook Cristian corrects even a lone slave, so the round's
+        // correction is visible on the wire.
+        let rig = server_with(|_, sync| {
+            sync.poll_period = Duration::from_millis(50);
+            sync.samples_per_slave = 3;
+            sync.original_cristian = true;
+        });
+        let mut client = rig.greeted(2);
+        // Slave side: answer 3 polls from a clock 5 s behind, interleaving
+        // a batch, which is acked while the round runs.
+        const BEHIND_US: i64 = 5_000_000;
+        let (mut answered, mut acked, mut poll_round) = (0, false, None);
         while answered < 3 {
             match recv_msg(&mut client) {
                 Message::SyncPoll {
@@ -1070,241 +995,194 @@ mod tests {
                     sample,
                     master_send,
                 } => {
+                    assert_eq!(*poll_round.get_or_insert(round), round);
+                    assert_eq!(sample, answered);
                     if answered == 1 {
                         client.send(&empty_batch(2, 1)).unwrap();
                     }
-                    client
-                        .send(
-                            &Message::SyncReply {
-                                round,
-                                sample,
-                                master_send,
-                                slave_time: UtcMicros::now(),
-                            }
-                            .encode(),
-                        )
-                        .unwrap();
+                    let reply = Message::SyncReply {
+                        round,
+                        sample,
+                        master_send,
+                        slave_time: UtcMicros::from_micros(master_send.as_micros() - BEHIND_US),
+                    };
+                    client.send(&reply.encode()).unwrap();
                     answered += 1;
                 }
+                Message::BatchAck { seq: 1, .. } => acked = true,
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let mut batches = 0;
-        let mut samples = None;
-        for _ in 0..2 {
-            match rig.event() {
-                PumpEvent::Batch { .. } => batches += 1,
-                PumpEvent::SyncSamples {
-                    node,
-                    round,
-                    samples: s,
-                } => {
-                    assert_eq!(node, NodeId(2));
-                    assert_eq!(round, 9);
-                    samples = Some(s);
+        // The round closes on its third sample, and its correction reaches
+        // the slave as a SyncAdjust.
+        let advance = loop {
+            match recv_msg(&mut client) {
+                Message::BatchAck { seq: 1, .. } => acked = true,
+                Message::SyncAdjust { round, advance_us } => {
+                    assert_eq!(Some(round), poll_round);
+                    break advance_us;
                 }
                 other => panic!("unexpected {other:?}"),
             }
-        }
-        assert_eq!(batches, 1);
-        let samples = samples.expect("sync samples event");
-        assert_eq!(samples.len(), 3);
-        for s in samples {
-            assert!(s.rtt_us() >= 0);
-        }
-        // The round's correction reaches the slave as a SyncAdjust.
-        handle.command(PumpCommand::Adjust {
-            round: 9,
-            advance_us: 123,
-        });
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::SyncAdjust {
-                round: 9,
-                advance_us: 123
-            }
+        };
+        assert!(acked, "the batch sent mid-round was never acked");
+        assert!(
+            (BEHIND_US..BEHIND_US + 100_000).contains(&advance),
+            "correction {advance} µs for a slave {BEHIND_US} µs behind"
         );
-        rig.reactor.stop();
+        let report = rig.handle.stop().unwrap();
+        assert!(report.sync_rounds >= 1);
     }
 
     #[test]
     fn spoofed_or_unsequenced_batch_ends_the_connection() {
-        let rig = test_reactor();
+        let rig = test_server();
         // The connection said Hello as node 5; a batch claiming node 6 is
         // spoofed, and one without a seq can be neither acked nor
         // deduplicated. Either must end the connection without being
-        // forwarded or quarantined.
-        let unsequenced = Message::EventBatch {
-            node: NodeId(5),
-            seq: None,
-            records: vec![],
-        };
-        for frame in [empty_batch(6, 1), unsequenced.encode()] {
-            let (mut client, handle) = rig.greeted(5);
-            client.send(&frame).unwrap();
-            match rig.event() {
-                PumpEvent::Disconnected { node, id } => {
-                    assert_eq!(node, NodeId(5));
-                    assert_eq!(id, handle.id());
-                }
-                other => panic!("bad batch must not be forwarded, got {other:?}"),
-            }
+        // pushed, acked or quarantined.
+        for seq in [Some(1), None] {
+            let node = if seq.is_some() { 6 } else { 5 };
+            let bad = Message::EventBatch {
+                node: NodeId(node),
+                seq,
+                records: vec![record(node)],
+            };
+            let mut client = rig.greeted(5);
+            client.send(&bad.encode()).unwrap();
+            assert!(dropped_silently(&mut client), "bad batch {seq:?} kept");
         }
-        assert_eq!(rig.quarantine.frames(), 0);
-        rig.reactor.stop();
+        assert_eq!(rig.quarantine().frames(), 0);
+        let report = rig.handle.stop().unwrap();
+        assert_eq!(report.core.records_in, 0);
     }
 
     #[test]
-    fn over_limit_flow_defers_socket_reads_but_not_commands() {
-        let tight = FlowConfig {
-            max_queued_records: 1,
-            ..credit(64)
-        };
-        for flow in [tight, FlowConfig::default()] {
-            let rig = reactor_with(flow, 2);
-            let (mut client, handle) = rig.greeted(5);
-            // Some other connection filled the manager queue past its bound.
-            let queued = flow.max_queued_records as u64 + 9;
-            rig.flow.add(queued);
-            client.send(&empty_batch(5, 1)).unwrap();
-            // The batch stays in the transport while the queue is over its
-            // bound...
-            assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
-            // ...but manager commands are still serviced (no sync deadlock).
-            let credit = flow.credit_records;
-            assert!(handle.command(PumpCommand::Ack { seq: 7 }));
-            assert_eq!(recv_msg(&mut client), Message::BatchAck { seq: 7, credit });
-            assert!(rig.flow.deferrals() > 0, "{flow:?}");
-            // Once the manager drains the queue the deferred batch flows.
-            rig.flow.sub(queued);
-            match rig.event() {
-                PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
-                other => panic!("unexpected {other:?}"),
-            }
-            rig.reactor.stop();
-        }
-    }
-
-    #[test]
-    fn a_connection_held_unread_by_flow_control_is_not_silent() {
-        let rig = timed_reactor(credit(64), 2, Some(Duration::from_millis(150)));
-        let (mut client, _handle) = rig.greeted(5);
-        // Another connection filled the manager queue past its bound, and
-        // it stays there for four timeouts with a batch waiting here.
-        let queued = FlowConfig::default().max_queued_records as u64 + 9;
-        rig.flow.add(queued);
-        client.send(&empty_batch(5, 1)).unwrap();
-        assert!(rig.events.recv_timeout(Duration::from_millis(600)).is_err());
-        // Once the bound clears the batch flows: the peer was never silent,
-        // the reactor just would not read it.
-        rig.flow.sub(queued);
-        match rig.event() {
-            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
-            other => panic!("held connection evicted: {other:?}"),
-        }
-        assert!(client
-            .recv(Some(Duration::from_millis(100)))
-            .unwrap()
-            .is_none());
-        rig.reactor.stop();
-    }
-
-    #[test]
-    fn a_half_open_peer_is_evicted_while_others_are_deferred_now_and_then() {
-        let rig = timed_reactor(credit(64), 2, Some(Duration::from_millis(300)));
-        // Two peers heartbeat every 2 ms beside the silent one, so the
-        // reactor samples the flickering bound far more often than it
-        // flips.
-        let (mut silent, handle) = rig.greeted(5);
+    fn a_half_open_peer_is_evicted_while_others_heartbeat() {
+        let rig = server_with(|cfg, _| cfg.node_timeout = Some(Duration::from_millis(300)));
+        let mut silent = rig.greeted(5);
         let mut chatty: Vec<_> = (6..8).map(|node| rig.greeted(node)).collect();
-        // The queue bound flickers every 5 ms, so every connection is
-        // deferred about half the time. Refreshing liveness on a deferred
-        // pass would keep the silent peer alive for ever.
-        let stop = Arc::new(AtomicBool::new(false));
-        let flow = Arc::clone(&rig.flow);
-        let flicker = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let queued = FlowConfig::default().max_queued_records as u64 + 9;
-                while !stop.load(Ordering::Relaxed) {
-                    flow.add(queued);
-                    std::thread::sleep(Duration::from_millis(5));
-                    flow.sub(queued);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
         let give_up = Instant::now() + Duration::from_secs(3);
         let mut evicted = false;
         while !evicted && Instant::now() < give_up {
-            for (peer, _handle) in chatty.iter_mut() {
+            for peer in chatty.iter_mut() {
                 peer.send(&Message::Heartbeat.encode()).unwrap();
             }
-            evicted = matches!(
-                rig.events.recv_timeout(Duration::from_millis(2)),
-                Ok(PumpEvent::Disconnected { id, .. }) if id == handle.id()
-            );
+            evicted = match silent.recv(Some(Duration::from_millis(20))) {
+                Ok(Some(frame)) => Message::decode(&frame).unwrap() == Message::Shutdown,
+                _ => false,
+            };
         }
-        stop.store(true, Ordering::Relaxed);
-        flicker.join().unwrap();
-        assert!(
-            evicted,
-            "a silent peer must be evicted under flickering flow control"
-        );
-        assert_eq!(recv_msg(&mut silent), Message::Shutdown);
+        assert!(evicted, "a silent peer must be evicted");
+        assert!(dropped_silently(&mut silent));
         // The heartbeating peers kept their sessions through the same
         // passes.
-        for (peer, _handle) in chatty.iter_mut() {
+        for peer in chatty.iter_mut() {
             assert!(peer
                 .recv(Some(Duration::from_millis(100)))
                 .unwrap()
                 .is_none());
         }
-        rig.reactor.stop();
+        rig.handle.stop().unwrap();
+    }
+
+    #[test]
+    fn stop_shuts_running_connections_down_and_drains_their_final_flush() {
+        let rig = test_server();
+        let mut client = rig.greeted(3);
+        let Rig { handle, .. } = rig;
+        let stopping = std::thread::spawn(move || handle.stop().unwrap());
+        assert_eq!(recv_msg(&mut client), Message::Shutdown);
+        // The EXS's final flush still enters the core, unacked, before it
+        // hangs up.
+        let last = Message::EventBatch {
+            node: NodeId(3),
+            seq: Some(1),
+            records: vec![record(3)],
+        };
+        client.send(&last.encode()).unwrap();
+        drop(client);
+        let report = stopping.join().unwrap();
+        assert_eq!(report.core.records_in, 1);
+    }
+
+    #[test]
+    fn batches_sent_before_a_hang_up_all_enter_the_core() {
+        // The first delivery stalls the loop while the peer sends two more
+        // batches and hangs up, so both acks fail to send.
+        let transport = MemTransport::new();
+        let sync = SyncConfig {
+            poll_period: Duration::from_secs(60),
+            ..SyncConfig::default()
+        };
+        let mut server = IsmServer::new(IsmConfig::default(), sync, Arc::new(SystemClock)).unwrap();
+        let mut stalled = false;
+        let stall = move |_: &EventRecord| {
+            if !std::mem::replace(&mut stalled, true) {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            Ok(())
+        };
+        server.core_mut().add_sink(Box::new(stall));
+        let rig = Rig {
+            handle: server.spawn(transport.listen("reactor").unwrap()).unwrap(),
+            transport,
+        };
+        let mut client = rig.greeted(4);
+        let batch = |seq| Message::EventBatch {
+            node: NodeId(4),
+            seq: Some(seq),
+            records: vec![record(4)],
+        };
+        client.send(&batch(1).encode()).unwrap();
+        assert!(matches!(
+            recv_msg(&mut client),
+            Message::BatchAck { seq: 1, .. }
+        ));
+        client.send(&batch(2).encode()).unwrap();
+        client.send(&batch(3).encode()).unwrap();
+        drop(client);
+        let report = rig.handle.stop().unwrap();
+        assert_eq!(report.core.records_in, 3);
     }
 
     #[test]
     fn malformed_frames_are_quarantined_within_budget() {
-        let rig = test_reactor();
-        let (mut client, _handle) = rig.greeted(5);
+        let rig = test_server();
+        let mut client = rig.greeted(5);
         // Two garbage frames fit inside the budget: the connection lives
         // and a valid batch still flows afterwards.
         client.send(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
         client.send(b"not a brisk frame").unwrap();
         client.send(&empty_batch(5, 1)).unwrap();
-        match rig.event() {
-            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
-            other => panic!("batch must survive quarantined garbage, got {other:?}"),
-        }
-        assert_eq!(rig.quarantine.frames(), 2);
-        assert_eq!(rig.quarantine.disconnects(), 0);
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::BatchAck { seq: 1, credit: 64 },
+            "batch must survive quarantined garbage"
+        );
+        assert_eq!(rig.quarantine().frames(), 2);
+        assert_eq!(rig.quarantine().disconnects(), 0);
         // The third garbage frame exhausts the budget: disconnect.
         client.send(&[0xff; 8]).unwrap();
-        match rig.event() {
-            PumpEvent::Disconnected { node, .. } => assert_eq!(node, NodeId(5)),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(rig.quarantine.frames(), 3);
-        assert_eq!(rig.quarantine.disconnects(), 1);
-        let samples = rig.quarantine.samples();
+        assert!(dropped_silently(&mut client));
+        assert_eq!(rig.quarantine().frames(), 3);
+        assert_eq!(rig.quarantine().disconnects(), 1);
+        let samples = rig.quarantine().samples();
         assert_eq!(samples.len(), 3);
         assert_eq!(samples[0].node, NodeId(5));
         assert_eq!(samples[0].head_hex, "deadbeef");
         assert!(!samples[0].error.is_empty());
-        rig.reactor.stop();
+        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn zero_budget_drops_connection_on_first_bad_frame() {
-        let rig = reactor_with(credit(64), 0);
-        let (mut client, _handle) = rig.greeted(5);
+        let rig = server_with(|cfg, _| cfg.protocol_error_budget = 0);
+        let mut client = rig.greeted(5);
         client.send(&[0x00]).unwrap();
-        match rig.event() {
-            PumpEvent::Disconnected { .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(rig.quarantine.frames(), 1);
-        assert_eq!(rig.quarantine.disconnects(), 1);
-        rig.reactor.stop();
+        assert!(dropped_silently(&mut client));
+        assert_eq!(rig.quarantine().frames(), 1);
+        assert_eq!(rig.quarantine().disconnects(), 1);
+        rig.handle.stop().unwrap();
     }
 }

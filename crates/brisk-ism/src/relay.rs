@@ -16,10 +16,9 @@
 //! `Shutdown` retires the link and the relay dials again. The link's
 //! counters are the `Uplink`'s own, registered under `role="relay"`.
 //!
-//! The server's manager thread owns the exporter and sleeps on its event
-//! queue, so it lends the link's fd ([`UpstreamExporter::wait_fd`]) to
-//! the reactor, which polls it beside its connections. Link input
-//! (an ack, a `SyncPoll`) wakes the manager at once, and its tick
+//! The server's one loop owns the exporter and polls the link's fd
+//! ([`UpstreamExporter::wait_fd`]) beside its connections. Link input
+//! (an ack, a `SyncPoll`) ticks the loop at once, and its tick
 //! [`MergeOutput::pump`]s the exporter; nothing reads the link on a
 //! timer. The exporter's own due times are its partial batch's flush and
 //! the link's heartbeat or redial.
@@ -36,10 +35,10 @@
 //!
 //! Backpressure composes across tiers through [`MergeOutput::ready`]:
 //! with the upstream link down or its credit spent, the exporter reports
-//! not-ready, the merge plane parks records in the sorter's bounded
-//! window, the session plane's queue bound fills, downstream reads
-//! defer, and downstream credit dries up. The parent's ack is link input:
-//! it wakes the manager, which releases the parked records.
+//! not-ready and the merge plane parks records in the sorter. The
+//! parent's ack is link input: it ticks the loop, which releases the
+//! parked records. Downstream credit is still granted as each batch
+//! enters the core, so a long outage grows the sorter.
 
 use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
@@ -290,7 +289,7 @@ impl MergeOutput for UpstreamExporter {
 
     /// The partial batch's flush timeout or the link's own due time
     /// ([`Uplink::due_in`]: its heartbeat, or its redial while down).
-    /// Link input is no due time: it wakes the manager through
+    /// Link input is no due time: it wakes the loop through
     /// [`UpstreamExporter::wait_fd`], and a live link with no fd to wait
     /// on is due now.
     fn due_in(&self, now: UtcMicros) -> Option<Duration> {

@@ -1,47 +1,34 @@
-//! The threaded ISM server: reactor + manager loop.
+//! The ISM server: the public face of the one loop in `crate::reactor`.
 //!
-//! Threads, each asleep until input or its nearest deadline:
-//!
-//! * **reactor** (one thread, see `crate::reactor`) — polls the listener
-//!   beside every connection, greets each (`Hello`, with its 5 s
-//!   deadline) and then multiplexes all of them over one `poll(2)`:
-//!   forward batches zero-copy, send batch acks and credit grants, run
-//!   poll exchanges with socket-accurate timestamps, and evict
-//!   connections silent past [`brisk_core::IsmConfig::node_timeout`].
-//!   Connection count is independent of thread count;
-//! * **manager** — owns the [`IsmCore`] and the [`SyncMaster`]; consumes
-//!   pump events, hands each validated batch frame to
-//!   [`IsmCore::push_frame`] (which decodes it once, into records the
-//!   core has already delivered), ticks the pipeline, schedules
-//!   synchronization rounds every `poll_period`, plus the *extra* rounds
-//!   requested by tachyon repairs (§3.6). It learns of every pump's end,
-//!   eviction included, from that pump's `Disconnected`. It sleeps on
-//!   its event queue until the pipeline's next due time
-//!   ([`IsmCore::due_in`]) or the sync round's, and checks that time
-//!   between queued events, so a deep queue never starves the tick. In a
-//!   relay it also owns the upstream link, which the reactor watches for
-//!   it: input on the link queues an event that ticks the manager at
-//!   once (so a parent's `SyncPoll` is answered without delay), and every
-//!   tick re-arms the watch with the link's current fd.
+//! [`IsmServer::spawn`] starts one thread, `brisk-reactor-0`, which owns
+//! the [`IsmCore`] and the [`brisk_clock::SyncMaster`] and waits in one
+//! `poll(2)` on the listener, every EXS connection and, in a relay, the
+//! upstream link. It greets each connection (`Hello`, with its 5 s
+//! deadline), pushes every validated batch frame into
+//! [`IsmCore::push_frame`] (which decodes it once, into records the core
+//! has already delivered) and acks it on the same connection in the same
+//! pass, runs poll exchanges with socket-accurate timestamps, evicts
+//! connections silent past [`brisk_core::IsmConfig::node_timeout`], ticks
+//! the pipeline when it is due and schedules synchronization rounds every
+//! `poll_period`, plus the *extra* rounds requested by tachyon repairs
+//! (§3.6). It sleeps until input or the earliest of its connections'
+//! deadlines, the pipeline's next due time ([`IsmCore::due_in`]) and the
+//! sync round's. [`IsmHandle::stop`] ends it and returns the
+//! [`IsmReport`].
 
 use crate::core::IsmCore;
 use crate::cre::CreStats;
-use crate::flow::FlowState;
 use crate::merge::MergeStats;
 use crate::output::MemoryBuffer;
 use crate::quarantine::QuarantineLog;
-use crate::reactor::{Reactor, ReactorConfig, UplinkWatch};
-use crate::session::{PumpCommand, PumpEvent, PumpHandle};
+use crate::reactor::{self, Ism};
 use crate::sorter::SorterStats;
-use brisk_clock::{Clock, SyncMaster, SyncOutcome};
-use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig};
-use brisk_net::{ConnMetrics, Listener};
+use brisk_clock::{Clock, SyncOutcome};
+use brisk_core::{BriskError, IsmConfig, Result, SyncConfig};
+use brisk_net::{Listener, Poller, Waker};
 use brisk_telemetry::{Registry, StageLatencies};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Final report returned when the server stops.
 #[derive(Clone, Debug, Default)]
@@ -61,80 +48,30 @@ pub struct IsmReport {
     pub relay: Option<crate::relay::RelayStats>,
 }
 
-brisk_telemetry::metrics! {
-    /// Event-path cells shared by the reactor and the manager.
-    pub(crate) struct ManagerCells {
-        /// Raised by the reactor per event queued, lowered by the manager per
-        /// event handled.
-        pub(crate) queue_depth: gauge "brisk_ism_manager_queue_depth" "Pump events waiting for the ISM manager",
-        acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
-        credit_grants: counter "brisk_ism_credit_grants_total" "Credit replenishments piggybacked on batch acknowledgements",
-        grant_latency: histogram "brisk_ism_grant_latency_us" "Microseconds from a batch entering the manager queue to its credit grant",
-        pub(crate) evicted: counter "brisk_ism_evicted_nodes_total" "Nodes evicted after going silent past the liveness timeout",
-    }
-}
-
 /// The ISM server, pre-spawn. Attach sinks via [`IsmServer::core_mut`],
 /// then call [`IsmServer::spawn`].
 pub struct IsmServer {
-    core: IsmCore,
-    sync: SyncMaster,
-    clock: Arc<dyn Clock>,
-    flow: Arc<FlowState>,
-    cells: Arc<ManagerCells>,
-    /// Meters every accepted connection, `Hello` frames included.
-    conn_metrics: Arc<ConnMetrics>,
-    /// Liveness: evict a node whose connection has been silent this long.
-    node_timeout: Option<Duration>,
-    /// Undecodable frames tolerated per connection before disconnect.
-    error_budget: u32,
-    /// Shared malformed-frame quarantine across all pumps.
-    quarantine: Arc<QuarantineLog>,
+    ism: Ism,
 }
-
-/// How long the manager waits for all slaves' samples before closing a
-/// round with whatever arrived.
-const ROUND_DEADLINE: Duration = Duration::from_secs(2);
-/// The shortest gap between two manager ticks. In a steady stream each
-/// record falls due a few microseconds after the last; ticks this far
-/// apart release them together, at most this late, where a tick per due
-/// time would cost a wakeup (and a telemetry publish) per record.
-const COALESCE_WINDOW: Duration = Duration::from_millis(1);
 
 impl IsmServer {
     /// New server.
     pub fn new(cfg: IsmConfig, sync_cfg: SyncConfig, clock: Arc<dyn Clock>) -> Result<Self> {
-        let flow = FlowState::new(cfg.flow);
-        let node_timeout = cfg.node_timeout;
-        let error_budget = cfg.protocol_error_budget;
         Ok(IsmServer {
-            core: IsmCore::new(cfg)?,
-            sync: SyncMaster::new(sync_cfg)?,
-            clock,
-            flow,
-            cells: Arc::default(),
-            conn_metrics: Arc::default(),
-            node_timeout,
-            error_budget,
-            quarantine: QuarantineLog::new(),
+            ism: Ism::new(cfg, sync_cfg, clock)?,
         })
     }
 
     /// Bind the whole server — core pipeline, sync master, connection
-    /// metering, flow control and the manager queue — to `registry`. Call
-    /// before [`IsmServer::spawn`].
+    /// metering and the session series — to `registry`. Call before
+    /// [`IsmServer::spawn`].
     pub fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
-        self.core.bind_telemetry(registry);
-        self.sync.bind_telemetry(registry);
-        self.flow.bind_telemetry(registry);
-        self.quarantine.bind_telemetry(registry);
-        self.cells.register(registry, &[]);
-        self.conn_metrics.register(registry, &[("role", "ism")]);
+        self.ism.bind_telemetry(registry);
     }
 
     /// Access the core (e.g. to attach sinks) before spawning.
     pub fn core_mut(&mut self) -> &mut IsmCore {
-        &mut self.core
+        &mut self.ism.core
     }
 
     /// Run this server as a *relay*: instead of delivering merged,
@@ -142,309 +79,40 @@ impl IsmServer {
     /// one namespaced EXS-like stream (§ relay topology in DESIGN.md).
     /// Call before [`IsmServer::spawn`].
     pub fn set_upstream(&mut self, exporter: crate::relay::UpstreamExporter) {
-        self.core.set_upstream(exporter);
+        self.ism.core.set_upstream(exporter);
     }
 
     /// The output memory buffer (clone the `Arc` to create readers).
     pub fn memory(&self) -> Arc<MemoryBuffer> {
-        Arc::clone(self.core.memory())
+        Arc::clone(self.ism.core.memory())
     }
 
-    /// Start the reactor, accepting from `listener`, and the manager
-    /// thread.
+    /// Start the loop thread, accepting from `listener`.
     pub fn spawn(self, listener: Box<dyn Listener>) -> Result<IsmHandle> {
         let addr = listener.local_addr();
-        let memory = Arc::clone(self.core.memory());
-        let stages = self.core.stage_latencies().cloned();
-        let (event_tx, event_rx) = unbounded::<PumpEvent>();
-
-        // One reactor thread drives every connection, so accepting 1 000
-        // sensors costs sockets, not threads.
-        let reactor = Reactor::spawn(
-            ReactorConfig {
-                clock: Arc::clone(&self.clock),
-                events: event_tx.clone(),
-                cells: Arc::clone(&self.cells),
-                flow: Arc::clone(&self.flow),
-                error_budget: self.error_budget,
-                quarantine: Arc::clone(&self.quarantine),
-                node_timeout: self.node_timeout,
-                conn_metrics: self.conn_metrics,
-            },
-            listener,
-        )?;
-
-        let manager = Manager {
-            core: self.core,
-            sync: self.sync,
-            clock: self.clock,
-            flow: self.flow,
-            uplink: reactor.uplink_watch(),
-            events: event_rx,
-            pumps: HashMap::new(),
-            round: None,
-            extra_round: false,
-            last_tick: Instant::now(),
-            last_round_finished: Instant::now(),
-            cells: self.cells,
-        };
-        let manager_join = std::thread::Builder::new()
-            .name("brisk-ism-manager".into())
-            .spawn(move || manager.run())
+        let memory = self.memory();
+        let stages = self.ism.core.stage_latencies().cloned();
+        let quarantine = Arc::clone(&self.ism.quarantine);
+        let poller = Poller::new().map_err(BriskError::Io)?;
+        let waker = poller.waker();
+        let stop = Arc::new(AtomicBool::new(false));
+        let halt = Arc::clone(&stop);
+        let ism = self.ism;
+        // The loop keeps the reactor thread's name, which tools that class
+        // threads by name (the pipeline bench) already know.
+        let join = std::thread::Builder::new()
+            .name("brisk-reactor-0".into())
+            .spawn(move || reactor::run(ism, poller, listener, &halt))
             .map_err(BriskError::Io)?;
-
         Ok(IsmHandle {
             addr,
             memory,
-            quarantine: self.quarantine,
+            quarantine,
             stages,
-            events: event_tx,
-            reactor,
-            manager_join,
+            stop,
+            waker,
+            join,
         })
-    }
-}
-
-struct RoundInFlight {
-    round: u64,
-    expected: HashSet<NodeId>,
-    started: Instant,
-}
-
-struct Manager {
-    core: IsmCore,
-    sync: SyncMaster,
-    clock: Arc<dyn Clock>,
-    flow: Arc<FlowState>,
-    /// The reactor's watch on the upstream link, armed after every tick
-    /// in a relay.
-    uplink: Arc<UplinkWatch>,
-    events: Receiver<PumpEvent>,
-    /// The live pump of each node. The reactor reports a pump's
-    /// `Disconnected` before it frees the node for a successor, so one
-    /// node never has two.
-    pumps: HashMap<NodeId, PumpHandle>,
-    round: Option<RoundInFlight>,
-    /// A tachyon repair asked for an extra round; the next tick starts
-    /// it if no round is in flight.
-    extra_round: bool,
-    last_tick: Instant,
-    last_round_finished: Instant,
-    cells: Arc<ManagerCells>,
-}
-
-impl Manager {
-    fn run(mut self) -> Result<IsmReport> {
-        loop {
-            // Sleep until an event or the next due time, whichever is
-            // first; with nothing due, until an event.
-            let event = match self.until_due() {
-                Some(wait) => self.events.recv_timeout(wait),
-                None => self.events.recv().map_err(RecvTimeoutError::from),
-            };
-            // Input on the upstream link ticks at once, inside the
-            // coalescing window too: a parent's sync poll is answered
-            // as soon as it arrives.
-            let uplink = matches!(event, Ok(PumpEvent::Uplink));
-            match event {
-                Ok(PumpEvent::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(ev) => self.handle_event(ev)?,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            // Checked after every event, so a deep queue cannot starve
-            // the tick.
-            if uplink || self.until_due().is_some_and(|wait| wait.is_zero()) {
-                self.tick()?;
-            }
-        }
-        // Shutdown: stop pumps, drain stragglers, flush pipeline.
-        for handle in self.pumps.values() {
-            handle.command(PumpCommand::Shutdown);
-        }
-        let deadline = Instant::now() + Duration::from_secs(3);
-        let mut live = self.pumps.len();
-        while live > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Ok(ev) = self.events.recv_timeout(left) else {
-                break;
-            };
-            live -= usize::from(matches!(ev, PumpEvent::Disconnected { .. }));
-            // A `Disconnected` too goes through handle_event, which lowers
-            // the queue-depth gauge the pump raised — or it reads a
-            // phantom backlog after shutdown.
-            self.handle_event(ev)?;
-        }
-        self.core.drain_all()?;
-        Ok(IsmReport {
-            core: self.core.stats(),
-            sorter: self.core.sorter_stats(),
-            cre: self.core.cre_stats(),
-            sync_rounds: self.sync.rounds_completed(),
-            last_sync: self.sync.last_outcome().cloned(),
-            relay: self.core.upstream().map(|u| u.stats()),
-        })
-    }
-
-    /// How long until the manager must tick: the pipeline's next due
-    /// time ([`IsmCore::due_in`]), an extra round's request, the next
-    /// periodic round while pumps are connected, or the open round's
-    /// deadline, but no sooner than [`COALESCE_WINDOW`] after the last
-    /// tick. `None` when nothing is due.
-    fn until_due(&self) -> Option<Duration> {
-        let round = match &self.round {
-            Some(r) => Some(ROUND_DEADLINE.saturating_sub(r.started.elapsed())),
-            None if self.extra_round => Some(Duration::ZERO),
-            None if !self.pumps.is_empty() => Some(
-                self.sync
-                    .config()
-                    .poll_period
-                    .saturating_sub(self.last_round_finished.elapsed()),
-            ),
-            None => None,
-        };
-        let pipeline = self.core.due_in(self.clock.now());
-        let due = pipeline.into_iter().chain(round).min()?;
-        Some(due.max(COALESCE_WINDOW.saturating_sub(self.last_tick.elapsed())))
-    }
-
-    /// Advance the pipeline, re-arm the upstream link's watch, then
-    /// schedule rounds: periodic, plus tachyon-triggered extras.
-    fn tick(&mut self) -> Result<()> {
-        self.last_tick = Instant::now();
-        self.core.tick(self.clock.now())?;
-        if let Some(up) = self.core.upstream() {
-            self.uplink.arm(up.wait_fd());
-        }
-        let extra = std::mem::take(&mut self.extra_round);
-        let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
-        if self.round.is_none() && !self.pumps.is_empty() && (due || extra) {
-            self.begin_round();
-        }
-        self.maybe_close_round(false)
-    }
-
-    fn handle_event(&mut self, ev: PumpEvent) -> Result<()> {
-        self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        match ev {
-            PumpEvent::Connected(handle) => {
-                self.pumps.insert(handle.node, handle);
-            }
-            PumpEvent::Batch {
-                node,
-                id,
-                seq,
-                frame,
-                count,
-                recv_ts,
-                enqueued_at,
-            } => {
-                // The reactor validated the frame, so a decode failure here
-                // is a logic error rather than wire corruption: drop the
-                // batch instead of poisoning the manager. A replay is
-                // dropped by the core before decoding. Accepted or not,
-                // the batch is acked — a replayed duplicate means our
-                // earlier ack died with the old connection, so re-acking
-                // is exactly what unblocks the sender's retransmit window.
-                let pushed = self
-                    .core
-                    .push_frame(node, seq, &frame, recv_ts, self.clock.now());
-                self.extra_round |= self.core.take_extra_sync_request();
-                // The records left the manager queue whether the core
-                // accepted them or not.
-                self.flow.sub(count as u64);
-                if let Err(e) = pushed {
-                    brisk_telemetry::flight_log!(
-                        Error,
-                        "ism.manager",
-                        "frame_dropped",
-                        "node {node} batch {seq} of {count} records dropped: {e}"
-                    );
-                }
-                // Ack through the exact pump instance the batch arrived
-                // on. The reactor re-advertises the constant credit grant:
-                // acked records leave the in-flight budget, so that is
-                // the replenishment.
-                let handle = self.pumps.get(&node).filter(|h| h.id() == id);
-                if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq })) {
-                    self.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
-                    self.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
-                    self.cells
-                        .grant_latency
-                        .record(enqueued_at.elapsed().as_micros() as u64);
-                }
-            }
-            PumpEvent::SyncSamples {
-                node,
-                round,
-                samples,
-            } => {
-                if let Some(r) = &mut self.round {
-                    if r.round == round {
-                        for s in samples {
-                            self.sync.add_sample(node, s);
-                        }
-                        r.expected.remove(&node);
-                        self.maybe_close_round(true)?;
-                    }
-                }
-            }
-            PumpEvent::Disconnected { node, id } => {
-                if self.pumps.get(&node).is_some_and(|h| h.id() == id) {
-                    self.pumps.remove(&node);
-                    if let Some(r) = &mut self.round {
-                        r.expected.remove(&node);
-                    }
-                }
-            }
-            // The run loop's: it ticks for the one, stops for the other.
-            PumpEvent::Uplink | PumpEvent::Stop => {}
-        }
-        Ok(())
-    }
-
-    fn begin_round(&mut self) {
-        let round = self.sync.begin_round();
-        let samples = self.sync.samples_per_slave() as u32;
-        let mut expected = HashSet::new();
-        for (node, handle) in &self.pumps {
-            if handle.command(PumpCommand::SyncRound { round, samples }) {
-                expected.insert(*node);
-            }
-        }
-        if expected.is_empty() {
-            self.last_round_finished = Instant::now();
-            return;
-        }
-        self.round = Some(RoundInFlight {
-            round,
-            expected,
-            started: Instant::now(),
-        });
-    }
-
-    fn maybe_close_round(&mut self, complete_check_only: bool) -> Result<()> {
-        let close = match &self.round {
-            Some(r) => {
-                r.expected.is_empty()
-                    || (!complete_check_only && r.started.elapsed() > ROUND_DEADLINE)
-            }
-            None => false,
-        };
-        if !close {
-            return Ok(());
-        }
-        self.round = None;
-        let outcome = self.sync.finish_round()?;
-        for c in &outcome.corrections {
-            if let Some(handle) = self.pumps.get(&c.node) {
-                handle.command(PumpCommand::Adjust {
-                    round: self.sync.rounds_completed(),
-                    advance_us: c.advance_us,
-                });
-            }
-        }
-        self.last_round_finished = Instant::now();
-        Ok(())
     }
 }
 
@@ -455,10 +123,10 @@ pub struct IsmHandle {
     quarantine: Arc<QuarantineLog>,
     /// Clone of `LocalOutputs`' optional stage histograms (set when bound).
     stages: Option<Arc<StageLatencies>>,
-    /// The manager's event queue, for [`PumpEvent::Stop`].
-    events: Sender<PumpEvent>,
-    reactor: Reactor,
-    manager_join: std::thread::JoinHandle<Result<IsmReport>>,
+    /// Asks the loop to stop; `waker` interrupts its sleep.
+    stop: Arc<AtomicBool>,
+    waker: Waker,
+    join: std::thread::JoinHandle<Result<IsmReport>>,
 }
 
 impl IsmHandle {
@@ -483,19 +151,15 @@ impl IsmHandle {
         self.stages.as_ref()
     }
 
-    /// Stop the server and collect the final report.
+    /// Stop the server and collect the final report: the loop closes its
+    /// listener, tells every running connection to shut down, drains
+    /// their final flushes and flushes the pipeline.
     pub fn stop(self) -> Result<IsmReport> {
-        self.reactor.close_listener();
-        let _ = self.events.send(PumpEvent::Stop);
-        // The manager's shutdown drain needs the reactor alive (pumps
-        // forward the EXSs' final flushes and report Disconnected), so
-        // the reactor stops only after the manager has joined.
-        let report = self
-            .manager_join
+        self.stop.store(true, Ordering::Release);
+        self.waker.wake();
+        self.join
             .join()
-            .map_err(|_| BriskError::Sync("ISM manager thread panicked".into()))?;
-        self.reactor.stop();
-        report
+            .map_err(|_| BriskError::Sync("ISM loop thread panicked".into()))?
     }
 }
 
@@ -503,8 +167,9 @@ impl IsmHandle {
 mod tests {
     use super::*;
     use brisk_clock::SystemClock;
-    use brisk_core::{EventTypeId, UtcMicros, Value};
+    use brisk_core::{EventTypeId, NodeId, UtcMicros, Value};
     use brisk_lis_like::*;
+    use std::time::{Duration, Instant};
 
     /// Minimal in-test EXS substitute: we drive the protocol by hand so the
     /// server tests do not depend on brisk-lis (which depends on this
@@ -792,7 +457,7 @@ mod tests {
     #[test]
     fn duplicate_hello_is_rejected_and_node_frees_on_disconnect() {
         let (handle, t) = start_server();
-        // First connection for node 1, held open (its pump stays alive).
+        // First connection for node 1, held open (its session stays alive).
         let mut conn1 = t.connect("ism").unwrap();
         hello(&mut conn1, 1);
         conn1.send(&batch(1, 1, 0..2).encode()).unwrap();
@@ -891,8 +556,8 @@ mod tests {
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
         conn.send(&batch(1, 1, 0..2).encode()).unwrap();
-        // Then go silent: the manager must evict the node — the pump
-        // sends Shutdown and retires, exactly like a displaced pump.
+        // Then go silent: the loop must evict the node — it sends
+        // Shutdown and drops the connection.
         let shut = recv_until(&mut conn, Duration::from_secs(5), |m| match m {
             Message::Shutdown => Some(()),
             _ => None,
@@ -953,6 +618,48 @@ mod tests {
             }
         }
         handle.stop().unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 0);
+    }
+
+    #[test]
+    fn a_stalled_loop_evicts_neither_of_two_heartbeating_nodes() {
+        // The first delivery blocks the whole loop for four timeouts.
+        let stalled = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let seen = Arc::clone(&stalled);
+        let (handle, t, registry) = start_configured(Duration::from_millis(300), |server| {
+            server
+                .core_mut()
+                .add_sink(Box::new(move |_: &brisk_core::EventRecord| {
+                    if !seen.swap(true, Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_millis(1200));
+                    }
+                    Ok(())
+                }));
+        });
+        let mut conns: Vec<_> = (1..=2)
+            .map(|node| {
+                let mut conn = t.connect("ism").unwrap();
+                hello(&mut conn, node);
+                conn
+            })
+            .collect();
+        conns[0].send(&batch(1, 1, 0..2).encode()).unwrap();
+        // Both nodes heartbeat every 50 ms right through the stall: what
+        // arrived while the loop was inside the core is read before either
+        // is judged.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline {
+            for conn in conns.iter_mut() {
+                conn.send(&Message::Heartbeat.encode()).unwrap();
+                if let Ok(Some(frame)) = conn.recv(Some(Duration::from_millis(25))) {
+                    let msg = Message::decode(&frame).unwrap();
+                    assert_ne!(msg, Message::Shutdown, "heartbeating node evicted");
+                }
+            }
+        }
+        handle.stop().unwrap();
+        assert!(stalled.load(Ordering::Relaxed), "the sink never stalled");
         let snap = registry.snapshot();
         assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 0);
     }
@@ -1060,7 +767,6 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        assert_eq!(snap.gauge("brisk_ism_manager_queue_depth"), Some(0));
         drop(conn);
         handle.stop().unwrap();
     }
@@ -1135,9 +841,9 @@ mod tests {
 
     #[test]
     fn a_deep_queue_does_not_starve_the_tick() {
-        // Credit and the queue bound sit far above the flood, so nothing
-        // throttles the senders and the manager queue stays deep until
-        // the flood is over. Every record is already due on arrival.
+        // Credit sits far above the flood, so nothing throttles the
+        // senders and the sockets stay deep until the flood is over.
+        // Every record is already due on arrival.
         const CONNS: u32 = 4;
         const BATCHES: u64 = 128;
         const PER_BATCH: u64 = 512;
@@ -1145,7 +851,6 @@ mod tests {
         let cfg = IsmConfig {
             flow: brisk_core::FlowConfig {
                 credit_records: 1 << 20,
-                max_queued_records: 1 << 20,
                 ..brisk_core::FlowConfig::default()
             },
             max_buffered_records: BUFFER_BOUND,
@@ -1173,7 +878,7 @@ mod tests {
                     Ok(())
                 }));
         });
-        // Pre-encoded, so the senders outrun the manager. Timestamps rise
+        // Pre-encoded, so the senders outrun the loop. Timestamps rise
         // across connections batch by batch, a minute in the past.
         let base = UtcMicros::now().as_micros() - 60_000_000;
         let floods = (0..CONNS)

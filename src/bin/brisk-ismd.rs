@@ -33,8 +33,8 @@
 //! `--credit-records` sizes the credit grant (default 2048): each EXS
 //! connection may have at most N records unacknowledged in flight, so a
 //! slow ISM pushes backpressure out to the sensors' rings instead of
-//! buffering unboundedly. `--max-queued-records` bounds the pump→manager
-//! queue (default 1024; pumps stop reading their sockets while it is over).
+//! buffering unboundedly. That grant is the ISM's whole ingest bound: one
+//! loop thread pushes every batch it reads straight into the pipeline.
 //!
 //! `--stats-addr` also serves the observability endpoints: `/json`
 //! (snapshot), `/flight` (the always-on flight recorder's recent
@@ -105,7 +105,6 @@ const FLAGS: &[Flag<Args>] = &[
     ("--retain-bytes", "N", |a, v| put(&mut a.ism.store.retain_bytes, val(v))),
     ("--segment-bytes", "N", |a, v| put(&mut a.ism.store.segment_bytes, val(v))),
     ("--credit-records", "N", |a, v| put(&mut a.ism.flow.credit_records, val(v))),
-    ("--max-queued-records", "N", |a, v| put(&mut a.ism.flow.max_queued_records, val(v))),
     ("--node-timeout", "MS", |a, v| put(&mut a.ism.node_timeout, ms(v).map(Some))),
     ("--error-budget", "N", |a, v| put(&mut a.ism.protocol_error_budget, val(v))),
     ("--flight-size", "N", |a, v| put(&mut a.flight_size, val(v).map(Some))),
@@ -214,10 +213,7 @@ fn main() {
     }
     let flow = args.ism.flow;
     if flow != FlowConfig::default() {
-        eprintln!(
-            "flow control: credit {} records/conn, queue bound {} records",
-            flow.credit_records, flow.max_queued_records
-        );
+        eprintln!("flow control: credit {} records/conn", flow.credit_records);
     }
 
     let registry = Registry::new();

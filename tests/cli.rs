@@ -75,7 +75,7 @@ fn every_binary_keeps_its_knobs() {
         expect(
             "--tcp= --uds= --picl= --ts= --order-mode= --upstream= --node-prefix= \
              --poll-period-ms= --stats-every-s= --stats-addr= --store-dir= --fsync= \
-             --retain-bytes= --segment-bytes= --credit-records= --max-queued-records= \
+             --retain-bytes= --segment-bytes= --credit-records= \
              --node-timeout= --error-budget= \
              --flight-size= --compact-interval-ms= --compact-keep-hot="
         )

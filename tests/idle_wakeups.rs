@@ -1,9 +1,8 @@
 //! Workspace test: an idle ISM sleeps. Every server thread waits on input
-//! or its nearest deadline, so with no traffic the manager, the one
-//! reactor thread and the store writer barely wake, and a quiet client
-//! costs about one wakeup per frame it exchanges. A connected EXS with
-//! nothing to send sleeps too, until its heartbeat, a sync poll or its
-//! rings' doorbell.
+//! or its nearest deadline, so with no traffic the one loop thread and the
+//! store writer barely wake, and a quiet client costs about one wakeup per
+//! frame it exchanges. A connected EXS with nothing to send sleeps too,
+//! until its heartbeat, a sync poll or its rings' doorbell.
 //!
 //! Threads are counted per process by name (`/proc/self/task/*/comm`), so
 //! this file is its own test binary and holds a single test.
@@ -90,9 +89,10 @@ fn an_idle_server_sleeps_until_input_or_a_deadline() {
     .unwrap();
     let handle = server.spawn(t.listen("ism").unwrap()).unwrap();
     std::thread::sleep(Duration::from_millis(300));
-    // One reactor thread polls the listener and every connection, however
-    // many CPUs the host has.
+    // One loop thread polls the listener and every connection, however
+    // many CPUs the host has, and owns the pipeline: no manager thread.
     assert_eq!(tasks(&["brisk-reactor"]).len(), 1, "reactor threads");
+    assert!(tasks(&["brisk-ism-manag"]).is_empty(), "a manager thread");
 
     // No connections: nothing is due, so nothing wakes.
     let idle = wakeups_per_s();

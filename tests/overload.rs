@@ -1,17 +1,17 @@
 //! Workspace integration tests: credit-based flow control under overload.
 //!
-//! Fault model: the ISM's consumer stalls (a sink that blocks the manager
-//! thread), so the manager stops draining. The v3 credit budget and the
-//! bounded pump→manager queue must turn that into backpressure that reaches
-//! the EXS — bounded residency everywhere — and the whole pipeline must
-//! resume without loss or deadlock once the consumer recovers.
+//! Fault model: the ISM's consumer stalls (a sink that blocks the ISM's
+//! loop), so the ISM stops reading and acking. The v3 credit budget must
+//! turn that into backpressure that reaches the EXS — bounded residency
+//! everywhere — and the whole pipeline must resume without loss or
+//! deadlock once the consumer recovers.
 
 use brisk::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A sink that blocks the manager thread while the gate is closed.
+/// A sink that blocks the ISM's loop while the gate is closed.
 struct StallingSink(Arc<AtomicBool>);
 
 impl EventSink for StallingSink {
@@ -24,13 +24,12 @@ impl EventSink for StallingSink {
 }
 
 const CREDIT: u64 = 1_024;
-const QUEUE_BOUND: usize = 128;
 const BATCH: usize = 16;
 
 /// While the consumer is stalled, record residency inside the ISM is
-/// bounded by the configured credit and queue limits (the excess stays in
-/// the EXS rings); when the consumer recovers, every record is delivered
-/// exactly once with no deadlock.
+/// bounded by the configured credit (the excess stays in the EXS rings);
+/// when the consumer recovers, every record is delivered exactly once with
+/// no deadlock.
 #[test]
 fn slow_consumer_backpressure_bounds_residency_then_recovers() {
     let transport = MemTransport::new();
@@ -38,11 +37,11 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
         IsmConfig {
             flow: FlowConfig {
                 credit_records: CREDIT,
-                max_queued_records: QUEUE_BOUND,
                 shed_unmarked: false,
+                ..FlowConfig::default()
             },
             // Release records as soon as they arrive so the stalled sink
-            // blocks the manager right away — otherwise the whole backlog
+            // blocks the loop right away — otherwise the whole backlog
             // would slip into the sorter before the first release.
             sorter: SorterConfig {
                 initial_frame_us: 0,
@@ -88,15 +87,12 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
             .unwrap();
     }
 
-    // Overload phase: wait until backpressure is visibly active at both
-    // layers — pumps deferring socket reads (queue bound) and the EXS
+    // Overload phase: wait until backpressure is visibly active — the EXS
     // pausing its ring scoops (credit exhausted).
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
         let snap = registry.snapshot();
-        if snap.counter_total("brisk_ism_deferred_reads_total") >= 1
-            && snap.counter_total("brisk_exs_credit_deferred_total") >= 1
-        {
+        if snap.counter_total("brisk_exs_credit_deferred_total") >= 1 {
             break;
         }
         assert!(
@@ -107,19 +103,16 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Bounded residency while stalled: the manager queue never held more
-    // than the bound plus one in-flight batch per pump, the EXS never had
-    // more than its credit unacknowledged, and almost nothing reached the
-    // output. The rest of the backlog is still in the SPSC rings.
+    // Bounded residency while stalled: the ISM took in no more than the
+    // credit plus one batch, the EXS never had more than its credit
+    // unacknowledged, and almost nothing reached the output. The rest of
+    // the backlog is still in the SPSC rings.
     let snap = registry.snapshot();
-    let high_water = snap
-        .gauge("brisk_ism_manager_queue_depth_high_water")
-        .unwrap();
+    let records_in = snap.counter_total("brisk_ism_records_in_total");
     assert!(
-        high_water as usize <= QUEUE_BOUND + BATCH,
-        "queue high-water {high_water} exceeds bound {QUEUE_BOUND} + one batch"
+        records_in <= CREDIT + BATCH as u64,
+        "the stalled ISM took in {records_in} records, over credit {CREDIT} + one batch"
     );
-    assert!(high_water > 0, "the queue must have seen traffic");
     let unacked = exs.stats_now().credit_deferrals;
     assert!(unacked >= 1, "the EXS must have paused on spent credit");
     assert!(
@@ -128,8 +121,8 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
         ism.memory().written()
     );
 
-    // Recovery: open the gate; the pipeline must drain the rings, the
-    // queue, and the sorter with no deadlock and exactly-once delivery.
+    // Recovery: open the gate; the pipeline must drain the rings and the
+    // sorter with no deadlock and exactly-once delivery.
     stalled.store(false, Ordering::Relaxed);
     let deadline = Instant::now() + Duration::from_secs(30);
     while ism.memory().written() < N as u64 && Instant::now() < deadline {
@@ -161,8 +154,6 @@ fn slow_consumer_backpressure_bounds_residency_then_recovers() {
     );
     let text = snap.to_prometheus();
     for series in [
-        "brisk_ism_manager_queue_depth_high_water",
-        "brisk_ism_deferred_reads_total",
         "brisk_ism_credit_grants_total",
         "brisk_ism_shed_total",
         "brisk_exs_credit_deferred_total",
@@ -187,8 +178,8 @@ fn concurrent_scrapes_are_never_torn_during_overload() {
         IsmConfig {
             flow: FlowConfig {
                 credit_records: CREDIT,
-                max_queued_records: QUEUE_BOUND,
                 shed_unmarked: false,
+                ..FlowConfig::default()
             },
             sorter: SorterConfig {
                 initial_frame_us: 0,
