@@ -742,8 +742,8 @@ const EMITS_PER_SLICE: u64 = 2_048;
 /// Records per `push_batch` on the S1 delivery path.
 const DELIVERY_BATCH: usize = 64;
 /// Batches per timed S1 delivery slice: a slice's frame bytes (~18 KiB)
-/// stay under the store's 64 KiB write-behind threshold, so every handoff
-/// to its writer thread happens in the untimed drain between slices.
+/// stay under the store's 64 KiB write threshold, so every segment write
+/// happens in the untimed drain between slices.
 const BATCHES_PER_SLICE: usize = 4;
 /// Untimed slices each S1 variant runs before the paired trials.
 const WARMUP_SLICES: usize = 200;
@@ -879,8 +879,8 @@ impl DeliveryPath {
 
     /// Build one slice's batches (untimed: stamping is the leaf EXS's
     /// cost), push and tick each far enough that the sorter releases it
-    /// (timed), then drain the store's write-behind queue (untimed, so no
-    /// slice pays for segment writes another slice queued). Returns
+    /// (timed), then drain the store's pending frames (untimed, so no
+    /// slice pays for segment writes another slice buffered). Returns
     /// ns/record.
     fn slice(&mut self) -> f64 {
         let batches: Vec<Vec<EventRecord>> = (0..BATCHES_PER_SLICE)

@@ -287,9 +287,7 @@ impl CreConfig {
 /// The knob trades durability against write amplification: `Always` loses
 /// nothing an `on_record` returned `Ok` for, `Interval` bounds the loss
 /// window after a crash to the chosen duration, `Never` leaves flushing to
-/// the OS page cache (a crash of the *machine* can lose everything since
-/// the last rotation; a crash of the *process* alone loses at most the
-/// write-behind buffers still queued inside the store).
+/// the OS page cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` after every appended record.
@@ -300,10 +298,12 @@ pub enum FsyncPolicy {
     /// reads, and makes the policy behave identically under replay. A
     /// stream that goes quiet stops that clock, so the writer's owner also
     /// calls `StoreWriter::sync_if_due` at `StoreWriter::sync_due` (the
-    /// ISM's manager wakes for it): it syncs once the oldest unsynced
-    /// append is this old by the wall clock.
+    /// ISM's loop wakes for it): it syncs once the oldest unsynced append
+    /// is this old by the wall clock.
     Interval(Duration),
-    /// Never sync explicitly; the OS decides.
+    /// Never sync explicitly; the OS decides. A machine crash can lose
+    /// everything since the last rotation, a process crash at most the
+    /// store's one pending buffer: under 64 KiB plus one frame.
     Never,
 }
 

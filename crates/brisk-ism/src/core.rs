@@ -733,7 +733,7 @@ mod tests {
         cfg.sorter.min_frame_us = 0;
         let mut core = IsmCore::new(cfg).unwrap();
         let mut tail = StoreReader::open(&dir).unwrap().tail();
-        // A few records well under the store's write-behind threshold,
+        // A few records well under the store's write threshold,
         // then silence: the stream-time interval never elapses again.
         let t0 = SystemClock.now().as_micros();
         core.push_batch(

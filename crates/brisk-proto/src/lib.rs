@@ -475,10 +475,10 @@ pub struct BatchHeader {
 /// a callback as its origin node and a validated [`RecordView`] borrowing
 /// the frame ([`BatchWalk::try_for_each`]).
 ///
-/// [`BatchView::parse`] collects the walk, the ISM pump validates a frame
-/// by walking it without keeping anything ([`BatchWalk::validate`]), and
-/// the ISM manager walks it once more to decode each record straight into
-/// a record it reuses. Validation is exhaustive — bounds, descriptor,
+/// [`BatchView::parse`] collects the walk, the ISM validates a frame by
+/// walking it without keeping anything ([`BatchWalk::validate`]), then
+/// walks it once more to decode each record straight into a record it
+/// reuses. Validation is exhaustive — bounds, descriptor,
 /// every field and, last, no trailing bytes — and the walk stops at the
 /// first error.
 #[derive(Debug)]
@@ -565,8 +565,8 @@ impl<'a> BatchWalk<'a> {
 /// Each record is kept as a [`RecordView`] whose field bytes still point
 /// into the arrival buffer — nothing is copied until
 /// [`BatchView::materialize`] (or a per-record [`RecordView::materialize`])
-/// is called. The ISM itself never builds one: its pump validates with
-/// [`BatchWalk::validate`] and its manager decodes while walking.
+/// is called. The ISM itself never builds one: it validates with
+/// [`BatchWalk::validate`] and decodes while walking.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     header: BatchHeader,

@@ -1,16 +1,12 @@
 //! The write side: segment rotation, fsync policy, retention, repair.
 //!
 //! [`StoreWriter`] is an [`EventSink`], so the ISM's output stage can fan
-//! sorted records into it exactly like any other consumer. Appends go
-//! through a small write-behind buffer; full buffers are handed to a
-//! background writer thread, so the append path does one encode, one CRC
-//! and a copy, and an OS `write` stall (page reclaim, dirty throttling)
-//! overlaps the pipeline instead of blocking it. The queue is bounded, so
-//! a persistently slow device exerts backpressure rather than growing the
-//! heap. Every fsync point, rotation, [`EventSink::flush`] and drop drains
-//! the queue first (a barrier round-trip), so the durability loss window
-//! is still governed by the [`FsyncPolicy`] alone; `fsync=always` bypasses
-//! the thread entirely — each append writes and syncs inline.
+//! sorted records into it exactly like any other consumer. Appends collect
+//! frames in a pending buffer that the appending thread `write`s to the
+//! segment file once it holds 64 KiB, and at every fsync point,
+//! rotation, [`EventSink::flush`] and drop, so when any of these returns
+//! its frames are in the file; the [`FsyncPolicy`] governs only when they
+//! are synced. A slow `write(2)` stalls the caller, like any blocking sink.
 //!
 //! A writer never appends to a pre-existing segment: on open it *repairs*
 //! the directory (truncates torn tails left by a crash, rebuilds missing
@@ -30,119 +26,12 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Flush the write-behind buffer once it holds this many bytes.
-const WRITE_BEHIND_BYTES: usize = 64 * 1024;
-
-/// Full buffers in flight to the writer thread before `submit` blocks.
-/// Bounds the store's heap use at `(QUEUE + 1) × WRITE_BEHIND_BYTES`ish
-/// and turns a persistently slow device into backpressure on the caller.
-const WRITE_QUEUE_DEPTH: usize = 8;
-
-enum WriteJob {
-    /// Append `buf` to `file` (a shared handle to the active segment;
-    /// appends from one queue stay in order, and the main thread never
-    /// writes to a segment file again once its first buffer is queued).
-    Write { file: Arc<File>, buf: Vec<u8> },
-    /// Ack once every previously queued write has hit the OS.
-    Barrier(mpsc::SyncSender<()>),
-}
-
-/// Background writer: the append path swaps its full write-behind buffer
-/// for a recycled empty one and queues the full one here. First write
-/// error is sticky and surfaces at the next submit/barrier.
-struct WriteBehind {
-    jobs: Option<mpsc::SyncSender<WriteJob>>,
-    recycled: mpsc::Receiver<Vec<u8>>,
-    error: Arc<Mutex<Option<std::io::Error>>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl WriteBehind {
-    fn spawn() -> WriteBehind {
-        let (jobs_tx, jobs_rx) = mpsc::sync_channel::<WriteJob>(WRITE_QUEUE_DEPTH);
-        let (recycled_tx, recycled_rx) = mpsc::channel::<Vec<u8>>();
-        let error = Arc::new(Mutex::new(None));
-        let sticky = Arc::clone(&error);
-        let thread = std::thread::Builder::new()
-            .name("brisk-store-write".into())
-            .spawn(move || {
-                while let Ok(job) = jobs_rx.recv() {
-                    match job {
-                        WriteJob::Write { file, mut buf } => {
-                            if sticky.lock().unwrap().is_none() {
-                                if let Err(e) = (&*file).write_all(&buf) {
-                                    *sticky.lock().unwrap() = Some(e);
-                                }
-                            }
-                            buf.clear();
-                            let _ = recycled_tx.send(buf);
-                        }
-                        WriteJob::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-            })
-            .expect("spawn brisk-store writer thread");
-        WriteBehind {
-            jobs: Some(jobs_tx),
-            recycled: recycled_rx,
-            error,
-            thread: Some(thread),
-        }
-    }
-
-    /// An empty buffer with warmed-up capacity, recycled from a completed
-    /// write when one is available.
-    fn take_buffer(&self) -> Vec<u8> {
-        self.recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(WRITE_BEHIND_BYTES + 1024))
-    }
-
-    fn submit(&self, file: Arc<File>, buf: Vec<u8>) -> Result<()> {
-        self.check()?;
-        self.jobs
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(WriteJob::Write { file, buf })
-            .map_err(|_| thread_gone())?;
-        Ok(())
-    }
-
-    /// Block until every queued write has been handed to the OS.
-    fn barrier(&self) -> Result<()> {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.jobs
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(WriteJob::Barrier(ack_tx))
-            .map_err(|_| thread_gone())?;
-        ack_rx.recv().map_err(|_| thread_gone())?;
-        self.check()
-    }
-
-    fn check(&self) -> Result<()> {
-        match self.error.lock().unwrap().take() {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for WriteBehind {
-    fn drop(&mut self) {
-        // Close the queue so the thread drains what is left and exits.
-        drop(self.jobs.take());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// Write the pending frames to the segment file once they hold this many
+/// bytes.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
 
 /// Write `bytes` to `path` durably and atomically: a temp file is written
 /// and fsynced, then renamed over the destination, so a crash leaves either
@@ -158,14 +47,6 @@ pub(crate) fn write_durable(path: &std::path::Path, bytes: &[u8]) -> Result<()> 
     drop(f);
     fs::rename(&tmp, path)?;
     Ok(())
-}
-
-fn thread_gone() -> BriskError {
-    std::io::Error::new(
-        std::io::ErrorKind::BrokenPipe,
-        "store write-behind thread exited",
-    )
-    .into()
 }
 
 brisk_telemetry::metrics! {
@@ -206,9 +87,7 @@ struct SealedSegment {
 
 struct ActiveSegment {
     id: u64,
-    /// Shared with queued [`WriteJob`]s; cloning the `Arc` per handoff
-    /// beats a `dup(2)` per flush.
-    file: Arc<File>,
+    file: File,
     /// Bytes logically appended (buffered + written).
     bytes: u64,
     /// Frames not yet handed to the OS.
@@ -251,9 +130,6 @@ pub struct StoreWriter {
     last_ts: UtcMicros,
     stats: Arc<StoreStats>,
     scratch: Vec<u8>,
-    /// Background writer; `None` under `fsync=always`, which writes and
-    /// syncs inline so each append's durability is settled on return.
-    write_behind: Option<WriteBehind>,
 }
 
 impl StoreWriter {
@@ -347,7 +223,6 @@ impl StoreWriter {
             last_ts,
             stats,
             scratch: Vec::with_capacity(256),
-            write_behind: (cfg.fsync != FsyncPolicy::Always).then(WriteBehind::spawn),
         })
     }
 
@@ -416,14 +291,14 @@ impl StoreWriter {
         self.unpublished_records += 1;
         self.unpublished_bytes += frame_len;
 
+        if pending_len >= WRITE_BATCH_BYTES {
+            self.write_pending()?;
+        }
         match self.cfg.fsync {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::Interval(d) => {
                 if self.unsynced_since.is_none() {
                     self.unsynced_since = Some(Instant::now());
-                }
-                if pending_len >= WRITE_BEHIND_BYTES {
-                    self.write_pending()?;
                 }
                 let elapsed = rec
                     .ts
@@ -433,17 +308,14 @@ impl StoreWriter {
                     self.sync()?;
                 }
             }
-            FsyncPolicy::Never => {
-                if pending_len >= WRITE_BEHIND_BYTES {
-                    self.write_pending()?;
-                }
-            }
+            FsyncPolicy::Never => {}
         }
         Ok(())
     }
 
-    /// Hand buffered frames off the append path: queue them to the writer
-    /// thread when one is running, else `write` them inline (no fsync).
+    /// `write` the active segment's pending frames to the OS (no fsync).
+    /// A failed write drops them, so the buffer stays bounded while a
+    /// device fails, and the error returns from this call.
     fn write_pending(&mut self) -> Result<()> {
         if self.unpublished_records > 0 {
             self.stats
@@ -456,32 +328,16 @@ impl StoreWriter {
             self.unpublished_bytes = 0;
         }
         if let Some(active) = &mut self.active {
-            if !active.pending.is_empty() {
-                if let Some(wb) = &self.write_behind {
-                    let full = std::mem::replace(&mut active.pending, wb.take_buffer());
-                    wb.submit(Arc::clone(&active.file), full)?;
-                } else {
-                    (&*active.file).write_all(&active.pending)?;
-                    active.pending.clear();
-                }
-            }
+            let written = active.file.write_all(&active.pending);
+            active.pending.clear();
+            written?;
         }
         Ok(())
     }
 
-    /// Block until every frame handed to the writer thread has reached the
-    /// OS. No-op when writes are inline.
-    fn drain_writes(&self) -> Result<()> {
-        match &self.write_behind {
-            Some(wb) => wb.barrier(),
-            None => Ok(()),
-        }
-    }
-
-    /// Drain the write-behind buffer and `fdatasync` the active segment.
+    /// Write the pending frames and `fdatasync` the active segment.
     pub fn sync(&mut self) -> Result<()> {
         self.write_pending()?;
-        self.drain_writes()?;
         if let Some(active) = &self.active {
             let start = Instant::now();
             active.file.sync_data()?;
@@ -498,7 +354,7 @@ impl StoreWriter {
     /// Under `fsync=interval`, sync once the oldest unsynced append is an
     /// interval old by the wall clock. The append path syncs by stream
     /// time, which stops when the stream does; calling this at
-    /// [`Self::sync_due`] (the ISM's manager wakes for it) makes a quiet
+    /// [`Self::sync_due`] (the ISM's loop wakes for it) makes a quiet
     /// stream's tail durable, and visible to tailers, within the interval.
     pub fn sync_if_due(&mut self) -> Result<()> {
         if let (FsyncPolicy::Interval(d), Some(since)) = (self.cfg.fsync, self.unsynced_since) {
@@ -518,11 +374,10 @@ impl StoreWriter {
         }
     }
 
-    /// Seal the active segment (if any): drain buffers, write the sidecar,
-    /// fsync as the policy requires, then apply retention.
+    /// Seal the active segment (if any): write pending frames, write the
+    /// sidecar, fsync as the policy requires, then apply retention.
     pub fn seal_active(&mut self) -> Result<()> {
         self.write_pending()?;
-        self.drain_writes()?;
         let Some(active) = self.active.take() else {
             return Ok(());
         };
@@ -583,9 +438,9 @@ impl StoreWriter {
             .fetch_add(header_bytes.len() as u64, Ordering::Relaxed);
         self.active = Some(ActiveSegment {
             id,
-            file: Arc::new(file),
+            file,
             bytes: header_bytes.len() as u64,
-            pending: Vec::with_capacity(WRITE_BEHIND_BYTES + 1024),
+            pending: Vec::with_capacity(WRITE_BATCH_BYTES + 1024),
             records: 0,
             min_ts: UtcMicros::MAX,
             max_ts: first.ts,
@@ -630,12 +485,9 @@ impl EventSink for StoreWriter {
 
     fn flush(&mut self) -> Result<()> {
         match self.cfg.fsync {
-            FsyncPolicy::Never => {
-                // Drain so flushed frames are visible to readers (tailers
-                // poll the file right after a flush) — but no fsync.
-                self.write_pending()?;
-                self.drain_writes()
-            }
+            // Write so flushed frames are visible to readers (tailers poll
+            // the file right after a flush) — but no fsync.
+            FsyncPolicy::Never => self.write_pending(),
             _ => self.sync(),
         }
     }
@@ -1075,6 +927,43 @@ mod tests {
         }
         assert!(w.stats().fsyncs.load(Ordering::Relaxed) >= 10);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Under `never` and `interval`, the append that carries the pending
+    /// frames past the batching threshold has written them when it
+    /// returns: the segment file holds every byte appended so far.
+    #[test]
+    fn threshold_append_is_in_the_file_on_return() {
+        let policies = [
+            FsyncPolicy::Never,
+            FsyncPolicy::Interval(std::time::Duration::from_secs(3600)),
+        ];
+        for fsync in policies {
+            let dir = temp_dir("threshold");
+            let mut cfg = cfg(&dir);
+            cfg.segment_bytes = 1 << 20;
+            cfg.fsync = fsync;
+            let mut w = StoreWriter::open(&cfg).unwrap();
+            w.append(&rec(1, 0, 1_000)).unwrap();
+            let path = segment_path(&dir, 0);
+            let mut crossed = false;
+            for i in 1..10_000 {
+                let active = w.active.as_ref().unwrap();
+                let (pending, bytes) = (active.pending.len() as u64, active.bytes);
+                w.append(&rec(1, i, 1_000 + i as i64)).unwrap();
+                let active = w.active.as_ref().unwrap();
+                let on_disk = fs::metadata(&path).unwrap().len();
+                assert_eq!(on_disk + active.pending.len() as u64, active.bytes);
+                if pending + (active.bytes - bytes) >= WRITE_BATCH_BYTES as u64 {
+                    assert_eq!(on_disk, active.bytes, "{fsync:?}: batch not in the file");
+                    crossed = true;
+                    break;
+                }
+            }
+            assert!(crossed, "{fsync:?}: the threshold was never reached");
+            drop(w);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

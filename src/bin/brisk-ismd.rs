@@ -48,9 +48,8 @@
 //! the connection count: a thousand sensors share it.
 //!
 //! `--node-timeout` evicts a node whose connection sent no frame for the
-//! given interval while the reactor was willing to read it — a
-//! half-open TCP connection otherwise ties the node's pump up forever,
-//! while one held unread by flow control is never counted as silent.
+//! given interval — a half-open TCP connection otherwise holds the node's
+//! claim forever, and the node's reconnects are refused.
 //! `--error-budget` caps how many undecodable frames one connection may
 //! deliver before it is quarantined and dropped (clean peers are
 //! unaffected; the offender reconnects with a fresh budget).

@@ -1,6 +1,6 @@
-//! Workspace test: an idle ISM sleeps. Every server thread waits on input
-//! or its nearest deadline, so with no traffic the one loop thread and the
-//! store writer barely wake, and a quiet client costs about one wakeup per
+//! Workspace test: an idle ISM sleeps. Its one thread, which also writes
+//! the store, waits on input or its nearest deadline, so with no traffic
+//! it barely wakes, and a quiet client costs about one wakeup per
 //! frame it exchanges. A connected EXS with nothing to send sleeps too,
 //! until its heartbeat, a sync poll or its rings' doorbell.
 //!
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Name prefixes of the server's threads (`comm` keeps 15 bytes).
-const SERVER_THREADS: [&str; 3] = ["brisk-ism", "brisk-reactor", "brisk-store"];
+/// Name prefix of the server's one thread (`comm` keeps 15 bytes).
+const SERVER_THREADS: [&str; 1] = ["brisk-reactor"];
 /// How long each phase is measured.
 const WINDOW: Duration = Duration::from_secs(2);
 /// Wakeups per second the server may spend on its own.
@@ -90,9 +90,11 @@ fn an_idle_server_sleeps_until_input_or_a_deadline() {
     let handle = server.spawn(t.listen("ism").unwrap()).unwrap();
     std::thread::sleep(Duration::from_millis(300));
     // One loop thread polls the listener and every connection, however
-    // many CPUs the host has, and owns the pipeline: no manager thread.
+    // many CPUs the host has, and owns the pipeline and the store: no
+    // manager thread, no store writer thread.
     assert_eq!(tasks(&["brisk-reactor"]).len(), 1, "reactor threads");
     assert!(tasks(&["brisk-ism-manag"]).is_empty(), "a manager thread");
+    assert!(tasks(&["brisk-store"]).is_empty(), "a store writer thread");
 
     // No connections: nothing is due, so nothing wakes.
     let idle = wakeups_per_s();

@@ -7,7 +7,7 @@
 //! deadlock once the consumer recovers.
 
 use brisk::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -227,10 +227,13 @@ fn concurrent_scrapes_are_never_torn_during_overload() {
     let stats = serve_stats("127.0.0.1:0", Arc::clone(&registry), RouteTable::new()).unwrap();
     let addr = stats.addr().to_string();
     let done = Arc::new(AtomicBool::new(false));
+    // Scrapers that have completed two rounds.
+    let warmed = Arc::new(AtomicUsize::new(0));
     let scrapers: Vec<_> = (0..SCRAPERS)
         .map(|_| {
             let addr = addr.clone();
             let done = Arc::clone(&done);
+            let warmed = Arc::clone(&warmed);
             std::thread::spawn(move || {
                 let fetch = |path: &str| -> String {
                     use std::io::{Read, Write};
@@ -277,19 +280,24 @@ fn concurrent_scrapes_are_never_torn_during_overload() {
                         "torn json body: {json:?}"
                     );
                     scrapes += 1;
+                    if scrapes == 2 {
+                        warmed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 scrapes
             })
         })
         .collect();
 
-    // Hold the stall long enough for the scrapers to see the overloaded
-    // state, then recover and drain while they are still hammering.
+    // Hold the stall until the EXS waits on credit and every scraper has
+    // completed two rounds of the overloaded state, then recover and drain
+    // while they are still hammering.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while registry
+    while (registry
         .snapshot()
         .counter_total("brisk_exs_credit_deferred_total")
         == 0
+        || warmed.load(Ordering::Relaxed) < SCRAPERS)
         && Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(5));
