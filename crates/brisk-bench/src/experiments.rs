@@ -96,19 +96,11 @@ pub fn e1_notice_cost(quick: bool) -> bool {
 }
 
 /// E2 — EXS CPU utilization at fixed event rates (paper: <1% up to
-/// 38,000 ev/s): the `brisk-exs-1` thread's CPU over the paced window,
-/// beside the wall time the EXS spent inside its passes
-/// (`ExsStats::busy_nanos`), which also counts time spent preempted.
+/// 38,000 ev/s): the `brisk-exs-1` thread's CPU over the paced window.
 pub fn e2_exs_utilization(quick: bool) -> bool {
     let duration = Duration::from_millis(if quick { 500 } else { 2_000 });
     let rates = [1_000.0, 10_000.0, 38_000.0, 80_000.0];
-    let mut table = Table::new(&[
-        "target ev/s",
-        "achieved ev/s",
-        "EXS CPU %",
-        "EXS busy % (wall)",
-        "dropped",
-    ]);
+    let mut table = Table::new(&["target ev/s", "achieved ev/s", "EXS CPU %", "dropped"]);
     for rate in rates {
         let t = MemTransport::new();
         let mut listener = t.listen("sink").unwrap();
@@ -148,7 +140,7 @@ pub fn e2_exs_utilization(quick: bool) -> bool {
         let wall = wall.elapsed();
         let cpu = thread_cpu_ns("brisk-exs-1").map(|end| end - cpu);
         std::thread::sleep(Duration::from_millis(60)); // let the EXS drain
-        let stats = exs.stop().unwrap();
+        exs.stop().unwrap();
         sink_stop.store(true, Ordering::Relaxed);
         sink.join().unwrap();
         let pct = |ns: u64| f(100.0 * ns as f64 / wall.as_nanos() as f64);
@@ -156,7 +148,6 @@ pub fn e2_exs_utilization(quick: bool) -> bool {
             f(rate),
             f(emitted as f64 / wall.as_secs_f64()),
             cpu.map_or_else(|| "n/a".into(), pct),
-            pct(stats.busy_nanos),
             dropped.to_string(),
         ]);
     }

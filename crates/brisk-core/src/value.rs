@@ -123,12 +123,6 @@ impl ValueType {
         )
     }
 
-    /// True for types whose encoded size depends on the payload.
-    #[inline]
-    pub const fn is_variable_size(self) -> bool {
-        matches!(self, ValueType::Str | ValueType::Bytes | ValueType::Trace)
-    }
-
     /// Size of the payload in the *native* binary encoding, if fixed.
     pub const fn native_fixed_size(self) -> Option<usize> {
         match self {

@@ -308,18 +308,18 @@ impl IsmCore {
 
     /// Accept one batch frame as it arrived on the wire from `node`, read
     /// off the socket at `recv_ts`, and stamp `PumpRecv` with that time.
-    /// This is the ISM loop's batch path:
+    /// This is the ISM loop's batch path and the frame's only walk:
     ///
-    /// 1. a replayed `(node, seq)` is counted and dropped before any
-    ///    record is decoded, as [`MergePlane::push_batch_seq`] would;
-    /// 2. the frame is walked once ([`BatchWalk`]), and each record is
-    ///    decoded straight into a shell — a record this core delivered
-    ///    earlier — reusing its `fields` capacity;
-    /// 3. the records enter the merge plane from a reused batch vector.
+    /// 1. the header is read, and a replayed `(node, seq)` is counted and
+    ///    dropped on it alone, as [`MergePlane::push_batch_seq`] would;
+    /// 2. each record is decoded straight into a shell — a record this
+    ///    core delivered earlier — reusing its `fields` capacity;
+    /// 3. only after a clean decode is `seq` admitted (the node's dedup
+    ///    mark raised) and the records pushed, from a reused batch vector.
     ///
     /// Returns `true` if the frame was accepted and `false` if it was a
-    /// replay; the caller acks either way. A frame that fails to decode
-    /// is an `Err` and none of its records are pushed.
+    /// replay; the caller acks either way. The only error is a decode
+    /// error, and such a frame enters nothing and leaves `seq` unadmitted.
     pub fn push_frame(
         &mut self,
         node: NodeId,
@@ -329,7 +329,9 @@ impl IsmCore {
         now: UtcMicros,
     ) -> Result<bool> {
         let walk = BatchWalk::new(frame)?;
-        if !self.plane.admit_seq(node, Some(seq), walk.header().count) {
+        let mark = self.plane.seq_mark(node);
+        if seq <= *mark {
+            self.plane.note_replay(walk.header().count);
             return Ok(false);
         }
         let (shells, batch) = (&mut self.local.shells, &mut self.batch);
@@ -346,6 +348,9 @@ impl IsmCore {
             }
             return Err(e);
         }
+        // Raised only now, so the intact resend of a frame that failed to
+        // decode is not taken for a replay.
+        *mark = seq;
         self.plane.push_batch(self.batch.drain(..), now)?;
         Ok(true)
     }

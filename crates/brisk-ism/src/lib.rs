@@ -28,7 +28,7 @@
 //!   directly by `brisk-sim` in deterministic experiments.
 //! * [`server::IsmServer`] — the networked manager: one thread waits in
 //!   one `poll(2)` on every EXS connection, owns the core, and pushes each
-//!   batch it receives (zero-copy, validated) straight into it; it runs
+//!   batch it receives straight into it, decoded in one walk; it runs
 //!   poll exchanges with accurate send/receive timestamps, so connection
 //!   count is decoupled from thread count. Per-connection credit bounds
 //!   what a sender may have in flight; [`quarantine`] contains malformed
@@ -47,7 +47,6 @@ pub mod quarantine;
 mod reactor;
 pub mod relay;
 pub mod server;
-mod session;
 pub mod sorter;
 
 pub use crate::core::IsmCore;

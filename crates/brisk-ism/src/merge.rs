@@ -241,27 +241,28 @@ impl MergePlane {
         records: Vec<EventRecord>,
         now: UtcMicros,
     ) -> Result<bool> {
-        if !self.admit_seq(node, seq, records.len()) {
-            return Ok(false);
+        if let Some(seq) = seq {
+            let mark = self.seq_mark(node);
+            if seq <= *mark {
+                self.note_replay(records.len());
+                return Ok(false);
+            }
+            *mark = seq;
         }
         self.push_batch(records, now)?;
         Ok(true)
     }
 
-    /// The dedup step of [`Self::push_batch_seq`] for a batch of `count`
-    /// records, taken before any record exists: `false` for a replay
-    /// (counted), else `true`, raising the node's high-water mark.
-    pub(crate) fn admit_seq(&mut self, node: NodeId, seq: Option<u64>, count: usize) -> bool {
-        if let Some(seq) = seq {
-            let last = self.last_seq.entry(node).or_insert(0);
-            if seq <= *last {
-                self.stats.duplicate_batches += 1;
-                self.stats.duplicate_records += count as u64;
-                return false;
-            }
-            *last = seq;
-        }
-        true
+    /// `node`'s dedup high-water mark: the highest seq accepted from it,
+    /// 0 before any. A seq at or below it is a replay.
+    pub(crate) fn seq_mark(&mut self, node: NodeId) -> &mut u64 {
+        self.last_seq.entry(node).or_insert(0)
+    }
+
+    /// Count one replayed batch of `count` records, dropped unprocessed.
+    pub(crate) fn note_replay(&mut self, count: usize) {
+        self.stats.duplicate_batches += 1;
+        self.stats.duplicate_records += count as u64;
     }
 
     /// Accept one batch of records (already correction-adjusted by the

@@ -63,13 +63,6 @@ impl MemoryBuffer {
         })
     }
 
-    /// Append one record.
-    pub fn write(&self, rec: &EventRecord) {
-        let mut encoded = Vec::new();
-        binenc::encode_record(rec, &mut encoded);
-        self.write_bytes(&encoded);
-    }
-
     /// Append one record the caller already `binenc`-encoded, by value.
     pub fn write_encoded(&self, encoded: Vec<u8>) {
         self.write_bytes(&encoded);
@@ -191,16 +184,6 @@ impl MemoryBufferReader {
     }
 }
 
-/// Sink adapter writing into a [`MemoryBuffer`].
-pub struct MemoryBufferSink(pub Arc<MemoryBuffer>);
-
-impl EventSink for MemoryBufferSink {
-    fn on_record(&mut self, rec: &EventRecord) -> Result<()> {
-        self.0.write(rec);
-        Ok(())
-    }
-}
-
 /// Sink writing PICL ASCII trace records to any `Write` target ("it may
 /// log instrumentation data to trace files in the PICL ASCII format").
 ///
@@ -315,12 +298,19 @@ mod tests {
         .unwrap()
     }
 
+    /// Append one record, encoded as the delivery path encodes it.
+    fn write(buf: &MemoryBuffer, rec: &EventRecord) {
+        let mut encoded = Vec::new();
+        binenc::encode_record(rec, &mut encoded);
+        buf.write_bytes(&encoded);
+    }
+
     #[test]
     fn reader_sees_records_in_order() {
         let buf = MemoryBuffer::new(1 << 20);
         let mut reader = buf.reader();
         for i in 0..10 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         let (got, missed) = reader.poll().unwrap();
         assert_eq!(missed, 0);
@@ -336,10 +326,10 @@ mod tests {
     fn incremental_reads() {
         let buf = MemoryBuffer::new(1 << 20);
         let mut reader = buf.reader();
-        buf.write(&rec(0));
+        write(&buf, &rec(0));
         assert_eq!(reader.poll().unwrap().0.len(), 1);
-        buf.write(&rec(1));
-        buf.write(&rec(2));
+        write(&buf, &rec(1));
+        write(&buf, &rec(2));
         let (got, _) = reader.poll().unwrap();
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2]);
     }
@@ -350,7 +340,7 @@ mod tests {
         let buf = MemoryBuffer::new(1024);
         let mut reader = buf.reader();
         for i in 0..100 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         assert!(buf.evicted() > 0);
         let (got, missed) = reader.poll().unwrap();
@@ -373,7 +363,7 @@ mod tests {
         let buf = MemoryBuffer::new(1024);
         let held = 1024 / REC_BYTES;
         for i in 0..1000u64 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
             let expect_len = (i as usize + 1).min(held);
             assert_eq!(buf.len(), expect_len, "after write {i}");
             assert_eq!(buf.evicted(), i + 1 - expect_len as u64);
@@ -393,11 +383,11 @@ mod tests {
         let buf = MemoryBuffer::new(1024);
         let mut reader = buf.reader();
         for i in 0..10 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         assert_eq!(reader.poll().unwrap().0.len(), 10); // cursor now at 10
         for i in 10..100 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         // Held: the newest 26 (74..=99); the reader never saw 10..=73.
         let (got, missed) = reader.poll().unwrap();
@@ -412,12 +402,12 @@ mod tests {
     fn reader_from_now_after_wrap_sees_only_new_records() {
         let buf = MemoryBuffer::new(1024);
         for i in 0..500 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         let mut reader = buf.reader_from_now();
         assert_eq!(reader.poll().unwrap(), (vec![], 0));
-        buf.write(&rec(500));
-        buf.write(&rec(501));
+        write(&buf, &rec(500));
+        write(&buf, &rec(501));
         let (got, missed) = reader.poll().unwrap();
         assert_eq!(missed, 0);
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), [500, 501]);
@@ -427,17 +417,17 @@ mod tests {
     fn a_record_larger_than_the_bound_is_retained_alone() {
         let buf = MemoryBuffer::new(1024);
         let mut reader = buf.reader();
-        buf.write(&rec(0));
-        buf.write(&rec(1));
+        write(&buf, &rec(0));
+        write(&buf, &rec(1));
         let mut big = rec(2);
         big.fields = vec![Value::Bytes(vec![7; 4000])];
-        buf.write(&big);
+        write(&buf, &big);
         assert_eq!(buf.len(), 1, "everything older made way");
         assert_eq!(buf.evicted(), 2);
         let (got, missed) = reader.poll().unwrap();
         assert_eq!((got, missed), (vec![big], 2));
         // The next ordinary record evicts it in turn.
-        buf.write(&rec(3));
+        write(&buf, &rec(3));
         assert_eq!(buf.len(), 1);
         assert_eq!(reader.poll().unwrap(), (vec![rec(3)], 0), "big was read");
     }
@@ -446,9 +436,9 @@ mod tests {
     fn multiple_independent_readers() {
         let buf = MemoryBuffer::new(1 << 20);
         let mut r1 = buf.reader();
-        buf.write(&rec(0));
+        write(&buf, &rec(0));
         let mut r2 = buf.reader();
-        buf.write(&rec(1));
+        write(&buf, &rec(1));
         assert_eq!(r1.poll().unwrap().0.len(), 2);
         assert_eq!(
             r2.poll().unwrap().0.len(),
@@ -456,17 +446,8 @@ mod tests {
             "r2 starts at oldest available"
         );
         let mut r3 = buf.reader_from_now();
-        buf.write(&rec(2));
+        write(&buf, &rec(2));
         assert_eq!(r3.poll().unwrap().0.len(), 1, "r3 sees only new records");
-    }
-
-    #[test]
-    fn memory_buffer_sink_writes_through() {
-        let buf = MemoryBuffer::new(1 << 20);
-        let mut sink = MemoryBufferSink(Arc::clone(&buf));
-        sink.on_record(&rec(7)).unwrap();
-        assert_eq!(buf.written(), 1);
-        assert_eq!(buf.reader().poll().unwrap().0[0].seq, 7);
     }
 
     #[test]
@@ -519,7 +500,7 @@ mod tests {
         let mut reader = buf.reader();
         reader.bind_telemetry(&registry, "test");
         for i in 0..100 {
-            buf.write(&rec(i));
+            write(&buf, &rec(i));
         }
         let (_, missed) = reader.poll().unwrap();
         assert!(missed > 0);

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 brisk_telemetry::metrics! {
     /// What the quarantine counted, bumped by the reactor.
     struct QuarantineCells {
-        frames: counter "brisk_ism_quarantined_frames_total" "Undecodable frames quarantined by ISM pumps",
+        frames: counter "brisk_ism_quarantined_frames_total" "Undecodable frames quarantined by the ISM",
         disconnects: counter "brisk_ism_quarantine_disconnects_total" "Connections dropped after exhausting their protocol error budget",
         rejected_hellos: counter "brisk_ism_rejected_hellos_total" "Hellos rejected for claiming a node id already served by a live connection",
     }
@@ -35,10 +35,10 @@ pub struct QuarantineSample {
     pub error: String,
 }
 
-/// Shared record of undecodable frames across all pumps.
+/// The ISM's record of undecodable frames, across all connections.
 ///
-/// A frame that fails [`brisk_proto::Message::decode`] is *quarantined*: counted here,
-/// sampled (bounded), and otherwise dropped — the connection survives
+/// A frame that fails to decode is *quarantined*: counted here, sampled
+/// (bounded), and otherwise dropped — the connection survives
 /// until its per-connection error budget runs out. This keeps one node's
 /// corrupted link from taking anything else down while still leaving an
 /// audit trail of what arrived.

@@ -5,9 +5,8 @@
 //! [`IsmCore`] and the [`SyncMaster`]. A thousand mostly-idle sensors cost
 //! sockets, not threads, and nothing crosses a thread.
 //!
-//! What a greeted connection accepts and rejects is decided in
-//! `crate::session` ([`PumpIo::on_frame`]); this module owns the sockets
-//! and the scheduling. One pass:
+//! What a greeted connection's frame does is decided in one place,
+//! `Peer::on_frame`. One pass:
 //!
 //! 1. Start a sync round when one is due (every `poll_period`, or at once
 //!    after a tachyon repair asked for one) and close the open round once
@@ -22,8 +21,8 @@
 //!    whole frames already wait in their userspace buffer; a fault-killed
 //!    link has no fd and is read at once, so its end is seen.
 //! 3. Read each readable connection, at most [`MAX_FRAMES_PER_PASS`]
-//!    frames. A validated batch goes straight into
-//!    [`IsmCore::push_frame`], and its `BatchAck`, which re-advertises the
+//!    frames. A batch goes straight into [`IsmCore::push_frame`], its
+//!    only walk, and its `BatchAck`, which re-advertises the
 //!    credit grant, goes out on the same connection in the same pass. The
 //!    pipeline ticks between frames whenever it is due, so a deep backlog
 //!    cannot starve it. Then judge each connection's liveness.
@@ -55,13 +54,12 @@
 use crate::core::IsmCore;
 use crate::quarantine::QuarantineLog;
 use crate::server::IsmReport;
-use crate::session::{FrameOutcome, PumpIo};
 use brisk_clock::{Clock, SkewSample, SyncMaster};
 use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
 use brisk_net::{
     poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, POLLERR, POLLHUP, POLLIN,
 };
-use brisk_proto::Message;
+use brisk_proto::{BatchWalk, Message};
 use brisk_telemetry::Registry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,7 +100,7 @@ pub(crate) struct Ism {
     pub(crate) core: IsmCore,
     sync: SyncMaster,
     /// Master clock for receive stamps and sync exchanges.
-    pub(crate) clock: Arc<dyn Clock>,
+    clock: Arc<dyn Clock>,
     cells: Arc<LoopCells>,
     /// Malformed-frame quarantine across all connections.
     pub(crate) quarantine: Arc<QuarantineLog>,
@@ -111,7 +109,7 @@ pub(crate) struct Ism {
     /// The credit grant every `HelloAck` and `BatchAck` carries.
     credit: u64,
     /// Undecodable frames tolerated per connection before disconnect.
-    pub(crate) error_budget: u32,
+    error_budget: u32,
     /// Evict a running connection silent this long (`None`: never).
     node_timeout: Option<Duration>,
     /// The node ids a live connection serves. Two connections stamping
@@ -218,7 +216,7 @@ impl Ism {
         for d in peers.iter_mut().filter(|d| !d.dead) {
             if let State::Running(run) = &mut d.state {
                 run.sync = Some(SyncState::new(round, samples));
-                expected.insert(run.io.node);
+                expected.insert(run.id.node);
             }
         }
         if expected.is_empty() {
@@ -265,7 +263,7 @@ impl Ism {
             let State::Running(run) = &d.state else {
                 continue;
             };
-            if let Some(&advance_us) = advance.get(&run.io.node) {
+            if let Some(&advance_us) = advance.get(&run.id.node) {
                 let adjust = Message::SyncAdjust { round, advance_us };
                 let _ = d.conn.send(&adjust.encode());
             }
@@ -341,9 +339,48 @@ impl SyncState {
     }
 }
 
+/// The node a greeted connection serves, and the undecodable frames it
+/// has sent so far.
+struct Identity {
+    node: NodeId,
+    errors: u32,
+}
+
+impl Identity {
+    /// Quarantine one undecodable frame. `false` when that exhausts the
+    /// connection's protocol error budget and it must be dropped — other
+    /// nodes' connections are never affected.
+    fn quarantine(&mut self, ism: &Ism, frame: &[u8], error: &dyn std::fmt::Display) -> bool {
+        self.errors += 1;
+        brisk_telemetry::flight_log!(
+            Warn,
+            "ism.reactor",
+            "quarantine",
+            "node {} frame of {} bytes quarantined: {error}",
+            self.node,
+            frame.len()
+        );
+        ism.quarantine.record(self.node, frame, &error.to_string());
+        if self.errors <= ism.error_budget {
+            return true;
+        }
+        ism.quarantine.note_disconnect();
+        brisk_telemetry::flight_log!(
+            Error,
+            "ism.reactor",
+            "quarantine_disconnect",
+            "node {} dropped after {} undecodable frames (budget {})",
+            self.node,
+            self.errors,
+            ism.error_budget
+        );
+        false
+    }
+}
+
 /// A connection that completed its greeting and serves a node.
 struct Running {
-    io: PumpIo,
+    id: Identity,
     sync: Option<SyncState>,
 }
 
@@ -354,7 +391,7 @@ enum State {
     Running(Running),
     /// `Shutdown` sent; draining the EXS's final flush so no records are
     /// lost at teardown.
-    Closing { io: PumpIo, deadline: Instant },
+    Closing { id: Identity, deadline: Instant },
 }
 
 struct Peer {
@@ -386,8 +423,8 @@ impl Peer {
     /// The node an identified connection serves.
     fn node(&self) -> Option<NodeId> {
         match &self.state {
-            State::Running(run) => Some(run.io.node),
-            State::Closing { io, .. } => Some(io.node),
+            State::Running(run) => Some(run.id.node),
+            State::Closing { id, .. } => Some(id.node),
             State::Greeting { .. } => None,
         }
     }
@@ -449,53 +486,78 @@ impl Peer {
         }
         if sync.outstanding.is_none() && sync.next_sample >= sync.total {
             if let Some(done) = run.sync.take() {
-                ism.add_samples(run.io.node, done);
+                ism.add_samples(run.id.node, done);
             }
         }
     }
 
-    /// Handle one inbound frame. Returns `false` when the connection is
-    /// done.
+    /// Handle one inbound frame; `false` when the connection is done. For
+    /// a greeted connection this is the one place that decides what a
+    /// frame does:
+    ///
+    /// - a batch whose header names this connection's node and carries a
+    ///   seq goes to [`IsmCore::push_frame`] and, while `Running`, is acked
+    ///   in the same pass — a replay too, as its earlier ack died with the
+    ///   old connection. A `Closing` connection's batch enters unacked;
+    /// - a `SyncReply` feeds the exchange and a `Heartbeat` is liveness
+    ///   only, which the loop already noted;
+    /// - `Shutdown`, or any other message, ends the connection;
+    /// - an undecodable frame, a batch that fails to decode included, is
+    ///   quarantined against the error budget.
     fn on_frame(&mut self, frame: &[u8], ism: &mut Ism) -> bool {
-        match &mut self.state {
-            State::Greeting { .. } => self.greet(frame, ism),
-            State::Running(run) => {
-                let read = Instant::now();
-                match run.io.on_frame(ism, frame) {
-                    Ok(FrameOutcome::Consumed) => true,
-                    Ok(FrameOutcome::Batch { seq }) => {
-                        let ack = Message::BatchAck {
-                            seq,
-                            credit: ism.credit,
-                        };
-                        if self.conn.send(&ack.encode()).is_err() {
-                            return true;
-                        }
-                        ism.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
-                        ism.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
-                        let waited = read.elapsed().as_micros() as u64;
-                        ism.cells.grant_latency.record(waited);
-                        true
+        let read = Instant::now();
+        let (id, sync, acks) = match &mut self.state {
+            State::Greeting { .. } => return self.greet(frame, ism),
+            State::Running(run) => (&mut run.id, run.sync.as_mut(), true),
+            State::Closing { id, .. } => (id, None, false),
+        };
+        if !brisk_proto::peek_tag(frame).is_some_and(brisk_proto::is_batch_tag) {
+            return match Message::decode(frame) {
+                Ok(Message::SyncReply {
+                    round,
+                    sample,
+                    slave_time,
+                    ..
+                }) => {
+                    // A reply outside a round is stale; inside one, the
+                    // state machine decides whether it matches.
+                    if let Some(sync) = sync {
+                        sync.on_reply(round, sample, slave_time, ism.clock.now());
                     }
-                    Ok(FrameOutcome::SyncReply {
-                        round,
-                        sample,
-                        slave_time,
-                    }) => {
-                        // A reply outside a round is stale; inside one, the
-                        // state machine decides whether it matches.
-                        if let Some(sync) = &mut run.sync {
-                            sync.on_reply(round, sample, slave_time, ism.clock.now());
-                        }
-                        true
-                    }
-                    Err(_) => false,
+                    true
                 }
-            }
-            // A draining connection's batches still enter the core, but
-            // it is past acks.
-            State::Closing { io, .. } => io.on_frame(ism, frame).is_ok(),
+                Ok(Message::Heartbeat) => true,
+                Ok(_) => false,
+                Err(e) => id.quarantine(ism, frame, &e),
+            };
         }
+        let header = match BatchWalk::new(frame) {
+            Ok(walk) => walk.header(),
+            Err(e) => return id.quarantine(ism, frame, &e),
+        };
+        // The connection authenticated as `id.node` in the handshake; a
+        // batch claiming another origin is spoofed (or a badly confused
+        // client): end the connection rather than pollute another node's
+        // event stream. A batch without a seq could be neither
+        // deduplicated nor acked: same verdict.
+        let (true, Some(seq)) = (header.node == id.node, header.seq) else {
+            return false;
+        };
+        let now = ism.clock.now();
+        if let Err(e) = ism.core.push_frame(id.node, seq, frame, now, now) {
+            return id.quarantine(ism, frame, &e);
+        }
+        let ack = Message::BatchAck {
+            seq,
+            credit: ism.credit,
+        };
+        if acks && self.conn.send(&ack.encode()).is_ok() {
+            ism.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
+            ism.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+            let waited = read.elapsed().as_micros() as u64;
+            ism.cells.grant_latency.record(waited);
+        }
+        true
     }
 
     /// Server-side handshake: the first frame must be a `Hello`. Anything
@@ -530,7 +592,7 @@ impl Peer {
         }
         ism.claims.insert(node);
         self.state = State::Running(Running {
-            io: PumpIo { node, errors: 0 },
+            id: Identity { node, errors: 0 },
             sync: None,
         });
         true
@@ -572,7 +634,7 @@ impl Peer {
             "ism.reactor",
             "node_evicted",
             "node {} evicted: no frame for over {timeout:?}",
-            run.io.node
+            run.id.node
         );
         ism.cells.evicted.fetch_add(1, Ordering::Relaxed);
         let _ = self.conn.send(&Message::Shutdown.encode());
@@ -593,10 +655,10 @@ impl Peer {
             State::Running(run) => {
                 let _ = self.conn.send(&Message::Shutdown.encode());
                 if let Some(sync) = run.sync {
-                    ism.add_samples(run.io.node, sync);
+                    ism.add_samples(run.id.node, sync);
                 }
                 self.state = State::Closing {
-                    io: run.io,
+                    id: run.id,
                     deadline: Instant::now() + CLOSING_DRAIN,
                 };
             }
@@ -1101,9 +1163,83 @@ mod tests {
             records: vec![record(3)],
         };
         client.send(&last.encode()).unwrap();
-        drop(client);
+        // It is past acks: nothing the server sends before it hangs up at
+        // the end of the drain is a BatchAck.
+        loop {
+            match client.recv(Some(CLOSING_DRAIN * 2)) {
+                Ok(Some(frame)) => {
+                    if let Ok(Message::BatchAck { seq, .. }) = Message::decode(&frame) {
+                        panic!("batch {seq} acked while closing");
+                    }
+                }
+                Ok(None) => panic!("the closing drain never ended"),
+                Err(_) => break,
+            }
+        }
         let report = stopping.join().unwrap();
         assert_eq!(report.core.records_in, 1);
+    }
+
+    /// A batch frame of `records` from `node`, and the same frame with
+    /// garbage after its 20-byte header (tag, node, seq, count): the
+    /// header reads, no record decodes.
+    fn batch_and_corrupt(node: u32, seq: u64) -> (Vec<u8>, Vec<u8>) {
+        let good = Message::EventBatch {
+            node: NodeId(node),
+            seq: Some(seq),
+            records: vec![record(node)],
+        }
+        .encode();
+        let mut corrupt = good.clone();
+        corrupt[20..].fill(0xff);
+        (good, corrupt)
+    }
+
+    #[test]
+    fn an_undecodable_batch_leaves_its_seq_unadmitted() {
+        let rig = test_server();
+        let mut client = rig.greeted(5);
+        let (good, corrupt) = batch_and_corrupt(5, 1);
+        // The corrupt seq 1 is quarantined unacked and enters nothing, so
+        // the intact seq 1 after it is fresh, not a replay: it is acked
+        // once, and its record enters the core.
+        client.send(&corrupt).unwrap();
+        client.send(&good).unwrap();
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::BatchAck { seq: 1, credit: 64 }
+        );
+        assert!(client
+            .recv(Some(Duration::from_millis(200)))
+            .unwrap()
+            .is_none());
+        assert_eq!(rig.quarantine().frames(), 1);
+        let report = rig.handle.stop().unwrap();
+        assert_eq!(report.core.records_in, 1);
+        assert_eq!(report.core.duplicate_batches, 0);
+    }
+
+    #[test]
+    fn a_corrupt_replay_is_acked_as_a_replay() {
+        let rig = test_server();
+        let mut client = rig.greeted(5);
+        let (good, corrupt) = batch_and_corrupt(5, 1);
+        client.send(&good).unwrap();
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::BatchAck { seq: 1, credit: 64 }
+        );
+        // A replay is dropped on its header alone, so its body is never
+        // read: acked, counted as a duplicate, never quarantined.
+        client.send(&corrupt).unwrap();
+        assert_eq!(
+            recv_msg(&mut client),
+            Message::BatchAck { seq: 1, credit: 64 }
+        );
+        assert_eq!(rig.quarantine().frames(), 0);
+        let report = rig.handle.stop().unwrap();
+        assert_eq!(report.core.records_in, 1);
+        assert_eq!(report.core.duplicate_batches, 1);
     }
 
     #[test]

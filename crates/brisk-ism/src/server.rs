@@ -4,9 +4,9 @@
 //! the [`IsmCore`] and the [`brisk_clock::SyncMaster`] and waits in one
 //! `poll(2)` on the listener, every EXS connection and, in a relay, the
 //! upstream link. It greets each connection (`Hello`, with its 5 s
-//! deadline), pushes every validated batch frame into
-//! [`IsmCore::push_frame`] (which decodes it once, into records the core
-//! has already delivered) and acks it on the same connection in the same
+//! deadline), pushes every batch frame into [`IsmCore::push_frame`]
+//! (its one walk, decoding into records the core has already delivered)
+//! and acks it on the same connection in the same
 //! pass, runs poll exchanges with socket-accurate timestamps, evicts
 //! connections silent past [`brisk_core::IsmConfig::node_timeout`], ticks
 //! the pipeline when it is due and schedules synchronization rounds every

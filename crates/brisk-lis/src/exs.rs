@@ -60,7 +60,7 @@ use brisk_ringbuf::RingSet;
 use brisk_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 brisk_telemetry::metrics! {
     /// Shared atomic backing for [`ExsStats`] plus the EXS's stage
@@ -94,9 +94,6 @@ brisk_telemetry::metrics! {
         /// Ring scoops deferred because the ISM's credit budget was spent
         /// (credit flow control); backpressure is parked in the rings.
         credit_deferrals: counter "brisk_exs_credit_deferred_total" "Ring scoops deferred waiting for ISM credit",
-        /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
-        /// numerator.
-        busy_nanos: counter "brisk_exs_busy_nanos_total" "Nanoseconds spent working",
         /// Loop iterations executed.
         iterations: counter "brisk_exs_iterations_total" "EXS loop iterations",
         /// Per-step drain+batch latency in µs, on the node's clock (so it is
@@ -262,7 +259,6 @@ impl ExternalSensor {
     }
 
     fn work(&mut self) -> Result<ExsStep> {
-        let work_start = Instant::now();
         self.shared.iterations.fetch_add(1, Ordering::Relaxed);
 
         // 0. Flow control: with the ISM's credit budget spent, leave new
@@ -300,18 +296,8 @@ impl ExternalSensor {
 
         // 3. Control traffic, without waiting: a pass never sleeps, the
         //    runtime does after an idle one ([`ExternalSensor::sleep`]).
-        //    An empty poll is a zero-length wait: it is not busy time.
-        let worked = work_start.elapsed();
         let control = self.uplink.poll_control(Duration::ZERO)?;
-        let busy = if control.is_some() {
-            work_start.elapsed()
-        } else {
-            worked
-        };
         let step = control.and_then(|c| self.on_control(c));
-        self.shared
-            .busy_nanos
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         Ok(step.unwrap_or(if drained > 0 {
             ExsStep::Busy
         } else {
@@ -602,6 +588,7 @@ mod tests {
     use brisk_core::{EventTypeId, UtcMicros, Value};
     use brisk_net::{MemTransport, Transport};
     use brisk_proto::Message;
+    use std::time::Instant;
 
     struct Rig {
         exs: ExternalSensor,
@@ -1770,69 +1757,76 @@ mod tests {
 
     #[test]
     fn a_sleeping_exs_is_rung_awake_by_every_burst() {
-        // Two sensors emit in seeded bursts with 0–5 ms gaps and no
-        // heartbeats, so only the doorbell wakes an EXS asleep on empty
-        // rings: a lost wakeup strands a burst's tail past its flush.
+        // Two sensors emit seeded bursts, and each waits for its burst's
+        // tail to reach the fake ISM before a 0–5 ms gap. With heartbeats
+        // off, only the doorbell wakes an EXS asleep on empty rings, so a
+        // lost wakeup strands a tail for good: 2 s bounds "for good", it
+        // is no latency bar (`partial_batch_flushes_on_timeout` times the
+        // flush).
         use rand::{Rng, SeedableRng};
         use std::collections::HashMap;
+        use std::sync::{Condvar, Mutex};
         const PER_SENSOR: u64 = 10_000;
-        let flush = Duration::from_millis(10);
         let (mut ism, conn) = mem_pair();
         let rings = RingSet::new(NodeId(3), 1 << 18);
         let ports = [rings.register(), rings.register()];
         let cfg = ExsConfig {
-            flush_timeout: flush,
+            flush_timeout: Duration::from_millis(10),
             heartbeat_interval: Duration::ZERO,
             ..ExsConfig::default()
         };
         let handle = spawn_exs(NodeId(3), rings, Arc::new(SystemClock), conn, cfg).unwrap();
+        // Records the fake ISM has received per sensor: the next seq due.
+        let arrived = Arc::new((Mutex::new(HashMap::new()), Condvar::new()));
         let sensors: Vec<_> = ports
             .into_iter()
             .zip(0..)
             .map(|(mut port, s)| {
+                let arrived = Arc::clone(&arrived);
                 std::thread::spawn(move || {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0d00_be11 + s);
-                    let mut tails = Vec::new();
                     while port.next_seq() < PER_SENSOR {
                         let burst = rng.gen_range(1..=200u64).min(PER_SENSOR - port.next_seq());
                         for _ in 0..burst {
                             assert!(port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap());
                         }
-                        tails.push((port.sensor(), port.next_seq() - 1, Instant::now()));
+                        let (sensor, tail) = (port.sensor(), port.next_seq() - 1);
+                        let (seen, rung) = &*arrived;
+                        let wait = Duration::from_secs(2);
+                        let stranded =
+                            |seen: &mut HashMap<_, u64>| seen.get(&sensor) <= Some(&tail);
+                        let waited = rung
+                            .wait_timeout_while(seen.lock().unwrap(), wait, stranded)
+                            .unwrap()
+                            .1;
+                        assert!(
+                            !waited.timed_out(),
+                            "the burst ending at {sensor:?}/{tail} never arrived"
+                        );
                         let gap = rng.gen_range(0..=5_000u64);
                         std::thread::sleep(Duration::from_micros(gap));
                     }
-                    tails
                 })
             })
             .collect();
-        let mut arrived = HashMap::new();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while arrived.len() < 2 * PER_SENSOR as usize && Instant::now() < deadline {
+        // Every sensor returns once its last tail arrived, or panics.
+        while !sensors.iter().all(|s| s.is_finished()) {
             let Some(frame) = ism.recv(Some(Duration::from_millis(100))).unwrap() else {
                 continue;
             };
-            let at = Instant::now();
             if let Message::EventBatch { records, .. } = Message::decode(&frame).unwrap() {
+                let (seen, rung) = &*arrived;
+                let mut seen = seen.lock().unwrap();
                 for r in records {
-                    let again = arrived.insert((r.sensor, r.seq), at);
-                    assert!(again.is_none(), "{:?}/{} delivered twice", r.sensor, r.seq);
+                    let next = seen.entry(r.sensor).or_insert(0);
+                    assert_eq!(r.seq, *next, "{:?} out of order or twice", r.sensor);
+                    *next += 1;
                 }
+                rung.notify_all();
             }
         }
-        assert_eq!(
-            arrived.len(),
-            2 * PER_SENSOR as usize,
-            "every record delivered"
-        );
-        for tails in sensors {
-            for (sensor, seq, emitted) in tails.join().unwrap() {
-                let late = arrived[&(sensor, seq)].saturating_duration_since(emitted);
-                assert!(
-                    late <= flush + Duration::from_millis(20),
-                    "the burst ending at {sensor:?}/{seq} arrived {late:?} after its emit"
-                );
-            }
+        for sensor in sensors {
+            sensor.join().unwrap();
         }
         handle.stop().unwrap();
     }

@@ -475,12 +475,10 @@ pub struct BatchHeader {
 /// a callback as its origin node and a validated [`RecordView`] borrowing
 /// the frame ([`BatchWalk::try_for_each`]).
 ///
-/// [`BatchView::parse`] collects the walk, the ISM validates a frame by
-/// walking it without keeping anything ([`BatchWalk::validate`]), then
-/// walks it once more to decode each record straight into a record it
-/// reuses. Validation is exhaustive — bounds, descriptor,
-/// every field and, last, no trailing bytes — and the walk stops at the
-/// first error.
+/// [`BatchView::parse`] collects the walk; the ISM walks a frame once,
+/// decoding each record straight into a record it reuses. Validation is
+/// exhaustive — bounds, descriptor, every field and, last, no trailing
+/// bytes — and the walk stops at the first error.
 #[derive(Debug)]
 pub struct BatchWalk<'a> {
     d: XdrDecoder<'a>,
@@ -529,14 +527,6 @@ impl<'a> BatchWalk<'a> {
         self.header
     }
 
-    /// Walk every record, keeping nothing: the validation a receiver
-    /// does before it forwards the frame.
-    pub fn validate(self) -> Result<BatchHeader, DecodeError> {
-        let header = self.header;
-        self.try_for_each(|_, _| Ok::<_, DecodeError>(()))?;
-        Ok(header)
-    }
-
     /// Hand each record in order to `f`, with its origin node — its own
     /// in a Multi-format batch, the header node otherwise. The walk stops
     /// at the first error, the frame's or `f`'s; trailing bytes are the
@@ -565,8 +555,7 @@ impl<'a> BatchWalk<'a> {
 /// Each record is kept as a [`RecordView`] whose field bytes still point
 /// into the arrival buffer — nothing is copied until
 /// [`BatchView::materialize`] (or a per-record [`RecordView::materialize`])
-/// is called. The ISM itself never builds one: it validates with
-/// [`BatchWalk::validate`] and decodes while walking.
+/// is called. The ISM never builds one: it decodes while walking.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     header: BatchHeader,
@@ -1051,10 +1040,6 @@ mod tests {
             })
             .unwrap();
             assert_eq!(walked, view.materialize().unwrap());
-            assert_eq!(
-                BatchWalk::new(&bytes).unwrap().validate().unwrap(),
-                BatchWalk::new(&bytes).unwrap().header()
-            );
             // Trailing bytes are the walk's last error, after every record.
             let mut long = bytes.clone();
             long.extend_from_slice(&[0, 0, 0, 0]);

@@ -42,7 +42,6 @@
 use crate::reader::{index_of_scan, list_segment_ids, scan_segment};
 use crate::segment::{
     append_frame, decode_any_header, index_path, segment_path, SegmentBody, SegmentHeader,
-    FRAME_OVERHEAD,
 };
 use crate::writer::write_durable;
 use brisk_core::{
@@ -568,19 +567,20 @@ impl Compactor {
     }
 }
 
-/// Sanity floor used by tests and the bench: the plain-format byte cost
-/// of `records` (header excluded), for size-reduction accounting.
-pub fn plain_frames_len(records: &[EventRecord]) -> usize {
-    records
-        .iter()
-        .map(|r| FRAME_OVERHEAD + brisk_core::binenc::record_size(r))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::segment::tests::frame_offsets;
+    use crate::segment::FRAME_OVERHEAD;
+
+    /// The plain-format byte cost of `records` (header excluded), for
+    /// size-reduction accounting.
+    fn plain_frames_len(records: &[EventRecord]) -> usize {
+        records
+            .iter()
+            .map(|r| FRAME_OVERHEAD + brisk_core::binenc::record_size(r))
+            .sum()
+    }
 
     fn header(segment_id: u64, base_ts: UtcMicros) -> SegmentHeader {
         SegmentHeader {

@@ -148,14 +148,6 @@ impl SegmentHeader {
         out.extend_from_slice(xdr.as_bytes());
         out
     }
-
-    /// Decode a header from the start of a segment file. Returns the header
-    /// and the offset of the first frame. Accepts both plain and compacted
-    /// segments; use [`decode_any_header`] when the dictionary is needed.
-    pub fn decode(bytes: &[u8]) -> Result<(SegmentHeader, usize)> {
-        let (header, _, off) = decode_any_header(bytes)?;
-        Ok((header, off))
-    }
 }
 
 /// What follows a segment header: plain binenc frames, or compact blocks
@@ -423,7 +415,7 @@ pub(crate) mod tests {
     /// File offsets of every frame in a segment image, read from the frame
     /// headers alone; tests use them to aim a bit flip or a cut.
     pub(crate) fn frame_offsets(seg: &[u8]) -> Vec<usize> {
-        let (_, mut off) = SegmentHeader::decode(seg).unwrap();
+        let (_, _, mut off) = decode_any_header(seg).unwrap();
         let mut offsets = Vec::new();
         while off + FRAME_OVERHEAD <= seg.len() {
             offsets.push(off);
@@ -440,13 +432,14 @@ pub(crate) mod tests {
             base_ts: UtcMicros::from_micros(1_234_567),
         };
         let bytes = h.encode(&SegmentBody::Plain);
-        let (back, off) = SegmentHeader::decode(&bytes).unwrap();
+        let (back, body, off) = decode_any_header(&bytes).unwrap();
+        assert_eq!(body, SegmentBody::Plain);
         assert_eq!(back, h);
         assert_eq!(off, bytes.len());
         // Frames start right after; decode must also work with trailing data.
         let mut with_frames = bytes.clone();
         append_frame(b"payload", &mut with_frames);
-        let (_, off2) = SegmentHeader::decode(&with_frames).unwrap();
+        let (_, _, off2) = decode_any_header(&with_frames).unwrap();
         assert_eq!(off2, bytes.len());
     }
 
@@ -459,7 +452,7 @@ pub(crate) mod tests {
         let mut bytes = h.encode(&SegmentBody::Plain);
         let n = bytes.len();
         bytes[n - 6] ^= 0x40; // flip a bit inside the node count
-        assert!(SegmentHeader::decode(&bytes).is_err());
+        assert!(decode_any_header(&bytes).is_err());
     }
 
     #[test]
@@ -594,9 +587,6 @@ pub(crate) mod tests {
         assert_eq!(back, h);
         assert_eq!(off, bytes.len());
         assert_eq!(body, SegmentBody::Compact(dict));
-        // SegmentHeader::decode accepts it too (dictionary discarded).
-        let (h2, off2) = SegmentHeader::decode(&bytes).unwrap();
-        assert_eq!((h2.segment_id, off2), (7, bytes.len()));
     }
 
     #[test]

@@ -141,7 +141,7 @@ proptest! {
 
         // Locate frame payloads with a clean decode of the segment image:
         // frames start after the XDR header; each is 8B of framing + payload.
-        let (_, header_end) = brisk_store::segment::SegmentHeader::decode(&bytes).unwrap();
+        let (_, _, header_end) = brisk_store::segment::decode_any_header(&bytes).unwrap();
         let mut payload_spans = Vec::new();
         let mut off = header_end;
         while off + FRAME_OVERHEAD <= bytes.len() {
@@ -191,7 +191,7 @@ proptest! {
         let seg = brisk_store::segment::segment_path(&dir, ids[0]);
         let bytes = std::fs::read(&seg).unwrap();
         // Find the last frame's start.
-        let (_, header_end) = brisk_store::segment::SegmentHeader::decode(&bytes).unwrap();
+        let (_, _, header_end) = brisk_store::segment::decode_any_header(&bytes).unwrap();
         let mut off = header_end;
         let mut last_start = header_end;
         while off + FRAME_OVERHEAD <= bytes.len() {

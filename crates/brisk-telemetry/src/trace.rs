@@ -318,7 +318,7 @@ pub struct FlightEvent {
     pub ts_us: i64,
     /// Severity.
     pub level: FlightLevel,
-    /// Originating component, dotted (`"ism.pump"`, `"store"`).
+    /// Originating component, dotted (`"ism.reactor"`, `"store"`).
     pub component: &'static str,
     /// Event kind slug (`"quarantine"`, `"evict"`, `"credit_stall"`).
     pub kind: &'static str,
@@ -328,7 +328,7 @@ pub struct FlightEvent {
 
 /// Per-component level filter parsed from a `BRISK_LOG`-style spec:
 /// a comma list of `level` (global default) and `component=level`
-/// (longest-prefix match wins), e.g. `info,ism.pump=debug,store=warn`.
+/// (longest-prefix match wins), e.g. `info,ism.reactor=debug,store=warn`.
 #[derive(Debug)]
 struct LevelFilter {
     default: FlightLevel,
@@ -353,7 +353,7 @@ impl LevelFilter {
                 }
             }
         }
-        // Longest prefix first so `ism.pump=debug` beats `ism=warn`.
+        // Longest prefix first so `ism.reactor=debug` beats `ism=warn`.
         by_prefix.sort_by_key(|(p, _)| std::cmp::Reverse(p.len()));
         LevelFilter { default, by_prefix }
     }

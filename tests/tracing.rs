@@ -251,7 +251,7 @@ fn flight_dump_on_panic_retains_prior_quarantine_events() {
 
     let dump = flight().dump();
     assert!(
-        dump.contains("quarantine") && dump.contains("ism.pump"),
+        dump.contains("quarantine") && dump.contains("ism.reactor"),
         "panic-time dump must retain the quarantine history:\n{dump}"
     );
     assert!(
