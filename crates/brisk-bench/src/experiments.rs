@@ -100,7 +100,14 @@ pub fn e1_notice_cost(quick: bool) -> bool {
 pub fn e2_exs_utilization(quick: bool) -> bool {
     let duration = Duration::from_millis(if quick { 500 } else { 2_000 });
     let rates = [1_000.0, 10_000.0, 38_000.0, 80_000.0];
-    let mut table = Table::new(&["target ev/s", "achieved ev/s", "EXS CPU %", "dropped"]);
+    let mut table = Table::new(&[
+        "target ev/s",
+        "achieved ev/s",
+        "EXS CPU %",
+        "wakeups/s",
+        "CPU µs/wakeup",
+        "dropped",
+    ]);
     for rate in rates {
         let t = MemTransport::new();
         let mut listener = t.listen("sink").unwrap();
@@ -133,21 +140,24 @@ pub fn e2_exs_utilization(quick: bool) -> bool {
         .unwrap();
         let mut port = rings.register();
         // A thread this young may not carry its name yet; it has barely
-        // run either, so it starts the window at 0 ns.
-        let cpu = thread_cpu_ns("brisk-exs-1").unwrap_or(0);
+        // run either, so it starts the window at zero.
+        let start = thread_sched("brisk-exs-1").unwrap_or_default();
         let wall = Instant::now();
         let (emitted, dropped) = paced_events(&mut port, &SystemClock, rate, duration);
         let wall = wall.elapsed();
-        let cpu = thread_cpu_ns("brisk-exs-1").map(|end| end - cpu);
+        let used = thread_sched("brisk-exs-1").map(|end| end.since(start));
         std::thread::sleep(Duration::from_millis(60)); // let the EXS drain
         exs.stop().unwrap();
         sink_stop.store(true, Ordering::Relaxed);
         sink.join().unwrap();
-        let pct = |ns: u64| f(100.0 * ns as f64 / wall.as_nanos() as f64);
+        let na = || "n/a".to_string();
+        let secs = wall.as_secs_f64();
         table.row(&[
             f(rate),
-            f(emitted as f64 / wall.as_secs_f64()),
-            cpu.map_or_else(|| "n/a".into(), pct),
+            f(emitted as f64 / secs),
+            used.map_or_else(na, |u| f(100.0 * u.cpu_ns as f64 / 1e9 / secs)),
+            used.map_or_else(na, |u| f(u.wakeups as f64 / secs)),
+            used.map_or_else(na, |u| f(u.cpu_ns as f64 / 1e3 / u.wakeups.max(1) as f64)),
             dropped.to_string(),
         ]);
     }
@@ -155,10 +165,29 @@ pub fn e2_exs_utilization(quick: bool) -> bool {
     true
 }
 
-/// CPU time the thread named `name` has run so far, in ns: the first
-/// field of its `/proc/self/task/<tid>/schedstat`, which unlike wall time
-/// inside a pass leaves out time spent preempted. `None` without procfs.
-fn thread_cpu_ns(name: &str) -> Option<u64> {
+/// What a thread has used of the CPU so far.
+#[derive(Clone, Copy, Default)]
+struct ThreadSched {
+    /// Run time in ns: the first field of `schedstat`, which unlike wall
+    /// time inside a pass leaves out time spent preempted.
+    cpu_ns: u64,
+    /// Times it went to sleep of its own accord (`voluntary_ctxt_switches`
+    /// in `status`): one per wait that blocked, so one per wakeup.
+    wakeups: u64,
+}
+
+impl ThreadSched {
+    fn since(self, start: ThreadSched) -> ThreadSched {
+        ThreadSched {
+            cpu_ns: self.cpu_ns - start.cpu_ns,
+            wakeups: self.wakeups - start.wakeups,
+        }
+    }
+}
+
+/// [`ThreadSched`] of the thread named `name`, from
+/// `/proc/self/task/<tid>`. `None` without procfs.
+fn thread_sched(name: &str) -> Option<ThreadSched> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     tasks.flatten().find_map(|task| {
         let comm = std::fs::read_to_string(task.path().join("comm")).ok()?;
@@ -166,7 +195,14 @@ fn thread_cpu_ns(name: &str) -> Option<u64> {
             return None;
         }
         let stat = std::fs::read_to_string(task.path().join("schedstat")).ok()?;
-        stat.split_whitespace().next()?.parse().ok()
+        let status = std::fs::read_to_string(task.path().join("status")).ok()?;
+        let voluntary = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
+        Some(ThreadSched {
+            cpu_ns: stat.split_whitespace().next()?.parse().ok()?,
+            wakeups: voluntary.trim().parse().ok()?,
+        })
     })
 }
 

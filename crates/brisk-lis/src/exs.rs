@@ -21,12 +21,16 @@
 //! `poll(2)` — the "waiting select system call" the paper identifies as the
 //! worst-case latency contributor (§4) — on the ISM link's fd and on a
 //! doorbell the node's rings share, until the next thing the EXS must do.
-//! With nothing buffered, the doorbell is armed and the first record into a
-//! drained ring rings it, so an idle EXS wakes only for its link's traffic
-//! and heartbeats. With a partial batch it looks at the rings again every
-//! *scoop period*, a fifth of the flush timeout (8 ms at the 40 ms
-//! default), until the batch's deadline. With its credit spent it waits for
-//! the ack, which is link input.
+//! The doorbell is armed at a fill level, and the sensor's push that
+//! reaches it rings. With nothing buffered the level is one record, so an
+//! idle EXS wakes only for its link's traffic and heartbeats, and the
+//! first record starts the batch's flush deadline at once. With a partial
+//! batch the level is what the batch lacks under both size knobs, counted
+//! over all the node's rings together, so the record that fills the
+//! batch wakes the EXS, whichever sensor emits it, and it ships the batch
+//! then, not on a later poll; the flush deadline bounds the wait
+//! otherwise. With its credit spent it waits for the ack,
+//! which is link input.
 //!
 //! All EXS *deadlines* (the flush timeout in particular) are measured on
 //! the node's clock, not on wall time, so the whole component is
@@ -56,7 +60,7 @@ use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, UplinkStats, U
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_net::{poll_in, Connection, PollFd, Poller, Waker};
-use brisk_ringbuf::RingSet;
+use brisk_ringbuf::{Fill, RingSet};
 use brisk_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -127,6 +131,13 @@ pub enum ExsStep {
     /// must never receive).
     Disconnected,
 }
+
+/// An XDR-encoded record, with the stamps the EXS adds, is at most twice
+/// its ring frame, length prefix included: the ring's 32 bytes of prefix
+/// and header outweigh the XDR padding of up to eight 1-byte fields, an
+/// added `X_HLC` and a trace stamp. So the rings must hold at least half
+/// the XDR bytes a batch lacks before its byte knob can trip.
+const XDR_PER_RING_BYTE: usize = 2;
 
 /// The external sensor: one per node.
 pub struct ExternalSensor {
@@ -405,37 +416,49 @@ impl ExternalSensor {
 
     /// The runtime's one wait after an idle pass, until link input (an
     /// ack, a sync poll), the next heartbeat, the handle's stop, and: with
-    /// a partial batch and credit open, its flush deadline or the scoop
-    /// period; with credit spent, nothing more; with nothing buffered, the
-    /// rings' doorbell. Returns at once if input or a record is waiting.
+    /// nothing buffered, the first record into the rings; with a partial
+    /// batch and credit open, the record that could complete it or its
+    /// flush deadline; with credit spent, nothing more. Returns at once if
+    /// input is waiting or the rings already hold what it would wait for.
     fn sleep(&self, poller: &Poller, fds: &mut Vec<PollFd>) -> Result<()> {
         let Some(fd) = self.uplink.wait_fd() else {
             return Ok(());
         };
-        let (mut due, bell) = (self.uplink.due_in(), self.rings.doorbell());
+        let mut due = self.uplink.due_in();
         if self.uplink.credit_open() {
-            match self.batcher.time_to_deadline(self.clock.now()) {
+            let fill = match self.batcher.time_to_deadline(self.clock.now()) {
                 Some(us) => {
-                    // The scoop period: a batch that fills meanwhile ships
-                    // at most a fifth of the latency budget late.
-                    let scoop = self.cfg.flush_timeout / 5;
-                    let flush = Duration::from_micros(us.max(0) as u64).min(scoop);
+                    // poll(2) counts whole milliseconds and truncates:
+                    // round up, or it wakes just before the deadline
+                    // only to sleep the rest.
+                    let flush = Duration::from_millis((us.max(0) as u64).div_ceil(1000));
                     due = due.into_iter().chain([flush]).min();
+                    self.missing()
                 }
-                None => {
-                    bell.arm();
-                    if !self.rings.is_empty() {
-                        bell.disarm();
-                        return Ok(());
-                    }
-                }
+                None => Fill::ANY,
+            };
+            if !self.rings.arm_at(fill) {
+                return Ok(());
             }
         }
         fds.push(poll_in(fd));
         let waited = poller.wait(fds, due);
         fds.clear();
-        bell.disarm();
+        self.rings.doorbell().disarm();
         Ok(waited.map(drop)?)
+    }
+
+    /// What the partial batch lacks before a size knob trips, as ring
+    /// contents: the records it is short of, or ring bytes enough to carry
+    /// the XDR bytes it is short of ([`XDR_PER_RING_BYTE`]). The rings
+    /// reach this at the record that completes the batch or earlier.
+    fn missing(&self) -> Fill {
+        let records = self.cfg.max_batch_records - self.batcher.pending_records();
+        let bytes = self.cfg.max_batch_bytes - self.batcher.pending_bytes();
+        Fill {
+            frames: records as u64,
+            bytes: bytes.div_ceil(XDR_PER_RING_BYTE),
+        }
     }
 
     /// Orderly teardown: drain the rings, flush everything buffered and
@@ -1859,5 +1882,109 @@ mod tests {
             let took = t0.elapsed();
             assert!(took < Duration::from_millis(50), "stop took {took:?}");
         }
+    }
+
+    #[test]
+    fn an_xdr_record_is_at_most_twice_its_ring_frame() {
+        // The worst shapes for XDR's 4-byte padding, with the stamps the
+        // EXS adds (a trace stage, an `X_HLC` where a field slot is free).
+        use brisk_core::{binenc, HlcStamp, SensorId, TraceContext};
+        let trace = Value::Trace(TraceContext::origin(1, UtcMicros::ZERO));
+        let with_trace = |mut fields: Vec<Value>| {
+            fields.push(trace.clone());
+            fields
+        };
+        let shapes = [
+            vec![],
+            vec![Value::U8(1); 8],
+            vec![Value::Bool(true); 7],
+            vec![Value::I16(1); 7],
+            vec![Value::Str("a".into()); 7],
+            vec![Value::Bytes(vec![1; 5]); 7],
+            with_trace(vec![]),
+            with_trace(vec![Value::I8(1); 6]),
+            with_trace(vec![Value::U8(1); 7]),
+        ];
+        for fields in shapes {
+            let (ts, id) = (UtcMicros::ZERO, EventTypeId(1));
+            let mut rec = EventRecord::new(NodeId(1), SensorId(1), id, 0, ts, fields).unwrap();
+            let ring = 4 + binenc::encode_record(&rec, &mut Vec::new());
+            rec.stamp_trace(TraceStage::ExsScoop, ts);
+            rec.set_hlc(HlcStamp::ZERO);
+            let xdr = rec.xdr_payload_size();
+            assert!(xdr <= XDR_PER_RING_BYTE * ring, "{rec}: {xdr} > 2 x {ring}");
+        }
+    }
+
+    #[test]
+    fn large_records_ship_when_the_byte_knob_trips_not_at_the_deadline() {
+        // 1 KiB strings trip the 8 KiB byte knob at the eighth record, far
+        // below the record knob. The sensor emits them 5 ms apart, so the
+        // EXS sleeps on its partial batch between them (it wakes at what
+        // the batch lacks, not per record). The eighth must ship within
+        // 2 s, far from the 30 s flush deadline and from a fifth of it.
+        let (mut ism, conn) = mem_pair();
+        let rings = RingSet::new(NodeId(8), 1 << 18);
+        let mut port = rings.register();
+        let cfg = ExsConfig {
+            max_batch_bytes: 8 * 1024,
+            flush_timeout: Duration::from_secs(30),
+            heartbeat_interval: Duration::ZERO,
+            ..ExsConfig::default()
+        };
+        let handle = spawn_exs(NodeId(8), rings, Arc::new(SystemClock), conn, cfg).unwrap();
+        recv_msg(&mut ism); // hello
+        for n in 1..=8 {
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(ism.recv(Some(Duration::ZERO)).unwrap().is_none(), "{n}");
+            let big = vec![Value::Str("x".repeat(1024))];
+            port.emit(EventTypeId(1), UtcMicros::ZERO, big).unwrap();
+        }
+        let filled = Instant::now();
+        let frame = ism.recv(Some(Duration::from_secs(10))).unwrap();
+        match Message::decode(&frame.expect("no batch within 10 s")).unwrap() {
+            Message::EventBatch { records, .. } => assert_eq!(records.len(), 8),
+            other => panic!("expected a batch, got {other:?}"),
+        }
+        let took = filled.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "shipped {took:?} after it filled"
+        );
+        let stats = handle.stop().unwrap();
+        assert_eq!((stats.flush_bytes, stats.flush_timeout), (1, 0));
+    }
+
+    #[test]
+    fn a_small_ring_is_drained_before_it_fills_on_the_way_to_a_full_batch() {
+        // A 2 KiB ring holds 62 empty records, far fewer than the 256 of
+        // a batch at the default knobs, and the flush deadline is 30 s
+        // off. The doorbell's level is capped at half a ring, so at two
+        // records a millisecond the EXS drains the ring every 31 records,
+        // 15 ms before it would overflow, and the 256th ships the batch.
+        let (mut ism, conn) = mem_pair();
+        let rings = RingSet::new(NodeId(9), 2 << 10);
+        let mut port = rings.register();
+        let cfg = ExsConfig {
+            flush_timeout: Duration::from_secs(30),
+            heartbeat_interval: Duration::ZERO,
+            ..ExsConfig::default()
+        };
+        let handle = spawn_exs(NodeId(9), rings, Arc::new(SystemClock), conn, cfg).unwrap();
+        recv_msg(&mut ism); // hello
+        for _ in 0..150 {
+            for _ in 0..2 {
+                port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let frame = ism.recv(Some(Duration::from_secs(10))).unwrap();
+        match Message::decode(&frame.expect("no batch within 10 s")).unwrap() {
+            Message::EventBatch { records, .. } => assert_eq!(records.len(), 256),
+            other => panic!("expected a batch, got {other:?}"),
+        }
+        assert_eq!(port.stats().dropped, 0);
+        let stats = handle.stop().unwrap();
+        assert_eq!((stats.flush_records, stats.flush_timeout), (1, 0));
     }
 }

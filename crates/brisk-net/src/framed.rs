@@ -73,10 +73,13 @@ pub(crate) fn accepted<S: RawStream>(accepted: std::io::Result<S>) -> Result<Opt
 /// One framed connection over a raw stream socket.
 pub struct FramedConnection<S: RawStream> {
     stream: S,
-    /// Bytes received but not yet consumed as a whole frame. A timeout may
-    /// strike mid-frame; the partial bytes are kept here so nothing is
-    /// lost.
+    /// Receive buffer, zeroed once and read into in place: bytes
+    /// `[start, end)` are received but not yet consumed as a whole frame,
+    /// `[end, len)` take the next `read`. A timeout may strike mid-frame;
+    /// the partial bytes stay here so nothing is lost.
     rbuf: Vec<u8>,
+    start: usize,
+    end: usize,
     /// Send scratch: prefix + payload are combined into one `write` — one
     /// syscall per frame, and (on Unix sockets) one kernel skb instead of
     /// two, which doubles how many small unread frames fit in the socket
@@ -91,40 +94,56 @@ impl<S: RawStream> FramedConnection<S> {
         let peer = stream.peer_label();
         FramedConnection {
             stream,
-            rbuf: Vec::with_capacity(64 * 1024),
+            rbuf: vec![0; 64 * 1024],
+            start: 0,
+            end: 0,
             wbuf: Vec::with_capacity(4 * 1024),
             peer,
         }
     }
 
-    /// If `rbuf` holds a complete frame, detach and return it.
+    /// If the buffer holds a complete frame, copy it out and consume it
+    /// by moving `start` past it.
     fn try_extract_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.rbuf.len() < 4 {
+        let buffered = &self.rbuf[self.start..self.end];
+        if buffered.len() < 4 {
             return Ok(None);
         }
-        let len =
-            u32::from_be_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]]) as usize;
+        let len = u32::from_be_bytes([buffered[0], buffered[1], buffered[2], buffered[3]]) as usize;
         if len > MAX_FRAME_BYTES {
             return Err(BriskError::Protocol(format!(
                 "frame length {len} exceeds {MAX_FRAME_BYTES}"
             )));
         }
-        if self.rbuf.len() < 4 + len {
+        let Some(frame) = buffered.get(4..4 + len) else {
             return Ok(None);
+        };
+        let frame = frame.to_vec();
+        self.start += 4 + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
         }
-        let frame = self.rbuf[4..4 + len].to_vec();
-        self.rbuf.drain(..4 + len);
         Ok(Some(frame))
     }
 
-    /// One `read` into `rbuf`; `false` when the stream had nothing after
-    /// all (only a stream without an fd says so).
+    /// One `read` into the buffer's free tail; `false` when the stream had
+    /// nothing after all (only a stream without an fd says so). Buffered
+    /// bytes move to the front only once the consumed prefix is half the
+    /// buffer, so a move copies fewer bytes than were consumed since the
+    /// last; a full buffer with less consumed holds a partial frame of
+    /// more than half its size, and doubles.
     fn read_once(&mut self) -> Result<bool> {
-        let mut chunk = [0u8; 64 * 1024];
-        match self.stream.read(&mut chunk) {
+        let size = self.rbuf.len();
+        if self.start >= size / 2 {
+            self.rbuf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        } else if self.end == size {
+            self.rbuf.resize(2 * size, 0);
+        }
+        match self.stream.read(&mut self.rbuf[self.end..]) {
             Ok(0) => Err(BriskError::Disconnected),
             Ok(n) => {
-                self.rbuf.extend_from_slice(&chunk[..n]);
+                self.end += n;
                 Ok(true)
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
@@ -183,7 +202,7 @@ impl<S: RawStream> Connection for FramedConnection<S> {
     }
 
     fn has_buffered(&self) -> bool {
-        !self.rbuf.is_empty()
+        self.start < self.end
     }
 }
 
@@ -194,6 +213,118 @@ mod tests {
     use std::io::Write;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    /// A stream without an fd that hands out scripted chunks, one or
+    /// part of one per `read`; an empty chunk reads as `WouldBlock` once.
+    struct Script(std::collections::VecDeque<Vec<u8>>, usize);
+
+    impl std::io::Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            let Some(chunk) = self.0.front_mut() else {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.0.pop_front();
+            }
+            if n == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl super::RawStream for Script {
+        fn peer_label(&self) -> String {
+            "script".into()
+        }
+    }
+
+    fn wire(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for f in frames {
+            wire.extend_from_slice(&(f.len() as u32).to_be_bytes());
+            wire.extend_from_slice(f);
+        }
+        wire
+    }
+
+    fn scripted(chunks: Vec<Vec<u8>>) -> super::FramedConnection<Script> {
+        super::FramedConnection::new(Script(chunks.into(), 0))
+    }
+
+    #[test]
+    fn several_frames_in_one_read_come_out_one_by_one() {
+        let frames = vec![b"one".to_vec(), Vec::new(), b"three".to_vec()];
+        let mut conn = scripted(vec![wire(&frames)]);
+        for f in &frames {
+            assert_eq!(conn.recv(Some(Duration::ZERO)).unwrap().as_ref(), Some(f));
+        }
+        assert!(!conn.has_buffered());
+        assert_eq!(conn.recv(Some(Duration::ZERO)).unwrap(), None);
+        assert_eq!(
+            conn.stream.1, 2,
+            "one read for three frames, one that found nothing"
+        );
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_waits_for_its_last_byte() {
+        // Split inside the prefix, then inside the payload, with nothing
+        // to read between the pieces.
+        let w = wire(&[b"split frame".to_vec(), b"next".to_vec()]);
+        let mut conn = scripted(vec![
+            w[..2].to_vec(),
+            Vec::new(),
+            w[2..9].to_vec(),
+            Vec::new(),
+            w[9..].to_vec(),
+        ]);
+        assert_eq!(conn.recv(Some(Duration::ZERO)).unwrap(), None);
+        assert!(conn.has_buffered());
+        assert_eq!(conn.recv(Some(Duration::ZERO)).unwrap(), None);
+        let got = conn.recv(Some(Duration::ZERO)).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"split frame"[..]));
+        let got = conn.recv(Some(Duration::ZERO)).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"next"[..]));
+    }
+
+    #[test]
+    fn frames_in_arbitrary_chunks_survive_compaction_and_growth() {
+        // Thousands of small frames and two larger than the 64 KiB
+        // buffer, cut into chunks that ignore frame bounds.
+        let mut frames: Vec<Vec<u8>> = (0..3000u32)
+            .map(|i| (0..i % 301).map(|j| (i + j) as u8).collect())
+            .collect();
+        frames.insert(1000, vec![0xAB; 150 * 1024]);
+        frames.insert(2500, vec![0xCD; 70 * 1024]);
+        let w = wire(&frames);
+        let (mut chunks, mut at, mut cut) = (Vec::new(), 0, 1usize);
+        while at < w.len() {
+            cut = (cut * 7919 + 13) % 9000 + 1;
+            let end = (at + cut).min(w.len());
+            chunks.push(w[at..end].to_vec());
+            at = end;
+        }
+        let mut conn = scripted(chunks);
+        for (i, f) in frames.iter().enumerate() {
+            let got = conn.recv(Some(Duration::ZERO)).unwrap();
+            assert_eq!(got.as_ref(), Some(f), "frame {i}");
+        }
+        assert!(!conn.has_buffered());
+    }
 
     /// A fresh listener on every transport, with the transport that dials
     /// it: the accept-deadline cases run over each.

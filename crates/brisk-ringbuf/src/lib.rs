@@ -28,4 +28,4 @@ pub mod record;
 pub mod spsc;
 
 pub use record::{RecordConsumer, RecordRing, RingSet, SensorPort};
-pub use spsc::{ByteRing, Doorbell, RingConsumer, RingProducer, RingStats};
+pub use spsc::{ByteRing, Doorbell, Fill, RingConsumer, RingProducer, RingStats};

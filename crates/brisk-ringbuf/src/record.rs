@@ -9,9 +9,12 @@
 //!
 //! A [`RingSet`] collects the consuming halves for one node; the external
 //! sensor drains them all, and with nothing to drain sleeps on the set's
-//! [`Doorbell`], which the first record after it armed the bell rings.
+//! [`Doorbell`]. It arms the bell at a [`Fill`] for the whole set
+//! ([`RingSet::arm_at`]), and the record that brings the set's rings to
+//! that many records or bytes between them rings, whichever ring it
+//! lands in. Armed at [`Fill::ANY`], the first record rings.
 
-use crate::spsc::{ByteRing, Doorbell, RingConsumer, RingProducer, RingStats};
+use crate::spsc::{ByteRing, Doorbell, Fill, RingConsumer, RingProducer, RingStats};
 use brisk_core::binenc;
 use brisk_core::descriptor::MAX_FIELDS;
 use brisk_core::{
@@ -313,10 +316,24 @@ impl RingSet {
         port
     }
 
-    /// The drainer's doorbell, rung by the first record after it armed
-    /// the bell.
+    /// The drainer's doorbell (install its wake here).
     pub fn doorbell(&self) -> &Doorbell {
         &self.bell
+    }
+
+    /// Arm the doorbell for the set's rings holding `fill` between them,
+    /// then count what they hold now. The bytes are capped at half a
+    /// ring, so the set reaches the fill before any one ring is more than
+    /// half full. `false`, with the bell disarmed again, when the rings
+    /// already hold it: the caller must drain rather than sleep.
+    pub fn arm_at(&self, fill: Fill) -> bool {
+        let fill = Fill {
+            bytes: fill.bytes.min(self.capacity_per_ring / 2),
+            ..fill
+        };
+        let consumers = self.consumers.lock();
+        self.bell
+            .arm_at(fill, || consumers.iter().map(|c| c.consumer.held()).sum())
     }
 
     /// Number of registered sensors.
@@ -745,5 +762,112 @@ mod tests {
                 "sensor {s} out of order"
             );
         }
+    }
+
+    #[test]
+    fn a_fill_beyond_half_a_ring_rings_at_half_a_ring() {
+        // One busy ring of 1 KiB beside a quiet one, armed at 30 KiB: the
+        // ring could never hold that, so the bell rings once the set
+        // holds half a ring (512 bytes) and the ring still has room.
+        let set = RingSet::new(NodeId(1), 1 << 10);
+        let rung = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counter = Arc::clone(&rung);
+        set.doorbell().set_wake(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        let (mut busy, _quiet) = (set.register(), set.register());
+        let fill = Fill {
+            frames: 255,
+            bytes: 30 * 1024,
+        };
+        assert!(set.arm_at(fill));
+        let text = vec![Value::Str("x".repeat(60))];
+        let mut held = 0;
+        while rung.load(Ordering::Relaxed) == 0 {
+            assert!(held < 512, "{held} bytes held and not rung");
+            let before = busy.occupancy();
+            assert!(busy
+                .emit(EventTypeId(1), UtcMicros::ZERO, text.clone())
+                .unwrap());
+            held += busy.occupancy() - before;
+        }
+        assert!(held >= 512);
+        assert_eq!(busy.stats().dropped, 0);
+    }
+
+    #[test]
+    fn a_drainer_asleep_at_a_fill_is_woken_when_every_burst_completes() {
+        // The drainer arms the set at what is left of the sensor's current
+        // burst, by records or by bytes, and sleeps unless the set's own
+        // re-check says the burst is already in; the sensor waits for
+        // each burst to be drained before the next. A lost wakeup strands
+        // the burst's tail, and a timeout says so. Two quiet rings beside
+        // the sensor's own make the set's count, not one ring's, decide.
+        let set = RingSet::new(NodeId(1), 1 << 12);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        set.doorbell().set_wake(move || {
+            let _ = tx.lock().send(());
+        });
+        let (mut port, _quiet) = (set.register(), [set.register(), set.register()]);
+        // An empty record's frame: prefix, header, one descriptor byte.
+        const FRAME: usize = 4 + binenc::HEADER_SIZE + 1;
+        const BURSTS: u64 = 20_000;
+        let burst_len = |b: u64| 1 + (b * 7) % 9;
+        let records: u64 = (0..BURSTS).map(burst_len).sum();
+        let taken = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let seen = Arc::clone(&taken);
+        let sensor = thread::spawn(move || {
+            for b in 0..BURSTS {
+                for _ in 0..burst_len(b) {
+                    let ts = UtcMicros::ZERO;
+                    assert!(port.emit(EventTypeId(1), ts, vec![]).unwrap());
+                }
+                let (sent, t0) = (port.next_seq(), std::time::Instant::now());
+                while seen.load(Ordering::Acquire) < sent {
+                    assert!(
+                        t0.elapsed() < std::time::Duration::from_secs(2),
+                        "burst {b} ending at record {sent} was never drained"
+                    );
+                    thread::yield_now();
+                }
+                if b % 53 == 0 {
+                    thread::sleep(std::time::Duration::from_micros(20));
+                }
+            }
+        });
+        let (mut out, mut burst, mut burst_end) = (Vec::new(), 0, 0);
+        while (out.len() as u64) < records {
+            let drained = out.len() as u64;
+            if drained == burst_end {
+                burst_end += burst_len(burst);
+                burst += 1;
+            }
+            if set.drain_into(usize::MAX, &mut out).unwrap() > 0 {
+                for (seq, rec) in out.iter().enumerate().skip(drained as usize) {
+                    assert_eq!(rec.seq, seq as u64);
+                }
+                taken.store(out.len() as u64, Ordering::Release);
+                continue;
+            }
+            let left = burst_end - drained;
+            let fill = if burst % 2 == 0 {
+                Fill {
+                    frames: left,
+                    bytes: usize::MAX,
+                }
+            } else {
+                Fill {
+                    frames: u64::MAX,
+                    bytes: FRAME * left as usize,
+                }
+            };
+            if set.arm_at(fill) {
+                let woke = rx.recv_timeout(std::time::Duration::from_secs(5));
+                assert!(woke.is_ok(), "asleep with record {drained} emitted");
+            }
+            set.doorbell().disarm();
+        }
+        sensor.join().unwrap();
     }
 }

@@ -10,22 +10,38 @@
 //! * each side publishes its counter with `Release` after touching the data,
 //!   which is what makes the payload bytes visible to the other side.
 //!
+//! Each side counts its frames on its own counter's line, so neither
+//! side's counting writes a line the other side's hot path reads.
+//!
 //! A full ring causes the frame to be **dropped**, never a block: BRISK
 //! sensors must not change "the order and timing of critical events in the
 //! target system" (§2). Drops are counted so consumers can report loss.
 //!
-//! A consumer with nothing to drain sleeps on a [`Doorbell`]; the first
-//! push after it armed the bell wakes it. For that handshake the
-//! producer's `tail` store is `SeqCst`, a superset of `Release`.
+//! A consumer sleeps on a [`Doorbell`] armed at a [`Fill`]: the push that
+//! brings the rings it drains to that many frames or bytes between them
+//! rings it. Armed at [`Fill::ANY`], that is the first push; armed at
+//! what a batch still lacks, it is the push that completes the batch.
+//! For that handshake the producer's `tail` store is `SeqCst`, a superset
+//! of `Release`.
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
+use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Frame length prefix size.
 const LEN_PREFIX: usize = 4;
+
+/// One side's position and frame count, on a line of its own.
+#[derive(Default)]
+struct Side {
+    /// Monotonic byte position.
+    pos: AtomicUsize,
+    /// Frames this side has moved (written by this side only).
+    frames: AtomicU64,
+}
 
 /// Shared state of one SPSC byte ring.
 ///
@@ -41,16 +57,12 @@ pub struct ByteRing {
     buf: Box<[UnsafeCell<u8>]>,
     /// Capacity, always a power of two.
     cap: usize,
-    /// Consumer position (monotonic).
-    head: CachePadded<AtomicUsize>,
-    /// Producer position (monotonic).
-    tail: CachePadded<AtomicUsize>,
+    /// Consumer position and frames consumed.
+    head: CachePadded<Side>,
+    /// Producer position and frames published.
+    tail: CachePadded<Side>,
     /// Frames dropped because the ring was full.
     dropped: AtomicU64,
-    /// Frames successfully published.
-    produced: AtomicU64,
-    /// Frames consumed.
-    consumed: AtomicU64,
 }
 
 // SAFETY: the UnsafeCell buffer is protected by the head/tail ownership
@@ -80,11 +92,9 @@ impl ByteRing {
         let ring = Arc::new(ByteRing {
             buf: buf.into_boxed_slice(),
             cap,
-            head: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
+            head: CachePadded::default(),
+            tail: CachePadded::default(),
             dropped: AtomicU64::new(0),
-            produced: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
         });
         (
             RingProducer {
@@ -102,51 +112,147 @@ impl ByteRing {
 
     fn stats(&self) -> RingStats {
         RingStats {
-            produced: self.produced.load(Ordering::Relaxed),
+            produced: self.tail.frames.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            consumed: self.consumed.load(Ordering::Relaxed),
+            consumed: self.head.frames.load(Ordering::Relaxed),
         }
     }
 
+    /// The ring bytes `[pos, pos + len)` as at most two runs, split at
+    /// the wrap: `first` bytes at `start`, then the rest at `base`.
+    /// `len <= cap`.
     #[inline]
-    fn slot(&self, pos: usize) -> *mut u8 {
-        self.buf[pos & (self.cap - 1)].get()
+    fn runs(&self, pos: usize, len: usize) -> (*mut u8, usize, *mut u8) {
+        let at = pos & (self.cap - 1);
+        // Every byte of `buf` sits in an `UnsafeCell`, so a pointer to the
+        // whole slice, taken through `&self`, may be written: whoever
+        // writes owns the span under the head/tail protocol.
+        let base = UnsafeCell::raw_get(self.buf.as_ptr());
+        // `at < cap`: in bounds.
+        (base.wrapping_add(at), len.min(self.cap - at), base)
     }
 
     /// Copy `src` into the ring starting at monotonic position `pos`.
     /// Caller must own `[pos, pos + src.len())`.
     #[inline]
     unsafe fn write_bytes(&self, pos: usize, src: &[u8]) {
-        for (i, &b) in src.iter().enumerate() {
-            // SAFETY: caller owns this span per the head/tail protocol.
-            unsafe { *self.slot(pos + i) = b };
+        let (start, first, base) = self.runs(pos, src.len());
+        // SAFETY: both runs lie in `buf` and are the caller's; `src` is a
+        // separate borrow, so the copies do not overlap.
+        unsafe {
+            ptr::copy_nonoverlapping(src.as_ptr(), start, first);
+            ptr::copy_nonoverlapping(src.as_ptr().add(first), base, src.len() - first);
         }
     }
 
-    /// Copy from the ring at monotonic position `pos` into `dst`.
-    /// Caller must own `[pos, pos + dst.len())`.
+    /// Copy `len` bytes from the ring at monotonic position `pos` to
+    /// `dst`. Caller must own `[pos, pos + len)`, and `dst` must be valid
+    /// for `len` bytes of writes (it may be uninitialised).
     #[inline]
-    unsafe fn read_bytes(&self, pos: usize, dst: &mut [u8]) {
-        for (i, b) in dst.iter_mut().enumerate() {
-            // SAFETY: caller owns this span per the head/tail protocol.
-            *b = unsafe { *self.slot(pos + i) };
+    unsafe fn read_bytes(&self, pos: usize, dst: *mut u8, len: usize) {
+        let (start, first, base) = self.runs(pos, len);
+        // SAFETY: both runs lie in `buf` and are the caller's; `dst` is
+        // never the ring's own storage.
+        unsafe {
+            ptr::copy_nonoverlapping(start, dst, first);
+            ptr::copy_nonoverlapping(base, dst.add(first), len - first);
         }
     }
 }
 
+/// How full a consumer's rings must be, between them, before a push
+/// rings its armed [`Doorbell`]: at least `frames` frames or at least
+/// `bytes` bytes buffered, length prefixes included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fill {
+    /// Frames buffered.
+    pub frames: u64,
+    /// Bytes buffered.
+    pub bytes: usize,
+}
+
+/// Low bits of a packed [`Fill`] that count bytes; the frames sit above.
+const BYTE_BITS: u32 = 40;
+const BYTE_MASK: u64 = (1 << BYTE_BITS) - 1;
+
+impl Fill {
+    /// Any frame at all: the first push rings.
+    pub const ANY: Fill = Fill {
+        frames: 1,
+        bytes: 1,
+    };
+
+    /// `self` in one word, each field saturating at its top, so a push
+    /// adds its frame and its bytes to the bell's count in one atomic
+    /// add. The count starts at zero at each arming and stops growing
+    /// once it reaches the goal, so neither field overflows into the
+    /// other.
+    fn pack(self) -> u64 {
+        let bytes = (self.bytes as u64).min(BYTE_MASK);
+        self.frames.min(u64::MAX >> BYTE_BITS) << BYTE_BITS | bytes
+    }
+
+    /// Packed `count` reaches packed `goal` in frames or in bytes.
+    fn reaches(count: u64, goal: u64) -> bool {
+        count >> BYTE_BITS >= goal >> BYTE_BITS || count & BYTE_MASK >= goal & BYTE_MASK
+    }
+}
+
+impl std::iter::Sum for Fill {
+    fn sum<I: Iterator<Item = Fill>>(fills: I) -> Fill {
+        fills.fold(
+            Fill {
+                frames: 0,
+                bytes: 0,
+            },
+            |a, b| Fill {
+                frames: a.frames + b.frames,
+                bytes: a.bytes + b.bytes,
+            },
+        )
+    }
+}
+
+/// What a sleeping consumer waits for: one line, which every push loads
+/// `armed` from and which only pushes while armed, and the consumer's
+/// sleeps, write.
+#[derive(Default)]
+struct Trigger {
+    /// The consumer sleeps on the bell.
+    armed: AtomicBool,
+    /// The fill it waits for, packed.
+    goal: AtomicU64,
+    /// What its rings hold towards the goal, packed: what they held when
+    /// it armed, plus every frame pushed while it is armed.
+    count: AtomicU64,
+}
+
 /// A sleeping consumer's wakeup, shared by the rings it drains. The
-/// consumer arms it, looks at its rings once more and sleeps only if all
-/// are still empty, so the first push while it is armed is the one that
-/// took a ring from empty to non-empty: that push fires the wake and
-/// disarms. No wakeup is lost, Dekker style: the consumer stores `armed`
-/// and fences `SeqCst` before it loads the `tail`s; the producer stores
-/// `tail`, then loads `armed`, both `SeqCst`. One of the two sees the
-/// other's store. A push while disarmed costs one load of a line only
-/// the consumer's sleeps write.
+/// consumer arms it at a [`Fill`] for all its rings together
+/// ([`RingSet::arm_at`](crate::RingSet::arm_at)); while it is armed
+/// every push adds its frame to one count on the bell, and the push that
+/// brings the count to the fill fires the wake and disarms. Counting the set, not each ring,
+/// means the wake comes at the push that completes the fill however the
+/// traffic is spread over the rings.
+///
+/// No wakeup is lost, Dekker style. The consumer stores the goal, resets
+/// the count (`SeqCst`), stores `armed`, fences `SeqCst` and only then
+/// reads its rings' `tail`s and frame counts and adds what they hold to
+/// the count. The producer counts its frame, stores `tail` (`SeqCst`),
+/// then loads `armed` (`SeqCst`) and, if armed, adds its frame to the
+/// count (`SeqCst`) and compares it with the goal. For every push, one
+/// of the two sees the other's store: the push is counted by itself or
+/// by the consumer's look, so the count reaches the fill no later than
+/// the rings do, at a push (which rings) or at the consumer's own add
+/// (which then does not sleep). A push counted by both only brings the
+/// wake early. A push whose add lands before the reset published its
+/// `tail` before it, so the consumer's look counts it; one whose add
+/// lands after the reset reads the goal stored before it. A push while
+/// disarmed costs one load of the trigger line; while armed, one atomic
+/// add to it.
 #[derive(Default)]
 pub struct Doorbell {
-    /// A line of its own: every push loads it, only sleeps write it.
-    armed: CachePadded<AtomicBool>,
+    trigger: CachePadded<Trigger>,
     wake: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
@@ -156,21 +262,52 @@ impl Doorbell {
         *self.wake.lock() = Some(Box::new(wake));
     }
 
-    /// Arm before the consumer's last look at its rings.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::Relaxed);
+    /// Arm for the consumer's rings reaching `fill` between them, then
+    /// count what they hold now: `held`, the consumer's last look at its
+    /// rings ([`RingConsumer::held`]), runs after arming. `true` if the
+    /// consumer may sleep; `false`, with the bell disarmed, if the rings
+    /// already hold `fill`, and it must drain instead.
+    pub(crate) fn arm_at(&self, fill: Fill, held: impl FnOnce() -> Fill) -> bool {
+        let t = &*self.trigger;
+        let goal = fill.pack();
+        t.goal.store(goal, Ordering::Relaxed);
+        t.count.store(0, Ordering::SeqCst);
+        t.armed.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
+        let held = held().pack();
+        if Fill::reaches(t.count.fetch_add(held, Ordering::SeqCst) + held, goal) {
+            self.disarm();
+            return false;
+        }
+        true
     }
 
     /// The consumer is awake; writes the line only if it is still armed.
     pub fn disarm(&self) {
-        if self.armed.load(Ordering::Relaxed) {
-            self.armed.store(false, Ordering::Relaxed);
+        let armed = &self.trigger.armed;
+        if armed.load(Ordering::Relaxed) {
+            armed.store(false, Ordering::Relaxed);
         }
     }
 
+    /// A push published a frame of `bytes` bytes: if armed, count it,
+    /// and ring if the count reaches the goal.
+    #[inline]
+    fn pushed(&self, bytes: usize) {
+        let t = &*self.trigger;
+        if t.armed.load(Ordering::SeqCst) {
+            let one = 1 << BYTE_BITS | bytes as u64;
+            let count = t.count.fetch_add(one, Ordering::SeqCst) + one;
+            if Fill::reaches(count, t.goal.load(Ordering::Relaxed)) {
+                self.ring();
+            }
+        }
+    }
+
+    /// Wake an armed consumer and disarm.
     fn ring(&self) {
-        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+        let armed = &self.trigger.armed;
+        if armed.load(Ordering::SeqCst) && armed.swap(false, Ordering::SeqCst) {
             if let Some(wake) = &*self.wake.lock() {
                 wake();
             }
@@ -181,7 +318,8 @@ impl Doorbell {
 /// The producing half of a [`ByteRing`]. Exactly one exists per ring.
 pub struct RingProducer {
     ring: Arc<ByteRing>,
-    /// Rung by every push; it fires only while the consumer is armed.
+    /// Told of every push; it fires only while the consumer is armed and
+    /// the push brings the consumer's rings to the armed fill.
     pub(crate) bell: Option<Arc<Doorbell>>,
 }
 
@@ -196,8 +334,8 @@ impl RingProducer {
             ring.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let tail = ring.tail.load(Ordering::Relaxed); // producer owns tail
-        let head = ring.head.load(Ordering::Acquire);
+        let tail = ring.tail.pos.load(Ordering::Relaxed); // producer owns tail
+        let head = ring.head.pos.load(Ordering::Acquire);
         let free = ring.cap - (tail - head);
         if need > free {
             ring.dropped.fetch_add(1, Ordering::Relaxed);
@@ -210,21 +348,21 @@ impl RingProducer {
             ring.write_bytes(tail, &len_bytes);
             ring.write_bytes(tail + LEN_PREFIX, payload);
         }
-        ring.tail.store(tail + need, Ordering::SeqCst);
-        // The only writer: a plain store, not a second locked instruction.
-        let produced = ring.produced.load(Ordering::Relaxed) + 1;
-        ring.produced.store(produced, Ordering::Relaxed);
+        // Counted before `tail` publishes the frame, so whoever sees the
+        // frame sees it counted. The only writer: a plain store, not a
+        // second locked instruction.
+        let produced = ring.tail.frames.load(Ordering::Relaxed) + 1;
+        ring.tail.frames.store(produced, Ordering::Relaxed);
+        ring.tail.pos.store(tail + need, Ordering::SeqCst);
         if let Some(bell) = &self.bell {
-            bell.ring();
+            bell.pushed(need);
         }
         true
     }
 
     /// Bytes currently available for writing.
     pub fn free_bytes(&self) -> usize {
-        let tail = self.ring.tail.load(Ordering::Relaxed);
-        let head = self.ring.head.load(Ordering::Acquire);
-        self.ring.cap - (tail - head)
+        self.ring.cap - self.occupancy()
     }
 
     /// Bytes currently buffered (occupancy), from the producer side.
@@ -234,8 +372,8 @@ impl RingProducer {
     /// conservative (never negative, at-most-stale-high) occupancy —
     /// safe to export as a gauge without racing the consumer.
     pub fn occupancy(&self) -> usize {
-        let tail = self.ring.tail.load(Ordering::Relaxed); // owned, exact
-        let head = self.ring.head.load(Ordering::Acquire);
+        let tail = self.ring.tail.pos.load(Ordering::Relaxed); // owned, exact
+        let head = self.ring.head.pos.load(Ordering::Acquire);
         tail.saturating_sub(head)
     }
 
@@ -260,8 +398,8 @@ impl RingConsumer {
     /// a frame was read, `false` if the ring was empty.
     pub fn pop(&mut self, out: &mut Vec<u8>) -> bool {
         let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed); // consumer owns head
-        let tail = ring.tail.load(Ordering::Acquire);
+        let head = ring.head.pos.load(Ordering::Relaxed); // consumer owns head
+        let tail = ring.tail.pos.load(Ordering::Acquire);
         let avail = tail - head;
         if avail < LEN_PREFIX {
             debug_assert_eq!(avail, 0, "partial frame in ring");
@@ -269,19 +407,27 @@ impl RingConsumer {
         }
         let mut len_bytes = [0u8; LEN_PREFIX];
         // SAFETY: `[head, tail)` is consumer-owned.
-        unsafe { ring.read_bytes(head, &mut len_bytes) };
+        unsafe { ring.read_bytes(head, len_bytes.as_mut_ptr(), LEN_PREFIX) };
         let len = u32::from_le_bytes(len_bytes) as usize;
         debug_assert!(
             avail >= LEN_PREFIX + len,
             "frame published incompletely: avail={avail} len={len}"
         );
         out.clear();
-        out.resize(len, 0);
+        out.reserve(len);
         // SAFETY: same ownership; the producer published the whole frame
-        // before releasing tail.
-        unsafe { ring.read_bytes(head + LEN_PREFIX, out) };
-        ring.head.store(head + LEN_PREFIX + len, Ordering::Release);
-        ring.consumed.fetch_add(1, Ordering::Relaxed);
+        // before releasing tail. `out` has room for `len` bytes, all of
+        // which the copy initialises before `set_len` exposes them.
+        unsafe {
+            ring.read_bytes(head + LEN_PREFIX, out.as_mut_ptr(), len);
+            out.set_len(len);
+        }
+        ring.head
+            .pos
+            .store(head + LEN_PREFIX + len, Ordering::Release);
+        // The only writer, like the producer's count.
+        let consumed = ring.head.frames.load(Ordering::Relaxed) + 1;
+        ring.head.frames.store(consumed, Ordering::Relaxed);
         true
     }
 
@@ -299,9 +445,22 @@ impl RingConsumer {
 
     /// True if no complete frame is currently available.
     pub fn is_empty(&self) -> bool {
-        let head = self.ring.head.load(Ordering::Relaxed);
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        tail == head
+        self.occupancy() == 0
+    }
+
+    /// The frames and bytes the ring holds now: the consumer's last look
+    /// after it armed its [`Doorbell`]. The frame count is read after
+    /// `tail`, and the producer counts a frame before it publishes it,
+    /// so every byte seen is counted as a frame too.
+    pub(crate) fn held(&self) -> Fill {
+        let ring = &*self.ring;
+        let bytes = self.occupancy();
+        let consumed = ring.head.frames.load(Ordering::Relaxed); // owned, exact
+        let produced = ring.tail.frames.load(Ordering::Relaxed);
+        Fill {
+            frames: produced.saturating_sub(consumed),
+            bytes,
+        }
     }
 
     /// Bytes currently buffered (occupancy), from the consumer side.
@@ -310,8 +469,8 @@ impl RingConsumer {
     /// can only grow `tail`, so the difference is exact-or-stale-low and
     /// never negative — the gauge cannot race its own drain loop.
     pub fn occupancy(&self) -> usize {
-        let head = self.ring.head.load(Ordering::Relaxed); // owned, exact
-        let tail = self.ring.tail.load(Ordering::Acquire);
+        let head = self.ring.head.pos.load(Ordering::Relaxed); // owned, exact
+        let tail = self.ring.tail.pos.load(Ordering::Acquire);
         tail.saturating_sub(head)
     }
 
@@ -412,6 +571,27 @@ mod tests {
             assert!(c.pop(&mut out));
             assert_eq!(out, payload, "round {round}");
         }
+    }
+
+    #[test]
+    fn a_length_prefix_straddling_the_wrap_round_trips() {
+        let (mut p, mut c) = ByteRing::with_capacity(64);
+        let mut out = Vec::new();
+        // 4 + 58 bytes leave the tail at 62: the next prefix spans
+        // bytes 62, 63, 0 and 1, and its payload starts past the wrap.
+        assert!(p.push(&[9u8; 58]));
+        assert!(c.pop(&mut out));
+        let payload: Vec<u8> = (0..20).collect();
+        assert!(p.push(&payload));
+        assert!(c.pop(&mut out));
+        assert_eq!(out, payload);
+        // And a payload that itself wraps, after a 3-byte offset.
+        assert!(p.push(&[7u8; 35]));
+        assert!(c.pop(&mut out));
+        let payload: Vec<u8> = (100..140).collect();
+        assert!(p.push(&payload));
+        assert!(c.pop(&mut out));
+        assert_eq!(out, payload);
     }
 
     #[test]
@@ -569,8 +749,7 @@ mod tests {
                 expected += 1;
                 continue;
             }
-            bell.arm();
-            if c.is_empty() {
+            if bell.arm_at(Fill::ANY, || c.held()) {
                 let woke = rx.recv_timeout(std::time::Duration::from_secs(5));
                 assert!(woke.is_ok(), "asleep with frame {expected} pushed");
             }
@@ -587,7 +766,7 @@ mod tests {
         bell.set_wake(move || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
-        let (mut p, _c) = ByteRing::with_capacity(1 << 10);
+        let (mut p, mut c) = ByteRing::with_capacity(1 << 10);
         p.bell = Some(Arc::clone(&bell));
         p.push(b"disarmed");
         assert_eq!(
@@ -595,13 +774,149 @@ mod tests {
             0,
             "a push while disarmed is silent"
         );
-        bell.arm();
+        assert!(!bell.arm_at(Fill::ANY, || c.held()), "a frame is waiting");
+        c.pop(&mut Vec::new());
+        assert!(bell.arm_at(Fill::ANY, || c.held()));
         p.push(b"first");
         p.push(b"second");
         assert_eq!(rung.load(Ordering::Relaxed), 1, "the first ringer disarms");
-        bell.arm();
+        assert!(!bell.arm_at(Fill::ANY, || c.held()));
+        p.push(b"after a failed arm");
+        assert_eq!(rung.load(Ordering::Relaxed), 1, "the failed arm disarmed");
+        c.drain(usize::MAX, |_| {});
+        assert!(bell.arm_at(Fill::ANY, || c.held()));
         bell.disarm();
         p.push(b"after a wake");
         assert_eq!(rung.load(Ordering::Relaxed), 1);
+    }
+
+    /// A bell whose wakes are counted.
+    fn counted_bell() -> (Arc<Doorbell>, Arc<AtomicU64>) {
+        let bell = Arc::new(Doorbell::default());
+        let rung = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&rung);
+        bell.set_wake(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        (bell, rung)
+    }
+
+    #[test]
+    fn an_armed_fill_rings_at_the_push_that_reaches_it_and_once() {
+        let (bell, rung) = counted_bell();
+        let (mut p, mut c) = ByteRing::with_capacity(1 << 10);
+        p.bell = Some(Arc::clone(&bell));
+        // By frames: the fifth frame in the ring rings, not the fourth.
+        let fill = Fill {
+            frames: 5,
+            bytes: usize::MAX,
+        };
+        assert!(bell.arm_at(fill, || c.held()));
+        for i in 0..4u32 {
+            p.push(&i.to_le_bytes());
+        }
+        assert_eq!(c.held().frames, 4);
+        assert_eq!(rung.load(Ordering::Relaxed), 0, "below the fill");
+        p.push(b"5th!");
+        assert_eq!(rung.load(Ordering::Relaxed), 1, "the crossing push");
+        p.push(b"6th!");
+        assert_eq!(rung.load(Ordering::Relaxed), 1, "it disarmed");
+        // What the ring holds when the consumer arms counts: with two
+        // frames left in it, the third new one rings.
+        let mut out = Vec::new();
+        for _ in 0..4 {
+            c.pop(&mut out);
+        }
+        assert!(bell.arm_at(fill, || c.held()));
+        p.push(b"more");
+        p.push(b"more");
+        assert_eq!(rung.load(Ordering::Relaxed), 1);
+        p.push(b"more");
+        assert_eq!(rung.load(Ordering::Relaxed), 2);
+        // Armed at what the ring already holds: no sleep, and disarmed.
+        assert!(!bell.arm_at(fill, || c.held()));
+        p.push(b"more");
+        assert_eq!(rung.load(Ordering::Relaxed), 2);
+        while c.pop(&mut out) {}
+        // By bytes: three 12-byte frames reach 36 bytes, two do not.
+        let fill = Fill {
+            frames: u64::MAX,
+            bytes: 36,
+        };
+        assert!(bell.arm_at(fill, || c.held()));
+        p.push(&[0u8; 8]);
+        p.push(&[0u8; 8]);
+        assert_eq!(c.held().bytes, 24);
+        assert_eq!(rung.load(Ordering::Relaxed), 2, "24 of 36 bytes");
+        p.push(&[0u8; 8]);
+        assert_eq!(rung.load(Ordering::Relaxed), 3, "36 of 36 bytes");
+    }
+
+    #[test]
+    fn rings_sharing_a_bell_ring_at_the_push_that_fills_them_together() {
+        let (bell, rung) = counted_bell();
+        let (mut producers, mut consumers): (Vec<_>, Vec<_>) =
+            (0..3).map(|_| ByteRing::with_capacity(1 << 10)).unzip();
+        for p in &mut producers {
+            p.bell = Some(Arc::clone(&bell));
+        }
+        let held = |cs: &[RingConsumer]| cs.iter().map(RingConsumer::held).sum();
+        let fill = Fill {
+            frames: 7,
+            bytes: usize::MAX,
+        };
+        // Spread: two frames in each ring are six, and the seventh rings,
+        // whichever ring it lands in.
+        assert!(bell.arm_at(fill, || held(&consumers)));
+        for p in &mut producers {
+            p.push(b"a");
+            p.push(b"b");
+        }
+        assert_eq!(rung.load(Ordering::Relaxed), 0);
+        producers[1].push(b"c");
+        assert_eq!(rung.load(Ordering::Relaxed), 1, "the seventh frame");
+        for c in &mut consumers {
+            c.drain(usize::MAX, |_| {});
+        }
+        // Skewed: one busy ring beside two quiet ones rings at its own
+        // seventh frame, not later.
+        assert!(bell.arm_at(fill, || held(&consumers)));
+        for i in 0..6u8 {
+            producers[2].push(&[i]);
+        }
+        assert_eq!(rung.load(Ordering::Relaxed), 1);
+        producers[2].push(b"7");
+        assert_eq!(rung.load(Ordering::Relaxed), 2, "one ring's seventh");
+        // What the quiet rings hold when the consumer arms counts too.
+        consumers[2].drain(usize::MAX, |_| {});
+        producers[0].push(b"early");
+        assert!(bell.arm_at(fill, || held(&consumers)));
+        for _ in 0..5 {
+            producers[2].push(b"x");
+        }
+        assert_eq!(rung.load(Ordering::Relaxed), 2);
+        producers[2].push(b"x");
+        assert_eq!(rung.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_packed_fill_compares_each_field_on_its_own() {
+        let goal = Fill {
+            frames: 3,
+            bytes: 100,
+        }
+        .pack();
+        let count = |frames, bytes| Fill { frames, bytes }.pack();
+        assert!(!Fill::reaches(count(2, 99), goal));
+        assert!(Fill::reaches(count(3, 0), goal));
+        assert!(Fill::reaches(count(0, 100), goal));
+        // A goal beyond a field's top saturates rather than wraps.
+        let far = Fill {
+            frames: u64::MAX,
+            bytes: usize::MAX,
+        }
+        .pack();
+        assert!(!Fill::reaches(count(1 << 20, 1 << 30), far));
+        assert!(Fill::reaches(count(0, 1), Fill::ANY.pack()));
     }
 }

@@ -37,15 +37,21 @@ pub fn splitmix64(x: u64) -> u64 {
 
 /// Decides which emitted records carry a trace context.
 ///
-/// Sampling is a shared counter: every call to [`TraceSampler::sample`]
-/// increments it and every N-th call fires, so a steady stream yields an
-/// unbiased 1-in-N regardless of which sensor port the records come from.
+/// Sampling is a shared countdown: every call to [`TraceSampler::sample`]
+/// takes one off it, and a call that finds it at one (or below, while
+/// another call's fire is winding it up) fires and winds it up by N, so
+/// a steady stream yields an unbiased 1-in-N regardless of which sensor
+/// port the records come from, at one subtraction per call and no
+/// division.
 /// Ids are SplitMix64 outputs over a seeded counter — unique per sampler
 /// lifetime and non-zero by construction (tools treat 0 as "no trace").
 #[derive(Debug)]
 pub struct TraceSampler {
     every: u64,
-    calls: AtomicU64,
+    /// Calls until the next fires, read as signed: the first call
+    /// fires. Calls racing a fire take it to zero or below, fire too and
+    /// wind it up as well, so racing can only sample early, never stall.
+    left: AtomicU64,
     id_state: AtomicU64,
     /// Samples that *fired* but could not be attached (record already at
     /// the field limit). Kept here so ports can account for them without
@@ -69,7 +75,7 @@ impl TraceSampler {
     pub fn with_seed(every: u32, seed: u64) -> Self {
         TraceSampler {
             every: every as u64,
-            calls: AtomicU64::new(0),
+            left: AtomicU64::new(1),
             id_state: AtomicU64::new(seed),
             full_skips: AtomicU64::new(0),
         }
@@ -88,10 +94,10 @@ impl TraceSampler {
         if self.every == 0 {
             return None;
         }
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(self.every) {
+        if self.left.fetch_sub(1, Ordering::Relaxed) as i64 > 1 {
             return None;
         }
+        self.left.fetch_add(self.every, Ordering::Relaxed);
         let s = self.id_state.fetch_add(1, Ordering::Relaxed);
         Some(splitmix64(s).max(1))
     }
@@ -105,11 +111,6 @@ impl TraceSampler {
     /// Samples dropped because the record was already at the field limit.
     pub fn full_skips(&self) -> u64 {
         self.full_skips.load(Ordering::Relaxed)
-    }
-
-    /// Total records offered to the sampler.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
     }
 }
 
@@ -651,7 +652,24 @@ mod tests {
         let fired: Vec<bool> = (0..16).map(|_| s.sample().is_some()).collect();
         assert_eq!(fired.iter().filter(|&&f| f).count(), 4);
         assert!(fired[0], "first record always sampled");
-        assert_eq!(s.calls(), 16);
+        assert!(fired[4] && fired[8] && fired[12], "every fourth");
+    }
+
+    #[test]
+    fn racing_callers_keep_the_sampler_firing() {
+        // Four threads share a 1-in-2 sampler: however their calls
+        // interleave with a fire, sampling neither stalls nor drifts far.
+        let s = Arc::new(TraceSampler::with_seed(2, 3));
+        let fired: usize = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || (0..50_000).filter(|_| s.sample().is_some()).count())
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .sum();
+        assert!((100_000..=110_000).contains(&fired), "{fired} of 200 000");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the store, waits on input or its nearest deadline, so with no traffic
 //! it barely wakes, and a quiet client costs about one wakeup per
 //! frame it exchanges. A connected EXS with nothing to send sleeps too,
-//! until its heartbeat, a sync poll or its rings' doorbell.
+//! until its heartbeat, a sync poll or its rings' doorbell, and a paced
+//! one wakes a few times per batch it ships, not on a period.
 //!
 //! Threads are counted per process by name (`/proc/self/task/*/comm`), so
 //! this file is its own test binary and holds a single test.
@@ -189,6 +190,33 @@ fn an_idle_server_sleeps_until_input_or_a_deadline() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+
+    // The same EXS paced at 2 000 records a second, default knobs. Per
+    // batch it wakes three times: the batch's first record rings it, the
+    // record that fills the batch or (at this rate) the flush deadline
+    // wakes it again, and the batch's ack is link input. Sync polls and
+    // adjustments wake it too, and nothing else does: no period.
+    let before = (switches(&["brisk-exs"]), exs.stats_now());
+    let (start, mut emitted) = (Instant::now(), 0u64);
+    while start.elapsed() < WINDOW {
+        let due = start.elapsed().as_micros() as u64 * 2_000 / 1_000_000;
+        while emitted < due {
+            port.emit(EventTypeId(1), UtcMicros::now(), vec![]).unwrap();
+            emitted += 1;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (after, stats) = (switches(&["brisk-exs"]), exs.stats_now());
+    let paced_wakeups = after - before.0;
+    let batches = stats.batches_sent - before.1.batches_sent;
+    let link = stats.link.heartbeats_sent + stats.link.sync_replies + stats.adjustments
+        - (before.1.link.heartbeats_sent + before.1.link.sync_replies + before.1.adjustments);
+    assert!(batches > 0, "no batch shipped from {emitted} records");
+    assert!(
+        paced_wakeups <= 3 * batches + link + 10,
+        "a paced EXS woke {paced_wakeups} times for {batches} batches and \
+         {link} heartbeats, sync polls and adjustments"
+    );
     exs.stop().unwrap();
 
     let report = handle.stop().unwrap();
