@@ -308,10 +308,11 @@ impl IsmCore {
 
     /// Accept one batch frame as it arrived on the wire from `node`, read
     /// off the socket at `recv_ts`, and stamp `PumpRecv` with that time.
-    /// This is the ISM loop's batch path and the frame's only walk:
+    /// This is the ISM loop's batch path and the frame's only walk, over
+    /// the header the caller already read:
     ///
-    /// 1. the header is read, and a replayed `(node, seq)` is counted and
-    ///    dropped on it alone, as [`MergePlane::push_batch_seq`] would;
+    /// 1. a replayed `(node, seq)` is counted and dropped on the header
+    ///    alone, as [`MergePlane::push_batch_seq`] would;
     /// 2. each record is decoded straight into a shell — a record this
     ///    core delivered earlier — reusing its `fields` capacity;
     /// 3. only after a clean decode is `seq` admitted (the node's dedup
@@ -324,11 +325,10 @@ impl IsmCore {
         &mut self,
         node: NodeId,
         seq: u64,
-        frame: &[u8],
+        walk: BatchWalk<'_>,
         recv_ts: UtcMicros,
         now: UtcMicros,
     ) -> Result<bool> {
-        let walk = BatchWalk::new(frame)?;
         let mark = self.plane.seq_mark(node);
         if seq <= *mark {
             self.plane.note_replay(walk.header().count);

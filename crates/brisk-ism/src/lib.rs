@@ -26,13 +26,15 @@
 //! * [`core::IsmCore`] — the transport-free composition of the above;
 //!   driven by the networked [`server::IsmServer`] in real deployments and
 //!   directly by `brisk-sim` in deterministic experiments.
-//! * [`server::IsmServer`] — the networked manager: one thread waits in
-//!   one `poll(2)` on every EXS connection, owns the core, and pushes each
-//!   batch it receives straight into it, decoded in one walk; it runs
-//!   poll exchanges with accurate send/receive timestamps, so connection
-//!   count is decoupled from thread count. Per-connection credit bounds
-//!   what a sender may have in flight; [`quarantine`] contains malformed
-//!   frames.
+//! * [`Ism`] — the session machine: greetings, acks, credit, poll
+//!   exchanges, sync rounds, evictions and ticks, decided from inputs
+//!   (a connection accepted, a frame, a hang-up, `now`) into outputs
+//!   (frames to send, connections to close, one next deadline), with no
+//!   socket and no clock of its own; [`quarantine`] contains malformed
+//!   frames. `brisk-sim` drives it under simulated time.
+//! * [`server::IsmServer`] — the networked manager: one thread drives the
+//!   machine from one `poll(2)` on every EXS connection, so connection
+//!   count is decoupled from thread count.
 //! * [`relay::UpstreamExporter`] — relay mode: the merged stream leaves
 //!   over an ordinary EXS link ([`brisk_lis::Uplink`]).
 
@@ -54,6 +56,7 @@ pub use cre::{CreMatcher, CreStats};
 pub use merge::{MergeOutput, MergePlane, MergeStats};
 pub use output::{EventSink, MemoryBuffer, MemoryBufferReader, PiclFileSink};
 pub use quarantine::{QuarantineLog, QuarantineSample};
+pub use reactor::{Ism, Output, PeerId};
 pub use relay::{RelayConfig, RelayStats, UpstreamExporter};
 pub use server::{IsmHandle, IsmReport, IsmServer};
 pub use sorter::{OnlineSorter, OverloadPolicy, SorterStats};

@@ -1,70 +1,48 @@
-//! The ISM's one loop. A single thread waits in one `poll(2)`
-//! ([`Poller`], see `brisk_net::poll`) on the listener, every EXS
-//! connection and, in a relay, the upstream link — as the paper's ISM
-//! waits in `select` on all of its EXS sockets — and owns the
-//! [`IsmCore`] and the [`SyncMaster`]. A thousand mostly-idle sensors cost
-//! sockets, not threads, and nothing crosses a thread.
+//! The ISM's session machine: every decision of the paper's one `select`
+//! loop (§3.5) and none of its I/O. `server.rs` drives it from one
+//! `poll(2)`; brisk-sim drives it under simulated time, so E6 and A1
+//! measure the product's sync rounds.
 //!
-//! What a greeted connection's frame does is decided in one place,
-//! `Peer::on_frame`. One pass:
+//! Inputs carry the caller's monotonic `now`: a connection accepted
+//! ([`Ism::accept`], which names it by a [`PeerId`]), a frame
+//! ([`Ism::on_frame`]), a hang-up ([`Ism::on_closed`]), a relay's upstream
+//! input ([`Ism::on_upstream`]), stop ([`Ism::stop`]) and time itself
+//! ([`Ism::advance`]). Outputs are frames to send and connections to
+//! close ([`Ism::drain_outputs`]) and one next deadline, which
+//! [`Ism::advance`] returns: the earliest of each peer's (greeting,
+//! closing drain, sync sample, liveness), the pipeline's
+//! ([`IsmCore::due_in`], at least `COALESCE_WINDOW` after the last tick)
+//! and the sync rounds'. What is due is acted on there and nowhere else.
 //!
-//! 1. Start a sync round when one is due (every `poll_period`, or at once
-//!    after a tachyon repair asked for one) and close the open round once
-//!    its samples are in or its deadline passed; advance each connection's
-//!    poll exchange ([`SyncState`], so one slow slave cannot stall the
-//!    loop); drop greetings and closing drains past their deadlines.
-//! 2. Sleep until a socket is readable, the [`Waker`] fires (stop), or
-//!    the earliest deadline: a connection's (greeting, closing drain, sync
-//!    sample, liveness), the pipeline's ([`IsmCore::due_in`], no sooner
-//!    than [`COALESCE_WINDOW`] after the last tick) or the sync round's.
-//!    Connections are read only when `poll` reports them readable or when
-//!    whole frames already wait in their userspace buffer; a fault-killed
-//!    link has no fd and is read at once, so its end is seen.
-//! 3. Read each readable connection, at most [`MAX_FRAMES_PER_PASS`]
-//!    frames. A batch goes straight into [`IsmCore::push_frame`], its
-//!    only walk, and its `BatchAck`, which re-advertises the
-//!    credit grant, goes out on the same connection in the same pass. The
-//!    pipeline ticks between frames whenever it is due, so a deep backlog
-//!    cannot starve it. Then judge each connection's liveness.
-//! 4. Sweep the dead, releasing their node claims and their place in an
-//!    open sync round, and accept what the listener has pending.
-//! 5. Tick when the pipeline is due or the upstream link has input (a
-//!    parent's ack or `SyncPoll` is answered at once).
+//! A greeted connection's frame is decided in `Peer::on_frame`: a batch
+//! goes into [`IsmCore::push_frame`], its only walk, and its `BatchAck`,
+//! which re-advertises the credit grant, is output at once; the pipeline
+//! then ticks if it is due. A node id is served by one connection at a
+//! time: a second `Hello` for a claimed node is refused, and the claim
+//! is released when its connection ends. A running connection silent for
+//! `node_timeout` is told `Shutdown` and closed; the driver advances the
+//! machine to the instant `poll` returned, after reading what arrived
+//! meanwhile, so time spent inside the core is never a peer's silence.
 //!
-//! Backpressure is credit: a connection may have
-//! [`brisk_core::FlowConfig::credit_records`] records unacked, and a batch
-//! is acked once it is in the core. Records resident in the ISM are
-//! therefore bounded by each connection's credit plus one pass's frames.
-//! A sink that blocks stalls the loop: nothing is read or acked until it
-//! returns, and the senders run out of credit.
-//!
-//! Liveness is judged against the instant `poll` returned, after reading
-//! what arrived while the loop was busy: time spent inside the core is
-//! never a peer's silence. A running connection that sends no frame for
-//! `node_timeout` gets `Shutdown` and is dropped.
-//!
-//! A failed send never ends a connection: the frames a peer sent before
-//! it hung up are still read, and the read that finds the hang-up ends
-//! it.
-//!
-//! A node id is served by one live connection at a time: a second `Hello`
-//! for a claimed node is refused at the greeting, and a claim is released
-//! when its connection is swept.
+//! A sync round starts every `poll_period` while a connection runs, or at
+//! once after a tachyon repair asked for one. Every running connection
+//! runs its exchange (`SyncState`) concurrently, one `SyncPoll` at a time,
+//! each lost after `SAMPLE_TIMEOUT`. The round closes when every
+//! exchange is in, or at `ROUND_DEADLINE` with what arrived, and sends
+//! its corrections as `SyncAdjust`s.
 
 use crate::core::IsmCore;
 use crate::quarantine::QuarantineLog;
 use crate::server::IsmReport;
 use brisk_clock::{Clock, SkewSample, SyncMaster};
-use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
-use brisk_net::{
-    poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, POLLERR, POLLHUP, POLLIN,
-};
+use brisk_core::{IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
 use brisk_proto::{BatchWalk, Message};
 use brisk_telemetry::Registry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a fresh connection may sit without completing its `Hello`.
 const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
@@ -72,9 +50,6 @@ const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
 const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
-/// Frames read from one connection per pass before yielding to the rest
-/// — bounds how long one firehose sensor can monopolize the loop.
-const MAX_FRAMES_PER_PASS: usize = 32;
 /// How long the master waits for all slaves' samples before closing a
 /// round with whatever arrived.
 const ROUND_DEADLINE: Duration = Duration::from_secs(2);
@@ -85,7 +60,8 @@ const ROUND_DEADLINE: Duration = Duration::from_secs(2);
 const COALESCE_WINDOW: Duration = Duration::from_millis(1);
 
 brisk_telemetry::metrics! {
-    /// The session series the loop keeps.
+    /// The session series: the machine counts evictions, the driver the
+    /// acks it sent ([`Ism::acked`]).
     struct LoopCells {
         acks_sent: counter "brisk_ism_acks_sent_total" "Batch acknowledgements sent to external sensors",
         credit_grants: counter "brisk_ism_credit_grants_total" "Credit replenishments piggybacked on batch acknowledgements",
@@ -94,9 +70,63 @@ brisk_telemetry::metrics! {
     }
 }
 
-/// Everything the loop owns but its connections: the pipeline, the sync
-/// master, the session policy and the node claims.
-pub(crate) struct Ism {
+/// A connection as the machine knows it. [`Ism::accept`] hands one out,
+/// and every later input and output about that connection names it. An
+/// id is reused once its connection is gone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PeerId(pub(crate) usize);
+
+/// What the machine asks of its driver, in the order it decided it.
+#[derive(Debug)]
+pub enum Output<'a> {
+    /// Send `frame` on the peer's connection. A failed send does not end
+    /// the connection: the frames the peer sent before it hung up are
+    /// still read, and the read that finds the hang-up ends it.
+    Send {
+        /// The peer.
+        to: PeerId,
+        /// One encoded message.
+        frame: &'a [u8],
+        /// The message is a batch's acknowledgement.
+        ack: bool,
+    },
+    /// Close the peer's connection; the machine has forgotten the peer.
+    Close(PeerId),
+}
+
+enum Queued {
+    Send(PeerId, Range<usize>, bool),
+    Close(PeerId),
+}
+
+/// Outputs not yet drained. Their frames share one buffer, reused, so an
+/// output costs no allocation.
+#[derive(Default)]
+struct Outbox {
+    frames: Vec<u8>,
+    queued: Vec<Queued>,
+}
+
+impl Outbox {
+    fn send(&mut self, to: PeerId, msg: &Message) {
+        let start = self.frames.len();
+        msg.encode_into(&mut self.frames);
+        let ack = matches!(msg, Message::BatchAck { .. });
+        self.queued
+            .push(Queued::Send(to, start..self.frames.len(), ack));
+    }
+}
+
+/// The ISM's session machine: its peers, and everything else it owns.
+pub struct Ism {
+    /// Indexed by [`PeerId`]; `None` is a free id.
+    peers: Vec<Option<Peer>>,
+    pub(crate) hub: Hub,
+}
+
+/// Everything the machine owns but its peers: the pipeline, the sync
+/// master, the session policy, the node claims and the outbox.
+pub(crate) struct Hub {
     pub(crate) core: IsmCore,
     sync: SyncMaster,
     /// Master clock for receive stamps and sync exchanges.
@@ -104,129 +134,255 @@ pub(crate) struct Ism {
     cells: Arc<LoopCells>,
     /// Malformed-frame quarantine across all connections.
     pub(crate) quarantine: Arc<QuarantineLog>,
-    /// Meters every accepted connection, `Hello` frames included.
-    conn_metrics: Arc<ConnMetrics>,
     /// The credit grant every `HelloAck` and `BatchAck` carries.
     credit: u64,
     /// Undecodable frames tolerated per connection before disconnect.
     error_budget: u32,
     /// Evict a running connection silent this long (`None`: never).
     node_timeout: Option<Duration>,
-    /// The node ids a live connection serves. Two connections stamping
-    /// one node id would interleave batches, corrupt per-node sequence
-    /// tracking and let a misconfigured sensor hijack another's stream.
-    claims: HashSet<NodeId>,
+    /// The node ids a live connection serves, and which. Two connections
+    /// stamping one node id would interleave batches, corrupt per-node
+    /// sequence tracking and let a misconfigured sensor hijack another's
+    /// stream.
+    claims: HashMap<NodeId, PeerId>,
     round: Option<RoundInFlight>,
-    last_tick: Instant,
-    last_round_finished: Instant,
+    /// The master clock's reading at the last tick.
+    last_tick: UtcMicros,
+    last_round_finished: Duration,
+    out: Outbox,
 }
 
 struct RoundInFlight {
     round: u64,
     expected: HashSet<NodeId>,
-    started: Instant,
+    started: Duration,
 }
 
 impl Ism {
-    pub(crate) fn new(cfg: IsmConfig, sync_cfg: SyncConfig, clock: Arc<dyn Clock>) -> Result<Ism> {
+    /// A machine with no peers; its time starts at zero.
+    pub fn new(cfg: IsmConfig, sync_cfg: SyncConfig, clock: Arc<dyn Clock>) -> Result<Ism> {
         let (credit, error_budget) = (cfg.flow.credit_records, cfg.protocol_error_budget);
         let node_timeout = cfg.node_timeout;
-        Ok(Ism {
+        let hub = Hub {
             core: IsmCore::new(cfg)?,
             sync: SyncMaster::new(sync_cfg)?,
             clock,
             cells: Arc::default(),
             quarantine: QuarantineLog::new(),
-            conn_metrics: Arc::default(),
             credit,
             error_budget,
             node_timeout,
-            claims: HashSet::new(),
+            claims: HashMap::new(),
             round: None,
-            last_tick: Instant::now(),
-            last_round_finished: Instant::now(),
+            last_tick: UtcMicros::ZERO,
+            last_round_finished: Duration::ZERO,
+            out: Outbox::default(),
+        };
+        Ok(Ism {
+            peers: Vec::new(),
+            hub,
         })
     }
 
-    /// Bind the core pipeline, the sync master, the quarantine,
-    /// connection metering and the session series to `registry`.
+    /// Bind the core pipeline, the sync master, the quarantine and the
+    /// session series to `registry`.
     pub(crate) fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
-        self.core.bind_telemetry(registry);
-        self.sync.bind_telemetry(registry);
-        self.quarantine.bind_telemetry(registry);
-        self.cells.register(registry, &[]);
-        self.conn_metrics.register(registry, &[("role", "ism")]);
+        let hub = &mut self.hub;
+        hub.core.bind_telemetry(registry);
+        hub.sync.bind_telemetry(registry);
+        hub.quarantine.bind_telemetry(registry);
+        hub.cells.register(registry, &[]);
     }
 
-    /// How long until the pipeline must tick ([`IsmCore::due_in`]), but
-    /// no sooner than [`COALESCE_WINDOW`] after the last tick. `None` when
-    /// nothing is pending.
-    fn pipeline_due_in(&self) -> Option<Duration> {
-        let due = self.core.due_in(self.clock.now())?;
-        Some(due.max(COALESCE_WINDOW.saturating_sub(self.last_tick.elapsed())))
+    /// Synchronization rounds completed so far.
+    pub fn rounds_completed(&self) -> u64 {
+        self.hub.sync.rounds_completed()
     }
 
-    /// Advance the pipeline if it is due, or at once when `forced` (a
-    /// relay's upstream link has input, so a parent's ack or `SyncPoll`
-    /// is served without delay).
-    fn tick(&mut self, forced: bool) -> Result<()> {
-        if forced || self.pipeline_due_in().is_some_and(|w| w.is_zero()) {
-            self.last_tick = Instant::now();
-            self.core.tick(self.clock.now())?;
+    /// A connection was accepted at `now`: it has `GREETING_TIMEOUT` to
+    /// say `Hello`.
+    pub fn accept(&mut self, now: Duration) -> PeerId {
+        let free = self.peers.iter().position(Option::is_none);
+        let id = PeerId(free.unwrap_or_else(|| {
+            self.peers.push(None);
+            self.peers.len() - 1
+        }));
+        let deadline = now + GREETING_TIMEOUT;
+        let (state, heard) = (State::Greeting { deadline }, now);
+        self.peers[id.0] = Some(Peer { id, state, heard });
+        id
+    }
+
+    /// A frame arrived from `id` at `now`; the pipeline then ticks if it
+    /// is due.
+    pub fn on_frame(&mut self, id: PeerId, frame: &[u8], now: Duration) -> Result<()> {
+        let Ism { peers, hub } = self;
+        if let Some(slot) = peers.get_mut(id.0) {
+            let ended = slot.as_mut().is_some_and(|peer| {
+                peer.heard = now;
+                !peer.on_frame(frame, hub)
+            });
+            if ended {
+                hub.forget(slot, true);
+            }
         }
+        hub.tick_if_due(now)
+    }
+
+    /// `id`'s connection ended: its node is free for a successor.
+    pub fn on_closed(&mut self, id: PeerId) {
+        if let Some(slot) = self.peers.get_mut(id.0) {
+            self.hub.forget(slot, false);
+        }
+    }
+
+    /// A relay's upstream link has input: tick at once, so a parent's ack
+    /// or `SyncPoll` is served without delay.
+    pub fn on_upstream(&mut self) -> Result<()> {
+        self.hub.tick()
+    }
+
+    /// The server is stopping: a greeting is closed; a running connection
+    /// is told `Shutdown`, hands the master what its sync exchange
+    /// collected (to the master, samples lost to teardown look like
+    /// samples lost to timeouts) and drains the EXS's final flush for up
+    /// to `CLOSING_DRAIN`.
+    pub fn stop(&mut self, now: Duration) {
+        let Ism { peers, hub } = self;
+        for slot in peers.iter_mut() {
+            if slot.as_mut().is_some_and(|peer| !peer.shut_down(now, hub)) {
+                hub.forget(slot, true);
+            }
+        }
+    }
+
+    /// Do everything due at `now` and return the next deadline (`None`:
+    /// nothing is pending until input). In order: tick the pipeline; act
+    /// on each peer's passed deadline; start a round, advance every
+    /// exchange and close the round.
+    pub fn advance(&mut self, now: Duration) -> Result<Option<Duration>> {
+        let Ism { peers, hub } = self;
+        hub.tick_if_due(now)?;
+        for slot in peers.iter_mut() {
+            let Some(peer) = slot else { continue };
+            let due = peer.deadline(hub.node_timeout).is_some_and(|at| now >= at);
+            if due && !peer.on_deadline(now, hub) {
+                hub.forget(slot, true);
+            }
+        }
+        let running = peers.iter().flatten().any(Peer::is_running);
+        let extra = hub.core.take_extra_sync_request();
+        let due = |hub: &Hub| hub.rounds_deadline(running).is_some_and(|at| now >= at);
+        if hub.round.is_none() && running && (extra || due(hub)) {
+            hub.begin_round(peers, now);
+        }
+        for peer in peers.iter_mut().flatten() {
+            peer.advance_sync(now, hub);
+        }
+        if hub.round.is_some() && due(hub) {
+            hub.close_round(peers, now)?;
+        }
+        let peer_deadlines = peers.iter().flatten();
+        let peer_deadlines = peer_deadlines.filter_map(|p| p.deadline(hub.node_timeout));
+        Ok(peer_deadlines
+            .chain(hub.pipeline_deadline(now))
+            .chain(hub.rounds_deadline(running))
+            .min())
+    }
+
+    /// Hand every output decided since the last drain to `f`, in order.
+    pub fn drain_outputs(&mut self, mut f: impl FnMut(Output<'_>)) {
+        let Outbox { frames, queued } = &mut self.hub.out;
+        for q in queued.drain(..) {
+            f(match q {
+                Queued::Send(to, range, ack) => Output::Send {
+                    to,
+                    frame: &frames[range],
+                    ack,
+                },
+                Queued::Close(to) => Output::Close(to),
+            });
+        }
+        frames.clear();
+    }
+
+    /// The driver sent a batch's acknowledgement `waited` after reading
+    /// the batch.
+    pub(crate) fn acked(&self, waited: Duration) {
+        let cells = &self.hub.cells;
+        cells.acks_sent.fetch_add(1, Ordering::Relaxed);
+        cells.credit_grants.fetch_add(1, Ordering::Relaxed);
+        cells.grant_latency.record(waited.as_micros() as u64);
+    }
+
+    /// Flush every held record and collect the final report.
+    pub fn finish(self) -> Result<IsmReport> {
+        let Hub { mut core, sync, .. } = self.hub;
+        core.drain_all()?;
+        Ok(IsmReport {
+            core: core.stats(),
+            sorter: core.sorter_stats(),
+            cre: core.cre_stats(),
+            sync_rounds: sync.rounds_completed(),
+            last_sync: sync.last_outcome().cloned(),
+            relay: core.upstream().map(|u| u.stats()),
+        })
+    }
+}
+
+impl Hub {
+    /// When the pipeline must tick: [`IsmCore::due_in`] from `now`, but no
+    /// sooner than `COALESCE_WINDOW` after the last tick, both read off
+    /// the master clock as distances from `now`. `None` when nothing is
+    /// pending.
+    fn pipeline_deadline(&self, now: Duration) -> Option<Duration> {
+        let clock = self.clock.now();
+        let due = self.core.due_in(clock)?;
+        let since_tick = clock.micros_since(self.last_tick).max(0) as u64;
+        let coalesce = COALESCE_WINDOW.saturating_sub(Duration::from_micros(since_tick));
+        Some(now + due.max(coalesce))
+    }
+
+    fn tick_if_due(&mut self, now: Duration) -> Result<()> {
+        match self.pipeline_deadline(now) {
+            Some(at) if now >= at => self.tick(),
+            _ => Ok(()),
+        }
+    }
+
+    fn tick(&mut self) -> Result<()> {
+        self.last_tick = self.clock.now();
+        self.core.tick(self.last_tick)?;
         Ok(())
     }
 
-    /// How long until [`Ism::step_rounds`] has work: the open round's
-    /// close (all samples in, or its deadline) or, while a connection is
-    /// `running`, the next periodic round. A tachyon repair's request is
-    /// taken in the pass that raised it.
-    fn rounds_due_in(&self, running: bool) -> Option<Duration> {
+    /// When the rounds need the machine: the open round's close, at once
+    /// when every expected slave reported, else at its deadline; or,
+    /// while a connection is `running`, the next periodic round. A
+    /// tachyon repair's request is taken when it is raised.
+    fn rounds_deadline(&self, running: bool) -> Option<Duration> {
         match &self.round {
-            Some(r) if r.expected.is_empty() => Some(Duration::ZERO),
-            Some(r) => Some(ROUND_DEADLINE.saturating_sub(r.started.elapsed())),
-            None if running => Some(
-                self.sync
-                    .config()
-                    .poll_period
-                    .saturating_sub(self.last_round_finished.elapsed()),
-            ),
-            None => None,
+            Some(r) if r.expected.is_empty() => Some(r.started),
+            Some(r) => Some(r.started + ROUND_DEADLINE),
+            None => running.then(|| self.last_round_finished + self.sync.config().poll_period),
         }
-    }
-
-    /// Start a round while a connection is `running` — every
-    /// `poll_period`, or at once when a tachyon repair asked for an extra
-    /// one and no round is in flight — and close the open round once
-    /// every expected slave reported or its deadline passed.
-    fn step_rounds(&mut self, peers: &mut [Peer], running: bool) -> Result<()> {
-        let extra = self.core.take_extra_sync_request();
-        let due = self.last_round_finished.elapsed() >= self.sync.config().poll_period;
-        if self.round.is_none() && running && (due || extra) {
-            self.begin_round(peers);
-        }
-        self.maybe_close_round(peers)
     }
 
     /// Start a round: every running connection begins its poll exchange.
-    fn begin_round(&mut self, peers: &mut [Peer]) {
+    fn begin_round(&mut self, peers: &mut [Option<Peer>], now: Duration) {
         let round = self.sync.begin_round();
         let samples = self.sync.samples_per_slave() as u32;
         let mut expected = HashSet::new();
-        for d in peers.iter_mut().filter(|d| !d.dead) {
-            if let State::Running(run) = &mut d.state {
+        for peer in peers.iter_mut().flatten() {
+            if let State::Running(run) = &mut peer.state {
                 run.sync = Some(SyncState::new(round, samples));
                 expected.insert(run.id.node);
             }
         }
-        if expected.is_empty() {
-            self.last_round_finished = Instant::now();
-            return;
-        }
         self.round = Some(RoundInFlight {
             round,
             expected,
-            started: Instant::now(),
+            started: now,
         });
     }
 
@@ -242,60 +398,45 @@ impl Ism {
         }
     }
 
-    /// Close the open round if every expected slave reported or its
-    /// deadline passed, and send each correction as a `SyncAdjust`.
-    fn maybe_close_round(&mut self, peers: &mut [Peer]) -> Result<()> {
-        let Some(r) = &self.round else {
-            return Ok(());
-        };
-        if !r.expected.is_empty() && r.started.elapsed() <= ROUND_DEADLINE {
-            return Ok(());
-        }
+    /// Close the open round and send each correction as a `SyncAdjust`.
+    fn close_round(&mut self, peers: &[Option<Peer>], now: Duration) -> Result<()> {
         self.round = None;
+        self.last_round_finished = now;
         let outcome = self.sync.finish_round()?;
         let round = self.sync.rounds_completed();
-        let advance: HashMap<NodeId, i64> = outcome
-            .corrections
-            .iter()
-            .map(|c| (c.node, c.advance_us))
-            .collect();
-        for d in peers.iter_mut().filter(|d| !d.dead) {
-            let State::Running(run) = &d.state else {
+        for c in &outcome.corrections {
+            let Some(&id) = self.claims.get(&c.node) else {
                 continue;
             };
-            if let Some(&advance_us) = advance.get(&run.id.node) {
-                let adjust = Message::SyncAdjust { round, advance_us };
-                let _ = d.conn.send(&adjust.encode());
+            if peers[id.0].as_ref().is_some_and(Peer::is_running) {
+                let advance_us = c.advance_us;
+                self.out
+                    .send(id, &Message::SyncAdjust { round, advance_us });
             }
         }
-        self.last_round_finished = Instant::now();
         Ok(())
     }
 
-    /// A swept connection's node is free for a successor and no longer
-    /// owes the open round its samples.
-    fn release(&mut self, node: NodeId) {
-        self.claims.remove(&node);
-        if let Some(r) = &mut self.round {
-            r.expected.remove(&node);
+    /// Forget the peer in `slot`: its node is free for a successor and no
+    /// longer owes the open round its samples. `close` when the machine
+    /// ended the connection, so the driver closes it.
+    fn forget(&mut self, slot: &mut Option<Peer>, close: bool) {
+        let Some(peer) = slot.take() else {
+            return;
+        };
+        if let Some(node) = peer.node() {
+            self.claims.remove(&node);
+            if let Some(r) = &mut self.round {
+                r.expected.remove(&node);
+            }
         }
-    }
-
-    /// Flush every held record and collect the final report.
-    fn finish(mut self) -> Result<IsmReport> {
-        self.core.drain_all()?;
-        Ok(IsmReport {
-            core: self.core.stats(),
-            sorter: self.core.sorter_stats(),
-            cre: self.core.cre_stats(),
-            sync_rounds: self.sync.rounds_completed(),
-            last_sync: self.sync.last_outcome().cloned(),
-            relay: self.core.upstream().map(|u| u.stats()),
-        })
+        if close {
+            self.out.queued.push(Queued::Close(peer.id));
+        }
     }
 }
 
-/// One in-flight clock-sync exchange as poll-driven state.
+/// One in-flight clock-sync exchange.
 struct SyncState {
     round: u64,
     total: u32,
@@ -307,7 +448,7 @@ struct SyncState {
 struct Outstanding {
     sample: u32,
     t0: UtcMicros,
-    deadline: Instant,
+    deadline: Duration,
 }
 
 impl SyncState {
@@ -350,7 +491,7 @@ impl Identity {
     /// Quarantine one undecodable frame. `false` when that exhausts the
     /// connection's protocol error budget and it must be dropped — other
     /// nodes' connections are never affected.
-    fn quarantine(&mut self, ism: &Ism, frame: &[u8], error: &dyn std::fmt::Display) -> bool {
+    fn quarantine(&mut self, hub: &Hub, frame: &[u8], error: &dyn std::fmt::Display) -> bool {
         self.errors += 1;
         brisk_telemetry::flight_log!(
             Warn,
@@ -360,11 +501,11 @@ impl Identity {
             self.node,
             frame.len()
         );
-        ism.quarantine.record(self.node, frame, &error.to_string());
-        if self.errors <= ism.error_budget {
+        hub.quarantine.record(self.node, frame, &error.to_string());
+        if self.errors <= hub.error_budget {
             return true;
         }
-        ism.quarantine.note_disconnect();
+        hub.quarantine.note_disconnect();
         brisk_telemetry::flight_log!(
             Error,
             "ism.reactor",
@@ -372,7 +513,7 @@ impl Identity {
             "node {} dropped after {} undecodable frames (budget {})",
             self.node,
             self.errors,
-            ism.error_budget
+            hub.error_budget
         );
         false
     }
@@ -386,38 +527,25 @@ struct Running {
 
 enum State {
     /// Accepted but not yet identified: waiting for `Hello`.
-    Greeting { deadline: Instant },
+    Greeting { deadline: Duration },
     /// Greeted; batches, heartbeats and sync exchanges flow.
     Running(Running),
     /// `Shutdown` sent; draining the EXS's final flush so no records are
     /// lost at teardown.
-    Closing { id: Identity, deadline: Instant },
+    Closing { id: Identity, deadline: Duration },
 }
 
 struct Peer {
-    conn: Box<dyn Connection>,
+    id: PeerId,
     state: State,
-    dead: bool,
-    /// The instant `poll` returned in the pass that read its last frame:
-    /// a running connection's silence counts from here.
-    heard: Instant,
+    /// The `now` of its last frame: a running connection's silence counts
+    /// from here.
+    heard: Duration,
 }
 
 impl Peer {
-    fn new(conn: Box<dyn Connection>) -> Peer {
-        let now = Instant::now();
-        Peer {
-            conn,
-            state: State::Greeting {
-                deadline: now + GREETING_TIMEOUT,
-            },
-            dead: false,
-            heard: now,
-        }
-    }
-
     fn is_running(&self) -> bool {
-        !self.dead && matches!(self.state, State::Running(_))
+        matches!(self.state, State::Running(_))
     }
 
     /// The node an identified connection serves.
@@ -429,9 +557,10 @@ impl Peer {
         }
     }
 
-    /// The next instant this peer needs the loop awake regardless of
-    /// socket readiness; `liveness` is the node timeout, if it is running.
-    fn next_deadline(&self, liveness: Option<Duration>) -> Option<Instant> {
+    /// When this peer next needs the machine: its greeting's or closing
+    /// drain's end or, while running, its outstanding sync sample's
+    /// timeout and its liveness limit (`liveness` after its last frame).
+    fn deadline(&self, liveness: Option<Duration>) -> Option<Duration> {
         match &self.state {
             State::Greeting { deadline } | State::Closing { deadline, .. } => Some(*deadline),
             State::Running(run) => {
@@ -442,52 +571,62 @@ impl Peer {
         }
     }
 
-    /// A greeting that never said `Hello`, or a drain that ran out.
-    fn expired(&self, now: Instant) -> bool {
-        match &self.state {
-            State::Greeting { deadline } | State::Closing { deadline, .. } => now >= *deadline,
-            State::Running(_) => false,
+    /// This peer's deadline passed at `now`; `false` when the connection
+    /// ends. A greeting that never said `Hello` and a drain that ran out
+    /// end. A running connection silent for the node timeout is told
+    /// `Shutdown` and ends; otherwise its outstanding sync sample is lost
+    /// and its exchange moves on.
+    fn on_deadline(&mut self, now: Duration, hub: &mut Hub) -> bool {
+        let State::Running(run) = &mut self.state else {
+            return false;
+        };
+        if let Some(timeout) = hub.node_timeout.filter(|&t| now >= self.heard + t) {
+            brisk_telemetry::flight_log!(
+                Warn,
+                "ism.reactor",
+                "node_evicted",
+                "node {} evicted: no frame for over {timeout:?}",
+                run.id.node
+            );
+            hub.cells.evicted.fetch_add(1, Ordering::Relaxed);
+            hub.out.send(self.id, &Message::Shutdown);
+            return false;
         }
+        if let Some(sync) = &mut run.sync {
+            sync.outstanding = None;
+        }
+        true
     }
 
-    /// Advance the sync state machine: time out a lost sample, send the
-    /// next poll, hand the samples to the master when the exchange is
-    /// done.
-    fn advance_sync(&mut self, ism: &mut Ism) {
+    /// Advance the sync exchange: send the next poll once the last one
+    /// is answered or lost, and hand the master the samples when the
+    /// exchange is done.
+    fn advance_sync(&mut self, now: Duration, hub: &mut Hub) {
         let State::Running(run) = &mut self.state else {
             return;
         };
         let Some(sync) = &mut run.sync else {
             return;
         };
-        let now = Instant::now();
-        if sync
-            .outstanding
-            .as_ref()
-            .is_some_and(|out| now >= out.deadline)
-        {
-            sync.outstanding = None; // sample lost; move on
+        if sync.outstanding.is_some() {
+            return;
         }
-        if sync.outstanding.is_none() && sync.next_sample < sync.total {
-            let sample = sync.next_sample;
-            let t0 = ism.clock.now();
+        if sync.next_sample < sync.total {
+            let (sample, t0) = (sync.next_sample, hub.clock.now());
             let poll = Message::SyncPoll {
                 round: sync.round,
                 sample,
                 master_send: t0,
             };
-            let _ = self.conn.send(&poll.encode());
+            hub.out.send(self.id, &poll);
             sync.next_sample += 1;
             sync.outstanding = Some(Outstanding {
                 sample,
                 t0,
                 deadline: now + SAMPLE_TIMEOUT,
             });
-        }
-        if sync.outstanding.is_none() && sync.next_sample >= sync.total {
-            if let Some(done) = run.sync.take() {
-                ism.add_samples(run.id.node, done);
-            }
+        } else if let Some(done) = run.sync.take() {
+            hub.add_samples(run.id.node, done);
         }
     }
 
@@ -497,17 +636,17 @@ impl Peer {
     ///
     /// - a batch whose header names this connection's node and carries a
     ///   seq goes to [`IsmCore::push_frame`] and, while `Running`, is acked
-    ///   in the same pass — a replay too, as its earlier ack died with the
-    ///   old connection. A `Closing` connection's batch enters unacked;
+    ///   — a replay too, as its earlier ack died with the old connection.
+    ///   A `Closing` connection's batch enters unacked;
     /// - a `SyncReply` feeds the exchange and a `Heartbeat` is liveness
-    ///   only, which the loop already noted;
+    ///   only, which [`Ism::on_frame`] already noted;
     /// - `Shutdown`, or any other message, ends the connection;
     /// - an undecodable frame, a batch that fails to decode included, is
     ///   quarantined against the error budget.
-    fn on_frame(&mut self, frame: &[u8], ism: &mut Ism) -> bool {
-        let read = Instant::now();
+    fn on_frame(&mut self, frame: &[u8], hub: &mut Hub) -> bool {
+        let me = self.id;
         let (id, sync, acks) = match &mut self.state {
-            State::Greeting { .. } => return self.greet(frame, ism),
+            State::Greeting { .. } => return self.greet(frame, hub),
             State::Running(run) => (&mut run.id, run.sync.as_mut(), true),
             State::Closing { id, .. } => (id, None, false),
         };
@@ -520,21 +659,22 @@ impl Peer {
                     ..
                 }) => {
                     // A reply outside a round is stale; inside one, the
-                    // state machine decides whether it matches.
+                    // exchange decides whether it matches.
                     if let Some(sync) = sync {
-                        sync.on_reply(round, sample, slave_time, ism.clock.now());
+                        sync.on_reply(round, sample, slave_time, hub.clock.now());
                     }
                     true
                 }
                 Ok(Message::Heartbeat) => true,
                 Ok(_) => false,
-                Err(e) => id.quarantine(ism, frame, &e),
+                Err(e) => id.quarantine(hub, frame, &e),
             };
         }
-        let header = match BatchWalk::new(frame) {
-            Ok(walk) => walk.header(),
-            Err(e) => return id.quarantine(ism, frame, &e),
+        let walk = match BatchWalk::new(frame) {
+            Ok(walk) => walk,
+            Err(e) => return id.quarantine(hub, frame, &e),
         };
+        let header = walk.header();
         // The connection authenticated as `id.node` in the handshake; a
         // batch claiming another origin is spoofed (or a badly confused
         // client): end the connection rather than pollute another node's
@@ -543,19 +683,13 @@ impl Peer {
         let (true, Some(seq)) = (header.node == id.node, header.seq) else {
             return false;
         };
-        let now = ism.clock.now();
-        if let Err(e) = ism.core.push_frame(id.node, seq, frame, now, now) {
-            return id.quarantine(ism, frame, &e);
+        let now = hub.clock.now();
+        if let Err(e) = hub.core.push_frame(id.node, seq, walk, now, now) {
+            return id.quarantine(hub, frame, &e);
         }
-        let ack = Message::BatchAck {
-            seq,
-            credit: ism.credit,
-        };
-        if acks && self.conn.send(&ack.encode()).is_ok() {
-            ism.cells.acks_sent.fetch_add(1, Ordering::Relaxed);
-            ism.cells.credit_grants.fetch_add(1, Ordering::Relaxed);
-            let waited = read.elapsed().as_micros() as u64;
-            ism.cells.grant_latency.record(waited);
+        if acks {
+            let credit = hub.credit;
+            hub.out.send(me, &Message::BatchAck { seq, credit });
         }
         true
     }
@@ -567,7 +701,7 @@ impl Peer {
     /// connection already serves, is refused: quarantined and answered
     /// with `Shutdown`. Every accepted connection runs the one session —
     /// `HelloAck`, sequenced and acked batches, heartbeats.
-    fn greet(&mut self, frame: &[u8], ism: &mut Ism) -> bool {
+    fn greet(&mut self, frame: &[u8], hub: &mut Hub) -> bool {
         let Ok(Message::Hello { node, version }) = Message::decode(frame) else {
             return false;
         };
@@ -576,21 +710,17 @@ impl Peer {
                 "Hello version {version} refused: this ISM speaks only v{}",
                 brisk_proto::VERSION
             );
-            return self.refuse(ism, node, frame, "unsupported_hello", &reason);
+            return self.refuse(hub, node, frame, "unsupported_hello", &reason);
         }
-        if ism.claims.contains(&node) {
-            ism.quarantine.note_rejected_hello();
+        if hub.claims.contains_key(&node) {
+            hub.quarantine.note_rejected_hello();
             let reason = "duplicate Hello: node already active";
-            return self.refuse(ism, node, frame, "duplicate_hello", reason);
+            return self.refuse(hub, node, frame, "duplicate_hello", reason);
         }
-        let ack = Message::HelloAck {
-            version,
-            credit: ism.credit,
-        };
-        if self.conn.send(&ack.encode()).is_err() {
-            return false;
-        }
-        ism.claims.insert(node);
+        let credit = hub.credit;
+        hub.out
+            .send(self.id, &Message::HelloAck { version, credit });
+        hub.claims.insert(node, self.id);
         self.state = State::Running(Running {
             id: Identity { node, errors: 0 },
             sync: None,
@@ -602,241 +732,68 @@ impl Peer {
     /// `Shutdown`. Returns `false` (the connection is done).
     fn refuse(
         &mut self,
-        ism: &Ism,
+        hub: &mut Hub,
         node: NodeId,
         frame: &[u8],
         event: &'static str,
         reason: &str,
     ) -> bool {
-        ism.quarantine.record(node, frame, reason);
+        hub.quarantine.record(node, frame, reason);
         brisk_telemetry::flight_log!(
             Warn,
             "ism.reactor",
             event,
             "rejected Hello for node {node}: {reason}"
         );
-        let _ = self.conn.send(&Message::Shutdown.encode());
+        hub.out.send(self.id, &Message::Shutdown);
         false
     }
 
-    /// Liveness: a running connection whose last frame was read a node
-    /// timeout or more before `now`, the instant `poll` returned, is
-    /// answered `Shutdown` and marked dead.
-    fn judge(&mut self, now: Instant, ism: &Ism) {
-        let (Some(timeout), State::Running(run)) = (ism.node_timeout, &self.state) else {
-            return;
-        };
-        if now.duration_since(self.heard) < timeout {
-            return;
-        }
-        brisk_telemetry::flight_log!(
-            Warn,
-            "ism.reactor",
-            "node_evicted",
-            "node {} evicted: no frame for over {timeout:?}",
-            run.id.node
-        );
-        ism.cells.evicted.fetch_add(1, Ordering::Relaxed);
-        let _ = self.conn.send(&Message::Shutdown.encode());
-        self.dead = true;
-    }
-
-    /// The server is stopping: a greeting is dropped; a running
-    /// connection is told `Shutdown`, hands the master what its sync
-    /// exchange collected (to the master, samples lost to teardown look
-    /// like samples lost to timeouts) and drains the EXS's final flush for
-    /// up to [`CLOSING_DRAIN`].
-    fn shut_down(&mut self, ism: &mut Ism) {
-        let placeholder = State::Greeting {
-            deadline: Instant::now(),
-        };
+    /// The server is stopping; `false` for a greeting, which is dropped.
+    /// See [`Ism::stop`].
+    fn shut_down(&mut self, now: Duration, hub: &mut Hub) -> bool {
+        let placeholder = State::Greeting { deadline: now };
         match std::mem::replace(&mut self.state, placeholder) {
-            State::Greeting { .. } => self.dead = true,
+            State::Greeting { .. } => return false,
             State::Running(run) => {
-                let _ = self.conn.send(&Message::Shutdown.encode());
+                hub.out.send(self.id, &Message::Shutdown);
                 if let Some(sync) = run.sync {
-                    ism.add_samples(run.id.node, sync);
+                    hub.add_samples(run.id.node, sync);
                 }
                 self.state = State::Closing {
                     id: run.id,
-                    deadline: Instant::now() + CLOSING_DRAIN,
+                    deadline: now + CLOSING_DRAIN,
                 };
             }
             closing => self.state = closing,
         }
+        true
     }
-}
-
-/// Accept until the listener would block; each connection is metered and
-/// joins the next pass's poll set. An accept error closes the listener:
-/// the server accepts nothing more.
-fn accept_pending(listener: &mut Option<Box<dyn Listener>>, ism: &Ism, peers: &mut Vec<Peer>) {
-    while let Some(l) = listener.as_mut() {
-        match l.try_accept() {
-            Ok(Some(conn)) => peers.push(Peer::new(ism.conn_metrics.wrap(conn))),
-            Ok(None) => return,
-            Err(e) => {
-                brisk_telemetry::flight_log!(
-                    Error,
-                    "ism.reactor",
-                    "accept_failed",
-                    "listener closed after an accept error: {e}"
-                );
-                *listener = None;
-            }
-        }
-    }
-}
-
-/// The ISM: run passes until `stop` is set, then close the listener, shut
-/// every running connection down, drain their final flushes, flush the
-/// pipeline and report.
-pub(crate) fn run(
-    mut ism: Ism,
-    poller: Poller,
-    listener: Box<dyn Listener>,
-    stop: &AtomicBool,
-) -> Result<IsmReport> {
-    let mut listener = Some(listener);
-    let mut stopping = false;
-    let mut peers: Vec<Peer> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    // Each peer's slot in `fds`; `None` for a peer read without
-    // polling (or not read at all, if dead).
-    let mut slots: Vec<Option<usize>> = Vec::new();
-    loop {
-        if !stopping && stop.load(Ordering::Acquire) {
-            stopping = true;
-            listener = None;
-            for d in peers.iter_mut() {
-                d.shut_down(&mut ism);
-            }
-        }
-        if stopping && peers.is_empty() {
-            break;
-        }
-        // Rounds and sync exchanges first, so a due poll goes out before
-        // the loop sleeps; then greetings that never said Hello and drains
-        // that ran out.
-        let running = peers.iter().any(Peer::is_running);
-        ism.step_rounds(&mut peers, running)?;
-        let now = Instant::now();
-        for d in peers.iter_mut().filter(|d| !d.dead) {
-            d.advance_sync(&mut ism);
-            d.dead = d.expired(now);
-        }
-        fds.clear();
-        slots.clear();
-        let listen_fd = listener.as_ref().map(|l| l.poll_fd());
-        fds.extend(listen_fd.map(poll_in));
-        let uplink = ism.core.upstream().and_then(|u| u.wait_fd()).map(|fd| {
-            fds.push(poll_in(fd));
-            fds.len() - 1
-        });
-        // Framed transports drain the kernel socket eagerly, so a frame
-        // cap can leave whole frames in the userspace buffer with POLLIN
-        // clear; such a connection is readable now, whatever poll says. A
-        // killed link has no fd; its next recv fails at once. Either, or a
-        // dead peer owed its sweep, means this pass must not sleep.
-        let mut pass_now = false;
-        for d in &peers {
-            let fd = d
-                .conn
-                .poll_fd()
-                .filter(|_| !d.dead && !d.conn.has_buffered());
-            let slot = fd.map(|fd| {
-                fds.push(poll_in(fd));
-                fds.len() - 1
-            });
-            pass_now |= slot.is_none();
-            slots.push(slot);
-        }
-        let timeout = if pass_now {
-            Some(Duration::ZERO)
-        } else {
-            let (now, liveness) = (Instant::now(), ism.node_timeout);
-            let deadlines = peers
-                .iter()
-                .filter_map(|d| d.next_deadline(liveness))
-                .map(|at| at.saturating_duration_since(now));
-            let due = [ism.pipeline_due_in(), ism.rounds_due_in(running)];
-            deadlines.chain(due.into_iter().flatten()).min()
-        };
-        poller.wait(&mut fds, timeout).map_err(BriskError::Io)?;
-        // Judge against the instant poll returned: whatever arrived while
-        // the loop was busy in the core is read before anyone is judged.
-        let now = Instant::now();
-        for (d, slot) in peers.iter_mut().zip(&slots) {
-            if d.dead {
-                continue;
-            }
-            let ready = |s: usize| fds[s].revents & (POLLIN | POLLERR | POLLHUP) != 0;
-            let frames = if slot.is_none_or(ready) {
-                MAX_FRAMES_PER_PASS
-            } else {
-                0
-            };
-            for _ in 0..frames {
-                match d.conn.recv(Some(Duration::ZERO)) {
-                    Ok(Some(frame)) => {
-                        d.heard = now;
-                        if !d.on_frame(&frame, &mut ism) {
-                            d.dead = true;
-                            break;
-                        }
-                        // Between frames too, so a deep backlog cannot
-                        // starve the tick.
-                        ism.tick(false)?;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        d.dead = true;
-                        break;
-                    }
-                }
-            }
-            if !d.dead {
-                d.judge(now, &ism);
-            }
-        }
-        peers.retain(|d| {
-            if let (true, Some(node)) = (d.dead, d.node()) {
-                ism.release(node);
-            }
-            !d.dead
-        });
-        if listen_fd.is_some() && fds[0].revents != 0 {
-            accept_pending(&mut listener, &ism, &mut peers);
-        }
-        ism.tick(uplink.is_some_and(|s| fds[s].revents != 0))?;
-    }
-    ism.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{IsmHandle, IsmServer};
     use brisk_clock::SystemClock;
     use brisk_core::{EventRecord, EventTypeId, FlowConfig, SensorId};
-    use brisk_lis::testkit::recv_msg;
-    use brisk_net::{MemTransport, Transport};
 
-    /// A spawned server over `MemTransport`, observed from its clients'
-    /// side of the wire.
+    /// A machine fed by hand, with no thread and no sleep: time moves only
+    /// when a test moves it, and every output is kept, decoded, per peer.
     struct Rig {
-        transport: Arc<MemTransport>,
-        handle: IsmHandle,
+        ism: Ism,
+        now: Duration,
+        sent: HashMap<usize, Vec<Message>>,
+        closed: Vec<PeerId>,
     }
 
     /// Credit 64, error budget 2, no node timeout, sync rounds out of the
     /// way.
-    fn test_server() -> Rig {
-        server_with(|_, _| {})
+    fn rig() -> Rig {
+        rig_with(|_, _| {})
     }
 
-    /// [`test_server`]'s settings, adjusted by `configure`.
-    fn server_with(configure: impl FnOnce(&mut IsmConfig, &mut SyncConfig)) -> Rig {
+    /// [`rig`]'s settings, adjusted by `configure`.
+    fn rig_with(configure: impl FnOnce(&mut IsmConfig, &mut SyncConfig)) -> Rig {
         let mut cfg = IsmConfig {
             flow: FlowConfig {
                 credit_records: 64,
@@ -851,47 +808,113 @@ mod tests {
             ..SyncConfig::default()
         };
         configure(&mut cfg, &mut sync);
-        let transport = MemTransport::new();
-        let server = IsmServer::new(cfg, sync, Arc::new(SystemClock)).unwrap();
-        let handle = server.spawn(transport.listen("reactor").unwrap()).unwrap();
-        Rig { transport, handle }
+        Rig {
+            ism: Ism::new(cfg, sync, Arc::new(SystemClock)).unwrap(),
+            now: Duration::ZERO,
+            sent: HashMap::new(),
+            closed: Vec::new(),
+        }
     }
 
     impl Rig {
-        /// A fresh client connection, accepted by the server.
-        fn client(&self) -> Box<dyn Connection> {
-            self.transport.connect("reactor").unwrap()
+        fn drain(&mut self) {
+            let Rig { sent, closed, .. } = self;
+            self.ism.drain_outputs(|out| match out {
+                Output::Send { to, frame, .. } => {
+                    let msg = Message::decode(frame).unwrap();
+                    sent.entry(to.0).or_default().push(msg);
+                }
+                Output::Close(to) => closed.push(to),
+            });
         }
 
-        /// Connect and say `Hello` as `node` at the current protocol
-        /// version; returns the client end, its `HelloAck` consumed.
-        fn greeted(&self, node: u32) -> Box<dyn Connection> {
-            let mut client = self.client();
-            client.send(&hello(node, brisk_proto::VERSION)).unwrap();
-            assert!(matches!(recv_msg(&mut client), Message::HelloAck { .. }));
-            client
+        fn accept(&mut self) -> PeerId {
+            let id = self.ism.accept(self.now);
+            self.closed.retain(|&c| c != id);
+            id
+        }
+
+        fn frame(&mut self, id: PeerId, frame: &[u8]) {
+            self.ism.on_frame(id, frame, self.now).unwrap();
+            self.drain();
+        }
+
+        fn send(&mut self, id: PeerId, msg: &Message) {
+            self.frame(id, &msg.encode());
+        }
+
+        /// Move time to `at` and advance the machine; returns its next
+        /// deadline.
+        fn wait_until(&mut self, at: Duration) -> Option<Duration> {
+            self.now = at;
+            let next = self.ism.advance(at).unwrap();
+            self.drain();
+            next
+        }
+
+        fn wait(&mut self, by: Duration) -> Option<Duration> {
+            self.wait_until(self.now + by)
+        }
+
+        /// What the machine sent `id` since the last look.
+        fn take(&mut self, id: PeerId) -> Vec<Message> {
+            self.sent.remove(&id.0).unwrap_or_default()
+        }
+
+        fn is_closed(&self, id: PeerId) -> bool {
+            self.closed.contains(&id)
+        }
+
+        /// Accept and say `Hello` as `node` at the current protocol
+        /// version; its `HelloAck` consumed.
+        fn greeted(&mut self, node: u32) -> PeerId {
+            let id = self.accept();
+            self.send(id, &hello(node, brisk_proto::VERSION));
+            assert!(matches!(self.take(id)[..], [Message::HelloAck { .. }]));
+            id
         }
 
         fn quarantine(&self) -> &QuarantineLog {
-            self.handle.quarantine()
+            &self.ism.hub.quarantine
+        }
+
+        /// Answer the one `SyncPoll` `id` was sent from a clock `behind_us`
+        /// behind the master's; returns the poll's round and sample.
+        fn answer(&mut self, id: PeerId, behind_us: i64) -> (u64, u32) {
+            let msgs = self.take(id);
+            let [Message::SyncPoll {
+                round,
+                sample,
+                master_send,
+            }] = msgs[..]
+            else {
+                panic!("expected one SyncPoll, got {msgs:?}");
+            };
+            let slave_time = UtcMicros::from_micros(master_send.as_micros() - behind_us);
+            let reply = Message::SyncReply {
+                round,
+                sample,
+                master_send,
+                slave_time,
+            };
+            self.send(id, &reply);
+            (round, sample)
         }
     }
 
-    fn hello(node: u32, version: u32) -> Vec<u8> {
+    fn hello(node: u32, version: u32) -> Message {
         Message::Hello {
             node: NodeId(node),
             version,
         }
-        .encode()
     }
 
-    fn empty_batch(node: u32, seq: u64) -> Vec<u8> {
+    fn empty_batch(node: u32, seq: u64) -> Message {
         Message::EventBatch {
             node: NodeId(node),
             seq: Some(seq),
             records: vec![],
         }
-        .encode()
     }
 
     fn record(node: u32) -> EventRecord {
@@ -906,55 +929,47 @@ mod tests {
         .unwrap()
     }
 
-    /// True when the server closes `client` within 2 s without sending
-    /// it anything more.
-    fn dropped_silently(client: &mut Box<dyn Connection>) -> bool {
-        client.recv(Some(Duration::from_secs(2))).is_err()
+    fn batch(node: u32, seq: u64, records: usize) -> Message {
+        Message::EventBatch {
+            node: NodeId(node),
+            seq: Some(seq),
+            records: vec![record(node); records],
+        }
     }
+
+    fn ack(seq: u64) -> Message {
+        Message::BatchAck { seq, credit: 64 }
+    }
+
+    const MICRO: Duration = Duration::from_micros(1);
 
     #[test]
     fn greets_pumps_batches_and_reports_disconnect() {
-        let rig = test_server();
-        let mut reader = rig.handle.memory().reader();
-        let mut client = rig.client();
-        client.send(&hello(7, brisk_proto::VERSION)).unwrap();
+        let mut rig = rig();
+        let mut reader = rig.ism.hub.core.memory().reader();
+        let id = rig.accept();
+        rig.send(id, &hello(7, brisk_proto::VERSION));
         // HelloAck carries the session version and the credit grant.
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: 64
-            }
-        );
+        let greeting = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: 64,
+        };
+        assert_eq!(rig.take(id), [greeting]);
         // A batch enters the core and is acked on the same connection,
         // and every ack carries the server's credit grant.
         let rec = record(7);
-        let batch = Message::EventBatch {
-            node: NodeId(7),
-            seq: Some(1),
-            records: vec![rec.clone()],
-        };
-        client.send(&batch.encode()).unwrap();
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, credit: 64 }
-        );
+        rig.send(id, &batch(7, 1, 1));
+        assert_eq!(rig.take(id), [ack(1)]);
         // A heartbeat is liveness only: nothing answers it.
-        client.send(&Message::Heartbeat.encode()).unwrap();
-        assert!(client
-            .recv(Some(Duration::from_millis(100)))
-            .unwrap()
-            .is_none());
-        // Dropping the client ends its session and frees node 7 for a
-        // successor.
-        drop(client);
-        let mut successor = rig.greeted(7);
-        successor.send(&empty_batch(7, 2)).unwrap();
-        assert_eq!(
-            recv_msg(&mut successor),
-            Message::BatchAck { seq: 2, credit: 64 }
-        );
-        let report = rig.handle.stop().unwrap();
+        rig.send(id, &Message::Heartbeat);
+        assert!(rig.take(id).is_empty());
+        assert!(!rig.is_closed(id));
+        // The connection's end frees node 7 for a successor.
+        rig.ism.on_closed(id);
+        let successor = rig.greeted(7);
+        rig.send(successor, &empty_batch(7, 2));
+        assert_eq!(rig.take(successor), [ack(2)]);
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 1);
         // The record came through untouched.
         assert_eq!(reader.poll().unwrap().0, vec![rec]);
@@ -979,126 +994,104 @@ mod tests {
             (512, 2, Message::Shutdown),
             (512, 1, Message::Shutdown),
         ] {
-            let rig = server_with(|cfg, _| cfg.flow.credit_records = grant);
-            let mut client = rig.client();
-            client.send(&hello(5, version)).unwrap();
-            assert_eq!(recv_msg(&mut client), expect, "credit {grant}, v{version}");
+            let mut rig = rig_with(|cfg, _| cfg.flow.credit_records = grant);
+            let id = rig.accept();
+            rig.send(id, &hello(5, version));
+            assert_eq!(rig.take(id), [expect], "credit {grant}, v{version}");
             if version == v {
                 // Connected: its batches are acked.
-                client.send(&empty_batch(5, 1)).unwrap();
-                assert_eq!(
-                    recv_msg(&mut client),
-                    Message::BatchAck {
-                        seq: 1,
-                        credit: grant
-                    }
-                );
+                rig.send(id, &empty_batch(5, 1));
+                let acked = Message::BatchAck {
+                    seq: 1,
+                    credit: grant,
+                };
+                assert_eq!(rig.take(id), [acked]);
                 assert!(rig.quarantine().samples().is_empty());
             } else {
-                assert!(dropped_silently(&mut client), "v{version} connected");
+                assert!(rig.is_closed(id), "v{version} connected");
                 let samples = rig.quarantine().samples();
                 assert_eq!(samples.len(), 1);
                 assert_eq!(samples[0].node, NodeId(5));
                 assert!(samples[0].error.contains(&format!("version {version}")));
             }
-            rig.handle.stop().unwrap();
         }
     }
 
     #[test]
     fn non_hello_greeting_is_dropped_without_a_pump() {
-        let rig = test_server();
+        let mut rig = rig();
         for first_frame in [Message::Heartbeat, Message::Shutdown] {
-            let mut client = rig.client();
-            client.send(&first_frame.encode()).unwrap();
-            assert!(dropped_silently(&mut client), "{first_frame:?} greeted");
+            let id = rig.accept();
+            rig.send(id, &first_frame);
+            assert!(rig.is_closed(id), "{first_frame:?} greeted");
+            assert!(rig.take(id).is_empty());
         }
         assert!(rig.quarantine().samples().is_empty());
-        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn silent_greeting_is_dropped_at_the_deadline() {
-        let rig = test_server();
-        let mut client = rig.client();
-        // Never say Hello: past the greeting deadline the connection is
-        // closed, and it is told nothing (it never had an identity).
-        let give_up = Instant::now() + GREETING_TIMEOUT + Duration::from_secs(3);
-        let closed = loop {
-            match client.recv(Some(Duration::from_millis(100))) {
-                Err(_) => break true,
-                Ok(Some(frame)) => panic!("told {:?}", Message::decode(&frame)),
-                Ok(None) if Instant::now() > give_up => break false,
-                Ok(None) => {}
-            }
-        };
-        assert!(closed, "a peer that never greets must be dropped");
-        rig.handle.stop().unwrap();
+        let mut rig = rig();
+        let id = rig.accept();
+        // Never say Hello: the greeting's end is the machine's deadline,
+        // and there the connection is closed and told nothing (it never
+        // had an identity).
+        assert_eq!(rig.wait(Duration::ZERO), Some(GREETING_TIMEOUT));
+        rig.wait_until(GREETING_TIMEOUT - MICRO);
+        assert!(!rig.is_closed(id));
+        assert_eq!(rig.wait(MICRO), None);
+        assert!(
+            rig.is_closed(id),
+            "a peer that never greets must be dropped"
+        );
+        assert!(rig.take(id).is_empty());
     }
 
     #[test]
     fn sync_round_runs_as_state_machine_while_batches_flow() {
         // Textbook Cristian corrects even a lone slave, so the round's
         // correction is visible on the wire.
-        let rig = server_with(|_, sync| {
+        let mut rig = rig_with(|_, sync| {
             sync.poll_period = Duration::from_millis(50);
             sync.samples_per_slave = 3;
             sync.original_cristian = true;
         });
-        let mut client = rig.greeted(2);
+        let id = rig.greeted(2);
+        // The first round is due one poll period in.
+        assert_eq!(rig.wait(Duration::ZERO), Some(Duration::from_millis(50)));
+        rig.wait(Duration::from_millis(50));
         // Slave side: answer 3 polls from a clock 5 s behind, interleaving
         // a batch, which is acked while the round runs.
         const BEHIND_US: i64 = 5_000_000;
-        let (mut answered, mut acked, mut poll_round) = (0, false, None);
-        while answered < 3 {
-            match recv_msg(&mut client) {
-                Message::SyncPoll {
-                    round,
-                    sample,
-                    master_send,
-                } => {
-                    assert_eq!(*poll_round.get_or_insert(round), round);
-                    assert_eq!(sample, answered);
-                    if answered == 1 {
-                        client.send(&empty_batch(2, 1)).unwrap();
-                    }
-                    let reply = Message::SyncReply {
-                        round,
-                        sample,
-                        master_send,
-                        slave_time: UtcMicros::from_micros(master_send.as_micros() - BEHIND_US),
-                    };
-                    client.send(&reply.encode()).unwrap();
-                    answered += 1;
-                }
-                Message::BatchAck { seq: 1, .. } => acked = true,
-                other => panic!("unexpected {other:?}"),
+        let mut poll_round = None;
+        for answered in 0..3 {
+            let (round, sample) = rig.answer(id, BEHIND_US);
+            assert_eq!(*poll_round.get_or_insert(round), round);
+            assert_eq!(sample, answered);
+            if answered == 1 {
+                rig.send(id, &empty_batch(2, 1));
+                assert_eq!(rig.take(id), [ack(1)]);
             }
+            // The next poll goes out, or the round closes.
+            rig.wait(Duration::ZERO);
         }
         // The round closes on its third sample, and its correction reaches
         // the slave as a SyncAdjust.
-        let advance = loop {
-            match recv_msg(&mut client) {
-                Message::BatchAck { seq: 1, .. } => acked = true,
-                Message::SyncAdjust { round, advance_us } => {
-                    assert_eq!(Some(round), poll_round);
-                    break advance_us;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+        let msgs = rig.take(id);
+        let [Message::SyncAdjust { round, advance_us }] = msgs[..] else {
+            panic!("expected the round's SyncAdjust, got {msgs:?}");
         };
-        assert!(acked, "the batch sent mid-round was never acked");
+        assert_eq!(Some(round), poll_round);
         assert!(
-            (BEHIND_US..BEHIND_US + 100_000).contains(&advance),
-            "correction {advance} µs for a slave {BEHIND_US} µs behind"
+            (BEHIND_US..BEHIND_US + 100_000).contains(&advance_us),
+            "correction {advance_us} µs for a slave {BEHIND_US} µs behind"
         );
-        let report = rig.handle.stop().unwrap();
-        assert!(report.sync_rounds >= 1);
+        assert_eq!(rig.ism.rounds_completed(), 1);
     }
 
     #[test]
     fn spoofed_or_unsequenced_batch_ends_the_connection() {
-        let rig = test_server();
+        let mut rig = rig();
         // The connection said Hello as node 5; a batch claiming node 6 is
         // spoofed, and one without a seq can be neither acked nor
         // deduplicated. Either must end the connection without being
@@ -1110,86 +1103,67 @@ mod tests {
                 seq,
                 records: vec![record(node)],
             };
-            let mut client = rig.greeted(5);
-            client.send(&bad.encode()).unwrap();
-            assert!(dropped_silently(&mut client), "bad batch {seq:?} kept");
+            let id = rig.greeted(5);
+            rig.send(id, &bad);
+            assert!(rig.is_closed(id), "bad batch {seq:?} kept");
+            assert!(rig.take(id).is_empty());
         }
         assert_eq!(rig.quarantine().frames(), 0);
-        let report = rig.handle.stop().unwrap();
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 0);
     }
 
     #[test]
     fn a_half_open_peer_is_evicted_while_others_heartbeat() {
-        let rig = server_with(|cfg, _| cfg.node_timeout = Some(Duration::from_millis(300)));
-        let mut silent = rig.greeted(5);
-        let mut chatty: Vec<_> = (6..8).map(|node| rig.greeted(node)).collect();
-        let give_up = Instant::now() + Duration::from_secs(3);
-        let mut evicted = false;
-        while !evicted && Instant::now() < give_up {
-            for peer in chatty.iter_mut() {
-                peer.send(&Message::Heartbeat.encode()).unwrap();
+        let timeout = Duration::from_millis(300);
+        let mut rig = rig_with(|cfg, _| cfg.node_timeout = Some(timeout));
+        let silent = rig.greeted(5);
+        let chatty: Vec<_> = (6..8).map(|node| rig.greeted(node)).collect();
+        // The silent peer's liveness limit is the machine's deadline.
+        assert_eq!(rig.wait(Duration::ZERO), Some(timeout));
+        let step = Duration::from_millis(50);
+        while rig.now < timeout {
+            assert!(!rig.is_closed(silent), "evicted at {:?}", rig.now);
+            for &peer in &chatty {
+                rig.send(peer, &Message::Heartbeat);
             }
-            evicted = match silent.recv(Some(Duration::from_millis(20))) {
-                Ok(Some(frame)) => Message::decode(&frame).unwrap() == Message::Shutdown,
-                _ => false,
-            };
+            rig.wait(step);
         }
-        assert!(evicted, "a silent peer must be evicted");
-        assert!(dropped_silently(&mut silent));
+        assert_eq!(rig.take(silent), [Message::Shutdown]);
+        assert!(rig.is_closed(silent), "a silent peer must be evicted");
         // The heartbeating peers kept their sessions through the same
         // passes.
-        for peer in chatty.iter_mut() {
-            assert!(peer
-                .recv(Some(Duration::from_millis(100)))
-                .unwrap()
-                .is_none());
+        for &peer in &chatty {
+            assert!(rig.take(peer).is_empty());
+            assert!(!rig.is_closed(peer));
         }
-        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn stop_shuts_running_connections_down_and_drains_their_final_flush() {
-        let rig = test_server();
-        let mut client = rig.greeted(3);
-        let Rig { handle, .. } = rig;
-        let stopping = std::thread::spawn(move || handle.stop().unwrap());
-        assert_eq!(recv_msg(&mut client), Message::Shutdown);
-        // The EXS's final flush still enters the core, unacked, before it
-        // hangs up.
-        let last = Message::EventBatch {
-            node: NodeId(3),
-            seq: Some(1),
-            records: vec![record(3)],
-        };
-        client.send(&last.encode()).unwrap();
-        // It is past acks: nothing the server sends before it hangs up at
-        // the end of the drain is a BatchAck.
-        loop {
-            match client.recv(Some(CLOSING_DRAIN * 2)) {
-                Ok(Some(frame)) => {
-                    if let Ok(Message::BatchAck { seq, .. }) = Message::decode(&frame) {
-                        panic!("batch {seq} acked while closing");
-                    }
-                }
-                Ok(None) => panic!("the closing drain never ended"),
-                Err(_) => break,
-            }
-        }
-        let report = stopping.join().unwrap();
+        let mut rig = rig();
+        let id = rig.greeted(3);
+        rig.ism.stop(rig.now);
+        rig.drain();
+        assert_eq!(rig.take(id), [Message::Shutdown]);
+        // The EXS's final flush still enters the core, unacked.
+        rig.send(id, &batch(3, 1, 1));
+        assert!(rig.take(id).is_empty(), "a batch acked while closing");
+        // The drain ends at its deadline, and the connection is closed.
+        rig.wait_until(CLOSING_DRAIN - MICRO);
+        assert!(!rig.is_closed(id));
+        rig.wait(MICRO);
+        assert!(rig.is_closed(id), "the closing drain never ended");
+        assert!(rig.take(id).is_empty());
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 1);
     }
 
-    /// A batch frame of `records` from `node`, and the same frame with
+    /// A batch frame of one record from `node`, and the same frame with
     /// garbage after its 20-byte header (tag, node, seq, count): the
     /// header reads, no record decodes.
     fn batch_and_corrupt(node: u32, seq: u64) -> (Vec<u8>, Vec<u8>) {
-        let good = Message::EventBatch {
-            node: NodeId(node),
-            seq: Some(seq),
-            records: vec![record(node)],
-        }
-        .encode();
+        let good = batch(node, seq, 1).encode();
         let mut corrupt = good.clone();
         corrupt[20..].fill(0xff);
         (good, corrupt)
@@ -1197,110 +1171,76 @@ mod tests {
 
     #[test]
     fn an_undecodable_batch_leaves_its_seq_unadmitted() {
-        let rig = test_server();
-        let mut client = rig.greeted(5);
+        let mut rig = rig();
+        let id = rig.greeted(5);
         let (good, corrupt) = batch_and_corrupt(5, 1);
         // The corrupt seq 1 is quarantined unacked and enters nothing, so
         // the intact seq 1 after it is fresh, not a replay: it is acked
         // once, and its record enters the core.
-        client.send(&corrupt).unwrap();
-        client.send(&good).unwrap();
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, credit: 64 }
-        );
-        assert!(client
-            .recv(Some(Duration::from_millis(200)))
-            .unwrap()
-            .is_none());
+        rig.frame(id, &corrupt);
+        rig.frame(id, &good);
+        assert_eq!(rig.take(id), [ack(1)]);
         assert_eq!(rig.quarantine().frames(), 1);
-        let report = rig.handle.stop().unwrap();
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 1);
         assert_eq!(report.core.duplicate_batches, 0);
     }
 
     #[test]
     fn a_corrupt_replay_is_acked_as_a_replay() {
-        let rig = test_server();
-        let mut client = rig.greeted(5);
+        let mut rig = rig();
+        let id = rig.greeted(5);
         let (good, corrupt) = batch_and_corrupt(5, 1);
-        client.send(&good).unwrap();
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, credit: 64 }
-        );
+        rig.frame(id, &good);
+        assert_eq!(rig.take(id), [ack(1)]);
         // A replay is dropped on its header alone, so its body is never
         // read: acked, counted as a duplicate, never quarantined.
-        client.send(&corrupt).unwrap();
-        assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, credit: 64 }
-        );
+        rig.frame(id, &corrupt);
+        assert_eq!(rig.take(id), [ack(1)]);
         assert_eq!(rig.quarantine().frames(), 0);
-        let report = rig.handle.stop().unwrap();
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 1);
         assert_eq!(report.core.duplicate_batches, 1);
     }
 
     #[test]
     fn batches_sent_before_a_hang_up_all_enter_the_core() {
-        // The first delivery stalls the loop while the peer sends two more
-        // batches and hangs up, so both acks fail to send.
-        let transport = MemTransport::new();
-        let sync = SyncConfig {
-            poll_period: Duration::from_secs(60),
-            ..SyncConfig::default()
-        };
-        let mut server = IsmServer::new(IsmConfig::default(), sync, Arc::new(SystemClock)).unwrap();
-        let mut stalled = false;
-        let stall = move |_: &EventRecord| {
-            if !std::mem::replace(&mut stalled, true) {
-                std::thread::sleep(Duration::from_millis(300));
-            }
-            Ok(())
-        };
-        server.core_mut().add_sink(Box::new(stall));
-        let rig = Rig {
-            handle: server.spawn(transport.listen("reactor").unwrap()).unwrap(),
-            transport,
-        };
-        let mut client = rig.greeted(4);
-        let batch = |seq| Message::EventBatch {
-            node: NodeId(4),
-            seq: Some(seq),
-            records: vec![record(4)],
-        };
-        client.send(&batch(1).encode()).unwrap();
-        assert!(matches!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, .. }
-        ));
-        client.send(&batch(2).encode()).unwrap();
-        client.send(&batch(3).encode()).unwrap();
-        drop(client);
-        let report = rig.handle.stop().unwrap();
+        // The peer sends three batches and hangs up before it reads an
+        // ack. Every batch enters the core and is acked; whether an ack
+        // reaches the peer ends nothing, and the hang-up only frees the
+        // node.
+        let mut rig = rig();
+        let id = rig.greeted(4);
+        for seq in 1..=3 {
+            rig.send(id, &batch(4, seq, 1));
+        }
+        assert_eq!(rig.take(id), [ack(1), ack(2), ack(3)]);
+        rig.ism.on_closed(id);
+        assert!(!rig.is_closed(id), "the machine closes what it ends");
+        let report = rig.ism.finish().unwrap();
         assert_eq!(report.core.records_in, 3);
     }
 
     #[test]
     fn malformed_frames_are_quarantined_within_budget() {
-        let rig = test_server();
-        let mut client = rig.greeted(5);
+        let mut rig = rig();
+        let id = rig.greeted(5);
         // Two garbage frames fit inside the budget: the connection lives
         // and a valid batch still flows afterwards.
-        client.send(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
-        client.send(b"not a brisk frame").unwrap();
-        client.send(&empty_batch(5, 1)).unwrap();
+        rig.frame(id, &[0xde, 0xad, 0xbe, 0xef]);
+        rig.frame(id, b"not a brisk frame");
+        rig.send(id, &empty_batch(5, 1));
         assert_eq!(
-            recv_msg(&mut client),
-            Message::BatchAck { seq: 1, credit: 64 },
+            rig.take(id),
+            [ack(1)],
             "batch must survive quarantined garbage"
         );
         assert_eq!(rig.quarantine().frames(), 2);
         assert_eq!(rig.quarantine().disconnects(), 0);
         // The third garbage frame exhausts the budget: disconnect.
-        client.send(&[0xff; 8]).unwrap();
-        assert!(dropped_silently(&mut client));
+        rig.frame(id, &[0xff; 8]);
+        assert!(rig.is_closed(id));
+        assert!(rig.take(id).is_empty());
         assert_eq!(rig.quarantine().frames(), 3);
         assert_eq!(rig.quarantine().disconnects(), 1);
         let samples = rig.quarantine().samples();
@@ -1308,17 +1248,211 @@ mod tests {
         assert_eq!(samples[0].node, NodeId(5));
         assert_eq!(samples[0].head_hex, "deadbeef");
         assert!(!samples[0].error.is_empty());
-        rig.handle.stop().unwrap();
     }
 
     #[test]
     fn zero_budget_drops_connection_on_first_bad_frame() {
-        let rig = server_with(|cfg, _| cfg.protocol_error_budget = 0);
-        let mut client = rig.greeted(5);
-        client.send(&[0x00]).unwrap();
-        assert!(dropped_silently(&mut client));
+        let mut rig = rig_with(|cfg, _| cfg.protocol_error_budget = 0);
+        let id = rig.greeted(5);
+        rig.frame(id, &[0x00]);
+        assert!(rig.is_closed(id));
         assert_eq!(rig.quarantine().frames(), 1);
         assert_eq!(rig.quarantine().disconnects(), 1);
-        rig.handle.stop().unwrap();
+    }
+
+    #[test]
+    fn spoofed_batch_node_ends_connection() {
+        let mut rig = rig();
+        let id = rig.greeted(1);
+        // Spoof: the connection authenticated as node 1 but the batch
+        // claims node 2. The machine must close the connection.
+        rig.send(id, &batch(2, 1, 3));
+        assert!(rig.is_closed(id), "spoofed connection must be dropped");
+        let report = rig.ism.finish().unwrap();
+        assert_eq!(report.core.records_in, 0, "spoofed records must not land");
+    }
+
+    #[test]
+    fn duplicate_hello_is_rejected_and_node_frees_on_disconnect() {
+        let mut rig = rig();
+        // First connection for node 1, held open.
+        let first = rig.greeted(1);
+        rig.send(first, &batch(1, 1, 2));
+        assert_eq!(rig.take(first), [ack(1)], "first connection must be live");
+        // A second Hello claiming node 1 while the first connection is
+        // live is a protocol error: the impostor is answered with Shutdown
+        // and quarantined, and the first session is untouched.
+        let impostor = rig.accept();
+        rig.send(impostor, &hello(1, brisk_proto::VERSION));
+        assert_eq!(rig.take(impostor), [Message::Shutdown]);
+        assert!(rig.is_closed(impostor), "duplicate Hello must be rejected");
+        assert_eq!(rig.quarantine().rejected_hellos(), 1);
+        // The original connection keeps working...
+        rig.send(first, &batch(1, 2, 2));
+        assert_eq!(
+            rig.take(first),
+            [ack(2)],
+            "original connection must keep its acks"
+        );
+        // ...and once it says Shutdown, the node id is free for a
+        // reconnect.
+        rig.send(first, &Message::Shutdown);
+        assert!(rig.is_closed(first));
+        let third = rig.greeted(1);
+        rig.send(third, &batch(1, 3, 2));
+        assert_eq!(
+            rig.take(third),
+            [ack(3)],
+            "reconnect after disconnect must be accepted"
+        );
+        let report = rig.ism.finish().unwrap();
+        assert_eq!(report.core.records_in, 6);
+    }
+
+    #[test]
+    fn garbage_frames_are_quarantined_then_budget_disconnects() {
+        let mut rig = rig();
+        let registry = Registry::new();
+        rig.ism.bind_telemetry(&registry);
+        let id = rig.greeted(1);
+        // Two garbage frames are quarantined; a batch still lands.
+        rig.frame(id, &[0xde, 0xad]);
+        rig.frame(id, &[0xbe, 0xef]);
+        rig.send(id, &batch(1, 1, 3));
+        assert_eq!(
+            rig.take(id),
+            [ack(1)],
+            "batches must survive quarantined frames"
+        );
+        // The third garbage frame exhausts the budget: disconnect.
+        rig.frame(id, &[0x00]);
+        assert!(
+            rig.is_closed(id),
+            "offender must be disconnected after the budget"
+        );
+        assert_eq!(rig.quarantine().frames(), 3);
+        assert_eq!(rig.quarantine().disconnects(), 1);
+        let report = rig.ism.finish().unwrap();
+        assert_eq!(report.core.records_in, 3);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_quarantined_frames_total"), 3);
+        assert_eq!(
+            snap.counter_total("brisk_ism_quarantine_disconnects_total"),
+            1
+        );
+    }
+
+    #[test]
+    fn silent_node_is_evicted_after_timeout() {
+        let timeout = Duration::from_millis(150);
+        let mut rig = rig_with(|cfg, _| cfg.node_timeout = Some(timeout));
+        let registry = Registry::new();
+        rig.ism.bind_telemetry(&registry);
+        let id = rig.greeted(1);
+        rig.send(id, &batch(1, 1, 2));
+        assert_eq!(rig.take(id), [ack(1)]);
+        // Then go silent: at the timeout the machine evicts the node — it
+        // sends Shutdown and closes the connection.
+        rig.wait_until(timeout - MICRO);
+        assert!(!rig.is_closed(id));
+        rig.wait(MICRO);
+        assert_eq!(
+            rig.take(id),
+            [Message::Shutdown],
+            "silent node must be told to shut down"
+        );
+        assert!(rig.is_closed(id));
+        let report = rig.ism.finish().unwrap();
+        assert_eq!(report.core.records_in, 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 1);
+    }
+
+    /// Rounds every 50 ms of `samples` polls per slave, textbook Cristian,
+    /// so a lone slave's answers are corrected.
+    fn round_rig(samples: usize) -> Rig {
+        rig_with(|_, sync| {
+            sync.poll_period = Duration::from_millis(50);
+            sync.samples_per_slave = samples;
+            sync.original_cristian = true;
+        })
+    }
+
+    #[test]
+    fn a_lost_sync_reply_moves_the_exchange_on_at_the_sample_timeout() {
+        let mut rig = round_rig(2);
+        let id = rig.greeted(1);
+        rig.wait(Duration::from_millis(50));
+        // The first poll's reply is lost: the exchange waits one sample
+        // timeout for it, and no longer.
+        let msgs = rig.take(id);
+        assert!(matches!(msgs[..], [Message::SyncPoll { sample: 0, .. }]));
+        let lost_at = rig.now + SAMPLE_TIMEOUT;
+        assert_eq!(rig.wait(Duration::ZERO), Some(lost_at));
+        rig.wait_until(lost_at - MICRO);
+        assert!(rig.take(id).is_empty(), "polled again before the timeout");
+        rig.wait_until(lost_at);
+        let (_, sample) = rig.answer(id, 0);
+        assert_eq!(sample, 1, "the lost sample is not asked again");
+        // The answered second sample ends the exchange, and the round
+        // closes on it.
+        rig.wait(Duration::ZERO);
+        assert_eq!(rig.ism.rounds_completed(), 1);
+        assert!(matches!(rig.take(id)[..], [Message::SyncAdjust { .. }]));
+    }
+
+    #[test]
+    fn a_silent_slave_closes_the_round_at_the_round_deadline_with_the_others_samples() {
+        // Three samples at one sample timeout each outlast the round
+        // deadline, so a silent slave holds the round open until then.
+        let mut rig = round_rig(3);
+        let (quick, silent) = (rig.greeted(1), rig.greeted(2));
+        rig.wait(Duration::from_millis(50));
+        let started = rig.now;
+        const BEHIND_US: i64 = 5_000_000;
+        for _ in 0..3 {
+            rig.answer(quick, BEHIND_US);
+            rig.wait(Duration::ZERO);
+        }
+        assert_eq!(
+            rig.ism.rounds_completed(),
+            0,
+            "closed without the silent slave"
+        );
+        rig.wait_until(started + ROUND_DEADLINE - MICRO);
+        assert_eq!(rig.ism.rounds_completed(), 0);
+        rig.wait_until(started + ROUND_DEADLINE);
+        assert_eq!(rig.ism.rounds_completed(), 1);
+        // The quick slave's samples made the round: it is corrected.
+        let msgs = rig.take(quick);
+        let [Message::SyncAdjust { advance_us, .. }] = msgs[..] else {
+            panic!("expected the round's SyncAdjust, got {msgs:?}");
+        };
+        assert!((BEHIND_US..BEHIND_US + 100_000).contains(&advance_us));
+        // The silent one had only polls, and no correction.
+        let to_silent = rig.take(silent);
+        assert!(to_silent
+            .iter()
+            .all(|m| matches!(m, Message::SyncPoll { .. })));
+    }
+
+    #[test]
+    fn a_swept_peer_stops_holding_the_round_open() {
+        let mut rig = round_rig(1);
+        let (quick, gone) = (rig.greeted(1), rig.greeted(2));
+        rig.wait(Duration::from_millis(50));
+        rig.answer(quick, 0);
+        rig.wait(Duration::ZERO);
+        assert_eq!(
+            rig.ism.rounds_completed(),
+            0,
+            "closed without the second slave"
+        );
+        // Its connection ends before it answers: the round no longer
+        // waits for it, neither for its sample timeout nor its deadline.
+        rig.ism.on_closed(gone);
+        rig.wait(Duration::ZERO);
+        assert_eq!(rig.ism.rounds_completed(), 1);
+        assert!(matches!(rig.take(quick)[..], [Message::SyncAdjust { .. }]));
     }
 }

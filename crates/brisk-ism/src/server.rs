@@ -1,34 +1,38 @@
-//! The ISM server: the public face of the one loop in `crate::reactor`.
-//!
-//! [`IsmServer::spawn`] starts one thread, `brisk-reactor-0`, which owns
-//! the [`IsmCore`] and the [`brisk_clock::SyncMaster`] and waits in one
-//! `poll(2)` on the listener, every EXS connection and, in a relay, the
-//! upstream link. It greets each connection (`Hello`, with its 5 s
-//! deadline), pushes every batch frame into [`IsmCore::push_frame`]
-//! (its one walk, decoding into records the core has already delivered)
-//! and acks it on the same connection in the same
-//! pass, runs poll exchanges with socket-accurate timestamps, evicts
-//! connections silent past [`brisk_core::IsmConfig::node_timeout`], ticks
-//! the pipeline when it is due and schedules synchronization rounds every
-//! `poll_period`, plus the *extra* rounds requested by tachyon repairs
-//! (§3.6). It sleeps until input or the earliest of its connections'
-//! deadlines, the pipeline's next due time ([`IsmCore::due_in`]) and the
-//! sync round's. [`IsmHandle::stop`] ends it and returns the
-//! [`IsmReport`].
+//! The ISM server: [`IsmServer::spawn`] starts one thread,
+//! `brisk-reactor-0`, whose driver (`run`) feeds the session machine
+//! (`crate::reactor::Ism`) from one `poll(2)` on the listener, every EXS
+//! connection and, in a relay, the upstream link. A pass advances the
+//! machine to `now` and carries out its outputs, sleeps until a socket is
+//! readable, the [`Waker`] fires (stop) or the machine's deadline, then
+//! reads at most `MAX_FRAMES_PER_PASS` frames per readable connection,
+//! handing each to the machine with the instant it was read and sending
+//! its ack at once, accepts, and ticks a relay whose link has input.
+//! `now` is the instant `poll` returned, taken before the reads, so time
+//! spent inside the core is never a peer's silence. A connection with
+//! whole frames buffered, or with no fd (a killed link), is read without
+//! waiting. A sink that blocks stalls the loop, and the senders run out of
+//! credit. [`IsmHandle::stop`] ends it and returns the [`IsmReport`].
 
 use crate::core::IsmCore;
 use crate::cre::CreStats;
 use crate::merge::MergeStats;
 use crate::output::MemoryBuffer;
 use crate::quarantine::QuarantineLog;
-use crate::reactor::{self, Ism};
+use crate::reactor::{Ism, Output, PeerId};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, Result, SyncConfig};
-use brisk_net::{Listener, Poller, Waker};
+use brisk_net::{
+    poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN,
+};
 use brisk_telemetry::{Registry, StageLatencies};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Frames read from one connection per pass before yielding to the rest
+/// — bounds how long one firehose sensor can monopolize the loop.
+const MAX_FRAMES_PER_PASS: usize = 32;
 
 /// Final report returned when the server stops.
 #[derive(Clone, Debug, Default)]
@@ -52,6 +56,8 @@ pub struct IsmReport {
 /// then call [`IsmServer::spawn`].
 pub struct IsmServer {
     ism: Ism,
+    /// Meters every accepted connection, `Hello` frames included.
+    conn_metrics: Arc<ConnMetrics>,
 }
 
 impl IsmServer {
@@ -59,6 +65,7 @@ impl IsmServer {
     pub fn new(cfg: IsmConfig, sync_cfg: SyncConfig, clock: Arc<dyn Clock>) -> Result<Self> {
         Ok(IsmServer {
             ism: Ism::new(cfg, sync_cfg, clock)?,
+            conn_metrics: Arc::default(),
         })
     }
 
@@ -67,11 +74,12 @@ impl IsmServer {
     /// [`IsmServer::spawn`].
     pub fn bind_telemetry(&mut self, registry: &Arc<Registry>) {
         self.ism.bind_telemetry(registry);
+        self.conn_metrics.register(registry, &[("role", "ism")]);
     }
 
     /// Access the core (e.g. to attach sinks) before spawning.
     pub fn core_mut(&mut self) -> &mut IsmCore {
-        &mut self.ism.core
+        &mut self.ism.hub.core
     }
 
     /// Run this server as a *relay*: instead of delivering merged,
@@ -79,30 +87,30 @@ impl IsmServer {
     /// one namespaced EXS-like stream (§ relay topology in DESIGN.md).
     /// Call before [`IsmServer::spawn`].
     pub fn set_upstream(&mut self, exporter: crate::relay::UpstreamExporter) {
-        self.ism.core.set_upstream(exporter);
+        self.ism.hub.core.set_upstream(exporter);
     }
 
     /// The output memory buffer (clone the `Arc` to create readers).
     pub fn memory(&self) -> Arc<MemoryBuffer> {
-        Arc::clone(self.ism.core.memory())
+        Arc::clone(self.ism.hub.core.memory())
     }
 
     /// Start the loop thread, accepting from `listener`.
     pub fn spawn(self, listener: Box<dyn Listener>) -> Result<IsmHandle> {
         let addr = listener.local_addr();
         let memory = self.memory();
-        let stages = self.ism.core.stage_latencies().cloned();
-        let quarantine = Arc::clone(&self.ism.quarantine);
+        let stages = self.ism.hub.core.stage_latencies().cloned();
+        let quarantine = Arc::clone(&self.ism.hub.quarantine);
         let poller = Poller::new().map_err(BriskError::Io)?;
         let waker = poller.waker();
         let stop = Arc::new(AtomicBool::new(false));
         let halt = Arc::clone(&stop);
-        let ism = self.ism;
+        let IsmServer { ism, conn_metrics } = self;
         // The loop keeps the reactor thread's name, which tools that class
         // threads by name (the pipeline bench) already know.
         let join = std::thread::Builder::new()
             .name("brisk-reactor-0".into())
-            .spawn(move || reactor::run(ism, poller, listener, &halt))
+            .spawn(move || run(ism, &conn_metrics, poller, listener, &halt))
             .map_err(BriskError::Io)?;
         Ok(IsmHandle {
             addr,
@@ -113,6 +121,154 @@ impl IsmServer {
             waker,
             join,
         })
+    }
+}
+
+/// Each machine peer's connection, indexed by its [`PeerId`].
+type Conns = Vec<Option<Box<dyn Connection>>>;
+
+/// The driver: run passes until `stop` is set, then close the listener,
+/// stop the machine, let it drain its closing connections, flush the
+/// pipeline and report.
+fn run(
+    mut ism: Ism,
+    conn_metrics: &Arc<ConnMetrics>,
+    poller: Poller,
+    listener: Box<dyn Listener>,
+    stop: &AtomicBool,
+) -> Result<IsmReport> {
+    let epoch = Instant::now();
+    let mut now = Duration::ZERO;
+    let mut listener = Some(listener);
+    let mut stopping = false;
+    let mut conns: Conns = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Each polled connection's id and its slot in `fds`; `None` for one
+    // read without polling.
+    let mut polled: Vec<(usize, Option<usize>)> = Vec::new();
+    loop {
+        if !stopping && stop.load(Ordering::Acquire) {
+            stopping = true;
+            listener = None;
+            ism.stop(now);
+        }
+        let due = ism.advance(now)?;
+        deliver(&mut ism, &mut conns);
+        if stopping && conns.iter().all(Option::is_none) {
+            break;
+        }
+        fds.clear();
+        polled.clear();
+        let listen_fd = listener.as_ref().map(|l| l.poll_fd());
+        fds.extend(listen_fd.map(poll_in));
+        let uplink = ism.hub.core.upstream().and_then(|u| u.wait_fd()).map(|fd| {
+            fds.push(poll_in(fd));
+            fds.len() - 1
+        });
+        // Framed transports drain the kernel socket eagerly, so whole
+        // frames can wait in userspace with POLLIN clear.
+        let mut pass_now = false;
+        for (id, conn) in conns.iter().enumerate() {
+            let Some(conn) = conn else { continue };
+            let fd = conn.poll_fd().filter(|_| !conn.has_buffered());
+            let slot = fd.map(|fd| {
+                fds.push(poll_in(fd));
+                fds.len() - 1
+            });
+            pass_now |= slot.is_none();
+            polled.push((id, slot));
+        }
+        // The machine reckons its deadlines from the `now` it was given,
+        // the pipeline's from a fresh clock read: sleeping for their
+        // distance from `now` never wakes before the pipeline is due, and
+        // wakes at most one pass late for the rest.
+        let timeout = match pass_now {
+            true => Some(Duration::ZERO),
+            false => due.map(|at| at.saturating_sub(now)),
+        };
+        poller.wait(&mut fds, timeout).map_err(BriskError::Io)?;
+        now = epoch.elapsed();
+        for &(id, slot) in &polled {
+            let ready = |s: usize| fds[s].revents & (POLLIN | POLLERR | POLLHUP) != 0;
+            if !slot.is_none_or(ready) {
+                continue;
+            }
+            for _ in 0..MAX_FRAMES_PER_PASS {
+                let Some(conn) = conns[id].as_mut() else {
+                    break;
+                };
+                match conn.recv(Some(Duration::ZERO)) {
+                    Ok(Some(frame)) => {
+                        let read = Instant::now();
+                        ism.on_frame(PeerId(id), &frame, read - epoch)?;
+                        if deliver(&mut ism, &mut conns) {
+                            ism.acked(read.elapsed());
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        ism.on_closed(PeerId(id));
+                        conns[id] = None;
+                        break;
+                    }
+                }
+            }
+        }
+        if listen_fd.is_some() && fds[0].revents != 0 {
+            accept_pending(&mut listener, &mut ism, conn_metrics, &mut conns, now);
+        }
+        if uplink.is_some_and(|s| fds[s].revents != 0) {
+            ism.on_upstream()?;
+        }
+    }
+    ism.finish()
+}
+
+/// Carry out the machine's outputs; `true` when a batch ack was sent.
+fn deliver(ism: &mut Ism, conns: &mut Conns) -> bool {
+    let mut acked = false;
+    ism.drain_outputs(|out| match out {
+        Output::Send { to, frame, ack } => {
+            if let Some(conn) = conns[to.0].as_mut() {
+                acked |= conn.send(frame).is_ok() && ack;
+            }
+        }
+        Output::Close(to) => conns[to.0] = None,
+    });
+    acked
+}
+
+/// Accept until the listener would block; each connection is metered,
+/// handed to the machine and joins the next pass's poll set. An accept
+/// error closes the listener: the server accepts nothing more.
+fn accept_pending(
+    listener: &mut Option<Box<dyn Listener>>,
+    ism: &mut Ism,
+    conn_metrics: &Arc<ConnMetrics>,
+    conns: &mut Conns,
+    now: Duration,
+) {
+    while let Some(l) = listener.as_mut() {
+        match l.try_accept() {
+            Ok(Some(conn)) => {
+                let id = ism.accept(now).0;
+                let conn = Some(conn_metrics.wrap(conn));
+                match conns.get_mut(id) {
+                    Some(slot) => *slot = conn,
+                    None => conns.push(conn),
+                }
+            }
+            Ok(None) => return,
+            Err(e) => {
+                brisk_telemetry::flight_log!(
+                    Error,
+                    "ism.reactor",
+                    "accept_failed",
+                    "listener closed after an accept error: {e}"
+                );
+                *listener = None;
+            }
+        }
     }
 }
 
@@ -176,7 +332,7 @@ mod tests {
     /// crate's siblings only, but keeping the dependency graph acyclic for
     /// tests is simpler).
     mod brisk_lis_like {
-        pub use brisk_net::{Connection, MemTransport, TcpTransport, Transport};
+        pub use brisk_net::{MemTransport, TcpTransport, Transport};
         pub use brisk_proto::Message;
     }
 
@@ -433,91 +589,6 @@ mod tests {
         assert!(snap.counter_total("brisk_ism_acks_sent_total") >= 2);
     }
 
-    #[test]
-    fn spoofed_batch_node_ends_connection() {
-        let (handle, t) = start_server();
-        let mut conn = t.connect("ism").unwrap();
-        hello(&mut conn, 1);
-        // Spoof: the connection authenticated as node 1 but the batch
-        // claims node 2. The server must kill the connection.
-        conn.send(&batch(2, 1, 0..3).encode()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut killed = false;
-        while Instant::now() < deadline {
-            if conn.recv(Some(Duration::from_millis(20))).is_err() {
-                killed = true;
-                break;
-            }
-        }
-        assert!(killed, "spoofed connection must be dropped");
-        let report = handle.stop().unwrap();
-        assert_eq!(report.core.records_in, 0, "spoofed records must not land");
-    }
-
-    #[test]
-    fn duplicate_hello_is_rejected_and_node_frees_on_disconnect() {
-        let (handle, t) = start_server();
-        // First connection for node 1, held open (its session stays alive).
-        let mut conn1 = t.connect("ism").unwrap();
-        hello(&mut conn1, 1);
-        conn1.send(&batch(1, 1, 0..2).encode()).unwrap();
-        assert!(
-            recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
-                Message::BatchAck { seq, .. } => Some(seq),
-                _ => None,
-            })
-            .is_some(),
-            "first connection must be live"
-        );
-        // A second Hello claiming node 1 while conn1 is still live is a
-        // protocol error: the impostor is answered with Shutdown and
-        // quarantined, and conn1's session is untouched.
-        let mut conn2 = t.connect("ism").unwrap();
-        hello(&mut conn2, 1);
-        let rejected = recv_until(&mut conn2, Duration::from_secs(2), |m| match m {
-            Message::Shutdown => Some(()),
-            Message::HelloAck { .. } => None,
-            other => panic!("unexpected reply to duplicate Hello: {other:?}"),
-        });
-        assert!(rejected.is_some(), "duplicate Hello must be rejected");
-        assert_eq!(handle.quarantine().rejected_hellos(), 1);
-        // The original connection keeps working...
-        conn1.send(&batch(1, 2, 0..2).encode()).unwrap();
-        let ack2 = recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
-            Message::BatchAck { seq, .. } if seq >= 2 => Some(seq),
-            _ => None,
-        });
-        assert_eq!(ack2, Some(2), "original connection must keep its acks");
-        // ...and once it closes, the node id is free for a reconnect.
-        conn1.send(&Message::Shutdown.encode()).unwrap();
-        drop(conn1);
-        let mut conn3 = None;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            let mut c = t.connect("ism").unwrap();
-            hello(&mut c, 1);
-            let greeted = recv_until(&mut c, Duration::from_secs(2), |m| match m {
-                Message::HelloAck { .. } => Some(true),
-                Message::Shutdown => Some(false),
-                _ => None,
-            });
-            if greeted == Some(true) {
-                conn3 = Some(c);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let mut conn3 = conn3.expect("node id must be reclaimable after disconnect");
-        conn3.send(&batch(1, 3, 0..2).encode()).unwrap();
-        let ack3 = recv_until(&mut conn3, Duration::from_secs(2), |m| match m {
-            Message::BatchAck { seq, .. } if seq >= 3 => Some(seq),
-            _ => None,
-        });
-        assert_eq!(ack3, Some(3), "reconnect after disconnect must be accepted");
-        let report = handle.stop().unwrap();
-        assert_eq!(report.core.records_in, 6);
-    }
-
     fn start_server_with_timeout(
         node_timeout: Duration,
     ) -> (IsmHandle, Arc<MemTransport>, Arc<Registry>) {
@@ -548,25 +619,6 @@ mod tests {
         server.bind_telemetry(&registry);
         configure(&mut server);
         (server.spawn(listener).unwrap(), t, registry)
-    }
-
-    #[test]
-    fn silent_node_is_evicted_after_timeout() {
-        let (handle, t, registry) = start_server_with_timeout(Duration::from_millis(150));
-        let mut conn = t.connect("ism").unwrap();
-        hello(&mut conn, 1);
-        conn.send(&batch(1, 1, 0..2).encode()).unwrap();
-        // Then go silent: the loop must evict the node — it sends
-        // Shutdown and drops the connection.
-        let shut = recv_until(&mut conn, Duration::from_secs(5), |m| match m {
-            Message::Shutdown => Some(()),
-            _ => None,
-        });
-        assert!(shut.is_some(), "silent node must be told to shut down");
-        let report = handle.stop().unwrap();
-        assert_eq!(report.core.records_in, 2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 1);
     }
 
     #[test]
@@ -662,59 +714,6 @@ mod tests {
         assert!(stalled.load(Ordering::Relaxed), "the sink never stalled");
         let snap = registry.snapshot();
         assert_eq!(snap.counter_total("brisk_ism_evicted_nodes_total"), 0);
-    }
-
-    #[test]
-    fn garbage_frames_are_quarantined_then_budget_disconnects() {
-        let t = MemTransport::new();
-        let listener = t.listen("ism").unwrap();
-        let mut server = IsmServer::new(
-            IsmConfig {
-                protocol_error_budget: 2,
-                ..IsmConfig::default()
-            },
-            SyncConfig {
-                poll_period: Duration::from_secs(60),
-                ..SyncConfig::default()
-            },
-            Arc::new(SystemClock),
-        )
-        .unwrap();
-        let registry = Registry::new();
-        server.bind_telemetry(&registry);
-        let handle = server.spawn(listener).unwrap();
-        let mut conn = t.connect("ism").unwrap();
-        hello(&mut conn, 1);
-        // Two garbage frames are quarantined; a batch still lands.
-        conn.send(&[0xde, 0xad]).unwrap();
-        conn.send(&[0xbe, 0xef]).unwrap();
-        conn.send(&batch(1, 1, 0..3).encode()).unwrap();
-        let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
-            Message::BatchAck { seq, .. } => Some(seq),
-            _ => None,
-        });
-        assert_eq!(acked, Some(1), "batches must survive quarantined frames");
-        // The third garbage frame exhausts the budget: disconnect.
-        conn.send(&[0x00]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut killed = false;
-        while Instant::now() < deadline {
-            if conn.recv(Some(Duration::from_millis(20))).is_err() {
-                killed = true;
-                break;
-            }
-        }
-        assert!(killed, "offender must be disconnected after the budget");
-        assert_eq!(handle.quarantine().frames(), 3);
-        assert_eq!(handle.quarantine().disconnects(), 1);
-        let report = handle.stop().unwrap();
-        assert_eq!(report.core.records_in, 3);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_total("brisk_ism_quarantined_frames_total"), 3);
-        assert_eq!(
-            snap.counter_total("brisk_ism_quarantine_disconnects_total"),
-            1
-        );
     }
 
     #[test]

@@ -428,10 +428,7 @@ impl ExternalSensor {
         if self.uplink.credit_open() {
             let fill = match self.batcher.time_to_deadline(self.clock.now()) {
                 Some(us) => {
-                    // poll(2) counts whole milliseconds and truncates:
-                    // round up, or it wakes just before the deadline
-                    // only to sleep the rest.
-                    let flush = Duration::from_millis((us.max(0) as u64).div_ceil(1000));
+                    let flush = Duration::from_micros(us.max(0) as u64);
                     due = due.into_iter().chain([flush]).min();
                     self.missing()
                 }

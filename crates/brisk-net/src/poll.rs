@@ -1,24 +1,15 @@
-//! Readiness polling for the ISM's pump reactor.
-//!
-//! A thin, dependency-free wrapper over `poll(2)`: enough for a bounded
-//! pool of reactor threads to drive hundreds of connection sockets each
-//! without a thread per connection, honoring the no-tokio policy. The
-//! single `unsafe` block in the crate lives here, confined to the raw
-//! syscall binding in `sys`; everything above it is safe Rust over
-//! `std` socket types.
-//!
-//! Three pieces:
+//! Readiness polling for the ISM's loop and the EXS: a thin,
+//! dependency-free wrapper over `poll(2)` (no tokio). The single `unsafe`
+//! block in the crate lives here, confined to the raw syscall binding in
+//! `sys`.
 //!
 //! * [`Poller`] — owns a wake channel (a socketpair) and sleeps in
-//!   `poll(2)` over caller-supplied [`PollFd`]s plus its own wake fd.
+//!   `poll(2)` over caller-supplied [`PollFd`]s plus its own wake fd, for
+//!   at most a timeout, so its caller also keeps its deadlines.
 //! * [`Waker`] — the cross-thread handle that interrupts a sleeping
 //!   [`Poller`]; cheap to clone, safe to fire from any thread.
 //! * [`wait_readable`] — one fd's wait, behind every blocking
 //!   `Listener::accept` and every timed `Connection::recv`.
-//!
-//! Every transport's connections and listeners have a kernel fd to poll;
-//! [`Poller::wait`] takes a timeout only so a reactor can also keep its
-//! deadlines.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -165,12 +156,12 @@ impl std::fmt::Debug for Poller {
     }
 }
 
-/// `poll(2)`'s timeout argument for `timeout` (`None` blocks).
+/// `poll(2)`'s timeout argument for `timeout` (`None` blocks). `poll`
+/// counts whole milliseconds, so every timeout rounds up: a loop waiting
+/// for a deadline never wakes before it only to sleep the rest.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
-        // Round up so a 100 µs deadline does not spin at timeout 0.
-        Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-            .unwrap_or(i32::MAX),
+        Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
         None => -1,
     }
 }
@@ -198,6 +189,15 @@ pub fn poll_in(fd: RawFd) -> PollFd {
 mod tests {
     use super::*;
     use std::time::Instant;
+
+    #[test]
+    fn timeouts_round_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1_500))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(7))), 7);
+        assert_eq!(timeout_ms(None), -1);
+    }
 
     #[test]
     fn timeout_elapses_without_ready_fds() {

@@ -274,7 +274,19 @@ impl Message {
         if let Message::EventBatch { node, seq, records } = self {
             return encode_batch(*node, *seq, records);
         }
-        let mut e = XdrEncoder::with_capacity(64);
+        let mut frame = Vec::with_capacity(64);
+        self.encode_into(&mut frame);
+        frame
+    }
+
+    /// Append this message's frame to `out`, so a loop that answers many
+    /// peers encodes its control messages into one reused buffer (a batch
+    /// still takes [`encode_batch`]'s own).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        if let Message::EventBatch { node, seq, records } = self {
+            return out.extend_from_slice(&encode_batch(*node, *seq, records));
+        }
+        let mut e = XdrEncoder::append_to(std::mem::take(out));
         match self {
             Message::Hello { node, version } => {
                 e.uint(Tag::Hello as u32);
@@ -327,7 +339,7 @@ impl Message {
                 e.uint(Tag::Heartbeat as u32);
             }
         }
-        e.into_bytes()
+        *out = e.into_bytes();
     }
 
     /// Decode a transport frame.

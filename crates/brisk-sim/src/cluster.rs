@@ -1,12 +1,15 @@
 //! Simulated cluster for the clock-synchronization experiments (E6, A1).
+//! The master is the product's session machine, so these experiments
+//! measure the ISM's own concurrent sync rounds, not a copy of them.
 
 use crate::net::DelayModel;
-use brisk_clock::{
-    Clock, CorrectedClock, SimClock, SimTimeSource, SkewSample, SyncMaster, SyncSlave,
-};
-use brisk_core::{NodeId, Result, SyncConfig, UtcMicros};
+use brisk_clock::{Clock, CorrectedClock, SimClock, SimTimeSource, SyncSlave};
+use brisk_core::{IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
+use brisk_ism::{Ism, Output, PeerId};
+use brisk_proto::Message;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,9 +86,33 @@ pub struct SyncSimReport {
     pub fraction_under_200us: f64,
 }
 
-/// The simulation driver.
+/// The simulation driver: the product's session machine ([`Ism`]) as
+/// the master, one [`SyncSlave`] per node, and a LAN between them.
 pub struct SyncSimulation {
     cfg: SyncSimConfig,
+}
+
+/// A frame in flight.
+enum Flight {
+    ToMaster(PeerId, Vec<u8>),
+    ToSlave(usize, Vec<u8>),
+}
+
+/// The simulated LAN: frames in flight by arrival time, equal times in
+/// the order they were sent, each delayed by one [`DelayModel`] draw.
+struct Lan {
+    delay: DelayModel,
+    rng: StdRng,
+    in_flight: BTreeMap<(i64, u64), Flight>,
+    sent: u64,
+}
+
+impl Lan {
+    fn send(&mut self, now: UtcMicros, flight: Flight) {
+        let at = now.as_micros() + self.delay.sample(&mut self.rng, now);
+        self.in_flight.insert((at, self.sent), flight);
+        self.sent += 1;
+    }
 }
 
 impl SyncSimulation {
@@ -94,13 +121,16 @@ impl SyncSimulation {
         SyncSimulation { cfg }
     }
 
-    /// Run to completion, returning the report.
+    /// Run to completion, returning the report. Every node connects and
+    /// says `Hello` at time 0; from then on the master's machine runs its
+    /// own rounds, and its `SyncPoll`s, the slaves' `SyncReply`s and the
+    /// `SyncAdjust`s cross the LAN as encoded frames.
     pub fn run(&self) -> Result<SyncSimReport> {
         let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let src = SimTimeSource::new();
-        let master_clock = SimClock::new(src.clone(), 0, 0.0, 1);
-        let mut master = SyncMaster::new(cfg.sync.clone())?;
+        let master_clock = Arc::new(SimClock::new(src.clone(), 0, 0.0, 1));
+        let mut master = Ism::new(IsmConfig::default(), cfg.sync.clone(), master_clock)?;
 
         let clocks: Vec<Arc<CorrectedClock<SimClock>>> = (0..cfg.nodes)
             .map(|_| {
@@ -124,22 +154,44 @@ impl SyncSimulation {
             ..SyncSimReport::default()
         };
 
+        let mut lan = Lan {
+            delay: cfg.delay.clone(),
+            rng,
+            in_flight: BTreeMap::new(),
+            sent: 0,
+        };
+        let peers: Vec<PeerId> = (0..cfg.nodes)
+            .map(|i| {
+                let id = master.accept(Duration::ZERO);
+                let hello = Message::Hello {
+                    node: NodeId(i as u32),
+                    version: brisk_proto::VERSION,
+                };
+                lan.send(src.now(), Flight::ToMaster(id, hello.encode()));
+                id
+            })
+            .collect();
+
         let end_us = cfg.duration.as_micros() as i64;
         let sample_us = cfg.sample_interval.as_micros() as i64;
         let period_us = cfg.sync.poll_period.as_micros() as i64;
         let mut next_sample = 0i64;
-        let mut next_round = period_us; // first round after one poll period
+        let mut deadline = master.advance(Duration::ZERO)?;
         let warmup_rounds = 3;
 
-        while src.now().as_micros() < end_us {
-            let now = src.now().as_micros();
-            if next_sample <= next_round {
-                // Advance to the sampling instant.
-                if next_sample > now {
-                    src.advance_to(UtcMicros::from_micros(next_sample));
-                }
+        loop {
+            let wake = deadline.map(|d| d.as_micros() as i64);
+            let arrival = lan.in_flight.keys().next().map(|&(at, _)| at);
+            let t = arrival.into_iter().chain(wake).fold(next_sample, i64::min);
+            let t = t.max(src.now().as_micros());
+            if t > end_us {
+                break;
+            }
+            src.advance_to(UtcMicros::from_micros(t));
+            let now = Duration::from_micros(t as u64);
+            if t == next_sample {
                 let s = SpreadSample {
-                    t_us: src.now().as_micros(),
+                    t_us: t,
                     max_pairwise_us: spread(&clocks),
                     disturbed: cfg.delay.disturbed_at(src.now()),
                 };
@@ -149,20 +201,43 @@ impl SyncSimulation {
                 }
                 report.samples.push(s);
                 next_sample += sample_us;
-            } else {
-                if next_round > now {
-                    src.advance_to(UtcMicros::from_micros(next_round));
-                }
-                self.run_round(
-                    &src,
-                    &master_clock,
-                    &mut master,
-                    &mut slaves,
-                    &mut rng,
-                    &mut report,
-                )?;
-                next_round += period_us;
+                continue;
             }
+            if arrival == Some(t) {
+                let (_, flight) = lan.in_flight.pop_first().expect("an arrival at t");
+                match flight {
+                    Flight::ToMaster(id, frame) => master.on_frame(id, &frame, now)?,
+                    Flight::ToSlave(i, frame) => match Message::decode(&frame) {
+                        Ok(Message::SyncPoll {
+                            round,
+                            sample,
+                            master_send,
+                        }) => {
+                            let reply = Message::SyncReply {
+                                round,
+                                sample,
+                                master_send,
+                                slave_time: slaves[i].on_poll(),
+                            };
+                            lan.send(src.now(), Flight::ToMaster(peers[i], reply.encode()));
+                        }
+                        Ok(Message::SyncAdjust { advance_us, .. }) => {
+                            slaves[i].on_adjust(advance_us);
+                            report.corrections += 1;
+                            report.total_advance_us += advance_us;
+                        }
+                        _ => {}
+                    },
+                }
+            }
+            deadline = master.advance(now)?;
+            report.rounds = master.rounds_completed();
+            master.drain_outputs(|out| {
+                if let Output::Send { to, frame, .. } = out {
+                    let i = peers.iter().position(|&p| p == to).expect("a slave's peer");
+                    lan.send(src.now(), Flight::ToSlave(i, frame.to_vec()));
+                }
+            });
         }
 
         let post: Vec<&SpreadSample> = report
@@ -177,47 +252,6 @@ impl SyncSimulation {
                 post.iter().filter(|s| s.max_pairwise_us < 200).count() as f64 / post.len() as f64;
         }
         Ok(report)
-    }
-
-    /// Execute one synchronization round at the current simulated time.
-    #[allow(clippy::too_many_arguments)]
-    fn run_round(
-        &self,
-        src: &SimTimeSource,
-        master_clock: &SimClock,
-        master: &mut SyncMaster,
-        slaves: &mut [SyncSlave<SimClock>],
-        rng: &mut StdRng,
-        report: &mut SyncSimReport,
-    ) -> Result<()> {
-        master.begin_round();
-        for (i, slave) in slaves.iter().enumerate() {
-            for _ in 0..master.samples_per_slave() {
-                let t0 = master_clock.now();
-                src.advance_by(self.cfg.delay.sample(rng, src.now())); // poll flight
-                let ts = slave.on_poll();
-                src.advance_by(self.cfg.delay.sample(rng, src.now())); // reply flight
-                let t1 = master_clock.now();
-                master.add_sample(
-                    NodeId(i as u32),
-                    SkewSample {
-                        t_master_send: t0,
-                        t_slave: ts,
-                        t_master_recv: t1,
-                    },
-                );
-            }
-        }
-        let outcome = master.finish_round()?;
-        for c in &outcome.corrections {
-            // Adjustment delivery also crosses the network.
-            src.advance_by(self.cfg.delay.sample(rng, src.now()));
-            slaves[c.node.raw() as usize].on_adjust(c.advance_us);
-            report.corrections += 1;
-            report.total_advance_us += c.advance_us;
-        }
-        report.rounds += 1;
-        Ok(())
     }
 }
 

@@ -6,12 +6,15 @@
 //! independent drift, a parameterized one-way [`net::DelayModel`] with
 //! jitter and *disturbance windows* ("times when disturbances of various
 //! sources in the LAN interfered"), and drivers that run the real BRISK
-//! algorithms — [`brisk_clock::sync`] and [`brisk_ism::IsmCore`] — against
-//! them. Every run is seeded, hence exactly reproducible.
+//! code — the ISM's session machine [`brisk_ism::Ism`], [`brisk_clock::sync`]
+//! and [`brisk_ism::IsmCore`] — against them. Every run is seeded, hence
+//! exactly reproducible.
 //!
-//! * [`cluster::SyncSimulation`] — experiment E6/A1: N drifting slave
-//!   clocks synchronized by the master over a noisy network; records the
-//!   pairwise skew spread over time.
+//! * [`cluster::SyncSimulation`] — experiments E6/A1: N drifting slave
+//!   clocks synchronized over a noisy network by the product's own sync
+//!   rounds — the ISM's machine polls every slave concurrently, and its
+//!   `SyncPoll`, `SyncReply` and `SyncAdjust` frames cross the simulated
+//!   LAN — recording the pairwise skew spread over time.
 //! * [`streams`] — experiment E7: multi-node event streams with artificial
 //!   delivery delays pushed through the on-line sorter; measures the
 //!   ordering/latency trade-off.

@@ -36,6 +36,12 @@ impl XdrEncoder {
         self.buf.is_empty()
     }
 
+    /// An encoder appending to `buf`, keeping what it holds and its
+    /// allocation.
+    pub fn append_to(buf: Vec<u8>) -> Self {
+        XdrEncoder { buf }
+    }
+
     /// Consume the encoder, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -13,7 +13,7 @@ use brisk::core::{binenc, CreConfig};
 use brisk::ism::CreMatcher;
 use brisk::lis::uplink::Uplink;
 use brisk::prelude::*;
-use brisk::proto::BatchView;
+use brisk::proto::{BatchView, BatchWalk};
 use brisk::ringbuf::RecordRing;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -229,6 +229,11 @@ fn manager_delivery_allocates_per_batch_not_per_record() {
     assert_eq!(core.memory().written(), 4096 + 64 + 2048);
 }
 
+/// A frame's header, read as the ISM loop reads it before the push.
+fn walk(frame: &[u8]) -> BatchWalk<'_> {
+    BatchWalk::new(frame).unwrap()
+}
+
 fn frame(seq: u64, records: Vec<EventRecord>) -> Vec<u8> {
     Message::EventBatch {
         node: NODE,
@@ -246,7 +251,7 @@ fn manager_frames_decode_into_delivered_records() {
         seq += 1;
         let frame = frame(seq, batch(seq * 10_000, n));
         let (allocs, delivered) = allocs(|| {
-            let pushed = core.push_frame(NODE, seq, &frame, UtcMicros::ZERO, UtcMicros::ZERO);
+            let pushed = core.push_frame(NODE, seq, walk(&frame), UtcMicros::ZERO, UtcMicros::ZERO);
             assert!(pushed.unwrap());
             core.tick(UtcMicros::from_secs(3_600)).unwrap()
         });
@@ -275,7 +280,8 @@ fn a_core_fed_through_push_batch_keeps_no_shells() {
     // Had delivery kept those 4096 records, this frame would decode into
     // them; it allocates a fields vector per record instead.
     let frame = frame(1, batch(10_000, 64));
-    let (n, pushed) = allocs(|| core.push_frame(NODE, 1, &frame, UtcMicros::ZERO, UtcMicros::ZERO));
+    let (n, pushed) =
+        allocs(|| core.push_frame(NODE, 1, walk(&frame), UtcMicros::ZERO, UtcMicros::ZERO));
     assert!(pushed.unwrap());
     assert!(
         n >= 64,
@@ -288,14 +294,14 @@ fn a_replayed_frame_is_acked_but_never_decoded() {
     let mut core = IsmCore::new(IsmConfig::default()).unwrap();
     let good = frame(1, batch(0, 256));
     assert!(core
-        .push_frame(NODE, 1, &good, UtcMicros::ZERO, UtcMicros::ZERO)
+        .push_frame(NODE, 1, walk(&good), UtcMicros::ZERO, UtcMicros::ZERO)
         .unwrap());
     // The replay keeps its header (tag, node, seq, count: 20 bytes) and
     // carries garbage after it, so decoding any record would fail.
     let mut replay = good.clone();
     replay[20..].fill(0xff);
     let (n, pushed) =
-        allocs(|| core.push_frame(NODE, 1, &replay, UtcMicros::ZERO, UtcMicros::ZERO));
+        allocs(|| core.push_frame(NODE, 1, walk(&replay), UtcMicros::ZERO, UtcMicros::ZERO));
     assert!(
         !pushed.unwrap(),
         "a replay is reported for acking, not pushed"
@@ -306,7 +312,7 @@ fn a_replayed_frame_is_acked_but_never_decoded() {
     assert_eq!(stats.records_in, 256);
     // The same bytes under a fresh seq are decoded, and refused whole.
     assert!(core
-        .push_frame(NODE, 2, &replay, UtcMicros::ZERO, UtcMicros::ZERO)
+        .push_frame(NODE, 2, walk(&replay), UtcMicros::ZERO, UtcMicros::ZERO)
         .is_err());
     assert_eq!(core.stats().records_in, 256);
 }
