@@ -215,6 +215,11 @@ impl IsmCore {
         self.upstream.as_ref()
     }
 
+    /// The upstream exporter, mutably, when the core runs in relay mode.
+    pub fn upstream_mut(&mut self) -> Option<&mut UpstreamExporter> {
+        self.upstream.as_mut()
+    }
+
     /// Publish this core's counters, gauges and the end-to-end latency
     /// histogram in `registry`. Gauges for the sorter window and CRE hold
     /// queue refresh on every `tick`; the memory buffer is exported
@@ -407,7 +412,7 @@ impl IsmCore {
 
     /// Shutdown path: flush every held and delayed record to the active
     /// output in merged order, then flush that output (sinks/store — or
-    /// the final upstream batch plus an orderly goodbye in relay mode).
+    /// ship the final upstream batch in relay mode).
     pub fn drain_all(&mut self) -> Result<usize> {
         match &mut self.upstream {
             Some(up) => self.plane.drain_all(up),

@@ -33,10 +33,11 @@
 //!   socket and no clock of its own; [`quarantine`] contains malformed
 //!   frames. `brisk-sim` drives it under simulated time.
 //! * [`server::IsmServer`] — the networked manager: one thread drives the
-//!   machine from one `poll(2)` on every EXS connection, so connection
-//!   count is decoupled from thread count.
+//!   machine from one `poll(2)` on every EXS connection and a relay's
+//!   upstream link, so connection count is decoupled from thread count.
 //! * [`relay::UpstreamExporter`] — relay mode: the merged stream leaves
-//!   over an ordinary EXS link ([`brisk_lis::Uplink`]).
+//!   over an ordinary EXS link ([`brisk_lis::Uplink`]), which the
+//!   machine decides and the server's driver dials, sends on and reads.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

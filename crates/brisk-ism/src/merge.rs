@@ -49,7 +49,7 @@ pub trait MergeOutput: Send {
     }
 
     /// Housekeeping hook driven once per plane tick *before* release:
-    /// reconnects, ack processing, timed flushes, heartbeats.
+    /// timed flushes, credit checks, interval fsyncs.
     fn pump(&mut self, _now: UtcMicros) -> Result<()> {
         Ok(())
     }

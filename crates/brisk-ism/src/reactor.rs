@@ -6,13 +6,14 @@
 //! Inputs carry the caller's monotonic `now`: a connection accepted
 //! ([`Ism::accept`], which names it by a [`PeerId`]), a frame
 //! ([`Ism::on_frame`]), a hang-up ([`Ism::on_closed`]), a relay's upstream
-//! input ([`Ism::on_upstream`]), stop ([`Ism::stop`]) and time itself
+//! frame ([`Ism::on_upstream`]), stop ([`Ism::stop`]) and time itself
 //! ([`Ism::advance`]). Outputs are frames to send and connections to
 //! close ([`Ism::drain_outputs`]) and one next deadline, which
 //! [`Ism::advance`] returns: the earliest of each peer's (greeting,
 //! closing drain, sync sample, liveness), the pipeline's
-//! ([`IsmCore::due_in`], at least `COALESCE_WINDOW` after the last tick)
-//! and the sync rounds'. What is due is acted on there and nowhere else.
+//! ([`IsmCore::due_in`], at least `COALESCE_WINDOW` after the last tick),
+//! the sync rounds', the upstream link's (heartbeat or next dial) and the
+//! stop's. What is due is acted on there and nowhere else.
 //!
 //! A greeted connection's frame is decided in `Peer::on_frame`: a batch
 //! goes into [`IsmCore::push_frame`], its only walk, and its `BatchAck`,
@@ -29,13 +30,22 @@
 //! runs its exchange (`SyncState`) concurrently, one `SyncPoll` at a time,
 //! each lost after `SAMPLE_TIMEOUT`. The round closes when every
 //! exchange is in, or at `ROUND_DEADLINE` with what arrived, and sends
-//! its corrections as `SyncAdjust`s.
+//! its corrections as `SyncAdjust`s, and every exchange of the round ends
+//! with it.
+//!
+//! Stop is machine state too. Running connections are told `Shutdown` and
+//! drain for `CLOSING_DRAIN`; once none is left, a relay drains its sorter
+//! into the exporter, ships the final batch and waits until the parent
+//! acks the window, the link is lost, or `UPSTREAM_DRAIN` passes. Then
+//! [`Ism::stopped`] holds and [`Ism::finish`] reports, with no I/O.
 
 use crate::core::IsmCore;
 use crate::quarantine::QuarantineLog;
+use crate::relay::UpstreamExporter;
 use crate::server::IsmReport;
 use brisk_clock::{Clock, SkewSample, SyncMaster};
 use brisk_core::{IsmConfig, NodeId, Result, SyncConfig, UtcMicros};
+use brisk_lis::uplink::Uplink;
 use brisk_proto::{BatchWalk, Message};
 use brisk_telemetry::Registry;
 use std::collections::{HashMap, HashSet};
@@ -50,6 +60,9 @@ const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
 const CLOSING_DRAIN: Duration = Duration::from_secs(2);
 /// How long one `SyncPoll` waits for its reply before the sample is lost.
 const SAMPLE_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long a stopping relay waits for its parent to ack its final
+/// batches.
+pub(crate) const UPSTREAM_DRAIN: Duration = Duration::from_secs(2);
 /// How long the master waits for all slaves' samples before closing a
 /// round with whatever arrived.
 const ROUND_DEADLINE: Duration = Duration::from_secs(2);
@@ -150,6 +163,19 @@ pub(crate) struct Hub {
     last_tick: UtcMicros,
     last_round_finished: Duration,
     out: Outbox,
+    /// Set by [`Ism::stop`].
+    stop: Option<Stop>,
+}
+
+/// How far a stop has come.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// Shut-down connections drain their EXS's final flushes.
+    Downstream,
+    /// A relay's final batches wait for the parent's acks.
+    Upstream { deadline: Duration },
+    /// Nothing is left to wait for.
+    Done,
 }
 
 struct RoundInFlight {
@@ -177,6 +203,7 @@ impl Ism {
             last_tick: UtcMicros::ZERO,
             last_round_finished: Duration::ZERO,
             out: Outbox::default(),
+            stop: None,
         };
         Ok(Ism {
             peers: Vec::new(),
@@ -236,19 +263,31 @@ impl Ism {
         }
     }
 
-    /// A relay's upstream link has input: tick at once, so a parent's ack
-    /// or `SyncPoll` is served without delay.
-    pub fn on_upstream(&mut self) -> Result<()> {
+    /// A frame arrived on a relay's upstream link at `now`: the exporter
+    /// applies it, and the pipeline ticks at once, so a parent's ack
+    /// releases parked records in the same pass.
+    pub fn on_upstream(&mut self, frame: &[u8], now: Duration) -> Result<()> {
+        if let Some(up) = self.hub.core.upstream_mut() {
+            up.on_frame(frame, now);
+        }
         self.hub.tick()
+    }
+
+    /// A relay's upstream link, a machine of its own: [`Ism::advance`]
+    /// advances it, and the driver carries out its outputs and reports
+    /// it up and down.
+    pub fn upstream(&mut self) -> Option<&mut Uplink> {
+        self.hub.core.upstream_mut().map(UpstreamExporter::uplink)
     }
 
     /// The server is stopping: a greeting is closed; a running connection
     /// is told `Shutdown`, hands the master what its sync exchange
     /// collected (to the master, samples lost to teardown look like
     /// samples lost to timeouts) and drains the EXS's final flush for up
-    /// to `CLOSING_DRAIN`.
+    /// to `CLOSING_DRAIN`. Then a relay drains upstream ([`Ism::advance`]).
     pub fn stop(&mut self, now: Duration) {
         let Ism { peers, hub } = self;
+        hub.stop = Some(Stop::Downstream);
         for slot in peers.iter_mut() {
             if slot.as_mut().is_some_and(|peer| !peer.shut_down(now, hub)) {
                 hub.forget(slot, true);
@@ -259,7 +298,8 @@ impl Ism {
     /// Do everything due at `now` and return the next deadline (`None`:
     /// nothing is pending until input). In order: tick the pipeline; act
     /// on each peer's passed deadline; start a round, advance every
-    /// exchange and close the round.
+    /// exchange and close the round; move a stop on; heartbeat or dial
+    /// upstream.
     pub fn advance(&mut self, now: Duration) -> Result<Option<Duration>> {
         let Ism { peers, hub } = self;
         hub.tick_if_due(now)?;
@@ -282,12 +322,25 @@ impl Ism {
         if hub.round.is_some() && due(hub) {
             hub.close_round(peers, now)?;
         }
+        let stop = hub.advance_stop(peers, now)?;
+        let upstream = match (hub.stop, hub.core.upstream_mut()) {
+            (Some(Stop::Done), _) | (_, None) => None,
+            (_, Some(up)) => up.uplink().advance(now),
+        };
         let peer_deadlines = peers.iter().flatten();
         let peer_deadlines = peer_deadlines.filter_map(|p| p.deadline(hub.node_timeout));
         Ok(peer_deadlines
             .chain(hub.pipeline_deadline(now))
             .chain(hub.rounds_deadline(running))
+            .chain(stop)
+            .chain(upstream)
             .min())
+    }
+
+    /// True once a stop has nothing left to wait for: the driver may
+    /// [`Ism::finish`].
+    pub fn stopped(&self) -> bool {
+        matches!(self.hub.stop, Some(Stop::Done))
     }
 
     /// Hand every output decided since the last drain to `f`, in order.
@@ -315,10 +368,17 @@ impl Ism {
         cells.grant_latency.record(waited.as_micros() as u64);
     }
 
-    /// Flush every held record and collect the final report.
+    /// Collect the final report. A stop has flushed every held record by
+    /// the time no peer is left ([`Ism::advance`]); a machine finished
+    /// before that flushes them here. A relay's final batches are left
+    /// in its window unsent unless a stop drained them
+    /// ([`Ism::stopped`]).
     pub fn finish(self) -> Result<IsmReport> {
+        let drained = matches!(self.hub.stop, Some(Stop::Upstream { .. } | Stop::Done));
         let Hub { mut core, sync, .. } = self.hub;
-        core.drain_all()?;
+        if !drained {
+            core.drain_all()?;
+        }
         Ok(IsmReport {
             core: core.stats(),
             sorter: core.sorter_stats(),
@@ -341,6 +401,32 @@ impl Hub {
         let since_tick = clock.micros_since(self.last_tick).max(0) as u64;
         let coalesce = COALESCE_WINDOW.saturating_sub(Duration::from_micros(since_tick));
         Some(now + due.max(coalesce))
+    }
+
+    /// Move a stop on at `now`; returns the upstream drain's deadline
+    /// while it runs. Once no peer is left, the sorter drains: into the
+    /// local outputs, or a relay's exporter, which ships its final batch
+    /// and waits for the parent's acks until `UPSTREAM_DRAIN` has passed.
+    fn advance_stop(&mut self, peers: &[Option<Peer>], now: Duration) -> Result<Option<Duration>> {
+        if matches!(self.stop, Some(Stop::Downstream)) && peers.iter().all(Option::is_none) {
+            self.core.drain_all()?;
+            self.stop = Some(match self.core.upstream() {
+                Some(_) => Stop::Upstream {
+                    deadline: now + UPSTREAM_DRAIN,
+                },
+                None => Stop::Done,
+            });
+        }
+        let (Some(Stop::Upstream { deadline }), Some(up)) = (self.stop, self.core.upstream())
+        else {
+            return Ok(None);
+        };
+        if !up.drained() && now < deadline {
+            return Ok(Some(deadline));
+        }
+        up.note_stopped();
+        self.stop = Some(Stop::Done);
+        Ok(None)
     }
 
     fn tick_if_due(&mut self, now: Duration) -> Result<()> {
@@ -398,9 +484,17 @@ impl Hub {
         }
     }
 
-    /// Close the open round and send each correction as a `SyncAdjust`.
-    fn close_round(&mut self, peers: &[Option<Peer>], now: Duration) -> Result<()> {
-        self.round = None;
+    /// Close the open round, end every exchange of it (a silent slave is
+    /// polled no more) and send each correction as a `SyncAdjust`.
+    fn close_round(&mut self, peers: &mut [Option<Peer>], now: Duration) -> Result<()> {
+        let closed = self.round.take().map(|r| r.round);
+        for peer in peers.iter_mut().flatten() {
+            if let State::Running(run) = &mut peer.state {
+                if run.sync.as_ref().map(|s| s.round) == closed {
+                    run.sync = None;
+                }
+            }
+        }
         self.last_round_finished = now;
         let outcome = self.sync.finish_round()?;
         let round = self.sync.rounds_completed();
@@ -774,8 +868,11 @@ impl Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisk_clock::SystemClock;
-    use brisk_core::{EventRecord, EventTypeId, FlowConfig, SensorId};
+    use brisk_clock::{SimClock, SimTimeSource, SystemClock};
+    use brisk_core::{EventRecord, EventTypeId, ExsConfig, FlowConfig, SensorId};
+    use brisk_lis::uplink::LinkOutput;
+    use brisk_lis::{ExternalSensor, Lis};
+    use std::collections::VecDeque;
 
     /// A machine fed by hand, with no thread and no sleep: time moves only
     /// when a test moves it, and every output is kept, decoded, per peer.
@@ -1454,5 +1551,234 @@ mod tests {
         rig.wait(Duration::ZERO);
         assert_eq!(rig.ism.rounds_completed(), 1);
         assert!(matches!(rig.take(quick)[..], [Message::SyncAdjust { .. }]));
+    }
+
+    #[test]
+    fn a_closed_round_polls_its_silent_slave_no_more() {
+        // Five samples at one sample timeout each outlast the round
+        // deadline by three, and the next round is a poll period away:
+        // the silent slave's exchange would still owe samples after its
+        // round closed without it.
+        let period = Duration::from_secs(10);
+        let mut rig = rig_with(|_, sync| {
+            sync.poll_period = period;
+            sync.samples_per_slave = 5;
+            sync.original_cristian = true;
+        });
+        let (quick, silent) = (rig.greeted(1), rig.greeted(2));
+        rig.wait(period);
+        let started = rig.now;
+        for _ in 0..5 {
+            rig.answer(quick, 0);
+            rig.wait(Duration::ZERO);
+        }
+        rig.wait_until(started + ROUND_DEADLINE);
+        assert_eq!(rig.ism.rounds_completed(), 1);
+        rig.take(silent);
+        let end = rig.now + 2 * SAMPLE_TIMEOUT;
+        while let Some(at) = rig.wait(Duration::ZERO).filter(|&at| at <= end) {
+            rig.wait_until(at);
+        }
+        rig.wait_until(end);
+        assert!(
+            rig.take(silent).is_empty(),
+            "the closed round kept polling its silent slave"
+        );
+    }
+
+    /// One EXS machine and the ISM machine on one simulated clock, their
+    /// link two in-memory queues: no socket, no thread, no sleep.
+    struct Session {
+        ism: Ism,
+        exs: ExternalSensor,
+        src: SimTimeSource,
+        now: Duration,
+        /// The ISM's peer for the EXS's link, while it is up.
+        peer: Option<PeerId>,
+        to_ism: VecDeque<Vec<u8>>,
+        to_exs: VecDeque<Vec<u8>>,
+        /// Every message the EXS received, in order.
+        exs_got: Vec<Message>,
+        /// The ISM told the EXS to shut down.
+        shutdown: bool,
+    }
+
+    impl Session {
+        /// The link dies with whatever is in flight on it.
+        fn cut(&mut self) {
+            self.to_ism.clear();
+            self.to_exs.clear();
+            if let Some(peer) = self.peer.take() {
+                self.ism.on_closed(peer);
+            }
+            self.exs.uplink().down("link cut", self.now);
+        }
+
+        fn ism_outputs(&mut self) {
+            let mut closed = false;
+            let to_exs = &mut self.to_exs;
+            self.ism.drain_outputs(|out| match out {
+                Output::Send { frame, .. } => to_exs.push_back(frame.to_vec()),
+                Output::Close(_) => closed = true,
+            });
+            if closed {
+                self.peer = None;
+                self.cut();
+            }
+        }
+
+        /// Carry out both machines' outputs and deliver what is in
+        /// flight, until neither has anything left to say.
+        fn settle(&mut self) {
+            loop {
+                let (mut dial, mut dropped) = (false, false);
+                let to_ism = &mut self.to_ism;
+                self.exs.uplink().drain_outputs(|out| match out {
+                    LinkOutput::Send(frame) => to_ism.push_back(frame.to_vec()),
+                    LinkOutput::Dial => dial = true,
+                    LinkOutput::Drop => dropped = true,
+                });
+                if dropped {
+                    self.cut();
+                } else if dial {
+                    self.peer = Some(self.ism.accept(self.now));
+                    self.exs.uplink().up();
+                } else if let Some(frame) = self.to_ism.pop_front() {
+                    let peer = self.peer.expect("a link is up");
+                    self.ism.on_frame(peer, &frame, self.now).unwrap();
+                    self.ism_outputs();
+                } else if let Some(frame) = self.to_exs.pop_front() {
+                    self.exs_got.push(Message::decode(&frame).unwrap());
+                    self.shutdown |= self.exs.on_frame(&frame, self.now);
+                } else {
+                    return;
+                }
+            }
+        }
+
+        /// Run both machines for `span`, a millisecond a pass.
+        fn run_for(&mut self, span: Duration) {
+            let end = self.now + span;
+            while self.now < end {
+                self.now += Duration::from_millis(1);
+                self.src.advance_by(1_000);
+                if !self.shutdown {
+                    self.exs.step(self.now).unwrap();
+                }
+                self.ism.advance(self.now).unwrap();
+                self.ism_outputs();
+                self.settle();
+            }
+        }
+    }
+
+    #[test]
+    fn an_exs_and_the_ism_run_a_whole_session_over_in_memory_queues() {
+        let src = SimTimeSource::new();
+        let master: Arc<dyn Clock> = Arc::new(SimClock::new(src.clone(), 0, 0.0, 1));
+        // The node's clock runs 3 ms behind the master's.
+        let node_clock = Arc::new(SimClock::new(src.clone(), -3_000, 0.0, 1));
+        let sync = SyncConfig {
+            poll_period: Duration::from_secs(1),
+            samples_per_slave: 2,
+            original_cristian: true,
+        };
+        let cfg = IsmConfig {
+            node_timeout: None,
+            ..IsmConfig::default()
+        };
+        let ism = Ism::new(cfg, sync, master).unwrap();
+        let mut reader = ism.hub.core.memory().reader();
+        let exs_cfg = ExsConfig {
+            max_batch_records: 4,
+            flush_timeout: Duration::from_millis(5),
+            ..ExsConfig::default()
+        };
+        let lis = Lis::new(NodeId(5), Arc::clone(&node_clock), &exs_cfg);
+        let mut ports = [lis.register(), lis.register()];
+        let raw = Arc::clone(&node_clock) as Arc<dyn Clock>;
+        let exs = ExternalSensor::new(NodeId(5), Arc::clone(lis.rings()), raw, exs_cfg).unwrap();
+        let mut s = Session {
+            ism,
+            exs,
+            src,
+            now: Duration::ZERO,
+            peer: None,
+            to_ism: VecDeque::new(),
+            to_exs: VecDeque::new(),
+            exs_got: Vec::new(),
+            shutdown: false,
+        };
+        let mut emit = |n: usize| {
+            for port in &mut ports {
+                for _ in 0..n {
+                    let ts = node_clock.now();
+                    assert!(port.emit(EventTypeId(1), ts, vec![]).unwrap());
+                }
+            }
+        };
+
+        // Hello → HelloAck: the EXS's first pass dials.
+        s.run_for(Duration::from_millis(1));
+        assert!(matches!(s.exs_got[..], [Message::HelloAck { .. }]));
+        // Batches and their acks: 10 records as 4 + 4 + a partial 2 at
+        // its flush timeout.
+        emit(5);
+        s.run_for(Duration::from_millis(20));
+        let stats = s.exs.stats();
+        assert_eq!((stats.records_sent, stats.batches_sent), (10, 3));
+        assert_eq!(stats.link.acks_received, 3);
+
+        // A full sync round, ending in a SyncAdjust that brings the node's
+        // clock onto the master's.
+        s.run_for(Duration::from_millis(1_500));
+        assert_eq!(s.ism.rounds_completed(), 1);
+        assert!(s
+            .exs_got
+            .iter()
+            .any(|m| matches!(m, Message::SyncAdjust { .. })));
+        let correction = s.exs.corrected_clock().correction_us();
+        assert!(
+            (2_900..=3_100).contains(&correction),
+            "correction {correction} µs"
+        );
+
+        // The link dies with a batch in flight: the EXS dials again and
+        // replays it.
+        emit(3);
+        s.exs.step(s.now).unwrap();
+        s.exs.uplink().drain_outputs(|_lost| {});
+        s.cut();
+        s.run_for(Duration::from_millis(20));
+        let link = s.exs.stats().link;
+        assert_eq!(link.connects, 2);
+        assert_eq!(link.batches_retransmitted, 1);
+
+        // Shutdown: the ISM asks, the EXS flushes what its rings still
+        // hold and says goodbye, and the ISM drains it.
+        emit(2);
+        s.ism.stop(s.now);
+        s.ism_outputs();
+        s.settle();
+        assert!(s.shutdown, "the ISM's Shutdown reached the EXS");
+        s.exs.finish().unwrap();
+        s.settle();
+        while !s.ism.stopped() {
+            s.run_for(Duration::from_millis(1));
+        }
+        let report = s.ism.finish().unwrap();
+        assert_eq!(report.core.records_in, 20);
+        assert_eq!(report.core.duplicate_batches, 0);
+
+        // Every record delivered once, in each sensor's order.
+        let (delivered, missed) = reader.poll().unwrap();
+        assert_eq!((delivered.len(), missed), (20, 0));
+        let mut next: HashMap<_, u64> = HashMap::new();
+        for rec in delivered {
+            let seq = next.entry(rec.sensor).or_default();
+            assert_eq!(rec.seq, *seq, "{:?} out of order or twice", rec.sensor);
+            *seq += 1;
+        }
+        assert_eq!(next.len(), 2);
     }
 }

@@ -1,17 +1,20 @@
 //! The ISM server: [`IsmServer::spawn`] starts one thread,
 //! `brisk-reactor-0`, whose driver (`run`) feeds the session machine
 //! (`crate::reactor::Ism`) from one `poll(2)` on the listener, every EXS
-//! connection and, in a relay, the upstream link. A pass advances the
+//! connection and, in a relay, the upstream link, which it owns as a
+//! [`Link`] and dials with the exporter's dialer. A pass advances the
 //! machine to `now` and carries out its outputs, sleeps until a socket is
 //! readable, the [`Waker`] fires (stop) or the machine's deadline, then
 //! reads at most `MAX_FRAMES_PER_PASS` frames per readable connection,
 //! handing each to the machine with the instant it was read and sending
-//! its ack at once, accepts, and ticks a relay whose link has input.
-//! `now` is the instant `poll` returned, taken before the reads, so time
-//! spent inside the core is never a peer's silence. A connection with
-//! whole frames buffered, or with no fd (a killed link), is read without
-//! waiting. A sink that blocks stalls the loop, and the senders run out of
-//! credit. [`IsmHandle::stop`] ends it and returns the [`IsmReport`].
+//! its ack at once, accepts, and hands the machine what the upstream link
+//! holds. `now` is the instant `poll` returned, taken before the reads,
+//! so time spent inside the core is never a peer's silence. A connection
+//! with whole frames buffered, or with no fd (a killed link), is read
+//! without waiting. A sink that blocks stalls the loop, and the senders
+//! run out of credit. [`IsmHandle::stop`] stops the machine; the loop
+//! runs until the machine has drained ([`Ism::stopped`]) and returns the
+//! [`IsmReport`].
 
 use crate::core::IsmCore;
 use crate::cre::CreStats;
@@ -19,9 +22,12 @@ use crate::merge::MergeStats;
 use crate::output::MemoryBuffer;
 use crate::quarantine::QuarantineLog;
 use crate::reactor::{Ism, Output, PeerId};
+use crate::relay::UpstreamExporter;
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, Result, SyncConfig};
+use brisk_lis::runtime::{Link, MAX_FRAMES_PER_PASS};
+use brisk_lis::uplink::Uplink;
 use brisk_net::{
     poll_in, ConnMetrics, Connection, Listener, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN,
 };
@@ -29,10 +35,6 @@ use brisk_telemetry::{Registry, StageLatencies};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Frames read from one connection per pass before yielding to the rest
-/// — bounds how long one firehose sensor can monopolize the loop.
-const MAX_FRAMES_PER_PASS: usize = 32;
 
 /// Final report returned when the server stops.
 #[derive(Clone, Debug, Default)]
@@ -127,9 +129,9 @@ impl IsmServer {
 /// Each machine peer's connection, indexed by its [`PeerId`].
 type Conns = Vec<Option<Box<dyn Connection>>>;
 
-/// The driver: run passes until `stop` is set, then close the listener,
-/// stop the machine, let it drain its closing connections, flush the
-/// pipeline and report.
+/// The driver: run passes until `stop` is set and the machine has
+/// stopped, closing the listener and stopping the machine on the way,
+/// then flush the pipeline and report.
 fn run(
     mut ism: Ism,
     conn_metrics: &Arc<ConnMetrics>,
@@ -142,6 +144,14 @@ fn run(
     let mut listener = Some(listener);
     let mut stopping = false;
     let mut conns: Conns = Vec::new();
+    // A relay's link to its parent: dialed, sent on and read here, as its
+    // exporter in the machine decides.
+    let dialer = ism
+        .hub
+        .core
+        .upstream_mut()
+        .and_then(UpstreamExporter::take_dialer);
+    let mut upstream = dialer.map(|dial| Link::new(None, Some(dial)));
     let mut fds: Vec<PollFd> = Vec::new();
     // Each polled connection's id and its slot in `fds`; `None` for one
     // read without polling.
@@ -153,21 +163,26 @@ fn run(
             ism.stop(now);
         }
         let due = ism.advance(now)?;
-        deliver(&mut ism, &mut conns);
-        if stopping && conns.iter().all(Option::is_none) {
+        deliver(&mut ism, &mut conns, upstream.as_mut(), now);
+        if ism.stopped() {
             break;
         }
         fds.clear();
         polled.clear();
         let listen_fd = listener.as_ref().map(|l| l.poll_fd());
         fds.extend(listen_fd.map(poll_in));
-        let uplink = ism.hub.core.upstream().and_then(|u| u.wait_fd()).map(|fd| {
-            fds.push(poll_in(fd));
-            fds.len() - 1
-        });
         // Framed transports drain the kernel socket eagerly, so whole
         // frames can wait in userspace with POLLIN clear.
         let mut pass_now = false;
+        // The upstream link's slot in `fds`, as a connection's below.
+        let up_slot = upstream.as_ref().filter(|l| l.is_up()).map(|link| {
+            let slot = link.poll_fd().map(|fd| {
+                fds.push(poll_in(fd));
+                fds.len() - 1
+            });
+            pass_now |= slot.is_none();
+            slot
+        });
         for (id, conn) in conns.iter().enumerate() {
             let Some(conn) = conn else { continue };
             let fd = conn.poll_fd().filter(|_| !conn.has_buffered());
@@ -188,8 +203,8 @@ fn run(
         };
         poller.wait(&mut fds, timeout).map_err(BriskError::Io)?;
         now = epoch.elapsed();
+        let ready = |s: usize| fds[s].revents & (POLLIN | POLLERR | POLLHUP) != 0;
         for &(id, slot) in &polled {
-            let ready = |s: usize| fds[s].revents & (POLLIN | POLLERR | POLLHUP) != 0;
             if !slot.is_none_or(ready) {
                 continue;
             }
@@ -201,7 +216,7 @@ fn run(
                     Ok(Some(frame)) => {
                         let read = Instant::now();
                         ism.on_frame(PeerId(id), &frame, read - epoch)?;
-                        if deliver(&mut ism, &mut conns) {
+                        if deliver(&mut ism, &mut conns, upstream.as_mut(), now) {
                             ism.acked(read.elapsed());
                         }
                     }
@@ -217,15 +232,21 @@ fn run(
         if listen_fd.is_some() && fds[0].revents != 0 {
             accept_pending(&mut listener, &mut ism, conn_metrics, &mut conns, now);
         }
-        if uplink.is_some_and(|s| fds[s].revents != 0) {
-            ism.on_upstream()?;
+        let readable = up_slot.is_some_and(|slot| slot.is_none_or(ready));
+        if let Some(link) = upstream.as_mut().filter(|_| readable) {
+            link.read(&mut ism, relay_uplink, now, |ism, frame| {
+                ism.on_upstream(frame, now)?;
+                deliver(ism, &mut conns, None, now);
+                Ok(false)
+            })?;
         }
     }
     ism.finish()
 }
 
-/// Carry out the machine's outputs; `true` when a batch ack was sent.
-fn deliver(ism: &mut Ism, conns: &mut Conns) -> bool {
+/// Carry out the machine's outputs, and its upstream link's when given;
+/// `true` when a batch ack was sent.
+fn deliver(ism: &mut Ism, conns: &mut Conns, upstream: Option<&mut Link>, now: Duration) -> bool {
     let mut acked = false;
     ism.drain_outputs(|out| match out {
         Output::Send { to, frame, ack } => {
@@ -235,7 +256,17 @@ fn deliver(ism: &mut Ism, conns: &mut Conns) -> bool {
         }
         Output::Close(to) => conns[to.0] = None,
     });
+    if let Some(link) = upstream {
+        link.serve(relay_uplink(ism), now);
+    }
     acked
+}
+
+/// A relay's upstream session, which the driver's upstream [`Link`]
+/// serves: the driver has a link only when the machine has an exporter.
+fn relay_uplink(ism: &mut Ism) -> &mut Uplink {
+    ism.upstream()
+        .expect("an upstream link serves a relay's exporter")
 }
 
 /// Accept until the listener would block; each connection is metered,

@@ -251,9 +251,11 @@ impl<B: WindowBatch> SendWindow<B> {
         (seq, evicted)
     }
 
-    /// The most recently pushed batch still held.
-    pub(crate) fn newest(&self) -> Option<&B> {
-        self.unacked.back().map(|(_, b)| b)
+    /// The batch windowed under `seq`, while it is still held.
+    pub(crate) fn get(&self, seq: u64) -> Option<&B> {
+        let oldest = self.unacked.front()?.0;
+        let at = usize::try_from(seq.checked_sub(oldest)?).ok()?;
+        self.unacked.get(at).map(|(_, b)| b)
     }
 
     /// Apply a cumulative ack: drop every batch with `seq <= acked`.

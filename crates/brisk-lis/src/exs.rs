@@ -1,4 +1,4 @@
-//! The external sensor (EXS).
+//! The external sensor (EXS), as a machine.
 //!
 //! "The memory is read by an external sensor, which runs as another process
 //! on the same node and may be assigned a lower priority" (§3.1). The EXS:
@@ -16,21 +16,26 @@
 //! batch, so a steady EXS allocates one frame per batch and nothing per
 //! record.
 //!
-//! [`ExternalSensor::step`] is one bounded pass that never sleeps; the
-//! runtime owns the wait. After a pass that moved nothing it sleeps in one
-//! `poll(2)` — the "waiting select system call" the paper identifies as the
-//! worst-case latency contributor (§4) — on the ISM link's fd and on a
-//! doorbell the node's rings share, until the next thing the EXS must do.
-//! The doorbell is armed at a fill level, and the sensor's push that
-//! reaches it rings. With nothing buffered the level is one record, so an
-//! idle EXS wakes only for its link's traffic and heartbeats, and the
-//! first record starts the batch's flush deadline at once. With a partial
-//! batch the level is what the batch lacks under both size knobs, counted
-//! over all the node's rings together, so the record that fills the
-//! batch wakes the EXS, whichever sensor emits it, and it ships the batch
-//! then, not on a later poll; the flush deadline bounds the wait
-//! otherwise. With its credit spent it waits for the ack,
-//! which is link input.
+//! [`ExternalSensor`] makes those decisions and does no I/O: it holds
+//! its link's [`Uplink`] but no socket, dialer, poll set or wall clock.
+//! Its inputs carry the driver's monotonic `now`: a frame from the ISM
+//! ([`ExternalSensor::on_frame`]), the link's fate (through
+//! [`ExternalSensor::uplink`]), and one bounded pass over the rings
+//! ([`ExternalSensor::step`]) that drains, batches, ships, heartbeats or
+//! dials and never sleeps. Its outputs are its link's. After an idle
+//! pass [`ExternalSensor::wait`] names what to wait for: one deadline
+//! (the partial batch's flush, the heartbeat, the next dial) and the fill
+//! level of the node's rings that should wake the driver. With nothing
+//! buffered the level is one record, so an idle EXS wakes only for its
+//! link's traffic and heartbeats, and the first record starts the batch's
+//! flush deadline at once. With a partial batch the level is what the
+//! batch lacks under both size knobs, counted over all the node's rings
+//! together, so the record that fills the batch wakes the EXS, whichever
+//! sensor emits it, and it ships the batch then. With its credit spent,
+//! or its link down, records wake nothing, and while the link is down
+//! they stay in the rings. The driver is [`crate::runtime`]: one thread
+//! waiting in one `poll(2)` — the "waiting select system call" the paper
+//! identifies as the worst-case latency contributor (§4).
 //!
 //! All EXS *deadlines* (the flush timeout in particular) are measured on
 //! the node's clock, not on wall time, so the whole component is
@@ -39,30 +44,21 @@
 //! drive a `SimClock` must keep advancing it (or call the handle's `stop`,
 //! which force-flushes) for timeout flushes to fire.
 //!
-//! One runtime drives every EXS, behind [`spawn_exs`] and
-//! [`spawn_exs_supervised`] alike: it steps the EXS until its `stop` flag
-//! or an orderly ISM `Shutdown`. The two differ only in the link. An EXS
-//! spawned on one connection ends when that link drops. One spawned with
-//! a [`ConnectFn`] keeps the node's instrumentation alive across manager
-//! restarts and network blips ("robust", §1): its [`Uplink`] decides when
-//! a link is dead and when to dial again. Every reconnect re-sends `Hello`
-//! and **carries the clock-sync correction value over**, so the node does
-//! not fall back to raw time while the master re-converges. It also
-//! replays every sent-but-unacked batch from the bounded retransmit
-//! window, which the ISM deduplicates by `(node, seq)`: delivery to the
-//! sinks is exactly-once. A full window evicts its oldest batch, which is
-//! then beyond replay — surfaced through telemetry rather than hidden.
-//! The link's counters are the [`Uplink`]'s own ([`UplinkStats`]); the
-//! EXS counts only what it does itself.
+//! One EXS serves its node's whole lifetime, across links ("robust",
+//! §1): each link that comes up **carries the clock-sync correction value
+//! over**, so the node does not fall back to raw time while the master
+//! re-converges, and replays the window, which the ISM deduplicates by
+//! `(node, seq)`: delivery to the sinks is exactly-once. The link's
+//! counters are the [`Uplink`]'s own ([`UplinkStats`]); the EXS counts
+//! only what it does itself.
 
 use crate::batch::{Batcher, FlushReason};
-use crate::uplink::{ConnectFn, Control, SupervisorConfig, Uplink, UplinkStats, UplinkTelemetry};
+use crate::uplink::{Control, SupervisorConfig, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
-use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
-use brisk_net::{poll_in, Connection, PollFd, Poller, Waker};
+use brisk_core::{EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_ringbuf::{Fill, RingSet};
 use brisk_telemetry::Registry;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,10 +74,10 @@ brisk_telemetry::metrics! {
     pub struct ExsStats {
         /// Records drained from sensor rings.
         records_drained: counter "brisk_exs_records_drained_total" "Records drained from sensor rings",
-        /// Records sent to the ISM.
-        records_sent: counter "brisk_exs_records_sent_total" "Records shipped to the ISM",
-        /// Batches sent.
-        batches_sent: counter "brisk_exs_batches_sent_total" "Batches shipped to the ISM",
+        /// Records handed to a live ISM link (first transmissions).
+        records_sent: counter "brisk_exs_records_sent_total" "Records handed to a live ISM link (first transmissions)",
+        /// Batches handed to a live ISM link (first transmissions).
+        batches_sent: counter "brisk_exs_batches_sent_total" "Batches handed to a live ISM link (first transmissions)",
         /// Batches flushed by the record-count knob.
         flush_records: counter "brisk_exs_flush_total" "Batch flushes by triggering knob" ["reason" = "records"],
         /// Batches flushed by the byte-size knob.
@@ -117,19 +113,16 @@ impl ExsTelemetry {
     }
 }
 
-/// What one [`ExternalSensor::step`] did.
+/// What the driver waits for after an idle pass, besides link input and
+/// its own stop ([`ExternalSensor::wait`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExsStep {
-    /// Work was done (records moved or messages handled).
-    Busy,
-    /// Nothing to do; the runtime may sleep until input or a deadline.
-    Idle,
-    /// The ISM asked us to shut down (orderly `Shutdown` message).
-    Shutdown,
-    /// The link dropped: lost, or declared corrupt by the uplink (one
-    /// undecodable control frame past the budget, or a message a sender
-    /// must never receive).
-    Disconnected,
+pub struct ExsWait {
+    /// The next deadline on the driver's clock: the partial batch's
+    /// flush, the heartbeat or the next dial. `None`: no deadline.
+    pub deadline: Option<Duration>,
+    /// The fill level of the node's rings that should wake the driver.
+    /// `None`: records must not wake it (credit spent, or link down).
+    pub fill: Option<Fill>,
 }
 
 /// An XDR-encoded record, with the stamps the EXS adds, is at most twice
@@ -152,8 +145,7 @@ pub struct ExternalSensor {
     /// over: their `fields` vectors are reused, not reallocated.
     shells: Vec<EventRecord>,
     /// The session with the ISM: retransmit window, credit, acks, replay,
-    /// heartbeats, control frames and redial. It outlives any one
-    /// connection — [`ExternalSensor::reattach`] is all a reconnect takes.
+    /// heartbeats, control frames and redial. It outlives any one link.
     uplink: Uplink,
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
@@ -161,25 +153,13 @@ pub struct ExternalSensor {
 }
 
 impl ExternalSensor {
-    /// Connect-side constructor: sends the `Hello` preamble immediately.
+    /// An EXS whose link is down, its first dial due at once, redialing
+    /// under [`SupervisorConfig::default`]. A driver with one connection
+    /// reports it up ([`Uplink::up`]) instead of dialing.
     ///
     /// `raw_clock` is the same clock the node's sensors sample; the EXS
     /// wraps it with the correction value it maintains.
     pub fn new(
-        node: NodeId,
-        rings: Arc<RingSet>,
-        raw_clock: Arc<dyn Clock>,
-        conn: Box<dyn Connection>,
-        cfg: ExsConfig,
-    ) -> Result<Self> {
-        let mut exs = Self::detached(node, rings, raw_clock, cfg)?;
-        exs.reattach(conn)?;
-        Ok(exs)
-    }
-
-    /// An EXS with no connection yet (it dials through
-    /// [`ExternalSensor::redial`]).
-    fn detached(
         node: NodeId,
         rings: Arc<RingSet>,
         raw_clock: Arc<dyn Clock>,
@@ -213,29 +193,20 @@ impl ExternalSensor {
         })
     }
 
-    /// Adopt a fresh connection after the previous one died: re-send
-    /// `Hello`, then replay every still-unacked batch (in sequence order,
-    /// ahead of new traffic) so an abrupt disconnect loses nothing.
-    /// Correction value, partial batch, window and the last credit grant
-    /// all stay where they are; the new `HelloAck` overwrites the grant.
-    pub fn reattach(&mut self, conn: Box<dyn Connection>) -> Result<()> {
-        self.uplink.attach(conn).map(drop)
-    }
-
-    /// Let the uplink dial lost links again through `connect`.
-    fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Self {
-        self.uplink = self.uplink.with_redial(connect, sup);
+    /// Redial lost links under `sup`'s backoff.
+    pub fn with_backoff(mut self, sup: SupervisorConfig) -> Self {
+        self.uplink = self.uplink.with_backoff(sup);
         self
-    }
-
-    /// True while a connection is attached.
-    fn linked(&self) -> bool {
-        self.uplink.connected()
     }
 
     /// The node this EXS serves.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// The node's sensor rings.
+    pub(crate) fn rings(&self) -> &Arc<RingSet> {
+        &self.rings
     }
 
     /// This EXS's hybrid logical clock (stamps records when
@@ -255,74 +226,32 @@ impl ExternalSensor {
         self.shared.snapshot()
     }
 
+    /// The live cells behind [`ExternalSensor::stats`] (share the `Arc` to
+    /// observe the EXS from another thread).
+    pub(crate) fn telemetry(&self) -> &Arc<ExsTelemetry> {
+        &self.shared
+    }
+
     /// Register this EXS's series with a telemetry registry.
     pub fn bind_telemetry(&self, registry: &Registry) {
         self.shared.bind(self.node, registry);
     }
 
-    /// Run one iteration: drain, batch, ship, answer control traffic.
-    pub fn step(&mut self) -> Result<ExsStep> {
-        match self.work() {
-            // Every link error has already dropped the link in the uplink.
-            Err(_) if !self.uplink.connected() => Ok(ExsStep::Disconnected),
-            stepped => stepped,
-        }
+    /// The link's session: its driver reports the link up and down and
+    /// carries out its outputs. A link that comes up carries the partial
+    /// batch, the window and the last credit grant over; the new
+    /// `HelloAck` overwrites the grant.
+    pub fn uplink(&mut self) -> &mut Uplink {
+        &mut self.uplink
     }
 
-    fn work(&mut self) -> Result<ExsStep> {
-        self.shared.iterations.fetch_add(1, Ordering::Relaxed);
-
-        // 0. Flow control: with the ISM's credit budget spent, leave new
-        //    records parked in the rings (where overruns land on the
-        //    rings' own drop accounting) instead of piling them into the
-        //    batcher and window. Acks received below reopen the tap.
-        let paused = !self.uplink.poll_credit();
-        if paused {
-            self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // 1. Drain sensor rings and apply the correction value. The span
-        //    is timed on the node's clock so it is meaningful (and
-        //    deterministic) under simulation.
-        let drain_start = self.clock.now().as_micros();
-        let drained = if paused {
-            0
-        } else {
-            self.scoop(self.cfg.max_batch_records * 2)?
-        };
-
-        // 2. Latency control: flush a stale partial batch. Deferred while
-        //    credit is spent — the flush would put more records in flight.
-        if !paused {
-            if let Some((batch, reason)) = self.batcher.poll_timeout(self.clock.now()) {
-                self.send_batch(batch, reason)?;
-            }
-        }
-        // 2b. Liveness: on an idle connection, send a heartbeat so the
-        //     ISM can tell a quiet node from a silently dead one (TCP
-        //     alone reports nothing for minutes).
-        self.uplink.heartbeat_if_idle()?;
-        let drain_us = self.clock.now().as_micros().saturating_sub(drain_start);
-        self.shared.drain_us.record(drain_us.max(0) as u64);
-
-        // 3. Control traffic, without waiting: a pass never sleeps, the
-        //    runtime does after an idle one ([`ExternalSensor::sleep`]).
-        let control = self.uplink.poll_control(Duration::ZERO)?;
-        let step = control.and_then(|c| self.on_control(c));
-        Ok(step.unwrap_or(if drained > 0 {
-            ExsStep::Busy
-        } else {
-            ExsStep::Idle
-        }))
-    }
-
-    /// Apply this EXS's policy to one inbound control frame. `None` means
-    /// the frame was skipped (undecodable, within the budget — past it the
-    /// uplink drops the link, and an EXS with a [`ConnectFn`] dials again).
-    fn on_control(&mut self, control: Control) -> Option<ExsStep> {
-        match control {
-            Control::Skipped => None,
-            Control::Handled => Some(ExsStep::Busy),
+    /// Apply one frame from the ISM, received at `now`: its protocol
+    /// effect ([`Uplink::on_frame`]), and this EXS's policy on what is
+    /// left to it. A frame that ends the link leaves it to the next dial;
+    /// `true` when the ISM asked this EXS to stop (an orderly `Shutdown`),
+    /// which it honours rather than dialing again.
+    pub fn on_frame(&mut self, frame: &[u8], now: Duration) -> bool {
+        match self.uplink.on_frame(frame, now) {
             Control::Adjusted(advance_us) => {
                 if self.cfg.sync_disabled {
                     // Chaos plane: the node deliberately refuses sync and
@@ -332,20 +261,56 @@ impl ExternalSensor {
                     self.clock.adjust(advance_us);
                     self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(ExsStep::Busy)
+                false
             }
-            Control::Shutdown => Some(ExsStep::Shutdown),
+            Control::Shutdown => true,
+            Control::Skipped | Control::Handled | Control::Dropped => false,
         }
+    }
+
+    /// One bounded pass at `now`: drain, batch and ship while the link is
+    /// up, then heartbeat, or dial once a lost link's backoff has passed.
+    /// `true` when records moved; after a pass that moved none the driver
+    /// may wait ([`ExternalSensor::wait`]). The only error is a corrupt
+    /// ring record.
+    pub fn step(&mut self, now: Duration) -> Result<bool> {
+        self.shared.iterations.fetch_add(1, Ordering::Relaxed);
+        let mut drained = 0;
+        if self.uplink.connected() {
+            // 0. Flow control: with the ISM's credit budget spent, leave
+            //    new records parked in the rings (where overruns land on
+            //    the rings' own drop accounting) instead of piling them
+            //    into the batcher and window. Acks reopen the tap.
+            let paused = !self.uplink.poll_credit();
+            if paused {
+                self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
+            }
+            // 1. Drain sensor rings and apply the correction value. The
+            //    span is timed on the node's clock so it is meaningful
+            //    (and deterministic) under simulation.
+            let drain_start = self.clock.now().as_micros();
+            if !paused {
+                drained = self.scoop(self.cfg.max_batch_records * 2)?;
+                // 2. Latency control: flush a stale partial batch.
+                //    Deferred while credit is spent — the flush would put
+                //    more records in flight.
+                if let Some((batch, reason)) = self.batcher.poll_timeout(self.clock.now()) {
+                    self.send_batch(batch, reason);
+                }
+            }
+            let drain_us = self.clock.now().as_micros().saturating_sub(drain_start);
+            self.shared.drain_us.record(drain_us.max(0) as u64);
+        }
+        // 3. Liveness: on an idle link, a heartbeat lets the ISM tell a
+        //    quiet node from a silently dead one (TCP alone reports
+        //    nothing for minutes); on a lost one, the next dial.
+        self.uplink.advance(now);
+        Ok(drained > 0)
     }
 
     /// Drain up to `max` records from the rings, apply the correction
     /// value, stamp each and push it into the batcher, shipping every
-    /// batch that fills; returns how many records were drained. A
-    /// disconnect mid-scoop must not drop the records already pulled out
-    /// of the rings: once a send fails, the rest of the scoop still goes
-    /// through the batcher and every further batch is stashed (unsent) in
-    /// the retransmit window, where the next connection's replay picks it
-    /// up. The failed send's error is returned after that.
+    /// batch that fills; returns how many records were drained.
     fn scoop(&mut self, max: usize) -> Result<usize> {
         // The *effective* correction: while a slew is smearing a backward
         // adjustment, records get the partially applied value, matching
@@ -360,7 +325,6 @@ impl ExternalSensor {
             .fetch_add(drained as u64, Ordering::Relaxed);
         let now = self.clock.now();
         let mut pending = std::mem::take(&mut self.drain_buf);
-        let mut failed: Option<BriskError> = None;
         for mut rec in pending.drain(..) {
             rec.apply_correction(correction);
             // After the correction: scoop time and every later stamp are
@@ -370,19 +334,16 @@ impl ExternalSensor {
                 rec.set_hlc(self.hlc.tick(now));
             }
             if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                if failed.is_some() {
-                    self.uplink.stash(&batch);
-                    self.recycle(batch);
-                } else if let Err(e) = self.send_batch(batch, reason) {
-                    failed = Some(e);
-                }
+                self.send_batch(batch, reason);
             }
         }
         self.drain_buf = pending; // keep the allocation (workhorse buffer)
-        failed.map_or(Ok(drained), Err)
+        Ok(drained)
     }
 
-    fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) -> Result<()> {
+    /// Window a batch and, on a live link, ship it; the batch counters
+    /// count batches handed to a live link, not replays.
+    fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) {
         let n = records.len() as u64;
         let send_ts = self.clock.now();
         for rec in records.iter_mut() {
@@ -390,7 +351,9 @@ impl ExternalSensor {
         }
         let sent = self.uplink.send(&records);
         self.recycle(records);
-        sent?;
+        if !sent {
+            return;
+        }
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
         self.shared.batches_sent.fetch_add(1, Ordering::Relaxed);
         self.shared.batch_records.record(n);
@@ -401,7 +364,6 @@ impl ExternalSensor {
             FlushReason::Forced => &self.shared.flush_forced,
         };
         reason_counter.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Keep a windowed batch's records as shells for the next drain and
@@ -414,35 +376,31 @@ impl ExternalSensor {
         self.batcher.recycle(batch);
     }
 
-    /// The runtime's one wait after an idle pass, until link input (an
-    /// ack, a sync poll), the next heartbeat, the handle's stop, and: with
-    /// nothing buffered, the first record into the rings; with a partial
-    /// batch and credit open, the record that could complete it or its
-    /// flush deadline; with credit spent, nothing more. Returns at once if
-    /// input is waiting or the rings already hold what it would wait for.
-    fn sleep(&self, poller: &Poller, fds: &mut Vec<PollFd>) -> Result<()> {
-        let Some(fd) = self.uplink.wait_fd() else {
-            return Ok(());
-        };
-        let mut due = self.uplink.due_in();
-        if self.uplink.credit_open() {
-            let fill = match self.batcher.time_to_deadline(self.clock.now()) {
-                Some(us) => {
-                    let flush = Duration::from_micros(us.max(0) as u64);
-                    due = due.into_iter().chain([flush]).min();
-                    self.missing()
-                }
-                None => Fill::ANY,
+    /// What the driver waits for after an idle pass at `now`, besides link
+    /// input and its stop: the link's deadline (heartbeat or next dial)
+    /// and, with credit open on a live link, the rings' fill level — one
+    /// record with nothing buffered, or what a partial batch lacks, with
+    /// its flush deadline.
+    pub fn wait(&self, now: Duration) -> ExsWait {
+        let mut deadline = self.uplink.deadline(now);
+        if !(self.uplink.connected() && self.uplink.credit_open()) {
+            return ExsWait {
+                deadline,
+                fill: None,
             };
-            if !self.rings.arm_at(fill) {
-                return Ok(());
-            }
         }
-        fds.push(poll_in(fd));
-        let waited = poller.wait(fds, due);
-        fds.clear();
-        self.rings.doorbell().disarm();
-        Ok(waited.map(drop)?)
+        let fill = match self.batcher.time_to_deadline(self.clock.now()) {
+            Some(us) => {
+                let flush = now + Duration::from_micros(us.max(0) as u64);
+                deadline = deadline.into_iter().chain([flush]).min();
+                self.missing()
+            }
+            None => Fill::ANY,
+        };
+        ExsWait {
+            deadline,
+            fill: Some(fill),
+        }
     }
 
     /// What the partial batch lacks before a size knob trips, as ring
@@ -459,178 +417,138 @@ impl ExternalSensor {
     }
 
     /// Orderly teardown: drain the rings, flush everything buffered and
-    /// send `Shutdown`, so no accepted record is lost. Consumes the EXS
-    /// and returns its final stats.
-    pub fn finish(mut self) -> Result<ExsStats> {
+    /// say `Shutdown`, so no accepted record is lost once the driver has
+    /// sent the outputs. Returns the final stats.
+    pub fn finish(&mut self) -> Result<ExsStats> {
         self.scoop(usize::MAX)?;
         if let Some((batch, reason)) = self.batcher.flush() {
-            self.send_batch(batch, reason)?;
+            self.send_batch(batch, reason);
         }
         self.uplink.send_shutdown();
         Ok(self.shared.snapshot())
     }
 }
 
-/// The one EXS runtime. Steps while linked; a lost link is dialed again
-/// when the EXS has a [`ConnectFn`] and ends the run when it has none.
-/// Between passes it sleeps in `poller` ([`ExternalSensor::sleep`]; in
-/// redial backoff, until the next dial). Runs until `stop` or an orderly
-/// ISM `Shutdown`, then flushes and says goodbye on a live link.
-fn drive(mut exs: ExternalSensor, poller: &Poller, stop: &AtomicBool) -> Result<ExsStats> {
-    let shared = Arc::clone(&exs.shared);
-    let mut fds = Vec::with_capacity(2);
-    while !stop.load(Ordering::Relaxed) {
-        if !exs.linked() && !exs.uplink.redial() {
-            if !exs.uplink.redials() {
-                break;
-            }
-            // A failed dial scheduled the next attempt.
-            poller.wait(&mut fds, exs.uplink.due_in())?;
-            continue;
-        }
-        match exs.step()? {
-            ExsStep::Shutdown => break,
-            ExsStep::Idle => exs.sleep(poller, &mut fds)?,
-            ExsStep::Busy | ExsStep::Disconnected => {}
-        }
-    }
-    // A connection that dies during the final flush is fine; the counters
-    // land in `shared` either way.
-    if exs.linked() {
-        let _ = exs.finish();
-    }
-    Ok(shared.snapshot())
-}
-
-/// Handle to an EXS running on its own thread.
-pub struct ExsHandle {
-    stop: Arc<AtomicBool>,
-    /// Wakes the EXS's sleep so it sees `stop` at once.
-    waker: Waker,
-    clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
-    node: NodeId,
-    shared: Arc<ExsTelemetry>,
-    join: std::thread::JoinHandle<Result<ExsStats>>,
-}
-
-impl ExsHandle {
-    /// The EXS's corrected clock (e.g. to observe the correction value).
-    pub fn corrected_clock(&self) -> &Arc<CorrectedClock<Arc<dyn Clock>>> {
-        &self.clock
-    }
-
-    /// Live counters of the running EXS (no need to stop it).
-    pub fn stats_now(&self) -> ExsStats {
-        self.shared.snapshot()
-    }
-
-    /// Connections attached so far (1 = never reconnected).
-    pub fn connects(&self) -> u64 {
-        self.shared.link.connects.load(Ordering::Relaxed)
-    }
-
-    /// Register the running EXS's series with a telemetry registry.
-    pub fn bind_telemetry(&self, registry: &Registry) {
-        self.shared.bind(self.node, registry);
-    }
-
-    /// Signal the EXS to stop.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.waker.wake();
-    }
-
-    /// Signal and wait for the EXS; returns its final stats.
-    pub fn stop(self) -> Result<ExsStats> {
-        self.request_stop();
-        self.join
-            .join()
-            .map_err(|_| BriskError::Sync("EXS thread panicked".into()))?
-    }
-}
-
-fn spawn(exs: ExternalSensor) -> Result<ExsHandle> {
-    let (node, clock, shared) = (exs.node, Arc::clone(&exs.clock), Arc::clone(&exs.shared));
-    let poller = Poller::new()?;
-    let (waker, bell) = (poller.waker(), poller.waker());
-    exs.rings.doorbell().set_wake(move || bell.wake());
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name(format!("brisk-exs-{node}"))
-        .spawn(move || drive(exs, &poller, &stop2))
-        .map_err(BriskError::Io)?;
-    Ok(ExsHandle {
-        stop,
-        waker,
-        clock,
-        node,
-        shared,
-        join,
-    })
-}
-
-/// Spawn an EXS on a dedicated thread (the usual deployment: "runs as
-/// another process on the same node", here a thread) over `conn`. It ends
-/// when that link drops.
-pub fn spawn_exs(
-    node: NodeId,
-    rings: Arc<RingSet>,
-    raw_clock: Arc<dyn Clock>,
-    conn: Box<dyn Connection>,
-    cfg: ExsConfig,
-) -> Result<ExsHandle> {
-    spawn(ExternalSensor::new(node, rings, raw_clock, conn, cfg)?)
-}
-
-/// Spawn an EXS that dials through `connect`, at once and again after
-/// every lost link under `sup`'s backoff. It stops for good only on its
-/// `stop` flag or an orderly ISM `Shutdown`. One EXS serves the node's
-/// whole lifetime, so its counters are totals across reconnects.
-pub fn spawn_exs_supervised(
-    node: NodeId,
-    rings: Arc<RingSet>,
-    raw_clock: Arc<dyn Clock>,
-    connect: ConnectFn,
-    cfg: ExsConfig,
-    sup: SupervisorConfig,
-) -> Result<ExsHandle> {
-    spawn(ExternalSensor::detached(node, rings, raw_clock, cfg)?.with_redial(connect, sup))
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // single-knob mutation is the point of these tests
 mod tests {
     use super::*;
-    use crate::testkit::{mem_pair, recv_msg};
-    use crate::uplink::CONTROL_ERROR_BUDGET;
-    use brisk_clock::{SimClock, SimTimeSource, SystemClock};
+    use crate::uplink::{LinkOutput, CONTROL_ERROR_BUDGET};
+    use brisk_clock::{SimClock, SimTimeSource};
     use brisk_core::{EventTypeId, UtcMicros, Value};
-    use brisk_net::{MemTransport, Transport};
     use brisk_proto::Message;
-    use std::time::Instant;
+    use std::collections::VecDeque;
 
+    /// An EXS fed by hand, with no thread and no sleep: its link is up
+    /// from the start, time moves only when a test moves it, and every
+    /// output is kept.
     struct Rig {
         exs: ExternalSensor,
-        ism_side: Box<dyn Connection>,
         src: SimTimeSource,
         rings: Arc<RingSet>,
+        /// The driver's clock.
+        now: Duration,
+        /// The frames the EXS sent, decoded, not yet looked at.
+        sent: VecDeque<Message>,
+        dials: usize,
+        drops: usize,
     }
 
     fn rig(cfg: ExsConfig, clock_offset: i64) -> Rig {
-        let t = MemTransport::new();
-        let mut l = t.listen("ism").unwrap();
-        let conn = t.connect("ism").unwrap();
-        let ism_side = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
         let src = SimTimeSource::new();
         let raw: Arc<dyn Clock> = Arc::new(SimClock::new(src.clone(), clock_offset, 0.0, 1));
+        rig_on(src, raw, cfg)
+    }
+
+    fn rig_on(src: SimTimeSource, raw: Arc<dyn Clock>, cfg: ExsConfig) -> Rig {
         let rings = RingSet::new(NodeId(7), cfg.ring_capacity);
-        let exs = ExternalSensor::new(NodeId(7), Arc::clone(&rings), raw, conn, cfg).unwrap();
-        Rig {
+        let exs = ExternalSensor::new(NodeId(7), Arc::clone(&rings), raw, cfg).unwrap();
+        let mut r = Rig {
             exs,
-            ism_side,
             src,
             rings,
+            now: Duration::ZERO,
+            sent: VecDeque::new(),
+            dials: 0,
+            drops: 0,
+        };
+        r.exs.uplink().up();
+        r.drain();
+        r
+    }
+
+    impl Rig {
+        fn drain(&mut self) {
+            let Rig {
+                sent, dials, drops, ..
+            } = self;
+            self.exs.uplink().drain_outputs(|out| match out {
+                LinkOutput::Send(frame) => sent.push_back(Message::decode(frame).unwrap()),
+                LinkOutput::Dial => *dials += 1,
+                LinkOutput::Drop => *drops += 1,
+            });
+        }
+
+        /// One step; `true` when records moved.
+        fn step(&mut self) -> bool {
+            let moved = self.exs.step(self.now).unwrap();
+            self.drain();
+            moved
+        }
+
+        /// Hand the EXS a frame; `true` when it asks to stop.
+        fn frame_bytes(&mut self, frame: &[u8]) -> bool {
+            let stop = self.exs.on_frame(frame, self.now);
+            self.drain();
+            stop
+        }
+
+        fn frame(&mut self, msg: &Message) -> bool {
+            self.frame_bytes(&msg.encode())
+        }
+
+        fn up(&mut self) {
+            self.exs.uplink().up();
+            self.drain();
+        }
+
+        fn finish(&mut self) -> ExsStats {
+            let stats = self.exs.finish().unwrap();
+            self.drain();
+            stats
+        }
+
+        /// The next frame the EXS sent.
+        fn next(&mut self) -> Message {
+            self.sent.pop_front().expect("a frame was sent")
+        }
+
+        /// Step, moving the driver's clock to each deadline the EXS
+        /// names, until it outputs a dial.
+        fn step_until_dial(&mut self) {
+            let dials = self.dials;
+            while self.dials == dials {
+                self.step();
+                if self.dials == dials {
+                    let at = self.exs.wait(self.now).deadline.expect("a dial is due");
+                    self.now = self.now.max(at);
+                }
+            }
+        }
+    }
+
+    fn emit_n(rings: &Arc<RingSet>, n: u64) {
+        let mut port = rings.register();
+        for i in 0..n {
+            port.emit(EventTypeId(1), UtcMicros::from_micros(i as i64), vec![])
+                .unwrap();
+        }
+    }
+
+    fn hello_ack(credit: u64) -> Message {
+        Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit,
         }
     }
 
@@ -638,13 +556,13 @@ mod tests {
     fn hello_is_sent_on_connect() {
         let mut r = rig(ExsConfig::default(), 0);
         assert_eq!(
-            recv_msg(&mut r.ism_side),
+            r.next(),
             Message::Hello {
                 node: NodeId(7),
                 version: brisk_proto::VERSION
             }
         );
-        let _ = &r.exs;
+        assert!(r.sent.is_empty());
     }
 
     #[test]
@@ -652,7 +570,7 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 2;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
 
         // Apply a known correction, then emit records with raw timestamps.
         r.exs.corrected_clock().adjust(1_000);
@@ -671,8 +589,8 @@ mod tests {
         )
         .unwrap();
 
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
+        r.step();
+        match r.next() {
             Message::EventBatch { node, seq, records } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(seq, Some(1)); // the first batch is seq 1
@@ -691,7 +609,7 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 3;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         r.exs.corrected_clock().adjust(1_000);
         let mut port = r.rings.register();
         let shapes = [
@@ -718,8 +636,8 @@ mod tests {
                 rec.apply_correction(1_000);
                 want.push(rec);
             }
-            r.exs.step().unwrap();
-            match recv_msg(&mut r.ism_side) {
+            r.step();
+            match r.next() {
                 Message::EventBatch { records, .. } => assert_eq!(records, want),
                 other => panic!("expected batch, got {other:?}"),
             }
@@ -732,7 +650,7 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         r.rings
             .set_trace_sampler(Arc::new(TraceSampler::with_seed(1, 9)));
         r.exs.corrected_clock().adjust(1_000);
@@ -745,8 +663,8 @@ mod tests {
         )
         .unwrap();
         r.src.advance_by(25); // scoop happens later than the notice
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
+        r.step();
+        match r.next() {
             Message::EventBatch { records, .. } => {
                 let ctx = records[0].trace().expect("sampled record carries X_TRACE");
                 let stages: Vec<TraceStage> = ctx.stamps().iter().map(|(s, _)| *s).collect();
@@ -776,16 +694,16 @@ mod tests {
         cfg.max_batch_records = 100;
         cfg.flush_timeout = Duration::from_millis(40);
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
 
         let mut port = r.rings.register();
         port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap();
-        r.exs.step().unwrap(); // drains; batch stays partial
+        r.step(); // drains; batch stays partial
         assert_eq!(r.exs.stats().batches_sent, 0);
 
         r.src.advance_by(41_000); // 41 ms of sim time
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
+        r.step();
+        match r.next() {
             Message::EventBatch { records, .. } => assert_eq!(records.len(), 1),
             other => panic!("expected batch, got {other:?}"),
         }
@@ -793,23 +711,51 @@ mod tests {
     }
 
     #[test]
+    fn wait_names_the_fill_level_and_the_deadline() {
+        let mut cfg = ExsConfig::default();
+        cfg.max_batch_records = 4;
+        cfg.flush_timeout = Duration::from_millis(40);
+        cfg.heartbeat_interval = Duration::from_secs(1);
+        let mut r = rig(cfg, 0);
+        r.next(); // hello
+        let now = Duration::from_secs(7);
+        r.now = now;
+        // Nothing buffered: any record wakes the driver, else the heartbeat.
+        let idle = r.exs.wait(now);
+        assert_eq!(idle.fill, Some(Fill::ANY));
+        assert_eq!(idle.deadline, Some(now + Duration::from_secs(1)));
+        // A partial batch of one: the three records it lacks, or its flush
+        // deadline.
+        emit_n(&r.rings, 1);
+        assert!(r.step());
+        let partial = r.exs.wait(now);
+        assert_eq!(partial.fill.map(|f| f.frames), Some(3));
+        assert_eq!(partial.deadline, Some(now + Duration::from_millis(40)));
+        // Credit spent: records wake nothing, the ack will.
+        r.frame(&hello_ack(1));
+        r.src.advance_by(40_000);
+        r.step();
+        assert!(matches!(r.next(), Message::EventBatch { .. }));
+        assert_eq!(r.exs.wait(now).fill, None);
+        // Link down: the next dial is the deadline.
+        r.exs.uplink().down("test", now);
+        let down = r.exs.wait(now);
+        assert_eq!(down.fill, None);
+        assert_eq!(down.deadline, Some(now), "acked: dial again at once");
+    }
+
+    #[test]
     fn sync_poll_answered_with_corrected_time() {
         let mut r = rig(ExsConfig::default(), 500);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         r.exs.corrected_clock().adjust(-200);
         r.src.advance_by(1_000);
-        r.ism_side
-            .send(
-                &Message::SyncPoll {
-                    round: 3,
-                    sample: 1,
-                    master_send: UtcMicros::from_micros(42),
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
+        r.frame(&Message::SyncPoll {
+            round: 3,
+            sample: 1,
+            master_send: UtcMicros::from_micros(42),
+        });
+        match r.next() {
             Message::SyncReply {
                 round,
                 sample,
@@ -830,17 +776,11 @@ mod tests {
     #[test]
     fn sync_adjust_moves_correction() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side);
-        r.ism_side
-            .send(
-                &Message::SyncAdjust {
-                    round: 1,
-                    advance_us: 777,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.next();
+        r.frame(&Message::SyncAdjust {
+            round: 1,
+            advance_us: 777,
+        });
         assert_eq!(r.exs.corrected_clock().correction_us(), 777);
         assert_eq!(r.exs.stats().adjustments, 1);
     }
@@ -848,26 +788,20 @@ mod tests {
     #[test]
     fn shutdown_message_stops_step() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side);
-        r.ism_side.send(&Message::Shutdown.encode()).unwrap();
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Shutdown);
+        r.next();
+        assert!(r.frame(&Message::Shutdown));
     }
 
     #[test]
     fn wrong_role_message_drops_the_link() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side);
-        r.ism_side
-            .send(
-                &Message::Hello {
-                    node: NodeId(1),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
-        assert!(!r.exs.linked());
+        r.next();
+        r.frame(&Message::Hello {
+            node: NodeId(1),
+            version: brisk_proto::VERSION,
+        });
+        assert_eq!(r.drops, 1, "the driver is told to drop the link");
+        assert!(!r.exs.uplink.connected());
         assert_eq!(
             r.exs.stats().link.decode_errors,
             0,
@@ -877,34 +811,17 @@ mod tests {
 
     #[test]
     fn run_flushes_pending_records_on_stop() {
-        let t = MemTransport::new();
-        let mut l = t.listen("ism").unwrap();
-        let conn = t.connect("ism").unwrap();
-        let mut ism_side = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        let rings = RingSet::new(NodeId(1), 1 << 20);
-        let mut port = rings.register();
-        for i in 0..5 {
-            port.emit(EventTypeId(1), UtcMicros::from_micros(i), vec![])
-                .unwrap();
-        }
-        let handle = spawn_exs(
-            NodeId(1),
-            rings,
-            Arc::new(SystemClock),
-            conn,
-            ExsConfig::default(),
-        )
-        .unwrap();
-        // Give the EXS a moment to drain, then stop it.
-        std::thread::sleep(Duration::from_millis(20));
-        let stats = handle.stop().unwrap();
+        let mut r = rig(ExsConfig::default(), 0);
+        emit_n(&r.rings, 5);
+        let stats = r.finish();
         assert_eq!(stats.records_drained, 5);
         assert_eq!(stats.records_sent, 5);
 
-        // ISM side sees hello, one batch (possibly several), then Shutdown.
+        // The ISM side sees hello, one batch (possibly several), then
+        // Shutdown.
         let mut seen_records = 0;
         loop {
-            match recv_msg(&mut ism_side) {
+            match r.next() {
                 Message::Hello { .. } => {}
                 Message::EventBatch { records, .. } => seen_records += records.len(),
                 Message::Shutdown => break,
@@ -920,20 +837,15 @@ mod tests {
         // must land in records_drained (and the forced-flush counter).
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 100; // nothing flushes by size
-        let r = rig(cfg, 0);
-        let mut ism_side = r.ism_side;
-        recv_msg(&mut ism_side); // hello
-        let mut port = r.rings.register();
-        for i in 0..7 {
-            port.emit(EventTypeId(1), UtcMicros::from_micros(i), vec![])
-                .unwrap();
-        }
-        // No step() at all: everything drains inside finish().
-        let stats = r.exs.finish().unwrap();
+        let mut r = rig(cfg, 0);
+        r.next(); // hello
+        emit_n(&r.rings, 7);
+        // No step at all: everything drains inside finish().
+        let stats = r.finish();
         assert_eq!(stats.records_drained, 7);
         assert_eq!(stats.records_sent, 7);
         assert_eq!(stats.flush_forced, 1);
-        match recv_msg(&mut ism_side) {
+        match r.next() {
             Message::EventBatch { records, .. } => assert_eq!(records.len(), 7),
             other => panic!("expected batch, got {other:?}"),
         }
@@ -945,17 +857,13 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 2;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         let registry = Registry::new();
         r.exs.bind_telemetry(&registry);
 
-        let mut port = r.rings.register();
         r.src.advance_by(10);
-        for i in 0..4 {
-            port.emit(EventTypeId(1), UtcMicros::from_micros(i), vec![])
-                .unwrap();
-        }
-        r.exs.step().unwrap();
+        emit_n(&r.rings, 4);
+        r.step();
 
         let snap = registry.snapshot();
         assert_eq!(
@@ -977,39 +885,25 @@ mod tests {
         assert_eq!(snap.histogram("brisk_exs_drain_us").unwrap().count(), 1);
     }
 
-    fn emit_n(rings: &Arc<RingSet>, n: u64) {
-        let mut port = rings.register();
-        for i in 0..n {
-            port.emit(EventTypeId(1), UtcMicros::from_micros(i as i64), vec![])
-                .unwrap();
-        }
-    }
-
     #[test]
     fn batch_ack_releases_window() {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
-        r.exs.step().unwrap(); // drain cap is 2·max_batch_records per step
-        r.exs.step().unwrap();
+        r.step(); // drain cap is 2·max_batch_records per step
+        r.step();
         assert_eq!(r.exs.stats().batches_sent, 3);
         // All three batches are unacked and windowed.
         assert_eq!(r.exs.uplink.window_depth(), 3);
 
         // Cumulative ack for seq 2 releases the first two.
-        r.ism_side
-            .send(
-                &Message::BatchAck {
-                    seq: 2,
-                    credit: 1024,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.frame(&Message::BatchAck {
+            seq: 2,
+            credit: 1024,
+        });
         assert_eq!(r.exs.uplink.window_depth(), 1);
         assert_eq!(r.exs.stats().link.acks_received, 1);
     }
@@ -1019,43 +913,36 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 2;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         emit_n(&r.rings, 4);
         r.src.advance_by(10);
-        r.exs.step().unwrap();
-        recv_msg(&mut r.ism_side); // batch 1
-        recv_msg(&mut r.ism_side); // batch 2
-                                   // Ack only the first; the second stays unacked.
-        r.ism_side
-            .send(
-                &Message::BatchAck {
-                    seq: 1,
-                    credit: 1024,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.step();
+        r.next(); // batch 1
+        r.next(); // batch 2
+                  // Ack only the first; the second stays unacked.
+        r.frame(&Message::BatchAck {
+            seq: 1,
+            credit: 1024,
+        });
         assert_eq!(r.exs.uplink.window_depth(), 1);
         // One more record sits in the batcher as a partial batch when the
         // link dies.
         emit_n(&r.rings, 1);
-        r.exs.step().unwrap();
-        drop(r.ism_side);
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
+        r.step();
+        r.exs.uplink().down("peer hung up", r.now);
+        assert!(!r.exs.uplink.connected());
 
-        // Same EXS, fresh connection: Hello, then the unacked batch
-        // (seq 2) is replayed ahead of anything new.
-        let (mut ism2, conn) = mem_pair();
-        r.exs.reattach(conn).unwrap();
-        match recv_msg(&mut ism2) {
+        // Same EXS, next link: Hello, then the unacked batch (seq 2) is
+        // replayed ahead of anything new.
+        r.up();
+        match r.next() {
             Message::Hello { node, version } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(version, brisk_proto::VERSION);
             }
             other => panic!("expected hello, got {other:?}"),
         }
-        match recv_msg(&mut ism2) {
+        match r.next() {
             Message::EventBatch { seq, records, .. } => {
                 assert_eq!(seq, Some(2));
                 assert_eq!(records.len(), 2);
@@ -1066,11 +953,11 @@ mod tests {
         assert_eq!(stats.link.batches_retransmitted, 1);
         // Replays are not re-counted as fresh sends.
         assert_eq!(stats.batches_sent, 2);
-        // The partial batch outlived the connection and continues the
-        // sequence stream once its flush timeout fires.
+        // The partial batch outlived the link and continues the sequence
+        // stream once its flush timeout fires.
         r.src.advance_by(50_000);
-        r.exs.step().unwrap();
-        match recv_msg(&mut ism2) {
+        r.step();
+        match r.next() {
             Message::EventBatch { seq, records, .. } => {
                 assert_eq!(seq, Some(3));
                 assert_eq!(records.len(), 1);
@@ -1084,38 +971,26 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-                                   // The ISM grants a budget of 2 in-flight records.
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 2,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.next(); // hello
+                  // The ISM grants a budget of 2 in-flight records.
+        r.frame(&hello_ack(2));
         assert_eq!(r.exs.uplink.grant(), Some(2));
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
-        r.exs.step().unwrap(); // scoops 2 (the per-step drain cap), sends 2
+        r.step(); // scoops 2 (the per-step drain cap), sends 2
         assert_eq!(r.exs.stats().batches_sent, 2);
         let drained_before = r.exs.stats().records_drained;
         // Budget spent (2 unacked records): the third record must stay in
         // the ring, counted as a deferral.
-        r.exs.step().unwrap();
+        r.step();
         assert_eq!(r.exs.stats().records_drained, drained_before);
         assert!(r.exs.stats().credit_deferrals >= 1);
         assert_eq!(r.exs.stats().batches_sent, 2);
 
         // An ack replenishes the budget and reopens the tap.
-        r.ism_side
-            .send(&Message::BatchAck { seq: 2, credit: 2 }.encode())
-            .unwrap();
-        r.exs.step().unwrap(); // consumes the ack
-        r.exs.step().unwrap(); // scoops the parked record
+        r.frame(&Message::BatchAck { seq: 2, credit: 2 });
+        r.step(); // scoops the parked record
         assert_eq!(r.exs.stats().batches_sent, 3);
         assert_eq!(r.exs.stats().records_drained, drained_before + 1);
     }
@@ -1123,33 +998,16 @@ mod tests {
     #[test]
     fn hello_ack_overwrites_carried_credit() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 99,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.next(); // hello
+        r.frame(&hello_ack(99));
         // Across a reconnect the previous grant keeps pacing the scoop
-        // until the new connection's HelloAck arrives...
-        let (mut ism2, conn) = mem_pair();
-        r.exs.reattach(conn).unwrap();
-        recv_msg(&mut ism2); // hello
+        // until the new link's HelloAck arrives...
+        r.exs.uplink().down("test", r.now);
+        r.up();
+        assert!(matches!(r.next(), Message::Hello { .. }));
         assert_eq!(r.exs.uplink.grant(), Some(99));
         // ...whose grant replaces it.
-        ism2.send(
-            &Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: 16,
-            }
-            .encode(),
-        )
-        .unwrap();
-        r.exs.step().unwrap();
+        r.frame(&hello_ack(16));
         assert_eq!(r.exs.uplink.grant(), Some(16));
     }
 
@@ -1159,23 +1017,14 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.max_batch_records = 1;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         let registry = Registry::new();
         r.exs.bind_telemetry(&registry);
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 2,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.frame(&hello_ack(2));
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
-        r.exs.step().unwrap(); // spends the whole budget
-        r.exs.step().unwrap(); // defers
+        r.step(); // spends the whole budget
+        r.step(); // defers
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("brisk_uplink_credit_balance"), Some(0));
         assert!(snap.counter_total("brisk_exs_credit_deferred_total") >= 1);
@@ -1187,11 +1036,11 @@ mod tests {
         cfg.max_batch_records = 1;
         cfg.retransmit_window_batches = 2;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         emit_n(&r.rings, 3); // three unacked batches into a window of two
         r.src.advance_by(10);
-        r.exs.step().unwrap(); // drain cap is 2·max_batch_records per step
-        r.exs.step().unwrap();
+        r.step(); // drain cap is 2·max_batch_records per step
+        r.step();
         let stats = r.exs.stats();
         assert_eq!(stats.batches_sent, 3);
         assert_eq!(stats.link.window_evicted, 1);
@@ -1203,39 +1052,23 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.heartbeat_interval = Duration::from_millis(100);
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         r.src.advance_by(90_000);
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 1024,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.frame(&hello_ack(1024));
+        r.step();
         // 180 ms idle since the Hello, but the HelloAck restarted the idle
         // clock 90 ms ago: no heartbeat yet.
         r.src.advance_by(90_000);
-        r.exs.step().unwrap();
-        assert!(r
-            .ism_side
-            .recv(Some(Duration::from_millis(20)))
-            .unwrap()
-            .is_none());
+        r.step();
+        assert!(r.sent.is_empty());
         r.src.advance_by(20_000);
-        r.exs.step().unwrap();
-        assert_eq!(recv_msg(&mut r.ism_side), Message::Heartbeat);
+        r.step();
+        assert_eq!(r.next(), Message::Heartbeat);
         assert_eq!(r.exs.stats().link.heartbeats_sent, 1);
         assert_eq!(r.exs.stats().link.hello_acks, 1);
         // Without further idle time no extra heartbeat is sent.
-        r.exs.step().unwrap();
-        assert!(r
-            .ism_side
-            .recv(Some(Duration::from_millis(20)))
-            .unwrap()
-            .is_none());
+        r.step();
+        assert!(r.sent.is_empty());
     }
 
     #[test]
@@ -1245,45 +1078,31 @@ mod tests {
         // heartbeats for those 10 s (pacing on plain clock readings would:
         // the elapsed-since-last-send computation goes negative until the
         // clock climbs back past its old reading).
-        let t = MemTransport::new();
-        let mut l = t.listen("ism").unwrap();
-        let conn = t.connect("ism").unwrap();
-        let mut ism_side = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
         let src = SimTimeSource::new();
         let sim: Arc<dyn Clock> = Arc::new(SimClock::new(src.clone(), 0, 0.0, 1));
         let fault = FaultClock::new(sim, 0, 0.0);
         let raw: Arc<dyn Clock> = Arc::clone(&fault) as Arc<dyn Clock>;
         let mut cfg = ExsConfig::default();
         cfg.heartbeat_interval = Duration::from_millis(100);
-        let rings = RingSet::new(NodeId(7), cfg.ring_capacity);
-        let mut exs = ExternalSensor::new(NodeId(7), rings, raw, conn, cfg).unwrap();
-        recv_msg(&mut ism_side); // hello
-        ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 1024,
-                }
-                .encode(),
-            )
-            .unwrap();
-        exs.step().unwrap();
+        let mut r = rig_on(src.clone(), raw, cfg);
+        r.next(); // hello
+        r.frame(&hello_ack(1024));
         src.advance_by(150_000);
-        exs.step().unwrap();
-        assert_eq!(recv_msg(&mut ism_side), Message::Heartbeat);
-        assert_eq!(exs.stats().link.heartbeats_sent, 1);
+        r.step();
+        assert_eq!(r.next(), Message::Heartbeat);
+        assert_eq!(r.exs.stats().link.heartbeats_sent, 1);
 
         // The clock steps back 10 s. The next step rebases the pacing
         // clock without sending a spurious heartbeat...
         fault.step_by(-10_000_000);
-        exs.step().unwrap();
-        assert_eq!(exs.stats().link.heartbeats_sent, 1);
+        r.step();
+        assert_eq!(r.exs.stats().link.heartbeats_sent, 1);
         // ...and one more idle interval of *forward* progress produces
         // the next heartbeat on schedule, stall-free.
         src.advance_by(150_000);
-        exs.step().unwrap();
-        assert_eq!(recv_msg(&mut ism_side), Message::Heartbeat);
-        assert_eq!(exs.stats().link.heartbeats_sent, 2);
+        r.step();
+        assert_eq!(r.next(), Message::Heartbeat);
+        assert_eq!(r.exs.stats().link.heartbeats_sent, 2);
     }
 
     #[test]
@@ -1292,7 +1111,7 @@ mod tests {
         cfg.max_batch_records = 2;
         cfg.stamp_hlc = true;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
+        r.next(); // hello
         let mut port = r.rings.register();
         r.src.advance_by(50);
         port.emit(
@@ -1307,8 +1126,8 @@ mod tests {
             vec![Value::I32(2)],
         )
         .unwrap();
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
+        r.step();
+        match r.next() {
             Message::EventBatch { records, .. } => {
                 let a = records[0].hlc().expect("first record carries X_HLC");
                 let b = records[1].hlc().expect("second record carries X_HLC");
@@ -1328,17 +1147,11 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.sync_disabled = true;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::SyncAdjust {
-                    round: 1,
-                    advance_us: 777,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.next(); // hello
+        r.frame(&Message::SyncAdjust {
+            round: 1,
+            advance_us: 777,
+        });
         assert_eq!(r.exs.corrected_clock().correction_us(), 0);
         assert_eq!(r.exs.stats().adjustments, 0);
         assert_eq!(r.exs.stats().sync_ignored, 1);
@@ -1349,536 +1162,236 @@ mod tests {
         let mut cfg = ExsConfig::default();
         cfg.heartbeat_interval = Duration::ZERO;
         let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: brisk_proto::VERSION,
-                    credit: 1024,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
+        r.next(); // hello
+        r.frame(&hello_ack(1024));
         r.src.advance_by(10_000_000);
-        r.exs.step().unwrap();
+        r.step();
         assert_eq!(r.exs.stats().link.heartbeats_sent, 0);
+        assert_eq!(r.exs.wait(r.now).deadline, None);
     }
 
     #[test]
     fn garbage_control_frames_are_skipped_within_budget() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side); // hello
-                                   // Up to the budget, undecodable frames are counted and skipped.
+        r.next(); // hello
+                  // Up to the budget, undecodable frames are counted and skipped.
         for _ in 0..CONTROL_ERROR_BUDGET {
-            r.ism_side.send(&[0xba, 0xad]).unwrap();
-            r.exs.step().unwrap();
+            r.frame_bytes(&[0xba, 0xad]);
         }
         assert_eq!(
             r.exs.stats().link.decode_errors,
             CONTROL_ERROR_BUDGET as u64
         );
         // The EXS is still fully functional: a sync poll gets answered.
-        r.ism_side
-            .send(
-                &Message::SyncPoll {
-                    round: 1,
-                    sample: 0,
-                    master_send: UtcMicros::from_micros(1),
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        assert!(matches!(
-            recv_msg(&mut r.ism_side),
-            Message::SyncReply { .. }
-        ));
-        // One past the budget: the connection is declared broken.
-        r.ism_side.send(&[0xff]).unwrap();
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
-        assert!(!r.exs.linked());
+        r.frame(&Message::SyncPoll {
+            round: 1,
+            sample: 0,
+            master_send: UtcMicros::from_micros(1),
+        });
+        assert!(matches!(r.next(), Message::SyncReply { .. }));
+        // One past the budget: the link is declared broken.
+        r.frame_bytes(&[0xff]);
+        assert_eq!(r.drops, 1);
+        assert!(!r.exs.uplink.connected());
     }
 
     #[test]
     fn idle_steps_report_idle() {
         let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side);
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Idle);
+        r.next();
+        assert!(!r.step());
         assert!(r.exs.stats().iterations >= 1);
-    }
-
-    /// A hand-rolled "ISM" that accepts connections one at a time and can
-    /// kill them, counting the records received across connections.
-    fn recv_records(
-        conn: &mut Box<dyn Connection>,
-        budget: Duration,
-    ) -> (usize, bool /* disconnected */) {
-        let deadline = std::time::Instant::now() + budget;
-        let mut n = 0;
-        while std::time::Instant::now() < deadline {
-            match conn.recv(Some(Duration::from_millis(10))) {
-                Ok(Some(frame)) => {
-                    if let Ok(Message::EventBatch { records, .. }) = Message::decode(&frame) {
-                        n += records.len();
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => return (n, true),
-            }
-        }
-        (n, false)
     }
 
     #[test]
     fn survives_server_side_disconnect() {
-        let t = MemTransport::new();
-        let mut listener = t.listen("ism").unwrap();
-        let rings = RingSet::new(NodeId(1), 1 << 20);
-        let mut port = rings.register();
-        let t2 = Arc::clone(&t);
-        let handle = spawn_exs_supervised(
-            NodeId(1),
-            Arc::clone(&rings),
-            Arc::new(SystemClock),
-            Box::new(move || t2.connect("ism")),
-            ExsConfig {
-                flush_timeout: Duration::from_millis(5),
-                ..ExsConfig::default()
-            },
-            SupervisorConfig::default(),
-        )
-        .unwrap();
-
-        // First connection: receive some records, then kill it.
-        let mut conn1 = listener
-            .accept(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        for i in 0..50 {
-            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
-                .unwrap();
-        }
-        let (got1, _) = recv_records(&mut conn1, Duration::from_millis(300));
-        assert!(got1 > 0, "first connection must carry records");
-        drop(conn1); // abrupt server-side disconnect
-
-        // The EXS must reconnect…
-        let mut conn2 = listener
-            .accept(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        // …re-send Hello…
-        let frame = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        let mut cfg = ExsConfig::default();
+        cfg.flush_timeout = Duration::from_millis(5);
+        let mut r = rig(cfg, 0);
+        r.next(); // hello
+        let delivered = |r: &mut Rig| {
+            let mut n = 0;
+            while let Some(msg) = r.sent.pop_front() {
+                if let Message::EventBatch { records, .. } = msg {
+                    n += records.len();
+                }
+            }
+            n
+        };
+        // First link: records flow, then the ISM side hangs up.
+        emit_n(&r.rings, 50);
+        r.step();
+        r.src.advance_by(5_000);
+        r.step();
+        assert_eq!(delivered(&mut r), 50, "the first link must carry records");
+        r.exs.uplink().down("peer hung up", r.now);
+        // The EXS must dial again...
+        r.step_until_dial();
+        assert_eq!(r.dials, 1);
+        r.up();
+        // ...re-send Hello...
         assert!(matches!(
-            Message::decode(&frame).unwrap(),
+            r.next(),
             Message::Hello {
-                node: NodeId(1),
+                node: NodeId(7),
                 ..
             }
         ));
-        // …and keep delivering new records.
-        for i in 50..80 {
-            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
-                .unwrap();
-        }
-        let (got2, _) = recv_records(&mut conn2, Duration::from_millis(300));
-        assert!(got2 > 0, "records must flow on the new connection");
-
-        assert_eq!(handle.connects(), 2);
-        let stats = handle.stop().unwrap();
-        assert_eq!(stats.link.connects, 2);
+        // ...and keep delivering new records.
+        emit_n(&r.rings, 30);
+        r.step();
+        r.src.advance_by(5_000);
+        r.step();
+        assert!(delivered(&mut r) >= 30, "records must flow on the new link");
+        assert_eq!(r.exs.stats().link.connects, 2);
     }
 
     #[test]
     fn correction_value_carries_across_reconnect() {
-        let t = MemTransport::new();
-        let mut listener = t.listen("ism").unwrap();
-        let rings = RingSet::new(NodeId(1), 1 << 20);
-        let t2 = Arc::clone(&t);
-        let handle = spawn_exs_supervised(
-            NodeId(1),
-            rings,
-            Arc::new(SystemClock),
-            Box::new(move || t2.connect("ism")),
-            ExsConfig::default(),
-            SupervisorConfig::default(),
-        )
-        .unwrap();
-
-        let mut conn1 = listener
-            .accept(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        let _hello = conn1.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        // Adjust the slave's correction, then kill the connection.
-        conn1
-            .send(
-                &Message::SyncAdjust {
-                    round: 1,
-                    advance_us: 12_345,
-                }
-                .encode(),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        drop(conn1);
-
-        let mut conn2 = listener
-            .accept(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        let _hello = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        // Poll the new incarnation: its reply must include the carried
-        // correction (clock reads now + 12_345 ± scheduling slack).
-        let before = UtcMicros::now();
-        conn2
-            .send(
-                &Message::SyncPoll {
-                    round: 2,
-                    sample: 0,
-                    master_send: before,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let reply = loop {
-            let frame = conn2.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            if let Message::SyncReply { slave_time, .. } = Message::decode(&frame).unwrap() {
-                break slave_time;
+        let mut r = rig(ExsConfig::default(), 0);
+        r.next(); // hello
+                  // Adjust the slave's correction, then lose the link.
+        r.frame(&Message::SyncAdjust {
+            round: 1,
+            advance_us: 12_345,
+        });
+        r.exs.uplink().down("peer hung up", r.now);
+        r.step_until_dial();
+        r.up();
+        assert!(matches!(r.next(), Message::Hello { .. }));
+        // Poll the next link: its reply carries the carried correction.
+        r.src.advance_by(1_000);
+        r.frame(&Message::SyncPoll {
+            round: 2,
+            sample: 0,
+            master_send: UtcMicros::from_micros(1_000),
+        });
+        match r.next() {
+            Message::SyncReply { slave_time, .. } => {
+                assert_eq!(slave_time, UtcMicros::from_micros(1_000 + 12_345));
             }
-        };
-        let skew = reply.micros_since(UtcMicros::now());
-        assert!(
-            (8_000..=12_345).contains(&skew),
-            "slave clock must be ~12.3 ms ahead (carried correction), got {skew}"
-        );
-        handle.stop().unwrap();
+            other => panic!("expected reply, got {other:?}"),
+        }
     }
 
     #[test]
     fn a_link_declared_corrupt_is_redialed_and_replayed() {
-        let t = MemTransport::new();
-        let mut listener = t.listen("ism").unwrap();
-        let rings = RingSet::new(NodeId(1), 1 << 20);
-        let mut port = rings.register();
-        let t2 = Arc::clone(&t);
-        let handle = spawn_exs_supervised(
-            NodeId(1),
-            Arc::clone(&rings),
-            Arc::new(SystemClock),
-            Box::new(move || t2.connect("ism")),
-            ExsConfig {
-                flush_timeout: Duration::from_millis(5),
-                ..ExsConfig::default()
-            },
-            SupervisorConfig {
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(5),
-            },
-        )
-        .unwrap();
-        // Each incarnation opens with Hello and then the unacked batch
-        // (never acked here, so every redial must replay it).
-        let mut accept = || {
-            let mut conn = listener
-                .accept(Some(Duration::from_secs(5)))
-                .unwrap()
-                .expect("the EXS must dial again");
-            let hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            assert!(matches!(Message::decode(&hello), Ok(Message::Hello { .. })));
-            let batch = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            match Message::decode(&batch).unwrap() {
+        let mut cfg = ExsConfig::default();
+        cfg.flush_timeout = Duration::from_millis(5);
+        let mut r = rig(cfg, 0).with_backoff_of(Duration::from_millis(1), Duration::from_millis(5));
+        r.next(); // hello
+                  // One batch, never acked here, so every redial must replay it.
+        emit_n(&r.rings, 3);
+        r.step();
+        r.src.advance_by(5_000);
+        r.step();
+        assert!(matches!(r.next(), Message::EventBatch { seq: Some(1), .. }));
+        // Each next link opens with Hello and then the windowed batch.
+        let relink = |r: &mut Rig| {
+            r.step_until_dial();
+            r.up();
+            assert!(matches!(r.next(), Message::Hello { .. }));
+            match r.next() {
                 Message::EventBatch { seq, records, .. } => {
                     assert_eq!((seq, records.len()), (Some(1), 3));
                 }
                 other => panic!("expected the windowed batch, got {other:?}"),
             }
-            conn
         };
-        for i in 0..3 {
-            port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::I32(i)])
-                .unwrap();
-        }
-        let mut first = accept();
-        // One undecodable frame past the budget drops the link…
+        // One undecodable frame past the budget drops the link...
         for _ in 0..=CONTROL_ERROR_BUDGET {
-            first.send(&[0xba, 0xad]).unwrap();
+            r.frame_bytes(&[0xba, 0xad]);
         }
-        let mut second = accept();
-        // …and so does a message a sender must never receive.
-        let hello = Message::Hello {
+        assert_eq!(r.drops, 1);
+        relink(&mut r);
+        // ...and so does a message a sender must never receive.
+        r.frame(&Message::Hello {
             node: NodeId(9),
             version: brisk_proto::VERSION,
-        };
-        second.send(&hello.encode()).unwrap();
-        let _third = accept();
-        // An attach is counted once its Hello and replay are out, so the
-        // peer can read them before the count moves.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.connects() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(handle.connects(), 3);
-        let stats = handle.stop().unwrap();
+        });
+        assert_eq!(r.drops, 2);
+        relink(&mut r);
+        let stats = r.exs.stats();
+        assert_eq!(stats.link.connects, 3);
         assert_eq!(stats.link.decode_errors, u64::from(CONTROL_ERROR_BUDGET));
         assert_eq!(stats.link.batches_retransmitted, 2);
     }
 
+    impl Rig {
+        fn with_backoff_of(mut self, initial_backoff: Duration, max_backoff: Duration) -> Rig {
+            let sup = SupervisorConfig {
+                initial_backoff,
+                max_backoff,
+            };
+            self.exs = self.exs.with_backoff(sup);
+            self
+        }
+    }
+
     #[test]
     fn backoff_resets_only_after_hello_ack() {
-        // Two supervised runs against hand-rolled ISMs that kill every
-        // connection shortly after accepting it. The only difference: one
-        // acknowledges the Hello first. With a large initial backoff the
-        // no-ack run must pay the backoff between incarnations, while the
-        // acked run reconnects promptly each time.
+        // Two runs against an ISM that kills every link shortly after it
+        // comes up. The only difference: one acknowledges the Hello
+        // first. With a large initial backoff the no-ack run must pay the
+        // backoff between links, while the acked run redials at once.
         fn run(ack: bool) -> Duration {
-            let t = MemTransport::new();
-            let mut listener = t.listen("ism").unwrap();
-            let rings = RingSet::new(NodeId(1), 1 << 20);
-            let t2 = Arc::clone(&t);
-            let handle = spawn_exs_supervised(
-                NodeId(1),
-                rings,
-                Arc::new(SystemClock),
-                Box::new(move || t2.connect("ism")),
-                ExsConfig::default(),
-                SupervisorConfig {
-                    initial_backoff: Duration::from_millis(250),
-                    max_backoff: Duration::from_secs(2),
-                },
-            )
-            .unwrap();
-            let start = std::time::Instant::now();
+            let initial = Duration::from_millis(250);
+            let mut r =
+                rig(ExsConfig::default(), 0).with_backoff_of(initial, Duration::from_secs(2));
             for _ in 0..2 {
-                let mut conn = listener
-                    .accept(Some(Duration::from_secs(10)))
-                    .unwrap()
-                    .unwrap();
-                let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
                 if ack {
-                    conn.send(
-                        &Message::HelloAck {
-                            version: brisk_proto::VERSION,
-                            credit: 1024,
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-                    // Give the EXS a step to process the ack before the kill.
-                    std::thread::sleep(Duration::from_millis(50));
+                    r.frame(&hello_ack(1024));
                 }
-                drop(conn);
+                r.now += Duration::from_millis(50);
+                r.exs.uplink().down("killed", r.now);
+                r.step_until_dial();
+                r.up();
             }
-            let _conn3 = listener
-                .accept(Some(Duration::from_secs(10)))
-                .unwrap()
-                .unwrap();
-            let elapsed = start.elapsed();
-            handle.stop().ok();
-            elapsed
+            r.now
         }
         let with_ack = run(true);
         let without_ack = run(false);
         // No HelloAck → two backoff pauses of ≥ 250 ms each before the
-        // third connection shows up.
+        // third link comes up.
         assert!(
-            without_ack >= Duration::from_millis(450),
+            without_ack >= Duration::from_millis(100 + 500),
             "pre-ack deaths must keep (and grow) the backoff, got {without_ack:?}"
         );
-        assert!(
-            with_ack < without_ack,
-            "acked incarnations must reconnect faster ({with_ack:?} vs {without_ack:?})"
+        assert_eq!(
+            with_ack,
+            Duration::from_millis(100),
+            "acked links must be dialed again at once"
         );
     }
 
     #[test]
     fn a_reconnect_refused_before_its_hello_ack_is_retried() {
-        let t = MemTransport::new();
-        let mut listener = t.listen("ism").unwrap();
-        let t2 = Arc::clone(&t);
-        let handle = spawn_exs_supervised(
-            NodeId(1),
-            RingSet::new(NodeId(1), 1 << 20),
-            Arc::new(SystemClock),
-            Box::new(move || t2.connect("ism")),
-            ExsConfig::default(),
-            SupervisorConfig {
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(5),
-            },
-        )
-        .unwrap();
-        let mut accept = || {
-            let mut conn = listener
-                .accept(Some(Duration::from_secs(5)))
-                .unwrap()
-                .expect("the EXS must dial");
-            let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            conn
-        };
-        // Incarnation 1 is established, then its link dies abruptly.
-        let mut first = accept();
-        let ack = Message::HelloAck {
-            version: brisk_proto::VERSION,
-            credit: 1024,
-        };
-        first.send(&ack.encode()).unwrap();
-        while handle.stats_now().link.hello_acks < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(first);
-        // Incarnation 2 races the ISM's reaping of the dead connection and
-        // is refused as a duplicate: `Shutdown`, no `HelloAck`.
-        let mut second = accept();
-        second.send(&Message::Shutdown.encode()).unwrap();
+        let mut r = rig(ExsConfig::default(), 0)
+            .with_backoff_of(Duration::from_millis(1), Duration::from_millis(5));
+        // Link 1 is established, then dies abruptly.
+        r.frame(&hello_ack(1024));
+        r.exs.uplink().down("peer hung up", r.now);
+        // Link 2 races the ISM's reaping of the dead one and is refused as
+        // a duplicate: `Shutdown`, no `HelloAck`.
+        r.step_until_dial();
+        r.up();
+        assert!(!r.frame(&Message::Shutdown));
+        assert_eq!(r.drops, 1, "a refusal drops the link");
         // The node must come back rather than stay down for good.
-        let _third = accept();
-        handle.stop().ok();
+        r.step_until_dial();
+        assert_eq!(r.dials, 2);
     }
 
     #[test]
     fn orderly_ism_shutdown_is_honoured_not_retried() {
-        let t = MemTransport::new();
-        let mut listener = t.listen("ism").unwrap();
-        let rings = RingSet::new(NodeId(1), 1 << 20);
-        let t2 = Arc::clone(&t);
-        let handle = spawn_exs_supervised(
-            NodeId(1),
-            rings,
-            Arc::new(SystemClock),
-            Box::new(move || t2.connect("ism")),
-            ExsConfig::default(),
-            SupervisorConfig::default(),
-        )
-        .unwrap();
-        let mut conn = listener
-            .accept(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        conn.send(&Message::Shutdown.encode()).unwrap();
-        // The EXS must exit on its own, without a reconnect attempt.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while handle.connects() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(
-            listener
-                .accept(Some(Duration::from_millis(100)))
-                .unwrap()
-                .is_none(),
-            "no reconnect after an orderly shutdown"
-        );
-        let stats = handle.stop().unwrap();
-        assert_eq!(stats.link.connects, 1);
-    }
-
-    #[test]
-    fn a_sleeping_exs_is_rung_awake_by_every_burst() {
-        // Two sensors emit seeded bursts, and each waits for its burst's
-        // tail to reach the fake ISM before a 0–5 ms gap. With heartbeats
-        // off, only the doorbell wakes an EXS asleep on empty rings, so a
-        // lost wakeup strands a tail for good: 2 s bounds "for good", it
-        // is no latency bar (`partial_batch_flushes_on_timeout` times the
-        // flush).
-        use rand::{Rng, SeedableRng};
-        use std::collections::HashMap;
-        use std::sync::{Condvar, Mutex};
-        const PER_SENSOR: u64 = 10_000;
-        let (mut ism, conn) = mem_pair();
-        let rings = RingSet::new(NodeId(3), 1 << 18);
-        let ports = [rings.register(), rings.register()];
-        let cfg = ExsConfig {
-            flush_timeout: Duration::from_millis(10),
-            heartbeat_interval: Duration::ZERO,
-            ..ExsConfig::default()
-        };
-        let handle = spawn_exs(NodeId(3), rings, Arc::new(SystemClock), conn, cfg).unwrap();
-        // Records the fake ISM has received per sensor: the next seq due.
-        let arrived = Arc::new((Mutex::new(HashMap::new()), Condvar::new()));
-        let sensors: Vec<_> = ports
-            .into_iter()
-            .zip(0..)
-            .map(|(mut port, s)| {
-                let arrived = Arc::clone(&arrived);
-                std::thread::spawn(move || {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0d00_be11 + s);
-                    while port.next_seq() < PER_SENSOR {
-                        let burst = rng.gen_range(1..=200u64).min(PER_SENSOR - port.next_seq());
-                        for _ in 0..burst {
-                            assert!(port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap());
-                        }
-                        let (sensor, tail) = (port.sensor(), port.next_seq() - 1);
-                        let (seen, rung) = &*arrived;
-                        let wait = Duration::from_secs(2);
-                        let stranded =
-                            |seen: &mut HashMap<_, u64>| seen.get(&sensor) <= Some(&tail);
-                        let waited = rung
-                            .wait_timeout_while(seen.lock().unwrap(), wait, stranded)
-                            .unwrap()
-                            .1;
-                        assert!(
-                            !waited.timed_out(),
-                            "the burst ending at {sensor:?}/{tail} never arrived"
-                        );
-                        let gap = rng.gen_range(0..=5_000u64);
-                        std::thread::sleep(Duration::from_micros(gap));
-                    }
-                })
-            })
-            .collect();
-        // Every sensor returns once its last tail arrived, or panics.
-        while !sensors.iter().all(|s| s.is_finished()) {
-            let Some(frame) = ism.recv(Some(Duration::from_millis(100))).unwrap() else {
-                continue;
-            };
-            if let Message::EventBatch { records, .. } = Message::decode(&frame).unwrap() {
-                let (seen, rung) = &*arrived;
-                let mut seen = seen.lock().unwrap();
-                for r in records {
-                    let next = seen.entry(r.sensor).or_insert(0);
-                    assert_eq!(r.seq, *next, "{:?} out of order or twice", r.sensor);
-                    *next += 1;
-                }
-                rung.notify_all();
-            }
-        }
-        for sensor in sensors {
-            sensor.join().unwrap();
-        }
-        handle.stop().unwrap();
-    }
-
-    #[test]
-    fn stop_wakes_a_sleeping_exs_at_once() {
-        // Asleep on its link and doorbell with heartbeats off, or in a 2 s
-        // redial backoff: either way the stop bell ends the sleep.
-        let (_ism, conn) = mem_pair();
-        let cfg = ExsConfig {
-            heartbeat_interval: Duration::ZERO,
-            ..ExsConfig::default()
-        };
-        let rings = |n| RingSet::new(NodeId(n), 1 << 16);
-        let clock = || Arc::new(SystemClock) as Arc<dyn Clock>;
-        let parked = spawn_exs(NodeId(4), rings(4), clock(), conn, cfg.clone()).unwrap();
-        let t = MemTransport::new();
-        let backoff = SupervisorConfig {
-            initial_backoff: Duration::from_secs(2),
-            max_backoff: Duration::from_secs(2),
-        };
-        let dial: ConnectFn = Box::new(move || t.connect("nobody"));
-        let redialing =
-            spawn_exs_supervised(NodeId(5), rings(5), clock(), dial, cfg, backoff).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(redialing.connects(), 0, "the dial must have failed");
-        for handle in [parked, redialing] {
-            let t0 = Instant::now();
-            handle.stop().unwrap();
-            let took = t0.elapsed();
-            assert!(took < Duration::from_millis(50), "stop took {took:?}");
-        }
+        let mut r = rig(ExsConfig::default(), 0);
+        assert!(matches!(r.next(), Message::Hello { .. }));
+        // The EXS asks to stop: the link stays as it is, neither dropped
+        // nor dialed again (`runtime::tests` has the thread that ends).
+        assert!(r.frame(&Message::Shutdown));
+        assert!(r.exs.uplink.connected());
+        assert_eq!((r.drops, r.dials), (0, 0));
+        assert_eq!(r.exs.stats().link.connects, 1);
     }
 
     #[test]
@@ -1911,77 +1424,5 @@ mod tests {
             let xdr = rec.xdr_payload_size();
             assert!(xdr <= XDR_PER_RING_BYTE * ring, "{rec}: {xdr} > 2 x {ring}");
         }
-    }
-
-    #[test]
-    fn large_records_ship_when_the_byte_knob_trips_not_at_the_deadline() {
-        // 1 KiB strings trip the 8 KiB byte knob at the eighth record, far
-        // below the record knob. The sensor emits them 5 ms apart, so the
-        // EXS sleeps on its partial batch between them (it wakes at what
-        // the batch lacks, not per record). The eighth must ship within
-        // 2 s, far from the 30 s flush deadline and from a fifth of it.
-        let (mut ism, conn) = mem_pair();
-        let rings = RingSet::new(NodeId(8), 1 << 18);
-        let mut port = rings.register();
-        let cfg = ExsConfig {
-            max_batch_bytes: 8 * 1024,
-            flush_timeout: Duration::from_secs(30),
-            heartbeat_interval: Duration::ZERO,
-            ..ExsConfig::default()
-        };
-        let handle = spawn_exs(NodeId(8), rings, Arc::new(SystemClock), conn, cfg).unwrap();
-        recv_msg(&mut ism); // hello
-        for n in 1..=8 {
-            std::thread::sleep(Duration::from_millis(5));
-            assert!(ism.recv(Some(Duration::ZERO)).unwrap().is_none(), "{n}");
-            let big = vec![Value::Str("x".repeat(1024))];
-            port.emit(EventTypeId(1), UtcMicros::ZERO, big).unwrap();
-        }
-        let filled = Instant::now();
-        let frame = ism.recv(Some(Duration::from_secs(10))).unwrap();
-        match Message::decode(&frame.expect("no batch within 10 s")).unwrap() {
-            Message::EventBatch { records, .. } => assert_eq!(records.len(), 8),
-            other => panic!("expected a batch, got {other:?}"),
-        }
-        let took = filled.elapsed();
-        assert!(
-            took < Duration::from_secs(2),
-            "shipped {took:?} after it filled"
-        );
-        let stats = handle.stop().unwrap();
-        assert_eq!((stats.flush_bytes, stats.flush_timeout), (1, 0));
-    }
-
-    #[test]
-    fn a_small_ring_is_drained_before_it_fills_on_the_way_to_a_full_batch() {
-        // A 2 KiB ring holds 62 empty records, far fewer than the 256 of
-        // a batch at the default knobs, and the flush deadline is 30 s
-        // off. The doorbell's level is capped at half a ring, so at two
-        // records a millisecond the EXS drains the ring every 31 records,
-        // 15 ms before it would overflow, and the 256th ships the batch.
-        let (mut ism, conn) = mem_pair();
-        let rings = RingSet::new(NodeId(9), 2 << 10);
-        let mut port = rings.register();
-        let cfg = ExsConfig {
-            flush_timeout: Duration::from_secs(30),
-            heartbeat_interval: Duration::ZERO,
-            ..ExsConfig::default()
-        };
-        let handle = spawn_exs(NodeId(9), rings, Arc::new(SystemClock), conn, cfg).unwrap();
-        recv_msg(&mut ism); // hello
-        for _ in 0..150 {
-            for _ in 0..2 {
-                port.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap();
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let frame = ism.recv(Some(Duration::from_secs(10))).unwrap();
-        match Message::decode(&frame.expect("no batch within 10 s")).unwrap() {
-            Message::EventBatch { records, .. } => assert_eq!(records.len(), 256),
-            other => panic!("expected a batch, got {other:?}"),
-        }
-        assert_eq!(port.stats().dropped, 0);
-        let stats = handle.stop().unwrap();
-        assert_eq!((stats.flush_records, stats.flush_timeout), (1, 0));
     }
 }

@@ -1,27 +1,40 @@
-//! The sender side of the session protocol, written once.
+//! The sender side of the session protocol, written once, as a machine.
 //!
-//! An [`Uplink`] is everything a *sender* must do with window, credit,
-//! acks, replay, heartbeats and control frames (§3.4–3.5). It is session
-//! state that outlives any one connection: reconnecting is "keep the
-//! `Uplink`, [`Uplink::attach`] the next connection" — `Hello` goes out
-//! followed by every still-unacked batch, nothing is carried over by hand.
-//! The window holds each batch as the frame it was sent as, encoded once
-//! under the sequence number the window assigns, so replay resends the
-//! original bytes and callers only lend their records.
+//! An [`Uplink`] is everything a *sender* decides about window, credit,
+//! acks, replay, heartbeats, control frames and redial (§3.4–3.5), and
+//! none of its I/O: it holds no socket, no dialer and no wall clock. Its
+//! inputs carry the driver's monotonic `now` where time matters: the link
+//! came up ([`Uplink::up`]) or was lost ([`Uplink::down`]), a frame
+//! arrived ([`Uplink::on_frame`]), a batch is to be shipped
+//! ([`Uplink::send`]), and time itself ([`Uplink::advance`]). Its outputs
+//! ([`Uplink::drain_outputs`]) are a dial, a frame to send and a link to
+//! drop, and [`Uplink::advance`] returns its one next deadline: the
+//! heartbeat while up, the next dial while down. The driver side,
+//! [`crate::runtime::Link`], owns the socket and the dialer and reports
+//! back what became of them; the EXS runtime and the ISM's loop both use
+//! it.
+//!
+//! The `Uplink` is session state that outlives any one link: when a link
+//! comes up, `Hello` goes out followed by every still-unacked batch, and
+//! nothing is carried over by hand. The window holds each batch as the
+//! frame it was sent as, encoded once under the sequence number the window
+//! assigns, so replay resends the original bytes, callers only lend their
+//! records, and a send output lends the window's frame rather than a copy.
 //!
 //! Two callers sit on it, the [`crate::ExternalSensor`] and the relay
 //! ISM's upstream exporter (a relay's upstream link *is* an EXS link).
 //! The `Uplink` also owns the one redial policy both follow: it decides
-//! when a link is dead and when to dial again. Any link error, an
+//! when a link is dead and when to dial again. A lost link, an
 //! undecodable control frame one past [`CONTROL_ERROR_BUDGET`], or a
-//! message a sender must never receive drops *this link*. With a
-//! [`ConnectFn`] ([`Uplink::with_redial`]) the next [`Uplink::redial`]
-//! dials again under decorrelated-jitter backoff ([`SupervisorConfig`]);
-//! without one the link simply stays down. The callers keep one policy
-//! difference: after an orderly `Shutdown` the EXS stops, the relay
-//! redials. Heartbeats are paced on the sender's own clock, accumulated
-//! forward-only, so the EXS stays deterministic under a simulated clock
-//! and a clock stepped backward neither stalls nor floods them.
+//! message a sender must never receive ends *this link*, and the next
+//! dial is due on the driver's clock: at once if the ISM answered the
+//! link's `Hello`, else after a decorrelated-jitter backoff
+//! ([`SupervisorConfig`]). A driver with no dialer ends with its link.
+//! The callers keep one policy difference: after an orderly `Shutdown`
+//! the EXS stops, the relay redials. Heartbeats and `SyncReply`s stay on
+//! the sender's own clock; heartbeats are paced by its forward progress,
+//! so the EXS stays deterministic under a simulated clock and a clock
+//! stepped backward neither stalls nor floods them.
 //!
 //! The `Uplink` also counts what it sees, once for both callers: its
 //! [`UplinkTelemetry`] cells are bumped where each link event happens, and
@@ -30,23 +43,18 @@
 
 use crate::batch::{SendWindow, SentFrame};
 use brisk_clock::Clock;
-use brisk_core::{BriskError, EventRecord, NodeId, Result};
-use brisk_net::Connection;
+use brisk_core::{EventRecord, NodeId};
 use brisk_proto::{encode_batch, Message};
 use brisk_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::os::unix::io::RawFd;
+use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Factory producing a fresh connection to the ISM, invoked on every
-/// (re)connect.
-pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
-
-/// Undecodable inbound control frames tolerated per connection before it
-/// is declared corrupt. Mirrors the ISM-side protocol error budget.
+/// Undecodable inbound control frames tolerated per link before it is
+/// declared corrupt. Mirrors the ISM-side protocol error budget.
 pub const CONTROL_ERROR_BUDGET: u32 = 8;
 
 brisk_telemetry::metrics! {
@@ -129,34 +137,33 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// When to dial next: the jittered backoff schedule of one link.
+/// When to dial next: the jittered backoff schedule of one link, on the
+/// driver's clock.
 struct Redial {
-    connect: ConnectFn,
     sup: SupervisorConfig,
     rng: StdRng,
     /// Delay the next failure waits before the following attempt.
     backoff: Duration,
-    next_attempt: Instant,
+    next_attempt: Duration,
 }
 
 impl Redial {
-    fn new(node: NodeId, connect: ConnectFn, sup: SupervisorConfig) -> Redial {
+    fn new(node: NodeId, sup: SupervisorConfig) -> Redial {
         Redial {
-            connect,
             // Per-node jitter stream: nodes decorrelate from each other
             // while one node's retry schedule stays reproducible.
             rng: StdRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ u64::from(node.0)),
             backoff: sup.initial_backoff,
-            next_attempt: Instant::now(),
+            next_attempt: Duration::ZERO,
             sup,
         }
     }
 
-    /// An attempt failed: wait out the current backoff, then widen it to
-    /// `min(max, U(initial, 3 × current))`. Returns the wait.
-    fn defer(&mut self) -> Duration {
+    /// An attempt failed at `now`: wait out the current backoff, then
+    /// widen it to `min(max, U(initial, 3 × current))`. Returns the wait.
+    fn defer(&mut self, now: Duration) -> Duration {
         let wait = self.backoff;
-        self.next_attempt = Instant::now() + wait;
+        self.next_attempt = now + wait;
         let lo = self.sup.initial_backoff.as_micros() as u64;
         let cap = (self.sup.max_backoff.as_micros() as u64).max(lo);
         let hi = (wait.as_micros() as u64).saturating_mul(3).clamp(lo, cap);
@@ -166,9 +173,9 @@ impl Redial {
 
     /// The link worked (the ISM answered its `Hello`): dial again at once
     /// and start the next schedule gently.
-    fn reset(&mut self) {
+    fn reset(&mut self, now: Duration) {
         self.backoff = self.sup.initial_backoff;
-        self.next_attempt = Instant::now();
+        self.next_attempt = now;
     }
 }
 
@@ -186,6 +193,48 @@ pub enum Control {
     Adjusted(i64),
     /// The peer announced an orderly shutdown.
     Shutdown,
+    /// The frame ended the link (one undecodable frame past the budget,
+    /// a message a sender must never receive, or a refused reconnect):
+    /// the `Uplink` is down and has told its driver to drop the link.
+    Dropped,
+}
+
+/// What the [`Uplink`] asks of its driver, in the order it decided it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LinkOutput<'a> {
+    /// Dial the ISM, then report [`Uplink::up`] or [`Uplink::down`].
+    Dial,
+    /// Send one encoded frame on the link. A batch's frame is the
+    /// window's own, lent rather than copied.
+    Send(&'a [u8]),
+    /// Drop the link: the `Uplink` has given it up and counts it down.
+    Drop,
+}
+
+enum Queued {
+    Dial,
+    /// A frame in the outbox's buffer.
+    Frame(Range<usize>),
+    /// The window's frame of this sequence number.
+    Batch(u64),
+    Drop,
+}
+
+/// Outputs not yet drained. Control frames share one buffer, reused, so
+/// an output costs no allocation.
+#[derive(Default)]
+struct Outbox {
+    frames: Vec<u8>,
+    queued: Vec<Queued>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LinkState {
+    /// No link: the next dial is due at `Redial::next_attempt`.
+    Down,
+    /// A dial is out; the driver reports its outcome.
+    Dialing,
+    Up,
 }
 
 /// Sender-side session state for one node's link to its ISM.
@@ -195,14 +244,14 @@ pub struct Uplink {
     /// on each other through their corrections) and paces heartbeats.
     clock: Arc<dyn Clock>,
     heartbeat_interval: Duration,
-    conn: Option<Box<dyn Connection>>,
-    /// Sent-but-unacked batch frames, replayed byte for byte on every
-    /// `attach`.
+    state: LinkState,
+    /// Sent-but-unacked batch frames, replayed byte for byte whenever a
+    /// link comes up.
     window: SendWindow<SentFrame>,
     /// Absolute in-flight budget the ISM re-advertises on `HelloAck` and
-    /// every `BatchAck`; `None` until the first `HelloAck` on any
-    /// connection, and the link is open until then. Survives `attach`, so
-    /// the gap before the new `HelloAck` stays paced by the old grant.
+    /// every `BatchAck`; `None` until the first `HelloAck` on any link,
+    /// and the link is open until then. Survives a reconnect, so the gap
+    /// before the new `HelloAck` stays paced by the old grant.
     grant: Option<u64>,
     control_errors: u32,
     /// Heartbeat pacing µs: forward progress of `clock` accrues here, a
@@ -210,20 +259,22 @@ pub struct Uplink {
     paced_us: i64,
     /// Last `clock` reading, to derive forward deltas for `paced_us`.
     last_read_us: i64,
-    /// `paced_us` of the last frame sent on this connection.
+    /// `paced_us` of the last frame sent on this link.
     last_send_us: i64,
-    /// The ISM answered this connection's `Hello`.
+    /// The ISM answered this link's `Hello`.
     acked: bool,
     /// The last [`Uplink::poll_credit`] found the budget spent.
     stalled: bool,
-    /// `None`: a lost link stays down.
-    redial: Option<Redial>,
+    redial: Redial,
+    out: Outbox,
     telemetry: Arc<UplinkTelemetry>,
 }
 
 impl Uplink {
-    /// New, unattached session for `node`. `clock` answers sync polls and
-    /// paces heartbeats; `heartbeat_interval` zero disables them.
+    /// New session for `node`, its link down and its first dial due at
+    /// once, redialing under [`SupervisorConfig::default`]. `clock`
+    /// answers sync polls and paces heartbeats; `heartbeat_interval` zero
+    /// disables them.
     pub fn new(
         node: NodeId,
         clock: Arc<dyn Clock>,
@@ -235,7 +286,7 @@ impl Uplink {
             last_read_us: clock.now().as_micros(),
             clock,
             heartbeat_interval,
-            conn: None,
+            state: LinkState::Down,
             window: SendWindow::new(window_batches),
             grant: None,
             control_errors: 0,
@@ -243,22 +294,22 @@ impl Uplink {
             last_send_us: 0,
             acked: false,
             stalled: false,
-            redial: None,
+            redial: Redial::new(node, SupervisorConfig::default()),
+            out: Outbox::default(),
             telemetry: Arc::default(),
         }
+    }
+
+    /// Redial lost links under `sup`'s backoff, jittered by this link's
+    /// node id.
+    pub fn with_backoff(mut self, sup: SupervisorConfig) -> Uplink {
+        self.redial = Redial::new(self.node, sup);
+        self
     }
 
     /// The link's cells (share the `Arc` to observe it from elsewhere).
     pub fn telemetry(&self) -> &Arc<UplinkTelemetry> {
         &self.telemetry
-    }
-
-    /// Dial lost links again through `connect` under `sup`'s backoff,
-    /// jittered by this link's node id. The first [`Uplink::redial`] is
-    /// due at once.
-    pub fn with_redial(mut self, connect: ConnectFn, sup: SupervisorConfig) -> Uplink {
-        self.redial = Some(Redial::new(self.node, connect, sup));
-        self
     }
 
     /// Replace the clock that answers sync polls and paces heartbeats.
@@ -276,11 +327,6 @@ impl Uplink {
         self.paced_us
     }
 
-    /// True when a [`ConnectFn`] dials lost links again.
-    pub(crate) fn redials(&self) -> bool {
-        self.redial.is_some()
-    }
-
     /// The window or the grant moved: refresh their gauges.
     fn window_moved(&self) {
         let t = &self.telemetry;
@@ -290,9 +336,9 @@ impl Uplink {
             .store(self.grant.map_or(0, |c| c as i64 - in_flight), Relaxed);
     }
 
-    /// True while a connection is attached.
+    /// True while the link is up.
     pub fn connected(&self) -> bool {
-        self.conn.is_some()
+        self.state == LinkState::Up
     }
 
     /// The credit budget last granted by the ISM; `None` before the first
@@ -336,141 +382,106 @@ impl Uplink {
         open
     }
 
-    /// How long until this link needs its owner: while down, the next
-    /// redial; while up, the next heartbeat. `None` when nothing is due.
-    /// Acks and sync polls are link input, not due times.
-    pub fn due_in(&self) -> Option<Duration> {
-        if self.conn.is_none() {
-            let redial = self.redial.as_ref()?;
-            return Some(
-                redial
-                    .next_attempt
-                    .saturating_duration_since(Instant::now()),
-            );
+    /// Queue `msg` for a live link; the frame restarts the heartbeat
+    /// pacing. Nothing is queued while the link is not up.
+    fn queue(&mut self, msg: &Message) {
+        if self.state != LinkState::Up {
+            return;
         }
-        if self.heartbeat_interval.is_zero() {
-            return None;
-        }
-        let now = self.clock.now().as_micros();
-        let paced = self.paced_us + now.saturating_sub(self.last_read_us).max(0);
-        let idle = paced.saturating_sub(self.last_send_us).max(0) as u64;
-        Some(
-            self.heartbeat_interval
-                .saturating_sub(Duration::from_micros(idle)),
-        )
+        let Outbox { frames, queued } = &mut self.out;
+        let start = frames.len();
+        msg.encode_into(frames);
+        queued.push(Queued::Frame(start..frames.len()));
+        self.last_send_us = self.pace();
     }
 
-    /// The fd a sleeper waits on for this link's input; `None` when it
-    /// must not wait: input is already buffered, or the link has no
-    /// socket left (its next read fails at once) or is down.
-    pub fn wait_fd(&self) -> Option<RawFd> {
-        let conn = self.conn.as_ref()?;
-        if conn.has_buffered() {
-            return None;
-        }
-        conn.poll_fd()
-    }
-
-    /// Adopt `conn`: send `Hello`, then replay every unacked batch in
-    /// sequence order ahead of new traffic. Returns how many batches were
-    /// replayed (harmless if the ISM already processed them: it dedups by
-    /// `(node, seq)`). On error nothing is attached and the window is intact.
-    pub fn attach(&mut self, mut conn: Box<dyn Connection>) -> Result<usize> {
-        self.conn = None;
-        self.telemetry.connected.store(0, Relaxed);
+    /// A dial succeeded: `Hello` goes out, then every unacked batch in
+    /// sequence order ahead of new traffic (harmless if the ISM already
+    /// processed them: it dedups by `(node, seq)`). Replay deliberately
+    /// ignores credit: those records were already granted in flight by
+    /// the previous link, and holding them back would stall recovery
+    /// behind acks that cannot arrive yet.
+    pub fn up(&mut self) {
+        self.state = LinkState::Up;
         self.control_errors = 0;
         self.acked = false;
-        conn.send(
-            &Message::Hello {
-                node: self.node,
-                version: brisk_proto::VERSION,
-            }
-            .encode(),
-        )?;
-        // Replay deliberately ignores credit: those records were already
-        // granted in flight by the previous connection, and holding them
-        // back would stall recovery behind acks that cannot arrive yet.
-        for (_, batch) in self.window.iter_unacked() {
-            conn.send(&batch.frame)?;
-        }
-        self.conn = Some(conn);
+        let hello = Message::Hello {
+            node: self.node,
+            version: brisk_proto::VERSION,
+        };
+        self.queue(&hello);
+        let replay = self
+            .window
+            .iter_unacked()
+            .map(|(seq, _)| Queued::Batch(seq));
+        self.out.queued.extend(replay);
         let replayed = self.window.depth();
         let t = &self.telemetry;
         t.connects.fetch_add(1, Relaxed);
         t.batches_retransmitted.fetch_add(replayed as u64, Relaxed);
         t.connected.store(1, Relaxed);
-        self.last_send_us = self.pace();
-        Ok(replayed)
-    }
-
-    /// With the link down, a [`ConnectFn`] set and the backoff elapsed,
-    /// dial and [`Uplink::attach`]; `true` once a connection is attached.
-    /// A failed attempt schedules the next one.
-    pub fn redial(&mut self) -> bool {
-        let Some(r) = &self.redial else {
-            return false;
-        };
-        if self.conn.is_some() || r.next_attempt > Instant::now() {
-            return false;
-        }
-        let dialed = (r.connect)();
-        match dialed.and_then(|conn| self.attach(conn)) {
-            Ok(replayed) => {
-                brisk_telemetry::flight_log!(
-                    Info,
-                    "uplink",
-                    "connect",
-                    "node {} attached connection {}; replayed {replayed} unacked batches",
-                    self.node,
-                    self.telemetry.connects.load(Relaxed)
-                );
-                true
-            }
-            Err(_) => {
-                self.redial.as_mut().map(Redial::defer);
-                false
-            }
-        }
-    }
-
-    /// Drop the connection (if any); the window and credit are kept for
-    /// the next [`Uplink::attach`]. With a [`ConnectFn`], the next dial is
-    /// due at once if the ISM answered this connection's `Hello`, and
-    /// after the backoff otherwise.
-    pub fn drop_link(&mut self, why: &str) {
-        if self.conn.take().is_none() {
-            return;
-        }
-        self.telemetry.connected.store(0, Relaxed);
         brisk_telemetry::flight_log!(
-            Warn,
+            Info,
             "uplink",
-            "disconnect",
-            "node {} lost its link ({why}); {} unacked batches held for replay",
+            "connect",
+            "node {} attached connection {}; replayed {replayed} unacked batches",
             self.node,
-            self.window.depth()
+            t.connects.load(Relaxed)
         );
-        match &mut self.redial {
-            Some(r) if self.acked => r.reset(),
-            Some(r) => {
-                r.defer();
-            }
-            None => {}
+    }
+
+    /// The link is gone at `now` (a dial, a send or a read failed): what
+    /// was queued for it is moot. The window and credit are kept for the
+    /// next link, due at once if the ISM answered this link's `Hello` and
+    /// after the backoff otherwise.
+    pub fn down(&mut self, why: &str, now: Duration) {
+        self.lose(why, now);
+        self.out.queued.clear();
+        self.out.frames.clear();
+    }
+
+    /// Give the link up at `now`: what is queued still goes out, then the
+    /// driver is told to drop it, and the `Uplink` counts it down.
+    pub fn drop_link(&mut self, why: &str, now: Duration) {
+        if self.state == LinkState::Up {
+            self.lose(why, now);
+            self.out.queued.push(Queued::Drop);
         }
     }
 
-    /// Drop the link over `e` and hand `e` back: every link error the
-    /// `Uplink` returns means the link is gone.
-    fn fail(&mut self, e: BriskError) -> BriskError {
-        self.drop_link(&e.to_string());
-        e
+    fn lose(&mut self, why: &str, now: Duration) {
+        match self.state {
+            LinkState::Down => return,
+            LinkState::Dialing => {
+                self.redial.defer(now);
+            }
+            LinkState::Up => {
+                self.telemetry.connected.store(0, Relaxed);
+                brisk_telemetry::flight_log!(
+                    Warn,
+                    "uplink",
+                    "disconnect",
+                    "node {} lost its link ({why}); {} unacked batches held for replay",
+                    self.node,
+                    self.window.depth()
+                );
+                if self.acked {
+                    self.redial.reset(now);
+                } else {
+                    self.redial.defer(now);
+                }
+            }
+        }
+        self.state = LinkState::Down;
     }
 
-    /// Encode a batch under the next sequence number and retain the frame
-    /// for replay without sending it (the link is down); the next `attach`
-    /// delivers it. A full window evicts its oldest unacked batch, which
-    /// is then beyond replay.
-    pub fn stash(&mut self, records: &[EventRecord]) {
+    /// Window a fresh batch under the next sequence number and, while the
+    /// link is up, ship it; `true` when it was handed to a live link. A
+    /// batch windowed while the link is down goes out with the next
+    /// link's replay. A full window evicts its oldest unacked batch,
+    /// which is then beyond replay. The records are only borrowed, so the
+    /// caller can reuse them.
+    pub fn send(&mut self, records: &[EventRecord]) -> bool {
         let next = self.window.next_seq();
         let frame = encode_batch(self.node, Some(next), records);
         let (seq, evicted) = self.window.push(SentFrame {
@@ -491,70 +502,77 @@ impl Uplink {
             );
         }
         self.window_moved();
-    }
-
-    /// Window a fresh batch and ship it. The window effect happens
-    /// whether or not the link send succeeds: a batch whose send failed
-    /// stays windowed and the next `attach` replays it. The records are
-    /// only borrowed, so the caller can reuse them.
-    pub fn send(&mut self, records: &[EventRecord]) -> Result<()> {
-        self.stash(records);
-        let batch = self.window.newest().expect("a batch was just windowed");
-        let sent = send_on(&mut self.conn, &batch.frame);
-        self.sent(sent)
-    }
-
-    fn send_frame(&mut self, frame: &[u8]) -> Result<()> {
-        let sent = send_on(&mut self.conn, frame);
-        self.sent(sent)
-    }
-
-    /// Account one send attempt: a failure drops the link, a success
-    /// resets the heartbeat pacing.
-    fn sent(&mut self, sent: Result<()>) -> Result<()> {
-        sent.map_err(|e| self.fail(e))?;
+        if self.state != LinkState::Up {
+            return false;
+        }
+        self.out.queued.push(Queued::Batch(seq));
         self.last_send_us = self.pace();
-        Ok(())
+        true
     }
 
-    /// Best-effort orderly `Shutdown` notice.
+    /// Orderly `Shutdown` notice, on a live link.
     pub fn send_shutdown(&mut self) {
-        let _ = self.send_frame(&Message::Shutdown.encode());
+        self.queue(&Message::Shutdown);
     }
 
-    /// Send a `Heartbeat` when the link has been send-idle for a full
-    /// interval (a zero interval disables them). Any frame sent — and the
-    /// `HelloAck` — resets the pacing, so heartbeats only ever ride an
-    /// otherwise-quiet link. Returns whether one was sent.
-    pub fn heartbeat_if_idle(&mut self) -> Result<bool> {
-        if self.heartbeat_interval.is_zero() || self.conn.is_none() {
-            return Ok(false);
+    /// Act on what is due at `now` and return the next deadline
+    /// ([`Uplink::deadline`]). Up, a link send-idle for a full heartbeat
+    /// interval is sent a `Heartbeat`: any frame sent, and the
+    /// `HelloAck`, restart the interval, so heartbeats only ever ride an
+    /// otherwise quiet link. Down, a dial is output once its backoff has
+    /// passed.
+    pub fn advance(&mut self, now: Duration) -> Option<Duration> {
+        match self.state {
+            LinkState::Up if !self.heartbeat_interval.is_zero() => {
+                let interval_us = self.heartbeat_interval.as_micros() as i64;
+                if self.pace().saturating_sub(self.last_send_us) >= interval_us {
+                    self.queue(&Message::Heartbeat);
+                    self.telemetry.heartbeats_sent.fetch_add(1, Relaxed);
+                }
+            }
+            LinkState::Down if now >= self.redial.next_attempt => {
+                self.out.queued.push(Queued::Dial);
+                self.state = LinkState::Dialing;
+            }
+            _ => {}
         }
-        let interval_us = self.heartbeat_interval.as_micros() as i64;
-        if self.pace().saturating_sub(self.last_send_us) < interval_us {
-            return Ok(false);
-        }
-        self.send_frame(&Message::Heartbeat.encode())?;
-        self.telemetry.heartbeats_sent.fetch_add(1, Relaxed);
-        Ok(true)
+        self.deadline(now)
     }
 
-    /// Decode one inbound frame and apply its protocol-level effect. An
-    /// undecodable frame (corrupted wire) is skipped rather than fatal —
-    /// up to the budget. One frame past it, a message a sender must never
-    /// receive, or a `Shutdown` refusing a *re*connect before its
-    /// `HelloAck` drops the link and returns the error.
-    fn handle_frame(&mut self, frame: &[u8]) -> Result<Control> {
+    /// When this link next needs [`Uplink::advance`], on the driver's
+    /// clock: up, its next heartbeat (`None` with heartbeats off); down,
+    /// its next dial; with a dial out, the time it was due, as its
+    /// outcome is owed. Acks and sync polls are link input, not deadlines.
+    pub fn deadline(&self, now: Duration) -> Option<Duration> {
+        match self.state {
+            LinkState::Down | LinkState::Dialing => Some(self.redial.next_attempt),
+            LinkState::Up if self.heartbeat_interval.is_zero() => None,
+            LinkState::Up => {
+                let read = self.clock.now().as_micros();
+                let paced = self.paced_us + read.saturating_sub(self.last_read_us).max(0);
+                let idle = paced.saturating_sub(self.last_send_us).max(0) as u64;
+                let idle = Duration::from_micros(idle);
+                Some(now + self.heartbeat_interval.saturating_sub(idle))
+            }
+        }
+    }
+
+    /// Apply one inbound frame, received at `now`. An undecodable frame
+    /// (corrupted wire) is skipped rather than fatal, up to the budget.
+    /// One frame past it, a message a sender must never receive, or a
+    /// `Shutdown` refusing a *re*connect before its `HelloAck` drops the
+    /// link ([`Control::Dropped`]).
+    pub fn on_frame(&mut self, frame: &[u8], now: Duration) -> Control {
         let msg = match Message::decode(frame) {
             Ok(msg) => msg,
             Err(_) if self.control_errors < CONTROL_ERROR_BUDGET => {
                 self.control_errors += 1;
                 self.telemetry.decode_errors.fetch_add(1, Relaxed);
-                return Ok(Control::Skipped);
+                return Control::Skipped;
             }
-            Err(e) => return Err(self.fail(e.into())),
+            Err(e) => return self.refuse(&e.to_string(), now),
         };
-        Ok(match msg {
+        match msg {
             Message::HelloAck { credit, .. } => {
                 self.acked = true;
                 self.grant = Some(credit);
@@ -596,7 +614,7 @@ impl Uplink {
                     master_send,
                     slave_time: self.clock.now(),
                 };
-                self.send_frame(&reply.encode())?;
+                self.queue(&reply);
                 self.telemetry.sync_replies.fetch_add(1, Relaxed);
                 Control::Handled
             }
@@ -606,39 +624,41 @@ impl Uplink {
             // dead connection, not yet reaped. That is a refusal to retry,
             // not an orderly stop: the claim is released within a tick.
             Message::Shutdown if self.telemetry.connects.load(Relaxed) > 1 && !self.acked => {
-                return Err(self.fail(BriskError::Protocol(
-                    "reconnect refused before its HelloAck".into(),
-                )))
+                self.refuse("reconnect refused before its HelloAck", now)
             }
             Message::Shutdown => Control::Shutdown,
-            other => {
-                return Err(self.fail(BriskError::Protocol(format!(
-                    "a sender must never receive {other:?}"
-                ))))
-            }
-        })
-    }
-
-    /// Receive one inbound frame, waiting at most `wait`, and apply its
-    /// protocol-level effect; `None` when nothing arrived. An undecodable
-    /// frame is skipped rather than fatal, up to [`CONTROL_ERROR_BUDGET`].
-    pub fn poll_control(&mut self, wait: Duration) -> Result<Option<Control>> {
-        let conn = self.conn.as_mut().ok_or(BriskError::Disconnected)?;
-        match conn.recv(Some(wait)).map_err(|e| self.fail(e))? {
-            Some(frame) => self.handle_frame(&frame).map(Some),
-            None => Ok(None),
+            other => self.refuse(&format!("a sender must never receive {other:?}"), now),
         }
     }
-}
 
-fn send_on(conn: &mut Option<Box<dyn Connection>>, frame: &[u8]) -> Result<()> {
-    conn.as_mut().ok_or(BriskError::Disconnected)?.send(frame)
+    fn refuse(&mut self, why: &str, now: Duration) -> Control {
+        self.drop_link(why, now);
+        Control::Dropped
+    }
+
+    /// Hand every output decided since the last drain to `f`, in order.
+    /// A batch acked or evicted since it was queued is not sent.
+    pub fn drain_outputs(&mut self, mut f: impl FnMut(LinkOutput<'_>)) {
+        let Outbox { frames, queued } = &mut self.out;
+        for q in queued.drain(..) {
+            match q {
+                Queued::Dial => f(LinkOutput::Dial),
+                Queued::Frame(range) => f(LinkOutput::Send(&frames[range])),
+                Queued::Batch(seq) => {
+                    if let Some(batch) = self.window.get(seq) {
+                        f(LinkOutput::Send(&batch.frame));
+                    }
+                }
+                Queued::Drop => f(LinkOutput::Drop),
+            }
+        }
+        frames.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{mem_pair, recv_msg};
     use brisk_clock::SystemClock;
     use brisk_proto::NodePrefix;
 
@@ -651,41 +671,51 @@ mod tests {
         )
     }
 
+    /// The frames `up` asked its driver to send, decoded.
+    fn sent(up: &mut Uplink) -> Vec<Message> {
+        let mut msgs = Vec::new();
+        up.drain_outputs(|out| {
+            if let LinkOutput::Send(frame) = out {
+                msgs.push(Message::decode(frame).unwrap());
+            }
+        });
+        msgs
+    }
+
     #[test]
     fn send_on_a_detached_link_still_windows_the_batch() {
         let mut up = uplink();
-        assert!(up.send(&[]).unwrap_err().is_disconnect());
+        assert!(!up.send(&[]), "handed to no link");
         assert_eq!(up.window_depth(), 1);
-        // Attaching replays it right after the Hello.
-        let (mut ism, conn) = mem_pair();
-        assert_eq!(up.attach(conn).unwrap(), 1);
-        assert!(matches!(recv_msg(&mut ism), Message::Hello { .. }));
+        assert!(sent(&mut up).is_empty());
+        // The link coming up replays it right after the Hello.
+        up.up();
+        let msgs = sent(&mut up);
+        assert!(matches!(msgs[0], Message::Hello { .. }));
         assert!(matches!(
-            recv_msg(&mut ism),
-            Message::EventBatch { seq: Some(1), .. }
+            msgs[1..],
+            [Message::EventBatch { seq: Some(1), .. }]
         ));
     }
 
     #[test]
     fn the_uplink_counts_its_own_link_events() {
         let mut up = uplink();
-        let (mut ism, conn) = mem_pair();
-        assert_eq!(up.attach(conn).unwrap(), 0);
+        let now = Duration::ZERO;
+        up.up();
         for _ in 0..3 {
-            up.send(&[]).unwrap();
+            assert!(up.send(&[]));
         }
+        assert_eq!(sent(&mut up).len(), 4, "Hello and three batches");
         let ack = Message::BatchAck {
             seq: 1,
             credit: 1024,
         };
-        ism.send(&ack.encode()).unwrap();
-        let wait = Duration::from_secs(1);
-        assert_eq!(up.poll_control(wait).unwrap(), Some(Control::Handled));
-        ism.send(&[0xba, 0xad]).unwrap();
-        assert_eq!(up.poll_control(wait).unwrap(), Some(Control::Skipped));
-        up.drop_link("test");
-        let (_ism2, conn) = mem_pair();
-        assert_eq!(up.attach(conn).unwrap(), 2);
+        assert_eq!(up.on_frame(&ack.encode(), now), Control::Handled);
+        assert_eq!(up.on_frame(&[0xba, 0xad], now), Control::Skipped);
+        up.down("test", now);
+        up.up();
+        assert_eq!(sent(&mut up).len(), 3, "Hello and two replays");
 
         let t = up.telemetry();
         let stats = t.snapshot();
@@ -706,9 +736,10 @@ mod tests {
         };
         // The waits a link whose every dial fails would sit out.
         let waits = |node: NodeId| {
-            let refuse: ConnectFn = Box::new(|| Err(BriskError::Disconnected));
-            let mut r = Redial::new(node, refuse, sup.clone());
-            (0..1000).map(|_| r.defer()).collect::<Vec<_>>()
+            let mut r = Redial::new(node, sup.clone());
+            (0..1000)
+                .map(|_| r.defer(Duration::ZERO))
+                .collect::<Vec<_>>()
         };
         let relays = [1, 2].map(|p| NodePrefix::new(p).unwrap().relay_node());
         for node in relays {

@@ -50,7 +50,7 @@
 //! `--speed F` compresses the original timing by `F` (default: flat out).
 
 use brisk::cli::{ms, on, put, val, Endpoint, Flag, Verdict};
-use brisk::lis::uplink::ConnectFn;
+use brisk::lis::runtime::ConnectFn;
 use brisk::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -12,6 +12,7 @@
 use brisk::core::{binenc, CreConfig};
 use brisk::ism::CreMatcher;
 use brisk::lis::uplink::Uplink;
+use brisk::lis::Link;
 use brisk::prelude::*;
 use brisk::proto::{BatchView, BatchWalk};
 use brisk::ringbuf::RecordRing;
@@ -340,10 +341,16 @@ impl Connection for NullLink {
 #[test]
 fn uplink_sends_a_batch_without_copying_it() {
     let mut up = Uplink::new(NODE, Arc::new(SystemClock), 64, Duration::ZERO);
-    up.attach(Box::new(NullLink { frames: 0 })).unwrap();
+    let mut link = Link::new(Some(Box::new(NullLink { frames: 0 })), None);
+    up.up();
+    link.serve(&mut up, Duration::ZERO);
     let records = batch(0, 256);
-    let (n, sent) = allocs(|| up.send(&records));
-    sent.unwrap();
+    let (n, sent) = allocs(|| {
+        let sent = up.send(&records);
+        link.serve(&mut up, Duration::ZERO);
+        sent
+    });
+    assert!(sent);
     assert!(n <= 3, "Uplink::send of 256 records made {n} allocations");
     assert_eq!(up.window_depth(), 1);
 }
@@ -352,11 +359,13 @@ fn uplink_sends_a_batch_without_copying_it() {
 fn exs_ships_a_batch_without_allocating_per_record() {
     let rings = RingSet::new(NODE, 1 << 20);
     let mut port = rings.register();
-    let link = Box::new(NullLink { frames: 0 });
+    let mut link = Link::new(Some(Box::new(NullLink { frames: 0 })), None);
     let cfg = ExsConfig::default();
     assert_eq!(cfg.max_batch_records, 256);
     let mut exs =
-        ExternalSensor::new(NODE, Arc::clone(&rings), Arc::new(SystemClock), link, cfg).unwrap();
+        ExternalSensor::new(NODE, Arc::clone(&rings), Arc::new(SystemClock), cfg).unwrap();
+    exs.uplink().up();
+    link.serve(exs.uplink(), Duration::ZERO);
     // Emit one full batch of six-i32 records, then count what the step
     // that drains and ships it allocates (no grant yet: credit is open).
     let mut ship = |exs: &mut ExternalSensor, first: u64| {
@@ -364,7 +373,11 @@ fn exs_ships_a_batch_without_allocating_per_record() {
             port.emit(EventTypeId(1), UtcMicros::ZERO, six_i32(s))
                 .unwrap();
         }
-        let (n, step) = allocs(|| exs.step());
+        let (n, step) = allocs(|| {
+            let step = exs.step(Duration::ZERO);
+            link.serve(exs.uplink(), Duration::ZERO);
+            step
+        });
         step.unwrap();
         n
     };
